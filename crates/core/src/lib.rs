@@ -28,7 +28,10 @@
 //! synchronous driver, the threaded driver, fault injection and
 //! structured observability (`gridmine-obs` recorders). A third,
 //! multi-process backend lives in the `gridmine-net` crate and drives
-//! the same resources over real loopback TCP sockets.
+//! the same resources over real loopback TCP sockets. What a resource
+//! does at each round — crash-wipe, restore, heal, checkpoint, scan —
+//! and how reports fold into a [`MiningOutcome`] is written once, in
+//! [`round`]; the drivers only move its inputs and outputs.
 
 // Protocol crate: the paper's adversary model makes every panic a
 // denial-of-service lever, so `.unwrap()` outside tests is part of the
@@ -47,7 +50,9 @@ pub mod kttp;
 pub mod miner;
 pub mod packed;
 pub mod plain;
+pub mod proxy;
 pub mod resource;
+pub mod round;
 pub mod session;
 pub mod sfe;
 pub mod shares;
@@ -65,7 +70,9 @@ pub use kttp::KTtp;
 pub use miner::{MineConfig, MiningOutcome};
 pub use packed::PackedCounter;
 pub use plain::PlainCounter;
+pub use proxy::ChaosProxy;
 pub use resource::{SecureResource, WireMsg};
+pub use round::{assemble, ResourceReport, RoundMachine, RoundSchedule, Scan, Seat, Tallies};
 pub use session::{MineSession, SessionCipher, SessionError};
 pub use sfe::{GateMode, KGate};
 pub use threaded::{run_threaded, run_threaded_full, run_threaded_with};

@@ -4,7 +4,8 @@
 //! builder covering the synchronous driver, the threaded driver and
 //! fault injection, with observability via `gridmine-obs` recorders.
 //! The multi-process TCP backend in `gridmine-net` returns the same
-//! [`MiningOutcome`].
+//! [`MiningOutcome`]; every driver builds it with
+//! [`crate::round::assemble`].
 
 use gridmine_arm::{Ratio, RuleSet};
 use gridmine_obs::MetricsSnapshot;
@@ -12,7 +13,7 @@ use gridmine_obs::MetricsSnapshot;
 use crate::chaos::{ChaosReport, ResourceStatus};
 use crate::controller::Verdict;
 
-/// Outcome of a synchronous mining run.
+/// Outcome of a mining run, under any driver.
 #[derive(Debug)]
 pub struct MiningOutcome {
     /// Interim solution per resource (indexed by tree node id).
@@ -26,7 +27,7 @@ pub struct MiningOutcome {
     /// What the fault layer did to the run (clean on fault-free runs).
     pub chaos: ChaosReport,
     /// Event-derived metrics (all-zero unless a recorder was attached
-    /// via [`MineSession::with_recorder`]).
+    /// via [`crate::session::MineSession::with_recorder`]).
     pub metrics: MetricsSnapshot,
 }
 
@@ -41,7 +42,7 @@ impl MiningOutcome {
     }
 }
 
-/// Configuration of a synchronous run.
+/// Configuration of a mining run, under any driver.
 #[derive(Clone, Copy, Debug)]
 pub struct MineConfig {
     /// Frequency threshold.
@@ -137,9 +138,8 @@ mod tests {
     fn verdicts_surface_through_the_outcome() {
         let keys = GridKeys::<MockCipher>::mock(6);
         let cfg = MineConfig::new(Ratio::new(1, 2), Ratio::new(1, 2));
-        // Build manually to corrupt one broker, then reuse the driver via
-        // mine_secure's building blocks — simplest is to just corrupt after
-        // construction, so use the internal pieces directly.
+        // `MineSession` builds honest grids only: build the resources by
+        // hand, corrupt one broker, and deliver to quiescence directly.
         let generator = CandidateGenerator::new(cfg.min_freq, cfg.min_conf);
         let items = vec![gridmine_arm::Item(1), gridmine_arm::Item(2), gridmine_arm::Item(3)];
         let tree = Tree::path(4);

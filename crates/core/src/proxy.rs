@@ -1,19 +1,21 @@
-//! The in-path chaos proxy: one seeded [`FaultPlan`] drives byte-level
-//! socket faults exactly like the threaded driver's in-memory link.
+//! The fault router: one seeded [`FaultPlan`] applied to protocol
+//! messages in flight, identically under every driver.
 //!
-//! The hub routes every counter through a [`ChaosProxy`] sitting between
-//! the sender's socket and the receiver's. Decisions come from the same
-//! [`FaultyLink`] the threaded driver uses — a pure function of
-//! `(seed, directed edge, per-edge sequence number)` — so the same plan
-//! produces the same drop/duplicate/delay schedule in the simulator, the
-//! threaded driver, and the real-socket deployment.
+//! Every counter a driver forwards passes through a [`ChaosProxy`] —
+//! one per worker in the threaded driver (each sender owns its
+//! out-edges), one in the hub of the socket deployment. Decisions come
+//! from [`FaultyLink`], a pure function of `(seed, directed edge,
+//! per-edge sequence number)`, so the same plan produces the same
+//! drop/duplicate/delay schedule wherever it runs, and every decision is
+//! mirrored as an event so a log's per-type counts equal
+//! [`FaultStats`].
 //!
-//! Delay semantics mirror `run_threaded_full`: a delayed copy is parked
-//! until the next phase's flush, and while an edge has parked traffic
-//! every later copy on that edge parks too (FIFO links must not reorder
-//! — a reordering link is indistinguishable from a replaying broker and
-//! would draw a verdict). Flushed messages are delivered **without**
-//! re-rolling chaos, again matching the threaded driver.
+//! A delayed copy is parked until the driver's next flush, and while an
+//! edge has parked traffic every later copy on that edge parks too: links
+//! are FIFO streams, and an overtaking message would present the
+//! receiver with a Lamport-timestamp regression and be (correctly)
+//! flagged as a replay. Flushed messages are delivered **without**
+//! re-rolling chaos.
 
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_topology::{FaultPlan, FaultStats, FaultyLink};
@@ -36,7 +38,7 @@ impl<T: Clone> ChaosProxy<T> {
     }
 
     /// Re-parks a message (a held flush whose sender is down this tick
-    /// keeps its traffic parked, exactly like a down threaded worker).
+    /// keeps its traffic parked).
     pub fn park(&mut self, from: usize, to: usize, msg: T) {
         self.held.push((from, to, msg));
     }
@@ -48,12 +50,21 @@ impl<T: Clone> ChaosProxy<T> {
 
     /// Routes one message from `from` to `to`: rolls the link's fault
     /// decision, emits the matching observability events, parks delayed
-    /// (and FIFO-blocked) copies, and returns the copies to deliver now.
-    pub fn route(&mut self, from: usize, to: usize, msg: T, rec: &SharedRecorder) -> Vec<T> {
+    /// (and FIFO-blocked) copies, and hands the copies due now to
+    /// `deliver`. The message itself is the last copy, so a clean link
+    /// costs one `on_send` and no clone.
+    pub fn route(
+        &mut self,
+        from: usize,
+        to: usize,
+        msg: T,
+        rec: &SharedRecorder,
+        mut deliver: impl FnMut(T),
+    ) {
         let delivery = self.link.on_send(from, to);
         if delivery.is_dropped() {
             emit(rec, || Event::MessageDropped { from: from as u64, to: to as u64 });
-            return Vec::new();
+            return;
         }
         if delivery.copies > 1 {
             emit(rec, || Event::MessageDuplicated {
@@ -69,16 +80,13 @@ impl<T: Clone> ChaosProxy<T> {
                 ticks: delivery.extra_delay,
             });
         }
-        let edge_blocked = self.held.iter().any(|(f, t, _)| *f == from && *t == to);
-        let mut now = Vec::new();
-        for _ in 0..delivery.copies {
-            if delivery.extra_delay > 0 || edge_blocked {
-                self.held.push((from, to, msg.clone()));
-            } else {
-                now.push(msg.clone());
-            }
+        let park =
+            delivery.extra_delay > 0 || self.held.iter().any(|(f, t, _)| *f == from && *t == to);
+        let mut pass = |m: T| if park { self.held.push((from, to, m)) } else { deliver(m) };
+        for _ in 1..delivery.copies {
+            pass(msg.clone());
         }
-        now
+        pass(msg);
     }
 
     /// Releases every parked message for delivery, in arrival order,
@@ -92,11 +100,24 @@ impl<T: Clone> ChaosProxy<T> {
 mod tests {
     use super::*;
     use gridmine_obs::{EventKind, MemoryRecorder};
-    use gridmine_topology::EdgeFaults;
+    use gridmine_topology::faults::EdgeFaults;
 
     fn recorder() -> (SharedRecorder, std::sync::Arc<MemoryRecorder>) {
         let mem = MemoryRecorder::shared();
         (mem.clone() as SharedRecorder, mem)
+    }
+
+    /// The copies `route` delivers immediately.
+    fn routed<T: Clone>(
+        proxy: &mut ChaosProxy<T>,
+        from: usize,
+        to: usize,
+        msg: T,
+        rec: &SharedRecorder,
+    ) -> Vec<T> {
+        let mut now = Vec::new();
+        proxy.route(from, to, msg, rec, |m| now.push(m));
+        now
     }
 
     #[test]
@@ -104,7 +125,7 @@ mod tests {
         let (rec, mem) = recorder();
         let mut proxy: ChaosProxy<u8> = ChaosProxy::new(FaultPlan::none());
         for i in 0..32 {
-            assert_eq!(proxy.route(0, 1, i, &rec), vec![i]);
+            assert_eq!(routed(&mut proxy, 0, 1, i, &rec), vec![i]);
         }
         assert!(!proxy.has_held());
         assert_eq!(mem.count_of(EventKind::MessageDropped), 0);
@@ -117,7 +138,7 @@ mod tests {
         let plan = FaultPlan::new(11).with_default_edge(EdgeFaults::dropping(1.0));
         let mut proxy: ChaosProxy<u8> = ChaosProxy::new(plan);
         for i in 0..16 {
-            assert!(proxy.route(0, 1, i, &rec).is_empty());
+            assert!(routed(&mut proxy, 0, 1, i, &rec).is_empty());
         }
         assert_eq!(proxy.stats().dropped, 16);
         assert_eq!(mem.count_of(EventKind::MessageDropped), 16);
@@ -134,7 +155,7 @@ mod tests {
         let mut proxy: ChaosProxy<u32> = ChaosProxy::new(plan);
         let mut now = Vec::new();
         for i in 0..24u32 {
-            now.extend(proxy.route(2, 3, i, &rec));
+            now.extend(routed(&mut proxy, 2, 3, i, &rec));
         }
         assert!(proxy.has_held(), "jitter must park at least one copy");
         let flushed = proxy.flush();
@@ -160,7 +181,7 @@ mod tests {
         let mut proxy: ChaosProxy<u8> = ChaosProxy::new(plan.clone());
         let mut reference = FaultyLink::new(plan);
         for i in 0..64 {
-            let got = !proxy.route(1, 4, i, &rec).is_empty();
+            let got = !routed(&mut proxy, 1, 4, i, &rec).is_empty();
             let want = !reference.on_send(1, 4).is_dropped();
             assert_eq!(got, want, "decision {i} diverged from the reference link");
         }

@@ -1,10 +1,7 @@
 //! [`MineSession`]: the one builder that drives every mining mode.
 //!
-//! The library grew three parallel front doors — `mine_secure`
-//! (synchronous), `mine_secure_threaded` (one OS thread per resource)
-//! and `mine_secure_threaded_faulty` (threads + fault injection) — each
-//! with its own positional-argument signature and no way to observe a
-//! run. `MineSession` subsumes all three behind one builder:
+//! One builder for the synchronous driver, the threaded driver (one OS
+//! thread per resource) and threads + fault injection:
 //!
 //! ```
 //! use gridmine_arm::{Database, Ratio, Transaction};
@@ -20,11 +17,12 @@
 //! assert!(outcome.verdicts.is_empty());
 //! ```
 //!
-//! The old free-function entry points are gone; the `gridmine-net`
-//! crate adds a third, multi-process backend that drives the same
-//! resources over loopback TCP. A session defaults to the plaintext
-//! [`MockCipher`], a path topology over the databases, no faults and
-//! the zero-cost `NullRecorder`; every default has a `with_*` override.
+//! The `gridmine-net` crate adds a third, multi-process backend that
+//! drives the same resources over loopback TCP; all three run the
+//! per-round policy in [`crate::round`]. A session defaults to the
+//! plaintext [`MockCipher`], a path topology over the databases, no
+//! faults and the zero-cost `NullRecorder`; every default has a `with_*`
+//! override.
 //! Attaching a real recorder also arms the [`Metrics`] registry, whose
 //! snapshot lands in [`MiningOutcome::metrics`].
 
@@ -37,13 +35,13 @@ use gridmine_majority::CandidateGenerator;
 use gridmine_obs::{emit, Event, FanoutRecorder, Metrics, SharedRecorder};
 use gridmine_paillier::{HomCipher, MockCipher, PaillierCtx};
 use gridmine_recovery::RecoveryMode;
-use gridmine_topology::faults::FaultPlan;
+use gridmine_topology::faults::{FaultPlan, FaultStats};
 use gridmine_topology::Tree;
 
-use crate::chaos::{ChaosReport, ResourceStatus};
 use crate::keyring::GridKeys;
 use crate::miner::{MineConfig, MiningOutcome};
 use crate::resource::{wire_grid, SecureResource, WireMsg};
+use crate::round::{assemble, RoundMachine, RoundSchedule, Scan, Seat};
 use crate::threaded::run_threaded_full;
 
 /// Why a [`MineSession`] refused to run. The `try_run*` entry points
@@ -163,6 +161,19 @@ impl SessionCipher for PaillierCtx {
     fn session_keys(seed: u64) -> GridKeys<Self> {
         // gridlint: allow(taint-flow) -- the session builder is the key provisioner: it generates GridKeys once, hands them to the resources it constructs, and never opens a ciphertext itself
         GridKeys::paillier(DEFAULT_PAILLIER_BITS, seed)
+    }
+}
+
+/// The effective recorder for a run plus the metrics registry that
+/// shadows it, so the outcome carries a real snapshot. With a disabled
+/// recorder both stay off and the run pays nothing.
+pub fn arm_recorder(rec: &SharedRecorder) -> (SharedRecorder, Option<Arc<Metrics>>) {
+    if rec.enabled() {
+        let metrics = Metrics::shared();
+        let fan: SharedRecorder = Arc::new(FanoutRecorder::new(vec![rec.clone(), metrics.clone()]));
+        (fan, Some(metrics))
+    } else {
+        (gridmine_obs::null(), None)
     }
 }
 
@@ -288,20 +299,6 @@ impl<C: HomCipher + 'static> MineSession<C> {
             .map_err(|e| SessionError::from_schedule(e, self.cfg.rounds))
     }
 
-    /// The effective recorder for the run plus the metrics registry that
-    /// shadows it. With the default `NullRecorder` both stay off so the
-    /// run pays nothing.
-    fn arm_recorder(&self) -> (SharedRecorder, Option<Arc<Metrics>>) {
-        if self.rec.enabled() {
-            let metrics = Metrics::shared();
-            let fan: SharedRecorder =
-                Arc::new(FanoutRecorder::new(vec![self.rec.clone(), metrics.clone()]));
-            (fan, Some(metrics))
-        } else {
-            (gridmine_obs::null(), None)
-        }
-    }
-
     /// Builds the wired resource grid.
     fn build(&self, rec: &SharedRecorder) -> Vec<SecureResource<C>> {
         let tree = match &self.tree {
@@ -324,7 +321,7 @@ impl<C: HomCipher + 'static> MineSession<C> {
             .enumerate()
             .map(|(u, db)| {
                 let neighbors: Vec<usize> = tree.neighbors(u).collect();
-                let mut r = SecureResource::new(
+                SecureResource::new(
                     u,
                     &keys,
                     neighbors,
@@ -333,9 +330,7 @@ impl<C: HomCipher + 'static> MineSession<C> {
                     generator,
                     &items,
                     cfg.seed ^ (u as u64).wrapping_mul(0x9E37_79B9),
-                );
-                r.set_recorder(rec.clone());
-                r
+                )
             })
             .collect();
         wire_grid(&mut resources);
@@ -359,69 +354,61 @@ impl<C: HomCipher + 'static> MineSession<C> {
     /// instead of a panic.
     pub fn try_run(self) -> Result<MiningOutcome, SessionError> {
         self.validate(false)?;
-        let (rec, metrics) = self.arm_recorder();
-        let mut resources = self.build(&rec);
-        let cfg = self.cfg;
+        let (rec, metrics) = arm_recorder(&self.rec);
+        let rounds = self.cfg.rounds;
+        // The plan is quiet (validated above) and the synchronous driver
+        // has no crash model, so every machine runs the quiet schedule.
+        let mut machines: Vec<RoundMachine<C>> = self
+            .build(&rec)
+            .into_iter()
+            .map(|r| {
+                let neighbors = r.layout().neighbors.clone();
+                let schedule =
+                    RoundSchedule::of(&self.plan, r.id(), neighbors, RecoveryMode::Disabled);
+                RoundMachine::new(r, schedule, rec.clone())
+            })
+            .collect();
 
-        let mut messages = 0u64;
-        let deliver = |resources: &mut Vec<SecureResource<C>>,
-                       queue: &mut VecDeque<WireMsg<C>>,
-                       messages: &mut u64| {
+        let deliver = |machines: &mut Vec<RoundMachine<C>>, queue: &mut VecDeque<WireMsg<C>>| {
             let mut hops = 0u64;
             while let Some(msg) = queue.pop_front() {
                 hops += 1;
                 assert!(hops < 10_000_000, "secure mining failed to quiesce");
-                *messages += 1;
-                let to = msg.to;
-                queue.extend(resources[to].on_receive(&msg));
+                queue.extend(machines[msg.to].receive(&msg));
             }
         };
 
-        for round in 0..cfg.rounds {
-            emit(&rec, || Event::RoundAdvanced { tick: round as u64 });
+        for round in 0..rounds {
+            let tick = round as u64;
+            emit(&rec, || Event::RoundAdvanced { tick });
             let mut queue: VecDeque<WireMsg<C>> = VecDeque::new();
-            for r in resources.iter_mut() {
-                queue.extend(r.step(usize::MAX));
+            for m in machines.iter_mut() {
+                if let Scan::Send { msgs, .. } = m.scan(tick) {
+                    queue.extend(msgs);
+                }
             }
-            deliver(&mut resources, &mut queue, &mut messages);
+            deliver(&mut machines, &mut queue);
 
-            let mut queue: VecDeque<WireMsg<C>> = VecDeque::new();
-            for r in resources.iter_mut() {
-                queue.extend(r.generate_candidates());
+            for m in machines.iter_mut() {
+                queue.extend(m.candidates());
             }
-            deliver(&mut resources, &mut queue, &mut messages);
+            deliver(&mut machines, &mut queue);
 
-            if resources.iter().any(|r| r.verdict().is_some()) {
+            if machines.iter().any(|m| m.resource().verdict().is_some()) {
                 break;
             }
         }
-        for r in resources.iter_mut() {
-            r.refresh_outputs();
-        }
-
-        let verdicts = resources.iter().filter_map(|r| r.verdict()).collect();
-        let statuses: Vec<ResourceStatus> = resources
-            .iter()
-            .map(|r| r.degraded().map_or(ResourceStatus::Ok, ResourceStatus::Degraded))
+        let seats: Vec<Seat> = machines
+            .iter_mut()
+            .map(|m| {
+                m.finish(rounds);
+                m.report().into()
+            })
             .collect();
-        let chaos = ChaosReport {
-            retries: resources.iter().map(|r| r.retries_spent()).sum(),
-            degraded: statuses
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.is_ok())
-                .map(|(u, _)| u)
-                .collect(),
-            ..ChaosReport::default()
-        };
-        let outcome = MiningOutcome {
-            solutions: resources.iter().map(|r| r.interim()).collect(),
-            verdicts,
-            messages,
-            statuses,
-            chaos,
-            metrics: metrics.map(|m| m.snapshot()).unwrap_or_default(),
-        };
+        let mut outcome = assemble(&self.plan, rounds, seats, FaultStats::default(), &rec);
+        if let Some(m) = metrics {
+            outcome.metrics = m.snapshot();
+        }
         rec.flush();
         Ok(outcome)
     }
@@ -442,7 +429,7 @@ impl<C: HomCipher + 'static> MineSession<C> {
     /// typed error instead of a panic.
     pub fn try_run_threaded(self) -> Result<MiningOutcome, SessionError> {
         self.validate(true)?;
-        let (rec, metrics) = self.arm_recorder();
+        let (rec, metrics) = arm_recorder(&self.rec);
         let resources = self.build(&rec);
         let mut outcome =
             run_threaded_full(resources, self.cfg.rounds, self.plan, rec.clone(), self.mode);

@@ -20,6 +20,7 @@
 //!   byte-for-byte comparison, not just a round-trip.
 
 use gridmine_arm::{CandidateRule, Item, ItemSet, Ratio, Rule};
+pub use gridmine_core::Tallies;
 use gridmine_core::{BrokerMsg, CounterLayout, DegradeReason, SecureCounter, Verdict};
 use gridmine_paillier::{CounterMsg, HomCipher};
 
@@ -44,27 +45,6 @@ pub enum Phase {
     Scan,
     /// Candidate-generation phase of a round.
     Candidate,
-}
-
-/// Per-resource protocol tallies carried by a [`Frame::Report`] (and
-/// persisted across a process restart so a rejoiner's report covers its
-/// pre-crash life too).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct Tallies {
-    /// Protocol messages mailed (`SecureResource::msgs_sent`).
-    pub msgs_sent: u64,
-    /// SFE retries spent against a mute controller.
-    pub retries: u64,
-    /// Anti-entropy / recovery re-sends.
-    pub resends: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Journal replays performed.
-    pub replays: u64,
-    /// Restores rejected by the untrusted-input screens.
-    pub rejected: u64,
-    /// Whether the SFE retry budget ever ran dry.
-    pub exhausted: bool,
 }
 
 /// A node's end-of-run report: its interim solution plus everything the

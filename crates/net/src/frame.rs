@@ -46,26 +46,11 @@ pub const CHECKSUM_LEN: usize = 8;
 /// length field cannot balloon allocation.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
-/// SplitMix64 finalizer — the mixing step of the frame digest.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Digest of a byte string: length-seeded SplitMix64 chain over 8-byte
-/// little-endian chunks (the trailing partial chunk is zero-padded).
+/// Digest of a byte string: the workspace's SplitMix64 chain
+/// ([`gridmine_store::chain_bytes`]) started from the frame's own
+/// length-seeded constant.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = 0x243F_6A88_85A3_08D3u64 ^ (bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut word = [0u8; 8];
-        for (dst, src) in word.iter_mut().zip(chunk) {
-            *dst = *src;
-        }
-        h = mix(h ^ u64::from_le_bytes(word));
-    }
-    h
+    gridmine_store::chain_bytes(0x243F_6A88_85A3_08D3u64 ^ (bytes.len() as u64), bytes)
 }
 
 /// Assembles a full frame byte string from a kind tag and payload.

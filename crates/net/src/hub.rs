@@ -1,21 +1,21 @@
 //! The session hub: spawns one `gridmine-node` process per resource,
-//! supervises them over loopback TCP and assembles a [`MiningOutcome`]
-//! mirroring the threaded driver's.
+//! supervises them over loopback TCP and hands their reports to core's
+//! [`assemble`].
 //!
 //! [`NetSession`] is the networked sibling of `MineSession`: same
 //! builder shape, same validation, same outcome — but every resource is
 //! an OS **process** peered over real sockets. The hub is a star relay:
-//! all counter traffic crosses it, which is what lets one seeded
-//! [`ChaosProxy`] apply the exact per-edge fault decisions the threaded
-//! driver's per-worker links make, and lets the codec door turn hostile
-//! bytes into a [`Verdict::MaliciousResource`] + quarantine instead of a
-//! panic anywhere.
+//! all counter traffic crosses it, so one seeded [`ChaosProxy`] makes
+//! every per-edge fault decision, and the codec door turns hostile bytes
+//! into a [`Verdict::MaliciousResource`] + quarantine instead of a panic
+//! anywhere. What a node does at each tick is `gridmine_core::round`'s
+//! (each spec carries its [`RoundSchedule`]); this file owns spawn and
+//! respawn, the relay, kills and deadlines.
 //!
-//! Phase barriers become message barriers: the hub opens a phase with
+//! Phase barriers are message barriers: the hub opens a phase with
 //! `PhaseStart`, every participant answers `PhaseSent`, and in-flight
 //! counters are tracked with `Processed` acks — a phase is over when the
-//! check-ins are complete and the pending counter is zero, the same
-//! quiescence the threaded driver reads off its atomic in-flight count.
+//! check-ins are complete and the pending counter is zero.
 //!
 //! Crash-survival is process-level. Soft crashes come from the
 //! [`FaultPlan`] (the node wipes, persists its recovery image and
@@ -31,24 +31,23 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use gridmine_arm::{Database, RuleSet};
+use gridmine_arm::Database;
+use gridmine_core::session::arm_recorder;
 use gridmine_core::{
-    ChaosReport, DegradeReason, MineConfig, MiningOutcome, RecoveryMode, ResourceStatus,
-    SessionCipher, Verdict, WireMsg,
+    assemble, ChaosProxy, DegradeReason, MineConfig, MiningOutcome, RecoveryMode, ResourceReport,
+    RoundSchedule, Seat, SessionCipher, Tallies, Verdict, WireMsg,
 };
-use gridmine_obs::{emit, Event, FanoutRecorder, Metrics, SharedRecorder};
+use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::{MockCipher, PaillierCtx};
 use gridmine_topology::faults::ResourceFault;
 use gridmine_topology::{FaultPlan, Tree};
 
-use crate::codec::{Frame, NodeReport, Phase, Tallies};
+use crate::codec::{Frame, NodeReport, Phase};
 use crate::error::{NetError, WireError};
-use crate::proxy::ChaosProxy;
-use crate::spec::{NodeSpec, RecoverySpec};
+use crate::spec::NodeSpec;
 use crate::transport::{self, HelloInfo};
 
 /// A cipher the networked backend can name in a [`NodeSpec`] so the
@@ -210,7 +209,7 @@ impl<C: NetCipher> NetSession<C> {
             plan = plan.with_crash(u, at, recover);
         }
         self.validate(&plan)?;
-        let (rec, metrics) = self.arm_recorder();
+        let (rec, metrics) = arm_recorder(&self.rec);
 
         let n = self.dbs.len();
         let tree = match &self.tree {
@@ -237,48 +236,23 @@ impl<C: NetCipher> NetSession<C> {
         let hub_addr = listener.local_addr()?.to_string();
 
         let specs: Vec<NodeSpec> = (0..n)
-            .map(|u| {
-                let hard = self.kills.iter().chain(&self.mid_kills).any(|&(k, _, _)| k == u);
-                let (crash_at, crash_recover, depart_at) = match plan.fault_of(u) {
-                    Some(ResourceFault::Crash { at, recover }) if !hard => {
-                        (Some(at), recover, None)
-                    }
-                    // Hard-killed processes get no self-crash schedule:
-                    // the hub pulls the trigger from outside.
-                    Some(ResourceFault::Crash { .. }) => (None, None, None),
-                    Some(ResourceFault::Depart { at }) => (None, None, Some(at)),
-                    None => (None, None, None),
-                };
-                let nbr_recovers: Vec<(usize, u64)> = adjacency[u]
-                    .iter()
-                    .filter_map(|&v| match plan.fault_of(v) {
-                        Some(ResourceFault::Crash { recover: Some(rt), .. }) => Some((v, rt)),
-                        _ => None,
-                    })
-                    .collect();
-                NodeSpec {
-                    session,
-                    resource: u,
-                    cipher: C::TAG.into(),
-                    seed: self.cfg.seed,
-                    min_freq: (self.cfg.min_freq.num(), self.cfg.min_freq.den()),
-                    min_conf: (self.cfg.min_conf.num(), self.cfg.min_conf.den()),
-                    k: self.cfg.k,
-                    rounds: self.cfg.rounds,
-                    adjacency: adjacency.clone(),
-                    items: items.clone(),
-                    db: self.dbs[u].clone(),
-                    crash_at,
-                    crash_recover,
-                    depart_at,
-                    resume_tick: None,
-                    nbr_recovers,
-                    has_edge_faults: plan.has_edge_faults(),
-                    recovery: RecoverySpec::of(&self.mode),
-                    hub: hub_addr.clone(),
-                    state_dir: state_dir.to_string_lossy().into_owned(),
-                    hostile: self.hostile.contains(&u),
-                }
+            .map(|u| NodeSpec {
+                session,
+                resource: u,
+                cipher: C::TAG.into(),
+                seed: self.cfg.seed,
+                min_freq: (self.cfg.min_freq.num(), self.cfg.min_freq.den()),
+                min_conf: (self.cfg.min_conf.num(), self.cfg.min_conf.den()),
+                k: self.cfg.k,
+                rounds: self.cfg.rounds,
+                adjacency: adjacency.clone(),
+                items: items.clone(),
+                db: self.dbs[u].clone(),
+                schedule: RoundSchedule::of(&plan, u, adjacency[u].clone(), self.mode),
+                resume_tick: None,
+                hub: hub_addr.clone(),
+                state_dir: state_dir.to_string_lossy().into_owned(),
+                hostile: self.hostile.contains(&u),
             })
             .collect();
 
@@ -319,10 +293,10 @@ impl<C: NetCipher> NetSession<C> {
         Ok(outcome)
     }
 
-    /// Mirrors `MineSession::validate`, with the net-specific additions:
-    /// a node binary is mandatory and crash faults need a wiping
-    /// recovery mode (process state cannot outlive a process that keeps
-    /// it only in memory).
+    /// `MineSession`'s validation plus the net-specific conditions: a
+    /// node binary is mandatory and crash faults need a wiping recovery
+    /// mode (process state cannot outlive a process that keeps it only
+    /// in memory).
     fn validate(&self, plan: &FaultPlan) -> Result<(), NetError> {
         if self.dbs.is_empty() {
             return Err(NetError::Session("a session needs at least one database".into()));
@@ -339,53 +313,20 @@ impl<C: NetCipher> NetSession<C> {
                 "no gridmine-node binary configured (NetSession::with_node_binary)".into(),
             ));
         }
-        for (u, fault) in plan.resource_faults() {
-            if u >= capacity {
-                return Err(NetError::Session(format!(
-                    "fault targets resource {u} outside capacity {capacity}"
-                )));
-            }
-            if fault.onset() >= self.cfg.rounds as u64 {
-                return Err(NetError::Session(format!(
-                    "fault on resource {u} fires at tick {} but the run is {} rounds",
-                    fault.onset(),
-                    self.cfg.rounds
-                )));
-            }
-            if matches!(fault, ResourceFault::Crash { .. }) && !self.mode.wipes() {
-                return Err(NetError::Session(
-                    "process crashes require a wiping recovery mode (cold or checkpoint)".into(),
-                ));
-            }
+        plan.validate_within(capacity, self.cfg.rounds as u64)
+            .map_err(|e| NetError::Session(format!("{e} (capacity {capacity})")))?;
+        let crashes = plan.resource_faults().any(|(_, f)| matches!(f, ResourceFault::Crash { .. }));
+        if crashes && !self.mode.wipes() {
+            return Err(NetError::Session(
+                "process crashes require a wiping recovery mode (cold or checkpoint)".into(),
+            ));
         }
-        for ((u, v), _) in self.plan.edge_overrides() {
-            if u >= capacity || v >= capacity {
-                return Err(NetError::Session(format!(
-                    "edge fault ({u}, {v}) outside capacity {capacity}"
-                )));
-            }
-        }
-        for &u in &self.hostile {
-            if u >= capacity {
-                return Err(NetError::Session(format!(
-                    "hostile resource {u} outside capacity {capacity}"
-                )));
-            }
+        if let Some(&u) = self.hostile.iter().find(|&&u| u >= capacity) {
+            return Err(NetError::Session(format!(
+                "hostile resource {u} outside capacity {capacity}"
+            )));
         }
         Ok(())
-    }
-
-    /// Same recorder arming as `MineSession`: a metrics registry shadows
-    /// the user's recorder so the outcome carries a real snapshot.
-    fn arm_recorder(&self) -> (SharedRecorder, Option<Arc<Metrics>>) {
-        if self.rec.enabled() {
-            let metrics = Metrics::shared();
-            let fan: SharedRecorder =
-                Arc::new(FanoutRecorder::new(vec![self.rec.clone(), metrics.clone()]));
-            (fan, Some(metrics))
-        } else {
-            (gridmine_obs::null(), None)
-        }
     }
 }
 
@@ -395,10 +336,7 @@ impl<C: NetCipher> NetSession<C> {
 fn session_id(seed: u64) -> u64 {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let nonce = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let mut x = seed ^ (u64::from(std::process::id()) << 32) ^ nonce;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    gridmine_store::mix64(seed ^ (u64::from(std::process::id()) << 32) ^ nonce)
 }
 
 /// What a peer's reader thread reports back to the hub loop.
@@ -537,120 +475,29 @@ impl<C: NetCipher> HubRun<C> {
         Ok(())
     }
 
-    /// Assembles a [`MiningOutcome`] field-for-field like the threaded
-    /// driver's post-join: solutions / verdicts / statuses per resource,
-    /// tallies summed (dead resources contribute their persisted
-    /// tallies), fault-schedule events emitted once hub-side.
+    /// Hands core's [`assemble`] one seat per resource: its report (a
+    /// resource that died without one contributes its persisted
+    /// tallies), the door verdict and what supervision saw.
     fn assemble(&mut self) -> MiningOutcome {
-        let rounds_tick = self.rounds as u64;
-        let mut solutions: Vec<RuleSet> = Vec::with_capacity(self.n);
-        let mut statuses: Vec<ResourceStatus> = Vec::with_capacity(self.n);
-        let mut verdicts = Vec::new();
-        let mut messages = 0u64;
-        let mut retries = 0u64;
-        let mut resends = 0u64;
-        let mut checkpoints = 0u64;
-        let mut replays = 0u64;
-        let mut rejected = 0u64;
-        let mut exhausted = 0u64;
-        for u in 0..self.n {
-            let report = self.reports[u].take();
-            let tallies =
-                report.as_ref().map(|r| r.tallies).unwrap_or_else(|| self.disk_tallies(u));
-            messages += tallies.msgs_sent;
-            retries += tallies.retries;
-            resends += tallies.resends;
-            checkpoints += tallies.checkpoints;
-            replays += tallies.replays;
-            rejected += tallies.rejected;
-            exhausted += u64::from(tallies.exhausted);
-            let mut set = RuleSet::new();
-            if let Some(r) = &report {
-                for rule in &r.solutions {
-                    set.insert(rule.clone());
+        let seats = (0..self.n)
+            .map(|u| {
+                let report = self.reports[u].take().map(|r| ResourceReport {
+                    solutions: r.solutions.into_iter().collect(),
+                    verdict: r.verdict,
+                    degraded: r.degraded,
+                    tallies: r.tallies,
+                });
+                let fallback =
+                    if report.is_none() { self.disk_tallies(u) } else { Tallies::default() };
+                Seat {
+                    report,
+                    door_verdict: self.door_verdicts[u],
+                    degraded: self.degraded[u],
+                    fallback,
                 }
-            }
-            solutions.push(set);
-            if let Some(v) = self.door_verdicts[u] {
-                verdicts.push(v);
-            }
-            if let Some(v) = report.as_ref().and_then(|r| r.verdict) {
-                verdicts.push(v);
-            }
-            let status =
-                if report.as_ref().is_some_and(|r| r.degraded == Some(DegradeReason::Panicked)) {
-                    ResourceStatus::Degraded(DegradeReason::Panicked)
-                } else if self.plan.down(u, rounds_tick) {
-                    match self.plan.fault_of(u) {
-                        Some(ResourceFault::Depart { .. }) => {
-                            ResourceStatus::Degraded(DegradeReason::Departed)
-                        }
-                        _ => ResourceStatus::Degraded(DegradeReason::Crashed),
-                    }
-                } else if let Some(reason) = report.as_ref().and_then(|r| r.degraded) {
-                    ResourceStatus::Degraded(reason)
-                } else if let Some(reason) = self.degraded[u] {
-                    ResourceStatus::Degraded(reason)
-                } else if report.is_none() {
-                    ResourceStatus::Degraded(DegradeReason::Disconnected)
-                } else {
-                    ResourceStatus::Ok
-                };
-            statuses.push(status);
-        }
-
-        // Schedule events that actually fired, emitted once hub-side so
-        // event counts equal the `FaultStats` tallies — same contract as
-        // the threaded driver's post-join block.
-        let mut faults = self.proxy.stats();
-        for u in 0..self.n {
-            match self.plan.fault_of(u) {
-                Some(ResourceFault::Crash { at, recover }) if at < rounds_tick => {
-                    faults.crashes += 1;
-                    emit(&self.rec, || Event::ResourceCrashed { resource: u as u64, tick: at });
-                    if let Some(r) = recover.filter(|&r| r <= rounds_tick) {
-                        faults.recoveries += 1;
-                        emit(&self.rec, || Event::ResourceRecovered {
-                            resource: u as u64,
-                            tick: r,
-                        });
-                    }
-                }
-                Some(ResourceFault::Depart { at }) if at < rounds_tick => {
-                    faults.departures += 1;
-                    emit(&self.rec, || Event::ResourceDeparted { resource: u as u64, tick: at });
-                }
-                _ => {}
-            }
-        }
-
-        let chaos = ChaosReport {
-            faults,
-            retries,
-            degraded: statuses
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.is_ok())
-                .map(|(u, _)| u)
-                .collect(),
-            convergence_delay: self
-                .plan
-                .onset()
-                .map_or(0, |onset| rounds_tick.saturating_sub(onset)),
-            resends,
-            checkpoints,
-            replays,
-            rejected,
-            exhausted,
-        };
-        MiningOutcome {
-            solutions,
-            verdicts,
-            messages,
-            statuses,
-            chaos,
-            metrics: gridmine_obs::MetricsSnapshot::default(),
-        }
+            })
+            .collect();
+        assemble(&self.plan, self.rounds, seats, self.proxy.stats(), &self.rec)
     }
 
     /// Reaps every child and removes the session's scratch directory.
@@ -672,11 +519,16 @@ impl<C: NetCipher> HubRun<C> {
         let path = match resume {
             Some(rt) => {
                 spec.resume_tick = Some(rt);
-                spec.crash_at = None;
-                spec.crash_recover = Some(rt);
                 self.work_dir.join(format!("{u}.respawn.{rt}.json"))
             }
-            None => self.work_dir.join(format!("{u}.spec.json")),
+            None => {
+                // Hard-killed processes get no outage of their own: the
+                // hub pulls the trigger from outside.
+                if self.kills.iter().chain(&self.mid_kills).any(|&(k, _)| k == u) {
+                    spec.schedule = spec.schedule.without_own_fault();
+                }
+                self.work_dir.join(format!("{u}.spec.json"))
+            }
         };
         let json = serde_json::to_string(&spec)
             .map_err(|e| NetError::Session(format!("spec encode: {e}")))?;
@@ -808,8 +660,8 @@ impl<C: NetCipher> HubRun<C> {
     }
 
     /// Releases the chaos proxy's parked traffic — except for edges
-    /// whose sender is down this tick, which stay parked exactly like a
-    /// down threaded worker's held queue.
+    /// whose sender is down this tick, which stay parked (a down sender
+    /// flushes nothing under any driver).
     fn flush_held(&mut self, tick: u64) {
         for (from, to, m) in self.proxy.flush() {
             if !self.peers[from].alive || self.peers[from].quarantined || self.plan.down(from, tick)
@@ -931,8 +783,9 @@ impl<C: NetCipher> HubRun<C> {
                                 tick,
                             );
                         } else {
-                            let copies = self.proxy.route(m.from, m.to, m, &self.rec);
-                            for c in copies {
+                            let mut now = Vec::new();
+                            self.proxy.route(m.from, m.to, m, &self.rec, |c| now.push(c));
+                            for c in now {
                                 self.deliver_counter(c, tick);
                             }
                         }
@@ -967,8 +820,7 @@ impl<C: NetCipher> HubRun<C> {
 
     /// Forwards one (possibly duplicated) counter copy to its recipient.
     /// Chaos was already applied by the proxy; recipients that are down,
-    /// dead or quarantined silently absorb the message, exactly like the
-    /// threaded drain discarding traffic for down workers.
+    /// dead or quarantined silently absorb the message.
     fn deliver_counter(&mut self, m: WireMsg<C>, tick: u64) {
         let to = m.to;
         if to >= self.n
@@ -984,8 +836,8 @@ impl<C: NetCipher> HubRun<C> {
         }
     }
 
-    /// Shares are wiring traffic: forwarded un-chaosed (the threaded
-    /// driver wires the grid before the fault layer arms too).
+    /// Shares are wiring traffic: forwarded un-chaosed (the in-process
+    /// drivers wire the grid before the fault layer arms too).
     fn forward_share(&mut self, from: u32, to: u32, ct: C::Ct, tick: u64, wiring: bool) {
         let v = to as usize;
         if v >= self.n

@@ -15,7 +15,8 @@
 //! * [`transport`] — the peering handshake (protocol version + role +
 //!   session id), heartbeat liveness, and capped-backoff dialing reusing
 //!   the recovery [`RetryPolicy`](gridmine_core::RetryPolicy).
-//! * [`proxy`] — the in-path chaos layer: one seeded
+//! * the in-path chaos layer is core's
+//!   [`ChaosProxy`](gridmine_core::ChaosProxy): one seeded
 //!   [`FaultPlan`](gridmine_topology::FaultPlan) drives byte-level
 //!   socket faults (drop / duplicate / delay / process kill) with the
 //!   same per-edge decisions the threaded driver sees.
@@ -31,7 +32,6 @@ pub mod error;
 pub mod frame;
 pub mod hub;
 pub mod node;
-pub mod proxy;
 pub mod spec;
 pub mod transport;
 
@@ -39,5 +39,4 @@ pub use codec::{Frame, NodeReport, Phase, Role, Tallies};
 pub use error::{NetError, WireError};
 pub use frame::{MAX_PAYLOAD, WIRE_VERSION};
 pub use hub::{NetCipher, NetSession};
-pub use proxy::ChaosProxy;
 pub use spec::NodeSpec;

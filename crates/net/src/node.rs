@@ -1,38 +1,31 @@
 //! One resource as one OS process.
 //!
-//! `run` hosts a single [`SecureResource`] (accountant + broker +
-//! controller), peers with the hub over loopback TCP and then mirrors
-//! the threaded driver's per-round structure message by message: the
-//! hub's `PhaseStart` frames stand in for the barriers, `Processed` acks
-//! stand in for the in-flight counter, and the anti-entropy /
-//! checkpoint / crash-wipe logic runs on exactly the same tick
-//! conditions as `run_threaded_full` — that equivalence is what the
-//! parity e2e tests pin.
+//! `run` hosts a single [`RoundMachine`] (accountant + broker +
+//! controller under core's per-round policy) and peers with the hub over
+//! loopback TCP: the hub's `PhaseStart` frames stand in for barriers,
+//! `Processed` acks for the in-flight counter. What the resource does at
+//! each tick is `gridmine_core::round`'s; this file owns the socket, the
+//! frames, the state files, the exit codes and the heartbeat.
 //!
 //! Crash-survival is process-level: at a scheduled crash tick the node
-//! wipes volatile state, persists its recovery image, controller audits
-//! and protocol tallies under `state_dir`, and **exits**. The hub
-//! respawns a fresh process at the recovery tick, which warm-restarts
-//! from those files (`resume_tick` in its spec) — the file-backed
-//! version of the byte-image hand-off the threaded driver keeps in
-//! memory.
+//! (its state already wiped by the machine) persists its recovery image,
+//! controller audits and protocol tallies under `state_dir`, and
+//! **exits**. The hub respawns a fresh process at the recovery tick,
+//! which warm-restarts from those files (`resume_tick` in its spec).
 
 use std::io::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, RecvTimeoutError};
-use gridmine_arm::{Item, Ratio, Rule};
-use gridmine_core::{
-    AuditImage, CounterLayout, DegradeReason, RecoveryMode, SecureResource, WireMsg,
-};
+use gridmine_arm::{Item, Ratio};
+use gridmine_core::{AuditImage, CounterLayout, RoundMachine, Scan, SecureResource, WireMsg};
 use gridmine_majority::CandidateGenerator;
 use gridmine_obs::{Event, Recorder, SharedRecorder};
 use gridmine_paillier::HomCipher;
 
-use crate::codec::{Frame, NodeReport, Phase, Tallies};
+use crate::codec::{Frame, NodeReport, Phase};
 use crate::error::NetError;
 use crate::hub::NetCipher;
 use crate::spec::NodeSpec;
@@ -81,31 +74,6 @@ fn state_path(spec: &NodeSpec, ext: &str) -> PathBuf {
     PathBuf::from(&spec.state_dir).join(format!("{}.{ext}", spec.resource))
 }
 
-fn live_tallies<C: HomCipher>(r: &SecureResource<C>) -> Tallies {
-    Tallies {
-        msgs_sent: r.msgs_sent(),
-        retries: r.retries_spent(),
-        resends: r.resends_sent(),
-        checkpoints: r.recovery_checkpoints(),
-        replays: r.recovery_replays(),
-        rejected: r.recovery_rejected(),
-        exhausted: r.retry_exhausted(),
-    }
-}
-
-fn total_tallies<C: HomCipher>(r: &SecureResource<C>, carried: &Tallies) -> Tallies {
-    let live = live_tallies(r);
-    Tallies {
-        msgs_sent: carried.msgs_sent + live.msgs_sent,
-        retries: carried.retries + live.retries,
-        resends: carried.resends + live.resends,
-        checkpoints: carried.checkpoints + live.checkpoints,
-        replays: carried.replays + live.replays,
-        rejected: carried.rejected + live.rejected,
-        exhausted: carried.exhausted || live.exhausted,
-    }
-}
-
 /// Persists everything a future incarnation of this resource needs:
 /// recovery image (warm mode only), controller audits, total tallies.
 /// Each file is published atomically (sibling tmp + fsync + rename —
@@ -113,35 +81,19 @@ fn total_tallies<C: HomCipher>(r: &SecureResource<C>, carried: &Tallies) -> Tall
 /// the previous checkpoint intact, never a torn file. The first failure
 /// is returned so the caller can surface it: a failed persist degrades
 /// recovery fidelity, not the run, but it must not be silent.
-fn persist_state<C: HomCipher>(
-    spec: &NodeSpec,
-    r: &SecureResource<C>,
-    carried: &Tallies,
-) -> std::io::Result<()> {
+fn persist_state<C: HomCipher>(spec: &NodeSpec, machine: &RoundMachine<C>) -> std::io::Result<()> {
     let bad =
         |e: serde_json::Error| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string());
+    let r = machine.resource();
     std::fs::create_dir_all(&spec.state_dir)?;
     if let Some(image) = r.encode_recovery_image() {
         gridmine_store::atomic_write_file(state_path(spec, "image"), &image)?;
     }
     let audits = serde_json::to_string(&r.export_controller_audits()).map_err(bad)?;
     gridmine_store::atomic_write_file(state_path(spec, "audits"), audits.as_bytes())?;
-    let tallies = serde_json::to_string(&total_tallies(r, carried)).map_err(bad)?;
+    let tallies = serde_json::to_string(&machine.tallies()).map_err(bad)?;
     gridmine_store::atomic_write_file(state_path(spec, "tallies"), tallies.as_bytes())?;
     Ok(())
-}
-
-/// Runs `f`, converting a panic into a poisoned flag and a default
-/// result — mirroring the threaded driver's `guarded`, so a protocol
-/// panic degrades this resource instead of killing the process mid-run.
-fn guarded<T: Default>(poisoned: &mut bool, f: impl FnOnce() -> T) -> T {
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(v) => v,
-        Err(_) => {
-            *poisoned = true;
-            T::default()
-        }
-    }
 }
 
 /// Entry point of the `gridmine-node` process: returns the exit code.
@@ -154,12 +106,8 @@ pub fn run<C: NetCipher>(spec: &NodeSpec) -> i32 {
 
 struct Node<'a, C: HomCipher> {
     spec: &'a NodeSpec,
-    resource: SecureResource<C>,
+    machine: RoundMachine<C>,
     rec_buf: Arc<BufRecorder>,
-    carried: Tallies,
-    neighbors: Vec<usize>,
-    mode: RecoveryMode,
-    poisoned: bool,
 }
 
 impl<C: NetCipher> Node<'_, C> {
@@ -167,7 +115,7 @@ impl<C: NetCipher> Node<'_, C> {
     /// [`Event::CheckpointPersistFailed`] on the buffered recorder (the
     /// next `flush_obs` forwards it to the hub) instead of vanishing.
     fn persist_or_report(&self) {
-        if let Err(e) = persist_state(self.spec, &self.resource, &self.carried) {
+        if let Err(e) = persist_state(self.spec, &self.machine) {
             self.rec_buf.record(&Event::CheckpointPersistFailed {
                 resource: self.spec.resource as u64,
                 reason: e.to_string(),
@@ -182,6 +130,8 @@ impl<C: NetCipher> Node<'_, C> {
         Ok(())
     }
 
+    /// Mails `outs`, forwards buffered events, and returns the count for
+    /// the caller's `PhaseSent`.
     fn send_counters(
         &self,
         w: &mut std::net::TcpStream,
@@ -191,43 +141,25 @@ impl<C: NetCipher> Node<'_, C> {
         for m in outs {
             transport::send_frame::<C, _>(w, &Frame::Counter(m))?;
         }
+        self.flush_obs(w)?;
         Ok(n)
     }
 
-    fn report(&self) -> NodeReport {
-        let interim = self.resource.interim();
-        let solutions: Vec<Rule> = interim.sorted().into_iter().cloned().collect();
-        NodeReport {
+    /// The machine's report in wire form.
+    fn report(&self) -> Frame<C> {
+        let r = self.machine.report();
+        Frame::Report(NodeReport {
             resource: self.spec.resource as u32,
-            solutions,
-            verdict: self.resource.verdict(),
-            degraded: if self.poisoned {
-                Some(DegradeReason::Panicked)
-            } else {
-                self.resource.degraded()
-            },
-            tallies: total_tallies(&self.resource, &self.carried),
-        }
-    }
-
-    /// True when this resource is scheduled down at tick `t` (the
-    /// node-local slice of `FaultPlan::down`).
-    fn down_at(&self, t: u64) -> bool {
-        let crashed = self
-            .spec
-            .crash_at
-            .is_some_and(|at| t >= at && self.spec.crash_recover.is_none_or(|r| t < r));
-        let departed = self.spec.depart_at.is_some_and(|at| t >= at);
-        crashed || departed
+            solutions: r.solutions.sorted().into_iter().cloned().collect(),
+            verdict: r.verdict,
+            degraded: r.degraded,
+            tallies: r.tallies,
+        })
     }
 }
 
 fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
     let u = spec.resource;
-    let mode = spec.recovery.mode();
-    let retry = mode.retry();
-    let warm = matches!(mode, RecoveryMode::Checkpoint(_));
-
     let rec_buf = Arc::new(BufRecorder::default());
     let rec: SharedRecorder = rec_buf.clone();
     let keys = C::session_keys(spec.seed).with_recorder(&rec);
@@ -248,50 +180,33 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
         &items,
         seed,
     );
-    resource.set_recorder(rec.clone());
-    if let Some(policy) = mode.policy() {
-        resource.arm_recovery();
-        resource.set_retry_policy(&policy.retry);
-    }
     for &v in &neighbors {
         let vn = spec.adjacency.get(v).cloned().unwrap_or_default();
         resource.set_neighbor_layout(v, CounterLayout::new(v, vn));
     }
+    let machine = RoundMachine::new(resource, spec.schedule.clone(), rec);
+    let mut node = Node { spec, machine, rec_buf };
 
     // Warm restart: re-import what the previous incarnation persisted.
     // Audits must land before the journal replay (the controller screens
     // replayed traffic against its Lamport traces and send gates).
-    let mut carried = Tallies::default();
-    if spec.resume_tick.is_some() {
+    let resumed = spec.resume_tick.is_some();
+    if resumed {
         if let Ok(json) = std::fs::read_to_string(state_path(spec, "tallies")) {
-            carried = serde_json::from_str(&json).unwrap_or_default();
+            node.machine.carry(serde_json::from_str(&json).unwrap_or_default());
         }
         if let Ok(json) = std::fs::read_to_string(state_path(spec, "audits")) {
             if let Ok(audits) = serde_json::from_str::<Vec<AuditImage>>(&json) {
-                resource.import_controller_audits(audits);
+                node.machine.resource_mut().import_controller_audits(audits);
             }
         }
-        match mode.policy() {
-            Some(policy) => {
-                let t0 = Instant::now();
-                if let Ok(bytes) = std::fs::read(state_path(spec, "image")) {
-                    let mut poisoned = false;
-                    guarded(&mut poisoned, || resource.restore_from_image(&bytes));
-                    if poisoned {
-                        resource.mark_degraded(DegradeReason::Panicked);
-                    }
-                }
-                if t0.elapsed().as_nanos() > policy.retry.deadline_nanos() {
-                    resource.mark_degraded(DegradeReason::RecoveryStalled);
-                }
-            }
-            None => resource.recover_reset(),
-        }
+        let t0 = Instant::now();
+        let image = std::fs::read(state_path(spec, "image")).ok();
+        node.machine.restore(image.as_deref(), || t0.elapsed().as_nanos());
     }
 
     // Peer with the hub: capped-backoff dial + versioned handshake.
-    let resumed = spec.resume_tick.is_some();
-    let (stream, attempts) = transport::dial(&spec.hub, &retry)?;
+    let (stream, attempts) = transport::dial(&spec.hub, &spec.schedule.mode().retry())?;
     let mut reader = stream;
     let mut writer = reader.try_clone()?;
     transport::client_handshake::<C>(&mut reader, spec.session, u as u32, resumed, attempts)?;
@@ -317,24 +232,6 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
         }
     });
 
-    let mut node = Node {
-        spec,
-        resource,
-        rec_buf,
-        carried: Tallies::default(),
-        neighbors,
-        mode,
-        poisoned: false,
-    };
-    node.carried = carried;
-    let resend_due = |rt: u64, tick: u64| {
-        if warm {
-            tick == rt
-        } else {
-            tick >= rt && (tick - rt).is_multiple_of(retry.resend_every.max(1))
-        }
-    };
-
     let mut last_heard = Instant::now();
     let mut nonce = 0u64;
     loop {
@@ -357,8 +254,8 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
         match frame {
             Frame::PhaseStart { tick, phase: Phase::Wiring } => {
                 let mut sent = 0u32;
-                for &v in &node.neighbors.clone() {
-                    let ct = node.resource.share_for_neighbor(v);
+                for &v in &neighbors {
+                    let ct = node.machine.resource().share_for_neighbor(v);
                     transport::send_frame::<C, _>(
                         &mut writer,
                         &Frame::Share { from: u as u32, to: v as u32, ct },
@@ -373,12 +270,12 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
             }
             Frame::Share { from, to, ct } => {
                 if to as usize == u {
-                    node.resource.store_share_from(from as usize, ct);
+                    node.machine.resource_mut().store_share_from(from as usize, ct);
                 }
                 transport::send_frame::<C, _>(&mut writer, &Frame::Processed)?;
             }
             Frame::ShareResend { to } => {
-                let ct = node.resource.share_for_neighbor(to as usize);
+                let ct = node.machine.resource().share_for_neighbor(to as usize);
                 transport::send_frame::<C, _>(
                     &mut writer,
                     &Frame::Share { from: u as u32, to, ct },
@@ -386,106 +283,55 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
                 transport::send_frame::<C, _>(&mut writer, &Frame::Processed)?;
             }
             Frame::PhaseStart { tick, phase: Phase::Scan } => {
-                // Scheduled crash: wipe volatile state, persist the
-                // recovery image + audits + tallies, and die. The hub
-                // sees the process exit; a successor may be respawned at
-                // the recovery tick.
-                if node.mode.wipes() && spec.crash_at == Some(tick) {
-                    node.resource.crash_wipe();
-                    node.persist_or_report();
-                    node.flush_obs(&mut writer)?;
-                    return Ok(EXIT_CRASHED);
-                }
-                if spec.depart_at == Some(tick) {
-                    // A departed resource keeps its interim outputs as-is
-                    // (no final refresh) — same as the threaded driver.
-                    node.flush_obs(&mut writer)?;
-                    transport::send_frame::<C, _>(&mut writer, &Frame::Report(node.report()))?;
-                    return Ok(0);
-                }
-                let mut outs: Vec<WireMsg<C>> = Vec::new();
-                if !node.poisoned {
-                    let mut heal: Vec<usize> = Vec::new();
-                    if spec.has_edge_faults {
-                        heal.extend(node.neighbors.iter().copied());
-                    }
-                    if node.mode.wipes() {
-                        if spec.crash_recover.is_some_and(|rt| tick >= rt && resend_due(rt, tick)) {
-                            heal.extend(node.neighbors.iter().copied());
-                        }
-                        for &(v, rt) in &spec.nbr_recovers {
-                            if tick >= rt && resend_due(rt, tick) {
-                                heal.push(v);
-                            }
-                        }
-                    }
-                    if !heal.is_empty() {
-                        heal.sort_unstable();
-                        heal.dedup();
-                        for v in heal {
-                            node.resource.reset_edge(v);
-                        }
-                        let p = &mut node.poisoned;
-                        outs.extend(guarded(p, || node.resource.nudge()));
-                    }
-                    if node.resource.recovery_armed()
-                        && tick > 0
-                        && node
-                            .mode
-                            .policy()
-                            .is_some_and(|p| tick.is_multiple_of(p.checkpoint_every))
-                    {
-                        node.resource.take_checkpoint(tick);
-                        // Net addition: a checkpoint is only worth its
-                        // name if it survives a process kill.
+                let outs = match node.machine.scan(tick) {
+                    // The hub sees the process exit; a successor may be
+                    // respawned at the recovery tick.
+                    Scan::Crash => {
                         node.persist_or_report();
+                        node.flush_obs(&mut writer)?;
+                        return Ok(EXIT_CRASHED);
                     }
-                    let p = &mut node.poisoned;
-                    outs.extend(guarded(p, || node.resource.step(usize::MAX)));
-                }
+                    Scan::Depart => {
+                        node.flush_obs(&mut writer)?;
+                        transport::send_frame::<C, _>(&mut writer, &node.report())?;
+                        return Ok(0);
+                    }
+                    Scan::Down => Vec::new(),
+                    Scan::Send { msgs, checkpointed } => {
+                        // A checkpoint is only worth its name if it
+                        // survives a process kill.
+                        if checkpointed {
+                            node.persist_or_report();
+                        }
+                        msgs
+                    }
+                };
                 let sent = node.send_counters(&mut writer, outs)?;
-                node.flush_obs(&mut writer)?;
                 transport::send_frame::<C, _>(
                     &mut writer,
                     &Frame::PhaseSent { tick, phase: Phase::Scan, sent },
                 )?;
             }
             Frame::PhaseStart { tick, phase: Phase::Candidate } => {
-                let mut outs: Vec<WireMsg<C>> = Vec::new();
-                if !node.poisoned {
-                    let p = &mut node.poisoned;
-                    outs.extend(guarded(p, || node.resource.generate_candidates()));
-                }
+                let outs = node.machine.candidates();
                 let sent = node.send_counters(&mut writer, outs)?;
-                node.flush_obs(&mut writer)?;
                 transport::send_frame::<C, _>(
                     &mut writer,
                     &Frame::PhaseSent { tick, phase: Phase::Candidate, sent },
                 )?;
             }
             Frame::Counter(msg) => {
-                let mut outs: Vec<WireMsg<C>> = Vec::new();
-                if !node.poisoned {
-                    let p = &mut node.poisoned;
-                    let r = &mut node.resource;
-                    outs.extend(guarded(p, || r.on_receive(&msg)));
-                }
                 // Consequent sends go out *before* the ack, so the hub's
                 // pending counter can never read zero while traffic is
                 // still being produced (per-connection FIFO).
-                let _ = node.send_counters(&mut writer, outs)?;
-                node.flush_obs(&mut writer)?;
+                let outs = node.machine.receive(&msg);
+                node.send_counters(&mut writer, outs)?;
                 transport::send_frame::<C, _>(&mut writer, &Frame::Processed)?;
             }
             Frame::Finish => {
-                let rounds_tick = spec.rounds as u64;
-                if !node.poisoned && !node.down_at(rounds_tick) {
-                    let p = &mut node.poisoned;
-                    let r = &mut node.resource;
-                    guarded(p, || r.refresh_outputs());
-                }
+                node.machine.finish(spec.rounds);
                 node.flush_obs(&mut writer)?;
-                transport::send_frame::<C, _>(&mut writer, &Frame::Report(node.report()))?;
+                transport::send_frame::<C, _>(&mut writer, &node.report())?;
                 return Ok(0);
             }
             Frame::HeartbeatAck { .. } => {}

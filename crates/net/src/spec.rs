@@ -2,48 +2,14 @@
 //!
 //! A [`NodeSpec`] is everything one resource process needs to rebuild
 //! its share of the grid deterministically: config, topology, database
-//! partition, fault schedule slice, and the recovery mode. The hub
-//! writes it as JSON to a per-resource file and passes the path as the
-//! single CLI argument — keeping secrets (none live here; keys are
-//! re-derived from the session seed exactly like `MineSession::build`)
-//! and large payloads off the command line.
+//! partition, and its [`RoundSchedule`] (fault-plan slice + recovery
+//! mode). The hub writes it as JSON to a per-resource file and passes
+//! the path as the single CLI argument — keeping secrets (none live
+//! here; keys are re-derived from the session seed exactly like
+//! `MineSession::build`) and large payloads off the command line.
 
 use gridmine_arm::Database;
-use gridmine_core::{RecoveryMode, RecoveryPolicy};
-
-/// Recovery mode, flattened for the serde shim (no enum payload
-/// variants on the wire format of the spec file).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct RecoverySpec {
-    /// One of `"disabled"`, `"cold"`, `"checkpoint"`.
-    pub kind: String,
-    /// Policy, present iff `kind == "checkpoint"`.
-    pub policy: Option<RecoveryPolicy>,
-}
-
-impl RecoverySpec {
-    /// Flattens a [`RecoveryMode`] into its spec form.
-    pub fn of(mode: &RecoveryMode) -> Self {
-        match mode {
-            RecoveryMode::Disabled => RecoverySpec { kind: "disabled".into(), policy: None },
-            RecoveryMode::ColdRestart => RecoverySpec { kind: "cold".into(), policy: None },
-            RecoveryMode::Checkpoint(p) => {
-                RecoverySpec { kind: "checkpoint".into(), policy: Some(*p) }
-            }
-        }
-    }
-
-    /// Rebuilds the [`RecoveryMode`]. Unknown kinds fall back to
-    /// `Disabled` — the spec file comes from the hub, not a hostile
-    /// peer, so a mismatch is a version skew bug, not an attack.
-    pub fn mode(&self) -> RecoveryMode {
-        match (self.kind.as_str(), &self.policy) {
-            ("checkpoint", Some(p)) => RecoveryMode::Checkpoint(*p),
-            ("cold", _) => RecoveryMode::ColdRestart,
-            _ => RecoveryMode::Disabled,
-        }
-    }
-}
+use gridmine_core::RoundSchedule;
 
 /// Everything a `gridmine-node` process needs to join a session.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
@@ -72,23 +38,13 @@ pub struct NodeSpec {
     pub items: Vec<u32>,
     /// This resource's database partition.
     pub db: Database,
-    /// Soft-crash tick from the fault plan (`crash_wipe` + exit).
-    pub crash_at: Option<u64>,
-    /// Recovery tick from the fault plan.
-    pub crash_recover: Option<u64>,
-    /// Departure tick from the fault plan.
-    pub depart_at: Option<u64>,
-    /// Set on a respawned process: the tick it rejoins at (drives the
-    /// warm-restore path and the self-rejoin anti-entropy heal).
+    /// This resource's slice of the fault plan and the recovery mode.
+    /// A process the hub kills from outside gets it without its own
+    /// outage; its successor gets the full slice.
+    pub schedule: RoundSchedule,
+    /// Set on a respawned process: the tick it rejoins at (it restores
+    /// from `state_dir` before peering).
     pub resume_tick: Option<u64>,
-    /// Neighbors scheduled to recover, as `(neighbor, recover_tick)` —
-    /// drives the same neighbor-heal resends the threaded driver does.
-    pub nbr_recovers: Vec<(usize, u64)>,
-    /// Whether the plan carries edge faults (enables the every-round
-    /// anti-entropy heal the threaded driver uses under lossy links).
-    pub has_edge_faults: bool,
-    /// Recovery mode.
-    pub recovery: RecoverySpec,
     /// Hub address to dial (`127.0.0.1:port`).
     pub hub: String,
     /// Directory for persisted state: `{u}.image`, `{u}.audits`,
@@ -103,6 +59,8 @@ pub struct NodeSpec {
 mod tests {
     use super::*;
     use gridmine_arm::Transaction;
+    use gridmine_core::{RecoveryMode, RecoveryPolicy};
+    use gridmine_topology::FaultPlan;
 
     #[test]
     fn spec_round_trips_through_json() {
@@ -118,13 +76,13 @@ mod tests {
             adjacency: vec![vec![1], vec![0, 2], vec![1]],
             items: vec![1, 2, 3],
             db: Database::from_transactions(vec![Transaction::of(0, &[1, 2])]),
-            crash_at: Some(2),
-            crash_recover: Some(4),
-            depart_at: None,
+            schedule: RoundSchedule::of(
+                &FaultPlan::new(1).with_crash(1, 2, Some(4)).with_crash(0, 1, Some(4)),
+                1,
+                vec![0, 2],
+                RecoveryMode::Checkpoint(RecoveryPolicy::default()),
+            ),
             resume_tick: None,
-            nbr_recovers: vec![(0, 4)],
-            has_edge_faults: false,
-            recovery: RecoverySpec::of(&RecoveryMode::Checkpoint(RecoveryPolicy::default())),
             hub: "127.0.0.1:9".into(),
             state_dir: "/tmp/x".into(),
             hostile: false,
@@ -133,7 +91,8 @@ mod tests {
         let back: NodeSpec = serde_json::from_str(&json).expect("decode");
         assert_eq!(back.resource, 1);
         assert_eq!(back.adjacency, spec.adjacency);
-        assert_eq!(back.nbr_recovers, spec.nbr_recovers);
-        assert!(matches!(back.recovery.mode(), RecoveryMode::Checkpoint(_)));
+        assert_eq!(back.schedule, spec.schedule);
+        assert!(back.schedule.wipes_at(2) && back.schedule.restores_at(4));
+        assert_eq!(back.schedule.heal_edges(4), vec![0, 2]);
     }
 }

@@ -23,8 +23,7 @@
 //! verdict.
 
 use gridmine_arm::CandidateRule;
-
-use crate::digest_bytes;
+use gridmine_store::digest_bytes;
 
 /// Domain-separation seed for snapshot digests (chain genesis).
 const GENESIS: u64 = 0x6A0A_1217_0C4E_C0DE;

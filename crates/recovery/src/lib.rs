@@ -36,26 +36,3 @@ pub use journal::{
     JournalEntry, JournalError, RecoveryImage, RecoveryLog, ResourceState, RuleRecord,
 };
 pub use policy::{RecoveryMode, RecoveryPolicy, RetryPolicy};
-
-/// SplitMix64 finalizer: the workspace's standard seed-mixing primitive
-/// (the same shape `FaultPlan` uses), reused here for digest chaining and
-/// backoff jitter. Not cryptographic — see the module docs.
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Digest a byte string into the chain domain.
-pub(crate) fn digest_bytes(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = mix(seed ^ bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        for (dst, &src) in w.iter_mut().zip(chunk) {
-            *dst = src;
-        }
-        h = mix(h ^ u64::from_le_bytes(w));
-    }
-    h
-}

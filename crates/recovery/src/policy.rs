@@ -1,6 +1,6 @@
 //! The unified retry/deadline policy and the recovery mode switch.
 
-use crate::mix;
+use gridmine_store::mix64;
 
 /// One home for the bounded-retry and timing constants that were
 /// previously scattered across the drivers:
@@ -59,7 +59,7 @@ impl RetryPolicy {
     pub fn backoff_ms(&self, attempt: u32) -> u64 {
         let exp = self.base_ms.max(1).saturating_mul(1u64 << attempt.min(20));
         let slot = exp.min(self.cap_ms.max(self.base_ms.max(1)));
-        let jitter = mix(self.seed ^ u64::from(attempt)) % (slot / 4 + 1);
+        let jitter = mix64(self.seed ^ u64::from(attempt)) % (slot / 4 + 1);
         slot + jitter
     }
 
@@ -110,7 +110,7 @@ impl Default for RecoveryPolicy {
 }
 
 /// What a driver does with a resource scheduled to crash and recover.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum RecoveryMode {
     /// Legacy behavior: the driver keeps the resource object intact and
     /// merely silences it while "down" (no wipe, no journal).

@@ -15,9 +15,7 @@
 //! * [`metrics`] — global recall/precision sampling and time-to-recall;
 //! * [`session`] — the [`SimSession`] builder, the simulator's analogue
 //!   of `MineSession`/`NetSession`;
-//! * [`runner`] — experiment drivers used by the benches (the
-//!   `run_convergence*` free functions are deprecated shims over
-//!   [`SimSession`]).
+//! * [`runner`] — experiment drivers used by the benches.
 
 pub mod config;
 pub mod durable;
@@ -32,11 +30,7 @@ pub use config::SimConfig;
 pub use durable::{churn_plans, churn_stream, DurableStream};
 pub use engine::Simulation;
 pub use metrics::{GlobalMetrics, ObsSummary, Sample};
-#[allow(deprecated)]
-pub use runner::{
-    run_convergence, run_convergence_faulty, run_convergence_observed, single_itemset_steps,
-    time_to_recall,
-};
+pub use runner::{single_itemset_steps, time_to_recall};
 pub use session::SimSession;
 pub use wheel::TimerWheel;
 pub use workload::{significance_databases, split_growth, GrowthPlan};

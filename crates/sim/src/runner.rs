@@ -1,84 +1,13 @@
 //! One-call experiment drivers, used by the benches and examples.
-//!
-//! The `run_convergence*` free functions are deprecated shims over
-//! [`SimSession`] — the builder is the front door now, and these keep
-//! one release of source compatibility for external callers.
 
 use gridmine_arm::{correct_rules, Database, Item, Ratio, Rule, RuleSet};
-use gridmine_obs::SharedRecorder;
 use gridmine_paillier::MockCipher;
-use gridmine_topology::faults::FaultPlan;
 
 use crate::config::SimConfig;
 use crate::engine::Simulation;
 use crate::metrics::{GlobalMetrics, Sample};
 use crate::session::SimSession;
 use crate::workload::{significance_databases, GrowthPlan};
-
-/// Runs a full convergence experiment (the Figure 2 harness): partitions
-/// `global` across the grid with `growth_fraction` of each partition
-/// arriving during the run, samples recall/precision every `sample_every`
-/// steps against the *current* ground truth, and stops after `max_steps`.
-#[deprecated(since = "0.2.0", note = "use SimSession::with_global(...).convergence(...)")]
-pub fn run_convergence(
-    cfg: SimConfig,
-    global: &Database,
-    growth_fraction: f64,
-    sample_every: u64,
-    max_steps: u64,
-) -> GlobalMetrics {
-    SimSession::new(cfg)
-        .with_global(global, growth_fraction)
-        .with_steps(max_steps)
-        .convergence(sample_every)
-}
-
-/// [`run_convergence`] with deterministic fault injection armed: the
-/// returned metrics carry the run's [`gridmine_core::ChaosReport`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use SimSession::with_global(...).with_faults(...).convergence(...)"
-)]
-pub fn run_convergence_faulty(
-    cfg: SimConfig,
-    global: &Database,
-    growth_fraction: f64,
-    sample_every: u64,
-    max_steps: u64,
-    plan: FaultPlan,
-) -> GlobalMetrics {
-    SimSession::new(cfg)
-        .with_global(global, growth_fraction)
-        .with_steps(max_steps)
-        .with_faults(plan)
-        .convergence(sample_every)
-}
-
-/// [`run_convergence_faulty`] with a structured-event recorder attached:
-/// the run's events stream to `rec` and the returned metrics carry an
-/// [`crate::metrics::ObsSummary`] digest of the event tallies.
-#[deprecated(
-    since = "0.2.0",
-    note = "use SimSession::with_global(...).with_recorder(...).convergence(...)"
-)]
-pub fn run_convergence_observed(
-    cfg: SimConfig,
-    global: &Database,
-    growth_fraction: f64,
-    sample_every: u64,
-    max_steps: u64,
-    plan: Option<FaultPlan>,
-    rec: SharedRecorder,
-) -> GlobalMetrics {
-    let mut session = SimSession::new(cfg)
-        .with_global(global, growth_fraction)
-        .with_steps(max_steps)
-        .with_recorder(rec);
-    if let Some(plan) = plan {
-        session = session.with_faults(plan);
-    }
-    session.convergence(sample_every)
-}
 
 /// Steps until average recall reaches `target`, or `max_steps`. Returns
 /// `(steps, metrics)`; `None` for steps when the target was never reached.
@@ -183,30 +112,14 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn convergence_run_reaches_high_recall() {
         let mut cfg = SimConfig::small().with_resources(6).with_k(1);
         cfg.growth_per_step = 4;
         cfg.min_freq = Ratio::new(1, 2);
-        let m = run_convergence(cfg, &tiny_global(), 0.3, 5, 60);
+        let m = SimSession::new(cfg).with_global(&tiny_global(), 0.3).with_steps(60).convergence(5);
         assert!(m.final_recall() > 0.95, "final recall {}", m.final_recall());
         assert!(m.final_precision() > 0.95, "final precision {}", m.final_precision());
         assert!(m.step_at_90_recall.is_some());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_session_builder() {
-        let mut cfg = SimConfig::small().with_resources(6).with_k(1);
-        cfg.growth_per_step = 4;
-        cfg.min_freq = Ratio::new(1, 2);
-        let shim = run_convergence(cfg, &tiny_global(), 0.3, 5, 40);
-        let session =
-            SimSession::new(cfg).with_global(&tiny_global(), 0.3).with_steps(40).convergence(5);
-        assert_eq!(
-            serde_json::to_string(&shim.samples).expect("serialize"),
-            serde_json::to_string(&session.samples).expect("serialize"),
-        );
     }
 
     #[test]

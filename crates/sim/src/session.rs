@@ -1,14 +1,11 @@
 //! [`SimSession`]: the simulator's front door, mirroring
 //! `MineSession`/`NetSession`.
 //!
-//! The simulator grew the same disease the core crate once had: three
-//! positional free functions (`run_convergence`, `run_convergence_faulty`,
-//! `run_convergence_observed`) plus raw `SimConfig` plumbing for every
-//! other entry point. `SimSession` subsumes them behind one builder —
-//! seed, workload, fault plan, recovery policy and recorder are all
-//! `with_*` overrides — and returns the same [`MiningOutcome`] shape as
-//! the threaded and net drivers, so cross-driver pinning tests compare
-//! one type instead of three.
+//! One builder for every simulator entry point — seed, workload, fault
+//! plan, recovery policy and recorder are all `with_*` overrides — that
+//! returns the same [`MiningOutcome`] shape as the threaded and net
+//! drivers, so cross-driver pinning tests compare one type instead of
+//! three.
 //!
 //! ```
 //! use gridmine_arm::{Database, Transaction};

@@ -44,3 +44,4 @@ pub use backend::{atomic_write_file, Backend, FsBackend, MemBackend};
 pub use crash::{CrashBackend, CrashPlan, OpKind};
 pub use error::{CorruptKind, StoreError};
 pub use store::{OpenReport, Store, MAX_TREE_NAME};
+pub use wal::{chain_bytes, digest_bytes, mix64};

@@ -58,24 +58,30 @@ pub enum SegKind {
     Wal,
 }
 
-/// SplitMix64 finalizer — the workspace's standard mixing primitive
-/// (same constants as `gridmine-recovery`).
-fn mix(mut x: u64) -> u64 {
+/// SplitMix64 finalizer — the workspace's one mixing primitive for
+/// digests, frame checksums, session ids and backoff jitter. Not
+/// cryptographic.
+pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
 
-/// Chains `bytes` onto `seed`, 8 little-endian bytes at a time.
-pub fn digest_bytes(seed: u64, bytes: &[u8]) -> u64 {
-    let mut acc = mix(seed ^ bytes.len() as u64);
+/// Folds `bytes` into `acc`, 8 little-endian bytes at a time (the
+/// trailing partial word is zero-padded).
+pub fn chain_bytes(mut acc: u64, bytes: &[u8]) -> u64 {
     for chunk in bytes.chunks(8) {
         let mut word = [0u8; 8];
         word.iter_mut().zip(chunk).for_each(|(w, &b)| *w = b);
-        acc = mix(acc ^ u64::from_le_bytes(word));
+        acc = mix64(acc ^ u64::from_le_bytes(word));
     }
     acc
+}
+
+/// Chains `bytes` onto `seed` under a length-mixed start value.
+pub fn digest_bytes(seed: u64, bytes: &[u8]) -> u64 {
+    chain_bytes(mix64(seed ^ bytes.len() as u64), bytes)
 }
 
 /// The chain seed for records of one segment.
@@ -84,7 +90,7 @@ pub fn seg_seed(kind: SegKind, generation: u64) -> u64 {
         SegKind::Snapshot => 0x5A0D,
         SegKind::Wal => 0x3A11,
     };
-    GENESIS ^ mix(generation ^ tag)
+    GENESIS ^ mix64(generation ^ tag)
 }
 
 /// One logical store operation, as carried in a record payload.
