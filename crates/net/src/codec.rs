@@ -210,13 +210,12 @@ const K_RESTORE: u8 = 16;
 const K_FINISH: u8 = 17;
 const K_REPORT: u8 = 18;
 
-/// Little-endian payload writer.
-#[derive(Default)]
-struct Writer {
-    buf: Vec<u8>,
+/// Little-endian payload writer, appending to the caller's buffer.
+struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Writer {
+impl Writer<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -475,7 +474,18 @@ fn degrade_of(tag: u8) -> Result<Option<DegradeReason>, WireError> {
 /// Encodes a frame into its full byte string (header + payload +
 /// checksum). The inverse of [`decode`].
 pub fn encode<C: HomCipher>(f: &Frame<C>) -> Vec<u8> {
-    let mut w = Writer::default();
+    let mut out = Vec::new();
+    encode_into(&mut out, f);
+    out
+}
+
+/// Appends a frame's full byte string to `out` — the same bytes
+/// [`encode`] returns, written once: the payload is encoded in place
+/// between [`frame::begin`] and [`frame::finish`]. A connection's writer
+/// encodes every frame into its one pending buffer this way.
+pub fn encode_into<C: HomCipher>(out: &mut Vec<u8>, f: &Frame<C>) {
+    let start = frame::begin(out);
+    let mut w = Writer { buf: out };
     let kind = match f {
         Frame::Hello { version, role, session, resource, resumed, attempts } => {
             w.u16(*version);
@@ -582,7 +592,7 @@ pub fn encode<C: HomCipher>(f: &Frame<C>) -> Vec<u8> {
             K_REPORT
         }
     };
-    frame::seal(kind, &w.buf)
+    frame::finish(out, start, kind);
 }
 
 /// Decodes a full frame byte string. Total: hostile input yields a
@@ -691,6 +701,11 @@ mod tests {
         // identity at the byte level — a stronger check than structural
         // equality, and it works for payloads without `PartialEq`.
         assert_eq!(encode(&back), bytes, "re-encode must reproduce the bytes");
+        // Appending behind frames already queued patches this frame's
+        // header, not the buffer's first one.
+        let mut queued = bytes.clone();
+        encode_into(&mut queued, &f);
+        assert_eq!(queued, [bytes.as_slice(), bytes.as_slice()].concat());
     }
 
     #[test]

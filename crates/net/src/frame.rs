@@ -56,15 +56,40 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// Assembles a full frame byte string from a kind tag and payload.
 pub fn seal(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
+    let start = begin(&mut out);
+    out.extend_from_slice(payload);
+    finish(&mut out, start, kind);
+    out
+}
+
+/// Starts a frame in place at the end of `out`: reserves its header and
+/// returns where the frame begins. The caller appends the payload and
+/// calls [`finish`] — a frame written this way is never copied.
+pub fn begin(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    out.push(kind);
-    out.push(0); // flags, reserved
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    let digest = checksum(&out);
+    // Kind, flags (reserved, zero) and payload length; `finish` fills in
+    // the first and the last.
+    out.extend_from_slice(&[0; HEADER_LEN - 6]);
+    start
+}
+
+/// Completes the frame [`begin`] started at `start`: everything appended
+/// since is its payload. Patches kind and length into the header and
+/// appends the checksum.
+pub fn finish(out: &mut Vec<u8>, start: usize, kind: u8) {
+    let len = out.len().saturating_sub(start + HEADER_LEN) as u32;
+    if let Some(header) = out.get_mut(start..start + HEADER_LEN) {
+        if let Some(slot) = header.get_mut(6) {
+            *slot = kind;
+        }
+        if let Some(slot) = header.get_mut(8..) {
+            slot.copy_from_slice(&len.to_le_bytes());
+        }
+    }
+    let digest = checksum(out.get(start..).unwrap_or_default());
     out.extend_from_slice(&digest.to_le_bytes());
-    out
 }
 
 /// A parsed frame header.

@@ -17,6 +17,19 @@
 //! counters are tracked with `Processed` acks — a phase is over when the
 //! check-ins are complete and the pending counter is zero.
 //!
+//! Every hub↔node stream is coalesced ([`FrameWriter`] out, a buffered
+//! reader in): `send_to` only queues, and the hub **flushes before it
+//! blocks**. The flush points are `next_msg` (the one place the hub
+//! waits for peer traffic — all queues go out when its channel runs
+//! empty), `wait_child` (before reaping a process) and the mid-write
+//! kill (the victim's `PhaseStart` is on the wire before the SIGKILL).
+//! Order per connection is untouched, so the barrier argument stands: a
+//! node's consequent counters still precede its `Processed` ack, and a
+//! forwarded counter stays in `pending` until its ack, which cannot
+//! exist before the counter was flushed. Reader threads on both sides
+//! drain into unbounded channels whatever the main loops are doing, so
+//! two peers flushing at each other cannot fill a socket and deadlock.
+//!
 //! Crash-survival is process-level. Soft crashes come from the
 //! [`FaultPlan`] (the node wipes, persists its recovery image and
 //! exits); hard kills come from [`NetSession::with_process_kill`] (the
@@ -26,6 +39,7 @@
 //! the round's scan opens.
 
 use std::collections::BTreeSet;
+use std::io::BufReader;
 use std::marker::PhantomData;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -33,7 +47,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use gridmine_arm::Database;
 use gridmine_core::session::arm_recorder;
 use gridmine_core::{
@@ -48,7 +62,7 @@ use gridmine_topology::{FaultPlan, Tree};
 use crate::codec::{Frame, NodeReport, Phase};
 use crate::error::{NetError, WireError};
 use crate::spec::NodeSpec;
-use crate::transport::{self, HelloInfo};
+use crate::transport::{self, FrameWriter, HelloInfo, STREAM_BUF};
 
 /// A cipher the networked backend can name in a [`NodeSpec`] so the
 /// spawned process rebuilds the same key material from the session seed.
@@ -253,6 +267,7 @@ impl<C: NetCipher> NetSession<C> {
                 hub: hub_addr.clone(),
                 state_dir: state_dir.to_string_lossy().into_owned(),
                 hostile: self.hostile.contains(&u),
+                observed: rec.enabled(),
             })
             .collect();
 
@@ -275,6 +290,7 @@ impl<C: NetCipher> NetSession<C> {
             reports: (0..n).map(|_| None).collect(),
             degraded: vec![None; n],
             door_verdicts: vec![None; n],
+            relay: Vec::new(),
             kills: self.kills.iter().map(|&(u, at, _)| (u, at)).collect(),
             mid_kills: self.mid_kills.iter().map(|&(u, at, _)| (u, at)).collect(),
             tx,
@@ -350,7 +366,9 @@ enum PeerMsg<C: SessionCipher> {
 /// Hub-side state for one node process.
 #[derive(Default)]
 struct PeerSlot {
-    writer: Option<TcpStream>,
+    /// The coalesced write half; `None` once the stream broke or the
+    /// peer was retired.
+    writer: Option<FrameWriter<TcpStream>>,
     child: Option<Child>,
     /// Incremented on every (re)spawn; events from a previous
     /// incarnation's reader thread are discarded by epoch.
@@ -378,6 +396,9 @@ struct HubRun<C: NetCipher> {
     reports: Vec<Option<NodeReport>>,
     degraded: Vec<Option<DegradeReason>>,
     door_verdicts: Vec<Option<Verdict>>,
+    /// Scratch for the copies the chaos proxy releases per relayed
+    /// counter (reused, so the relay path does not allocate).
+    relay: Vec<WireMsg<C>>,
     /// Hub-driven hard kills as `(resource, tick)`.
     kills: Vec<(usize, u64)>,
     /// Hard kills fired inside the tick's Scan phase (racing the
@@ -449,8 +470,7 @@ impl<C: NetCipher> HubRun<C> {
             if waiting.is_empty() {
                 break;
             }
-            let msg = self.rx.recv_timeout(Duration::from_millis(25));
-            match msg {
+            match self.next_msg() {
                 Ok((u, epoch, m)) => {
                     let mut none = BTreeSet::new();
                     self.dispatch(u, epoch, m, rounds_tick, false, &mut none);
@@ -585,12 +605,12 @@ impl<C: NetCipher> HubRun<C> {
         let writer = stream.try_clone()?;
         let slot = &mut self.peers[u];
         slot.epoch += 1;
-        slot.writer = Some(writer);
+        slot.writer = Some(FrameWriter::new(writer));
         slot.alive = true;
         slot.quarantined = false;
         let epoch = slot.epoch;
         let tx = self.tx.clone();
-        let mut reader = stream;
+        let mut reader = BufReader::with_capacity(STREAM_BUF, stream);
         std::thread::spawn(move || loop {
             match transport::recv_frame::<C, _>(&mut reader) {
                 Ok(f) => {
@@ -631,9 +651,7 @@ impl<C: NetCipher> HubRun<C> {
         // persist is ordered before the successor's restore — `wait`
         // is the happens-before edge; anything else is a race against
         // the predecessor's fsyncs.
-        if let Some(child) = self.peers[u].child.as_mut() {
-            let _ = child.wait();
-        }
+        self.wait_child(u);
         self.spawn_child(u, Some(tick))?;
         let deadline = Instant::now() + ACCEPT_DEADLINE;
         let (hello, stream) = loop {
@@ -702,9 +720,14 @@ impl<C: NetCipher> HubRun<C> {
                 self.mid_kills.iter().filter(|&&(_, at)| at == tick).map(|&(u, _)| u).collect();
             for u in due {
                 if self.peers[u].alive && !self.peers[u].quarantined {
+                    // The point of this kill is to land *after* the
+                    // victim has its `PhaseStart`: put it on the wire
+                    // first, and say so if that failed.
+                    let reason =
+                        if self.flush_to(u) { "killed mid-write" } else { "killed unstarted" };
                     emit(&self.rec, || Event::PeerDisconnected {
                         resource: u as u64,
-                        reason: "killed mid-write".into(),
+                        reason: reason.into(),
                     });
                     self.kill_peer(u);
                     waiting.remove(&u);
@@ -713,6 +736,22 @@ impl<C: NetCipher> HubRun<C> {
         }
         let wiring = matches!(phase, Phase::Wiring);
         self.pump(tick, wiring, &mut waiting, Instant::now() + PHASE_DEADLINE);
+    }
+
+    /// The next peer message, **flushing before it blocks**: while
+    /// messages are waiting nothing is written; once the channel is
+    /// empty every peer's pending frames go out, and only then does the
+    /// hub wait. Everything `phase`, `respawn` and the finish loop queue
+    /// reaches its peer through here.
+    fn next_msg(&mut self) -> Result<(usize, u64, PeerMsg<C>), RecvTimeoutError> {
+        match self.rx.try_recv() {
+            Ok(msg) => Ok(msg),
+            Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
+            Err(TryRecvError::Empty) => {
+                self.flush_all();
+                self.rx.recv_timeout(Duration::from_millis(25))
+            }
+        }
     }
 
     /// The hub's event loop body: dispatches peer traffic until
@@ -725,8 +764,7 @@ impl<C: NetCipher> HubRun<C> {
             if waiting.is_empty() && self.pending == 0 {
                 return;
             }
-            let msg = self.rx.recv_timeout(Duration::from_millis(25));
-            match msg {
+            match self.next_msg() {
                 Ok((u, epoch, m)) => self.dispatch(u, epoch, m, tick, wiring, waiting),
                 Err(RecvTimeoutError::Timeout) => {
                     if Instant::now() >= deadline {
@@ -783,11 +821,12 @@ impl<C: NetCipher> HubRun<C> {
                                 tick,
                             );
                         } else {
-                            let mut now = Vec::new();
+                            let mut now = std::mem::take(&mut self.relay);
                             self.proxy.route(m.from, m.to, m, &self.rec, |c| now.push(c));
-                            for c in now {
+                            for c in now.drain(..) {
                                 self.deliver_counter(c, tick);
                             }
+                            self.relay = now;
                         }
                     }
                     Frame::Share { from, to, ct } => {
@@ -867,17 +906,46 @@ impl<C: NetCipher> HubRun<C> {
         self.pending_to[u] = 0;
     }
 
-    fn send_to(&mut self, u: usize, f: &Frame<C>) -> bool {
+    /// Runs `op` on `u`'s writer. False when `u` has no working stream;
+    /// a stream that fails is dropped (the reader thread will surface
+    /// the close — just stop writing into a broken pipe).
+    fn on_writer(
+        &mut self,
+        u: usize,
+        op: impl FnOnce(&mut FrameWriter<TcpStream>) -> Result<(), NetError>,
+    ) -> bool {
         let Some(w) = self.peers[u].writer.as_mut() else {
             return false;
         };
-        if transport::send_frame::<C, _>(w, f).is_ok() {
-            true
-        } else {
-            // The reader thread will surface the close; just stop
-            // writing into a broken pipe.
+        let ok = op(w).is_ok();
+        if !ok {
             self.peers[u].writer = None;
-            false
+        }
+        ok
+    }
+
+    /// Queues `f` on `u`'s stream; it goes out with the next flush.
+    fn send_to(&mut self, u: usize, f: &Frame<C>) -> bool {
+        self.on_writer(u, |w| w.queue(f))
+    }
+
+    /// Puts everything queued for `u` on the wire.
+    fn flush_to(&mut self, u: usize) -> bool {
+        self.on_writer(u, FrameWriter::flush)
+    }
+
+    fn flush_all(&mut self) {
+        for u in 0..self.n {
+            self.flush_to(u);
+        }
+    }
+
+    /// Reaps `u`'s process. Blocking on a peer, so flush first: nothing
+    /// a process still has to read before it exits may be left pending.
+    fn wait_child(&mut self, u: usize) {
+        self.flush_all();
+        if let Some(child) = self.peers[u].child.as_mut() {
+            let _ = child.wait();
         }
     }
 
@@ -925,9 +993,7 @@ impl<C: NetCipher> HubRun<C> {
         }
         self.peers[u].alive = false;
         self.peers[u].writer = None;
-        if let Some(child) = self.peers[u].child.as_mut() {
-            let _ = child.wait();
-        }
+        self.wait_child(u);
         self.forgive(u);
         let scheduled = match self.plan.fault_of(u) {
             Some(ResourceFault::Crash { at, .. }) | Some(ResourceFault::Depart { at }) => {

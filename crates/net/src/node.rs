@@ -7,18 +7,33 @@
 //! each tick is `gridmine_core::round`'s; this file owns the socket, the
 //! frames, the state files, the exit codes and the heartbeat.
 //!
+//! The stream to the hub is coalesced ([`FrameWriter`]): everything one
+//! inbound frame gives rise to — consequent counters, events, the
+//! `Processed` ack — is queued in order, and the main loop **flushes
+//! before it blocks**: it takes the next inbound frame without waiting
+//! while there is one, and flushes only when the channel is empty, right
+//! before `recv_timeout`. The other flush point is the loop's single
+//! exit, so a goodbye report, a crash's last events or a final ack are
+//! on the wire before the process ends, whatever the exit code.
+//!
+//! Events follow the session's recorder: when the hub has one
+//! (`spec.observed`) the machine and keys record into a buffer that is
+//! forwarded as `Frame::Obs`; when it has none they run on the null
+//! recorder and no event is formatted, framed or sent.
+//!
 //! Crash-survival is process-level: at a scheduled crash tick the node
 //! (its state already wiped by the machine) persists its recovery image,
 //! controller audits and protocol tallies under `state_dir`, and
 //! **exits**. The hub respawns a fresh process at the recovery tick,
 //! which warm-restarts from those files (`resume_tick` in its spec).
 
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, RecvTimeoutError};
+use crossbeam_channel::{unbounded, RecvTimeoutError, TryRecvError};
 use gridmine_arm::{Item, Ratio};
 use gridmine_core::{AuditImage, CounterLayout, RoundMachine, Scan, SecureResource, WireMsg};
 use gridmine_majority::CandidateGenerator;
@@ -29,7 +44,7 @@ use crate::codec::{Frame, NodeReport, Phase};
 use crate::error::NetError;
 use crate::hub::NetCipher;
 use crate::spec::NodeSpec;
-use crate::transport::{self, HEARTBEAT_EVERY};
+use crate::transport::{self, FrameWriter, HEARTBEAT_EVERY, STREAM_BUF};
 
 /// Exit code of a scheduled crash (process-level `crash_wipe`). The hub
 /// treats it as an expected death, not a supervision failure.
@@ -107,41 +122,63 @@ pub fn run<C: NetCipher>(spec: &NodeSpec) -> i32 {
 struct Node<'a, C: HomCipher> {
     spec: &'a NodeSpec,
     machine: RoundMachine<C>,
-    rec_buf: Arc<BufRecorder>,
+    /// The event buffer behind the machine's recorder; `None` when the
+    /// session is unobserved and the machine runs on the null recorder.
+    rec_buf: Option<Arc<BufRecorder>>,
+}
+
+/// The recorder a node's machine and keys run on, with the buffer to
+/// forward from: a live one only when the hub's session has a recorder
+/// to receive the events.
+fn node_recorder(observed: bool) -> (SharedRecorder, Option<Arc<BufRecorder>>) {
+    if observed {
+        let buf = Arc::new(BufRecorder::default());
+        (buf.clone(), Some(buf))
+    } else {
+        (gridmine_obs::null(), None)
+    }
 }
 
 impl<C: NetCipher> Node<'_, C> {
-    /// Persists checkpoint state; a failure becomes a
-    /// [`Event::CheckpointPersistFailed`] on the buffered recorder (the
-    /// next `flush_obs` forwards it to the hub) instead of vanishing.
+    /// Persists checkpoint state. A failure is never silent: the reason
+    /// goes to stderr (inherited from the hub), and on an observed
+    /// session also out as an [`Event::CheckpointPersistFailed`] with
+    /// the next `queue_obs`.
     fn persist_or_report(&self) {
         if let Err(e) = persist_state(self.spec, &self.machine) {
-            self.rec_buf.record(&Event::CheckpointPersistFailed {
-                resource: self.spec.resource as u64,
-                reason: e.to_string(),
-            });
+            let resource = self.spec.resource;
+            eprintln!("gridmine-node {resource}: checkpoint persist failed: {e}");
+            if let Some(buf) = &self.rec_buf {
+                buf.record(&Event::CheckpointPersistFailed {
+                    resource: resource as u64,
+                    reason: e.to_string(),
+                });
+            }
         }
     }
 
-    fn flush_obs(&self, w: &mut std::net::TcpStream) -> Result<(), NetError> {
-        for line in self.rec_buf.drain() {
-            transport::send_frame::<C, _>(w, &Frame::Obs { line })?;
+    fn queue_obs(&self, out: &mut FrameWriter<TcpStream>) -> Result<(), NetError> {
+        let Some(buf) = &self.rec_buf else {
+            return Ok(());
+        };
+        for line in buf.drain() {
+            out.queue::<C>(&Frame::Obs { line })?;
         }
         Ok(())
     }
 
-    /// Mails `outs`, forwards buffered events, and returns the count for
+    /// Queues `outs` and the buffered events, and returns the count for
     /// the caller's `PhaseSent`.
-    fn send_counters(
+    fn queue_counters(
         &self,
-        w: &mut std::net::TcpStream,
+        out: &mut FrameWriter<TcpStream>,
         outs: Vec<WireMsg<C>>,
     ) -> Result<u32, NetError> {
         let n = outs.len() as u32;
         for m in outs {
-            transport::send_frame::<C, _>(w, &Frame::Counter(m))?;
+            out.queue(&Frame::Counter(m))?;
         }
-        self.flush_obs(w)?;
+        self.queue_obs(out)?;
         Ok(n)
     }
 
@@ -160,8 +197,7 @@ impl<C: NetCipher> Node<'_, C> {
 
 fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
     let u = spec.resource;
-    let rec_buf = Arc::new(BufRecorder::default());
-    let rec: SharedRecorder = rec_buf.clone();
+    let (rec, rec_buf) = node_recorder(spec.observed);
     let keys = C::session_keys(spec.seed).with_recorder(&rec);
     let generator = CandidateGenerator::new(
         Ratio::new(spec.min_freq.0, spec.min_freq.1),
@@ -224,6 +260,7 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
     // Blocking reader thread; the main loop paces itself on the channel
     // so a read timeout can never split a frame mid-stream.
     let (tx, rx) = unbounded::<Result<Frame<C>, NetError>>();
+    let mut reader = BufReader::with_capacity(STREAM_BUF, reader);
     std::thread::spawn(move || loop {
         let msg = transport::recv_frame::<C, _>(&mut reader);
         let stop = msg.is_err();
@@ -232,22 +269,34 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
         }
     });
 
+    let mut out = FrameWriter::new(writer);
     let mut last_heard = Instant::now();
     let mut nonce = 0u64;
-    loop {
-        let frame = match rx.recv_timeout(HEARTBEAT_EVERY) {
+    let code = loop {
+        // Flush before you block: while frames are waiting nothing is
+        // written; what they gave rise to goes out in one piece once
+        // the channel runs dry.
+        let next = match rx.try_recv() {
+            Ok(msg) => Ok(msg),
+            Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
+            Err(TryRecvError::Empty) => {
+                out.flush()?;
+                rx.recv_timeout(HEARTBEAT_EVERY)
+            }
+        };
+        let frame = match next {
             Ok(Ok(f)) => f,
-            Ok(Err(NetError::Closed)) => return Ok(0),
-            Ok(Err(_)) => return Ok(EXIT_FAILED),
+            Ok(Err(NetError::Closed)) => break 0,
+            Ok(Err(_)) => break EXIT_FAILED,
             Err(RecvTimeoutError::Timeout) => {
                 if last_heard.elapsed() > ORPHAN_DEADLINE {
-                    return Ok(EXIT_ORPHANED);
+                    break EXIT_ORPHANED;
                 }
                 nonce += 1;
-                transport::send_frame::<C, _>(&mut writer, &Frame::Heartbeat { nonce })?;
+                out.queue::<C>(&Frame::Heartbeat { nonce })?;
                 continue;
             }
-            Err(RecvTimeoutError::Disconnected) => return Ok(0),
+            Err(RecvTimeoutError::Disconnected) => break 0,
         };
         last_heard = Instant::now();
 
@@ -256,31 +305,22 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
                 let mut sent = 0u32;
                 for &v in &neighbors {
                     let ct = node.machine.resource().share_for_neighbor(v);
-                    transport::send_frame::<C, _>(
-                        &mut writer,
-                        &Frame::Share { from: u as u32, to: v as u32, ct },
-                    )?;
+                    out.queue::<C>(&Frame::Share { from: u as u32, to: v as u32, ct })?;
                     sent += 1;
                 }
-                node.flush_obs(&mut writer)?;
-                transport::send_frame::<C, _>(
-                    &mut writer,
-                    &Frame::PhaseSent { tick, phase: Phase::Wiring, sent },
-                )?;
+                node.queue_obs(&mut out)?;
+                out.queue::<C>(&Frame::PhaseSent { tick, phase: Phase::Wiring, sent })?;
             }
             Frame::Share { from, to, ct } => {
                 if to as usize == u {
                     node.machine.resource_mut().store_share_from(from as usize, ct);
                 }
-                transport::send_frame::<C, _>(&mut writer, &Frame::Processed)?;
+                out.queue::<C>(&Frame::Processed)?;
             }
             Frame::ShareResend { to } => {
                 let ct = node.machine.resource().share_for_neighbor(to as usize);
-                transport::send_frame::<C, _>(
-                    &mut writer,
-                    &Frame::Share { from: u as u32, to, ct },
-                )?;
-                transport::send_frame::<C, _>(&mut writer, &Frame::Processed)?;
+                out.queue::<C>(&Frame::Share { from: u as u32, to, ct })?;
+                out.queue::<C>(&Frame::Processed)?;
             }
             Frame::PhaseStart { tick, phase: Phase::Scan } => {
                 let outs = match node.machine.scan(tick) {
@@ -288,13 +328,13 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
                     // respawned at the recovery tick.
                     Scan::Crash => {
                         node.persist_or_report();
-                        node.flush_obs(&mut writer)?;
-                        return Ok(EXIT_CRASHED);
+                        node.queue_obs(&mut out)?;
+                        break EXIT_CRASHED;
                     }
                     Scan::Depart => {
-                        node.flush_obs(&mut writer)?;
-                        transport::send_frame::<C, _>(&mut writer, &node.report())?;
-                        return Ok(0);
+                        node.queue_obs(&mut out)?;
+                        out.queue(&node.report())?;
+                        break 0;
                     }
                     Scan::Down => Vec::new(),
                     Scan::Send { msgs, checkpointed } => {
@@ -306,38 +346,55 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
                         msgs
                     }
                 };
-                let sent = node.send_counters(&mut writer, outs)?;
-                transport::send_frame::<C, _>(
-                    &mut writer,
-                    &Frame::PhaseSent { tick, phase: Phase::Scan, sent },
-                )?;
+                let sent = node.queue_counters(&mut out, outs)?;
+                out.queue::<C>(&Frame::PhaseSent { tick, phase: Phase::Scan, sent })?;
             }
             Frame::PhaseStart { tick, phase: Phase::Candidate } => {
                 let outs = node.machine.candidates();
-                let sent = node.send_counters(&mut writer, outs)?;
-                transport::send_frame::<C, _>(
-                    &mut writer,
-                    &Frame::PhaseSent { tick, phase: Phase::Candidate, sent },
-                )?;
+                let sent = node.queue_counters(&mut out, outs)?;
+                out.queue::<C>(&Frame::PhaseSent { tick, phase: Phase::Candidate, sent })?;
             }
             Frame::Counter(msg) => {
-                // Consequent sends go out *before* the ack, so the hub's
-                // pending counter can never read zero while traffic is
-                // still being produced (per-connection FIFO).
+                // Consequent sends are queued *before* the ack, so the
+                // hub's pending counter can never read zero while traffic
+                // is still being produced (per-connection FIFO: queue
+                // order is wire order).
                 let outs = node.machine.receive(&msg);
-                node.send_counters(&mut writer, outs)?;
-                transport::send_frame::<C, _>(&mut writer, &Frame::Processed)?;
+                node.queue_counters(&mut out, outs)?;
+                out.queue::<C>(&Frame::Processed)?;
             }
             Frame::Finish => {
                 node.machine.finish(spec.rounds);
-                node.flush_obs(&mut writer)?;
-                transport::send_frame::<C, _>(&mut writer, &node.report())?;
-                return Ok(0);
+                node.queue_obs(&mut out)?;
+                out.queue(&node.report())?;
+                break 0;
             }
             Frame::HeartbeatAck { .. } => {}
             // Anything else from the hub is a protocol bug, not an
             // attack surface (the hub is trusted); ignore it.
             _ => {}
         }
+    };
+    // Flush before you exit: the one way out of the loop, so no goodbye
+    // report, last event or ack is left pending behind an exit code.
+    out.flush()?;
+    Ok(code)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn events_are_buffered_only_for_an_observed_session() {
+        let (rec, buf) = node_recorder(false);
+        assert!(!rec.enabled(), "an unobserved node runs on the null recorder");
+        assert!(buf.is_none(), "and has nothing to forward");
+
+        let (rec, buf) = node_recorder(true);
+        assert!(rec.enabled());
+        rec.record(&Event::RoundAdvanced { tick: 3 });
+        let lines = buf.expect("an observed node forwards its buffer").drain();
+        assert_eq!(lines, [Event::RoundAdvanced { tick: 3 }.to_json()]);
     }
 }

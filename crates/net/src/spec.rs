@@ -53,6 +53,12 @@ pub struct NodeSpec {
     /// When set, the node sends garbage bytes after the handshake —
     /// the Byzantine fixture for codec-door verdict tests.
     pub hostile: bool,
+    /// True when the hub's session has a live recorder: the node then
+    /// records its events and forwards them as `Frame::Obs`. The hub
+    /// derives it from its recorder; off, no event is formatted, framed
+    /// or sent.
+    #[serde(default)]
+    pub observed: bool,
 }
 
 #[cfg(test)]
@@ -86,6 +92,7 @@ mod tests {
             hub: "127.0.0.1:9".into(),
             state_dir: "/tmp/x".into(),
             hostile: false,
+            observed: true,
         };
         let json = serde_json::to_string(&spec).expect("encode");
         let back: NodeSpec = serde_json::from_str(&json).expect("decode");
@@ -94,5 +101,11 @@ mod tests {
         assert_eq!(back.schedule, spec.schedule);
         assert!(back.schedule.wipes_at(2) && back.schedule.restores_at(4));
         assert_eq!(back.schedule.heal_edges(4), vec![0, 2]);
+        assert!(back.observed);
+        // A spec that does not say is unobserved.
+        let silent = json.replace(",\"observed\":true", "");
+        assert_ne!(silent, json);
+        let back: NodeSpec = serde_json::from_str(&silent).expect("decode without the flag");
+        assert!(!back.observed);
     }
 }

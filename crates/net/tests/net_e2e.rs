@@ -135,6 +135,31 @@ fn three_process_grid_matches_the_threaded_driver() {
 }
 
 #[test]
+fn an_unobserved_session_mines_exactly_what_an_observed_one_does() {
+    // Nodes ship events only to a live recorder. Whether anyone watches
+    // must not change what is mined — only whether events cross the wire.
+    let n = 3;
+    let session = || {
+        NetSession::<MockCipher>::new(cfg(6))
+            .with_topology(Tree::path(n))
+            .with_databases(dbs(n))
+            .with_node_binary(NODE_BIN)
+    };
+    let mem = MemoryRecorder::shared();
+    let seen =
+        session().with_recorder(mem.clone() as SharedRecorder).try_run().expect("observed session");
+    let unseen = session().try_run().expect("unobserved session");
+
+    assert_eq!(unseen.solutions, seen.solutions);
+    assert_eq!(unseen.verdicts, seen.verdicts);
+    assert_eq!(unseen.statuses, seen.statuses);
+    assert_eq!(unseen.chaos, seen.chaos);
+    // The watched run's node events did arrive, and add up.
+    assert_eq!(mem.count_of(EventKind::CounterSent) as u64, seen.messages);
+    assert!(seen.messages > 0 && unseen.messages > 0);
+}
+
+#[test]
 fn crash_and_warm_restart_match_the_threaded_driver() {
     // Resource 2 crashes at tick 2 and warm-restarts at tick 4 — in the
     // net run that is a real process exiting and a fresh process
@@ -290,6 +315,42 @@ fn sessions_without_a_binary_or_with_bad_plans_are_refused() {
 }
 
 #[test]
+fn a_failed_checkpoint_persist_is_reported_and_survived() {
+    // A directory squats on resource 1's tallies file, so publishing it
+    // (rename over a directory) fails at every checkpoint. That degrades
+    // recovery fidelity, not the run — but it must be said: as an event
+    // when the session is observed, on the node's stderr always (visible
+    // under `--nocapture`).
+    let n = 3;
+    let state_dir =
+        std::env::temp_dir().join(format!("gridmine-persistfail-{:08x}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    std::fs::create_dir_all(state_dir.join("1.tallies")).expect("squatter");
+    let mem = MemoryRecorder::shared();
+    let outcome = NetSession::<MockCipher>::new(cfg(6))
+        .with_topology(Tree::path(n))
+        .with_databases(dbs(n))
+        .with_recovery(RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT))
+        .with_state_dir(&state_dir)
+        .with_recorder(mem.clone() as SharedRecorder)
+        .with_node_binary(NODE_BIN)
+        .try_run()
+        .expect("net session");
+    assert!(outcome.statuses.iter().all(ResourceStatus::is_ok), "{:?}", outcome.statuses);
+    assert!(outcome.chaos.checkpoints > 0);
+    let failed: Vec<u64> = mem
+        .snapshot()
+        .iter()
+        .filter_map(|e| match e {
+            Event::CheckpointPersistFailed { resource, .. } => Some(*resource),
+            _ => None,
+        })
+        .collect();
+    assert!(!failed.is_empty() && failed.iter().all(|&u| u == 1), "{failed:?}");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
 fn sigkill_mid_checkpoint_write_never_tears_persisted_state() {
     // Resource 1 is SIGKILLed *inside* tick 10's Scan phase — while it
     // is persisting its second checkpoint (checkpoint_every = 5, so the
@@ -307,15 +368,30 @@ fn sigkill_mid_checkpoint_write_never_tears_persisted_state() {
         &Database::union_of(dbs(n).iter()),
         &AprioriConfig::new(Ratio::new(1, 2), Ratio::new(1, 2)),
     );
+    let mem = MemoryRecorder::shared();
     let outcome = NetSession::<MockCipher>::new(cfg(16))
         .with_topology(Tree::path(n))
         .with_databases(dbs(n))
         .with_recovery(RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT))
         .with_process_kill_mid_write(1, 10, Some(12))
         .with_state_dir(&state_dir)
+        .with_recorder(mem.clone() as SharedRecorder)
         .with_node_binary(NODE_BIN)
         .try_run()
         .expect("net session");
+    // The race is only the one described if the victim had its tick-10
+    // `PhaseStart` when the signal landed: the hub flushes its coalesced
+    // stream to the victim before the kill and names the kill by whether
+    // that worked.
+    let kills: Vec<String> = mem
+        .snapshot()
+        .iter()
+        .filter_map(|e| match e {
+            Event::PeerDisconnected { resource: 1, reason } => Some(reason.clone()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(kills, ["killed mid-write"], "the PhaseStart was on the wire before the SIGKILL");
     assert!(outcome.statuses.iter().all(ResourceStatus::is_ok), "{:?}", outcome.statuses);
     assert!(outcome.verdicts.is_empty(), "{:?}", outcome.verdicts);
     assert_eq!(outcome.chaos.faults.crashes, 1);
