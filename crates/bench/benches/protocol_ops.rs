@@ -131,7 +131,7 @@ fn bench_simulation_step(c: &mut Criterion) {
             cfg.min_freq = Ratio::new(1, 2);
             let items: Vec<Item> = vec![Item(1), Item(2), Item(3)];
             let mut sim = Simulation::new(cfg, &keys, plans, &items);
-            b.iter(|| sim.step())
+            b.iter(|| sim.run_event_driven(1))
         });
     }
     group.finish();

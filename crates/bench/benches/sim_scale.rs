@@ -3,8 +3,9 @@
 //!
 //! The tentpole claim of the event-driven engine is that *idle resources
 //! cost nothing*: after a grid's votes settle, the wheel skips empty
-//! timestamps outright, while the legacy tick loop still walks all `n`
-//! resources every step. This bench pins that down with a Figure-3-style
+//! timestamps outright, while the dense schedule (`Simulation::run`, the
+//! differential oracle) still arms all `n` resources every step. This
+//! bench pins that down with a Figure-3-style
 //! workload (the paper's "special case of a single itemset"): every
 //! resource holds the same small decisive database, so each local vote
 //! agrees with the global majority and the protocol quiesces right after
@@ -15,7 +16,7 @@
 //! `n`), and a long *steady* window where the grid is idle. The
 //! steady-state cost per resource-step is the scalability claim: it must
 //! stay flat (or fall) from 10³ to 10⁵ resources. For the smaller grids
-//! the legacy tick loop is also timed as a baseline, giving the
+//! the dense schedule is also timed as a baseline, giving the
 //! wheel-vs-tick speedup column.
 //!
 //! Results land in `BENCH_sim.json` at the repo root for CI to archive
@@ -88,7 +89,7 @@ struct Row {
     steady_ms: f64,
     steady_ns_per_resource_step: f64,
     msgs: u64,
-    /// The legacy tick loop over the same total steps (omitted above the
+    /// The dense schedule over the same total steps (omitted above the
     /// ceiling — it would dominate the bench's wall-clock budget).
     tick_run_ms: Option<f64>,
     speedup_vs_tick: Option<f64>,

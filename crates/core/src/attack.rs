@@ -62,8 +62,8 @@ pub enum ControllerBehavior {
     /// bounded retry budget against it and then the resource degrades
     /// ([`crate::chaos::DegradeReason::MuteController`]) — only its own
     /// mining stalls. The `gridmine-sim` engine then routes the overlay
-    /// around the degraded resource (`Simulation::step`'s liveness pass),
-    /// exactly as it repairs crash faults.
+    /// around the degraded resource (the liveness sweep that ends every
+    /// simulated timestamp), exactly as it repairs crash faults.
     Mute,
 }
 

@@ -75,4 +75,4 @@ pub use resource::{SecureResource, WireMsg};
 pub use round::{assemble, ResourceReport, RoundMachine, RoundSchedule, Scan, Seat, Tallies};
 pub use session::{MineSession, SessionCipher, SessionError};
 pub use sfe::{GateMode, KGate};
-pub use threaded::{run_threaded, run_threaded_full, run_threaded_with};
+pub use threaded::run_threaded_full;

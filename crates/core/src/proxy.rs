@@ -18,7 +18,26 @@
 //! re-rolling chaos.
 
 use gridmine_obs::{emit, Event, SharedRecorder};
-use gridmine_topology::{FaultPlan, FaultStats, FaultyLink};
+use gridmine_topology::{Delivery, FaultPlan, FaultStats, FaultyLink};
+
+/// Mirrors one fault decision on edge `from → to` as events, by the same
+/// rule [`FaultStats`] counts it: a drop is a drop and nothing else; a
+/// surviving message reports its extra copies and its extra delay. Every
+/// driver that rolls a [`Delivery`] reports it through here, so a log's
+/// per-type counts equal the stats whichever driver produced them.
+pub fn mirror_delivery(delivery: &Delivery, from: usize, to: usize, rec: &SharedRecorder) {
+    let (from, to) = (from as u64, to as u64);
+    if delivery.is_dropped() {
+        emit(rec, || Event::MessageDropped { from, to });
+        return;
+    }
+    if delivery.copies > 1 {
+        emit(rec, || Event::MessageDuplicated { from, to, copies: u64::from(delivery.copies) });
+    }
+    if delivery.extra_delay > 0 {
+        emit(rec, || Event::MessageDelayed { from, to, ticks: delivery.extra_delay });
+    }
+}
 
 /// A chaos layer for in-flight protocol messages of payload type `T`.
 pub struct ChaosProxy<T> {
@@ -62,23 +81,9 @@ impl<T: Clone> ChaosProxy<T> {
         mut deliver: impl FnMut(T),
     ) {
         let delivery = self.link.on_send(from, to);
+        mirror_delivery(&delivery, from, to, rec);
         if delivery.is_dropped() {
-            emit(rec, || Event::MessageDropped { from: from as u64, to: to as u64 });
             return;
-        }
-        if delivery.copies > 1 {
-            emit(rec, || Event::MessageDuplicated {
-                from: from as u64,
-                to: to as u64,
-                copies: u64::from(delivery.copies),
-            });
-        }
-        if delivery.extra_delay > 0 {
-            emit(rec, || Event::MessageDelayed {
-                from: from as u64,
-                to: to as u64,
-                ticks: delivery.extra_delay,
-            });
         }
         let park =
             delivery.extra_delay > 0 || self.held.iter().any(|(f, t, _)| *f == from && *t == to);

@@ -117,34 +117,15 @@ fn drain<C: HomCipher>(
 }
 
 /// The threaded driver over pre-built (and pre-wired) resources — the
+/// engine behind [`crate::session::MineSession::try_run_threaded`], and the
 /// entry point for tests that corrupt resources by hand before running
 /// them under true concurrency.
 ///
 /// `plan` ticks are protocol rounds. Resources must be indexed by id
 /// (resource `u` at position `u`) and already wired — see
-/// [`crate::resource::wire_grid`].
-pub fn run_threaded<C: HomCipher + 'static>(
-    resources: Vec<SecureResource<C>>,
-    rounds: usize,
-    plan: FaultPlan,
-) -> MiningOutcome {
-    run_threaded_with(resources, rounds, plan, gridmine_obs::null())
-}
-
-/// [`run_threaded`] with an event recorder: every resource is attached to
-/// `rec` before the threads start, the fault layer mirrors its stats as
-/// events, and worker 0 marks round boundaries.
-pub fn run_threaded_with<C: HomCipher + 'static>(
-    resources: Vec<SecureResource<C>>,
-    rounds: usize,
-    plan: FaultPlan,
-    rec: SharedRecorder,
-) -> MiningOutcome {
-    run_threaded_full(resources, rounds, plan, rec, RecoveryMode::Disabled)
-}
-
-/// The full threaded driver: [`run_threaded_with`] plus a crash-recovery
-/// mode.
+/// [`crate::resource::wire_grid`]. Every resource reports to `rec`, the
+/// fault layer mirrors its stats there as events, and worker 0 marks
+/// round boundaries. `mode` is the crash-recovery semantics:
 ///
 /// * [`RecoveryMode::Disabled`] — legacy semantics: a "crashed" resource
 ///   merely goes silent and resumes with its state intact.
@@ -329,7 +310,7 @@ mod tests {
     #[test]
     fn threaded_detects_attacks_too() {
         // Hand-corrupted grids under the threaded driver are covered in
-        // tests/threaded_faults.rs via run_threaded; here we pin that an
+        // tests/threaded_faults.rs via run_threaded_full; here we pin that an
         // honest grid stays clean under concurrency.
         let cfg = MineConfig::new(Ratio::new(1, 2), Ratio::new(1, 2));
         let outcome = session(13, cfg, Tree::path(4), 4).run_threaded();

@@ -7,7 +7,8 @@ use gridmine_arm::{correct_rules, AprioriConfig, Database, Item, Ratio, RuleSet,
 use gridmine_core::attack::{BrokerBehavior, ControllerBehavior};
 use gridmine_core::resource::wire_grid;
 use gridmine_core::{
-    run_threaded, DegradeReason, GridKeys, ResourceStatus, SecureResource, Verdict,
+    run_threaded_full, DegradeReason, GridKeys, MiningOutcome, RecoveryMode, ResourceStatus,
+    SecureResource, Verdict,
 };
 use gridmine_paillier::MockCipher;
 use gridmine_topology::faults::{EdgeFaults, FaultPlan};
@@ -55,6 +56,15 @@ fn grid(n: usize) -> (Vec<SecureResource<MockCipher>>, RuleSet) {
         .collect();
     wire_grid(&mut rs);
     (rs, truth)
+}
+
+/// The threaded driver with no recorder and no crash recovery.
+fn run_threaded(
+    rs: Vec<SecureResource<MockCipher>>,
+    rounds: usize,
+    plan: FaultPlan,
+) -> MiningOutcome {
+    run_threaded_full(rs, rounds, plan, gridmine_obs::null(), RecoveryMode::Disabled)
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! The grid simulation: event-driven wheel with a legacy tick oracle.
+//! The grid simulation: one set of pass bodies, two schedules.
 //!
 //! One step = one unit of simulated time. Within a step: arriving
 //! messages are delivered, each resource's database grows, each resource
@@ -7,22 +7,29 @@
 //! happens only through the message queue, so per-phase parallelism is
 //! race-free.
 //!
-//! Two drivers share those phase semantics:
+//! Each kind of work is a [`Pass`] with exactly one body here; a pass
+//! visits the resources its tracking set names (`growing`, `scan_armed`,
+//! `dirty`) and recurs on one cadence ([`Simulation::cadence`]). Two
+//! schedules decide *when* a pass fires and *whom* it visits:
 //!
-//! * [`Simulation::run_event_driven`] — the scheduler. Every phase is a
-//!   [`Pass`] event on a hierarchical [`TimerWheel`]; timestamps with no
-//!   pending pass are skipped outright, so idle resources cost nothing
-//!   and a 10⁵-node grid advances at the cost of its *active* frontier.
-//!   Per-resource work is gated by tracking sets (`scan_armed`, `dirty`)
-//!   maintained by the passes themselves.
-//! * [`Simulation::step`] / [`Simulation::run`] — the legacy global-tick
-//!   loop, kept as the differential oracle: the wheel-vs-tick suite pins
-//!   identical solutions, verdicts and [`ChaosReport`]s under the same
-//!   seed (the same role `modpow_legacy` plays for the Montgomery
-//!   kernel).
+//! * [`Simulation::run_event_driven`] — the product scheduler, and what
+//!   every session, suite, example and bench runs. Passes are events on
+//!   a hierarchical [`TimerWheel`]; timestamps with no pending pass are
+//!   skipped outright, so idle resources cost nothing and a 10⁵-node
+//!   grid advances at the cost of its *active* frontier. The tracking
+//!   sets are maintained by the passes themselves.
+//! * [`Simulation::step`] / [`Simulation::run`] — the dense schedule,
+//!   kept as the differential oracle: every resource armed, every pass
+//!   whose cadence divides `t` fired, the end-of-timestamp sweep over
+//!   everyone. It shares the pass bodies and nothing else, so the
+//!   wheel-vs-tick suite pins exactly what the wheel adds — the
+//!   selection of resources, the re-arming and idle skipping, and the
+//!   same-timestamp agenda — to identical solutions, verdicts and
+//!   [`ChaosReport`]s under the same seed. What a pass body does to one
+//!   resource is held against the centralized truth instead.
 //!
-//! Determinism-under-seed holds in both drivers: passes fire in a fixed
-//! phase order per timestamp, same-time wheel events pop in schedule
+//! Determinism-under-seed holds under both schedules: passes fire in a
+//! fixed order per timestamp, same-time wheel events pop in schedule
 //! order, per-batch message sorts are unchanged, and every RNG draw is
 //! sequenced at schedule time — so the per-directed-edge message
 //! sequences (which the fault layer keys on) are byte-identical.
@@ -30,6 +37,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use gridmine_arm::{Database, Item, Ratio, RuleSet};
+use gridmine_core::proxy::mirror_delivery;
 use gridmine_core::resource::{wire_grid, wire_pair};
 use gridmine_core::{
     BrokerBehavior, ChaosReport, DegradeReason, GridKeys, RecoveryMode, ResourceStatus,
@@ -46,26 +54,11 @@ use crate::config::SimConfig;
 use crate::wheel::TimerWheel;
 use crate::workload::GrowthPlan;
 
-// The anti-entropy resend cadence now lives in
-// `gridmine_recovery::RetryPolicy::resend_every` (default 5 steps, the
-// value previously hard-coded here).
-
-/// Per-resource result of a parallel scan pass: (had backlog before,
-/// keep the scan armed, outgoing messages). `None` for resources the
-/// pass skipped.
-type ScanOutcome<C> = Option<(bool, bool, Vec<WireMsg<C>>)>;
-
-/// Per-resource result of a parallel candidate pass: (candidate count
-/// before, count after, outgoing messages). `None` for skipped
-/// resources.
-type CandidateOutcome<C> = Option<(usize, usize, Vec<WireMsg<C>>)>;
-
-/// One phase of a simulation timestamp, as a timer-wheel event. The
-/// declaration order is the within-timestamp firing order and mirrors the
-/// legacy tick loop's phases exactly: faults, delivery, growth, scans,
-/// anti-entropy, rejoin healing, checkpoints, candidate generation, and a
-/// no-op liveness wake (deferred degradation checks run in the timestamp
-/// finalizer).
+/// One kind of work in a simulation timestamp. The declaration order is
+/// the within-timestamp firing order under both schedules: faults,
+/// delivery, growth, scans, anti-entropy, rejoin healing, checkpoints,
+/// candidate generation, and a no-op liveness wake (deferred degradation
+/// checks run in the timestamp finalizer).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Pass {
     Faults,
@@ -79,8 +72,45 @@ enum Pass {
     Wake,
 }
 
+impl Pass {
+    /// Every pass, in firing order.
+    const ALL: [Pass; 9] = [
+        Pass::Faults,
+        Pass::Deliver,
+        Pass::Growth,
+        Pass::Scan,
+        Pass::AntiEntropy,
+        Pass::Healing,
+        Pass::Checkpoint,
+        Pass::Candidates,
+        Pass::Wake,
+    ];
+}
+
+/// Runs `f` on the selected `items` and returns `(id, result)` in
+/// ascending id order; `ids` must be ascending and in range. The whole
+/// grid is walked in parallel when the selection covers at least a
+/// quarter of it, and the sparse selection sequentially otherwise — the
+/// same output either way, because `f` sees one item and nothing shared.
+fn visit<R: Send, T: Send>(
+    items: &mut [R],
+    ids: &[usize],
+    f: impl Fn(usize, &mut R) -> T + Sync,
+) -> Vec<(usize, T)> {
+    if ids.len() * 4 >= items.len() {
+        let per: Vec<Option<T>> = items
+            .par_iter_mut()
+            .enumerate()
+            .map(|(u, r)| ids.binary_search(&u).is_ok().then(|| f(u, r)))
+            .collect();
+        per.into_iter().enumerate().filter_map(|(u, slot)| Some((u, slot?))).collect()
+    } else {
+        ids.iter().map(|&u| (u, f(u, &mut items[u]))).collect()
+    }
+}
+
 /// The event-driven scheduler state. `None` while the simulation is (or
-/// was last) driven by the legacy tick loop; armed lazily by
+/// was last) driven by the dense schedule; armed lazily by
 /// [`Simulation::run_event_driven`] and invalidated by any mutation the
 /// bookkeeping cannot track (manual ticks, membership changes, fault or
 /// recovery re-arming).
@@ -107,8 +137,7 @@ pub struct Simulation<C: HomCipher> {
     resources: Vec<SecureResource<C>>,
     plans: Vec<GrowthPlan>,
     /// Scheduled deliveries: arrival time → receiver → messages, both in
-    /// ascending order, message vectors in schedule order (the exact
-    /// per-receiver sequences the legacy flat queue produced).
+    /// ascending order, message vectors in schedule order.
     inflight: BTreeMap<u64, BTreeMap<usize, Vec<WireMsg<C>>>>,
     departed: Vec<bool>,
     /// Fault injection, when armed via [`Simulation::inject_faults`].
@@ -129,8 +158,10 @@ pub struct Simulation<C: HomCipher> {
     rec: SharedRecorder,
     step_no: u64,
     /// Event-driven scheduler, armed while `run_event_driven` drives the
-    /// sim. The tracking sets below are only meaningful while it is
-    /// `Some`; `arm_wheel` rebuilds them from first principles.
+    /// sim. The tracking sets below name whom the next passes visit:
+    /// `arm_wheel` rebuilds them from first principles and the passes
+    /// maintain them from then on; the dense schedule overwrites them
+    /// with everyone before each step.
     sched: Option<SchedState>,
     /// Resources that may still have scan backlog (superset).
     scan_armed: BTreeSet<usize>,
@@ -138,13 +169,14 @@ pub struct Simulation<C: HomCipher> {
     /// pass — the only ones a restricted candidate pass must visit.
     dirty: BTreeSet<usize>,
     /// Resources under external mutation (corrupted brokers): re-examined
-    /// by every candidate pass, like the tick loop does for everyone.
+    /// by every candidate pass, as the dense schedule does for everyone.
     always_dirty: BTreeSet<usize>,
     /// Resources touched at the timestamp being processed (feeds the
     /// finalizer's liveness + verdict sweep).
     touched_now: BTreeSet<usize>,
     /// Resources touched during finalizer repairs, re-examined at the
-    /// next timestamp (the tick loop re-examines everyone every step).
+    /// next timestamp (the dense schedule re-examines everyone every
+    /// step).
     deferred_live: BTreeSet<usize>,
     /// Resources whose growth stream still has transactions.
     growing: BTreeSet<usize>,
@@ -271,7 +303,7 @@ where
     }
 
     /// Makes one broker malicious. The resource joins the always-dirty
-    /// set: every candidate pass re-examines it (as the tick loop
+    /// set: every candidate pass re-examines it (as the dense schedule
     /// re-examines everyone), so detections that surface without any
     /// message or candidate signal are never missed.
     pub fn corrupt_broker(&mut self, u: usize, behavior: BrokerBehavior) {
@@ -282,8 +314,8 @@ where
 
     /// Attaches a structured-event recorder: every resource (present and
     /// future joiners) reports protocol events to it, and the engine adds
-    /// round/fault/quarantine markers. Attach before [`Simulation::run`]
-    /// for a complete log.
+    /// round/fault/quarantine markers. Attach before the first
+    /// [`Simulation::run_event_driven`] for a complete log.
     pub fn set_recorder(&mut self, rec: SharedRecorder) {
         for r in self.resources.iter_mut() {
             r.set_recorder(rec.clone());
@@ -310,8 +342,8 @@ where
     /// [`RecoveryMode::Disabled`], the legacy keep-state behavior).
     /// With [`RecoveryMode::Checkpoint`] every resource (present and
     /// future joiners) is armed with an in-memory checkpoint + journal
-    /// and adopts the policy's retry budget. Call before
-    /// [`Simulation::run`].
+    /// and adopts the policy's retry budget. Call before the first
+    /// [`Simulation::run_event_driven`].
     pub fn set_recovery(&mut self, mode: RecoveryMode) {
         self.mode = mode;
         self.sched = None;
@@ -452,25 +484,9 @@ where
                 Some(link) => link.on_send(m.from, m.to),
                 None => Delivery::clean(),
             };
-            // Mirror FaultStats exactly (same rule as the threaded driver)
-            // so event counts agree with `chaos_report`.
+            mirror_delivery(&delivery, m.from, m.to, &self.rec);
             if delivery.is_dropped() {
-                emit(&self.rec, || Event::MessageDropped { from: m.from as u64, to: m.to as u64 });
                 continue;
-            }
-            if delivery.copies > 1 {
-                emit(&self.rec, || Event::MessageDuplicated {
-                    from: m.from as u64,
-                    to: m.to as u64,
-                    copies: u64::from(delivery.copies),
-                });
-            }
-            if delivery.extra_delay > 0 {
-                emit(&self.rec, || Event::MessageDelayed {
-                    from: m.from as u64,
-                    to: m.to as u64,
-                    ticks: delivery.extra_delay,
-                });
             }
             let mut at = self.step_no + delay + delivery.extra_delay;
             if self.link.is_some() {
@@ -567,7 +583,7 @@ where
                 self.healing[u] = true;
             }
             if self.healing[u] {
-                self.ensure_healing_next();
+                self.rearm(Pass::Healing);
             }
         }
         self.mark_touch(u);
@@ -613,23 +629,6 @@ where
         }
     }
 
-    /// Liveness pass: a resource that degraded on its own (mute
-    /// controller, audit halt against its own broker) stops serving its
-    /// subtree — route the overlay around it so the rest of the grid
-    /// keeps converging.
-    fn route_around_degraded(&mut self) {
-        let stuck: Vec<(usize, DegradeReason)> = self
-            .resources
-            .iter()
-            .enumerate()
-            .filter(|(u, _)| !self.departed[*u])
-            .filter_map(|(u, r)| r.degraded().map(|reason| (u, reason)))
-            .collect();
-        for (u, reason) in stuck {
-            self.quarantine(u, reason);
-        }
-    }
-
     /// What the fault layer did so far: injected faults, SFE retries spent
     /// against mute controllers, resources degraded, and the number of
     /// steps convergence was exposed to faults. Deterministic per plan
@@ -660,456 +659,99 @@ where
         }
     }
 
-    fn collect_new_verdicts(&mut self) {
-        let mut fresh = Vec::new();
-        for r in &self.resources {
-            if let Some(v) = r.verdict() {
-                if !self.verdicts.iter().any(|&(_, w)| w == v) {
-                    fresh.push(v);
-                }
-            }
-        }
-        for v in fresh {
-            self.verdicts.push((self.step_no, v));
-            if self.broadcast_verdicts {
-                for r in self.resources.iter_mut() {
-                    r.on_verdict_broadcast(v);
-                }
-            }
-        }
-    }
-
-    /// Runs one simulation step of the legacy global-tick loop — kept as
-    /// the differential oracle for [`Simulation::run_event_driven`]
-    /// (wheel-vs-tick equivalence is pinned by the test suite). Manual
-    /// ticks invalidate any armed event scheduler; it re-bootstraps on
-    /// the next event-driven run.
+    /// Runs one step of the dense schedule — the differential oracle for
+    /// [`Simulation::run_event_driven`], referenced by the wheel-vs-tick
+    /// suite and the `sim_scale` speedup column only. Every resource is
+    /// armed, every pass whose cadence divides the new timestamp fires in
+    /// [`Pass`] order, and the liveness and verdict sweep covers
+    /// everyone: the same pass bodies as the wheel, with none of its
+    /// selection, re-arming or idle skipping. A manual step invalidates
+    /// any armed event scheduler; it re-bootstraps on the next
+    /// event-driven run.
     pub fn step(&mut self) {
         self.sched = None;
         self.step_no += 1;
         let t = self.step_no;
         emit(&self.rec, || Event::RoundAdvanced { tick: t });
-
-        // Phase 0: scheduled faults fire before anything else this step.
-        self.apply_fault_schedule();
-
-        // Phase 1: deliver messages scheduled for this step.
-        self.deliver_due(t);
-
-        // Phase 2: database growth (departed resources' partitions are
-        // frozen as of their departure).
-        let growth = self.cfg.growth_per_step;
-        if growth > 0 {
-            for (u, (r, plan)) in self.resources.iter_mut().zip(self.plans.iter_mut()).enumerate() {
-                if self.departed[u] {
-                    continue;
-                }
-                let txs = plan.take(growth);
-                if !txs.is_empty() {
-                    r.accountant_mut().append(txs);
-                }
+        let n = self.resources.len();
+        self.growing = (0..n).collect();
+        self.scan_armed = (0..n).collect();
+        self.dirty = (0..n).collect();
+        for pass in Pass::ALL {
+            if self.cadence(pass).is_some_and(|every| t.is_multiple_of(every)) {
+                self.fire_pass(pass, t);
             }
         }
-
-        // Phase 3: local processing. A healing resource scans at the
-        // recovery policy's catch-up budget (bounding the rejoin burst);
-        // everyone else uses the configured budget.
-        let budget = self.cfg.scan_budget;
-        let catchup = self.mode.catchup_scan_budget() as usize;
-        let departed = self.departed.clone();
-        let healing = self.healing.clone();
-        let wipes = self.mode.wipes();
-        let outs: Vec<Vec<WireMsg<C>>> = self
-            .resources
-            .par_iter_mut()
-            .enumerate()
-            .map(|(u, r)| {
-                if departed[u] {
-                    Vec::new()
-                } else if wipes && healing[u] {
-                    r.step(catchup)
-                } else {
-                    r.step(budget)
-                }
-            })
-            .collect();
-        for out in outs {
-            self.schedule(out);
-        }
-
-        let resend_every = self.mode.retry().resend_every.max(1);
-
-        // Phase 3b: anti-entropy under lossy links — periodically lift the
-        // duplicate-send suppressors and resend current aggregates, so a
-        // dropped message is healed instead of being suppressed forever.
-        // Resends carry unchanged Lamport traces (idempotent, not replays).
-        if t.is_multiple_of(resend_every)
-            && self.link.as_ref().is_some_and(|l| l.plan().has_edge_faults())
-        {
-            self.anti_entropy_pass();
-        }
-
-        // Phase 3c: rejoin healing — a recovered resource and its
-        // neighbors exchange resends on the retry policy's cadence until
-        // it has candidates and no scan backlog. A warm (checkpoint)
-        // restore typically clears the check immediately; a cold rejoin
-        // keeps paying resends until rebuilt — that cost difference is
-        // the measured value of the journal.
-        if wipes && t.is_multiple_of(resend_every) {
-            self.healing_pass();
-        }
-
-        // Phase 3d: checkpoint cadence — snapshot + journal truncation,
-        // so replay length stays bounded by the checkpoint interval.
-        if let Some(policy) = self.mode.policy() {
-            if t.is_multiple_of(policy.checkpoint_every.max(1)) {
-                self.checkpoint_pass(t);
-            }
-        }
-
-        // Phase 4: candidate generation every few cycles.
-        if t.is_multiple_of(self.cfg.candidate_every) {
-            let outs: Vec<Vec<WireMsg<C>>> =
-                self.resources.par_iter_mut().map(|r| r.generate_candidates()).collect();
-            for out in outs {
-                self.schedule(out);
-            }
-        }
-
-        // Phase 5: liveness — isolate resources that degraded on their own
-        // (e.g. a mute controller exhausted its broker's retry budget).
-        self.route_around_degraded();
-
-        self.collect_new_verdicts();
+        self.route_around_degraded(0..n);
+        self.collect_new_verdicts(0..n);
     }
 
-    /// Runs `n` steps of the legacy tick loop (the differential oracle
-    /// for [`Simulation::run_event_driven`]).
+    /// Runs `n` steps of the dense schedule (see [`Simulation::step`]).
     pub fn run(&mut self, n: u64) {
         for _ in 0..n {
             self.step();
         }
     }
 
-    // ─────────────────────── event-driven driver ───────────────────────
-
-    /// Shared delivery body (tick phase 1): messages scheduled for `t`
-    /// are handed to their receivers (ascending id, per-receiver schedule
-    /// order) and each receiver's replies are scheduled as one batch.
-    /// Parallel across receivers when most of the grid is busy,
-    /// sequential over the sparse inbox otherwise — output-identical
-    /// either way, because `on_receive` has no cross-resource interaction
-    /// and every reply lands at `t + delay ≥ t + 1`.
-    fn deliver_due(&mut self, t: u64) {
-        let Some(inbox) = self.inflight.remove(&t) else { return };
-        let n = self.resources.len();
-        if inbox.len() * 4 >= n {
-            let mut buckets: Vec<Vec<WireMsg<C>>> = (0..n).map(|_| Vec::new()).collect();
-            for (to, msgs) in inbox {
-                buckets[to] = msgs;
+    /// The period `pass` recurs on under the current configuration,
+    /// fault plan and recovery mode; `None` for a pass that never fires
+    /// under them. Anti-entropy lifts the duplicate-send suppressors
+    /// under lossy links only; rejoin healing runs where a crash wipes
+    /// state; checkpoints need a recovery policy.
+    fn cadence(&self, pass: Pass) -> Option<u64> {
+        let resend_every = || self.mode.retry().resend_every.max(1);
+        match pass {
+            Pass::Faults | Pass::Deliver | Pass::Growth | Pass::Scan | Pass::Wake => Some(1),
+            Pass::AntiEntropy => {
+                self.link.as_ref().is_some_and(|l| l.plan().has_edge_faults()).then(resend_every)
             }
-            let departed = self.departed.clone();
-            let outs: Vec<(bool, Vec<WireMsg<C>>)> = self
-                .resources
-                .par_iter_mut()
-                .zip(buckets)
-                .enumerate()
-                .map(|(u, (r, msgs))| {
-                    if departed[u] || msgs.is_empty() {
-                        return (false, Vec::new());
-                    }
-                    let mut out = Vec::new();
-                    for m in msgs {
-                        out.extend(r.on_receive(&m));
-                    }
-                    (true, out)
-                })
-                .collect();
-            for (u, (received, out)) in outs.into_iter().enumerate() {
-                if received {
-                    self.mark_touch(u);
-                    self.schedule(out);
-                }
-            }
-        } else {
-            for (to, msgs) in inbox {
-                if to >= n || self.departed[to] {
-                    continue;
-                }
-                let mut out = Vec::new();
-                for m in &msgs {
-                    out.extend(self.resources[to].on_receive(m));
-                }
-                self.mark_touch(to);
-                self.schedule(out);
-            }
+            Pass::Healing => self.mode.wipes().then(resend_every),
+            Pass::Checkpoint => self.mode.policy().map(|p| p.checkpoint_every.max(1)),
+            Pass::Candidates => Some(self.cfg.candidate_every.max(1)),
         }
     }
 
-    /// Records that `u`'s protocol state changed: it joins the touched
-    /// and dirty sets and a candidate pass is guaranteed at the next
-    /// cadence point. No-op while the tick loop drives the sim.
-    fn note_effect(&mut self, u: usize) {
-        if self.sched.is_none() {
-            return;
-        }
-        self.touched_now.insert(u);
-        self.dirty.insert(u);
-        self.ensure_candidates_next();
-    }
-
-    /// [`Simulation::note_effect`] plus scan arming: `u` may now hold
-    /// backlog, so a scan pass must look at it — this timestamp if scans
-    /// have not fired yet, else the next.
-    fn mark_touch(&mut self, u: usize) {
-        if self.sched.is_none() {
-            return;
-        }
-        self.note_effect(u);
-        self.scan_armed.insert(u);
-        self.ensure_pass(self.step_no, Pass::Scan);
-    }
-
-    /// Guarantees `pass` fires at `at`: same-timestamp when it still
-    /// ranks after the pass currently firing, otherwise clamped forward
-    /// to the next timestamp. Deduplicated against the wheel.
-    fn ensure_pass(&mut self, at: u64, pass: Pass) {
-        let t = self.step_no;
-        let Some(s) = self.sched.as_mut() else { return };
-        if s.processing && at <= t && pass > s.phase {
-            s.agenda.insert(pass);
-            return;
-        }
-        let at = at.max(t + 1);
-        if s.scheduled.insert((at, pass)) {
-            s.timer.schedule(at, pass);
-        }
-    }
-
-    /// Guarantees a candidate pass at the next `candidate_every` cadence
-    /// point (including the current timestamp while candidates have not
-    /// fired yet — the tick loop's phase 4 would still cover it).
-    fn ensure_candidates_next(&mut self) {
-        let ce = self.cfg.candidate_every.max(1);
-        let t = self.step_no;
-        let same_t = t.is_multiple_of(ce)
-            && self.sched.as_ref().is_some_and(|s| s.processing && Pass::Candidates > s.phase);
-        let target = if same_t { t } else { (t / ce + 1) * ce };
-        self.ensure_pass(target, Pass::Candidates);
-    }
-
-    /// Guarantees a healing pass at the next resend cadence point.
-    fn ensure_healing_next(&mut self) {
-        let re = self.mode.retry().resend_every.max(1);
-        let t = self.step_no;
-        let same_t = t.is_multiple_of(re)
-            && self.sched.as_ref().is_some_and(|s| s.processing && Pass::Healing > s.phase);
-        let target = if same_t { t } else { (t / re + 1) * re };
-        self.ensure_pass(target, Pass::Healing);
-    }
-
-    /// Bootstraps the event scheduler from the simulation's current
-    /// state: pending deliveries, the fault plan's event times, growth /
-    /// scan / healing arming, and the recurring cadence passes. The first
-    /// candidate pass covers the whole grid (everyone dirty), so the
-    /// wheel starts from tick-identical caches.
-    fn arm_wheel(&mut self) {
-        self.sched = Some(SchedState {
-            timer: TimerWheel::new(self.step_no),
-            scheduled: BTreeSet::new(),
-            agenda: BTreeSet::new(),
-            processing: false,
-            phase: Pass::Faults,
-        });
-        self.touched_now.clear();
-        self.deferred_live.clear();
-        let now = self.step_no;
-
-        let fault_times: Vec<u64> = self
-            .link
-            .as_ref()
-            .map(|l| l.plan().schedule_events().iter().map(|e| e.at).filter(|&a| a > now).collect())
-            .unwrap_or_default();
-        for at in fault_times {
-            self.ensure_pass(at, Pass::Faults);
-        }
-
-        let delivery_times: Vec<u64> = self.inflight.keys().copied().collect();
-        for at in delivery_times {
-            self.ensure_pass(at, Pass::Deliver);
-        }
-
-        self.growing = (0..self.plans.len()).filter(|&u| self.plans[u].remaining() > 0).collect();
-        if self.cfg.growth_per_step > 0 && !self.growing.is_empty() {
-            self.ensure_pass(now + 1, Pass::Growth);
-        }
-
-        self.scan_armed = (0..self.resources.len())
-            .filter(|&u| {
-                !self.departed[u]
-                    && self.resources[u].verdict().is_none()
-                    && self.resources[u].degraded().is_none()
-                    && self.resources[u].accountant().total_backlog() > 0
-            })
-            .collect();
-        if !self.scan_armed.is_empty() {
-            self.ensure_pass(now + 1, Pass::Scan);
-        }
-
-        let resend_every = self.mode.retry().resend_every.max(1);
-        if self.link.as_ref().is_some_and(|l| l.plan().has_edge_faults()) {
-            self.ensure_pass((now / resend_every + 1) * resend_every, Pass::AntiEntropy);
-        }
-        if self.mode.wipes() && self.healing.iter().any(|&h| h) {
-            self.ensure_pass((now / resend_every + 1) * resend_every, Pass::Healing);
-        }
-        if let Some(policy) = self.mode.policy() {
-            let ck = policy.checkpoint_every.max(1);
-            self.ensure_pass((now / ck + 1) * ck, Pass::Checkpoint);
-        }
-
-        self.dirty = (0..self.resources.len()).collect();
-        let ce = self.cfg.candidate_every.max(1);
-        self.ensure_pass((now / ce + 1) * ce, Pass::Candidates);
-
-        self.deferred_live = (0..self.resources.len())
-            .filter(|&u| !self.departed[u] && self.resources[u].degraded().is_some())
-            .collect();
-        if !self.deferred_live.is_empty() {
-            self.ensure_pass(now + 1, Pass::Wake);
-        }
-    }
-
-    /// Runs `n` steps of simulated time on the event scheduler. The
-    /// observable outcome — solutions, verdicts, chaos tallies, message
-    /// and byte counts, obs event counts — is pinned identical to
-    /// [`Simulation::run`] under the same seed (the wheel-vs-tick
-    /// differential suite enforces it); timestamps with no scheduled pass
-    /// cost one round marker and nothing else, so idle resources are
-    /// free.
-    pub fn run_event_driven(&mut self, n: u64) {
-        let end = self.step_no.saturating_add(n);
-        if self.sched.is_none() {
-            self.arm_wheel();
-        }
-        loop {
-            let next = self.sched.as_ref().and_then(|s| s.timer.peek_next_time());
-            let Some(next) = next else { break };
-            if next > end {
-                break;
-            }
-            for t in self.step_no + 1..=next {
-                emit(&self.rec, || Event::RoundAdvanced { tick: t });
-            }
-            self.step_no = next;
-            self.process_timestamp(next);
-        }
-        for t in self.step_no + 1..=end {
-            emit(&self.rec, || Event::RoundAdvanced { tick: t });
-        }
-        self.step_no = end;
-    }
-
-    /// Pops the pass batch due at `t` and fires it in phase order;
-    /// passes ensured mid-timestamp join the agenda when they still rank
-    /// ahead. Ends with the liveness + verdict finalizer.
-    fn process_timestamp(&mut self, t: u64) {
-        {
-            let Some(s) = self.sched.as_mut() else { return };
-            let Some((_, passes)) = s.timer.pop_next() else { return };
-            for p in passes {
-                s.scheduled.remove(&(t, p));
-                s.agenda.insert(p);
-            }
-            s.processing = true;
-        }
-        loop {
-            let pass = {
-                let Some(s) = self.sched.as_mut() else { return };
-                match s.agenda.pop_first() {
-                    Some(p) => {
-                        s.phase = p;
-                        p
-                    }
-                    None => break,
-                }
-            };
-            self.fire_pass(pass, t);
-        }
-        if let Some(s) = self.sched.as_mut() {
-            s.processing = false;
-        }
-        self.finalize_timestamp(t);
-    }
-
-    /// Dispatches one pass, mirroring the tick loop's phase conditions,
-    /// and re-arms the recurring cadences.
+    /// Dispatches one pass to its body.
     fn fire_pass(&mut self, pass: Pass, t: u64) {
         match pass {
             Pass::Faults => self.apply_fault_schedule(),
             Pass::Deliver => self.deliver_due(t),
-            Pass::Growth => {
-                self.growth_pass();
-                if self.cfg.growth_per_step > 0 && !self.growing.is_empty() {
-                    self.ensure_pass(t + 1, Pass::Growth);
-                }
-            }
-            Pass::Scan => {
-                self.scan_pass();
-                if !self.scan_armed.is_empty() {
-                    self.ensure_pass(t + 1, Pass::Scan);
-                }
-            }
-            Pass::AntiEntropy => {
-                if self.link.as_ref().is_some_and(|l| l.plan().has_edge_faults()) {
-                    self.anti_entropy_pass();
-                    let re = self.mode.retry().resend_every.max(1);
-                    self.ensure_pass(t + re, Pass::AntiEntropy);
-                }
-            }
-            Pass::Healing => {
-                if self.mode.wipes() {
-                    self.healing_pass();
-                    if self.healing.iter().any(|&h| h) {
-                        let re = self.mode.retry().resend_every.max(1);
-                        self.ensure_pass(t + re, Pass::Healing);
-                    }
-                }
-            }
-            Pass::Checkpoint => {
-                if let Some(policy) = self.mode.policy() {
-                    self.checkpoint_pass(t);
-                    self.ensure_pass(t + policy.checkpoint_every.max(1), Pass::Checkpoint);
-                }
-            }
+            Pass::Growth => self.growth_pass(),
+            Pass::Scan => self.scan_pass(),
+            Pass::AntiEntropy => self.anti_entropy_pass(),
+            Pass::Healing => self.healing_pass(),
+            Pass::Checkpoint => self.checkpoint_pass(t),
             Pass::Candidates => self.candidate_pass(),
             Pass::Wake => {}
         }
     }
 
-    /// End-of-timestamp sweep over the resources touched at `t` — tick
-    /// phase 5 (liveness quarantine) plus verdict collection, restricted.
-    /// Repairs touch further resources; those are deferred to a liveness
-    /// wake at `t + 1`, exactly when the tick loop would next examine
-    /// them.
-    fn finalize_timestamp(&mut self, t: u64) {
-        let mut ids = std::mem::take(&mut self.touched_now);
-        ids.append(&mut self.deferred_live);
-        self.route_around_degraded_in(&ids);
-        let late = std::mem::take(&mut self.touched_now);
-        let mut sweep = ids;
-        sweep.extend(late.iter().copied());
-        self.collect_new_verdicts_in(&sweep);
-        let broadcast_marks = std::mem::take(&mut self.touched_now);
-        if !late.is_empty() || !broadcast_marks.is_empty() {
-            self.deferred_live.extend(late);
-            self.deferred_live.extend(broadcast_marks);
-            self.ensure_pass(t + 1, Pass::Wake);
+    // ───────────────────────────── pass bodies ─────────────────────────────
+
+    /// Delivery: messages scheduled for `t` are handed to their receivers
+    /// (ascending id, per-receiver schedule order) and each receiver's
+    /// replies are scheduled as one batch. `on_receive` has no
+    /// cross-resource interaction and every reply lands at
+    /// `t + delay ≥ t + 1`, so the receivers are independent.
+    fn deliver_due(&mut self, t: u64) {
+        let Some(inbox) = self.inflight.remove(&t) else { return };
+        let ids: Vec<usize> = inbox.keys().copied().filter(|&to| !self.departed[to]).collect();
+        let replies = visit(&mut self.resources, &ids, |to, r| {
+            let mut out = Vec::new();
+            for m in inbox.get(&to).into_iter().flatten() {
+                out.extend(r.on_receive(m));
+            }
+            out
+        });
+        for (to, out) in replies {
+            self.mark_touch(to);
+            self.schedule(out);
         }
     }
 
-    /// Growth body for the event driver (tick phase 2 restricted to
-    /// resources whose stream still has transactions).
+    /// Growth: every present resource in `growing` appends its next
+    /// `growth_per_step` transactions (a departed resource's partition is
+    /// frozen as of its departure); exhausted streams drop out.
     fn growth_pass(&mut self) {
         let growth = self.cfg.growth_per_step;
         if growth == 0 {
@@ -1131,78 +773,42 @@ where
         }
     }
 
-    /// Scan body for the event driver (tick phase 3 restricted): only
-    /// resources that may hold backlog are stepped; the armed set
-    /// self-maintains (drained, departed and halted resources drop out).
+    /// Scan: every present resource in `scan_armed` processes its budget
+    /// — the recovery policy's catch-up budget while it heals (bounding
+    /// the rejoin burst), the configured one otherwise. Drained, departed
+    /// and halted resources drop out of the armed set.
     fn scan_pass(&mut self) {
-        let n = self.resources.len();
-        let stale: Vec<usize> =
-            self.scan_armed.iter().copied().filter(|&u| u >= n || self.departed[u]).collect();
-        for u in stale {
-            self.scan_armed.remove(&u);
-        }
+        self.scan_armed.retain(|&u| !self.departed[u]);
         let ids: Vec<usize> = self.scan_armed.iter().copied().collect();
-        if ids.is_empty() {
-            return;
-        }
         let budget = self.cfg.scan_budget;
         let catchup = self.mode.catchup_scan_budget() as usize;
-        let wipes = self.mode.wipes();
-        let mut gathered: Vec<(usize, bool, bool, Vec<WireMsg<C>>)> = Vec::new();
-        if ids.len() * 4 >= n {
-            let healing = self.healing.clone();
-            let armed = self.scan_armed.clone();
-            let per: Vec<ScanOutcome<C>> = self
-                .resources
-                .par_iter_mut()
-                .enumerate()
-                .map(|(u, r)| {
-                    if !armed.contains(&u) {
-                        return None;
-                    }
-                    let before = r.accountant().total_backlog();
-                    let out = if wipes && healing[u] { r.step(catchup) } else { r.step(budget) };
-                    let keep = r.accountant().total_backlog() > 0
-                        && r.verdict().is_none()
-                        && r.degraded().is_none();
-                    Some((before > 0, keep, out))
-                })
-                .collect();
-            for (u, slot) in per.into_iter().enumerate() {
-                if let Some((effect, keep, out)) = slot {
-                    gathered.push((u, effect, keep, out));
-                }
-            }
-        } else {
-            for u in ids {
-                let before = self.resources[u].accountant().total_backlog();
-                let out = if wipes && self.healing[u] {
-                    self.resources[u].step(catchup)
-                } else {
-                    self.resources[u].step(budget)
-                };
-                let keep = self.resources[u].accountant().total_backlog() > 0
-                    && self.resources[u].verdict().is_none()
-                    && self.resources[u].degraded().is_none();
-                gathered.push((u, before > 0, keep, out));
-            }
-        }
-        for (u, effect, keep, out) in gathered {
+        let (wipes, healing) = (self.mode.wipes(), &self.healing);
+        let scanned = visit(&mut self.resources, &ids, |u, r| {
+            let had_backlog = r.accountant().total_backlog() > 0;
+            let out = r.step(if wipes && healing[u] { catchup } else { budget });
+            let keep = r.accountant().total_backlog() > 0
+                && r.verdict().is_none()
+                && r.degraded().is_none();
+            (had_backlog, keep, out)
+        });
+        for (u, (had_backlog, keep, out)) in scanned {
             if !keep {
                 self.scan_armed.remove(&u);
             }
-            if effect {
+            if had_backlog {
                 self.note_effect(u);
             }
             self.schedule(out);
         }
     }
 
-    /// Anti-entropy resend body (tick phase 3b): every live resource
-    /// lifts its duplicate-send suppressors and renudges — one schedule
-    /// batch for the whole pass, as in the tick loop (the chaos sort
+    /// Anti-entropy under lossy links: every live resource lifts its
+    /// duplicate-send suppressors and resends current aggregates, so a
+    /// dropped message is healed instead of being suppressed forever.
+    /// Resends carry unchanged Lamport traces (idempotent, not replays).
+    /// One schedule batch for the whole pass: the chaos sort
     /// canonicalizes whole batches, so batching is part of the pinned
-    /// behavior).
+    /// behavior.
     fn anti_entropy_pass(&mut self) {
         let mut msgs = Vec::new();
         let mut touched = Vec::new();
@@ -1223,9 +829,12 @@ where
         }
     }
 
-    /// Rejoin-healing body (tick phase 3c): healing resources and their
-    /// neighbors exchange resends until the backlog check clears — one
-    /// schedule batch for the whole pass.
+    /// Rejoin healing: a recovered resource and its neighbors exchange
+    /// resends on the retry policy's cadence until it has candidates and
+    /// no scan backlog — one schedule batch for the whole pass. A warm
+    /// (checkpoint) restore typically clears the check immediately; a
+    /// cold rejoin keeps paying resends until rebuilt — that cost
+    /// difference is the measured value of the journal.
     fn healing_pass(&mut self) {
         let mut msgs = Vec::new();
         let mut touched = Vec::new();
@@ -1255,8 +864,9 @@ where
         }
     }
 
-    /// Checkpoint body (tick phase 3d): snapshot + journal truncation on
-    /// every armed, present resource.
+    /// Checkpoint: snapshot + journal truncation on every armed, present
+    /// resource, so replay length stays bounded by the checkpoint
+    /// interval.
     fn checkpoint_pass(&mut self, t: u64) {
         for u in 0..self.resources.len() {
             if !self.departed[u] && self.resources[u].recovery_armed() {
@@ -1265,81 +875,46 @@ where
         }
     }
 
-    /// Candidate-generation body for the event driver (tick phase 4,
-    /// restricted to resources whose state changed since their last
-    /// pass). When a recovery policy is armed, `generate_candidates`
-    /// appends an `OutputCached` journal entry per cached rule on *every*
-    /// call — skipping clean resources would shrink their journals and
-    /// change replay tallies after a restore — so journalled runs always
-    /// take the full-grid path, like the tick loop.
+    /// Candidate generation: every present resource whose state changed
+    /// since its last pass (`dirty`, plus the always-dirty). When a
+    /// recovery policy is armed, `generate_candidates` appends an
+    /// `OutputCached` journal entry per cached rule on *every* call —
+    /// skipping clean resources would shrink their journals and change
+    /// replay tallies after a restore — so journalled runs visit the
+    /// whole grid.
     fn candidate_pass(&mut self) {
-        let n = self.resources.len();
-        let journaled = self.mode.policy().is_some();
-        let ids: Vec<usize> = if journaled {
-            self.dirty.clear();
-            (0..n).filter(|&u| !self.departed[u]).collect()
+        let mut wanted = std::mem::take(&mut self.dirty);
+        if self.mode.policy().is_some() {
+            wanted = (0..self.resources.len()).collect();
         } else {
-            let mut set = std::mem::take(&mut self.dirty);
-            set.extend(self.always_dirty.iter().copied());
-            set.into_iter().filter(|&u| u < n && !self.departed[u]).collect()
-        };
-        if ids.is_empty() {
-            if !self.always_dirty.is_empty() {
-                self.ensure_candidates_next();
-            }
-            return;
+            wanted.extend(self.always_dirty.iter().copied());
         }
-        let mut gathered: Vec<(usize, usize, usize, Vec<WireMsg<C>>)> = Vec::new();
-        if ids.len() * 4 >= n {
-            let wanted: BTreeSet<usize> = ids.iter().copied().collect();
-            let per: Vec<CandidateOutcome<C>> = self
-                .resources
-                .par_iter_mut()
-                .enumerate()
-                .map(|(u, r)| {
-                    if !wanted.contains(&u) {
-                        return None;
-                    }
-                    let before = r.candidate_count();
-                    let out = r.generate_candidates();
-                    Some((before, r.candidate_count(), out))
-                })
-                .collect();
-            for (u, slot) in per.into_iter().enumerate() {
-                if let Some((before, after, out)) = slot {
-                    gathered.push((u, before, after, out));
-                }
-            }
-        } else {
-            for u in ids {
-                let before = self.resources[u].candidate_count();
-                let out = self.resources[u].generate_candidates();
-                gathered.push((u, before, self.resources[u].candidate_count(), out));
-            }
-        }
-        for (u, before, after, out) in gathered {
-            let touched = !out.is_empty()
-                || after != before
-                || self.resources[u].degraded().is_some()
-                || self.resources[u]
-                    .verdict()
-                    .is_some_and(|v| !self.verdicts.iter().any(|&(_, w)| w == v));
+        let ids: Vec<usize> = wanted.into_iter().filter(|&u| !self.departed[u]).collect();
+        let generated = visit(&mut self.resources, &ids, |_, r| {
+            let before = r.candidate_count();
+            let out = r.generate_candidates();
+            (before != r.candidate_count(), out)
+        });
+        for (u, (grew, out)) in generated {
+            let r = &self.resources[u];
+            let touched = grew
+                || !out.is_empty()
+                || r.degraded().is_some()
+                || r.verdict().is_some_and(|v| !self.verdicts.iter().any(|&(_, w)| w == v));
             if touched {
                 self.mark_touch(u);
             }
             self.schedule(out);
         }
-        if !self.always_dirty.is_empty() {
-            self.ensure_candidates_next();
-        }
     }
 
-    /// Tick phase 5 restricted to `ids`: quarantine the self-degraded.
-    fn route_around_degraded_in(&mut self, ids: &BTreeSet<usize>) {
+    /// Liveness over `ids`: a resource that degraded on its own (mute
+    /// controller, audit halt against its own broker) stops serving its
+    /// subtree — route the overlay around it so the rest of the grid
+    /// keeps converging.
+    fn route_around_degraded(&mut self, ids: impl Iterator<Item = usize>) {
         let stuck: Vec<(usize, DegradeReason)> = ids
-            .iter()
-            .copied()
-            .filter(|&u| u < self.resources.len() && !self.departed[u])
+            .filter(|&u| !self.departed[u])
             .filter_map(|u| self.resources[u].degraded().map(|reason| (u, reason)))
             .collect();
         for (u, reason) in stuck {
@@ -1347,21 +922,16 @@ where
         }
     }
 
-    /// Verdict collection restricted to `ids`, preserving the tick
-    /// loop's exact semantics — including its lack of within-pass
-    /// deduplication (two resources surfacing the same fresh verdict in
-    /// one pass both record it). A broadcast mutates every live
-    /// resource, so they are all marked for re-examination.
-    fn collect_new_verdicts_in(&mut self, ids: &BTreeSet<usize>) {
-        let mut fresh = Vec::new();
-        for &u in ids {
-            let Some(v) = self.resources.get(u).and_then(|r| r.verdict()) else { continue };
-            if !self.verdicts.iter().any(|&(_, w)| w == v) {
-                fresh.push(v);
-            }
-        }
-        let any = !fresh.is_empty();
-        for v in fresh {
+    /// Verdict collection over `ids`, with no within-pass deduplication
+    /// (two resources surfacing the same fresh verdict in one pass both
+    /// record it). A broadcast mutates every live resource, so they are
+    /// all marked for re-examination.
+    fn collect_new_verdicts(&mut self, ids: impl Iterator<Item = usize>) {
+        let fresh: Vec<Verdict> = ids
+            .filter_map(|u| self.resources[u].verdict())
+            .filter(|v| !self.verdicts.iter().any(|(_, w)| w == v))
+            .collect();
+        for &v in &fresh {
             self.verdicts.push((self.step_no, v));
             if self.broadcast_verdicts {
                 for r in self.resources.iter_mut() {
@@ -1369,12 +939,213 @@ where
                 }
             }
         }
-        if any && self.broadcast_verdicts {
-            let live: Vec<usize> =
-                (0..self.resources.len()).filter(|&u| !self.departed[u]).collect();
-            for u in live {
-                self.note_effect(u);
+        if !fresh.is_empty() && self.broadcast_verdicts {
+            for u in 0..self.resources.len() {
+                if !self.departed[u] {
+                    self.note_effect(u);
+                }
             }
+        }
+    }
+
+    // ─────────────────────── event-driven scheduler ───────────────────────
+
+    /// Records that `u`'s protocol state changed: it joins the touched
+    /// and dirty sets and a candidate pass is guaranteed at the next
+    /// cadence point. No-op under the dense schedule.
+    fn note_effect(&mut self, u: usize) {
+        if self.sched.is_none() {
+            return;
+        }
+        self.touched_now.insert(u);
+        self.dirty.insert(u);
+        self.rearm(Pass::Candidates);
+    }
+
+    /// [`Simulation::note_effect`] plus scan arming: `u` may now hold
+    /// backlog, so a scan pass must look at it — this timestamp if scans
+    /// have not fired yet, else the next.
+    fn mark_touch(&mut self, u: usize) {
+        if self.sched.is_none() {
+            return;
+        }
+        self.note_effect(u);
+        self.scan_armed.insert(u);
+        self.rearm(Pass::Scan);
+    }
+
+    /// Guarantees `pass` fires at `at`: same-timestamp when it still
+    /// ranks after the pass currently firing, otherwise clamped forward
+    /// to the next timestamp. Deduplicated against the wheel.
+    fn ensure_pass(&mut self, at: u64, pass: Pass) {
+        let t = self.step_no;
+        let Some(s) = self.sched.as_mut() else { return };
+        if s.processing && at <= t && pass > s.phase {
+            s.agenda.insert(pass);
+            return;
+        }
+        let at = at.max(t + 1);
+        if s.scheduled.insert((at, pass)) {
+            s.timer.schedule(at, pass);
+        }
+    }
+
+    /// Keeps a recurring `pass` on the wheel while it has someone to
+    /// visit: guarantees it at its next cadence point — the current
+    /// timestamp included while the pass can still fire in it, as the
+    /// dense schedule would still reach it there.
+    fn rearm(&mut self, pass: Pass) {
+        let pending = match pass {
+            Pass::Growth => self.cfg.growth_per_step > 0 && !self.growing.is_empty(),
+            Pass::Scan => !self.scan_armed.is_empty(),
+            Pass::AntiEntropy | Pass::Checkpoint => true,
+            Pass::Healing => self.healing.iter().any(|&h| h),
+            Pass::Candidates => !self.dirty.is_empty() || !self.always_dirty.is_empty(),
+            Pass::Faults | Pass::Deliver | Pass::Wake => false,
+        };
+        if !pending {
+            return;
+        }
+        let Some(every) = self.cadence(pass) else { return };
+        let t = self.step_no;
+        let same_t = t.is_multiple_of(every)
+            && self.sched.as_ref().is_some_and(|s| s.processing && pass > s.phase);
+        let target = if same_t { t } else { (t / every + 1) * every };
+        self.ensure_pass(target, pass);
+    }
+
+    /// Bootstraps the event scheduler from the simulation's current
+    /// state: pending deliveries, the fault plan's event times, growth /
+    /// scan / liveness arming, and the recurring cadence passes. The
+    /// first candidate pass covers the whole grid (everyone dirty), so
+    /// the wheel starts from the caches the dense schedule would hold.
+    fn arm_wheel(&mut self) {
+        self.sched = Some(SchedState {
+            timer: TimerWheel::new(self.step_no),
+            scheduled: BTreeSet::new(),
+            agenda: BTreeSet::new(),
+            processing: false,
+            phase: Pass::Faults,
+        });
+        self.touched_now.clear();
+        let now = self.step_no;
+
+        let fault_times: Vec<u64> = self
+            .link
+            .as_ref()
+            .map(|l| l.plan().schedule_events().iter().map(|e| e.at).filter(|&a| a > now).collect())
+            .unwrap_or_default();
+        for at in fault_times {
+            self.ensure_pass(at, Pass::Faults);
+        }
+        let delivery_times: Vec<u64> = self.inflight.keys().copied().collect();
+        for at in delivery_times {
+            self.ensure_pass(at, Pass::Deliver);
+        }
+
+        self.growing = (0..self.plans.len()).filter(|&u| self.plans[u].remaining() > 0).collect();
+        self.scan_armed = (0..self.resources.len())
+            .filter(|&u| {
+                !self.departed[u]
+                    && self.resources[u].verdict().is_none()
+                    && self.resources[u].degraded().is_none()
+                    && self.resources[u].accountant().total_backlog() > 0
+            })
+            .collect();
+        self.dirty = (0..self.resources.len()).collect();
+        for pass in Pass::ALL {
+            self.rearm(pass);
+        }
+
+        self.deferred_live = (0..self.resources.len())
+            .filter(|&u| !self.departed[u] && self.resources[u].degraded().is_some())
+            .collect();
+        if !self.deferred_live.is_empty() {
+            self.ensure_pass(now + 1, Pass::Wake);
+        }
+    }
+
+    /// Runs `n` steps of simulated time on the event scheduler — the
+    /// driver behind `SimSession`, the experiment runners, the suites and
+    /// the examples. The observable outcome — solutions, verdicts, chaos
+    /// tallies, message and byte counts, obs event counts — is pinned
+    /// identical to the dense schedule ([`Simulation::run`]) under the
+    /// same seed by the wheel-vs-tick differential suite; timestamps with
+    /// no scheduled pass cost one round marker and nothing else, so idle
+    /// resources are free.
+    pub fn run_event_driven(&mut self, n: u64) {
+        let end = self.step_no.saturating_add(n);
+        if self.sched.is_none() {
+            self.arm_wheel();
+        }
+        loop {
+            let next = self.sched.as_ref().and_then(|s| s.timer.peek_next_time());
+            let Some(next) = next else { break };
+            if next > end {
+                break;
+            }
+            for t in self.step_no + 1..=next {
+                emit(&self.rec, || Event::RoundAdvanced { tick: t });
+            }
+            self.step_no = next;
+            self.process_timestamp(next);
+        }
+        for t in self.step_no + 1..=end {
+            emit(&self.rec, || Event::RoundAdvanced { tick: t });
+        }
+        self.step_no = end;
+    }
+
+    /// Pops the pass batch due at `t` and fires it in [`Pass`] order,
+    /// re-arming each recurring pass after it fires; passes ensured
+    /// mid-timestamp join the agenda when they still rank ahead. Ends
+    /// with the liveness + verdict finalizer.
+    fn process_timestamp(&mut self, t: u64) {
+        {
+            let Some(s) = self.sched.as_mut() else { return };
+            let Some((_, passes)) = s.timer.pop_next() else { return };
+            for p in passes {
+                s.scheduled.remove(&(t, p));
+                s.agenda.insert(p);
+            }
+            s.processing = true;
+        }
+        loop {
+            let pass = {
+                let Some(s) = self.sched.as_mut() else { return };
+                match s.agenda.pop_first() {
+                    Some(p) => {
+                        s.phase = p;
+                        p
+                    }
+                    None => break,
+                }
+            };
+            self.fire_pass(pass, t);
+            self.rearm(pass);
+        }
+        if let Some(s) = self.sched.as_mut() {
+            s.processing = false;
+        }
+        self.finalize_timestamp(t);
+    }
+
+    /// End-of-timestamp sweep over the resources touched at `t`:
+    /// liveness quarantine, then verdict collection. Repairs touch
+    /// further resources; those are deferred to a liveness wake at
+    /// `t + 1`, exactly when the dense schedule would next examine them.
+    fn finalize_timestamp(&mut self, t: u64) {
+        let mut ids = std::mem::take(&mut self.touched_now);
+        ids.append(&mut self.deferred_live);
+        self.route_around_degraded(ids.iter().copied());
+        let late = std::mem::take(&mut self.touched_now);
+        ids.extend(late.iter().copied());
+        self.collect_new_verdicts(ids.into_iter());
+        let broadcast_marks = std::mem::take(&mut self.touched_now);
+        if !late.is_empty() || !broadcast_marks.is_empty() {
+            self.deferred_live.extend(late);
+            self.deferred_live.extend(broadcast_marks);
+            self.ensure_pass(t + 1, Pass::Wake);
         }
     }
 
@@ -1512,9 +1283,26 @@ mod tests {
     }
 
     #[test]
+    fn visit_gives_one_answer_on_both_sides_of_the_threshold() {
+        // Three selected of twelve is a quarter of the grid (the parallel
+        // walk); of thirteen it is less (the sparse sequential one).
+        let ids = [2usize, 5, 11];
+        for len in [12usize, 13] {
+            let mut grid: Vec<u64> = (0..len as u64).collect();
+            let got = visit(&mut grid, &ids, |u, x| {
+                *x += 100;
+                (u as u64) * 1000 + *x
+            });
+            assert_eq!(got, vec![(2, 2102), (5, 5105), (11, 11111)], "{len} items");
+            let visited: Vec<usize> = (0..len).filter(|&u| grid[u] >= 100).collect();
+            assert_eq!(visited, ids, "{len} items: only the selection is visited");
+        }
+    }
+
+    #[test]
     fn small_grid_converges_to_centralized_result() {
         let mut sim = grid(8, 1);
-        sim.run(40);
+        sim.run_event_driven(40);
         sim.refresh_outputs();
         let truth = correct_rules(&sim.current_global_db(), &sim.apriori_cfg());
         let (recall, precision) = sim.global_recall_precision(&truth);
@@ -1529,7 +1317,7 @@ mod tests {
         // k = 6 > what a 4-resource grid can ever aggregate: nothing is
         // disclosed, recall stays 0.
         let mut sim = grid(4, 6);
-        sim.run(30);
+        sim.run_event_driven(30);
         sim.refresh_outputs();
         let truth = correct_rules(&sim.current_global_db(), &sim.apriori_cfg());
         let (recall, _) = sim.global_recall_precision(&truth);
@@ -1542,7 +1330,7 @@ mod tests {
         sim.broadcast_verdicts = true;
         let victim = sim.overlay().neighbors(2).next().unwrap();
         sim.corrupt_broker(2, BrokerBehavior::DoubleCount(victim));
-        sim.run(20);
+        sim.run_event_driven(20);
         assert!(
             sim.verdicts.iter().any(|&(_, v)| v == Verdict::MaliciousBroker(2)),
             "double-count must be detected, got {:?}",
@@ -1560,7 +1348,7 @@ mod tests {
         cfg.growth_per_step = 5;
         let mut sim = Simulation::new(cfg, &keys, plans, &[Item(1)]);
         let before = sim.current_global_db().len();
-        sim.run(10);
+        sim.run_event_driven(10);
         let after = sim.current_global_db().len();
         assert!(after > before, "databases must grow");
         assert_eq!(after, 200, "everything eventually arrives");

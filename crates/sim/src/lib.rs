@@ -9,8 +9,9 @@
 //! * [`config`] — simulation parameters with the paper's defaults;
 //! * [`workload`] — partitioned databases, growth streams, and the
 //!   single-itemset significance workloads of Figure 3;
-//! * [`engine`] — the event-driven simulation core (timer-wheel
-//!   scheduler, with the legacy tick loop kept as a differential oracle);
+//! * [`engine`] — the event-driven simulation core (one set of pass
+//!   bodies under the timer-wheel scheduler, with their dense schedule
+//!   kept as a differential oracle);
 //! * [`wheel`] — the deterministic hierarchical timer wheel;
 //! * [`metrics`] — global recall/precision sampling and time-to-recall;
 //! * [`session`] — the [`SimSession`] builder, the simulator's analogue

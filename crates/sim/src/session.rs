@@ -23,8 +23,8 @@
 //! ```
 //!
 //! Runs are driven by the event scheduler ([`Simulation::run_event_driven`]),
-//! so a mostly-idle grid costs what its active resources cost — the legacy
-//! tick loop survives only as the differential oracle.
+//! so a mostly-idle grid costs what its active resources cost — the dense
+//! schedule ([`Simulation::run`]) survives only as the differential oracle.
 
 use std::sync::Arc;
 

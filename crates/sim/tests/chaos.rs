@@ -57,7 +57,7 @@ fn chaos_run(seed: u64) -> (Simulation<MockCipher>, ChaosReport) {
     );
     sim.resource_mut(6).controller_behavior = ControllerBehavior::Mute;
     sim.resource_mut(6).set_retry_budget(8);
-    sim.run(60);
+    sim.run_event_driven(60);
     sim.refresh_outputs();
     let report = sim.chaos_report();
     (sim, report)
@@ -103,7 +103,7 @@ fn event_log_agrees_with_chaos_report() {
     );
     sim.resource_mut(6).controller_behavior = ControllerBehavior::Mute;
     sim.resource_mut(6).set_retry_budget(8);
-    sim.run(60);
+    sim.run_event_driven(60);
     sim.refresh_outputs();
     let report = sim.chaos_report();
 
@@ -168,7 +168,7 @@ proptest! {
                     .with_default_edge(EdgeFaults::dropping(drop))
                     .with_crash(crashed, crash_at, None),
             );
-            sim.run(80);
+            sim.run_event_driven(80);
             sim.refresh_outputs();
             let report = sim.chaos_report();
             (sim, report)

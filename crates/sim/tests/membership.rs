@@ -29,7 +29,7 @@ fn joined_resource_data_is_incorporated() {
     let plans: Vec<GrowthPlan> = (0..4).map(|u| GrowthPlan::fixed(db_of(u, 40, &[1]))).collect();
     let items = vec![Item(1), Item(2)];
     let mut sim = Simulation::new(cfg(4, 1), &keys, plans, &items);
-    sim.run(20);
+    sim.run_event_driven(20);
     sim.refresh_outputs();
 
     let truth_before = correct_rules(&sim.current_global_db(), &sim.apriori_cfg());
@@ -40,7 +40,7 @@ fn joined_resource_data_is_incorporated() {
     // ({1} stays frequent: 160 of 400).
     let id = sim.join_resource(0, GrowthPlan::fixed(db_of(9, 240, &[2])));
     assert_eq!(id, 4);
-    sim.run(30);
+    sim.run_event_driven(30);
     sim.refresh_outputs();
 
     let truth_after = correct_rules(&sim.current_global_db(), &sim.apriori_cfg());
@@ -65,7 +65,7 @@ fn statistics_propagate_after_k_joins() {
     let plans: Vec<GrowthPlan> = (0..4).map(|u| GrowthPlan::fixed(db_of(u, 40, &[1]))).collect();
     let items = vec![Item(1), Item(2)];
     let mut sim = Simulation::new(cfg(4, 4), &keys, plans, &items);
-    sim.run(25);
+    sim.run_event_driven(25);
     sim.refresh_outputs();
 
     let rule1 = gridmine_arm::Rule::frequency(gridmine_arm::ItemSet::of(&[1]));
@@ -77,9 +77,9 @@ fn statistics_propagate_after_k_joins() {
 
     for j in 0..4u64 {
         sim.join_resource(0, GrowthPlan::fixed(db_of(10 + j, 300, &[2])));
-        sim.run(20);
+        sim.run_event_driven(20);
     }
-    sim.run(60);
+    sim.run_event_driven(60);
     sim.refresh_outputs();
 
     // {2}: 1200 of 1360 transactions — globally frequent; after ≥ k new
@@ -100,17 +100,17 @@ fn join_keeps_grid_honest_under_attack_checks() {
     let plans: Vec<GrowthPlan> = (0..6).map(|u| GrowthPlan::fixed(db_of(u, 30, &[1, 2]))).collect();
     let items = vec![Item(1), Item(2)];
     let mut sim = Simulation::new(cfg(6, 1), &keys, plans, &items);
-    sim.run(15);
+    sim.run_event_driven(15);
     for parent in [0usize, 2, 4] {
         sim.join_resource(parent, GrowthPlan::fixed(db_of(50 + parent as u64, 30, &[1])));
-        sim.run(10);
+        sim.run_event_driven(10);
         assert!(
             sim.verdicts.is_empty(),
             "join under parent {parent} produced spurious verdicts: {:?}",
             sim.verdicts
         );
     }
-    sim.run(40);
+    sim.run_event_driven(40);
     sim.refresh_outputs();
     let truth = correct_rules(&sim.current_global_db(), &sim.apriori_cfg());
     let (recall, precision) = sim.global_recall_precision(&truth);
@@ -136,7 +136,7 @@ fn departure_rewires_cleanly_and_new_data_reconverges() {
         .collect();
     let items = vec![Item(1), Item(2)];
     let mut sim = Simulation::new(c, &keys, plans, &items);
-    sim.run(10);
+    sim.run_event_driven(10);
     sim.refresh_outputs();
 
     // Remove some leaf (every tree has at least two).
@@ -147,7 +147,7 @@ fn departure_rewires_cleanly_and_new_data_reconverges() {
     assert_eq!(sim.current_size(), 4);
 
     // Keep growing: {1}-only data dilutes {2} below the threshold.
-    sim.run(120);
+    sim.run_event_driven(120);
     sim.refresh_outputs();
     assert!(sim.verdicts.is_empty(), "departure raised verdicts: {:?}", sim.verdicts);
 

@@ -56,7 +56,7 @@ fn recovery_run(mode: RecoveryMode) -> (Simulation<MockCipher>, ChaosReport) {
     let mut sim = simulation_over(cfg(2), dbs(), &items);
     sim.set_recovery(mode);
     sim.inject_faults(FaultPlan::new(0xBEEF).with_crash(CRASHER, 40, Some(44)));
-    sim.run(70);
+    sim.run_event_driven(70);
     sim.refresh_outputs();
     let report = sim.chaos_report();
     (sim, report)
@@ -109,7 +109,7 @@ fn forged_journal_is_rejected_as_malicious_without_panicking() {
     sim.inject_faults(FaultPlan::new(0xBEEF).with_crash(CRASHER, 40, Some(44)));
     // The adversary rewrites the journal while the node is down.
     sim.resource_mut(CRASHER).corrupt_recovery_journal();
-    sim.run(70);
+    sim.run_event_driven(70);
     sim.refresh_outputs();
     let report = sim.chaos_report();
 
@@ -157,7 +157,7 @@ fn recovery_events_agree_with_the_chaos_report() {
     sim.set_recorder(Arc::new(FanoutRecorder::new(sinks)));
     sim.set_recovery(RecoveryMode::ColdRestart);
     sim.inject_faults(FaultPlan::new(0xBEEF).with_crash(CRASHER, 40, Some(44)));
-    sim.run(70);
+    sim.run_event_driven(70);
     sim.refresh_outputs();
     let report = sim.chaos_report();
 
@@ -204,12 +204,12 @@ proptest! {
         faulty.inject_faults(
             FaultPlan::new(seed ^ 0x5EED).with_crash(crashed, crash_at, Some(crash_at + 4)),
         );
-        faulty.run(70);
+        faulty.run_event_driven(70);
         faulty.refresh_outputs();
         let report = faulty.chaos_report();
 
         let mut clean = simulation_over(cfg(seed), dbs(), &items);
-        clean.run(70);
+        clean.run_event_driven(70);
         clean.refresh_outputs();
 
         prop_assert!(faulty.verdicts.is_empty(), "recovery misread as malice: {:?}", faulty.verdicts);

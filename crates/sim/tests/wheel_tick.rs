@@ -1,15 +1,20 @@
 //! Wheel-vs-tick differential suite: the event-driven scheduler
-//! (`run_event_driven`) and the legacy tick loop (`run`) must pin
-//! byte-identical solutions, verdicts and `ChaosReport` tallies under the
-//! same seed — across clean runs, lossy links, crashes with every
-//! recovery mode, and departures — plus an obs-parity check that event
-//! counts still equal protocol tallies under the wheel.
+//! (`run_event_driven`) and the dense schedule (`run`) fire the same pass
+//! bodies, so what this suite pins is what the wheel adds — which
+//! resources a pass visits, which timestamps it fires at, and the
+//! same-timestamp agenda. Both must reach byte-identical solutions,
+//! verdicts and `ChaosReport` tallies under the same seed — across clean
+//! runs, lossy links, crashes with every recovery mode, departures, the
+//! §5.2 attack gallery, membership changes and a mute controller — plus
+//! an obs-parity check that event counts still equal protocol tallies
+//! under the wheel.
 
 use gridmine_arm::{Database, Item, Ratio, Transaction};
-use gridmine_core::{RecoveryMode, RecoveryPolicy};
+use gridmine_core::attack::{BrokerBehavior, ControllerBehavior};
+use gridmine_core::{RecoveryMode, RecoveryPolicy, Verdict};
 use gridmine_obs::{EventKind, MemoryRecorder};
 use gridmine_paillier::MockCipher;
-use gridmine_sim::{SimConfig, SimSession, Simulation};
+use gridmine_sim::{GrowthPlan, SimConfig, SimSession, Simulation};
 use gridmine_topology::faults::{EdgeFaults, FaultPlan};
 use proptest::prelude::*;
 
@@ -229,6 +234,105 @@ fn obs_parity_holds_under_the_wheel() {
     assert_eq!(rec.count_of(EventKind::ResourceCrashed) as u64, report.faults.crashes);
     assert_eq!(rec.count_of(EventKind::ResourceRecovered) as u64, report.faults.recoveries);
     assert!(rec.count_of(EventKind::CounterSent) > 0, "protocol traffic was logged");
+}
+
+/// One of the two schedules: `Simulation::run` or
+/// `Simulation::run_event_driven`.
+type Advance = fn(&mut Simulation<MockCipher>, u64);
+
+/// Plays `scenario` once under each schedule — membership changes and
+/// external surgery included, at the same steps — asserts identical
+/// fingerprints, and hands back the wheel's run for the scenario's own
+/// asserts.
+fn differential(
+    label: &str,
+    scenario: impl Fn(Advance) -> Simulation<MockCipher>,
+) -> Simulation<MockCipher> {
+    let mut tick = scenario(Simulation::run);
+    let mut wheel = scenario(Simulation::run_event_driven);
+    assert_eq!(tick.step_no(), wheel.step_no(), "{label}: clocks agree");
+    assert_eq!(fingerprint(&mut tick), fingerprint(&mut wheel), "{label}: outcomes diverge");
+    wheel
+}
+
+#[test]
+fn attack_gallery_is_equivalent_and_blames_the_right_party() {
+    const CULPRIT: usize = 3;
+    type Attack = fn(usize) -> BrokerBehavior;
+    type Blame = fn(usize) -> Option<Verdict>;
+    // Forged values and mis-counts blame the broker itself; a replay
+    // blames the resource whose timestamp regressed (Algorithm 3).
+    let broker: Blame = |_| Some(Verdict::MaliciousBroker(CULPRIT));
+    let gallery: [(&str, Attack, Blame); 5] = [
+        ("honest", |_| BrokerBehavior::Honest, |_| None),
+        ("arbitrary value", |_| BrokerBehavior::ArbitraryValue, broker),
+        ("double count", BrokerBehavior::DoubleCount, broker),
+        ("omit neighbor", BrokerBehavior::OmitNeighbor, broker),
+        ("replay", BrokerBehavior::Replay, |victim| Some(Verdict::MaliciousResource(victim))),
+    ];
+    // Corrupted before the first step (the wheel bootstraps around the
+    // attacker) and mid-run (the attacker appears on an armed wheel).
+    for corrupt_at in [0u64, 7] {
+        for (name, attack, blamed) in gallery {
+            let label = format!("{name}, corrupted at step {corrupt_at}");
+            let wheel = differential(&label, |advance| {
+                let mut sim = build(2, None, RecoveryMode::Disabled);
+                sim.broadcast_verdicts = true;
+                advance(&mut sim, corrupt_at);
+                let victim = sim.overlay().neighbors(CULPRIT).next().expect("has a neighbor");
+                sim.corrupt_broker(CULPRIT, attack(victim));
+                advance(&mut sim, 40);
+                sim
+            });
+            let victim = wheel.overlay().neighbors(CULPRIT).next().expect("has a neighbor");
+            let verdicts: Vec<Verdict> = wheel.verdicts.iter().map(|&(_, v)| v).collect();
+            let expected: Vec<Verdict> = blamed(victim).into_iter().collect();
+            assert_eq!(verdicts, expected, "{label}: wrong blame");
+        }
+    }
+}
+
+#[test]
+fn join_then_leave_is_equivalent() {
+    let wheel = differential("join then leave", |advance| {
+        let mut sim = build(4, None, RecoveryMode::Disabled);
+        advance(&mut sim, 15);
+        let newcomer = sim.join_resource(
+            0,
+            GrowthPlan::fixed(Database::from_transactions(
+                (0..300).map(|j| Transaction::of(9_000 + j, &[3])).collect(),
+            )),
+        );
+        advance(&mut sim, 30);
+        sim.leave_resource(newcomer);
+        advance(&mut sim, 30);
+        sim
+    });
+    assert_eq!(wheel.current_size(), N, "the newcomer came and went");
+    assert!(wheel.is_departed(N));
+    assert!(wheel.verdicts.is_empty(), "membership changes are honest: {:?}", wheel.verdicts);
+}
+
+#[test]
+fn mute_controller_with_a_bounded_retry_budget_is_equivalent() {
+    // The `chaos_grid` part-2 setup: drops everywhere, a crash, and a
+    // controller that answers nothing — its broker spends the budget,
+    // the resource degrades, and the sweep routes around it.
+    let wheel = differential("mute controller", |advance| {
+        let plan = FaultPlan::new(0xFA57)
+            .with_default_edge(EdgeFaults::dropping(0.15))
+            .with_crash(5, 20, None);
+        let mut sim = build(2, Some(plan), RecoveryMode::Disabled);
+        sim.resource_mut(6).controller_behavior = ControllerBehavior::Mute;
+        sim.resource_mut(6).set_retry_budget(8);
+        advance(&mut sim, 60);
+        sim
+    });
+    let report = wheel.chaos_report();
+    assert!(report.retries > 0, "the mute controller cost retries: {report:?}");
+    assert_eq!(report.degraded, vec![5, 6], "the crashed and the muted resource degrade");
+    assert!(wheel.is_departed(6), "the muted resource was routed around");
+    assert!(wheel.verdicts.is_empty(), "refusing service is not a forgery: {:?}", wheel.verdicts);
 }
 
 proptest! {

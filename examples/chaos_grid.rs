@@ -104,7 +104,7 @@ fn main() {
     );
     sim.resource_mut(6).controller_behavior = ControllerBehavior::Mute;
     sim.resource_mut(6).set_retry_budget(8);
-    sim.run(60);
+    sim.run_event_driven(60);
     sim.refresh_outputs();
 
     let report = sim.chaos_report();

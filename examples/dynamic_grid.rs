@@ -42,7 +42,7 @@ fn main() {
     let items = vec![Item(1), Item(2), Item(3)];
     let mut sim: Simulation<MockCipher> = Simulation::new(cfg, &keys, plans, &items);
 
-    sim.run(25);
+    sim.run_event_driven(25);
     sim.refresh_outputs();
     report(&sim, "initial grid converged");
 
@@ -50,7 +50,7 @@ fn main() {
     for j in 0..2u64 {
         sim.join_resource(0, GrowthPlan::fixed(db_of(10 + j, 200, &[3])));
     }
-    sim.run(35);
+    sim.run_event_driven(35);
     sim.refresh_outputs();
     report(&sim, "after 2 joins ({3}-heavy data)");
 
@@ -67,7 +67,7 @@ fn main() {
         .map(|(i, t)| t.negation_of(900_000 + i as u64))
         .collect();
     sim.resource_mut(0).accountant_mut().append(negations);
-    sim.run(35);
+    sim.run_event_driven(35);
     sim.refresh_outputs();
     report(&sim, "after retracting 25 records via negation");
 
@@ -76,7 +76,7 @@ fn main() {
         .find(|&u| !sim.is_departed(u) && sim.overlay().neighbors(u).count() == 1)
         .expect("every tree has a leaf");
     sim.leave_resource(leaf);
-    sim.run(35);
+    sim.run_event_driven(35);
     sim.refresh_outputs();
     report(&sim, &format!("after resource {leaf} departed"));
 

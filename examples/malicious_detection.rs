@@ -52,7 +52,7 @@ fn scenario(
     sim.corrupt_broker(culprit, behavior);
 
     for _ in 0..40 {
-        sim.step();
+        sim.run_event_driven(1);
         if !sim.verdicts.is_empty() {
             break;
         }
