@@ -183,6 +183,11 @@ fn bench_secure_counters(c: &mut Criterion) {
             let agg = a.add(&keys.pub_ops, &b);
             bch.iter(|| agg.open(&keys.dec, &key).unwrap())
         });
+        println!(
+            "wire bytes at degree 3, 1024-bit keys: {} in {} ciphertexts",
+            a.wire_bytes(),
+            a.msg.fields.len() + 1
+        );
     }
     {
         let keys = GridKeys::<MockCipher>::mock(3);
@@ -203,54 +208,11 @@ fn bench_secure_counters(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_packed_vs_tuple(c: &mut Criterion) {
-    use gridmine_core::PackedCounter;
-    use gridmine_paillier::Keypair;
-
-    let mut group = c.benchmark_group("packed_vs_tuple");
-    let kp = Keypair::generate_with_seed(1024, 5);
-    let (enc, dec) = (kp.encryptor(), kp.decryptor());
-    let keys = GridKeys::paillier(1024, 5);
-    let layout = CounterLayout::new(0, vec![1, 2, 3]);
-    let key = keys.tags.key(layout.arity());
-
-    let mut fields = vec![0i64; layout.arity()];
-    fields[0] = 10;
-    fields[1] = 20;
-    fields[2] = 1;
-    fields[3] = 99;
-    fields[4] = 1;
-
-    let pa = PackedCounter::seal(&enc, &key, &layout, &fields);
-    let pb = PackedCounter::seal(&enc, &key, &layout, &fields);
-    let ta = SecureCounter::seal_local(&keys.enc, &key, &layout, 10, 20, 1, 99, 1);
-    let tb = SecureCounter::seal_local(&keys.enc, &key, &layout, 10, 20, 1, 99, 1);
-
-    group.bench_function("seal/packed", |b| {
-        b.iter(|| PackedCounter::seal(&enc, &key, &layout, black_box(&fields)))
-    });
-    group.bench_function("seal/tuple", |b| {
-        b.iter(|| SecureCounter::seal_local(&keys.enc, &key, &layout, 10, 20, 1, 99, 1))
-    });
-    group.bench_function("aggregate/packed", |b| b.iter(|| pa.add(&enc, black_box(&pb))));
-    group.bench_function("aggregate/tuple", |b| b.iter(|| ta.add(&keys.pub_ops, black_box(&tb))));
-    group.bench_function("open/packed", |b| b.iter(|| pa.open(&dec, &key).unwrap()));
-    group.bench_function("open/tuple", |b| b.iter(|| ta.open(&keys.dec, &key).unwrap()));
-    group.finish();
-
-    println!(
-        "wire bytes at degree 3, 1024-bit keys: packed = {}, tuple = {}",
-        pa.wire_bytes(),
-        ta.wire_bytes()
-    );
-}
-
 criterion_group!(
     benches,
     bench_modpow_kernel,
     bench_paillier_primitives,
     bench_keygen,
-    bench_secure_counters,
-    bench_packed_vs_tuple
+    bench_secure_counters
 );
 criterion_main!(benches);

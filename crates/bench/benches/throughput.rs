@@ -24,7 +24,7 @@ use gridmine_arm::Ratio;
 use gridmine_bench::hr;
 use gridmine_core::counter::CounterLayout;
 use gridmine_core::{GridKeys, MineConfig, MineSession, SecureCounter};
-use gridmine_paillier::{HomCipher, Keypair, PaillierCtx};
+use gridmine_paillier::{HomCipher, Keypair, PaillierCtx, Shape};
 use gridmine_quest::QuestParams;
 use num_bigint::{BigUint, MontgomeryCtx, RandBigInt};
 use rand::SeedableRng;
@@ -190,7 +190,7 @@ fn bench_micro(reps: usize) -> Vec<MicroRow> {
     let plains: Vec<i64> = (0..32).map(|i| 1000 + i).collect();
     let cts: Vec<_> = plains.iter().map(|&v| enc.encrypt_i64(v)).collect();
     let refs: Vec<&_> = cts.iter().collect();
-    assert_eq!(dec.decrypt_i64_many(&refs), plains, "batch decrypt must agree");
+    assert_eq!(dec.decrypt_wave(&refs, &[Shape::Signed]).0, plains, "batch decrypt must agree");
     rows.push(micro_row(
         "batch_decrypt",
         512,
@@ -200,7 +200,7 @@ fn bench_micro(reps: usize) -> Vec<MicroRow> {
             black_box(cts.iter().map(|c| dec.decrypt_i64(c)).collect::<Vec<_>>());
         },
         || {
-            black_box(dec.decrypt_i64_many(&refs));
+            black_box(dec.decrypt_wave(&refs, &[Shape::Signed]));
         },
     ));
 
@@ -235,7 +235,7 @@ fn bench_wave(reps: usize) -> Vec<WaveRow> {
 
     let seal_wave = || -> Vec<SecureCounter<PaillierCtx>> {
         (0..wave as i64)
-            .map(|i| SecureCounter::seal_local(&keys.enc, &key, &layout, i, 2 * i, 3, 1, i))
+            .map(|i| SecureCounter::seal_local(&keys.enc, &key, &layout, i, 2 * i, 3, 1, i as u32))
             .collect()
     };
     let t = Instant::now();

@@ -34,8 +34,10 @@ struct ScanState {
     sum: i64,
     /// Accumulated `count` (|DB| scanned, or antecedent support).
     count: i64,
-    /// Logical clock `t` for this rule's counters.
-    clock: i64,
+    /// Logical clock `t` for this rule's counters: the `u32` a timestamp
+    /// slot seals. It saturates — 2³² answers for one rule are out of any
+    /// session's reach, and equal timestamps never read as a replay.
+    clock: u32,
     /// Sum at the previous `respond`, for the padding sequence.
     last_sum: i64,
 }
@@ -220,7 +222,7 @@ impl<C: HomCipher> Accountant<C> {
             frontier: st.frontier as u64,
             sum: st.sum,
             count: st.count,
-            clock: st.clock,
+            clock: i64::from(st.clock),
             last_sum: st.last_sum,
             output: None,
         })
@@ -240,7 +242,7 @@ impl<C: HomCipher> Accountant<C> {
 
     /// Restores one rule's scan state from a *validated* recovery record
     /// (callers run [`RuleRecord::is_wellformed`] first; this clamps the
-    /// frontier defensively anyway).
+    /// frontier and the clock defensively anyway).
     pub fn restore_scan(&mut self, rec: &RuleRecord) {
         self.rules.insert(
             rec.rule.clone(),
@@ -248,7 +250,7 @@ impl<C: HomCipher> Accountant<C> {
                 frontier: (rec.frontier as usize).min(self.db.len()),
                 sum: rec.sum,
                 count: rec.count,
-                clock: rec.clock,
+                clock: u32::try_from(rec.clock.max(1)).unwrap_or(u32::MAX),
                 last_sum: rec.last_sum,
             },
         );
@@ -284,11 +286,13 @@ impl<C: HomCipher> Accountant<C> {
             vec![s_new]
         };
         let key = self.tags.key(self.layout.arity());
+        // A share is an element of the 31-bit share field.
+        let own_share = self.shares.own as u32;
         let mut out = Vec::with_capacity(sums.len());
         for s in sums {
             let st = self.rules.get_mut(rule).expect("registered");
             let t = st.clock;
-            st.clock += 1;
+            st.clock = st.clock.saturating_add(1);
             out.push(SecureCounter::seal_local(
                 &self.cipher,
                 &key,
@@ -296,7 +300,7 @@ impl<C: HomCipher> Accountant<C> {
                 s,
                 count,
                 1,
-                self.shares.own,
+                own_share,
                 t,
             ));
         }

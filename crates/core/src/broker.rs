@@ -142,17 +142,18 @@ impl<C: HomCipher> Broker<C> {
         self.rules.clear();
     }
 
-    /// Key-free well-formedness screen for a wire-received counter: the
-    /// field count must match *this broker's* layout (a counter sealed
-    /// under a foreign or stale overlay — wrong arity — would otherwise
-    /// panic the arity assertions deep in the aggregation algebra), and
-    /// every field and the tag must support the full homomorphic algebra.
-    /// Lets the resource reject malformed counters at the door and blame
-    /// the sender, instead of hitting an undefined `A−`/scalar
-    /// mid-aggregate.
+    /// Key-free well-formedness screen for a wire-received counter: it
+    /// must claim *this broker's* layout shape and carry exactly the
+    /// ciphertexts that layout has under this cipher (a counter sealed
+    /// under a foreign or stale overlay, or with a side-band ciphertext
+    /// too few or too many, would otherwise panic the shape assertions
+    /// deep in the aggregation algebra), and every ciphertext and the tag
+    /// must support the full homomorphic algebra. Lets the resource
+    /// reject malformed counters at the door and blame the sender,
+    /// instead of hitting an undefined `A−`/scalar mid-aggregate.
     pub fn counter_is_wellformed(&self, counter: &SecureCounter<C>) -> bool {
-        if counter.msg.arity() != self.layout.arity()
-            || counter.layout.arity() != self.layout.arity()
+        if counter.layout.arity() != self.layout.arity()
+            || counter.msg.fields.len() != SecureCounter::field_cts(&self.cipher, &self.layout)
         {
             return false;
         }
@@ -248,8 +249,9 @@ impl<C: HomCipher> Broker<C> {
         if self.behavior == BrokerBehavior::ArbitraryValue {
             // Self-encrypted garbage: Paillier encryption is public-key, so
             // a broker *can* encrypt — it just cannot produce a valid tag.
-            let garbage: Vec<C::Ct> =
-                (0..agg.msg.arity()).map(|i| self.cipher.encrypt_i64(1_000 + i as i64)).collect();
+            let garbage: Vec<C::Ct> = (0..SecureCounter::field_cts(&self.cipher, &self.layout))
+                .map(|i| self.cipher.encrypt_i64(1_000 + i as i64))
+                .collect();
             agg.msg.fields = garbage;
         }
         Some(agg)

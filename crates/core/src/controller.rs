@@ -20,6 +20,15 @@
 //! message — receiver-addressed share, fresh Lamport timestamp — which is
 //! what makes honest aggregation verifiable end to end.
 //!
+//! Each SFE input is opened once. A rule change asks about every
+//! neighbor at the same `full` aggregate, so [`Controller::send_queries`]
+//! takes them together: `full` and every edge's `minus-v`/`recv-v` decrypt
+//! in one wave and their tags verify in one combined check, `full` is
+//! audited once, and the per-edge decisions then run in neighbor order
+//! exactly as separate queries would. The share a neighbor assigned to
+//! this resource is the same ciphertext for a whole membership epoch; it
+//! is decrypted once and remembered by its bytes.
+//!
 //! Like any Lamport-clock scheme, the timestamp traces assume FIFO
 //! links: reordering two honest messages on one edge is
 //! indistinguishable from a replay and will be blamed as one. The
@@ -141,11 +150,34 @@ pub struct Controller<C: HomCipher> {
     gate_mode: GateMode,
     layout: CounterLayout,
     rules: HashMap<CandidateRule, RuleAudit>,
+    /// Per neighbor, the share ciphertext last supplied for it and its
+    /// reduced plaintext. A hit needs the very same ciphertext, so a
+    /// broker that swaps the share gets the decryption of what it
+    /// supplied, as without the cache.
+    shares_seen: HashMap<usize, (C::Ct, i64)>,
     halted: Option<Verdict>,
     /// SFE queries served (protocol-cost accounting).
     pub queries_served: u64,
     /// Observability sink (`NullRecorder` by default).
     rec: SharedRecorder,
+}
+
+/// The outgoing messages one wave of send queries sealed, by neighbor.
+pub type SealedEdges<C> = Vec<(usize, SecureCounter<C>)>;
+
+/// One neighbor's inputs to the `MajorityCond(v)`/`Update(v)` SFE.
+pub struct SendEdge<'a, C: HomCipher> {
+    /// The neighbor asked about.
+    pub v: usize,
+    /// Its counter layout (the outgoing message is sealed under it).
+    pub receiver_layout: &'a CounterLayout,
+    /// The aggregate without `v`'s contribution.
+    pub minus_v: SecureCounter<C>,
+    /// The latest counter received from `v`.
+    pub recv_v: SecureCounter<C>,
+    /// The encrypted share `v`'s accountant assigned to this resource at
+    /// initialization.
+    pub share_for_me: &'a C::Ct,
 }
 
 impl<C: HomCipher> Controller<C> {
@@ -164,6 +196,7 @@ impl<C: HomCipher> Controller<C> {
             gate_mode: GateMode::default(),
             layout,
             rules: HashMap::new(),
+            shares_seen: HashMap::new(),
             halted: None,
             queries_served: 0,
             rec: gridmine_obs::null(),
@@ -197,9 +230,11 @@ impl<C: HomCipher> Controller<C> {
     /// epoch, and cross-epoch replay is blocked by the regenerated shares
     /// (a stale-epoch counter carries a stale share, breaking the sum-to-1
     /// audit). The outgoing clock continues, so this resource's own
-    /// messages never regress at its neighbors.
+    /// messages never regress at its neighbors. Remembered share
+    /// plaintexts are forgotten with the epoch that assigned them.
     pub fn set_layout(&mut self, layout: CounterLayout) {
         self.layout = layout;
+        self.shares_seen.clear();
         let slots = self.layout.arity() - crate::counter::F_TS;
         let retained: std::collections::HashSet<usize> =
             self.layout.neighbors.iter().copied().collect();
@@ -254,7 +289,14 @@ impl<C: HomCipher> Controller<C> {
     /// clocks, gates and suppressors resume where the crashed process
     /// left off, so this resource's outgoing timestamps never regress at
     /// its neighbors.
-    pub fn import_audits(&mut self, images: Vec<AuditImage>) {
+    ///
+    /// The images come from disk and are screened like it: a clock that
+    /// is not the `u32` a timestamp slot seals refuses the whole import
+    /// (`false`, nothing re-seated).
+    pub fn import_audits(&mut self, images: Vec<AuditImage>) -> bool {
+        if images.iter().any(|img| u32::try_from(img.clock).is_err()) {
+            return false;
+        }
         let slots = self.layout.arity() - crate::counter::F_TS;
         for img in images {
             let audit = RuleAudit {
@@ -270,12 +312,17 @@ impl<C: HomCipher> Controller<C> {
             };
             self.rules.insert(img.rule, audit);
         }
+        true
     }
 
     fn audit_state(&mut self, rule: &CandidateRule) -> &mut RuleAudit {
-        let slots = self.layout.arity() - crate::counter::F_TS;
-        let (k, mode) = (self.k, self.gate_mode);
-        self.rules.entry(rule.clone()).or_insert_with(|| RuleAudit::new(k, mode, slots))
+        // Cloning the rule (two item vectors) only when it is new: every
+        // SFE query comes through here.
+        if !self.rules.contains_key(rule) {
+            let slots = self.layout.arity() - crate::counter::F_TS;
+            self.rules.insert(rule.clone(), RuleAudit::new(self.k, self.gate_mode, slots));
+        }
+        self.rules.get_mut(rule).expect("present or just inserted")
     }
 
     fn raise(&mut self, v: Verdict) -> Verdict {
@@ -309,23 +356,27 @@ impl<C: HomCipher> Controller<C> {
 
     /// Plaintext half of the full-aggregate audit, shared between the
     /// per-counter path and the batched wave of
-    /// [`Controller::send_query`].
+    /// [`Controller::send_queries`].
     fn audit_full_plain(&mut self, rule: &CandidateRule, p: &PlainCounter) -> Result<(), Verdict> {
         if p.share != 1 {
             return Err(self.raise(Verdict::MaliciousBroker(self.id)));
         }
         // Timestamp traces: slot 0 is the own accountant (⊥), slot i+1 the
         // i-th neighbor.
-        let owners: Vec<usize> =
-            std::iter::once(self.id).chain(self.layout.neighbors.iter().copied()).collect();
-        let traces = self.audit_state(rule).traces.clone();
-        for (i, (&t, owner)) in p.ts.iter().zip(owners).enumerate() {
-            if t < traces[i] {
-                return Err(self.raise(Verdict::MaliciousResource(owner)));
+        let audit = self.audit_state(rule);
+        match p.ts.iter().zip(&audit.traces).position(|(t, seen)| t < seen) {
+            None => {
+                audit.traces.copy_from_slice(&p.ts);
+                Ok(())
+            }
+            Some(slot) => {
+                let owner = match slot.checked_sub(1) {
+                    None => self.id,
+                    Some(i) => self.layout.neighbors.get(i).copied().unwrap_or(self.id),
+                };
+                Err(self.raise(Verdict::MaliciousResource(owner)))
             }
         }
-        self.audit_state(rule).traces.copy_from_slice(&p.ts);
-        Ok(())
     }
 
     /// The `Output()` SFE of Algorithm 1: is the candidate rule's majority
@@ -374,89 +425,107 @@ impl<C: HomCipher> Controller<C> {
         Ok(ans)
     }
 
-    /// The `MajorityCond(v)`/`Update(v)` SFE: should a message be sent to
-    /// neighbor `v`, and if so, here is the sealed outgoing message.
+    /// The `MajorityCond(v)`/`Update(v)` SFE, for every edge a rule change
+    /// asks about: should a message be sent to neighbor `v`, and if so,
+    /// here is the sealed outgoing message.
     ///
-    /// `full` is the broker's complete aggregate, `minus_v` the aggregate
-    /// without `v`'s contribution, `recv_v` the latest counter received
-    /// from `v`, and `share_for_me` the encrypted share `v`'s accountant
-    /// assigned to this resource at initialization.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_query(
+    /// `full` is the broker's complete aggregate, the same for every
+    /// edge. All `1 + 2·edges` counters are opened in one wave; `full` is
+    /// audited once; then each edge is answered in order — its own
+    /// `SfeQuery`/`SfeAnswer` pair, k-gate, suppressor and Lamport step —
+    /// exactly as if it had been asked alone.
+    ///
+    /// Returns the messages sealed, by neighbor, and the verdict that
+    /// stopped the wave, if one did: a failure at one edge leaves the
+    /// earlier edges' messages sealed and returned.
+    pub fn send_queries(
         &mut self,
         rule: &CandidateRule,
-        v: usize,
-        receiver_layout: &CounterLayout,
         full: &SecureCounter<C>,
-        minus_v: &SecureCounter<C>,
-        recv_v: &SecureCounter<C>,
-        share_for_me: &C::Ct,
-    ) -> Result<Option<SecureCounter<C>>, Verdict> {
+        edges: &[SendEdge<'_, C>],
+    ) -> (SealedEdges<C>, Result<(), Verdict>) {
+        let mut sealed = Vec::new();
         if let Some(verdict) = self.halted {
-            return Err(verdict);
+            return (sealed, Err(verdict));
         }
-        emit(&self.rec, || Event::SfeQuery {
-            resource: self.id as u64,
-            kind: SfeKind::Send,
-            rule: rule.to_string(),
-        });
-        let out =
-            self.send_query_inner(rule, v, receiver_layout, full, minus_v, recv_v, share_for_me);
-        if let Ok(ref decision) = out {
-            emit(&self.rec, || Event::SfeAnswer {
+        if edges.is_empty() {
+            return (sealed, Ok(()));
+        }
+        // Every counter of an honest wave is sealed under this resource's
+        // layout; one that is not fails to open under its key and is
+        // blamed where the sequential path would have met it.
+        let key = self.tags.key(self.layout.arity());
+        let wave: Vec<&SecureCounter<C>> = std::iter::once(full)
+            .chain(edges.iter().flat_map(|e| [&e.minus_v, &e.recv_v]))
+            .collect();
+        let mut opened = SecureCounter::open_many(&self.cipher, &key, &wave).into_iter();
+        let p_full = match opened.next() {
+            Some(Ok(p)) if full.layout == self.layout => Some(p),
+            _ => None,
+        };
+        for (i, edge) in edges.iter().enumerate() {
+            emit(&self.rec, || Event::SfeQuery {
                 resource: self.id as u64,
                 kind: SfeKind::Send,
-                answer: decision.is_some(),
+                rule: rule.to_string(),
             });
+            self.queries_served += 1;
+            // Consume in protocol order so the verdict blames the first
+            // failure, exactly as one query per edge did: `full` and its
+            // audit (met by the first edge; re-auditing the same
+            // plaintext per edge was a no-op), then this edge's
+            // `minus_v`, then its `recv_v`.
+            if i == 0 {
+                let audit = match &p_full {
+                    Some(p) => self.audit_full_plain(rule, p),
+                    None => Err(self.raise(Verdict::MaliciousBroker(self.id))),
+                };
+                if let Err(verdict) = audit {
+                    return (sealed, Err(verdict));
+                }
+            }
+            let (Some(p_full), Some(Ok(p_minus)), Some(Ok(p_recv))) =
+                (&p_full, opened.next(), opened.next())
+            else {
+                return (sealed, Err(self.raise(Verdict::MaliciousBroker(self.id))));
+            };
+            match self.send_decision(rule, edge, p_full, &p_minus, &p_recv) {
+                Ok(decision) => {
+                    emit(&self.rec, || Event::SfeAnswer {
+                        resource: self.id as u64,
+                        kind: SfeKind::Send,
+                        answer: decision.is_some(),
+                    });
+                    sealed.extend(decision.map(|counter| (edge.v, counter)));
+                }
+                Err(verdict) => return (sealed, Err(verdict)),
+            }
         }
-        out
+        (sealed, Ok(()))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn send_query_inner(
+    /// The reduced plaintext of the share `v` assigned to this resource,
+    /// decrypted once per distinct ciphertext (see `shares_seen`).
+    fn share_plain(&mut self, v: usize, share_for_me: &C::Ct) -> i64 {
+        match self.shares_seen.get(&v) {
+            Some((seen, plain)) if seen == share_for_me => *plain,
+            _ => {
+                let plain = share_reduce(self.cipher.decrypt_i64(share_for_me));
+                self.shares_seen.insert(v, (share_for_me.clone(), plain));
+                plain
+            }
+        }
+    }
+
+    /// One edge of [`Controller::send_queries`], on opened inputs.
+    fn send_decision(
         &mut self,
         rule: &CandidateRule,
-        v: usize,
-        receiver_layout: &CounterLayout,
-        full: &SecureCounter<C>,
-        minus_v: &SecureCounter<C>,
-        recv_v: &SecureCounter<C>,
-        share_for_me: &C::Ct,
+        edge: &SendEdge<'_, C>,
+        p_full: &PlainCounter,
+        p_minus: &PlainCounter,
+        p_recv: &PlainCounter,
     ) -> Result<Option<SecureCounter<C>>, Verdict> {
-        self.queries_served += 1;
-        // Batched wave: in every honest run all three counters are sealed
-        // under this resource's layout, so their fields decrypt in one
-        // pass over the cipher's cached contexts and the three tags
-        // verify through one combined check. Anything else falls back to
-        // the per-counter path, which raises the matching verdict.
-        let (p_full, p_minus, p_recv) = if full.layout == self.layout
-            && minus_v.layout == self.layout
-            && recv_v.layout == self.layout
-        {
-            let key = self.tags.key(self.layout.arity());
-            let mut wave =
-                SecureCounter::open_many(&self.cipher, &key, &[full, minus_v, recv_v]).into_iter();
-            // Consume in protocol order so the verdict blames the first
-            // failure, exactly as the sequential path did.
-            let p_full = match wave.next() {
-                Some(Ok(p)) => p,
-                _ => return Err(self.raise(Verdict::MaliciousBroker(self.id))),
-            };
-            self.audit_full_plain(rule, &p_full)?;
-            let p_minus = match wave.next() {
-                Some(Ok(p)) => p,
-                _ => return Err(self.raise(Verdict::MaliciousBroker(self.id))),
-            };
-            let p_recv = match wave.next() {
-                Some(Ok(p)) => p,
-                _ => return Err(self.raise(Verdict::MaliciousBroker(self.id))),
-            };
-            (p_full, p_minus, p_recv)
-        } else {
-            let p_full = self.audit_full(rule, full)?;
-            (p_full, self.open_checked(minus_v)?, self.open_checked(recv_v)?)
-        };
-
         // Additive consistency: full = minus_v + recv_v, field by field.
         let consistent = p_full.sum == p_minus.sum + p_recv.sum
             && p_full.count == p_minus.count + p_recv.count
@@ -471,12 +540,10 @@ impl<C: HomCipher> Controller<C> {
             return Err(self.raise(Verdict::MaliciousBroker(self.id)));
         }
 
+        let v = edge.v;
         let lambda = rule.lambda;
         let delta_u = lambda.delta(p_full.sum, p_full.count);
         let (k, mode) = (self.k, self.gate_mode);
-        let share_plain = share_reduce(self.cipher.decrypt_i64(share_for_me));
-        let key = self.tags.key(receiver_layout.arity());
-        let sender = self.id;
 
         let t_out = {
             let audit = self.audit_state(rule);
@@ -510,14 +577,18 @@ impl<C: HomCipher> Controller<C> {
             audit.clock
         };
 
+        let share_plain = self.share_plain(v, edge.share_for_me);
+        let key = self.tags.key(edge.receiver_layout.arity());
         // The caller resolved `receiver_layout` from its own neighbor set,
         // so the sender always has a timestamp slot in it; a `None` here is
-        // a wiring bug on the trusted side, not wire input.
+        // a wiring bug on the trusted side or a value no slot seals (a
+        // clock or resource count driven past 2³² from outside) — nothing
+        // is sent either way.
         Ok(SecureCounter::seal_outgoing(
             &self.cipher,
             &key,
-            receiver_layout,
-            sender,
+            edge.receiver_layout,
+            self.id,
             p_minus.sum,
             p_minus.count,
             p_minus.num,
@@ -552,17 +623,40 @@ mod tests {
         Fix { keys, layout, ctl }
     }
 
+    /// One edge through the wave: the single-neighbor query.
+    #[allow(clippy::too_many_arguments)]
+    fn send_one(
+        ctl: &mut Controller<MockCipher>,
+        rule: &CandidateRule,
+        v: usize,
+        receiver_layout: &CounterLayout,
+        full: &SecureCounter<MockCipher>,
+        minus_v: &SecureCounter<MockCipher>,
+        recv_v: &SecureCounter<MockCipher>,
+        share_for_me: &gridmine_paillier::MockCt,
+    ) -> Result<Option<SecureCounter<MockCipher>>, Verdict> {
+        let edge = SendEdge {
+            v,
+            receiver_layout,
+            minus_v: minus_v.clone(),
+            recv_v: recv_v.clone(),
+            share_for_me,
+        };
+        let (mut sealed, verdict) = ctl.send_queries(rule, full, &[edge]);
+        verdict.map(|()| sealed.pop().map(|(_, counter)| counter))
+    }
+
     /// Builds a (full, minus_v, recv_v) triple with consistent shares
     /// summing to 1 and the given vote values.
     fn triple(
         f: &Fix,
-        own: (i64, i64, i64),
+        own: (i64, i64, u32),
         from_v: (i64, i64, i64),
-        ts_own: i64,
+        ts_own: u32,
         ts_v: i64,
     ) -> (SecureCounter<MockCipher>, SecureCounter<MockCipher>, SecureCounter<MockCipher>) {
         let key = f.keys.tags.key(f.layout.arity());
-        let own_share = share_reduce(1 - 77);
+        let own_share = share_reduce(1 - 77) as u32;
         let local = SecureCounter::seal_local(
             &f.keys.enc,
             &key,
@@ -653,10 +747,9 @@ mod tests {
         let (full, minus, recv) = triple(&f, (4, 10, 1), (6, 10, 1), 1, 1);
         let receiver_layout = CounterLayout::new(1, vec![0]);
         let share_for_me = f.keys.enc.encrypt_i64(123);
-        let out = f
-            .ctl
-            .send_query(&rule(), 1, &receiver_layout, &full, &minus, &recv, &share_for_me)
-            .unwrap();
+        let out =
+            send_one(&mut f.ctl, &rule(), 1, &receiver_layout, &full, &minus, &recv, &share_for_me)
+                .unwrap();
         let out = out.expect("first contact with data must send");
         let key = f.keys.tags.key(receiver_layout.arity());
         let p = out.open(&f.keys.dec, &key).unwrap();
@@ -677,7 +770,7 @@ mod tests {
         let receiver_layout = CounterLayout::new(1, vec![0]);
         let share = f.keys.enc.encrypt_i64(5);
         assert_eq!(
-            f.ctl.send_query(&rule(), 1, &receiver_layout, &full, &minus, &bogus_recv, &share),
+            send_one(&mut f.ctl, &rule(), 1, &receiver_layout, &full, &minus, &bogus_recv, &share),
             Err(Verdict::MaliciousBroker(0))
         );
     }
@@ -688,9 +781,7 @@ mod tests {
         let (full, minus, recv) = triple(&f, (4, 10, 1), (6, 10, 1), 5, 9);
         let receiver_layout = CounterLayout::new(1, vec![0]);
         let share = f.keys.enc.encrypt_i64(5);
-        let out = f
-            .ctl
-            .send_query(&rule(), 1, &receiver_layout, &full, &minus, &recv, &share)
+        let out = send_one(&mut f.ctl, &rule(), 1, &receiver_layout, &full, &minus, &recv, &share)
             .unwrap()
             .expect("first contact sends");
         let key = f.keys.tags.key(receiver_layout.arity());
@@ -709,14 +800,14 @@ mod tests {
         // A fresh controller without the import would reseal at ts
         // max(0, seen)+1; with it, the clock stays strictly monotone and
         // the duplicate-send suppressor still recognizes the aggregate.
-        let dup =
-            fresh.send_query(&rule(), 1, &receiver_layout, &full, &minus, &recv, &share).unwrap();
+        let dup = send_one(&mut fresh, &rule(), 1, &receiver_layout, &full, &minus, &recv, &share)
+            .unwrap();
         assert!(dup.is_none(), "suppressor state survived the restart");
         let (full2, minus2, recv2) = triple(&f, (5, 12, 1), (6, 10, 1), 6, 9);
-        let out2 = fresh
-            .send_query(&rule(), 1, &receiver_layout, &full2, &minus2, &recv2, &share)
-            .unwrap()
-            .expect("new data sends");
+        let out2 =
+            send_one(&mut fresh, &rule(), 1, &receiver_layout, &full2, &minus2, &recv2, &share)
+                .unwrap()
+                .expect("new data sends");
         let ts2 = out2.open(&f.keys.dec, &key).unwrap().ts
             [receiver_layout.ts_slot(0).unwrap() - crate::counter::F_TS];
         assert!(ts2 > sent_ts, "imported clock never regresses ({ts2} > {sent_ts})");
@@ -729,11 +820,13 @@ mod tests {
         let receiver_layout = CounterLayout::new(1, vec![0]);
         let share = f.keys.enc.encrypt_i64(5);
         let first =
-            f.ctl.send_query(&rule(), 1, &receiver_layout, &full, &minus, &recv, &share).unwrap();
+            send_one(&mut f.ctl, &rule(), 1, &receiver_layout, &full, &minus, &recv, &share)
+                .unwrap();
         assert!(first.is_some());
         // Identical aggregate again: suppressed.
         let second =
-            f.ctl.send_query(&rule(), 1, &receiver_layout, &full, &minus, &recv, &share).unwrap();
+            send_one(&mut f.ctl, &rule(), 1, &receiver_layout, &full, &minus, &recv, &share)
+                .unwrap();
         assert!(second.is_none());
     }
 }

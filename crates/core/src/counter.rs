@@ -10,18 +10,35 @@
 //! tag bind the whole message, which is strictly stronger against
 //! splicing.
 //!
-//! Field order: `[sum, count, num, share, T_⊥, T_v₁ … T_v_d]`, where the
-//! timestamp slots follow the *receiving* resource's neighbor ordering —
-//! "u assigns, in preprocessing, an entry in this vector to each neighbor"
-//! (§5.2).
+//! Logical field order: `[sum, count, num, share, T_⊥, T_v₁ … T_v_d]`,
+//! where the timestamp slots follow the *receiving* resource's neighbor
+//! ordering — "u assigns, in preprocessing, an entry in this vector to
+//! each neighbor" (§5.2).
+//!
+//! On the wire that is §4.2's vectorised counter as far as the cipher can
+//! carry it: `sum` and `count` are signed (the padding sequence seals
+//! `s − 1`, negating transactions shrink both, the blinded `Δ` is computed
+//! on them) and stay one ciphertext each; everything from [`F_NUM`] on is
+//! the non-negative *side-band*, packed by
+//! [`gridmine_paillier::oblivious`] into `⌈(3 + d) / slots_per_ct⌉`
+//! ciphertexts. At 512 bits a counter of any degree up to 8 is four
+//! ciphertexts (`sum`, `count`, side-band, tag); under the mock cipher it
+//! is `6 + d`, one per value. Which one is a property of the cipher
+//! handle, never a choice made here.
+//!
+//! Side-band values are sealed as `u32`: the accountant's own (`num`,
+//! share, clock) are typed so where they enter, and what a controller
+//! read out of an aggregate is refused by [`SecureCounter::seal_outgoing`]
+//! if it does not fit.
 
 use gridmine_paillier::{CounterMsg, HomCipher, TagKey};
 
-/// Field indices within the sealed tuple.
+/// Field indices within the logical tuple.
 pub const F_SUM: usize = 0;
 /// Index of the transaction-count field.
 pub const F_COUNT: usize = 1;
-/// Index of the resource-count (`num`) field.
+/// Index of the resource-count (`num`) field — the first of the packed
+/// side-band; the fields before it are the signed ones.
 pub const F_NUM: usize = 2;
 /// Index of the accounting share field.
 pub const F_SHARE: usize = 3;
@@ -89,28 +106,27 @@ impl<C: HomCipher> SecureCounter<C> {
         layout: &CounterLayout,
         sum: i64,
         count: i64,
-        num: i64,
-        own_share: i64,
-        ts: i64,
+        num: u32,
+        own_share: u32,
+        ts: u32,
     ) -> Self {
-        let fields: Vec<i64> = (0..layout.arity())
-            .map(|i| match i {
-                F_SUM => sum,
-                F_COUNT => count,
-                F_NUM => num,
-                F_SHARE => own_share,
-                F_TS => ts,
-                _ => 0,
-            })
-            .collect();
-        SecureCounter { msg: CounterMsg::seal(cipher, key, &fields), layout: layout.clone() }
+        let mut side = vec![0u32; layout.arity() - F_NUM];
+        for (slot, v) in side.iter_mut().zip([num, own_share, ts]) {
+            *slot = v;
+        }
+        SecureCounter {
+            msg: CounterMsg::seal(cipher, key, &[sum, count], &side),
+            layout: layout.clone(),
+        }
     }
 
     /// Controller-side sealing of an *outgoing* message from `sender` to the
     /// layout's owner: the aggregate values, the receiver-assigned share,
     /// and the sender's logical time in its designated slot. `None` when
     /// `sender` has no slot in `receiver_layout` (a wiring error the
-    /// caller surfaces however fits its trust level).
+    /// caller surfaces however fits its trust level), or when `num`, the
+    /// share or the time — read out of an aggregate other parties fed —
+    /// is not the `u32` a side-band slot seals.
     #[allow(clippy::too_many_arguments)]
     pub fn seal_outgoing(
         cipher: &C,
@@ -124,28 +140,25 @@ impl<C: HomCipher> SecureCounter<C> {
         sender_time: i64,
     ) -> Option<Self> {
         let slot = receiver_layout.ts_slot(sender)?;
-        let fields: Vec<i64> = (0..receiver_layout.arity())
-            .map(|i| match i {
-                F_SUM => sum,
-                F_COUNT => count,
-                F_NUM => num,
-                F_SHARE => receiver_share_for_sender,
-                i if i == slot => sender_time,
-                _ => 0,
-            })
-            .collect();
-        Some(SecureCounter {
-            msg: CounterMsg::seal(cipher, key, &fields),
-            layout: receiver_layout.clone(),
-        })
+        let mut side = vec![0u32; receiver_layout.arity() - F_NUM];
+        let placed = [(F_NUM, num), (F_SHARE, receiver_share_for_sender), (slot, sender_time)];
+        for (at, v) in placed {
+            *side.get_mut(at - F_NUM)? = u32::try_from(v).ok()?;
+        }
+        let msg = CounterMsg::seal(cipher, key, &[sum, count], &side);
+        Some(SecureCounter { msg, layout: receiver_layout.clone() })
     }
 
     /// An all-zero counter with a valid tag (additive identity).
     pub fn zeros(cipher: &C, key: &TagKey, layout: &CounterLayout) -> Self {
-        SecureCounter {
-            msg: CounterMsg::seal(cipher, key, &vec![0i64; layout.arity()]),
-            layout: layout.clone(),
-        }
+        SecureCounter { msg: CounterMsg::zeros(cipher, key, F_NUM), layout: layout.clone() }
+    }
+
+    /// How many field ciphertexts (the tag aside) a counter under `layout`
+    /// has with this cipher — what the broker's door screen holds a wire
+    /// counter to.
+    pub fn field_cts(cipher: &C, layout: &CounterLayout) -> usize {
+        CounterMsg::<C>::ct_count(cipher, F_NUM, layout.arity() - F_NUM)
     }
 
     /// Key-free aggregation (the broker's only write operation).
@@ -250,6 +263,45 @@ mod tests {
         let a = SecureCounter::zeros(&keys.enc, &k0, &l0);
         let b = SecureCounter::zeros(&keys.enc, &k0, &l1);
         let _ = a.add(&keys.pub_ops, &b);
+    }
+
+    #[test]
+    fn one_format_chosen_by_the_ciphers_capacity() {
+        // 512 bits carry 11 side-band slots: `sum`, `count`, one packed
+        // ciphertext and the tag for every degree up to 8 (3 + d ≤ 11),
+        // one more beyond. The mock carries one value per ciphertext.
+        let keys = GridKeys::paillier(512, 0xFACE);
+        let mock = GridKeys::mock(1);
+        for degree in 0..=12usize {
+            let layout = CounterLayout::new(0, (1..=degree).collect());
+            let key = keys.tags.key(layout.arity());
+            let c = SecureCounter::seal_local(&keys.enc, &key, &layout, -1, 8, 1, 7, 2);
+            let want = if degree <= 8 { 3 } else { 4 };
+            assert_eq!(c.msg.fields.len(), want, "degree {degree}");
+            assert_eq!(SecureCounter::field_cts(&keys.pub_ops, &layout), want);
+            // n² is 1024 bits: a ciphertext is at most 128 bytes.
+            assert!(c.wire_bytes() <= (want + 1) * 128, "degree {degree}: {}", c.wire_bytes());
+            let p = c.open(&keys.dec, &key).unwrap();
+            assert_eq!((p.sum, p.count, p.num, p.share, p.ts[0]), (-1, 8, 1, 7, 2));
+            assert_eq!(p.ts.len(), 1 + degree);
+
+            let m = SecureCounter::seal_local(&mock.enc, &key, &layout, -1, 8, 1, 7, 2);
+            assert_eq!(m.msg.fields.len(), layout.arity());
+            assert_eq!(SecureCounter::field_cts(&mock.pub_ops, &layout), layout.arity());
+        }
+    }
+
+    #[test]
+    fn values_that_fit_no_slot_are_refused_at_the_seal() {
+        let (keys, layout) = setup();
+        let key = keys.tags.key(layout.arity());
+        let seal = |num, share, ts| {
+            SecureCounter::seal_outgoing(&keys.enc, &key, &layout, 1, -5, 5, num, share, ts)
+        };
+        assert!(seal(i64::from(u32::MAX), 0, i64::from(u32::MAX)).is_some());
+        assert!(seal(1 << 32, 0, 0).is_none(), "num wider than a slot value");
+        assert!(seal(0, -1, 0).is_none(), "negative share");
+        assert!(seal(0, 0, 1 << 40).is_none(), "exhausted clock");
     }
 
     #[test]

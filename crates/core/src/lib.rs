@@ -48,7 +48,6 @@ pub mod counter;
 pub mod keyring;
 pub mod kttp;
 pub mod miner;
-pub mod packed;
 pub mod plain;
 pub mod proxy;
 pub mod resource;
@@ -62,13 +61,12 @@ pub use accountant::Accountant;
 pub use attack::{BrokerBehavior, ControllerBehavior};
 pub use broker::{Broker, BrokerMsg};
 pub use chaos::{ChaosReport, DegradeReason, ResourceStatus};
-pub use controller::{AuditImage, Controller, SentAggregate, Verdict};
+pub use controller::{AuditImage, Controller, SealedEdges, SendEdge, SentAggregate, Verdict};
 pub use counter::{CounterLayout, SecureCounter};
 pub use gridmine_recovery::{RecoveryMode, RecoveryPolicy, RetryPolicy};
 pub use keyring::GridKeys;
 pub use kttp::KTtp;
 pub use miner::{MineConfig, MiningOutcome};
-pub use packed::PackedCounter;
 pub use plain::PlainCounter;
 pub use proxy::ChaosProxy;
 pub use resource::{SecureResource, WireMsg};

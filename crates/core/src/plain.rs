@@ -1,18 +1,21 @@
 //! Controller-side plaintext views: the **only** module of the wire
 //! layer allowed to name decryption.
 //!
-//! The wire formats themselves ([`crate::counter`], [`crate::packed`])
-//! are handled by brokers, which hold no key — so those modules carry the
-//! sealing and the key-free algebra, while everything that turns a sealed
-//! counter back into numbers lives here, behind the controller's SFE gate
-//! (§4.3: "only controllers can decrypt"). `gridlint`'s privacy-taint
-//! rule enforces the split: `PlainCounter`, `open` and the `decrypt_*`
-//! family are banned identifiers in every key-blind module.
+//! The wire format itself ([`crate::counter`]) is handled by brokers,
+//! which hold no key — so that module carries the sealing and the
+//! key-free algebra, while everything that turns a sealed counter back
+//! into numbers lives here, behind the controller's SFE gate (§4.3: "only
+//! controllers can decrypt"): the signed `sum`/`count` decrypt as
+//! integers and the packed side-band unpacks into `num`, `share` and the
+//! timestamps inside [`gridmine_paillier::CounterMsg::open_many`], the
+//! tag is checked over the unpacked values, and only then is the share
+//! reduced into its field. `gridlint`'s privacy-taint rule enforces the
+//! split: `PlainCounter`, `open` and the `decrypt_*` family are banned
+//! identifiers in every key-blind module.
 
-use gridmine_paillier::{CounterMsg, HomCipher, ObliviousError, PaillierCtx, TagKey};
+use gridmine_paillier::{CounterMsg, HomCipher, ObliviousError, TagKey};
 
-use crate::counter::{SecureCounter, F_SHARE, F_TS};
-use crate::packed::{PackedCounter, PACKED_SHARE_MODULUS};
+use crate::counter::{SecureCounter, F_NUM, F_TS};
 use crate::shares::share_reduce;
 
 /// Decrypted view of a counter (controller side only).
@@ -47,12 +50,12 @@ fn split_fields(fields: &[i64]) -> Result<(i64, i64, i64, i64, Vec<i64>), Oblivi
 impl<C: HomCipher> SecureCounter<C> {
     /// Controller-side: verify the tag and decrypt.
     pub fn open(&self, cipher: &C, key: &TagKey) -> Result<PlainCounter, ObliviousError> {
-        let fields = self.msg.open(cipher, key)?;
+        let fields = self.msg.open(cipher, key, F_NUM)?;
         let (sum, count, num, share, ts) = split_fields(&fields)?;
         Ok(PlainCounter { sum, count, num, share: share_reduce(share), ts })
     }
 
-    /// Batch form of [`SecureCounter::open`]: every field of every
+    /// Batch form of [`SecureCounter::open`]: every ciphertext of every
     /// counter decrypts in one wave over the cipher's cached contexts and
     /// all tags verify through one combined check (see
     /// [`CounterMsg::open_many`]). Results align with `counters`.
@@ -62,46 +65,13 @@ impl<C: HomCipher> SecureCounter<C> {
         counters: &[&Self],
     ) -> Vec<Result<PlainCounter, ObliviousError>> {
         let msgs: Vec<&CounterMsg<C>> = counters.iter().map(|c| &c.msg).collect();
-        CounterMsg::open_many(cipher, key, &msgs)
+        CounterMsg::open_many(cipher, key, F_NUM, &msgs)
             .into_iter()
             .map(|r| {
                 let (sum, count, num, share, ts) = split_fields(&r?)?;
                 Ok(PlainCounter { sum, count, num, share: share_reduce(share), ts })
             })
             .collect()
-    }
-}
-
-impl PackedCounter {
-    /// Controller-side: decrypt, unpack, verify the tag.
-    ///
-    /// The tag is checked against the share *pre-reduction* running sum,
-    /// which the slot layout cannot represent once it wraps — so the tag
-    /// uses the reduced share, and verification reduces likewise.
-    pub fn open(&self, ctx: &PaillierCtx, key: &TagKey) -> Result<PlainCounter, ObliviousError> {
-        let packed = ctx.decrypt_residue(&self.ct);
-        let values = self.slots().unpack(&packed).values;
-        let fields: Vec<i64> = values.iter().map(|&v| v as i64).collect();
-        if fields.len() != key.arity() {
-            return Err(ObliviousError::ArityMismatch { expected: key.arity(), got: fields.len() });
-        }
-
-        // Tag verification: the share slot reduced modulo 2³¹ no longer
-        // matches the un-reduced running sum the tag accumulated, so the
-        // tag must be checked modulo coeff(share)·2³¹ contributions.
-        let tag = ctx.decrypt_i64(&self.tag);
-        let expect = key.tag_plain(&fields);
-        let Some(share_coeff) = key.coeff(F_SHARE) else {
-            return Err(ObliviousError::ArityMismatch { expected: F_TS + 1, got: key.arity() });
-        };
-        let diff = tag - expect;
-        let share_period = share_coeff * PACKED_SHARE_MODULUS;
-        if diff % share_period != 0 {
-            return Err(ObliviousError::TagMismatch);
-        }
-
-        let (sum, count, num, share, ts) = split_fields(&fields)?;
-        Ok(PlainCounter { sum, count, num, share, ts })
     }
 }
 

@@ -21,7 +21,7 @@ use crate::accountant::Accountant;
 use crate::attack::{BrokerBehavior, ControllerBehavior};
 use crate::broker::{Broker, BrokerMsg};
 use crate::chaos::DegradeReason;
-use crate::controller::{Controller, Verdict};
+use crate::controller::{Controller, SendEdge, Verdict};
 use crate::counter::CounterLayout;
 use crate::keyring::GridKeys;
 
@@ -364,60 +364,66 @@ impl<C: HomCipher> SecureResource<C> {
 
     /// Evaluates the send condition toward every neighbor for one rule
     /// (Algorithm 1's "for each v ∈ E: if MajorityCond(v), call
-    /// Update(v)").
+    /// Update(v)") — one SFE wave: the full aggregate is the same toward
+    /// every neighbor, so it is built once and the controller opens it
+    /// once, together with every edge's inputs.
     fn on_change(&mut self, cand: &CandidateRule) -> Vec<WireMsg<C>> {
         if !self.is_live() {
             return Vec::new();
         }
-        let mut out = Vec::new();
-        let neighbors = self.layout.neighbors.clone();
-        for v in neighbors {
-            let Some(receiver_layout) = self.neighbor_layouts.get(&v).cloned() else {
-                // Wiring incomplete (e.g. during joins); skip this edge.
-                continue;
-            };
-            // A mute controller never answers the send SFE: the broker
-            // retries (the driver's delivery timeout paces the attempts)
-            // until the budget runs out, then the resource degrades.
-            if self.controller_behavior == ControllerBehavior::Mute {
+        // A mute controller never answers the send SFE: the broker
+        // retries once per wired edge (the driver's delivery timeout
+        // paces the attempts) until the budget runs out, then the
+        // resource degrades.
+        if self.controller_behavior == ControllerBehavior::Mute {
+            let wired =
+                self.layout.neighbors.iter().filter(|v| self.neighbor_layouts.contains_key(v));
+            for _ in 0..wired.count() {
                 if !self.retry_controller() {
-                    return out;
-                }
-                continue;
-            }
-            // All four SFE inputs exist once wiring completed (instance
-            // created in `ensure_candidate`, share delivered at init);
-            // an incomplete edge is skipped like a missing layout above.
-            let (Some(full), Some(minus), Some(recv), Some(share)) = (
-                self.broker.full_aggregate(cand),
-                self.broker.minus_aggregate(cand, v),
-                self.broker.recv_of(cand, v),
-                self.broker.share_for_sending_to(v).cloned(),
-            ) else {
-                continue;
-            };
-            match self.ctl.send_query(cand, v, &receiver_layout, &full, &minus, &recv, &share) {
-                Ok(Some(counter)) => {
-                    self.broker.msgs_sent += 1;
-                    if self.resending {
-                        self.resends_sent += 1;
-                    }
-                    let resend = self.resending;
-                    emit(&self.rec, || Event::CounterSent {
-                        from: self.id as u64,
-                        to: v as u64,
-                        rule: cand.to_string(),
-                        bytes: counter.wire_bytes() as u64,
-                        resend,
-                    });
-                    out.push(BrokerMsg { from: self.id, to: v, cand: cand.clone(), counter });
-                }
-                Ok(None) => {}
-                Err(verdict) => {
-                    self.halted = Some(verdict);
-                    return out;
+                    break;
                 }
             }
+            return Vec::new();
+        }
+        let Some(full) = self.broker.full_aggregate(cand) else {
+            return Vec::new();
+        };
+        // All SFE inputs exist once wiring completed (instance created in
+        // `ensure_candidate`, layout and share delivered at init); an
+        // incomplete edge (e.g. during joins) is skipped.
+        let edges: Vec<SendEdge<'_, C>> = self
+            .layout
+            .neighbors
+            .iter()
+            .filter_map(|&v| {
+                Some(SendEdge {
+                    v,
+                    receiver_layout: self.neighbor_layouts.get(&v)?,
+                    minus_v: self.broker.minus_aggregate(cand, v)?,
+                    recv_v: self.broker.recv_of(cand, v)?,
+                    share_for_me: self.broker.share_for_sending_to(v)?,
+                })
+            })
+            .collect();
+        let (sealed, verdict) = self.ctl.send_queries(cand, &full, &edges);
+        let mut out = Vec::with_capacity(sealed.len());
+        for (v, counter) in sealed {
+            self.broker.msgs_sent += 1;
+            if self.resending {
+                self.resends_sent += 1;
+            }
+            let resend = self.resending;
+            emit(&self.rec, || Event::CounterSent {
+                from: self.id as u64,
+                to: v as u64,
+                rule: cand.to_string(),
+                bytes: counter.wire_bytes() as u64,
+                resend,
+            });
+            out.push(BrokerMsg { from: self.id, to: v, cand: cand.clone(), counter });
+        }
+        if let Err(verdict) = verdict {
+            self.halted = Some(verdict);
         }
         out
     }
@@ -741,9 +747,15 @@ impl<C: HomCipher> SecureResource<C> {
     }
 
     /// Re-seats exported controller audit state after a warm restart.
-    /// Call before [`SecureResource::restore_from_image`].
-    pub fn import_controller_audits(&mut self, images: Vec<crate::controller::AuditImage>) {
-        self.ctl.import_audits(images);
+    /// Call before [`SecureResource::restore_from_image`]. The images are
+    /// recovered input: one the controller's screen refuses takes the
+    /// same rejection path as a forged journal. Returns `true` when
+    /// re-seated.
+    pub fn import_controller_audits(&mut self, images: Vec<crate::controller::AuditImage>) -> bool {
+        if self.ctl.import_audits(images) {
+            return true;
+        }
+        self.reject_recovery("controller audit image carries an out-of-range clock".into())
     }
 
     /// Restores from a serialized [`RecoveryImage`]. Decode failures and

@@ -11,14 +11,27 @@
 //! malformed value somehow reaches the delta algebra anyway, the broker
 //! surfaces a `CipherError` and the resource halts with a verdict — in
 //! no case does the process abort.
+//!
+//! The same stance covers the packed side-band: what a controller
+//! unpacks is whatever its broker aggregated, so a plaintext that is no
+//! tuple of slot values — wider than its layout, a borrow out of `A−`, a
+//! side-band ciphertext too few or too many — and a restored clock no
+//! timestamp slot seals each end in a verdict or a rejected restore,
+//! under both ciphers.
 
 use gridmine_arm::{CandidateRule, Database, Item, ItemSet, Ratio, Rule, Transaction};
-use gridmine_core::counter::{CounterLayout, SecureCounter, F_COUNT, F_SUM};
+use gridmine_core::counter::{CounterLayout, SecureCounter, F_COUNT, F_NUM, F_SUM};
 use gridmine_core::resource::wire_grid;
-use gridmine_core::{Accountant, Broker, GridKeys, SecureResource, Verdict, WireMsg};
+use gridmine_core::{
+    Accountant, AuditImage, Broker, Controller, GridKeys, KGate, SealedEdges, SecureResource,
+    SendEdge, Verdict, WireMsg,
+};
 use gridmine_majority::CandidateGenerator;
 use gridmine_obs::{Event, EventKind, MemoryRecorder, VerdictKind};
-use gridmine_paillier::{Ciphertext, PaillierCtx};
+use gridmine_paillier::{
+    Ciphertext, HomCipher, MockCipher, ObliviousError, PaillierCtx, SlotError,
+};
+use gridmine_recovery::{RecoveryImage, RecoveryLog, ResourceState, RuleRecord};
 
 /// A non-unit "ciphertext": the public modulus `n` itself, which shares
 /// every prime factor with n² and therefore has no inverse mod n².
@@ -28,9 +41,14 @@ fn evil_ciphertext(keys: &GridKeys<PaillierCtx>) -> Ciphertext {
 
 fn paillier_grid(n: usize) -> (GridKeys<PaillierCtx>, Vec<SecureResource<PaillierCtx>>) {
     let keys = GridKeys::paillier(128, 17);
+    let rs = path_grid(&keys, n);
+    (keys, rs)
+}
+
+fn path_grid<C: HomCipher>(keys: &GridKeys<C>, n: usize) -> Vec<SecureResource<C>> {
     let generator = CandidateGenerator::new(Ratio::new(1, 2), Ratio::new(1, 2));
     let items = vec![Item(1), Item(2)];
-    let mut rs: Vec<SecureResource<PaillierCtx>> = (0..n)
+    let mut rs: Vec<SecureResource<C>> = (0..n)
         .map(|u| {
             let db = Database::from_transactions(
                 (0..8).map(|j| Transaction::of((u * 8 + j) as u64, &[1, 2])).collect(),
@@ -42,11 +60,11 @@ fn paillier_grid(n: usize) -> (GridKeys<PaillierCtx>, Vec<SecureResource<Paillie
             if u + 1 < n {
                 neighbors.push(u + 1);
             }
-            SecureResource::new(u, &keys, neighbors, db, 1, generator, &items, u as u64)
+            SecureResource::new(u, keys, neighbors, db, 1, generator, &items, u as u64)
         })
         .collect();
     wire_grid(&mut rs);
-    (keys, rs)
+    rs
 }
 
 /// End-to-end: a hostile peer splices a non-unit value into an otherwise
@@ -161,4 +179,225 @@ fn wrong_arity_counter_rejected_at_the_door() {
         !broker.counter_is_wellformed(&fat),
         "arity mismatch must fail the door screen, not reach the adder"
     );
+}
+
+// ---- the packed side-band, over both ciphers ------------------------
+
+fn rule() -> CandidateRule {
+    CandidateRule::new(Rule::frequency(ItemSet::of(&[1])), Ratio::new(1, 2))
+}
+
+/// Resource 0's controller with an honest `(full, minus_1, recv_1)`
+/// triple (shares summing to one) and the share 1 assigned to 0.
+struct Scene<C: HomCipher> {
+    keys: GridKeys<C>,
+    layout: CounterLayout,
+    receiver_layout: CounterLayout,
+    full: SecureCounter<C>,
+    minus: SecureCounter<C>,
+    recv: SecureCounter<C>,
+    share: C::Ct,
+}
+
+impl<C: HomCipher> Scene<C> {
+    fn new(keys: GridKeys<C>) -> Self {
+        let layout = CounterLayout::new(0, vec![1]);
+        let key = keys.tags.key(layout.arity());
+        // 2³¹ − 1 − 76 + 77 ≡ 1 in the share field.
+        let own_share = (1u32 << 31) - 1 - 76;
+        let minus = SecureCounter::seal_local(&keys.enc, &key, &layout, 4, 10, 1, own_share, 3);
+        let recv = SecureCounter::seal_outgoing(&keys.enc, &key, &layout, 1, 6, 10, 1, 77, 5)
+            .expect("1 is a neighbor of 0");
+        let full = minus.add(&keys.pub_ops, &recv);
+        let share = keys.enc.encrypt_i64(123);
+        Scene {
+            receiver_layout: CounterLayout::new(1, vec![0]),
+            keys,
+            layout,
+            full,
+            minus,
+            recv,
+            share,
+        }
+    }
+
+    fn controller(&self) -> Controller<C> {
+        Controller::new(0, self.keys.dec.clone(), self.keys.tags.clone(), 1, self.layout.clone())
+    }
+
+    /// The send SFE toward neighbor 1 on `(full, minus, recv)`.
+    fn send(
+        &self,
+        full: &SecureCounter<C>,
+        recv: &SecureCounter<C>,
+    ) -> (SealedEdges<C>, Result<(), Verdict>) {
+        let edge = SendEdge {
+            v: 1,
+            receiver_layout: &self.receiver_layout,
+            minus_v: self.minus.clone(),
+            recv_v: recv.clone(),
+            share_for_me: &self.share,
+        };
+        self.controller().send_queries(&rule(), full, &[edge])
+    }
+
+    /// Both SFEs must convict the local broker for `forged` as `full`.
+    fn assert_convicts_broker(&self, forged: &SecureCounter<C>, why: ObliviousError) {
+        let key = self.keys.tags.key(self.layout.arity());
+        assert_eq!(forged.open(&self.keys.dec, &key), Err(why));
+        let blinded = self.keys.enc.encrypt_i64(7);
+        assert_eq!(
+            self.controller().output_query(&rule(), forged, &blinded),
+            Err(Verdict::MaliciousBroker(0))
+        );
+        let (sealed, verdict) = self.send(forged, &self.recv);
+        assert!(sealed.is_empty());
+        assert_eq!(verdict, Err(Verdict::MaliciousBroker(0)));
+    }
+}
+
+/// A ciphertext of `2^(44·slots)`: one bit above a side-band ciphertext
+/// of that many slots. Key-free — any broker can mint it.
+fn wider_than<C: HomCipher>(cipher: &C, slots: usize) -> C::Ct {
+    (0..slots).fold(cipher.encrypt_i64(1), |c, _| cipher.scalar(1 << 44, &c))
+}
+
+fn hostile_side_bands_end_in_a_verdict<C: HomCipher>(keys: GridKeys<C>) {
+    let s = Scene::new(keys);
+    let cipher = &s.keys.pub_ops;
+    // The honest triple passes: the scene itself is sound.
+    let (sealed, verdict) = s.send(&s.full, &s.recv);
+    assert_eq!((sealed.len(), verdict), (1, Ok(())));
+
+    // Side-band replaced by an encryption of 2^total_bits.
+    let slots = cipher.slots_per_ct().min(s.layout.arity() - F_NUM);
+    let mut wide = s.full.clone();
+    wide.msg.fields[F_NUM] = wider_than(cipher, slots);
+    s.assert_convicts_broker(&wide, ObliviousError::SideBand(SlotError::OutOfLayout));
+
+    // `recv_v − full`, ciphertext by ciphertext, tag included: the tag
+    // relation holds, so only the unpacker stands between this forgery
+    // and the audits. `num` (the top slot) goes negative and borrows out
+    // of the layout.
+    let mut borrowed = s.full.clone();
+    borrowed.msg = s.recv.msg.sub(cipher, &s.full.msg);
+    s.assert_convicts_broker(&borrowed, ObliviousError::SideBand(SlotError::OutOfLayout));
+    // `full − 2·recv_v`: neighbor 1's timestamp goes negative. Alone in
+    // its ciphertext that reads as out of the layout; packed, the slot
+    // above it absorbs the borrow and the unpacked tuple no longer
+    // matches the tag.
+    borrowed.msg = s.full.msg.sub(cipher, &s.recv.msg.scalar(cipher, 2));
+    let why = match cipher.slots_per_ct() {
+        1 => ObliviousError::SideBand(SlotError::OutOfLayout),
+        _ => ObliviousError::TagMismatch,
+    };
+    s.assert_convicts_broker(&borrowed, why);
+    // The same forgery as `recv_v` of an otherwise honest wave.
+    let (sealed, verdict) = s.send(&s.full, &borrowed);
+    assert!(sealed.is_empty());
+    assert_eq!(verdict, Err(Verdict::MaliciousBroker(0)));
+
+    // One side-band ciphertext too few, one too many.
+    let cts = s.full.msg.fields.len();
+    let mut short = s.full.clone();
+    short.msg.fields.pop();
+    s.assert_convicts_broker(&short, ObliviousError::ArityMismatch { expected: cts, got: cts - 1 });
+    let mut long = s.full.clone();
+    long.msg.fields.push(cipher.encrypt_i64(0));
+    s.assert_convicts_broker(&long, ObliviousError::ArityMismatch { expected: cts, got: cts + 1 });
+}
+
+#[test]
+fn hostile_side_bands_end_in_a_verdict_under_both_ciphers() {
+    hostile_side_bands_end_in_a_verdict(GridKeys::<MockCipher>::mock(41));
+    // 128-bit keys: two slots a ciphertext, the four side-band values of
+    // a degree-1 counter in two of them.
+    hostile_side_bands_end_in_a_verdict(GridKeys::paillier(128, 41));
+    // 512 bits: all four in one.
+    hostile_side_bands_end_in_a_verdict(GridKeys::paillier(512, 41));
+}
+
+fn miscounted_wire_counter_convicts_its_sender<C: HomCipher>(keys: GridKeys<C>) {
+    for grow in [false, true] {
+        let mut rs = path_grid(&keys, 2);
+        let mut msgs: Vec<WireMsg<C>> = Vec::new();
+        for r in rs.iter_mut() {
+            msgs.extend(r.step(usize::MAX));
+        }
+        let mut msg = msgs.into_iter().find(|m| m.to == 0).expect("some message toward 0");
+        if grow {
+            msg.counter.msg.fields.push(keys.pub_ops.encrypt_i64(0));
+        } else {
+            msg.counter.msg.fields.pop();
+        }
+        let mem = MemoryRecorder::shared();
+        rs[0].set_recorder(mem.clone());
+        assert!(rs[0].on_receive(&msg).is_empty());
+        assert_eq!(rs[0].verdict(), Some(Verdict::MaliciousResource(1)));
+        assert_eq!(mem.count_of(EventKind::WellformednessRejected), 1);
+    }
+}
+
+#[test]
+fn miscounted_side_band_is_rejected_at_the_door_under_both_ciphers() {
+    miscounted_wire_counter_convicts_its_sender(GridKeys::<MockCipher>::mock(43));
+    miscounted_wire_counter_convicts_its_sender(GridKeys::paillier(128, 43));
+}
+
+fn oversized_restored_clocks_are_rejected<C: HomCipher>(keys: GridKeys<C>) {
+    // No support in eight transactions: a vote the neighbor has not
+    // heard, so the send condition holds.
+    let record = |clock: i64| RuleRecord {
+        rule: rule(),
+        frontier: 8,
+        sum: 0,
+        count: 8,
+        clock,
+        last_sum: 0,
+        output: None,
+    };
+    let image = |clock: i64| {
+        let state = ResourceState { resource: 1, records: vec![record(clock)] };
+        RecoveryImage { resource: 1, log: RecoveryLog::baseline(state) }.to_bytes()
+    };
+    // Every clock a timestamp slot seals restores. At the very last one
+    // the accountant's clock saturates and its counters still seal and
+    // audit, but no Lamport time above it fits a slot: the rule falls
+    // silent toward the neighbor, and nobody is convicted for it.
+    for (clock, speaks) in [(u32::MAX - 8, true), (u32::MAX, false)] {
+        let mut rs = path_grid(&keys, 2);
+        rs[1].crash_wipe();
+        assert!(rs[1].restore_from_image(&image(i64::from(clock))));
+        assert_eq!(!rs[1].nudge().is_empty(), speaks, "clock {clock}");
+        assert!(rs[1].verdict().is_none());
+    }
+    // One past it — let alone 2⁴⁰ — is a forged image.
+    for clock in [1i64 << 32, 1 << 40, i64::MAX, -3] {
+        let mut rs = path_grid(&keys, 2);
+        rs[1].crash_wipe();
+        assert!(!rs[1].restore_from_image(&image(clock)), "clock {clock}");
+        assert_eq!(rs[1].verdict(), Some(Verdict::MaliciousResource(1)));
+        assert_eq!(rs[1].recovery_rejected(), 1);
+    }
+    // The controller's audit image is the other door a clock comes
+    // through on a warm restart.
+    let audit = |clock: i64| AuditImage {
+        rule: rule(),
+        clock,
+        output_gate: KGate::new(1),
+        send_gates: Vec::new(),
+        last_sent: Vec::new(),
+    };
+    let mut rs = path_grid(&keys, 2);
+    assert!(rs[1].import_controller_audits(vec![audit(0), audit(i64::from(u32::MAX))]));
+    assert!(rs[1].verdict().is_none());
+    assert!(!rs[1].import_controller_audits(vec![audit(7), audit(1 << 40)]));
+    assert_eq!(rs[1].verdict(), Some(Verdict::MaliciousResource(1)));
+    assert_eq!(rs[1].recovery_rejected(), 1);
+}
+
+#[test]
+fn oversized_restored_clocks_are_rejected_under_both_ciphers() {
+    oversized_restored_clocks_are_rejected(GridKeys::<MockCipher>::mock(47));
+    oversized_restored_clocks_are_rejected(GridKeys::paillier(128, 47));
 }

@@ -66,7 +66,7 @@ fn tallies() -> impl Strategy<Value = Tallies> {
 /// A sealed counter with sampled plaintexts, keyed by a sampled seed —
 /// exercises varying ciphertext bytes, layouts and arities.
 fn counter() -> impl Strategy<Value = SecureCounter<MockCipher>> {
-    (any::<u64>(), 0usize..5, 1usize..4, -50i64..50, -50i64..50, -50i64..50).prop_map(
+    (any::<u64>(), 0usize..5, 1usize..4, -50i64..50, -50i64..50, 0u32..100).prop_map(
         |(seed, owner, nbrs, sum, count, share)| {
             let keys = GridKeys::<MockCipher>::mock(seed);
             let neighbors: Vec<usize> = (0..nbrs).map(|i| owner + i + 1).collect();

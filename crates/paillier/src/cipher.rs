@@ -16,7 +16,7 @@ use rand_chacha::ChaCha12Rng;
 use rayon::prelude::*;
 
 use crate::keys::{mod_inverse, PrivateKey, PublicKey};
-use crate::{CipherError, HomCipher};
+use crate::{CipherError, HomCipher, Shape, SlotError, SlotLayout};
 
 /// Cap on how many noise factors (`rⁿ mod n²`) one refill precomputes.
 /// Refills start at a single factor and double per refill, so a handle
@@ -461,21 +461,60 @@ impl HomCipher for PaillierCtx {
         self.decode(m)
     }
 
-    fn decrypt_i64_many(&self, cts: &[&Ciphertext]) -> Vec<i64> {
-        if cts.len() < 2 {
-            return cts.iter().map(|c| self.decrypt_i64(c)).collect();
+    /// At least one: [`crate::Keypair`] generates no modulus below 64 bits.
+    fn slots_per_ct(&self) -> usize {
+        crate::slots::side_band_capacity(self.pk.bits())
+    }
+
+    fn encrypt_slots(&self, values: &[u32], out: &mut Vec<Ciphertext>) {
+        for chunk in values.chunks(self.slots_per_ct()) {
+            let wide: Vec<u64> = chunk.iter().map(|&v| u64::from(v)).collect();
+            let packed = SlotLayout::side_band(chunk.len())
+                .pack(&wide)
+                .expect("u32 values fit the 32-bit capacity of as many side-band slots");
+            out.push(self.encrypt_residue(&packed));
         }
-        // One batched pass: the CRT contexts are already cached on the
-        // handle, so the whole wave fans across the worker pool with zero
-        // per-element setup. Order-preserving by the pool's contract, so
-        // results are bit-identical to the sequential map.
-        self.timed(KeyOpKind::BatchDecrypt, || {
-            cts.par_iter()
-                .map(|c| {
-                    self.timed(KeyOpKind::Decrypt, || self.decode(self.decrypt_residue_inner(c)))
-                })
-                .collect()
-        })
+    }
+
+    fn decrypt_wave(
+        &self,
+        cts: &[&Ciphertext],
+        pattern: &[Shape],
+    ) -> (Vec<i64>, Vec<(usize, SlotError)>) {
+        let one = |(c, read): (&&Ciphertext, &Shape)| -> Result<Vec<i64>, (usize, SlotError)> {
+            let m = self.timed(KeyOpKind::Decrypt, || self.decrypt_residue_inner(c));
+            match *read {
+                Shape::Signed => Ok(vec![self.decode(m)]),
+                Shape::Slots(0) => Ok(Vec::new()),
+                Shape::Slots(n) => match SlotLayout::side_band(n).unpack(&m) {
+                    // A side-band slot is 44 bits wide: its value fits.
+                    Ok(v) => Ok(v.values.into_iter().map(|x| x as i64).collect()),
+                    Err(e) => Err((n, e)),
+                },
+            }
+        };
+        let wave: Vec<(&&Ciphertext, &Shape)> = cts.iter().zip(pattern.iter().cycle()).collect();
+        let parts: Vec<Result<Vec<i64>, (usize, SlotError)>> = if wave.len() < 2 {
+            wave.into_iter().map(one).collect()
+        } else {
+            // One batched pass: the CRT contexts are already cached on
+            // the handle, so the whole wave fans across the worker pool
+            // with zero per-element setup. Order-preserving by the pool's
+            // contract, so results are bit-identical to the sequential
+            // map.
+            self.timed(KeyOpKind::BatchDecrypt, || wave.into_par_iter().map(one).collect())
+        };
+        let (mut values, mut refused) = (Vec::with_capacity(parts.len()), Vec::new());
+        for (i, part) in parts.into_iter().enumerate() {
+            match part {
+                Ok(v) => values.extend(v),
+                Err((n, e)) => {
+                    refused.push((i, e));
+                    values.extend(std::iter::repeat_n(0, n));
+                }
+            }
+        }
+        (values, refused)
     }
 
     fn verify_tags_batch(&self, tags: &[&Ciphertext], expected: &[i64]) -> bool {
@@ -782,9 +821,59 @@ mod tests {
         let plains: Vec<i64> = (-6i64..=6).map(|i| i * 1_000_003).collect();
         let cts: Vec<Ciphertext> = plains.iter().map(|&m| e.encrypt_i64(m)).collect();
         let refs: Vec<&Ciphertext> = cts.iter().collect();
-        assert_eq!(d.decrypt_i64_many(&refs), plains);
-        assert_eq!(d.decrypt_i64_many(&[]), Vec::<i64>::new());
-        assert_eq!(d.decrypt_i64_many(&refs[..1]), plains[..1]);
+        assert_eq!(d.decrypt_wave(&refs, &[Shape::Signed]), (plains.clone(), vec![]));
+        assert_eq!(d.decrypt_wave(&[], &[Shape::Signed]), (vec![], vec![]));
+        assert_eq!(d.decrypt_wave(&refs[..1], &[Shape::Signed]), (plains[..1].to_vec(), vec![]));
+    }
+
+    #[test]
+    fn slot_tuples_spill_greedily_and_add_slotwise() {
+        // 256-bit keys carry five slots: seven values spill to 5 + 2.
+        let kp = small_keys();
+        let (e, d) = (kp.encryptor(), kp.decryptor());
+        assert_eq!(e.slots_per_ct(), 5);
+        let a = [1u32, 2, 3, u32::MAX, 5, 6, 7];
+        let b = [10u32, 20, 30, u32::MAX, 50, 60, 70];
+        let (mut ca, mut cb) = (Vec::new(), Vec::new());
+        e.encrypt_slots(&a, &mut ca);
+        e.encrypt_slots(&b, &mut cb);
+        assert_eq!((ca.len(), cb.len()), (2, 2));
+        let sum: Vec<Ciphertext> =
+            ca.iter().zip(&cb).map(|(x, y)| e.rerandomize(&e.add(x, y))).collect();
+        let signed = e.encrypt_i64(-9);
+        // Two messages of one shape in one wave: the pattern repeats.
+        let pattern = [Shape::Slots(5), Shape::Signed, Shape::Slots(2)];
+        let wave = [&sum[0], &signed, &sum[1], &ca[0], &signed, &ca[1]];
+        let want = vec![
+            11,
+            22,
+            33,
+            2 * i64::from(u32::MAX),
+            55,
+            -9,
+            66,
+            77,
+            1,
+            2,
+            3,
+            i64::from(u32::MAX),
+            5,
+            -9,
+            6,
+            7,
+        ];
+        assert_eq!(d.decrypt_wave(&wave, &pattern), (want, vec![]));
+        // Read under the wrong width, or after a borrow, the same
+        // ciphertexts are listed with their error — zeros in their
+        // places, not a panic.
+        let borrowed = e.sub(&ca[1], &cb[1]);
+        assert_eq!(
+            d.decrypt_wave(&[&sum[0], &ca[1], &borrowed], &[Shape::Slots(2)]),
+            (
+                vec![0, 0, 6, 7, 0, 0],
+                vec![(0, SlotError::OutOfLayout), (2, SlotError::OutOfLayout)]
+            )
+        );
     }
 
     #[test]

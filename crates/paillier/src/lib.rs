@@ -12,9 +12,12 @@
 //! * [`slots`] — the paper's vectorization extension: packing a tuple of
 //!   bounded integers into a single plaintext such that homomorphic
 //!   addition acts slot-wise (`§4.2`, the `x₁N₁ + x₂N₂ + …` encoding).
-//! * [`oblivious`] — authenticated oblivious counters: multi-field
-//!   encrypted messages carrying the vote counter, the accounting `share`
-//!   field and the timestamp vector, bound together by a homomorphic
+//!   [`HomCipher::encrypt_slots`] / [`HomCipher::decrypt_wave`] are `E`
+//!   and `D` extended over such a tuple.
+//! * [`oblivious`] — authenticated oblivious counters: encrypted messages
+//!   carrying the signed vote counters standalone and the accounting
+//!   `share` field and timestamp vector packed into as few ciphertexts as
+//!   the cipher's plaintext carries, bound together by a homomorphic
 //!   authentication tag so a broker that knows neither key can still add
 //!   and rerandomize them but can neither read nor forge them (`§5.2`).
 //! * [`mock`] — a structurally identical plaintext cipher used for
@@ -49,7 +52,7 @@ pub use cipher::{Ciphertext, PaillierCtx};
 pub use keys::{Keypair, PrivateKey, PublicKey};
 pub use mock::{MockCipher, MockCt};
 pub use oblivious::{CounterMsg, ObliviousError, TagKey};
-pub use slots::{SlotLayout, SlotVector};
+pub use slots::{SlotError, SlotLayout, SlotVector};
 
 /// A ciphertext-space operation failed because an input was malformed.
 ///
@@ -79,6 +82,16 @@ impl std::fmt::Display for CipherError {
 
 impl std::error::Error for CipherError {}
 
+/// What the plaintext of one ciphertext of a [`HomCipher::decrypt_wave`]
+/// holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Shape {
+    /// One signed integer, as [`HomCipher::decrypt_i64`] reads it.
+    Signed,
+    /// The `n ≥ 1` slot values [`HomCipher::encrypt_slots`] packed.
+    Slots(usize),
+}
+
 /// The additively homomorphic probabilistic cipher abstraction.
 ///
 /// All protocol code in `gridmine-core` is generic over this trait, so the
@@ -86,7 +99,16 @@ impl std::error::Error for CipherError {}
 /// ([`PaillierCtx`] handles) and over the plaintext [`MockCipher`] used for
 /// paper-scale simulation. The trait surface maps one-to-one onto the
 /// primitives of §4.2: `E`, `D`, `A+`, `A−`, iterated `A+` (scalar
-/// multiplication) and rerandomization.
+/// multiplication) and rerandomization — and the section's closing
+/// extension of `E` and `D` "to work over a tuple of integers while
+/// keeping the homomorphic property for each single element":
+/// [`HomCipher::slots_per_ct`] is the tuple width `p` a plaintext of this
+/// cipher carries, [`HomCipher::encrypt_slots`] and
+/// [`HomCipher::decrypt_wave`] are `E` and `D` over it. The defaults are
+/// the width-1 instance (one ciphertext per value), which is all a cipher
+/// whose plaintext is a machine integer can offer; [`PaillierCtx`] packs
+/// as many [`slots`] as its modulus holds. Callers never choose a format:
+/// it is a function of the cipher's capacity alone.
 ///
 /// Role separation (who may call what) is enforced by the concrete handle
 /// types, not by the trait: a broker is handed a context without the
@@ -104,13 +126,54 @@ pub trait HomCipher: Clone + Send + Sync {
     /// decryption key.
     fn decrypt_i64(&self, c: &Self::Ct) -> i64;
 
-    /// Decrypt a whole wave of ciphertexts, in order. Semantically
-    /// identical to mapping [`HomCipher::decrypt_i64`]; implementations
-    /// with expensive per-call machinery override it to amortize — see
-    /// [`PaillierCtx`], which runs the wave in one pass over its cached
-    /// CRT contexts and fans the elements across the worker pool.
-    fn decrypt_i64_many(&self, cts: &[&Self::Ct]) -> Vec<i64> {
-        cts.iter().map(|c| self.decrypt_i64(c)).collect()
+    /// How many non-negative 32-bit values one ciphertext carries (the
+    /// tuple width of §4.2's vectorised `E`), at least one. Key-free:
+    /// brokers need it to know how many ciphertexts a well-formed counter
+    /// has.
+    fn slots_per_ct(&self) -> usize {
+        1
+    }
+
+    /// `E` over a tuple: appends to `out` the encryption of `values` in
+    /// `⌈len / slots_per_ct⌉` ciphertexts, filled greedily in order, on
+    /// which `A+` and rerandomization act slot-wise. A sum of such
+    /// tuples reads back exactly while every slot stays below 2⁴⁴.
+    fn encrypt_slots(&self, values: &[u32], out: &mut Vec<Self::Ct>) {
+        out.extend(values.iter().map(|&v| self.encrypt_i64(i64::from(v))));
+    }
+
+    /// `D` over a wave of ciphertexts: `cts[i]` holds what
+    /// `pattern[i % pattern.len()]` says — a wave is a run of same-shaped
+    /// messages. The values come back flat, in order: one per `Signed`,
+    /// `n` per `Slots(n)`. A plaintext that is not a tuple of `n` slot
+    /// values (negative, wider than its layout — whatever a hostile
+    /// broker aggregated) contributes `n` zeros and is listed, by its
+    /// index in `cts` and in order, with its [`SlotError`]; nothing
+    /// panics. Implementations with expensive per-call machinery override
+    /// it to amortize — see [`PaillierCtx`], which runs the wave in one
+    /// pass over its cached CRT contexts and fans the elements across the
+    /// worker pool.
+    fn decrypt_wave(
+        &self,
+        cts: &[&Self::Ct],
+        pattern: &[Shape],
+    ) -> (Vec<i64>, Vec<(usize, SlotError)>) {
+        let mut values = Vec::with_capacity(cts.len());
+        let mut refused = Vec::new();
+        for (i, (c, read)) in cts.iter().zip(pattern.iter().cycle()).enumerate() {
+            let m = self.decrypt_i64(c);
+            match *read {
+                Shape::Signed => values.push(m),
+                Shape::Slots(1) if (0..1i64 << slots::SIDE_SLOT_BITS).contains(&m) => {
+                    values.push(m)
+                }
+                Shape::Slots(n) => {
+                    refused.push((i, SlotError::OutOfLayout));
+                    values.extend(std::iter::repeat_n(0, n));
+                }
+            }
+        }
+        (values, refused)
     }
 
     /// Batched tag-relation check: `true` iff `D(tags[i]) == expected[i]`

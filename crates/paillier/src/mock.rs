@@ -103,8 +103,13 @@ impl HomCipher for MockCipher {
 
     fn ct_bytes(_c: &MockCt) -> usize {
         // What a real 1024-bit Paillier ciphertext would occupy on the
-        // wire (n² = 2048 bits), so mock simulations report deployment
-        // bandwidth.
+        // wire (n² = 2048 bits). The mock carries one value per
+        // ciphertext, so a simulation's byte totals model the per-field
+        // format: `6 + d` ciphertexts for a counter of degree `d`, tag
+        // included. A 1024-bit deployment packs the `3 + d` side-band
+        // values 23 to a ciphertext — four ciphertexts a counter at any
+        // degree up to 20 — so its bandwidth is the simulated figure
+        // times `4 / (6 + d)`.
         256
     }
 

@@ -1,9 +1,35 @@
 //! Authenticated oblivious counters — the message unit of §5.2.
 //!
 //! A [`CounterMsg`] is the encrypted tuple
-//! `⟨counter, share, T_⊥, T_v₁, …, T_v_d⟩_enc` from Algorithm 2. Every
-//! field is a ciphertext of the underlying [`HomCipher`]; the whole tuple
-//! is bound together by a **homomorphic authentication tag**.
+//! `⟨counter, share, T_⊥, T_v₁, …, T_v_d⟩_enc` from Algorithm 2, bound
+//! together by a **homomorphic authentication tag**.
+//!
+//! # Format
+//!
+//! §4.2 makes the oblivious counter *one* plaintext, "encoding
+//! (x₁,…,x_p) as x₁N₁ + x₂N₂ + … + x_p before encryption", so that a
+//! message costs one encryption and one decryption. That encoding has no
+//! room for a sign — a negative element borrows from its neighbour — and
+//! the vote counters are signed (Algorithm 1's padding sequence seals
+//! `s − 1`, negating transactions shrink both, and the broker's blinded
+//! `Δ` scalar-multiplies and subtracts them). So a message's leading
+//! *signed* fields travel as one ciphertext each, and everything after
+//! them — the non-negative side-band: resource count, share, timestamp
+//! vector — is sealed through [`HomCipher::encrypt_slots`] into as few
+//! ciphertexts as the cipher's plaintext carries
+//! ([`HomCipher::slots_per_ct`], greedy spill). At 512 bits that is one
+//! ciphertext for up to 11 side-band values; under [`crate::MockCipher`],
+//! whose plaintext is an `i64`, it is one per value — the same code, the
+//! capacity-1 instance. `A+`, rerandomization and the well-formedness
+//! screen act per ciphertext and never need to know which kind they hold.
+//!
+//! The tag is computed over the *logical* fields, so the relation
+//! `D(tag) = Σ sᵢ·mᵢ` is checked after unpacking and stays an exact
+//! equality: side-band sums are never reduced inside their slots (shares
+//! included — the controller reduces them into their field after the
+//! check, as it always did). A side-band plaintext that does not unpack
+//! is reported as [`ObliviousError::SideBand`] and convicts the broker
+//! exactly like a tag mismatch.
 //!
 //! # Why a tag instead of literal "encrypt-then-sign"
 //!
@@ -31,17 +57,21 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::HomCipher;
+use crate::slots::SlotError;
+use crate::{HomCipher, Shape};
 
-/// Errors surfaced by tag verification — each maps to a malicious-behaviour
-/// verdict in Algorithm 3.
+/// Errors surfaced by opening a counter — each maps to a
+/// malicious-behaviour verdict in Algorithm 3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ObliviousError {
     /// The tag relation `D(tag) = Σ sᵢ·D(fieldᵢ)` failed: the tuple was
     /// forged or spliced.
     TagMismatch,
-    /// Field count differs from the tag key arity.
+    /// The ciphertext count differs from what the tag key's arity takes
+    /// under this cipher's capacity.
     ArityMismatch { expected: usize, got: usize },
+    /// A side-band ciphertext does not hold a tuple of slot values.
+    SideBand(SlotError),
 }
 
 impl std::fmt::Display for ObliviousError {
@@ -51,8 +81,9 @@ impl std::fmt::Display for ObliviousError {
                 write!(f, "authentication tag mismatch (forged or spliced counter)")
             }
             ObliviousError::ArityMismatch { expected, got } => {
-                write!(f, "field arity mismatch: expected {expected}, got {got}")
+                write!(f, "ciphertext count mismatch: expected {expected}, got {got}")
             }
+            ObliviousError::SideBand(e) => write!(f, "side-band does not unpack: {e}"),
         }
     }
 }
@@ -85,25 +116,31 @@ impl TagKey {
         TagKey { coeffs }
     }
 
-    /// Number of fields this key covers.
+    /// Number of (logical) fields this key covers.
     pub fn arity(&self) -> usize {
         self.coeffs.len()
     }
 
-    /// The secret coefficient of field `i`, or `None` beyond the key's
-    /// arity (used by alternative wire formats that need individual
-    /// coefficients, e.g. for modular share slots).
-    pub fn coeff(&self, i: usize) -> Option<i64> {
-        self.coeffs.get(i).copied()
-    }
-
     /// Plaintext tag of a tuple: `Σ sᵢ·mᵢ` over however many fields both
     /// sides share (honest callers pass exactly `arity()` fields; arity
-    /// enforcement is the caller's door check).
+    /// enforcement is the caller's door check). Wrapping, so that the
+    /// 44-bit slot values a hostile broker can aggregate compare unequal
+    /// instead of overflowing.
     pub fn tag_plain(&self, fields: &[i64]) -> i64 {
         debug_assert_eq!(fields.len(), self.coeffs.len());
-        self.coeffs.iter().zip(fields).map(|(c, m)| c * m).sum()
+        self.tag_of(fields.iter().copied())
     }
+
+    fn tag_of(&self, fields: impl Iterator<Item = i64>) -> i64 {
+        self.coeffs.iter().zip(fields).fold(0i64, |t, (c, m)| t.wrapping_add(c.wrapping_mul(m)))
+    }
+}
+
+/// The shapes of the ciphertexts of a message with `signed` leading
+/// signed fields and `side` side-band values, `cap` slots to a ciphertext.
+fn shapes(signed: usize, side: usize, cap: usize) -> impl Iterator<Item = Shape> {
+    let packed = (0..side).step_by(cap).map(move |at| Shape::Slots(cap.min(side - at)));
+    std::iter::repeat_n(Shape::Signed, signed).chain(packed)
 }
 
 /// An authenticated encrypted tuple: the wire format of every
@@ -111,10 +148,11 @@ impl TagKey {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 #[serde(bound(serialize = "C::Ct: Serialize", deserialize = "C::Ct: Deserialize<'de>"))]
 pub struct CounterMsg<C: HomCipher> {
-    /// Ciphertexts of the tuple fields, in protocol order
-    /// (`value, share, T_⊥, T_v₁ … T_v_d`).
+    /// Ciphertexts of the tuple: the signed fields in protocol order,
+    /// then the packed side-band (see the module docs).
     pub fields: Vec<C::Ct>,
-    /// Homomorphic authentication tag: encryption of `Σ sᵢ·mᵢ`.
+    /// Homomorphic authentication tag: encryption of `Σ sᵢ·mᵢ` over the
+    /// logical fields.
     pub tag: C::Ct,
 }
 
@@ -125,34 +163,47 @@ impl<C: HomCipher> PartialEq for CounterMsg<C> {
 }
 
 impl<C: HomCipher> CounterMsg<C> {
-    /// Accountant-side construction: encrypt each field and the tag.
-    pub fn seal(cipher: &C, key: &TagKey, fields: &[i64]) -> Self {
-        assert_eq!(fields.len(), key.arity(), "field count must match tag key arity");
-        let cts = fields.iter().map(|&m| cipher.encrypt_i64(m)).collect();
-        let tag = cipher.encrypt_i64(key.tag_plain(fields));
-        CounterMsg { fields: cts, tag }
+    /// Accountant-side construction: one ciphertext per `signed` field,
+    /// the `side` band packed, and the tag over all of them in that
+    /// order. Total: a `u32` fits its slot by type.
+    pub fn seal(cipher: &C, key: &TagKey, signed: &[i64], side: &[u32]) -> Self {
+        assert_eq!(signed.len() + side.len(), key.arity(), "field count must match tag key arity");
+        let mut fields: Vec<C::Ct> =
+            Vec::with_capacity(Self::ct_count(cipher, signed.len(), side.len()));
+        fields.extend(signed.iter().map(|&m| cipher.encrypt_i64(m)));
+        cipher.encrypt_slots(side, &mut fields);
+        let logical = signed.iter().copied().chain(side.iter().map(|&v| i64::from(v)));
+        CounterMsg { fields, tag: cipher.encrypt_i64(key.tag_of(logical)) }
     }
 
-    /// Number of fields.
-    pub fn arity(&self) -> usize {
-        self.fields.len()
+    /// Ciphertexts (the tag aside) a message of `signed` signed fields
+    /// and `side` side-band values has under `cipher`. Key-free: the
+    /// broker's door screen compares against it.
+    pub fn ct_count(cipher: &C, signed: usize, side: usize) -> usize {
+        signed + side.div_ceil(cipher.slots_per_ct())
     }
 
-    /// Key-free component-wise addition (the broker's aggregation step).
+    /// Key-free ciphertext-wise addition (the broker's aggregation step).
     pub fn add(&self, cipher: &C, other: &Self) -> Self {
-        assert_eq!(self.arity(), other.arity(), "cannot add tuples of different arity");
+        assert_eq!(self.fields.len(), other.fields.len(), "cannot add tuples of different shape");
         let fields = self.fields.iter().zip(&other.fields).map(|(a, b)| cipher.add(a, b)).collect();
         CounterMsg { fields, tag: cipher.add(&self.tag, &other.tag) }
     }
 
-    /// Key-free component-wise subtraction.
+    /// Key-free ciphertext-wise subtraction. The side-band is unsigned:
+    /// a difference with a negative slot no longer opens.
     pub fn sub(&self, cipher: &C, other: &Self) -> Self {
-        assert_eq!(self.arity(), other.arity(), "cannot subtract tuples of different arity");
+        assert_eq!(
+            self.fields.len(),
+            other.fields.len(),
+            "cannot subtract tuples of different shape"
+        );
         let fields = self.fields.iter().zip(&other.fields).map(|(a, b)| cipher.sub(a, b)).collect();
         CounterMsg { fields, tag: cipher.sub(&self.tag, &other.tag) }
     }
 
-    /// Key-free scalar multiplication (iterated `A+`).
+    /// Key-free scalar multiplication (iterated `A+`); like
+    /// [`CounterMsg::sub`], only a non-negative side-band opens.
     pub fn scalar(&self, cipher: &C, m: i64) -> Self {
         let fields = self.fields.iter().map(|c| cipher.scalar(m, c)).collect();
         CounterMsg { fields, tag: cipher.scalar(m, &self.tag) }
@@ -167,24 +218,33 @@ impl<C: HomCipher> CounterMsg<C> {
     }
 
     /// A sealed all-zero tuple (additive identity with a *valid* tag).
-    pub fn zeros(cipher: &C, key: &TagKey) -> Self {
-        Self::seal(cipher, key, &vec![0i64; key.arity()])
+    pub fn zeros(cipher: &C, key: &TagKey, signed: usize) -> Self {
+        Self::seal(cipher, key, &vec![0; signed], &vec![0; key.arity().saturating_sub(signed)])
     }
 
-    /// Controller-side: verify the tag and decrypt all fields.
+    /// Controller-side: verify the tag and decrypt all fields of a
+    /// message sealed with `signed` leading signed fields.
     ///
-    /// Returns the plaintext tuple or the malicious-behaviour error the
-    /// controller must broadcast (Algorithm 3). Field decryption goes
-    /// through [`HomCipher::decrypt_i64_many`], so even a single open
-    /// fans its tuple across the worker pool.
-    pub fn open(&self, cipher: &C, key: &TagKey) -> Result<Vec<i64>, ObliviousError> {
-        if self.arity() != key.arity() {
-            return Err(ObliviousError::ArityMismatch { expected: key.arity(), got: self.arity() });
+    /// Returns the logical plaintext tuple or the malicious-behaviour
+    /// error the controller must broadcast (Algorithm 3).
+    pub fn open(
+        &self,
+        cipher: &C,
+        key: &TagKey,
+        signed: usize,
+    ) -> Result<Vec<i64>, ObliviousError> {
+        let pattern: Vec<Shape> =
+            shapes(signed, key.arity().saturating_sub(signed), cipher.slots_per_ct()).collect();
+        let (expected, got) = (pattern.len(), self.fields.len());
+        if expected != got {
+            return Err(ObliviousError::ArityMismatch { expected, got });
         }
-        let refs: Vec<&C::Ct> = self.fields.iter().collect();
-        let fields = cipher.decrypt_i64_many(&refs);
-        let tag = cipher.decrypt_i64(&self.tag);
-        if tag != key.tag_plain(&fields) {
+        let cts: Vec<&C::Ct> = self.fields.iter().collect();
+        let (fields, refused) = cipher.decrypt_wave(&cts, &pattern);
+        if let Some(&(_, e)) = refused.first() {
+            return Err(ObliviousError::SideBand(e));
+        }
+        if !cipher.verify_tags_batch(&[&self.tag], &[key.tag_plain(&fields)]) {
             return Err(ObliviousError::TagMismatch);
         }
         Ok(fields)
@@ -193,45 +253,67 @@ impl<C: HomCipher> CounterMsg<C> {
     /// Controller-side batch opening: decrypt a whole wave of tuples
     /// sealed under one key in a single pass.
     ///
-    /// All fields of all conforming tuples decrypt through one
-    /// [`HomCipher::decrypt_i64_many`] call and all tags verify through
-    /// one [`HomCipher::verify_tags_batch`] check; only when that
-    /// combined check fails does each tuple re-verify alone, so blame
-    /// lands on exactly the forged ones. Results align with `msgs`.
+    /// All ciphertexts of all conforming tuples decrypt through one
+    /// [`HomCipher::decrypt_wave`] call and all tags verify through one
+    /// [`HomCipher::verify_tags_batch`] check; only when that combined
+    /// check fails does each tuple re-verify alone, so blame lands on
+    /// exactly the forged ones. Results align with `msgs`.
     pub fn open_many(
         cipher: &C,
         key: &TagKey,
+        signed: usize,
         msgs: &[&Self],
     ) -> Vec<Result<Vec<i64>, ObliviousError>> {
-        // Arity screen: hostile tuples drop out before the batch.
-        let screened: Vec<Option<&Self>> =
-            msgs.iter().map(|m| (m.arity() == key.arity()).then_some(*m)).collect();
-        let field_refs: Vec<&C::Ct> =
-            screened.iter().flatten().flat_map(|m| m.fields.iter()).collect();
-        let mut plains = cipher.decrypt_i64_many(&field_refs).into_iter();
-        let opened: Vec<Option<Vec<i64>>> =
-            screened.iter().map(|m| m.map(|m| plains.by_ref().take(m.arity()).collect())).collect();
-        let tag_refs: Vec<&C::Ct> = screened.iter().flatten().map(|m| &m.tag).collect();
-        let expected: Vec<i64> =
-            opened.iter().flatten().map(|fields| key.tag_plain(fields)).collect();
-        let wave_ok = cipher.verify_tags_batch(&tag_refs, &expected);
-        msgs.iter()
-            .zip(opened)
-            .map(|(m, fields)| match fields {
-                Some(fields) => {
-                    let ok =
-                        wave_ok || cipher.verify_tags_batch(&[&m.tag], &[key.tag_plain(&fields)]);
-                    if ok {
-                        Ok(fields)
-                    } else {
-                        Err(ObliviousError::TagMismatch)
-                    }
+        let arity = key.arity();
+        let pattern: Vec<Shape> =
+            shapes(signed, arity.saturating_sub(signed), cipher.slots_per_ct()).collect();
+        // Shape screen: hostile tuples drop out before the batch.
+        let shaped = |m: &Self| m.fields.len() == pattern.len();
+        let cts: Vec<&C::Ct> =
+            msgs.iter().filter(|m| shaped(m)).flat_map(|m| m.fields.iter()).collect();
+        let (plains, refused) = cipher.decrypt_wave(&cts, &pattern);
+        // One tuple of plaintexts, and one run of ciphertext indices, per
+        // shaped message, in order.
+        let mut tuples = plains.chunks(arity);
+        let mut refused = refused.into_iter().peekable();
+        let mut cts_seen = 0;
+        let mut opened: Vec<Result<Vec<i64>, ObliviousError>> = Vec::with_capacity(msgs.len());
+        for m in msgs {
+            if !shaped(m) {
+                let (expected, got) = (pattern.len(), m.fields.len());
+                opened.push(Err(ObliviousError::ArityMismatch { expected, got }));
+                continue;
+            }
+            cts_seen += pattern.len();
+            let tuple = tuples.next().unwrap_or_default();
+            let mut why = None;
+            while let Some((_, e)) = refused.next_if(|&(at, _)| at < cts_seen) {
+                why.get_or_insert(e);
+            }
+            opened.push(match why {
+                Some(e) => Err(ObliviousError::SideBand(e)),
+                None => Ok(tuple.to_vec()),
+            });
+        }
+        // Tags of the tuples that unpacked, against what their fields say.
+        let mut tags: Vec<&C::Ct> = Vec::with_capacity(msgs.len());
+        let mut expected: Vec<i64> = Vec::with_capacity(msgs.len());
+        for (m, fields) in msgs.iter().zip(&opened) {
+            if let Ok(fields) = fields {
+                tags.push(&m.tag);
+                expected.push(key.tag_plain(fields));
+            }
+        }
+        if !cipher.verify_tags_batch(&tags, &expected) {
+            for (m, o) in msgs.iter().zip(opened.iter_mut()) {
+                let forged = matches!(o, Ok(fields)
+                    if !cipher.verify_tags_batch(&[&m.tag], &[key.tag_plain(fields)]));
+                if forged {
+                    *o = Err(ObliviousError::TagMismatch);
                 }
-                None => {
-                    Err(ObliviousError::ArityMismatch { expected: key.arity(), got: m.arity() })
-                }
-            })
-            .collect()
+            }
+        }
+        opened
     }
 }
 
@@ -240,44 +322,60 @@ mod tests {
     use super::*;
     use crate::{Keypair, MockCipher, PaillierCtx};
 
+    /// 256-bit keys carry five slots, so the two side-band values of
+    /// these 2 + 2 tuples share one ciphertext: three plus the tag.
     fn setup() -> (PaillierCtx, PaillierCtx, TagKey) {
         let kp = Keypair::generate_with_seed(256, 0xBEEF);
         (kp.encryptor(), kp.decryptor(), TagKey::derive(4, 7))
     }
 
+    fn side(e: &PaillierCtx, values: &[u32]) -> crate::Ciphertext {
+        let mut out = Vec::new();
+        e.encrypt_slots(values, &mut out);
+        out.pop().unwrap()
+    }
+
     #[test]
     fn seal_open_roundtrip() {
         let (e, d, key) = setup();
-        let msg = CounterMsg::seal(&e, &key, &[5, 1, 100, 0]);
-        assert_eq!(msg.open(&d, &key).unwrap(), vec![5, 1, 100, 0]);
+        let msg = CounterMsg::seal(&e, &key, &[5, -1], &[100, 0]);
+        assert_eq!(msg.fields.len(), 3);
+        assert_eq!(msg.open(&d, &key, 2).unwrap(), vec![5, -1, 100, 0]);
     }
 
     #[test]
     fn addition_preserves_tag() {
         let (e, d, key) = setup();
-        let a = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
-        let b = CounterMsg::seal(&e, &key, &[2, 0, 1, 9]);
+        let a = CounterMsg::seal(&e, &key, &[5, 1], &[3, 0]);
+        let b = CounterMsg::seal(&e, &key, &[2, 0], &[1, 9]);
         let sum = a.add(&e, &b);
-        assert_eq!(sum.open(&d, &key).unwrap(), vec![7, 1, 4, 9]);
+        assert_eq!(sum.open(&d, &key, 2).unwrap(), vec![7, 1, 4, 9]);
     }
 
     #[test]
     fn subtraction_and_scalar_preserve_tag() {
         let (e, d, key) = setup();
-        let a = CounterMsg::seal(&e, &key, &[10, 2, 4, 4]);
-        let b = CounterMsg::seal(&e, &key, &[3, 1, 1, 1]);
-        assert_eq!(a.sub(&e, &b).open(&d, &key).unwrap(), vec![7, 1, 3, 3]);
-        assert_eq!(a.scalar(&e, 3).open(&d, &key).unwrap(), vec![30, 6, 12, 12]);
-        assert_eq!(a.scalar(&e, -1).open(&d, &key).unwrap(), vec![-10, -2, -4, -4]);
+        let a = CounterMsg::seal(&e, &key, &[10, 2], &[4, 4]);
+        let b = CounterMsg::seal(&e, &key, &[3, 1], &[1, 1]);
+        assert_eq!(a.sub(&e, &b).open(&d, &key, 2).unwrap(), vec![7, 1, 3, 3]);
+        assert_eq!(a.scalar(&e, 3).open(&d, &key, 2).unwrap(), vec![30, 6, 12, 12]);
+        // The signed fields take any sign; a side-band slot driven below
+        // zero borrows from its neighbour and no longer opens.
+        assert_eq!(
+            b.sub(&e, &a).open(&d, &key, 2),
+            Err(ObliviousError::SideBand(SlotError::OutOfLayout))
+        );
+        let heads = CounterMsg::seal(&e, &key, &[10, 2], &[0, 0]);
+        assert_eq!(heads.scalar(&e, -1).open(&d, &key, 2).unwrap(), vec![-10, -2, 0, 0]);
     }
 
     #[test]
     fn rerandomization_is_transparent_but_unlinkable() {
         let (e, d, key) = setup();
-        let a = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
+        let a = CounterMsg::seal(&e, &key, &[5, 1], &[3, 0]);
         let r = a.rerandomize(&e);
         assert_ne!(a, r);
-        assert_eq!(r.open(&d, &key).unwrap(), vec![5, 1, 3, 0]);
+        assert_eq!(r.open(&d, &key, 2).unwrap(), vec![5, 1, 3, 0]);
     }
 
     #[test]
@@ -286,38 +384,46 @@ mod tests {
         // A broker without the tag key encrypts values itself (Paillier is
         // public-key, so it *can* encrypt) — but cannot produce the tag.
         let forged = CounterMsg {
-            fields: vec![e.encrypt_i64(999), e.encrypt_i64(1), e.encrypt_i64(0), e.encrypt_i64(0)],
+            fields: vec![e.encrypt_i64(999), e.encrypt_i64(1), side(&e, &[0, 0])],
             tag: e.encrypt_i64(12345),
         };
-        assert_eq!(forged.open(&d, &key), Err(ObliviousError::TagMismatch));
+        assert_eq!(forged.open(&d, &key, 2), Err(ObliviousError::TagMismatch));
+    }
+
+    #[test]
+    fn forged_side_band_detected() {
+        let (e, d, key) = setup();
+        let honest = CounterMsg::seal(&e, &key, &[5, 8], &[7, 2]);
+        // Re-packed with one slot altered, under the honest tag.
+        let mut forged = honest.clone();
+        forged.fields[2] = side(&e, &[7, 3]);
+        assert_eq!(forged.open(&d, &key, 2), Err(ObliviousError::TagMismatch));
+        // A plaintext that is no tuple of two slots at all.
+        forged.fields[2] = side(&e, &[1, 7, 2]);
+        assert_eq!(forged.open(&d, &key, 2), Err(ObliviousError::SideBand(SlotError::OutOfLayout)));
     }
 
     #[test]
     fn spliced_fields_detected() {
         let (e, d, key) = setup();
-        let a = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
-        let b = CounterMsg::seal(&e, &key, &[9, 1, 7, 2]);
+        let a = CounterMsg::seal(&e, &key, &[5, 1], &[3, 0]);
+        let b = CounterMsg::seal(&e, &key, &[9, 1], &[7, 2]);
         // Mix a's counter with b's remaining fields and b's tag.
         let spliced = CounterMsg {
-            fields: vec![
-                a.fields[0].clone(),
-                b.fields[1].clone(),
-                b.fields[2].clone(),
-                b.fields[3].clone(),
-            ],
+            fields: vec![a.fields[0].clone(), b.fields[1].clone(), b.fields[2].clone()],
             tag: b.tag.clone(),
         };
-        assert_eq!(spliced.open(&d, &key), Err(ObliviousError::TagMismatch));
+        assert_eq!(spliced.open(&d, &key, 2), Err(ObliviousError::TagMismatch));
     }
 
     #[test]
     fn arity_mismatch_detected() {
         let (e, d, key) = setup();
-        let a = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
-        let truncated = CounterMsg { fields: a.fields[..3].to_vec(), tag: a.tag.clone() };
+        let a = CounterMsg::seal(&e, &key, &[5, 1], &[3, 0]);
+        let truncated = CounterMsg { fields: a.fields[..2].to_vec(), tag: a.tag.clone() };
         assert_eq!(
-            truncated.open(&d, &key),
-            Err(ObliviousError::ArityMismatch { expected: 4, got: 3 })
+            truncated.open(&d, &key, 2),
+            Err(ObliviousError::ArityMismatch { expected: 3, got: 2 })
         );
     }
 
@@ -325,52 +431,81 @@ mod tests {
     fn works_identically_over_mock_cipher() {
         let mock = MockCipher::new(11);
         let key = TagKey::derive(3, 5);
-        let a = CounterMsg::seal(&mock, &key, &[4, 1, 2]);
-        let b = CounterMsg::seal(&mock, &key, &[6, 0, 3]);
-        assert_eq!(a.add(&mock, &b).open(&mock, &key).unwrap(), vec![10, 1, 5]);
+        let a = CounterMsg::seal(&mock, &key, &[4, 1], &[2]);
+        let b = CounterMsg::seal(&mock, &key, &[6, 0], &[3]);
+        // Capacity one: a ciphertext per value, as it always was.
+        assert_eq!(a.fields.len(), 3);
+        assert_eq!(a.add(&mock, &b).open(&mock, &key, 2).unwrap(), vec![10, 1, 5]);
         let forged = CounterMsg { fields: a.fields.clone(), tag: mock.encrypt_i64(0) };
-        assert_eq!(forged.open(&mock, &key), Err(ObliviousError::TagMismatch));
+        assert_eq!(forged.open(&mock, &key, 2), Err(ObliviousError::TagMismatch));
+        // The side-band is unsigned under the mock too.
+        assert_eq!(
+            a.sub(&mock, &b).open(&mock, &key, 2),
+            Err(ObliviousError::SideBand(SlotError::OutOfLayout))
+        );
+    }
+
+    #[test]
+    fn side_band_spills_by_capacity_and_guard_bits_absorb_additions() {
+        let (e, d, _) = setup();
+        // 2 signed + 7 side-band values at five slots a ciphertext.
+        let key = TagKey::derive(9, 3);
+        assert_eq!(CounterMsg::ct_count(&e, 2, 7), 4);
+        let one = CounterMsg::seal(&e, &key, &[-3, 40], &[u32::MAX, 1, 2, 3, 4, 5, u32::MAX]);
+        assert_eq!(one.fields.len(), 4);
+        let mut acc = one.clone();
+        for _ in 1..64 {
+            acc = acc.add(&e, &one);
+        }
+        let top = 64 * i64::from(u32::MAX);
+        assert_eq!(
+            acc.rerandomize(&e).open(&d, &key, 2).unwrap(),
+            vec![-192, 2560, top, 64, 128, 192, 256, 320, top]
+        );
     }
 
     #[test]
     fn open_many_opens_an_honest_wave_in_one_pass() {
         let (e, d, key) = setup();
-        let a = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
-        let b = CounterMsg::seal(&e, &key, &[2, 0, 1, 9]);
+        let a = CounterMsg::seal(&e, &key, &[5, 1], &[3, 0]);
+        let b = CounterMsg::seal(&e, &key, &[2, 0], &[1, 9]);
         let c = a.add(&e, &b);
-        let opened = CounterMsg::open_many(&d, &key, &[&a, &b, &c]);
+        let opened = CounterMsg::open_many(&d, &key, 2, &[&a, &b, &c]);
         assert_eq!(opened, vec![Ok(vec![5, 1, 3, 0]), Ok(vec![2, 0, 1, 9]), Ok(vec![7, 1, 4, 9])]);
     }
 
     #[test]
     fn open_many_blames_exactly_the_forged_tuple() {
         let (e, d, key) = setup();
-        let good = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
+        let good = CounterMsg::seal(&e, &key, &[5, 1], &[3, 0]);
         let forged = CounterMsg { fields: good.fields.clone(), tag: e.encrypt_i64(4242) };
         let short = CounterMsg { fields: good.fields[..2].to_vec(), tag: good.tag.clone() };
-        let opened = CounterMsg::open_many(&d, &key, &[&good, &forged, &short]);
-        assert_eq!(opened.len(), 3);
+        let mut wide = good.clone();
+        wide.fields[2] = side(&e, &[1, 3, 0]);
+        let opened = CounterMsg::open_many(&d, &key, 2, &[&good, &forged, &short, &wide]);
+        assert_eq!(opened.len(), 4);
         assert_eq!(opened[0], Ok(vec![5, 1, 3, 0]), "honest tuple survives the bad company");
         assert_eq!(opened[1], Err(ObliviousError::TagMismatch));
-        assert_eq!(opened[2], Err(ObliviousError::ArityMismatch { expected: 4, got: 2 }));
-        assert_eq!(CounterMsg::open_many(&d, &key, &[]), vec![]);
+        assert_eq!(opened[2], Err(ObliviousError::ArityMismatch { expected: 3, got: 2 }));
+        assert_eq!(opened[3], Err(ObliviousError::SideBand(SlotError::OutOfLayout)));
+        assert_eq!(CounterMsg::open_many(&d, &key, 2, &[]), vec![]);
     }
 
     #[test]
     fn open_many_works_over_mock_cipher() {
         let mock = MockCipher::new(11);
         let key = TagKey::derive(3, 5);
-        let a = CounterMsg::seal(&mock, &key, &[4, 1, 2]);
+        let a = CounterMsg::seal(&mock, &key, &[4, 1], &[2]);
         let forged = CounterMsg { fields: a.fields.clone(), tag: mock.encrypt_i64(0) };
-        let opened = CounterMsg::open_many(&mock, &key, &[&a, &forged]);
+        let opened = CounterMsg::open_many(&mock, &key, 2, &[&a, &forged]);
         assert_eq!(opened, vec![Ok(vec![4, 1, 2]), Err(ObliviousError::TagMismatch)]);
     }
 
     #[test]
     fn zeros_is_additive_identity() {
         let (e, d, key) = setup();
-        let z = CounterMsg::zeros(&e, &key);
-        let a = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
-        assert_eq!(a.add(&e, &z).open(&d, &key).unwrap(), vec![5, 1, 3, 0]);
+        let z = CounterMsg::zeros(&e, &key, 2);
+        let a = CounterMsg::seal(&e, &key, &[5, 1], &[3, 0]);
+        assert_eq!(a.add(&e, &z).open(&d, &key, 2).unwrap(), vec![5, 1, 3, 0]);
     }
 }

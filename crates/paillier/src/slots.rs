@@ -13,14 +13,74 @@
 //! number of additions it can absorb before overflow is
 //! `2^(width - capacity)`.
 //!
-//! One slot may be declared *modular* (the accounting `share` field of
-//! §5.2): its values are decoded modulo `2^capacity`, so random shares that
-//! intentionally wrap around stay meaningful while their carries die in the
-//! guard bits.
+//! One slot may be declared *modular*: its values are decoded modulo
+//! `2^capacity`, so a field that intentionally wraps around stays
+//! meaningful while its carries die in the guard bits.
+//!
+//! The product counter (`gridmine_paillier::oblivious`) packs its
+//! non-negative side-band — `num`, `share` and the timestamp vector —
+//! through [`SlotLayout::side_band`]: uniform [`SIDE_SLOT_BITS`]-bit slots
+//! holding [`SIDE_VALUE_BITS`]-bit values, as many per ciphertext as
+//! [`side_band_capacity`] says the plaintext modulus carries. Its shares
+//! stay in their prime field and are *not* a modular slot: the un-reduced
+//! running sum sits in the guard bits, so the authentication tag stays an
+//! exact equality over the unpacked values.
+//!
+//! What [`SlotLayout::unpack`] is handed on the controller's side is
+//! whatever a broker chose to aggregate, so both directions are total:
+//! a value that does not fit its slot, a plaintext wider than the layout
+//! (what a borrow from `A−` or a foreign plaintext decrypts to) and a
+//! breached guard are a [`SlotError`], never a panic.
 
 use num_bigint::BigUint;
-use num_traits::Zero;
+use num_traits::{ToPrimitive, Zero};
 use serde::{Deserialize, Serialize};
+
+/// Width of one side-band slot of the product counter.
+pub const SIDE_SLOT_BITS: u32 = 44;
+/// Bits a *sealed* side-band value may occupy (they are `u32`s); the
+/// other 12 bits of the slot absorb 4096 homomorphic additions.
+pub const SIDE_VALUE_BITS: u32 = 32;
+
+/// Side-band slots one plaintext of an `n_bits`-bit modulus carries. Two
+/// bits stay clear, so every packed value is below `n/2` and anything
+/// negative (`n − x`) reads as wider than its layout.
+pub fn side_band_capacity(n_bits: u64) -> usize {
+    (n_bits.saturating_sub(2) / u64::from(SIDE_SLOT_BITS)) as usize
+}
+
+/// Why a value vector did not pack, or a plaintext did not unpack.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SlotError {
+    /// The value count differs from the layout's slot count.
+    CountMismatch { expected: usize, got: usize },
+    /// A non-modular value exceeds its slot's capacity (packing only).
+    ValueTooWide { slot: usize },
+    /// A slot wider than 64 bits holds more than a `u64`: its guard bits
+    /// were breached.
+    GuardBreached { slot: usize },
+    /// The plaintext has bits above the layout's total width — a borrow
+    /// out of the top slot, or a plaintext that was never packed under
+    /// this layout.
+    OutOfLayout,
+}
+
+impl std::fmt::Display for SlotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SlotError::CountMismatch { expected, got } => {
+                write!(f, "slot count mismatch: layout has {expected}, got {got} values")
+            }
+            SlotError::ValueTooWide { slot } => {
+                write!(f, "value exceeds the capacity of slot {slot}")
+            }
+            SlotError::GuardBreached { slot } => write!(f, "slot {slot} overflowed its guard bits"),
+            SlotError::OutOfLayout => write!(f, "plaintext wider than its slot layout"),
+        }
+    }
+}
+
+impl std::error::Error for SlotError {}
 
 /// Static description of one packed slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -30,8 +90,8 @@ pub struct Slot {
     /// Bits a *single* stored value may occupy; `width - capacity` guard
     /// bits absorb addition growth.
     pub capacity: u32,
-    /// If true the slot decodes modulo `2^capacity` (wrap-around semantics,
-    /// used for the share field).
+    /// If true the slot decodes modulo `2^capacity` (wrap-around
+    /// semantics).
     pub modular: bool,
 }
 
@@ -44,6 +104,11 @@ impl Slot {
     /// A modular (wrap-around) slot.
     pub fn modular(width: u32, capacity: u32) -> Self {
         Slot { width, capacity, modular: true }
+    }
+
+    /// `2^capacity − 1` (capacities are at most 63 bits).
+    fn value_mask(&self) -> u64 {
+        (1u64 << self.capacity) - 1
     }
 }
 
@@ -78,23 +143,10 @@ impl SlotLayout {
         SlotLayout { slots, total_bits }
     }
 
-    /// The protocol layout from §5.2: one vote counter, one modular share
-    /// slot, and `1 + degree` timestamp slots (`T_⊥, T_v₁ … T_v_d`).
-    ///
-    /// `headroom_adds` is the number of homomorphic additions the layout
-    /// must survive without carries (log2, rounded up, becomes guard bits).
-    pub fn protocol(degree: usize, headroom_adds: u64) -> Self {
-        let guard = (64 - headroom_adds.leading_zeros()).max(4);
-        let mut slots = Vec::with_capacity(2 + 1 + degree);
-        // Vote counter: up to 2^40 transactions, plus guard.
-        slots.push(Slot::counter(40 + guard, 40));
-        // Share: 32-bit modular field.
-        slots.push(Slot::modular(32 + guard, 32));
-        // Timestamps: 32-bit logical clocks.
-        for _ in 0..=degree {
-            slots.push(Slot::counter(32 + guard, 32));
-        }
-        SlotLayout::new(slots)
+    /// The layout of one side-band ciphertext of the product counter:
+    /// `n ≥ 1` uniform slots (see the module docs).
+    pub fn side_band(n: usize) -> Self {
+        SlotLayout::new(vec![Slot::counter(SIDE_SLOT_BITS, SIDE_VALUE_BITS); n])
     }
 
     /// Number of slots.
@@ -118,49 +170,46 @@ impl SlotLayout {
         &self.slots
     }
 
-    /// Packs a vector of slot values into a single integer.
-    ///
-    /// # Panics
-    /// Panics if the value count mismatches the layout or a non-modular
-    /// value exceeds its slot capacity. Modular slots are reduced.
-    pub fn pack(&self, values: &[u64]) -> BigUint {
-        assert_eq!(values.len(), self.slots.len(), "value/slot count mismatch");
+    /// Packs a vector of slot values into a single integer. Modular
+    /// slots are reduced; a value count that mismatches the layout or a
+    /// non-modular value above its slot capacity is refused.
+    pub fn pack(&self, values: &[u64]) -> Result<BigUint, SlotError> {
+        if values.len() != self.slots.len() {
+            return Err(SlotError::CountMismatch { expected: self.slots.len(), got: values.len() });
+        }
         let mut acc = BigUint::zero();
-        for (slot, &v) in self.slots.iter().zip(values) {
+        for (i, (slot, &v)) in self.slots.iter().zip(values).enumerate() {
             let v = if slot.modular {
-                v & ((1u64 << slot.capacity) - 1)
+                v & slot.value_mask()
+            } else if v > slot.value_mask() {
+                return Err(SlotError::ValueTooWide { slot: i });
             } else {
-                assert!(
-                    v < (1u64 << slot.capacity),
-                    "value {v} exceeds slot capacity {} bits",
-                    slot.capacity
-                );
                 v
             };
             acc <<= slot.width;
             acc += BigUint::from(v);
         }
-        acc
+        Ok(acc)
     }
 
     /// Unpacks an integer into slot values, applying modular reduction to
-    /// modular slots and asserting the others never overflowed their width.
-    pub fn unpack(&self, packed: &BigUint) -> SlotVector {
-        use num_traits::ToPrimitive;
+    /// modular slots. Values may have grown into their guard bits; what
+    /// cannot be read back — a slot holding more than a `u64`, bits above
+    /// the layout — is a [`SlotError`].
+    pub fn unpack(&self, packed: &BigUint) -> Result<SlotVector, SlotError> {
+        if packed.bits() > self.total_bits {
+            return Err(SlotError::OutOfLayout);
+        }
         let mut rest = packed.clone();
-        let mut values = vec![0u64; self.slots.len()];
+        let mut values = Vec::with_capacity(self.slots.len());
         for (i, slot) in self.slots.iter().enumerate().rev() {
             let mask = (BigUint::from(1u8) << slot.width) - 1u8;
-            let raw = (&rest & &mask).to_u64().unwrap_or_else(|| {
-                // width can be up to 128; overflow beyond u64 means the guard
-                // bits were breached.
-                panic!("slot {i} overflowed its width")
-            });
-            values[i] = if slot.modular { raw & ((1u64 << slot.capacity) - 1) } else { raw };
+            let raw = (&rest & &mask).to_u64().ok_or(SlotError::GuardBreached { slot: i })?;
+            values.push(if slot.modular { raw & slot.value_mask() } else { raw });
             rest >>= slot.width;
         }
-        assert!(rest.is_zero(), "packed value wider than layout");
-        SlotVector { values }
+        values.reverse();
+        Ok(SlotVector { values })
     }
 
     /// Slot-wise sum of plain vectors — the reference semantics that
@@ -170,15 +219,7 @@ impl SlotLayout {
             .slots
             .iter()
             .zip(a.values.iter().zip(&b.values))
-            .map(
-                |(slot, (&x, &y))| {
-                    if slot.modular {
-                        (x + y) & ((1u64 << slot.capacity) - 1)
-                    } else {
-                        x + y
-                    }
-                },
-            )
+            .map(|(slot, (&x, &y))| if slot.modular { (x + y) & slot.value_mask() } else { x + y })
             .collect();
         SlotVector { values }
     }
@@ -202,30 +243,31 @@ mod tests {
     fn pack_unpack_roundtrip() {
         let l = layout();
         let vals = [123_456u64, 0xDEAD_BEEF, 7, 0];
-        let packed = l.pack(&vals);
-        assert_eq!(l.unpack(&packed).values, vals);
+        let packed = l.pack(&vals).unwrap();
+        assert_eq!(l.unpack(&packed).unwrap().values, vals);
     }
 
     #[test]
     fn zero_roundtrip() {
         let l = layout();
-        let packed = l.pack(&[0, 0, 0, 0]);
+        let packed = l.pack(&[0, 0, 0, 0]).unwrap();
         assert!(packed.is_zero());
-        assert_eq!(l.unpack(&packed).values, [0, 0, 0, 0]);
+        assert_eq!(l.unpack(&packed).unwrap().values, [0, 0, 0, 0]);
     }
 
     #[test]
-    #[should_panic(expected = "exceeds slot capacity")]
     fn overflowing_counter_rejected() {
         let l = layout();
-        let _ = l.pack(&[1u64 << 41, 0, 0, 0]);
+        assert_eq!(l.pack(&[1u64 << 41, 0, 0, 0]), Err(SlotError::ValueTooWide { slot: 0 }));
+        assert_eq!(l.pack(&[0, 0, 1u64 << 32, 0]), Err(SlotError::ValueTooWide { slot: 2 }));
+        assert_eq!(l.pack(&[0, 0, 0]), Err(SlotError::CountMismatch { expected: 4, got: 3 }));
     }
 
     #[test]
     fn modular_slot_wraps() {
         let l = layout();
-        let a = l.unpack(&l.pack(&[0, u32::MAX as u64, 0, 0]));
-        let b = l.unpack(&l.pack(&[0, 5, 0, 0]));
+        let a = l.unpack(&l.pack(&[0, u32::MAX as u64, 0, 0]).unwrap()).unwrap();
+        let b = l.unpack(&l.pack(&[0, 5, 0, 0]).unwrap()).unwrap();
         let sum = l.add_plain(&a, &b);
         // (2^32 - 1) + 5 ≡ 4 (mod 2^32)
         assert_eq!(sum.values[1], 4);
@@ -236,9 +278,9 @@ mod tests {
         let l = layout();
         let a = [10u64, 20, 30, 40];
         let b = [1u64, 2, 3, 4];
-        let pa = l.pack(&a);
-        let pb = l.pack(&b);
-        let packed_sum = l.unpack(&(pa + pb));
+        let pa = l.pack(&a).unwrap();
+        let pb = l.pack(&b).unwrap();
+        let packed_sum = l.unpack(&(pa + pb)).unwrap();
         let plain_sum =
             l.add_plain(&SlotVector { values: a.to_vec() }, &SlotVector { values: b.to_vec() });
         assert_eq!(packed_sum, plain_sum);
@@ -253,32 +295,55 @@ mod tests {
 
         let a = [100u64, 7, 1, 2];
         let b = [250u64, 9, 3, 4];
-        let ca = e.encrypt_residue(&l.pack(&a));
-        let cb = e.encrypt_residue(&l.pack(&b));
+        let ca = e.encrypt_residue(&l.pack(&a).unwrap());
+        let cb = e.encrypt_residue(&l.pack(&b).unwrap());
         let sum = e.add(&ca, &cb);
-        let got = l.unpack(&d.decrypt_residue(&sum));
+        let got = l.unpack(&d.decrypt_residue(&sum)).unwrap();
         assert_eq!(got.values, [350, 16, 4, 6]);
     }
 
     #[test]
-    fn protocol_layout_has_expected_shape() {
-        let l = SlotLayout::protocol(5, 1 << 10);
-        // counter + share + (1 + 5) timestamps
-        assert_eq!(l.len(), 8);
-        assert!(l.slots()[1].modular);
-        assert!(!l.slots()[0].modular);
+    fn side_band_layout_follows_the_modulus() {
+        // ⌊(n_bits − 2) / 44⌋: the 64-bit fixture key, the suites' 128
+        // bits, gridbench's 512 and the deployment's 1024 — each one bit
+        // short, as generated moduli may be.
+        assert_eq!(side_band_capacity(63), 1);
+        assert_eq!(side_band_capacity(127), 2);
+        assert_eq!(side_band_capacity(511), 11);
+        assert_eq!(side_band_capacity(1023), 23);
+        let l = SlotLayout::side_band(11);
+        assert_eq!(l.len(), 11);
+        assert_eq!(l.total_bits(), 11 * 44);
+        assert!(l.slots().iter().all(|s| *s == Slot::counter(SIDE_SLOT_BITS, SIDE_VALUE_BITS)));
+        assert_eq!(l.pack(&[u64::from(u32::MAX); 11]).map(|p| p.bits()), Ok(10 * 44 + 32));
     }
 
     #[test]
     fn guard_bits_absorb_many_additions() {
         let l = SlotLayout::new(vec![Slot::counter(24, 8), Slot::counter(24, 8)]);
-        let one = l.pack(&[200, 200]);
+        let one = l.pack(&[200, 200]).unwrap();
         let mut acc = BigUint::zero();
         for _ in 0..1000 {
             acc += &one;
         }
         // 1000 * 200 = 200_000 < 2^24: no carry, slots intact.
-        assert_eq!(l.unpack(&acc).values, [200_000, 200_000]);
+        assert_eq!(l.unpack(&acc).unwrap().values, [200_000, 200_000]);
+    }
+
+    #[test]
+    fn unpack_is_total_on_foreign_plaintexts() {
+        let l = SlotLayout::side_band(2);
+        // One bit above the layout: what a carry out of the top slot, a
+        // plaintext packed for a wider layout, or a negative (n − x)
+        // value all look like.
+        let wide = BigUint::from(1u8) << 88u32;
+        assert_eq!(l.unpack(&wide), Err(SlotError::OutOfLayout));
+        assert_eq!(l.unpack(&(wide - 1u8)).unwrap().values, [(1 << 44) - 1, (1 << 44) - 1]);
+        // A slot wider than a u64 whose guard bits filled up.
+        let fat = SlotLayout::new(vec![Slot::counter(100, 40), Slot::counter(100, 40)]);
+        let breached = BigUint::from(1u8) << 70u32;
+        assert_eq!(fat.unpack(&breached), Err(SlotError::GuardBreached { slot: 1 }));
+        assert_eq!(fat.unpack(&(breached << 100u32)), Err(SlotError::GuardBreached { slot: 0 }));
     }
 
     #[test]

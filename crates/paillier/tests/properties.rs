@@ -93,8 +93,8 @@ proptest! {
             Slot::modular(40, 32),
             Slot::counter(40, 32),
         ]);
-        let packed = layout.pack(&[a, b, c]);
-        prop_assert_eq!(layout.unpack(&packed).values, vec![a, b, c]);
+        let packed = layout.pack(&[a, b, c]).unwrap();
+        prop_assert_eq!(layout.unpack(&packed).unwrap().values, vec![a, b, c]);
     }
 
     #[test]
@@ -103,15 +103,15 @@ proptest! {
         x in 0u64..(1 << 30), y in 0u64..(1 << 30),
     ) {
         let layout = SlotLayout::new(vec![Slot::counter(40, 31), Slot::counter(40, 31)]);
-        let sum = layout.pack(&[a, x]) + layout.pack(&[b, y]);
-        prop_assert_eq!(layout.unpack(&sum).values, vec![a + b, x + y]);
+        let sum = layout.pack(&[a, x]).unwrap() + layout.pack(&[b, y]).unwrap();
+        prop_assert_eq!(layout.unpack(&sum).unwrap().values, vec![a + b, x + y]);
     }
 
     #[test]
     fn modular_slot_wraps_exactly(a: u32, b: u32) {
         let layout = SlotLayout::new(vec![Slot::modular(40, 32)]);
-        let sum = layout.pack(&[a as u64]) + layout.pack(&[b as u64]);
-        prop_assert_eq!(layout.unpack(&sum).values[0], a.wrapping_add(b) as u64);
+        let sum = layout.pack(&[a as u64]).unwrap() + layout.pack(&[b as u64]).unwrap();
+        prop_assert_eq!(layout.unpack(&sum).unwrap().values[0], a.wrapping_add(b) as u64);
     }
 }
 
@@ -126,10 +126,11 @@ proptest! {
     ) {
         let (e, d) = handles();
         let key = TagKey::derive(3, 99);
-        let a = CounterMsg::seal(&e, &key, &xs);
-        let b = CounterMsg::seal(&e, &key, &ys);
+        // All three fields signed: the linear algebra takes any sign.
+        let a = CounterMsg::seal(&e, &key, &xs, &[]);
+        let b = CounterMsg::seal(&e, &key, &ys, &[]);
         let combo = a.scalar(&e, k).add(&e, &b);
-        let opened = combo.open(&d, &key).unwrap();
+        let opened = combo.open(&d, &key, 3).unwrap();
         for i in 0..3 {
             prop_assert_eq!(opened[i], xs[i] * k + ys[i]);
         }
@@ -144,9 +145,31 @@ proptest! {
         // Adding an unauthenticated increment to one field must break the tag.
         let (e, d) = handles();
         let key = TagKey::derive(3, 99);
-        let a = CounterMsg::seal(&e, &key, &xs);
+        let a = CounterMsg::seal(&e, &key, &xs, &[]);
         let mut tampered = a.clone();
         tampered.fields[idx] = e.add(&tampered.fields[idx], &e.encrypt_i64(delta));
-        prop_assert!(tampered.open(&d, &key).is_err());
+        prop_assert!(tampered.open(&d, &key, 3).is_err());
+    }
+
+    #[test]
+    fn tampered_side_band_slot_never_verifies(
+        side in prop::collection::vec(any::<u32>(), 7),
+        delta in 1u32..1_000,
+        idx in 0usize..7,
+    ) {
+        // The same attack through the packing: a well-formed tuple that
+        // is zero but for one slot, added onto the side-band ciphertext.
+        let (e, d) = handles();
+        let key = TagKey::derive(9, 99);
+        let a = CounterMsg::seal(&e, &key, &[-4, 4], &side);
+        prop_assert_eq!(a.fields.len(), 3);
+        let mut bump = vec![0u32; 7];
+        bump[idx] = delta;
+        let mut cts = Vec::new();
+        e.encrypt_slots(&bump, &mut cts);
+        let mut tampered = a.clone();
+        tampered.fields[2] = e.add(&tampered.fields[2], &cts[0]);
+        prop_assert!(tampered.open(&d, &key, 2).is_err());
+        prop_assert!(a.open(&d, &key, 2).is_ok());
     }
 }

@@ -52,12 +52,14 @@ impl RuleRecord {
     /// The key-free screen applied to every restored record: scan bounds
     /// must fit the local database and the accumulators must be
     /// achievable from `frontier` scanned transactions (each contributes
-    /// at most ±1 to `sum` and `count`). The clock starts at 1.
+    /// at most ±1 to `sum` and `count`). The clock starts at 1 and is
+    /// sealed into a 32-bit timestamp slot, so it must be a `u32`.
     pub fn is_wellformed(&self, db_len: u64) -> bool {
         self.frontier <= db_len
             && self.sum.unsigned_abs() <= self.frontier
             && self.count.unsigned_abs() <= self.frontier
             && self.clock >= 1
+            && u32::try_from(self.clock).is_ok()
     }
 }
 
@@ -427,7 +429,11 @@ mod tests {
         assert!(!ok.is_wellformed(5), "frontier beyond the database");
         let inflated = RuleRecord { sum: 11, ..ok.clone() };
         assert!(!inflated.is_wellformed(40), "sum unreachable from frontier");
-        let dead_clock = RuleRecord { clock: 0, ..ok };
+        let dead_clock = RuleRecord { clock: 0, ..ok.clone() };
         assert!(!dead_clock.is_wellformed(40), "clock below genesis");
+        let last_tick = RuleRecord { clock: i64::from(u32::MAX), ..ok.clone() };
+        assert!(last_tick.is_wellformed(40));
+        let spent_clock = RuleRecord { clock: 1 << 32, ..ok };
+        assert!(!spent_clock.is_wellformed(40), "clock no timestamp slot seals");
     }
 }

@@ -53,21 +53,27 @@ fn build_grid<C: HomCipher>(
     k: i64,
     items: &[Item],
 ) -> Vec<SecureResource<C>> {
-    let n = dbs.len();
-    let generator = CandidateGenerator::new(min_freq, min_conf);
     // Path topology keeps the test deterministic and exercises multi-hop
     // aggregation.
+    let tree = Tree::path(dbs.len());
+    build_grid_on(keys, &tree, dbs, min_freq, min_conf, k, items)
+}
+
+fn build_grid_on<C: HomCipher>(
+    keys: &GridKeys<C>,
+    tree: &Tree,
+    dbs: Vec<Database>,
+    min_freq: Ratio,
+    min_conf: Ratio,
+    k: i64,
+    items: &[Item],
+) -> Vec<SecureResource<C>> {
+    let generator = CandidateGenerator::new(min_freq, min_conf);
     let mut resources: Vec<SecureResource<C>> = dbs
         .into_iter()
         .enumerate()
         .map(|(u, db)| {
-            let mut neighbors = Vec::new();
-            if u > 0 {
-                neighbors.push(u - 1);
-            }
-            if u + 1 < n {
-                neighbors.push(u + 1);
-            }
+            let neighbors = tree.neighbors(u).collect();
             SecureResource::new(u, keys, neighbors, db, k, generator, items, 31 + u as u64)
         })
         .collect();
@@ -135,6 +141,36 @@ fn paillier_and_mock_reach_identical_interim_solutions() {
             "cipher choice must not affect protocol decisions (resource {})",
             m.id()
         );
+    }
+}
+
+#[test]
+fn paillier_and_mock_agree_on_a_star_where_the_side_band_spills() {
+    // Degree 3 at the hub: six side-band values, three ciphertexts at the
+    // two slots a 128-bit key carries (two at the leaves), against one
+    // per value under the mock.
+    let (parts, _global, items) = quest_partitions(4, 120);
+    let min_freq = Ratio::from_f64(0.15);
+    let min_conf = Ratio::from_f64(0.6);
+    let star = Tree::star(4);
+    assert_eq!(star.neighbors(0).count(), 3);
+
+    let mock_keys = GridKeys::mock(3);
+    let mut mock_grid =
+        build_grid_on(&mock_keys, &star, parts.clone(), min_freq, min_conf, 1, &items);
+    drive(&mut mock_grid, 5);
+
+    let paillier_keys = GridKeys::paillier(128, 3);
+    let mut paillier_grid =
+        build_grid_on(&paillier_keys, &star, parts, min_freq, min_conf, 1, &items);
+    drive(&mut paillier_grid, 5);
+
+    for (m, p) in mock_grid.iter().zip(&paillier_grid) {
+        assert!(m.verdict().is_none() && p.verdict().is_none());
+        assert!(!m.interim().is_empty(), "workload must produce rules");
+        assert_eq!(m.interim(), p.interim(), "resource {} diverged between ciphers", m.id());
+        assert_eq!(m.msgs_sent(), p.msgs_sent(), "resource {} sent differently", m.id());
+        assert_eq!(m.queries_served(), p.queries_served());
     }
 }
 
