@@ -55,8 +55,7 @@ fn cand() -> CandidateRule {
 }
 
 /// The frame kinds worth measuring: the smallest supervision frame, the
-/// protocol workhorse (a sealed counter), a busy end-of-run report, and
-/// a checkpoint image of realistic size.
+/// protocol workhorse (a sealed counter) and a busy end-of-run report.
 fn corpus() -> Vec<(&'static str, Frame<MockCipher>)> {
     let keys = GridKeys::<MockCipher>::mock(9);
     let layout = CounterLayout::new(0, vec![1, 2]);
@@ -84,13 +83,6 @@ fn corpus() -> Vec<(&'static str, Frame<MockCipher>)> {
                 degraded: None,
                 tallies: Tallies { msgs_sent: 421, retries: 3, ..Tallies::default() },
             }),
-        ),
-        (
-            "checkpoint_4k",
-            Frame::Checkpoint {
-                resource: 2,
-                image: (0..4096u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect(),
-            },
         ),
     ]
 }

@@ -228,16 +228,10 @@ impl<C: HomCipher> Accountant<C> {
         })
     }
 
-    /// Every rule's scan record, in deterministic (display) order — the
-    /// checkpoint snapshot body.
+    /// Every rule's scan record — the checkpoint snapshot body. In no
+    /// particular order: the recovery log keys what it stores.
     pub fn scan_snapshot(&self) -> Vec<RuleRecord> {
-        let mut out: Vec<RuleRecord> = self
-            .rules
-            .keys()
-            .map(|rule| self.scan_record(rule).expect("iterating registered rules"))
-            .collect();
-        out.sort_by_cached_key(|r| r.rule.to_string());
-        out
+        self.rules.keys().filter_map(|rule| self.scan_record(rule)).collect()
     }
 
     /// Restores one rule's scan state from a *validated* recovery record

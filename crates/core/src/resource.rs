@@ -15,7 +15,7 @@ use gridmine_arm::{CandidateRule, Database, Item, Rule, RuleSet};
 use gridmine_majority::CandidateGenerator;
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::HomCipher;
-use gridmine_recovery::{JournalEntry, RecoveryImage, RecoveryLog, ResourceState, RetryPolicy};
+use gridmine_recovery::{RecoveryImage, RecoveryLog, ResourceState, RetryPolicy};
 
 use crate::accountant::Accountant;
 use crate::attack::{BrokerBehavior, ControllerBehavior};
@@ -27,6 +27,15 @@ use crate::keyring::GridKeys;
 
 /// A protocol message in flight between two resources.
 pub type WireMsg<C> = BrokerMsg<C>;
+
+/// A resource's recovery state, once armed.
+enum Durable {
+    /// Running: every state delta is appended as it happens.
+    Live(RecoveryLog),
+    /// Down: what the crashed incarnation left behind, as a successor
+    /// will find it — or an image a restore refused.
+    AtRest(RecoveryImage),
+}
 
 /// One grid resource running Secure-Majority-Rule.
 pub struct SecureResource<C: HomCipher> {
@@ -55,7 +64,7 @@ pub struct SecureResource<C: HomCipher> {
     pub controller_behavior: ControllerBehavior,
     /// Checkpoint + journal, when recovery is armed (write-ahead state:
     /// survives [`SecureResource::crash_wipe`]).
-    rec_log: Option<RecoveryLog>,
+    recovery: Option<Durable>,
     /// Attack injection: forge the journal so the next restore must be
     /// rejected (the recovery analogue of [`BrokerBehavior`]).
     tamper_journal: bool,
@@ -114,7 +123,7 @@ impl<C: HomCipher> SecureResource<C> {
             retries_spent: 0,
             retry_budget: DEFAULT_RETRY_BUDGET,
             controller_behavior: ControllerBehavior::Honest,
-            rec_log: None,
+            recovery: None,
             tamper_journal: false,
             resending: false,
             resends_sent: 0,
@@ -352,13 +361,8 @@ impl<C: HomCipher> SecureResource<C> {
             self.layout.neighbors.iter().map(|&v| (v, self.acc.placeholder_for(v))).collect();
         self.broker.init_rule(cand, local, placeholders);
         self.output_cache.insert(cand.clone(), false);
-        self.journal(JournalEntry::RuleRegistered { rule: cand.clone() });
-    }
-
-    /// Appends a state delta to the recovery journal, when armed.
-    fn journal(&mut self, entry: JournalEntry) {
-        if let Some(log) = self.rec_log.as_mut() {
-            log.append(entry);
+        if let Some(Durable::Live(log)) = &mut self.recovery {
+            log.rule_registered(cand);
         }
     }
 
@@ -443,16 +447,9 @@ impl<C: HomCipher> SecureResource<C> {
                     self.broker.set_local(&cand, counter);
                     out.extend(self.on_change(&cand));
                 }
-                if self.rec_log.is_some() {
+                if let Some(Durable::Live(log)) = &mut self.recovery {
                     if let Some(r) = self.acc.scan_record(&cand) {
-                        self.journal(JournalEntry::ScanAdvanced {
-                            rule: r.rule,
-                            frontier: r.frontier,
-                            sum: r.sum,
-                            count: r.count,
-                            clock: r.clock,
-                            last_sum: r.last_sum,
-                        });
+                        log.scan_advanced(&r);
                     }
                 }
             }
@@ -536,7 +533,9 @@ impl<C: HomCipher> SecureResource<C> {
                     } else {
                         answer
                     };
-                    self.journal(JournalEntry::OutputCached { rule: cand.clone(), answer });
+                    if let Some(Durable::Live(log)) = &mut self.recovery {
+                        log.output_cached(&cand, answer);
+                    }
                     self.output_cache.insert(cand, answer);
                 }
                 Err(verdict) => {
@@ -597,13 +596,12 @@ impl<C: HomCipher> SecureResource<C> {
     /// mining state and starts journalling every state delta. Until armed,
     /// the resource behaves exactly as before (cold-restart world).
     pub fn arm_recovery(&mut self) {
-        let state = self.current_state();
-        self.rec_log = Some(RecoveryLog::baseline(state));
+        self.recovery = Some(Durable::Live(RecoveryLog::baseline(&self.current_state())));
     }
 
     /// True once [`SecureResource::arm_recovery`] has run.
     pub fn recovery_armed(&self) -> bool {
-        self.rec_log.is_some()
+        self.recovery.is_some()
     }
 
     /// The volatile mining state a crash would lose: every candidate's
@@ -619,13 +617,10 @@ impl<C: HomCipher> SecureResource<C> {
     /// Takes a checkpoint: collapses the journal into a fresh snapshot
     /// (bounding replay length). No-op until recovery is armed.
     pub fn take_checkpoint(&mut self, tick: u64) {
-        if self.rec_log.is_none() {
+        if self.recovery.is_none() {
             return;
         }
-        let state = self.current_state();
-        if let Some(log) = self.rec_log.as_mut() {
-            log.rebaseline(state);
-        }
+        self.arm_recovery();
         self.checkpoints_taken += 1;
         emit(&self.rec, || Event::CheckpointTaken { resource: self.id as u64, tick });
     }
@@ -633,16 +628,19 @@ impl<C: HomCipher> SecureResource<C> {
     /// Simulates the volatile-state loss of a crash: scan positions,
     /// voting instances and output caches are gone; the keyring, the
     /// controller's audit state (durable by construction — losing k-gates
-    /// would be a privacy hole) and the write-ahead recovery log survive.
+    /// would be a privacy hole) and the write-ahead recovery log survive
+    /// — the log as the image its files amount to, the live handle on
+    /// them having died with the process.
     pub fn crash_wipe(&mut self) {
-        if self.tamper_journal {
-            // The adversary forges the "persisted" journal while the
-            // resource is down; the restore screens must catch it.
-            if let Some(log) = self.rec_log.as_mut() {
-                log.corrupt();
+        if let Some(mut image) = self.recovery_image() {
+            if self.tamper_journal {
+                // The adversary forges the "persisted" journal while the
+                // resource is down; the restore screens must catch it.
+                image.corrupt();
             }
-            self.tamper_journal = false;
+            self.recovery = Some(Durable::AtRest(image));
         }
+        self.tamper_journal = false;
         self.acc.wipe_scans();
         self.broker.rewire(self.layout.clone());
         self.output_cache.clear();
@@ -665,19 +663,14 @@ impl<C: HomCipher> SecureResource<C> {
     ///
     /// Returns `true` on a successful restore.
     pub fn restore_from_log(&mut self) -> bool {
-        let Some(log) = self.rec_log.take() else {
+        let Some(image) = self.recovery_image() else {
             return false;
         };
-        let entries = log.len() as u64;
-        let state = match log.replay() {
-            Ok(s) => s,
-            Err(e) => {
-                self.rec_log = Some(log);
-                return self.reject_recovery(e.to_string());
-            }
+        let (state, entries) = match image.replay() {
+            Ok(replayed) => replayed,
+            Err(e) => return self.reject_recovery(e.to_string()),
         };
         if state.resource != self.id as u64 {
-            self.rec_log = Some(log);
             return self.reject_recovery(format!(
                 "journal belongs to resource {}, not {}",
                 state.resource, self.id
@@ -685,11 +678,9 @@ impl<C: HomCipher> SecureResource<C> {
         }
         let db_len = self.acc.db_len() as u64;
         if let Some(bad) = state.records.iter().find(|r| !r.is_wellformed(db_len)) {
-            self.rec_log = Some(log);
             return self.reject_recovery(format!("malformed restored record for {}", bad.rule));
         }
         if !self.acc.audit_shares() {
-            self.rec_log = Some(log);
             return self.reject_recovery("accounting shares no longer sum to one".into());
         }
         // Screens passed: apply. Same wiring as `rewire`, but scan state
@@ -703,14 +694,12 @@ impl<C: HomCipher> SecureResource<C> {
             let Some(local) = self.acc.respond(&r.rule).pop() else {
                 self.acc.wipe_scans();
                 self.output_cache.clear();
-                self.rec_log = Some(log);
                 return self
                     .reject_recovery(format!("no local counter for restored rule {}", r.rule));
             };
             if !self.broker.counter_is_wellformed(&local) {
                 self.acc.wipe_scans();
                 self.output_cache.clear();
-                self.rec_log = Some(log);
                 return self.reject_recovery(format!("restored counter for {} is corrupt", r.rule));
             }
             let placeholders =
@@ -721,19 +710,25 @@ impl<C: HomCipher> SecureResource<C> {
         self.recover_reset();
         // Re-baseline on the restored state: the replayed journal has
         // done its job and replay length stays bounded.
-        let mut log = log;
-        log.rebaseline(self.current_state());
-        self.rec_log = Some(log);
+        self.arm_recovery();
         self.journal_replays += 1;
         emit(&self.rec, || Event::JournalReplayed { resource: self.id as u64, entries });
         true
     }
 
+    /// The recovery log at rest, when armed: what a crash right now
+    /// would leave behind.
+    pub fn recovery_image(&self) -> Option<RecoveryImage> {
+        match self.recovery.as_ref()? {
+            Durable::Live(log) => Some(log.image()),
+            Durable::AtRest(image) => Some(image.clone()),
+        }
+    }
+
     /// Serializes the recovery log for external persistence (the threaded
     /// driver round-trips it through bytes, as a file-backed store would).
     pub fn encode_recovery_image(&self) -> Option<Vec<u8>> {
-        let log = self.rec_log.as_ref()?;
-        Some(RecoveryImage { resource: self.id as u64, log: log.clone() }.to_bytes())
+        self.recovery_image().map(|image| image.to_bytes())
     }
 
     /// Durable controller state (Lamport clocks, k-gate registers,
@@ -762,17 +757,10 @@ impl<C: HomCipher> SecureResource<C> {
     /// mismatched ownership take the same rejection path as a forged
     /// journal — bytes from disk are as untrusted as bytes off the wire.
     pub fn restore_from_image(&mut self, bytes: &[u8]) -> bool {
-        let image = match RecoveryImage::from_bytes(bytes) {
-            Ok(i) => i,
+        match RecoveryImage::from_bytes(bytes) {
+            Ok(image) => self.recovery = Some(Durable::AtRest(image)),
             Err(e) => return self.reject_recovery(format!("undecodable recovery image: {e}")),
-        };
-        if image.resource != self.id as u64 {
-            return self.reject_recovery(format!(
-                "recovery image belongs to resource {}, not {}",
-                image.resource, self.id
-            ));
         }
-        self.rec_log = Some(image.log);
         self.restore_from_log()
     }
 
@@ -782,8 +770,10 @@ impl<C: HomCipher> SecureResource<C> {
         self.tamper_journal = true;
     }
 
-    /// Common rejection path for untrusted recovery state.
-    fn reject_recovery(&mut self, reason: String) -> bool {
+    /// Common rejection path for untrusted recovery state — also a
+    /// driver's, for persisted state it could not even hand over.
+    /// Returns `false`.
+    pub fn reject_recovery(&mut self, reason: String) -> bool {
         self.recoveries_rejected += 1;
         emit(&self.rec, || Event::RecoveryRejected {
             resource: self.id as u64,

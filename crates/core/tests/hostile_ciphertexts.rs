@@ -31,7 +31,7 @@ use gridmine_obs::{Event, EventKind, MemoryRecorder, VerdictKind};
 use gridmine_paillier::{
     Ciphertext, HomCipher, MockCipher, ObliviousError, PaillierCtx, SlotError,
 };
-use gridmine_recovery::{RecoveryImage, RecoveryLog, ResourceState, RuleRecord};
+use gridmine_recovery::{RecoveryLog, ResourceState, RuleRecord};
 
 /// A non-unit "ciphertext": the public modulus `n` itself, which shares
 /// every prime factor with n² and therefore has no inverse mod n².
@@ -358,7 +358,7 @@ fn oversized_restored_clocks_are_rejected<C: HomCipher>(keys: GridKeys<C>) {
     };
     let image = |clock: i64| {
         let state = ResourceState { resource: 1, records: vec![record(clock)] };
-        RecoveryImage { resource: 1, log: RecoveryLog::baseline(state) }.to_bytes()
+        RecoveryLog::baseline(&state).image().to_bytes()
     };
     // Every clock a timestamp slot seals restores. At the very last one
     // the accountant's clock saturates and its counters still seal and

@@ -1,6 +1,6 @@
 //! The versioned binary codec: every message class of the deployment —
-//! counters, SFE traffic, blame verdicts, recovery images, supervision
-//! chatter — as a typed [`Frame`] with a total decoder.
+//! counters, SFE traffic, blame verdicts, supervision chatter — as a
+//! typed [`Frame`] with a total decoder.
 //!
 //! Design rules:
 //!
@@ -170,27 +170,15 @@ pub enum Frame<C: HomCipher> {
         /// `Event::to_json` output.
         line: String,
     },
-    /// A serialized recovery image headed to stable storage.
-    Checkpoint {
-        /// Owning resource.
-        resource: u32,
-        /// `RecoveryImage::to_bytes` output.
-        image: Vec<u8>,
-    },
-    /// A serialized recovery image headed to a warm-restarting node.
-    Restore {
-        /// Owning resource.
-        resource: u32,
-        /// `RecoveryImage::to_bytes` output.
-        image: Vec<u8>,
-    },
     /// End of run: refresh outputs and report (hub → nodes).
     Finish,
     /// A node's end-of-run report.
     Report(NodeReport),
 }
 
-// Kind tags (wire contract).
+// Kind tags (wire contract). 15 and 16 carried recovery images nobody
+// sent or handled; they are retired, not reused, and decode as
+// `WireError::UnknownKind` like any other stray tag.
 const K_HELLO: u8 = 1;
 const K_HELLO_ACK: u8 = 2;
 const K_HEARTBEAT: u8 = 3;
@@ -205,8 +193,6 @@ const K_SFE_QUERY: u8 = 11;
 const K_SFE_ANSWER: u8 = 12;
 const K_VERDICT: u8 = 13;
 const K_OBS: u8 = 14;
-const K_CHECKPOINT: u8 = 15;
-const K_RESTORE: u8 = 16;
 const K_FINISH: u8 = 17;
 const K_REPORT: u8 = 18;
 
@@ -561,16 +547,6 @@ pub fn encode_into<C: HomCipher>(out: &mut Vec<u8>, f: &Frame<C>) {
             w.bytes(line.as_bytes());
             K_OBS
         }
-        Frame::Checkpoint { resource, image } => {
-            w.u32(*resource);
-            w.bytes(image);
-            K_CHECKPOINT
-        }
-        Frame::Restore { resource, image } => {
-            w.u32(*resource);
-            w.bytes(image);
-            K_RESTORE
-        }
         Frame::Finish => K_FINISH,
         Frame::Report(r) => {
             w.u32(r.resource);
@@ -642,8 +618,6 @@ pub fn decode<C: HomCipher>(bytes: &[u8]) -> Result<Frame<C>, WireError> {
             line: String::from_utf8(r.bytes()?.to_vec())
                 .map_err(|_| WireError::Malformed("non-UTF-8 obs line"))?,
         },
-        K_CHECKPOINT => Frame::Checkpoint { resource: r.u32()?, image: r.bytes()?.to_vec() },
-        K_RESTORE => Frame::Restore { resource: r.u32()?, image: r.bytes()?.to_vec() },
         K_FINISH => Frame::Finish,
         K_REPORT => {
             let resource = r.u32()?;
@@ -739,8 +713,6 @@ mod tests {
         round_trip(Frame::SfeAnswer { resource: 1, rule: cand(), answer: true });
         round_trip(Frame::VerdictNotice { at: 2, verdict: Verdict::MaliciousBroker(1) });
         round_trip(Frame::Obs { line: "{\"event\":\"RoundAdvanced\",\"tick\":3}".into() });
-        round_trip(Frame::Checkpoint { resource: 2, image: vec![1, 2, 3] });
-        round_trip(Frame::Restore { resource: 2, image: vec![9; 100] });
         round_trip(Frame::Finish);
         round_trip(Frame::Report(NodeReport {
             resource: 1,

@@ -62,6 +62,7 @@ use gridmine_topology::{FaultPlan, Tree};
 use crate::codec::{Frame, NodeReport, Phase};
 use crate::error::{NetError, WireError};
 use crate::spec::NodeSpec;
+use crate::state::{self, NodeState};
 use crate::transport::{self, FrameWriter, HelloInfo, STREAM_BUF};
 
 /// A cipher the networked backend can name in a [`NodeSpec`] so the
@@ -173,12 +174,17 @@ impl<C: NetCipher> NetSession<C> {
         self
     }
 
-    /// Persists node state (`{u}.image` / `{u}.audits` / `{u}.tallies`)
-    /// under `dir` instead of the session's auto-removed scratch
-    /// directory. The directory outlives the session, so callers can
-    /// audit what a killed process actually left on disk — or hand the
-    /// same directory to a later session for a cross-session warm
-    /// restart.
+    /// Persists node state (one `{u}.image` per resource, see
+    /// [`crate::state`]) under `dir` instead of the session's
+    /// auto-removed scratch directory. The directory outlives the
+    /// session, so callers can audit what a killed process actually left
+    /// on disk — or hand the same directory to a later session for a
+    /// cross-session warm restart. There is one image format and no
+    /// reader for older ones: a `{u}.image` written by an earlier build
+    /// (a JSON document beside separate audits and tallies files) is
+    /// refused like any other undecodable image — the restarting
+    /// resource blames itself — so start such a session on an empty
+    /// directory.
     pub fn with_state_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.state_dir = Some(dir.into());
         self
@@ -1013,9 +1019,10 @@ impl<C: NetCipher> HubRun<C> {
     /// Tallies persisted by a resource that died without reporting
     /// (crash-wipe persist or last checkpoint); zeros if none survive.
     fn disk_tallies(&self, u: usize) -> Tallies {
-        std::fs::read_to_string(self.state_dir.join(format!("{u}.tallies")))
+        std::fs::read(state::path(&self.state_dir, u))
             .ok()
-            .and_then(|json| serde_json::from_str(&json).ok())
+            .and_then(|bytes| NodeState::decode(&bytes).ok())
+            .map(|state| state.tallies)
             .unwrap_or_default()
     }
 }

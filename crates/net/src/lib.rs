@@ -33,6 +33,7 @@ pub mod frame;
 pub mod hub;
 pub mod node;
 pub mod spec;
+pub mod state;
 pub mod transport;
 
 pub use codec::{Frame, NodeReport, Phase, Role, Tallies};
@@ -40,3 +41,4 @@ pub use error::{NetError, WireError};
 pub use frame::{MAX_PAYLOAD, WIRE_VERSION};
 pub use hub::{NetCipher, NetSession};
 pub use spec::NodeSpec;
+pub use state::NodeState;

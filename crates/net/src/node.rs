@@ -5,7 +5,7 @@
 //! loopback TCP: the hub's `PhaseStart` frames stand in for barriers,
 //! `Processed` acks for the in-flight counter. What the resource does at
 //! each tick is `gridmine_core::round`'s; this file owns the socket, the
-//! frames, the state files, the exit codes and the heartbeat.
+//! frames, the exit codes, the heartbeat and when [`crate::state`] runs.
 //!
 //! The stream to the hub is coalesced ([`FrameWriter`]): everything one
 //! inbound frame gives rise to — consequent counters, events, the
@@ -22,20 +22,19 @@
 //! recorder and no event is formatted, framed or sent.
 //!
 //! Crash-survival is process-level: at a scheduled crash tick the node
-//! (its state already wiped by the machine) persists its recovery image,
-//! controller audits and protocol tallies under `state_dir`, and
+//! (its state already wiped by the machine) publishes one image under
+//! `state_dir` — recovery log, controller audits, protocol tallies — and
 //! **exits**. The hub respawns a fresh process at the recovery tick,
-//! which warm-restarts from those files (`resume_tick` in its spec).
+//! which warm-restarts from that file (`resume_tick` in its spec).
 
 use std::io::{BufReader, Write as _};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, RecvTimeoutError, TryRecvError};
 use gridmine_arm::{Item, Ratio};
-use gridmine_core::{AuditImage, CounterLayout, RoundMachine, Scan, SecureResource, WireMsg};
+use gridmine_core::{CounterLayout, RoundMachine, Scan, SecureResource, WireMsg};
 use gridmine_majority::CandidateGenerator;
 use gridmine_obs::{Event, Recorder, SharedRecorder};
 use gridmine_paillier::HomCipher;
@@ -44,6 +43,7 @@ use crate::codec::{Frame, NodeReport, Phase};
 use crate::error::NetError;
 use crate::hub::NetCipher;
 use crate::spec::NodeSpec;
+use crate::state;
 use crate::transport::{self, FrameWriter, HEARTBEAT_EVERY, STREAM_BUF};
 
 /// Exit code of a scheduled crash (process-level `crash_wipe`). The hub
@@ -85,32 +85,6 @@ impl Recorder for BufRecorder {
     }
 }
 
-fn state_path(spec: &NodeSpec, ext: &str) -> PathBuf {
-    PathBuf::from(&spec.state_dir).join(format!("{}.{ext}", spec.resource))
-}
-
-/// Persists everything a future incarnation of this resource needs:
-/// recovery image (warm mode only), controller audits, total tallies.
-/// Each file is published atomically (sibling tmp + fsync + rename —
-/// [`gridmine_store::atomic_write_file`]), so a kill mid-write leaves
-/// the previous checkpoint intact, never a torn file. The first failure
-/// is returned so the caller can surface it: a failed persist degrades
-/// recovery fidelity, not the run, but it must not be silent.
-fn persist_state<C: HomCipher>(spec: &NodeSpec, machine: &RoundMachine<C>) -> std::io::Result<()> {
-    let bad =
-        |e: serde_json::Error| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string());
-    let r = machine.resource();
-    std::fs::create_dir_all(&spec.state_dir)?;
-    if let Some(image) = r.encode_recovery_image() {
-        gridmine_store::atomic_write_file(state_path(spec, "image"), &image)?;
-    }
-    let audits = serde_json::to_string(&r.export_controller_audits()).map_err(bad)?;
-    gridmine_store::atomic_write_file(state_path(spec, "audits"), audits.as_bytes())?;
-    let tallies = serde_json::to_string(&machine.tallies()).map_err(bad)?;
-    gridmine_store::atomic_write_file(state_path(spec, "tallies"), tallies.as_bytes())?;
-    Ok(())
-}
-
 /// Entry point of the `gridmine-node` process: returns the exit code.
 pub fn run<C: NetCipher>(spec: &NodeSpec) -> i32 {
     match try_run::<C>(spec) {
@@ -140,12 +114,13 @@ fn node_recorder(observed: bool) -> (SharedRecorder, Option<Arc<BufRecorder>>) {
 }
 
 impl<C: NetCipher> Node<'_, C> {
-    /// Persists checkpoint state. A failure is never silent: the reason
-    /// goes to stderr (inherited from the hub), and on an observed
-    /// session also out as an [`Event::CheckpointPersistFailed`] with
-    /// the next `queue_obs`.
-    fn persist_or_report(&self) {
-        if let Err(e) = persist_state(self.spec, &self.machine) {
+    /// Publishes the state file as of `tick`. A failure is never silent:
+    /// the reason goes to stderr (inherited from the hub), and on an
+    /// observed session also out as an
+    /// [`Event::CheckpointPersistFailed`] with the next `queue_obs`.
+    fn persist_or_report(&self, tick: u64) {
+        let path = state::path(&self.spec.state_dir, self.spec.resource);
+        if let Err(e) = state::publish(&path, &self.machine, tick) {
             let resource = self.spec.resource;
             eprintln!("gridmine-node {resource}: checkpoint persist failed: {e}");
             if let Some(buf) = &self.rec_buf {
@@ -223,22 +198,9 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
     let machine = RoundMachine::new(resource, spec.schedule.clone(), rec);
     let mut node = Node { spec, machine, rec_buf };
 
-    // Warm restart: re-import what the previous incarnation persisted.
-    // Audits must land before the journal replay (the controller screens
-    // replayed traffic against its Lamport traces and send gates).
     let resumed = spec.resume_tick.is_some();
     if resumed {
-        if let Ok(json) = std::fs::read_to_string(state_path(spec, "tallies")) {
-            node.machine.carry(serde_json::from_str(&json).unwrap_or_default());
-        }
-        if let Ok(json) = std::fs::read_to_string(state_path(spec, "audits")) {
-            if let Ok(audits) = serde_json::from_str::<Vec<AuditImage>>(&json) {
-                node.machine.resource_mut().import_controller_audits(audits);
-            }
-        }
-        let t0 = Instant::now();
-        let image = std::fs::read(state_path(spec, "image")).ok();
-        node.machine.restore(image.as_deref(), || t0.elapsed().as_nanos());
+        state::resume(&state::path(&spec.state_dir, u), &mut node.machine);
     }
 
     // Peer with the hub: capped-backoff dial + versioned handshake.
@@ -327,7 +289,7 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
                     // The hub sees the process exit; a successor may be
                     // respawned at the recovery tick.
                     Scan::Crash => {
-                        node.persist_or_report();
+                        node.persist_or_report(tick);
                         node.queue_obs(&mut out)?;
                         break EXIT_CRASHED;
                     }
@@ -341,7 +303,7 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
                         // A checkpoint is only worth its name if it
                         // survives a process kill.
                         if checkpointed {
-                            node.persist_or_report();
+                            node.persist_or_report(tick);
                         }
                         msgs
                     }

@@ -47,8 +47,8 @@ pub struct NodeSpec {
     pub resume_tick: Option<u64>,
     /// Hub address to dial (`127.0.0.1:port`).
     pub hub: String,
-    /// Directory for persisted state: `{u}.image`, `{u}.audits`,
-    /// `{u}.tallies` survive a process kill for warm restart.
+    /// Directory for persisted state: `{u}.image` ([`crate::state`])
+    /// survives a process kill for warm restart.
     pub state_dir: String,
     /// When set, the node sends garbage bytes after the handshake —
     /// the Byzantine fixture for codec-door verdict tests.

@@ -126,10 +126,6 @@ fn frame() -> impl Strategy<Value = Frame<MockCipher>> {
         (any::<u32>(), verdict()).prop_map(|(at, verdict)| Frame::VerdictNotice { at, verdict }),
         prop::collection::vec(any::<u8>(), 0..64)
             .prop_map(|bytes| Frame::Obs { line: String::from_utf8_lossy(&bytes).into_owned() }),
-        (any::<u32>(), prop::collection::vec(any::<u8>(), 0..128))
-            .prop_map(|(resource, image)| Frame::Checkpoint { resource, image }),
-        (any::<u32>(), prop::collection::vec(any::<u8>(), 0..128))
-            .prop_map(|(resource, image)| Frame::Restore { resource, image }),
         Just(Frame::Finish),
         (any::<u32>(), prop::collection::vec(rule(), 0..5), verdict(), degrade(), tallies())
             .prop_map(|(resource, solutions, v, degraded, tallies)| Frame::Report(NodeReport {

@@ -226,7 +226,8 @@ fn crash_and_warm_restart_match_the_threaded_driver() {
 fn hard_process_kill_is_survived_with_a_warm_restart() {
     // The hub SIGKILLs resource 1's process at tick 6 — no goodbye, no
     // crash-time persist; the successor has only the tick-5 checkpoint
-    // (image + controller audits) on disk — and respawns it at tick 8.
+    // (one image: scan state, controller audits, tallies) on disk — and
+    // respawns it at tick 8.
     // The session must complete without a panic and the rejoined
     // resource must converge with everyone else. (The kill lands after
     // a checkpoint on purpose: a kill before the first checkpoint
@@ -316,7 +317,7 @@ fn sessions_without_a_binary_or_with_bad_plans_are_refused() {
 
 #[test]
 fn a_failed_checkpoint_persist_is_reported_and_survived() {
-    // A directory squats on resource 1's tallies file, so publishing it
+    // A directory squats on resource 1's state file, so publishing it
     // (rename over a directory) fails at every checkpoint. That degrades
     // recovery fidelity, not the run — but it must be said: as an event
     // when the session is observed, on the node's stderr always (visible
@@ -325,7 +326,7 @@ fn a_failed_checkpoint_persist_is_reported_and_survived() {
     let state_dir =
         std::env::temp_dir().join(format!("gridmine-persistfail-{:08x}", std::process::id()));
     let _ = std::fs::remove_dir_all(&state_dir);
-    std::fs::create_dir_all(state_dir.join("1.tallies")).expect("squatter");
+    std::fs::create_dir_all(state_dir.join("1.image")).expect("squatter");
     let mem = MemoryRecorder::shared();
     let outcome = NetSession::<MockCipher>::new(cfg(6))
         .with_topology(Tree::path(n))
@@ -358,8 +359,10 @@ fn sigkill_mid_checkpoint_write_never_tears_persisted_state() {
     // the kill races). Whatever instant the signal lands, the atomic
     // tmp + fsync + rename discipline must leave each state file whole:
     // the successor warm-restarts from the tick-5 or the tick-10
-    // checkpoint, never from a torn one. The state dir is external so
-    // it survives the session for a byte-level audit.
+    // checkpoint, never from a torn one — and never from scan state of
+    // one beside audits of the other, since a checkpoint is one file.
+    // The state dir is external so it survives the session for a
+    // byte-level audit.
     let n = 4;
     let state_dir =
         std::env::temp_dir().join(format!("gridmine-midwrite-{:08x}", std::process::id()));
@@ -400,10 +403,12 @@ fn sigkill_mid_checkpoint_write_never_tears_persisted_state() {
         assert_eq!(sol, &truth, "resource {u} did not converge after the mid-write kill");
     }
 
-    // Byte-level audit: every published state file must parse whole.
-    // (`.tmp` siblings are legal debris of an interrupted publish; the
-    // published names must never be torn.)
-    let mut audited = 0;
+    // Byte-level audit: the directory holds one published file per
+    // resource and nothing else (`.tmp` siblings are legal debris of an
+    // interrupted publish). Each must verify whole — chain, head pin,
+    // scan trees — and its audits and tallies must carry one tick, a
+    // checkpoint's: nobody crash-persisted in this session.
+    let mut audited = Vec::new();
     for entry in std::fs::read_dir(&state_dir).expect("state dir survives the session") {
         let path = entry.expect("dir entry").path();
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default().to_string();
@@ -411,19 +416,100 @@ fn sigkill_mid_checkpoint_write_never_tears_persisted_state() {
             continue;
         }
         let bytes = std::fs::read(&path).expect("state file");
-        let text = String::from_utf8_lossy(&bytes);
-        if name.ends_with(".image") {
-            gridmine_recovery::RecoveryImage::from_bytes(&bytes)
-                .unwrap_or_else(|e| panic!("torn image {name}: {e}"));
-        } else if name.ends_with(".audits") {
-            serde_json::from_str::<Vec<gridmine_core::AuditImage>>(&text)
-                .unwrap_or_else(|e| panic!("torn audits {name}: {e}"));
-        } else if name.ends_with(".tallies") {
-            serde_json::from_str::<gridmine_net::Tallies>(&text)
-                .unwrap_or_else(|e| panic!("torn tallies {name}: {e}"));
-        }
-        audited += 1;
+        let state = gridmine_net::NodeState::decode(&bytes)
+            .unwrap_or_else(|e| panic!("torn or mixed state file {name}: {e}"));
+        assert!(
+            state.tick > 0 && state.tick.is_multiple_of(5),
+            "{name} persisted at tick {}",
+            state.tick
+        );
+        assert!(state.tallies.checkpoints > 0, "{name}: {:?}", state.tallies);
+        let (scan, _) = gridmine_recovery::RecoveryImage::from_bytes(&bytes)
+            .and_then(|image| image.replay())
+            .unwrap_or_else(|e| panic!("torn image {name}: {e}"));
+        assert_eq!(format!("{}.image", scan.resource), name, "an image under another's name");
+        audited.push(name);
     }
-    assert!(audited >= 3, "the killed node persisted its state files ({audited} found)");
+    audited.sort();
+    assert_eq!(audited, ["0.image", "1.image", "2.image", "3.image"]);
     let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn a_state_file_from_an_earlier_build_is_refused_on_restart() {
+    // The session's state directory was left by a build that published
+    // three JSON files per resource. Resource 1 is SIGKILLed at tick 2,
+    // before its first checkpoint (every 5) could replace any of them,
+    // so its successor finds `1.image` as that build wrote it. There is
+    // one image format and no reader for another: the successor takes
+    // the rejection path — a verdict against itself, out of the protocol
+    // — rather than start a cold controller as if nothing had been there.
+    let n = 3;
+    let state_dir =
+        std::env::temp_dir().join(format!("gridmine-oldstate-{:08x}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    std::fs::create_dir_all(&state_dir).expect("state dir");
+    let old_image = br#"{"resource":1,"log":{"snapshot":{"resource":1,"records":[]},"snapshot_digest":1,"entries":[],"head":1}}"#;
+    std::fs::write(state_dir.join("1.image"), old_image).expect("old image");
+    std::fs::write(state_dir.join("1.audits"), b"[]").expect("old audits");
+    std::fs::write(state_dir.join("1.tallies"), b"{}").expect("old tallies");
+    let mem = MemoryRecorder::shared();
+    let outcome = NetSession::<MockCipher>::new(cfg(6))
+        .with_topology(Tree::path(n))
+        .with_databases(dbs(n))
+        .with_recovery(RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT))
+        .with_process_kill(1, 2, Some(3))
+        .with_state_dir(&state_dir)
+        .with_recorder(mem.clone() as SharedRecorder)
+        .with_node_binary(NODE_BIN)
+        .try_run()
+        .expect("net session");
+    assert_eq!(outcome.verdicts, [Verdict::MaliciousResource(1)]);
+    assert_eq!((outcome.chaos.rejected, outcome.chaos.replays), (1, 0), "{:?}", outcome.chaos);
+    assert_eq!(mem.count_of(EventKind::RecoveryRejected), 1);
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+#[ignore = "ROADMAP item 1"]
+fn a_killed_node_converges_on_the_t5i2_input() {
+    // gridbench finding 7, pinned for ROADMAP item 1: the `net_ckpt_t5i2`
+    // input with resource 1 SIGKILLed at tick 2 and warm-restarted at
+    // tick 3 from its tick-1 checkpoint. The restore itself succeeds
+    // (one replay, nothing rejected); the grid then diverges and blames.
+    // What must hold once item 1 is fixed: every resource at the
+    // centralized truth and no verdict on an honest grid.
+    use gridmine_quest::QuestParams;
+    let seed = 42;
+    let quest = QuestParams::t5i2()
+        .with_transactions(2000)
+        .with_items(60)
+        .with_patterns(25)
+        .with_seed(seed);
+    let global = gridmine_quest::generate(&quest);
+    let (min_freq, min_conf) = (Ratio::from_f64(0.05), Ratio::from_f64(0.5));
+    let truth = correct_rules(&global, &AprioriConfig::new(min_freq, min_conf));
+    let mut cfg = MineConfig::new(min_freq, min_conf);
+    cfg.rounds = 6;
+    cfg.seed = seed;
+    let policy = RecoveryPolicy::DEFAULT.with_checkpoint_every(1);
+    let outcome = NetSession::<MockCipher>::new(cfg)
+        .with_databases(gridmine_quest::partition(&global, 4, seed ^ 7))
+        .with_recovery(RecoveryMode::Checkpoint(policy))
+        .with_process_kill(1, 2, Some(3))
+        .with_node_binary(NODE_BIN)
+        .try_run()
+        .expect("net session");
+    let sizes: Vec<usize> = outcome.solutions.iter().map(|s| s.len()).collect();
+    println!(
+        "truth {} rules; resources hold {sizes:?}; verdicts {:?}; replays {}, rejected {}",
+        truth.len(),
+        outcome.verdicts,
+        outcome.chaos.replays,
+        outcome.chaos.rejected
+    );
+    for (u, sol) in outcome.solutions.iter().enumerate() {
+        assert_eq!(sol, &truth, "resource {u} did not converge after the process kill");
+    }
+    assert!(outcome.verdicts.is_empty(), "{:?}", outcome.verdicts);
 }

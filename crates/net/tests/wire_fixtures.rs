@@ -132,14 +132,6 @@ fn protocol_frames_are_pinned() {
          c227469636b223a337dffb09d7d484bd3e6",
     );
     pin(
-        &Frame::<MockCipher>::Checkpoint { resource: 2, image: vec![1, 2, 3] },
-        "474d570101000f000b0000000200000003000000010203902edee0f4fd5a40",
-    );
-    pin(
-        &Frame::<MockCipher>::Restore { resource: 2, image: vec![4, 5] },
-        "474d5701010010000a000000020000000200000004057aa4bda8a2fe140b",
-    );
-    pin(
         &Frame::<MockCipher>::Report(NodeReport {
             resource: 1,
             solutions: vec![cand().rule],
@@ -159,6 +151,21 @@ fn protocol_frames_are_pinned() {
          200000000050a000000000000000100000000000000020000000000000003000000000000000100000\
          0000000000000000000000000004701fef18c56e3c7",
     );
+}
+
+#[test]
+fn retired_kinds_stay_retired() {
+    // Kinds 15 and 16 framed recovery images (`Checkpoint`, `Restore`)
+    // that no peer ever sent or handled. These are their last pinned
+    // bytes: a peer still speaking them is refused by kind at the door
+    // — the quarantine path — and the numbers are never reused.
+    for (kind, fixture) in [
+        (15, "474d570101000f000b0000000200000003000000010203902edee0f4fd5a40"),
+        (16, "474d5701010010000a000000020000000200000004057aa4bda8a2fe140b"),
+    ] {
+        let err = decode::<MockCipher>(&unhex(fixture)).expect_err("retired kind");
+        assert_eq!(err, WireError::UnknownKind(kind));
+    }
 }
 
 #[test]

@@ -165,8 +165,8 @@ pub enum Event {
     /// Transport: an inbound frame failed the wire codec's total decode
     /// (bad magic/version/checksum, truncation, hostile payload).
     FrameRejected { from: u64, reason: String },
-    /// Durability: a node failed to persist its checkpoint state
-    /// (recovery image / audits / tallies) to disk. The run continues,
+    /// Durability: a node failed to publish its checkpoint state (one
+    /// image: recovery log, audits, tallies) to disk. The run continues,
     /// but a process kill before the next successful persist replays
     /// from the previous checkpoint.
     CheckpointPersistFailed { resource: u64, reason: String },

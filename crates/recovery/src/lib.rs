@@ -4,13 +4,16 @@
 //! while malicious participants probe every weakness. This crate supplies
 //! the two pieces a recovering resource needs:
 //!
-//! * **Checkpoint + journal** ([`RecoveryLog`]): a snapshot of the
-//!   resource's volatile mining state ([`ResourceState`]) plus an
-//!   append-only journal of state deltas ([`JournalEntry`]), sealed under
-//!   a chained integrity digest so truncation, reordering and payload
-//!   tampering are detectable at restore time. The log lives in memory
-//!   for the discrete-event simulator and spills to a `Vec<u8>` / file
-//!   via [`RecoveryImage`] for the threaded driver.
+//! * **Checkpoint + journal** ([`RecoveryLog`]): the resource's volatile
+//!   mining state ([`ResourceState`]) as named trees in a
+//!   [`gridmine_store::Store`] — a checkpoint is the store's snapshot,
+//!   every state delta since is one record of its write-ahead log — so
+//!   truncation, reordering and payload tampering are caught by the one
+//!   digest chain the workspace has. This crate adds the typed records,
+//!   their screen, and the adapter between the two. At rest the log is a
+//!   [`RecoveryImage`]: the store's segment bytes with the chain head
+//!   pinned, held in memory by the in-process drivers and published to
+//!   a file by a node process.
 //! * **Unified retry/deadline policy** ([`RetryPolicy`]): one place for
 //!   the previously scattered bounded-SFE-retry budget, anti-entropy
 //!   resend cadence, channel-drain timeout and the recovery watchdog
@@ -18,7 +21,7 @@
 //!
 //! Restored state is **untrusted input**: the digest chain proves only
 //! log integrity, not honesty (there is no key; a forger who rewrites the
-//! whole log re-chains it trivially). The consuming resource therefore
+//! whole image re-chains it trivially). The consuming resource therefore
 //! re-screens every restored record ([`RuleRecord::is_wellformed`]),
 //! re-audits share totals against its accountant, and converts any
 //! failure into a `MaliciousResource` verdict — never a panic.
@@ -32,7 +35,5 @@
 mod journal;
 mod policy;
 
-pub use journal::{
-    JournalEntry, JournalError, RecoveryImage, RecoveryLog, ResourceState, RuleRecord,
-};
+pub use journal::{JournalError, RecoveryImage, RecoveryLog, ResourceState, RuleRecord};
 pub use policy::{RecoveryMode, RecoveryPolicy, RetryPolicy};

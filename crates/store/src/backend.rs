@@ -14,6 +14,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::error::StoreError;
+use crate::wal::{push_bytes, push_str, Cursor};
 
 /// Primitive file operations, in terms the crash model understands.
 ///
@@ -229,6 +230,37 @@ impl MemBackend {
     pub fn bytes(&self, name: &str) -> Option<&[u8]> {
         self.files.get(name).map(|f| f.bytes.as_slice())
     }
+
+    /// Every file as one byte string — `name, bytes` frames in name
+    /// order — so a whole store can be held across a crash window or
+    /// published with one [`atomic_write_file`].
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let framed = |(name, f): (&String, &MemFile)| 2 + name.len() + 4 + f.bytes.len();
+        let mut out = Vec::with_capacity(self.files.iter().map(framed).sum());
+        for (name, f) in &self.files {
+            push_str(&mut out, name);
+            push_bytes(&mut out, &f.bytes);
+        }
+        out
+    }
+
+    /// Total inverse of [`MemBackend::to_bytes`]: `None` unless `bytes`
+    /// is exactly a run of whole frames with distinct names. What was
+    /// read from an image is durable by definition, so every file comes
+    /// back fully synced. The segments themselves are not looked at —
+    /// that is [`crate::Store::open`]'s job.
+    pub fn from_bytes(bytes: &[u8]) -> Option<MemBackend> {
+        let mut r = Cursor { buf: bytes, pos: 0 };
+        let mut files = BTreeMap::new();
+        while r.pos < bytes.len() {
+            let (name, content) = (r.string()?, r.bytes()?);
+            let synced = content.len();
+            if files.insert(name, MemFile { bytes: content, synced }).is_some() {
+                return None;
+            }
+        }
+        Some(MemBackend { files })
+    }
 }
 
 impl Backend for MemBackend {
@@ -291,6 +323,33 @@ mod tests {
         assert_eq!(lost.bytes("f"), Some(&b"hello"[..]));
         let kept = b.crashed(false);
         assert_eq!(kept.bytes("f"), Some(&b"hello world"[..]));
+    }
+
+    #[test]
+    fn mem_backend_frames_to_bytes_and_back() {
+        let mut b = MemBackend::new();
+        b.append("wal-0.log", b"tail").expect("append");
+        b.append("snap-0.seg", b"").expect("append");
+        b.sync("snap-0.seg").expect("sync");
+        let bytes = b.to_bytes();
+        let back = MemBackend::from_bytes(&bytes).expect("whole frames decode");
+        assert_eq!(back.bytes("wal-0.log"), Some(&b"tail"[..]));
+        assert_eq!(back.bytes("snap-0.seg"), Some(&b""[..]));
+        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(back.crashed(true).bytes("wal-0.log"), Some(&b"tail"[..]), "read = durable");
+        assert!(MemBackend::from_bytes(&[]).is_some_and(|b| b.to_bytes().is_empty()));
+        // Cut inside a frame, the frame is short; cut between the two,
+        // a file is missing (for `Store::open` and the head pin to
+        // notice); repeated, a name collides.
+        let first = 2 + "snap-0.seg".len() + 4;
+        for cut in (1..bytes.len()).filter(|&cut| cut != first) {
+            assert!(MemBackend::from_bytes(&bytes[..cut]).is_none(), "cut {cut}");
+        }
+        assert!(MemBackend::from_bytes(&bytes[..first]).is_some_and(|b| b.files.len() == 1));
+        let twice = [bytes.as_slice(), bytes.as_slice()].concat();
+        assert!(MemBackend::from_bytes(&twice).is_none());
+        // A length claim past the end allocates nothing and decodes to nothing.
+        assert!(MemBackend::from_bytes(&[1, 0, b'f', 0xFF, 0xFF, 0xFF, 0xFF]).is_none());
     }
 
     #[test]

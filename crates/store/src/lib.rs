@@ -2,18 +2,29 @@
 //!
 //! The paper's malicious-participant model lets resources vanish and
 //! return at any moment; everything a resource must remember across
-//! that — recovery checkpoints, controller audit journals, protocol
-//! tallies, and the §3 dynamic-database transaction log — therefore
-//! goes through this crate instead of ad-hoc `std::fs::write` calls
-//! that can tear mid-crash and swallow their errors.
+//! that therefore goes through this crate instead of ad-hoc
+//! `std::fs::write` calls that can tear mid-crash and swallow their
+//! errors — and through this crate's one record codec instead of a
+//! format per artifact:
+//!
+//! * the recovery log (`gridmine-recovery`) is a set of trees in a
+//!   `Store<MemBackend>`: a checkpoint is the snapshot, every state
+//!   delta one WAL record, and a recovery image is the two segments'
+//!   bytes ([`MemBackend::to_bytes`]) with [`Store::head`] pinned beside
+//!   them — [`Store::open`] is what verifies a restore;
+//! * a `gridmine-node` checkpoint is that image plus the node's
+//!   controller-audit and tallies trees, published with one
+//!   [`atomic_write_file`];
+//! * the §3 dynamic-database transaction log (`gridmine-sim`'s
+//!   `DurableStream`) is a store over [`FsBackend`].
 //!
 //! The design is a miniature log-structured store:
 //!
 //! * **Keyed trees** ([`Store`]): named `BTreeMap`s of byte keys to
 //!   byte values, rebuilt on open from a snapshot plus a WAL tail.
 //! * **Digest-chained WAL** ([`wal`]): every record carries a SplitMix64
-//!   chain digest in the recovery journal's discipline, so corruption
-//!   and naive tampering surface as typed errors on the exact record.
+//!   chain digest — the workspace's only one — so corruption and naive
+//!   tampering surface as typed errors on the exact record.
 //! * **Atomic rotation**: snapshots are published by tmp + fsync +
 //!   rename ([`atomic_write_file`] is the shared primitive); a crash at
 //!   any byte leaves the old generation or the new, never a mix.
@@ -23,10 +34,9 @@
 //!   in `tests/crash_points.rs` proves every kill point recovers to a
 //!   pre- or post-write state — never a torn one, never a panic.
 //!
-//! Like the recovery journal, the chain is **tamper evidence, not
-//! authentication**: it is keyless. A forger who recomputes digests is
-//! caught downstream by the restore screens, which treat everything
-//! read from disk as untrusted input.
+//! The chain is **tamper evidence, not authentication**: it is keyless.
+//! A forger who recomputes digests is caught downstream by the restore
+//! screens, which treat everything read from disk as untrusted input.
 
 // Protocol-adjacent crate: bytes come from disk, which the adversary
 // model treats as hostile input, so `.unwrap()` outside tests is part

@@ -445,6 +445,14 @@ impl<B: Backend> Store<B> {
         self.next_seq.saturating_sub(1)
     }
 
+    /// The chain head after the last logged record: where a reader of
+    /// these segments must arrive. Whoever takes the segments elsewhere
+    /// pins it beside them, because [`Store::open`] repairs a short WAL
+    /// as a torn tail and only the pin tells a cut from a crash.
+    pub fn head(&self) -> u64 {
+        self.head
+    }
+
     /// Bytes in the current WAL (compaction-policy input).
     pub fn wal_bytes(&self) -> u64 {
         self.wal_bytes
@@ -453,6 +461,11 @@ impl<B: Backend> Store<B> {
     /// What the last [`Store::open`] found and repaired.
     pub fn open_report(&self) -> OpenReport {
         self.report
+    }
+
+    /// The backend, read-only: its files are the store's durable form.
+    pub fn backend(&self) -> &B {
+        &self.backend
     }
 
     /// Consumes the store, returning its backend (crash harnesses).

@@ -9,14 +9,14 @@
 //! └─────────┴─────────┴────────────┴──────────────┘
 //! ```
 //!
-//! `digest = digest_bytes(prev_digest ^ seq, payload)` — the same
-//! SplitMix64 chain discipline as `gridmine-recovery`'s journal, with
-//! its own genesis constant and a per-(kind, generation) seed so a
-//! record can never be spliced between segments, generations or kinds.
-//! This is **tamper evidence, not authentication**: it is keyless, and
-//! catches corruption and naive tampering; a forger who recomputes the
-//! chain is caught downstream by the restore screens (share audits,
-//! wellformedness), exactly as for the recovery journal.
+//! `digest = digest_bytes(prev_digest ^ seq, payload)` — a SplitMix64
+//! chain, the one digest discipline of the workspace (the recovery
+//! journal *is* a WAL of these records), from a genesis constant and a
+//! per-(kind, generation) seed so a record can never be spliced between
+//! segments, generations or kinds. This is **tamper evidence, not
+//! authentication**: it is keyless, and catches corruption and naive
+//! tampering; a forger who recomputes the chain is caught downstream by
+//! the restore screens (share audits, wellformedness).
 //!
 //! ## Torn tails vs. corruption
 //!
@@ -44,9 +44,7 @@ pub const HEADER: usize = 4 + 8 + 8;
 /// write time and read as tampering at decode time.
 pub const MAX_PAYLOAD: usize = 1 << 24;
 
-/// Domain-separation constant for segment chains (distinct from the
-/// recovery journal's genesis, so a journal can never pose as a
-/// segment or vice versa).
+/// Domain-separation constant for segment chains.
 const GENESIS: u64 = 0x570E_C0DE_1217_6A0A;
 
 /// Which flavor of segment a chain seed belongs to.
@@ -159,21 +157,21 @@ impl Op {
     }
 }
 
-fn push_str(out: &mut Vec<u8>, s: &str) {
+pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u16).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
 }
 
-fn push_bytes(out: &mut Vec<u8>, b: &[u8]) {
+pub(crate) fn push_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(&(b.len() as u32).to_le_bytes());
     out.extend_from_slice(b);
 }
 
 /// Bounds-checked little-endian reader (the net codec's `Reader`
-/// idiom, scoped to record payloads).
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// idiom, scoped to record payloads and the backend framing).
+pub(crate) struct Cursor<'a> {
+    pub(crate) buf: &'a [u8],
+    pub(crate) pos: usize,
 }
 
 impl Cursor<'_> {
@@ -192,12 +190,12 @@ impl Cursor<'_> {
         self.take(8)?.try_into().ok().map(u64::from_le_bytes)
     }
 
-    fn string(&mut self) -> Option<String> {
+    pub(crate) fn string(&mut self) -> Option<String> {
         let n = u16::from_le_bytes(self.take(2)?.try_into().ok()?) as usize;
         String::from_utf8(self.take(n)?.to_vec()).ok()
     }
 
-    fn bytes(&mut self) -> Option<Vec<u8>> {
+    pub(crate) fn bytes(&mut self) -> Option<Vec<u8>> {
         let n = u32::from_le_bytes(self.take(4)?.try_into().ok()?) as usize;
         Some(self.take(n)?.to_vec())
     }

@@ -331,13 +331,23 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid UTF-8".into()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                Some(lead) => {
+                    // Consume one UTF-8 scalar: its length is in the
+                    // lead byte, so only those (at most four) bytes are
+                    // looked at — never the rest of the input.
+                    let len = match lead {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let scalar = self
+                        .bytes
+                        .get(self.pos..self.pos + len)
+                        .and_then(|b| std::str::from_utf8(b).ok())
+                        .ok_or_else(|| Error("invalid UTF-8".into()))?;
+                    out.push_str(scalar);
+                    self.pos += len;
                 }
             }
         }
@@ -438,5 +448,68 @@ mod tests {
     #[test]
     fn whitespace_tolerated() {
         assert_eq!(from_str::<Vec<u64>>(" [ 1 , 2 ] ").unwrap(), vec![1, 2]);
+    }
+
+    /// One scalar of each UTF-8 width above ASCII.
+    const WIDE: [char; 3] = ['é', '€', '😀'];
+
+    #[test]
+    fn multibyte_scalars_roundtrip_in_every_position() {
+        let escapes = ["\\\"", "\\\\", "\\/", "\\n", "\\r", "\\t", "\\b", "\\f", "\\u00e9"];
+        let unescaped = ["\"", "\\", "/", "\n", "\r", "\t", "\u{8}", "\u{c}", "é"];
+        for c in WIDE {
+            // On its own, which is also "last before the closing quote".
+            let alone = c.to_string();
+            assert_eq!(from_str::<String>(&to_string(&alone).unwrap()).unwrap(), alone);
+            assert_eq!(from_str::<String>(&format!("\"{c}\"")).unwrap(), alone);
+            // Last character behind ASCII, and first in front of it.
+            assert_eq!(from_str::<String>(&format!("\"ab{c}\"")).unwrap(), format!("ab{c}"));
+            assert_eq!(from_str::<String>(&format!("\"{c}ab\"")).unwrap(), format!("{c}ab"));
+            // On both sides of every escape.
+            for (esc, plain) in escapes.iter().zip(unescaped) {
+                let text = format!("\"{c}{esc}{c}\"");
+                assert_eq!(from_str::<String>(&text).unwrap(), format!("{c}{plain}{c}"), "{text}");
+            }
+        }
+        let all: String = WIDE.iter().collect();
+        assert_eq!(from_str::<String>(&to_string(&all).unwrap()).unwrap(), all);
+    }
+
+    #[test]
+    fn truncated_scalar_is_an_error_not_a_panic() {
+        // `from_str` only ever sees valid UTF-8; the parser itself must
+        // still refuse a scalar cut short by the end of its input.
+        for c in WIDE {
+            let mut bytes = vec![b'"'];
+            bytes.extend_from_slice(&c.to_string().as_bytes()[..c.len_utf8() - 1]);
+            let mut p = Parser { bytes: &bytes, pos: 0 };
+            assert!(p.parse_string().is_err(), "{c}");
+        }
+        let mut p = Parser { bytes: b"\"\x80\"", pos: 0 };
+        assert!(p.parse_string().is_err(), "a bare continuation byte");
+    }
+
+    /// About `bytes` bytes of short strings, each ending in a wide
+    /// scalar: every character goes through `parse_string`.
+    fn string_heavy(bytes: usize) -> (Vec<String>, String) {
+        let doc: Vec<String> =
+            (0..bytes / 19).map(|i| format!("rule-{i:08}-{}", WIDE[i % 3])).collect();
+        let text = to_string(&doc).unwrap();
+        (doc, text)
+    }
+
+    #[test]
+    fn a_mebibyte_of_strings_parses_in_linear_time() {
+        // Re-validating the rest of the input per character made this
+        // quadratic: seconds for 1 MiB in release, minutes in a debug
+        // build. Linear, it is milliseconds in either, so the bound
+        // only has to tell the two apart on a loaded machine.
+        let (doc, text) = string_heavy(1 << 20);
+        assert!(text.len() >= 1 << 20, "{} bytes", text.len());
+        let t0 = std::time::Instant::now();
+        let back = from_str::<Vec<String>>(&text).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(back, doc);
+        assert!(took < std::time::Duration::from_secs(3), "1 MiB took {took:?}");
     }
 }

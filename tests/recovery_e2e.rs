@@ -95,11 +95,11 @@ fn recovery_journal_spills_to_disk_and_restores_the_resource() {
 
     // Spill the image to the artifact path CI archives (written to a
     // predictable location, like the chaos trace in end_to_end.rs).
-    let path = std::path::Path::new("target/gridmine-obs/recovery_journal.json");
+    let path = std::path::Path::new("target/gridmine-obs/recovery_journal.image");
     let image = RecoveryImage::from_bytes(&bytes).expect("image decodes");
     image.write_to(path).expect("artifact written");
     let from_disk = RecoveryImage::read_from(path).expect("artifact reads back");
-    assert_eq!(from_disk, image, "the file codec is lossless");
+    assert_eq!(from_disk.to_bytes(), image.to_bytes(), "the file codec is lossless");
 
     // Restore from the on-disk copy and verify the resource resumed.
     assert!(grid[2].restore_from_image(&from_disk.to_bytes()), "verified restore succeeds");
@@ -153,4 +153,61 @@ fn tampered_on_disk_image_is_rejected_not_applied() {
         Some(Verdict::MaliciousResource(1)),
         "the forgery surfaces as a verdict, not a panic"
     );
+}
+
+#[test]
+fn a_crash_time_image_of_a_large_working_set_restores_inside_the_watchdog() {
+    // The shape the T5I2 checkpoint workload reaches at one resource: a
+    // checkpoint of 1 400+ rules with the default five rounds of deltas
+    // on top (every rule scanned and decided once a round). The restore
+    // watchdog (`RoundMachine::restore`) degrades a resource that takes
+    // longer than the policy deadline, so decode + replay + re-seeding
+    // must stay well inside it; it is the image codec that decides.
+    use gridmine::arm::CandidateRule;
+    use gridmine::recovery::{ResourceState, RuleRecord};
+    let keys = GridKeys::<MockCipher>::mock(19);
+    let generator = CandidateGenerator::new(Ratio::new(1, 2), Ratio::new(1, 2));
+    let db = uniform_dbs(1).remove(0);
+    let db_len = db.len() as u64;
+    let mut r =
+        SecureResource::new(0, &keys, Vec::new(), db, 1, generator, &[Item(1), Item(2)], 71);
+
+    let record = |i: u32, round: u64| {
+        let pair = ItemSet::of(&[100 + i / 60, 200 + i % 60]);
+        let rule = CandidateRule::new(Rule::frequency(pair), Ratio::new(1, 2));
+        let frontier = (8 * round).min(db_len);
+        let (sum, count, clock) = ((frontier / 2) as i64, frontier as i64, 1 + round as i64);
+        RuleRecord {
+            rule,
+            frontier,
+            sum,
+            count,
+            clock,
+            last_sum: sum,
+            output: Some(i.is_multiple_of(3)),
+        }
+    };
+    let rules = 1_480u32;
+    let mut log = RecoveryLog::baseline(&ResourceState {
+        resource: 0,
+        records: (0..rules).map(|i| record(i, 0)).collect(),
+    });
+    for round in 1..=5 {
+        for i in 0..rules {
+            let rec = record(i, round);
+            log.scan_advanced(&rec);
+            log.output_cached(&rec.rule, rec.output == Some(true));
+        }
+    }
+    assert_eq!(log.len(), 2 * 5 * rules as usize);
+    let bytes = log.image().to_bytes();
+
+    r.crash_wipe();
+    let t0 = std::time::Instant::now();
+    assert!(r.restore_from_image(&bytes), "an honest image restores");
+    let took = t0.elapsed();
+    assert_eq!(r.candidate_count(), rules as usize);
+    assert_eq!(r.recovery_replays(), 1);
+    let deadline = std::time::Duration::from_millis(RetryPolicy::DEFAULT.deadline_ms);
+    assert!(took < deadline, "{} kB restored in {took:?}", bytes.len() / 1000);
 }
