@@ -117,11 +117,6 @@ impl<C: HomCipher> Broker<C> {
         &self.layout
     }
 
-    /// Rules with live instances.
-    pub fn rules(&self) -> impl Iterator<Item = &CandidateRule> {
-        self.rules.keys()
-    }
-
     /// Whether an instance exists for `cand`.
     pub fn has_rule(&self, cand: &CandidateRule) -> bool {
         self.rules.contains_key(cand)
@@ -292,33 +287,16 @@ impl<C: HomCipher> Broker<C> {
         self.cipher.try_scalar(rho, &delta)
     }
 
-    /// The aggregate without neighbor `v`'s contribution (the `Update(v)`
-    /// payload source). `None` when no instance exists for `cand`.
-    pub fn minus_aggregate(&self, cand: &CandidateRule, v: usize) -> Option<SecureCounter<C>> {
-        let inst = self.instance(cand)?;
-        let mut agg = inst.local.clone();
-        for (&w, c) in &inst.recv {
-            if w != v {
-                agg = agg.add(&self.cipher, c);
-            }
-        }
-        Some(agg)
-    }
-
     /// The latest counter from `v` (placeholder if nothing arrived yet),
-    /// rerandomized so repeated SFE inputs are unlinkable. `None` when
-    /// the instance or the neighbor's slot is missing.
-    pub fn recv_of(&self, cand: &CandidateRule, v: usize) -> Option<SecureCounter<C>> {
-        Some(self.instance(cand)?.recv.get(&v)?.rerandomize(&self.cipher))
-    }
-
-    /// Neighbor ids with instance state for `cand` (empty when no
-    /// instance exists).
-    pub fn instance_neighbors(&self, cand: &CandidateRule) -> Vec<usize> {
-        let mut v: Vec<usize> =
-            self.instance(cand).map(|i| i.recv.keys().copied().collect()).unwrap_or_default();
-        v.sort_unstable();
-        v
+    /// exactly as stored: with [`Broker::full_aggregate`] it is the whole
+    /// input of the send SFE toward `v` — what goes out is the difference
+    /// of the two, taken by the controller. Its only reader holds the
+    /// decryption key and links inputs by plaintext, so fresh noise here
+    /// would hide nothing; handing over the same bytes until `v` sends
+    /// again is what lets the controller open them once. `None` when the
+    /// instance or the neighbor's slot is missing.
+    pub fn recv_of(&self, cand: &CandidateRule, v: usize) -> Option<&SecureCounter<C>> {
+        self.instance(cand)?.recv.get(&v)
     }
 }
 
@@ -433,26 +411,15 @@ mod tests {
     }
 
     #[test]
-    fn minus_aggregate_excludes_exactly_one_neighbor() {
-        let mut f = fix();
-        f.broker.on_receive(&rule(), 1, incoming(&f, 1, 5, 9, 1));
-        f.broker.on_receive(&rule(), 2, incoming(&f, 2, 7, 11, 1));
-        let key = f.keys.tags.key(f.broker.layout().arity());
-        let m1 = f.broker.minus_aggregate(&rule(), 1).unwrap().open(&f.keys.dec, &key).unwrap();
-        assert_eq!((m1.sum, m1.count, m1.num), (8, 12, 2));
-        let m2 = f.broker.minus_aggregate(&rule(), 2).unwrap().open(&f.keys.dec, &key).unwrap();
-        assert_eq!((m2.sum, m2.count, m2.num), (6, 10, 2));
-    }
-
-    #[test]
-    fn recv_of_is_rerandomized() {
+    fn recv_of_is_the_stored_counter_unchanged() {
         let mut f = fix();
         let c = incoming(&f, 1, 5, 9, 1);
-        f.broker.on_receive(&rule(), 1, c);
-        let a = f.broker.recv_of(&rule(), 1).unwrap();
-        let b = f.broker.recv_of(&rule(), 1).unwrap();
-        assert_ne!(a, b, "unlinkable");
-        let key = f.keys.tags.key(a.layout.arity());
-        assert_eq!(a.open(&f.keys.dec, &key).unwrap(), b.open(&f.keys.dec, &key).unwrap());
+        f.broker.on_receive(&rule(), 1, c.clone());
+        assert_eq!(f.broker.recv_of(&rule(), 1), Some(&c), "no fresh noise, no copy");
+        // Until 2 sends, its slot holds the placeholder it was wired with.
+        let key = f.keys.tags.key(c.layout.arity());
+        let placeholder = f.broker.recv_of(&rule(), 2).unwrap().open(&f.keys.dec, &key).unwrap();
+        assert_eq!((placeholder.sum, placeholder.count, placeholder.num), (0, 0, 0));
+        assert_eq!(f.broker.recv_of(&rule(), 9), None, "no slot for a stranger");
     }
 }

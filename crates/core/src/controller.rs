@@ -13,21 +13,32 @@
 //!   counted zero or twice ⇒ the local broker is malicious, §5.2);
 //! * no timestamp may regress below the controller's trace (an old counter
 //!   was reused ⇒ the resource owning that slot is blamed, §5.2);
-//! * the broker's `full`, `minus-v` and `recv-v` inputs must be additively
-//!   consistent (else the local broker is malicious).
+//! * `full` must contain each `recv-v` it is asked about — no more
+//!   resources in `recv-v` than in `full`, no timestamp slot of `recv-v`
+//!   above `full`'s (else the local broker is malicious).
 //!
 //! On a positive send decision the controller itself seals the outgoing
 //! message — receiver-addressed share, fresh Lamport timestamp — which is
-//! what makes honest aggregation verifiable end to end.
+//! what makes honest aggregation verifiable end to end. What it seals is
+//! `full − recv-v`, taken on the two plaintexts: a broker-supplied third
+//! input could prove nothing, because tags are linear and a broker builds
+//! a consistent `full ⊖ r'` for any valid counter `r'` it holds, key-free.
+//! Naming a counter other than `v`'s latest as `recv-v` damages only the
+//! validity of the liar's own resource, as a wrongly blinded `Δ` does in
+//! the output SFE.
 //!
-//! Each SFE input is opened once. A rule change asks about every
-//! neighbor at the same `full` aggregate, so [`Controller::send_queries`]
-//! takes them together: `full` and every edge's `minus-v`/`recv-v` decrypt
-//! in one wave and their tags verify in one combined check, `full` is
-//! audited once, and the per-edge decisions then run in neighbor order
-//! exactly as separate queries would. The share a neighbor assigned to
-//! this resource is the same ciphertext for a whole membership epoch; it
-//! is decrypted once and remembered by its bytes.
+//! Each SFE input is opened once per content. A rule change asks about
+//! every neighbor at the same `full` aggregate, so
+//! [`Controller::send_queries`] takes them together, and between two
+//! waves usually one input has new ciphertexts: per rule and input slot
+//! (`full`, and `recv-v` per neighbor) the controller remembers the
+//! counter it last opened there with its plaintext. The inputs that
+//! differ from what is remembered decrypt in one wave and their tags
+//! verify in one combined check; the rest are read back. Either way
+//! `full` is audited once a wave, and the per-edge decisions then run in
+//! neighbor order exactly as separate queries would. The share a neighbor
+//! assigned to this resource is the same ciphertext for a whole
+//! membership epoch; it is decrypted once and remembered by its bytes.
 //!
 //! Like any Lamport-clock scheme, the timestamp traces assume FIFO
 //! links: reordering two honest messages on one edge is
@@ -115,8 +126,8 @@ pub struct AuditImage {
 }
 
 /// Per-rule audit state.
-#[derive(Clone, Debug)]
-struct RuleAudit {
+#[derive(Clone)]
+struct RuleAudit<C: HomCipher> {
     output_gate: KGate,
     send_gates: HashMap<usize, KGate>,
     /// Timestamp traces `T̃` per slot of the own layout.
@@ -126,9 +137,16 @@ struct RuleAudit {
     /// Plaintext (sum, count, num) last sealed toward each neighbor —
     /// both the `Δ^uv` ingredient and the duplicate-send suppressor.
     last_sent: HashMap<usize, (i64, i64, i64)>,
+    /// Per SFE input slot — `None` is `full`, `Some(v)` is `recv-v` — the
+    /// counter last opened there and its plaintext. A hit needs the very
+    /// same layout, ciphertexts and tag, so an entry can be stale but
+    /// never wrong: whatever is read back passed decryption and tag check
+    /// as exactly these bytes. Not part of [`AuditImage`]; a restarted
+    /// controller opens everything again.
+    opened: HashMap<Option<usize>, (SecureCounter<C>, PlainCounter)>,
 }
 
-impl RuleAudit {
+impl<C: HomCipher> RuleAudit<C> {
     fn new(k: i64, mode: GateMode, n_slots: usize) -> Self {
         RuleAudit {
             output_gate: KGate::with_mode(k, mode),
@@ -136,6 +154,7 @@ impl RuleAudit {
             traces: vec![0; n_slots],
             clock: 0,
             last_sent: HashMap::new(),
+            opened: HashMap::new(),
         }
     }
 }
@@ -149,7 +168,7 @@ pub struct Controller<C: HomCipher> {
     k: i64,
     gate_mode: GateMode,
     layout: CounterLayout,
-    rules: HashMap<CandidateRule, RuleAudit>,
+    rules: HashMap<CandidateRule, RuleAudit<C>>,
     /// Per neighbor, the share ciphertext last supplied for it and its
     /// reduced plaintext. A hit needs the very same ciphertext, so a
     /// broker that swaps the share gets the decryption of what it
@@ -171,10 +190,8 @@ pub struct SendEdge<'a, C: HomCipher> {
     pub v: usize,
     /// Its counter layout (the outgoing message is sealed under it).
     pub receiver_layout: &'a CounterLayout,
-    /// The aggregate without `v`'s contribution.
-    pub minus_v: SecureCounter<C>,
-    /// The latest counter received from `v`.
-    pub recv_v: SecureCounter<C>,
+    /// The latest counter received from `v`, as the broker stores it.
+    pub recv_v: &'a SecureCounter<C>,
     /// The encrypted share `v`'s accountant assigned to this resource at
     /// initialization.
     pub share_for_me: &'a C::Ct,
@@ -231,7 +248,8 @@ impl<C: HomCipher> Controller<C> {
     /// (a stale-epoch counter carries a stale share, breaking the sum-to-1
     /// audit). The outgoing clock continues, so this resource's own
     /// messages never regress at its neighbors. Remembered share
-    /// plaintexts are forgotten with the epoch that assigned them.
+    /// plaintexts are forgotten with the epoch that assigned them, and
+    /// remembered openings with the layout they were opened under.
     pub fn set_layout(&mut self, layout: CounterLayout) {
         self.layout = layout;
         self.shares_seen.clear();
@@ -242,6 +260,7 @@ impl<C: HomCipher> Controller<C> {
             audit.traces = vec![0; slots];
             audit.send_gates.retain(|v, _| retained.contains(v));
             audit.last_sent.retain(|v, _| retained.contains(v));
+            audit.opened.clear();
         }
     }
 
@@ -309,13 +328,14 @@ impl<C: HomCipher> Controller<C> {
                     .into_iter()
                     .map(|(v, a)| (v, (a.sum, a.count, a.num)))
                     .collect(),
+                opened: HashMap::new(),
             };
             self.rules.insert(img.rule, audit);
         }
         true
     }
 
-    fn audit_state(&mut self, rule: &CandidateRule) -> &mut RuleAudit {
+    fn audit_state(&mut self, rule: &CandidateRule) -> &mut RuleAudit<C> {
         // Cloning the rule (two item vectors) only when it is new: every
         // SFE query comes through here.
         if !self.rules.contains_key(rule) {
@@ -331,13 +351,41 @@ impl<C: HomCipher> Controller<C> {
         v
     }
 
-    /// Opens a counter, translating tag failures into a broker verdict.
-    fn open_checked(&mut self, c: &SecureCounter<C>) -> Result<PlainCounter, Verdict> {
-        let key = self.tags.key(c.layout.arity());
-        match c.open(&self.cipher, &key) {
-            Ok(p) => Ok(p),
-            Err(_) => Err(self.raise(Verdict::MaliciousBroker(self.id))),
+    /// The plaintext of each SFE input of `rule`, aligned with `inputs`
+    /// (slot as in [`RuleAudit::opened`]). An input whose bytes are those
+    /// last opened at its slot is read back; the others decrypt in one
+    /// wave, verify their tags in one combined check and are remembered.
+    /// `None` marks an input that did not open under this resource's key
+    /// — every counter of an honest wave is sealed under its layout.
+    fn open_inputs(
+        &mut self,
+        rule: &CandidateRule,
+        inputs: &[(Option<usize>, &SecureCounter<C>)],
+    ) -> Vec<Option<PlainCounter>> {
+        self.audit_state(rule);
+        let Controller { rules, cipher, tags, layout, .. } = self;
+        let opened = &mut rules.get_mut(rule).expect("present or just inserted").opened;
+        let mut plains: Vec<Option<PlainCounter>> = inputs
+            .iter()
+            .map(|&(slot, counter)| match opened.get(&slot) {
+                Some((seen, plain)) if seen == counter => Some(plain.clone()),
+                _ => None,
+            })
+            .collect();
+        let missed: Vec<usize> = (0..inputs.len()).filter(|&i| plains[i].is_none()).collect();
+        if missed.is_empty() {
+            return plains;
         }
+        let key = tags.key(layout.arity());
+        let wave: Vec<&SecureCounter<C>> = missed.iter().map(|&i| inputs[i].1).collect();
+        for (i, plain) in missed.into_iter().zip(SecureCounter::open_many(cipher, &key, &wave)) {
+            if let Ok(plain) = plain {
+                let (slot, counter) = inputs[i];
+                opened.insert(slot, (counter.clone(), plain.clone()));
+                plains[i] = Some(plain);
+            }
+        }
+        plains
     }
 
     /// Full-aggregate audit: share and timestamp checks of Algorithm 3.
@@ -349,14 +397,16 @@ impl<C: HomCipher> Controller<C> {
         if full.layout != self.layout {
             return Err(self.raise(Verdict::MaliciousBroker(self.id)));
         }
-        let p = self.open_checked(full)?;
+        let Some(p) = self.open_inputs(rule, &[(None, full)]).pop().flatten() else {
+            return Err(self.raise(Verdict::MaliciousBroker(self.id)));
+        };
         self.audit_full_plain(rule, &p)?;
         Ok(p)
     }
 
-    /// Plaintext half of the full-aggregate audit, shared between the
-    /// per-counter path and the batched wave of
-    /// [`Controller::send_queries`].
+    /// Plaintext half of the full-aggregate audit. Runs on every query,
+    /// on a remembered plaintext as on a fresh one: the traces it holds
+    /// `full` to move between queries even when `full` does not.
     fn audit_full_plain(&mut self, rule: &CandidateRule, p: &PlainCounter) -> Result<(), Verdict> {
         if p.share != 1 {
             return Err(self.raise(Verdict::MaliciousBroker(self.id)));
@@ -430,10 +480,11 @@ impl<C: HomCipher> Controller<C> {
     /// here is the sealed outgoing message.
     ///
     /// `full` is the broker's complete aggregate, the same for every
-    /// edge. All `1 + 2·edges` counters are opened in one wave; `full` is
-    /// audited once; then each edge is answered in order — its own
-    /// `SfeQuery`/`SfeAnswer` pair, k-gate, suppressor and Lamport step —
-    /// exactly as if it had been asked alone.
+    /// edge. Of the `1 + edges` counters, those not already opened as
+    /// these bytes are opened in one wave; `full` is audited once; then
+    /// each edge is answered in order — its own `SfeQuery`/`SfeAnswer`
+    /// pair, k-gate, suppressor and Lamport step — exactly as if it had
+    /// been asked alone.
     ///
     /// Returns the messages sealed, by neighbor, and the verdict that
     /// stopped the wave, if one did: a failure at one edge leaves the
@@ -451,18 +502,13 @@ impl<C: HomCipher> Controller<C> {
         if edges.is_empty() {
             return (sealed, Ok(()));
         }
-        // Every counter of an honest wave is sealed under this resource's
-        // layout; one that is not fails to open under its key and is
-        // blamed where the sequential path would have met it.
-        let key = self.tags.key(self.layout.arity());
-        let wave: Vec<&SecureCounter<C>> = std::iter::once(full)
-            .chain(edges.iter().flat_map(|e| [&e.minus_v, &e.recv_v]))
+        // An input that does not open is blamed below, at the edge that
+        // meets it first.
+        let inputs: Vec<(Option<usize>, &SecureCounter<C>)> = std::iter::once((None, full))
+            .chain(edges.iter().map(|e| (Some(e.v), e.recv_v)))
             .collect();
-        let mut opened = SecureCounter::open_many(&self.cipher, &key, &wave).into_iter();
-        let p_full = match opened.next() {
-            Some(Ok(p)) if full.layout == self.layout => Some(p),
-            _ => None,
-        };
+        let mut opened = self.open_inputs(rule, &inputs).into_iter();
+        let p_full = opened.next().flatten().filter(|_| full.layout == self.layout);
         for (i, edge) in edges.iter().enumerate() {
             emit(&self.rec, || Event::SfeQuery {
                 resource: self.id as u64,
@@ -473,8 +519,7 @@ impl<C: HomCipher> Controller<C> {
             // Consume in protocol order so the verdict blames the first
             // failure, exactly as one query per edge did: `full` and its
             // audit (met by the first edge; re-auditing the same
-            // plaintext per edge was a no-op), then this edge's
-            // `minus_v`, then its `recv_v`.
+            // plaintext per edge is a no-op), then this edge's `recv_v`.
             if i == 0 {
                 let audit = match &p_full {
                     Some(p) => self.audit_full_plain(rule, p),
@@ -484,12 +529,10 @@ impl<C: HomCipher> Controller<C> {
                     return (sealed, Err(verdict));
                 }
             }
-            let (Some(p_full), Some(Ok(p_minus)), Some(Ok(p_recv))) =
-                (&p_full, opened.next(), opened.next())
-            else {
+            let (Some(p_full), Some(Some(p_recv))) = (&p_full, opened.next()) else {
                 return (sealed, Err(self.raise(Verdict::MaliciousBroker(self.id))));
             };
-            match self.send_decision(rule, edge, p_full, &p_minus, &p_recv) {
+            match self.send_decision(rule, edge, p_full, &p_recv) {
                 Ok(decision) => {
                     emit(&self.rec, || Event::SfeAnswer {
                         resource: self.id as u64,
@@ -523,20 +566,16 @@ impl<C: HomCipher> Controller<C> {
         rule: &CandidateRule,
         edge: &SendEdge<'_, C>,
         p_full: &PlainCounter,
-        p_minus: &PlainCounter,
         p_recv: &PlainCounter,
     ) -> Result<Option<SecureCounter<C>>, Verdict> {
-        // Additive consistency: full = minus_v + recv_v, field by field.
-        let consistent = p_full.sum == p_minus.sum + p_recv.sum
-            && p_full.count == p_minus.count + p_recv.count
-            && p_full.num == p_minus.num + p_recv.num
-            && p_full.share == share_reduce(p_minus.share + p_recv.share)
-            && p_full
-                .ts
-                .iter()
-                .zip(p_minus.ts.iter().zip(&p_recv.ts))
-                .all(|(&f, (&m, &r))| f == m + r);
-        if !consistent {
+        // What leaves toward `v` is the aggregate without `v`'s own
+        // contribution. Containment: a `recv_v` that `full` cannot have
+        // been summed from — more resources, or a later timestamp in any
+        // slot — is a counter the broker made the pair up with.
+        let (sum, count, num) =
+            (p_full.sum - p_recv.sum, p_full.count - p_recv.count, p_full.num - p_recv.num);
+        let contained = num >= 0 && p_recv.ts.iter().zip(&p_full.ts).all(|(r, f)| r <= f);
+        if !contained {
             return Err(self.raise(Verdict::MaliciousBroker(self.id)));
         }
 
@@ -563,10 +602,9 @@ impl<C: HomCipher> Controller<C> {
             // Duplicate suppression: resending an identical aggregate is a
             // no-op for the receiver; the plain protocol never does it
             // either (after a send, Δ^uv = Δ^u until something changes).
-            let payload = (p_minus.sum, p_minus.count, p_minus.num);
+            let payload = (sum, count, num);
             let already_sent = audit.last_sent.contains_key(&v);
-            if !decision || (already_sent && payload == last) || (!already_sent && p_minus.num == 0)
-            {
+            if !decision || (already_sent && payload == last) || (!already_sent && num == 0) {
                 return Ok(None);
             }
 
@@ -589,9 +627,9 @@ impl<C: HomCipher> Controller<C> {
             &key,
             edge.receiver_layout,
             self.id,
-            p_minus.sum,
-            p_minus.count,
-            p_minus.num,
+            sum,
+            count,
+            num,
             share_plain,
             t_out,
         ))
@@ -624,37 +662,29 @@ mod tests {
     }
 
     /// One edge through the wave: the single-neighbor query.
-    #[allow(clippy::too_many_arguments)]
     fn send_one(
         ctl: &mut Controller<MockCipher>,
         rule: &CandidateRule,
         v: usize,
         receiver_layout: &CounterLayout,
         full: &SecureCounter<MockCipher>,
-        minus_v: &SecureCounter<MockCipher>,
         recv_v: &SecureCounter<MockCipher>,
         share_for_me: &gridmine_paillier::MockCt,
     ) -> Result<Option<SecureCounter<MockCipher>>, Verdict> {
-        let edge = SendEdge {
-            v,
-            receiver_layout,
-            minus_v: minus_v.clone(),
-            recv_v: recv_v.clone(),
-            share_for_me,
-        };
+        let edge = SendEdge { v, receiver_layout, recv_v, share_for_me };
         let (mut sealed, verdict) = ctl.send_queries(rule, full, &[edge]);
         verdict.map(|()| sealed.pop().map(|(_, counter)| counter))
     }
 
-    /// Builds a (full, minus_v, recv_v) triple with consistent shares
-    /// summing to 1 and the given vote values.
-    fn triple(
+    /// Builds a `(full, recv_v)` pair — the local counter plus neighbor
+    /// 1's — with shares summing to 1 and the given vote values.
+    fn pair(
         f: &Fix,
         own: (i64, i64, u32),
         from_v: (i64, i64, i64),
         ts_own: u32,
         ts_v: i64,
-    ) -> (SecureCounter<MockCipher>, SecureCounter<MockCipher>, SecureCounter<MockCipher>) {
+    ) -> (SecureCounter<MockCipher>, SecureCounter<MockCipher>) {
         let key = f.keys.tags.key(f.layout.arity());
         let own_share = share_reduce(1 - 77) as u32;
         let local = SecureCounter::seal_local(
@@ -679,8 +709,7 @@ mod tests {
             ts_v,
         )
         .unwrap();
-        let full = local.add(&f.keys.pub_ops, &recv);
-        (full, local, recv)
+        (local.add(&f.keys.pub_ops, &recv), recv)
     }
 
     /// Blinded Δ as the broker would compute it (λ = 1/2 here).
@@ -692,7 +721,7 @@ mod tests {
     fn output_query_discloses_when_gate_passes() {
         let mut f = fix(2);
         // 3 + 3 = 6 transactions of which 5 support; 2 resources; λ = 1/2.
-        let (full, _, _) = triple(&f, (2, 3, 1), (3, 3, 1), 1, 1);
+        let (full, _) = pair(&f, (2, 3, 1), (3, 3, 1), 1, 1);
         let b = blind(&f, 5, 6);
         assert_eq!(f.ctl.output_query(&rule(), &full, &b), Ok(true));
     }
@@ -702,7 +731,7 @@ mod tests {
         let mut f = fix(5);
         // Only 2 resources < k = 5: gated, initial cache is false even
         // though the majority holds.
-        let (full, _, _) = triple(&f, (3, 3, 1), (3, 3, 1), 1, 1);
+        let (full, _) = pair(&f, (3, 3, 1), (3, 3, 1), 1, 1);
         let b = blind(&f, 6, 6);
         assert_eq!(f.ctl.output_query(&rule(), &full, &b), Ok(false));
     }
@@ -722,7 +751,7 @@ mod tests {
     #[test]
     fn forged_counter_blames_broker() {
         let mut f = fix(1);
-        let (full, _, _) = triple(&f, (1, 1, 1), (1, 1, 1), 1, 1);
+        let (full, _) = pair(&f, (1, 1, 1), (1, 1, 1), 1, 1);
         let mut forged = full.clone();
         forged.msg.fields[F_SUM] = f.keys.enc.encrypt_i64(999);
         let b = blind(&f, 2, 2);
@@ -732,11 +761,11 @@ mod tests {
     #[test]
     fn timestamp_regression_blames_slot_owner() {
         let mut f = fix(1);
-        let (newer, _, _) = triple(&f, (1, 5, 1), (1, 5, 1), 3, 7);
+        let (newer, _) = pair(&f, (1, 5, 1), (1, 5, 1), 3, 7);
         let b = blind(&f, 2, 10);
         assert!(f.ctl.output_query(&rule(), &newer, &b).is_ok());
         // Replay: neighbor 1's slot regresses from 7 to 2.
-        let (older, _, _) = triple(&f, (2, 15, 1), (1, 5, 1), 4, 2);
+        let (older, _) = pair(&f, (2, 15, 1), (1, 5, 1), 4, 2);
         let b = blind(&f, 3, 20);
         assert_eq!(f.ctl.output_query(&rule(), &older, &b), Err(Verdict::MaliciousResource(1)));
     }
@@ -744,12 +773,11 @@ mod tests {
     #[test]
     fn send_query_seals_consistent_outgoing_message() {
         let mut f = fix(1);
-        let (full, minus, recv) = triple(&f, (4, 10, 1), (6, 10, 1), 1, 1);
+        let (full, recv) = pair(&f, (4, 10, 1), (6, 10, 1), 1, 1);
         let receiver_layout = CounterLayout::new(1, vec![0]);
         let share_for_me = f.keys.enc.encrypt_i64(123);
-        let out =
-            send_one(&mut f.ctl, &rule(), 1, &receiver_layout, &full, &minus, &recv, &share_for_me)
-                .unwrap();
+        let out = send_one(&mut f.ctl, &rule(), 1, &receiver_layout, &full, &recv, &share_for_me)
+            .unwrap();
         let out = out.expect("first contact with data must send");
         let key = f.keys.tags.key(receiver_layout.arity());
         let p = out.open(&f.keys.dec, &key).unwrap();
@@ -760,28 +788,38 @@ mod tests {
     }
 
     #[test]
-    fn inconsistent_triple_blames_broker() {
-        let mut f = fix(1);
-        let (full, minus, _) = triple(&f, (4, 10, 1), (6, 10, 1), 1, 1);
-        // Lie about recv_v: a different counter than the one aggregated.
+    fn recv_v_outside_full_blames_broker() {
+        let f = fix(1);
+        // The local vote goes against the neighbor's, so the condition
+        // holds on any `recv_v` that reports nothing.
+        let (full, _) = pair(&f, (0, 10, 1), (6, 10, 1), 1, 1);
         let key = f.keys.tags.key(f.layout.arity());
-        let bogus_recv =
-            SecureCounter::seal_outgoing(&f.keys.enc, &key, &f.layout, 1, 0, 0, 0, 77, 1).unwrap();
         let receiver_layout = CounterLayout::new(1, vec![0]);
         let share = f.keys.enc.encrypt_i64(5);
-        assert_eq!(
-            send_one(&mut f.ctl, &rule(), 1, &receiver_layout, &full, &minus, &bogus_recv, &share),
-            Err(Verdict::MaliciousBroker(0))
-        );
+        let send = |num, ts| {
+            let recv =
+                SecureCounter::seal_outgoing(&f.keys.enc, &key, &f.layout, 1, 0, 0, num, 77, ts)
+                    .unwrap();
+            send_one(&mut f.ctl.clone(), &rule(), 1, &receiver_layout, &full, &recv, &share)
+        };
+        // Lies about recv_v that `full` cannot contain: more resources
+        // than it counts, a later time than it saw from neighbor 1.
+        assert_eq!(send(3, 1), Err(Verdict::MaliciousBroker(0)));
+        assert_eq!(send(1, 2), Err(Verdict::MaliciousBroker(0)));
+        // One it can is not a lie the controller could tell apart: it is
+        // answered, with whatever `full` holds beyond it.
+        let out = send(0, 1).unwrap().expect("first contact with data sends");
+        let p = out.open(&f.keys.dec, &f.keys.tags.key(receiver_layout.arity())).unwrap();
+        assert_eq!((p.sum, p.count, p.num), (6, 20, 2));
     }
 
     #[test]
     fn exported_audits_keep_clocks_monotone_across_a_process_restart() {
         let mut f = fix(1);
-        let (full, minus, recv) = triple(&f, (4, 10, 1), (6, 10, 1), 5, 9);
+        let (full, recv) = pair(&f, (4, 10, 1), (6, 10, 1), 5, 9);
         let receiver_layout = CounterLayout::new(1, vec![0]);
         let share = f.keys.enc.encrypt_i64(5);
-        let out = send_one(&mut f.ctl, &rule(), 1, &receiver_layout, &full, &minus, &recv, &share)
+        let out = send_one(&mut f.ctl, &rule(), 1, &receiver_layout, &full, &recv, &share)
             .unwrap()
             .expect("first contact sends");
         let key = f.keys.tags.key(receiver_layout.arity());
@@ -800,14 +838,12 @@ mod tests {
         // A fresh controller without the import would reseal at ts
         // max(0, seen)+1; with it, the clock stays strictly monotone and
         // the duplicate-send suppressor still recognizes the aggregate.
-        let dup = send_one(&mut fresh, &rule(), 1, &receiver_layout, &full, &minus, &recv, &share)
-            .unwrap();
+        let dup = send_one(&mut fresh, &rule(), 1, &receiver_layout, &full, &recv, &share).unwrap();
         assert!(dup.is_none(), "suppressor state survived the restart");
-        let (full2, minus2, recv2) = triple(&f, (5, 12, 1), (6, 10, 1), 6, 9);
-        let out2 =
-            send_one(&mut fresh, &rule(), 1, &receiver_layout, &full2, &minus2, &recv2, &share)
-                .unwrap()
-                .expect("new data sends");
+        let (full2, recv2) = pair(&f, (5, 12, 1), (6, 10, 1), 6, 9);
+        let out2 = send_one(&mut fresh, &rule(), 1, &receiver_layout, &full2, &recv2, &share)
+            .unwrap()
+            .expect("new data sends");
         let ts2 = out2.open(&f.keys.dec, &key).unwrap().ts
             [receiver_layout.ts_slot(0).unwrap() - crate::counter::F_TS];
         assert!(ts2 > sent_ts, "imported clock never regresses ({ts2} > {sent_ts})");
@@ -816,17 +852,15 @@ mod tests {
     #[test]
     fn duplicate_sends_are_suppressed() {
         let mut f = fix(1);
-        let (full, minus, recv) = triple(&f, (4, 10, 1), (6, 10, 1), 1, 1);
+        let (full, recv) = pair(&f, (4, 10, 1), (6, 10, 1), 1, 1);
         let receiver_layout = CounterLayout::new(1, vec![0]);
         let share = f.keys.enc.encrypt_i64(5);
         let first =
-            send_one(&mut f.ctl, &rule(), 1, &receiver_layout, &full, &minus, &recv, &share)
-                .unwrap();
+            send_one(&mut f.ctl, &rule(), 1, &receiver_layout, &full, &recv, &share).unwrap();
         assert!(first.is_some());
         // Identical aggregate again: suppressed.
         let second =
-            send_one(&mut f.ctl, &rule(), 1, &receiver_layout, &full, &minus, &recv, &share)
-                .unwrap();
+            send_one(&mut f.ctl, &rule(), 1, &receiver_layout, &full, &recv, &share).unwrap();
         assert!(second.is_none());
     }
 }

@@ -171,8 +171,11 @@ impl<C: HomCipher> SecureCounter<C> {
         SecureCounter { msg: self.msg.add(cipher, &other.msg), layout: self.layout.clone() }
     }
 
-    /// Key-free rerandomization — what conceals whether an aggregate
-    /// changed between two sends.
+    /// Key-free rerandomization: other ciphertexts that open to the same
+    /// counter. No protocol path needs it — nothing a broker aggregates
+    /// leaves its resource, the controller seals every outgoing message
+    /// fresh — but it is what tells a counter's bytes from its content,
+    /// and the suites use it for that.
     pub fn rerandomize(&self, cipher: &C) -> Self {
         SecureCounter { msg: self.msg.rerandomize(cipher), layout: self.layout.clone() }
     }

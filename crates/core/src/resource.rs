@@ -369,8 +369,11 @@ impl<C: HomCipher> SecureResource<C> {
     /// Evaluates the send condition toward every neighbor for one rule
     /// (Algorithm 1's "for each v ∈ E: if MajorityCond(v), call
     /// Update(v)") — one SFE wave: the full aggregate is the same toward
-    /// every neighbor, so it is built once and the controller opens it
-    /// once, together with every edge's inputs.
+    /// every neighbor, so it is built once, and each edge adds only the
+    /// counter last received from its neighbor, by reference. The
+    /// controller opens whichever of those it has not opened before —
+    /// after a receive, the aggregate and the sender's counter — and
+    /// takes the outgoing aggregate as the difference of the two.
     fn on_change(&mut self, cand: &CandidateRule) -> Vec<WireMsg<C>> {
         if !self.is_live() {
             return Vec::new();
@@ -403,7 +406,6 @@ impl<C: HomCipher> SecureResource<C> {
                 Some(SendEdge {
                     v,
                     receiver_layout: self.neighbor_layouts.get(&v)?,
-                    minus_v: self.broker.minus_aggregate(cand, v)?,
                     recv_v: self.broker.recv_of(cand, v)?,
                     share_for_me: self.broker.share_for_sending_to(v)?,
                 })

@@ -1,13 +1,15 @@
 //! The product counter format and what the controller pays to open it:
 //! `sum` and `count` standalone, the side-band packed by the cipher's
-//! capacity, every SFE input opened once.
+//! capacity, every SFE input opened once per content.
 //!
 //! * sealed counters add slot-wise under both ciphers, across a spill
 //!   into a second side-band ciphertext and at the two slots a 128-bit
 //!   key carries;
-//! * one rule change at a degree-2 resource is one decryption wave with a
-//!   fixed key-operation budget;
-//! * a neighbor's share is decrypted once per distinct ciphertext;
+//! * one rule change at a degree-2 resource is at most one decryption
+//!   wave, over the inputs that changed, with a fixed key-operation
+//!   budget;
+//! * a neighbor's share, and each SFE input, is decrypted once per
+//!   distinct ciphertext and forgotten with the membership epoch;
 //! * a forged edge of a wave is blamed where one query per edge would
 //!   have blamed it, with the earlier edges' messages still returned.
 
@@ -115,28 +117,45 @@ struct Wave<C: HomCipher> {
     keys: GridKeys<C>,
     layout: CounterLayout,
     receiver_layouts: [CounterLayout; 2],
-    full: SecureCounter<C>,
-    minus: [SecureCounter<C>; 2],
+    local: SecureCounter<C>,
     recv: [SecureCounter<C>; 2],
+    full: SecureCounter<C>,
     shares: [C::Ct; 2],
 }
 
 impl<C: HomCipher> Wave<C> {
     fn new(keys: GridKeys<C>) -> Self {
         let layout = CounterLayout::new(0, vec![1, 2]);
-        let key = keys.tags.key(layout.arity());
-        let own_share = (SHARE_MODULUS - 77 - 88 + 1) as u32;
-        let local = SecureCounter::seal_local(&keys.enc, &key, &layout, 0, 10, 1, own_share, 3);
-        let from = |v: usize, share: i64| {
-            SecureCounter::seal_outgoing(&keys.enc, &key, &layout, v, 6, 10, 1, share, 5)
-                .expect("a neighbor of 0")
-        };
-        let recv = [from(1, 77), from(2, 88)];
-        let minus = [local.add(&keys.pub_ops, &recv[1]), local.add(&keys.pub_ops, &recv[0])];
-        let full = minus[0].add(&keys.pub_ops, &recv[0]);
+        let local = Self::local(&keys, &layout, 10, 3);
+        let recv = [Self::from(&keys, &layout, 1, 5), Self::from(&keys, &layout, 2, 5)];
+        let full = Self::sum(&keys, &local, &recv);
         let shares = [keys.enc.encrypt_i64(123), keys.enc.encrypt_i64(456)];
         let receiver_layouts = [CounterLayout::new(1, vec![0]), CounterLayout::new(2, vec![0])];
-        Wave { keys, layout, receiver_layouts, full, minus, recv, shares }
+        Wave { keys, layout, receiver_layouts, local, recv, full, shares }
+    }
+
+    /// The accountant's counter after `count` transactions, at time `ts`.
+    fn local(keys: &GridKeys<C>, layout: &CounterLayout, count: i64, ts: u32) -> SecureCounter<C> {
+        let key = keys.tags.key(layout.arity());
+        let own_share = (SHARE_MODULUS - 77 - 88 + 1) as u32;
+        SecureCounter::seal_local(&keys.enc, &key, layout, 0, count, 1, own_share, ts)
+    }
+
+    /// A message from neighbor `v`, sent at its time `ts`.
+    fn from(keys: &GridKeys<C>, layout: &CounterLayout, v: usize, ts: i64) -> SecureCounter<C> {
+        let key = keys.tags.key(layout.arity());
+        let share = [77, 88][v - 1];
+        SecureCounter::seal_outgoing(&keys.enc, &key, layout, v, 6, 10, 1, share, ts)
+            .expect("a neighbor of 0")
+    }
+
+    /// The full aggregate, as the broker sums it.
+    fn sum(
+        keys: &GridKeys<C>,
+        local: &SecureCounter<C>,
+        recv: &[SecureCounter<C>; 2],
+    ) -> SecureCounter<C> {
+        local.add(&keys.pub_ops, &recv[0]).add(&keys.pub_ops, &recv[1])
     }
 
     fn controller(&self, rec: Option<SharedRecorder>) -> Controller<C> {
@@ -147,23 +166,29 @@ impl<C: HomCipher> Wave<C> {
         Controller::new(0, dec, self.keys.tags.clone(), 1, self.layout.clone())
     }
 
-    /// The wave's edges; `recv_v` rerandomised, as the broker hands it.
+    /// The wave's edges; `recv_v` as stored, as the broker hands it.
     fn edges(&self) -> Vec<SendEdge<'_, C>> {
         (0..2)
             .map(|i| SendEdge {
                 v: i + 1,
                 receiver_layout: &self.receiver_layouts[i],
-                minus_v: self.minus[i].clone(),
-                recv_v: self.recv[i].rerandomize(&self.keys.pub_ops),
+                recv_v: &self.recv[i],
                 share_for_me: &self.shares[i],
             })
             .collect()
     }
 
+    /// What an outgoing message toward `receiver` carries:
+    /// `(sum, count, num, share)`.
+    fn payload_in(&self, receiver: usize, sealed: &SecureCounter<C>) -> (i64, i64, i64, i64) {
+        let key = self.keys.tags.key(self.receiver_layouts[receiver - 1].arity());
+        let p = sealed.open(&self.keys.dec, &key).expect("the controller's own seal opens");
+        (p.sum, p.count, p.num, p.share)
+    }
+
     /// The share an outgoing message toward `receiver` carries.
     fn share_in(&self, receiver: usize, sealed: &SecureCounter<C>) -> i64 {
-        let key = self.keys.tags.key(self.receiver_layouts[receiver - 1].arity());
-        sealed.open(&self.keys.dec, &key).expect("the controller's own seal opens").share
+        self.payload_in(receiver, sealed).3
     }
 }
 
@@ -172,27 +197,40 @@ fn key_ops(mem: &MemoryRecorder, op: KeyOpKind) -> usize {
 }
 
 #[test]
-fn one_rule_change_is_one_wave_within_its_key_op_budget() {
-    let w = Wave::new(GridKeys::paillier(512, 7));
+fn one_rule_change_opens_what_changed_within_its_key_op_budget() {
+    let mut w = Wave::new(GridKeys::paillier(512, 7));
     assert_eq!(w.full.msg.fields.len() + 1, 4, "sum, count, side-band, tag");
     let mem = MemoryRecorder::shared();
     let mut ctl = w.controller(Some(mem.clone()));
+    // One wave: (Decrypt, BatchDecrypt, MultiExp) it cost the controller.
+    let wave = |ctl: &mut Controller<PaillierCtx>, w: &Wave<PaillierCtx>| {
+        mem.clear();
+        let (sealed, verdict) = ctl.send_queries(&rule(), &w.full, &w.edges());
+        assert_eq!(verdict, Ok(()));
+        let ops = [KeyOpKind::Decrypt, KeyOpKind::BatchDecrypt, KeyOpKind::MultiExp];
+        (sealed.len(), ops.map(|op| key_ops(&mem, op)))
+    };
 
-    // First contact: both edges send, and both shares are decrypted.
-    let (sealed, verdict) = ctl.send_queries(&rule(), &w.full, &w.edges());
-    assert_eq!((sealed.len(), verdict), (2, Ok(())));
+    // First contact: both edges send. Three counters of three ciphertexts
+    // in one wave, one decryption for the combined tag check, two shares.
+    assert_eq!(wave(&mut ctl, &w), (2, [12, 1, 1]));
     assert_eq!(ctl.queries_served, 2);
-
-    // Share cache warm. The same aggregate again is a rule change that
-    // sends nothing: 5 counters × 3 ciphertexts, and one decryption for
-    // the combined tag check — against 46 / 2 / 2 one query per edge.
-    mem.clear();
-    let (sealed, verdict) = ctl.send_queries(&rule(), &w.full, &w.edges());
-    assert_eq!((sealed.len(), verdict), (0, Ok(())));
-    assert_eq!(key_ops(&mem, KeyOpKind::Decrypt), 16);
-    assert_eq!(key_ops(&mem, KeyOpKind::BatchDecrypt), 1);
-    assert_eq!(key_ops(&mem, KeyOpKind::MultiExp), 1);
+    // The same inputs again — a nudge over unchanged state — send
+    // nothing and cost no key operation at all.
+    assert_eq!(wave(&mut ctl, &w), (0, [0, 0, 0]));
     assert_eq!(key_ops(&mem, KeyOpKind::Encrypt), 0);
+    assert_eq!(ctl.queries_served, 4, "still one query per edge");
+    // A receive: neighbor 1's counter is replaced and the aggregate
+    // with it. Those two open — neighbor 2's is read back.
+    w.recv[0] = Wave::from(&w.keys, &w.layout, 1, 6);
+    w.full = Wave::sum(&w.keys, &w.local, &w.recv);
+    assert_eq!(wave(&mut ctl, &w).1, [7, 1, 1]);
+    // A scan: only the local counter moves, so only the aggregate is
+    // new, and a lone tag is checked without a multi-exponentiation.
+    w.local = Wave::local(&w.keys, &w.layout, 12, 4);
+    w.full = Wave::sum(&w.keys, &w.local, &w.recv);
+    assert_eq!(wave(&mut ctl, &w).1, [4, 1, 0]);
+    assert_eq!(wave(&mut ctl, &w).1, [0, 0, 0]);
 }
 
 #[test]
@@ -214,9 +252,10 @@ fn share_cache_hits_only_on_the_same_ciphertext_and_dies_with_the_epoch() {
     };
     let (cold, shares) = wave(&mut ctl, &w);
     assert_eq!(shares, [123, 456]);
-    // A repeat of the same ciphertexts costs no share decryption…
+    // A repeat of the same ciphertexts costs no share decryption (nor,
+    // the counters being the same bytes too, any other)…
     let (warm, shares) = wave(&mut ctl, &w);
-    assert_eq!((warm, shares), (cold - 2, vec![123, 456]));
+    assert_eq!((warm, shares), (0, vec![123, 456]));
     // …a swapped one gets the decryption of what was supplied, once…
     w.shares[0] = w.keys.enc.encrypt_i64(999);
     assert_eq!(wave(&mut ctl, &w), (warm + 1, vec![999, 456]));
@@ -224,9 +263,60 @@ fn share_cache_hits_only_on_the_same_ciphertext_and_dies_with_the_epoch() {
     // …and another ciphertext of the same plaintext is another key.
     w.shares[1] = w.keys.pub_ops.rerandomize(&w.shares[1]);
     assert_eq!(wave(&mut ctl, &w), (warm + 1, vec![999, 456]));
+    // A new membership epoch forgets them all — and, with them, what
+    // the wave's three counters opened to.
+    ctl.set_layout(w.layout.clone());
+    assert_eq!(wave(&mut ctl, &w), (cold, vec![999, 456]));
+}
+
+#[test]
+fn opened_inputs_are_read_back_only_as_the_same_bytes_and_die_with_the_epoch() {
+    let mut w = Wave::new(GridKeys::paillier(128, 11));
+    let mem = MemoryRecorder::shared();
+    let mut ctl = w.controller(Some(mem.clone()));
+    // What opening one counter costs: its ciphertexts and its tag.
+    let one = w.full.msg.fields.len() + 1;
+    // One wave with every edge's suppressor lifted, so that each one
+    // seals: the decryptions it cost the controller, and what it sealed.
+    let wave = |ctl: &mut Controller<PaillierCtx>, w: &Wave<PaillierCtx>| {
+        ctl.reset_edge(1);
+        ctl.reset_edge(2);
+        mem.clear();
+        let (sealed, verdict) = ctl.send_queries(&rule(), &w.full, &w.edges());
+        assert_eq!(verdict, Ok(()));
+        let sent: Vec<_> = sealed.iter().map(|(v, c)| w.payload_in(*v, c)).collect();
+        (key_ops(&mem, KeyOpKind::Decrypt), sent)
+    };
+    // Three counters and two shares; the three tags share a decryption.
+    let cold = 3 * (one - 1) + 1 + 2;
+    let sent = vec![(6, 20, 2, 123), (6, 20, 2, 456)];
+    assert_eq!(wave(&mut ctl, &w), (cold, sent.clone()));
+    // The same bytes again decrypt nothing and decide the same…
+    assert_eq!(wave(&mut ctl, &w), (0, sent.clone()));
+    // …another ciphertext of the same counter is opened, to the same
+    // plaintext, once…
+    w.recv[0] = w.recv[0].rerandomize(&w.keys.pub_ops);
+    assert_eq!(wave(&mut ctl, &w), (one, sent.clone()));
+    assert_eq!(wave(&mut ctl, &w), (0, sent.clone()));
+    // …and the output SFE on the aggregate a wave just opened pays for
+    // the blinded Δ alone.
+    mem.clear();
+    let blinded = w.keys.enc.encrypt_i64(-7);
+    assert_eq!(ctl.output_query(&rule(), &w.full, &blinded), Ok(false));
+    assert_eq!(key_ops(&mem, KeyOpKind::Decrypt), 1);
     // A new membership epoch forgets them all.
     ctl.set_layout(w.layout.clone());
-    assert_eq!(wave(&mut ctl, &w), (warm + 2, vec![999, 456]));
+    assert_eq!(wave(&mut ctl, &w), (cold, sent));
+
+    // A hit is no licence: after an honest `recv_v` was read back, a
+    // forged one in its place is opened, fails its tag and convicts.
+    w.recv[1].msg.fields[F_SUM] = w.keys.pub_ops.encrypt_i64(999);
+    ctl.reset_edge(1);
+    mem.clear();
+    let (sealed, verdict) = ctl.send_queries(&rule(), &w.full, &w.edges());
+    assert_eq!(verdict, Err(Verdict::MaliciousBroker(0)));
+    assert_eq!(sealed.iter().map(|(v, _)| *v).collect::<Vec<_>>(), [1], "edge 1 still answered");
+    assert!(key_ops(&mem, KeyOpKind::Decrypt) >= one, "the forgery was opened, not looked up");
 }
 
 fn forged_second_edge_is_blamed_after_the_first_is_answered<C: HomCipher>(keys: GridKeys<C>) {
@@ -234,10 +324,12 @@ fn forged_second_edge_is_blamed_after_the_first_is_answered<C: HomCipher>(keys: 
     let mem = MemoryRecorder::shared();
     let mut ctl = w.controller(None);
     ctl.set_recorder(mem.clone());
-    let mut edges = w.edges();
     // Neighbor 2's `recv_v` forged: a vote the broker made up, under a
     // tag it cannot produce.
-    edges[1].recv_v.msg.fields[F_SUM] = w.keys.pub_ops.encrypt_i64(999);
+    let mut forged = w.recv[1].clone();
+    forged.msg.fields[F_SUM] = w.keys.pub_ops.encrypt_i64(999);
+    let mut edges = w.edges();
+    edges[1].recv_v = &forged;
     let (sealed, verdict) = ctl.send_queries(&rule(), &w.full, &edges);
     assert_eq!(verdict, Err(Verdict::MaliciousBroker(0)));
     assert_eq!(sealed.iter().map(|(v, _)| *v).collect::<Vec<_>>(), [1], "edge 1 still answered");

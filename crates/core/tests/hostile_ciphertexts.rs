@@ -18,8 +18,15 @@
 //! side-band ciphertext too few or too many — and a restored clock no
 //! timestamp slot seals each end in a verdict or a rejected restore,
 //! under both ciphers.
+//!
+//! And it covers the one input of the send SFE a broker picks freely,
+//! `recv_v`: a counter `full` cannot contain convicts the broker; one it
+//! can — an older counter of the same neighbor — is answered, to the
+//! cost of the liar's own resource and nobody else's; a replayed one
+//! regresses the trace through `full` and is blamed on its slot's owner.
 
 use gridmine_arm::{CandidateRule, Database, Item, ItemSet, Ratio, Rule, Transaction};
+use gridmine_core::attack::BrokerBehavior;
 use gridmine_core::counter::{CounterLayout, SecureCounter, F_COUNT, F_NUM, F_SUM};
 use gridmine_core::resource::wire_grid;
 use gridmine_core::{
@@ -187,14 +194,13 @@ fn rule() -> CandidateRule {
     CandidateRule::new(Rule::frequency(ItemSet::of(&[1])), Ratio::new(1, 2))
 }
 
-/// Resource 0's controller with an honest `(full, minus_1, recv_1)`
-/// triple (shares summing to one) and the share 1 assigned to 0.
+/// Resource 0's controller with an honest `(full, recv_1)` pair (shares
+/// summing to one) and the share 1 assigned to 0.
 struct Scene<C: HomCipher> {
     keys: GridKeys<C>,
     layout: CounterLayout,
     receiver_layout: CounterLayout,
     full: SecureCounter<C>,
-    minus: SecureCounter<C>,
     recv: SecureCounter<C>,
     share: C::Ct,
 }
@@ -205,27 +211,27 @@ impl<C: HomCipher> Scene<C> {
         let key = keys.tags.key(layout.arity());
         // 2³¹ − 1 − 76 + 77 ≡ 1 in the share field.
         let own_share = (1u32 << 31) - 1 - 76;
-        let minus = SecureCounter::seal_local(&keys.enc, &key, &layout, 4, 10, 1, own_share, 3);
+        let local = SecureCounter::seal_local(&keys.enc, &key, &layout, 4, 10, 1, own_share, 3);
         let recv = SecureCounter::seal_outgoing(&keys.enc, &key, &layout, 1, 6, 10, 1, 77, 5)
             .expect("1 is a neighbor of 0");
-        let full = minus.add(&keys.pub_ops, &recv);
+        let full = local.add(&keys.pub_ops, &recv);
         let share = keys.enc.encrypt_i64(123);
-        Scene {
-            receiver_layout: CounterLayout::new(1, vec![0]),
-            keys,
-            layout,
-            full,
-            minus,
-            recv,
-            share,
-        }
+        Scene { receiver_layout: CounterLayout::new(1, vec![0]), keys, layout, full, recv, share }
+    }
+
+    /// A counter from neighbor 1 other than the one in `full`: what it
+    /// reported `(sum, count, num)` at its time `ts`, validly sealed.
+    fn from_1(&self, (sum, count, num): (i64, i64, i64), ts: i64) -> SecureCounter<C> {
+        let key = self.keys.tags.key(self.layout.arity());
+        SecureCounter::seal_outgoing(&self.keys.enc, &key, &self.layout, 1, sum, count, num, 77, ts)
+            .expect("1 is a neighbor of 0")
     }
 
     fn controller(&self) -> Controller<C> {
         Controller::new(0, self.keys.dec.clone(), self.keys.tags.clone(), 1, self.layout.clone())
     }
 
-    /// The send SFE toward neighbor 1 on `(full, minus, recv)`.
+    /// The send SFE toward neighbor 1 on `(full, recv)`.
     fn send(
         &self,
         full: &SecureCounter<C>,
@@ -234,8 +240,7 @@ impl<C: HomCipher> Scene<C> {
         let edge = SendEdge {
             v: 1,
             receiver_layout: &self.receiver_layout,
-            minus_v: self.minus.clone(),
-            recv_v: recv.clone(),
+            recv_v: recv,
             share_for_me: &self.share,
         };
         self.controller().send_queries(&rule(), full, &[edge])
@@ -265,7 +270,7 @@ fn wider_than<C: HomCipher>(cipher: &C, slots: usize) -> C::Ct {
 fn hostile_side_bands_end_in_a_verdict<C: HomCipher>(keys: GridKeys<C>) {
     let s = Scene::new(keys);
     let cipher = &s.keys.pub_ops;
-    // The honest triple passes: the scene itself is sound.
+    // The honest pair passes: the scene itself is sound.
     let (sealed, verdict) = s.send(&s.full, &s.recv);
     assert_eq!((sealed.len(), verdict), (1, Ok(())));
 
@@ -305,6 +310,64 @@ fn hostile_side_bands_end_in_a_verdict<C: HomCipher>(keys: GridKeys<C>) {
     let mut long = s.full.clone();
     long.msg.fields.push(cipher.encrypt_i64(0));
     s.assert_convicts_broker(&long, ObliviousError::ArityMismatch { expected: cts, got: cts + 1 });
+}
+
+fn recv_v_is_held_to_what_full_contains<C: HomCipher>(keys: GridKeys<C>) {
+    let s = Scene::new(keys);
+    // What neighbor 1 sent *before* the counter in `full`: every field at
+    // or below `full`'s, so no comparison of the two tells it from the
+    // latest. It is answered, and what is sealed is `full − old` — the
+    // neighbor's newer votes sent back to it. The lie buys the broker a
+    // wrong message out of its own resource, nothing about anyone else.
+    let old = s.from_1((5, 8, 1), 2);
+    let (sealed, verdict) = s.send(&s.full, &old);
+    assert_eq!(verdict, Ok(()));
+    let [(1, out)] = &sealed[..] else { panic!("one message toward 1, got {}", sealed.len()) };
+    let key = s.keys.tags.key(s.receiver_layout.arity());
+    let p = out.open(&s.keys.dec, &key).expect("the controller's own seal opens");
+    assert_eq!((p.sum, p.count, p.num, p.share), (10 - 5, 20 - 8, 2 - 1, 123));
+
+    // A counter `full` was not summed from: more resources than `full`
+    // counts, or a later time than `full` saw from neighbor 1.
+    for outside in [s.from_1((6, 10, 3), 5), s.from_1((6, 10, 1), 6)] {
+        let (sealed, verdict) = s.send(&s.full, &outside);
+        assert!(sealed.is_empty());
+        assert_eq!(verdict, Err(Verdict::MaliciousBroker(0)));
+    }
+}
+
+#[test]
+fn recv_v_is_held_to_what_full_contains_under_both_ciphers() {
+    recv_v_is_held_to_what_full_contains(GridKeys::<MockCipher>::mock(53));
+    recv_v_is_held_to_what_full_contains(GridKeys::paillier(128, 53));
+}
+
+/// Resource 1's broker replays neighbor 0's first counter from the third
+/// on. The stale counter is other bytes than the one the controller last
+/// opened at that slot, so it is opened — and the aggregate summed from
+/// it regresses neighbor 0's timestamp below the trace.
+fn replayed_counter_is_blamed_on_its_slot_owner<C: HomCipher>(keys: GridKeys<C>) {
+    let mut rs = path_grid(&keys, 2);
+    rs[1].set_broker_behavior(BrokerBehavior::Replay(0));
+    // Two transactions a step: resource 0's counters keep changing, and
+    // with them what it sends.
+    for _ in 0..4 {
+        let mut queue: std::collections::VecDeque<WireMsg<C>> =
+            rs.iter_mut().flat_map(|r| r.step(2)).collect();
+        while let Some(msg) = queue.pop_front() {
+            let to = msg.to;
+            queue.extend(rs[to].on_receive(&msg));
+        }
+    }
+    let verdicts: Vec<Verdict> = rs.iter().filter_map(|r| r.verdict()).collect();
+    assert_eq!(verdicts, [Verdict::MaliciousResource(0)]);
+    assert_eq!(rs[1].verdict(), Some(Verdict::MaliciousResource(0)), "raised where it was seen");
+}
+
+#[test]
+fn replayed_counter_is_blamed_on_its_slot_owner_under_both_ciphers() {
+    replayed_counter_is_blamed_on_its_slot_owner(GridKeys::<MockCipher>::mock(59));
+    replayed_counter_is_blamed_on_its_slot_owner(GridKeys::paillier(128, 59));
 }
 
 #[test]
