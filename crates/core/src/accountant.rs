@@ -15,19 +15,20 @@
 //!   of Algorithm 1 (`s+1, s−1, s'+1, s'−1, s'`) that makes the broker's
 //!   downstream behaviour independent of whether the change mattered.
 
-use std::collections::HashMap;
-
 use gridmine_arm::{CandidateRule, Database, Transaction};
-use gridmine_paillier::HomCipher;
+use gridmine_paillier::{HomCipher, TagKey};
 use gridmine_recovery::RuleRecord;
 
 use crate::counter::{CounterLayout, SecureCounter};
 use crate::keyring::TagKeyring;
+use crate::rules::{PerRule, RuleId};
 use crate::shares::ShareSet;
 
 /// Per-rule incremental scan state.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 struct ScanState {
+    /// The rule counted.
+    rule: CandidateRule,
     /// Next transaction index to read.
     frontier: usize,
     /// Accumulated `sum` (support of the union / of the itemset).
@@ -42,18 +43,36 @@ struct ScanState {
     last_sum: i64,
 }
 
+impl ScanState {
+    /// The restorable record of this state (its `output` is the
+    /// resource's to fill in).
+    fn record(&self) -> RuleRecord {
+        RuleRecord {
+            rule: self.rule.clone(),
+            frontier: self.frontier as u64,
+            sum: self.sum,
+            count: self.count,
+            clock: i64::from(self.clock),
+            last_sum: self.last_sum,
+            output: None,
+        }
+    }
+}
+
 /// The accountant of one resource.
 #[derive(Clone)]
 pub struct Accountant<C: HomCipher> {
     id: usize,
     cipher: C,
     tags: TagKeyring,
+    /// The tag key of `layout`'s arity, derived when the layout is set.
+    key: TagKey,
     layout: CounterLayout,
     db: Database,
     shares: ShareSet,
     /// Emit Algorithm 1's ±1 padding sequence on support changes.
     pub obfuscate: bool,
-    rules: HashMap<CandidateRule, ScanState>,
+    rules: PerRule<ScanState>,
     share_seed: u64,
 }
 
@@ -71,12 +90,13 @@ impl<C: HomCipher> Accountant<C> {
         Accountant {
             id,
             cipher,
+            key: tags.key(layout.arity()),
             tags,
             layout,
             db,
             shares,
             obfuscate: true,
-            rules: HashMap::new(),
+            rules: PerRule::default(),
             share_seed: seed,
         }
     }
@@ -124,8 +144,7 @@ impl<C: HomCipher> Accountant<C> {
             .shares
             .for_neighbor(v)
             .unwrap_or_else(|| panic!("resource {v} is not a neighbor of {}", self.id));
-        let key = self.tags.key(self.layout.arity());
-        SecureCounter::seal_outgoing(&self.cipher, &key, &self.layout, v, 0, 0, 0, s, 0)
+        SecureCounter::seal_outgoing(&self.cipher, &self.key, &self.layout, v, 0, 0, 0, s, 0)
             .unwrap_or_else(|| panic!("resource {v} has no timestamp slot at {}", self.id))
     }
 
@@ -136,6 +155,7 @@ impl<C: HomCipher> Accountant<C> {
             &layout.neighbors,
             self.share_seed ^ (self.id as u64).wrapping_mul(0x9E37) ^ epoch.wrapping_mul(0xABCD),
         );
+        self.key = self.tags.key(layout.arity());
         self.layout = layout;
         // Counters restart under the new arity; scan progress is kept but
         // clocks continue so timestamps never regress.
@@ -144,9 +164,10 @@ impl<C: HomCipher> Accountant<C> {
         }
     }
 
-    /// Registers a candidate rule for counting (idempotent).
-    pub fn register_rule(&mut self, rule: &CandidateRule) {
-        self.rules.entry(rule.clone()).or_insert(ScanState {
+    /// Registers a candidate rule for counting under `id` (idempotent).
+    pub fn register_rule(&mut self, id: RuleId, rule: &CandidateRule) {
+        self.rules.get_or_insert_with(id, || ScanState {
+            rule: rule.clone(),
             frontier: 0,
             sum: 0,
             count: 0,
@@ -155,13 +176,14 @@ impl<C: HomCipher> Accountant<C> {
         });
     }
 
-    /// Advances the cyclic scan for `rule` by up to `budget` transactions.
-    /// Returns true if the counters changed.
+    /// Advances the cyclic scan for rule `id` by up to `budget`
+    /// transactions. Returns true if the counters changed.
     ///
     /// # Panics
     /// Panics if the rule was never registered.
-    pub fn advance_scan(&mut self, rule: &CandidateRule, budget: usize) -> bool {
-        let st = self.rules.get_mut(rule).expect("rule not registered with accountant");
+    pub fn advance_scan(&mut self, id: RuleId, budget: usize) -> bool {
+        let st = self.rules.get_mut(id).expect("rule not registered with accountant");
+        let rule = &st.rule;
         let end = st.frontier.saturating_add(budget).min(self.db.len());
         if st.frontier >= end {
             return false;
@@ -198,49 +220,42 @@ impl<C: HomCipher> Accountant<C> {
         dsum != 0 || dcount != 0
     }
 
-    /// Scans the entire remaining database for `rule` (tests/examples).
-    pub fn scan_all(&mut self, rule: &CandidateRule) -> bool {
-        self.advance_scan(rule, usize::MAX)
+    /// Scans the entire remaining database for rule `id` (tests/examples).
+    pub fn scan_all(&mut self, id: RuleId) -> bool {
+        self.advance_scan(id, usize::MAX)
     }
 
-    /// Transactions not yet scanned for `rule`.
-    pub fn backlog(&self, rule: &CandidateRule) -> usize {
-        self.rules.get(rule).map_or(self.db.len(), |st| self.db.len() - st.frontier)
+    /// Transactions not yet scanned for rule `id`.
+    pub fn backlog(&self, id: RuleId) -> usize {
+        self.rules.get(id).map_or(self.db.len(), |st| self.db.len() - st.frontier)
     }
 
     /// Transactions not yet scanned, summed over every registered rule
     /// (a recovered resource is "caught up" when this reaches zero).
     pub fn total_backlog(&self) -> usize {
-        self.rules.values().map(|st| self.db.len() - st.frontier).sum()
+        self.rules.iter().map(|(_, st)| self.db.len() - st.frontier).sum()
     }
 
-    /// The restorable scan record for `rule`, when registered (the
+    /// The restorable scan record for rule `id`, when registered (the
     /// journal's `ScanAdvanced` payload).
-    pub fn scan_record(&self, rule: &CandidateRule) -> Option<RuleRecord> {
-        self.rules.get(rule).map(|st| RuleRecord {
-            rule: rule.clone(),
-            frontier: st.frontier as u64,
-            sum: st.sum,
-            count: st.count,
-            clock: i64::from(st.clock),
-            last_sum: st.last_sum,
-            output: None,
-        })
+    pub fn scan_record(&self, id: RuleId) -> Option<RuleRecord> {
+        self.rules.get(id).map(ScanState::record)
     }
 
-    /// Every rule's scan record — the checkpoint snapshot body. In no
-    /// particular order: the recovery log keys what it stores.
-    pub fn scan_snapshot(&self) -> Vec<RuleRecord> {
-        self.rules.keys().filter_map(|rule| self.scan_record(rule)).collect()
+    /// Every rule's id and scan record, in id order — the checkpoint
+    /// snapshot body.
+    pub fn scan_snapshot(&self) -> Vec<(RuleId, RuleRecord)> {
+        self.rules.iter().map(|(id, st)| (id, st.record())).collect()
     }
 
-    /// Restores one rule's scan state from a *validated* recovery record
-    /// (callers run [`RuleRecord::is_wellformed`] first; this clamps the
-    /// frontier and the clock defensively anyway).
-    pub fn restore_scan(&mut self, rec: &RuleRecord) {
+    /// Restores the scan state of rule `id` from a *validated* recovery
+    /// record (callers run [`RuleRecord::is_wellformed`] first; this
+    /// clamps the frontier and the clock defensively anyway).
+    pub fn restore_scan(&mut self, id: RuleId, rec: &RuleRecord) {
         self.rules.insert(
-            rec.rule.clone(),
+            id,
             ScanState {
+                rule: rec.rule.clone(),
                 frontier: (rec.frontier as usize).min(self.db.len()),
                 sum: rec.sum,
                 count: rec.count,
@@ -271,25 +286,20 @@ impl<C: HomCipher> Accountant<C> {
     ///
     /// # Panics
     /// Panics if the rule was never registered.
-    pub fn respond(&mut self, rule: &CandidateRule) -> Vec<SecureCounter<C>> {
-        let st = self.rules.get(rule).expect("rule not registered with accountant");
+    pub fn respond(&mut self, id: RuleId) -> Vec<SecureCounter<C>> {
+        let st = self.rules.get_mut(id).expect("rule not registered with accountant");
         let (s_old, s_new, count) = (st.last_sum, st.sum, st.count);
-        let sums: Vec<i64> = if self.obfuscate && s_old != s_new && s_old != i64::MIN {
-            vec![s_old + 1, s_old - 1, s_new + 1, s_new - 1, s_new]
-        } else {
-            vec![s_new]
-        };
-        let key = self.tags.key(self.layout.arity());
+        let padding = (self.obfuscate && s_old != s_new && s_old != i64::MIN)
+            .then(|| [s_old + 1, s_old - 1, s_new + 1, s_new - 1]);
         // A share is an element of the 31-bit share field.
         let own_share = self.shares.own as u32;
-        let mut out = Vec::with_capacity(sums.len());
-        for s in sums {
-            let st = self.rules.get_mut(rule).expect("registered");
+        let mut out = Vec::with_capacity(padding.map_or(1, |p| p.len() + 1));
+        for s in padding.into_iter().flatten().chain([s_new]) {
             let t = st.clock;
             st.clock = st.clock.saturating_add(1);
             out.push(SecureCounter::seal_local(
                 &self.cipher,
-                &key,
+                &self.key,
                 &self.layout,
                 s,
                 count,
@@ -298,7 +308,6 @@ impl<C: HomCipher> Accountant<C> {
                 t,
             ));
         }
-        let st = self.rules.get_mut(rule).expect("registered");
         st.last_sum = s_new;
         out
     }
@@ -335,11 +344,11 @@ mod tests {
     fn incremental_scan_matches_full_support() {
         let (keys, mut acc) = setup();
         let r = freq_rule(&[1]);
-        acc.register_rule(&r);
-        assert!(acc.advance_scan(&r, 2));
-        assert!(acc.advance_scan(&r, 2));
-        assert!(!acc.advance_scan(&r, 2), "scan exhausted");
-        let c = acc.respond(&r).pop().unwrap();
+        acc.register_rule(0, &r);
+        assert!(acc.advance_scan(0, 2));
+        assert!(acc.advance_scan(0, 2));
+        assert!(!acc.advance_scan(0, 2), "scan exhausted");
+        let c = acc.respond(0).pop().unwrap();
         let key = keys.tags.key(c.layout.arity());
         let p = c.open(&keys.dec, &key).unwrap();
         assert_eq!((p.sum, p.count, p.num), (3, 4, 1));
@@ -350,9 +359,9 @@ mod tests {
         let (keys, mut acc) = setup();
         let r =
             CandidateRule::new(Rule::new(ItemSet::of(&[1]), ItemSet::of(&[2])), Ratio::new(1, 2));
-        acc.register_rule(&r);
-        acc.scan_all(&r);
-        let c = acc.respond(&r).pop().unwrap();
+        acc.register_rule(0, &r);
+        acc.scan_all(0);
+        let c = acc.respond(0).pop().unwrap();
         let key = keys.tags.key(c.layout.arity());
         let p = c.open(&keys.dec, &key).unwrap();
         // 3 transactions contain {1}; 2 contain {1,2}.
@@ -363,13 +372,13 @@ mod tests {
     fn appended_transactions_are_picked_up() {
         let (keys, mut acc) = setup();
         let r = freq_rule(&[3]);
-        acc.register_rule(&r);
-        acc.scan_all(&r);
-        assert_eq!(acc.backlog(&r), 0);
+        acc.register_rule(0, &r);
+        acc.scan_all(0);
+        assert_eq!(acc.backlog(0), 0);
         acc.append([Transaction::of(4, &[3]), Transaction::of(5, &[3])]);
-        assert_eq!(acc.backlog(&r), 2);
-        acc.scan_all(&r);
-        let c = acc.respond(&r).pop().unwrap();
+        assert_eq!(acc.backlog(0), 2);
+        acc.scan_all(0);
+        let c = acc.respond(0).pop().unwrap();
         let key = keys.tags.key(c.layout.arity());
         let p = c.open(&keys.dec, &key).unwrap();
         assert_eq!((p.sum, p.count), (3, 6));
@@ -379,9 +388,9 @@ mod tests {
     fn obfuscation_sequence_shape() {
         let (keys, mut acc) = setup();
         let r = freq_rule(&[1]);
-        acc.register_rule(&r);
-        acc.scan_all(&r);
-        let seq = acc.respond(&r);
+        acc.register_rule(0, &r);
+        acc.scan_all(0);
+        let seq = acc.respond(0);
         assert_eq!(seq.len(), 5, "support changed 0 → 3: padding sequence expected");
         let key = keys.tags.key(seq[0].layout.arity());
         let sums: Vec<i64> = seq.iter().map(|c| c.open(&keys.dec, &key).unwrap().sum).collect();
@@ -390,7 +399,7 @@ mod tests {
         let ts: Vec<i64> = seq.iter().map(|c| c.open(&keys.dec, &key).unwrap().ts[0]).collect();
         assert!(ts.windows(2).all(|w| w[0] < w[1]));
         // No change since: a single plain response.
-        assert_eq!(acc.respond(&r).len(), 1);
+        assert_eq!(acc.respond(0).len(), 1);
     }
 
     #[test]
@@ -398,9 +407,9 @@ mod tests {
         let (_, mut acc) = setup();
         acc.obfuscate = false;
         let r = freq_rule(&[1]);
-        acc.register_rule(&r);
-        acc.scan_all(&r);
-        assert_eq!(acc.respond(&r).len(), 1);
+        acc.register_rule(0, &r);
+        acc.scan_all(0);
+        assert_eq!(acc.respond(0).len(), 1);
     }
 
     #[test]

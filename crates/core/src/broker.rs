@@ -7,7 +7,6 @@
 //! the two SFE questions. [`BrokerBehavior`] hooks let a compromised
 //! broker mis-aggregate in exactly the ways §5.2 analyzes.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gridmine_arm::CandidateRule;
@@ -16,7 +15,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::attack::BrokerBehavior;
-use crate::counter::{CounterLayout, SecureCounter};
+use crate::counter::{with_buffer, CounterLayout, SecureCounter};
+use crate::rules::{PerRule, RuleId};
 
 /// A wire message between brokers: one sealed counter for one rule.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
@@ -35,17 +35,24 @@ pub struct BrokerMsg<C: HomCipher> {
     pub counter: SecureCounter<C>,
 }
 
+/// What one rule's instance holds for one neighbor.
+#[derive(Clone, Debug)]
+struct Inbox<C: HomCipher> {
+    /// Its latest counter (the placeholder until the first message).
+    latest: SecureCounter<C>,
+    /// The first real counter it ever sent (replay attack stash).
+    first: Option<SecureCounter<C>>,
+    /// Messages received from it (drives the selective-replay phase).
+    count: u64,
+}
+
 /// Per-rule instance state.
 #[derive(Clone, Debug)]
 struct Instance<C: HomCipher> {
     /// `⟨sum, count, num⟩_enc^{⊥u}` — the accountant's latest counter.
     local: SecureCounter<C>,
-    /// Latest counter per neighbor (placeholder until the first message).
-    recv: HashMap<usize, SecureCounter<C>>,
-    /// First real counter ever received per neighbor (replay attack stash).
-    first_recv: HashMap<usize, SecureCounter<C>>,
-    /// Messages received per neighbor (drives the selective-replay phase).
-    recv_count: HashMap<usize, u64>,
+    /// One inbox per neighbor, in the layout's slot order.
+    recv: Vec<Inbox<C>>,
 }
 
 /// The broker of one resource.
@@ -53,10 +60,11 @@ pub struct Broker<C: HomCipher> {
     id: usize,
     cipher: C,
     layout: CounterLayout,
-    /// `share^{vu}` per neighbor v — the encrypted share v's accountant
-    /// assigned to this resource, included in messages sent *to* v.
-    shares_from: HashMap<usize, C::Ct>,
-    rules: HashMap<CandidateRule, Instance<C>>,
+    /// `share^{vu}` per neighbor v, in the layout's slot order — the
+    /// encrypted share v's accountant assigned to this resource, included
+    /// in messages sent *to* v.
+    shares_from: Vec<Option<C::Ct>>,
+    rules: PerRule<Instance<C>>,
     /// Seed for the blinding factors `ρ` drawn in [`Broker::blinded_delta`];
     /// derived from the driver seed so replays are byte-identical.
     rho_seed: u64,
@@ -97,9 +105,9 @@ impl<C: HomCipher> Broker<C> {
         Broker {
             id,
             cipher,
+            shares_from: vec![None; layout.neighbors.len()],
             layout,
-            shares_from: HashMap::new(),
-            rules: HashMap::new(),
+            rules: PerRule::default(),
             rho_seed: seed ^ (id as u64).wrapping_mul(0xA076_1D64_78BD_642F),
             rho_ctr: AtomicU64::new(0),
             behavior: BrokerBehavior::Honest,
@@ -117,22 +125,27 @@ impl<C: HomCipher> Broker<C> {
         &self.layout
     }
 
-    /// Whether an instance exists for `cand`.
-    pub fn has_rule(&self, cand: &CandidateRule) -> bool {
-        self.rules.contains_key(cand)
+    /// Whether an instance exists for rule `id`.
+    pub fn has_rule(&self, id: RuleId) -> bool {
+        self.rules.get(id).is_some()
     }
 
     /// Stores the encrypted share a neighbor's accountant assigned to us.
+    /// A share from a resource that is no neighbor has no slot to go to.
     pub fn store_share_from(&mut self, v: usize, share: C::Ct) {
-        self.shares_from.insert(v, share);
+        if let Some(slot) = self.layout.slot_of(v).and_then(|at| self.shares_from.get_mut(at)) {
+            *slot = Some(share);
+        }
     }
 
     /// Adopts a new layout after a membership change, dropping every rule
     /// instance (counters sealed under the old arity cannot be mixed with
     /// the new world; the resource re-initializes them from the
     /// accountant, which loses no data — supports are re-reported, not
-    /// re-counted).
+    /// re-counted). The share of a neighbor that stays is kept until its
+    /// accountant delivers the new epoch's.
     pub fn rewire(&mut self, layout: CounterLayout) {
+        self.shares_from = self.layout.reslot(&layout, std::mem::take(&mut self.shares_from));
         self.layout = layout;
         self.rules.clear();
     }
@@ -154,39 +167,46 @@ impl<C: HomCipher> Broker<C> {
         }
         // Batched screen: the whole tuple (fields + tag) goes through one
         // `all_wellformed` call, which Paillier folds into a single gcd.
-        let cts: Vec<&C::Ct> =
-            counter.msg.fields.iter().chain(std::iter::once(&counter.msg.tag)).collect();
-        self.cipher.all_wellformed(&cts)
+        let (fields, tag) = (&counter.msg.fields, &counter.msg.tag);
+        with_buffer(fields.len() + 1, tag, |cts| {
+            for (ct, field) in cts.iter_mut().zip(fields) {
+                *ct = field;
+            }
+            self.cipher.all_wellformed(cts)
+        })
     }
 
     /// The stored share for messages toward `v`, or `None` while
     /// initialization has not yet delivered `v`'s share.
     pub fn share_for_sending_to(&self, v: usize) -> Option<&C::Ct> {
-        self.shares_from.get(&v)
+        self.shares_from.get(self.layout.slot_of(v)?)?.as_ref()
     }
 
-    /// Creates the voting instance for a rule from the accountant's
-    /// initial local counter and per-neighbor placeholders.
+    /// Creates the voting instance for rule `id` from the accountant's
+    /// initial local counter and one placeholder per neighbor, in the
+    /// layout's slot order.
     pub fn init_rule(
         &mut self,
-        cand: &CandidateRule,
+        id: RuleId,
         local: SecureCounter<C>,
-        placeholders: Vec<(usize, SecureCounter<C>)>,
+        placeholders: Vec<SecureCounter<C>>,
     ) {
-        self.rules.entry(cand.clone()).or_insert_with(|| Instance {
+        debug_assert_eq!(placeholders.len(), self.layout.neighbors.len());
+        self.rules.get_or_insert_with(id, || Instance {
             local,
-            recv: placeholders.into_iter().collect(),
-            first_recv: HashMap::new(),
-            recv_count: HashMap::new(),
+            recv: placeholders
+                .into_iter()
+                .map(|latest| Inbox { latest, first: None, count: 0 })
+                .collect(),
         });
     }
 
     /// Replaces the local counter (a new accountant response). A no-op
-    /// when no instance exists for `cand` (a local wiring bug:
+    /// when no instance exists for rule `id` (a local wiring bug:
     /// `init_rule` always precedes in both drivers — debug builds assert).
-    pub fn set_local(&mut self, cand: &CandidateRule, counter: SecureCounter<C>) {
-        let inst = self.rules.get_mut(cand);
-        debug_assert!(inst.is_some(), "no instance for {cand} at broker {}", self.id);
+    pub fn set_local(&mut self, id: RuleId, counter: SecureCounter<C>) {
+        let inst = self.rules.get_mut(id);
+        debug_assert!(inst.is_some(), "no instance for rule {id} at broker {}", self.id);
         if let Some(inst) = inst {
             inst.local = counter;
         }
@@ -196,49 +216,51 @@ impl<C: HomCipher> Broker<C> {
     /// lets the first two counters through (so the controller's trace
     /// advances), then reverts to the first one — the selective reuse of
     /// §5.2 that the timestamp vector exists to catch. Counters for
-    /// unknown candidates are dropped (the resource adopts the candidate
-    /// *before* forwarding its counter here).
-    pub fn on_receive(&mut self, cand: &CandidateRule, v: usize, counter: SecureCounter<C>) {
-        let behavior = self.behavior;
-        let Some(inst) = self.rules.get_mut(cand) else {
-            debug_assert!(false, "no instance for {cand} at broker {}", self.id);
-            return;
-        };
-        inst.first_recv.entry(v).or_insert_with(|| counter.clone());
-        let seen = inst.recv_count.entry(v).or_insert(0);
-        *seen += 1;
-        match behavior {
-            BrokerBehavior::Replay(victim) if victim == v && *seen > 2 => {
-                if let Some(stale) = inst.first_recv.get(&v) {
-                    let stale = stale.clone();
-                    inst.recv.insert(v, stale);
-                }
+    /// unknown candidates, or from a resource with no slot, are dropped
+    /// (the resource adopts the candidate, and screens the sender,
+    /// *before* forwarding a counter here). The counter is copied into
+    /// the buffers the neighbor's slot already has.
+    pub fn on_receive(&mut self, id: RuleId, v: usize, counter: &SecureCounter<C>) {
+        let slot = self.layout.slot_of(v);
+        let inbox = self.rules.get_mut(id).and_then(|inst| inst.recv.get_mut(slot?));
+        debug_assert!(inbox.is_some(), "no slot for {v} in rule {id} at broker {}", self.id);
+        let Some(inbox) = inbox else { return };
+        let first = inbox.first.get_or_insert_with(|| counter.clone());
+        inbox.count += 1;
+        match self.behavior {
+            BrokerBehavior::Replay(victim) if victim == v && inbox.count > 2 => {
+                inbox.latest.clone_from(first);
             }
-            _ => {
-                inst.recv.insert(v, counter);
-            }
+            _ => inbox.latest.clone_from(counter),
         }
     }
 
-    fn instance(&self, cand: &CandidateRule) -> Option<&Instance<C>> {
-        let inst = self.rules.get(cand);
-        debug_assert!(inst.is_some(), "no instance for {cand} at broker {}", self.id);
+    fn instance(&self, id: RuleId) -> Option<&Instance<C>> {
+        let inst = self.rules.get(id);
+        debug_assert!(inst.is_some(), "no instance for rule {id} at broker {}", self.id);
         inst
     }
 
     /// The full aggregate `Σ_{v ∈ N} …` — local counter plus every
-    /// neighbor's latest — with behaviour deviations applied. `None` when
-    /// no instance exists for `cand`.
-    pub fn full_aggregate(&self, cand: &CandidateRule) -> Option<SecureCounter<C>> {
-        let inst = self.instance(cand)?;
-        let mut agg = inst.local.clone();
-        for (&v, c) in &inst.recv {
+    /// neighbor's latest, summed in slot order into one buffer: `spare`,
+    /// a counter the caller is done with, if it hands one in — with
+    /// behaviour deviations applied. `None` when no instance exists for
+    /// rule `id`.
+    pub fn full_aggregate(
+        &self,
+        id: RuleId,
+        spare: Option<SecureCounter<C>>,
+    ) -> Option<SecureCounter<C>> {
+        let inst = self.instance(id)?;
+        let mut agg = spare.unwrap_or_else(|| inst.local.clone());
+        agg.clone_from(&inst.local);
+        for (&v, inbox) in self.layout.neighbors.iter().zip(&inst.recv) {
             if matches!(self.behavior, BrokerBehavior::OmitNeighbor(w) if w == v) {
                 continue;
             }
-            agg = agg.add(&self.cipher, c);
+            agg.add_assign(&self.cipher, &inbox.latest);
             if matches!(self.behavior, BrokerBehavior::DoubleCount(w) if w == v) {
-                agg = agg.add(&self.cipher, c);
+                agg.add_assign(&self.cipher, &inbox.latest);
             }
         }
         if self.behavior == BrokerBehavior::ArbitraryValue {
@@ -295,8 +317,9 @@ impl<C: HomCipher> Broker<C> {
     /// would hide nothing; handing over the same bytes until `v` sends
     /// again is what lets the controller open them once. `None` when the
     /// instance or the neighbor's slot is missing.
-    pub fn recv_of(&self, cand: &CandidateRule, v: usize) -> Option<&SecureCounter<C>> {
-        self.instance(cand)?.recv.get(&v)
+    pub fn recv_of(&self, id: RuleId, v: usize) -> Option<&SecureCounter<C>> {
+        let inbox = self.instance(id)?.recv.get(self.layout.slot_of(v)?)?;
+        Some(&inbox.latest)
     }
 }
 
@@ -326,11 +349,11 @@ mod tests {
             Accountant::new(0, keys.enc.clone(), keys.tags.clone(), layout.clone(), db, 3);
         let mut broker = Broker::new(0, keys.pub_ops.clone(), layout, 0x5EED);
         let r = rule();
-        acc.register_rule(&r);
-        acc.scan_all(&r);
-        let local = acc.respond(&r).pop().unwrap();
-        let placeholders = vec![(1, acc.placeholder_for(1)), (2, acc.placeholder_for(2))];
-        broker.init_rule(&r, local, placeholders);
+        acc.register_rule(0, &r);
+        acc.scan_all(0);
+        let local = acc.respond(0).pop().unwrap();
+        let placeholders = vec![acc.placeholder_for(1), acc.placeholder_for(2)];
+        broker.init_rule(0, local, placeholders);
         Fix { keys, broker, acc }
     }
 
@@ -345,7 +368,7 @@ mod tests {
     }
 
     fn open_full(f: &Fix) -> crate::plain::PlainCounter {
-        let agg = f.broker.full_aggregate(&rule()).unwrap();
+        let agg = f.broker.full_aggregate(0, None).unwrap();
         let key = f.keys.tags.key(agg.layout.arity());
         agg.open(&f.keys.dec, &key).unwrap()
     }
@@ -353,7 +376,7 @@ mod tests {
     #[test]
     fn honest_aggregate_has_share_one() {
         let mut f = fix();
-        f.broker.on_receive(&rule(), 1, incoming(&f, 1, 5, 9, 1));
+        f.broker.on_receive(0, 1, &incoming(&f, 1, 5, 9, 1));
         let p = open_full(&f);
         assert_eq!((p.sum, p.count, p.num), (6, 10, 2));
         assert_eq!(p.share, 1, "all shares counted exactly once");
@@ -370,7 +393,7 @@ mod tests {
     #[test]
     fn double_count_breaks_share() {
         let mut f = fix();
-        f.broker.on_receive(&rule(), 1, incoming(&f, 1, 5, 9, 1));
+        f.broker.on_receive(0, 1, &incoming(&f, 1, 5, 9, 1));
         f.broker.behavior = BrokerBehavior::DoubleCount(1);
         let p = open_full(&f);
         assert_ne!(p.share, 1);
@@ -380,7 +403,7 @@ mod tests {
     #[test]
     fn omission_breaks_share() {
         let mut f = fix();
-        f.broker.on_receive(&rule(), 1, incoming(&f, 1, 5, 9, 1));
+        f.broker.on_receive(0, 1, &incoming(&f, 1, 5, 9, 1));
         f.broker.behavior = BrokerBehavior::OmitNeighbor(2);
         let p = open_full(&f);
         assert_ne!(p.share, 1, "placeholder share of 2 missing");
@@ -390,7 +413,7 @@ mod tests {
     fn arbitrary_value_breaks_tag() {
         let mut f = fix();
         f.broker.behavior = BrokerBehavior::ArbitraryValue;
-        let agg = f.broker.full_aggregate(&rule()).unwrap();
+        let agg = f.broker.full_aggregate(0, None).unwrap();
         let key = f.keys.tags.key(agg.layout.arity());
         assert!(agg.open(&f.keys.dec, &key).is_err());
     }
@@ -399,12 +422,12 @@ mod tests {
     fn replay_reverts_to_first_counter_after_two() {
         let mut f = fix();
         f.broker.behavior = BrokerBehavior::Replay(1);
-        f.broker.on_receive(&rule(), 1, incoming(&f, 1, 5, 9, 1));
+        f.broker.on_receive(0, 1, &incoming(&f, 1, 5, 9, 1));
         // Second message still goes through (the trace-advancing phase).
-        f.broker.on_receive(&rule(), 1, incoming(&f, 1, 50, 90, 2));
+        f.broker.on_receive(0, 1, &incoming(&f, 1, 50, 90, 2));
         assert_eq!(open_full(&f).sum, 51);
         // Third message triggers the revert to the stale counter.
-        f.broker.on_receive(&rule(), 1, incoming(&f, 1, 70, 99, 3));
+        f.broker.on_receive(0, 1, &incoming(&f, 1, 70, 99, 3));
         let p = open_full(&f);
         assert_eq!(p.sum, 6, "stale counter back in use");
         assert_eq!(p.ts[1], 1, "stale timestamp for neighbor 1 — a regression vs the trace");
@@ -414,12 +437,12 @@ mod tests {
     fn recv_of_is_the_stored_counter_unchanged() {
         let mut f = fix();
         let c = incoming(&f, 1, 5, 9, 1);
-        f.broker.on_receive(&rule(), 1, c.clone());
-        assert_eq!(f.broker.recv_of(&rule(), 1), Some(&c), "no fresh noise, no copy");
+        f.broker.on_receive(0, 1, &c);
+        assert_eq!(f.broker.recv_of(0, 1), Some(&c), "no fresh noise, no copy");
         // Until 2 sends, its slot holds the placeholder it was wired with.
         let key = f.keys.tags.key(c.layout.arity());
-        let placeholder = f.broker.recv_of(&rule(), 2).unwrap().open(&f.keys.dec, &key).unwrap();
+        let placeholder = f.broker.recv_of(0, 2).unwrap().open(&f.keys.dec, &key).unwrap();
         assert_eq!((placeholder.sum, placeholder.count, placeholder.num), (0, 0, 0));
-        assert_eq!(f.broker.recv_of(&rule(), 9), None, "no slot for a stranger");
+        assert_eq!(f.broker.recv_of(0, 9), None, "no slot for a stranger");
     }
 }

@@ -45,15 +45,14 @@
 //! indistinguishable from a replay and will be blamed as one. The
 //! simulator's delay model preserves per-edge ordering accordingly.
 
-use std::collections::HashMap;
-
 use gridmine_arm::CandidateRule;
 use gridmine_obs::{emit, Event, SfeKind, SharedRecorder, VerdictKind};
-use gridmine_paillier::HomCipher;
+use gridmine_paillier::{HomCipher, TagKey};
 
 use crate::counter::{CounterLayout, SecureCounter};
 use crate::keyring::TagKeyring;
-use crate::plain::PlainCounter;
+use crate::plain::{OpenKey, PlainCounter};
+use crate::rules::{PerRule, RuleId};
 use crate::sfe::{majority_send_cond, GateMode, KGate};
 use crate::shares::share_reduce;
 
@@ -125,36 +124,54 @@ pub struct AuditImage {
     pub last_sent: Vec<(usize, SentAggregate)>,
 }
 
+/// What a rule's audit keeps toward one neighbor.
+#[derive(Clone, Default)]
+struct EdgeAudit {
+    /// The send k-gate, once the edge was first asked about.
+    gate: Option<KGate>,
+    /// Plaintext (sum, count, num) last sealed toward the neighbor — both
+    /// the `Δ^uv` ingredient and the duplicate-send suppressor.
+    last_sent: Option<(i64, i64, i64)>,
+}
+
+/// An SFE input as last opened: the counter, its plaintext, and the wave
+/// that last confirmed the two belong together.
+#[derive(Clone)]
+struct Opened<C: HomCipher> {
+    counter: SecureCounter<C>,
+    plain: PlainCounter,
+    wave: u64,
+}
+
 /// Per-rule audit state.
 #[derive(Clone)]
 struct RuleAudit<C: HomCipher> {
+    rule: CandidateRule,
     output_gate: KGate,
-    send_gates: HashMap<usize, KGate>,
+    /// Per neighbor, in the layout's slot order.
+    edges: Vec<EdgeAudit>,
     /// Timestamp traces `T̃` per slot of the own layout.
     traces: Vec<i64>,
     /// This resource's logical clock for outgoing messages of this rule.
     clock: i64,
-    /// Plaintext (sum, count, num) last sealed toward each neighbor —
-    /// both the `Δ^uv` ingredient and the duplicate-send suppressor.
-    last_sent: HashMap<usize, (i64, i64, i64)>,
-    /// Per SFE input slot — `None` is `full`, `Some(v)` is `recv-v` — the
-    /// counter last opened there and its plaintext. A hit needs the very
-    /// same layout, ciphertexts and tag, so an entry can be stale but
-    /// never wrong: whatever is read back passed decryption and tag check
-    /// as exactly these bytes. Not part of [`AuditImage`]; a restarted
+    /// Per SFE input slot — `full` first, then `recv-v` per neighbor in
+    /// slot order — what was last opened there. A hit needs the very same
+    /// layout, ciphertexts and tag, so an entry can be stale but never
+    /// wrong: whatever is read back passed decryption and tag check as
+    /// exactly these bytes. Not part of [`AuditImage`]; a restarted
     /// controller opens everything again.
-    opened: HashMap<Option<usize>, (SecureCounter<C>, PlainCounter)>,
+    opened: Vec<Option<Opened<C>>>,
 }
 
 impl<C: HomCipher> RuleAudit<C> {
-    fn new(k: i64, mode: GateMode, n_slots: usize) -> Self {
+    fn new(rule: CandidateRule, output_gate: KGate, clock: i64, degree: usize) -> Self {
         RuleAudit {
-            output_gate: KGate::with_mode(k, mode),
-            send_gates: HashMap::new(),
-            traces: vec![0; n_slots],
-            clock: 0,
-            last_sent: HashMap::new(),
-            opened: HashMap::new(),
+            rule,
+            output_gate,
+            edges: vec![EdgeAudit::default(); degree],
+            traces: vec![0; 1 + degree],
+            clock,
+            opened: vec![None; 1 + degree],
         }
     }
 }
@@ -165,15 +182,27 @@ pub struct Controller<C: HomCipher> {
     id: usize,
     cipher: C,
     tags: TagKeyring,
+    /// What every SFE input is opened with — the tag key of the own
+    /// layout's arity and its ciphertext pattern — derived when the layout
+    /// is set.
+    key: OpenKey,
+    /// The keys outgoing messages were sealed under since, one per
+    /// receiver arity met.
+    seal_keys: Vec<TagKey>,
     k: i64,
     gate_mode: GateMode,
     layout: CounterLayout,
-    rules: HashMap<CandidateRule, RuleAudit<C>>,
-    /// Per neighbor, the share ciphertext last supplied for it and its
-    /// reduced plaintext. A hit needs the very same ciphertext, so a
-    /// broker that swaps the share gets the decryption of what it
-    /// supplied, as without the cache.
-    shares_seen: HashMap<usize, (C::Ct, i64)>,
+    rules: PerRule<RuleAudit<C>>,
+    /// Per neighbor, in slot order, the share ciphertext last supplied
+    /// for it and its reduced plaintext. A hit needs the very same
+    /// ciphertext, so a broker that swaps the share gets the decryption
+    /// of what it supplied, as without the cache.
+    shares_seen: Vec<Option<(C::Ct, i64)>>,
+    /// Serial of the last wave of inputs opened (see [`Opened`]).
+    wave: u64,
+    /// The inputs of that wave that had to be decrypted, by position
+    /// (`full`, then the edges in order); a buffer kept between waves.
+    missed: Vec<usize>,
     halted: Option<Verdict>,
     /// SFE queries served (protocol-cost accounting).
     pub queries_served: u64,
@@ -207,13 +236,17 @@ impl<C: HomCipher> Controller<C> {
         assert!(cipher.can_decrypt(), "controller requires the decryption key");
         Controller {
             id,
+            key: OpenKey::new(&cipher, tags.key(layout.arity())),
             cipher,
+            seal_keys: Vec::new(),
             tags,
             k,
             gate_mode: GateMode::default(),
+            shares_seen: vec![None; layout.neighbors.len()],
             layout,
-            rules: HashMap::new(),
-            shares_seen: HashMap::new(),
+            rules: PerRule::default(),
+            wave: 0,
+            missed: Vec::new(),
             halted: None,
             queries_served: 0,
             rec: gridmine_obs::null(),
@@ -248,20 +281,20 @@ impl<C: HomCipher> Controller<C> {
     /// (a stale-epoch counter carries a stale share, breaking the sum-to-1
     /// audit). The outgoing clock continues, so this resource's own
     /// messages never regress at its neighbors. Remembered share
-    /// plaintexts are forgotten with the epoch that assigned them, and
-    /// remembered openings with the layout they were opened under.
+    /// plaintexts are forgotten with the epoch that assigned them,
+    /// remembered openings with the layout they were opened under, and
+    /// the tag keys are derived again for the new arities.
     pub fn set_layout(&mut self, layout: CounterLayout) {
-        self.layout = layout;
-        self.shares_seen.clear();
-        let slots = self.layout.arity() - crate::counter::F_TS;
-        let retained: std::collections::HashSet<usize> =
-            self.layout.neighbors.iter().copied().collect();
+        let degree = layout.neighbors.len();
         for audit in self.rules.values_mut() {
-            audit.traces = vec![0; slots];
-            audit.send_gates.retain(|v, _| retained.contains(v));
-            audit.last_sent.retain(|v, _| retained.contains(v));
-            audit.opened.clear();
+            audit.edges = self.layout.reslot(&layout, std::mem::take(&mut audit.edges));
+            audit.traces = vec![0; 1 + degree];
+            audit.opened = vec![None; 1 + degree];
         }
+        self.key = OpenKey::new(&self.cipher, self.tags.key(layout.arity()));
+        self.seal_keys.clear();
+        self.shares_seen = vec![None; degree];
+        self.layout = layout;
     }
 
     /// Clears the duplicate-send suppressor toward `v` for every rule, so
@@ -269,8 +302,9 @@ impl<C: HomCipher> Controller<C> {
     /// when `v` rebuilt its counter state after a membership change and
     /// needs our data again. The k-gates are untouched.
     pub fn reset_edge(&mut self, v: usize) {
-        for audit in self.rules.values_mut() {
-            audit.last_sent.remove(&v);
+        let Some(at) = self.layout.slot_of(v) else { return };
+        for edge in self.rules.values_mut().filter_map(|audit| audit.edges.get_mut(at)) {
+            edge.last_sent = None;
         }
     }
 
@@ -280,22 +314,19 @@ impl<C: HomCipher> Controller<C> {
         let mut out: Vec<AuditImage> = self
             .rules
             .iter()
-            .map(|(rule, audit)| {
-                let mut send_gates: Vec<(usize, KGate)> =
-                    audit.send_gates.iter().map(|(&v, g)| (v, *g)).collect();
-                send_gates.sort_by_key(|&(v, _)| v);
-                let mut last_sent: Vec<(usize, SentAggregate)> = audit
-                    .last_sent
-                    .iter()
-                    .map(|(&v, &(sum, count, num))| (v, SentAggregate { sum, count, num }))
-                    .collect();
-                last_sent.sort_by_key(|&(v, _)| v);
+            .map(|(_, audit)| {
+                let edges = || self.layout.neighbors.iter().copied().zip(&audit.edges);
                 AuditImage {
-                    rule: rule.clone(),
+                    rule: audit.rule.clone(),
                     clock: audit.clock,
                     output_gate: audit.output_gate,
-                    send_gates,
-                    last_sent,
+                    send_gates: edges().filter_map(|(v, e)| Some((v, e.gate?))).collect(),
+                    last_sent: edges()
+                        .filter_map(|(v, e)| {
+                            let (sum, count, num) = e.last_sent?;
+                            Some((v, SentAggregate { sum, count, num }))
+                        })
+                        .collect(),
                 }
             })
             .collect();
@@ -303,46 +334,50 @@ impl<C: HomCipher> Controller<C> {
         out
     }
 
-    /// Re-seats exported audit state after a process-level warm restart.
-    /// Timestamp traces restart from zero (rejoin = membership epoch);
-    /// clocks, gates and suppressors resume where the crashed process
-    /// left off, so this resource's outgoing timestamps never regress at
-    /// its neighbors.
+    /// Re-seats exported audit state after a process-level warm restart,
+    /// each image under the id `id_of` resolves its rule to. Timestamp
+    /// traces restart from zero (rejoin = membership epoch); clocks, gates
+    /// and suppressors resume where the crashed process left off, so this
+    /// resource's outgoing timestamps never regress at its neighbors.
     ///
     /// The images come from disk and are screened like it: a clock that
     /// is not the `u32` a timestamp slot seals refuses the whole import
     /// (`false`, nothing re-seated).
-    pub fn import_audits(&mut self, images: Vec<AuditImage>) -> bool {
+    pub fn import_audits(
+        &mut self,
+        images: Vec<AuditImage>,
+        mut id_of: impl FnMut(&CandidateRule) -> RuleId,
+    ) -> bool {
         if images.iter().any(|img| u32::try_from(img.clock).is_err()) {
             return false;
         }
-        let slots = self.layout.arity() - crate::counter::F_TS;
         for img in images {
-            let audit = RuleAudit {
-                output_gate: img.output_gate,
-                send_gates: img.send_gates.into_iter().collect(),
-                traces: vec![0; slots],
-                clock: img.clock,
-                last_sent: img
-                    .last_sent
-                    .into_iter()
-                    .map(|(v, a)| (v, (a.sum, a.count, a.num)))
-                    .collect(),
-                opened: HashMap::new(),
-            };
-            self.rules.insert(img.rule, audit);
+            let id = id_of(&img.rule);
+            let degree = self.layout.neighbors.len();
+            let mut audit = RuleAudit::new(img.rule, img.output_gate, img.clock, degree);
+            let slot_of = |v| self.layout.slot_of(v);
+            for (v, gate) in img.send_gates {
+                if let Some(edge) = slot_of(v).and_then(|at| audit.edges.get_mut(at)) {
+                    edge.gate = Some(gate);
+                }
+            }
+            for (v, a) in img.last_sent {
+                if let Some(edge) = slot_of(v).and_then(|at| audit.edges.get_mut(at)) {
+                    edge.last_sent = Some((a.sum, a.count, a.num));
+                }
+            }
+            self.rules.insert(id, audit);
         }
         true
     }
 
-    fn audit_state(&mut self, rule: &CandidateRule) -> &mut RuleAudit<C> {
-        // Cloning the rule (two item vectors) only when it is new: every
-        // SFE query comes through here.
-        if !self.rules.contains_key(rule) {
-            let slots = self.layout.arity() - crate::counter::F_TS;
-            self.rules.insert(rule.clone(), RuleAudit::new(self.k, self.gate_mode, slots));
-        }
-        self.rules.get_mut(rule).expect("present or just inserted")
+    fn audit_state(&mut self, id: RuleId, rule: &CandidateRule) -> &mut RuleAudit<C> {
+        // Cloning the rule only when it is new: every SFE query comes
+        // through here.
+        self.rules.get_or_insert_with(id, || {
+            let gate = KGate::with_mode(self.k, self.gate_mode);
+            RuleAudit::new(rule.clone(), gate, 0, self.layout.neighbors.len())
+        })
     }
 
     fn raise(&mut self, v: Verdict) -> Verdict {
@@ -351,87 +386,117 @@ impl<C: HomCipher> Controller<C> {
         v
     }
 
-    /// The plaintext of each SFE input of `rule`, aligned with `inputs`
-    /// (slot as in [`RuleAudit::opened`]). An input whose bytes are those
-    /// last opened at its slot is read back; the others decrypt in one
-    /// wave, verify their tags in one combined check and are remembered.
-    /// `None` marks an input that did not open under this resource's key
-    /// — every counter of an honest wave is sealed under its layout.
+    /// Opens the SFE inputs of a rule — `full` at slot 0, each edge's
+    /// `recv_v` at its neighbor's (see [`RuleAudit::opened`]) — as one
+    /// wave with a fresh serial. An input whose bytes are those last
+    /// opened at its slot is confirmed under the serial; the others
+    /// decrypt together, verify their tags in one combined check, and
+    /// their plaintexts are read into the slots that remember them. An
+    /// input left without the serial did not open under this resource's
+    /// key (or names no neighbor) — every counter of an honest wave is
+    /// sealed under its layout.
     fn open_inputs(
         &mut self,
+        id: RuleId,
         rule: &CandidateRule,
-        inputs: &[(Option<usize>, &SecureCounter<C>)],
-    ) -> Vec<Option<PlainCounter>> {
-        self.audit_state(rule);
-        let Controller { rules, cipher, tags, layout, .. } = self;
-        let opened = &mut rules.get_mut(rule).expect("present or just inserted").opened;
-        let mut plains: Vec<Option<PlainCounter>> = inputs
-            .iter()
-            .map(|&(slot, counter)| match opened.get(&slot) {
-                Some((seen, plain)) if seen == counter => Some(plain.clone()),
-                _ => None,
-            })
-            .collect();
-        let missed: Vec<usize> = (0..inputs.len()).filter(|&i| plains[i].is_none()).collect();
-        if missed.is_empty() {
-            return plains;
-        }
-        let key = tags.key(layout.arity());
-        let wave: Vec<&SecureCounter<C>> = missed.iter().map(|&i| inputs[i].1).collect();
-        for (i, plain) in missed.into_iter().zip(SecureCounter::open_many(cipher, &key, &wave)) {
-            if let Ok(plain) = plain {
-                let (slot, counter) = inputs[i];
-                opened.insert(slot, (counter.clone(), plain.clone()));
-                plains[i] = Some(plain);
+        full: &SecureCounter<C>,
+        edges: &[SendEdge<'_, C>],
+    ) {
+        self.wave += 1;
+        self.audit_state(id, rule);
+        let Controller { rules, cipher, key, layout, wave, missed, .. } = self;
+        let Some(RuleAudit { opened, .. }) = rules.get_mut(id) else { return };
+        // The input at position `i` of the wave, with its slot.
+        let input = |i: usize| match i.checked_sub(1) {
+            None => Some((0, full)),
+            Some(e) => edges.get(e).and_then(|e| Some((1 + layout.slot_of(e.v)?, e.recv_v))),
+        };
+        missed.clear();
+        for (i, (slot, counter)) in (0..=edges.len()).filter_map(|i| Some((i, input(i)?))) {
+            match opened.get_mut(slot) {
+                Some(Some(seen)) if seen.counter == *counter => seen.wave = *wave,
+                Some(_) => missed.push(i),
+                None => {}
             }
         }
-        plains
+        if missed.is_empty() {
+            return;
+        }
+        let wave_inputs = missed.iter().filter_map(|&i| input(i));
+        SecureCounter::open_wave(cipher, key, wave_inputs.clone().map(|(_, c)| c), |i, fields| {
+            let (Ok(fields), Some((slot, counter))) = (fields, wave_inputs.clone().nth(i)) else {
+                return;
+            };
+            let Some(at) = opened.get_mut(slot) else { return };
+            // The plaintext first: a slot never pairs a counter with
+            // fields that are not its own.
+            let reread = at.as_mut().is_some_and(|seen| seen.plain.read(fields).is_ok());
+            match at {
+                Some(seen) if reread => {
+                    seen.counter.clone_from(counter);
+                    seen.wave = *wave;
+                }
+                _ => {
+                    *at = PlainCounter::of(fields).ok().map(|plain| Opened {
+                        counter: counter.clone(),
+                        plain,
+                        wave: *wave,
+                    });
+                }
+            }
+        });
     }
 
     /// Full-aggregate audit: share and timestamp checks of Algorithm 3.
+    /// Returns the aggregate's `(count, num)`.
     fn audit_full(
         &mut self,
+        id: RuleId,
         rule: &CandidateRule,
         full: &SecureCounter<C>,
-    ) -> Result<PlainCounter, Verdict> {
+    ) -> Result<(i64, i64), Verdict> {
         if full.layout != self.layout {
             return Err(self.raise(Verdict::MaliciousBroker(self.id)));
         }
-        let Some(p) = self.open_inputs(rule, &[(None, full)]).pop().flatten() else {
-            return Err(self.raise(Verdict::MaliciousBroker(self.id)));
-        };
-        self.audit_full_plain(rule, &p)?;
-        Ok(p)
+        self.open_inputs(id, rule, full, &[]);
+        self.audit_full_plain(id)
     }
 
-    /// Plaintext half of the full-aggregate audit. Runs on every query,
-    /// on a remembered plaintext as on a fresh one: the traces it holds
-    /// `full` to move between queries even when `full` does not.
-    fn audit_full_plain(&mut self, rule: &CandidateRule, p: &PlainCounter) -> Result<(), Verdict> {
-        if p.share != 1 {
-            return Err(self.raise(Verdict::MaliciousBroker(self.id)));
-        }
-        // Timestamp traces: slot 0 is the own accountant (⊥), slot i+1 the
-        // i-th neighbor.
-        let audit = self.audit_state(rule);
-        match p.ts.iter().zip(&audit.traces).position(|(t, seen)| t < seen) {
-            None => {
-                audit.traces.copy_from_slice(&p.ts);
-                Ok(())
-            }
-            Some(slot) => {
-                let owner = match slot.checked_sub(1) {
-                    None => self.id,
-                    Some(i) => self.layout.neighbors.get(i).copied().unwrap_or(self.id),
-                };
-                Err(self.raise(Verdict::MaliciousResource(owner)))
-            }
-        }
+    /// Plaintext half of the full-aggregate audit, on what the last wave
+    /// left at slot 0. Runs on every query, on a remembered plaintext as
+    /// on a fresh one: the traces it holds `full` to move between queries
+    /// even when `full` does not.
+    fn audit_full_plain(&mut self, id: RuleId) -> Result<(i64, i64), Verdict> {
+        let broker = Verdict::MaliciousBroker(self.id);
+        let wave = self.wave;
+        let full = self.rules.get_mut(id).and_then(|audit| {
+            let seen = audit.opened.first()?.as_ref().filter(|seen| seen.wave == wave)?;
+            Some((&seen.plain, &mut audit.traces))
+        });
+        let blame = match full {
+            None => broker,
+            Some((p, _)) if p.share != 1 => broker,
+            // Timestamp traces: slot 0 is the own accountant (⊥), slot i+1
+            // the i-th neighbor.
+            Some((p, traces)) => match p.ts.iter().zip(&*traces).position(|(t, seen)| t < seen) {
+                None => {
+                    traces.copy_from_slice(&p.ts);
+                    return Ok((p.count, p.num));
+                }
+                Some(slot) => Verdict::MaliciousResource(
+                    slot.checked_sub(1)
+                        .and_then(|i| self.layout.neighbors.get(i).copied())
+                        .unwrap_or(self.id),
+                ),
+            },
+        };
+        Err(self.raise(blame))
     }
 
     /// The `Output()` SFE of Algorithm 1: is the candidate rule's majority
     /// non-negative? Gated by k; a gated query returns the previous
-    /// answer.
+    /// answer. `id` is where the caller files `rule`; the controller
+    /// files its audit state for it there too.
     ///
     /// `blinded_delta` is the broker's multiplicatively blinded
     /// `E(ρ·Δ^u)` (see [`crate::broker::Broker::blinded_delta`]): the
@@ -442,6 +507,7 @@ impl<C: HomCipher> Controller<C> {
     /// aggregate.
     pub fn output_query(
         &mut self,
+        id: RuleId,
         rule: &CandidateRule,
         full: &SecureCounter<C>,
         blinded_delta: &C::Ct,
@@ -455,29 +521,25 @@ impl<C: HomCipher> Controller<C> {
             kind: SfeKind::Output,
             rule: rule.to_string(),
         });
-        let p = self.audit_full(rule, full)?;
+        let (count, num) = self.audit_full(id, rule, full)?;
         let sign_nonneg = self.cipher.decrypt_i64(blinded_delta) >= 0;
-        let id = self.id;
-        let audit = self.audit_state(rule);
-        let ans = audit.output_gate.disclose(p.count, p.num, || sign_nonneg);
+        let resource = self.id as u64;
+        let ans = self.audit_state(id, rule).output_gate.disclose(count, num, || sign_nonneg);
         emit(&self.rec, || Event::OutputDecision {
-            resource: id as u64,
+            resource,
             rule: rule.to_string(),
-            count: p.count,
-            num: p.num,
+            count,
+            num,
             answer: ans,
         });
-        emit(&self.rec, || Event::SfeAnswer {
-            resource: id as u64,
-            kind: SfeKind::Output,
-            answer: ans,
-        });
+        emit(&self.rec, || Event::SfeAnswer { resource, kind: SfeKind::Output, answer: ans });
         Ok(ans)
     }
 
     /// The `MajorityCond(v)`/`Update(v)` SFE, for every edge a rule change
     /// asks about: should a message be sent to neighbor `v`, and if so,
-    /// here is the sealed outgoing message.
+    /// here is the sealed outgoing message. `id` as in
+    /// [`Controller::output_query`].
     ///
     /// `full` is the broker's complete aggregate, the same for every
     /// edge. Of the `1 + edges` counters, those not already opened as
@@ -491,6 +553,7 @@ impl<C: HomCipher> Controller<C> {
     /// earlier edges' messages sealed and returned.
     pub fn send_queries(
         &mut self,
+        id: RuleId,
         rule: &CandidateRule,
         full: &SecureCounter<C>,
         edges: &[SendEdge<'_, C>],
@@ -504,11 +567,7 @@ impl<C: HomCipher> Controller<C> {
         }
         // An input that does not open is blamed below, at the edge that
         // meets it first.
-        let inputs: Vec<(Option<usize>, &SecureCounter<C>)> = std::iter::once((None, full))
-            .chain(edges.iter().map(|e| (Some(e.v), e.recv_v)))
-            .collect();
-        let mut opened = self.open_inputs(rule, &inputs).into_iter();
-        let p_full = opened.next().flatten().filter(|_| full.layout == self.layout);
+        self.open_inputs(id, rule, full, edges);
         for (i, edge) in edges.iter().enumerate() {
             emit(&self.rec, || Event::SfeQuery {
                 resource: self.id as u64,
@@ -516,23 +575,21 @@ impl<C: HomCipher> Controller<C> {
                 rule: rule.to_string(),
             });
             self.queries_served += 1;
-            // Consume in protocol order so the verdict blames the first
-            // failure, exactly as one query per edge did: `full` and its
-            // audit (met by the first edge; re-auditing the same
-            // plaintext per edge is a no-op), then this edge's `recv_v`.
+            // In protocol order, so the verdict blames the first failure,
+            // exactly as one query per edge did: `full` and its audit
+            // (met by the first edge; re-auditing the same plaintext per
+            // edge is a no-op), then this edge's `recv_v`.
             if i == 0 {
-                let audit = match &p_full {
-                    Some(p) => self.audit_full_plain(rule, p),
-                    None => Err(self.raise(Verdict::MaliciousBroker(self.id))),
+                let audit = if full.layout == self.layout {
+                    self.audit_full_plain(id)
+                } else {
+                    Err(self.raise(Verdict::MaliciousBroker(self.id)))
                 };
                 if let Err(verdict) = audit {
                     return (sealed, Err(verdict));
                 }
             }
-            let (Some(p_full), Some(Some(p_recv))) = (&p_full, opened.next()) else {
-                return (sealed, Err(self.raise(Verdict::MaliciousBroker(self.id))));
-            };
-            match self.send_decision(rule, edge, p_full, &p_recv) {
+            match self.send_decision(id, edge) {
                 Ok(decision) => {
                     emit(&self.rec, || Event::SfeAnswer {
                         resource: self.id as u64,
@@ -550,73 +607,37 @@ impl<C: HomCipher> Controller<C> {
     /// The reduced plaintext of the share `v` assigned to this resource,
     /// decrypted once per distinct ciphertext (see `shares_seen`).
     fn share_plain(&mut self, v: usize, share_for_me: &C::Ct) -> i64 {
-        match self.shares_seen.get(&v) {
-            Some((seen, plain)) if seen == share_for_me => *plain,
+        let seen = self.layout.slot_of(v).and_then(|at| self.shares_seen.get_mut(at));
+        match seen {
+            Some(Some((seen, plain))) if seen == share_for_me => *plain,
             _ => {
                 let plain = share_reduce(self.cipher.decrypt_i64(share_for_me));
-                self.shares_seen.insert(v, (share_for_me.clone(), plain));
+                if let Some(seen) = seen {
+                    *seen = Some((share_for_me.clone(), plain));
+                }
                 plain
             }
         }
     }
 
-    /// One edge of [`Controller::send_queries`], on opened inputs.
+    /// One edge of [`Controller::send_queries`], on the inputs the wave
+    /// opened: the decision, then the seal.
     fn send_decision(
         &mut self,
-        rule: &CandidateRule,
+        id: RuleId,
         edge: &SendEdge<'_, C>,
-        p_full: &PlainCounter,
-        p_recv: &PlainCounter,
     ) -> Result<Option<SecureCounter<C>>, Verdict> {
-        // What leaves toward `v` is the aggregate without `v`'s own
-        // contribution. Containment: a `recv_v` that `full` cannot have
-        // been summed from — more resources, or a later timestamp in any
-        // slot — is a counter the broker made the pair up with.
-        let (sum, count, num) =
-            (p_full.sum - p_recv.sum, p_full.count - p_recv.count, p_full.num - p_recv.num);
-        let contained = num >= 0 && p_recv.ts.iter().zip(&p_full.ts).all(|(r, f)| r <= f);
-        if !contained {
-            return Err(self.raise(Verdict::MaliciousBroker(self.id)));
-        }
-
-        let v = edge.v;
-        let lambda = rule.lambda;
-        let delta_u = lambda.delta(p_full.sum, p_full.count);
-        let (k, mode) = (self.k, self.gate_mode);
-
-        let t_out = {
-            let audit = self.audit_state(rule);
-            let last = audit.last_sent.get(&v).copied().unwrap_or((0, 0, 0));
-            let delta_uv = lambda.delta(last.0 + p_recv.sum, last.1 + p_recv.count);
-
-            let gate = audit.send_gates.entry(v).or_insert_with(|| KGate::with_mode(k, mode));
-            // §5.1: send when the Majority-Rule condition holds, OR when
-            // fewer than k new transactions / k new resources arrived since
-            // the last disclosure (the data-independent default is to send).
-            let decision = if gate.is_fresh(p_full.count, p_full.num) {
-                gate.disclose(p_full.count, p_full.num, || majority_send_cond(delta_uv, delta_u))
-            } else {
-                true
-            };
-
-            // Duplicate suppression: resending an identical aggregate is a
-            // no-op for the receiver; the plain protocol never does it
-            // either (after a send, Δ^uv = Δ^u until something changes).
-            let payload = (sum, count, num);
-            let already_sent = audit.last_sent.contains_key(&v);
-            if !decision || (already_sent && payload == last) || (!already_sent && num == 0) {
-                return Ok(None);
-            }
-
-            // Lamport time: strictly above everything this aggregate saw.
-            let max_ts = p_full.ts.iter().copied().max().unwrap_or(0);
-            audit.clock = audit.clock.max(max_ts) + 1;
-            audit.last_sent.insert(v, payload);
-            audit.clock
+        let ((sum, count, num), t_out) = match self.decide(id, edge.v) {
+            Ok(Some(send)) => send,
+            Ok(None) => return Ok(None),
+            Err(verdict) => return Err(self.raise(verdict)),
         };
-
-        let share_plain = self.share_plain(v, edge.share_for_me);
-        let key = self.tags.key(edge.receiver_layout.arity());
+        let share_plain = self.share_plain(edge.v, edge.share_for_me);
+        let arity = edge.receiver_layout.arity();
+        let at = self.seal_keys.iter().position(|key| key.arity() == arity).unwrap_or_else(|| {
+            self.seal_keys.push(self.tags.key(arity));
+            self.seal_keys.len() - 1
+        });
         // The caller resolved `receiver_layout` from its own neighbor set,
         // so the sender always has a timestamp slot in it; a `None` here is
         // a wiring bug on the trusted side or a value no slot seals (a
@@ -624,7 +645,7 @@ impl<C: HomCipher> Controller<C> {
         // is sent either way.
         Ok(SecureCounter::seal_outgoing(
             &self.cipher,
-            &key,
+            &self.seal_keys[at],
             edge.receiver_layout,
             self.id,
             sum,
@@ -633,6 +654,69 @@ impl<C: HomCipher> Controller<C> {
             share_plain,
             t_out,
         ))
+    }
+
+    /// Whether rule `id`'s aggregate goes out toward `v`, on the
+    /// plaintexts the wave left at their slots: the payload and the
+    /// Lamport time to seal it with, `None` for "do not send", or the
+    /// verdict to raise.
+    #[allow(clippy::type_complexity)]
+    fn decide(&mut self, id: RuleId, v: usize) -> Result<Option<((i64, i64, i64), i64)>, Verdict> {
+        let broker = Verdict::MaliciousBroker(self.id);
+        let (wave, k, mode) = (self.wave, self.k, self.gate_mode);
+        let (Some(at), Some(audit)) = (self.layout.slot_of(v), self.rules.get_mut(id)) else {
+            return Err(broker);
+        };
+        let RuleAudit { rule, edges, clock, opened, .. } = audit;
+        let plain = |slot: usize| {
+            opened.get(slot)?.as_ref().filter(|seen| seen.wave == wave).map(|seen| &seen.plain)
+        };
+        let (Some(p_full), Some(p_recv), Some(edge)) = (plain(0), plain(1 + at), edges.get_mut(at))
+        else {
+            return Err(broker);
+        };
+        // What leaves toward `v` is the aggregate without `v`'s own
+        // contribution. Containment: a `recv_v` that `full` cannot have
+        // been summed from — more resources, or a later timestamp in any
+        // slot — is a counter the broker made the pair up with.
+        let payload =
+            (p_full.sum - p_recv.sum, p_full.count - p_recv.count, p_full.num - p_recv.num);
+        let contained = payload.2 >= 0 && p_recv.ts.iter().zip(&p_full.ts).all(|(r, f)| r <= f);
+        if !contained {
+            return Err(broker);
+        }
+
+        let lambda = rule.lambda;
+        let delta_u = lambda.delta(p_full.sum, p_full.count);
+        let last = edge.last_sent.unwrap_or((0, 0, 0));
+        let delta_uv = lambda.delta(last.0 + p_recv.sum, last.1 + p_recv.count);
+
+        let gate = edge.gate.get_or_insert_with(|| KGate::with_mode(k, mode));
+        // §5.1: send when the Majority-Rule condition holds, OR when
+        // fewer than k new transactions / k new resources arrived since
+        // the last disclosure (the data-independent default is to send).
+        let decision = if gate.is_fresh(p_full.count, p_full.num) {
+            gate.disclose(p_full.count, p_full.num, || majority_send_cond(delta_uv, delta_u))
+        } else {
+            true
+        };
+
+        // Duplicate suppression: resending an identical aggregate is a
+        // no-op for the receiver; the plain protocol never does it
+        // either (after a send, Δ^uv = Δ^u until something changes).
+        let unsent_or_same = match edge.last_sent {
+            Some(last) => payload == last,
+            None => payload.2 == 0,
+        };
+        if !decision || unsent_or_same {
+            return Ok(None);
+        }
+
+        // Lamport time: strictly above everything this aggregate saw.
+        let max_ts = p_full.ts.iter().copied().max().unwrap_or(0);
+        *clock = (*clock).max(max_ts) + 1;
+        edge.last_sent = Some(payload);
+        Ok(Some((payload, *clock)))
     }
 }
 
@@ -672,7 +756,7 @@ mod tests {
         share_for_me: &gridmine_paillier::MockCt,
     ) -> Result<Option<SecureCounter<MockCipher>>, Verdict> {
         let edge = SendEdge { v, receiver_layout, recv_v, share_for_me };
-        let (mut sealed, verdict) = ctl.send_queries(rule, full, &[edge]);
+        let (mut sealed, verdict) = ctl.send_queries(0, rule, full, &[edge]);
         verdict.map(|()| sealed.pop().map(|(_, counter)| counter))
     }
 
@@ -723,7 +807,7 @@ mod tests {
         // 3 + 3 = 6 transactions of which 5 support; 2 resources; λ = 1/2.
         let (full, _) = pair(&f, (2, 3, 1), (3, 3, 1), 1, 1);
         let b = blind(&f, 5, 6);
-        assert_eq!(f.ctl.output_query(&rule(), &full, &b), Ok(true));
+        assert_eq!(f.ctl.output_query(0, &rule(), &full, &b), Ok(true));
     }
 
     #[test]
@@ -733,7 +817,7 @@ mod tests {
         // though the majority holds.
         let (full, _) = pair(&f, (3, 3, 1), (3, 3, 1), 1, 1);
         let b = blind(&f, 6, 6);
-        assert_eq!(f.ctl.output_query(&rule(), &full, &b), Ok(false));
+        assert_eq!(f.ctl.output_query(0, &rule(), &full, &b), Ok(false));
     }
 
     #[test]
@@ -743,9 +827,9 @@ mod tests {
         // Local counter alone: share ≠ 1 (its neighbor share is missing).
         let local = SecureCounter::seal_local(&f.keys.enc, &key, &f.layout, 1, 1, 1, 500, 1);
         let b = blind(&f, 1, 1);
-        assert_eq!(f.ctl.output_query(&rule(), &local, &b), Err(Verdict::MaliciousBroker(0)));
+        assert_eq!(f.ctl.output_query(0, &rule(), &local, &b), Err(Verdict::MaliciousBroker(0)));
         // Halted: all further queries refused.
-        assert_eq!(f.ctl.output_query(&rule(), &local, &b), Err(Verdict::MaliciousBroker(0)));
+        assert_eq!(f.ctl.output_query(0, &rule(), &local, &b), Err(Verdict::MaliciousBroker(0)));
     }
 
     #[test]
@@ -755,7 +839,7 @@ mod tests {
         let mut forged = full.clone();
         forged.msg.fields[F_SUM] = f.keys.enc.encrypt_i64(999);
         let b = blind(&f, 2, 2);
-        assert_eq!(f.ctl.output_query(&rule(), &forged, &b), Err(Verdict::MaliciousBroker(0)));
+        assert_eq!(f.ctl.output_query(0, &rule(), &forged, &b), Err(Verdict::MaliciousBroker(0)));
     }
 
     #[test]
@@ -763,11 +847,11 @@ mod tests {
         let mut f = fix(1);
         let (newer, _) = pair(&f, (1, 5, 1), (1, 5, 1), 3, 7);
         let b = blind(&f, 2, 10);
-        assert!(f.ctl.output_query(&rule(), &newer, &b).is_ok());
+        assert!(f.ctl.output_query(0, &rule(), &newer, &b).is_ok());
         // Replay: neighbor 1's slot regresses from 7 to 2.
         let (older, _) = pair(&f, (2, 15, 1), (1, 5, 1), 4, 2);
         let b = blind(&f, 3, 20);
-        assert_eq!(f.ctl.output_query(&rule(), &older, &b), Err(Verdict::MaliciousResource(1)));
+        assert_eq!(f.ctl.output_query(0, &rule(), &older, &b), Err(Verdict::MaliciousResource(1)));
     }
 
     #[test]
@@ -833,7 +917,7 @@ mod tests {
         let restored: Vec<AuditImage> = serde_json::from_str(&json).unwrap();
         let mut fresh =
             Controller::new(0, f.keys.dec.clone(), f.keys.tags.clone(), 1, f.layout.clone());
-        fresh.import_audits(restored);
+        fresh.import_audits(restored, |_| 0);
 
         // A fresh controller without the import would reseal at ts
         // max(0, seen)+1; with it, the clock stays strictly monotone and

@@ -31,6 +31,8 @@
 //! read out of an aggregate is refused by [`SecureCounter::seal_outgoing`]
 //! if it does not fit.
 
+use std::sync::Arc;
+
 use gridmine_paillier::{CounterMsg, HomCipher, TagKey};
 
 /// Field indices within the logical tuple.
@@ -46,14 +48,37 @@ pub const F_SHARE: usize = 3;
 pub const F_TS: usize = 4;
 
 /// The slot map of one resource's counters: who owns it and which neighbor
-/// occupies which timestamp slot.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// occupies which timestamp slot. Every counter carries the one it was
+/// sealed under, so the neighbor list is shared: a clone is a reference
+/// count, and two handles on one list compare equal at a glance.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CounterLayout {
     /// The resource this layout belongs to (whose aggregates use it).
     pub owner: usize,
     /// Neighbor ids in slot order (slot `F_TS + 1 + i` belongs to
-    /// `neighbors[i]`; slot `F_TS` is `⊥`, the own accountant).
-    pub neighbors: Vec<usize>,
+    /// `neighbors[i]`; slot `F_TS` is `⊥`, the own accountant). Whatever
+    /// a resource keeps per neighbor, it keeps in this order.
+    pub neighbors: Arc<[usize]>,
+}
+
+/// [`CounterLayout`] as it serializes.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct LayoutRepr {
+    owner: usize,
+    neighbors: Vec<usize>,
+}
+
+impl serde::Serialize for CounterLayout {
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        LayoutRepr { owner: self.owner, neighbors: self.neighbors.to_vec() }.serialize(s)
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for CounterLayout {
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        let repr = LayoutRepr::deserialize(d)?;
+        Ok(CounterLayout::new(repr.owner, repr.neighbors))
+    }
 }
 
 impl CounterLayout {
@@ -62,7 +87,7 @@ impl CounterLayout {
     pub fn new(owner: usize, mut neighbors: Vec<usize>) -> Self {
         neighbors.sort_unstable();
         neighbors.dedup();
-        CounterLayout { owner, neighbors }
+        CounterLayout { owner, neighbors: neighbors.into() }
     }
 
     /// Total field count of a sealed tuple under this layout.
@@ -70,15 +95,42 @@ impl CounterLayout {
         F_TS + 1 + self.neighbors.len()
     }
 
+    /// Where neighbor `v` sits in slot order, or `None` when `v` is not a
+    /// neighbor of the owner.
+    pub fn slot_of(&self, v: usize) -> Option<usize> {
+        self.neighbors.iter().position(|&n| n == v)
+    }
+
     /// The timestamp slot of neighbor `v`, or `None` when `v` is not a
     /// neighbor of the owner.
     pub fn ts_slot(&self, v: usize) -> Option<usize> {
-        self.neighbors.iter().position(|&n| n == v).map(|pos| F_TS + 1 + pos)
+        self.slot_of(v).map(|pos| F_TS + 1 + pos)
+    }
+
+    /// Carries per-neighbor state over a membership change: `held`, in
+    /// this layout's slot order, becomes what it holds for each neighbor
+    /// that stays, in `next`'s; a new neighbor starts from the default.
+    pub fn reslot<T: Default>(&self, next: &CounterLayout, mut held: Vec<T>) -> Vec<T> {
+        let kept = |&v: &usize| self.slot_of(v).and_then(|at| held.get_mut(at)).map(std::mem::take);
+        next.neighbors.iter().map(kept).map(Option::unwrap_or_default).collect()
+    }
+}
+
+/// Runs `f` on a buffer of `len` copies of `fill`: on the stack up to 16
+/// of them — the ciphertexts of a mock counter of degree 10, the
+/// side-band values of one of degree 13 — so that sealing a counter
+/// allocates its ciphertexts, screening one allocates nothing, and only a
+/// wider layout pays for a vector.
+pub(crate) fn with_buffer<T: Copy, R>(len: usize, fill: T, f: impl FnOnce(&mut [T]) -> R) -> R {
+    let mut inline = [fill; 16];
+    match inline.get_mut(..len) {
+        Some(buffer) => f(buffer),
+        None => f(&mut vec![fill; len]),
     }
 }
 
 /// A sealed counter tuple plus the layout it was sealed under.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, serde::Serialize, serde::Deserialize)]
 #[serde(bound(
     serialize = "C::Ct: serde::Serialize",
     deserialize = "C::Ct: serde::Deserialize<'de>"
@@ -96,6 +148,18 @@ impl<C: HomCipher> PartialEq for SecureCounter<C> {
     }
 }
 
+impl<C: HomCipher> Clone for SecureCounter<C> {
+    fn clone(&self) -> Self {
+        SecureCounter { msg: self.msg.clone(), layout: self.layout.clone() }
+    }
+
+    /// Into the buffers `self` already has (see [`CounterMsg`]'s).
+    fn clone_from(&mut self, source: &Self) {
+        self.msg.clone_from(&source.msg);
+        self.layout.clone_from(&source.layout);
+    }
+}
+
 impl<C: HomCipher> SecureCounter<C> {
     /// Accountant-side sealing of a local counter: own share, own logical
     /// time at `T_⊥`, zeros in every neighbor slot.
@@ -110,14 +174,13 @@ impl<C: HomCipher> SecureCounter<C> {
         own_share: u32,
         ts: u32,
     ) -> Self {
-        let mut side = vec![0u32; layout.arity() - F_NUM];
-        for (slot, v) in side.iter_mut().zip([num, own_share, ts]) {
-            *slot = v;
-        }
-        SecureCounter {
-            msg: CounterMsg::seal(cipher, key, &[sum, count], &side),
-            layout: layout.clone(),
-        }
+        let msg = with_buffer(layout.arity() - F_NUM, 0u32, |side| {
+            for (slot, v) in side.iter_mut().zip([num, own_share, ts]) {
+                *slot = v;
+            }
+            CounterMsg::seal(cipher, key, &[sum, count], side)
+        });
+        SecureCounter { msg, layout: layout.clone() }
     }
 
     /// Controller-side sealing of an *outgoing* message from `sender` to the
@@ -140,12 +203,13 @@ impl<C: HomCipher> SecureCounter<C> {
         sender_time: i64,
     ) -> Option<Self> {
         let slot = receiver_layout.ts_slot(sender)?;
-        let mut side = vec![0u32; receiver_layout.arity() - F_NUM];
         let placed = [(F_NUM, num), (F_SHARE, receiver_share_for_sender), (slot, sender_time)];
-        for (at, v) in placed {
-            *side.get_mut(at - F_NUM)? = u32::try_from(v).ok()?;
-        }
-        let msg = CounterMsg::seal(cipher, key, &[sum, count], &side);
+        let msg = with_buffer(receiver_layout.arity() - F_NUM, 0u32, |side| {
+            for (at, v) in placed {
+                *side.get_mut(at - F_NUM)? = u32::try_from(v).ok()?;
+            }
+            Some(CounterMsg::seal(cipher, key, &[sum, count], side))
+        })?;
         Some(SecureCounter { msg, layout: receiver_layout.clone() })
     }
 
@@ -169,6 +233,16 @@ impl<C: HomCipher> SecureCounter<C> {
     pub fn add(&self, cipher: &C, other: &Self) -> Self {
         assert_eq!(self.layout, other.layout, "cannot add counters of different layouts");
         SecureCounter { msg: self.msg.add(cipher, &other.msg), layout: self.layout.clone() }
+    }
+
+    /// [`SecureCounter::add`] into `self` — how a broker sums a rule's
+    /// counters into one buffer.
+    ///
+    /// # Panics
+    /// As [`SecureCounter::add`].
+    pub fn add_assign(&mut self, cipher: &C, other: &Self) {
+        assert_eq!(self.layout, other.layout, "cannot add counters of different layouts");
+        self.msg.add_assign(cipher, &other.msg);
     }
 
     /// Key-free rerandomization: other ciphertexts that open to the same
@@ -200,7 +274,7 @@ mod tests {
     #[test]
     fn layout_normalizes_neighbors() {
         let l = CounterLayout::new(0, vec![3, 1, 2, 1]);
-        assert_eq!(l.neighbors, vec![1, 2, 3]);
+        assert_eq!(*l.neighbors, [1, 2, 3]);
         assert_eq!(l.arity(), F_TS + 4);
         assert_eq!(l.ts_slot(1), Some(F_TS + 1));
         assert_eq!(l.ts_slot(3), Some(F_TS + 3));

@@ -52,6 +52,7 @@ pub mod plain;
 pub mod proxy;
 pub mod resource;
 pub mod round;
+pub mod rules;
 pub mod session;
 pub mod sfe;
 pub mod shares;
@@ -71,6 +72,7 @@ pub use plain::PlainCounter;
 pub use proxy::ChaosProxy;
 pub use resource::{SecureResource, WireMsg};
 pub use round::{assemble, ResourceReport, RoundMachine, RoundSchedule, Scan, Seat, Tallies};
+pub use rules::RuleId;
 pub use session::{MineSession, SessionCipher, SessionError};
 pub use sfe::{GateMode, KGate};
 pub use threaded::run_threaded_full;

@@ -15,15 +15,16 @@ use gridmine_arm::{CandidateRule, Database, Item, Rule, RuleSet};
 use gridmine_majority::CandidateGenerator;
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::HomCipher;
-use gridmine_recovery::{RecoveryImage, RecoveryLog, ResourceState, RetryPolicy};
+use gridmine_recovery::{RecoveryImage, RecoveryLog, ResourceState, RetryPolicy, RuleRecord};
 
 use crate::accountant::Accountant;
 use crate::attack::{BrokerBehavior, ControllerBehavior};
 use crate::broker::{Broker, BrokerMsg};
 use crate::chaos::DegradeReason;
 use crate::controller::{Controller, SendEdge, Verdict};
-use crate::counter::CounterLayout;
+use crate::counter::{CounterLayout, SecureCounter};
 use crate::keyring::GridKeys;
+use crate::rules::{PerRule, RuleId, RuleTable};
 
 /// A protocol message in flight between two resources.
 pub type WireMsg<C> = BrokerMsg<C>;
@@ -45,11 +46,23 @@ pub struct SecureResource<C: HomCipher> {
     broker: Broker<C>,
     ctl: Controller<C>,
     generator: CandidateGenerator,
-    /// Counter layouts of neighbors (public topology metadata), needed to
-    /// seal outgoing messages in the receiver's slot order.
-    neighbor_layouts: HashMap<usize, CounterLayout>,
-    /// Last `Output()` answer per candidate (Algorithm 4's `R̃` source).
-    output_cache: HashMap<CandidateRule, bool>,
+    /// Counter layouts of neighbors (public topology metadata), in the own
+    /// layout's slot order, needed to seal outgoing messages in the
+    /// receiver's.
+    neighbor_layouts: Vec<Option<CounterLayout>>,
+    /// Every rule this resource has met, by the id its accountant, broker
+    /// and controller file it under.
+    rules: RuleTable,
+    /// Per rule that arrived over the wire, the frequency rule over its
+    /// union (itself, for a frequency rule): what a delivery implies must
+    /// be a live candidate too (see [`SecureResource::adopt`]).
+    implied: PerRule<RuleId>,
+    /// Last `Output()` answer per live candidate (Algorithm 4's `R̃`
+    /// source), walked in id order.
+    output_cache: PerRule<bool>,
+    /// The last aggregate a wave is done with: the buffer the next one is
+    /// summed into.
+    spare: Option<SecureCounter<C>>,
     /// Verdict that halted this resource, if any.
     halted: Option<Verdict>,
     /// Fault that degraded this resource out of the protocol, if any.
@@ -111,13 +124,16 @@ impl<C: HomCipher> SecureResource<C> {
         let ctl = Controller::new(id, keys.dec.clone(), keys.tags.clone(), k, layout.clone());
         let mut r = SecureResource {
             id,
+            neighbor_layouts: vec![None; layout.neighbors.len()],
             layout,
             acc,
             broker,
             ctl,
             generator,
-            neighbor_layouts: HashMap::new(),
-            output_cache: HashMap::new(),
+            rules: RuleTable::default(),
+            implied: PerRule::default(),
+            output_cache: PerRule::default(),
+            spare: None,
             halted: None,
             degraded: None,
             retries_spent: 0,
@@ -269,9 +285,13 @@ impl<C: HomCipher> SecureResource<C> {
         }
     }
 
-    /// Registers a neighbor's layout (grid wiring).
+    /// Registers a neighbor's layout (grid wiring). A resource that is no
+    /// neighbor has no slot for it to go to.
     pub fn set_neighbor_layout(&mut self, v: usize, layout: CounterLayout) {
-        self.neighbor_layouts.insert(v, layout);
+        if let Some(slot) = self.layout.slot_of(v).and_then(|at| self.neighbor_layouts.get_mut(at))
+        {
+            *slot = Some(layout);
+        }
     }
 
     /// Stores the encrypted share a neighbor's accountant assigned to this
@@ -301,22 +321,37 @@ impl<C: HomCipher> SecureResource<C> {
     /// one edge.
     pub fn rewire(&mut self, neighbors: Vec<usize>, epoch: u64) {
         let layout = CounterLayout::new(self.id, neighbors);
+        let known = std::mem::take(&mut self.neighbor_layouts);
+        self.neighbor_layouts = self.layout.reslot(&layout, known);
         self.layout = layout.clone();
         self.acc.set_layout(layout.clone(), epoch);
         self.ctl.set_layout(layout.clone());
         self.broker.rewire(layout);
-        let cands: Vec<CandidateRule> = self.output_cache.keys().cloned().collect();
-        for cand in cands {
-            // The accountant answers every registered rule; an empty
-            // response is a local wiring bug, not wire input — skip the
-            // rule rather than panic (debug builds assert).
-            let local = self.acc.respond(&cand).pop();
-            debug_assert!(local.is_some(), "accountant mute for {cand}");
-            let Some(local) = local else { continue };
-            let placeholders =
-                self.layout.neighbors.iter().map(|&v| (v, self.acc.placeholder_for(v))).collect();
-            self.broker.init_rule(&cand, local, placeholders);
+        for id in self.live_rules() {
+            self.init_instance(id);
         }
+    }
+
+    /// The live candidates, in id order (the order they were first
+    /// registered in).
+    fn live_rules(&self) -> Vec<RuleId> {
+        self.output_cache.iter().map(|(id, _)| id).collect()
+    }
+
+    /// Starts rule `id`'s voting instance at the broker from the
+    /// accountant's current counter and a placeholder per neighbor.
+    /// `false` when the accountant has no counter for it.
+    fn init_instance(&mut self, id: RuleId) -> bool {
+        // The accountant answers every registered rule; an empty response
+        // is a local wiring bug, not wire input — skip the rule rather
+        // than panic (debug builds assert).
+        let local = self.acc.respond(id).pop();
+        debug_assert!(local.is_some(), "accountant mute for rule {id}");
+        let Some(local) = local else { return false };
+        let placeholders =
+            self.layout.neighbors.iter().map(|&v| self.acc.placeholder_for(v)).collect();
+        self.broker.init_rule(id, local, placeholders);
+        true
     }
 
     /// Lifts the duplicate-send suppressor toward `v` (see
@@ -332,14 +367,13 @@ impl<C: HomCipher> SecureResource<C> {
         if !self.is_live() {
             return Vec::new();
         }
-        let rules: Vec<CandidateRule> = self.output_cache.keys().cloned().collect();
         let mut out = Vec::new();
         // Everything a nudge mails is a re-send of an already-published
         // aggregate (anti-entropy / recovery traffic), accounted apart
         // from first-time protocol messages.
         self.resending = true;
-        for cand in rules {
-            out.extend(self.on_change(&cand));
+        for id in self.live_rules() {
+            out.extend(self.on_change(id));
             if !self.is_live() {
                 break;
             }
@@ -348,22 +382,43 @@ impl<C: HomCipher> SecureResource<C> {
         out
     }
 
-    /// Creates the voting instance for a candidate if absent.
-    fn ensure_candidate(&mut self, cand: &CandidateRule) {
-        if self.broker.has_rule(cand) {
-            return;
+    /// Creates the voting instance for a candidate if absent. Returns the
+    /// id the candidate is filed under.
+    fn ensure_candidate(&mut self, cand: &CandidateRule) -> RuleId {
+        let id = self.rules.intern(cand);
+        if self.broker.has_rule(id) {
+            return id;
         }
-        self.acc.register_rule(cand);
-        let local = self.acc.respond(cand).pop();
-        debug_assert!(local.is_some(), "accountant mute for {cand}");
-        let Some(local) = local else { return };
-        let placeholders =
-            self.layout.neighbors.iter().map(|&v| (v, self.acc.placeholder_for(v))).collect();
-        self.broker.init_rule(cand, local, placeholders);
-        self.output_cache.insert(cand.clone(), false);
-        if let Some(Durable::Live(log)) = &mut self.recovery {
-            log.rule_registered(cand);
+        self.acc.register_rule(id, cand);
+        if self.init_instance(id) {
+            self.output_cache.insert(id, false);
+            if let Some(Durable::Live(log)) = &mut self.recovery {
+                log.rule_registered(cand);
+            }
         }
+        id
+    }
+
+    /// Resolves the rule a delivered counter names — the one keyed lookup
+    /// of the message path — adopting it, together with its implied
+    /// union-frequency candidate, when either is not a live candidate
+    /// here (Algorithm 4's receive handler).
+    fn adopt(&mut self, cand: &CandidateRule) -> RuleId {
+        let live = |id: RuleId| self.output_cache.get(id).is_some();
+        if let Some(id) = self.rules.id_of(cand) {
+            if live(id) && self.implied.get(id).is_some_and(|&union| live(union)) {
+                return id;
+            }
+        }
+        let mut ids = [0; 2];
+        for (id, implied) in ids.iter_mut().zip(self.generator.from_received(cand)) {
+            *id = self.ensure_candidate(&implied);
+        }
+        // `from_received` names the rule itself, then the frequency rule
+        // over its union if that is another rule.
+        let [id, union] = ids;
+        self.implied.insert(id, if cand.rule.is_frequency() { id } else { union });
+        id
     }
 
     /// Evaluates the send condition toward every neighbor for one rule
@@ -374,7 +429,7 @@ impl<C: HomCipher> SecureResource<C> {
     /// controller opens whichever of those it has not opened before —
     /// after a receive, the aggregate and the sender's counter — and
     /// takes the outgoing aggregate as the difference of the two.
-    fn on_change(&mut self, cand: &CandidateRule) -> Vec<WireMsg<C>> {
+    fn on_change(&mut self, id: RuleId) -> Vec<WireMsg<C>> {
         if !self.is_live() {
             return Vec::new();
         }
@@ -383,16 +438,16 @@ impl<C: HomCipher> SecureResource<C> {
         // paces the attempts) until the budget runs out, then the
         // resource degrades.
         if self.controller_behavior == ControllerBehavior::Mute {
-            let wired =
-                self.layout.neighbors.iter().filter(|v| self.neighbor_layouts.contains_key(v));
-            for _ in 0..wired.count() {
+            for _ in 0..self.neighbor_layouts.iter().flatten().count() {
                 if !self.retry_controller() {
                     break;
                 }
             }
             return Vec::new();
         }
-        let Some(full) = self.broker.full_aggregate(cand) else {
+        let spare = self.spare.take();
+        let (Some(cand), Some(full)) = (self.rules.rule(id), self.broker.full_aggregate(id, spare))
+        else {
             return Vec::new();
         };
         // All SFE inputs exist once wiring completed (instance created in
@@ -402,16 +457,17 @@ impl<C: HomCipher> SecureResource<C> {
             .layout
             .neighbors
             .iter()
-            .filter_map(|&v| {
+            .zip(&self.neighbor_layouts)
+            .filter_map(|(&v, receiver_layout)| {
                 Some(SendEdge {
                     v,
-                    receiver_layout: self.neighbor_layouts.get(&v)?,
-                    recv_v: self.broker.recv_of(cand, v)?,
+                    receiver_layout: receiver_layout.as_ref()?,
+                    recv_v: self.broker.recv_of(id, v)?,
                     share_for_me: self.broker.share_for_sending_to(v)?,
                 })
             })
             .collect();
-        let (sealed, verdict) = self.ctl.send_queries(cand, &full, &edges);
+        let (sealed, verdict) = self.ctl.send_queries(id, cand, &full, &edges);
         let mut out = Vec::with_capacity(sealed.len());
         for (v, counter) in sealed {
             self.broker.msgs_sent += 1;
@@ -431,6 +487,7 @@ impl<C: HomCipher> SecureResource<C> {
         if let Err(verdict) = verdict {
             self.halted = Some(verdict);
         }
+        self.spare = Some(full);
         out
     }
 
@@ -442,15 +499,14 @@ impl<C: HomCipher> SecureResource<C> {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let rules: Vec<CandidateRule> = self.output_cache.keys().cloned().collect();
-        for cand in rules {
-            if self.acc.advance_scan(&cand, scan_budget) {
-                for counter in self.acc.respond(&cand) {
-                    self.broker.set_local(&cand, counter);
-                    out.extend(self.on_change(&cand));
+        for id in self.live_rules() {
+            if self.acc.advance_scan(id, scan_budget) {
+                for counter in self.acc.respond(id) {
+                    self.broker.set_local(id, counter);
+                    out.extend(self.on_change(id));
                 }
                 if let Some(Durable::Live(log)) = &mut self.recovery {
-                    if let Some(r) = self.acc.scan_record(&cand) {
+                    if let Some(r) = self.acc.scan_record(id) {
                         log.scan_advanced(&r);
                     }
                 }
@@ -473,7 +529,7 @@ impl<C: HomCipher> SecureResource<C> {
         // carries the old layout (or comes from a departed neighbor) and
         // cannot be mixed into the new counter world. Dropping it is safe:
         // the rewire nudges force fresh sends under the new epoch.
-        if msg.counter.layout != self.layout || !self.layout.neighbors.contains(&msg.from) {
+        if msg.counter.layout != self.layout || self.layout.slot_of(msg.from).is_none() {
             return Vec::new();
         }
         // Malformed-ciphertext screen: every field of a wire counter must
@@ -496,11 +552,9 @@ impl<C: HomCipher> SecureResource<C> {
             from: msg.from as u64,
             rule: msg.cand.to_string(),
         });
-        for implied in self.generator.from_received(&msg.cand) {
-            self.ensure_candidate(&implied);
-        }
-        self.broker.on_receive(&msg.cand, msg.from, msg.counter.clone());
-        self.on_change(&msg.cand)
+        let id = self.adopt(&msg.cand);
+        self.broker.on_receive(id, msg.from, &msg.counter);
+        self.on_change(id)
     }
 
     /// Refreshes every candidate's `Output()` answer through the
@@ -509,17 +563,21 @@ impl<C: HomCipher> SecureResource<C> {
         if !self.is_live() {
             return;
         }
-        let rules: Vec<CandidateRule> = self.output_cache.keys().cloned().collect();
-        for cand in rules {
+        for id in self.live_rules() {
             if self.controller_behavior == ControllerBehavior::Mute {
                 continue;
             }
-            let Some(full) = self.broker.full_aggregate(&cand) else { continue };
+            let spare = self.spare.take();
+            let (Some(cand), Some(full)) =
+                (self.rules.rule(id), self.broker.full_aggregate(id, spare))
+            else {
+                continue;
+            };
             // Defense in depth: the door screen in `on_receive` should have
             // rejected any counter on which the delta algebra is undefined;
             // if one slipped through, the co-resident broker state is
             // corrupt and this resource's own output can't be trusted.
-            let blinded = match self.broker.blinded_delta(&cand, &full) {
+            let blinded = match self.broker.blinded_delta(cand, &full) {
                 Ok(b) => b,
                 Err(_) => {
                     let verdict = Verdict::MaliciousBroker(self.id);
@@ -528,7 +586,7 @@ impl<C: HomCipher> SecureResource<C> {
                     return;
                 }
             };
-            match self.ctl.output_query(&cand, &full, &blinded) {
+            match self.ctl.output_query(id, cand, &full, &blinded) {
                 Ok(answer) => {
                     let answer = if self.controller_behavior == ControllerBehavior::InvertOutputs {
                         !answer
@@ -536,15 +594,16 @@ impl<C: HomCipher> SecureResource<C> {
                         answer
                     };
                     if let Some(Durable::Live(log)) = &mut self.recovery {
-                        log.output_cached(&cand, answer);
+                        log.output_cached(cand, answer);
                     }
-                    self.output_cache.insert(cand, answer);
+                    self.output_cache.insert(id, answer);
                 }
                 Err(verdict) => {
                     self.halted = Some(verdict);
                     return;
                 }
             }
+            self.spare = Some(full);
         }
     }
 
@@ -552,22 +611,17 @@ impl<C: HomCipher> SecureResource<C> {
     /// true; confidence rules additionally require their union's frequency
     /// rule to hold ("correct rules between frequent itemsets").
     pub fn interim(&self) -> RuleSet {
-        let frequent: HashSet<&Rule> = self
-            .output_cache
-            .iter()
-            .filter(|(c, &ok)| ok && c.rule.is_frequency())
-            .map(|(c, _)| &c.rule)
-            .collect();
-        let mut out = RuleSet::new();
-        for (cand, &ok) in &self.output_cache {
-            if !ok {
-                continue;
-            }
-            if cand.rule.is_frequency() || frequent.contains(&Rule::frequency(cand.rule.union())) {
-                out.insert(cand.rule.clone());
-            }
-        }
-        out
+        let holds = || {
+            self.output_cache
+                .iter()
+                .filter(|&(_, &ok)| ok)
+                .filter_map(|(id, _)| Some(&self.rules.rule(id)?.rule))
+        };
+        let frequent: HashSet<&Rule> = holds().filter(|rule| rule.is_frequency()).collect();
+        holds()
+            .filter(|r| r.is_frequency() || frequent.contains(&Rule::frequency(r.union())))
+            .cloned()
+            .collect()
     }
 
     /// The candidate-generation cycle of Algorithm 4: refresh outputs,
@@ -579,12 +633,13 @@ impl<C: HomCipher> SecureResource<C> {
         }
         self.refresh_outputs();
         let interim = self.interim();
-        let existing: HashSet<CandidateRule> = self.output_cache.keys().cloned().collect();
+        let existing: HashSet<CandidateRule> =
+            self.output_cache.iter().filter_map(|(id, _)| self.rules.rule(id).cloned()).collect();
         let fresh = self.generator.expand(&interim, &existing);
         let mut out = Vec::new();
         for cand in fresh {
-            self.ensure_candidate(&cand);
-            out.extend(self.on_change(&cand));
+            let id = self.ensure_candidate(&cand);
+            out.extend(self.on_change(id));
             if !self.is_live() {
                 break;
             }
@@ -609,10 +664,12 @@ impl<C: HomCipher> SecureResource<C> {
     /// The volatile mining state a crash would lose: every candidate's
     /// scan position plus its cached `Output()` answer.
     fn current_state(&self) -> ResourceState {
-        let mut records = self.acc.scan_snapshot();
-        for r in &mut records {
-            r.output = self.output_cache.get(&r.rule).copied();
-        }
+        let records = self
+            .acc
+            .scan_snapshot()
+            .into_iter()
+            .map(|(id, r)| RuleRecord { output: self.output_cache.get(id).copied(), ..r })
+            .collect();
         ResourceState { resource: self.id as u64, records }
     }
 
@@ -688,12 +745,12 @@ impl<C: HomCipher> SecureResource<C> {
         // Screens passed: apply. Same wiring as `rewire`, but scan state
         // comes from the journal instead of starting at the epoch.
         for r in &state.records {
-            self.acc.register_rule(&r.rule);
-            self.acc.restore_scan(r);
+            let id = self.rules.intern(&r.rule);
+            self.acc.restore_scan(id, r);
             // The journal is recovered input, not trusted state: a rule
             // the accountant cannot answer is a corrupt image, rejected
             // like any other failed screen — never a panic.
-            let Some(local) = self.acc.respond(&r.rule).pop() else {
+            let Some(local) = self.acc.respond(id).pop() else {
                 self.acc.wipe_scans();
                 self.output_cache.clear();
                 return self
@@ -705,9 +762,9 @@ impl<C: HomCipher> SecureResource<C> {
                 return self.reject_recovery(format!("restored counter for {} is corrupt", r.rule));
             }
             let placeholders =
-                self.layout.neighbors.iter().map(|&v| (v, self.acc.placeholder_for(v))).collect();
-            self.broker.init_rule(&r.rule, local, placeholders);
-            self.output_cache.insert(r.rule.clone(), r.output.unwrap_or(false));
+                self.layout.neighbors.iter().map(|&v| self.acc.placeholder_for(v)).collect();
+            self.broker.init_rule(id, local, placeholders);
+            self.output_cache.insert(id, r.output.unwrap_or(false));
         }
         self.recover_reset();
         // Re-baseline on the restored state: the replayed journal has
@@ -749,7 +806,7 @@ impl<C: HomCipher> SecureResource<C> {
     /// same rejection path as a forged journal. Returns `true` when
     /// re-seated.
     pub fn import_controller_audits(&mut self, images: Vec<crate::controller::AuditImage>) -> bool {
-        if self.ctl.import_audits(images) {
+        if self.ctl.import_audits(images, |rule| self.rules.intern(rule)) {
             return true;
         }
         self.reject_recovery("controller audit image carries an out-of-range clock".into())
@@ -831,14 +888,14 @@ pub fn wire_grid<C: HomCipher>(resources: &mut [SecureResource<C>]) {
     let mut layouts: Vec<(usize, CounterLayout)> = Vec::new();
     for r in resources.iter() {
         layouts.push((r.id, r.layout.clone()));
-        for &v in &r.layout.neighbors {
+        for &v in r.layout.neighbors.iter() {
             deliveries.push((r.id, v, r.share_for_neighbor(v)));
         }
     }
     let layout_map: HashMap<usize, CounterLayout> = layouts.into_iter().collect();
     for r in resources.iter_mut() {
         let nbrs = r.layout.neighbors.clone();
-        for v in nbrs {
+        for &v in nbrs.iter() {
             if let Some(l) = layout_map.get(&v) {
                 r.set_neighbor_layout(v, l.clone());
             }

@@ -300,7 +300,7 @@ impl<C: HomCipher + 'static> MineSession<C> {
     }
 
     /// Builds the wired resource grid.
-    fn build(&self, rec: &SharedRecorder) -> Vec<SecureResource<C>> {
+    pub(crate) fn build(&self, rec: &SharedRecorder) -> Vec<SecureResource<C>> {
         let tree = match &self.tree {
             Some(t) => t.clone(),
             None => Tree::path(self.dbs.len()),
@@ -362,7 +362,7 @@ impl<C: HomCipher + 'static> MineSession<C> {
             .build(&rec)
             .into_iter()
             .map(|r| {
-                let neighbors = r.layout().neighbors.clone();
+                let neighbors = r.layout().neighbors.to_vec();
                 let schedule =
                     RoundSchedule::of(&self.plan, r.id(), neighbors, RecoveryMode::Disabled);
                 RoundMachine::new(r, schedule, rec.clone())

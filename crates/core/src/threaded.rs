@@ -11,7 +11,26 @@
 //! increments it before each send and the receiver decrements after fully
 //! processing (its own consequent sends were already counted), so the
 //! counter reads zero iff no message exists anywhere in the system. A
-//! barrier then aligns the threads for the next scan/candidate round.
+//! phase is a round's scan or its candidate generation: every worker
+//! sends, a barrier makes sure all those sends are counted, then every
+//! worker drains its inbox until the phase is quiescent, and a barrier
+//! aligns the threads for the next one.
+//!
+//! A drain is told of quiescence, it does not poll for it. Nothing is
+//! sent during a drain except in reaction to a delivery, so the counter
+//! reaches zero exactly once per phase, at one decrement — and the thread
+//! that makes it posts a marker carrying the phase's number to every
+//! inbox, its own included. A worker leaves its drain on the marker of
+//! the phase it is in. Workers count phases in step at the barrier before
+//! each drain, and a marker of an earlier phase is ignored: the one
+//! decrement outside a drain — a send to a peer whose inbox is gone —
+//! can reach zero while others are still sending, but the marker it posts
+//! carries the phase before, and a phase that opens with nothing in
+//! flight (which no decrement will ever end) is ended by the barrier's
+//! leader, who looks once everybody's sends are in. Under the marker the
+//! old poll remains — a receive times out, finds the counter at zero and
+//! leaves, backing off while it is not — so a marker that is never posted
+//! costs a wait, not a hang.
 //!
 //! # Fault tolerance
 //!
@@ -52,28 +71,63 @@ use crate::proxy::ChaosProxy;
 use crate::resource::{SecureResource, WireMsg};
 use crate::round::{assemble, RoundMachine, RoundSchedule, Scan, Seat};
 
-/// One worker's way out: its fault router plus the channel fabric. A
-/// send to a disconnected peer (a dead thread) is dropped, not escalated.
+/// What travels to an inbox: a counter, or the word that a phase is over.
+enum Mail<C: HomCipher> {
+    Counter(WireMsg<C>),
+    /// Nothing is in flight any more in the phase of this number.
+    Quiet(u64),
+}
+
+/// The channel fabric as one worker holds it: every inbox, the count of
+/// messages in flight, and the number of the phase the worker is in.
+struct Fabric<C: HomCipher> {
+    senders: Vec<Sender<Mail<C>>>,
+    in_flight: Arc<AtomicI64>,
+    /// The drain this worker is in, or left last. Workers count in step
+    /// (see [`Outbox::open_drain`]).
+    phase: u64,
+}
+
+impl<C: HomCipher> Fabric<C> {
+    /// Puts `m` in flight. A send to a disconnected peer (a dead thread)
+    /// is dropped, not escalated.
+    fn post(&self, m: WireMsg<C>) {
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        if self.senders[m.to].send(Mail::Counter(m)).is_err() {
+            self.settle();
+        }
+    }
+
+    /// Takes one message out of flight. The decrement that reaches zero is
+    /// the one event that ends a phase, so whoever makes it says so.
+    fn settle(&self) {
+        if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.wake();
+        }
+    }
+
+    /// Tells every inbox that this worker's phase is quiescent.
+    fn wake(&self) {
+        for inbox in &self.senders {
+            // An inbox that is gone has no drain to end.
+            let _ = inbox.send(Mail::Quiet(self.phase));
+        }
+    }
+}
+
+/// One worker's way out: its fault router in front of the channel fabric.
 struct Outbox<C: HomCipher> {
     proxy: ChaosProxy<WireMsg<C>>,
-    senders: Vec<Sender<WireMsg<C>>>,
-    in_flight: Arc<AtomicI64>,
+    fabric: Fabric<C>,
     rec: SharedRecorder,
 }
 
 impl<C: HomCipher> Outbox<C> {
-    fn post(senders: &[Sender<WireMsg<C>>], in_flight: &AtomicI64, m: WireMsg<C>) {
-        in_flight.fetch_add(1, Ordering::SeqCst);
-        if senders[m.to].send(m).is_err() {
-            in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
     /// Routes `msgs` through the fault layer.
     fn send(&mut self, msgs: Vec<WireMsg<C>>) {
-        let Outbox { proxy, senders, in_flight, rec } = self;
+        let Outbox { proxy, fabric, rec } = self;
         for m in msgs {
-            proxy.route(m.from, m.to, m, rec, |m| Self::post(senders, in_flight, m));
+            proxy.route(m.from, m.to, m, rec, |m| fabric.post(m));
         }
     }
 
@@ -81,32 +135,49 @@ impl<C: HomCipher> Outbox<C> {
     /// elapsed.
     fn flush(&mut self) {
         for (_, _, m) in self.proxy.flush() {
-            Self::post(&self.senders, &self.in_flight, m);
+            self.fabric.post(m);
+        }
+    }
+
+    /// Ends a phase's sends and opens its drain. The barrier makes sure
+    /// every thread's phase sends are counted in `in_flight` before
+    /// anyone can take zero for quiescence; its leader, finding nothing
+    /// in flight, ends the phase there and then, since no decrement will.
+    fn open_drain(&mut self, barrier: &Barrier) {
+        self.fabric.phase += 1;
+        if barrier.wait().is_leader() && self.fabric.in_flight.load(Ordering::SeqCst) == 0 {
+            self.fabric.wake();
         }
     }
 }
 
-/// Receives until quiescence. A down (crashed/poisoned) machine
-/// discards its traffic but keeps the in-flight accounting sound.
-/// Consecutive empty polls back off per the [`RetryPolicy`] (capped
-/// exponential with seeded jitter; the first poll keeps the legacy
-/// 1 ms timeout), so an idle drain does not spin at full tilt.
+/// Receives until the phase is quiescent: until its marker arrives, or,
+/// failing that, until a receive times out with nothing in flight. A down
+/// (crashed/poisoned) machine discards its traffic but keeps the
+/// in-flight accounting sound. Consecutive empty polls back off per the
+/// [`RetryPolicy`] (capped exponential with seeded jitter; the first poll
+/// keeps the legacy 1 ms timeout), so a drain the marker has not reached
+/// does not spin at full tilt. Returns how many polls came back empty.
 fn drain<C: HomCipher>(
     machine: &mut RoundMachine<C>,
-    rx: &Receiver<WireMsg<C>>,
+    rx: &Receiver<Mail<C>>,
     out: &mut Outbox<C>,
     retry: &RetryPolicy,
-) {
-    let mut misses = 0u32;
+) -> u32 {
+    let (mut misses, mut empty_polls) = (0u32, 0u32);
     loop {
         match rx.recv_timeout(std::time::Duration::from_millis(retry.backoff_ms(misses))) {
-            Ok(msg) => {
+            Ok(Mail::Counter(msg)) => {
                 misses = 0;
                 out.send(machine.receive(&msg));
-                out.in_flight.fetch_sub(1, Ordering::SeqCst);
+                out.fabric.settle();
             }
+            Ok(Mail::Quiet(phase)) if phase == out.fabric.phase => break,
+            // An earlier phase's marker: that phase is over already.
+            Ok(Mail::Quiet(_)) => {}
             Err(RecvTimeoutError::Timeout) => {
-                if out.in_flight.load(Ordering::SeqCst) == 0 {
+                empty_polls += 1;
+                if out.fabric.in_flight.load(Ordering::SeqCst) == 0 {
                     break;
                 }
                 misses += 1;
@@ -114,6 +185,7 @@ fn drain<C: HomCipher>(
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
+    empty_polls
 }
 
 /// The threaded driver over pre-built (and pre-wired) resources — the
@@ -167,13 +239,16 @@ pub fn run_threaded_full<C: HomCipher + 'static>(
         .zip(receivers)
         .map(|(resource, rx)| {
             let u = resource.id();
-            let neighbors = resource.layout().neighbors.clone();
+            let neighbors = resource.layout().neighbors.to_vec();
             let schedule = RoundSchedule::of(&plan, u, neighbors, mode);
             let mut machine = RoundMachine::new(resource, schedule, rec.clone());
             let mut out = Outbox {
                 proxy: ChaosProxy::new(plan.clone()),
-                senders: senders.clone(),
-                in_flight: Arc::clone(&in_flight),
+                fabric: Fabric {
+                    senders: senders.clone(),
+                    in_flight: Arc::clone(&in_flight),
+                    phase: 0,
+                },
                 rec: rec.clone(),
             };
             let barrier = Arc::clone(&barrier);
@@ -195,10 +270,7 @@ pub fn run_threaded_full<C: HomCipher + 'static>(
                         machine.restore(image.take().as_deref(), || t0.elapsed().as_nanos());
                     }
 
-                    // Scan phase. The barrier between send and drain makes
-                    // sure every thread's phase sends are counted in
-                    // `in_flight` before anyone can observe zero and leave
-                    // its drain loop early.
+                    // Scan phase.
                     barrier.wait();
                     match machine.scan(tick) {
                         Scan::Crash => image = machine.resource().encode_recovery_image(),
@@ -208,13 +280,13 @@ pub fn run_threaded_full<C: HomCipher + 'static>(
                         }
                         Scan::Depart | Scan::Down => {}
                     }
-                    barrier.wait();
+                    out.open_drain(&barrier);
                     drain(&mut machine, &rx, &mut out, &retry);
 
                     // Candidate-generation phase.
                     barrier.wait();
                     out.send(machine.candidates());
-                    barrier.wait();
+                    out.open_drain(&barrier);
                     drain(&mut machine, &rx, &mut out, &retry);
                 }
                 barrier.wait();
@@ -282,6 +354,93 @@ mod tests {
             &Database::union_of(dbs(n).iter()),
             &AprioriConfig::new(cfg.min_freq, cfg.min_conf),
         )
+    }
+
+    /// Resource 0 of a wired two-resource path as its worker holds it —
+    /// machine, inbox, outbox — with resource 1's inbox beside it and a
+    /// counter from 1 that 0 has yet to be handed. Resource 0 is down: it
+    /// takes what it is handed out of flight and answers nothing, so the
+    /// count in flight is the test's alone to move.
+    struct Rig {
+        machine: RoundMachine<MockCipher>,
+        rx: Receiver<Mail<MockCipher>>,
+        out: Outbox<MockCipher>,
+        peer_rx: Receiver<Mail<MockCipher>>,
+        msg: WireMsg<MockCipher>,
+    }
+
+    fn rig() -> Rig {
+        let cfg = MineConfig::new(Ratio::new(1, 2), Ratio::new(1, 2));
+        let rec = gridmine_obs::null();
+        let mut pair = session(17, cfg, Tree::path(2), 2).build(&rec);
+        let (mut r1, r0) = (pair.pop().unwrap(), pair.pop().unwrap());
+        let msg = r1.step(usize::MAX).into_iter().next().expect("a first scan mails the neighbor");
+        assert_eq!((msg.from, msg.to), (1, 0));
+        let plan = FaultPlan::new(0).with_crash(0, 0, None);
+        let schedule = RoundSchedule::of(&plan, 0, vec![1], RecoveryMode::Disabled);
+        let mut machine = RoundMachine::new(r0, schedule, rec.clone());
+        assert!(matches!(machine.scan(0), Scan::Down));
+        let ((tx, rx), (peer_tx, peer_rx)) = (unbounded(), unbounded());
+        let fabric =
+            Fabric { senders: vec![tx, peer_tx], in_flight: Arc::new(AtomicI64::new(0)), phase: 0 };
+        let out = Outbox { proxy: ChaosProxy::new(plan), fabric, rec };
+        Rig { machine, rx, out, peer_rx, msg }
+    }
+
+    fn quiet_marks(rx: &Receiver<Mail<MockCipher>>) -> Vec<u64> {
+        rx.try_iter().filter_map(|m| if let Mail::Quiet(p) = m { Some(p) } else { None }).collect()
+    }
+
+    #[test]
+    fn a_stale_marker_does_not_end_the_next_phase() {
+        let Rig { mut machine, rx, mut out, peer_rx, msg } = rig();
+        // Phase 4, one counter in flight — and, ahead of it in the inbox,
+        // the marker phase 3 ended on a second time.
+        out.fabric.phase = 4;
+        out.fabric.senders[0].send(Mail::Quiet(3)).unwrap();
+        out.fabric.post(msg);
+        let empty_polls = drain(&mut machine, &rx, &mut out, &RetryPolicy::DEFAULT);
+        // The counter was handled — only that takes it out of flight —
+        // and what ended the drain was the marker that decrement posted.
+        assert_eq!(out.fabric.in_flight.load(Ordering::SeqCst), 0, "drained past the stale marker");
+        assert_eq!(empty_polls, 0, "woken, not polled");
+        assert_eq!(quiet_marks(&peer_rx).last(), Some(&4), "every inbox heard of phase 4's end");
+    }
+
+    #[test]
+    fn a_post_to_a_dropped_receiver_that_empties_the_flight_still_ends_every_drain() {
+        let Rig { mut machine, rx, mut out, peer_rx, msg } = rig();
+        out.fabric.phase = 7;
+        drop(peer_rx);
+        // The only message in flight goes to a peer whose inbox is gone:
+        // the decrement that writes it off is the one that reaches zero.
+        let to_the_dead = WireMsg::<MockCipher> { from: 0, to: 1, ..msg };
+        out.fabric.post(to_the_dead);
+        assert_eq!(out.fabric.in_flight.load(Ordering::SeqCst), 0);
+        assert_eq!(
+            drain(&mut machine, &rx, &mut out, &RetryPolicy::DEFAULT),
+            0,
+            "woken, not polled"
+        );
+    }
+
+    #[test]
+    fn a_phase_that_opens_with_nothing_in_flight_ends_without_a_back_off_slot() {
+        let Rig { mut machine, rx, mut out, peer_rx, .. } = rig();
+        // Alone at its barrier, this worker is the leader.
+        out.open_drain(&Barrier::new(1));
+        assert_eq!(out.fabric.phase, 1);
+        assert_eq!(
+            drain(&mut machine, &rx, &mut out, &RetryPolicy::DEFAULT),
+            0,
+            "woken, not polled"
+        );
+        assert_eq!(quiet_marks(&peer_rx), [1]);
+        // With a counter in flight the leader leaves the phase to the
+        // decrement that will empty it.
+        out.fabric.in_flight.store(1, Ordering::SeqCst);
+        out.open_drain(&Barrier::new(1));
+        assert_eq!(quiet_marks(&peer_rx), [] as [u64; 0]);
     }
 
     #[test]

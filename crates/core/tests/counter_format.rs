@@ -205,7 +205,7 @@ fn one_rule_change_opens_what_changed_within_its_key_op_budget() {
     // One wave: (Decrypt, BatchDecrypt, MultiExp) it cost the controller.
     let wave = |ctl: &mut Controller<PaillierCtx>, w: &Wave<PaillierCtx>| {
         mem.clear();
-        let (sealed, verdict) = ctl.send_queries(&rule(), &w.full, &w.edges());
+        let (sealed, verdict) = ctl.send_queries(0, &rule(), &w.full, &w.edges());
         assert_eq!(verdict, Ok(()));
         let ops = [KeyOpKind::Decrypt, KeyOpKind::BatchDecrypt, KeyOpKind::MultiExp];
         (sealed.len(), ops.map(|op| key_ops(&mem, op)))
@@ -245,7 +245,7 @@ fn share_cache_hits_only_on_the_same_ciphertext_and_dies_with_the_epoch() {
         ctl.reset_edge(1);
         ctl.reset_edge(2);
         mem.clear();
-        let (sealed, verdict) = ctl.send_queries(&rule(), &w.full, &w.edges());
+        let (sealed, verdict) = ctl.send_queries(0, &rule(), &w.full, &w.edges());
         assert_eq!(verdict, Ok(()));
         let shares: Vec<i64> = sealed.iter().map(|(v, c)| w.share_in(*v, c)).collect();
         (key_ops(&mem, KeyOpKind::Decrypt), shares)
@@ -282,7 +282,7 @@ fn opened_inputs_are_read_back_only_as_the_same_bytes_and_die_with_the_epoch() {
         ctl.reset_edge(1);
         ctl.reset_edge(2);
         mem.clear();
-        let (sealed, verdict) = ctl.send_queries(&rule(), &w.full, &w.edges());
+        let (sealed, verdict) = ctl.send_queries(0, &rule(), &w.full, &w.edges());
         assert_eq!(verdict, Ok(()));
         let sent: Vec<_> = sealed.iter().map(|(v, c)| w.payload_in(*v, c)).collect();
         (key_ops(&mem, KeyOpKind::Decrypt), sent)
@@ -302,7 +302,7 @@ fn opened_inputs_are_read_back_only_as_the_same_bytes_and_die_with_the_epoch() {
     // the blinded Δ alone.
     mem.clear();
     let blinded = w.keys.enc.encrypt_i64(-7);
-    assert_eq!(ctl.output_query(&rule(), &w.full, &blinded), Ok(false));
+    assert_eq!(ctl.output_query(0, &rule(), &w.full, &blinded), Ok(false));
     assert_eq!(key_ops(&mem, KeyOpKind::Decrypt), 1);
     // A new membership epoch forgets them all.
     ctl.set_layout(w.layout.clone());
@@ -313,7 +313,7 @@ fn opened_inputs_are_read_back_only_as_the_same_bytes_and_die_with_the_epoch() {
     w.recv[1].msg.fields[F_SUM] = w.keys.pub_ops.encrypt_i64(999);
     ctl.reset_edge(1);
     mem.clear();
-    let (sealed, verdict) = ctl.send_queries(&rule(), &w.full, &w.edges());
+    let (sealed, verdict) = ctl.send_queries(0, &rule(), &w.full, &w.edges());
     assert_eq!(verdict, Err(Verdict::MaliciousBroker(0)));
     assert_eq!(sealed.iter().map(|(v, _)| *v).collect::<Vec<_>>(), [1], "edge 1 still answered");
     assert!(key_ops(&mem, KeyOpKind::Decrypt) >= one, "the forgery was opened, not looked up");
@@ -330,7 +330,7 @@ fn forged_second_edge_is_blamed_after_the_first_is_answered<C: HomCipher>(keys: 
     forged.msg.fields[F_SUM] = w.keys.pub_ops.encrypt_i64(999);
     let mut edges = w.edges();
     edges[1].recv_v = &forged;
-    let (sealed, verdict) = ctl.send_queries(&rule(), &w.full, &edges);
+    let (sealed, verdict) = ctl.send_queries(0, &rule(), &w.full, &edges);
     assert_eq!(verdict, Err(Verdict::MaliciousBroker(0)));
     assert_eq!(sealed.iter().map(|(v, _)| *v).collect::<Vec<_>>(), [1], "edge 1 still answered");
     assert_eq!(w.share_in(1, &sealed[0].1), 123);
@@ -342,7 +342,7 @@ fn forged_second_edge_is_blamed_after_the_first_is_answered<C: HomCipher>(keys: 
     assert_eq!(count(&|e| matches!(e, Event::SfeAnswer { answer: true, .. })), 1);
     assert_eq!(count(&|e| matches!(e, Event::VerdictIssued { .. })), 1);
     // Halted: the next wave is refused whole.
-    let (sealed, verdict) = ctl.send_queries(&rule(), &w.full, &w.edges());
+    let (sealed, verdict) = ctl.send_queries(0, &rule(), &w.full, &w.edges());
     assert!(sealed.is_empty());
     assert_eq!(verdict, Err(Verdict::MaliciousBroker(0)));
 }

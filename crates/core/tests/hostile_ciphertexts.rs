@@ -144,10 +144,10 @@ fn blinded_delta_on_poisoned_aggregate_errors_instead_of_panicking() {
     let mut acc = Accountant::new(0, keys.enc.clone(), keys.tags.clone(), layout.clone(), db, 2);
     let mut broker = Broker::new(0, keys.pub_ops.clone(), layout.clone(), 0x5EED);
     let cand = CandidateRule::new(Rule::frequency(ItemSet::of(&[1])), Ratio::new(1, 2));
-    acc.register_rule(&cand);
-    acc.scan_all(&cand);
-    let local = acc.respond(&cand).pop().unwrap();
-    broker.init_rule(&cand, local, vec![(1, acc.placeholder_for(1))]);
+    acc.register_rule(0, &cand);
+    acc.scan_all(0);
+    let local = acc.respond(0).pop().unwrap();
+    broker.init_rule(0, local, vec![acc.placeholder_for(1)]);
 
     // An evil counter injected straight into broker state (screen
     // bypassed). The count field is the subtrahend of the delta, so the
@@ -158,9 +158,9 @@ fn blinded_delta_on_poisoned_aggregate_errors_instead_of_panicking() {
         .expect("1 is a neighbor of 0");
     evil.msg.fields[F_COUNT] = evil_ciphertext(&keys);
     assert!(!broker.counter_is_wellformed(&evil));
-    broker.on_receive(&cand, 1, evil);
+    broker.on_receive(0, 1, &evil);
 
-    let full = broker.full_aggregate(&cand).expect("rule was initialized");
+    let full = broker.full_aggregate(0, None).expect("rule was initialized");
     assert!(
         broker.blinded_delta(&cand, &full).is_err(),
         "non-unit field must surface as a protocol error, not a panic"
@@ -243,7 +243,7 @@ impl<C: HomCipher> Scene<C> {
             recv_v: recv,
             share_for_me: &self.share,
         };
-        self.controller().send_queries(&rule(), full, &[edge])
+        self.controller().send_queries(0, &rule(), full, &[edge])
     }
 
     /// Both SFEs must convict the local broker for `forged` as `full`.
@@ -252,7 +252,7 @@ impl<C: HomCipher> Scene<C> {
         assert_eq!(forged.open(&self.keys.dec, &key), Err(why));
         let blinded = self.keys.enc.encrypt_i64(7);
         assert_eq!(
-            self.controller().output_query(&rule(), forged, &blinded),
+            self.controller().output_query(0, &rule(), forged, &blinded),
             Err(Verdict::MaliciousBroker(0))
         );
         let (sealed, verdict) = self.send(forged, &self.recv);

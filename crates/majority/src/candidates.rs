@@ -40,7 +40,10 @@ impl CandidateGenerator {
     }
 
     /// Expands the candidate set given the current interim solution.
-    /// Returns only candidates not already in `existing`.
+    /// Returns only candidates not already in `existing`, in an order
+    /// that depends on the two sets alone — never on how a hash map
+    /// happened to lay them out — so a seeded run registers its
+    /// candidates in the same order every time.
     pub fn expand(
         &self,
         interim: &RuleSet,
@@ -52,9 +55,11 @@ impl CandidateGenerator {
                 fresh.push(c);
             }
         };
+        // By antecedent, then consequent.
+        let sorted = interim.sorted();
 
         // Rule 2: confidence candidates from correct frequency rules.
-        for r in interim.iter().filter(|r| r.is_frequency()) {
+        for r in sorted.iter().filter(|r| r.is_frequency()) {
             let x = &r.consequent;
             if x.len() >= 2 {
                 for &i in x.items() {
@@ -69,23 +74,18 @@ impl CandidateGenerator {
 
         // Rule 3: the pairwise join, applied uniformly to frequency rules
         // (growing the frequent-itemset lattice) and confidence rules
-        // (growing consequents). Group by antecedent, then join right-hand
-        // sides sharing all but the last item.
-        let mut by_antecedent: std::collections::HashMap<&ItemSet, Vec<&Rule>> =
-            std::collections::HashMap::new();
-        for r in interim.iter() {
-            by_antecedent.entry(&r.antecedent).or_default().push(r);
-        }
-
-        for (antecedent, rules) in by_antecedent {
+        // (growing consequents). Group by antecedent — a run of `sorted`,
+        // its right-hand sides in order — then join right-hand sides
+        // sharing all but the last item.
+        for rules in sorted.chunk_by(|a, b| a.antecedent == b.antecedent) {
+            let Some(antecedent) = rules.first().map(|r| &r.antecedent) else { continue };
             let lambda = if antecedent.is_empty() { self.min_freq } else { self.min_conf };
-            // Collect the set of right-hand sides for the prune check.
+            // The set of right-hand sides, for the prune check.
             let rhs_set: HashSet<&ItemSet> = rules.iter().map(|r| &r.consequent).collect();
-            let mut sorted: Vec<&ItemSet> = rhs_set.iter().copied().collect();
-            sorted.sort_by(|a, b| a.items().cmp(b.items()));
 
-            for (i, r1) in sorted.iter().enumerate() {
-                for r2 in &sorted[i + 1..] {
+            for (i, r1) in rules.iter().enumerate() {
+                for r2 in &rules[i + 1..] {
+                    let (r1, r2) = (&r1.consequent, &r2.consequent);
                     let (a, b) = (r1.items(), r2.items());
                     let k = a.len();
                     if k != b.len() || k == 0 {

@@ -239,7 +239,7 @@ impl Writer<'_> {
     fn counter<C: HomCipher>(&mut self, c: &SecureCounter<C>) {
         self.u32(c.layout.owner as u32);
         self.u32(c.layout.neighbors.len() as u32);
-        for &v in &c.layout.neighbors {
+        for &v in c.layout.neighbors.iter() {
             self.u32(v as u32);
         }
         self.u32(c.msg.fields.len() as u32);

@@ -145,7 +145,7 @@ fn shapes(signed: usize, side: usize, cap: usize) -> impl Iterator<Item = Shape>
 
 /// An authenticated encrypted tuple: the wire format of every
 /// Secure-Scalable-Majority message field group.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 #[serde(bound(serialize = "C::Ct: Serialize", deserialize = "C::Ct: Deserialize<'de>"))]
 pub struct CounterMsg<C: HomCipher> {
     /// Ciphertexts of the tuple: the signed fields in protocol order,
@@ -159,6 +159,19 @@ pub struct CounterMsg<C: HomCipher> {
 impl<C: HomCipher> PartialEq for CounterMsg<C> {
     fn eq(&self, other: &Self) -> bool {
         self.fields == other.fields && self.tag == other.tag
+    }
+}
+
+impl<C: HomCipher> Clone for CounterMsg<C> {
+    fn clone(&self) -> Self {
+        CounterMsg { fields: self.fields.clone(), tag: self.tag.clone() }
+    }
+
+    /// Field-wise, so a slot that is overwritten message after message
+    /// keeps its buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.fields.clone_from(&source.fields);
+        self.tag.clone_from(&source.tag);
     }
 }
 
@@ -188,6 +201,16 @@ impl<C: HomCipher> CounterMsg<C> {
         assert_eq!(self.fields.len(), other.fields.len(), "cannot add tuples of different shape");
         let fields = self.fields.iter().zip(&other.fields).map(|(a, b)| cipher.add(a, b)).collect();
         CounterMsg { fields, tag: cipher.add(&self.tag, &other.tag) }
+    }
+
+    /// [`CounterMsg::add`] into `self`: an aggregate over many tuples is
+    /// one buffer, not one per term.
+    pub fn add_assign(&mut self, cipher: &C, other: &Self) {
+        assert_eq!(self.fields.len(), other.fields.len(), "cannot add tuples of different shape");
+        for (a, b) in self.fields.iter_mut().zip(&other.fields) {
+            *a = cipher.add(a, b);
+        }
+        self.tag = cipher.add(&self.tag, &other.tag);
     }
 
     /// Key-free ciphertext-wise subtraction. The side-band is unsigned:
@@ -233,88 +256,120 @@ impl<C: HomCipher> CounterMsg<C> {
         key: &TagKey,
         signed: usize,
     ) -> Result<Vec<i64>, ObliviousError> {
-        let pattern: Vec<Shape> =
-            shapes(signed, key.arity().saturating_sub(signed), cipher.slots_per_ct()).collect();
-        let (expected, got) = (pattern.len(), self.fields.len());
-        if expected != got {
-            return Err(ObliviousError::ArityMismatch { expected, got });
-        }
-        let cts: Vec<&C::Ct> = self.fields.iter().collect();
-        let (fields, refused) = cipher.decrypt_wave(&cts, &pattern);
-        if let Some(&(_, e)) = refused.first() {
-            return Err(ObliviousError::SideBand(e));
-        }
-        if !cipher.verify_tags_batch(&[&self.tag], &[key.tag_plain(&fields)]) {
-            return Err(ObliviousError::TagMismatch);
-        }
-        Ok(fields)
+        let pattern = Self::pattern(cipher, signed, key.arity());
+        let mut opened = Err(ObliviousError::TagMismatch);
+        Self::open_wave(cipher, key, &pattern, std::iter::once(self), |_, fields| {
+            opened = fields.map(<[i64]>::to_vec);
+        });
+        opened
     }
 
-    /// Controller-side batch opening: decrypt a whole wave of tuples
-    /// sealed under one key in a single pass.
-    ///
-    /// All ciphertexts of all conforming tuples decrypt through one
-    /// [`HomCipher::decrypt_wave`] call and all tags verify through one
-    /// [`HomCipher::verify_tags_batch`] check; only when that combined
-    /// check fails does each tuple re-verify alone, so blame lands on
-    /// exactly the forged ones. Results align with `msgs`.
+    /// [`CounterMsg::open_wave`] with every tuple copied out. Results
+    /// align with `msgs`.
     pub fn open_many(
         cipher: &C,
         key: &TagKey,
         signed: usize,
         msgs: &[&Self],
     ) -> Vec<Result<Vec<i64>, ObliviousError>> {
+        let pattern = Self::pattern(cipher, signed, key.arity());
+        let mut opened = Vec::with_capacity(msgs.len());
+        Self::open_wave(cipher, key, &pattern, msgs.iter().copied(), |_, fields| {
+            opened.push(fields.map(<[i64]>::to_vec));
+        });
+        opened
+    }
+
+    /// What each ciphertext of a message of `arity` logical fields, the
+    /// first `signed` of them signed, holds under `cipher`: the pattern
+    /// [`CounterMsg::open_wave`] reads a wave by. It follows from the
+    /// cipher's capacity and the arity alone, so whoever opens wave after
+    /// wave of one shape works it out once.
+    pub fn pattern(cipher: &C, signed: usize, arity: usize) -> Vec<Shape> {
+        shapes(signed, arity.saturating_sub(signed), cipher.slots_per_ct()).collect()
+    }
+
+    /// Controller-side batch opening: decrypt a whole wave of tuples
+    /// sealed under one key, of one [`CounterMsg::pattern`], in a single
+    /// pass.
+    ///
+    /// All ciphertexts of all conforming tuples decrypt through one
+    /// [`HomCipher::decrypt_wave`] call and all tags verify through one
+    /// [`HomCipher::verify_tags_batch`] check; only when that combined
+    /// check fails does each tuple re-verify alone, so blame lands on
+    /// exactly the forged ones. `sink` is handed each message's index in
+    /// `msgs` and its logical tuple — a view into the wave's one
+    /// plaintext buffer, for the caller to read where it wants it — or
+    /// why it did not open; once per message, in order.
+    pub fn open_wave<'a>(
+        cipher: &C,
+        key: &TagKey,
+        pattern: &[Shape],
+        msgs: impl Iterator<Item = &'a Self> + Clone,
+        mut sink: impl FnMut(usize, Result<&[i64], ObliviousError>),
+    ) where
+        C: 'a,
+    {
         let arity = key.arity();
-        let pattern: Vec<Shape> =
-            shapes(signed, arity.saturating_sub(signed), cipher.slots_per_ct()).collect();
         // Shape screen: hostile tuples drop out before the batch.
-        let shaped = |m: &Self| m.fields.len() == pattern.len();
-        let cts: Vec<&C::Ct> =
-            msgs.iter().filter(|m| shaped(m)).flat_map(|m| m.fields.iter()).collect();
-        let (plains, refused) = cipher.decrypt_wave(&cts, &pattern);
-        // One tuple of plaintexts, and one run of ciphertext indices, per
-        // shaped message, in order.
-        let mut tuples = plains.chunks(arity);
-        let mut refused = refused.into_iter().peekable();
-        let mut cts_seen = 0;
-        let mut opened: Vec<Result<Vec<i64>, ObliviousError>> = Vec::with_capacity(msgs.len());
-        for m in msgs {
-            if !shaped(m) {
-                let (expected, got) = (pattern.len(), m.fields.len());
-                opened.push(Err(ObliviousError::ArityMismatch { expected, got }));
-                continue;
-            }
-            cts_seen += pattern.len();
-            let tuple = tuples.next().unwrap_or_default();
-            let mut why = None;
-            while let Some((_, e)) = refused.next_if(|&(at, _)| at < cts_seen) {
-                why.get_or_insert(e);
-            }
-            opened.push(match why {
-                Some(e) => Err(ObliviousError::SideBand(e)),
-                None => Ok(tuple.to_vec()),
-            });
-        }
+        let shaped = msgs.clone().filter(|m| m.fields.len() == pattern.len());
+        let wave = shaped.clone().count();
+        let mut cts: Vec<&C::Ct> = Vec::with_capacity(wave * pattern.len());
+        cts.extend(shaped.flat_map(|m| m.fields.iter()));
+        let (plains, refused) = cipher.decrypt_wave(&cts, pattern);
+        let unpacked = || {
+            let cts_of = msgs.clone().map(|m| m.fields.len());
+            unpacked(cts_of, pattern.len(), arity, &plains, &refused)
+        };
         // Tags of the tuples that unpacked, against what their fields say.
-        let mut tags: Vec<&C::Ct> = Vec::with_capacity(msgs.len());
-        let mut expected: Vec<i64> = Vec::with_capacity(msgs.len());
-        for (m, fields) in msgs.iter().zip(&opened) {
+        let mut tags: Vec<&C::Ct> = Vec::with_capacity(wave);
+        let mut expected: Vec<i64> = Vec::with_capacity(wave);
+        for (m, fields) in msgs.clone().zip(unpacked()) {
             if let Ok(fields) = fields {
                 tags.push(&m.tag);
                 expected.push(key.tag_plain(fields));
             }
         }
-        if !cipher.verify_tags_batch(&tags, &expected) {
-            for (m, o) in msgs.iter().zip(opened.iter_mut()) {
-                let forged = matches!(o, Ok(fields)
-                    if !cipher.verify_tags_batch(&[&m.tag], &[key.tag_plain(fields)]));
-                if forged {
-                    *o = Err(ObliviousError::TagMismatch);
-                }
-            }
+        let all_verify = cipher.verify_tags_batch(&tags, &expected);
+        for (i, (m, fields)) in msgs.clone().zip(unpacked()).enumerate() {
+            let verifies = |fields: &[i64]| {
+                all_verify || cipher.verify_tags_batch(&[&m.tag], &[key.tag_plain(fields)])
+            };
+            let fields = match fields {
+                Ok(fields) if !verifies(fields) => Err(ObliviousError::TagMismatch),
+                unpacked => unpacked,
+            };
+            sink(i, fields);
         }
-        opened
     }
+}
+
+/// What each message of a wave — `cts_of` its ciphertext count —
+/// unpacked to, before its tag is looked at: `plains` holds one tuple of
+/// `arity` values, and `refused` indexes one run of `cts_each`
+/// ciphertexts, per shaped message, in order.
+fn unpacked<'w>(
+    cts_of: impl Iterator<Item = usize> + 'w,
+    cts_each: usize,
+    arity: usize,
+    plains: &'w [i64],
+    refused: &'w [(usize, SlotError)],
+) -> impl Iterator<Item = Result<&'w [i64], ObliviousError>> + 'w {
+    let mut tuples = plains.chunks(arity);
+    let mut refused = refused.iter().peekable();
+    let mut cts_seen = 0;
+    cts_of.map(move |got| {
+        if got != cts_each {
+            return Err(ObliviousError::ArityMismatch { expected: cts_each, got });
+        }
+        cts_seen += cts_each;
+        let tuple = tuples.next().unwrap_or_default();
+        let mut why = None;
+        while let Some(&(_, e)) = refused.next_if(|&&(at, _)| at < cts_seen) {
+            why.get_or_insert(e);
+        }
+        why.map_or(Ok(tuple), |e| Err(ObliviousError::SideBand(e)))
+    })
 }
 
 #[cfg(test)]

@@ -17,6 +17,10 @@ struct Inner<T> {
     items: VecDeque<T>,
     senders: usize,
     receivers: usize,
+    /// Receivers waiting on `ready` right now. Counted under the queue
+    /// mutex, so a sender that reads zero knows every receiver will look
+    /// at the queue again before it sleeps, and skips the wake-up call.
+    parked: usize,
 }
 
 /// Error returned by [`Sender::send`] when all receivers are gone.
@@ -106,7 +110,7 @@ pub struct Receiver<T> {
 /// Creates an unbounded channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        queue: Mutex::new(Inner { items: VecDeque::new(), senders: 1, receivers: 1 }),
+        queue: Mutex::new(Inner { items: VecDeque::new(), senders: 1, receivers: 1, parked: 0 }),
         ready: Condvar::new(),
     });
     (Sender { shared: shared.clone() }, Receiver { shared })
@@ -120,8 +124,11 @@ impl<T> Sender<T> {
             return Err(SendError(value));
         }
         inner.items.push_back(value);
+        let parked = inner.parked > 0;
         drop(inner);
-        self.shared.ready.notify_one();
+        if parked {
+            self.shared.ready.notify_one();
+        }
         Ok(())
     }
 }
@@ -161,7 +168,9 @@ impl<T> Receiver<T> {
             if inner.senders == 0 {
                 return Err(RecvError);
             }
+            inner.parked += 1;
             inner = self.shared.ready.wait(inner).unwrap();
+            inner.parked -= 1;
         }
     }
 
@@ -192,8 +201,10 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
+            inner.parked += 1;
             let (guard, result) = self.shared.ready.wait_timeout(inner, deadline - now).unwrap();
             inner = guard;
+            inner.parked -= 1;
             if result.timed_out() && inner.items.is_empty() {
                 if inner.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
@@ -299,6 +310,40 @@ mod tests {
         }
         handle.join().unwrap();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_send_with_nobody_parked_is_received_later() {
+        let (tx, rx) = unbounded();
+        // No receiver is waiting, so no wake-up is issued; the message
+        // must be there all the same for whoever looks next.
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        assert_eq!(rx.shared.queue.lock().unwrap().parked, 0);
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(2));
+    }
+
+    #[test]
+    fn a_parked_receiver_is_woken_by_one_send() {
+        // `recv` and `recv_timeout` (its timeout far beyond the test's
+        // patience: only a wake-up ends it in time) both register.
+        type Recv = fn(&Receiver<u32>) -> Option<u32>;
+        let parks: [Recv; 2] =
+            [|rx| rx.recv().ok(), |rx| rx.recv_timeout(Duration::from_secs(600)).ok()];
+        for park in parks {
+            let (tx, rx) = unbounded();
+            let shared = rx.shared.clone();
+            let waiter = thread::spawn(move || park(&rx));
+            // Send only once the receiver is parked, so that the wake-up
+            // is what delivers the message.
+            while shared.queue.lock().unwrap().parked == 0 {
+                thread::yield_now();
+            }
+            tx.send(9).unwrap();
+            assert_eq!(waiter.join().unwrap(), Some(9));
+            assert_eq!(shared.queue.lock().unwrap().parked, 0);
+        }
     }
 
     #[test]

@@ -354,6 +354,46 @@ fn memory_recorder_counts_match_the_session_outcome() {
     assert!(outcome.metrics.bytes_on_wire > 0, "wire volume was accounted");
 }
 
+/// The `(from, to, rule)` of every counter one synchronous session mails,
+/// in the order it mails them.
+fn counters_mailed(tree: Tree, seed: u64) -> Vec<(u64, u64, String)> {
+    let (parts, ..) = quest_partitions(tree.capacity(), 400);
+    let mut cfg = MineConfig::new(Ratio::from_f64(0.1), Ratio::from_f64(0.6));
+    cfg.rounds = 4;
+    cfg.seed = seed;
+    let rec = MemoryRecorder::shared();
+    let outcome = MineSession::over(cfg, GridKeys::<MockCipher>::mock(seed))
+        .with_topology(tree)
+        .with_databases(parts)
+        .with_recorder(rec.clone())
+        .run();
+    assert!(outcome.verdicts.is_empty());
+    let mailed: Vec<_> = rec
+        .snapshot()
+        .into_iter()
+        .filter_map(|e| match e {
+            Event::CounterSent { from, to, rule, .. } => Some((from, to, rule)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(mailed.len() as u64, outcome.messages);
+    mailed
+}
+
+#[test]
+fn a_seeded_synchronous_session_replays_message_for_message() {
+    // Twice in one process: whatever order a run walks its rules in must
+    // come from the seed and the input, not from where a hash map put them.
+    for tree in [Tree::path(4), Tree::star(5)] {
+        let first = counters_mailed(tree.clone(), 9);
+        assert!(first.len() > 1_000, "too few counters to tell orders apart: {}", first.len());
+        let second = counters_mailed(tree, 9);
+        let diverged = first.iter().zip(&second).position(|(a, b)| a != b);
+        assert_eq!(diverged, None, "of {} counters, the replay first differs here", first.len());
+        assert_eq!(first.len(), second.len());
+    }
+}
+
 #[test]
 fn jsonl_trace_of_a_faulty_threaded_run_parses_and_matches_the_report() {
     // Written to a predictable path so CI can archive the trace artifact.
