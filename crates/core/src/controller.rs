@@ -53,7 +53,7 @@ use crate::counter::{CounterLayout, SecureCounter};
 use crate::keyring::TagKeyring;
 use crate::plain::{OpenKey, PlainCounter};
 use crate::rules::{PerRule, RuleId};
-use crate::sfe::{majority_send_cond, GateMode, KGate};
+use crate::sfe::{be_word, majority_send_cond, GateMode, KGate};
 use crate::shares::share_reduce;
 
 /// A malicious-behaviour finding, broadcast grid-wide when raised
@@ -115,13 +115,101 @@ pub struct SentAggregate {
 /// suppressor. Timestamp traces are deliberately absent: a rejoin is a
 /// membership epoch, and traces restart from zero just as
 /// [`Controller::set_layout`] does.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+///
+/// At rest (a node's `audits` tree) an image is one store entry: the
+/// rule's canonical key ([`gridmine_recovery::rule_key`]) and a value of
+/// fixed-width big-endian fields — `clock`, the output gate, a slot count,
+/// then per neighbor slot `v`, a byte saying which of gate and
+/// `last_sent` follow, and those (see [`AuditImage::to_entry`]).
+#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct AuditImage {
     pub rule: CandidateRule,
     pub clock: i64,
     pub output_gate: KGate,
     pub send_gates: Vec<(usize, KGate)>,
     pub last_sent: Vec<(usize, SentAggregate)>,
+}
+
+/// Slot flag: a send gate follows.
+const HAS_GATE: u8 = 1;
+/// Slot flag: a `last_sent` aggregate follows.
+const HAS_SENT: u8 = 2;
+
+impl AuditImage {
+    /// The image as one store entry `(key, value)`. A neighbor named by
+    /// both lists is one slot; each list keeps its order (an export lists
+    /// both in slot order).
+    pub fn to_entry(&self) -> (Vec<u8>, Vec<u8>) {
+        let mut slots = Vec::with_capacity(self.send_gates.len() + self.last_sent.len());
+        let mut sent = self.last_sent.as_slice();
+        for &(v, gate) in &self.send_gates {
+            let mut last = None;
+            if let Some(at) = sent.iter().position(|&(w, _)| w == v) {
+                // What was sent toward slots before this gate's goes first.
+                let (before, rest) = sent.split_at(at);
+                slots.extend(before.iter().map(|&(w, s)| (w, None, Some(s))));
+                if let Some((&(_, s), tail)) = rest.split_first() {
+                    (last, sent) = (Some(s), tail);
+                }
+            }
+            slots.push((v, Some(gate), last));
+        }
+        slots.extend(sent.iter().map(|&(w, s)| (w, None, Some(s))));
+
+        let mut value = Vec::with_capacity(64 + 64 * slots.len());
+        value.extend_from_slice(&self.clock.to_be_bytes());
+        self.output_gate.encode(&mut value);
+        value.extend_from_slice(&(slots.len() as u32).to_be_bytes());
+        for (v, gate, sent) in slots {
+            value.extend_from_slice(&(v as u64).to_be_bytes());
+            value.push(gate.map_or(0, |_| HAS_GATE) | sent.map_or(0, |_| HAS_SENT));
+            if let Some(gate) = gate {
+                gate.encode(&mut value);
+            }
+            if let Some(SentAggregate { sum, count, num }) = sent {
+                for word in [sum, count, num] {
+                    value.extend_from_slice(&word.to_be_bytes());
+                }
+            }
+        }
+        (gridmine_recovery::rule_key(&self.rule), value)
+    }
+
+    /// Total inverse of [`AuditImage::to_entry`]. Both halves come from
+    /// disk: `None` for a key that is not a rule's canonical one, or a
+    /// value that is not exactly one encoding — cut short, running long,
+    /// a gate no constructor builds, a flag, mode or bool byte out of
+    /// range, a neighbor id past `usize`.
+    pub fn from_entry(key: &[u8], value: &[u8]) -> Option<AuditImage> {
+        let rule = gridmine_recovery::rule_of_key(key)?;
+        let (clock, rest) = be_word(value)?;
+        let (output_gate, rest) = KGate::decode(rest)?;
+        let (slots, mut rest) = rest.split_first_chunk()?;
+        let mut img =
+            AuditImage { rule, clock, output_gate, send_gates: Vec::new(), last_sent: Vec::new() };
+        for _ in 0..u32::from_be_bytes(*slots) {
+            let (v, tail) = be_word(rest)?;
+            let v = usize::try_from(v as u64).ok()?;
+            let (&flags, tail) = tail.split_first()?;
+            rest = tail;
+            if flags & !(HAS_GATE | HAS_SENT) != 0 {
+                return None;
+            }
+            if flags & HAS_GATE != 0 {
+                let (gate, tail) = KGate::decode(rest)?;
+                img.send_gates.push((v, gate));
+                rest = tail;
+            }
+            if flags & HAS_SENT != 0 {
+                let (sum, tail) = be_word(rest)?;
+                let (count, tail) = be_word(tail)?;
+                let (num, tail) = be_word(tail)?;
+                img.last_sent.push((v, SentAggregate { sum, count, num }));
+                rest = tail;
+            }
+        }
+        rest.is_empty().then_some(img)
+    }
 }
 
 /// What a rule's audit keeps toward one neighbor.
@@ -308,11 +396,11 @@ impl<C: HomCipher> Controller<C> {
         }
     }
 
-    /// Exports the durable audit state of every rule, sorted by rule
-    /// display form so the image is deterministic. See [`AuditImage`].
+    /// Exports the durable audit state of every rule, in rule-id order;
+    /// at rest the `audits` tree orders them by canonical rule key. See
+    /// [`AuditImage`].
     pub fn export_audits(&self) -> Vec<AuditImage> {
-        let mut out: Vec<AuditImage> = self
-            .rules
+        self.rules
             .iter()
             .map(|(_, audit)| {
                 let edges = || self.layout.neighbors.iter().copied().zip(&audit.edges);
@@ -329,9 +417,7 @@ impl<C: HomCipher> Controller<C> {
                         .collect(),
                 }
             })
-            .collect();
-        out.sort_by_key(|img| img.rule.to_string());
-        out
+            .collect()
     }
 
     /// Re-seats exported audit state after a process-level warm restart,

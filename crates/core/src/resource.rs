@@ -15,7 +15,10 @@ use gridmine_arm::{CandidateRule, Database, Item, Rule, RuleSet};
 use gridmine_majority::CandidateGenerator;
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::HomCipher;
-use gridmine_recovery::{RecoveryImage, RecoveryLog, ResourceState, RetryPolicy, RuleRecord};
+use gridmine_recovery::{
+    JournalError, RecoveryImage, RecoveryLog, ResourceState, RetryPolicy, RuleRecord,
+};
+use gridmine_store::{MemBackend, Store};
 
 use crate::accountant::Accountant;
 use crate::attack::{BrokerBehavior, ControllerBehavior};
@@ -782,6 +785,18 @@ impl<C: HomCipher> SecureResource<C> {
             Durable::Live(log) => Some(log.image()),
             Durable::AtRest(image) => Some(image.clone()),
         }
+    }
+
+    /// The recovery log as a store, when armed, for a driver that
+    /// publishes it with trees of its own: a copy of the live log's —
+    /// nothing re-read — or, while down, the at-rest image verified into
+    /// one. A log that refused a write, or an image that does not
+    /// verify, is the error.
+    pub fn recovery_store(&self) -> Option<Result<Store<MemBackend>, JournalError>> {
+        Some(match self.recovery.as_ref()? {
+            Durable::Live(log) => log.store().cloned(),
+            Durable::AtRest(image) => image.verify(),
+        })
     }
 
     /// Serializes the recovery log for external persistence (the threaded

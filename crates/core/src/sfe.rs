@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// data gathered since the last disclosure; we return the cached previous
 /// answer (initially `false`), which is a function of already-disclosed
 /// information only.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KGate {
     /// The privacy parameter k (≥ 1). `k = 1` answers every query — the
     /// no-privacy baseline.
@@ -101,6 +101,48 @@ impl KGate {
     pub fn last_population(&self) -> (i64, i64) {
         (self.k1_last, self.k2_last)
     }
+
+    /// Appends the gate as fixed-width big-endian fields: `k`, a mode
+    /// byte, the two `last` registers, a cached byte.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.k.to_be_bytes());
+        out.push(match self.mode {
+            GateMode::BothKNew => 0,
+            GateMode::TransactionsOnly => 1,
+        });
+        out.extend_from_slice(&self.k1_last.to_be_bytes());
+        out.extend_from_slice(&self.k2_last.to_be_bytes());
+        out.push(u8::from(self.cached));
+    }
+
+    /// Total inverse of [`KGate::encode`] on the front of `bytes`, with
+    /// the rest: `None` when they are short, or hold a gate no
+    /// constructor builds (`k < 1`) or a byte that is not a mode or a
+    /// bool.
+    pub(crate) fn decode(bytes: &[u8]) -> Option<(KGate, &[u8])> {
+        let (k, rest) = be_word(bytes)?;
+        let (mode, rest) = rest.split_first()?;
+        let (k1_last, rest) = be_word(rest)?;
+        let (k2_last, rest) = be_word(rest)?;
+        let (cached, rest) = rest.split_first()?;
+        let mode = match mode {
+            0 => GateMode::BothKNew,
+            1 => GateMode::TransactionsOnly,
+            _ => return None,
+        };
+        let cached = match cached {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
+        (k >= 1).then_some((KGate { k, mode, k1_last, k2_last, cached }, rest))
+    }
+}
+
+/// The big-endian `i64` at the front of `bytes`, with the rest.
+pub(crate) fn be_word(bytes: &[u8]) -> Option<(i64, &[u8])> {
+    let (word, rest) = bytes.split_first_chunk()?;
+    Some((i64::from_be_bytes(*word), rest))
 }
 
 /// The Majority-Rule send condition over decrypted Δ values:

@@ -3,17 +3,25 @@
 //!
 //! The file is a [`RecoveryImage`] — a store at rest, chain head pinned.
 //! Its trees are the resource's recovery log (warm mode only; see
-//! `gridmine_recovery`) plus two of the node's own, each holding one
-//! entry keyed by the tick of the persist that wrote it:
+//! `gridmine_recovery`) plus two of the node's own, binary like the log's:
 //!
 //! * `audits` — the controller's exported audit state, which an
-//!   in-process driver never loses but a killed process does;
+//!   in-process driver never loses but a killed process does: one entry
+//!   per audited rule under its canonical rule key
+//!   ([`AuditImage::to_entry`]), and under the empty key — no rule's —
+//!   how many there are, so a file that lost its audits is told from a
+//!   controller that had audited nothing;
 //! * `tallies` — the protocol tallies of this resource's whole life, so
-//!   a successor's report covers its predecessors.
+//!   a successor's report covers its predecessors: seven big-endian
+//!   words under the tick of the persist that wrote the file.
 //!
-//! One image, one [`gridmine_store::atomic_write_file`]: a successor (and the hub, for a
-//! resource that died without a report) sees checkpoint *N* or *N − 1*,
-//! never scan state from one and audits from the other.
+//! A persist copies the live log's store instead of re-reading it,
+//! appends the node's trees to the copy's WAL and publishes the lot with
+//! one [`gridmine_store::atomic_write_file`]: a successor (and the hub,
+//! for a resource that died without a report) sees checkpoint *N* or
+//! *N − 1*, never scan state from one and audits from the other. The
+//! reader verifies: [`NodeState::decode`] checks chain and pin before it
+//! reads a tree.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -38,39 +46,67 @@ pub struct NodeState {
     pub tick: u64,
     /// Tallies of the resource's life up to then.
     pub tallies: Tallies,
-    /// The controller's audit state at that tick.
+    /// The controller's audit state at that tick, in rule-key order.
     pub audits: Vec<AuditImage>,
 }
 
 impl NodeState {
     /// Verifies a state file (chain and pin) and reads the node's trees.
     /// Bytes from disk are untrusted: a file that does not verify, lacks
-    /// a tree, or whose trees were written at different ticks is an
-    /// error for the caller's rejection path, never a default.
+    /// a tree, or holds an entry no persist writes is an error for the
+    /// caller's rejection path, never a default.
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
         let image = RecoveryImage::from_bytes(bytes).map_err(|e| e.to_string())?;
         let store = image.verify().map_err(|e| e.to_string())?;
-        let (tick, tallies) = entry(&store, TALLIES)?;
-        let (audits_tick, audits) = entry(&store, AUDITS)?;
-        if audits_tick != tick {
-            return Err(format!("tallies of tick {tick} beside audits of tick {audits_tick}"));
-        }
-        Ok(NodeState { tick, tallies, audits })
+        let mut entries = store.scan_tree(TALLIES);
+        let (Some((key, value)), None) = (entries.next(), entries.next()) else {
+            return Err(format!("state file holds {} `tallies` entries", store.tree_len(TALLIES)));
+        };
+        let tick = key.try_into().map(u64::from_be_bytes).map_err(|_| "bad `tallies` key")?;
+        let tallies = tallies_of(value).ok_or("malformed `tallies` value")?;
+        Ok(NodeState { tick, tallies, audits: audits_of(&store)? })
     }
 }
 
-/// The single `tick → JSON value` entry of one of the node's trees.
-fn entry<T: serde::de::DeserializeOwned>(
-    store: &Store<MemBackend>,
-    tree: &str,
-) -> Result<(u64, T), String> {
-    let mut entries = store.scan_tree(tree);
-    let (Some((key, value)), None) = (entries.next(), entries.next()) else {
-        return Err(format!("state file holds {} `{tree}` entries", store.tree_len(tree)));
+/// The `audits` tree: the count under the empty key (which sorts
+/// first), then exactly that many rule entries.
+fn audits_of(store: &Store<MemBackend>) -> Result<Vec<AuditImage>, String> {
+    let mut entries = store.scan_tree(AUDITS);
+    let count = match entries.next() {
+        Some(([], count)) => count.try_into().map(u64::from_be_bytes).ok(),
+        _ => None,
     };
-    let tick = key.try_into().map(u64::from_be_bytes).map_err(|_| format!("bad `{tree}` key"))?;
-    let json = std::str::from_utf8(value).map_err(|e| format!("`{tree}`: {e}"))?;
-    Ok((tick, serde_json::from_str(json).map_err(|e| format!("`{tree}`: {e}"))?))
+    let count = count.ok_or("state file holds no `audits` count")?;
+    let audits = entries
+        .map(|(key, value)| AuditImage::from_entry(key, value))
+        .collect::<Option<Vec<_>>>()
+        .ok_or("malformed `audits` entry")?;
+    if audits.len() as u64 != count {
+        return Err(format!("{} `audits` entries under a count of {count}", audits.len()));
+    }
+    Ok(audits)
+}
+
+/// A `tallies` value: seven big-endian words, the flag last.
+fn tallies_value(t: Tallies) -> Vec<u8> {
+    let words = [t.msgs_sent, t.retries, t.resends, t.checkpoints, t.replays, t.rejected];
+    words.into_iter().chain([u64::from(t.exhausted)]).flat_map(u64::to_be_bytes).collect()
+}
+
+/// Total inverse of [`tallies_value`].
+fn tallies_of(value: &[u8]) -> Option<Tallies> {
+    let words = value.chunks_exact(8);
+    if !words.remainder().is_empty() {
+        return None;
+    }
+    let words: Vec<u64> = words.filter_map(|w| w.try_into().ok().map(u64::from_be_bytes)).collect();
+    let &[msgs_sent, retries, resends, checkpoints, replays, rejected, exhausted @ (0 | 1)] =
+        words.as_slice()
+    else {
+        return None;
+    };
+    let exhausted = exhausted == 1;
+    Some(Tallies { msgs_sent, retries, resends, checkpoints, replays, rejected, exhausted })
 }
 
 /// Publishes everything a future incarnation of `machine`'s resource
@@ -89,16 +125,18 @@ pub(crate) fn publish<C: HomCipher>(
         std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
     }
     let r = machine.resource();
-    let mut store = match r.recovery_image() {
-        Some(image) => image.verify().map_err(bad)?,
+    let mut store = match r.recovery_store() {
+        Some(store) => store.map_err(bad)?,
         None => Store::in_memory().map_err(bad)?,
     };
-    let key = tick.to_be_bytes();
-    let audits = serde_json::to_string(&r.export_controller_audits()).map_err(bad)?;
-    store.put(AUDITS, &key, audits.as_bytes()).map_err(bad)?;
-    let tallies = serde_json::to_string(&machine.tallies()).map_err(bad)?;
-    store.put(TALLIES, &key, tallies.as_bytes()).map_err(bad)?;
-    RecoveryImage::of(&store).write_to(path)?;
+    let audits = r.export_controller_audits();
+    store.put(AUDITS, &[], &(audits.len() as u64).to_be_bytes()).map_err(bad)?;
+    for img in &audits {
+        let (key, value) = img.to_entry();
+        store.put(AUDITS, &key, &value).map_err(bad)?;
+    }
+    store.put(TALLIES, &tick.to_be_bytes(), &tallies_value(machine.tallies())).map_err(bad)?;
+    RecoveryImage::from_store(store).write_to(path)?;
     Ok(())
 }
 
@@ -136,6 +174,7 @@ mod tests {
     };
     use gridmine_majority::CandidateGenerator;
     use gridmine_paillier::MockCipher;
+    use gridmine_recovery::rule_key;
     use gridmine_topology::FaultPlan;
 
     const WARM: RecoveryMode = RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT);
@@ -151,12 +190,14 @@ mod tests {
         RoundMachine::new(resource, schedule, gridmine_obs::null())
     }
 
-    /// A machine that has scanned through tick 5's checkpoint, and the
-    /// file it published there.
+    /// A machine that has run its rounds through tick 5's checkpoint —
+    /// its controller has audited its rules by then — and the file it
+    /// published there.
     fn published(mode: RecoveryMode, name: &str) -> (RoundMachine<MockCipher>, PathBuf) {
         let mut m = machine(mode);
         for tick in 1..=5 {
             assert!(matches!(m.scan(tick), Scan::Send { .. }));
+            m.candidates();
         }
         let dir =
             std::env::temp_dir().join(format!("gridmine-state-{}-{name}", std::process::id()));
@@ -181,6 +222,10 @@ mod tests {
         let state = NodeState::decode(&std::fs::read(&file).expect("read")).expect("decodes");
         assert_eq!((state.tick, state.tallies), (5, m.tallies()));
         assert_eq!(m.tallies().checkpoints, 1);
+        let mut exported = m.resource().export_controller_audits();
+        exported.sort_by_key(|img| rule_key(&img.rule));
+        assert!(!exported.is_empty());
+        assert_eq!(state.audits, exported, "every audit comes back, in rule-key order");
 
         let successor = resumed(WARM, &file);
         let report = successor.report();
@@ -211,28 +256,76 @@ mod tests {
     }
 
     #[test]
+    fn tallies_words_round_trip_and_nothing_else_decodes() {
+        let t = Tallies {
+            msgs_sent: u64::MAX,
+            retries: 1,
+            resends: 2,
+            checkpoints: 3,
+            replays: 4,
+            rejected: 5,
+            exhausted: true,
+        };
+        let value = tallies_value(t);
+        assert_eq!((value.len(), tallies_of(&value)), (56, Some(t)));
+        let mut flag = value.clone();
+        flag[55] = 2;
+        for bad in [&value[..55], &[value.as_slice(), &[0]].concat(), &flag, &value[..48], b"{}"] {
+            assert_eq!(tallies_of(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
     fn a_damaged_file_is_rejected_and_an_absent_one_is_nothing_to_restore() {
-        let (_, file) = published(WARM, "damaged");
+        let (m, file) = published(WARM, "damaged");
         let whole = std::fs::read(&file).expect("read");
-        let strip = |tree: &str| {
+        let edited = |edit: &dyn Fn(&mut Store<MemBackend>)| {
             let mut store =
                 RecoveryImage::from_bytes(&whole).and_then(|i| i.verify()).expect("verifies");
-            store.delete(tree, &5u64.to_be_bytes()).expect("delete");
+            edit(&mut store);
             RecoveryImage::of(&store).to_bytes()
         };
-        let restamp = {
-            let mut store =
-                RecoveryImage::from_bytes(&whole).and_then(|i| i.verify()).expect("verifies");
-            store.delete(AUDITS, &5u64.to_be_bytes()).expect("delete");
-            store.put(AUDITS, &4u64.to_be_bytes(), b"[]").expect("put");
-            RecoveryImage::of(&store).to_bytes()
+        let clear = |store: &mut Store<MemBackend>, tree: &str| {
+            let keys: Vec<Vec<u8>> = store.scan_tree(tree).map(|(key, _)| key.to_vec()).collect();
+            for key in keys {
+                store.delete(tree, &key).expect("delete");
+            }
         };
+        let strip = |tree: &str| edited(&|store| clear(store, tree));
+        // The first audited rule's entry, rewritten by `edit`.
+        let reaudit = |edit: &dyn Fn(&mut Vec<u8>, &mut Vec<u8>)| {
+            edited(&|store| {
+                let (key, value) = store.scan_tree(AUDITS).nth(1).expect("an audited rule");
+                let (mut key, mut value) = (key.to_vec(), value.to_vec());
+                store.delete(AUDITS, &key).expect("delete");
+                edit(&mut key, &mut value);
+                store.put(AUDITS, &key, &value).expect("put");
+            })
+        };
+        // What PR 18's build published: JSON audits and tallies, each
+        // under the tick.
+        let pr18 = edited(&|store| {
+            clear(store, AUDITS);
+            clear(store, TALLIES);
+            let audits = serde_json::to_string(&m.resource().export_controller_audits());
+            let tallies = serde_json::to_string(&m.tallies());
+            let tick = 5u64.to_be_bytes();
+            store.put(AUDITS, &tick, audits.expect("json").as_bytes()).expect("put");
+            store.put(TALLIES, &tick, tallies.expect("json").as_bytes()).expect("put");
+        });
+        // The output gate's fields sit after the clock word: `k`, then
+        // the mode byte.
         let mut damaged = vec![
             ("cut short", whole[..whole.len() - 7].to_vec()),
             ("cut to nothing", Vec::new()),
             ("without audits", strip(AUDITS)),
             ("without tallies", strip(TALLIES)),
-            ("audits of another tick", restamp),
+            ("an audits value cut short", reaudit(&|_, value| value.truncate(value.len() - 1))),
+            ("one trailing byte", reaudit(&|_, value| value.push(0))),
+            ("a gate with k = 0", reaudit(&|_, value| value[8..16].fill(0))),
+            ("mode byte 2", reaudit(&|_, value| value[16] = 2)),
+            ("a non-canonical audits key", reaudit(&|key, _| key.extend([0; 4]))),
+            ("a state file of PR 18's build", pr18),
             ("an earlier build's JSON", br#"{"resource":1,"log":{"entries":[]}}"#.to_vec()),
         ];
         for at in (0..whole.len()).step_by(53) {

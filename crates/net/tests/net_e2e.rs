@@ -470,15 +470,11 @@ fn a_state_file_from_an_earlier_build_is_refused_on_restart() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
-#[test]
-#[ignore = "ROADMAP item 1"]
-fn a_killed_node_converges_on_the_t5i2_input() {
-    // gridbench finding 7, pinned for ROADMAP item 1: the `net_ckpt_t5i2`
-    // input with resource 1 SIGKILLed at tick 2 and warm-restarted at
-    // tick 3 from its tick-1 checkpoint. The restore itself succeeds
-    // (one replay, nothing rejected); the grid then diverges and blames.
-    // What must hold once item 1 is fixed: every resource at the
-    // centralized truth and no verdict on an honest grid.
+/// ROADMAP item 1's input: `net_ckpt_t5i2`'s four partitions, a
+/// checkpoint every round, and resource 1 down at tick 2 and back at
+/// tick 3 from its tick-1 checkpoint. The config, the databases, the
+/// recovery mode and the centralized truth.
+fn t5i2_kill_input() -> (MineConfig, Vec<Database>, RecoveryMode, gridmine_arm::RuleSet) {
     use gridmine_quest::QuestParams;
     let seed = 42;
     let quest = QuestParams::t5i2()
@@ -492,24 +488,63 @@ fn a_killed_node_converges_on_the_t5i2_input() {
     let mut cfg = MineConfig::new(min_freq, min_conf);
     cfg.rounds = 6;
     cfg.seed = seed;
-    let policy = RecoveryPolicy::DEFAULT.with_checkpoint_every(1);
-    let outcome = NetSession::<MockCipher>::new(cfg)
-        .with_databases(gridmine_quest::partition(&global, 4, seed ^ 7))
-        .with_recovery(RecoveryMode::Checkpoint(policy))
-        .with_process_kill(1, 2, Some(3))
-        .with_node_binary(NODE_BIN)
-        .try_run()
-        .expect("net session");
+    let mode = RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT.with_checkpoint_every(1));
+    (cfg, gridmine_quest::partition(&global, 4, seed ^ 7), mode, truth)
+}
+
+/// What must hold once item 1 is fixed: every resource at the
+/// centralized truth and no verdict on an honest grid. The per-resource
+/// rule counts and verdicts are printed first, so a `--nocapture` run
+/// records where the grid stands today.
+fn assert_converged(
+    driver: &str,
+    outcome: &gridmine_core::MiningOutcome,
+    truth: &gridmine_arm::RuleSet,
+) {
     let sizes: Vec<usize> = outcome.solutions.iter().map(|s| s.len()).collect();
     println!(
-        "truth {} rules; resources hold {sizes:?}; verdicts {:?}; replays {}, rejected {}",
+        "{driver}: truth {} rules; resources hold {sizes:?}; verdicts {:?}; replays {}, rejected {}",
         truth.len(),
         outcome.verdicts,
         outcome.chaos.replays,
         outcome.chaos.rejected
     );
     for (u, sol) in outcome.solutions.iter().enumerate() {
-        assert_eq!(sol, &truth, "resource {u} did not converge after the process kill");
+        assert_eq!(sol, truth, "{driver}: resource {u} did not converge after the kill");
     }
-    assert!(outcome.verdicts.is_empty(), "{:?}", outcome.verdicts);
+    assert!(outcome.verdicts.is_empty(), "{driver}: {:?}", outcome.verdicts);
+}
+
+#[test]
+#[ignore = "ROADMAP item 1"]
+fn a_killed_node_converges_on_the_t5i2_input() {
+    // gridbench finding 7, pinned for ROADMAP item 1: resource 1's
+    // process SIGKILLed at tick 2 and warm-restarted at tick 3. The
+    // restore itself succeeds (one replay, nothing rejected); the grid
+    // then diverges and blames.
+    let (cfg, dbs, mode, truth) = t5i2_kill_input();
+    let outcome = NetSession::<MockCipher>::new(cfg)
+        .with_databases(dbs)
+        .with_recovery(mode)
+        .with_process_kill(1, 2, Some(3))
+        .with_node_binary(NODE_BIN)
+        .try_run()
+        .expect("net session");
+    assert_converged("net", &outcome, &truth);
+}
+
+#[test]
+#[ignore = "ROADMAP item 1"]
+fn a_crashed_thread_converges_on_the_t5i2_input() {
+    // The same kill through the threaded driver: the `FaultPlan` crash
+    // the net session's kill is scheduled as. The synchronous driver has
+    // no crash model (it refuses a non-quiet plan), so this is the
+    // in-process form of the repro.
+    let (cfg, dbs, mode, truth) = t5i2_kill_input();
+    let outcome = MineSession::new(cfg)
+        .with_databases(dbs)
+        .with_faults(FaultPlan::none().with_crash(1, 2, Some(3)))
+        .with_recovery(mode)
+        .run_threaded();
+    assert_converged("threaded", &outcome, &truth);
 }

@@ -2,8 +2,8 @@
 //! trees in a [`gridmine_store::Store`] — and the image it travels as.
 //!
 //! Layout: a [`RecoveryLog`] owns an in-memory store. A checkpoint
-//! writes the authoritative [`ResourceState`] and compacts it into the
-//! store's snapshot; from then on every state delta is one blind `put`
+//! bulk-loads the authoritative [`ResourceState`] into the store's
+//! snapshot; from then on every state delta is one blind `put`
 //! into the store's write-ahead log, keyed by the rule's canonical key:
 //!
 //! | tree     | key      | value                                       |
@@ -39,7 +39,7 @@ use std::collections::btree_map::{BTreeMap, Entry};
 
 use gridmine_arm::{CandidateRule, Item, ItemSet, Ratio, Rule};
 use gridmine_store::wal::HEADER;
-use gridmine_store::{Backend, MemBackend, Store, StoreError};
+use gridmine_store::{Backend, MemBackend, Store, StoreError, Tree};
 
 const OWNER: &str = "owner";
 const RULES: &str = "rules";
@@ -136,8 +136,8 @@ impl From<StoreError> for JournalError {
 /// The canonical store key of a candidate rule: big-endian words
 /// `|X| X… |Y| Y… λₙ λ_d`. The two counts delimit the sides, so distinct
 /// rules never share a key, and a tree scan visits rules in one fixed
-/// order.
-fn rule_key(cand: &CandidateRule) -> Vec<u8> {
+/// order. Any tree keyed per rule uses it (a node's `audits` tree too).
+pub fn rule_key(cand: &CandidateRule) -> Vec<u8> {
     let (x, y) = (cand.rule.antecedent.items(), cand.rule.consequent.items());
     let mut key = Vec::with_capacity(4 * (4 + x.len() + y.len()));
     for side in [x, y] {
@@ -155,7 +155,7 @@ fn rule_key(cand: &CandidateRule) -> Vec<u8> {
 /// [`Rule::new`] and [`Ratio::new`] would build decodes — ascending
 /// items, a non-empty consequent, disjoint sides, a reduced threshold —
 /// so their panicking invariants hold by construction.
-fn rule_of_key(key: &[u8]) -> Option<CandidateRule> {
+pub fn rule_of_key(key: &[u8]) -> Option<CandidateRule> {
     if !key.len().is_multiple_of(4) {
         return None;
     }
@@ -178,10 +178,11 @@ fn rule_of_key(key: &[u8]) -> Option<CandidateRule> {
 
 /// A `scan` tree value: the record's five accumulators, big endian.
 fn scan_value(r: &RuleRecord) -> Vec<u8> {
-    [r.frontier as i64, r.sum, r.count, r.clock, r.last_sum]
-        .iter()
-        .flat_map(|w| w.to_be_bytes())
-        .collect()
+    let mut value = Vec::with_capacity(40);
+    for word in [r.frontier as i64, r.sum, r.count, r.clock, r.last_sum] {
+        value.extend_from_slice(&word.to_be_bytes());
+    }
+    value
 }
 
 /// Overlays one tree's `value` for a rule onto its record.
@@ -255,21 +256,29 @@ pub struct RecoveryLog {
 impl RecoveryLog {
     /// Checkpoint: a fresh log whose snapshot is `state` and whose WAL
     /// is empty (callers snapshot *current* state, so every earlier
-    /// delta is subsumed).
+    /// delta is subsumed). The snapshot is bulk-loaded — each record
+    /// encoded once — into the files a `put` per record and a compaction
+    /// would leave.
     pub fn baseline(state: &ResourceState) -> Self {
-        let store = Store::in_memory().and_then(|mut store| {
-            store.put(OWNER, b"", &state.resource.to_be_bytes())?;
-            for rec in &state.records {
-                let key = rule_key(&rec.rule);
-                store.put(SCAN, &key, &scan_value(rec))?;
-                if let Some(answer) = rec.output {
-                    store.put(OUTPUT, &key, &[u8::from(answer)])?;
-                }
-            }
-            store.compact()?;
-            Ok(store)
-        });
-        RecoveryLog { store }
+        // Collected, not inserted one by one: a tree built from a run of
+        // entries is sorted once and filled in key order, a later entry
+        // for a key replacing an earlier one as a later put would.
+        let keyed: Vec<(Vec<u8>, &RuleRecord)> =
+            state.records.iter().map(|rec| (rule_key(&rec.rule), rec)).collect();
+        let output: Tree = keyed
+            .iter()
+            .filter_map(|(key, rec)| Some((key.clone(), vec![u8::from(rec.output?)])))
+            .collect();
+        let scan: Tree = keyed.into_iter().map(|(key, rec)| (key, scan_value(rec))).collect();
+        let owner = Tree::from([(Vec::new(), state.resource.to_be_bytes().to_vec())]);
+        let trees = [(OWNER, owner), (SCAN, scan), (OUTPUT, output)];
+        RecoveryLog { store: Store::from_trees(trees.map(|(n, t)| (n.to_string(), t)).into()) }
+    }
+
+    /// The live store, for a caller that publishes it with trees of its
+    /// own beside the log's; a voided log is its refused write.
+    pub fn store(&self) -> Result<&Store<MemBackend>, JournalError> {
+        self.store.as_ref().map_err(|e| JournalError::Store(e.clone()))
     }
 
     /// One blind put: O(1), nothing read back.
@@ -353,8 +362,14 @@ impl RecoveryImage {
         Ok((state_of(&store)?, store.wal_records()))
     }
 
+    /// [`RecoveryImage::of`] a store the caller is done with: its files
+    /// move instead of being copied.
+    pub fn from_store(store: Store<MemBackend>) -> Self {
+        RecoveryImage { head: store.head(), files: store.into_backend() }
+    }
+
     pub fn to_bytes(&self) -> Vec<u8> {
-        [MAGIC.as_slice(), &self.head.to_be_bytes(), &self.files.to_bytes()].concat()
+        self.files.to_bytes_after(&[MAGIC.as_slice(), &self.head.to_be_bytes()].concat())
     }
 
     /// Unframes an image: linear in its size, nothing verified yet.
@@ -492,6 +507,46 @@ mod tests {
         let log = RecoveryLog::baseline(&state);
         assert!(log.is_empty());
         assert_eq!(log.replay().unwrap(), state);
+    }
+
+    #[test]
+    fn a_baseline_is_byte_identical_to_a_put_per_record_then_a_compaction() {
+        let put_then_compact = |state: &ResourceState| {
+            let mut store = Store::in_memory().expect("open");
+            store.put(OWNER, b"", &state.resource.to_be_bytes()).expect("put");
+            for rec in &state.records {
+                let key = rule_key(&rec.rule);
+                store.put(SCAN, &key, &scan_value(rec)).expect("put");
+                if let Some(answer) = rec.output {
+                    store.put(OUTPUT, &key, &[u8::from(answer)]).expect("put");
+                }
+            }
+            store.compact().expect("compact");
+            RecoveryImage::of(&store).to_bytes()
+        };
+        let one = vec![RuleRecord { output: Some(true), ..scanned(1, 10, 4, 3) }];
+        // About a T5I2 node's working set, registered in no key order,
+        // some decided either way and some not at all.
+        let many = (0..1500u32)
+            .rev()
+            .map(|i| {
+                let rec = scanned(i, u64::from(i % 40), i64::from(i % 7), i64::from(1 + i % 9));
+                RuleRecord { output: (i % 3 != 0).then_some(i % 2 == 0), ..rec }
+            })
+            .collect();
+        // A rule listed twice: the later record's scan state wins, and the
+        // output of the last one that has any, as with a put per record.
+        let twice = [one.clone(), vec![scanned(2, 8, 1, 2), scanned(1, 12, 5, 4)]].concat();
+        for records in [Vec::new(), one, many, twice] {
+            let state = ResourceState { resource: 3, records };
+            let image = RecoveryLog::baseline(&state).image();
+            assert_eq!(
+                image.to_bytes(),
+                put_then_compact(&state),
+                "{} records",
+                state.records.len()
+            );
+        }
     }
 
     #[test]

@@ -35,5 +35,7 @@
 mod journal;
 mod policy;
 
-pub use journal::{JournalError, RecoveryImage, RecoveryLog, ResourceState, RuleRecord};
+pub use journal::{
+    rule_key, rule_of_key, JournalError, RecoveryImage, RecoveryLog, ResourceState, RuleRecord,
+};
 pub use policy::{RecoveryMode, RecoveryPolicy, RetryPolicy};

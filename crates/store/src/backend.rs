@@ -235,8 +235,15 @@ impl MemBackend {
     /// order — so a whole store can be held across a crash window or
     /// published with one [`atomic_write_file`].
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.to_bytes_after(&[])
+    }
+
+    /// [`MemBackend::to_bytes`] behind `prefix`, in one buffer.
+    pub fn to_bytes_after(&self, prefix: &[u8]) -> Vec<u8> {
         let framed = |(name, f): (&String, &MemFile)| 2 + name.len() + 4 + f.bytes.len();
-        let mut out = Vec::with_capacity(self.files.iter().map(framed).sum());
+        let mut out =
+            Vec::with_capacity(prefix.len() + self.files.iter().map(framed).sum::<usize>());
+        out.extend_from_slice(prefix);
         for (name, f) in &self.files {
             push_str(&mut out, name);
             push_bytes(&mut out, &f.bytes);
@@ -269,7 +276,12 @@ impl Backend for MemBackend {
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        self.files.entry(name.to_string()).or_default().bytes.extend_from_slice(bytes);
+        match self.files.get_mut(name) {
+            Some(f) => f.bytes.extend_from_slice(bytes),
+            None => {
+                self.files.insert(name.to_string(), MemFile { bytes: bytes.to_vec(), synced: 0 });
+            }
+        }
         Ok(())
     }
 

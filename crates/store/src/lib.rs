@@ -11,10 +11,14 @@
 //!   `Store<MemBackend>`: a checkpoint is the snapshot, every state
 //!   delta one WAL record, and a recovery image is the two segments'
 //!   bytes ([`MemBackend::to_bytes`]) with [`Store::head`] pinned beside
-//!   them — [`Store::open`] is what verifies a restore;
-//! * a `gridmine-node` checkpoint is that image plus the node's
-//!   controller-audit and tallies trees, published with one
-//!   [`atomic_write_file`];
+//!   them — [`Store::open`] is what verifies a restore. A checkpoint's
+//!   snapshot is bulk-loaded ([`Store::from_trees`]): the files a `put`
+//!   per record and a [`Store::compact`] would leave, each record
+//!   encoded once;
+//! * a `gridmine-node` checkpoint is that image plus the node's binary
+//!   controller-audit and tallies trees: a clone of the live store (the
+//!   store is `Clone`; nothing is re-read) with the node's entries
+//!   appended to its WAL, published with one [`atomic_write_file`];
 //! * the §3 dynamic-database transaction log (`gridmine-sim`'s
 //!   `DurableStream`) is a store over [`FsBackend`].
 //!
@@ -53,5 +57,5 @@ pub mod wal;
 pub use backend::{atomic_write_file, Backend, FsBackend, MemBackend};
 pub use crash::{CrashBackend, CrashPlan, OpKind};
 pub use error::{CorruptKind, StoreError};
-pub use store::{OpenReport, Store, MAX_TREE_NAME};
+pub use store::{OpenReport, Store, Tree, MAX_TREE_NAME};
 pub use wal::{chain_bytes, digest_bytes, mix64};

@@ -16,10 +16,14 @@
 //! the WAL into the next generation's snapshot.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::backend::{Backend, MemBackend};
 use crate::error::{CorruptKind, StoreError};
-use crate::wal::{encode_record, scan_segment, seg_seed, Op, SegKind, HEADER, MAX_PAYLOAD};
+use crate::wal::{
+    append_record, encode_put, encode_record, scan_segment, seg_seed, Op, SegKind, HEADER,
+    MAX_PAYLOAD,
+};
 
 /// Largest accepted tree-name length (the record format's `u16`).
 pub const MAX_TREE_NAME: usize = u16::MAX as usize;
@@ -60,12 +64,56 @@ fn parse_gen(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
     }
 }
 
-type Tree = BTreeMap<Vec<u8>, Vec<u8>>;
+/// One named tree: byte keys to byte values, in key order.
+pub type Tree = BTreeMap<Vec<u8>, Vec<u8>>;
+
+/// A store's live trees by name. Each is shared, so a clone of a store
+/// copies no tree: a write copies the one tree it lands in, and only
+/// while another store still shares it.
+type Trees = BTreeMap<String, Arc<Tree>>;
+
+fn shared(trees: BTreeMap<String, Tree>) -> Trees {
+    trees.into_iter().map(|(name, tree)| (name, Arc::new(tree))).collect()
+}
+
+/// Generation `generation`'s snapshot of `trees` — one chained `Put`
+/// record per key, trees in name order, keys in order — encoded from the
+/// trees in place. Returns the bytes and the chain head.
+fn encode_snapshot(trees: &Trees, generation: u64) -> Result<(Vec<u8>, u64), StoreError> {
+    let framed = |(name, tree): (&String, &Arc<Tree>)| {
+        tree.iter().map(|(k, v)| HEADER + 11 + name.len() + k.len() + v.len()).sum::<usize>()
+    };
+    let mut buf = Vec::with_capacity(trees.iter().map(framed).sum());
+    let mut payload = Vec::new();
+    let mut head = seg_seed(SegKind::Snapshot, generation);
+    let mut seq = 0u64;
+    for (tree, entries) in trees {
+        if tree.len() > MAX_TREE_NAME {
+            return Err(StoreError::TooLarge("tree name over u16"));
+        }
+        for (key, value) in entries.iter() {
+            payload.clear();
+            encode_put(&mut payload, tree, key, value);
+            if payload.len() > MAX_PAYLOAD {
+                return Err(StoreError::TooLarge("record payload over segment cap"));
+            }
+            head = append_record(&mut buf, head, seq, &payload);
+            seq += 1;
+        }
+    }
+    Ok((buf, head))
+}
+
+/// Bytes of a WAL that holds only its anchor.
+fn anchored_wal_len() -> u64 {
+    (HEADER + Op::Anchor { snap_head: 0, generation: 0 }.encode().len()) as u64
+}
 
 /// An embedded log-structured store over any [`Backend`].
+#[derive(Clone)]
 pub struct Store<B: Backend> {
     backend: B,
-    trees: BTreeMap<String, Tree>,
+    trees: Trees,
     generation: u64,
     head: u64,
     next_seq: u64,
@@ -94,6 +142,31 @@ impl Store<MemBackend> {
     pub fn in_memory() -> Result<Self, StoreError> {
         Store::open(MemBackend::new())
     }
+
+    /// A fresh in-memory store whose first snapshot holds `trees`: the
+    /// `snap-1`/`wal-1` files, chain head and trees that
+    /// [`Store::in_memory`], a `put` of every entry and a
+    /// [`Store::compact`] leave — byte for byte — with each record encoded
+    /// and digested once, straight into the snapshot.
+    pub fn from_trees(trees: BTreeMap<String, Tree>) -> Result<Self, StoreError> {
+        let generation = 1;
+        let trees = shared(trees);
+        let (snapshot, snap_head) = encode_snapshot(&trees, generation)?;
+        let mut backend = MemBackend::new();
+        let (head, next_seq) =
+            Self::publish_generation(&mut backend, generation, &snapshot, snap_head)?;
+        Ok(Store {
+            backend,
+            trees,
+            generation,
+            head,
+            next_seq,
+            wal: wal_name(generation),
+            wal_bytes: anchored_wal_len(),
+            report: OpenReport::default(),
+            wedged: None,
+        })
+    }
 }
 
 impl<B: Backend> Store<B> {
@@ -109,7 +182,7 @@ impl<B: Backend> Store<B> {
         match Self::open_parts(&mut backend) {
             Ok((trees, generation, head, next_seq, wal, wal_bytes, report)) => Ok(Store {
                 backend,
-                trees,
+                trees: shared(trees),
                 generation,
                 head,
                 next_seq,
@@ -303,31 +376,19 @@ impl<B: Backend> Store<B> {
         r
     }
 
-    /// Appends one mutation record and applies it in memory.
-    fn log_op(&mut self, op: Op) -> Result<(), StoreError> {
+    /// Appends one mutation record — its op's `payload` — to the WAL; the
+    /// caller applies the op in memory once this succeeds.
+    fn log_payload(&mut self, payload: &[u8]) -> Result<(), StoreError> {
         self.check_wedged()?;
-        let payload = op.encode();
         if payload.len() > MAX_PAYLOAD {
             return Err(StoreError::TooLarge("record payload over segment cap"));
         }
-        let (rec, digest) = encode_record(self.head, self.next_seq, &payload);
-        let wal = self.wal.clone();
-        let append = self.backend.append(&wal, &rec);
+        let (rec, digest) = encode_record(self.head, self.next_seq, payload);
+        let append = self.backend.append(&self.wal, &rec);
         self.wedge(append)?;
         self.head = digest;
         self.next_seq += 1;
         self.wal_bytes += rec.len() as u64;
-        match op {
-            Op::Put { tree, key, value } => {
-                self.trees.entry(tree).or_default().insert(key, value);
-            }
-            Op::Delete { tree, key } => {
-                if let Some(t) = self.trees.get_mut(&tree) {
-                    t.remove(&key);
-                }
-            }
-            Op::Anchor { .. } => {}
-        }
         Ok(())
     }
 
@@ -337,7 +398,19 @@ impl<B: Backend> Store<B> {
         if tree.len() > MAX_TREE_NAME {
             return Err(StoreError::TooLarge("tree name over u16"));
         }
-        self.log_op(Op::Put { tree: tree.to_string(), key: key.to_vec(), value: value.to_vec() })
+        let mut payload = Vec::with_capacity(11 + tree.len() + key.len() + value.len());
+        encode_put(&mut payload, tree, key, value);
+        self.log_payload(&payload)?;
+        let (key, value) = (key.to_vec(), value.to_vec());
+        match self.trees.get_mut(tree) {
+            Some(t) => {
+                Arc::make_mut(t).insert(key, value);
+            }
+            None => {
+                self.trees.insert(tree.to_string(), Arc::new(Tree::from([(key, value)])));
+            }
+        }
+        Ok(())
     }
 
     /// Removes `key` from `tree` (logged even when absent, so replicas
@@ -346,7 +419,11 @@ impl<B: Backend> Store<B> {
         if tree.len() > MAX_TREE_NAME {
             return Err(StoreError::TooLarge("tree name over u16"));
         }
-        self.log_op(Op::Delete { tree: tree.to_string(), key: key.to_vec() })
+        self.log_payload(&Op::Delete { tree: tree.to_string(), key: key.to_vec() }.encode())?;
+        if let Some(t) = self.trees.get_mut(tree) {
+            Arc::make_mut(t).remove(key);
+        }
+        Ok(())
     }
 
     /// The value under `key` in `tree`, if any.
@@ -364,7 +441,7 @@ impl<B: Backend> Store<B> {
 
     /// Number of live keys in `tree`.
     pub fn tree_len(&self, tree: &str) -> usize {
-        self.trees.get(tree).map(BTreeMap::len).unwrap_or(0)
+        self.trees.get(tree).map_or(0, |t| t.len())
     }
 
     /// Every tree with at least one live key.
@@ -387,37 +464,9 @@ impl<B: Backend> Store<B> {
     pub fn compact(&mut self) -> Result<(), StoreError> {
         self.check_wedged()?;
         let next = self.generation + 1;
-        let seed = seg_seed(SegKind::Snapshot, next);
-        let mut buf = Vec::new();
-        let mut head = seed;
-        let mut seq = 0u64;
-        for (tree, entries) in &self.trees {
-            for (key, value) in entries {
-                let payload =
-                    Op::Put { tree: tree.clone(), key: key.clone(), value: value.clone() }.encode();
-                let (rec, h) = encode_record(head, seq, &payload);
-                buf.extend_from_slice(&rec);
-                head = h;
-                seq += 1;
-            }
-        }
-        let snap = snap_name(next);
-        let tmp = format!("{snap}.tmp");
-        let publish = (|b: &mut B| {
-            b.append(&tmp, &buf)?;
-            b.sync(&tmp)?;
-            b.rename(&tmp, &snap)
-        })(&mut self.backend);
-        self.wedge(publish)?;
-        let new_wal = wal_name(next);
-        let anchored = Self::write_anchor(
-            &mut self.backend,
-            &new_wal,
-            seg_seed(SegKind::Wal, next),
-            head,
-            next,
-        );
-        let (new_head, next_seq) = self.wedge(anchored)?;
+        let (snapshot, snap_head) = encode_snapshot(&self.trees, next)?;
+        let published = Self::publish_generation(&mut self.backend, next, &snapshot, snap_head);
+        let (new_head, next_seq) = self.wedge(published)?;
         let old_wal = wal_name(self.generation);
         let old_snap = snap_name(self.generation);
         let retire = (|b: &mut B| {
@@ -428,10 +477,27 @@ impl<B: Backend> Store<B> {
         self.generation = next;
         self.head = new_head;
         self.next_seq = next_seq;
-        self.wal = new_wal;
-        self.wal_bytes =
-            (HEADER + Op::Anchor { snap_head: head, generation: next }.encode().len()) as u64;
+        self.wal = wal_name(next);
+        self.wal_bytes = anchored_wal_len();
         Ok(())
+    }
+
+    /// Publishes generation `generation`: its `snapshot` bytes by tmp +
+    /// fsync + atomic rename, then a fresh WAL anchored to `snap_head`.
+    /// Returns the WAL's `(head, next_seq)`.
+    fn publish_generation(
+        backend: &mut B,
+        generation: u64,
+        snapshot: &[u8],
+        snap_head: u64,
+    ) -> Result<(u64, u64), StoreError> {
+        let snap = snap_name(generation);
+        let tmp = format!("{snap}.tmp");
+        backend.append(&tmp, snapshot)?;
+        backend.sync(&tmp)?;
+        backend.rename(&tmp, &snap)?;
+        let wal_seed = seg_seed(SegKind::Wal, generation);
+        Self::write_anchor(backend, &wal_name(generation), wal_seed, snap_head, generation)
     }
 
     /// Current segment generation.
@@ -514,6 +580,24 @@ mod tests {
         assert_eq!(r.truncated_bytes, 0);
         assert_eq!(s2.get("t", &[99]), Some(&b"tail"[..]));
         assert_eq!(s2.tree_len("t"), 21);
+    }
+
+    #[test]
+    fn from_trees_leaves_what_put_then_compact_leaves() {
+        let mut s = Store::in_memory().expect("open");
+        let mut trees: BTreeMap<String, Tree> = BTreeMap::new();
+        for (tree, i) in [("b", 2u8), ("a", 3), ("a", 1), ("b", 2)] {
+            s.put(tree, &[i], &[i; 3]).expect("put");
+            trees.entry(tree.to_string()).or_default().insert(vec![i], vec![i; 3]);
+        }
+        s.compact().expect("compact");
+        let bulk = Store::from_trees(trees).expect("bulk load");
+        assert_eq!(bulk.backend().to_bytes(), s.backend().to_bytes());
+        assert_eq!(
+            (bulk.generation(), bulk.head(), bulk.wal_records(), bulk.wal_bytes()),
+            (s.generation(), s.head(), s.wal_records(), s.wal_bytes())
+        );
+        assert_eq!(bulk.get("a", &[3]), Some(&[3u8; 3][..]));
     }
 
     #[test]

@@ -117,12 +117,7 @@ impl Op {
                 out.extend_from_slice(&snap_head.to_le_bytes());
                 out.extend_from_slice(&generation.to_le_bytes());
             }
-            Op::Put { tree, key, value } => {
-                out.push(OP_PUT);
-                push_str(&mut out, tree);
-                push_bytes(&mut out, key);
-                push_bytes(&mut out, value);
-            }
+            Op::Put { tree, key, value } => encode_put(&mut out, tree, key, value),
             Op::Delete { tree, key } => {
                 out.push(OP_DELETE);
                 push_str(&mut out, tree);
@@ -155,6 +150,15 @@ impl Op {
             None
         }
     }
+}
+
+/// Appends the payload of `Op::Put { tree, key, value }` to `out`, from
+/// borrowed parts.
+pub(crate) fn encode_put(out: &mut Vec<u8>, tree: &str, key: &[u8], value: &[u8]) {
+    out.push(OP_PUT);
+    push_str(out, tree);
+    push_bytes(out, key);
+    push_bytes(out, value);
 }
 
 pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
@@ -203,13 +207,19 @@ impl Cursor<'_> {
 
 /// Encodes one record, returning its bytes and the new chain head.
 pub fn encode_record(prev: u64, seq: u64, payload: &[u8]) -> (Vec<u8>, u64) {
-    let digest = digest_bytes(prev ^ seq, payload);
     let mut out = Vec::with_capacity(HEADER + payload.len());
+    let digest = append_record(&mut out, prev, seq, payload);
+    (out, digest)
+}
+
+/// [`encode_record`] onto the end of `out`; returns the new chain head.
+pub(crate) fn append_record(out: &mut Vec<u8>, prev: u64, seq: u64, payload: &[u8]) -> u64 {
+    let digest = digest_bytes(prev ^ seq, payload);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&digest.to_le_bytes());
     out.extend_from_slice(payload);
-    (out, digest)
+    digest
 }
 
 /// What scanning a segment yields.
