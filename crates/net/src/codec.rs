@@ -121,9 +121,12 @@ pub enum Frame<C: HomCipher> {
     },
     /// A sealed counter in flight between two brokers.
     Counter(BrokerMsg<C>),
-    /// Delivery acknowledgement: the receiving node fully processed one
-    /// routed message (its consequent sends were already mailed).
-    Processed,
+    /// Delivery acknowledgement: the receiving node fully processed `n`
+    /// routed messages (their consequent sends were already mailed).
+    Processed {
+        /// How many; never zero.
+        n: u32,
+    },
     /// An encrypted accounting share in flight (wiring / rejoin).
     Share {
         /// Assigning resource.
@@ -513,7 +516,10 @@ pub fn encode_into<C: HomCipher>(out: &mut Vec<u8>, f: &Frame<C>) {
             w.counter::<C>(&msg.counter);
             K_COUNTER
         }
-        Frame::Processed => K_PROCESSED,
+        Frame::Processed { n } => {
+            w.u32(*n);
+            K_PROCESSED
+        }
         Frame::Share { from, to, ct } => {
             w.u32(*from);
             w.u32(*to);
@@ -599,7 +605,10 @@ pub fn decode<C: HomCipher>(bytes: &[u8]) -> Result<Frame<C>, WireError> {
             let counter = r.counter::<C>()?;
             Frame::Counter(BrokerMsg { from, to, cand, counter })
         }
-        K_PROCESSED => Frame::Processed,
+        K_PROCESSED => match r.u32()? {
+            0 => return Err(WireError::Malformed("an ack of nothing")),
+            n => Frame::Processed { n },
+        },
         K_SHARE => Frame::Share { from: r.u32()?, to: r.u32()?, ct: r.ct::<C>()? },
         K_SHARE_RESEND => Frame::ShareResend { to: r.u32()? },
         K_SFE_QUERY => {
@@ -698,7 +707,7 @@ mod tests {
         round_trip(Frame::PhaseStart { tick: 7, phase: Phase::Scan });
         round_trip(Frame::PhaseSent { tick: 7, phase: Phase::Candidate, sent: 12 });
         round_trip(Frame::Counter(BrokerMsg { from: 0, to: 1, cand: cand(), counter: counter() }));
-        round_trip(Frame::Processed);
+        round_trip(Frame::Processed { n: 3 });
         round_trip(Frame::Share {
             from: 2,
             to: 0,
@@ -767,6 +776,13 @@ mod tests {
         let resealed = frame::seal(kind, &p);
         let err = decode::<MockCipher>(&resealed).expect_err("must refuse");
         assert_eq!(err, WireError::Malformed("trailing payload bytes"));
+    }
+
+    #[test]
+    fn an_ack_of_nothing_is_refused() {
+        let bytes = frame::seal(K_PROCESSED, &0u32.to_le_bytes());
+        let err = decode::<MockCipher>(&bytes).expect_err("must refuse");
+        assert_eq!(err, WireError::Malformed("an ack of nothing"));
     }
 
     #[test]

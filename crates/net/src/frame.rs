@@ -33,7 +33,7 @@ pub const MAGIC: [u8; 4] = *b"GMW\x01";
 
 /// Wire protocol version spoken by this build. Bumped on any layout
 /// change; peers with a different version are refused at the handshake.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// Header size in bytes (magic + version + kind + flags + length).
 pub const HEADER_LEN: usize = 12;
@@ -155,6 +155,14 @@ pub fn open(frame: &[u8]) -> Result<(u8, &[u8]), WireError> {
         return Err(WireError::ChecksumMismatch);
     }
     Ok((header.kind, payload))
+}
+
+/// The length of the frame `buf` starts with, if it holds all of it and
+/// the header screens clean ([`read_frame_bytes`] reports one that fails).
+pub fn complete_len(buf: &[u8]) -> Option<usize> {
+    let header = parse_header(buf.get(..HEADER_LEN)?).ok()?;
+    let len = HEADER_LEN + header.len as usize + CHECKSUM_LEN;
+    (buf.len() >= len).then_some(len)
 }
 
 /// Reads one full frame byte string off a stream. Distinguishes a clean

@@ -14,21 +14,26 @@
 //!
 //! Phase barriers are message barriers: the hub opens a phase with
 //! `PhaseStart`, every participant answers `PhaseSent`, and in-flight
-//! counters are tracked with `Processed` acks — a phase is over when the
-//! check-ins are complete and the pending counter is zero.
+//! counters are tracked with counted `Processed { n }` acks — a phase is
+//! over when the check-ins are complete and the pending count is zero.
+//!
+//! The relay is verbatim: a reader thread decodes every frame in full —
+//! the codec door — and hands the loop one batch per read, a counter or
+//! share as its ids and its sender's bytes, which the loop forwards
+//! unchanged once the sender id checks out.
 //!
 //! Every hub↔node stream is coalesced ([`FrameWriter`] out, a buffered
-//! reader in): `send_to` only queues, and the hub **flushes before it
-//! blocks**. The flush points are `next_msg` (the one place the hub
-//! waits for peer traffic — all queues go out when its channel runs
-//! empty), `wait_child` (before reaping a process) and the mid-write
-//! kill (the victim's `PhaseStart` is on the wire before the SIGKILL).
-//! Order per connection is untouched, so the barrier argument stands: a
-//! node's consequent counters still precede its `Processed` ack, and a
-//! forwarded counter stays in `pending` until its ack, which cannot
-//! exist before the counter was flushed. Reader threads on both sides
-//! drain into unbounded channels whatever the main loops are doing, so
-//! two peers flushing at each other cannot fill a socket and deadlock.
+//! reader in): `send_to` and `forward` only queue, and the hub **flushes
+//! before it blocks** — in `next_msg` once the batch in hand and the
+//! channel are both empty, in `wait_child` before reaping a process, and
+//! before the mid-write kill (the victim's `PhaseStart` is on the wire
+//! before the SIGKILL). Order per connection is untouched, so the
+//! barrier argument stands: a node acks what it handled right before it
+//! flushes, behind every counter that work gave rise to, and a forwarded
+//! counter stays in `pending` until an ack covers it, which cannot exist
+//! before the counter was flushed. Reader threads on both sides drain
+//! into unbounded channels whatever the main loops are doing, so two
+//! peers flushing at each other cannot fill a socket and deadlock.
 //!
 //! Crash-survival is process-level. Soft crashes come from the
 //! [`FaultPlan`] (the node wipes, persists its recovery image and
@@ -47,23 +52,23 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam_channel::{unbounded, RecvTimeoutError, Sender};
 use gridmine_arm::Database;
 use gridmine_core::session::arm_recorder;
 use gridmine_core::{
     assemble, ChaosProxy, DegradeReason, MineConfig, MiningOutcome, RecoveryMode, ResourceReport,
-    RoundSchedule, Seat, SessionCipher, Tallies, Verdict, WireMsg,
+    RoundSchedule, Seat, SessionCipher, Tallies, Verdict,
 };
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::{MockCipher, PaillierCtx};
 use gridmine_topology::faults::ResourceFault;
 use gridmine_topology::{FaultPlan, Tree};
 
-use crate::codec::{Frame, NodeReport, Phase};
+use crate::codec::{self, Frame, NodeReport, Phase};
 use crate::error::{NetError, WireError};
 use crate::spec::NodeSpec;
 use crate::state::{self, NodeState};
-use crate::transport::{self, FrameWriter, HelloInfo, STREAM_BUF};
+use crate::transport::{self, FrameWriter, HelloInfo, Inbox, STREAM_BUF};
 
 /// A cipher the networked backend can name in a [`NodeSpec`] so the
 /// spawned process rebuilds the same key material from the session seed.
@@ -300,8 +305,7 @@ impl<C: NetCipher> NetSession<C> {
             kills: self.kills.iter().map(|&(u, at, _)| (u, at)).collect(),
             mid_kills: self.mid_kills.iter().map(|&(u, at, _)| (u, at)).collect(),
             tx,
-            rx,
-            _cipher: PhantomData,
+            inbox: Inbox::new(rx),
         };
         let run = hub.execute();
         let mut outcome = hub.assemble();
@@ -364,9 +368,28 @@ fn session_id(seed: u64) -> u64 {
 /// What a peer's reader thread reports back to the hub loop.
 enum PeerMsg<C: SessionCipher> {
     Frame(Frame<C>),
+    /// A counter (or, `share`, a share) that passed the door, as sent.
+    Relay {
+        share: bool,
+        from: usize,
+        to: usize,
+        bytes: Vec<u8>,
+    },
     /// Bytes that are not a valid frame — the codec door tripped.
     Bad(WireError),
     Closed,
+}
+
+/// The codec door: a full decode; a counter or share keeps its ids.
+fn at_door<C: SessionCipher>(bytes: Vec<u8>) -> PeerMsg<C> {
+    match codec::decode::<C>(&bytes) {
+        Ok(Frame::Counter(m)) => PeerMsg::Relay { share: false, from: m.from, to: m.to, bytes },
+        Ok(Frame::Share { from, to, .. }) => {
+            PeerMsg::Relay { share: true, from: from as usize, to: to as usize, bytes }
+        }
+        Ok(f) => PeerMsg::Frame(f),
+        Err(e) => PeerMsg::Bad(e),
+    }
 }
 
 /// Hub-side state for one node process.
@@ -394,7 +417,7 @@ struct HubRun<C: NetCipher> {
     state_dir: PathBuf,
     session: u64,
     listener: TcpListener,
-    proxy: ChaosProxy<WireMsg<C>>,
+    proxy: ChaosProxy<Vec<u8>>,
     peers: Vec<PeerSlot>,
     /// Counters and shares forwarded but not yet `Processed`-acked.
     pending: u64,
@@ -404,16 +427,18 @@ struct HubRun<C: NetCipher> {
     door_verdicts: Vec<Option<Verdict>>,
     /// Scratch for the copies the chaos proxy releases per relayed
     /// counter (reused, so the relay path does not allocate).
-    relay: Vec<WireMsg<C>>,
+    relay: Vec<Vec<u8>>,
     /// Hub-driven hard kills as `(resource, tick)`.
     kills: Vec<(usize, u64)>,
     /// Hard kills fired inside the tick's Scan phase (racing the
     /// victim's checkpoint persist) as `(resource, tick)`.
     mid_kills: Vec<(usize, u64)>,
-    tx: Sender<(usize, u64, PeerMsg<C>)>,
-    rx: Receiver<(usize, u64, PeerMsg<C>)>,
-    _cipher: PhantomData<C>,
+    /// One batch of `(peer, epoch, message)` per reader-thread read.
+    tx: Sender<Vec<Inbound<C>>>,
+    inbox: Inbox<Inbound<C>>,
 }
+
+type Inbound<C> = (usize, u64, PeerMsg<C>);
 
 impl<C: NetCipher> HubRun<C> {
     fn execute(&mut self) -> Result<(), NetError> {
@@ -618,20 +643,14 @@ impl<C: NetCipher> HubRun<C> {
         let tx = self.tx.clone();
         let mut reader = BufReader::with_capacity(STREAM_BUF, stream);
         std::thread::spawn(move || loop {
-            match transport::recv_frame::<C, _>(&mut reader) {
-                Ok(f) => {
-                    if tx.send((u, epoch, PeerMsg::Frame(f))).is_err() {
-                        break;
-                    }
-                }
-                Err(NetError::Wire(e)) => {
-                    let _ = tx.send((u, epoch, PeerMsg::Bad(e)));
-                    break;
-                }
-                Err(_) => {
-                    let _ = tx.send((u, epoch, PeerMsg::Closed));
-                    break;
-                }
+            let batch: Vec<Inbound<C>> = match transport::recv_batch(&mut reader) {
+                Ok(frames) => frames.into_iter().map(|b| (u, epoch, at_door::<C>(b))).collect(),
+                Err(NetError::Wire(e)) => vec![(u, epoch, PeerMsg::Bad(e))],
+                Err(_) => vec![(u, epoch, PeerMsg::Closed)],
+            };
+            let last = batch.iter().any(|(.., m)| matches!(m, PeerMsg::Bad(_) | PeerMsg::Closed));
+            if tx.send(batch).is_err() || last {
+                break;
             }
         });
         let session = self.session;
@@ -692,7 +711,7 @@ impl<C: NetCipher> HubRun<C> {
             {
                 self.proxy.park(from, to, m);
             } else {
-                self.deliver_counter(m, tick);
+                self.forward(to, &m, tick, false);
             }
         }
     }
@@ -745,19 +764,16 @@ impl<C: NetCipher> HubRun<C> {
     }
 
     /// The next peer message, **flushing before it blocks**: while
-    /// messages are waiting nothing is written; once the channel is
-    /// empty every peer's pending frames go out, and only then does the
-    /// hub wait. Everything `phase`, `respawn` and the finish loop queue
-    /// reaches its peer through here.
-    fn next_msg(&mut self) -> Result<(usize, u64, PeerMsg<C>), RecvTimeoutError> {
-        match self.rx.try_recv() {
-            Ok(msg) => Ok(msg),
-            Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
-            Err(TryRecvError::Empty) => {
-                self.flush_all();
-                self.rx.recv_timeout(Duration::from_millis(25))
-            }
+    /// messages are waiting nothing is written; once the batch in hand
+    /// and the channel are both empty every peer's pending frames go
+    /// out, and only then does the hub wait. Everything `phase`,
+    /// `respawn` and the finish loop queue reaches its peer through here.
+    fn next_msg(&mut self) -> Result<Inbound<C>, RecvTimeoutError> {
+        if let Some(msg) = self.inbox.ready() {
+            return Ok(msg);
         }
+        self.flush_all();
+        self.inbox.wait(Duration::from_millis(25))
     }
 
     /// The hub's event loop body: dispatches peer traffic until
@@ -810,99 +826,67 @@ impl<C: NetCipher> HubRun<C> {
         match msg {
             PeerMsg::Bad(e) => self.quarantine(u, e, tick),
             PeerMsg::Closed => self.on_closed(u, tick),
-            PeerMsg::Frame(f) => {
-                if self.peers[u].quarantined {
-                    return;
+            _ if self.peers[u].quarantined => {}
+            PeerMsg::Relay { share, from, .. } if from != u => {
+                let why = if share {
+                    "share with forged sender id"
+                } else {
+                    "counter with forged sender id"
+                };
+                self.quarantine(u, WireError::Malformed(why), tick);
+            }
+            // Shares are wiring traffic: forwarded un-chaosed (the
+            // in-process drivers wire the grid before the fault layer
+            // arms too).
+            PeerMsg::Relay { share: true, to, bytes, .. } => self.forward(to, &bytes, tick, wiring),
+            PeerMsg::Relay { share: false, from, to, bytes } => {
+                let mut now = std::mem::take(&mut self.relay);
+                self.proxy.route(from, to, bytes, &self.rec, |c| now.push(c));
+                for c in now.drain(..) {
+                    self.forward(to, &c, tick, false);
                 }
-                match f {
-                    Frame::PhaseSent { .. } => {
-                        waiting.remove(&u);
-                    }
-                    Frame::Processed => self.ack(u),
-                    Frame::Counter(m) => {
-                        if m.from != u {
-                            self.quarantine(
-                                u,
-                                WireError::Malformed("counter with forged sender id"),
-                                tick,
-                            );
-                        } else {
-                            let mut now = std::mem::take(&mut self.relay);
-                            self.proxy.route(m.from, m.to, m, &self.rec, |c| now.push(c));
-                            for c in now.drain(..) {
-                                self.deliver_counter(c, tick);
-                            }
-                            self.relay = now;
-                        }
-                    }
-                    Frame::Share { from, to, ct } => {
-                        if from as usize != u {
-                            self.quarantine(
-                                u,
-                                WireError::Malformed("share with forged sender id"),
-                                tick,
-                            );
-                        } else {
-                            self.forward_share(from, to, ct, tick, wiring);
-                        }
-                    }
-                    Frame::Obs { line } if self.rec.enabled() => {
-                        if let Some(e) = Event::from_json(&line) {
-                            self.rec.record(&e);
-                        }
-                    }
-                    Frame::Heartbeat { nonce } => {
-                        self.send_to(u, &Frame::HeartbeatAck { nonce });
-                    }
-                    Frame::Report(r) if r.resource as usize == u => {
-                        self.reports[u] = Some(r);
-                    }
-                    _ => {}
+                self.relay = now;
+            }
+            PeerMsg::Frame(Frame::PhaseSent { .. }) => {
+                waiting.remove(&u);
+            }
+            PeerMsg::Frame(Frame::Processed { n }) => self.ack(u, n),
+            PeerMsg::Frame(Frame::Obs { line }) if self.rec.enabled() => {
+                if let Some(e) = Event::from_json(&line) {
+                    self.rec.record(&e);
                 }
             }
+            PeerMsg::Frame(Frame::Heartbeat { nonce }) => {
+                self.send_to(u, &Frame::HeartbeatAck { nonce });
+            }
+            PeerMsg::Frame(Frame::Report(r)) if r.resource as usize == u => {
+                self.reports[u] = Some(r);
+            }
+            PeerMsg::Frame(_) => {}
         }
     }
 
-    /// Forwards one (possibly duplicated) counter copy to its recipient.
-    /// Chaos was already applied by the proxy; recipients that are down,
-    /// dead or quarantined silently absorb the message.
-    fn deliver_counter(&mut self, m: WireMsg<C>, tick: u64) {
-        let to = m.to;
+    /// Queues a door-checked frame for `to` as its sender wrote it. A
+    /// recipient dead, quarantined or (outside wiring) down absorbs it.
+    fn forward(&mut self, to: usize, bytes: &[u8], tick: u64, wiring: bool) {
         if to >= self.n
             || !self.peers[to].alive
             || self.peers[to].quarantined
-            || self.plan.down(to, tick)
+            || (!wiring && self.plan.down(to, tick))
         {
             return;
         }
-        if self.send_to(to, &Frame::Counter(m)) {
+        if self.on_writer(to, |w| w.relay(bytes)) {
             self.pending += 1;
             self.pending_to[to] += 1;
         }
     }
 
-    /// Shares are wiring traffic: forwarded un-chaosed (the in-process
-    /// drivers wire the grid before the fault layer arms too).
-    fn forward_share(&mut self, from: u32, to: u32, ct: C::Ct, tick: u64, wiring: bool) {
-        let v = to as usize;
-        if v >= self.n
-            || !self.peers[v].alive
-            || self.peers[v].quarantined
-            || (!wiring && self.plan.down(v, tick))
-        {
-            return;
-        }
-        if self.send_to(v, &Frame::Share { from, to, ct }) {
-            self.pending += 1;
-            self.pending_to[v] += 1;
-        }
-    }
-
-    fn ack(&mut self, u: usize) {
-        if self.pending_to[u] > 0 {
-            self.pending_to[u] -= 1;
-            self.pending -= 1;
-        }
+    /// `u` acked `n` frames; an ack beyond what `u` owes stops at zero.
+    fn ack(&mut self, u: usize, n: u32) {
+        let n = u64::from(n).min(self.pending_to[u]);
+        self.pending_to[u] -= n;
+        self.pending -= n;
     }
 
     /// Drops all unacked traffic charged to `u` (its process is gone;
@@ -1024,5 +1008,157 @@ impl<C: NetCipher> HubRun<C> {
             .and_then(|bytes| NodeState::decode(&bytes).ok())
             .map(|state| state.tallies)
             .unwrap_or_default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridmine_arm::{CandidateRule, ItemSet, Ratio, Rule};
+    use gridmine_core::{BrokerMsg, CounterLayout, GridKeys, SecureCounter};
+    use std::io::{Read, Write};
+    use std::net::Shutdown;
+
+    /// A hub over `n` peers with no process behind any of them: each is
+    /// alive at epoch 1, without a stream until a test registers one.
+    fn hub(n: usize) -> HubRun<MockCipher> {
+        let (tx, rx) = unbounded();
+        let unused = std::env::temp_dir().join("gridmine-hub-unit-test-unused");
+        HubRun {
+            n,
+            rounds: 1,
+            plan: FaultPlan::none(),
+            rec: gridmine_obs::null(),
+            specs: Vec::new(),
+            binary: PathBuf::new(),
+            work_dir: unused.clone(),
+            state_dir: unused,
+            session: 1,
+            listener: TcpListener::bind("127.0.0.1:0").expect("bind"),
+            proxy: ChaosProxy::new(FaultPlan::none()),
+            peers: (0..n)
+                .map(|_| PeerSlot { epoch: 1, alive: true, ..PeerSlot::default() })
+                .collect(),
+            pending: 0,
+            pending_to: vec![0; n],
+            reports: (0..n).map(|_| None).collect(),
+            degraded: vec![None; n],
+            door_verdicts: vec![None; n],
+            relay: Vec::new(),
+            kills: Vec::new(),
+            mid_kills: Vec::new(),
+            tx,
+            inbox: Inbox::new(rx),
+        }
+    }
+
+    fn frame(u: usize, f: Frame<MockCipher>) -> Inbound<MockCipher> {
+        (u, 1, PeerMsg::Frame(f))
+    }
+
+    #[test]
+    fn an_ack_beyond_the_debt_stops_at_zero_and_leaves_other_peers_owing() {
+        let mut hub = hub(3);
+        hub.pending_to = vec![2, 5, 1];
+        hub.pending = 8;
+        hub.ack(0, 7);
+        assert_eq!((hub.pending_to.as_slice(), hub.pending), ([0, 5, 1].as_slice(), 6));
+        hub.ack(1, 3);
+        assert_eq!((hub.pending_to.as_slice(), hub.pending), ([0, 2, 1].as_slice(), 3));
+        hub.ack(0, u32::MAX);
+        assert_eq!((hub.pending_to.as_slice(), hub.pending), ([0, 2, 1].as_slice(), 3));
+    }
+
+    #[test]
+    fn a_phase_sent_ahead_of_the_acks_it_covers_does_not_close_the_phase() {
+        let mut hub = hub(2);
+        hub.pending_to = vec![0, 3];
+        hub.pending = 3;
+        let sent = Frame::PhaseSent { tick: 0, phase: Phase::Scan, sent: 3 };
+        hub.tx.send(vec![frame(1, sent), frame(1, Frame::Processed { n: 2 })]).expect("send");
+        hub.tx.send(vec![frame(1, Frame::Processed { n: 1 })]).expect("send");
+        // Queued behind the last ack: what the closed barrier leaves unread.
+        hub.tx.send(vec![frame(0, Frame::Heartbeat { nonce: 9 })]).expect("send");
+        let mut waiting = BTreeSet::from([1]);
+        hub.pump(0, false, &mut waiting, Instant::now() + PHASE_DEADLINE);
+        assert_eq!(hub.pending, 0, "the barrier closed before every ack was in");
+        let next = hub.next_msg().expect("the frame behind the barrier");
+        assert!(matches!(next, (0, 1, PeerMsg::Frame(Frame::Heartbeat { nonce: 9 }))));
+    }
+
+    fn loopback_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let dialer = std::thread::spawn(move || TcpStream::connect(addr).expect("connect"));
+        let (accepted, _) = listener.accept().expect("accept");
+        (dialer.join().expect("join"), accepted)
+    }
+
+    /// A counter from 0 to 1 as its sender might write it: sound, but
+    /// not as the codec would encode it (consequent items swapped).
+    fn counter_bytes() -> Vec<u8> {
+        let keys = GridKeys::<MockCipher>::mock(9);
+        let layout = CounterLayout::new(0, vec![1]);
+        let counter = SecureCounter::seal_local(
+            &keys.enc,
+            &keys.tags.key(layout.arity()),
+            &layout,
+            5,
+            9,
+            1,
+            7,
+            3,
+        );
+        let rule = Rule::new(ItemSet::of(&[1]), ItemSet::of(&[2, 3]));
+        let cand = CandidateRule::new(rule, Ratio::new(1, 2));
+        let canonical = codec::encode(&Frame::Counter(BrokerMsg { from: 0, to: 1, cand, counter }));
+        let (kind, payload) = crate::frame::open(&canonical).expect("own frame");
+        // Payload: from, to, antecedent [1], consequent count 2, [2, 3].
+        let mut p = payload.to_vec();
+        p[20..28].copy_from_slice(&[3, 0, 0, 0, 2, 0, 0, 0]);
+        crate::frame::seal(kind, &p)
+    }
+
+    #[test]
+    fn counters_cross_as_written_and_one_that_fails_the_door_is_never_forwarded() {
+        let mut hub = hub(2);
+        let (mut sender, hub_end0) = loopback_pair();
+        let (mut addressee, hub_end1) = loopback_pair();
+        let hub_writes_to_1 = hub_end1.try_clone().expect("clone");
+        let hello = |resource| HelloInfo { resource, resumed: false, attempts: 1 };
+        hub.register_peer(0, hub_end0, &hello(0)).expect("peer 0");
+        hub.register_peer(1, hub_end1, &hello(1)).expect("peer 1");
+
+        let good = counter_bytes();
+        assert!(codec::decode::<MockCipher>(&good).is_ok());
+        // The same counter with its tag cut to a 15-byte ciphertext and
+        // resealed: the checksum holds, the body does not decode.
+        let (kind, payload) = crate::frame::open(&good).expect("own frame");
+        let mut p = payload.to_vec();
+        let at = p.len() - 20;
+        p[at..at + 4].copy_from_slice(&15u32.to_le_bytes());
+        p.pop();
+        let bad = crate::frame::seal(kind, &p);
+        assert!(matches!(codec::decode::<MockCipher>(&bad), Err(WireError::Malformed(_))));
+        sender.write_all(&[good.as_slice(), &bad].concat()).expect("write");
+
+        let want = good.len();
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0; want];
+            addressee.read_exact(&mut got).expect("the good counter");
+            transport::send_frame(&mut addressee, &Frame::<MockCipher>::Processed { n: 1 })
+                .expect("ack");
+            let mut rest = Vec::new();
+            addressee.read_to_end(&mut rest).expect("read to the hub's shutdown");
+            (got, rest)
+        });
+        let mut waiting = BTreeSet::from([0]);
+        hub.pump(0, false, &mut waiting, Instant::now() + PHASE_DEADLINE);
+        assert_eq!(hub.door_verdicts[0], Some(Verdict::MaliciousResource(0)));
+        assert!(hub.peers[0].quarantined && hub.pending == 0);
+        hub_writes_to_1.shutdown(Shutdown::Write).expect("shutdown");
+        let (got, rest) = reader.join().expect("addressee");
+        assert_eq!(got, good, "the counter crossed as its sender wrote it");
+        assert!(rest.is_empty(), "{} more bytes reached the addressee", rest.len());
     }
 }

@@ -8,13 +8,13 @@
 //! frames, the exit codes, the heartbeat and when [`crate::state`] runs.
 //!
 //! The stream to the hub is coalesced ([`FrameWriter`]): everything one
-//! inbound frame gives rise to — consequent counters, events, the
-//! `Processed` ack — is queued in order, and the main loop **flushes
-//! before it blocks**: it takes the next inbound frame without waiting
-//! while there is one, and flushes only when the channel is empty, right
-//! before `recv_timeout`. The other flush point is the loop's single
-//! exit, so a goodbye report, a crash's last events or a final ack are
-//! on the wire before the process ends, whatever the exit code.
+//! inbound frame gives rise to — consequent counters, events — is queued
+//! in order, and the main loop **flushes before it blocks**: only when
+//! the batch its reader handed over and the channel are both empty, and
+//! at its single exit. Each flush leads with one `Processed { n }` for
+//! the routed frames handled since the last, behind all they gave rise
+//! to, so a goodbye report, a crash's last events or a final ack are on
+//! the wire before the process ends, whatever the exit code.
 //!
 //! Events follow the session's recorder: when the hub has one
 //! (`spec.observed`) the machine and keys record into a buffer that is
@@ -27,24 +27,23 @@
 //! **exits**. The hub respawns a fresh process at the recovery tick,
 //! which warm-restarts from that file (`resume_tick` in its spec).
 
-use std::io::{BufReader, Write as _};
-use std::net::TcpStream;
+use std::io::{BufReader, Write};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, RecvTimeoutError, TryRecvError};
+use crossbeam_channel::{unbounded, RecvTimeoutError};
 use gridmine_arm::{Item, Ratio};
 use gridmine_core::{CounterLayout, RoundMachine, Scan, SecureResource, WireMsg};
 use gridmine_majority::CandidateGenerator;
 use gridmine_obs::{Event, Recorder, SharedRecorder};
 use gridmine_paillier::HomCipher;
 
-use crate::codec::{Frame, NodeReport, Phase};
+use crate::codec::{self, Frame, NodeReport, Phase};
 use crate::error::NetError;
 use crate::hub::NetCipher;
 use crate::spec::NodeSpec;
 use crate::state;
-use crate::transport::{self, FrameWriter, HEARTBEAT_EVERY, STREAM_BUF};
+use crate::transport::{self, FrameWriter, Inbox, HEARTBEAT_EVERY, STREAM_BUF};
 
 /// Exit code of a scheduled crash (process-level `crash_wipe`). The hub
 /// treats it as an expected death, not a supervision failure.
@@ -99,6 +98,8 @@ struct Node<'a, C: HomCipher> {
     /// The event buffer behind the machine's recorder; `None` when the
     /// session is unobserved and the machine runs on the null recorder.
     rec_buf: Option<Arc<BufRecorder>>,
+    /// Counters, shares and share resends handled since the last ack.
+    handled: u32,
 }
 
 /// The recorder a node's machine and keys run on, with the buffer to
@@ -113,7 +114,37 @@ fn node_recorder(observed: bool) -> (SharedRecorder, Option<Arc<BufRecorder>>) {
     }
 }
 
-impl<C: NetCipher> Node<'_, C> {
+impl<'a, C: NetCipher> Node<'a, C> {
+    /// The resource `spec` describes, fresh: not restored, not peered.
+    fn new(spec: &'a NodeSpec) -> Self {
+        let u = spec.resource;
+        let (rec, rec_buf) = node_recorder(spec.observed);
+        let keys = C::session_keys(spec.seed).with_recorder(&rec);
+        let generator = CandidateGenerator::new(
+            Ratio::new(spec.min_freq.0, spec.min_freq.1),
+            Ratio::new(spec.min_conf.0, spec.min_conf.1),
+        );
+        let items: Vec<Item> = spec.items.iter().map(|&i| Item(i)).collect();
+        let neighbors: Vec<usize> = spec.adjacency.get(u).cloned().unwrap_or_default();
+        let seed = spec.seed ^ (u as u64).wrapping_mul(0x9E37_79B9);
+        let mut resource = SecureResource::new(
+            u,
+            &keys,
+            neighbors.clone(),
+            spec.db.clone(),
+            spec.k,
+            generator,
+            &items,
+            seed,
+        );
+        for &v in &neighbors {
+            let vn = spec.adjacency.get(v).cloned().unwrap_or_default();
+            resource.set_neighbor_layout(v, CounterLayout::new(v, vn));
+        }
+        let machine = RoundMachine::new(resource, spec.schedule.clone(), rec);
+        Node { spec, machine, rec_buf, handled: 0 }
+    }
+
     /// Publishes the state file as of `tick`. A failure is never silent:
     /// the reason goes to stderr (inherited from the hub), and on an
     /// observed session also out as an
@@ -132,7 +163,7 @@ impl<C: NetCipher> Node<'_, C> {
         }
     }
 
-    fn queue_obs(&self, out: &mut FrameWriter<TcpStream>) -> Result<(), NetError> {
+    fn queue_obs<W: Write>(&self, out: &mut FrameWriter<W>) -> Result<(), NetError> {
         let Some(buf) = &self.rec_buf else {
             return Ok(());
         };
@@ -144,9 +175,9 @@ impl<C: NetCipher> Node<'_, C> {
 
     /// Queues `outs` and the buffered events, and returns the count for
     /// the caller's `PhaseSent`.
-    fn queue_counters(
+    fn queue_counters<W: Write>(
         &self,
-        out: &mut FrameWriter<TcpStream>,
+        out: &mut FrameWriter<W>,
         outs: Vec<WireMsg<C>>,
     ) -> Result<u32, NetError> {
         let n = outs.len() as u32;
@@ -168,36 +199,105 @@ impl<C: NetCipher> Node<'_, C> {
             tallies: r.tallies,
         })
     }
+
+    /// Flush before you block or exit, led by the ack for every routed
+    /// frame handled since the last.
+    fn flush<W: Write>(&mut self, out: &mut FrameWriter<W>) -> Result<(), NetError> {
+        if self.handled > 0 {
+            out.queue::<C>(&Frame::Processed { n: std::mem::take(&mut self.handled) })?;
+        }
+        out.flush()
+    }
+
+    /// Handles one frame from the hub; `Some(code)` ends the process.
+    fn handle<W: Write>(
+        &mut self,
+        frame: Frame<C>,
+        out: &mut FrameWriter<W>,
+    ) -> Result<Option<i32>, NetError> {
+        let spec = self.spec;
+        let u = spec.resource;
+        match frame {
+            Frame::PhaseStart { tick, phase: Phase::Wiring } => {
+                let mut sent = 0u32;
+                for &v in spec.adjacency.get(u).into_iter().flatten() {
+                    let ct = self.machine.resource().share_for_neighbor(v);
+                    out.queue::<C>(&Frame::Share { from: u as u32, to: v as u32, ct })?;
+                    sent += 1;
+                }
+                self.queue_obs(out)?;
+                out.queue::<C>(&Frame::PhaseSent { tick, phase: Phase::Wiring, sent })?;
+            }
+            Frame::Share { from, to, ct } => {
+                if to as usize == u {
+                    self.machine.resource_mut().store_share_from(from as usize, ct);
+                }
+                self.handled += 1;
+            }
+            Frame::ShareResend { to } => {
+                let ct = self.machine.resource().share_for_neighbor(to as usize);
+                out.queue::<C>(&Frame::Share { from: u as u32, to, ct })?;
+                self.handled += 1;
+            }
+            Frame::PhaseStart { tick, phase: Phase::Scan } => {
+                let outs = match self.machine.scan(tick) {
+                    // The hub sees the process exit; a successor may be
+                    // respawned at the recovery tick.
+                    Scan::Crash => {
+                        self.persist_or_report(tick);
+                        self.queue_obs(out)?;
+                        return Ok(Some(EXIT_CRASHED));
+                    }
+                    Scan::Depart => {
+                        self.queue_obs(out)?;
+                        out.queue(&self.report())?;
+                        return Ok(Some(0));
+                    }
+                    Scan::Down => Vec::new(),
+                    Scan::Send { msgs, checkpointed } => {
+                        // A checkpoint is only worth its name if it
+                        // survives a process kill.
+                        if checkpointed {
+                            self.persist_or_report(tick);
+                        }
+                        msgs
+                    }
+                };
+                let sent = self.queue_counters(out, outs)?;
+                out.queue::<C>(&Frame::PhaseSent { tick, phase: Phase::Scan, sent })?;
+            }
+            Frame::PhaseStart { tick, phase: Phase::Candidate } => {
+                let outs = self.machine.candidates();
+                let sent = self.queue_counters(out, outs)?;
+                out.queue::<C>(&Frame::PhaseSent { tick, phase: Phase::Candidate, sent })?;
+            }
+            Frame::Counter(msg) => {
+                // Consequent sends are queued *before* the ack that
+                // covers this counter, so the hub's pending count can
+                // never read zero while traffic is still being produced
+                // (per-connection FIFO: queue order is wire order).
+                let outs = self.machine.receive(&msg);
+                self.queue_counters(out, outs)?;
+                self.handled += 1;
+            }
+            Frame::Finish => {
+                self.machine.finish(spec.rounds);
+                self.queue_obs(out)?;
+                out.queue(&self.report())?;
+                return Ok(Some(0));
+            }
+            // A heartbeat ack needs nothing; anything else from the hub
+            // is a protocol bug, not an attack surface (the hub is
+            // trusted); ignore it.
+            _ => {}
+        }
+        Ok(None)
+    }
 }
 
 fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
     let u = spec.resource;
-    let (rec, rec_buf) = node_recorder(spec.observed);
-    let keys = C::session_keys(spec.seed).with_recorder(&rec);
-    let generator = CandidateGenerator::new(
-        Ratio::new(spec.min_freq.0, spec.min_freq.1),
-        Ratio::new(spec.min_conf.0, spec.min_conf.1),
-    );
-    let items: Vec<Item> = spec.items.iter().map(|&i| Item(i)).collect();
-    let neighbors: Vec<usize> = spec.adjacency.get(u).cloned().unwrap_or_default();
-    let seed = spec.seed ^ (u as u64).wrapping_mul(0x9E37_79B9);
-    let mut resource = SecureResource::new(
-        u,
-        &keys,
-        neighbors.clone(),
-        spec.db.clone(),
-        spec.k,
-        generator,
-        &items,
-        seed,
-    );
-    for &v in &neighbors {
-        let vn = spec.adjacency.get(v).cloned().unwrap_or_default();
-        resource.set_neighbor_layout(v, CounterLayout::new(v, vn));
-    }
-    let machine = RoundMachine::new(resource, spec.schedule.clone(), rec);
-    let mut node = Node { spec, machine, rec_buf };
-
+    let mut node = Node::<C>::new(spec);
     let resumed = spec.resume_tick.is_some();
     if resumed {
         state::resume(&state::path(&spec.state_dir, u), &mut node.machine);
@@ -219,31 +319,33 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
         return Ok(0);
     }
 
-    // Blocking reader thread; the main loop paces itself on the channel
-    // so a read timeout can never split a frame mid-stream.
-    let (tx, rx) = unbounded::<Result<Frame<C>, NetError>>();
+    // Blocking reader thread, one send per read; the main loop paces
+    // itself on the channel so a read timeout can never split a frame.
+    let (tx, rx) = unbounded::<Vec<Result<Frame<C>, NetError>>>();
     let mut reader = BufReader::with_capacity(STREAM_BUF, reader);
     std::thread::spawn(move || loop {
-        let msg = transport::recv_frame::<C, _>(&mut reader);
-        let stop = msg.is_err();
-        if tx.send(msg).is_err() || stop {
+        let batch: Vec<_> = match transport::recv_batch(&mut reader) {
+            Ok(frames) => frames.iter().map(|b| Ok(codec::decode::<C>(b)?)).collect(),
+            Err(e) => vec![Err(e)],
+        };
+        let last = batch.iter().any(Result::is_err);
+        if tx.send(batch).is_err() || last {
             break;
         }
     });
 
+    let mut inbox = Inbox::new(rx);
     let mut out = FrameWriter::new(writer);
     let mut last_heard = Instant::now();
     let mut nonce = 0u64;
     let code = loop {
         // Flush before you block: while frames are waiting nothing is
-        // written; what they gave rise to goes out in one piece once
-        // the channel runs dry.
-        let next = match rx.try_recv() {
-            Ok(msg) => Ok(msg),
-            Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
-            Err(TryRecvError::Empty) => {
-                out.flush()?;
-                rx.recv_timeout(HEARTBEAT_EVERY)
+        // written; what they gave rise to goes out in one piece, acked.
+        let next = match inbox.ready() {
+            Some(msg) => Ok(msg),
+            None => {
+                node.flush(&mut out)?;
+                inbox.wait(HEARTBEAT_EVERY)
             }
         };
         let frame = match next {
@@ -261,91 +363,118 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
             Err(RecvTimeoutError::Disconnected) => break 0,
         };
         last_heard = Instant::now();
-
-        match frame {
-            Frame::PhaseStart { tick, phase: Phase::Wiring } => {
-                let mut sent = 0u32;
-                for &v in &neighbors {
-                    let ct = node.machine.resource().share_for_neighbor(v);
-                    out.queue::<C>(&Frame::Share { from: u as u32, to: v as u32, ct })?;
-                    sent += 1;
-                }
-                node.queue_obs(&mut out)?;
-                out.queue::<C>(&Frame::PhaseSent { tick, phase: Phase::Wiring, sent })?;
-            }
-            Frame::Share { from, to, ct } => {
-                if to as usize == u {
-                    node.machine.resource_mut().store_share_from(from as usize, ct);
-                }
-                out.queue::<C>(&Frame::Processed)?;
-            }
-            Frame::ShareResend { to } => {
-                let ct = node.machine.resource().share_for_neighbor(to as usize);
-                out.queue::<C>(&Frame::Share { from: u as u32, to, ct })?;
-                out.queue::<C>(&Frame::Processed)?;
-            }
-            Frame::PhaseStart { tick, phase: Phase::Scan } => {
-                let outs = match node.machine.scan(tick) {
-                    // The hub sees the process exit; a successor may be
-                    // respawned at the recovery tick.
-                    Scan::Crash => {
-                        node.persist_or_report(tick);
-                        node.queue_obs(&mut out)?;
-                        break EXIT_CRASHED;
-                    }
-                    Scan::Depart => {
-                        node.queue_obs(&mut out)?;
-                        out.queue(&node.report())?;
-                        break 0;
-                    }
-                    Scan::Down => Vec::new(),
-                    Scan::Send { msgs, checkpointed } => {
-                        // A checkpoint is only worth its name if it
-                        // survives a process kill.
-                        if checkpointed {
-                            node.persist_or_report(tick);
-                        }
-                        msgs
-                    }
-                };
-                let sent = node.queue_counters(&mut out, outs)?;
-                out.queue::<C>(&Frame::PhaseSent { tick, phase: Phase::Scan, sent })?;
-            }
-            Frame::PhaseStart { tick, phase: Phase::Candidate } => {
-                let outs = node.machine.candidates();
-                let sent = node.queue_counters(&mut out, outs)?;
-                out.queue::<C>(&Frame::PhaseSent { tick, phase: Phase::Candidate, sent })?;
-            }
-            Frame::Counter(msg) => {
-                // Consequent sends are queued *before* the ack, so the
-                // hub's pending counter can never read zero while traffic
-                // is still being produced (per-connection FIFO: queue
-                // order is wire order).
-                let outs = node.machine.receive(&msg);
-                node.queue_counters(&mut out, outs)?;
-                out.queue::<C>(&Frame::Processed)?;
-            }
-            Frame::Finish => {
-                node.machine.finish(spec.rounds);
-                node.queue_obs(&mut out)?;
-                out.queue(&node.report())?;
-                break 0;
-            }
-            Frame::HeartbeatAck { .. } => {}
-            // Anything else from the hub is a protocol bug, not an
-            // attack surface (the hub is trusted); ignore it.
-            _ => {}
+        if let Some(code) = node.handle(frame, &mut out)? {
+            break code;
         }
     };
     // Flush before you exit: the one way out of the loop, so no goodbye
     // report, last event or ack is left pending behind an exit code.
-    out.flush()?;
+    node.flush(&mut out)?;
     Ok(code)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridmine_arm::{Database, Transaction};
+    use gridmine_core::{RecoveryMode, RoundSchedule};
+    use gridmine_paillier::MockCipher;
+    use gridmine_topology::FaultPlan;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Resource `u` of a path `0 - 1 - 2`, each holding the same mix of
+    /// transactions.
+    fn spec(u: usize) -> NodeSpec {
+        let adjacency = vec![vec![1], vec![0, 2], vec![1]];
+        let db = (0..40u64)
+            .map(|j| Transaction::of(u as u64 * 40 + j, if j % 4 == 0 { &[3] } else { &[1, 2] }))
+            .collect();
+        NodeSpec {
+            session: 1,
+            resource: u,
+            cipher: "mock".into(),
+            seed: 5,
+            min_freq: (1, 2),
+            min_conf: (1, 2),
+            k: 1,
+            rounds: 4,
+            schedule: RoundSchedule::of(
+                &FaultPlan::none(),
+                u,
+                adjacency[u].clone(),
+                RecoveryMode::Disabled,
+            ),
+            adjacency,
+            items: vec![1, 2, 3],
+            db: Database::from_transactions(db),
+            resume_tick: None,
+            hub: String::new(),
+            state_dir: String::new(),
+            hostile: false,
+            observed: false,
+        }
+    }
+
+    /// A sink the test reads while a `FrameWriter` owns it.
+    #[derive(Clone, Default)]
+    struct Sink(Rc<RefCell<Vec<u8>>>);
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.borrow_mut().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_node_acks_once_per_flush_behind_everything_its_counters_gave_rise_to() {
+        let specs: Vec<NodeSpec> = (0..3).map(spec).collect();
+        let mut nodes: Vec<Node<MockCipher>> = specs.iter().map(Node::new).collect();
+        // Wiring, as the hub relays it.
+        for (u, v) in [(0, 1), (1, 0), (1, 2), (2, 1)] {
+            let ct = nodes[u].machine.resource().share_for_neighbor(v);
+            nodes[v].machine.resource_mut().store_share_from(u, ct);
+        }
+        // Resource 1 scans first; its sends go elsewhere. Then it is fed
+        // what resource 0's scan mails it, all between two flushes.
+        let Scan::Send { .. } = nodes[1].machine.scan(0) else { panic!("resource 1 is up") };
+        let Scan::Send { msgs, .. } = nodes[0].machine.scan(0) else { panic!("resource 0 is up") };
+        let k = msgs.len();
+        assert!(k > 1 && msgs.iter().all(|m| m.to == 1), "{k} counters");
+        let sink = Sink::default();
+        let mut out = FrameWriter::new(sink.clone());
+        for m in msgs {
+            assert_eq!(nodes[1].handle(Frame::Counter(m), &mut out).expect("handled"), None);
+        }
+        nodes[1].flush(&mut out).expect("flush");
+
+        let bytes = sink.0.borrow().clone();
+        let mut wire = std::io::Cursor::new(bytes.as_slice());
+        let mut written = Vec::new();
+        while (wire.position() as usize) < bytes.len() {
+            let frame = crate::frame::read_frame_bytes(&mut wire).expect("whole frames");
+            written.push(codec::decode::<MockCipher>(&frame).expect("own frame"));
+        }
+        let acks: Vec<u32> = written
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Processed { n } => Some(*n),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acks, [k as u32], "one ack for the k counters");
+        assert!(matches!(written.last(), Some(Frame::Processed { .. })), "the ack comes last");
+        let consequent = written.iter().filter(|f| matches!(f, Frame::Counter(_))).count();
+        assert!(consequent > 0, "resource 1 passed what it learned on to resource 2");
+
+        // A flush with nothing handled since acks nothing.
+        nodes[1].flush(&mut out).expect("flush");
+        assert_eq!(sink.0.borrow().len(), bytes.len());
+    }
 
     #[test]
     fn events_are_buffered_only_for_an_observed_session() {

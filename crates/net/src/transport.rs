@@ -2,14 +2,14 @@
 //! handshake, capped-backoff dialing, and liveness constants.
 //!
 //! A session stream is **coalesced** in both directions. Its write half
-//! is a [`FrameWriter`]: frames are encoded into one pending buffer and
-//! reach the socket together, under one invariant the hub and node loops
-//! keep — *flush before you block*. Its read half is a `BufReader` of
-//! [`STREAM_BUF`] bytes under [`recv_frame`], so one `read` brings in
-//! every frame the peer's flush carried. Per-connection FIFO is exactly
-//! what it was; only the number of syscalls per frame changes.
-//! [`send_frame`] (write + flush per frame) remains for the handshake,
-//! which runs before either half is buffered.
+//! is a [`FrameWriter`]: frames are encoded (or, relayed, copied as
+//! their sender wrote them) into one pending buffer and reach the socket
+//! together, under one invariant the hub and node loops keep — *flush
+//! before you block*. Its read half is a `BufReader` of [`STREAM_BUF`]
+//! bytes under [`recv_batch`], so one `read` brings in every frame the
+//! peer's flush carried and one channel send hands them all to the loop.
+//! Per-connection FIFO is exactly what it was. [`send_frame`] and
+//! [`recv_frame`] serve the handshake, before either half is buffered.
 //!
 //! The handshake pins three facts before any protocol traffic flows:
 //! the **wire protocol version** (a peer speaking a different layout is
@@ -20,10 +20,11 @@
 //! deterministic jitter that paces SFE retries and channel drains paces
 //! reconnects here, and the same budget bounds them.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use crossbeam_channel::{Receiver, RecvTimeoutError};
 use gridmine_core::RetryPolicy;
 use gridmine_paillier::HomCipher;
 
@@ -63,6 +64,17 @@ impl<W: Write> FrameWriter<W> {
     /// Queues one frame, in order, behind those already pending.
     pub fn queue<C: HomCipher>(&mut self, f: &Frame<C>) -> Result<(), NetError> {
         codec::encode_into(&mut self.pending, f);
+        self.spill()
+    }
+
+    /// Queues a frame that is bytes already — one another peer wrote,
+    /// checked at the door — as they are, without re-encoding them.
+    pub fn relay(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        self.pending.extend_from_slice(frame);
+        self.spill()
+    }
+
+    fn spill(&mut self) -> Result<(), NetError> {
         if self.pending.len() >= STREAM_BUF {
             self.flush()?;
         }
@@ -94,12 +106,50 @@ pub fn send_frame<C: HomCipher, W: Write>(w: &mut W, f: &Frame<C>) -> Result<(),
 }
 
 /// Receives one frame from a stream: framing errors and hostile bytes
-/// surface as typed errors, never panics. Session streams pass a
-/// `BufReader` of [`STREAM_BUF`] bytes; a frame is read exactly to its
+/// surface as typed errors, never panics. A frame is read exactly to its
 /// end, so wrapping a raw stream after the handshake loses nothing.
-pub fn recv_frame<C: HomCipher, R: std::io::Read>(r: &mut R) -> Result<Frame<C>, NetError> {
+pub fn recv_frame<C: HomCipher, R: Read>(r: &mut R) -> Result<Frame<C>, NetError> {
     let bytes = frame::read_frame_bytes(r)?;
     Ok(codec::decode::<C>(&bytes)?)
+}
+
+/// Receives the next frames' bytes off a session stream: waits for the
+/// first only, then takes every frame the read buffer holds in full — a
+/// reader never waits on a partial frame while it holds whole ones.
+pub fn recv_batch<R: Read>(r: &mut BufReader<R>) -> Result<Vec<Vec<u8>>, NetError> {
+    let mut batch = vec![frame::read_frame_bytes(r)?];
+    while let Some(len) = frame::complete_len(r.buffer()) {
+        batch.extend(r.buffer().get(..len).map(<[u8]>::to_vec));
+        r.consume(len);
+    }
+    Ok(batch)
+}
+
+/// A main loop's end of its reader threads' channel of batches.
+pub(crate) struct Inbox<T> {
+    rx: Receiver<Vec<T>>,
+    batch: std::vec::IntoIter<T>,
+}
+
+impl<T> Inbox<T> {
+    pub(crate) fn new(rx: Receiver<Vec<T>>) -> Self {
+        Inbox { rx, batch: Vec::new().into_iter() }
+    }
+
+    /// The next message without waiting; `None` once the batch in hand
+    /// and the channel are both empty: flush, then [`Inbox::wait`].
+    pub(crate) fn ready(&mut self) -> Option<T> {
+        self.batch.next().or_else(|| {
+            self.batch = self.rx.try_recv().ok()?.into_iter();
+            self.batch.next()
+        })
+    }
+
+    /// Waits up to `timeout` for the next batch; takes its first message.
+    pub(crate) fn wait(&mut self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+        self.batch = self.rx.recv_timeout(timeout)?.into_iter();
+        self.batch.next().ok_or(RecvTimeoutError::Timeout)
+    }
 }
 
 /// Dials `addr` under `policy`: one attempt per budget unit, sleeping
@@ -214,22 +264,38 @@ mod tests {
         }
     }
 
-    /// A source that counts `read` calls.
+    /// A source that counts `read` calls. Its bytes arrive in chunks: one
+    /// `read` never returns bytes of two chunks, as if each had been
+    /// written by its own flush.
     struct CountingSource {
-        bytes: std::io::Cursor<Vec<u8>>,
+        chunks: std::collections::VecDeque<std::io::Cursor<Vec<u8>>>,
         reads: usize,
     }
 
     impl Read for CountingSource {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
             self.reads += 1;
-            self.bytes.read(buf)
+            while let Some(chunk) = self.chunks.front_mut() {
+                match chunk.read(buf)? {
+                    0 => self.chunks.pop_front(),
+                    n => return Ok(n),
+                };
+            }
+            Ok(0)
         }
     }
 
+    fn in_chunks(chunks: &[&[u8]]) -> BufReader<CountingSource> {
+        let chunks = chunks.iter().map(|c| std::io::Cursor::new(c.to_vec())).collect();
+        BufReader::with_capacity(STREAM_BUF, CountingSource { chunks, reads: 0 })
+    }
+
     fn buffered(bytes: &[u8]) -> BufReader<CountingSource> {
-        let source = CountingSource { bytes: std::io::Cursor::new(bytes.to_vec()), reads: 0 };
-        BufReader::with_capacity(STREAM_BUF, source)
+        in_chunks(&[bytes])
+    }
+
+    fn heartbeats(n: u64) -> Vec<Vec<u8>> {
+        (0..n).map(|nonce| codec::encode(&Frame::<MockCipher>::Heartbeat { nonce })).collect()
     }
 
     fn nonces(r: &mut BufReader<CountingSource>, n: u64) {
@@ -265,6 +331,25 @@ mod tests {
         nonces(&mut r, N);
         assert_eq!(r.get_ref().reads, 1);
         assert!(matches!(recv_frame::<MockCipher, _>(&mut r), Err(NetError::Closed)));
+        // And handed over as one batch.
+        let mut r = buffered(&expected);
+        assert_eq!(recv_batch(&mut r).expect("batch"), heartbeats(N));
+        assert_eq!(r.get_ref().reads, 1);
+        assert!(matches!(recv_batch(&mut r), Err(NetError::Closed)));
+    }
+
+    #[test]
+    fn a_batch_is_every_whole_frame_one_read_brought_in() {
+        let frames = heartbeats(3);
+        let half = frames[2].len() / 2;
+        let (head, tail) = frames[2].split_at(half);
+        let first = [frames[0].as_slice(), &frames[1], head].concat();
+        let mut r = in_chunks(&[&first, tail]);
+        assert_eq!(recv_batch(&mut r).expect("first batch"), frames[..2]);
+        assert_eq!(r.get_ref().reads, 1, "the half frame did not make the reader wait");
+        assert_eq!(recv_batch(&mut r).expect("second batch"), frames[2..]);
+        assert_eq!(r.get_ref().reads, 2);
+        assert!(matches!(recv_batch(&mut r), Err(NetError::Closed)));
     }
 
     #[test]
@@ -285,10 +370,8 @@ mod tests {
 
     #[test]
     fn a_cut_inside_the_read_buffer_is_still_truncated() {
-        let mut bytes = Vec::new();
-        for nonce in 0..3 {
-            bytes.extend_from_slice(&codec::encode(&Frame::<MockCipher>::Heartbeat { nonce }));
-        }
+        let frames = heartbeats(3);
+        let bytes = frames.concat();
         // Cut the last frame in its checksum, its payload and its header:
         // every cut sits inside what the reader buffered in its first
         // read.
@@ -297,6 +380,11 @@ mod tests {
             let mut r = buffered(&bytes[..bytes.len() - cut]);
             nonces(&mut r, 2);
             let err = recv_frame::<MockCipher, _>(&mut r).expect_err("cut frame");
+            assert!(matches!(err, NetError::Wire(WireError::Truncated)), "cut {cut}: {err:?}");
+            // The batch reader hands over the whole frames, then the cut.
+            let mut r = buffered(&bytes[..bytes.len() - cut]);
+            assert_eq!(recv_batch(&mut r).expect("whole frames"), frames[..2]);
+            let err = recv_batch(&mut r).expect_err("cut frame");
             assert!(matches!(err, NetError::Wire(WireError::Truncated)), "cut {cut}: {err:?}");
         }
     }

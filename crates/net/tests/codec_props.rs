@@ -109,7 +109,7 @@ fn frame() -> impl Strategy<Value = Frame<MockCipher>> {
         (0usize..8, 0usize..8, cand(), counter()).prop_map(|(from, to, cand, counter)| {
             Frame::Counter(BrokerMsg { from, to, cand, counter })
         }),
-        Just(Frame::Processed),
+        (1..=u32::MAX).prop_map(|n| Frame::Processed { n }),
         (any::<u32>(), any::<u32>(), any::<u64>(), -100i64..100).prop_map(|(from, to, seed, v)| {
             Frame::Share { from, to, ct: GridKeys::<MockCipher>::mock(seed).enc.encrypt_i64(v) }
         }),
@@ -138,8 +138,44 @@ fn frame() -> impl Strategy<Value = Frame<MockCipher>> {
     ]
 }
 
+/// A counter frame as a sender could write it without being canonical:
+/// the candidate's consequent items reversed and the first one repeated,
+/// resealed with a fresh checksum. It still decodes — to the same rule.
+fn non_canonical(bytes: &[u8]) -> Vec<u8> {
+    let payload = &bytes[12..bytes.len() - 8];
+    let word = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
+    // Payload: from, to, antecedent count and items, consequent count
+    // and items, then the rest of the candidate and the counter.
+    let count_at = 12 + 4 * word(8);
+    let n = word(count_at);
+    let items = &payload[count_at + 4..count_at + 4 + 4 * n];
+    let mut p = payload[..count_at].to_vec();
+    p.extend_from_slice(&(n as u32 + 1).to_le_bytes());
+    p.extend(items.chunks(4).rev().flatten());
+    p.extend_from_slice(&items[..4]);
+    p.extend_from_slice(&payload[count_at + 4 + 4 * n..]);
+    gridmine_net::frame::seal(bytes[6], &p)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn a_relayed_counter_reads_as_a_re_encoded_one(
+        from in 0usize..8,
+        to in 0usize..8,
+        cand in cand(),
+        counter in counter(),
+    ) {
+        // The hub forwards a counter as its sender wrote it where it used
+        // to re-encode it. Whatever the sender wrote, the addressee's
+        // decode of it is what its decode of the re-encoding would be.
+        let sent = non_canonical(&encode(&Frame::Counter(BrokerMsg { from, to, cand, counter })));
+        let relayed = encode(&decode::<MockCipher>(&sent).expect("non-canonical but decodable"));
+        prop_assert!(relayed != sent, "the sender's bytes were not canonical");
+        let re_encoded = encode(&decode::<MockCipher>(&relayed).expect("canonical"));
+        prop_assert_eq!(relayed, re_encoded);
+    }
 
     #[test]
     fn encode_then_decode_is_the_byte_identity(f in frame()) {

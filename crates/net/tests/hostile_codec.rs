@@ -65,7 +65,7 @@ fn assert_rejected_without_allocation(name: &str, sealed: &[u8]) {
     );
 }
 
-// Wire kind tags are part of the frozen v1 protocol (see
+// Wire kind tags are part of the frozen wire protocol (see
 // `wire_fixtures.rs`); renumbering them is a protocol break, so the
 // literals below are as stable as the sealed hex fixtures.
 const K_COUNTER: u8 = 7;

@@ -72,7 +72,7 @@ fn supervision_frames_are_pinned() {
         &Frame::<MockCipher>::PhaseSent { tick: 5, phase: Phase::Candidate, sent: 9 },
         "474d5701010006000d00000005000000000000000209000000d946913fa2a780b3",
     );
-    pin(&Frame::<MockCipher>::Processed, "474d57010100080000000000f9be65d63d5ae3c9");
+    pin(&Frame::<MockCipher>::Processed { n: 3 }, "474d57010100080000000000f9be65d63d5ae3c9");
     pin(
         &Frame::<MockCipher>::ShareResend { to: 4 },
         "474d570101000a000400000004000000d006f6fc9c4a2bac",
@@ -166,6 +166,18 @@ fn retired_kinds_stay_retired() {
         let err = decode::<MockCipher>(&unhex(fixture)).expect_err("retired kind");
         assert_eq!(err, WireError::UnknownKind(kind));
     }
+}
+
+#[test]
+fn a_version_1_frame_is_refused_by_its_version() {
+    // Wire version 1's `Processed`, which acked one frame and carried no
+    // count: a peer still speaking it is refused before its payload is
+    // read, whatever the kind.
+    let v1 = unhex("474d57010100080000000000f9be65d63d5ae3c9");
+    assert_eq!(
+        decode::<MockCipher>(&v1).expect_err("old version"),
+        WireError::UnsupportedVersion(1)
+    );
 }
 
 #[test]
