@@ -50,34 +50,37 @@ fn supervision_frames_are_pinned() {
             resumed: false,
             attempts: 3,
         },
-        "474d57010100010014000000010000887766554433221102000000000300000081d759a1ed27ef59",
+        "474d570102000100140000000100008877665544332211020000000003000000251d719a404af0ee",
     );
     pin(
         &Frame::<MockCipher>::HelloAck { session: 0x1122_3344_5566_7788, resource: 2 },
-        "474d5701010002000c000000887766554433221102000000b2292a9100273854",
+        "474d5701020002000c000000887766554433221102000000aaf919e4a9b84c03",
     );
     pin(
         &Frame::<MockCipher>::Heartbeat { nonce: 7 },
-        "474d57010100030008000000070000000000000080ab88a8af02ae02",
+        "474d5701020003000800000007000000000000007c8c364464ab9806",
     );
     pin(
         &Frame::<MockCipher>::HeartbeatAck { nonce: 7 },
-        "474d570101000400080000000700000000000000e390a0c5b30e752d",
+        "474d570102000400080000000700000000000000aae9a6bbbaf1247f",
     );
     pin(
         &Frame::<MockCipher>::PhaseStart { tick: 5, phase: Phase::Scan },
-        "474d5701010005000900000005000000000000000108ea1ff9c7b7b181",
+        "474d5701020005000900000005000000000000000143a104b4fd714c5f",
     );
     pin(
         &Frame::<MockCipher>::PhaseSent { tick: 5, phase: Phase::Candidate, sent: 9 },
-        "474d5701010006000d00000005000000000000000209000000d946913fa2a780b3",
+        "474d5701020006000d0000000500000000000000020900000076a7b0c4dd25a854",
     );
-    pin(&Frame::<MockCipher>::Processed { n: 3 }, "474d57010100080000000000f9be65d63d5ae3c9");
+    pin(
+        &Frame::<MockCipher>::Processed { n: 3 },
+        "474d5701020008000400000003000000a04f60c4f2bced48",
+    );
     pin(
         &Frame::<MockCipher>::ShareResend { to: 4 },
-        "474d570101000a000400000004000000d006f6fc9c4a2bac",
+        "474d570102000a000400000004000000bd345595a71bc5a3",
     );
-    pin(&Frame::<MockCipher>::Finish, "474d57010100110000000000efdefb9b89a6776a");
+    pin(&Frame::<MockCipher>::Finish, "474d570102001100000000000f06f20019280d63");
 }
 
 #[test]
@@ -96,17 +99,17 @@ fn protocol_frames_are_pinned() {
     );
     pin(
         &Frame::Counter(BrokerMsg { from: 0, to: 1, cand: cand(), counter }),
-        "474d570101000700d8000000000000000100000001000000010000000200000002000000030000000\
+        "474d570102000700d8000000000000000100000001000000010000000200000002000000030000000\
          100000002000000000000000200000001000000020000000700000010000000050000000000000009\
          000000000000001000000009000000000000001e7c4a7fb979379e1000000001000000000000003\
          3f894fe72f36e3c1000000007000000000000004874df7d2c6da6da10000000030000000000000\
          05df029fde5e6dd78100000000000000000000000726c747c9f60151710000000000000000000000\
-         087e8befb58da4cb5100000002e2e4501000000009c64097b12548453731826159b0483ee",
+         087e8befb58da4cb5100000002e2e4501000000009c64097b12548453e043c3baced22d5d",
     );
     pin(
         &Frame::<MockCipher>::Share { from: 0, to: 1, ct: keys.enc.encrypt_i64(11) },
-        "474d5701010009001c0000000000000001000000100000000b00000000000000b1e053facbcdbbf1\
-         ef86130d9d765192",
+        "474d5701020009001c0000000000000001000000100000000b00000000000000b1e053facbcdbbf1\
+         45b3fc0ae07b41bb",
     );
     pin(
         &Frame::<MockCipher>::SfeQuery {
@@ -114,22 +117,22 @@ fn protocol_frames_are_pinned() {
             rule: cand(),
             blinded: keys.enc.encrypt_i64(-3),
         },
-        "474d570101000b0034000000010000000100000001000000020000000200000003000000010000000\
-         200000010000000fdffffffffffffffc65c9e798547f38faa72b97985d98e12",
+        "474d570102000b0034000000010000000100000001000000020000000200000003000000010000000\
+         200000010000000fdffffffffffffffc65c9e798547f38f6d434c7302324164",
     );
     pin(
         &Frame::<MockCipher>::SfeAnswer { resource: 1, rule: cand(), answer: true },
-        "474d570101000c00210000000100000001000000010000000200000002000000030000000100000002\
-         000000019ce39db6c56a794b",
+        "474d570102000c00210000000100000001000000010000000200000002000000030000000100000002\
+         00000001609d38692bcc7e78",
     );
     pin(
         &Frame::<MockCipher>::VerdictNotice { at: 2, verdict: Verdict::MaliciousBroker(1) },
-        "474d570101000d000900000002000000010100000003de0e20870f52fb",
+        "474d570102000d0009000000020000000101000000659c0752ef37d191",
     );
     pin(
         &Frame::<MockCipher>::Obs { line: "{\"event\":\"RoundAdvanced\",\"tick\":3}".into() },
-        "474d570101000e0026000000220000007b226576656e74223a22526f756e64416476616e636564222\
-         c227469636b223a337dffb09d7d484bd3e6",
+        "474d570102000e0026000000220000007b226576656e74223a22526f756e64416476616e636564222\
+         c227469636b223a337d40fe34e2194ed68b",
     );
     pin(
         &Frame::<MockCipher>::Report(NodeReport {
@@ -147,9 +150,9 @@ fn protocol_frames_are_pinned() {
                 exhausted: false,
             },
         }),
-        "474d57010100120053000000010000000100000001000000010000000200000002000000030000000\
+        "474d57010200120053000000010000000100000001000000010000000200000002000000030000000\
          200000000050a000000000000000100000000000000020000000000000003000000000000000100000\
-         0000000000000000000000000004701fef18c56e3c7",
+         000000000000000000000000000ed973eaeab951e6a",
     );
 }
 
@@ -160,8 +163,8 @@ fn retired_kinds_stay_retired() {
     // bytes: a peer still speaking them is refused by kind at the door
     // — the quarantine path — and the numbers are never reused.
     for (kind, fixture) in [
-        (15, "474d570101000f000b0000000200000003000000010203902edee0f4fd5a40"),
-        (16, "474d5701010010000a000000020000000200000004057aa4bda8a2fe140b"),
+        (15, "474d570102000f000b0000000200000003000000010203ffd0d2a1b5c81ecb"),
+        (16, "474d5701020010000a00000002000000020000000405ddbfaab4d11827b0"),
     ] {
         let err = decode::<MockCipher>(&unhex(fixture)).expect_err("retired kind");
         assert_eq!(err, WireError::UnknownKind(kind));
@@ -191,14 +194,14 @@ fn paillier_ciphertexts_are_pinned_too() {
     // legitimately changed.
     pin(
         &Frame::<PaillierCtx>::Share { from: 0, to: 1, ct: keys.enc.encrypt_i64(11) },
-        "474d5701010009001c0000000000000001000000100000000be6bb8508c28a622d5e1d784a2da8c\
-         82e41ed4e73062b13",
+        "474d5701020009001c0000000000000001000000100000000be6bb8508c28a622d5e1d784a2da8c\
+         8f55c64482d71f1a0",
     );
 }
 
 #[test]
 fn mutated_fixture_bytes_are_typed_errors_never_panics() {
-    let heartbeat = unhex("474d57010100030008000000070000000000000080ab88a8af02ae02");
+    let heartbeat = unhex("474d5701020003000800000007000000000000007c8c364464ab9806");
     // Every single-byte corruption of a pinned frame must surface as a
     // typed WireError.
     for i in 0..heartbeat.len() {
