@@ -159,7 +159,7 @@ pub fn open(frame: &[u8]) -> Result<(u8, &[u8]), WireError> {
 
 /// The length of the frame `buf` starts with, if it holds all of it and
 /// the header screens clean ([`read_frame_bytes`] reports one that fails).
-pub fn complete_len(buf: &[u8]) -> Option<usize> {
+pub(crate) fn complete_len(buf: &[u8]) -> Option<usize> {
     let header = parse_header(buf.get(..HEADER_LEN)?).ok()?;
     let len = HEADER_LEN + header.len as usize + CHECKSUM_LEN;
     (buf.len() >= len).then_some(len)

@@ -6,7 +6,7 @@
 //! their sender wrote them) into one pending buffer and reach the socket
 //! together, under one invariant the hub and node loops keep — *flush
 //! before you block*. Its read half is a `BufReader` of [`STREAM_BUF`]
-//! bytes under [`recv_batch`], so one `read` brings in every frame the
+//! bytes under `recv_batch`, so one `read` brings in every frame the
 //! peer's flush carried and one channel send hands them all to the loop.
 //! Per-connection FIFO is exactly what it was. [`send_frame`] and
 //! [`recv_frame`] serve the handshake, before either half is buffered.
@@ -69,7 +69,7 @@ impl<W: Write> FrameWriter<W> {
 
     /// Queues a frame that is bytes already — one another peer wrote,
     /// checked at the door — as they are, without re-encoding them.
-    pub fn relay(&mut self, frame: &[u8]) -> Result<(), NetError> {
+    pub(crate) fn relay(&mut self, frame: &[u8]) -> Result<(), NetError> {
         self.pending.extend_from_slice(frame);
         self.spill()
     }
@@ -116,7 +116,7 @@ pub fn recv_frame<C: HomCipher, R: Read>(r: &mut R) -> Result<Frame<C>, NetError
 /// Receives the next frames' bytes off a session stream: waits for the
 /// first only, then takes every frame the read buffer holds in full — a
 /// reader never waits on a partial frame while it holds whole ones.
-pub fn recv_batch<R: Read>(r: &mut BufReader<R>) -> Result<Vec<Vec<u8>>, NetError> {
+pub(crate) fn recv_batch<R: Read>(r: &mut BufReader<R>) -> Result<Vec<Vec<u8>>, NetError> {
     let mut batch = vec![frame::read_frame_bytes(r)?];
     while let Some(len) = frame::complete_len(r.buffer()) {
         batch.extend(r.buffer().get(..len).map(<[u8]>::to_vec));
