@@ -21,5 +21,5 @@ pub use database::Database;
 pub use itemset::{Item, ItemSet};
 pub use metrics::{precision, recall, PrecisionRecall};
 pub use ratio::Ratio;
-pub use rule::{CandidateRule, Rule, RuleSet};
+pub use rule::{CandidateRule, Rule, RuleFormError, RuleSet};
 pub use transaction::Transaction;

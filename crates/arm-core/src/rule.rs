@@ -5,12 +5,57 @@
 //! question is `X ⇒ Y` (disjoint, non-empty `Y`) with threshold `MinConf`.
 //! A [`CandidateRule`] is a rule paired with its majority threshold λ — the
 //! unit over which every voting instance runs.
+//!
+//! A rule has one byte form, on the wire and on disk alike: big-endian
+//! words `|X| X… |Y| Y…`, each side's items strictly ascending, and for a
+//! candidate its reduced threshold `λₙ λ_d` after them. The counts
+//! delimit the sides, so distinct rules never share a form, and sorted
+//! forms order rules one fixed way — the store keys every per-rule tree
+//! by a candidate's form ([`CandidateRule::key`]). The decoders take
+//! exactly what the encoders write: bytes decode only if re-encoding the
+//! rule they spell gives them back.
 
 use std::collections::HashSet;
 use std::fmt;
 
-use crate::itemset::ItemSet;
+use crate::itemset::{Item, ItemSet};
 use crate::ratio::Ratio;
+
+/// Why bytes are not the canonical form of a rule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RuleFormError {
+    /// A count or a word reaches past the end of the bytes.
+    Truncated,
+    /// Whole words that no encoder writes: what [`Rule::new`] or
+    /// [`Ratio::new`] would panic on, or a second spelling of a rule.
+    NotCanonical(&'static str),
+}
+
+/// One big-endian word off the front of `bytes`.
+fn word(bytes: &[u8]) -> Result<(u32, &[u8]), RuleFormError> {
+    let (w, rest) = bytes.split_first_chunk::<4>().ok_or(RuleFormError::Truncated)?;
+    Ok((u32::from_be_bytes(*w), rest))
+}
+
+/// One side of a rule: a count, then that many strictly ascending items.
+/// The count is screened against the bytes left before anything is
+/// allocated for it.
+fn side(bytes: &[u8]) -> Result<(ItemSet, &[u8]), RuleFormError> {
+    let (n, mut rest) = word(bytes)?;
+    if n as usize > rest.len() / 4 {
+        return Err(RuleFormError::Truncated);
+    }
+    let mut items = Vec::with_capacity(n as usize);
+    for _ in 0..n {
+        let (i, tail) = word(rest)?;
+        if items.last().is_some_and(|&Item(last)| last >= i) {
+            return Err(RuleFormError::NotCanonical("items out of order or repeated"));
+        }
+        items.push(Item(i));
+        rest = tail;
+    }
+    Ok((ItemSet::from_items(items), rest))
+}
 
 /// An association rule `antecedent ⇒ consequent`.
 #[derive(Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -50,6 +95,31 @@ impl Rule {
     pub fn union(&self) -> ItemSet {
         self.antecedent.union(&self.consequent)
     }
+
+    /// Appends the rule's canonical form to `out` (see the module docs).
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        for side in [&self.antecedent, &self.consequent] {
+            out.extend_from_slice(&(side.len() as u32).to_be_bytes());
+            for Item(i) in side.items() {
+                out.extend_from_slice(&i.to_be_bytes());
+            }
+        }
+    }
+
+    /// Reads one canonical form off the front of `bytes`: the rule and
+    /// the bytes after it. Total: [`Rule::new`]'s invariants are checked
+    /// before it runs.
+    pub fn decode(bytes: &[u8]) -> Result<(Rule, &[u8]), RuleFormError> {
+        let (antecedent, rest) = side(bytes)?;
+        let (consequent, rest) = side(rest)?;
+        if consequent.is_empty() {
+            return Err(RuleFormError::NotCanonical("rule with empty consequent"));
+        }
+        if !antecedent.is_disjoint(&consequent) {
+            return Err(RuleFormError::NotCanonical("rule sides overlap"));
+        }
+        Ok((Rule::new(antecedent, consequent), rest))
+    }
 }
 
 impl fmt::Debug for Rule {
@@ -77,6 +147,46 @@ impl CandidateRule {
     /// Pairs a rule with its threshold.
     pub fn new(rule: Rule, lambda: Ratio) -> Self {
         CandidateRule { rule, lambda }
+    }
+
+    /// Appends the candidate's canonical form: its rule's, then `λₙ λ_d`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.rule.encode(out);
+        out.extend_from_slice(&self.lambda.num().to_be_bytes());
+        out.extend_from_slice(&self.lambda.den().to_be_bytes());
+    }
+
+    /// [`Rule::decode`] for a candidate, whose threshold must be the
+    /// reduced, non-zero-denominator one [`Ratio::new`] builds.
+    pub fn decode(bytes: &[u8]) -> Result<(CandidateRule, &[u8]), RuleFormError> {
+        let (rule, rest) = Rule::decode(bytes)?;
+        let (num, rest) = word(rest)?;
+        let (den, rest) = word(rest)?;
+        if den == 0 {
+            return Err(RuleFormError::NotCanonical("zero threshold denominator"));
+        }
+        let lambda = Ratio::new(num, den);
+        if (lambda.num(), lambda.den()) != (num, den) {
+            return Err(RuleFormError::NotCanonical("unreduced threshold"));
+        }
+        Ok((CandidateRule::new(rule, lambda), rest))
+    }
+
+    /// The canonical form on its own: the candidate's store key.
+    pub fn key(&self) -> Vec<u8> {
+        let sides = self.rule.antecedent.len() + self.rule.consequent.len();
+        let mut key = Vec::with_capacity(4 * (4 + sides));
+        self.encode(&mut key);
+        key
+    }
+
+    /// Total inverse of [`CandidateRule::key`]: `None` for anything but
+    /// exactly one canonical form.
+    pub fn from_key(key: &[u8]) -> Option<CandidateRule> {
+        match CandidateRule::decode(key) {
+            Ok((cand, [])) => Some(cand),
+            _ => None,
+        }
     }
 }
 
@@ -218,5 +328,81 @@ mod tests {
         .collect();
         let names: Vec<String> = s.sorted().iter().map(|r| r.to_string()).collect();
         assert_eq!(names, vec!["∅ ⇒ {1}", "∅ ⇒ {2}", "{1} ⇒ {2}"]);
+    }
+
+    fn cand(x: &[u32], y: &[u32], num: u32, den: u32) -> CandidateRule {
+        CandidateRule::new(Rule::new(ItemSet::of(x), ItemSet::of(y)), Ratio::new(num, den))
+    }
+
+    #[test]
+    fn rule_keys_are_injective_and_only_canonical_keys_decode() {
+        // The same items split differently between the sides, the same
+        // rule under different thresholds, and item ids that read as
+        // counts: all distinct rules, all distinct keys.
+        let rules = [
+            cand(&[], &[1, 2, 3], 1, 2),
+            cand(&[1], &[2, 3], 1, 2),
+            cand(&[1, 2], &[3], 1, 2),
+            cand(&[2], &[1, 3], 1, 2),
+            cand(&[1, 2], &[3], 1, 3),
+            cand(&[1, 2], &[3], 2, 3),
+            cand(&[], &[1], 1, 2),
+            cand(&[1], &[2], 1, 2),
+            cand(&[], &[1, 2], 1, 2),
+            cand(&[], &[2], 0, 1),
+        ];
+        let keys: HashSet<Vec<u8>> = rules.iter().map(CandidateRule::key).collect();
+        assert_eq!(keys.len(), rules.len(), "two rules share a key");
+        for r in &rules {
+            assert_eq!(CandidateRule::from_key(&r.key()).as_ref(), Some(r));
+        }
+
+        // Keys `Rule::new` or `Ratio::new` would panic on, or that are a
+        // second spelling of a rule, do not decode.
+        let words = |w: &[u32]| w.iter().flat_map(|x| x.to_be_bytes()).collect::<Vec<u8>>();
+        for (bad, why) in [
+            (words(&[0, 0, 1, 2]), "empty consequent"),
+            (words(&[1, 7, 1, 7, 1, 2]), "overlapping sides"),
+            (words(&[0, 2, 5, 4, 1, 2]), "descending items"),
+            (words(&[0, 2, 4, 4, 1, 2]), "repeated item"),
+            (words(&[0, 1, 4, 1, 0]), "zero denominator"),
+            (words(&[0, 1, 4, 2, 4]), "unreduced threshold"),
+            (words(&[0, 1, 4, 1, 2, 9]), "trailing word"),
+            (words(&[0, u32::MAX, 4, 1, 2]), "count past the end"),
+            (words(&[0, 1, 4, 1]), "short"),
+            (vec![0, 0, 0], "not whole words"),
+        ] {
+            assert_eq!(CandidateRule::from_key(&bad), None, "{why}");
+        }
+    }
+
+    #[test]
+    fn a_form_decodes_off_the_front_and_says_why_it_does_not() {
+        let c = cand(&[1], &[2, 3], 1, 2);
+        let mut bytes = Vec::new();
+        c.encode(&mut bytes);
+        c.rule.encode(&mut bytes);
+        bytes.push(0xAB);
+        let (back, rest) = CandidateRule::decode(&bytes).expect("a candidate");
+        assert_eq!(back, c);
+        let (rule, rest) = Rule::decode(rest).expect("then a bare rule");
+        assert_eq!((rule, rest), (c.rule, &[0xAB][..]));
+
+        // A forged count is a truncation, found before any allocation;
+        // whole words out of canonical order are not.
+        let forged = [u32::MAX.to_be_bytes(), [0; 4]].concat();
+        assert_eq!(Rule::decode(&forged), Err(RuleFormError::Truncated));
+        let swapped = [0u32, 2, 3, 2].map(u32::to_be_bytes).concat();
+        assert!(matches!(Rule::decode(&swapped), Err(RuleFormError::NotCanonical(_))));
+    }
+
+    #[test]
+    fn a_decoded_candidate_hits_the_same_hash_bucket() {
+        // The protocol routes messages by candidate-rule hash-map lookups;
+        // a rule read back from its bytes must find its entry.
+        let c = cand(&[1, 5], &[3], 3, 7);
+        let map = std::collections::HashMap::from([(c.clone(), 42)]);
+        let back = CandidateRule::from_key(&c.key()).expect("decodes");
+        assert_eq!(map.get(&back), Some(&42));
     }
 }

@@ -19,11 +19,7 @@ use crate::counter::{with_buffer, CounterLayout, SecureCounter};
 use crate::rules::{PerRule, RuleId};
 
 /// A wire message between brokers: one sealed counter for one rule.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-#[serde(bound(
-    serialize = "C::Ct: serde::Serialize",
-    deserialize = "C::Ct: serde::Deserialize<'de>"
-))]
+#[derive(Clone, Debug)]
 pub struct BrokerMsg<C: HomCipher> {
     /// Sending resource.
     pub from: usize,

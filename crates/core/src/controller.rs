@@ -117,7 +117,7 @@ pub struct SentAggregate {
 /// [`Controller::set_layout`] does.
 ///
 /// At rest (a node's `audits` tree) an image is one store entry: the
-/// rule's canonical key ([`gridmine_recovery::rule_key`]) and a value of
+/// rule's canonical key ([`CandidateRule::key`]) and a value of
 /// fixed-width big-endian fields — `clock`, the output gate, a slot count,
 /// then per neighbor slot `v`, a byte saying which of gate and
 /// `last_sent` follow, and those (see [`AuditImage::to_entry`]).
@@ -172,7 +172,7 @@ impl AuditImage {
                 }
             }
         }
-        (gridmine_recovery::rule_key(&self.rule), value)
+        (self.rule.key(), value)
     }
 
     /// Total inverse of [`AuditImage::to_entry`]. Both halves come from
@@ -181,7 +181,7 @@ impl AuditImage {
     /// a gate no constructor builds, a flag, mode or bool byte out of
     /// range, a neighbor id past `usize`.
     pub fn from_entry(key: &[u8], value: &[u8]) -> Option<AuditImage> {
-        let rule = gridmine_recovery::rule_of_key(key)?;
+        let rule = CandidateRule::from_key(key)?;
         let (clock, rest) = be_word(value)?;
         let (output_gate, rest) = KGate::decode(rest)?;
         let (slots, mut rest) = rest.split_first_chunk()?;

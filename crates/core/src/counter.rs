@@ -61,26 +61,6 @@ pub struct CounterLayout {
     pub neighbors: Arc<[usize]>,
 }
 
-/// [`CounterLayout`] as it serializes.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct LayoutRepr {
-    owner: usize,
-    neighbors: Vec<usize>,
-}
-
-impl serde::Serialize for CounterLayout {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        LayoutRepr { owner: self.owner, neighbors: self.neighbors.to_vec() }.serialize(s)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for CounterLayout {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let repr = LayoutRepr::deserialize(d)?;
-        Ok(CounterLayout::new(repr.owner, repr.neighbors))
-    }
-}
-
 impl CounterLayout {
     /// Builds a layout; neighbor order is normalized (sorted) so that all
     /// three entities of a resource agree on slots without coordination.
@@ -130,11 +110,7 @@ pub(crate) fn with_buffer<T: Copy, R>(len: usize, fill: T, f: impl FnOnce(&mut [
 }
 
 /// A sealed counter tuple plus the layout it was sealed under.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-#[serde(bound(
-    serialize = "C::Ct: serde::Serialize",
-    deserialize = "C::Ct: serde::Deserialize<'de>"
-))]
+#[derive(Debug)]
 pub struct SecureCounter<C: HomCipher> {
     /// The authenticated encrypted tuple.
     pub msg: CounterMsg<C>,

@@ -73,6 +73,6 @@ pub use proxy::ChaosProxy;
 pub use resource::{SecureResource, WireMsg};
 pub use round::{assemble, ResourceReport, RoundMachine, RoundSchedule, Scan, Seat, Tallies};
 pub use rules::RuleId;
-pub use session::{MineSession, SessionCipher, SessionError};
+pub use session::{validate_grid, MineSession, SessionCipher, SessionError};
 pub use sfe::{GateMode, KGate};
 pub use threaded::run_threaded_full;

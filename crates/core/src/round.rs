@@ -175,6 +175,42 @@ pub struct Tallies {
 }
 
 impl Tallies {
+    /// Length of [`Tallies::to_bytes`].
+    pub const BYTES: usize = 56;
+
+    /// The one byte form of a tally set, in a node's `Report` frame and in
+    /// its state file alike: seven big-endian words, the flag last.
+    pub fn to_bytes(self) -> [u8; Tallies::BYTES] {
+        let Tallies { msgs_sent, retries, resends, checkpoints, replays, rejected, exhausted } =
+            self;
+        let words =
+            [msgs_sent, retries, resends, checkpoints, replays, rejected, u64::from(exhausted)];
+        let mut out = [0; Tallies::BYTES];
+        for (slot, word) in out.chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// Total inverse of [`Tallies::to_bytes`]: `None` for anything but
+    /// exactly one such form.
+    pub fn from_bytes(bytes: &[u8]) -> Option<Tallies> {
+        if bytes.len() != Tallies::BYTES {
+            return None;
+        }
+        let mut words = [0u64; 7];
+        for (word, chunk) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+            *word = u64::from_be_bytes(chunk.try_into().ok()?);
+        }
+        let [msgs_sent, retries, resends, checkpoints, replays, rejected, exhausted @ (0 | 1)] =
+            words
+        else {
+            return None;
+        };
+        let exhausted = exhausted == 1;
+        Some(Tallies { msgs_sent, retries, resends, checkpoints, replays, rejected, exhausted })
+    }
+
     fn of<C: HomCipher>(r: &SecureResource<C>) -> Self {
         Tallies {
             msgs_sent: r.msgs_sent(),
@@ -580,6 +616,26 @@ mod tests {
             assert!(!spared.down(2) && !spared.wipes_at(2) && !spared.restores_at(4));
             let d = RoundSchedule::of(&depart, 1, all.to_vec(), mode);
             assert!(d.departs_at(3) && !d.departs_at(4) && !d.wipes_at(3));
+        }
+    }
+
+    #[test]
+    fn tallies_words_round_trip_and_nothing_else_decodes() {
+        let t = Tallies {
+            msgs_sent: u64::MAX,
+            retries: 1,
+            resends: 2,
+            checkpoints: 3,
+            replays: 4,
+            rejected: 5,
+            exhausted: true,
+        };
+        let value = t.to_bytes();
+        assert_eq!((value.len(), Tallies::from_bytes(&value)), (56, Some(t)));
+        let mut flag = value;
+        flag[55] = 2;
+        for bad in [&value[..55], &[value.as_slice(), &[0]].concat(), &flag, &value[..48], b"{}"] {
+            assert_eq!(Tallies::from_bytes(bad), None, "{bad:?}");
         }
     }
 

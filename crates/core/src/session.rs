@@ -119,12 +119,11 @@ impl std::error::Error for SessionError {}
 
 impl SessionError {
     /// Maps a topology-level [`ScheduleError`] onto the session-error
-    /// vocabulary, so every driver (sync, threaded, sim, net) rejects the
-    /// same malformed fault plan with the same variant. `rounds` is the
-    /// run horizon the schedule was validated against.
+    /// vocabulary. `rounds` is the run horizon the schedule was validated
+    /// against.
     ///
     /// [`ScheduleError`]: gridmine_topology::faults::ScheduleError
-    pub fn from_schedule(e: gridmine_topology::faults::ScheduleError, rounds: usize) -> Self {
+    fn from_schedule(e: gridmine_topology::faults::ScheduleError, rounds: usize) -> Self {
         use gridmine_topology::faults::ScheduleError;
         match e {
             ScheduleError::ResourceOutOfRange { resource, capacity } => {
@@ -139,6 +138,27 @@ impl SessionError {
             }
         }
     }
+}
+
+/// The screen every driver (sync, threaded, sim, net) runs before it
+/// builds anything, so all of them refuse a mis-built session with the
+/// same variant: at least one database, one per topology node, and every
+/// fault-plan entry naming a resource or edge of the grid with an onset
+/// before `horizon`, the run's length in rounds (or simulated steps).
+pub fn validate_grid(
+    databases: usize,
+    nodes: usize,
+    plan: &FaultPlan,
+    horizon: u64,
+) -> Result<(), SessionError> {
+    if databases == 0 {
+        return Err(SessionError::NoDatabases);
+    }
+    if databases != nodes {
+        return Err(SessionError::TopologyMismatch { databases, nodes });
+    }
+    plan.validate_within(nodes, horizon)
+        .map_err(|e| SessionError::from_schedule(e, horizon as usize))
 }
 
 /// Default Paillier modulus size (bits) when a session selects the real
@@ -277,26 +297,16 @@ impl<C: HomCipher + 'static> MineSession<C> {
         self
     }
 
-    /// Build-time sanity screen: topology/database agreement plus every
-    /// fault-plan entry in range. Run by the `try_run*` entry points
-    /// before any thread is spawned or key material is touched.
+    /// Build-time sanity screen: [`validate_grid`], and no fault plan on
+    /// the synchronous driver. Run by the `try_run*` entry points before
+    /// any thread is spawned or key material is touched.
     fn validate(&self, threaded: bool) -> Result<(), SessionError> {
-        if self.dbs.is_empty() {
-            return Err(SessionError::NoDatabases);
-        }
-        let capacity = self.tree.as_ref().map_or(self.dbs.len(), Tree::capacity);
-        if self.dbs.len() != capacity {
-            return Err(SessionError::TopologyMismatch {
-                databases: self.dbs.len(),
-                nodes: capacity,
-            });
-        }
+        let nodes = self.tree.as_ref().map_or(self.dbs.len(), Tree::capacity);
+        validate_grid(self.dbs.len(), nodes, &self.plan, self.cfg.rounds as u64)?;
         if !threaded && !self.plan.is_quiet() {
             return Err(SessionError::FaultsRequireThreadedDriver);
         }
-        self.plan
-            .validate_within(capacity, self.cfg.rounds as u64)
-            .map_err(|e| SessionError::from_schedule(e, self.cfg.rounds))
+        Ok(())
     }
 
     /// Builds the wired resource grid.

@@ -71,7 +71,7 @@ proptest! {
     #[test]
     fn an_audit_image_round_trips_through_its_store_entry(img in image()) {
         let (key, value) = img.to_entry();
-        prop_assert_eq!(key, gridmine_recovery::rule_key(&img.rule));
+        prop_assert_eq!(key, img.rule.key());
         prop_assert_eq!(AuditImage::from_entry(&key, &value), Some(img));
     }
 

@@ -66,8 +66,8 @@ fn tok_is(t: Option<&Tok>, text: &str) -> bool {
 // ── privacy-taint ─────────────────────────────────────────────────────
 
 /// Key-blind modules must not name decryption or plaintext-bearing
-/// items; secret types must not derive/impl `Debug`/`Display`; secret
-/// material must not flow into `obs` events.
+/// items; secret types must not derive/impl `Debug`/`Display`/
+/// `Serialize`; secret material must not flow into `obs` events.
 fn privacy_taint(ws: &Workspace, cfg: &Config, out: &mut Vec<Diagnostic>) {
     for file in &ws.files {
         let toks = &file.lexed.toks;
@@ -128,7 +128,8 @@ fn privacy_taint(ws: &Workspace, cfg: &Config, out: &mut Vec<Diagnostic>) {
 
 /// Flags `#[derive(Debug, …)]` on the named types and
 /// `impl Debug/Display for <Type>` anywhere in the workspace (tests
-/// included: a test-only leak impl is still a leak vector). Shared by
+/// included: a test-only leak impl is still a leak vector). `Serialize`
+/// counts the same — JSON prints what a withheld `Debug` protects. Shared by
 /// privacy-taint (configured secret types) and taint-flow (types the
 /// engine derives as secret-bearing).
 pub(crate) fn format_impl_screen(
@@ -154,7 +155,7 @@ pub(crate) fn format_impl_screen(
                 match toks[j].text.as_str() {
                     "[" => depth += 1,
                     "]" => depth -= 1,
-                    "Debug" | "Display" => has_leaky = true,
+                    "Debug" | "Display" | "Serialize" => has_leaky = true,
                     _ => {}
                 }
                 j += 1;
@@ -189,8 +190,8 @@ pub(crate) fn format_impl_screen(
                                 &file.rel,
                                 name.line,
                                 format!(
-                                    "{desc} `{}` derives Debug/Display; key material \
-                                     must not be formattable",
+                                    "{desc} `{}` derives Debug/Display/Serialize; key \
+                                     material must not be formattable",
                                     name.text
                                 ),
                             ));
@@ -201,13 +202,13 @@ pub(crate) fn format_impl_screen(
             i = j;
             continue;
         }
-        // `impl … Debug|Display for <path::To::Name>`
+        // `impl … Debug|Display|Serialize for <path::To::Name>`
         if toks[i].text == "impl" {
             let mut j = i + 1;
             let mut saw_leaky = false;
             while j < toks.len() && !tok_is(toks.get(j), "{") && !tok_is(toks.get(j), ";") {
                 let text = toks[j].text.as_str();
-                if text == "Debug" || text == "Display" {
+                if matches!(text, "Debug" | "Display" | "Serialize") {
                     saw_leaky = true;
                 }
                 if saw_leaky && text == "for" {
@@ -227,8 +228,8 @@ pub(crate) fn format_impl_screen(
                                 &file.rel,
                                 name.line,
                                 format!(
-                                    "{desc} `{}` implements Debug/Display; key material \
-                                     must not be formattable",
+                                    "{desc} `{}` implements Debug/Display/Serialize; key \
+                                     material must not be formattable",
                                     name.text
                                 ),
                             ));

@@ -97,6 +97,20 @@ const DIRTY_EXPECTED: &[(&str, &str, u32, &str)] = &[
         2,
         "secret type `PrivateKey` derives Debug/Display",
     ),
+    // Serialize leaks what a withheld Debug protects: JSON prints the
+    // coefficients of a tag key as readily as `{:?}` would.
+    (
+        "privacy-taint",
+        "crates/paillier/src/keys.rs",
+        7,
+        "secret type `TagKey` derives Debug/Display/Serialize",
+    ),
+    (
+        "privacy-taint",
+        "crates/paillier/src/keys.rs",
+        11,
+        "secret type `PrivateKey` implements Debug/Display/Serialize",
+    ),
     // The net crate's wire modules are key-blind by the same contract
     // as the broker: a decode path naming a decryptor is a taint leak.
     (
@@ -184,7 +198,7 @@ fn dirty_fixture_reports_every_expected_diagnostic_and_exits_one() {
         assert!(hit, "missing diagnostic {header}…{fragment}\n{stdout}");
     }
     assert!(
-        stdout.contains("10 files scanned, 21 live finding(s), 0 suppressed"),
+        stdout.contains("10 files scanned, 23 live finding(s), 0 suppressed"),
         "no unexpected extras allowed:\n{stdout}"
     );
 }
@@ -198,7 +212,7 @@ fn dirty_fixture_json_counts_match_the_table() {
         DIRTY_EXPECTED.len() + 1,
         "one object per finding: {stdout}"
     );
-    assert!(stdout.contains("{\"summary\":true,\"files\":10,\"live\":21,\"suppressed\":0}"));
+    assert!(stdout.contains("{\"summary\":true,\"files\":10,\"live\":23,\"suppressed\":0}"));
     assert!(stdout.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
 }
 

@@ -1,6 +1,6 @@
-//! The versioned binary codec: every message class of the deployment —
-//! counters, SFE traffic, blame verdicts, supervision chatter — as a
-//! typed [`Frame`] with a total decoder.
+//! The versioned binary codec: every message of the deployment —
+//! counters, shares, supervision chatter, reports — as a typed [`Frame`]
+//! with a total decoder that accepts one byte form per frame.
 //!
 //! Design rules:
 //!
@@ -11,30 +11,32 @@
 //!   (`Broker::counter_is_wellformed` at the resource's door).
 //! * **Total.** [`decode`] maps *any* byte string to `Ok(Frame)` or a
 //!   typed [`WireError`]. Constructors that panic on bad invariants
-//!   ([`Rule::new`], [`Ratio::new`]) are pre-validated here, so hostile
-//!   bytes surface as `Malformed`, never as an unwind. A decode failure
-//!   at a peering door is accounted as `Verdict::MaliciousResource` by
-//!   the hub — exactly like a bad authentication tag.
+//!   ([`Rule::new`], [`Ratio::new`]) are pre-validated by the decoders
+//!   that call them, so hostile bytes surface as `Malformed`, never as an
+//!   unwind. A decode failure at a peering door is accounted as
+//!   `Verdict::MaliciousResource` by the hub — exactly like a bad
+//!   authentication tag.
+//! * **Canonical.** Every value has one byte form and the decoder takes
+//!   no other: a rule is the form the store keys it by ([`Rule::encode`],
+//!   [`CandidateRule::encode`]), tallies are [`Tallies::to_bytes`], a
+//!   layout's neighbors are strictly ascending, a boolean is 0 or 1, a
+//!   report names a culprit only with a verdict, a ciphertext has no
+//!   redundant leading byte. So `decode(b) == Ok(f)` implies
+//!   `encode(f) == b`: a frame the hub relays as its sender wrote it
+//!   reaches the addressee as the bytes this codec would have written.
 //! * **Pinned.** The byte layout is fixed by fixture tests
 //!   (`tests/wire_fixtures.rs`); any accidental layout change breaks a
 //!   byte-for-byte comparison, not just a round-trip.
+//!
+//! [`Ratio::new`]: gridmine_arm::Ratio::new
 
-use gridmine_arm::{CandidateRule, Item, ItemSet, Ratio, Rule};
+use gridmine_arm::{CandidateRule, Rule, RuleFormError};
 pub use gridmine_core::Tallies;
 use gridmine_core::{BrokerMsg, CounterLayout, DegradeReason, SecureCounter, Verdict};
 use gridmine_paillier::{CounterMsg, HomCipher};
 
 use crate::error::WireError;
 use crate::frame;
-
-/// Peering role announced in a [`Frame::Hello`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Role {
-    /// A resource process (accountant + broker + controller).
-    Node,
-    /// A passive observer (trace collection only; never routed to).
-    Monitor,
-}
 
 /// Protocol phase tag used by the hub's round structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,14 +69,10 @@ pub struct NodeReport {
 /// wire contract — append only, never renumber.
 #[derive(Clone, Debug)]
 pub enum Frame<C: HomCipher> {
-    /// Peering handshake, client side: protocol version + role +
-    /// session id + resource id, plus whether this is a post-restart
-    /// resume and how many dial attempts it took.
+    /// Peering handshake, client side: session id + resource id, plus
+    /// whether this is a post-restart resume and how many dial attempts
+    /// it took. The wire version rides in every frame's header.
     Hello {
-        /// Wire protocol version the dialer speaks.
-        version: u16,
-        /// Announced role.
-        role: Role,
         /// Session id the dialer believes it belongs to.
         session: u64,
         /// Resource id.
@@ -141,32 +139,6 @@ pub enum Frame<C: HomCipher> {
         /// The rejoined neighbor.
         to: u32,
     },
-    /// A blinded SFE sign query (codec completeness; the SFE runs
-    /// co-resident inside a resource, but a split deployment mails it).
-    SfeQuery {
-        /// Querying resource.
-        resource: u32,
-        /// Voting instance.
-        rule: CandidateRule,
-        /// The multiplicatively blinded delta.
-        blinded: C::Ct,
-    },
-    /// The SFE answer bit.
-    SfeAnswer {
-        /// Answering resource.
-        resource: u32,
-        /// Voting instance.
-        rule: CandidateRule,
-        /// The sign bit.
-        answer: bool,
-    },
-    /// A blame broadcast (Algorithm 3's halt-and-announce).
-    VerdictNotice {
-        /// Resource announcing the verdict.
-        at: u32,
-        /// The verdict.
-        verdict: Verdict,
-    },
     /// One structured observability event, as its canonical JSON line
     /// (nodes forward their recorders to the hub through these).
     Obs {
@@ -179,9 +151,10 @@ pub enum Frame<C: HomCipher> {
     Report(NodeReport),
 }
 
-// Kind tags (wire contract). 15 and 16 carried recovery images nobody
-// sent or handled; they are retired, not reused, and decode as
-// `WireError::UnknownKind` like any other stray tag.
+// Kind tags (wire contract). Retired, never reused, and decoded as
+// `WireError::UnknownKind` like any other stray tag: 11–13 (an SFE query
+// and answer and a verdict broadcast, for a split deployment no process
+// ever ran) and 15–16 (recovery images nobody sent or handled).
 const K_HELLO: u8 = 1;
 const K_HELLO_ACK: u8 = 2;
 const K_HEARTBEAT: u8 = 3;
@@ -192,9 +165,6 @@ const K_COUNTER: u8 = 7;
 const K_PROCESSED: u8 = 8;
 const K_SHARE: u8 = 9;
 const K_SHARE_RESEND: u8 = 10;
-const K_SFE_QUERY: u8 = 11;
-const K_SFE_ANSWER: u8 = 12;
-const K_VERDICT: u8 = 13;
 const K_OBS: u8 = 14;
 const K_FINISH: u8 = 17;
 const K_REPORT: u8 = 18;
@@ -208,9 +178,6 @@ impl Writer<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -223,21 +190,6 @@ impl Writer<'_> {
     }
     fn ct<C: HomCipher>(&mut self, c: &C::Ct) {
         self.bytes(&C::ct_encode(c));
-    }
-    fn items(&mut self, set: &ItemSet) {
-        self.u32(set.items().len() as u32);
-        for Item(i) in set.items() {
-            self.u32(*i);
-        }
-    }
-    fn rule(&mut self, r: &Rule) {
-        self.items(&r.antecedent);
-        self.items(&r.consequent);
-    }
-    fn cand(&mut self, c: &CandidateRule) {
-        self.rule(&c.rule);
-        self.u32(c.lambda.num());
-        self.u32(c.lambda.den());
     }
     fn counter<C: HomCipher>(&mut self, c: &SecureCounter<C>) {
         self.u32(c.layout.owner as u32);
@@ -273,11 +225,6 @@ impl<'a> Reader<'a> {
 
     fn u8(&mut self) -> Result<u8, WireError> {
         self.take(1)?.first().copied().ok_or(WireError::Truncated)
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes(b.try_into().map_err(|_| WireError::Truncated)?))
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
@@ -325,38 +272,15 @@ impl<'a> Reader<'a> {
         C::ct_decode(self.bytes()?).ok_or(WireError::Malformed("undecodable ciphertext bytes"))
     }
 
-    fn items(&mut self) -> Result<ItemSet, WireError> {
-        // Each item costs 4 payload bytes.
-        let n = self.seq_len(4)?;
-        let mut items = Vec::with_capacity(n);
-        for _ in 0..n {
-            items.push(Item(self.u32()?));
-        }
-        Ok(ItemSet::from_items(items))
-    }
-
-    /// A rule, pre-validated so [`Rule::new`]'s panicking invariants
-    /// (non-empty consequent, disjoint sides) hold by construction.
-    fn rule(&mut self) -> Result<Rule, WireError> {
-        let antecedent = self.items()?;
-        let consequent = self.items()?;
-        if consequent.items().is_empty() {
-            return Err(WireError::Malformed("rule with empty consequent"));
-        }
-        if antecedent.items().iter().any(|i| consequent.items().contains(i)) {
-            return Err(WireError::Malformed("rule sides overlap"));
-        }
-        Ok(Rule::new(antecedent, consequent))
-    }
-
-    fn cand(&mut self) -> Result<CandidateRule, WireError> {
-        let rule = self.rule()?;
-        let num = self.u32()?;
-        let den = self.u32()?;
-        if den == 0 {
-            return Err(WireError::Malformed("zero ratio denominator"));
-        }
-        Ok(CandidateRule::new(rule, Ratio::new(num, den)))
+    /// A value in its canonical form, read off the front of the payload
+    /// by `decode` ([`Rule::decode`], [`CandidateRule::decode`]).
+    fn canonical<T>(
+        &mut self,
+        decode: impl FnOnce(&'a [u8]) -> Result<(T, &'a [u8]), RuleFormError>,
+    ) -> Result<T, WireError> {
+        let (value, rest) = decode(self.buf)?;
+        self.buf = rest;
+        Ok(value)
     }
 
     fn counter<C: HomCipher>(&mut self) -> Result<SecureCounter<C>, WireError> {
@@ -365,7 +289,11 @@ impl<'a> Reader<'a> {
         let n = self.seq_len(4)?;
         let mut neighbors = Vec::with_capacity(n);
         for _ in 0..n {
-            neighbors.push(self.u32()? as usize);
+            let v = self.u32()? as usize;
+            if neighbors.last().is_some_and(|&last| last >= v) {
+                return Err(WireError::Malformed("layout neighbors out of order or repeated"));
+            }
+            neighbors.push(v);
         }
         let layout = CounterLayout::new(owner, neighbors);
         // Each field costs at least its 4-byte length prefix.
@@ -387,21 +315,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn role_tag(role: Role) -> u8 {
-    match role {
-        Role::Node => 0,
-        Role::Monitor => 1,
-    }
-}
-
-fn role_of(tag: u8) -> Result<Role, WireError> {
-    match tag {
-        0 => Ok(Role::Node),
-        1 => Ok(Role::Monitor),
-        _ => Err(WireError::Malformed("unknown peering role")),
-    }
-}
-
 fn phase_tag(phase: Phase) -> u8 {
     match phase {
         Phase::Wiring => 0,
@@ -419,15 +332,17 @@ fn phase_of(tag: u8) -> Result<Phase, WireError> {
     }
 }
 
-fn verdict_tag(v: Verdict) -> (u8, u32) {
+fn verdict_tag(v: Option<Verdict>) -> (u8, u32) {
     match v {
-        Verdict::MaliciousBroker(u) => (1, u as u32),
-        Verdict::MaliciousResource(u) => (2, u as u32),
+        None => (0, 0),
+        Some(Verdict::MaliciousBroker(u)) => (1, u as u32),
+        Some(Verdict::MaliciousResource(u)) => (2, u as u32),
     }
 }
 
 fn verdict_of(tag: u8, culprit: u32) -> Result<Option<Verdict>, WireError> {
     match tag {
+        0 if culprit != 0 => Err(WireError::Malformed("a culprit without a verdict")),
         0 => Ok(None),
         1 => Ok(Some(Verdict::MaliciousBroker(culprit as usize))),
         2 => Ok(Some(Verdict::MaliciousResource(culprit as usize))),
@@ -476,9 +391,7 @@ pub fn encode_into<C: HomCipher>(out: &mut Vec<u8>, f: &Frame<C>) {
     let start = frame::begin(out);
     let mut w = Writer { buf: out };
     let kind = match f {
-        Frame::Hello { version, role, session, resource, resumed, attempts } => {
-            w.u16(*version);
-            w.u8(role_tag(*role));
+        Frame::Hello { session, resource, resumed, attempts } => {
             w.u64(*session);
             w.u32(*resource);
             w.u8(u8::from(*resumed));
@@ -512,7 +425,7 @@ pub fn encode_into<C: HomCipher>(out: &mut Vec<u8>, f: &Frame<C>) {
         Frame::Counter(msg) => {
             w.u32(msg.from as u32);
             w.u32(msg.to as u32);
-            w.cand(&msg.cand);
+            msg.cand.encode(w.buf);
             w.counter::<C>(&msg.counter);
             K_COUNTER
         }
@@ -530,25 +443,6 @@ pub fn encode_into<C: HomCipher>(out: &mut Vec<u8>, f: &Frame<C>) {
             w.u32(*to);
             K_SHARE_RESEND
         }
-        Frame::SfeQuery { resource, rule, blinded } => {
-            w.u32(*resource);
-            w.cand(rule);
-            w.ct::<C>(blinded);
-            K_SFE_QUERY
-        }
-        Frame::SfeAnswer { resource, rule, answer } => {
-            w.u32(*resource);
-            w.cand(rule);
-            w.u8(u8::from(*answer));
-            K_SFE_ANSWER
-        }
-        Frame::VerdictNotice { at, verdict } => {
-            let (tag, culprit) = verdict_tag(*verdict);
-            w.u32(*at);
-            w.u8(tag);
-            w.u32(culprit);
-            K_VERDICT
-        }
         Frame::Obs { line } => {
             w.bytes(line.as_bytes());
             K_OBS
@@ -558,19 +452,13 @@ pub fn encode_into<C: HomCipher>(out: &mut Vec<u8>, f: &Frame<C>) {
             w.u32(r.resource);
             w.u32(r.solutions.len() as u32);
             for rule in &r.solutions {
-                w.rule(rule);
+                rule.encode(w.buf);
             }
-            let (vt, culprit) = r.verdict.map_or((0, 0), verdict_tag);
+            let (vt, culprit) = verdict_tag(r.verdict);
             w.u8(vt);
             w.u32(culprit);
             w.u8(degrade_tag(r.degraded));
-            w.u64(r.tallies.msgs_sent);
-            w.u64(r.tallies.retries);
-            w.u64(r.tallies.resends);
-            w.u64(r.tallies.checkpoints);
-            w.u64(r.tallies.replays);
-            w.u64(r.tallies.rejected);
-            w.u8(u8::from(r.tallies.exhausted));
+            w.buf.extend_from_slice(&r.tallies.to_bytes());
             K_REPORT
         }
     };
@@ -578,14 +466,13 @@ pub fn encode_into<C: HomCipher>(out: &mut Vec<u8>, f: &Frame<C>) {
 }
 
 /// Decodes a full frame byte string. Total: hostile input yields a
-/// typed [`WireError`], never a panic.
+/// typed [`WireError`], never a panic; and canonical: what decodes
+/// re-encodes to the same bytes.
 pub fn decode<C: HomCipher>(bytes: &[u8]) -> Result<Frame<C>, WireError> {
     let (kind, payload) = frame::open(bytes)?;
     let mut r = Reader::new(payload);
     let frame = match kind {
         K_HELLO => Frame::Hello {
-            version: r.u16()?,
-            role: role_of(r.u8()?)?,
             session: r.u64()?,
             resource: r.u32()?,
             resumed: r.bool()?,
@@ -601,7 +488,7 @@ pub fn decode<C: HomCipher>(bytes: &[u8]) -> Result<Frame<C>, WireError> {
         K_COUNTER => {
             let from = r.u32()? as usize;
             let to = r.u32()? as usize;
-            let cand = r.cand()?;
+            let cand = r.canonical(CandidateRule::decode)?;
             let counter = r.counter::<C>()?;
             Frame::Counter(BrokerMsg { from, to, cand, counter })
         }
@@ -611,18 +498,6 @@ pub fn decode<C: HomCipher>(bytes: &[u8]) -> Result<Frame<C>, WireError> {
         },
         K_SHARE => Frame::Share { from: r.u32()?, to: r.u32()?, ct: r.ct::<C>()? },
         K_SHARE_RESEND => Frame::ShareResend { to: r.u32()? },
-        K_SFE_QUERY => {
-            Frame::SfeQuery { resource: r.u32()?, rule: r.cand()?, blinded: r.ct::<C>()? }
-        }
-        K_SFE_ANSWER => Frame::SfeAnswer { resource: r.u32()?, rule: r.cand()?, answer: r.bool()? },
-        K_VERDICT => {
-            let at = r.u32()?;
-            let tag = r.u8()?;
-            let culprit = r.u32()?;
-            let verdict = verdict_of(tag, culprit)?
-                .ok_or(WireError::Malformed("verdict notice without verdict"))?;
-            Frame::VerdictNotice { at, verdict }
-        }
         K_OBS => Frame::Obs {
             line: String::from_utf8(r.bytes()?.to_vec())
                 .map_err(|_| WireError::Malformed("non-UTF-8 obs line"))?,
@@ -630,29 +505,19 @@ pub fn decode<C: HomCipher>(bytes: &[u8]) -> Result<Frame<C>, WireError> {
         K_FINISH => Frame::Finish,
         K_REPORT => {
             let resource = r.u32()?;
-            // Each rule costs at least its two item-set count prefixes.
-            // Screened against the reader's *remaining* bytes — the old
-            // check divided the whole payload length, which includes
-            // bytes already consumed, so a fat frame could smuggle a
-            // count past it into `Vec::with_capacity`.
+            // Each rule costs at least its two item-set count words,
+            // screened against the reader's *remaining* bytes.
             let n = r.seq_len(8)?;
             let mut solutions = Vec::with_capacity(n);
             for _ in 0..n {
-                solutions.push(r.rule()?);
+                solutions.push(r.canonical(Rule::decode)?);
             }
             let vt = r.u8()?;
             let culprit = r.u32()?;
             let verdict = verdict_of(vt, culprit)?;
             let degraded = degrade_of(r.u8()?)?;
-            let tallies = Tallies {
-                msgs_sent: r.u64()?,
-                retries: r.u64()?,
-                resends: r.u64()?,
-                checkpoints: r.u64()?,
-                replays: r.u64()?,
-                rejected: r.u64()?,
-                exhausted: r.bool()?,
-            };
+            let tallies = Tallies::from_bytes(r.take(Tallies::BYTES)?)
+                .ok_or(WireError::Malformed("tallies flag out of range"))?;
             Frame::Report(NodeReport { resource, solutions, verdict, degraded, tallies })
         }
         other => return Err(WireError::UnknownKind(other)),
@@ -664,6 +529,7 @@ pub fn decode<C: HomCipher>(bytes: &[u8]) -> Result<Frame<C>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridmine_arm::{ItemSet, Ratio};
     use gridmine_core::GridKeys;
     use gridmine_paillier::MockCipher;
 
@@ -693,14 +559,7 @@ mod tests {
 
     #[test]
     fn every_kind_round_trips() {
-        round_trip(Frame::Hello {
-            version: frame::WIRE_VERSION,
-            role: Role::Node,
-            session: 0xABCD,
-            resource: 3,
-            resumed: true,
-            attempts: 4,
-        });
+        round_trip(Frame::Hello { session: 0xABCD, resource: 3, resumed: true, attempts: 4 });
         round_trip(Frame::HelloAck { session: 0xABCD, resource: 3 });
         round_trip(Frame::Heartbeat { nonce: 42 });
         round_trip(Frame::HeartbeatAck { nonce: 42 });
@@ -714,13 +573,6 @@ mod tests {
             ct: GridKeys::<MockCipher>::mock(1).enc.encrypt_i64(11),
         });
         round_trip(Frame::ShareResend { to: 4 });
-        round_trip(Frame::SfeQuery {
-            resource: 1,
-            rule: cand(),
-            blinded: GridKeys::<MockCipher>::mock(2).enc.encrypt_i64(-3),
-        });
-        round_trip(Frame::SfeAnswer { resource: 1, rule: cand(), answer: true });
-        round_trip(Frame::VerdictNotice { at: 2, verdict: Verdict::MaliciousBroker(1) });
         round_trip(Frame::Obs { line: "{\"event\":\"RoundAdvanced\",\"tick\":3}".into() });
         round_trip(Frame::Finish);
         round_trip(Frame::Report(NodeReport {
@@ -758,11 +610,83 @@ mod tests {
         let (kind, payload) = frame::open(&good).expect("fixture");
         let mut p = payload.to_vec();
         // payload: resource(4) count(4) antecedent-count(4)=0 consequent-count(4)=1 item(4)...
-        p[12..16].copy_from_slice(&0u32.to_le_bytes());
+        p[12..16].copy_from_slice(&0u32.to_be_bytes());
         let resealed = frame::seal(kind, &p);
         match decode::<MockCipher>(&resealed) {
             Err(WireError::Malformed(_)) | Err(WireError::Truncated) => {}
             other => panic!("empty consequent must be refused, got {other:?}"),
+        }
+    }
+
+    /// `f`'s bytes with `edit` applied to its payload, resealed.
+    fn edited(f: Frame<MockCipher>, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let bytes = encode(&f);
+        let (kind, payload) = frame::open(&bytes).expect("own frame");
+        let mut p = payload.to_vec();
+        edit(&mut p);
+        frame::seal(kind, &p)
+    }
+
+    #[test]
+    fn a_second_spelling_of_a_frame_is_refused() {
+        let counter_frame =
+            || Frame::Counter(BrokerMsg { from: 0, to: 1, cand: cand(), counter: counter() });
+        let word = |p: &mut Vec<u8>, at: usize, w: [u8; 4]| p[at..at + 4].copy_from_slice(&w);
+        // Counter payload: from, to, then the candidate's words (|X| = 1,
+        // 1, |Y| = 2, 2, 3, λₙ, λ_d) at 8..36, then owner and the
+        // neighbor count, and the neighbors 1, 2 at 44..52.
+        let cases: [(&str, Vec<u8>, &str); 6] = [
+            (
+                "consequent items swapped",
+                edited(counter_frame(), |p| p[20..28].rotate_left(4)),
+                "items out of order or repeated",
+            ),
+            (
+                "a consequent item repeated",
+                edited(counter_frame(), |p| word(p, 24, 2u32.to_be_bytes())),
+                "items out of order or repeated",
+            ),
+            (
+                "λ = 2/4",
+                edited(counter_frame(), |p| {
+                    word(p, 28, 2u32.to_be_bytes());
+                    word(p, 32, 4u32.to_be_bytes());
+                }),
+                "unreduced threshold",
+            ),
+            (
+                "layout neighbors swapped",
+                edited(counter_frame(), |p| p[44..52].rotate_left(4)),
+                "layout neighbors out of order or repeated",
+            ),
+            (
+                "a layout neighbor repeated",
+                edited(counter_frame(), |p| word(p, 48, 1u32.to_le_bytes())),
+                "layout neighbors out of order or repeated",
+            ),
+            (
+                "a culprit without a verdict",
+                // Report payload: resource, no solutions, the verdict tag
+                // at 8 and the culprit at 9..13.
+                edited(
+                    Frame::Report(NodeReport {
+                        resource: 1,
+                        solutions: Vec::new(),
+                        verdict: None,
+                        degraded: None,
+                        tallies: Tallies::default(),
+                    }),
+                    |p| word(p, 9, 5u32.to_le_bytes()),
+                ),
+                "a culprit without a verdict",
+            ),
+        ];
+        for (what, bytes, why) in cases {
+            assert_eq!(
+                decode::<MockCipher>(&bytes).unwrap_err(),
+                WireError::Malformed(why),
+                "{what}"
+            );
         }
     }
 

@@ -10,6 +10,9 @@
 
 use std::fmt;
 
+use gridmine_arm::RuleFormError;
+use gridmine_core::SessionError;
+
 /// Why a received byte string is not a protocol frame.
 ///
 /// Every variant is reachable from attacker-controlled input, so decode
@@ -31,8 +34,9 @@ pub enum WireError {
     /// must not be able to make a receiver allocate gigabytes).
     TooLarge(u32),
     /// The payload decoded structurally but violates a protocol
-    /// invariant (empty consequent, zero denominator, non-UTF-8 text,
-    /// undecodable ciphertext bytes, trailing garbage, …).
+    /// invariant or is not its value's one byte form (empty consequent,
+    /// unsorted items, unreduced threshold, non-UTF-8 text, undecodable
+    /// ciphertext bytes, trailing garbage, …).
     Malformed(&'static str),
 }
 
@@ -52,6 +56,15 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<RuleFormError> for WireError {
+    fn from(e: RuleFormError) -> Self {
+        match e {
+            RuleFormError::Truncated => WireError::Truncated,
+            RuleFormError::NotCanonical(why) => WireError::Malformed(why),
+        }
+    }
+}
+
 /// An operational transport failure (as opposed to hostile bytes).
 #[derive(Debug)]
 pub enum NetError {
@@ -66,9 +79,13 @@ pub enum NetError {
     Handshake(&'static str),
     /// The reconnect/dial retry budget ran dry.
     RetriesExhausted,
-    /// The session was mis-built (delegates to the core session screen
-    /// where possible).
-    Session(String),
+    /// The session was mis-built: refused by the screen every driver
+    /// runs ([`gridmine_core::validate_grid`]), with the same variant.
+    Session(SessionError),
+    /// The session cannot run as processes: no node binary, a crash
+    /// without a wiping recovery mode, a hostile resource outside the
+    /// grid, or a node spec that does not encode.
+    Setup(String),
 }
 
 impl fmt::Display for NetError {
@@ -79,7 +96,8 @@ impl fmt::Display for NetError {
             NetError::Wire(e) => write!(f, "wire error: {e}"),
             NetError::Handshake(why) => write!(f, "handshake failed: {why}"),
             NetError::RetriesExhausted => write!(f, "dial retry budget exhausted"),
-            NetError::Session(why) => write!(f, "session rejected: {why}"),
+            NetError::Session(e) => write!(f, "session rejected: {e}"),
+            NetError::Setup(why) => write!(f, "session rejected: {why}"),
         }
     }
 }
@@ -95,5 +113,11 @@ impl From<std::io::Error> for NetError {
 impl From<WireError> for NetError {
     fn from(e: WireError) -> Self {
         NetError::Wire(e)
+    }
+}
+
+impl From<SessionError> for NetError {
+    fn from(e: SessionError) -> Self {
+        NetError::Session(e)
     }
 }

@@ -14,6 +14,10 @@
 //! 12+len  8     checksum over header + payload, little-endian
 //! ```
 //!
+//! Every header is screened before its payload is read: a frame of any
+//! version but [`WIRE_VERSION`] is refused whatever its kind, so the
+//! handshake carries no version of its own.
+//!
 //! The checksum is a SplitMix64-chained digest — not cryptographic (the
 //! authenticated-counter tags inside the payload carry the integrity
 //! argument of §5.2); it exists so a half-open socket, a short read or a
@@ -32,8 +36,10 @@ use crate::error::{NetError, WireError};
 pub const MAGIC: [u8; 4] = *b"GMW\x01";
 
 /// Wire protocol version spoken by this build. Bumped on any layout
-/// change; peers with a different version are refused at the handshake.
-pub const WIRE_VERSION: u16 = 2;
+/// change. Every frame's header carries it and [`parse_header`] refuses
+/// any other, so a peer speaking another layout is refused at its first
+/// frame, whatever the kind.
+pub const WIRE_VERSION: u16 = 3;
 
 /// Header size in bytes (magic + version + kind + flags + length).
 pub const HEADER_LEN: usize = 12;

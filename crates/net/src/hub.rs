@@ -18,9 +18,11 @@
 //! over when the check-ins are complete and the pending count is zero.
 //!
 //! The relay is verbatim: a reader thread decodes every frame in full —
-//! the codec door — and hands the loop one batch per read, a counter or
-//! share as its ids and its sender's bytes, which the loop forwards
-//! unchanged once the sender id checks out.
+//! the codec door, which takes only a frame's one canonical byte form —
+//! and hands the loop one batch per read, a counter or share as its ids
+//! and its sender's bytes, which the loop forwards unchanged once the
+//! sender id checks out. What an addressee reads is therefore exactly
+//! what the hub would have encoded.
 //!
 //! Every hub↔node stream is coalesced ([`FrameWriter`] out, a buffered
 //! reader in): `send_to` and `forward` only queue, and the hub **flushes
@@ -56,8 +58,8 @@ use crossbeam_channel::{unbounded, RecvTimeoutError, Sender};
 use gridmine_arm::Database;
 use gridmine_core::session::arm_recorder;
 use gridmine_core::{
-    assemble, ChaosProxy, DegradeReason, MineConfig, MiningOutcome, RecoveryMode, ResourceReport,
-    RoundSchedule, Seat, SessionCipher, Tallies, Verdict,
+    assemble, validate_grid, ChaosProxy, DegradeReason, MineConfig, MiningOutcome, RecoveryMode,
+    ResourceReport, RoundSchedule, Seat, SessionCipher, Tallies, Verdict,
 };
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::{MockCipher, PaillierCtx};
@@ -319,36 +321,26 @@ impl<C: NetCipher> NetSession<C> {
         Ok(outcome)
     }
 
-    /// `MineSession`'s validation plus the net-specific conditions: a
-    /// node binary is mandatory and crash faults need a wiping recovery
-    /// mode (process state cannot outlive a process that keeps it only
-    /// in memory).
+    /// The screen every driver runs ([`validate_grid`]) plus the
+    /// net-specific conditions: a node binary is mandatory and crash
+    /// faults need a wiping recovery mode (process state cannot outlive a
+    /// process that keeps it only in memory).
     fn validate(&self, plan: &FaultPlan) -> Result<(), NetError> {
-        if self.dbs.is_empty() {
-            return Err(NetError::Session("a session needs at least one database".into()));
-        }
         let capacity = self.tree.as_ref().map_or(self.dbs.len(), Tree::capacity);
-        if capacity != self.dbs.len() {
-            return Err(NetError::Session(format!(
-                "topology capacity {capacity} does not match {} database partitions",
-                self.dbs.len()
-            )));
-        }
+        validate_grid(self.dbs.len(), capacity, plan, self.cfg.rounds as u64)?;
         if self.binary.is_none() {
-            return Err(NetError::Session(
+            return Err(NetError::Setup(
                 "no gridmine-node binary configured (NetSession::with_node_binary)".into(),
             ));
         }
-        plan.validate_within(capacity, self.cfg.rounds as u64)
-            .map_err(|e| NetError::Session(format!("{e} (capacity {capacity})")))?;
         let crashes = plan.resource_faults().any(|(_, f)| matches!(f, ResourceFault::Crash { .. }));
         if crashes && !self.mode.wipes() {
-            return Err(NetError::Session(
+            return Err(NetError::Setup(
                 "process crashes require a wiping recovery mode (cold or checkpoint)".into(),
             ));
         }
         if let Some(&u) = self.hostile.iter().find(|&&u| u >= capacity) {
-            return Err(NetError::Session(format!(
+            return Err(NetError::Setup(format!(
                 "hostile resource {u} outside capacity {capacity}"
             )));
         }
@@ -582,7 +574,7 @@ impl<C: NetCipher> HubRun<C> {
             }
         };
         let json = serde_json::to_string(&spec)
-            .map_err(|e| NetError::Session(format!("spec encode: {e}")))?;
+            .map_err(|e| NetError::Setup(format!("spec encode: {e}")))?;
         // Atomic spec drop: the child must never parse a torn file if the
         // hub crashes (or is killed by chaos) mid-write.
         gridmine_store::atomic_write_file(&path, json.as_bytes())?;
@@ -597,7 +589,7 @@ impl<C: NetCipher> HubRun<C> {
     }
 
     /// Accepts one connection and runs the server handshake; strays
-    /// (wrong version / role / session) are dropped and the accept loop
+    /// (wrong version or session) are dropped and the accept loop
     /// keeps going until the deadline.
     fn accept_one(&mut self, deadline: Instant) -> Result<(HelloInfo, TcpStream), NetError> {
         loop {
@@ -1094,8 +1086,7 @@ mod tests {
         (dialer.join().expect("join"), accepted)
     }
 
-    /// A counter from 0 to 1 as its sender might write it: sound, but
-    /// not as the codec would encode it (consequent items swapped).
+    /// A counter from 0 to 1 as the codec encodes it.
     fn counter_bytes() -> Vec<u8> {
         let keys = GridKeys::<MockCipher>::mock(9);
         let layout = CounterLayout::new(0, vec![1]);
@@ -1111,12 +1102,7 @@ mod tests {
         );
         let rule = Rule::new(ItemSet::of(&[1]), ItemSet::of(&[2, 3]));
         let cand = CandidateRule::new(rule, Ratio::new(1, 2));
-        let canonical = codec::encode(&Frame::Counter(BrokerMsg { from: 0, to: 1, cand, counter }));
-        let (kind, payload) = crate::frame::open(&canonical).expect("own frame");
-        // Payload: from, to, antecedent [1], consequent count 2, [2, 3].
-        let mut p = payload.to_vec();
-        p[20..28].copy_from_slice(&[3, 0, 0, 0, 2, 0, 0, 0]);
-        crate::frame::seal(kind, &p)
+        codec::encode(&Frame::Counter(BrokerMsg { from: 0, to: 1, cand, counter }))
     }
 
     #[test]
@@ -1131,13 +1117,14 @@ mod tests {
 
         let good = counter_bytes();
         assert!(codec::decode::<MockCipher>(&good).is_ok());
-        // The same counter with its tag cut to a 15-byte ciphertext and
-        // resealed: the checksum holds, the body does not decode.
+        // The same counter as a sender could write it without being
+        // canonical — its consequent items [2, 3] swapped — and resealed:
+        // the checksum holds, and it names the same rule, but it is a
+        // second spelling of the frame, which the door refuses.
         let (kind, payload) = crate::frame::open(&good).expect("own frame");
         let mut p = payload.to_vec();
-        let at = p.len() - 20;
-        p[at..at + 4].copy_from_slice(&15u32.to_le_bytes());
-        p.pop();
+        // Payload: from, to, antecedent [1], consequent count 2, [2, 3].
+        p[20..28].rotate_left(4);
         let bad = crate::frame::seal(kind, &p);
         assert!(matches!(codec::decode::<MockCipher>(&bad), Err(WireError::Malformed(_))));
         sender.write_all(&[good.as_slice(), &bad].concat()).expect("write");

@@ -9,11 +9,12 @@
 //!
 //! * [`frame`]/[`codec`] — the versioned binary wire format: length-
 //!   delimited frames with a magic + version header and a per-frame
-//!   checksum, and a total decoder mapping hostile bytes to typed
-//!   [`WireError`]s (accounted as `Verdict::MaliciousResource` at the
-//!   peering door), never a panic.
-//! * [`transport`] — the peering handshake (protocol version + role +
-//!   session id), heartbeat liveness, and capped-backoff dialing reusing
+//!   checksum, and a total decoder that takes one byte form per frame and
+//!   maps everything else to a typed [`WireError`] (accounted as
+//!   `Verdict::MaliciousResource` at the peering door), never a panic.
+//! * [`transport`] — the peering handshake (session id and resource,
+//!   under the version every frame header carries), heartbeat liveness,
+//!   and capped-backoff dialing reusing
 //!   the recovery [`RetryPolicy`](gridmine_core::RetryPolicy).
 //! * the in-path chaos layer is core's
 //!   [`ChaosProxy`](gridmine_core::ChaosProxy): one seeded
@@ -36,7 +37,7 @@ pub mod spec;
 pub mod state;
 pub mod transport;
 
-pub use codec::{Frame, NodeReport, Phase, Role, Tallies};
+pub use codec::{Frame, NodeReport, Phase, Tallies};
 pub use error::{NetError, WireError};
 pub use frame::{MAX_PAYLOAD, WIRE_VERSION};
 pub use hub::{NetCipher, NetSession};

@@ -12,8 +12,9 @@
 //!   how many there are, so a file that lost its audits is told from a
 //!   controller that had audited nothing;
 //! * `tallies` — the protocol tallies of this resource's whole life, so
-//!   a successor's report covers its predecessors: seven big-endian
-//!   words under the tick of the persist that wrote the file.
+//!   a successor's report covers its predecessors: their one byte form
+//!   ([`Tallies::to_bytes`], what a `Report` frame carries too) under the
+//!   tick of the persist that wrote the file.
 //!
 //! A persist copies the live log's store instead of re-reading it,
 //! appends the node's trees to the copy's WAL and publishes the lot with
@@ -63,7 +64,7 @@ impl NodeState {
             return Err(format!("state file holds {} `tallies` entries", store.tree_len(TALLIES)));
         };
         let tick = key.try_into().map(u64::from_be_bytes).map_err(|_| "bad `tallies` key")?;
-        let tallies = tallies_of(value).ok_or("malformed `tallies` value")?;
+        let tallies = Tallies::from_bytes(value).ok_or("malformed `tallies` value")?;
         Ok(NodeState { tick, tallies, audits: audits_of(&store)? })
     }
 }
@@ -85,28 +86,6 @@ fn audits_of(store: &Store<MemBackend>) -> Result<Vec<AuditImage>, String> {
         return Err(format!("{} `audits` entries under a count of {count}", audits.len()));
     }
     Ok(audits)
-}
-
-/// A `tallies` value: seven big-endian words, the flag last.
-fn tallies_value(t: Tallies) -> Vec<u8> {
-    let words = [t.msgs_sent, t.retries, t.resends, t.checkpoints, t.replays, t.rejected];
-    words.into_iter().chain([u64::from(t.exhausted)]).flat_map(u64::to_be_bytes).collect()
-}
-
-/// Total inverse of [`tallies_value`].
-fn tallies_of(value: &[u8]) -> Option<Tallies> {
-    let words = value.chunks_exact(8);
-    if !words.remainder().is_empty() {
-        return None;
-    }
-    let words: Vec<u64> = words.filter_map(|w| w.try_into().ok().map(u64::from_be_bytes)).collect();
-    let &[msgs_sent, retries, resends, checkpoints, replays, rejected, exhausted @ (0 | 1)] =
-        words.as_slice()
-    else {
-        return None;
-    };
-    let exhausted = exhausted == 1;
-    Some(Tallies { msgs_sent, retries, resends, checkpoints, replays, rejected, exhausted })
 }
 
 /// Publishes everything a future incarnation of `machine`'s resource
@@ -135,7 +114,7 @@ pub(crate) fn publish<C: HomCipher>(
         let (key, value) = img.to_entry();
         store.put(AUDITS, &key, &value).map_err(bad)?;
     }
-    store.put(TALLIES, &tick.to_be_bytes(), &tallies_value(machine.tallies())).map_err(bad)?;
+    store.put(TALLIES, &tick.to_be_bytes(), &machine.tallies().to_bytes()).map_err(bad)?;
     RecoveryImage::from_store(store).write_to(path)?;
     Ok(())
 }
@@ -174,7 +153,6 @@ mod tests {
     };
     use gridmine_majority::CandidateGenerator;
     use gridmine_paillier::MockCipher;
-    use gridmine_recovery::rule_key;
     use gridmine_topology::FaultPlan;
 
     const WARM: RecoveryMode = RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT);
@@ -223,7 +201,7 @@ mod tests {
         assert_eq!((state.tick, state.tallies), (5, m.tallies()));
         assert_eq!(m.tallies().checkpoints, 1);
         let mut exported = m.resource().export_controller_audits();
-        exported.sort_by_key(|img| rule_key(&img.rule));
+        exported.sort_by_key(|img| img.rule.key());
         assert!(!exported.is_empty());
         assert_eq!(state.audits, exported, "every audit comes back, in rule-key order");
 
@@ -253,26 +231,6 @@ mod tests {
         assert_eq!(warm.verdict, Some(Verdict::MaliciousResource(1)));
         assert_eq!((warm.tallies.replays, warm.tallies.rejected), (0, 1));
         clean(&file);
-    }
-
-    #[test]
-    fn tallies_words_round_trip_and_nothing_else_decodes() {
-        let t = Tallies {
-            msgs_sent: u64::MAX,
-            retries: 1,
-            resends: 2,
-            checkpoints: 3,
-            replays: 4,
-            rejected: 5,
-            exhausted: true,
-        };
-        let value = tallies_value(t);
-        assert_eq!((value.len(), tallies_of(&value)), (56, Some(t)));
-        let mut flag = value.clone();
-        flag[55] = 2;
-        for bad in [&value[..55], &[value.as_slice(), &[0]].concat(), &flag, &value[..48], b"{}"] {
-            assert_eq!(tallies_of(bad), None, "{bad:?}");
-        }
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! Per-connection FIFO is exactly what it was. [`send_frame`] and
 //! [`recv_frame`] serve the handshake, before either half is buffered.
 //!
-//! The handshake pins three facts before any protocol traffic flows:
-//! the **wire protocol version** (a peer speaking a different layout is
-//! refused before it can feed the codec), the **role**, and the
-//! **session id** (a stale process from a previous run cannot wander
-//! into a new session). Dialing reuses the recovery layer's
+//! The handshake pins two facts before any protocol traffic flows: the
+//! **wire protocol version** — as every frame does, in its header, so a
+//! peer speaking a different layout is refused before it can feed the
+//! codec — and the **session id** (a stale process from a previous run
+//! cannot wander into a new session). Dialing reuses the recovery layer's
 //! [`RetryPolicy`] — the same capped exponential backoff with
 //! deterministic jitter that paces SFE retries and channel drains paces
 //! reconnects here, and the same budget bounds them.
@@ -28,9 +28,9 @@ use crossbeam_channel::{Receiver, RecvTimeoutError};
 use gridmine_core::RetryPolicy;
 use gridmine_paillier::HomCipher;
 
-use crate::codec::{self, Frame, Role};
-use crate::error::{NetError, WireError};
-use crate::frame::{self, WIRE_VERSION};
+use crate::codec::{self, Frame};
+use crate::error::NetError;
+use crate::frame;
 
 /// Idle nodes probe the hub at this cadence.
 pub const HEARTBEAT_EVERY: Duration = Duration::from_millis(100);
@@ -196,17 +196,7 @@ pub fn client_handshake<C: HomCipher>(
     resumed: bool,
     attempts: u32,
 ) -> Result<(), NetError> {
-    send_frame::<C, _>(
-        stream,
-        &Frame::Hello {
-            version: WIRE_VERSION,
-            role: Role::Node,
-            session,
-            resource,
-            resumed,
-            attempts,
-        },
-    )?;
+    send_frame::<C, _>(stream, &Frame::Hello { session, resource, resumed, attempts })?;
     match recv_frame::<C, _>(stream)? {
         Frame::HelloAck { session: s, resource: r } if s == session && r == resource => Ok(()),
         Frame::HelloAck { .. } => Err(NetError::Handshake("ack echoed a different identity")),
@@ -214,19 +204,14 @@ pub fn client_handshake<C: HomCipher>(
     }
 }
 
-/// Server side of the handshake: read the hello, screen version / role /
-/// session, ack. Returns who peered.
+/// Server side of the handshake: read the hello (its header already
+/// screened the wire version), check the session, ack. Returns who
+/// peered.
 pub fn server_handshake<C: HomCipher>(
     stream: &mut TcpStream,
     session: u64,
 ) -> Result<HelloInfo, NetError> {
     match recv_frame::<C, _>(stream)? {
-        Frame::Hello { version, .. } if version != WIRE_VERSION => {
-            Err(NetError::Wire(WireError::UnsupportedVersion(version)))
-        }
-        Frame::Hello { role, .. } if role != Role::Node => {
-            Err(NetError::Handshake("only node peers may join a session"))
-        }
         Frame::Hello { session: s, .. } if s != session => {
             Err(NetError::Handshake("peer belongs to a different session"))
         }
@@ -242,6 +227,7 @@ pub fn server_handshake<C: HomCipher>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::WireError;
     use gridmine_paillier::MockCipher;
     use std::cell::RefCell;
     use std::io::{BufReader, Read};

@@ -51,6 +51,11 @@ fn u32s(vals: &[u32]) -> Vec<u8> {
     vals.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
+/// Rule words: a rule crosses in its canonical form, big-endian.
+fn rule_words(vals: &[u32]) -> Vec<u8> {
+    vals.iter().flat_map(|v| v.to_be_bytes()).collect()
+}
+
 /// Decodes under the tracking allocator and asserts the decode both
 /// fails with `Truncated` and never requested a hostile-sized block.
 fn assert_rejected_without_allocation(name: &str, sealed: &[u8]) {
@@ -77,16 +82,16 @@ const K_REPORT: u8 = 18;
 fn forged_counts_are_rejected_before_any_allocation() {
     // Counter frame, antecedent item count forged to u32::MAX.
     // Layout: from, to, then the candidate rule's antecedent count.
-    let items = u32s(&[0, 1, u32::MAX]);
+    let items = [u32s(&[0, 1]), rule_words(&[u32::MAX])].concat();
 
     // Counter frame, neighbor count forged. Layout: from, to,
     // cand = (antecedent: 0 items | consequent: 1 item [2] | λ = 1/2),
     // then owner and the forged neighbor count.
-    let neighbors = u32s(&[0, 1, 0, 1, 2, 1, 2, 0, u32::MAX]);
+    let neighbors = [u32s(&[0, 1]), rule_words(&[0, 1, 2, 1, 2]), u32s(&[0, u32::MAX])].concat();
 
     // Counter frame, field count forged: same prefix, an empty
     // neighbor list, then the forged ciphertext-field count.
-    let fields = u32s(&[0, 1, 0, 1, 2, 1, 2, 0, 0, u32::MAX]);
+    let fields = [u32s(&[0, 1]), rule_words(&[0, 1, 2, 1, 2]), u32s(&[0, 0, u32::MAX])].concat();
 
     // Report frame, solution count forged. Layout: resource, count.
     // This site screened against the *total* payload length (instead
@@ -109,14 +114,13 @@ fn forged_counts_are_rejected_before_any_allocation() {
 #[test]
 fn justified_counts_still_decode() {
     // Report with one real solution: resource, count = 1, then the rule
-    // ({1} ⇒ {2, 3}), verdict tag + culprit, degrade tag, six u64
-    // tallies, and the `exhausted` flag.
-    let mut payload = u32s(&[1, 1, 1, 1, 2, 2, 3]);
+    // ({1} ⇒ {2, 3}), verdict tag + culprit, degrade tag, and the
+    // tallies' seven words, the `exhausted` flag last.
+    let mut payload = [u32s(&[1, 1]), rule_words(&[1, 1, 2, 2, 3])].concat();
     payload.push(0); // verdict: none
     payload.extend_from_slice(&u32s(&[0])); // culprit
     payload.push(0); // degraded: none
-    payload.extend_from_slice(&[0u8; 48]); // tallies
-    payload.push(0); // exhausted: false
+    payload.extend_from_slice(&[0u8; 56]); // tallies, exhausted: false
     let sealed = frame::seal(K_REPORT, &payload);
     assert!(decode::<MockCipher>(&sealed).is_ok(), "honest report must still decode");
 }

@@ -10,7 +10,7 @@ use gridmine_arm::{correct_rules, AprioriConfig, Database, Ratio, Transaction};
 use gridmine_core::{
     DegradeReason, MineConfig, MineSession, RecoveryMode, RecoveryPolicy, ResourceStatus, Verdict,
 };
-use gridmine_net::NetSession;
+use gridmine_net::{NetError, NetSession};
 use gridmine_obs::{Event, EventKind, MemoryRecorder, SharedRecorder};
 use gridmine_paillier::MockCipher;
 use gridmine_topology::{FaultPlan, Tree};
@@ -306,13 +306,21 @@ fn sessions_without_a_binary_or_with_bad_plans_are_refused() {
         .expect_err("crashes need a wiping recovery mode");
     assert!(format!("{err}").contains("recovery mode"), "{err}");
 
+    // A bad plan is refused by the screen every driver runs, with the
+    // variant the threaded driver returns for the same plan.
+    let plan = FaultPlan::new(1).with_crash(7, 2, None);
     let err = NetSession::<MockCipher>::new(cfg(6))
         .with_databases(dbs(2))
         .with_node_binary(NODE_BIN)
-        .with_faults(FaultPlan::new(1).with_crash(7, 2, None))
+        .with_faults(plan.clone())
         .try_run()
         .expect_err("fault target out of range");
-    assert!(format!("{err}").contains("capacity"), "{err}");
+    let threaded = MineSession::new(cfg(6))
+        .with_databases(dbs(2))
+        .with_faults(plan)
+        .try_run_threaded()
+        .expect_err("fault target out of range");
+    assert!(matches!(&err, NetError::Session(e) if *e == threaded), "{err} vs {threaded}");
 }
 
 #[test]

@@ -11,7 +11,7 @@
 use gridmine_arm::{CandidateRule, ItemSet, Ratio, Rule};
 use gridmine_core::{BrokerMsg, CounterLayout, DegradeReason, GridKeys, SecureCounter, Verdict};
 use gridmine_net::codec::{decode, encode};
-use gridmine_net::{Frame, NodeReport, Phase, Role, Tallies, WireError};
+use gridmine_net::{Frame, NodeReport, Phase, Tallies, WireError};
 use gridmine_paillier::{HomCipher, MockCipher, PaillierCtx};
 
 fn hex(bytes: &[u8]) -> String {
@@ -43,8 +43,6 @@ fn cand() -> CandidateRule {
 fn supervision_frames_are_pinned() {
     pin(
         &Frame::<MockCipher>::Hello {
-            version: 1,
-            role: Role::Node,
             session: 0x1122_3344_5566_7788,
             resource: 2,
             resumed: false,
@@ -112,24 +110,6 @@ fn protocol_frames_are_pinned() {
          45b3fc0ae07b41bb",
     );
     pin(
-        &Frame::<MockCipher>::SfeQuery {
-            resource: 1,
-            rule: cand(),
-            blinded: keys.enc.encrypt_i64(-3),
-        },
-        "474d570102000b0034000000010000000100000001000000020000000200000003000000010000000\
-         200000010000000fdffffffffffffffc65c9e798547f38f6d434c7302324164",
-    );
-    pin(
-        &Frame::<MockCipher>::SfeAnswer { resource: 1, rule: cand(), answer: true },
-        "474d570102000c00210000000100000001000000010000000200000002000000030000000100000002\
-         00000001609d38692bcc7e78",
-    );
-    pin(
-        &Frame::<MockCipher>::VerdictNotice { at: 2, verdict: Verdict::MaliciousBroker(1) },
-        "474d570102000d0009000000020000000101000000659c0752ef37d191",
-    );
-    pin(
         &Frame::<MockCipher>::Obs { line: "{\"event\":\"RoundAdvanced\",\"tick\":3}".into() },
         "474d570102000e0026000000220000007b226576656e74223a22526f756e64416476616e636564222\
          c227469636b223a337d40fe34e2194ed68b",
@@ -158,11 +138,24 @@ fn protocol_frames_are_pinned() {
 
 #[test]
 fn retired_kinds_stay_retired() {
-    // Kinds 15 and 16 framed recovery images (`Checkpoint`, `Restore`)
-    // that no peer ever sent or handled. These are their last pinned
-    // bytes: a peer still speaking them is refused by kind at the door
-    // — the quarantine path — and the numbers are never reused.
+    // Kinds 11–13 framed an SFE query, its answer and a verdict broadcast
+    // for a split deployment no process ever ran; 15 and 16 framed
+    // recovery images (`Checkpoint`, `Restore`) that no peer ever sent or
+    // handled. These are their last pinned payloads: a peer still
+    // speaking them is refused by kind at the door — the quarantine path
+    // — and the numbers are never reused.
     for (kind, fixture) in [
+        (
+            11,
+            "474d570102000b0034000000010000000100000001000000020000000200000003000000010000000\
+             200000010000000fdffffffffffffffc65c9e798547f38f6d434c7302324164",
+        ),
+        (
+            12,
+            "474d570102000c00210000000100000001000000010000000200000002000000030000000100000002\
+             00000001609d38692bcc7e78",
+        ),
+        (13, "474d570102000d0009000000020000000101000000659c0752ef37d191"),
         (15, "474d570102000f000b0000000200000003000000010203ffd0d2a1b5c81ecb"),
         (16, "474d5701020010000a00000002000000020000000405ddbfaab4d11827b0"),
     ] {
@@ -180,6 +173,19 @@ fn a_version_1_frame_is_refused_by_its_version() {
     assert_eq!(
         decode::<MockCipher>(&v1).expect_err("old version"),
         WireError::UnsupportedVersion(1)
+    );
+}
+
+#[test]
+fn a_version_2_frame_is_refused_by_its_version() {
+    // Wire version 2's `Hello`, which still announced a role and a
+    // payload version: refused by the header's version, before its
+    // payload is read.
+    let v2 =
+        unhex("474d570102000100140000000100008877665544332211020000000003000000251d719a404af0ee");
+    assert_eq!(
+        decode::<MockCipher>(&v2).expect_err("old version"),
+        WireError::UnsupportedVersion(2)
     );
 }
 

@@ -113,30 +113,12 @@ impl Default for RecorderHandle {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Ciphertext(pub(crate) BigUint);
 
-impl serde::Serialize for Ciphertext {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        serde::Serialize::serialize(&self.0.to_bytes_be(), s)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Ciphertext {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let bytes = Vec::<u8>::deserialize(d)?;
-        Ok(Ciphertext(BigUint::from_bytes_be(&bytes)))
-    }
-}
-
 impl Ciphertext {
-    /// Raw residue (for serialization / size accounting).
-    pub fn as_biguint(&self) -> &BigUint {
-        &self.0
-    }
-
-    /// Decodes wire bytes into a ciphertext — the same thing the serde
-    /// path does. Performs **no** validation: any big-endian byte string
-    /// is accepted, exactly as an honest peer must accept whatever a
-    /// hostile one mails. Screen with [`HomCipher::is_wellformed`] before
-    /// trusting the result.
+    /// Reads a big-endian residue into a ciphertext. Performs **no**
+    /// validation — not even [`HomCipher::ct_decode`]'s one-form check:
+    /// any byte string is accepted, which is how the suites forge the
+    /// values a hostile peer could mail. Screen with
+    /// [`HomCipher::is_wellformed`] before trusting the result.
     pub fn from_bytes_be(bytes: &[u8]) -> Self {
         Ciphertext(BigUint::from_bytes_be(bytes))
     }

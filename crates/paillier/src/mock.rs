@@ -17,7 +17,7 @@ use crate::HomCipher;
 /// Mock ciphertext: the plaintext plus a nonce that changes on every
 /// encryption/rerandomization so equality behaves like a probabilistic
 /// cipher's.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MockCt {
     value: i64,
     nonce: u64,

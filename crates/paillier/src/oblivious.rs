@@ -55,7 +55,6 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::slots::SlotError;
 use crate::{HomCipher, Shape};
@@ -100,7 +99,7 @@ impl std::error::Error for ObliviousError {}
 ///
 /// Not `Debug`: formatted coefficients are the forging key. Compare keys
 /// with `==` instead.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct TagKey {
     coeffs: Vec<i64>,
 }
@@ -145,8 +144,7 @@ fn shapes(signed: usize, side: usize, cap: usize) -> impl Iterator<Item = Shape>
 
 /// An authenticated encrypted tuple: the wire format of every
 /// Secure-Scalable-Majority message field group.
-#[derive(Debug, Serialize, Deserialize)]
-#[serde(bound(serialize = "C::Ct: Serialize", deserialize = "C::Ct: Deserialize<'de>"))]
+#[derive(Debug)]
 pub struct CounterMsg<C: HomCipher> {
     /// Ciphertexts of the tuple: the signed fields in protocol order,
     /// then the packed side-band (see the module docs).

@@ -34,7 +34,6 @@
 
 use num_bigint::BigUint;
 use num_traits::{ToPrimitive, Zero};
-use serde::{Deserialize, Serialize};
 
 /// Width of one side-band slot of the product counter.
 pub const SIDE_SLOT_BITS: u32 = 44;
@@ -83,7 +82,7 @@ impl std::fmt::Display for SlotError {
 impl std::error::Error for SlotError {}
 
 /// Static description of one packed slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Slot {
     /// Total bits reserved for the slot in the packed integer.
     pub width: u32,
@@ -113,7 +112,7 @@ impl Slot {
 }
 
 /// A fixed layout of slots, most-significant first in the packed integer.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SlotLayout {
     slots: Vec<Slot>,
     total_bits: u64,

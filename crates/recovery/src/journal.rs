@@ -37,7 +37,7 @@
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
-use gridmine_arm::{CandidateRule, Item, ItemSet, Ratio, Rule};
+use gridmine_arm::CandidateRule;
 use gridmine_store::wal::HEADER;
 use gridmine_store::{Backend, MemBackend, Store, StoreError, Tree};
 
@@ -133,49 +133,6 @@ impl From<StoreError> for JournalError {
     }
 }
 
-/// The canonical store key of a candidate rule: big-endian words
-/// `|X| X… |Y| Y… λₙ λ_d`. The two counts delimit the sides, so distinct
-/// rules never share a key, and a tree scan visits rules in one fixed
-/// order. Any tree keyed per rule uses it (a node's `audits` tree too).
-pub fn rule_key(cand: &CandidateRule) -> Vec<u8> {
-    let (x, y) = (cand.rule.antecedent.items(), cand.rule.consequent.items());
-    let mut key = Vec::with_capacity(4 * (4 + x.len() + y.len()));
-    for side in [x, y] {
-        key.extend_from_slice(&(side.len() as u32).to_be_bytes());
-        for Item(i) in side {
-            key.extend_from_slice(&i.to_be_bytes());
-        }
-    }
-    key.extend_from_slice(&cand.lambda.num().to_be_bytes());
-    key.extend_from_slice(&cand.lambda.den().to_be_bytes());
-    key
-}
-
-/// Total inverse of [`rule_key`]. Only the canonical key of a rule that
-/// [`Rule::new`] and [`Ratio::new`] would build decodes — ascending
-/// items, a non-empty consequent, disjoint sides, a reduced threshold —
-/// so their panicking invariants hold by construction.
-pub fn rule_of_key(key: &[u8]) -> Option<CandidateRule> {
-    if !key.len().is_multiple_of(4) {
-        return None;
-    }
-    let mut words = key.chunks_exact(4).filter_map(|w| w.try_into().ok().map(u32::from_be_bytes));
-    let mut side = || {
-        let n = words.next()? as usize;
-        let items: Vec<Item> = words.by_ref().take(n).map(Item).collect();
-        let ascending = items.iter().zip(items.iter().skip(1)).all(|(a, b)| a < b);
-        (items.len() == n && ascending).then(|| ItemSet::from_items(items))
-    };
-    let (antecedent, consequent) = (side()?, side()?);
-    let (num, den) = (words.next()?, words.next()?);
-    if words.next().is_some() || consequent.is_empty() || !antecedent.is_disjoint(&consequent) {
-        return None;
-    }
-    let lambda = (den > 0).then(|| Ratio::new(num, den))?;
-    ((lambda.num(), lambda.den()) == (num, den))
-        .then(|| CandidateRule::new(Rule::new(antecedent, consequent), lambda))
-}
-
 /// A `scan` tree value: the record's five accumulators, big endian.
 fn scan_value(r: &RuleRecord) -> Vec<u8> {
     let mut value = Vec::with_capacity(40);
@@ -217,7 +174,8 @@ fn state_of(store: &Store<MemBackend>) -> Result<ResourceState, JournalError> {
             let rec = match records.entry(key) {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(e) => {
-                    let rule = rule_of_key(key).ok_or(JournalError::Codec("malformed rule key"))?;
+                    let rule = CandidateRule::from_key(key)
+                        .ok_or(JournalError::Codec("malformed rule key"))?;
                     e.insert(RuleRecord::registered(rule))
                 }
             };
@@ -264,7 +222,7 @@ impl RecoveryLog {
         // entries is sorted once and filled in key order, a later entry
         // for a key replacing an earlier one as a later put would.
         let keyed: Vec<(Vec<u8>, &RuleRecord)> =
-            state.records.iter().map(|rec| (rule_key(&rec.rule), rec)).collect();
+            state.records.iter().map(|rec| (rec.rule.key(), rec)).collect();
         let output: Tree = keyed
             .iter()
             .filter_map(|(key, rec)| Some((key.clone(), vec![u8::from(rec.output?)])))
@@ -284,7 +242,7 @@ impl RecoveryLog {
     /// One blind put: O(1), nothing read back.
     fn put(&mut self, tree: &str, rule: &CandidateRule, value: &[u8]) {
         if let Ok(store) = &mut self.store {
-            if let Err(e) = store.put(tree, &rule_key(rule), value) {
+            if let Err(e) = store.put(tree, &rule.key(), value) {
                 self.store = Err(e);
             }
         }
@@ -426,6 +384,7 @@ impl RecoveryImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridmine_arm::{Item, ItemSet, Ratio, Rule};
     use gridmine_store::CorruptKind;
 
     fn cand(item: u32) -> CandidateRule {
@@ -515,7 +474,7 @@ mod tests {
             let mut store = Store::in_memory().expect("open");
             store.put(OWNER, b"", &state.resource.to_be_bytes()).expect("put");
             for rec in &state.records {
-                let key = rule_key(&rec.rule);
+                let key = rec.rule.key();
                 store.put(SCAN, &key, &scan_value(rec)).expect("put");
                 if let Some(answer) = rec.output {
                     store.put(OUTPUT, &key, &[u8::from(answer)]).expect("put");
@@ -686,7 +645,7 @@ mod tests {
             store.put(tree, key, value).expect("put");
             RecoveryImage::of(&store).replay()
         };
-        let key = rule_key(&cand(1));
+        let key = cand(1).key();
         assert!(replay_of(SCAN, &key, &scan_value(&scanned(1, 10, 4, 3))).is_ok());
         assert!(replay_of("audits", b"anything", b"a driver's own tree is not ours").is_ok());
         for (tree, key, value) in [
@@ -708,51 +667,6 @@ mod tests {
             RecoveryImage::of(&store).replay(),
             Err(JournalError::Codec("image names no owner"))
         );
-    }
-
-    #[test]
-    fn rule_keys_are_injective_and_only_canonical_keys_decode() {
-        let rule = |x: &[u32], y: &[u32], num, den| {
-            CandidateRule::new(Rule::new(ItemSet::of(x), ItemSet::of(y)), Ratio::new(num, den))
-        };
-        // The same items split differently between the sides, the same
-        // rule under different thresholds, and item ids that read as
-        // counts: all distinct rules, all distinct keys.
-        let rules = [
-            rule(&[], &[1, 2, 3], 1, 2),
-            rule(&[1], &[2, 3], 1, 2),
-            rule(&[1, 2], &[3], 1, 2),
-            rule(&[2], &[1, 3], 1, 2),
-            rule(&[1, 2], &[3], 1, 3),
-            rule(&[1, 2], &[3], 2, 3),
-            rule(&[], &[1], 1, 2),
-            rule(&[1], &[2], 1, 2),
-            rule(&[], &[1, 2], 1, 2),
-            rule(&[], &[2], 0, 1),
-        ];
-        let keys: std::collections::BTreeSet<Vec<u8>> = rules.iter().map(rule_key).collect();
-        assert_eq!(keys.len(), rules.len(), "two rules share a key");
-        for r in &rules {
-            assert_eq!(rule_of_key(&rule_key(r)).as_ref(), Some(r));
-        }
-
-        // Keys `Rule::new` or `Ratio::new` would panic on, or that are a
-        // second spelling of a rule, do not decode.
-        let words = |w: &[u32]| w.iter().flat_map(|x| x.to_be_bytes()).collect::<Vec<u8>>();
-        for (bad, why) in [
-            (words(&[0, 0, 1, 2]), "empty consequent"),
-            (words(&[1, 7, 1, 7, 1, 2]), "overlapping sides"),
-            (words(&[0, 2, 5, 4, 1, 2]), "descending items"),
-            (words(&[0, 2, 4, 4, 1, 2]), "repeated item"),
-            (words(&[0, 1, 4, 1, 0]), "zero denominator"),
-            (words(&[0, 1, 4, 2, 4]), "unreduced threshold"),
-            (words(&[0, 1, 4, 1, 2, 9]), "trailing word"),
-            (words(&[0, u32::MAX, 4, 1, 2]), "count past the end"),
-            (words(&[0, 1, 4, 1]), "short"),
-            (vec![0, 0, 0], "not whole words"),
-        ] {
-            assert_eq!(rule_of_key(&bad), None, "{why}");
-        }
     }
 
     #[test]

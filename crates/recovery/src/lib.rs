@@ -35,7 +35,5 @@
 mod journal;
 mod policy;
 
-pub use journal::{
-    rule_key, rule_of_key, JournalError, RecoveryImage, RecoveryLog, ResourceState, RuleRecord,
-};
+pub use journal::{JournalError, RecoveryImage, RecoveryLog, ResourceState, RuleRecord};
 pub use policy::{RecoveryMode, RecoveryPolicy, RetryPolicy};

@@ -37,19 +37,8 @@ impl RetryPolicy {
         seed: 0x9E37_79B9,
     };
 
-    pub fn with_budget(mut self, budget: u64) -> Self {
-        self.budget = budget;
-        self
-    }
-
     pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
         self.deadline_ms = deadline_ms;
-        self
-    }
-
-    pub fn with_resend_every(mut self, every: u64) -> Self {
-        assert!(every > 0, "resend cadence must be positive");
-        self.resend_every = every;
         self
     }
 

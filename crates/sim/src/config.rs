@@ -99,13 +99,6 @@ impl SimConfig {
         self
     }
 
-    /// Overrides the thresholds.
-    pub fn with_thresholds(mut self, min_freq: Ratio, min_conf: Ratio) -> Self {
-        self.min_freq = min_freq;
-        self.min_conf = min_conf;
-        self
-    }
-
     /// Sanity checks.
     ///
     /// # Panics

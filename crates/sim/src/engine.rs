@@ -355,11 +355,6 @@ where
         }
     }
 
-    /// The crash-recovery mode in force.
-    pub fn recovery_mode(&self) -> RecoveryMode {
-        self.mode
-    }
-
     /// A new resource joins the grid under `parent` (dynamic membership).
     ///
     /// The parent rewires (regenerated shares, remapped audit state —

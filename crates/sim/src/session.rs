@@ -29,7 +29,9 @@
 use std::sync::Arc;
 
 use gridmine_arm::{correct_rules, Database, Item, RuleSet};
-use gridmine_core::{GridKeys, MiningOutcome, RecoveryMode, SessionCipher, SessionError};
+use gridmine_core::{
+    validate_grid, GridKeys, MiningOutcome, RecoveryMode, SessionCipher, SessionError,
+};
 use gridmine_obs::{FanoutRecorder, Metrics, SharedRecorder};
 use gridmine_paillier::{HomCipher, MockCipher};
 use gridmine_topology::faults::FaultPlan;
@@ -180,24 +182,12 @@ where
         self
     }
 
-    /// Build-time sanity screen: workload/grid agreement plus every
-    /// fault-plan entry in range and inside the horizon — the same typed
-    /// [`SessionError`] vocabulary `MineSession::try_run*` uses.
+    /// Build-time sanity screen: core's [`validate_grid`], with the
+    /// horizon in simulated steps.
     fn validate(&self) -> Result<(), SessionError> {
-        if self.plans.is_empty() {
-            return Err(SessionError::NoDatabases);
-        }
-        if self.plans.len() != self.cfg.n_resources {
-            return Err(SessionError::TopologyMismatch {
-                databases: self.plans.len(),
-                nodes: self.cfg.n_resources,
-            });
-        }
-        if let Some(plan) = &self.plan {
-            plan.validate_within(self.cfg.n_resources, self.steps)
-                .map_err(|e| SessionError::from_schedule(e, self.steps as usize))?;
-        }
-        Ok(())
+        let quiet = FaultPlan::none();
+        let plan = self.plan.as_ref().unwrap_or(&quiet);
+        validate_grid(self.plans.len(), self.cfg.n_resources, plan, self.steps)
     }
 
     /// The voted item domain: explicit override, else the union over

@@ -28,12 +28,6 @@ impl Graph {
         self.adj.is_empty()
     }
 
-    /// Adds a node, returning its id.
-    pub fn add_node(&mut self) -> NodeId {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
-    }
-
     /// Adds an undirected edge. Returns false (and does nothing) for
     /// self-loops and duplicates.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> bool {

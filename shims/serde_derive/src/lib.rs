@@ -2,11 +2,11 @@
 //!
 //! Implements `#[derive(Serialize)]` / `#[derive(Deserialize)]` with a
 //! hand-rolled token parser (no `syn`/`quote` available offline). Covers
-//! the shapes the workspace uses: named/tuple/unit structs, enums with
-//! unit/tuple/struct variants (externally tagged), generic parameters,
-//! `#[serde(bound(serialize = "...", deserialize = "..."))]` and
-//! `#[serde(default)]` / `#[serde(default = "path")]`. Generated code
-//! targets the sibling `serde` shim's [`Value`] tree.
+//! the shapes the workspace uses: named/tuple/unit structs and enums with
+//! unit/tuple/struct variants (externally tagged), none of them generic,
+//! and the field attributes `#[serde(default)]` /
+//! `#[serde(default = "path")]`. Generated code targets the sibling
+//! `serde` shim's [`Value`] tree.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -48,14 +48,6 @@ enum Kind {
 #[derive(Debug)]
 struct Input {
     name: String,
-    /// Generic parameter list with bounds, e.g. `C: HomCipher` (no `<>`).
-    generics_decl: String,
-    /// Generic arguments, e.g. `C`.
-    generics_use: String,
-    /// Type-parameter names only (for inferred bounds).
-    type_params: Vec<String>,
-    bound_ser: Option<String>,
-    bound_de: Option<String>,
     kind: Kind,
 }
 
@@ -139,49 +131,6 @@ impl Cursor {
 fn unquote(lit: &str) -> String {
     let inner = lit.strip_prefix('"').and_then(|s| s.strip_suffix('"')).unwrap_or(lit);
     inner.replace("\\\"", "\"").replace("\\\\", "\\")
-}
-
-/// Container-level `#[serde(bound(...))]` payload.
-fn parse_bound(
-    tokens: &[TokenTree],
-    bound_ser: &mut Option<String>,
-    bound_de: &mut Option<String>,
-) {
-    // Payload shape: bound ( serialize = "..." , deserialize = "..." )
-    let mut i = 0;
-    while i < tokens.len() {
-        if let TokenTree::Ident(id) = &tokens[i] {
-            if id.to_string() == "bound" {
-                if let Some(TokenTree::Group(g)) = tokens.get(i + 1) {
-                    let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                    let mut j = 0;
-                    while j < inner.len() {
-                        if let TokenTree::Ident(key) = &inner[j] {
-                            let key = key.to_string();
-                            if (key == "serialize" || key == "deserialize")
-                                && matches!(&inner.get(j+1), Some(TokenTree::Punct(p)) if p.as_char() == '=')
-                            {
-                                if let Some(TokenTree::Literal(lit)) = inner.get(j + 2) {
-                                    let s = unquote(&lit.to_string());
-                                    if key == "serialize" {
-                                        *bound_ser = Some(s);
-                                    } else {
-                                        *bound_de = Some(s);
-                                    }
-                                    j += 3;
-                                    continue;
-                                }
-                            }
-                        }
-                        j += 1;
-                    }
-                    i += 2;
-                    continue;
-                }
-            }
-        }
-        i += 1;
-    }
 }
 
 /// Field-level serde payload: `default` / `default = "path"`.
@@ -318,31 +267,9 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
     variants
 }
 
-fn token_to_text(t: &TokenTree) -> String {
-    match t {
-        TokenTree::Group(g) => {
-            let (open, close) = match g.delimiter() {
-                Delimiter::Parenthesis => ("(", ")"),
-                Delimiter::Bracket => ("[", "]"),
-                Delimiter::Brace => ("{", "}"),
-                Delimiter::None => ("", ""),
-            };
-            let inner: Vec<String> = g.stream().into_iter().map(|t| token_to_text(&t)).collect();
-            format!("{}{}{}", open, inner.join(" "), close)
-        }
-        other => other.to_string(),
-    }
-}
-
 fn parse_input(input: TokenStream) -> Input {
     let mut cur = Cursor::new(input);
-    let mut bound_ser = None;
-    let mut bound_de = None;
-    while let Some(serde_payload) = cur.eat_attr() {
-        if let Some(tokens) = serde_payload {
-            parse_bound(&tokens, &mut bound_ser, &mut bound_de);
-        }
-    }
+    while cur.eat_attr().is_some() {}
     if cur.eat_ident("pub") {
         if let Some(TokenTree::Group(g)) = cur.peek() {
             if g.delimiter() == Delimiter::Parenthesis {
@@ -358,91 +285,10 @@ fn parse_input(input: TokenStream) -> Input {
         panic!("serde derive: expected `struct` or `enum`");
     };
     let name = cur.expect_ident();
-
-    // Generics.
-    let mut generic_tokens: Vec<TokenTree> = Vec::new();
-    if cur.eat_punct('<') {
-        let mut depth = 1;
-        while depth > 0 {
-            let tok = cur.next().expect("serde derive: unclosed generics");
-            if let TokenTree::Punct(p) = &tok {
-                match p.as_char() {
-                    '<' => depth += 1,
-                    '>' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            generic_tokens.push(tok);
-        }
-    }
-    let generics_decl = generic_tokens.iter().map(token_to_text).collect::<Vec<_>>().join(" ");
-
-    // Split generic params on top-level commas; derive the usage form.
-    let mut params: Vec<Vec<TokenTree>> = Vec::new();
-    {
-        let mut current = Vec::new();
-        let mut angle = 0i32;
-        for t in &generic_tokens {
-            if let TokenTree::Punct(p) = t {
-                match p.as_char() {
-                    '<' => angle += 1,
-                    '>' => angle -= 1,
-                    ',' if angle == 0 => {
-                        params.push(std::mem::take(&mut current));
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-            current.push(t.clone());
-        }
-        if !current.is_empty() {
-            params.push(current);
-        }
-    }
-    let mut uses = Vec::new();
-    let mut type_params = Vec::new();
-    for p in &params {
-        match p.first() {
-            Some(TokenTree::Punct(q)) if q.as_char() == '\'' => {
-                // Lifetime parameter `'a ...`.
-                if let Some(TokenTree::Ident(id)) = p.get(1) {
-                    uses.push(format!("'{}", id));
-                }
-            }
-            Some(TokenTree::Ident(id)) if id.to_string() == "const" => {
-                if let Some(TokenTree::Ident(n)) = p.get(1) {
-                    uses.push(n.to_string());
-                }
-            }
-            Some(TokenTree::Ident(id)) => {
-                uses.push(id.to_string());
-                type_params.push(id.to_string());
-            }
-            _ => {}
-        }
-    }
-    let generics_use = uses.join(", ");
-
-    // Optional where clause (merged into the generated bounds verbatim
-    // only when no #[serde(bound)] overrides it; the workspace uses
-    // bound attributes for all generic containers).
-    if cur.eat_ident("where") {
-        while let Some(tok) = cur.peek() {
-            if matches!(tok, TokenTree::Group(g) if g.delimiter() == Delimiter::Brace) {
-                break;
-            }
-            if matches!(tok, TokenTree::Punct(p) if p.as_char() == ';') {
-                break;
-            }
-            cur.pos += 1;
-        }
-    }
+    assert!(
+        !cur.eat_punct('<'),
+        "serde derive: `{name}` is generic, which this shim does not derive"
+    );
 
     let kind = match cur.peek() {
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
@@ -458,47 +304,7 @@ fn parse_input(input: TokenStream) -> Input {
         _ => Kind::UnitStruct,
     };
 
-    Input { name, generics_decl, generics_use, type_params, bound_ser, bound_de, kind }
-}
-
-impl Input {
-    fn self_ty(&self) -> String {
-        if self.generics_use.is_empty() {
-            self.name.clone()
-        } else {
-            format!("{}<{}>", self.name, self.generics_use)
-        }
-    }
-
-    fn impl_params(&self, extra: Option<&str>) -> String {
-        let mut parts = Vec::new();
-        if let Some(e) = extra {
-            parts.push(e.to_string());
-        }
-        if !self.generics_decl.is_empty() {
-            parts.push(self.generics_decl.clone());
-        }
-        if parts.is_empty() {
-            String::new()
-        } else {
-            format!("<{}>", parts.join(", "))
-        }
-    }
-
-    fn where_clause(&self, explicit: &Option<String>, trait_path: &str) -> String {
-        if let Some(b) = explicit {
-            if b.trim().is_empty() {
-                return String::new();
-            }
-            return format!("where {}", b);
-        }
-        if self.type_params.is_empty() {
-            return String::new();
-        }
-        let preds: Vec<String> =
-            self.type_params.iter().map(|p| format!("{}: {}", p, trait_path)).collect();
-        format!("where {}", preds.join(", "))
-    }
+    Input { name, kind }
 }
 
 const SER_ERR: &str = "<__S::Error as ::serde::ser::Error>::custom";
@@ -611,14 +417,12 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     };
     let out = format!(
         "#[automatically_derived]\n\
-         impl{params} ::serde::Serialize for {ty} {wh} {{\n\
+         impl ::serde::Serialize for {ty} {{\n\
          fn serialize<__S: ::serde::Serializer>(&self, __s: __S) -> ::core::result::Result<__S::Ok, __S::Error> {{\n\
          {body}\
          }}\n\
          }}\n",
-        params = input.impl_params(None),
-        ty = input.self_ty(),
-        wh = input.where_clause(&input.bound_ser, "::serde::Serialize"),
+        ty = input.name,
     );
     out.parse().expect("serde derive: generated Serialize impl failed to parse")
 }
@@ -797,14 +601,12 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     };
     let out = format!(
         "#[automatically_derived]\n\
-         impl{params} ::serde::Deserialize<'de> for {ty} {wh} {{\n\
+         impl<'de> ::serde::Deserialize<'de> for {ty} {{\n\
          fn deserialize<__D: ::serde::Deserializer<'de>>(__d: __D) -> ::core::result::Result<Self, __D::Error> {{\n\
          {body}\
          }}\n\
          }}\n",
-        params = input.impl_params(Some("'de")),
-        ty = input.self_ty(),
-        wh = input.where_clause(&input.bound_de, "::serde::Deserialize<'de>"),
+        ty = input.name,
     );
     out.parse().expect("serde derive: generated Deserialize impl failed to parse")
 }
