@@ -48,37 +48,37 @@ fn supervision_frames_are_pinned() {
             resumed: false,
             attempts: 3,
         },
-        "474d570102000100140000000100008877665544332211020000000003000000251d719a404af0ee",
+        "474d570103000100110000008877665544332211020000000003000000cd6b95a1f7b496cf",
     );
     pin(
         &Frame::<MockCipher>::HelloAck { session: 0x1122_3344_5566_7788, resource: 2 },
-        "474d5701020002000c000000887766554433221102000000aaf919e4a9b84c03",
+        "474d5701030002000c00000088776655443322110200000095ab0d5fce3d740c",
     );
     pin(
         &Frame::<MockCipher>::Heartbeat { nonce: 7 },
-        "474d5701020003000800000007000000000000007c8c364464ab9806",
+        "474d5701030003000800000007000000000000000ff8d7b88d951c0a",
     );
     pin(
         &Frame::<MockCipher>::HeartbeatAck { nonce: 7 },
-        "474d570102000400080000000700000000000000aae9a6bbbaf1247f",
+        "474d57010300040008000000070000000000000083355423f3552317",
     );
     pin(
         &Frame::<MockCipher>::PhaseStart { tick: 5, phase: Phase::Scan },
-        "474d5701020005000900000005000000000000000143a104b4fd714c5f",
+        "474d570103000500090000000500000000000000013a71a683f9d2ffab",
     );
     pin(
         &Frame::<MockCipher>::PhaseSent { tick: 5, phase: Phase::Candidate, sent: 9 },
-        "474d5701020006000d0000000500000000000000020900000076a7b0c4dd25a854",
+        "474d5701030006000d00000005000000000000000209000000d2b7d14ca7fadcc0",
     );
     pin(
         &Frame::<MockCipher>::Processed { n: 3 },
-        "474d5701020008000400000003000000a04f60c4f2bced48",
+        "474d5701030008000400000003000000261ae8e99f2fcdd2",
     );
     pin(
         &Frame::<MockCipher>::ShareResend { to: 4 },
-        "474d570102000a000400000004000000bd345595a71bc5a3",
+        "474d570103000a00040000000400000014507ef49a620783",
     );
-    pin(&Frame::<MockCipher>::Finish, "474d570102001100000000000f06f20019280d63");
+    pin(&Frame::<MockCipher>::Finish, "474d57010300110000000000d13be6f06d67270f");
 }
 
 #[test]
@@ -97,22 +97,22 @@ fn protocol_frames_are_pinned() {
     );
     pin(
         &Frame::Counter(BrokerMsg { from: 0, to: 1, cand: cand(), counter }),
-        "474d570102000700d8000000000000000100000001000000010000000200000002000000030000000\
-         100000002000000000000000200000001000000020000000700000010000000050000000000000009\
-         000000000000001000000009000000000000001e7c4a7fb979379e1000000001000000000000003\
-         3f894fe72f36e3c1000000007000000000000004874df7d2c6da6da10000000030000000000000\
-         05df029fde5e6dd78100000000000000000000000726c747c9f60151710000000000000000000000\
-         087e8befb58da4cb5100000002e2e4501000000009c64097b12548453e043c3baced22d5d",
+        "474d570103000700d800000000000000010000000000000100000001000000020000000200000003000000010\
+         00000020000000002000000010000000200000007000000100000000500000000000000090000000000000010\
+         00000009000000000000001e7c4a7fb979379e10000000010000000000000033f894fe72f36e3c10000000070\
+         00000000000004874df7d2c6da6da1000000003000000000000005df029fde5e6dd7810000000000000000000\
+         0000726c747c9f60151710000000000000000000000087e8befb58da4cb5100000002e2e4501000000009c640\
+         97b125484534f644f1c1c2f1890",
     );
     pin(
         &Frame::<MockCipher>::Share { from: 0, to: 1, ct: keys.enc.encrypt_i64(11) },
-        "474d5701020009001c0000000000000001000000100000000b00000000000000b1e053facbcdbbf1\
-         45b3fc0ae07b41bb",
+        "474d5701030009001c0000000000000001000000100000000b00000000000000b1e053facbcdbbf112b5feb64\
+         7a03871",
     );
     pin(
         &Frame::<MockCipher>::Obs { line: "{\"event\":\"RoundAdvanced\",\"tick\":3}".into() },
-        "474d570102000e0026000000220000007b226576656e74223a22526f756e64416476616e636564222\
-         c227469636b223a337d40fe34e2194ed68b",
+        "474d570103000e0026000000220000007b226576656e74223a22526f756e64416476616e636564222c2274696\
+         36b223a337d1c095293b077c23d",
     );
     pin(
         &Frame::<MockCipher>::Report(NodeReport {
@@ -130,9 +130,9 @@ fn protocol_frames_are_pinned() {
                 exhausted: false,
             },
         }),
-        "474d57010200120053000000010000000100000001000000010000000200000002000000030000000\
-         200000000050a000000000000000100000000000000020000000000000003000000000000000100000\
-         000000000000000000000000000ed973eaeab951e6a",
+        "474d5701030012005a00000001000000010000000000000100000001000000020000000200000003020000000\
+         005000000000000000a0000000000000001000000000000000200000000000000030000000000000001000000\
+         000000000000000000000000003571d3be3053b4fa",
     );
 }
 
@@ -147,17 +147,17 @@ fn retired_kinds_stay_retired() {
     for (kind, fixture) in [
         (
             11,
-            "474d570102000b0034000000010000000100000001000000020000000200000003000000010000000\
-             200000010000000fdffffffffffffffc65c9e798547f38f6d434c7302324164",
+            "474d570103000b00340000000100000001000000010000000200000002000000030000000100000002000\
+             00010000000fdffffffffffffffc65c9e798547f38f8c24672badd4036f",
         ),
         (
             12,
-            "474d570102000c00210000000100000001000000010000000200000002000000030000000100000002\
-             00000001609d38692bcc7e78",
+            "474d570103000c00210000000100000001000000010000000200000002000000030000000100000002000\
+             0000126f05038df090fa8",
         ),
-        (13, "474d570102000d0009000000020000000101000000659c0752ef37d191"),
-        (15, "474d570102000f000b0000000200000003000000010203ffd0d2a1b5c81ecb"),
-        (16, "474d5701020010000a00000002000000020000000405ddbfaab4d11827b0"),
+        (13, "474d570103000d0009000000020000000101000000e31cd9bc55329992"),
+        (15, "474d570103000f000b000000020000000300000001020342ba1d017219b7a1"),
+        (16, "474d5701030010000a00000002000000020000000405ee04b35bfa365d14"),
     ] {
         let err = decode::<MockCipher>(&unhex(fixture)).expect_err("retired kind");
         assert_eq!(err, WireError::UnknownKind(kind));
@@ -200,14 +200,14 @@ fn paillier_ciphertexts_are_pinned_too() {
     // legitimately changed.
     pin(
         &Frame::<PaillierCtx>::Share { from: 0, to: 1, ct: keys.enc.encrypt_i64(11) },
-        "474d5701020009001c0000000000000001000000100000000be6bb8508c28a622d5e1d784a2da8c\
-         8f55c64482d71f1a0",
+        "474d5701030009001c0000000000000001000000100000000be6bb8508c28a622d5e1d784a2da8c89d14b46a2\
+         afccab7",
     );
 }
 
 #[test]
 fn mutated_fixture_bytes_are_typed_errors_never_panics() {
-    let heartbeat = unhex("474d5701020003000800000007000000000000007c8c364464ab9806");
+    let heartbeat = unhex("474d5701030003000800000007000000000000000ff8d7b88d951c0a");
     // Every single-byte corruption of a pinned frame must surface as a
     // typed WireError.
     for i in 0..heartbeat.len() {
