@@ -533,7 +533,7 @@ mod tests {
     use gridmine_core::GridKeys;
     use gridmine_paillier::MockCipher;
 
-    fn cand() -> CandidateRule {
+    fn candidate() -> CandidateRule {
         CandidateRule::new(Rule::new(ItemSet::of(&[1]), ItemSet::of(&[2, 3])), Ratio::new(1, 2))
     }
 
@@ -565,7 +565,12 @@ mod tests {
         round_trip(Frame::HeartbeatAck { nonce: 42 });
         round_trip(Frame::PhaseStart { tick: 7, phase: Phase::Scan });
         round_trip(Frame::PhaseSent { tick: 7, phase: Phase::Candidate, sent: 12 });
-        round_trip(Frame::Counter(BrokerMsg { from: 0, to: 1, cand: cand(), counter: counter() }));
+        round_trip(Frame::Counter(BrokerMsg {
+            from: 0,
+            to: 1,
+            cand: candidate(),
+            counter: counter(),
+        }));
         round_trip(Frame::Processed { n: 3 });
         round_trip(Frame::Share {
             from: 2,
@@ -577,7 +582,7 @@ mod tests {
         round_trip(Frame::Finish);
         round_trip(Frame::Report(NodeReport {
             resource: 1,
-            solutions: vec![Rule::frequency(ItemSet::of(&[1, 2])), cand().rule],
+            solutions: vec![Rule::frequency(ItemSet::of(&[1, 2])), candidate().rule],
             verdict: Some(Verdict::MaliciousResource(0)),
             degraded: Some(DegradeReason::Disconnected),
             tallies: Tallies {
@@ -630,7 +635,7 @@ mod tests {
     #[test]
     fn a_second_spelling_of_a_frame_is_refused() {
         let counter_frame =
-            || Frame::Counter(BrokerMsg { from: 0, to: 1, cand: cand(), counter: counter() });
+            || Frame::Counter(BrokerMsg { from: 0, to: 1, cand: candidate(), counter: counter() });
         let word = |p: &mut Vec<u8>, at: usize, w: [u8; 4]| p[at..at + 4].copy_from_slice(&w);
         // Counter payload: from, to, then the candidate's words (|X| = 1,
         // 1, |Y| = 2, 2, 3, λₙ, λ_d) at 8..36, then owner and the
