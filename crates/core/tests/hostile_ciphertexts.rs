@@ -221,7 +221,7 @@ impl<C: HomCipher> Scene<C> {
 
     /// A counter from neighbor 1 other than the one in `full`: what it
     /// reported `(sum, count, num)` at its time `ts`, validly sealed.
-    fn from_1(&self, (sum, count, num): (i64, i64, i64), ts: i64) -> SecureCounter<C> {
+    fn sent_by_1(&self, (sum, count, num): (i64, i64, i64), ts: i64) -> SecureCounter<C> {
         let key = self.keys.tags.key(self.layout.arity());
         SecureCounter::seal_outgoing(&self.keys.enc, &key, &self.layout, 1, sum, count, num, 77, ts)
             .expect("1 is a neighbor of 0")
@@ -319,7 +319,7 @@ fn recv_v_is_held_to_what_full_contains<C: HomCipher>(keys: GridKeys<C>) {
     // latest. It is answered, and what is sealed is `full − old` — the
     // neighbor's newer votes sent back to it. The lie buys the broker a
     // wrong message out of its own resource, nothing about anyone else.
-    let old = s.from_1((5, 8, 1), 2);
+    let old = s.sent_by_1((5, 8, 1), 2);
     let (sealed, verdict) = s.send(&s.full, &old);
     assert_eq!(verdict, Ok(()));
     let [(1, out)] = &sealed[..] else { panic!("one message toward 1, got {}", sealed.len()) };
@@ -329,7 +329,7 @@ fn recv_v_is_held_to_what_full_contains<C: HomCipher>(keys: GridKeys<C>) {
 
     // A counter `full` was not summed from: more resources than `full`
     // counts, or a later time than `full` saw from neighbor 1.
-    for outside in [s.from_1((6, 10, 3), 5), s.from_1((6, 10, 1), 6)] {
+    for outside in [s.sent_by_1((6, 10, 3), 5), s.sent_by_1((6, 10, 1), 6)] {
         let (sealed, verdict) = s.send(&s.full, &outside);
         assert!(sealed.is_empty());
         assert_eq!(verdict, Err(Verdict::MaliciousBroker(0)));

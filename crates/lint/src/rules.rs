@@ -8,7 +8,6 @@
 //! key on purpose).
 
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 use crate::callgraph::CallGraph;
 use crate::config::Config;
@@ -19,39 +18,18 @@ use crate::workspace::{SourceFile, Workspace};
 
 /// Runs every rule family, returning raw (unsuppressed) diagnostics.
 pub fn run_all(ws: &Workspace, cfg: &Config) -> Vec<Diagnostic> {
-    run_timed(ws, cfg).0
-}
-
-/// [`run_all`] with per-family wall time in microseconds, for the
-/// benchmark harness ("symbols" covers building the symbol table and
-/// call graph the flow families share).
-pub fn run_timed(ws: &Workspace, cfg: &Config) -> (Vec<Diagnostic>, Vec<(&'static str, u128)>) {
     let mut out = Vec::new();
-    let mut times = Vec::new();
-    let mut lap = Instant::now();
-    let mut mark = |name: &'static str, lap: &mut Instant| {
-        times.push((name, lap.elapsed().as_micros()));
-        *lap = Instant::now();
-    };
     let syms = SymbolTable::build(ws);
     let graph = CallGraph::build(ws, &syms);
-    mark("symbols", &mut lap);
     privacy_taint(ws, cfg, &mut out);
-    mark("privacy-taint", &mut lap);
     crate::flow::taint_flow(ws, cfg, &syms, &graph, &mut out);
-    mark("taint-flow", &mut lap);
     panic_freedom(ws, cfg, &mut out);
-    mark("panic-freedom", &mut lap);
     crate::flow::lock_order(ws, cfg, &syms, &graph, &mut out);
-    mark("lock-order", &mut lap);
     crate::flow::crash_safety(ws, cfg, &mut out);
-    mark("crash-safety", &mut lap);
     determinism(ws, cfg, &mut out);
-    mark("determinism", &mut lap);
     obs_parity(ws, cfg, &mut out);
-    mark("obs-parity", &mut lap);
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    (out, times)
+    out
 }
 
 /// Tokens of a file with test regions dropped.

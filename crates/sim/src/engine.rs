@@ -656,7 +656,7 @@ where
 
     /// Runs one step of the dense schedule — the differential oracle for
     /// [`Simulation::run_event_driven`], referenced by the wheel-vs-tick
-    /// suite and the `sim_scale` speedup column only. Every resource is
+    /// suite only. Every resource is
     /// armed, every pass whose cadence divides the new timestamp fires in
     /// [`Pass`] order, and the liveness and verdict sweep covers
     /// everyone: the same pass bodies as the wheel, with none of its

@@ -29,10 +29,11 @@
 use std::sync::Arc;
 
 use gridmine_arm::{correct_rules, Database, Item, RuleSet};
+use gridmine_core::session::arm_recorder;
 use gridmine_core::{
     validate_grid, GridKeys, MiningOutcome, RecoveryMode, SessionCipher, SessionError,
 };
-use gridmine_obs::{FanoutRecorder, Metrics, SharedRecorder};
+use gridmine_obs::{Metrics, SharedRecorder};
 use gridmine_paillier::{HomCipher, MockCipher};
 use gridmine_topology::faults::FaultPlan;
 
@@ -211,30 +212,17 @@ where
         items
     }
 
-    /// The effective recorder plus the metrics tally that shadows it.
-    /// With the default `NullRecorder` both stay off so the run pays
-    /// nothing.
-    fn arm_recorder(&self) -> (Option<SharedRecorder>, Option<Arc<Metrics>>) {
-        if self.rec.enabled() {
-            let tally = Metrics::shared();
-            let fan: SharedRecorder =
-                Arc::new(FanoutRecorder::new(vec![self.rec.clone(), tally.clone()]));
-            (Some(fan), Some(tally))
-        } else {
-            (None, None)
-        }
-    }
-
     /// Validates and builds the simulation with faults, recovery and
     /// recorder armed, without running it — step-level control for tests
     /// and harnesses. Returns the shadow metrics tally when a recorder
-    /// is attached.
+    /// is attached; with the default `NullRecorder` the simulation keeps
+    /// its own and the run pays nothing.
     fn into_parts(self) -> Result<SimParts<C>, SessionError> {
         self.validate()?;
         let items = self.item_domain();
-        let (fan, tally) = self.arm_recorder();
+        let (fan, tally) = arm_recorder(&self.rec);
         let mut sim = Simulation::new(self.cfg, &self.keys, self.plans, &items);
-        if let Some(fan) = fan {
+        if tally.is_some() {
             sim.set_recorder(fan);
         }
         if let Some(plan) = self.plan {

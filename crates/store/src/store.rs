@@ -569,6 +569,8 @@ mod tests {
             s.put("t", &[i], &[i; 3]).expect("put");
         }
         s.flush().expect("flush");
+        let mut s = Store::open(s.into_backend()).expect("reopen");
+        assert_eq!(s.open_report().wal_replayed, 20, "before a snapshot the whole WAL replays");
         s.compact().expect("compact");
         s.put("t", &[99], b"tail").expect("put");
         s.flush().expect("flush");

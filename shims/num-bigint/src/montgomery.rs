@@ -808,6 +808,19 @@ mod tests {
     }
 
     #[test]
+    fn matches_legacy_at_paillier_modulus_sizes() {
+        // n and n² of 512- and 1024-bit keys, with a dense base and a
+        // full-width all-ones exponent.
+        for bits in [512usize, 1024, 2048] {
+            let n = (&BigUint::one() << bits) - 159u32;
+            let b = &n / 7u32;
+            let e = (&BigUint::one() << (bits - 1)) - 1u32;
+            let ctx = MontgomeryCtx::new(&n).unwrap();
+            assert_eq!(ctx.modpow(&b, &e), b.modpow_legacy(&e, &n), "{bits}-bit modulus");
+        }
+    }
+
+    #[test]
     fn one_limb_modulus_works() {
         let n = BigUint::from(0xFFFF_FFFF_FFFF_FFC5u64); // largest 64-bit prime
         let ctx = MontgomeryCtx::new(&n).unwrap();

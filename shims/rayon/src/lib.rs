@@ -32,13 +32,9 @@
 //!
 //! Worker count is bounded: `min(available_parallelism, 16)` threads
 //! total (including the caller), overridable with `GRIDMINE_POOL_THREADS`.
-//! [`force_sequential`] flips the whole pool to inline execution at
-//! runtime — results are identical by construction, so benches use it
-//! for A/B timing.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Hard upper bound on pool threads (caller included).
@@ -48,16 +44,6 @@ const MAX_POOL_THREADS: usize = 16;
 /// only on the input length (see the module docs), so this is a fixed
 /// constant rather than anything schedule- or machine-derived.
 const TARGET_CHUNKS: usize = 64;
-
-static FORCE_SEQ: AtomicBool = AtomicBool::new(false);
-
-/// Forces every combinator to run inline on the calling thread. Results
-/// are identical either way (the determinism contract); this exists so
-/// benchmarks can A/B the parallel pool against sequential execution
-/// within one process.
-pub fn force_sequential(on: bool) {
-    FORCE_SEQ.store(on, Ordering::SeqCst);
-}
 
 /// Total threads executing parallel work (workers + the caller).
 pub fn current_num_threads() -> usize {
@@ -310,7 +296,7 @@ where
     let sizes = chunk_sizes(items.len());
     let chunks = split_chunks(items, &sizes);
     let pool = Pool::global();
-    if chunks.len() < 2 || pool.workers == 0 || FORCE_SEQ.load(Ordering::Relaxed) {
+    if chunks.len() < 2 || pool.workers == 0 {
         return chunks.into_iter().map(work).collect();
     }
     let slots: Vec<Mutex<Option<Vec<T>>>> =
@@ -527,14 +513,6 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
 
-    /// Serializes the tests that toggle or observe the global
-    /// `force_sequential` flag (results are mode-independent, but chunk
-    /// *scheduling* is what these tests assert on).
-    fn seq_flag_lock() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn map_filter_collect() {
         let v = vec![1u64, 2, 3, 4, 5];
@@ -623,7 +601,6 @@ mod tests {
 
     #[test]
     fn chunk_panics_propagate_after_siblings_finish() {
-        let _guard = seq_flag_lock();
         let v: Vec<u64> = (0..10_000).collect();
         let hit = std::sync::atomic::AtomicUsize::new(0);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -644,14 +621,29 @@ mod tests {
     }
 
     #[test]
-    fn force_sequential_gives_identical_results() {
-        let _guard = seq_flag_lock();
-        let v: Vec<u64> = (0..20_000).collect();
-        let par: u64 = v.par_iter().map(|x| x * x % 997).sum();
-        super::force_sequential(true);
-        let seq: u64 = v.par_iter().map(|x| x * x % 997).sum();
-        super::force_sequential(false);
-        assert_eq!(par, seq);
+    fn combinators_match_plain_iterators_around_the_chunk_split() {
+        // No chunk, one chunk, one item per chunk on either side of the
+        // 64-chunk split, and many items per chunk with a partial tail.
+        for len in [0u64, 1, 63, 64, 65, 4_097] {
+            let v: Vec<u64> = (0..len).collect();
+            let map: Vec<u64> = v.par_iter().map(|x| x * x % 997).collect();
+            assert_eq!(map, v.iter().map(|x| x * x % 997).collect::<Vec<_>>(), "map, len {len}");
+            let filter: Vec<&u64> = v.par_iter().filter(|x| **x % 3 == 0).collect();
+            assert_eq!(filter, v.iter().filter(|x| **x % 3 == 0).collect::<Vec<_>>(), "len {len}");
+            // A non-commutative fold: one accumulator per chunk, joined
+            // in chunk order, must read as one left fold over the input.
+            let push = |mut acc: Vec<u64>, x: &u64| {
+                acc.push(*x);
+                acc
+            };
+            let fold = v.par_iter().fold(Vec::new, push).reduce(Vec::new, |mut a, mut b| {
+                a.append(&mut b);
+                a
+            });
+            assert_eq!(fold, v.iter().fold(Vec::new(), push), "fold, len {len}");
+            let sum: u64 = v.par_iter().map(|x| x * 7).sum();
+            assert_eq!(sum, v.iter().map(|x| x * 7).sum::<u64>(), "sum, len {len}");
+        }
     }
 
     #[test]
