@@ -2,10 +2,12 @@
 //! involves no global communication patterns" claim, executed literally.
 //!
 //! [`MineSession::run_threaded`] runs every resource on its own OS
-//! thread; links are crossbeam channels; message processing happens
-//! whenever a message arrives, in whatever order the scheduler produces
-//! (per-edge FIFO is preserved by the channels, which is all the
-//! protocol needs — see the controller's Lamport-trace documentation).
+//! thread; each inbox is one unbounded `std::sync::mpsc` channel, and
+//! message processing happens whenever a message arrives, in whatever
+//! order the scheduler produces (per-edge FIFO is preserved by the
+//! channel, which is all the protocol needs — see the controller's
+//! Lamport-trace documentation). A send to an inbox whose receiver is
+//! gone errs, which is how a dead peer is noticed.
 //!
 //! Quiescence is detected with an atomic in-flight counter: a sender
 //! increments it before each send and the receiver decrements after fully
@@ -57,9 +59,9 @@
 //! [`MiningOutcome::chaos`].
 
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Barrier};
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::HomCipher;
 use gridmine_recovery::{RecoveryMode, RetryPolicy};
@@ -229,7 +231,7 @@ pub fn run_threaded_full<C: HomCipher + 'static>(
 
     // One channel per resource; every thread holds senders to all (the
     // tree structure limits who actually writes to whom).
-    let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
     let in_flight = Arc::new(AtomicI64::new(0));
     let barrier = Arc::new(Barrier::new(n));
 
@@ -380,7 +382,7 @@ mod tests {
         let schedule = RoundSchedule::of(&plan, 0, vec![1], RecoveryMode::Disabled);
         let mut machine = RoundMachine::new(r0, schedule, rec.clone());
         assert!(matches!(machine.scan(0), Scan::Down));
-        let ((tx, rx), (peer_tx, peer_rx)) = (unbounded(), unbounded());
+        let ((tx, rx), (peer_tx, peer_rx)) = (channel(), channel());
         let fabric =
             Fabric { senders: vec![tx, peer_tx], in_flight: Arc::new(AtomicI64::new(0)), phase: 0 };
         let out = Outbox { proxy: ChaosProxy::new(plan), fabric, rec };

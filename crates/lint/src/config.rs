@@ -102,6 +102,29 @@ enum Value {
 }
 
 impl Config {
+    /// Every configured scope, root and allow path (`exclude` names what
+    /// the walk skips, so it is not among them). Each is a prefix that
+    /// must match some walked file: one that matches none (a deleted or
+    /// misspelt module) scopes nothing.
+    pub fn paths(&self) -> impl Iterator<Item = &String> {
+        let scopes = [
+            &self.taint_scope,
+            &self.panic_scope,
+            &self.index_scope,
+            &self.lock_scope,
+            &self.det_scope,
+            &self.emit_scope,
+            &self.pair_scope,
+            &self.lock_order_scope,
+            &self.crash_scope,
+        ];
+        let lists = [&self.det_roots, &self.flow_seed_scope, &self.flow_declassify];
+        scopes
+            .into_iter()
+            .flat_map(|s| s.deny.iter().chain(&s.allow))
+            .chain(lists.into_iter().flatten())
+    }
+
     /// Parses the TOML-subset text. Errors name the offending line.
     pub fn parse(text: &str) -> Result<Config, String> {
         let mut sections: BTreeMap<String, BTreeMap<String, Value>> = BTreeMap::new();

@@ -74,7 +74,7 @@ impl LintResult {
 
 /// Lints the workspace rooted at `root` under `cfg`.
 pub fn lint_root(root: &Path, cfg: &Config) -> Result<LintResult, String> {
-    let ws = Workspace::load(root, &cfg.exclude)?;
+    let ws = load(root, cfg)?;
     let mut diags = rules::run_all(&ws, cfg);
     apply_suppressions(&ws, &mut diags);
     Ok(LintResult { files_scanned: ws.files.len(), diagnostics: diags })
@@ -84,11 +84,21 @@ pub fn lint_root(root: &Path, cfg: &Config) -> Result<LintResult, String> {
 /// `--lock-graph` CLI mode; `crates/lint/tests/lock_order.expected` pins
 /// the output for the real tree).
 pub fn lock_graph(root: &Path, cfg: &Config) -> Result<String, String> {
-    let ws = Workspace::load(root, &cfg.exclude)?;
+    let ws = load(root, cfg)?;
     let syms = symbols::SymbolTable::build(&ws);
     let graph = callgraph::CallGraph::build(&ws, &syms);
     let mut sink = Vec::new();
     Ok(flow::lock_order(&ws, cfg, &syms, &graph, &mut sink).render())
+}
+
+/// Walks the workspace and checks the configuration against it: a
+/// configured path that matches no walked file is a config error.
+fn load(root: &Path, cfg: &Config) -> Result<Workspace, String> {
+    let ws = Workspace::load(root, &cfg.exclude)?;
+    match cfg.paths().find(|p| !ws.paths().any(|f| f.starts_with(p.as_str()))) {
+        Some(dead) => Err(format!("configured path `{dead}` matches no file in the walked tree")),
+        None => Ok(ws),
+    }
 }
 
 /// Marks diagnostics covered by justified inline suppressions and emits

@@ -52,14 +52,18 @@ impl Workspace {
         self.files.iter().map(|f| f.rel.as_str())
     }
 
-    /// The transitive import closure of `roots` (repo-relative file
-    /// paths) over the crate-internal and cross-crate use graph.
+    /// The transitive import closure of the files under `roots`
+    /// (repo-relative path prefixes, like every configured path) over the
+    /// crate-internal and cross-crate use graph.
     pub fn reachable_from(&self, roots: &[String]) -> BTreeSet<String> {
         let by_path: BTreeMap<&str, &SourceFile> =
             self.files.iter().map(|f| (f.rel.as_str(), f)).collect();
         let mut seen: BTreeSet<String> = BTreeSet::new();
-        let mut queue: VecDeque<String> =
-            roots.iter().filter(|r| by_path.contains_key(r.as_str())).cloned().collect();
+        let mut queue: VecDeque<String> = self
+            .paths()
+            .filter(|f| roots.iter().any(|r| f.starts_with(r.as_str())))
+            .map(str::to_string)
+            .collect();
         seen.extend(queue.iter().cloned());
         while let Some(path) = queue.pop_front() {
             let Some(file) = by_path.get(path.as_str()) else { continue };

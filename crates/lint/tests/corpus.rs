@@ -308,6 +308,33 @@ fn missing_config_exits_two() {
 }
 
 #[test]
+fn a_configured_path_that_matches_no_file_exits_two_and_names_it() {
+    let dir = std::env::temp_dir().join("gridlint-dead-path");
+    let _ = std::fs::remove_dir_all(&dir);
+    let src = dir.join("crates/sim/src");
+    std::fs::create_dir_all(&src).expect("mkdir");
+    std::fs::write(src.join("engine.rs"), "pub fn run() {}\n").expect("write");
+    let config = |roots: &str| {
+        let text = format!("[determinism]\nroots = {roots}\ndeny = [\"crates/sim/src\"]\n");
+        std::fs::write(dir.join("gridlint.toml"), text).expect("write config");
+    };
+    let root = dir.to_str().expect("utf-8 temp path");
+    config(r#"["crates/sim/src/engine.rs"]"#);
+    assert_eq!(gridlint(&["--root", root, "--quiet"]).status.code(), Some(0));
+    // The scheduler module was deleted; its root entry was not.
+    config(r#"["crates/sim/src/engine.rs", "crates/sim/src/wheel.rs"]"#);
+    for mode in [&["--quiet"][..], &["--lock-graph"]] {
+        let out = gridlint(&[&["--root", root][..], mode].concat());
+        assert_eq!(out.status.code(), Some(2), "{mode:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(
+            stderr.contains("configured path `crates/sim/src/wheel.rs` matches no file"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn unknown_flag_exits_two() {
     let out = gridlint(&["--frobnicate"]);
     assert_eq!(out.status.code(), Some(2));

@@ -34,8 +34,11 @@
 //! flushes, behind every counter that work gave rise to, and a forwarded
 //! counter stays in `pending` until an ack covers it, which cannot exist
 //! before the counter was flushed. Reader threads on both sides drain
-//! into unbounded channels whatever the main loops are doing, so two
-//! peers flushing at each other cannot fill a socket and deadlock.
+//! into unbounded `std::sync::mpsc` channels whatever the main loops are
+//! doing, so two peers flushing at each other cannot fill a socket and
+//! deadlock. A node's one reader thread hanging up reads as
+//! `Disconnected` once its channel is empty; the hub keeps a sender of
+//! its own, so its channel never disconnects.
 //!
 //! Crash-survival is process-level. Soft crashes come from the
 //! [`FaultPlan`] (the node wipes, persists its recovery image and
@@ -52,9 +55,9 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, RecvTimeoutError, Sender};
 use gridmine_arm::Database;
 use gridmine_core::session::arm_recorder;
 use gridmine_core::{
@@ -284,7 +287,7 @@ impl<C: NetCipher> NetSession<C> {
             })
             .collect();
 
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let mut hub = HubRun::<C> {
             n,
             rounds: self.cfg.rounds,
@@ -1014,7 +1017,7 @@ mod tests {
     /// A hub over `n` peers with no process behind any of them: each is
     /// alive at epoch 1, without a stream until a test registers one.
     fn hub(n: usize) -> HubRun<MockCipher> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let unused = std::env::temp_dir().join("gridmine-hub-unit-test-unused");
         HubRun {
             n,

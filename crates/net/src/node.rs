@@ -28,10 +28,10 @@
 //! which warm-restarts from that file (`resume_tick` in its spec).
 
 use std::io::{BufReader, Write};
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, RecvTimeoutError};
 use gridmine_arm::{Item, Ratio};
 use gridmine_core::{CounterLayout, RoundMachine, Scan, SecureResource, WireMsg};
 use gridmine_majority::CandidateGenerator;
@@ -321,7 +321,7 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
 
     // Blocking reader thread, one send per read; the main loop paces
     // itself on the channel so a read timeout can never split a frame.
-    let (tx, rx) = unbounded::<Vec<Result<Frame<C>, NetError>>>();
+    let (tx, rx) = channel::<Vec<Result<Frame<C>, NetError>>>();
     let mut reader = BufReader::with_capacity(STREAM_BUF, reader);
     std::thread::spawn(move || loop {
         let batch: Vec<_> = match transport::recv_batch(&mut reader) {

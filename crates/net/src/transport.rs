@@ -22,9 +22,9 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::Duration;
 
-use crossbeam_channel::{Receiver, RecvTimeoutError};
 use gridmine_core::RetryPolicy;
 use gridmine_paillier::HomCipher;
 
@@ -373,6 +373,23 @@ mod tests {
             let err = recv_batch(&mut r).expect_err("cut frame");
             assert!(matches!(err, NetError::Wire(WireError::Truncated)), "cut {cut}: {err:?}");
         }
+    }
+
+    #[test]
+    fn an_inbox_hands_over_what_its_reader_sent_then_reads_its_hang_up_as_disconnected() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            tx.send(vec![1, 2]).expect("inbox open");
+            tx.send(vec![3]).expect("inbox open");
+        });
+        reader.join().expect("join");
+        let mut inbox = Inbox::new(rx);
+        let wait = Duration::from_secs(5);
+        assert_eq!(inbox.wait(wait), Ok(1));
+        assert_eq!(inbox.ready(), Some(2));
+        assert_eq!(inbox.ready(), Some(3));
+        assert_eq!(inbox.ready(), None);
+        assert_eq!(inbox.wait(wait), Err(RecvTimeoutError::Disconnected));
     }
 
     fn loopback_pair() -> (TcpStream, TcpStream) {

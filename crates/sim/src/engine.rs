@@ -13,26 +13,27 @@
 //! schedules decide *when* a pass fires and *whom* it visits:
 //!
 //! * [`Simulation::run_event_driven`] — the product scheduler, and what
-//!   every session, suite, example and bench runs. Passes are events on
-//!   a hierarchical [`TimerWheel`]; timestamps with no pending pass are
-//!   skipped outright, so idle resources cost nothing and a 10⁵-node
-//!   grid advances at the cost of its *active* frontier. The tracking
-//!   sets are maintained by the passes themselves.
+//!   every session, suite, example and bench runs. Pending passes are
+//!   `(time, pass)` pairs in one ordered set, whose order is the firing
+//!   order; timestamps with no pending pass are skipped outright, so
+//!   idle resources cost nothing and a 10⁵-node grid advances at the
+//!   cost of its *active* frontier. The tracking sets are maintained by
+//!   the passes themselves.
 //! * [`Simulation::step`] / [`Simulation::run`] — the dense schedule,
 //!   kept as the differential oracle: every resource armed, every pass
 //!   whose cadence divides `t` fired, the end-of-timestamp sweep over
 //!   everyone. It shares the pass bodies and nothing else, so the
-//!   wheel-vs-tick suite pins exactly what the wheel adds — the
-//!   selection of resources, the re-arming and idle skipping, and the
-//!   same-timestamp agenda — to identical solutions, verdicts and
-//!   [`ChaosReport`]s under the same seed. What a pass body does to one
-//!   resource is held against the centralized truth instead.
+//!   wheel-vs-tick suite pins exactly what the event scheduler adds —
+//!   the selection of resources, the re-arming and idle skipping, and
+//!   the passes joining their own timestamp — to identical solutions,
+//!   verdicts and [`ChaosReport`]s under the same seed. What a pass body
+//!   does to one resource is held against the centralized truth instead.
 //!
-//! Determinism-under-seed holds under both schedules: passes fire in a
-//! fixed order per timestamp, same-time wheel events pop in schedule
-//! order, per-batch message sorts are unchanged, and every RNG draw is
-//! sequenced at schedule time — so the per-directed-edge message
-//! sequences (which the fault layer keys on) are byte-identical.
+//! Determinism-under-seed holds under both schedules: passes fire in
+//! [`Pass`] order per timestamp, per-batch message sorts are unchanged,
+//! and every RNG draw is sequenced at schedule time — so the
+//! per-directed-edge message sequences (which the fault layer keys on)
+//! are byte-identical.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -51,7 +52,6 @@ use gridmine_topology::Overlay;
 use rayon::prelude::*;
 
 use crate::config::SimConfig;
-use crate::wheel::TimerWheel;
 use crate::workload::GrowthPlan;
 
 /// One kind of work in a simulation timestamp. The declaration order is
@@ -115,17 +115,13 @@ fn visit<R: Send, T: Send>(
 /// bookkeeping cannot track (manual ticks, membership changes, fault or
 /// recovery re-arming).
 struct SchedState {
-    timer: TimerWheel<Pass>,
-    /// Future `(time, pass)` pairs already in the wheel, for dedup.
-    scheduled: BTreeSet<(u64, Pass)>,
-    /// Passes still to fire at the timestamp being processed.
-    agenda: BTreeSet<Pass>,
-    /// True while inside `process_timestamp` (same-time ensure calls go
-    /// to the agenda instead of the wheel).
-    processing: bool,
-    /// The pass currently firing; later-ranked passes may still be added
-    /// to the current timestamp, earlier ones must wait for the next.
-    phase: Pass,
+    /// Pending `(time, pass)` pairs; the set order is the firing order,
+    /// and a pair is pending at most once.
+    queue: BTreeSet<(u64, Pass)>,
+    /// The pass firing now, while a timestamp is processed: passes that
+    /// rank after it may still join the current timestamp, the others
+    /// wait for the next.
+    firing: Option<Pass>,
 }
 
 /// A running simulation.
@@ -159,7 +155,7 @@ pub struct Simulation<C: HomCipher> {
     step_no: u64,
     /// Event-driven scheduler, armed while `run_event_driven` drives the
     /// sim. The tracking sets below name whom the next passes visit:
-    /// `arm_wheel` rebuilds them from first principles and the passes
+    /// `arm_scheduler` rebuilds them from first principles and the passes
     /// maintain them from then on; the dense schedule overwrites them
     /// with everyone before each step.
     sched: Option<SchedState>,
@@ -656,13 +652,12 @@ where
 
     /// Runs one step of the dense schedule — the differential oracle for
     /// [`Simulation::run_event_driven`], referenced by the wheel-vs-tick
-    /// suite only. Every resource is
-    /// armed, every pass whose cadence divides the new timestamp fires in
-    /// [`Pass`] order, and the liveness and verdict sweep covers
-    /// everyone: the same pass bodies as the wheel, with none of its
-    /// selection, re-arming or idle skipping. A manual step invalidates
-    /// any armed event scheduler; it re-bootstraps on the next
-    /// event-driven run.
+    /// suite only. Every resource is armed, every pass whose cadence
+    /// divides the new timestamp fires in [`Pass`] order, and the
+    /// liveness and verdict sweep covers everyone: the same pass bodies
+    /// as the event scheduler, with none of its selection, re-arming or
+    /// idle skipping. A manual step invalidates any armed event
+    /// scheduler; it re-bootstraps on the next event-driven run.
     pub fn step(&mut self) {
         self.sched = None;
         self.step_no += 1;
@@ -971,21 +966,15 @@ where
 
     /// Guarantees `pass` fires at `at`: same-timestamp when it still
     /// ranks after the pass currently firing, otherwise clamped forward
-    /// to the next timestamp. Deduplicated against the wheel.
+    /// to the next timestamp.
     fn ensure_pass(&mut self, at: u64, pass: Pass) {
         let t = self.step_no;
         let Some(s) = self.sched.as_mut() else { return };
-        if s.processing && at <= t && pass > s.phase {
-            s.agenda.insert(pass);
-            return;
-        }
-        let at = at.max(t + 1);
-        if s.scheduled.insert((at, pass)) {
-            s.timer.schedule(at, pass);
-        }
+        let at = if at <= t && s.firing.is_some_and(|f| pass > f) { t } else { at.max(t + 1) };
+        s.queue.insert((at, pass));
     }
 
-    /// Keeps a recurring `pass` on the wheel while it has someone to
+    /// Keeps a recurring `pass` in the queue while it has someone to
     /// visit: guarantees it at its next cadence point — the current
     /// timestamp included while the pass can still fire in it, as the
     /// dense schedule would still reach it there.
@@ -1004,7 +993,7 @@ where
         let Some(every) = self.cadence(pass) else { return };
         let t = self.step_no;
         let same_t = t.is_multiple_of(every)
-            && self.sched.as_ref().is_some_and(|s| s.processing && pass > s.phase);
+            && self.sched.as_ref().and_then(|s| s.firing).is_some_and(|f| pass > f);
         let target = if same_t { t } else { (t / every + 1) * every };
         self.ensure_pass(target, pass);
     }
@@ -1013,15 +1002,9 @@ where
     /// state: pending deliveries, the fault plan's event times, growth /
     /// scan / liveness arming, and the recurring cadence passes. The
     /// first candidate pass covers the whole grid (everyone dirty), so
-    /// the wheel starts from the caches the dense schedule would hold.
-    fn arm_wheel(&mut self) {
-        self.sched = Some(SchedState {
-            timer: TimerWheel::new(self.step_no),
-            scheduled: BTreeSet::new(),
-            agenda: BTreeSet::new(),
-            processing: false,
-            phase: Pass::Faults,
-        });
+    /// the queue starts from the caches the dense schedule would hold.
+    fn arm_scheduler(&mut self) {
+        self.sched = Some(SchedState { queue: BTreeSet::new(), firing: None });
         self.touched_now.clear();
         let now = self.step_no;
 
@@ -1071,10 +1054,10 @@ where
     pub fn run_event_driven(&mut self, n: u64) {
         let end = self.step_no.saturating_add(n);
         if self.sched.is_none() {
-            self.arm_wheel();
+            self.arm_scheduler();
         }
         loop {
-            let next = self.sched.as_ref().and_then(|s| s.timer.peek_next_time());
+            let next = self.sched.as_ref().and_then(|s| s.queue.first()).map(|&(at, _)| at);
             let Some(next) = next else { break };
             if next > end {
                 break;
@@ -1091,36 +1074,21 @@ where
         self.step_no = end;
     }
 
-    /// Pops the pass batch due at `t` and fires it in [`Pass`] order,
+    /// Pops the passes due at `t` in [`Pass`] order and fires each,
     /// re-arming each recurring pass after it fires; passes ensured
-    /// mid-timestamp join the agenda when they still rank ahead. Ends
-    /// with the liveness + verdict finalizer.
+    /// mid-timestamp join `t` when they still rank after the one firing.
+    /// Ends with the liveness + verdict finalizer.
     fn process_timestamp(&mut self, t: u64) {
-        {
-            let Some(s) = self.sched.as_mut() else { return };
-            let Some((_, passes)) = s.timer.pop_next() else { return };
-            for p in passes {
-                s.scheduled.remove(&(t, p));
-                s.agenda.insert(p);
-            }
-            s.processing = true;
-        }
         loop {
-            let pass = {
-                let Some(s) = self.sched.as_mut() else { return };
-                match s.agenda.pop_first() {
-                    Some(p) => {
-                        s.phase = p;
-                        p
-                    }
-                    None => break,
-                }
+            let Some(s) = self.sched.as_mut() else { return };
+            let Some(&(_, pass)) = s.queue.first().filter(|&&(at, _)| at == t) else {
+                s.firing = None;
+                break;
             };
+            s.queue.pop_first();
+            s.firing = Some(pass);
             self.fire_pass(pass, t);
             self.rearm(pass);
-        }
-        if let Some(s) = self.sched.as_mut() {
-            s.processing = false;
         }
         self.finalize_timestamp(t);
     }
@@ -1292,6 +1260,41 @@ mod tests {
             let visited: Vec<usize> = (0..len).filter(|&u| grid[u] >= 100).collect();
             assert_eq!(visited, ids, "{len} items: only the selection is visited");
         }
+    }
+
+    #[test]
+    fn the_queue_takes_a_pass_into_its_own_timestamp_only_after_the_one_firing() {
+        let mut sim = grid(4, 1);
+        sim.step_no = 5;
+        sim.sched = Some(SchedState { queue: BTreeSet::new(), firing: Some(Pass::Scan) });
+        // Mid-timestamp, scans firing: candidates still fire at 5; a scan
+        // (the pass firing) and growth (ranked before it) wait for 6.
+        sim.ensure_pass(5, Pass::Candidates);
+        sim.ensure_pass(5, Pass::Scan);
+        sim.ensure_pass(3, Pass::Growth);
+        // Outside a timestamp a deadline at or before 5 lands on 6, and a
+        // pass ensured twice is pending once.
+        sim.sched.as_mut().expect("armed").firing = None;
+        sim.ensure_pass(5, Pass::Wake);
+        sim.ensure_pass(2, Pass::Wake);
+        sim.ensure_pass(9, Pass::Deliver);
+        sim.ensure_pass(9, Pass::Deliver);
+        let want = [
+            (5, Pass::Candidates),
+            (6, Pass::Growth),
+            (6, Pass::Scan),
+            (6, Pass::Wake),
+            (9, Pass::Deliver),
+        ];
+        let s = sim.sched.as_ref().expect("armed");
+        assert_eq!(s.queue, want.into_iter().collect::<BTreeSet<_>>());
+        // Processing 5 pops exactly its own entries and closes the
+        // timestamp.
+        sim.process_timestamp(5);
+        let s = sim.sched.as_ref().expect("armed");
+        assert!(s.firing.is_none());
+        assert!(s.queue.first().is_some_and(|&(at, _)| at > 5), "{:?}", s.queue);
+        assert!(want[1..].iter().all(|e| s.queue.contains(e)));
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! * [`workload`] — partitioned databases, growth streams, and the
 //!   single-itemset significance workloads of Figure 3;
 //! * [`engine`] — the event-driven simulation core (one set of pass
-//!   bodies under the timer-wheel scheduler, with their dense schedule
-//!   kept as a differential oracle);
-//! * [`wheel`] — the deterministic hierarchical timer wheel;
+//!   bodies scheduled from one ordered set of `(time, pass)` pairs, with
+//!   their dense schedule kept as a differential oracle);
 //! * [`metrics`] — global recall/precision sampling and time-to-recall;
 //! * [`session`] — the [`SimSession`] builder, the simulator's analogue
 //!   of `MineSession`/`NetSession`;
@@ -24,7 +23,6 @@ pub mod engine;
 pub mod metrics;
 pub mod runner;
 pub mod session;
-pub mod wheel;
 pub mod workload;
 
 pub use config::SimConfig;
@@ -33,5 +31,4 @@ pub use engine::Simulation;
 pub use metrics::{GlobalMetrics, ObsSummary, Sample};
 pub use runner::{single_itemset_steps, time_to_recall};
 pub use session::SimSession;
-pub use wheel::TimerWheel;
 pub use workload::{significance_databases, split_growth, GrowthPlan};

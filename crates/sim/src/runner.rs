@@ -1,6 +1,6 @@
 //! One-call experiment drivers, used by the benches and examples.
 
-use gridmine_arm::{correct_rules, Database, Item, Ratio, Rule, RuleSet};
+use gridmine_arm::{correct_rules, Database, Item, Rule, RuleSet};
 use gridmine_paillier::MockCipher;
 
 use crate::config::SimConfig;
@@ -9,8 +9,10 @@ use crate::metrics::{GlobalMetrics, Sample};
 use crate::session::SimSession;
 use crate::workload::{significance_databases, GrowthPlan};
 
-/// Steps until average recall reaches `target`, or `max_steps`. Returns
-/// `(steps, metrics)`; `None` for steps when the target was never reached.
+/// Steps until average recall reaches `target`, or `max_steps`, sampled
+/// every `sample_every` steps (at least one; the last chunk stops at
+/// `max_steps`). Returns `(steps, metrics)`; `None` for steps when the
+/// target was never reached.
 pub fn time_to_recall(
     cfg: SimConfig,
     global: &Database,
@@ -24,8 +26,9 @@ pub fn time_to_recall(
     let mut metrics = GlobalMetrics::default();
     let mut steps = 0;
     while steps < max_steps {
-        sim.run_event_driven(sample_every);
-        steps += sample_every;
+        let chunk = sample_every.clamp(1, max_steps - steps);
+        sim.run_event_driven(chunk);
+        steps += chunk;
         sim.refresh_outputs();
         let (recall, precision) = sim.global_recall_precision(&truth);
         metrics.push(Sample {
@@ -86,16 +89,10 @@ pub fn simulation_over(
     SimSession::new(cfg).with_databases(dbs).with_items(items).build()
 }
 
-/// The significance definition of Figure 3 (for reporting):
-/// `(Σ sum) / (λ · Σ count) − 1`.
-pub fn significance(lambda: Ratio, sum: u64, count: u64) -> f64 {
-    sum as f64 / (lambda.as_f64() * count as f64) - 1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridmine_arm::Transaction;
+    use gridmine_arm::{Ratio, Transaction};
 
     fn tiny_global() -> Database {
         Database::from_transactions(
@@ -141,9 +138,25 @@ mod tests {
         assert!(hi <= lo, "high significance ({hi}) must not be slower than low ({lo})");
     }
 
+    /// A recall target no grid reaches: the run goes to `max_steps`.
+    fn unreachable_recall(sample_every: u64, max_steps: u64) -> GlobalMetrics {
+        let mut cfg = SimConfig::small().with_resources(3).with_k(1);
+        cfg.growth_per_step = 0;
+        cfg.min_freq = Ratio::new(1, 2);
+        let (steps, m) = time_to_recall(cfg, &tiny_global(), 2.0, sample_every, max_steps);
+        assert_eq!(steps, None);
+        m
+    }
+
     #[test]
-    fn significance_formula() {
-        // 600 of 1000 at λ = 1/2 → 600/(0.5·1000) − 1 = 0.2.
-        assert!((significance(Ratio::new(1, 2), 600, 1000) - 0.2).abs() < 1e-12);
+    fn time_to_recall_samples_every_step_when_asked_for_zero() {
+        let m = unreachable_recall(0, 3);
+        assert_eq!(m.samples.iter().map(|s| s.step).collect::<Vec<_>>(), [1, 2, 3]);
+    }
+
+    #[test]
+    fn time_to_recall_stops_at_max_steps_when_the_chunk_does_not_divide_it() {
+        let m = unreachable_recall(4, 10);
+        assert_eq!(m.samples.iter().map(|s| s.step).collect::<Vec<_>>(), [4, 8, 10]);
     }
 }

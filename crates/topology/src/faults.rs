@@ -342,7 +342,7 @@ impl FaultPlan {
 
     /// The whole resource schedule flattened into discrete
     /// [`FaultEvent`]s, sorted by `(at, kind, resource)` — the event-time
-    /// form an event-driven driver feeds straight into its timer wheel
+    /// form an event-driven driver feeds straight into its event queue
     /// instead of polling every tick.
     pub fn schedule_events(&self) -> Vec<FaultEvent> {
         let mut events: Vec<FaultEvent> = Vec::new();

@@ -56,7 +56,7 @@
 //!
 //! Simulation-scale experiments go through the analogous
 //! [`sim::session::SimSession`] builder, which drives the event-driven
-//! timer-wheel engine:
+//! engine (one ordered queue of pending passes):
 //!
 //! ```
 //! use gridmine::prelude::*;
