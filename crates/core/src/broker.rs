@@ -3,16 +3,12 @@
 //! The broker holds neither key. Everything it stores — its accountant's
 //! latest local counter, the latest counter received from each neighbor,
 //! the encrypted shares neighbors assigned to it — is opaque. Its only
-//! operations are the key-free aggregate algebra and asking its controller
-//! the two SFE questions. [`BrokerBehavior`] hooks let a compromised
+//! operations are the key-free aggregate algebra and handing its
+//! controller the inputs of the two SFE questions. [`BrokerBehavior`] hooks let a compromised
 //! broker mis-aggregate in exactly the ways §5.2 analyzes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use gridmine_arm::CandidateRule;
-use gridmine_paillier::{CipherError, HomCipher};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use gridmine_paillier::HomCipher;
 
 use crate::attack::BrokerBehavior;
 use crate::counter::{with_buffer, CounterLayout, SecureCounter};
@@ -52,6 +48,7 @@ struct Instance<C: HomCipher> {
 }
 
 /// The broker of one resource.
+#[derive(Clone)]
 pub struct Broker<C: HomCipher> {
     id: usize,
     cipher: C,
@@ -61,51 +58,21 @@ pub struct Broker<C: HomCipher> {
     /// in messages sent *to* v.
     shares_from: Vec<Option<C::Ct>>,
     rules: PerRule<Instance<C>>,
-    /// Seed for the blinding factors `ρ` drawn in [`Broker::blinded_delta`];
-    /// derived from the driver seed so replays are byte-identical.
-    rho_seed: u64,
-    /// Blinding draws made so far (each draw uses a fresh stream).
-    /// Atomic (not `Cell`) so a broker can be shared across the worker
-    /// pool's threads; draws stay deterministic because each `&self`
-    /// caller still owns its resource exclusively — the atomic only
-    /// restores `Sync` for read-only fan-out over resources.
-    rho_ctr: AtomicU64,
     /// Injected deviation (Honest in normal operation).
     pub behavior: BrokerBehavior,
     /// Messages sent (protocol-cost accounting).
     pub msgs_sent: u64,
 }
 
-impl<C: HomCipher> Clone for Broker<C> {
-    // Manual because `AtomicU64` is not `Clone`; the clone carries the
-    // same draw counter so replayed brokers stay byte-identical.
-    fn clone(&self) -> Self {
-        Broker {
-            id: self.id,
-            cipher: self.cipher.clone(),
-            layout: self.layout.clone(),
-            shares_from: self.shares_from.clone(),
-            rules: self.rules.clone(),
-            rho_seed: self.rho_seed,
-            rho_ctr: AtomicU64::new(self.rho_ctr.load(Ordering::Relaxed)),
-            behavior: self.behavior,
-            msgs_sent: self.msgs_sent,
-        }
-    }
-}
-
 impl<C: HomCipher> Broker<C> {
-    /// Builds a broker. `cipher` should be a key-free handle; `seed`
-    /// drives the SFE blinding factors (deterministic per driver seed).
-    pub fn new(id: usize, cipher: C, layout: CounterLayout, seed: u64) -> Self {
+    /// Builds a broker. `cipher` should be a key-free handle.
+    pub fn new(id: usize, cipher: C, layout: CounterLayout) -> Self {
         Broker {
             id,
             cipher,
             shares_from: vec![None; layout.neighbors.len()],
             layout,
             rules: PerRule::default(),
-            rho_seed: seed ^ (id as u64).wrapping_mul(0xA076_1D64_78BD_642F),
-            rho_ctr: AtomicU64::new(0),
             behavior: BrokerBehavior::Honest,
             msgs_sent: 0,
         }
@@ -270,41 +237,6 @@ impl<C: HomCipher> Broker<C> {
         Some(agg)
     }
 
-    /// The multiplicatively blinded majority counter
-    /// `E(ρ · (λ_d·Σsum − λ_n·Σcount))` for a random `ρ ∈ [1, 2¹⁶)` —
-    /// the broker-side half of the sign SFE. Blinding hides |Δ| from the
-    /// controller: the sign survives (`ρ > 0`), the magnitude does not.
-    /// A malicious broker blinding a *different* value can only flip its
-    /// own decisions (validity, not privacy — it holds no keys).
-    ///
-    /// Fallible: the aggregate mixes wire-received ciphertexts, and a
-    /// hostile peer can mail a non-unit value (e.g. a multiple of a prime
-    /// factor of `n`) on which `A−`/scalar are undefined. That surfaces
-    /// here as a [`CipherError`], never a panic. The caller supplies the
-    /// aggregate (usually its own [`Broker::full_aggregate`] result, which
-    /// it needs for the accompanying SFE anyway).
-    pub fn blinded_delta(
-        &self,
-        cand: &CandidateRule,
-        agg: &SecureCounter<C>,
-    ) -> Result<C::Ct, CipherError> {
-        let mut fields = agg.msg.fields.iter();
-        let (Some(sum), Some(count)) = (fields.next(), fields.next()) else {
-            // Fewer than two fields: nothing the delta algebra is defined
-            // on — the same verdict path as an undefined scalar.
-            return Err(CipherError::NotAUnit);
-        };
-        let lambda = cand.lambda;
-        let delta = self.cipher.try_sub(
-            &self.cipher.try_scalar(lambda.den() as i64, sum)?,
-            &self.cipher.try_scalar(lambda.num() as i64, count)?,
-        )?;
-        let draw = self.rho_ctr.fetch_add(1, Ordering::Relaxed);
-        let mut rng = SmallRng::seed_from_u64(self.rho_seed ^ draw.wrapping_mul(0x9E37_79B9));
-        let rho = rng.gen_range(1i64..1 << 16);
-        self.cipher.try_scalar(rho, &delta)
-    }
-
     /// The latest counter from `v` (placeholder if nothing arrived yet),
     /// exactly as stored: with [`Broker::full_aggregate`] it is the whole
     /// input of the send SFE toward `v` — what goes out is the difference
@@ -343,7 +275,7 @@ mod tests {
         let db = Database::from_transactions(vec![Transaction::of(0, &[1])]);
         let mut acc =
             Accountant::new(0, keys.enc.clone(), keys.tags.clone(), layout.clone(), db, 3);
-        let mut broker = Broker::new(0, keys.pub_ops.clone(), layout, 0x5EED);
+        let mut broker = Broker::new(0, keys.pub_ops.clone(), layout);
         let r = rule();
         acc.register_rule(0, &r);
         acc.scan_all(0);

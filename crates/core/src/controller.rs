@@ -4,7 +4,8 @@
 //! The controller never volunteers information: it answers exactly two
 //! kinds of broker queries — "should I send to neighbor v?" and "is this
 //! candidate rule correct?" — each releasing a single bit, gated by the
-//! k-privacy rule of §5.1. Before answering anything it audits the
+//! k-privacy rule of §5.1, and each evaluated on the plaintexts it opened
+//! and audited in the same call. Before answering anything it audits the
 //! broker-supplied aggregates:
 //!
 //! * authentication tags must verify (forged/spliced counters ⇒ the local
@@ -24,8 +25,7 @@
 //! input could prove nothing, because tags are linear and a broker builds
 //! a consistent `full ⊖ r'` for any valid counter `r'` it holds, key-free.
 //! Naming a counter other than `v`'s latest as `recv-v` damages only the
-//! validity of the liar's own resource, as a wrongly blinded `Δ` does in
-//! the output SFE.
+//! validity of the liar's own resource.
 //!
 //! Each SFE input is opened once per content. A rule change asks about
 //! every neighbor at the same `full` aggregate, so
@@ -51,7 +51,7 @@ use gridmine_paillier::{HomCipher, TagKey};
 
 use crate::counter::{CounterLayout, SecureCounter};
 use crate::keyring::TagKeyring;
-use crate::plain::{OpenKey, PlainCounter};
+use crate::plain::PlainCounter;
 use crate::rules::{PerRule, RuleId};
 use crate::sfe::{be_word, majority_send_cond, GateMode, KGate};
 use crate::shares::share_reduce;
@@ -271,9 +271,8 @@ pub struct Controller<C: HomCipher> {
     cipher: C,
     tags: TagKeyring,
     /// What every SFE input is opened with — the tag key of the own
-    /// layout's arity and its ciphertext pattern — derived when the layout
-    /// is set.
-    key: OpenKey,
+    /// layout's arity — derived when the layout is set.
+    key: TagKey,
     /// The keys outgoing messages were sealed under since, one per
     /// receiver arity met.
     seal_keys: Vec<TagKey>,
@@ -324,7 +323,7 @@ impl<C: HomCipher> Controller<C> {
         assert!(cipher.can_decrypt(), "controller requires the decryption key");
         Controller {
             id,
-            key: OpenKey::new(&cipher, tags.key(layout.arity())),
+            key: tags.key(layout.arity()),
             cipher,
             seal_keys: Vec::new(),
             tags,
@@ -379,7 +378,7 @@ impl<C: HomCipher> Controller<C> {
             audit.traces = vec![0; 1 + degree];
             audit.opened = vec![None; 1 + degree];
         }
-        self.key = OpenKey::new(&self.cipher, self.tags.key(layout.arity()));
+        self.key = self.tags.key(layout.arity());
         self.seal_keys.clear();
         self.shares_seen = vec![None; degree];
         self.layout = layout;
@@ -534,13 +533,13 @@ impl<C: HomCipher> Controller<C> {
     }
 
     /// Full-aggregate audit: share and timestamp checks of Algorithm 3.
-    /// Returns the aggregate's `(count, num)`.
+    /// Returns the aggregate's `(sum, count, num)`.
     fn audit_full(
         &mut self,
         id: RuleId,
         rule: &CandidateRule,
         full: &SecureCounter<C>,
-    ) -> Result<(i64, i64), Verdict> {
+    ) -> Result<(i64, i64, i64), Verdict> {
         if full.layout != self.layout {
             return Err(self.raise(Verdict::MaliciousBroker(self.id)));
         }
@@ -552,7 +551,7 @@ impl<C: HomCipher> Controller<C> {
     /// left at slot 0. Runs on every query, on a remembered plaintext as
     /// on a fresh one: the traces it holds `full` to move between queries
     /// even when `full` does not.
-    fn audit_full_plain(&mut self, id: RuleId) -> Result<(i64, i64), Verdict> {
+    fn audit_full_plain(&mut self, id: RuleId) -> Result<(i64, i64, i64), Verdict> {
         let broker = Verdict::MaliciousBroker(self.id);
         let wave = self.wave;
         let full = self.rules.get_mut(id).and_then(|audit| {
@@ -567,7 +566,7 @@ impl<C: HomCipher> Controller<C> {
             Some((p, traces)) => match p.ts.iter().zip(&*traces).position(|(t, seen)| t < seen) {
                 None => {
                     traces.copy_from_slice(&p.ts);
-                    return Ok((p.count, p.num));
+                    return Ok((p.sum, p.count, p.num));
                 }
                 Some(slot) => Verdict::MaliciousResource(
                     slot.checked_sub(1)
@@ -580,23 +579,19 @@ impl<C: HomCipher> Controller<C> {
     }
 
     /// The `Output()` SFE of Algorithm 1: is the candidate rule's majority
-    /// non-negative? Gated by k; a gated query returns the previous
-    /// answer. `id` is where the caller files `rule`; the controller
-    /// files its audit state for it there too.
+    /// `Δ^u = λ.delta(Σsum, Σcount)` non-negative? Gated by k; a gated
+    /// query returns the previous answer. `id` is where the caller files
+    /// `rule`; the controller files its audit state for it there too.
     ///
-    /// `blinded_delta` is the broker's multiplicatively blinded
-    /// `E(ρ·Δ^u)` (see [`crate::broker::Broker::blinded_delta`]): the
-    /// controller evaluates only its *sign*, never seeing `Σsum` in the
-    /// clear — one step closer to the ideal SFE, in which the controller
-    /// learns nothing at all. The share/timestamp audits and the k-gate
-    /// still need the exact `count`/`num`/`share`/timestamp fields of the
-    /// aggregate.
+    /// The answer is evaluated on the plaintext of `full` that this call
+    /// opens and audits (share, timestamps) anyway: the controller holds
+    /// the key and reads that whole tuple, `Σsum` included, so its view of
+    /// the output SFE is a subset of its view of the audit.
     pub fn output_query(
         &mut self,
         id: RuleId,
         rule: &CandidateRule,
         full: &SecureCounter<C>,
-        blinded_delta: &C::Ct,
     ) -> Result<bool, Verdict> {
         if let Some(v) = self.halted {
             return Err(v);
@@ -607,8 +602,8 @@ impl<C: HomCipher> Controller<C> {
             kind: SfeKind::Output,
             rule: rule.to_string(),
         });
-        let (count, num) = self.audit_full(id, rule, full)?;
-        let sign_nonneg = self.cipher.decrypt_i64(blinded_delta) >= 0;
+        let (sum, count, num) = self.audit_full(id, rule, full)?;
+        let sign_nonneg = rule.lambda.delta(sum, count) >= 0;
         let resource = self.id as u64;
         let ans = self.audit_state(id, rule).output_gate.disclose(count, num, || sign_nonneg);
         emit(&self.rec, || Event::OutputDecision {
@@ -882,18 +877,12 @@ mod tests {
         (local.add(&f.keys.pub_ops, &recv), recv)
     }
 
-    /// Blinded Δ as the broker would compute it (λ = 1/2 here).
-    fn blind(f: &Fix, sum: i64, count: i64) -> gridmine_paillier::MockCt {
-        f.keys.enc.encrypt_i64(7 * (2 * sum - count))
-    }
-
     #[test]
     fn output_query_discloses_when_gate_passes() {
         let mut f = fix(2);
         // 3 + 3 = 6 transactions of which 5 support; 2 resources; λ = 1/2.
         let (full, _) = pair(&f, (2, 3, 1), (3, 3, 1), 1, 1);
-        let b = blind(&f, 5, 6);
-        assert_eq!(f.ctl.output_query(0, &rule(), &full, &b), Ok(true));
+        assert_eq!(f.ctl.output_query(0, &rule(), &full), Ok(true));
     }
 
     #[test]
@@ -902,8 +891,7 @@ mod tests {
         // Only 2 resources < k = 5: gated, initial cache is false even
         // though the majority holds.
         let (full, _) = pair(&f, (3, 3, 1), (3, 3, 1), 1, 1);
-        let b = blind(&f, 6, 6);
-        assert_eq!(f.ctl.output_query(0, &rule(), &full, &b), Ok(false));
+        assert_eq!(f.ctl.output_query(0, &rule(), &full), Ok(false));
     }
 
     #[test]
@@ -912,10 +900,9 @@ mod tests {
         let key = f.keys.tags.key(f.layout.arity());
         // Local counter alone: share ≠ 1 (its neighbor share is missing).
         let local = SecureCounter::seal_local(&f.keys.enc, &key, &f.layout, 1, 1, 1, 500, 1);
-        let b = blind(&f, 1, 1);
-        assert_eq!(f.ctl.output_query(0, &rule(), &local, &b), Err(Verdict::MaliciousBroker(0)));
+        assert_eq!(f.ctl.output_query(0, &rule(), &local), Err(Verdict::MaliciousBroker(0)));
         // Halted: all further queries refused.
-        assert_eq!(f.ctl.output_query(0, &rule(), &local, &b), Err(Verdict::MaliciousBroker(0)));
+        assert_eq!(f.ctl.output_query(0, &rule(), &local), Err(Verdict::MaliciousBroker(0)));
     }
 
     #[test]
@@ -924,20 +911,17 @@ mod tests {
         let (full, _) = pair(&f, (1, 1, 1), (1, 1, 1), 1, 1);
         let mut forged = full.clone();
         forged.msg.fields[F_SUM] = f.keys.enc.encrypt_i64(999);
-        let b = blind(&f, 2, 2);
-        assert_eq!(f.ctl.output_query(0, &rule(), &forged, &b), Err(Verdict::MaliciousBroker(0)));
+        assert_eq!(f.ctl.output_query(0, &rule(), &forged), Err(Verdict::MaliciousBroker(0)));
     }
 
     #[test]
     fn timestamp_regression_blames_slot_owner() {
         let mut f = fix(1);
         let (newer, _) = pair(&f, (1, 5, 1), (1, 5, 1), 3, 7);
-        let b = blind(&f, 2, 10);
-        assert!(f.ctl.output_query(0, &rule(), &newer, &b).is_ok());
+        assert!(f.ctl.output_query(0, &rule(), &newer).is_ok());
         // Replay: neighbor 1's slot regresses from 7 to 2.
         let (older, _) = pair(&f, (2, 15, 1), (1, 5, 1), 4, 2);
-        let b = blind(&f, 3, 20);
-        assert_eq!(f.ctl.output_query(0, &rule(), &older, &b), Err(Verdict::MaliciousResource(1)));
+        assert_eq!(f.ctl.output_query(0, &rule(), &older), Err(Verdict::MaliciousResource(1)));
     }
 
     #[test]

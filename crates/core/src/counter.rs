@@ -15,31 +15,31 @@
 //! ordering — "u assigns, in preprocessing, an entry in this vector to
 //! each neighbor" (§5.2).
 //!
-//! On the wire that is §4.2's vectorised counter as far as the cipher can
-//! carry it: `sum` and `count` are signed (the padding sequence seals
-//! `s − 1`, negating transactions shrink both, the blinded `Δ` is computed
-//! on them) and stay one ciphertext each; everything from [`F_NUM`] on is
-//! the non-negative *side-band*, packed by
-//! [`gridmine_paillier::oblivious`] into `⌈(3 + d) / slots_per_ct⌉`
-//! ciphertexts. At 512 bits a counter of any degree up to 8 is four
-//! ciphertexts (`sum`, `count`, side-band, tag); under the mock cipher it
-//! is `6 + d`, one per value. Which one is a property of the cipher
-//! handle, never a choice made here.
+//! On the wire that is §4.2's vectorised counter: the whole tuple is
+//! packed by [`gridmine_paillier::oblivious`] as signed digits into
+//! `⌈(5 + d) / slots_per_ct⌉` ciphertexts. `sum` and `count` take either
+//! sign (the padding sequence seals `s − 1`, negating transactions shrink
+//! both); everything from [`F_NUM`] on is the *side-band*, which opens
+//! only non-negative. At 512 bits a counter of any degree up to 6 is two
+//! ciphertexts (the tuple and the tag), up to 17 three; under the mock
+//! cipher it is `6 + d`, one per value. Which one is a property of the
+//! cipher handle, never a choice made here.
 //!
-//! Side-band values are sealed as `u32`: the accountant's own (`num`,
-//! share, clock) are typed so where they enter, and what a controller
+//! Values are sealed as digits: side-band values as `u32`, `sum` and
+//! `count` within `±2⁴⁴`. The accountant's own are typed or bounded so
+//! where they enter (its counts by its database), and what a controller
 //! read out of an aggregate is refused by [`SecureCounter::seal_outgoing`]
 //! if it does not fit.
 
 use std::sync::Arc;
 
-use gridmine_paillier::{CounterMsg, HomCipher, TagKey};
+use gridmine_paillier::{slots, CounterMsg, HomCipher, TagKey};
 
 /// Field indices within the logical tuple.
 pub const F_SUM: usize = 0;
 /// Index of the transaction-count field.
 pub const F_COUNT: usize = 1;
-/// Index of the resource-count (`num`) field — the first of the packed
+/// Index of the resource-count (`num`) field — the first of the
 /// side-band; the fields before it are the signed ones.
 pub const F_NUM: usize = 2;
 /// Index of the accounting share field.
@@ -97,10 +97,9 @@ impl CounterLayout {
 }
 
 /// Runs `f` on a buffer of `len` copies of `fill`: on the stack up to 16
-/// of them — the ciphertexts of a mock counter of degree 10, the
-/// side-band values of one of degree 13 — so that sealing a counter
-/// allocates its ciphertexts, screening one allocates nothing, and only a
-/// wider layout pays for a vector.
+/// of them — the ciphertexts or the values of a counter of degree 10 —
+/// so that sealing a counter allocates its ciphertexts, screening one
+/// allocates nothing, and only a wider layout pays for a vector.
 pub(crate) fn with_buffer<T: Copy, R>(len: usize, fill: T, f: impl FnOnce(&mut [T]) -> R) -> R {
     let mut inline = [fill; 16];
     match inline.get_mut(..len) {
@@ -138,7 +137,8 @@ impl<C: HomCipher> Clone for SecureCounter<C> {
 
 impl<C: HomCipher> SecureCounter<C> {
     /// Accountant-side sealing of a local counter: own share, own logical
-    /// time at `T_⊥`, zeros in every neighbor slot.
+    /// time at `T_⊥`, zeros in every neighbor slot. `sum` and `count` are
+    /// the accountant's own, bounded by its database, far inside a digit.
     #[allow(clippy::too_many_arguments)]
     pub fn seal_local(
         cipher: &C,
@@ -150,11 +150,12 @@ impl<C: HomCipher> SecureCounter<C> {
         own_share: u32,
         ts: u32,
     ) -> Self {
-        let msg = with_buffer(layout.arity() - F_NUM, 0u32, |side| {
-            for (slot, v) in side.iter_mut().zip([num, own_share, ts]) {
+        let head = [sum, count].into_iter().chain([num, own_share, ts].map(i64::from));
+        let msg = with_buffer(layout.arity(), 0i64, |values| {
+            for (slot, v) in values.iter_mut().zip(head) {
                 *slot = v;
             }
-            CounterMsg::seal(cipher, key, &[sum, count], side)
+            CounterMsg::seal(cipher, key, values)
         });
         SecureCounter { msg, layout: layout.clone() }
     }
@@ -163,9 +164,9 @@ impl<C: HomCipher> SecureCounter<C> {
     /// layout's owner: the aggregate values, the receiver-assigned share,
     /// and the sender's logical time in its designated slot. `None` when
     /// `sender` has no slot in `receiver_layout` (a wiring error the
-    /// caller surfaces however fits its trust level), or when `num`, the
-    /// share or the time — read out of an aggregate other parties fed —
-    /// is not the `u32` a side-band slot seals.
+    /// caller surfaces however fits its trust level), or when a value read
+    /// out of an aggregate other parties fed does not fit its slot: `sum`
+    /// or `count` no digit, `num`, the share or the time no `u32`.
     #[allow(clippy::too_many_arguments)]
     pub fn seal_outgoing(
         cipher: &C,
@@ -179,26 +180,32 @@ impl<C: HomCipher> SecureCounter<C> {
         sender_time: i64,
     ) -> Option<Self> {
         let slot = receiver_layout.ts_slot(sender)?;
+        if !slots::is_digit(sum) || !slots::is_digit(count) {
+            return None;
+        }
         let placed = [(F_NUM, num), (F_SHARE, receiver_share_for_sender), (slot, sender_time)];
-        let msg = with_buffer(receiver_layout.arity() - F_NUM, 0u32, |side| {
-            for (at, v) in placed {
-                *side.get_mut(at - F_NUM)? = u32::try_from(v).ok()?;
+        let msg = with_buffer(receiver_layout.arity(), 0i64, |values| {
+            for (field, v) in values.iter_mut().zip([sum, count]) {
+                *field = v;
             }
-            Some(CounterMsg::seal(cipher, key, &[sum, count], side))
+            for (at, v) in placed {
+                *values.get_mut(at)? = i64::from(u32::try_from(v).ok()?);
+            }
+            Some(CounterMsg::seal(cipher, key, values))
         })?;
         Some(SecureCounter { msg, layout: receiver_layout.clone() })
     }
 
     /// An all-zero counter with a valid tag (additive identity).
     pub fn zeros(cipher: &C, key: &TagKey, layout: &CounterLayout) -> Self {
-        SecureCounter { msg: CounterMsg::zeros(cipher, key, F_NUM), layout: layout.clone() }
+        SecureCounter { msg: CounterMsg::zeros(cipher, key), layout: layout.clone() }
     }
 
     /// How many field ciphertexts (the tag aside) a counter under `layout`
     /// has with this cipher — what the broker's door screen holds a wire
     /// counter to.
     pub fn field_cts(cipher: &C, layout: &CounterLayout) -> usize {
-        CounterMsg::<C>::ct_count(cipher, F_NUM, layout.arity() - F_NUM)
+        CounterMsg::<C>::ct_count(cipher, layout.arity())
     }
 
     /// Key-free aggregation (the broker's only write operation).
@@ -320,16 +327,16 @@ mod tests {
 
     #[test]
     fn one_format_chosen_by_the_ciphers_capacity() {
-        // 512 bits carry 11 side-band slots: `sum`, `count`, one packed
-        // ciphertext and the tag for every degree up to 8 (3 + d ≤ 11),
-        // one more beyond. The mock carries one value per ciphertext.
+        // 512 bits carry 11 digits: one packed ciphertext and the tag for
+        // every degree up to 6 (5 + d ≤ 11), one more beyond. The mock
+        // carries one value per ciphertext.
         let keys = GridKeys::paillier(512, 0xFACE);
         let mock = GridKeys::mock(1);
         for degree in 0..=12usize {
             let layout = CounterLayout::new(0, (1..=degree).collect());
             let key = keys.tags.key(layout.arity());
             let c = SecureCounter::seal_local(&keys.enc, &key, &layout, -1, 8, 1, 7, 2);
-            let want = if degree <= 8 { 3 } else { 4 };
+            let want = if degree <= 6 { 1 } else { 2 };
             assert_eq!(c.msg.fields.len(), want, "degree {degree}");
             assert_eq!(SecureCounter::field_cts(&keys.pub_ops, &layout), want);
             // n² is 1024 bits: a ciphertext is at most 128 bytes.
@@ -355,6 +362,12 @@ mod tests {
         assert!(seal(1 << 32, 0, 0).is_none(), "num wider than a slot value");
         assert!(seal(0, -1, 0).is_none(), "negative share");
         assert!(seal(0, 0, 1 << 40).is_none(), "exhausted clock");
+        let votes = |sum, count| {
+            SecureCounter::seal_outgoing(&keys.enc, &key, &layout, 1, sum, count, 0, 0, 0)
+        };
+        assert!(votes(-(1 << 44), (1 << 44) - 1).is_some());
+        assert!(votes(1 << 44, 0).is_none(), "sum past a digit");
+        assert!(votes(0, -(1 << 44) - 1).is_none(), "count past a digit");
     }
 
     #[test]

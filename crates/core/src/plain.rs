@@ -5,15 +5,15 @@
 //! which hold no key — so that module carries the sealing and the
 //! key-free algebra, while everything that turns a sealed counter back
 //! into numbers lives here, behind the controller's SFE gate (§4.3: "only
-//! controllers can decrypt"): the signed `sum`/`count` decrypt as
-//! integers and the packed side-band unpacks into `num`, `share` and the
-//! timestamps inside [`gridmine_paillier::CounterMsg::open_wave`], the
-//! tag is checked over the unpacked values, and only then is the share
-//! reduced into its field. `gridlint`'s privacy-taint rule enforces the
+//! controllers can decrypt"): the packed tuple unpacks into `sum`,
+//! `count`, `num`, `share` and the timestamps inside
+//! [`gridmine_paillier::CounterMsg::open_wave`], which refuses a negative
+//! side-band value and checks the tag over the unpacked values, and only
+//! then is the share reduced into its field. `gridlint`'s privacy-taint rule enforces the
 //! split: `PlainCounter`, `open` and the `decrypt_*` family are banned
 //! identifiers in every key-blind module.
 
-use gridmine_paillier::{CounterMsg, HomCipher, ObliviousError, Shape, TagKey};
+use gridmine_paillier::{CounterMsg, HomCipher, ObliviousError, TagKey};
 
 use crate::counter::{SecureCounter, F_NUM, F_TS};
 use crate::shares::share_reduce;
@@ -58,22 +58,6 @@ impl PlainCounter {
     }
 }
 
-/// What opening the counters of one layout takes, derived once per layout
-/// epoch by the controller that opens them: the tag key of the layout's
-/// arity and the shape of each ciphertext under the controller's cipher.
-#[derive(Clone)]
-pub struct OpenKey {
-    key: TagKey,
-    pattern: Vec<Shape>,
-}
-
-impl OpenKey {
-    /// What counters sealed under `key` open with at a holder of `cipher`.
-    pub fn new<C: HomCipher>(cipher: &C, key: TagKey) -> Self {
-        OpenKey { pattern: CounterMsg::pattern(cipher, F_NUM, key.arity()), key }
-    }
-}
-
 impl<C: HomCipher> SecureCounter<C> {
     /// Controller-side: verify the tag and decrypt.
     pub fn open(&self, cipher: &C, key: &TagKey) -> Result<PlainCounter, ObliviousError> {
@@ -87,9 +71,8 @@ impl<C: HomCipher> SecureCounter<C> {
         key: &TagKey,
         counters: &[&Self],
     ) -> Vec<Result<PlainCounter, ObliviousError>> {
-        let key = OpenKey::new(cipher, key.clone());
         let mut opened = Vec::with_capacity(counters.len());
-        Self::open_wave(cipher, &key, counters.iter().copied(), |_, fields| {
+        Self::open_wave(cipher, key, counters.iter().copied(), |_, fields| {
             opened.push(fields.and_then(PlainCounter::of));
         });
         opened
@@ -103,13 +86,13 @@ impl<C: HomCipher> SecureCounter<C> {
     /// caller keeps them — or why it did not open.
     pub fn open_wave<'a>(
         cipher: &C,
-        key: &OpenKey,
+        key: &TagKey,
         counters: impl Iterator<Item = &'a Self> + Clone,
         sink: impl FnMut(usize, Result<&[i64], ObliviousError>),
     ) where
         C: 'a,
     {
-        CounterMsg::open_wave(cipher, &key.key, &key.pattern, counters.map(|c| &c.msg), sink);
+        CounterMsg::open_wave(cipher, key, F_NUM, counters.map(|c| &c.msg), sink);
     }
 }
 

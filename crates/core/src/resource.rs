@@ -123,7 +123,7 @@ impl<C: HomCipher> SecureResource<C> {
         let layout = CounterLayout::new(id, neighbors);
         let acc =
             Accountant::new(id, keys.enc.clone(), keys.tags.clone(), layout.clone(), db, seed);
-        let broker = Broker::new(id, keys.pub_ops.clone(), layout.clone(), seed);
+        let broker = Broker::new(id, keys.pub_ops.clone(), layout.clone());
         let ctl = Controller::new(id, keys.dec.clone(), keys.tags.clone(), k, layout.clone());
         let mut r = SecureResource {
             id,
@@ -576,20 +576,7 @@ impl<C: HomCipher> SecureResource<C> {
             else {
                 continue;
             };
-            // Defense in depth: the door screen in `on_receive` should have
-            // rejected any counter on which the delta algebra is undefined;
-            // if one slipped through, the co-resident broker state is
-            // corrupt and this resource's own output can't be trusted.
-            let blinded = match self.broker.blinded_delta(cand, &full) {
-                Ok(b) => b,
-                Err(_) => {
-                    let verdict = Verdict::MaliciousBroker(self.id);
-                    self.halted = Some(verdict);
-                    emit(&self.rec, || verdict.to_event(self.id));
-                    return;
-                }
-            };
-            match self.ctl.output_query(id, cand, &full, &blinded) {
+            match self.ctl.output_query(id, cand, &full) {
                 Ok(answer) => {
                     let answer = if self.controller_behavior == ControllerBehavior::InvertOutputs {
                         !answer

@@ -1,13 +1,14 @@
 //! The product counter format and what the controller pays to open it:
-//! `sum` and `count` standalone, the side-band packed by the cipher's
-//! capacity, every SFE input opened once per content.
+//! the whole tuple packed as signed digits by the cipher's capacity, every
+//! SFE input opened once per content.
 //!
-//! * sealed counters add slot-wise under both ciphers, across a spill
-//!   into a second side-band ciphertext and at the two slots a 128-bit
-//!   key carries;
+//! * sealed counters add, subtract and scale slot-wise under both
+//!   ciphers, `sum` and `count` of either sign, across a spill into a
+//!   second ciphertext and at the two digits a 128-bit key carries — and
+//!   a side-band value driven negative is refused, as the model says;
 //! * one rule change at a degree-2 resource is at most one decryption
 //!   wave, over the inputs that changed, with a fixed key-operation
-//!   budget;
+//!   budget: at 512 bits a counter is one ciphertext and its tag;
 //! * a neighbor's share, and each SFE input, is decrypted once per
 //!   distinct ciphertext and forgotten with the membership epoch;
 //! * a forged edge of a wave is blamed where one query per edge would
@@ -16,11 +17,11 @@
 use std::sync::OnceLock;
 
 use gridmine_arm::{CandidateRule, ItemSet, Ratio, Rule};
-use gridmine_core::counter::{CounterLayout, SecureCounter, F_SUM};
+use gridmine_core::counter::{CounterLayout, SecureCounter, F_COUNT, F_NUM, F_SHARE, F_SUM, F_TS};
 use gridmine_core::shares::{share_reduce, SHARE_MODULUS};
 use gridmine_core::{Controller, GridKeys, SendEdge, Verdict};
 use gridmine_obs::{Event, KeyOpKind, MemoryRecorder, SharedRecorder};
-use gridmine_paillier::{HomCipher, MockCipher, PaillierCtx};
+use gridmine_paillier::{HomCipher, MockCipher, ObliviousError, PaillierCtx, SlotError};
 use proptest::prelude::*;
 
 fn rule() -> CandidateRule {
@@ -30,45 +31,107 @@ fn rule() -> CandidateRule {
 /// One sealed counter's plaintexts: `(sum, count, num, share, time)`.
 type Fields = (i64, i64, u32, u32, u32);
 
-/// Votes bounded so that a chain's tag sum stays inside the mock's `i64`.
-fn fields() -> impl Strategy<Value = Fields> {
-    (-(1i64 << 30)..1 << 30, -(1i64 << 30)..1 << 30, any::<u32>(), any::<u32>(), any::<u32>())
+/// Votes of either sign.
+fn votes() -> impl Strategy<Value = i64> {
+    -(1i64 << 30)..1 << 30
 }
 
-/// Seals each element of `chain` — the first as the local counter, the
-/// rest as messages from the neighbors in turn — adds them up,
-/// rerandomises, opens, and compares with the field-wise sum.
-fn add_chain_opens_to_the_fieldwise_sum<C: HomCipher>(
+fn fields() -> impl Strategy<Value = Fields> {
+    (votes(), votes(), any::<u32>(), any::<u32>(), any::<u32>())
+}
+
+/// One step of a chain over a running aggregate.
+#[derive(Clone, Debug)]
+enum Step {
+    /// Add a sealed counter — the local one or a neighbor's, in turn.
+    Add(Fields),
+    /// Subtract a counter that carries votes only (its side-band zero):
+    /// `sum` and `count` go wherever the votes take them.
+    Sub(i64, i64),
+    /// Scale everything, the side-band included.
+    Scale(i64),
+}
+
+fn chain() -> impl Strategy<Value = Vec<Step>> {
+    let step = prop_oneof![
+        fields().prop_map(Step::Add),
+        (votes(), votes()).prop_map(|(s, c)| Step::Sub(s, c)),
+        (-2i64..=3).prop_map(Step::Scale),
+    ];
+    prop::collection::vec(step, 1..=32)
+}
+
+/// Runs `chain` from a sealed zero counter under a degree-`degree`
+/// layout, then opens the aggregate and holds it to the field-wise model:
+/// exact values, or — once a side-band value is negative — `SideBand` at
+/// the first such field. A step that would take a model value to 2³⁷ is
+/// skipped, so that every value stays a digit and every tag sum an `i64`.
+fn chain_opens_as_the_fieldwise_model<C: HomCipher>(
     keys: &GridKeys<C>,
     degree: usize,
-    chain: &[Fields],
+    chain: &[Step],
 ) -> Result<(), TestCaseError> {
     let layout = CounterLayout::new(0, (1..=degree).collect());
     let key = keys.tags.key(layout.arity());
-    let mut want_ts = vec![0i64; 1 + degree];
-    let (mut sum, mut count, mut num, mut share) = (0i64, 0i64, 0i64, 0i64);
-    let mut acc: Option<SecureCounter<C>> = None;
-    for (i, &(s, c, n, sh, t)) in chain.iter().enumerate() {
+    let ops = &keys.pub_ops;
+    let mut model = vec![0i64; layout.arity()];
+    let mut acc = SecureCounter::zeros(&keys.enc, &key, &layout);
+    for (i, step) in chain.iter().enumerate() {
         let slot = i % (1 + degree);
-        let sealed = if slot == 0 {
-            SecureCounter::seal_local(&keys.enc, &key, &layout, s, c, n, sh, t)
-        } else {
-            let (n, sh, t) = (i64::from(n), i64::from(sh), i64::from(t));
-            SecureCounter::seal_outgoing(&keys.enc, &key, &layout, slot, s, c, n, sh, t)
-                .expect("every u32 seals")
+        let mut next = model.clone();
+        match *step {
+            Step::Add((s, c, n, sh, t)) => {
+                let (n, sh, t) = (i64::from(n), i64::from(sh), i64::from(t));
+                for (at, v) in
+                    [(F_SUM, s), (F_COUNT, c), (F_NUM, n), (F_SHARE, sh), (F_TS + slot, t)]
+                {
+                    next[at] += v;
+                }
+            }
+            Step::Sub(s, c) => {
+                (next[F_SUM], next[F_COUNT]) = (model[F_SUM] - s, model[F_COUNT] - c)
+            }
+            Step::Scale(k) => next.iter_mut().for_each(|v| *v *= k),
+        }
+        if next.iter().any(|v| v.abs() >= 1 << 37) {
+            continue;
+        }
+        acc.msg = match *step {
+            Step::Add((s, c, n, sh, t)) if slot == 0 => {
+                let local = SecureCounter::seal_local(&keys.enc, &key, &layout, s, c, n, sh, t);
+                acc.msg.add(ops, &local.msg)
+            }
+            Step::Add((s, c, n, sh, t)) => {
+                let (n, sh, t) = (i64::from(n), i64::from(sh), i64::from(t));
+                let sent =
+                    SecureCounter::seal_outgoing(&keys.enc, &key, &layout, slot, s, c, n, sh, t)
+                        .expect("every u32 seals");
+                acc.msg.add(ops, &sent.msg)
+            }
+            Step::Sub(s, c) => {
+                let votes = SecureCounter::seal_local(&keys.enc, &key, &layout, s, c, 0, 0, 0);
+                acc.msg.sub(ops, &votes.msg)
+            }
+            Step::Scale(k) => acc.msg.scalar(ops, k),
         };
-        prop_assert_eq!(sealed.msg.fields.len(), SecureCounter::field_cts(&keys.pub_ops, &layout));
-        (sum, count, num, share) = (sum + s, count + c, num + i64::from(n), share + i64::from(sh));
-        want_ts[slot] += i64::from(t);
-        acc = Some(match acc {
-            Some(acc) => acc.add(&keys.pub_ops, &sealed),
-            None => sealed,
-        });
+        prop_assert_eq!(acc.msg.fields.len(), SecureCounter::field_cts(ops, &layout));
+        model = next;
     }
-    let acc = acc.expect("chains are non-empty").rerandomize(&keys.pub_ops);
-    let p = acc.open(&keys.dec, &key).expect("an honest aggregate opens");
-    prop_assert_eq!((p.sum, p.count, p.num, p.share), (sum, count, num, share_reduce(share)));
-    prop_assert_eq!(p.ts, want_ts);
+    let opened = acc.rerandomize(ops).open(&keys.dec, &key);
+    match model.iter().skip(F_NUM).position(|&v| v < 0) {
+        Some(at) => prop_assert_eq!(
+            opened,
+            Err(ObliviousError::SideBand(SlotError::Negative { slot: F_NUM + at }))
+        ),
+        None => {
+            let p = opened.expect("an aggregate with a non-negative side-band opens");
+            prop_assert_eq!(
+                (p.sum, p.count, p.num, p.share),
+                (model[F_SUM], model[F_COUNT], model[F_NUM], share_reduce(model[F_SHARE]))
+            );
+            prop_assert_eq!(&p.ts[..], &model[F_TS..]);
+        }
+    }
     Ok(())
 }
 
@@ -86,26 +149,23 @@ fn paillier_128() -> &'static GridKeys<PaillierCtx> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Degree 12 at 512 bits: 15 side-band values over the 11 slots of a
+    /// Degree 12 at 512 bits: 17 values over the 11 digits of a
     /// ciphertext, so two of them.
     #[test]
-    fn chains_add_slotwise_across_a_spill(chain in prop::collection::vec(fields(), 1..=64)) {
+    fn chains_combine_slotwise_across_a_spill(chain in chain()) {
         let keys = paillier_512();
         prop_assert_eq!(keys.pub_ops.slots_per_ct(), 11);
-        add_chain_opens_to_the_fieldwise_sum(keys, 12, &chain)?;
-        add_chain_opens_to_the_fieldwise_sum(&GridKeys::<MockCipher>::mock(9), 12, &chain)?;
+        chain_opens_as_the_fieldwise_model(keys, 12, &chain)?;
+        chain_opens_as_the_fieldwise_model(&GridKeys::<MockCipher>::mock(9), 12, &chain)?;
     }
 
-    /// 128-bit keys, as the suites use: two slots a ciphertext.
+    /// 128-bit keys, as the suites use: two digits a ciphertext.
     #[test]
-    fn chains_add_slotwise_at_two_slots_a_ciphertext(
-        chain in prop::collection::vec(fields(), 1..=64),
-        degree in 0usize..4,
-    ) {
+    fn chains_combine_slotwise_at_two_digits_a_ciphertext(chain in chain(), degree in 0usize..4) {
         let keys = paillier_128();
         prop_assert_eq!(keys.pub_ops.slots_per_ct(), 2);
-        add_chain_opens_to_the_fieldwise_sum(keys, degree, &chain)?;
-        add_chain_opens_to_the_fieldwise_sum(&GridKeys::<MockCipher>::mock(9), degree, &chain)?;
+        chain_opens_as_the_fieldwise_model(keys, degree, &chain)?;
+        chain_opens_as_the_fieldwise_model(&GridKeys::<MockCipher>::mock(9), degree, &chain)?;
     }
 }
 
@@ -199,7 +259,7 @@ fn key_ops(mem: &MemoryRecorder, op: KeyOpKind) -> usize {
 #[test]
 fn one_rule_change_opens_what_changed_within_its_key_op_budget() {
     let mut w = Wave::new(GridKeys::paillier(512, 7));
-    assert_eq!(w.full.msg.fields.len() + 1, 4, "sum, count, side-band, tag");
+    assert_eq!(w.full.msg.fields.len() + 1, 2, "the packed tuple and its tag");
     let mem = MemoryRecorder::shared();
     let mut ctl = w.controller(Some(mem.clone()));
     // One wave: (Decrypt, BatchDecrypt, MultiExp) it cost the controller.
@@ -211,9 +271,10 @@ fn one_rule_change_opens_what_changed_within_its_key_op_budget() {
         (sealed.len(), ops.map(|op| key_ops(&mem, op)))
     };
 
-    // First contact: both edges send. Three counters of three ciphertexts
-    // in one wave, one decryption for the combined tag check, two shares.
-    assert_eq!(wave(&mut ctl, &w), (2, [12, 1, 1]));
+    // First contact: both edges send. Three counters of one ciphertext
+    // each in one wave, one decryption for the combined tag check, two
+    // shares.
+    assert_eq!(wave(&mut ctl, &w), (2, [6, 1, 1]));
     assert_eq!(ctl.queries_served, 2);
     // The same inputs again — a nudge over unchanged state — send
     // nothing and cost no key operation at all.
@@ -224,12 +285,12 @@ fn one_rule_change_opens_what_changed_within_its_key_op_budget() {
     // with it. Those two open — neighbor 2's is read back.
     w.recv[0] = Wave::from(&w.keys, &w.layout, 1, 6);
     w.full = Wave::sum(&w.keys, &w.local, &w.recv);
-    assert_eq!(wave(&mut ctl, &w).1, [7, 1, 1]);
+    assert_eq!(wave(&mut ctl, &w).1, [3, 1, 1]);
     // A scan: only the local counter moves, so only the aggregate is
     // new, and a lone tag is checked without a multi-exponentiation.
     w.local = Wave::local(&w.keys, &w.layout, 12, 4);
     w.full = Wave::sum(&w.keys, &w.local, &w.recv);
-    assert_eq!(wave(&mut ctl, &w).1, [4, 1, 0]);
+    assert_eq!(wave(&mut ctl, &w).1, [2, 1, 0]);
     assert_eq!(wave(&mut ctl, &w).1, [0, 0, 0]);
 }
 
@@ -298,12 +359,11 @@ fn opened_inputs_are_read_back_only_as_the_same_bytes_and_die_with_the_epoch() {
     w.recv[0] = w.recv[0].rerandomize(&w.keys.pub_ops);
     assert_eq!(wave(&mut ctl, &w), (one, sent.clone()));
     assert_eq!(wave(&mut ctl, &w), (0, sent.clone()));
-    // …and the output SFE on the aggregate a wave just opened pays for
-    // the blinded Δ alone.
+    // …and the output SFE on the aggregate a wave just opened reads it
+    // back: no key operation at all.
     mem.clear();
-    let blinded = w.keys.enc.encrypt_i64(-7);
-    assert_eq!(ctl.output_query(0, &rule(), &w.full, &blinded), Ok(false));
-    assert_eq!(key_ops(&mem, KeyOpKind::Decrypt), 1);
+    assert_eq!(ctl.output_query(0, &rule(), &w.full), Ok(false));
+    assert_eq!(key_ops(&mem, KeyOpKind::Decrypt), 0);
     // A new membership epoch forgets them all.
     ctl.set_layout(w.layout.clone());
     assert_eq!(wave(&mut ctl, &w), (cold, sent));

@@ -1,23 +1,22 @@
 //! Hostile-ciphertext attacks: a malicious peer mails a counter whose
 //! "ciphertext" is not a unit mod n² (e.g. the public modulus `n` itself,
 //! a multiple of a prime factor). On such a value the homomorphic
-//! inverse — and therefore `A−` and negative/blinding scalars — is
-//! undefined, so the broker→controller sign-SFE path used to be a
-//! release-mode panic waiting inside `refresh_outputs`.
+//! inverse — and therefore `A−` and negative scalars — is undefined, and
+//! the decryption of anything aggregated with it is garbage.
 //!
 //! The protocol answer (§5.2's accountability stance): the receiving
 //! resource screens every wire counter with the key-free
 //! `is_wellformed` check and convicts the *sender* at the door; if a
-//! malformed value somehow reaches the delta algebra anyway, the broker
-//! surfaces a `CipherError` and the resource halts with a verdict — in
-//! no case does the process abort.
+//! malformed value somehow reaches an aggregate the controller opens
+//! anyway, decryption is total, the garbage opens to no tuple, and the
+//! resource halts with a verdict — in no case does the process abort.
 //!
-//! The same stance covers the packed side-band: what a controller
-//! unpacks is whatever its broker aggregated, so a plaintext that is no
-//! tuple of slot values — wider than its layout, a borrow out of `A−`, a
-//! side-band ciphertext too few or too many — and a restored clock no
-//! timestamp slot seals each end in a verdict or a rejected restore,
-//! under both ciphers.
+//! The same stance covers the packed tuple: what a controller unpacks is
+//! whatever its broker aggregated, so a plaintext that is no tuple of
+//! digits (wider than its width, a ciphertext too few or too many), a
+//! side-band value a borrow out of `A−` left negative, and a restored
+//! clock no timestamp slot seals each end in a verdict or a rejected
+//! restore, under both ciphers.
 //!
 //! And it covers the one input of the send SFE a broker picks freely,
 //! `recv_v`: a counter `full` cannot contain convicts the broker; one it
@@ -27,7 +26,7 @@
 
 use gridmine_arm::{CandidateRule, Database, Item, ItemSet, Ratio, Rule, Transaction};
 use gridmine_core::attack::BrokerBehavior;
-use gridmine_core::counter::{CounterLayout, SecureCounter, F_COUNT, F_NUM, F_SUM};
+use gridmine_core::counter::{CounterLayout, SecureCounter, F_NUM, F_SUM, F_TS};
 use gridmine_core::resource::wire_grid;
 use gridmine_core::{
     Accountant, AuditImage, Broker, Controller, GridKeys, KGate, SealedEdges, SecureResource,
@@ -39,6 +38,10 @@ use gridmine_paillier::{
     Ciphertext, HomCipher, MockCipher, ObliviousError, PaillierCtx, SlotError,
 };
 use gridmine_recovery::{RecoveryLog, ResourceState, RuleRecord};
+
+fn rule() -> CandidateRule {
+    CandidateRule::new(Rule::frequency(ItemSet::of(&[1])), Ratio::new(1, 2))
+}
 
 /// A non-unit "ciphertext": the public modulus `n` itself, which shares
 /// every prime factor with n² and therefore has no inverse mod n².
@@ -53,9 +56,16 @@ fn paillier_grid(n: usize) -> (GridKeys<PaillierCtx>, Vec<SecureResource<Paillie
 }
 
 fn path_grid<C: HomCipher>(keys: &GridKeys<C>, n: usize) -> Vec<SecureResource<C>> {
+    let mut rs = path_grid_unwired(keys, n);
+    wire_grid(&mut rs);
+    rs
+}
+
+/// The resources of [`path_grid`] before any layout or share is exchanged.
+fn path_grid_unwired<C: HomCipher>(keys: &GridKeys<C>, n: usize) -> Vec<SecureResource<C>> {
     let generator = CandidateGenerator::new(Ratio::new(1, 2), Ratio::new(1, 2));
     let items = vec![Item(1), Item(2)];
-    let mut rs: Vec<SecureResource<C>> = (0..n)
+    (0..n)
         .map(|u| {
             let db = Database::from_transactions(
                 (0..8).map(|j| Transaction::of((u * 8 + j) as u64, &[1, 2])).collect(),
@@ -69,9 +79,7 @@ fn path_grid<C: HomCipher>(keys: &GridKeys<C>, n: usize) -> Vec<SecureResource<C
             }
             SecureResource::new(u, keys, neighbors, db, 1, generator, &items, u as u64)
         })
-        .collect();
-    wire_grid(&mut rs);
-    rs
+        .collect()
 }
 
 /// End-to-end: a hostile peer splices a non-unit value into an otherwise
@@ -133,38 +141,54 @@ fn non_unit_tag_from_peer_convicts_sender() {
     assert_eq!(rs[0].verdict(), Some(Verdict::MaliciousResource(1)));
 }
 
-/// Defense in depth: if a malformed counter bypasses the resource screen
-/// (here: fed to the broker directly), the blinded-delta algebra reports
-/// a `CipherError` instead of panicking.
+/// Defense in depth: a poisoned counter that gets past the door reaches
+/// `refresh_outputs`, whose output SFE opens the aggregate holding it and
+/// convicts the local broker — the process does not abort. The receiver
+/// is left unwired (no neighbor layout, no share), so no send SFE opens
+/// the aggregate first. The door passes, key-free, what only a key tells
+/// apart: under the mock a value past a digit, under Paillier a unit
+/// encrypting one.
+fn poisoned_aggregate_reaches_refresh_outputs<C: HomCipher>(keys: GridKeys<C>) {
+    let mut rs: Vec<SecureResource<C>> = path_grid_unwired(&keys, 2);
+    let layout = rs[0].layout().clone();
+    let key = keys.tags.key(layout.arity());
+    let mut counter = SecureCounter::seal_outgoing(&keys.enc, &key, &layout, 1, 3, 4, 1, 0, 1)
+        .expect("1 is a neighbor of 0");
+    counter.msg.fields[0] = wider_than(&keys.enc, keys.enc.slots_per_ct().min(layout.arity()));
+    let msg = WireMsg { from: 1, to: 0, cand: rule(), counter };
+    assert!(rs[0].on_receive(&msg).is_empty(), "no edge is wired to answer on");
+    assert_eq!(rs[0].verdict(), None, "past the door");
+    rs[0].refresh_outputs();
+    assert_eq!(rs[0].verdict(), Some(Verdict::MaliciousBroker(0)));
+}
+
 #[test]
-fn blinded_delta_on_poisoned_aggregate_errors_instead_of_panicking() {
+fn poisoned_aggregate_past_the_door_ends_in_a_broker_verdict_not_a_panic() {
+    poisoned_aggregate_reaches_refresh_outputs(GridKeys::<MockCipher>::mock(23));
+    poisoned_aggregate_reaches_refresh_outputs(GridKeys::paillier(128, 23));
+
+    // A non-unit, which the door does stop, fed to the broker directly:
+    // the aggregate is a non-unit too, and what `refresh_outputs` runs on
+    // it — the broker's aggregate into the controller's output SFE —
+    // decrypts it to garbage that opens to no tuple.
     let keys = GridKeys::paillier(128, 23);
     let layout = CounterLayout::new(0, vec![1]);
     let db = Database::from_transactions(vec![Transaction::of(0, &[1])]);
     let mut acc = Accountant::new(0, keys.enc.clone(), keys.tags.clone(), layout.clone(), db, 2);
-    let mut broker = Broker::new(0, keys.pub_ops.clone(), layout.clone(), 0x5EED);
-    let cand = CandidateRule::new(Rule::frequency(ItemSet::of(&[1])), Ratio::new(1, 2));
-    acc.register_rule(0, &cand);
+    let mut broker = Broker::new(0, keys.pub_ops.clone(), layout.clone());
+    acc.register_rule(0, &rule());
     acc.scan_all(0);
-    let local = acc.respond(0).pop().unwrap();
+    let local = acc.respond(0).pop().expect("one counter");
     broker.init_rule(0, local, vec![acc.placeholder_for(1)]);
-
-    // An evil counter injected straight into broker state (screen
-    // bypassed). The count field is the subtrahend of the delta, so the
-    // blinding algebra must invert it — the exact operation that is
-    // undefined on a non-unit.
     let key = keys.tags.key(layout.arity());
     let mut evil = SecureCounter::seal_outgoing(&keys.enc, &key, &layout, 1, 3, 4, 1, 0, 1)
         .expect("1 is a neighbor of 0");
-    evil.msg.fields[F_COUNT] = evil_ciphertext(&keys);
+    evil.msg.fields[F_SUM] = evil_ciphertext(&keys);
     assert!(!broker.counter_is_wellformed(&evil));
     broker.on_receive(0, 1, &evil);
-
     let full = broker.full_aggregate(0, None).expect("rule was initialized");
-    assert!(
-        broker.blinded_delta(&cand, &full).is_err(),
-        "non-unit field must surface as a protocol error, not a panic"
-    );
+    let mut ctl = Controller::new(0, keys.dec.clone(), keys.tags.clone(), 1, layout);
+    assert_eq!(ctl.output_query(0, &rule(), &full), Err(Verdict::MaliciousBroker(0)));
 }
 
 /// A hostile resource sends a counter sealed under a *different* overlay
@@ -175,7 +199,7 @@ fn blinded_delta_on_poisoned_aggregate_errors_instead_of_panicking() {
 fn wrong_arity_counter_rejected_at_the_door() {
     let keys = GridKeys::paillier(128, 29);
     let layout = CounterLayout::new(0, vec![1]);
-    let broker = Broker::new(0, keys.pub_ops.clone(), layout, 0x5EED);
+    let broker = Broker::new(0, keys.pub_ops.clone(), layout);
 
     // Sealed for a 3-neighbor overlay: arity 7 instead of 6.
     let fat_layout = CounterLayout::new(0, vec![1, 2, 3]);
@@ -188,11 +212,7 @@ fn wrong_arity_counter_rejected_at_the_door() {
     );
 }
 
-// ---- the packed side-band, over both ciphers ------------------------
-
-fn rule() -> CandidateRule {
-    CandidateRule::new(Rule::frequency(ItemSet::of(&[1])), Ratio::new(1, 2))
-}
+// ---- the packed tuple, over both ciphers ----------------------------
 
 /// Resource 0's controller with an honest `(full, recv_1)` pair (shares
 /// summing to one) and the share 1 assigned to 0.
@@ -250,9 +270,8 @@ impl<C: HomCipher> Scene<C> {
     fn assert_convicts_broker(&self, forged: &SecureCounter<C>, why: ObliviousError) {
         let key = self.keys.tags.key(self.layout.arity());
         assert_eq!(forged.open(&self.keys.dec, &key), Err(why));
-        let blinded = self.keys.enc.encrypt_i64(7);
         assert_eq!(
-            self.controller().output_query(0, &rule(), forged, &blinded),
+            self.controller().output_query(0, &rule(), forged),
             Err(Verdict::MaliciousBroker(0))
         );
         let (sealed, verdict) = self.send(forged, &self.recv);
@@ -261,10 +280,10 @@ impl<C: HomCipher> Scene<C> {
     }
 }
 
-/// A ciphertext of `2^(44·slots)`: one bit above a side-band ciphertext
-/// of that many slots. Key-free — any broker can mint it.
-fn wider_than<C: HomCipher>(cipher: &C, slots: usize) -> C::Ct {
-    (0..slots).fold(cipher.encrypt_i64(1), |c, _| cipher.scalar(1 << 44, &c))
+/// A ciphertext of `2^(45·digits − 1)`: just past the top of the tuples of
+/// that many digits. Key-free — any broker can mint it.
+fn wider_than<C: HomCipher>(cipher: &C, digits: usize) -> C::Ct {
+    (1..digits).fold(cipher.encrypt_i64(1 << 44), |c, _| cipher.scalar(1 << 45, &c))
 }
 
 fn hostile_side_bands_end_in_a_verdict<C: HomCipher>(keys: GridKeys<C>) {
@@ -274,35 +293,32 @@ fn hostile_side_bands_end_in_a_verdict<C: HomCipher>(keys: GridKeys<C>) {
     let (sealed, verdict) = s.send(&s.full, &s.recv);
     assert_eq!((sealed.len(), verdict), (1, Ok(())));
 
-    // Side-band replaced by an encryption of 2^total_bits.
-    let slots = cipher.slots_per_ct().min(s.layout.arity() - F_NUM);
+    // The first ciphertext replaced by an encryption just past the top
+    // of its digits.
+    let digits = cipher.slots_per_ct().min(s.layout.arity());
     let mut wide = s.full.clone();
-    wide.msg.fields[F_NUM] = wider_than(cipher, slots);
+    wide.msg.fields[0] = wider_than(cipher, digits);
     s.assert_convicts_broker(&wide, ObliviousError::SideBand(SlotError::OutOfLayout));
 
     // `recv_v − full`, ciphertext by ciphertext, tag included: the tag
-    // relation holds, so only the unpacker stands between this forgery
-    // and the audits. `num` (the top slot) goes negative and borrows out
-    // of the layout.
+    // relation holds, so only the side-band's sign stands between this
+    // forgery and the audits. `sum` and `count` go negative, as votes
+    // may; so does `num`, which may not.
     let mut borrowed = s.full.clone();
     borrowed.msg = s.recv.msg.sub(cipher, &s.full.msg);
-    s.assert_convicts_broker(&borrowed, ObliviousError::SideBand(SlotError::OutOfLayout));
-    // `full − 2·recv_v`: neighbor 1's timestamp goes negative. Alone in
-    // its ciphertext that reads as out of the layout; packed, the slot
-    // above it absorbs the borrow and the unpacked tuple no longer
-    // matches the tag.
+    let negative = |slot| ObliviousError::SideBand(SlotError::Negative { slot });
+    s.assert_convicts_broker(&borrowed, negative(F_NUM));
+    // `full − 2·recv_v`: neighbor 1's timestamp goes negative. The
+    // centred read returns the borrow at any capacity, so the value
+    // reads back as what it is.
     borrowed.msg = s.full.msg.sub(cipher, &s.recv.msg.scalar(cipher, 2));
-    let why = match cipher.slots_per_ct() {
-        1 => ObliviousError::SideBand(SlotError::OutOfLayout),
-        _ => ObliviousError::TagMismatch,
-    };
-    s.assert_convicts_broker(&borrowed, why);
+    s.assert_convicts_broker(&borrowed, negative(F_TS + 1));
     // The same forgery as `recv_v` of an otherwise honest wave.
     let (sealed, verdict) = s.send(&s.full, &borrowed);
     assert!(sealed.is_empty());
     assert_eq!(verdict, Err(Verdict::MaliciousBroker(0)));
 
-    // One side-band ciphertext too few, one too many.
+    // One ciphertext too few, one too many.
     let cts = s.full.msg.fields.len();
     let mut short = s.full.clone();
     short.msg.fields.pop();
@@ -373,10 +389,10 @@ fn replayed_counter_is_blamed_on_its_slot_owner_under_both_ciphers() {
 #[test]
 fn hostile_side_bands_end_in_a_verdict_under_both_ciphers() {
     hostile_side_bands_end_in_a_verdict(GridKeys::<MockCipher>::mock(41));
-    // 128-bit keys: two slots a ciphertext, the four side-band values of
-    // a degree-1 counter in two of them.
+    // 128-bit keys: two digits a ciphertext, the six values of a
+    // degree-1 counter in three of them.
     hostile_side_bands_end_in_a_verdict(GridKeys::paillier(128, 41));
-    // 512 bits: all four in one.
+    // 512 bits: all six in one.
     hostile_side_bands_end_in_a_verdict(GridKeys::paillier(512, 41));
 }
 

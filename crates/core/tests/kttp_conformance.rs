@@ -6,10 +6,18 @@
 //! V_t1 ⊆ V_t2 … consequently, for any G ⊆ {V_t1 …}, either
 //! |V_ti △ (∪G)| ≥ k or the controller does not provide the majority
 //! vote."
+//!
+//! And the controller's own view (ROADMAP 3(b)): its `Output()` answer is
+//! a function of the plaintext it opened and audited in the same call, so
+//! what answering shows it is a subset of what auditing shows it.
 
 use std::collections::BTreeSet;
 
-use gridmine_core::{KGate, KTtp};
+use gridmine_arm::{CandidateRule, ItemSet, Ratio, Rule};
+use gridmine_core::counter::{CounterLayout, SecureCounter};
+use gridmine_core::shares::SHARE_MODULUS;
+use gridmine_core::{Controller, GridKeys, KGate, KTtp};
+use gridmine_paillier::{HomCipher, MockCipher, PaillierCtx};
 use proptest::prelude::*;
 
 /// A random grow-only population chain: each query adds 0..=6 new
@@ -110,4 +118,67 @@ fn kttp_refuses_differencing_attack() {
     v12.insert(11);
     ttp.set_input(11, 5);
     assert!(ttp.request_sum(0, &v12).is_some());
+}
+
+/// One output query's aggregate: the local votes `(sum, count)` and the
+/// resource count neighbor 1 reports.
+type Query = (i64, i64, u32);
+
+fn queries() -> impl Strategy<Value = Vec<Query>> {
+    prop::collection::vec((-50i64..50, 0i64..50, 0u32..6), 1..12)
+}
+
+/// Resource 0 with neighbor 1 answers `Output()` on each query in turn,
+/// at increasing times. Every answer must be exactly the k-gated sign of
+/// `λ.delta(sum, count)` on the aggregate's plaintext — which the
+/// controller opens and audits in the same call — gated on that
+/// plaintext's `count` and `num`, with the gate's history the queries
+/// before it.
+fn output_answer_is_the_gated_sign_of_the_audited_plaintext<C: HomCipher>(
+    keys: &GridKeys<C>,
+    k: i64,
+    queries: &[Query],
+) -> Result<(), TestCaseError> {
+    let rule = CandidateRule::new(Rule::frequency(ItemSet::of(&[1])), Ratio::new(1, 3));
+    let layout = CounterLayout::new(0, vec![1]);
+    let key = keys.tags.key(layout.arity());
+    let mut ctl = Controller::new(0, keys.dec.clone(), keys.tags.clone(), k, layout.clone());
+    let mut gate = KGate::new(k);
+    let own_share = (SHARE_MODULUS + 1 - 77) as u32;
+    for (t, &(sum, count, num)) in (1u32..).zip(queries) {
+        let local =
+            SecureCounter::seal_local(&keys.enc, &key, &layout, sum, count, 1, own_share, t);
+        let recv = SecureCounter::seal_outgoing(
+            &keys.enc,
+            &key,
+            &layout,
+            1,
+            0,
+            0,
+            num.into(),
+            77,
+            t.into(),
+        )
+        .expect("1 is a neighbor of 0");
+        let full = local.add(&keys.pub_ops, &recv);
+        let p = full.open(&keys.dec, &key).expect("an honest aggregate opens");
+        let want = gate.disclose(p.count, p.num, || rule.lambda.delta(p.sum, p.count) >= 0);
+        prop_assert_eq!(ctl.output_query(0, &rule, &full), Ok(want), "query {}", t);
+    }
+    Ok(())
+}
+
+fn paillier_128() -> &'static GridKeys<PaillierCtx> {
+    static KEYS: std::sync::OnceLock<GridKeys<PaillierCtx>> = std::sync::OnceLock::new();
+    KEYS.get_or_init(|| GridKeys::paillier(128, 0x0b5e))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn output_view_is_a_subset_of_the_audit_view(queries in queries(), k in 1i64..4) {
+        output_answer_is_the_gated_sign_of_the_audited_plaintext(&GridKeys::<MockCipher>::mock(3), k, &queries)?;
+        output_answer_is_the_gated_sign_of_the_audited_plaintext(paillier_128(), k, &queries)?;
+    }
 }

@@ -10,7 +10,7 @@
 pub enum SfeKind {
     /// The output SFE: "is the global majority nonnegative?"
     Output,
-    /// The send SFE: "does the blinded delta warrant a message?"
+    /// The send SFE: "does the majority delta warrant a message?"
     Send,
 }
 

@@ -16,7 +16,7 @@ use rand_chacha::ChaCha12Rng;
 use rayon::prelude::*;
 
 use crate::keys::{mod_inverse, PrivateKey, PublicKey};
-use crate::{CipherError, HomCipher, Shape, SlotError, SlotLayout};
+use crate::{slots, CipherError, HomCipher, SlotError};
 
 /// Cap on how many noise factors (`rⁿ mod n²`) one refill precomputes.
 /// Refills start at a single factor and double per refill, so a handle
@@ -325,9 +325,7 @@ impl PaillierCtx {
     /// Encrypts an arbitrary `Z_n` residue (used by the slot-vector layer,
     /// whose packed plaintexts exceed 64 bits). An unreduced input is
     /// reduced mod `n` explicitly — a `debug_assert!` here used to let
-    /// release builds silently wrap to the wrong residue; callers that
-    /// want out-of-range inputs rejected use
-    /// [`PaillierCtx::try_encrypt_residue`].
+    /// release builds silently wrap to the wrong residue.
     pub fn encrypt_residue(&self, m: &BigUint) -> Ciphertext {
         self.timed(KeyOpKind::Encrypt, || {
             let reduced;
@@ -344,18 +342,15 @@ impl PaillierCtx {
         })
     }
 
-    /// Strict variant of [`PaillierCtx::encrypt_residue`]: errors on a
-    /// plaintext not already reduced below `n` instead of reducing it.
-    pub fn try_encrypt_residue(&self, m: &BigUint) -> Result<Ciphertext, CipherError> {
-        if m >= &self.pk.n {
-            return Err(CipherError::PlaintextOutOfRange);
-        }
-        Ok(self.encrypt_residue(m))
-    }
-
     /// Decrypts to the raw `Z_n` residue. Uses CRT (mod p² and q²
     /// separately) when the private key carries the precomputation —
     /// roughly 4× cheaper than the direct mod-n² exponentiation.
+    ///
+    /// Total: a non-unit (which no honest party holds, but a broker can
+    /// aggregate one it was mailed into what its controller opens)
+    /// decrypts to some residue, not a panic — `L(u) = (u − 1)/p` is taken
+    /// as `(u + p² − 1)/p`, the same value mod `p` for every `u ≥ 1`, and
+    /// defined at the `u = 0` a non-unit's power leaves.
     ///
     /// # Panics
     /// Panics if this handle has no private key.
@@ -379,16 +374,16 @@ impl PaillierCtx {
                 Some(ctx) => ctx.modpow(&c.0, &(&crt.q - 1u32)),
                 None => (&c.0 % &crt.q2).modpow(&(&crt.q - 1u32), &crt.q2),
             };
-            let mp = ((cp - BigUint::one()) / &crt.p) % &crt.p * &crt.hp % &crt.p;
-            let mq = ((cq - BigUint::one()) / &crt.q) % &crt.q * &crt.hq % &crt.q;
+            let mp = ((cp + &crt.p2 - 1u8) / &crt.p) % &crt.p * &crt.hp % &crt.p;
+            let mq = ((cq + &crt.q2 - 1u8) / &crt.q) % &crt.q * &crt.hq % &crt.q;
             // Garner recombination: m = mp + p·((mq − mp)·p⁻¹ mod q).
             let diff = if mq >= mp { &mq - &mp } else { &crt.q - ((&mp - &mq) % &crt.q) % &crt.q };
             let t = diff % &crt.q * &crt.p_inv_q % &crt.q;
             (mp + &crt.p * t) % &self.pk.n
         } else {
             let u = self.powmod_n2(&c.0, &sk.lambda);
-            // L(u) = (u - 1) / n
-            let l = (u - BigUint::one()) / &self.pk.n;
+            // L(u) = (u - 1) / n, total as above.
+            let l = (u + &self.pk.n2 - 1u8) / &self.pk.n;
             l * &sk.mu % &self.pk.n
         }
     }
@@ -401,7 +396,7 @@ impl PaillierCtx {
             .as_ref()
             .expect("this handle has no decryption capability (broker/accountant side)");
         let u = c.0.modpow(&sk.lambda, &self.pk.n2);
-        let l = (u - BigUint::one()) / &self.pk.n;
+        let l = (u + &self.pk.n2 - 1u8) / &self.pk.n;
         l * &sk.mu % &self.pk.n
     }
 
@@ -443,47 +438,37 @@ impl HomCipher for PaillierCtx {
         self.decode(m)
     }
 
-    /// At least one: [`crate::Keypair`] generates no modulus below 64 bits.
     fn slots_per_ct(&self) -> usize {
-        crate::slots::side_band_capacity(self.pk.bits())
+        slots::capacity(self.pk.bits())
     }
 
-    fn encrypt_slots(&self, values: &[u32], out: &mut Vec<Ciphertext>) {
+    fn encrypt_slots(&self, values: &[i64], out: &mut Vec<Ciphertext>) {
         for chunk in values.chunks(self.slots_per_ct()) {
-            let wide: Vec<u64> = chunk.iter().map(|&v| u64::from(v)).collect();
-            let packed = SlotLayout::side_band(chunk.len())
-                .pack(&wide)
-                .expect("u32 values fit the 32-bit capacity of as many side-band slots");
-            out.push(self.encrypt_residue(&packed));
+            out.push(self.encrypt_residue(&slots::pack(&self.pk, chunk)));
         }
     }
 
     fn decrypt_wave(
         &self,
         cts: &[&Ciphertext],
-        pattern: &[Shape],
+        arity: usize,
     ) -> (Vec<i64>, Vec<(usize, SlotError)>) {
-        let one = |(c, read): (&&Ciphertext, &Shape)| -> Result<Vec<i64>, (usize, SlotError)> {
+        let one = |(c, width): (&&Ciphertext, usize)| -> Result<Vec<i64>, (usize, SlotError)> {
             let m = self.timed(KeyOpKind::Decrypt, || self.decrypt_residue_inner(c));
-            match *read {
-                Shape::Signed => Ok(vec![self.decode(m)]),
-                Shape::Slots(0) => Ok(Vec::new()),
-                Shape::Slots(n) => match SlotLayout::side_band(n).unpack(&m) {
-                    // A side-band slot is 44 bits wide: its value fits.
-                    Ok(v) => Ok(v.values.into_iter().map(|x| x as i64).collect()),
-                    Err(e) => Err((n, e)),
-                },
-            }
+            let mut values = Vec::with_capacity(width);
+            slots::unpack(&self.pk, &m, width, &mut values).map(|()| values).map_err(|e| (width, e))
         };
-        let wave: Vec<(&&Ciphertext, &Shape)> = cts.iter().zip(pattern.iter().cycle()).collect();
-        let parts: Vec<Result<Vec<i64>, (usize, SlotError)>> = if wave.len() < 2 {
-            wave.into_iter().map(one).collect()
+        let widths = slots::widths(self.slots_per_ct(), arity).cycle();
+        let wave: Vec<(&&Ciphertext, usize)> = cts.iter().zip(widths).collect();
+        let parts: Vec<Result<Vec<i64>, (usize, SlotError)>> = if wave.is_empty() {
+            Vec::new()
         } else {
-            // One batched pass: the CRT contexts are already cached on
-            // the handle, so the whole wave fans across the worker pool
-            // with zero per-element setup. Order-preserving by the pool's
-            // contract, so results are bit-identical to the sequential
-            // map.
+            // One batched pass per wave, a lone ciphertext included (at
+            // 512 bits one counter is one): the CRT contexts are already
+            // cached on the handle, so the whole wave fans across the
+            // worker pool with zero per-element setup. Order-preserving by
+            // the pool's contract, so results are bit-identical to the
+            // sequential map.
             self.timed(KeyOpKind::BatchDecrypt, || wave.into_par_iter().map(one).collect())
         };
         let (mut values, mut refused) = (Vec::with_capacity(parts.len()), Vec::new());
@@ -546,19 +531,13 @@ impl HomCipher for PaillierCtx {
     }
 
     fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_sub(a, b).expect("ciphertext is a unit mod n² (honest ciphertexts always are)")
-    }
-
-    fn try_sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, CipherError> {
-        Ok(self.add_raw(a, &self.neg_raw(b)?))
+        let neg = self.neg_raw(b).expect("ciphertext is a unit mod n² (honest ones always are)");
+        self.add_raw(a, &neg)
     }
 
     fn scalar(&self, m: i64, c: &Ciphertext) -> Ciphertext {
-        self.try_scalar(m, c).expect("ciphertext is a unit mod n² (honest ciphertexts always are)")
-    }
-
-    fn try_scalar(&self, m: i64, c: &Ciphertext) -> Result<Ciphertext, CipherError> {
         self.scalar_raw(&BigInt::from(m), c)
+            .expect("ciphertext is a unit mod n² (honest ones always are)")
     }
 
     fn is_wellformed(&self, c: &Ciphertext) -> bool {
@@ -720,10 +699,9 @@ mod tests {
         let evil = Ciphertext::from_bytes_be(&e.public_key().modulus().to_bytes_be());
         assert_eq!(e.neg_raw(&evil), Err(CipherError::NotAUnit));
         let honest = e.encrypt_i64(1);
-        assert_eq!(e.try_sub(&honest, &evil), Err(CipherError::NotAUnit));
-        assert_eq!(e.try_scalar(-2, &evil), Err(CipherError::NotAUnit));
+        assert_eq!(e.scalar_raw(&BigInt::from(-2), &evil), Err(CipherError::NotAUnit));
         // Non-negative scalars never invert, so they stay defined.
-        assert!(e.try_scalar(2, &evil).is_ok());
+        assert!(e.scalar_raw(&BigInt::from(2), &evil).is_ok());
         assert!(!e.is_wellformed(&evil));
         assert!(e.is_wellformed(&honest));
         // Unreduced residue (≥ n²) is malformed even when it is a unit.
@@ -739,11 +717,7 @@ mod tests {
         let big = &n * BigUint::from(3u8) + BigUint::from(17u8); // ≡ 17 mod n
         let c = e.encrypt_residue(&big);
         assert_eq!(d.decrypt_residue(&c), BigUint::from(17u8));
-        // The strict path refuses instead.
-        assert_eq!(e.try_encrypt_residue(&big), Err(CipherError::PlaintextOutOfRange));
-        assert_eq!(e.try_encrypt_residue(&n), Err(CipherError::PlaintextOutOfRange));
-        let ok = e.try_encrypt_residue(&BigUint::from(17u8)).expect("in range");
-        assert_eq!(d.decrypt_residue(&ok), BigUint::from(17u8));
+        assert_eq!(d.decrypt_residue(&e.encrypt_residue(&n)), BigUint::from(0u8));
     }
 
     #[test]
@@ -758,6 +732,15 @@ mod tests {
         let v1 = d.decrypt_i64(&evil);
         let v2 = d.decrypt_i64(&evil);
         assert_eq!(v1, v2, "fold is deterministic");
+        // Non-units decrypt too, on every path, to whatever they decrypt
+        // to.
+        let n = kp.public_key().modulus();
+        for k in [1u8, 2, 7] {
+            let evil = Ciphertext(n * k);
+            assert!(!d.is_wellformed(&evil));
+            let _ = (d.decrypt_residue(&evil), d.decrypt_residue_slow(&evil));
+            let _ = d.decrypt_wave(&[&evil, &evil], 2);
+        }
     }
 
     #[test]
@@ -803,56 +786,36 @@ mod tests {
         let plains: Vec<i64> = (-6i64..=6).map(|i| i * 1_000_003).collect();
         let cts: Vec<Ciphertext> = plains.iter().map(|&m| e.encrypt_i64(m)).collect();
         let refs: Vec<&Ciphertext> = cts.iter().collect();
-        assert_eq!(d.decrypt_wave(&refs, &[Shape::Signed]), (plains.clone(), vec![]));
-        assert_eq!(d.decrypt_wave(&[], &[Shape::Signed]), (vec![], vec![]));
-        assert_eq!(d.decrypt_wave(&refs[..1], &[Shape::Signed]), (plains[..1].to_vec(), vec![]));
+        assert_eq!(d.decrypt_wave(&refs, 1), (plains.clone(), vec![]));
+        assert_eq!(d.decrypt_wave(&[], 1), (vec![], vec![]));
+        assert_eq!(d.decrypt_wave(&refs[..1], 1), (plains[..1].to_vec(), vec![]));
     }
 
     #[test]
-    fn slot_tuples_spill_greedily_and_add_slotwise() {
-        // 256-bit keys carry five slots: seven values spill to 5 + 2.
+    fn slot_tuples_spill_greedily_and_combine_slotwise() {
+        // 256-bit keys carry five digits: seven values spill to 5 + 2.
         let kp = small_keys();
         let (e, d) = (kp.encryptor(), kp.decryptor());
         assert_eq!(e.slots_per_ct(), 5);
-        let a = [1u32, 2, 3, u32::MAX, 5, 6, 7];
-        let b = [10u32, 20, 30, u32::MAX, 50, 60, 70];
+        let a = [1i64, -2, 3, 1 << 40, 5, -6, 7];
+        let b = [10i64, 20, -30, 1 << 40, 50, 60, 70];
         let (mut ca, mut cb) = (Vec::new(), Vec::new());
         e.encrypt_slots(&a, &mut ca);
         e.encrypt_slots(&b, &mut cb);
         assert_eq!((ca.len(), cb.len()), (2, 2));
-        let sum: Vec<Ciphertext> =
-            ca.iter().zip(&cb).map(|(x, y)| e.rerandomize(&e.add(x, y))).collect();
-        let signed = e.encrypt_i64(-9);
-        // Two messages of one shape in one wave: the pattern repeats.
-        let pattern = [Shape::Slots(5), Shape::Signed, Shape::Slots(2)];
-        let wave = [&sum[0], &signed, &sum[1], &ca[0], &signed, &ca[1]];
-        let want = vec![
-            11,
-            22,
-            33,
-            2 * i64::from(u32::MAX),
-            55,
-            -9,
-            66,
-            77,
-            1,
-            2,
-            3,
-            i64::from(u32::MAX),
-            5,
-            -9,
-            6,
-            7,
-        ];
-        assert_eq!(d.decrypt_wave(&wave, &pattern), (want, vec![]));
-        // Read under the wrong width, or after a borrow, the same
+        let diff: Vec<Ciphertext> =
+            ca.iter().zip(&cb).map(|(x, y)| e.rerandomize(&e.sub(x, y))).collect();
+        // Two tuples of seven in one wave.
+        let want: Vec<i64> = a.iter().zip(&b).map(|(x, y)| x - y).chain(a).collect();
+        assert_eq!(d.decrypt_wave(&[&diff[0], &diff[1], &ca[0], &ca[1]], 7), (want, vec![]));
+        // Read at the wrong width, or after a carry out of the top digit,
         // ciphertexts are listed with their error — zeros in their
         // places, not a panic.
-        let borrowed = e.sub(&ca[1], &cb[1]);
+        let carried = e.scalar(1 << 42, &ca[1]);
         assert_eq!(
-            d.decrypt_wave(&[&sum[0], &ca[1], &borrowed], &[Shape::Slots(2)]),
+            d.decrypt_wave(&[&ca[0], &ca[1], &carried], 2),
             (
-                vec![0, 0, 6, 7, 0, 0],
+                vec![0, 0, -6, 7, 0, 0],
                 vec![(0, SlotError::OutOfLayout), (2, SlotError::OutOfLayout)]
             )
         );

@@ -10,16 +10,18 @@
 //!   ciphertext addition/subtraction (`A+` / `A−`), scalar multiplication
 //!   and rerandomization.
 //! * [`slots`] — the paper's vectorization extension: packing a tuple of
-//!   bounded integers into a single plaintext such that homomorphic
-//!   addition acts slot-wise (`§4.2`, the `x₁N₁ + x₂N₂ + …` encoding).
-//!   [`HomCipher::encrypt_slots`] / [`HomCipher::decrypt_wave`] are `E`
-//!   and `D` extended over such a tuple.
-//! * [`oblivious`] — authenticated oblivious counters: encrypted messages
-//!   carrying the signed vote counters standalone and the accounting
-//!   `share` field and timestamp vector packed into as few ciphertexts as
-//!   the cipher's plaintext carries, bound together by a homomorphic
-//!   authentication tag so a broker that knows neither key can still add
-//!   and rerandomize them but can neither read nor forge them (`§5.2`).
+//!   signed integers into a single plaintext as balanced base-2⁴⁵ digits,
+//!   so that homomorphic addition, subtraction and scalar multiplication
+//!   act slot-wise (`§4.2`, the `x₁N₁ + x₂N₂ + …` encoding with negative
+//!   shifting). [`HomCipher::encrypt_slots`] / [`HomCipher::decrypt_wave`]
+//!   are `E` and `D` extended over such a tuple.
+//! * [`oblivious`] — authenticated oblivious counters: the whole tuple of
+//!   a message — signed vote counters, resource count, accounting `share`
+//!   and timestamp vector — packed into as few ciphertexts as the cipher's
+//!   plaintext carries (one at 512 bits for a counter of degree ≤ 6), and
+//!   bound by a homomorphic authentication tag so a broker that knows
+//!   neither key can still add and rerandomize them but can neither read
+//!   nor forge them (`§5.2`).
 //! * [`mock`] — a structurally identical plaintext cipher used for
 //!   large-scale simulation, behind the same [`HomCipher`] trait.
 //!
@@ -52,7 +54,7 @@ pub use cipher::{Ciphertext, PaillierCtx};
 pub use keys::{Keypair, PrivateKey, PublicKey};
 pub use mock::{MockCipher, MockCt};
 pub use oblivious::{CounterMsg, ObliviousError, TagKey};
-pub use slots::{SlotError, SlotLayout, SlotVector};
+pub use slots::SlotError;
 
 /// A ciphertext-space operation failed because an input was malformed.
 ///
@@ -67,30 +69,17 @@ pub enum CipherError {
     /// The ciphertext is not a unit mod `n²` (`gcd(c, n) ≠ 1`), so it has
     /// no modular inverse. Honest encryptions are always units.
     NotAUnit,
-    /// A plaintext residue was not reduced below the plaintext modulus.
-    PlaintextOutOfRange,
 }
 
 impl std::fmt::Display for CipherError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CipherError::NotAUnit => write!(f, "ciphertext is not a unit mod n²"),
-            CipherError::PlaintextOutOfRange => write!(f, "plaintext residue not reduced mod n"),
         }
     }
 }
 
 impl std::error::Error for CipherError {}
-
-/// What the plaintext of one ciphertext of a [`HomCipher::decrypt_wave`]
-/// holds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Shape {
-    /// One signed integer, as [`HomCipher::decrypt_i64`] reads it.
-    Signed,
-    /// The `n ≥ 1` slot values [`HomCipher::encrypt_slots`] packed.
-    Slots(usize),
-}
 
 /// The additively homomorphic probabilistic cipher abstraction.
 ///
@@ -105,10 +94,11 @@ pub enum Shape {
 /// [`HomCipher::slots_per_ct`] is the tuple width `p` a plaintext of this
 /// cipher carries, [`HomCipher::encrypt_slots`] and
 /// [`HomCipher::decrypt_wave`] are `E` and `D` over it. The defaults are
-/// the width-1 instance (one ciphertext per value), which is all a cipher
-/// whose plaintext is a machine integer can offer; [`PaillierCtx`] packs
-/// as many [`slots`] as its modulus holds. Callers never choose a format:
-/// it is a function of the cipher's capacity alone.
+/// the width-1 instance (one ciphertext per value, each value a digit of
+/// [`slots`]), which is all a cipher whose plaintext is a machine integer
+/// can offer; [`PaillierCtx`] packs as many digits as its modulus holds.
+/// Callers never choose a format: it is a function of the cipher's
+/// capacity alone.
 ///
 /// Role separation (who may call what) is enforced by the concrete handle
 /// types, not by the trait: a broker is handed a context without the
@@ -126,50 +116,43 @@ pub trait HomCipher: Clone + Send + Sync {
     /// decryption key.
     fn decrypt_i64(&self, c: &Self::Ct) -> i64;
 
-    /// How many non-negative 32-bit values one ciphertext carries (the
-    /// tuple width of §4.2's vectorised `E`), at least one. Key-free:
-    /// brokers need it to know how many ciphertexts a well-formed counter
-    /// has.
+    /// How many values one ciphertext carries (the tuple width of §4.2's
+    /// vectorised `E`), at least one. Key-free: brokers need it to know
+    /// how many ciphertexts a well-formed counter has.
     fn slots_per_ct(&self) -> usize {
         1
     }
 
     /// `E` over a tuple: appends to `out` the encryption of `values` in
     /// `⌈len / slots_per_ct⌉` ciphertexts, filled greedily in order, on
-    /// which `A+` and rerandomization act slot-wise. A sum of such
-    /// tuples reads back exactly while every slot stays below 2⁴⁴.
-    fn encrypt_slots(&self, values: &[u32], out: &mut Vec<Self::Ct>) {
-        out.extend(values.iter().map(|&v| self.encrypt_i64(i64::from(v))));
+    /// which `A+`, `A−`, scalar multiplication and rerandomization act
+    /// slot-wise. Each value fits a digit ([`slots::is_digit`]); a
+    /// combination of such tuples reads back exactly while every slot
+    /// still does.
+    fn encrypt_slots(&self, values: &[i64], out: &mut Vec<Self::Ct>) {
+        out.extend(values.iter().map(|&v| self.encrypt_i64(v)));
     }
 
-    /// `D` over a wave of ciphertexts: `cts[i]` holds what
-    /// `pattern[i % pattern.len()]` says — a wave is a run of same-shaped
-    /// messages. The values come back flat, in order: one per `Signed`,
-    /// `n` per `Slots(n)`. A plaintext that is not a tuple of `n` slot
-    /// values (negative, wider than its layout — whatever a hostile
-    /// broker aggregated) contributes `n` zeros and is listed, by its
-    /// index in `cts` and in order, with its [`SlotError`]; nothing
+    /// `D` over a wave: `cts` is a run of tuples of `arity` values, each
+    /// as [`HomCipher::encrypt_slots`] seals one ([`slots::widths`] says
+    /// how many values each ciphertext holds). The values come back flat,
+    /// in order. A plaintext that holds no tuple of its width — whatever
+    /// a hostile broker aggregated — contributes zeros and is listed, by
+    /// its index in `cts` and in order, with its [`SlotError`]; nothing
     /// panics. Implementations with expensive per-call machinery override
     /// it to amortize — see [`PaillierCtx`], which runs the wave in one
     /// pass over its cached CRT contexts and fans the elements across the
     /// worker pool.
-    fn decrypt_wave(
-        &self,
-        cts: &[&Self::Ct],
-        pattern: &[Shape],
-    ) -> (Vec<i64>, Vec<(usize, SlotError)>) {
+    fn decrypt_wave(&self, cts: &[&Self::Ct], arity: usize) -> (Vec<i64>, Vec<(usize, SlotError)>) {
         let mut values = Vec::with_capacity(cts.len());
         let mut refused = Vec::new();
-        for (i, (c, read)) in cts.iter().zip(pattern.iter().cycle()).enumerate() {
-            let m = self.decrypt_i64(c);
-            match *read {
-                Shape::Signed => values.push(m),
-                Shape::Slots(1) if (0..1i64 << slots::SIDE_SLOT_BITS).contains(&m) => {
-                    values.push(m)
-                }
-                Shape::Slots(n) => {
+        let widths = slots::widths(self.slots_per_ct(), arity).cycle();
+        for (i, (c, width)) in cts.iter().zip(widths).enumerate() {
+            match self.decrypt_i64(c) {
+                m if width == 1 && slots::is_digit(m) => values.push(m),
+                _ => {
                     refused.push((i, SlotError::OutOfLayout));
-                    values.extend(std::iter::repeat_n(0, n));
+                    values.extend(std::iter::repeat_n(0, width));
                 }
             }
         }
@@ -192,27 +175,18 @@ pub trait HomCipher: Clone + Send + Sync {
     fn add(&self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct;
 
     /// Homomorphic subtraction (`A−`): `D(sub(E(x), E(y))) == x - y`.
+    /// No protocol path subtracts; it is what a hostile broker can do
+    /// key-free, and the suites use it for that.
     ///
-    /// Panics when `b` is malformed (not invertible); protocol code that
-    /// handles adversarial inputs uses [`HomCipher::try_sub`] instead.
+    /// Panics when `b` is malformed (not invertible): the door screen
+    /// ([`HomCipher::all_wellformed`]) keeps such values out of every
+    /// honest party's algebra.
     fn sub(&self, a: &Self::Ct, b: &Self::Ct) -> Self::Ct;
 
-    /// Fallible `A−` for wire-received ciphertexts: a hostile peer can
-    /// mail a value with no inverse mod `n²`, which must surface as a
-    /// protocol error (malicious behaviour), not a process abort.
-    fn try_sub(&self, a: &Self::Ct, b: &Self::Ct) -> Result<Self::Ct, CipherError> {
-        Ok(self.sub(a, b))
-    }
-
     /// Iterated `A+`: `D(scalar(m, E(x))) == m * x`, with `m` possibly
-    /// negative.
+    /// negative. Like [`HomCipher::sub`], a hostile broker's tool; panics
+    /// on a malformed `c` with a negative `m`.
     fn scalar(&self, m: i64, c: &Self::Ct) -> Self::Ct;
-
-    /// Fallible scalar multiplication, for the same reason as
-    /// [`HomCipher::try_sub`] (negative scalars invert the ciphertext).
-    fn try_scalar(&self, m: i64, c: &Self::Ct) -> Result<Self::Ct, CipherError> {
-        Ok(self.scalar(m, c))
-    }
 
     /// Cheap key-free well-formedness screen for wire-received
     /// ciphertexts: `true` iff every ciphertext-space operation (add, sub,

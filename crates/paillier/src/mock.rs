@@ -106,10 +106,10 @@ impl HomCipher for MockCipher {
         // wire (n² = 2048 bits). The mock carries one value per
         // ciphertext, so a simulation's byte totals model the per-field
         // format: `6 + d` ciphertexts for a counter of degree `d`, tag
-        // included. A 1024-bit deployment packs the `3 + d` side-band
-        // values 23 to a ciphertext — four ciphertexts a counter at any
-        // degree up to 20 — so its bandwidth is the simulated figure
-        // times `4 / (6 + d)`.
+        // included. A 1024-bit deployment packs the `5 + d` values 22 to
+        // a ciphertext — two ciphertexts a counter, tag included, at any
+        // degree up to 17 — so its bandwidth is the simulated figure
+        // times `2 / (6 + d)`.
         256
     }
 

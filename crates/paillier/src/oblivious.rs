@@ -8,27 +8,30 @@
 //!
 //! §4.2 makes the oblivious counter *one* plaintext, "encoding
 //! (x₁,…,x_p) as x₁N₁ + x₂N₂ + … + x_p before encryption", so that a
-//! message costs one encryption and one decryption. That encoding has no
-//! room for a sign — a negative element borrows from its neighbour — and
-//! the vote counters are signed (Algorithm 1's padding sequence seals
-//! `s − 1`, negating transactions shrink both, and the broker's blinded
-//! `Δ` scalar-multiplies and subtracts them). So a message's leading
-//! *signed* fields travel as one ciphertext each, and everything after
-//! them — the non-negative side-band: resource count, share, timestamp
-//! vector — is sealed through [`HomCipher::encrypt_slots`] into as few
-//! ciphertexts as the cipher's plaintext carries
-//! ([`HomCipher::slots_per_ct`], greedy spill). At 512 bits that is one
-//! ciphertext for up to 11 side-band values; under [`crate::MockCipher`],
-//! whose plaintext is an `i64`, it is one per value — the same code, the
-//! capacity-1 instance. `A+`, rerandomization and the well-formedness
-//! screen act per ciphertext and never need to know which kind they hold.
+//! message costs one encryption and one decryption. We seal the whole
+//! tuple that way: [`HomCipher::encrypt_slots`] packs it, as balanced
+//! digits (see [`crate::slots`]), into as few ciphertexts as the cipher's
+//! plaintext carries ([`HomCipher::slots_per_ct`], greedy spill). At 512
+//! bits that is one ciphertext for up to 11 values; under
+//! [`crate::MockCipher`], whose plaintext is an `i64`, it is one per value
+//! — the same code, the capacity-1 instance. `A+`, `A−`, scalar
+//! multiplication, rerandomization and the well-formedness screen act per
+//! ciphertext and never need to know what a ciphertext holds.
+//!
+//! Balanced digits carry a sign, so a tuple's leading *signed* values —
+//! the vote counters, which Algorithm 1's padding sequence seals as
+//! `s − 1` and negating transactions shrink — take either. Everything
+//! after them is the *side-band* (resource count, share, timestamp
+//! vector), which an honest aggregate only ever grows: a negative
+//! side-band value is what a borrow out of `A−` or a negative scalar
+//! leaves, and opening refuses it as [`ObliviousError::SideBand`], as it
+//! does a plaintext that holds no tuple of its width.
 //!
 //! The tag is computed over the *logical* fields, so the relation
 //! `D(tag) = Σ sᵢ·mᵢ` is checked after unpacking and stays an exact
-//! equality: side-band sums are never reduced inside their slots (shares
-//! included — the controller reduces them into their field after the
-//! check, as it always did). A side-band plaintext that does not unpack
-//! is reported as [`ObliviousError::SideBand`] and convicts the broker
+//! equality: sums are never reduced inside their digits (shares included
+//! — the controller reduces them into their field after the check, as it
+//! always did). A side-band that does not open convicts the broker
 //! exactly like a tag mismatch.
 //!
 //! # Why a tag instead of literal "encrypt-then-sign"
@@ -57,7 +60,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
 use crate::slots::SlotError;
-use crate::{HomCipher, Shape};
+use crate::HomCipher;
 
 /// Errors surfaced by opening a counter — each maps to a
 /// malicious-behaviour verdict in Algorithm 3.
@@ -69,7 +72,8 @@ pub enum ObliviousError {
     /// The ciphertext count differs from what the tag key's arity takes
     /// under this cipher's capacity.
     ArityMismatch { expected: usize, got: usize },
-    /// A side-band ciphertext does not hold a tuple of slot values.
+    /// A ciphertext holds no tuple of its width, or a side-band value is
+    /// negative.
     SideBand(SlotError),
 }
 
@@ -123,31 +127,20 @@ impl TagKey {
     /// Plaintext tag of a tuple: `Σ sᵢ·mᵢ` over however many fields both
     /// sides share (honest callers pass exactly `arity()` fields; arity
     /// enforcement is the caller's door check). Wrapping, so that the
-    /// 44-bit slot values a hostile broker can aggregate compare unequal
+    /// 45-bit digits a hostile broker can aggregate compare unequal
     /// instead of overflowing.
     pub fn tag_plain(&self, fields: &[i64]) -> i64 {
         debug_assert_eq!(fields.len(), self.coeffs.len());
-        self.tag_of(fields.iter().copied())
+        self.coeffs.iter().zip(fields).fold(0i64, |t, (c, m)| t.wrapping_add(c.wrapping_mul(*m)))
     }
-
-    fn tag_of(&self, fields: impl Iterator<Item = i64>) -> i64 {
-        self.coeffs.iter().zip(fields).fold(0i64, |t, (c, m)| t.wrapping_add(c.wrapping_mul(m)))
-    }
-}
-
-/// The shapes of the ciphertexts of a message with `signed` leading
-/// signed fields and `side` side-band values, `cap` slots to a ciphertext.
-fn shapes(signed: usize, side: usize, cap: usize) -> impl Iterator<Item = Shape> {
-    let packed = (0..side).step_by(cap).map(move |at| Shape::Slots(cap.min(side - at)));
-    std::iter::repeat_n(Shape::Signed, signed).chain(packed)
 }
 
 /// An authenticated encrypted tuple: the wire format of every
 /// Secure-Scalable-Majority message field group.
 #[derive(Debug)]
 pub struct CounterMsg<C: HomCipher> {
-    /// Ciphertexts of the tuple: the signed fields in protocol order,
-    /// then the packed side-band (see the module docs).
+    /// Ciphertexts of the tuple, its values packed in protocol order (see
+    /// the module docs).
     pub fields: Vec<C::Ct>,
     /// Homomorphic authentication tag: encryption of `Σ sᵢ·mᵢ` over the
     /// logical fields.
@@ -174,24 +167,20 @@ impl<C: HomCipher> Clone for CounterMsg<C> {
 }
 
 impl<C: HomCipher> CounterMsg<C> {
-    /// Accountant-side construction: one ciphertext per `signed` field,
-    /// the `side` band packed, and the tag over all of them in that
-    /// order. Total: a `u32` fits its slot by type.
-    pub fn seal(cipher: &C, key: &TagKey, signed: &[i64], side: &[u32]) -> Self {
-        assert_eq!(signed.len() + side.len(), key.arity(), "field count must match tag key arity");
-        let mut fields: Vec<C::Ct> =
-            Vec::with_capacity(Self::ct_count(cipher, signed.len(), side.len()));
-        fields.extend(signed.iter().map(|&m| cipher.encrypt_i64(m)));
-        cipher.encrypt_slots(side, &mut fields);
-        let logical = signed.iter().copied().chain(side.iter().map(|&v| i64::from(v)));
-        CounterMsg { fields, tag: cipher.encrypt_i64(key.tag_of(logical)) }
+    /// Accountant-side construction: `values` packed, and the tag over
+    /// them. Each value fits a digit ([`crate::slots::is_digit`]); a
+    /// negative side-band value seals, and then does not open.
+    pub fn seal(cipher: &C, key: &TagKey, values: &[i64]) -> Self {
+        assert_eq!(values.len(), key.arity(), "field count must match tag key arity");
+        let mut fields = Vec::with_capacity(Self::ct_count(cipher, values.len()));
+        cipher.encrypt_slots(values, &mut fields);
+        CounterMsg { fields, tag: cipher.encrypt_i64(key.tag_plain(values)) }
     }
 
-    /// Ciphertexts (the tag aside) a message of `signed` signed fields
-    /// and `side` side-band values has under `cipher`. Key-free: the
-    /// broker's door screen compares against it.
-    pub fn ct_count(cipher: &C, signed: usize, side: usize) -> usize {
-        signed + side.div_ceil(cipher.slots_per_ct())
+    /// Ciphertexts (the tag aside) a tuple of `arity` values has under
+    /// `cipher`. Key-free: the broker's door screen compares against it.
+    pub fn ct_count(cipher: &C, arity: usize) -> usize {
+        arity.div_ceil(cipher.slots_per_ct())
     }
 
     /// Key-free ciphertext-wise addition (the broker's aggregation step).
@@ -211,8 +200,8 @@ impl<C: HomCipher> CounterMsg<C> {
         self.tag = cipher.add(&self.tag, &other.tag);
     }
 
-    /// Key-free ciphertext-wise subtraction. The side-band is unsigned:
-    /// a difference with a negative slot no longer opens.
+    /// Key-free ciphertext-wise subtraction. A difference with a negative
+    /// side-band value no longer opens.
     pub fn sub(&self, cipher: &C, other: &Self) -> Self {
         assert_eq!(
             self.fields.len(),
@@ -239,12 +228,12 @@ impl<C: HomCipher> CounterMsg<C> {
     }
 
     /// A sealed all-zero tuple (additive identity with a *valid* tag).
-    pub fn zeros(cipher: &C, key: &TagKey, signed: usize) -> Self {
-        Self::seal(cipher, key, &vec![0; signed], &vec![0; key.arity().saturating_sub(signed)])
+    pub fn zeros(cipher: &C, key: &TagKey) -> Self {
+        Self::seal(cipher, key, &vec![0; key.arity()])
     }
 
     /// Controller-side: verify the tag and decrypt all fields of a
-    /// message sealed with `signed` leading signed fields.
+    /// message whose first `signed` values may be negative.
     ///
     /// Returns the logical plaintext tuple or the malicious-behaviour
     /// error the controller must broadcast (Algorithm 3).
@@ -254,9 +243,8 @@ impl<C: HomCipher> CounterMsg<C> {
         key: &TagKey,
         signed: usize,
     ) -> Result<Vec<i64>, ObliviousError> {
-        let pattern = Self::pattern(cipher, signed, key.arity());
         let mut opened = Err(ObliviousError::TagMismatch);
-        Self::open_wave(cipher, key, &pattern, std::iter::once(self), |_, fields| {
+        Self::open_wave(cipher, key, signed, std::iter::once(self), |_, fields| {
             opened = fields.map(<[i64]>::to_vec);
         });
         opened
@@ -270,26 +258,16 @@ impl<C: HomCipher> CounterMsg<C> {
         signed: usize,
         msgs: &[&Self],
     ) -> Vec<Result<Vec<i64>, ObliviousError>> {
-        let pattern = Self::pattern(cipher, signed, key.arity());
         let mut opened = Vec::with_capacity(msgs.len());
-        Self::open_wave(cipher, key, &pattern, msgs.iter().copied(), |_, fields| {
+        Self::open_wave(cipher, key, signed, msgs.iter().copied(), |_, fields| {
             opened.push(fields.map(<[i64]>::to_vec));
         });
         opened
     }
 
-    /// What each ciphertext of a message of `arity` logical fields, the
-    /// first `signed` of them signed, holds under `cipher`: the pattern
-    /// [`CounterMsg::open_wave`] reads a wave by. It follows from the
-    /// cipher's capacity and the arity alone, so whoever opens wave after
-    /// wave of one shape works it out once.
-    pub fn pattern(cipher: &C, signed: usize, arity: usize) -> Vec<Shape> {
-        shapes(signed, arity.saturating_sub(signed), cipher.slots_per_ct()).collect()
-    }
-
     /// Controller-side batch opening: decrypt a whole wave of tuples
-    /// sealed under one key, of one [`CounterMsg::pattern`], in a single
-    /// pass.
+    /// sealed under one key, the first `signed` values of each free to be
+    /// negative, in a single pass.
     ///
     /// All ciphertexts of all conforming tuples decrypt through one
     /// [`HomCipher::decrypt_wave`] call and all tags verify through one
@@ -302,22 +280,23 @@ impl<C: HomCipher> CounterMsg<C> {
     pub fn open_wave<'a>(
         cipher: &C,
         key: &TagKey,
-        pattern: &[Shape],
+        signed: usize,
         msgs: impl Iterator<Item = &'a Self> + Clone,
         mut sink: impl FnMut(usize, Result<&[i64], ObliviousError>),
     ) where
         C: 'a,
     {
         let arity = key.arity();
+        let cts_each = Self::ct_count(cipher, arity);
         // Shape screen: hostile tuples drop out before the batch.
-        let shaped = msgs.clone().filter(|m| m.fields.len() == pattern.len());
+        let shaped = msgs.clone().filter(|m| m.fields.len() == cts_each);
         let wave = shaped.clone().count();
-        let mut cts: Vec<&C::Ct> = Vec::with_capacity(wave * pattern.len());
+        let mut cts: Vec<&C::Ct> = Vec::with_capacity(wave * cts_each);
         cts.extend(shaped.flat_map(|m| m.fields.iter()));
-        let (plains, refused) = cipher.decrypt_wave(&cts, pattern);
+        let (plains, refused) = cipher.decrypt_wave(&cts, arity);
         let unpacked = || {
             let cts_of = msgs.clone().map(|m| m.fields.len());
-            unpacked(cts_of, pattern.len(), arity, &plains, &refused)
+            unpacked(cts_of, cts_each, arity, signed, &plains, &refused)
         };
         // Tags of the tuples that unpacked, against what their fields say.
         let mut tags: Vec<&C::Ct> = Vec::with_capacity(wave);
@@ -345,11 +324,13 @@ impl<C: HomCipher> CounterMsg<C> {
 /// What each message of a wave — `cts_of` its ciphertext count —
 /// unpacked to, before its tag is looked at: `plains` holds one tuple of
 /// `arity` values, and `refused` indexes one run of `cts_each`
-/// ciphertexts, per shaped message, in order.
+/// ciphertexts, per shaped message, in order. Past its first `signed`
+/// values, a tuple holds no negative one.
 fn unpacked<'w>(
     cts_of: impl Iterator<Item = usize> + 'w,
     cts_each: usize,
     arity: usize,
+    signed: usize,
     plains: &'w [i64],
     refused: &'w [(usize, SlotError)],
 ) -> impl Iterator<Item = Result<&'w [i64], ObliviousError>> + 'w {
@@ -366,6 +347,8 @@ fn unpacked<'w>(
         while let Some(&(_, e)) = refused.next_if(|&&(at, _)| at < cts_seen) {
             why.get_or_insert(e);
         }
+        let negative = tuple.iter().enumerate().skip(signed).find(|&(_, &v)| v < 0);
+        why = why.or(negative.map(|(slot, _)| SlotError::Negative { slot }));
         why.map_or(Ok(tuple), |e| Err(ObliviousError::SideBand(e)))
     })
 }
@@ -373,34 +356,33 @@ fn unpacked<'w>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Keypair, MockCipher, PaillierCtx};
+    use crate::{slots, Keypair, MockCipher, PaillierCtx};
 
-    /// 256-bit keys carry five slots, so the two side-band values of
-    /// these 2 + 2 tuples share one ciphertext: three plus the tag.
+    /// 256-bit keys carry five digits, so the 2 + 2 values of these
+    /// tuples are one ciphertext plus the tag.
     fn setup() -> (PaillierCtx, PaillierCtx, TagKey) {
         let kp = Keypair::generate_with_seed(256, 0xBEEF);
         (kp.encryptor(), kp.decryptor(), TagKey::derive(4, 7))
     }
 
-    fn side(e: &PaillierCtx, values: &[u32]) -> crate::Ciphertext {
-        let mut out = Vec::new();
-        e.encrypt_slots(values, &mut out);
-        out.pop().unwrap()
+    /// `values` in one ciphertext, whatever tuple they make.
+    fn packed(e: &PaillierCtx, values: &[i64]) -> crate::Ciphertext {
+        e.encrypt_residue(&slots::pack(e.public_key(), values))
     }
 
     #[test]
     fn seal_open_roundtrip() {
         let (e, d, key) = setup();
-        let msg = CounterMsg::seal(&e, &key, &[5, -1], &[100, 0]);
-        assert_eq!(msg.fields.len(), 3);
+        let msg = CounterMsg::seal(&e, &key, &[5, -1, 100, 0]);
+        assert_eq!(msg.fields.len(), 1);
         assert_eq!(msg.open(&d, &key, 2).unwrap(), vec![5, -1, 100, 0]);
     }
 
     #[test]
     fn addition_preserves_tag() {
         let (e, d, key) = setup();
-        let a = CounterMsg::seal(&e, &key, &[5, 1], &[3, 0]);
-        let b = CounterMsg::seal(&e, &key, &[2, 0], &[1, 9]);
+        let a = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
+        let b = CounterMsg::seal(&e, &key, &[2, 0, 1, 9]);
         let sum = a.add(&e, &b);
         assert_eq!(sum.open(&d, &key, 2).unwrap(), vec![7, 1, 4, 9]);
     }
@@ -408,24 +390,24 @@ mod tests {
     #[test]
     fn subtraction_and_scalar_preserve_tag() {
         let (e, d, key) = setup();
-        let a = CounterMsg::seal(&e, &key, &[10, 2], &[4, 4]);
-        let b = CounterMsg::seal(&e, &key, &[3, 1], &[1, 1]);
+        let a = CounterMsg::seal(&e, &key, &[10, 2, 4, 4]);
+        let b = CounterMsg::seal(&e, &key, &[3, 1, 1, 1]);
         assert_eq!(a.sub(&e, &b).open(&d, &key, 2).unwrap(), vec![7, 1, 3, 3]);
         assert_eq!(a.scalar(&e, 3).open(&d, &key, 2).unwrap(), vec![30, 6, 12, 12]);
-        // The signed fields take any sign; a side-band slot driven below
-        // zero borrows from its neighbour and no longer opens.
+        // The signed values take any sign; a side-band value driven below
+        // zero reads back exactly, and is refused.
         assert_eq!(
             b.sub(&e, &a).open(&d, &key, 2),
-            Err(ObliviousError::SideBand(SlotError::OutOfLayout))
+            Err(ObliviousError::SideBand(SlotError::Negative { slot: 2 }))
         );
-        let heads = CounterMsg::seal(&e, &key, &[10, 2], &[0, 0]);
+        let heads = CounterMsg::seal(&e, &key, &[10, 2, 0, 0]);
         assert_eq!(heads.scalar(&e, -1).open(&d, &key, 2).unwrap(), vec![-10, -2, 0, 0]);
     }
 
     #[test]
     fn rerandomization_is_transparent_but_unlinkable() {
         let (e, d, key) = setup();
-        let a = CounterMsg::seal(&e, &key, &[5, 1], &[3, 0]);
+        let a = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
         let r = a.rerandomize(&e);
         assert_ne!(a, r);
         assert_eq!(r.open(&d, &key, 2).unwrap(), vec![5, 1, 3, 0]);
@@ -436,34 +418,34 @@ mod tests {
         let (e, d, key) = setup();
         // A broker without the tag key encrypts values itself (Paillier is
         // public-key, so it *can* encrypt) — but cannot produce the tag.
-        let forged = CounterMsg {
-            fields: vec![e.encrypt_i64(999), e.encrypt_i64(1), side(&e, &[0, 0])],
-            tag: e.encrypt_i64(12345),
-        };
+        let forged =
+            CounterMsg { fields: vec![packed(&e, &[999, 1, 0, 0])], tag: e.encrypt_i64(12345) };
         assert_eq!(forged.open(&d, &key, 2), Err(ObliviousError::TagMismatch));
     }
 
     #[test]
     fn forged_side_band_detected() {
         let (e, d, key) = setup();
-        let honest = CounterMsg::seal(&e, &key, &[5, 8], &[7, 2]);
-        // Re-packed with one slot altered, under the honest tag.
+        let honest = CounterMsg::seal(&e, &key, &[5, 8, 7, 2]);
+        // Re-packed with one value altered, under the honest tag.
         let mut forged = honest.clone();
-        forged.fields[2] = side(&e, &[7, 3]);
+        forged.fields[0] = packed(&e, &[5, 8, 7, 3]);
         assert_eq!(forged.open(&d, &key, 2), Err(ObliviousError::TagMismatch));
-        // A plaintext that is no tuple of two slots at all.
-        forged.fields[2] = side(&e, &[1, 7, 2]);
+        // A plaintext that is no tuple of four values at all.
+        forged.fields[0] = packed(&e, &[5, 8, 7, 2, 1]);
         assert_eq!(forged.open(&d, &key, 2), Err(ObliviousError::SideBand(SlotError::OutOfLayout)));
     }
 
     #[test]
     fn spliced_fields_detected() {
-        let (e, d, key) = setup();
-        let a = CounterMsg::seal(&e, &key, &[5, 1], &[3, 0]);
-        let b = CounterMsg::seal(&e, &key, &[9, 1], &[7, 2]);
-        // Mix a's counter with b's remaining fields and b's tag.
+        let (e, d, _) = setup();
+        // Seven values: two ciphertexts at five digits each.
+        let key = TagKey::derive(7, 7);
+        let a = CounterMsg::seal(&e, &key, &[5, 1, 3, 0, 1, 2, 3]);
+        let b = CounterMsg::seal(&e, &key, &[9, 1, 7, 2, 4, 5, 6]);
+        // Mix a's first ciphertext with b's second and b's tag.
         let spliced = CounterMsg {
-            fields: vec![a.fields[0].clone(), b.fields[1].clone(), b.fields[2].clone()],
+            fields: vec![a.fields[0].clone(), b.fields[1].clone()],
             tag: b.tag.clone(),
         };
         assert_eq!(spliced.open(&d, &key, 2), Err(ObliviousError::TagMismatch));
@@ -472,11 +454,17 @@ mod tests {
     #[test]
     fn arity_mismatch_detected() {
         let (e, d, key) = setup();
-        let a = CounterMsg::seal(&e, &key, &[5, 1], &[3, 0]);
-        let truncated = CounterMsg { fields: a.fields[..2].to_vec(), tag: a.tag.clone() };
+        let a = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
+        let mut long = a.clone();
+        long.fields.push(e.encrypt_i64(0));
         assert_eq!(
-            truncated.open(&d, &key, 2),
-            Err(ObliviousError::ArityMismatch { expected: 3, got: 2 })
+            long.open(&d, &key, 2),
+            Err(ObliviousError::ArityMismatch { expected: 1, got: 2 })
+        );
+        let short = CounterMsg { fields: Vec::new(), tag: a.tag.clone() };
+        assert_eq!(
+            short.open(&d, &key, 2),
+            Err(ObliviousError::ArityMismatch { expected: 1, got: 0 })
         );
     }
 
@@ -484,44 +472,51 @@ mod tests {
     fn works_identically_over_mock_cipher() {
         let mock = MockCipher::new(11);
         let key = TagKey::derive(3, 5);
-        let a = CounterMsg::seal(&mock, &key, &[4, 1], &[2]);
-        let b = CounterMsg::seal(&mock, &key, &[6, 0], &[3]);
+        let a = CounterMsg::seal(&mock, &key, &[4, 1, 2]);
+        let b = CounterMsg::seal(&mock, &key, &[6, 0, 3]);
         // Capacity one: a ciphertext per value, as it always was.
         assert_eq!(a.fields.len(), 3);
         assert_eq!(a.add(&mock, &b).open(&mock, &key, 2).unwrap(), vec![10, 1, 5]);
         let forged = CounterMsg { fields: a.fields.clone(), tag: mock.encrypt_i64(0) };
         assert_eq!(forged.open(&mock, &key, 2), Err(ObliviousError::TagMismatch));
-        // The side-band is unsigned under the mock too.
+        // The side-band holds no negative value under the mock either, and
+        // a value past a digit is no tuple of one.
         assert_eq!(
             a.sub(&mock, &b).open(&mock, &key, 2),
+            Err(ObliviousError::SideBand(SlotError::Negative { slot: 2 }))
+        );
+        let mut wide = a.clone();
+        wide.fields[2] = mock.encrypt_i64(1 << 44);
+        assert_eq!(
+            wide.open(&mock, &key, 2),
             Err(ObliviousError::SideBand(SlotError::OutOfLayout))
         );
     }
 
     #[test]
-    fn side_band_spills_by_capacity_and_guard_bits_absorb_additions() {
+    fn tuples_spill_by_capacity_and_digits_absorb_additions() {
         let (e, d, _) = setup();
-        // 2 signed + 7 side-band values at five slots a ciphertext.
+        // 2 signed + 7 side-band values at five digits a ciphertext.
         let key = TagKey::derive(9, 3);
-        assert_eq!(CounterMsg::ct_count(&e, 2, 7), 4);
-        let one = CounterMsg::seal(&e, &key, &[-3, 40], &[u32::MAX, 1, 2, 3, 4, 5, u32::MAX]);
-        assert_eq!(one.fields.len(), 4);
+        assert_eq!(CounterMsg::ct_count(&e, 9), 2);
+        let max = i64::from(u32::MAX);
+        let one = CounterMsg::seal(&e, &key, &[-3, 40, max, 1, 2, 3, 4, 5, max]);
+        assert_eq!(one.fields.len(), 2);
         let mut acc = one.clone();
         for _ in 1..64 {
             acc = acc.add(&e, &one);
         }
-        let top = 64 * i64::from(u32::MAX);
         assert_eq!(
             acc.rerandomize(&e).open(&d, &key, 2).unwrap(),
-            vec![-192, 2560, top, 64, 128, 192, 256, 320, top]
+            vec![-192, 2560, 64 * max, 64, 128, 192, 256, 320, 64 * max]
         );
     }
 
     #[test]
     fn open_many_opens_an_honest_wave_in_one_pass() {
         let (e, d, key) = setup();
-        let a = CounterMsg::seal(&e, &key, &[5, 1], &[3, 0]);
-        let b = CounterMsg::seal(&e, &key, &[2, 0], &[1, 9]);
+        let a = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
+        let b = CounterMsg::seal(&e, &key, &[2, 0, 1, 9]);
         let c = a.add(&e, &b);
         let opened = CounterMsg::open_many(&d, &key, 2, &[&a, &b, &c]);
         assert_eq!(opened, vec![Ok(vec![5, 1, 3, 0]), Ok(vec![2, 0, 1, 9]), Ok(vec![7, 1, 4, 9])]);
@@ -530,17 +525,20 @@ mod tests {
     #[test]
     fn open_many_blames_exactly_the_forged_tuple() {
         let (e, d, key) = setup();
-        let good = CounterMsg::seal(&e, &key, &[5, 1], &[3, 0]);
+        let good = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
         let forged = CounterMsg { fields: good.fields.clone(), tag: e.encrypt_i64(4242) };
-        let short = CounterMsg { fields: good.fields[..2].to_vec(), tag: good.tag.clone() };
+        let short = CounterMsg { fields: Vec::new(), tag: good.tag.clone() };
         let mut wide = good.clone();
-        wide.fields[2] = side(&e, &[1, 3, 0]);
-        let opened = CounterMsg::open_many(&d, &key, 2, &[&good, &forged, &short, &wide]);
-        assert_eq!(opened.len(), 4);
+        wide.fields[0] = packed(&e, &[1, 3, 0, 0, 1]);
+        let negative = good.sub(&e, &good.scalar(&e, 2));
+        let opened =
+            CounterMsg::open_many(&d, &key, 2, &[&good, &forged, &short, &wide, &negative]);
+        assert_eq!(opened.len(), 5);
         assert_eq!(opened[0], Ok(vec![5, 1, 3, 0]), "honest tuple survives the bad company");
         assert_eq!(opened[1], Err(ObliviousError::TagMismatch));
-        assert_eq!(opened[2], Err(ObliviousError::ArityMismatch { expected: 3, got: 2 }));
+        assert_eq!(opened[2], Err(ObliviousError::ArityMismatch { expected: 1, got: 0 }));
         assert_eq!(opened[3], Err(ObliviousError::SideBand(SlotError::OutOfLayout)));
+        assert_eq!(opened[4], Err(ObliviousError::SideBand(SlotError::Negative { slot: 2 })));
         assert_eq!(CounterMsg::open_many(&d, &key, 2, &[]), vec![]);
     }
 
@@ -548,7 +546,7 @@ mod tests {
     fn open_many_works_over_mock_cipher() {
         let mock = MockCipher::new(11);
         let key = TagKey::derive(3, 5);
-        let a = CounterMsg::seal(&mock, &key, &[4, 1], &[2]);
+        let a = CounterMsg::seal(&mock, &key, &[4, 1, 2]);
         let forged = CounterMsg { fields: a.fields.clone(), tag: mock.encrypt_i64(0) };
         let opened = CounterMsg::open_many(&mock, &key, 2, &[&a, &forged]);
         assert_eq!(opened, vec![Ok(vec![4, 1, 2]), Err(ObliviousError::TagMismatch)]);
@@ -557,8 +555,8 @@ mod tests {
     #[test]
     fn zeros_is_additive_identity() {
         let (e, d, key) = setup();
-        let z = CounterMsg::zeros(&e, &key, 2);
-        let a = CounterMsg::seal(&e, &key, &[5, 1], &[3, 0]);
+        let z = CounterMsg::zeros(&e, &key);
+        let a = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
         assert_eq!(a.add(&e, &z).open(&d, &key, 2).unwrap(), vec![5, 1, 3, 0]);
     }
 }

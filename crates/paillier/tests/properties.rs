@@ -1,12 +1,13 @@
 //! Property-based tests for the homomorphic substrate.
 //!
 //! A single 512-bit keypair is shared across cases (keygen dominates cost);
-//! the properties quantify over plaintexts, scalars and slot values.
+//! the properties quantify over plaintexts, scalars, slot values and
+//! arbitrary residues.
 
 use std::sync::OnceLock;
 
-use gridmine_paillier::slots::{Slot, SlotLayout};
-use gridmine_paillier::{CounterMsg, HomCipher, Keypair, MockCipher, PaillierCtx, TagKey};
+use gridmine_paillier::{slots, CounterMsg, HomCipher, Keypair, MockCipher, PaillierCtx, TagKey};
+use num_bigint::BigUint;
 use proptest::prelude::*;
 
 fn keys() -> &'static Keypair {
@@ -82,36 +83,47 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Whatever a broker hands the controller decrypts to some residue
+    /// below `n`: each reads, at any width, as a tuple or as an error.
     #[test]
-    fn slot_pack_unpack_roundtrip(
-        a in 0u64..(1 << 40),
-        b in 0u64..(1 << 32),
-        c in 0u64..(1 << 32),
+    fn any_residue_unpacks_without_a_panic(
+        bytes in prop::collection::vec(any::<u8>(), 0..=64),
+        width in 1usize..=12,
     ) {
-        let layout = SlotLayout::new(vec![
-            Slot::counter(48, 40),
-            Slot::modular(40, 32),
-            Slot::counter(40, 32),
-        ]);
-        let packed = layout.pack(&[a, b, c]).unwrap();
-        prop_assert_eq!(layout.unpack(&packed).unwrap().values, vec![a, b, c]);
+        let pk = keys().public_key();
+        let m = BigUint::from_bytes_be(&bytes) % pk.modulus();
+        let mut out = Vec::new();
+        match slots::unpack(pk, &m, width, &mut out) {
+            Ok(()) => prop_assert_eq!(out.len(), width),
+            Err(_) => prop_assert!(out.is_empty()),
+        }
     }
 
+    /// What unpacks is a tuple of digits, and it re-packs to the residue it
+    /// was read from: the read loses nothing and invents nothing.
     #[test]
-    fn slot_addition_is_slotwise(
-        a in 0u64..(1 << 30), b in 0u64..(1 << 30),
-        x in 0u64..(1 << 30), y in 0u64..(1 << 30),
+    fn what_unpacks_repacks_to_itself(
+        bytes in prop::collection::vec(any::<u8>(), 0..=64),
+        digits in prop::collection::vec(-(1i64 << 44)..1 << 44, 1..=11),
+        raw in any::<bool>(),
     ) {
-        let layout = SlotLayout::new(vec![Slot::counter(40, 31), Slot::counter(40, 31)]);
-        let sum = layout.pack(&[a, x]).unwrap() + layout.pack(&[b, y]).unwrap();
-        prop_assert_eq!(layout.unpack(&sum).unwrap().values, vec![a + b, x + y]);
-    }
-
-    #[test]
-    fn modular_slot_wraps_exactly(a: u32, b: u32) {
-        let layout = SlotLayout::new(vec![Slot::modular(40, 32)]);
-        let sum = layout.pack(&[a as u64]).unwrap() + layout.pack(&[b as u64]).unwrap();
-        prop_assert_eq!(layout.unpack(&sum).unwrap().values[0], a.wrapping_add(b) as u64);
+        let pk = keys().public_key();
+        // Half the cases a residue off the wire, half a packed tuple (which
+        // a random residue almost never is at width 11).
+        let (m, width) = match raw {
+            true => (BigUint::from_bytes_be(&bytes) % pk.modulus(), 1 + bytes.len() % 11),
+            false => (slots::pack(pk, &digits), digits.len()),
+        };
+        let mut out = Vec::new();
+        if slots::unpack(pk, &m, width, &mut out).is_ok() {
+            prop_assert!(out.iter().all(|&d| slots::is_digit(d)));
+            prop_assert_eq!(slots::pack(pk, &out), m);
+        } else {
+            prop_assert!(raw, "a packed tuple of digits always unpacks");
+        }
+        if !raw {
+            prop_assert_eq!(out, digits);
+        }
     }
 }
 
@@ -127,8 +139,8 @@ proptest! {
         let (e, d) = handles();
         let key = TagKey::derive(3, 99);
         // All three fields signed: the linear algebra takes any sign.
-        let a = CounterMsg::seal(&e, &key, &xs, &[]);
-        let b = CounterMsg::seal(&e, &key, &ys, &[]);
+        let a = CounterMsg::seal(&e, &key, &xs);
+        let b = CounterMsg::seal(&e, &key, &ys);
         let combo = a.scalar(&e, k).add(&e, &b);
         let opened = combo.open(&d, &key, 3).unwrap();
         for i in 0..3 {
@@ -145,9 +157,13 @@ proptest! {
         // Adding an unauthenticated increment to one field must break the tag.
         let (e, d) = handles();
         let key = TagKey::derive(3, 99);
-        let a = CounterMsg::seal(&e, &key, &xs, &[]);
+        let a = CounterMsg::seal(&e, &key, &xs);
+        let mut bump = vec![0i64; 3];
+        bump[idx] = delta;
+        let mut cts = Vec::new();
+        e.encrypt_slots(&bump, &mut cts);
         let mut tampered = a.clone();
-        tampered.fields[idx] = e.add(&tampered.fields[idx], &e.encrypt_i64(delta));
+        tampered.fields[0] = e.add(&tampered.fields[0], &cts[0]);
         prop_assert!(tampered.open(&d, &key, 3).is_err());
     }
 
@@ -157,18 +173,18 @@ proptest! {
         delta in 1u32..1_000,
         idx in 0usize..7,
     ) {
-        // The same attack through the packing: a well-formed tuple that
-        // is zero but for one slot, added onto the side-band ciphertext.
+        // The same attack on a side-band value, behind two signed ones.
         let (e, d) = handles();
         let key = TagKey::derive(9, 99);
-        let a = CounterMsg::seal(&e, &key, &[-4, 4], &side);
-        prop_assert_eq!(a.fields.len(), 3);
-        let mut bump = vec![0u32; 7];
-        bump[idx] = delta;
+        let values: Vec<i64> = [-4, 4].into_iter().chain(side.iter().map(|&v| i64::from(v))).collect();
+        let a = CounterMsg::seal(&e, &key, &values);
+        prop_assert_eq!(a.fields.len(), 1);
+        let mut bump = vec![0i64; 9];
+        bump[2 + idx] = i64::from(delta);
         let mut cts = Vec::new();
         e.encrypt_slots(&bump, &mut cts);
         let mut tampered = a.clone();
-        tampered.fields[2] = e.add(&tampered.fields[2], &cts[0]);
+        tampered.fields[0] = e.add(&tampered.fields[0], &cts[0]);
         prop_assert!(tampered.open(&d, &key, 2).is_err());
         prop_assert!(a.open(&d, &key, 2).is_ok());
     }

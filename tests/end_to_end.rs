@@ -354,15 +354,21 @@ fn memory_recorder_counts_match_the_session_outcome() {
     assert!(outcome.metrics.bytes_on_wire > 0, "wire volume was accounted");
 }
 
-/// The `(from, to, rule)` of every counter one synchronous session mails,
-/// in the order it mails them.
-fn counters_mailed(tree: Tree, seed: u64) -> Vec<(u64, u64, String)> {
-    let (parts, ..) = quest_partitions(tree.capacity(), 400);
+/// The `(from, to, rule)` of every counter one synchronous session over
+/// `keys` and `tx` transactions mails, in the order it mails them, and the
+/// rules every resource ends with.
+fn session_record<C: HomCipher + 'static>(
+    keys: GridKeys<C>,
+    tree: Tree,
+    seed: u64,
+    tx: usize,
+) -> (Vec<(u64, u64, String)>, Vec<RuleSet>) {
+    let (parts, ..) = quest_partitions(tree.capacity(), tx);
     let mut cfg = MineConfig::new(Ratio::from_f64(0.1), Ratio::from_f64(0.6));
     cfg.rounds = 4;
     cfg.seed = seed;
     let rec = MemoryRecorder::shared();
-    let outcome = MineSession::over(cfg, GridKeys::<MockCipher>::mock(seed))
+    let outcome = MineSession::over(cfg, keys)
         .with_topology(tree)
         .with_databases(parts)
         .with_recorder(rec.clone())
@@ -377,7 +383,30 @@ fn counters_mailed(tree: Tree, seed: u64) -> Vec<(u64, u64, String)> {
         })
         .collect();
     assert_eq!(mailed.len() as u64, outcome.messages);
-    mailed
+    (mailed, outcome.solutions)
+}
+
+/// The `(from, to, rule)` of every counter one synchronous mock session
+/// mails, in the order it mails them.
+fn counters_mailed(tree: Tree, seed: u64) -> Vec<(u64, u64, String)> {
+    session_record(GridKeys::<MockCipher>::mock(seed), tree, seed, 400).0
+}
+
+#[test]
+fn packing_moves_no_protocol_decision() {
+    // One seeded session on the replay test's input, under 128-bit
+    // Paillier (the tuple packed two digits to a ciphertext) and under the
+    // mock (one value to a ciphertext): the same counters, mailed in the
+    // same order, and the same rules at every resource.
+    let (paillier, paillier_rules) =
+        session_record(GridKeys::paillier(128, 5), Tree::path(4), 5, 400);
+    let (mock, mock_rules) = session_record(GridKeys::<MockCipher>::mock(5), Tree::path(4), 5, 400);
+    assert!(mock.len() > 1_000, "too few counters to compare: {}", mock.len());
+    let diverged = paillier.iter().zip(&mock).position(|(a, b)| a != b);
+    assert_eq!(diverged, None, "of {} counters, the ciphers first differ here", mock.len());
+    assert_eq!(paillier.len(), mock.len());
+    assert!(mock_rules.iter().all(|rules| !rules.is_empty()), "workload must produce rules");
+    assert_eq!(paillier_rules, mock_rules);
 }
 
 #[test]
