@@ -25,13 +25,14 @@
 //! real Paillier and under the plaintext mock used at simulation scale.
 //!
 //! The driving API is [`session::MineSession`]: a builder covering the
-//! synchronous driver, the threaded driver, fault injection and
-//! structured observability (`gridmine-obs` recorders). A third,
-//! multi-process backend lives in the `gridmine-net` crate and drives
-//! the same resources over real loopback TCP sockets. What a resource
-//! does at each round — crash-wipe, restore, heal, checkpoint, scan —
-//! and how reports fold into a [`MiningOutcome`] is written once, in
-//! [`round`]; the drivers only move its inputs and outputs.
+//! synchronous driver, the threaded driver, fault injection under either
+//! and structured observability (`gridmine-obs` recorders). The two
+//! share one in-process round ([`inproc`]). A third, multi-process
+//! backend lives in the `gridmine-net` crate and drives the same
+//! resources over real loopback TCP sockets. What a resource does at
+//! each round — crash-wipe, restore, heal, checkpoint, scan — and how
+//! reports fold into a [`MiningOutcome`] is written once, in [`round`];
+//! the drivers only move its inputs and outputs.
 
 // Protocol crate: the paper's adversary model makes every panic a
 // denial-of-service lever, so `.unwrap()` outside tests is part of the
@@ -45,6 +46,7 @@ pub mod broker;
 pub mod chaos;
 pub mod controller;
 pub mod counter;
+pub mod inproc;
 pub mod keyring;
 pub mod kttp;
 pub mod miner;
@@ -65,6 +67,7 @@ pub use chaos::{ChaosReport, DegradeReason, ResourceStatus};
 pub use controller::{AuditImage, Controller, SealedEdges, SendEdge, SentAggregate, Verdict};
 pub use counter::{CounterLayout, SecureCounter};
 pub use gridmine_recovery::{RecoveryMode, RecoveryPolicy, RetryPolicy};
+pub use inproc::run_synchronous;
 pub use keyring::GridKeys;
 pub use kttp::KTtp;
 pub use miner::{MineConfig, MiningOutcome};

@@ -2,7 +2,8 @@
 //!
 //! The library's front door is [`crate::session::MineSession`]: one
 //! builder covering the synchronous driver, the threaded driver and
-//! fault injection, with observability via `gridmine-obs` recorders.
+//! fault injection under either, with observability via `gridmine-obs`
+//! recorders.
 //! The multi-process TCP backend in `gridmine-net` returns the same
 //! [`MiningOutcome`]; every driver builds it with
 //! [`crate::round::assemble`].
@@ -74,14 +75,15 @@ impl MineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inproc::run_synchronous;
     use crate::keyring::GridKeys;
-    use crate::resource::{wire_grid, SecureResource, WireMsg};
+    use crate::resource::{wire_grid, SecureResource};
     use crate::session::MineSession;
     use gridmine_arm::{correct_rules, AprioriConfig, Database, Transaction};
     use gridmine_majority::CandidateGenerator;
     use gridmine_paillier::MockCipher;
-    use gridmine_topology::Tree;
-    use std::collections::VecDeque;
+    use gridmine_recovery::RecoveryMode;
+    use gridmine_topology::{FaultPlan, Tree};
 
     fn dbs() -> Vec<Database> {
         (0..4u64)
@@ -139,7 +141,7 @@ mod tests {
         let keys = GridKeys::<MockCipher>::mock(6);
         let cfg = MineConfig::new(Ratio::new(1, 2), Ratio::new(1, 2));
         // `MineSession` builds honest grids only: build the resources by
-        // hand, corrupt one broker, and deliver to quiescence directly.
+        // hand, corrupt one broker, and hand them to the driver.
         let generator = CandidateGenerator::new(cfg.min_freq, cfg.min_conf);
         let items = vec![gridmine_arm::Item(1), gridmine_arm::Item(2), gridmine_arm::Item(3)];
         let tree = Tree::path(4);
@@ -153,14 +155,13 @@ mod tests {
             .collect();
         wire_grid(&mut resources);
         resources[1].set_broker_behavior(crate::attack::BrokerBehavior::DoubleCount(0));
-        let mut queue: VecDeque<WireMsg<MockCipher>> = VecDeque::new();
-        for r in resources.iter_mut() {
-            queue.extend(r.step(usize::MAX));
-        }
-        while let Some(msg) = queue.pop_front() {
-            let to = msg.to;
-            queue.extend(resources[to].on_receive(&msg));
-        }
-        assert_eq!(resources[1].verdict(), Some(Verdict::MaliciousBroker(1)));
+        let outcome = run_synchronous(
+            resources,
+            1,
+            FaultPlan::none(),
+            gridmine_obs::null(),
+            RecoveryMode::Disabled,
+        );
+        assert_eq!(outcome.verdicts, [Verdict::MaliciousBroker(1)]);
     }
 }

@@ -915,6 +915,8 @@ pub fn wire_grid<C: HomCipher>(resources: &mut [SecureResource<C>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inproc::run_synchronous;
+    use crate::miner::MiningOutcome;
     use gridmine_arm::{Ratio, Transaction};
     use gridmine_paillier::MockCipher;
 
@@ -928,47 +930,10 @@ mod tests {
         (1..=n).map(Item).collect()
     }
 
-    /// Synchronous driver used by the unit tests: steps resources and
-    /// delivers messages until quiescence, interleaving generation cycles.
-    fn run_grid(resources: &mut [SecureResource<MockCipher>], max_rounds: usize) {
-        for round in 0..max_rounds {
-            let mut queue: Vec<WireMsg<MockCipher>> = Vec::new();
-            for r in resources.iter_mut() {
-                queue.extend(r.step(usize::MAX));
-            }
-            let mut hops = 0;
-            while !queue.is_empty() {
-                hops += 1;
-                assert!(hops < 10_000, "message storm: no quiescence");
-                let mut next = Vec::new();
-                for msg in queue {
-                    let to = msg.to;
-                    let r = resources.iter_mut().find(|r| r.id() == to).expect("routed");
-                    next.extend(r.on_receive(&msg));
-                }
-                queue = next;
-            }
-            let mut gen_msgs: Vec<WireMsg<MockCipher>> = Vec::new();
-            for r in resources.iter_mut() {
-                gen_msgs.extend(r.generate_candidates());
-            }
-            let mut hops = 0;
-            let mut queue = gen_msgs;
-            while !queue.is_empty() {
-                hops += 1;
-                assert!(hops < 10_000, "message storm in generation round {round}");
-                let mut next = Vec::new();
-                for msg in queue {
-                    let to = msg.to;
-                    let r = resources.iter_mut().find(|r| r.id() == to).expect("routed");
-                    next.extend(r.on_receive(&msg));
-                }
-                queue = next;
-            }
-        }
-        for r in resources.iter_mut() {
-            r.refresh_outputs();
-        }
+    /// The synchronous driver over a hand-built grid, fault-free.
+    fn run_grid(resources: Vec<SecureResource<MockCipher>>, rounds: usize) -> MiningOutcome {
+        let (plan, rec) = (gridmine_topology::FaultPlan::none(), gridmine_obs::null());
+        run_synchronous(resources, rounds, plan, rec, gridmine_recovery::RecoveryMode::Disabled)
     }
 
     fn two_resource_grid(k: i64) -> Vec<SecureResource<MockCipher>> {
@@ -986,26 +951,24 @@ mod tests {
 
     #[test]
     fn two_resources_converge_to_global_rules() {
-        let mut rs = two_resource_grid(1);
-        run_grid(&mut rs, 6);
+        let outcome = run_grid(two_resource_grid(1), 6);
         // Global: {1}: 4/5, {2}: 3/5, {1,2}: 3/5 frequent at MinFreq 1/2;
         // conf(1⇒2) = 3/4, conf(2⇒1) = 1 at MinConf 3/4.
         let expect = ["∅ ⇒ {1}", "∅ ⇒ {1,2}", "∅ ⇒ {2}", "{1} ⇒ {2}", "{2} ⇒ {1}"];
-        for r in &rs {
-            let got: Vec<String> = r.interim().sorted().iter().map(|x| x.to_string()).collect();
-            assert_eq!(got, expect, "resource {} diverged", r.id());
-            assert!(r.verdict().is_none());
+        for (u, rules) in outcome.solutions.iter().enumerate() {
+            let got: Vec<String> = rules.sorted().iter().map(|x| x.to_string()).collect();
+            assert_eq!(got, expect, "resource {u} diverged");
         }
+        assert!(outcome.verdicts.is_empty());
     }
 
     #[test]
     fn high_k_discloses_nothing_on_a_small_grid() {
         // k = 10 with 2 resources: the num gate can never pass, so the
         // interim solutions stay empty — the k-privacy floor in action.
-        let mut rs = two_resource_grid(10);
-        run_grid(&mut rs, 4);
-        for r in &rs {
-            assert!(r.interim().is_empty(), "k larger than the grid must gate all outputs");
+        let outcome = run_grid(two_resource_grid(10), 4);
+        for rules in &outcome.solutions {
+            assert!(rules.is_empty(), "k larger than the grid must gate all outputs");
         }
     }
 
@@ -1013,24 +976,21 @@ mod tests {
     fn double_count_attack_is_detected_and_blamed() {
         let mut rs = two_resource_grid(1);
         rs[0].set_broker_behavior(BrokerBehavior::DoubleCount(1));
-        run_grid(&mut rs, 3);
-        assert_eq!(rs[0].verdict(), Some(Verdict::MaliciousBroker(0)));
+        assert_eq!(run_grid(rs, 3).verdicts, [Verdict::MaliciousBroker(0)]);
     }
 
     #[test]
     fn arbitrary_value_attack_is_detected() {
         let mut rs = two_resource_grid(1);
         rs[1].set_broker_behavior(BrokerBehavior::ArbitraryValue);
-        run_grid(&mut rs, 3);
-        assert_eq!(rs[1].verdict(), Some(Verdict::MaliciousBroker(1)));
+        assert_eq!(run_grid(rs, 3).verdicts, [Verdict::MaliciousBroker(1)]);
     }
 
     #[test]
     fn omission_attack_is_detected() {
         let mut rs = two_resource_grid(1);
         rs[0].set_broker_behavior(BrokerBehavior::OmitNeighbor(1));
-        run_grid(&mut rs, 3);
-        assert_eq!(rs[0].verdict(), Some(Verdict::MaliciousBroker(0)));
+        assert_eq!(run_grid(rs, 3).verdicts, [Verdict::MaliciousBroker(0)]);
     }
 
     #[test]

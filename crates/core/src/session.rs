@@ -1,7 +1,7 @@
 //! [`MineSession`]: the one builder that drives every mining mode.
 //!
-//! One builder for the synchronous driver, the threaded driver (one OS
-//! thread per resource) and threads + fault injection:
+//! One builder for the synchronous driver and the threaded driver (one
+//! OS thread per resource), either of them under a fault plan:
 //!
 //! ```
 //! use gridmine_arm::{Database, Ratio, Transaction};
@@ -17,31 +17,31 @@
 //! assert!(outcome.verdicts.is_empty());
 //! ```
 //!
-//! The `gridmine-net` crate adds a third, multi-process backend that
-//! drives the same resources over loopback TCP; all three run the
-//! per-round policy in [`crate::round`]. A session defaults to the
+//! Both run the same in-process round ([`crate::inproc`]). The
+//! `gridmine-net` crate adds a third, multi-process backend that drives
+//! the same resources over loopback TCP; all three run the per-round
+//! policy in [`crate::round`]. A session defaults to the
 //! plaintext [`MockCipher`], a path topology over the databases, no
 //! faults and the zero-cost `NullRecorder`; every default has a `with_*`
 //! override.
 //! Attaching a real recorder also arms the [`Metrics`] registry, whose
 //! snapshot lands in [`MiningOutcome::metrics`].
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
 use gridmine_arm::{Database, Item};
 use gridmine_majority::CandidateGenerator;
-use gridmine_obs::{emit, Event, FanoutRecorder, Metrics, SharedRecorder};
+use gridmine_obs::{FanoutRecorder, Metrics, SharedRecorder};
 use gridmine_paillier::{HomCipher, MockCipher, PaillierCtx};
 use gridmine_recovery::RecoveryMode;
-use gridmine_topology::faults::{FaultPlan, FaultStats};
+use gridmine_topology::faults::FaultPlan;
 use gridmine_topology::Tree;
 
+use crate::inproc::run_synchronous;
 use crate::keyring::GridKeys;
 use crate::miner::{MineConfig, MiningOutcome};
-use crate::resource::{wire_grid, SecureResource, WireMsg};
-use crate::round::{assemble, RoundMachine, RoundSchedule, Scan, Seat};
+use crate::resource::{wire_grid, SecureResource};
 use crate::threaded::run_threaded_full;
 
 /// Why a [`MineSession`] refused to run. The `try_run*` entry points
@@ -83,8 +83,6 @@ pub enum SessionError {
         /// Resources actually in the grid.
         capacity: usize,
     },
-    /// A non-quiet fault plan was armed on the synchronous driver.
-    FaultsRequireThreadedDriver,
 }
 
 impl fmt::Display for SessionError {
@@ -106,10 +104,6 @@ impl fmt::Display for SessionError {
             SessionError::FaultEdgeOutOfRange { edge: (u, v), capacity } => write!(
                 f,
                 "fault plan overrides edge {u}\u{2013}{v}, outside the grid's {capacity} resources"
-            ),
-            SessionError::FaultsRequireThreadedDriver => write!(
-                f,
-                "the synchronous driver injects no faults; use run_threaded() for fault plans"
             ),
         }
     }
@@ -273,8 +267,8 @@ impl<C: HomCipher + 'static> MineSession<C> {
         self
     }
 
-    /// Arms a fault plan (honored by [`MineSession::run_threaded`];
-    /// the synchronous [`MineSession::run`] refuses non-quiet plans).
+    /// Arms a fault plan, honoured by both drivers (plan ticks are
+    /// protocol rounds).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.plan = plan;
         self
@@ -288,25 +282,13 @@ impl<C: HomCipher + 'static> MineSession<C> {
         self
     }
 
-    /// Selects how [`MineSession::run_threaded`] treats a scheduled
-    /// crash-and-recover: keep state (legacy default), wipe it and rejoin
-    /// cold, or wipe it and restore from a validated checkpoint + journal
-    /// (see [`RecoveryMode`]).
+    /// Selects how either driver treats a scheduled crash-and-recover:
+    /// keep state (legacy default), wipe it and rejoin cold, or wipe it
+    /// and restore from a validated checkpoint + journal (see
+    /// [`RecoveryMode`]).
     pub fn with_recovery(mut self, mode: RecoveryMode) -> Self {
         self.mode = mode;
         self
-    }
-
-    /// Build-time sanity screen: [`validate_grid`], and no fault plan on
-    /// the synchronous driver. Run by the `try_run*` entry points before
-    /// any thread is spawned or key material is touched.
-    fn validate(&self, threaded: bool) -> Result<(), SessionError> {
-        let nodes = self.tree.as_ref().map_or(self.dbs.len(), Tree::capacity);
-        validate_grid(self.dbs.len(), nodes, &self.plan, self.cfg.rounds as u64)?;
-        if !threaded && !self.plan.is_quiet() {
-            return Err(SessionError::FaultsRequireThreadedDriver);
-        }
-        Ok(())
     }
 
     /// Builds the wired resource grid.
@@ -347,15 +329,14 @@ impl<C: HomCipher + 'static> MineSession<C> {
         resources
     }
 
-    /// Runs the synchronous driver: rounds of scan → FIFO delivery to
-    /// quiescence → candidate generation → delivery, halting early on
-    /// any verdict.
+    /// Runs the synchronous driver ([`run_synchronous`]): one thread,
+    /// every counter delivered oldest first, the armed fault plan and
+    /// [`RecoveryMode`] applied, so a seeded run replays message for
+    /// message.
     ///
     /// # Panics
-    /// Panics if a non-quiet fault plan is armed (the synchronous driver
-    /// has no fault model — use [`MineSession::run_threaded`]) or if the
-    /// session fails validation ([`MineSession::try_run`] returns these
-    /// as [`SessionError`] instead).
+    /// Panics if the session fails validation ([`MineSession::try_run`]
+    /// returns these as [`SessionError`] instead).
     pub fn run(self) -> MiningOutcome {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -363,69 +344,12 @@ impl<C: HomCipher + 'static> MineSession<C> {
     /// [`MineSession::run`] with build-time validation as a typed error
     /// instead of a panic.
     pub fn try_run(self) -> Result<MiningOutcome, SessionError> {
-        self.validate(false)?;
-        let (rec, metrics) = arm_recorder(&self.rec);
-        let rounds = self.cfg.rounds;
-        // The plan is quiet (validated above) and the synchronous driver
-        // has no crash model, so every machine runs the quiet schedule.
-        let mut machines: Vec<RoundMachine<C>> = self
-            .build(&rec)
-            .into_iter()
-            .map(|r| {
-                let neighbors = r.layout().neighbors.to_vec();
-                let schedule =
-                    RoundSchedule::of(&self.plan, r.id(), neighbors, RecoveryMode::Disabled);
-                RoundMachine::new(r, schedule, rec.clone())
-            })
-            .collect();
-
-        let deliver = |machines: &mut Vec<RoundMachine<C>>, queue: &mut VecDeque<WireMsg<C>>| {
-            let mut hops = 0u64;
-            while let Some(msg) = queue.pop_front() {
-                hops += 1;
-                assert!(hops < 10_000_000, "secure mining failed to quiesce");
-                queue.extend(machines[msg.to].receive(&msg));
-            }
-        };
-
-        for round in 0..rounds {
-            let tick = round as u64;
-            emit(&rec, || Event::RoundAdvanced { tick });
-            let mut queue: VecDeque<WireMsg<C>> = VecDeque::new();
-            for m in machines.iter_mut() {
-                if let Scan::Send { msgs, .. } = m.scan(tick) {
-                    queue.extend(msgs);
-                }
-            }
-            deliver(&mut machines, &mut queue);
-
-            for m in machines.iter_mut() {
-                queue.extend(m.candidates());
-            }
-            deliver(&mut machines, &mut queue);
-
-            if machines.iter().any(|m| m.resource().verdict().is_some()) {
-                break;
-            }
-        }
-        let seats: Vec<Seat> = machines
-            .iter_mut()
-            .map(|m| {
-                m.finish(rounds);
-                m.report().into()
-            })
-            .collect();
-        let mut outcome = assemble(&self.plan, rounds, seats, FaultStats::default(), &rec);
-        if let Some(m) = metrics {
-            outcome.metrics = m.snapshot();
-        }
-        rec.flush();
-        Ok(outcome)
+        self.execute(run_synchronous)
     }
 
-    /// Runs the threaded driver — one OS thread per resource, channel
-    /// links, the armed fault plan injected (plan ticks = protocol
-    /// rounds) and the armed [`RecoveryMode`] governing crash-recovery.
+    /// Runs the threaded driver ([`run_threaded_full`]) — one OS thread
+    /// per resource, channel links, the same fault plan and
+    /// [`RecoveryMode`], in whatever interleaving the OS produces.
     ///
     /// # Panics
     /// Panics if the session fails validation
@@ -438,11 +362,18 @@ impl<C: HomCipher + 'static> MineSession<C> {
     /// [`MineSession::run_threaded`] with build-time validation as a
     /// typed error instead of a panic.
     pub fn try_run_threaded(self) -> Result<MiningOutcome, SessionError> {
-        self.validate(true)?;
+        self.execute(run_threaded_full)
+    }
+
+    /// Screens the session ([`validate_grid`]) before any thread is
+    /// spawned or key material is touched, then builds the grid and runs
+    /// `driver` over it.
+    fn execute(self, driver: Driver<C>) -> Result<MiningOutcome, SessionError> {
+        let nodes = self.tree.as_ref().map_or(self.dbs.len(), Tree::capacity);
+        validate_grid(self.dbs.len(), nodes, &self.plan, self.cfg.rounds as u64)?;
         let (rec, metrics) = arm_recorder(&self.rec);
         let resources = self.build(&rec);
-        let mut outcome =
-            run_threaded_full(resources, self.cfg.rounds, self.plan, rec.clone(), self.mode);
+        let mut outcome = driver(resources, self.cfg.rounds, self.plan, rec.clone(), self.mode);
         if let Some(m) = metrics {
             outcome.metrics = m.snapshot();
         }
@@ -450,6 +381,10 @@ impl<C: HomCipher + 'static> MineSession<C> {
         Ok(outcome)
     }
 }
+
+/// The shape both in-process drivers share.
+type Driver<C> =
+    fn(Vec<SecureResource<C>>, usize, FaultPlan, SharedRecorder, RecoveryMode) -> MiningOutcome;
 
 #[cfg(test)]
 mod tests {
@@ -529,12 +464,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "synchronous driver injects no faults")]
-    fn sync_run_refuses_fault_plans() {
+    fn sync_run_honours_fault_plans_and_replays_them() {
         use gridmine_topology::faults::EdgeFaults;
         let cfg = MineConfig::new(Ratio::new(1, 2), Ratio::new(1, 2));
-        let plan = FaultPlan::new(1).with_default_edge(EdgeFaults::dropping(0.5));
-        let _ = MineSession::new(cfg).with_databases(dbs(3)).with_faults(plan).run();
+        let plan = FaultPlan::new(1)
+            .with_default_edge(EdgeFaults { drop: 0.2, duplicate: 0.1, jitter: 1 })
+            .with_crash(2, 2, Some(4));
+        let run = || {
+            let mem = MemoryRecorder::shared();
+            let outcome = MineSession::new(cfg)
+                .with_databases(dbs(4))
+                .with_faults(plan.clone())
+                .with_recovery(RecoveryMode::Checkpoint(gridmine_recovery::RecoveryPolicy::DEFAULT))
+                .with_recorder(mem.clone())
+                .run();
+            (outcome, mem.snapshot())
+        };
+        let (outcome, events) = run();
+        let f = outcome.chaos.faults;
+        assert!(f.dropped > 0 && f.duplicated > 0 && f.delayed > 0, "{f:?}");
+        assert_eq!((f.crashes, f.recoveries, outcome.chaos.replays), (1, 1, 1));
+        assert!(outcome.verdicts.is_empty(), "{:?}", outcome.verdicts);
+        let count = |k: EventKind| events.iter().filter(|e| e.kind() == k).count() as u64;
+        assert_eq!(count(EventKind::MessageDropped), f.dropped);
+        assert_eq!(count(EventKind::CounterSent), outcome.messages);
+        // One thread, one order: the same seed replays event for event.
+        let (again, replayed) = run();
+        assert_eq!(replayed, events);
+        assert_eq!(again.chaos, outcome.chaos);
+        assert_eq!(again.solutions, outcome.solutions);
     }
 
     #[test]

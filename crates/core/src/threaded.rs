@@ -1,7 +1,7 @@
 //! Asynchronous multithreaded mining — the paper's "asynchronous …
 //! involves no global communication patterns" claim, executed literally.
 //!
-//! [`MineSession::run_threaded`] runs every resource on its own OS
+//! [`crate::session::MineSession::run_threaded`] runs every resource on its own OS
 //! thread; each inbox is one unbounded `std::sync::mpsc` channel, and
 //! message processing happens whenever a message arrives, in whatever
 //! order the scheduler produces (per-edge FIFO is preserved by the
@@ -36,27 +36,17 @@
 //!
 //! # Fault tolerance
 //!
-//! Under [`MineSession::with_faults`] every send is threaded through a
-//! [`FaultyLink`], injecting the deterministic drop/duplication/jitter
-//! and crash schedules of a [`FaultPlan`] (ticks = rounds here). The
-//! driver degrades rather than aborts:
+//! What a [`FaultPlan`] does to a resource in a round is the in-process
+//! round's, the same as under the synchronous driver (see
+//! [`crate::inproc`]). What the threads add degrades rather than aborts:
 //!
 //! * a worker panic is caught *inside* the round loop — the thread keeps
 //!   meeting its barriers (so siblings never deadlock on a dead peer)
 //!   but goes quiet, and the resource is reported
-//!   [`ResourceStatus::Degraded`];
+//!   [`crate::chaos::ResourceStatus::Degraded`];
 //! * a send to a disconnected peer is dropped, not escalated to a panic;
-//! * a crashed resource discards its inbound traffic (keeping the
-//!   quiescence counter sound) until its scheduled recovery, if any;
-//! * under lossy links every round opens with an anti-entropy pass
-//!   (`reset_edge` + `nudge`), so an aggregate lost to a drop is resent
-//!   instead of being suppressed as a duplicate forever;
-//! * a mute controller exhausts its resource's bounded SFE retry budget
-//!   and degrades only that resource (see
-//!   [`crate::resource::DEFAULT_RETRY_BUDGET`]).
-//!
-//! The injected faults, retries and degradations surface in
-//! [`MiningOutcome::chaos`].
+//! * a crashed resource's worker still takes its inbound traffic out of
+//!   flight, keeping the quiescence counter sound.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -68,10 +58,10 @@ use gridmine_recovery::{RecoveryMode, RetryPolicy};
 use gridmine_topology::faults::{FaultPlan, FaultStats};
 
 use crate::chaos::DegradeReason;
+use crate::inproc::{conclude, stations, Station};
 use crate::miner::MiningOutcome;
-use crate::proxy::ChaosProxy;
 use crate::resource::{SecureResource, WireMsg};
-use crate::round::{assemble, RoundMachine, RoundSchedule, Scan, Seat};
+use crate::round::Seat;
 
 /// What travels to an inbox: a counter, or the word that a phase is over.
 enum Mail<C: HomCipher> {
@@ -86,7 +76,7 @@ struct Fabric<C: HomCipher> {
     senders: Vec<Sender<Mail<C>>>,
     in_flight: Arc<AtomicI64>,
     /// The drain this worker is in, or left last. Workers count in step
-    /// (see [`Outbox::open_drain`]).
+    /// (see [`Fabric::open_drain`]).
     phase: u64,
 }
 
@@ -115,40 +105,15 @@ impl<C: HomCipher> Fabric<C> {
             let _ = inbox.send(Mail::Quiet(self.phase));
         }
     }
-}
-
-/// One worker's way out: its fault router in front of the channel fabric.
-struct Outbox<C: HomCipher> {
-    proxy: ChaosProxy<WireMsg<C>>,
-    fabric: Fabric<C>,
-    rec: SharedRecorder,
-}
-
-impl<C: HomCipher> Outbox<C> {
-    /// Routes `msgs` through the fault layer.
-    fn send(&mut self, msgs: Vec<WireMsg<C>>) {
-        let Outbox { proxy, fabric, rec } = self;
-        for m in msgs {
-            proxy.route(m.from, m.to, m, rec, |m| fabric.post(m));
-        }
-    }
-
-    /// Releases the copies parked in earlier phases — their delay has
-    /// elapsed.
-    fn flush(&mut self) {
-        for (_, _, m) in self.proxy.flush() {
-            self.fabric.post(m);
-        }
-    }
 
     /// Ends a phase's sends and opens its drain. The barrier makes sure
     /// every thread's phase sends are counted in `in_flight` before
     /// anyone can take zero for quiescence; its leader, finding nothing
     /// in flight, ends the phase there and then, since no decrement will.
     fn open_drain(&mut self, barrier: &Barrier) {
-        self.fabric.phase += 1;
-        if barrier.wait().is_leader() && self.fabric.in_flight.load(Ordering::SeqCst) == 0 {
-            self.fabric.wake();
+        self.phase += 1;
+        if barrier.wait().is_leader() && self.in_flight.load(Ordering::SeqCst) == 0 {
+            self.wake();
         }
     }
 }
@@ -161,9 +126,9 @@ impl<C: HomCipher> Outbox<C> {
 /// keeps the legacy 1 ms timeout), so a drain the marker has not reached
 /// does not spin at full tilt. Returns how many polls came back empty.
 fn drain<C: HomCipher>(
-    machine: &mut RoundMachine<C>,
+    station: &mut Station<C>,
     rx: &Receiver<Mail<C>>,
-    out: &mut Outbox<C>,
+    fabric: &mut Fabric<C>,
     retry: &RetryPolicy,
 ) -> u32 {
     let (mut misses, mut empty_polls) = (0u32, 0u32);
@@ -171,15 +136,15 @@ fn drain<C: HomCipher>(
         match rx.recv_timeout(std::time::Duration::from_millis(retry.backoff_ms(misses))) {
             Ok(Mail::Counter(msg)) => {
                 misses = 0;
-                out.send(machine.receive(&msg));
-                out.fabric.settle();
+                station.receive(&msg, |m| fabric.post(m));
+                fabric.settle();
             }
-            Ok(Mail::Quiet(phase)) if phase == out.fabric.phase => break,
+            Ok(Mail::Quiet(phase)) if phase == fabric.phase => break,
             // An earlier phase's marker: that phase is over already.
             Ok(Mail::Quiet(_)) => {}
             Err(RecvTimeoutError::Timeout) => {
                 empty_polls += 1;
-                if out.fabric.in_flight.load(Ordering::SeqCst) == 0 {
+                if fabric.in_flight.load(Ordering::SeqCst) == 0 {
                     break;
                 }
                 misses += 1;
@@ -215,8 +180,9 @@ fn drain<C: HomCipher>(
 ///   the policy deadline is degraded by the watchdog
 ///   ([`DegradeReason::RecoveryStalled`]) rather than aborting the run.
 ///
-/// What happens at which tick is [`crate::round`]'s; this function owns
-/// the threads, channels, barriers and the watchdog's clock.
+/// What a resource does in a round is [`crate::inproc`]'s, as under
+/// [`crate::inproc::run_synchronous`]; this function owns the threads,
+/// channels and barriers.
 pub fn run_threaded_full<C: HomCipher + 'static>(
     resources: Vec<SecureResource<C>>,
     rounds: usize,
@@ -224,10 +190,8 @@ pub fn run_threaded_full<C: HomCipher + 'static>(
     rec: SharedRecorder,
     mode: RecoveryMode,
 ) -> MiningOutcome {
-    let n = resources.len();
-    for (u, r) in resources.iter().enumerate() {
-        assert_eq!(r.id(), u, "resources must be indexed by id");
-    }
+    let grid = stations(resources, &plan, mode, &rec);
+    let n = grid.len();
 
     // One channel per resource; every thread holds senders to all (the
     // tree structure limits who actually writes to whom).
@@ -235,83 +199,48 @@ pub fn run_threaded_full<C: HomCipher + 'static>(
     let in_flight = Arc::new(AtomicI64::new(0));
     let barrier = Arc::new(Barrier::new(n));
 
-    type Worker<C> = std::thread::JoinHandle<(RoundMachine<C>, FaultStats)>;
-    let handles: Vec<Worker<C>> = resources
+    let handles: Vec<_> = grid
         .into_iter()
         .zip(receivers)
-        .map(|(resource, rx)| {
-            let u = resource.id();
-            let neighbors = resource.layout().neighbors.to_vec();
-            let schedule = RoundSchedule::of(&plan, u, neighbors, mode);
-            let mut machine = RoundMachine::new(resource, schedule, rec.clone());
-            let mut out = Outbox {
-                proxy: ChaosProxy::new(plan.clone()),
-                fabric: Fabric {
-                    senders: senders.clone(),
-                    in_flight: Arc::clone(&in_flight),
-                    phase: 0,
-                },
-                rec: rec.clone(),
-            };
-            let barrier = Arc::clone(&barrier);
+        .enumerate()
+        .map(|(u, (mut station, rx))| {
+            let mut fabric =
+                Fabric { senders: senders.clone(), in_flight: Arc::clone(&in_flight), phase: 0 };
+            let (barrier, rec) = (Arc::clone(&barrier), rec.clone());
             std::thread::spawn(move || {
                 let retry = mode.retry();
-                // Serialized recovery image, captured at crash time — the
-                // stand-in for the file a real deployment would persist.
-                let mut image: Option<Vec<u8>> = None;
                 for round in 0..rounds {
                     let tick = round as u64;
                     if u == 0 {
                         // Exactly one thread marks round boundaries, so the
                         // log carries `rounds` RoundAdvanced events total.
-                        emit(&out.rec, || Event::RoundAdvanced { tick });
-                    }
-                    if machine.schedule().restores_at(tick) {
-                        // gridlint: allow(determinism) -- recovery watchdog measures real restore latency; it can only degrade a node, never feeds replayed protocol state
-                        let t0 = std::time::Instant::now();
-                        machine.restore(image.take().as_deref(), || t0.elapsed().as_nanos());
+                        emit(&rec, || Event::RoundAdvanced { tick });
                     }
 
                     // Scan phase.
                     barrier.wait();
-                    match machine.scan(tick) {
-                        Scan::Crash => image = machine.resource().encode_recovery_image(),
-                        Scan::Send { msgs, .. } => {
-                            out.flush();
-                            out.send(msgs);
-                        }
-                        Scan::Depart | Scan::Down => {}
-                    }
-                    out.open_drain(&barrier);
-                    drain(&mut machine, &rx, &mut out, &retry);
+                    station.scan(tick, |m| fabric.post(m));
+                    fabric.open_drain(&barrier);
+                    drain(&mut station, &rx, &mut fabric, &retry);
 
                     // Candidate-generation phase.
                     barrier.wait();
-                    out.send(machine.candidates());
-                    out.open_drain(&barrier);
-                    drain(&mut machine, &rx, &mut out, &retry);
+                    station.candidates(|m| fabric.post(m));
+                    fabric.open_drain(&barrier);
+                    drain(&mut station, &rx, &mut fabric, &retry);
                 }
                 barrier.wait();
-                machine.finish(rounds);
-                (machine, out.proxy.stats())
+                station.finish(rounds)
             })
         })
         .collect();
 
-    let mut faults = FaultStats::default();
-    let seats = handles
-        .into_iter()
-        .map(|h| match h.join() {
-            Ok((machine, stats)) => {
-                faults.merge(&stats);
-                machine.report().into()
-            }
-            // A worker died outside the guarded sections (should not
-            // happen): report it degraded instead of aborting the mine.
-            Err(_) => Seat { degraded: Some(DegradeReason::Panicked), ..Seat::default() },
-        })
-        .collect();
-    assemble(&plan, rounds, seats, faults, &rec)
+    // A worker that died outside the guarded sections (should not
+    // happen) is reported degraded instead of aborting the mine.
+    let died = || {
+        (Seat { degraded: Some(DegradeReason::Panicked), ..Seat::default() }, FaultStats::default())
+    };
+    conclude(&plan, rounds, handles.into_iter().map(|h| h.join().unwrap_or_else(|_| died())), &rec)
 }
 
 #[cfg(test)]
@@ -359,14 +288,14 @@ mod tests {
     }
 
     /// Resource 0 of a wired two-resource path as its worker holds it —
-    /// machine, inbox, outbox — with resource 1's inbox beside it and a
+    /// station, inbox, fabric — with resource 1's inbox beside it and a
     /// counter from 1 that 0 has yet to be handed. Resource 0 is down: it
     /// takes what it is handed out of flight and answers nothing, so the
     /// count in flight is the test's alone to move.
     struct Rig {
-        machine: RoundMachine<MockCipher>,
+        station: Station<MockCipher>,
         rx: Receiver<Mail<MockCipher>>,
-        out: Outbox<MockCipher>,
+        fabric: Fabric<MockCipher>,
         peer_rx: Receiver<Mail<MockCipher>>,
         msg: WireMsg<MockCipher>,
     }
@@ -379,14 +308,12 @@ mod tests {
         let msg = r1.step(usize::MAX).into_iter().next().expect("a first scan mails the neighbor");
         assert_eq!((msg.from, msg.to), (1, 0));
         let plan = FaultPlan::new(0).with_crash(0, 0, None);
-        let schedule = RoundSchedule::of(&plan, 0, vec![1], RecoveryMode::Disabled);
-        let mut machine = RoundMachine::new(r0, schedule, rec.clone());
-        assert!(matches!(machine.scan(0), Scan::Down));
+        let mut station = Station::new(r0, &plan, RecoveryMode::Disabled, rec);
+        station.scan(0, |m| panic!("a down resource sends nothing: {} -> {}", m.from, m.to));
         let ((tx, rx), (peer_tx, peer_rx)) = (channel(), channel());
         let fabric =
             Fabric { senders: vec![tx, peer_tx], in_flight: Arc::new(AtomicI64::new(0)), phase: 0 };
-        let out = Outbox { proxy: ChaosProxy::new(plan), fabric, rec };
-        Rig { machine, rx, out, peer_rx, msg }
+        Rig { station, rx, fabric, peer_rx, msg }
     }
 
     fn quiet_marks(rx: &Receiver<Mail<MockCipher>>) -> Vec<u64> {
@@ -395,32 +322,32 @@ mod tests {
 
     #[test]
     fn a_stale_marker_does_not_end_the_next_phase() {
-        let Rig { mut machine, rx, mut out, peer_rx, msg } = rig();
+        let Rig { mut station, rx, mut fabric, peer_rx, msg } = rig();
         // Phase 4, one counter in flight — and, ahead of it in the inbox,
         // the marker phase 3 ended on a second time.
-        out.fabric.phase = 4;
-        out.fabric.senders[0].send(Mail::Quiet(3)).unwrap();
-        out.fabric.post(msg);
-        let empty_polls = drain(&mut machine, &rx, &mut out, &RetryPolicy::DEFAULT);
+        fabric.phase = 4;
+        fabric.senders[0].send(Mail::Quiet(3)).unwrap();
+        fabric.post(msg);
+        let empty_polls = drain(&mut station, &rx, &mut fabric, &RetryPolicy::DEFAULT);
         // The counter was handled — only that takes it out of flight —
         // and what ended the drain was the marker that decrement posted.
-        assert_eq!(out.fabric.in_flight.load(Ordering::SeqCst), 0, "drained past the stale marker");
+        assert_eq!(fabric.in_flight.load(Ordering::SeqCst), 0, "drained past the stale marker");
         assert_eq!(empty_polls, 0, "woken, not polled");
         assert_eq!(quiet_marks(&peer_rx).last(), Some(&4), "every inbox heard of phase 4's end");
     }
 
     #[test]
     fn a_post_to_a_dropped_receiver_that_empties_the_flight_still_ends_every_drain() {
-        let Rig { mut machine, rx, mut out, peer_rx, msg } = rig();
-        out.fabric.phase = 7;
+        let Rig { mut station, rx, mut fabric, peer_rx, msg } = rig();
+        fabric.phase = 7;
         drop(peer_rx);
         // The only message in flight goes to a peer whose inbox is gone:
         // the decrement that writes it off is the one that reaches zero.
         let to_the_dead = WireMsg::<MockCipher> { from: 0, to: 1, ..msg };
-        out.fabric.post(to_the_dead);
-        assert_eq!(out.fabric.in_flight.load(Ordering::SeqCst), 0);
+        fabric.post(to_the_dead);
+        assert_eq!(fabric.in_flight.load(Ordering::SeqCst), 0);
         assert_eq!(
-            drain(&mut machine, &rx, &mut out, &RetryPolicy::DEFAULT),
+            drain(&mut station, &rx, &mut fabric, &RetryPolicy::DEFAULT),
             0,
             "woken, not polled"
         );
@@ -428,20 +355,20 @@ mod tests {
 
     #[test]
     fn a_phase_that_opens_with_nothing_in_flight_ends_without_a_back_off_slot() {
-        let Rig { mut machine, rx, mut out, peer_rx, .. } = rig();
+        let Rig { mut station, rx, mut fabric, peer_rx, .. } = rig();
         // Alone at its barrier, this worker is the leader.
-        out.open_drain(&Barrier::new(1));
-        assert_eq!(out.fabric.phase, 1);
+        fabric.open_drain(&Barrier::new(1));
+        assert_eq!(fabric.phase, 1);
         assert_eq!(
-            drain(&mut machine, &rx, &mut out, &RetryPolicy::DEFAULT),
+            drain(&mut station, &rx, &mut fabric, &RetryPolicy::DEFAULT),
             0,
             "woken, not polled"
         );
         assert_eq!(quiet_marks(&peer_rx), [1]);
         // With a counter in flight the leader leaves the phase to the
         // decrement that will empty it.
-        out.fabric.in_flight.store(1, Ordering::SeqCst);
-        out.open_drain(&Barrier::new(1));
+        fabric.in_flight.store(1, Ordering::SeqCst);
+        fabric.open_drain(&Barrier::new(1));
         assert_eq!(quiet_marks(&peer_rx), [] as [u64; 0]);
     }
 
@@ -466,6 +393,38 @@ mod tests {
         assert_eq!(sync.verdicts, threaded.verdicts);
         assert_eq!(sync.statuses, threaded.statuses);
         assert_eq!(sync.chaos, threaded.chaos, "one assembly, one report shape");
+    }
+
+    #[test]
+    fn threaded_and_synchronous_agree_under_every_fault_class() {
+        use gridmine_recovery::RecoveryPolicy;
+        let cfg = MineConfig::new(Ratio::new(1, 2), Ratio::new(1, 2));
+        let warm = RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT);
+        let lossy = EdgeFaults { drop: 0.2, duplicate: 0.1, jitter: 1 };
+        let crash = FaultPlan::new(3).with_crash(2, 1, Some(3));
+        let cases = [
+            ("silent crash", crash.clone(), RecoveryMode::Disabled),
+            ("cold rejoin", crash.clone(), RecoveryMode::ColdRestart),
+            ("warm rejoin", crash, warm),
+            ("crash for good", FaultPlan::new(3).with_crash(4, 2, None), warm),
+            ("departure", FaultPlan::new(3).with_departure(0, 3), RecoveryMode::Disabled),
+            ("lossy links", FaultPlan::new(3).with_default_edge(lossy), RecoveryMode::Disabled),
+        ];
+        for (label, plan, mode) in cases {
+            let session = || session(18, cfg, Tree::path(5), 5).with_faults(plan.clone());
+            let sync = session().with_recovery(mode).run();
+            let threaded = session().with_recovery(mode).run_threaded();
+            assert_eq!(sync.solutions, threaded.solutions, "{label}: schedulers changed answers");
+            assert_eq!(sync.verdicts, threaded.verdicts, "{label}");
+            assert_eq!(sync.statuses, threaded.statuses, "{label}");
+            // What the schedule fires is the plan's; how many copies a
+            // link drops depends on what the interleaving put on it.
+            let fired = |o: &MiningOutcome| {
+                let (f, c) = (o.chaos.faults, &o.chaos);
+                (f.crashes, f.recoveries, f.departures, c.replays, c.rejected, c.degraded.clone())
+            };
+            assert_eq!(fired(&sync), fired(&threaded), "{label}");
+        }
     }
 
     #[test]

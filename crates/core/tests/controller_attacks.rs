@@ -10,34 +10,15 @@
 use gridmine_arm::{correct_rules, AprioriConfig, Database, Item, Ratio, Transaction};
 use gridmine_core::attack::ControllerBehavior;
 use gridmine_core::resource::wire_grid;
-use gridmine_core::{GridKeys, SecureResource, WireMsg};
+use gridmine_core::{run_synchronous, GridKeys, MiningOutcome, RecoveryMode, SecureResource};
 use gridmine_paillier::MockCipher;
+use gridmine_topology::FaultPlan;
 
-fn drive(resources: &mut [SecureResource<MockCipher>], rounds: usize) {
-    // FIFO delivery: the protocol's replay detection (timestamp traces)
-    // assumes ordered channels, like any Lamport-clock scheme.
-    use std::collections::VecDeque;
-    for _ in 0..rounds {
-        let mut queue: VecDeque<WireMsg<MockCipher>> = VecDeque::new();
-        for r in resources.iter_mut() {
-            queue.extend(r.step(usize::MAX));
-        }
-        while let Some(msg) = queue.pop_front() {
-            let to = msg.to;
-            queue.extend(resources[to].on_receive(&msg));
-        }
-        let mut queue: VecDeque<WireMsg<MockCipher>> = VecDeque::new();
-        for r in resources.iter_mut() {
-            queue.extend(r.generate_candidates());
-        }
-        while let Some(msg) = queue.pop_front() {
-            let to = msg.to;
-            queue.extend(resources[to].on_receive(&msg));
-        }
-    }
-    for r in resources.iter_mut() {
-        r.refresh_outputs();
-    }
+/// Six rounds of the synchronous driver. Its per-edge FIFO delivery is
+/// what the protocol's replay detection (timestamp traces) assumes, like
+/// any Lamport-clock scheme.
+fn drive(resources: Vec<SecureResource<MockCipher>>) -> MiningOutcome {
+    run_synchronous(resources, 6, FaultPlan::none(), gridmine_obs::null(), RecoveryMode::Disabled)
 }
 
 fn grid(n: usize) -> (Vec<SecureResource<MockCipher>>, gridmine_arm::RuleSet) {
@@ -86,54 +67,42 @@ fn grid(n: usize) -> (Vec<SecureResource<MockCipher>>, gridmine_arm::RuleSet) {
 fn inverting_controller_harms_only_its_own_resource() {
     let (mut rs, truth) = grid(5);
     rs[2].controller_behavior = ControllerBehavior::InvertOutputs;
-    drive(&mut rs, 6);
+    let outcome = drive(rs);
 
     // The victim's interim is inverted garbage…
-    let victim = rs[2].interim();
+    let victim = &outcome.solutions[2];
     assert!(
-        gridmine_arm::recall(&victim, &truth) < 0.5,
+        gridmine_arm::recall(victim, &truth) < 0.5,
         "inverted outputs should wreck the local interim, got {:?}",
         victim.sorted()
     );
     // …while every honest resource still converges exactly.
-    for r in rs.iter().filter(|r| r.id() != 2) {
-        assert_eq!(
-            r.interim(),
-            truth,
-            "honest resource {} was affected by a lying controller elsewhere",
-            r.id()
-        );
-        assert!(r.verdict().is_none());
+    for (u, sol) in outcome.solutions.iter().enumerate().filter(|&(u, _)| u != 2) {
+        assert_eq!(sol, &truth, "honest resource {u} was affected by a lying controller elsewhere");
     }
+    assert!(outcome.verdicts.is_empty());
 }
 
 #[test]
 fn mute_controller_stalls_only_its_own_resource() {
     let (mut rs, truth) = grid(5);
     rs[2].controller_behavior = ControllerBehavior::Mute;
-    drive(&mut rs, 6);
+    let outcome = drive(rs);
 
     // The mute resource's outputs never refresh: its interim stays empty.
-    assert!(rs[2].interim().is_empty(), "mute controller must leave the cache untouched");
+    assert!(outcome.solutions[2].is_empty(), "mute controller must leave the cache untouched");
     // Honest resources still converge — the broker of resource 2 keeps
     // relaying (its *send* SFE still runs; Mute models an output-silent
     // controller, the denial-of-service that §3 allows).
-    for r in rs.iter().filter(|r| r.id() != 2) {
-        assert_eq!(r.interim(), truth, "honest resource {} stalled", r.id());
+    for (u, sol) in outcome.solutions.iter().enumerate().filter(|&(u, _)| u != 2) {
+        assert_eq!(sol, &truth, "honest resource {u} stalled");
     }
 }
 #[test]
 fn honest_baseline_converges() {
-    let (mut rs, truth) = grid(5);
-    drive(&mut rs, 6);
-    for r in rs.iter() {
-        assert_eq!(
-            r.interim(),
-            truth,
-            "resource {} diverged (verdict {:?}, cands {})",
-            r.id(),
-            r.verdict(),
-            r.candidate_count()
-        );
+    let (rs, truth) = grid(5);
+    let outcome = drive(rs);
+    for (u, sol) in outcome.solutions.iter().enumerate() {
+        assert_eq!(sol, &truth, "resource {u} diverged (verdicts {:?})", outcome.verdicts);
     }
 }

@@ -1,17 +1,19 @@
-//! Crash-restart recovery under the threaded driver: a checkpoint
-//! restore (serialized through the `Vec<u8>` image codec) resumes with
-//! strictly fewer resend exchanges than a cold rejoin, a forged journal
-//! ends in a `MaliciousResource` verdict instead of a panic, the
-//! watchdog degrades a restore that overruns its deadline, and the
-//! session builder refuses malformed fault plans up front.
+//! Crash-restart recovery under both in-process drivers, the synchronous
+//! one and the threaded one: a checkpoint restore (serialized through the
+//! `Vec<u8>` image codec) resumes with strictly fewer resend exchanges
+//! than a cold rejoin, a forged journal ends in a `MaliciousResource`
+//! verdict instead of a panic, the watchdog degrades a restore that
+//! overruns its deadline, and the session builder refuses malformed fault
+//! plans up front.
 
 use gridmine_arm::{correct_rules, AprioriConfig, Database, Item, Ratio, RuleSet, Transaction};
 use gridmine_core::resource::wire_grid;
 use gridmine_core::{
-    run_threaded_full, DegradeReason, GridKeys, MineConfig, MineSession, RecoveryMode,
-    RecoveryPolicy, ResourceStatus, RetryPolicy, SecureResource, SessionError, Verdict,
+    run_synchronous, run_threaded_full, DegradeReason, GridKeys, MineConfig, MineSession,
+    MiningOutcome, RecoveryMode, RecoveryPolicy, ResourceStatus, RetryPolicy, SecureResource,
+    SessionError, Verdict,
 };
-use gridmine_obs::{EventKind, MemoryRecorder};
+use gridmine_obs::{EventKind, MemoryRecorder, SharedRecorder};
 use gridmine_paillier::MockCipher;
 use gridmine_topology::faults::{EdgeFaults, FaultPlan};
 use gridmine_topology::Tree;
@@ -45,6 +47,17 @@ fn grid(n: usize) -> (Vec<SecureResource<MockCipher>>, RuleSet) {
     (rs, truth)
 }
 
+type Driver = fn(
+    Vec<SecureResource<MockCipher>>,
+    usize,
+    FaultPlan,
+    SharedRecorder,
+    RecoveryMode,
+) -> MiningOutcome;
+
+/// Every in-process driver, by name: each scenario must hold under both.
+const DRIVERS: [(&str, Driver); 2] = [("sync", run_synchronous), ("threaded", run_threaded_full)];
+
 fn partition(u: u64) -> Database {
     Database::from_transactions(
         (0..40)
@@ -67,69 +80,74 @@ fn checkpoint_restore_beats_cold_rejoin_on_resends() {
     // rejoin; a cold rejoin pays the periodic cadence to the end of the
     // run (nothing signals its completion).
     let plan = FaultPlan::new(9).with_crash(3, 2, Some(4));
-    let (rs, truth) = grid(6);
-    let warm = run_threaded_full(
-        rs,
-        12,
-        plan.clone(),
-        gridmine_obs::null(),
-        RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT),
-    );
-    let (rs, _) = grid(6);
-    let cold = run_threaded_full(rs, 12, plan, gridmine_obs::null(), RecoveryMode::ColdRestart);
+    for (driver, run) in DRIVERS {
+        let (rs, truth) = grid(6);
+        let warm = run(
+            rs,
+            12,
+            plan.clone(),
+            gridmine_obs::null(),
+            RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT),
+        );
+        let (rs, _) = grid(6);
+        let cold = run(rs, 12, plan.clone(), gridmine_obs::null(), RecoveryMode::ColdRestart);
 
-    assert_eq!(warm.chaos.replays, 1, "one crash, one journal replay: {:?}", warm.chaos);
-    assert!(warm.chaos.checkpoints > 0, "checkpoint cadence fired: {:?}", warm.chaos);
-    assert_eq!(warm.chaos.rejected, 0, "an honest image passes the screens");
-    assert!(warm.verdicts.is_empty(), "honest recovery is not malice: {:?}", warm.verdicts);
-    assert!(cold.verdicts.is_empty());
-    assert_eq!(cold.chaos.replays, 0, "a cold rejoin has no journal");
+        assert_eq!(warm.chaos.replays, 1, "{driver}: one crash, one replay: {:?}", warm.chaos);
+        assert!(warm.chaos.checkpoints > 0, "{driver}: checkpoint cadence fired");
+        assert_eq!(warm.chaos.rejected, 0, "{driver}: an honest image passes the screens");
+        assert!(warm.verdicts.is_empty(), "{driver}: honest recovery is not malice");
+        assert!(cold.verdicts.is_empty(), "{driver}: {:?}", cold.verdicts);
+        assert_eq!(cold.chaos.replays, 0, "{driver}: a cold rejoin has no journal");
 
-    assert!(warm.chaos.resends > 0, "the rejoin exchange was counted");
-    assert!(
-        warm.chaos.resends < cold.chaos.resends,
-        "restoring from the journal must cost strictly fewer resends: warm {} vs cold {}",
-        warm.chaos.resends,
-        cold.chaos.resends
-    );
+        assert!(warm.chaos.resends > 0, "{driver}: the rejoin exchange was counted");
+        assert!(
+            warm.chaos.resends < cold.chaos.resends,
+            "{driver}: restoring from the journal must cost strictly fewer resends: warm {} vs \
+             cold {}",
+            warm.chaos.resends,
+            cold.chaos.resends
+        );
 
-    // Both modes converge everywhere, including the recovered resource.
-    for outcome in [&warm, &cold] {
-        assert!(outcome.statuses.iter().all(|s| s.is_ok()), "{:?}", outcome.statuses);
-        for (u, sol) in outcome.solutions.iter().enumerate() {
-            assert_eq!(sol, &truth, "resource {u} diverged after the crash-restart");
+        // Both modes converge everywhere, including the recovered resource.
+        for outcome in [&warm, &cold] {
+            assert!(outcome.statuses.iter().all(|s| s.is_ok()), "{driver}: {:?}", outcome.statuses);
+            for (u, sol) in outcome.solutions.iter().enumerate() {
+                assert_eq!(sol, &truth, "{driver}: resource {u} diverged after the crash-restart");
+            }
         }
     }
 }
 
 #[test]
 fn forged_journal_is_rejected_as_malicious_without_panicking() {
-    let (mut rs, truth) = grid(5);
-    // The adversary rewrites resource 2's journal while it is down.
-    rs[2].corrupt_recovery_journal();
-    let rec = MemoryRecorder::shared();
-    let outcome = run_threaded_full(
-        rs,
-        12,
-        FaultPlan::new(9).with_crash(2, 2, Some(4)),
-        rec.clone(),
-        RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT),
-    );
+    for (driver, run) in DRIVERS {
+        let (mut rs, truth) = grid(5);
+        // The adversary rewrites resource 2's journal while it is down.
+        rs[2].corrupt_recovery_journal();
+        let rec = MemoryRecorder::shared();
+        let outcome = run(
+            rs,
+            12,
+            FaultPlan::new(9).with_crash(2, 2, Some(4)),
+            rec.clone(),
+            RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT),
+        );
 
-    assert_eq!(outcome.chaos.rejected, 1, "{:?}", outcome.chaos);
-    assert_eq!(outcome.chaos.replays, 0, "a rejected journal is never applied");
-    assert_eq!(rec.count_of(EventKind::RecoveryRejected), 1);
-    assert!(
-        outcome.verdicts.contains(&Verdict::MaliciousResource(2)),
-        "forgery must be blamed on the forger: {:?}",
-        outcome.verdicts
-    );
-    // The halted forger goes silent; the survivors still converge.
-    for (u, sol) in outcome.solutions.iter().enumerate() {
-        if u == 2 {
-            assert!(sol.is_empty(), "the rejected resource never speaks again");
-        } else {
-            assert_eq!(sol, &truth, "survivor {u} diverged after the forgery was contained");
+        assert_eq!(outcome.chaos.rejected, 1, "{driver}: {:?}", outcome.chaos);
+        assert_eq!(outcome.chaos.replays, 0, "{driver}: a rejected journal is never applied");
+        assert_eq!(rec.count_of(EventKind::RecoveryRejected), 1, "{driver}");
+        assert!(
+            outcome.verdicts.contains(&Verdict::MaliciousResource(2)),
+            "{driver}: forgery must be blamed on the forger: {:?}",
+            outcome.verdicts
+        );
+        // The halted forger goes silent; the survivors still converge.
+        for (u, sol) in outcome.solutions.iter().enumerate() {
+            if u == 2 {
+                assert!(sol.is_empty(), "{driver}: the rejected resource never speaks again");
+            } else {
+                assert_eq!(sol, &truth, "{driver}: survivor {u} diverged after the forgery");
+            }
         }
     }
 }
@@ -139,25 +157,27 @@ fn watchdog_degrades_a_restore_that_overruns_its_deadline() {
     // A zero-millisecond deadline makes any real restore overrun: the
     // watchdog must degrade that one resource, not abort the run.
     let policy = RecoveryPolicy::DEFAULT.with_retry(RetryPolicy::DEFAULT.with_deadline_ms(0));
-    let (rs, truth) = grid(5);
-    let outcome = run_threaded_full(
-        rs,
-        10,
-        FaultPlan::new(9).with_crash(2, 2, Some(4)),
-        gridmine_obs::null(),
-        RecoveryMode::Checkpoint(policy),
-    );
+    for (driver, run) in DRIVERS {
+        let (rs, truth) = grid(5);
+        let outcome = run(
+            rs,
+            10,
+            FaultPlan::new(9).with_crash(2, 2, Some(4)),
+            gridmine_obs::null(),
+            RecoveryMode::Checkpoint(policy),
+        );
 
-    assert_eq!(
-        outcome.statuses[2],
-        ResourceStatus::Degraded(DegradeReason::RecoveryStalled),
-        "the stalled restore degrades its own resource: {:?}",
-        outcome.statuses
-    );
-    assert!(outcome.chaos.degraded.contains(&2));
-    assert!(outcome.verdicts.is_empty(), "slowness is not malice");
-    for (u, sol) in outcome.surviving_solutions() {
-        assert_eq!(sol, &truth, "survivor {u} diverged around the stalled resource");
+        assert_eq!(
+            outcome.statuses[2],
+            ResourceStatus::Degraded(DegradeReason::RecoveryStalled),
+            "{driver}: the stalled restore degrades its own resource: {:?}",
+            outcome.statuses
+        );
+        assert!(outcome.chaos.degraded.contains(&2), "{driver}");
+        assert!(outcome.verdicts.is_empty(), "{driver}: slowness is not malice");
+        for (u, sol) in outcome.surviving_solutions() {
+            assert_eq!(sol, &truth, "{driver}: survivor {u} diverged around the stalled resource");
+        }
     }
 }
 
@@ -215,44 +235,35 @@ fn session_accepts_recover_ticks_beyond_the_run() {
         .with_topology(Tree::path(5))
         .with_databases(uniform_dbs(5))
         .with_faults(FaultPlan::new(1).with_crash(2, 3, Some(99)))
-        .try_run_threaded()
+        .try_run()
         .expect("late recovery tick is valid");
     assert_eq!(outcome.statuses[2], ResourceStatus::Degraded(DegradeReason::Crashed));
 }
 
 #[test]
-fn synchronous_driver_still_refuses_fault_plans_with_a_typed_error() {
-    let cfg = MineConfig::new(Ratio::new(1, 2), Ratio::new(1, 2));
-    let err = MineSession::new(cfg)
-        .with_topology(Tree::path(3))
-        .with_databases(uniform_dbs(3))
-        .with_faults(FaultPlan::new(1).with_crash(1, 2, None))
-        .try_run()
-        .unwrap_err();
-    assert_eq!(err, SessionError::FaultsRequireThreadedDriver);
-}
-
-#[test]
 fn session_with_recovery_drives_the_full_checkpoint_path() {
-    // The builder wires the recovery mode through to the threaded
-    // driver: crash, image restore, convergence — all from MineSession.
+    // The builder wires the recovery mode through to either driver:
+    // crash, image restore, convergence — all from MineSession.
     let mut cfg = MineConfig::new(Ratio::new(1, 2), Ratio::new(1, 2));
     cfg.rounds = 12;
-    let outcome = MineSession::new(cfg)
-        .with_topology(Tree::path(5))
-        .with_databases(uniform_dbs(5))
-        .with_faults(FaultPlan::new(7).with_crash(2, 2, Some(4)))
-        .with_recovery(RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT))
-        .run_threaded();
-    assert_eq!(outcome.chaos.replays, 1, "{:?}", outcome.chaos);
-    assert!(outcome.chaos.checkpoints > 0);
-    assert!(outcome.verdicts.is_empty());
-    assert!(outcome.statuses.iter().all(|s| s.is_ok()), "{:?}", outcome.statuses);
+    let session = || {
+        MineSession::new(cfg)
+            .with_topology(Tree::path(5))
+            .with_databases(uniform_dbs(5))
+            .with_faults(FaultPlan::new(7).with_crash(2, 2, Some(4)))
+            .with_recovery(RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT))
+    };
     let truth = correct_rules(
         &Database::union_of(uniform_dbs(5).iter()),
         &AprioriConfig::new(Ratio::new(1, 2), Ratio::new(1, 2)),
     );
-    for (u, sol) in outcome.solutions.iter().enumerate() {
-        assert_eq!(sol, &truth, "resource {u} diverged");
+    for (driver, outcome) in [("sync", session().run()), ("threaded", session().run_threaded())] {
+        assert_eq!(outcome.chaos.replays, 1, "{driver}: {:?}", outcome.chaos);
+        assert!(outcome.chaos.checkpoints > 0, "{driver}");
+        assert!(outcome.verdicts.is_empty(), "{driver}: {:?}", outcome.verdicts);
+        assert!(outcome.statuses.iter().all(|s| s.is_ok()), "{driver}: {:?}", outcome.statuses);
+        for (u, sol) in outcome.solutions.iter().enumerate() {
+            assert_eq!(sol, &truth, "{driver}: resource {u} diverged");
+        }
     }
 }

@@ -1,14 +1,15 @@
-//! Fault tolerance under the threaded driver, with hand-corrupted grids:
-//! a mute controller degrades only its own resource, a replaying broker
-//! is blamed through the timestamp traces, and scheduled crashes don't
-//! take honest survivors down with them.
+//! Fault tolerance under both in-process drivers, the synchronous one and
+//! the threaded one, with hand-corrupted grids: a mute controller
+//! degrades only its own resource, a replaying broker is blamed through
+//! the timestamp traces, and scheduled crashes don't take honest
+//! survivors down with them.
 
 use gridmine_arm::{correct_rules, AprioriConfig, Database, Item, Ratio, RuleSet, Transaction};
 use gridmine_core::attack::{BrokerBehavior, ControllerBehavior};
 use gridmine_core::resource::wire_grid;
 use gridmine_core::{
-    run_threaded_full, DegradeReason, GridKeys, MiningOutcome, RecoveryMode, ResourceStatus,
-    SecureResource, Verdict,
+    run_synchronous, run_threaded_full, DegradeReason, GridKeys, MiningOutcome, RecoveryMode,
+    ResourceStatus, SecureResource, Verdict,
 };
 use gridmine_paillier::MockCipher;
 use gridmine_topology::faults::{EdgeFaults, FaultPlan};
@@ -58,33 +59,43 @@ fn grid(n: usize) -> (Vec<SecureResource<MockCipher>>, RuleSet) {
     (rs, truth)
 }
 
-/// The threaded driver with no recorder and no crash recovery.
-fn run_threaded(
-    rs: Vec<SecureResource<MockCipher>>,
+/// `make`'s grid for `rounds` rounds under `plan`, with no recorder and no
+/// crash recovery, once per in-process driver, by name.
+fn under_both(
+    make: impl Fn() -> Vec<SecureResource<MockCipher>>,
     rounds: usize,
     plan: FaultPlan,
-) -> MiningOutcome {
-    run_threaded_full(rs, rounds, plan, gridmine_obs::null(), RecoveryMode::Disabled)
+) -> [(&'static str, MiningOutcome); 2] {
+    let (null, off) = (gridmine_obs::null, RecoveryMode::Disabled);
+    [
+        ("sync", run_synchronous(make(), rounds, plan.clone(), null(), off)),
+        ("threaded", run_threaded_full(make(), rounds, plan, null(), off)),
+    ]
 }
 
 #[test]
 fn mute_controller_degrades_only_its_resource() {
-    let (mut rs, truth) = grid(5);
-    rs[4].controller_behavior = ControllerBehavior::Mute;
-    rs[4].set_retry_budget(4);
-    let outcome = run_threaded(rs, 6, FaultPlan::none());
-
-    assert_eq!(
-        outcome.statuses[4],
-        ResourceStatus::Degraded(DegradeReason::MuteController),
-        "the mute controller's own resource degrades"
-    );
-    assert!(outcome.statuses[..4].iter().all(|s| s.is_ok()), "blast radius is one resource");
-    assert!(outcome.chaos.retries > 0, "the broker spent retries before giving up");
-    assert_eq!(outcome.chaos.degraded, vec![4]);
-    assert!(outcome.verdicts.is_empty(), "refusing service is not a protocol forgery");
-    for (u, sol) in outcome.surviving_solutions() {
-        assert_eq!(sol, &truth, "survivor {u} diverged");
+    let truth = grid(5).1;
+    let muted = || {
+        let mut rs = grid(5).0;
+        rs[4].controller_behavior = ControllerBehavior::Mute;
+        rs[4].set_retry_budget(4);
+        rs
+    };
+    for (driver, outcome) in under_both(muted, 6, FaultPlan::none()) {
+        assert_eq!(
+            outcome.statuses[4],
+            ResourceStatus::Degraded(DegradeReason::MuteController),
+            "{driver}: the mute controller's own resource degrades"
+        );
+        let ok = outcome.statuses[..4].iter().all(|s| s.is_ok());
+        assert!(ok, "{driver}: blast radius is one resource");
+        assert!(outcome.chaos.retries > 0, "{driver}: the broker spent retries before giving up");
+        assert_eq!(outcome.chaos.degraded, vec![4], "{driver}");
+        assert!(outcome.verdicts.is_empty(), "{driver}: refusing service is not a forgery");
+        for (u, sol) in outcome.surviving_solutions() {
+            assert_eq!(sol, &truth, "{driver}: survivor {u} diverged");
+        }
     }
 }
 
@@ -95,29 +106,35 @@ fn replaying_broker_is_blamed_through_timestamp_traces() {
     // neighbor 1 keeps advancing its Lamport trace past the replay
     // threshold; the reverted (stale) slot then regresses at resource 3's
     // controller.
-    let (mut rs, _) = grid(4);
-    rs[2].set_broker_behavior(BrokerBehavior::Replay(1));
+    let replaying = || {
+        let mut rs = grid(4).0;
+        rs[2].set_broker_behavior(BrokerBehavior::Replay(1));
+        rs
+    };
     let plan =
         FaultPlan::new(7).with_default_edge(EdgeFaults { drop: 0.0, duplicate: 0.0, jitter: 1 });
-    let outcome = run_threaded(rs, 8, plan);
-    assert!(
-        outcome.verdicts.contains(&Verdict::MaliciousResource(1)),
-        "replay must surface as a timestamp-regression verdict, got {:?}",
-        outcome.verdicts
-    );
+    for (driver, outcome) in under_both(replaying, 8, plan) {
+        assert!(
+            outcome.verdicts.contains(&Verdict::MaliciousResource(1)),
+            "{driver}: replay must surface as a timestamp-regression verdict, got {:?}",
+            outcome.verdicts
+        );
+    }
 }
 
 #[test]
 fn crash_schedule_spares_honest_survivors() {
-    let (rs, truth) = grid(6);
+    let truth = grid(6).1;
     // Resource 3 (interior) crashes at round 2 and stays down.
     let plan = FaultPlan::new(3).with_crash(3, 2, None);
-    let outcome = run_threaded(rs, 8, plan);
-    assert_eq!(outcome.statuses[3], ResourceStatus::Degraded(DegradeReason::Crashed));
-    assert_eq!(outcome.chaos.faults.crashes, 1);
-    let survivors: Vec<usize> = outcome.surviving_solutions().map(|(u, _)| u).collect();
-    assert_eq!(survivors, vec![0, 1, 2, 4, 5]);
-    for (u, sol) in outcome.surviving_solutions() {
-        assert_eq!(sol, &truth, "survivor {u} diverged");
+    for (driver, outcome) in under_both(|| grid(6).0, 8, plan) {
+        let crashed = ResourceStatus::Degraded(DegradeReason::Crashed);
+        assert_eq!(outcome.statuses[3], crashed, "{driver}");
+        assert_eq!(outcome.chaos.faults.crashes, 1, "{driver}");
+        let survivors: Vec<usize> = outcome.surviving_solutions().map(|(u, _)| u).collect();
+        assert_eq!(survivors, vec![0, 1, 2, 4, 5], "{driver}");
+        for (u, sol) in outcome.surviving_solutions() {
+            assert_eq!(sol, &truth, "{driver}: survivor {u} diverged");
+        }
     }
 }

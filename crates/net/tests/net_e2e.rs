@@ -545,14 +545,42 @@ fn a_killed_node_converges_on_the_t5i2_input() {
 #[ignore = "ROADMAP item 1"]
 fn a_crashed_thread_converges_on_the_t5i2_input() {
     // The same kill through the threaded driver: the `FaultPlan` crash
-    // the net session's kill is scheduled as. The synchronous driver has
-    // no crash model (it refuses a non-quiet plan), so this is the
-    // in-process form of the repro.
-    let (cfg, dbs, mode, truth) = t5i2_kill_input();
-    let outcome = MineSession::new(cfg)
+    // the net session's kill is scheduled as.
+    assert_converged("threaded", &t5i2_crash().run_threaded(), &t5i2_kill_input().3);
+}
+
+/// The net session's kill as the `FaultPlan` crash it is scheduled as,
+/// on the in-process builder.
+fn t5i2_crash() -> MineSession<MockCipher> {
+    let (cfg, dbs, mode, _) = t5i2_kill_input();
+    MineSession::new(cfg)
         .with_databases(dbs)
         .with_faults(FaultPlan::none().with_crash(1, 2, Some(3)))
         .with_recovery(mode)
-        .run_threaded();
-    assert_converged("threaded", &outcome, &truth);
+}
+
+#[test]
+#[ignore = "ROADMAP item 1"]
+fn a_crashed_resource_converges_on_the_t5i2_input_synchronously() {
+    // The same crash on one thread: every delivery in one order, fixed by
+    // the seed, so whatever this run ends in it ends in every time.
+    assert_converged("sync", &t5i2_crash().run(), &t5i2_kill_input().3);
+}
+
+#[test]
+fn the_t5i2_crash_replays_event_for_event_on_one_thread() {
+    // ROADMAP item 1's repro without the OS in it: two synchronous runs
+    // of the crash mail the same counters, fire the same faults and end
+    // with the same rules, so a fix can be checked against one history.
+    let run = || {
+        let mem = MemoryRecorder::shared();
+        let outcome = t5i2_crash().with_recorder(mem.clone() as SharedRecorder).run();
+        (outcome, mem.snapshot())
+    };
+    let ((first, events), (second, replayed)) = (run(), run());
+    assert_eq!((first.chaos.replays, first.chaos.rejected), (1, 0), "{:?}", first.chaos);
+    assert!(events.len() > 10_000, "too few events to tell runs apart: {}", events.len());
+    assert_eq!(events, replayed);
+    assert_eq!(first.solutions, second.solutions);
+    assert_eq!(first.verdicts, second.verdicts);
 }

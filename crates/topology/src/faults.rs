@@ -392,11 +392,6 @@ impl FaultPlan {
         !self.default_edge.is_clean() || self.edges.values().any(|f| !f.is_clean())
     }
 
-    /// True when the plan injects nothing at all.
-    pub fn is_quiet(&self) -> bool {
-        !self.has_edge_faults() && self.resources.is_empty()
-    }
-
     /// Tick of the earliest possible fault: 0 when link faults are active
     /// (they can strike the first message), else the earliest scheduled
     /// outage; `None` for a quiet plan. Drivers use this to report the
@@ -606,7 +601,6 @@ mod tests {
             FaultPlan::new(0).with_default_edge(EdgeFaults::dropping(0.1)).with_crash(1, 50, None);
         assert_eq!(plan.onset(), Some(0));
         assert_eq!(FaultPlan::none().onset(), None);
-        assert!(FaultPlan::none().is_quiet());
     }
 
     #[test]

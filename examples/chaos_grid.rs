@@ -36,23 +36,24 @@ fn dbs(n: u64) -> Vec<Database> {
 }
 
 fn main() {
-    // ── Part 1: the threaded driver under a fault plan ────────────────
-    // Six real OS threads on a path topology; 20 % of messages dropped,
-    // 10 % duplicated, jitter of one round, and resource 3 crashes for
-    // good at round 2.
-    println!("threaded driver: lossy links + mid-run crash");
+    // ── Part 1: the in-process drivers under a fault plan ─────────────
+    // Six resources on a path topology; 20 % of messages dropped, 10 %
+    // duplicated, jitter of one round, and resource 3 crashes for good at
+    // round 2. The synchronous driver runs the plan on one thread.
+    println!("synchronous driver: lossy links + mid-run crash");
     let plan = FaultPlan::new(0xC4A05)
         .with_default_edge(EdgeFaults { drop: 0.2, duplicate: 0.1, jitter: 1 })
         .with_crash(3, 2, None);
     let cfg = MineConfig::new(Ratio::new(1, 2), Ratio::new(1, 2));
+    let session = || {
+        MineSession::new(cfg)
+            .with_keys(GridKeys::<MockCipher>::mock(21))
+            .with_topology(Tree::path(6))
+            .with_databases(dbs(6))
+            .with_faults(plan.clone())
+    };
     let rec = MemoryRecorder::shared();
-    let outcome = MineSession::new(cfg)
-        .with_keys(GridKeys::<MockCipher>::mock(21))
-        .with_topology(Tree::path(6))
-        .with_databases(dbs(6))
-        .with_faults(plan)
-        .with_recorder(rec.clone())
-        .run_threaded();
+    let outcome = session().with_recorder(rec.clone()).run();
 
     for (u, status) in outcome.statuses.iter().enumerate() {
         println!("  resource {u}: {status:?}");
@@ -70,7 +71,7 @@ fn main() {
     assert_eq!(rec.count_of(EventKind::MessageDropped) as u64, chaos.faults.dropped);
     assert_eq!(rec.count_of(EventKind::ResourceCrashed) as u64, chaos.faults.crashes);
     println!(
-        "  event log agrees: {} events total, {} CounterSent\n",
+        "  event log agrees: {} events total, {} CounterSent",
         rec.len(),
         rec.count_of(EventKind::CounterSent),
     );
@@ -83,7 +84,29 @@ fn main() {
     for (u, solution) in outcome.surviving_solutions() {
         assert_eq!(solution, &truth, "survivor {u} diverged");
     }
-    println!("  every survivor matches the fault-free ruleset ({} rules)\n", truth.len());
+    println!("  every survivor matches the fault-free ruleset ({} rules)", truth.len());
+
+    // One thread, one delivery order: the same seed replays every fault
+    // and every counter.
+    let replay = MemoryRecorder::shared();
+    let again = session().with_recorder(replay.clone()).run();
+    assert_eq!(replay.snapshot(), rec.snapshot(), "a seeded run replays event for event");
+    assert_eq!(again.chaos, outcome.chaos);
+    println!("  a second run replays all {} events\n", replay.len());
+
+    // The threaded driver takes the same plan on six OS threads; its
+    // tallies ride on the interleaving, its answers do not.
+    println!("threaded driver: the same plan, one thread per resource");
+    let threaded = session().run_threaded();
+    assert!(threaded.verdicts.is_empty(), "bad weather must not look malicious");
+    assert_eq!(threaded.statuses, outcome.statuses);
+    for (u, solution) in threaded.surviving_solutions() {
+        assert_eq!(solution, &truth, "survivor {u} diverged");
+    }
+    println!(
+        "  {} dropped, {} duplicated; the same statuses and survivor rules\n",
+        threaded.chaos.faults.dropped, threaded.chaos.faults.duplicated,
+    );
 
     // ── Part 2: the §6 simulator with a mute controller on top ────────
     // Eight resources over a Barabási–Albert overlay: 15 % drops
@@ -118,8 +141,9 @@ fn main() {
     assert!(recall > 0.99 && precision > 0.99, "survivors must converge");
     assert!(sim.verdicts.is_empty(), "bad weather must not look malicious");
 
-    // Same seeds, same run: the simulator's report is replayable
-    // evidence (the threaded driver's counts ride on the OS scheduler's
-    // interleaving, so only its *schedule* — not its tallies — replays).
+    // Same seeds, same run: the simulator's report, like the synchronous
+    // driver's, is replayable evidence (the threaded driver's counts ride
+    // on the OS scheduler's interleaving, so only its *schedule* — not its
+    // tallies — replays).
     println!("\nsimulator chaos runs replay byte-for-byte — same seeds, same report");
 }
