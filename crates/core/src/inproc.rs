@@ -4,11 +4,12 @@
 //!
 //! A `Station` is one resource as an in-process driver holds it: its
 //! [`RoundMachine`], the [`ChaosProxy`] in front of its out-edges and the
-//! recovery image its last crash left behind. Each round it restores if
-//! it rejoins now, scans, releases the copies parked in earlier rounds,
-//! routes its sends through the fault layer, answers what it is handed
-//! and generates candidates. The two drivers differ only in how a routed
-//! counter reaches its addressee:
+//! recovery image its last crash handed over (the resource keeps only
+//! its live log). Each round it restores if it rejoins now, scans,
+//! releases the copies parked in earlier rounds, routes its sends
+//! through the fault layer, answers what it is handed and generates
+//! candidates. The two drivers differ only in how a routed counter
+//! reaches its addressee:
 //!
 //! * [`run_synchronous`] moves every counter on one thread, oldest first,
 //!   and a phase ends when nothing is left to move. Per directed edge
@@ -53,8 +54,8 @@ use crate::round::{assemble, RoundMachine, RoundSchedule, Scan, Seat};
 pub(crate) struct Station<C: HomCipher> {
     machine: RoundMachine<C>,
     proxy: ChaosProxy<WireMsg<C>>,
-    /// Serialized recovery image, captured at crash time — the stand-in
-    /// for the file a real deployment would persist.
+    /// The recovery image the last crash handed over — the stand-in for
+    /// the file a node process publishes — until the rejoin restores it.
     image: Option<Vec<u8>>,
     rec: SharedRecorder,
 }
@@ -78,9 +79,9 @@ impl<C: HomCipher> Station<C> {
     }
 
     /// Opens round `tick`: a resource that rejoins now is restored from
-    /// the image its crash left, then its scan phase runs. A crash keeps
-    /// the image; a scan that sends hands `post` the copies parked in
-    /// earlier rounds, then routes its own.
+    /// the image its crash left, then its scan phase runs. A crash hands
+    /// the station its image; a scan that sends hands `post` the copies
+    /// parked in earlier rounds, then routes its own.
     pub(crate) fn scan(&mut self, tick: u64, mut post: impl FnMut(WireMsg<C>)) {
         if self.machine.schedule().restores_at(tick) {
             // gridlint: allow(determinism) -- recovery watchdog measures real restore latency; it can only degrade a node, never feeds replayed protocol state
@@ -88,7 +89,7 @@ impl<C: HomCipher> Station<C> {
             self.machine.restore(self.image.take().as_deref(), || t0.elapsed().as_nanos());
         }
         match self.machine.scan(tick) {
-            Scan::Crash => self.image = self.machine.resource().encode_recovery_image(),
+            Scan::Crash(image) => self.image = image,
             Scan::Send { msgs, .. } => {
                 for (_, _, m) in self.proxy.flush() {
                     post(m);

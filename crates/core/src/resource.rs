@@ -32,15 +32,6 @@ use crate::rules::{PerRule, RuleId, RuleTable};
 /// A protocol message in flight between two resources.
 pub type WireMsg<C> = BrokerMsg<C>;
 
-/// A resource's recovery state, once armed.
-enum Durable {
-    /// Running: every state delta is appended as it happens.
-    Live(RecoveryLog),
-    /// Down: what the crashed incarnation left behind, as a successor
-    /// will find it — or an image a restore refused.
-    AtRest(RecoveryImage),
-}
-
 /// One grid resource running Secure-Majority-Rule.
 pub struct SecureResource<C: HomCipher> {
     id: usize,
@@ -78,9 +69,10 @@ pub struct SecureResource<C: HomCipher> {
     retry_budget: u64,
     /// Controller deviation (validity experiments).
     pub controller_behavior: ControllerBehavior,
-    /// Checkpoint + journal, when recovery is armed (write-ahead state:
-    /// survives [`SecureResource::crash_wipe`]).
-    recovery: Option<Durable>,
+    /// Checkpoint + journal, when recovery is armed: every state delta
+    /// is appended as it happens. A crash hands its image to the driver
+    /// ([`SecureResource::crash_wipe`]).
+    recovery: Option<RecoveryLog>,
     /// Attack injection: forge the journal so the next restore must be
     /// rejected (the recovery analogue of [`BrokerBehavior`]).
     tamper_journal: bool,
@@ -395,7 +387,7 @@ impl<C: HomCipher> SecureResource<C> {
         self.acc.register_rule(id, cand);
         if self.init_instance(id) {
             self.output_cache.insert(id, false);
-            if let Some(Durable::Live(log)) = &mut self.recovery {
+            if let Some(log) = &mut self.recovery {
                 log.rule_registered(cand);
             }
         }
@@ -508,7 +500,7 @@ impl<C: HomCipher> SecureResource<C> {
                     self.broker.set_local(id, counter);
                     out.extend(self.on_change(id));
                 }
-                if let Some(Durable::Live(log)) = &mut self.recovery {
+                if let Some(log) = &mut self.recovery {
                     if let Some(r) = self.acc.scan_record(id) {
                         log.scan_advanced(&r);
                     }
@@ -583,7 +575,7 @@ impl<C: HomCipher> SecureResource<C> {
                     } else {
                         answer
                     };
-                    if let Some(Durable::Live(log)) = &mut self.recovery {
+                    if let Some(log) = &mut self.recovery {
                         log.output_cached(cand, answer);
                     }
                     self.output_cache.insert(id, answer);
@@ -643,7 +635,7 @@ impl<C: HomCipher> SecureResource<C> {
     /// mining state and starts journalling every state delta. Until armed,
     /// the resource behaves exactly as before (cold-restart world).
     pub fn arm_recovery(&mut self) {
-        self.recovery = Some(Durable::Live(RecoveryLog::baseline(&self.current_state())));
+        self.recovery = Some(RecoveryLog::baseline(&self.current_state()));
     }
 
     /// True once [`SecureResource::arm_recovery`] has run.
@@ -675,24 +667,28 @@ impl<C: HomCipher> SecureResource<C> {
     }
 
     /// Simulates the volatile-state loss of a crash: scan positions,
-    /// voting instances and output caches are gone; the keyring, the
+    /// voting instances and output caches are gone; the keyring and the
     /// controller's audit state (durable by construction — losing k-gates
-    /// would be a privacy hole) and the write-ahead recovery log survive
-    /// — the log as the image its files amount to, the live handle on
-    /// them having died with the process.
-    pub fn crash_wipe(&mut self) {
-        if let Some(mut image) = self.recovery_image() {
-            if self.tamper_journal {
+    /// would be a privacy hole) survive. Returns the write-ahead recovery
+    /// log as the crash leaves it at rest, image bytes for the driver to
+    /// hold until [`SecureResource::restore_from_image`] — forged when
+    /// [`SecureResource::corrupt_recovery_journal`] armed it — or `None`
+    /// when recovery is not armed. The resource stays armed.
+    pub fn crash_wipe(&mut self) -> Option<Vec<u8>> {
+        let tamper = std::mem::take(&mut self.tamper_journal);
+        let image = self.recovery.as_ref().map(|log| {
+            let mut image = log.image();
+            if tamper {
                 // The adversary forges the "persisted" journal while the
                 // resource is down; the restore screens must catch it.
                 image.corrupt();
             }
-            self.recovery = Some(Durable::AtRest(image));
-        }
-        self.tamper_journal = false;
+            image.to_bytes()
+        });
         self.acc.wipe_scans();
         self.broker.rewire(self.layout.clone());
         self.output_cache.clear();
+        image
     }
 
     /// Cold-restart hygiene: resets the controller's per-edge audit
@@ -703,21 +699,23 @@ impl<C: HomCipher> SecureResource<C> {
         self.ctl.set_layout(self.layout.clone());
     }
 
-    /// Restores mining state from the recovery log: verifies the digest
-    /// chain, screens every restored record exactly like a wire message
-    /// (the journal is untrusted input), re-audits the accounting shares,
-    /// then replays. On any failure the resource blames itself with
+    /// Restores mining state from a serialized [`RecoveryImage`] — what a
+    /// crash handed its driver, or a file: verifies the digest chain,
+    /// screens every restored record exactly like a wire message (bytes
+    /// from disk are as untrusted as bytes off the wire), re-audits the
+    /// accounting shares, then replays. On any failure, an undecodable
+    /// image included, the resource blames itself with
     /// [`Verdict::MaliciousResource`] and stays out of the protocol — a
     /// forged journal degrades one resource, it never panics the grid.
     ///
     /// Returns `true` on a successful restore.
-    pub fn restore_from_log(&mut self) -> bool {
-        let Some(image) = self.recovery_image() else {
-            return false;
-        };
-        let (state, entries) = match image.replay() {
+    pub fn restore_from_image(&mut self, bytes: &[u8]) -> bool {
+        let replayed = RecoveryImage::from_bytes(bytes)
+            .map_err(|e| format!("undecodable recovery image: {e}"))
+            .and_then(|image| image.replay().map_err(|e| e.to_string()));
+        let (state, entries) = match replayed {
             Ok(replayed) => replayed,
-            Err(e) => return self.reject_recovery(e.to_string()),
+            Err(reason) => return self.reject_recovery(reason),
         };
         if state.resource != self.id as u64 {
             return self.reject_recovery(format!(
@@ -765,31 +763,17 @@ impl<C: HomCipher> SecureResource<C> {
         true
     }
 
-    /// The recovery log at rest, when armed: what a crash right now
-    /// would leave behind.
-    pub fn recovery_image(&self) -> Option<RecoveryImage> {
-        match self.recovery.as_ref()? {
-            Durable::Live(log) => Some(log.image()),
-            Durable::AtRest(image) => Some(image.clone()),
-        }
-    }
-
-    /// The recovery log as a store, when armed, for a driver that
-    /// publishes it with trees of its own: a copy of the live log's —
-    /// nothing re-read — or, while down, the at-rest image verified into
-    /// one. A log that refused a write, or an image that does not
-    /// verify, is the error.
+    /// The live recovery log as a store, when armed, for a driver that
+    /// publishes it with trees of its own: a copy, nothing re-read. A log
+    /// that refused a write is the error.
     pub fn recovery_store(&self) -> Option<Result<Store<MemBackend>, JournalError>> {
-        Some(match self.recovery.as_ref()? {
-            Durable::Live(log) => log.store().cloned(),
-            Durable::AtRest(image) => image.verify(),
-        })
+        self.recovery.as_ref().map(|log| log.store().cloned())
     }
 
-    /// Serializes the recovery log for external persistence (the threaded
-    /// driver round-trips it through bytes, as a file-backed store would).
+    /// Serializes the recovery log as a crash right now would leave it,
+    /// for external persistence.
     pub fn encode_recovery_image(&self) -> Option<Vec<u8>> {
-        self.recovery_image().map(|image| image.to_bytes())
+        self.recovery.as_ref().map(|log| log.image().to_bytes())
     }
 
     /// Durable controller state (Lamport clocks, k-gate registers,
@@ -812,17 +796,6 @@ impl<C: HomCipher> SecureResource<C> {
             return true;
         }
         self.reject_recovery("controller audit image carries an out-of-range clock".into())
-    }
-
-    /// Restores from a serialized [`RecoveryImage`]. Decode failures and
-    /// mismatched ownership take the same rejection path as a forged
-    /// journal — bytes from disk are as untrusted as bytes off the wire.
-    pub fn restore_from_image(&mut self, bytes: &[u8]) -> bool {
-        match RecoveryImage::from_bytes(bytes) {
-            Ok(image) => self.recovery = Some(Durable::AtRest(image)),
-            Err(e) => return self.reject_recovery(format!("undecodable recovery image: {e}")),
-        }
-        self.restore_from_log()
     }
 
     /// Attack injection: forge the journal during the next crash so the
@@ -999,5 +972,56 @@ mod tests {
         rs[1].on_verdict_broadcast(Verdict::MaliciousBroker(0));
         assert_eq!(rs[1].verdict(), Some(Verdict::MaliciousBroker(0)));
         assert!(rs[1].step(usize::MAX).is_empty(), "halted resources stay silent");
+    }
+
+    /// Two armed resources after three rounds of traffic, with a
+    /// checkpoint after the first: the log holds a snapshot and deltas.
+    fn armed_and_mined() -> Vec<SecureResource<MockCipher>> {
+        let mut rs = two_resource_grid(1);
+        rs.iter_mut().for_each(SecureResource::arm_recovery);
+        let mut mail = std::collections::VecDeque::new();
+        for round in 0..3 {
+            for r in rs.iter_mut() {
+                mail.extend(r.step(usize::MAX));
+                mail.extend(r.generate_candidates());
+            }
+            while let Some(m) = mail.pop_front() {
+                let to = m.to;
+                mail.extend(rs[to].on_receive(&m));
+            }
+            if round == 0 {
+                rs.iter_mut().for_each(|r| r.take_checkpoint(0));
+            }
+        }
+        rs
+    }
+
+    #[test]
+    fn a_crash_hands_over_the_image_the_log_stood_at_and_it_restores() {
+        let mut rs = armed_and_mined();
+        let r = &mut rs[0];
+        let (interim, candidates) = (r.interim(), r.candidate_count());
+        assert!(!interim.is_empty(), "the resource mined something to lose");
+        let before = r.encode_recovery_image().expect("armed");
+        let image = r.crash_wipe().expect("an armed crash leaves an image");
+        assert_eq!(image, before, "the crash hands over the log as it stood");
+        assert_eq!(r.candidate_count(), 0, "the wipe lost the working set");
+        assert!(r.recovery_armed(), "the resource stays armed");
+        assert!(r.restore_from_image(&image));
+        assert_eq!((r.interim(), r.candidate_count()), (interim, candidates));
+        assert_eq!((r.recovery_replays(), r.verdict()), (1, None));
+    }
+
+    #[test]
+    fn a_crash_with_a_forged_journal_hands_over_an_image_the_restore_refuses() {
+        let mut rs = armed_and_mined();
+        let r = &mut rs[1];
+        r.corrupt_recovery_journal();
+        let before = r.encode_recovery_image().expect("armed");
+        let forged = r.crash_wipe().expect("an armed crash leaves an image");
+        assert_ne!(forged, before, "the adversary rewrote the image");
+        assert!(!r.restore_from_image(&forged));
+        assert_eq!(r.verdict(), Some(Verdict::MaliciousResource(1)));
+        assert_eq!((r.recovery_replays(), r.recovery_rejected()), (0, 1));
     }
 }

@@ -251,9 +251,10 @@ pub struct ResourceReport {
 
 /// What opening a scan phase asks of the driver.
 pub enum Scan<C: HomCipher> {
-    /// Scheduled crash: volatile state is wiped. The driver keeps the
-    /// recovery image for the successor; the resource is down.
-    Crash,
+    /// Scheduled crash: volatile state is wiped and the resource is down.
+    /// The recovery image the crash left (`None` unless armed) is the
+    /// driver's to hold for the successor.
+    Crash(Option<Vec<u8>>),
     /// Scheduled departure: the resource reports as is and leaves.
     Depart,
     /// Scheduled out or poisoned: nothing to send.
@@ -352,8 +353,7 @@ impl<C: HomCipher> RoundMachine<C> {
     pub fn scan(&mut self, tick: u64) -> Scan<C> {
         self.down = self.schedule.down(tick);
         if self.schedule.wipes_at(tick) {
-            self.resource.crash_wipe();
-            return Scan::Crash;
+            return Scan::Crash(self.resource.crash_wipe());
         }
         if self.schedule.departs_at(tick) {
             return Scan::Depart;

@@ -46,7 +46,9 @@
 //!   [`crate::chaos::ResourceStatus::Degraded`];
 //! * a send to a disconnected peer is dropped, not escalated to a panic;
 //! * a crashed resource's worker still takes its inbound traffic out of
-//!   flight, keeping the quiescence counter sound.
+//!   flight, keeping the quiescence counter sound; the recovery image
+//!   the crash handed over waits in the worker's station, not in the
+//!   resource, until the rejoin tick restores from it.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};

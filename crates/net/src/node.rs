@@ -22,8 +22,8 @@
 //! recorder and no event is formatted, framed or sent.
 //!
 //! Crash-survival is process-level: at a scheduled crash tick the node
-//! (its state already wiped by the machine) publishes one image under
-//! `state_dir` — recovery log, controller audits, protocol tallies — and
+//! (its state wiped by the machine) publishes the image the crash left
+//! under `state_dir`, with controller audits and protocol tallies, and
 //! **exits**. The hub respawns a fresh process at the recovery tick,
 //! which warm-restarts from that file (`resume_tick` in its spec).
 
@@ -145,13 +145,14 @@ impl<'a, C: NetCipher> Node<'a, C> {
         Node { spec, machine, rec_buf, handled: 0 }
     }
 
-    /// Publishes the state file as of `tick`. A failure is never silent:
-    /// the reason goes to stderr (inherited from the hub), and on an
-    /// observed session also out as an
+    /// Publishes the state file as of `tick`, with the image a crash
+    /// left when there is one (see [`state::publish`]). A failure is
+    /// never silent: the reason goes to stderr (inherited from the hub),
+    /// and on an observed session also out as an
     /// [`Event::CheckpointPersistFailed`] with the next `queue_obs`.
-    fn persist_or_report(&self, tick: u64) {
+    fn persist_or_report(&self, tick: u64, crash_image: Option<&[u8]>) {
         let path = state::path(&self.spec.state_dir, self.spec.resource);
-        if let Err(e) = state::publish(&path, &self.machine, tick) {
+        if let Err(e) = state::publish(&path, &self.machine, tick, crash_image) {
             let resource = self.spec.resource;
             eprintln!("gridmine-node {resource}: checkpoint persist failed: {e}");
             if let Some(buf) = &self.rec_buf {
@@ -243,8 +244,8 @@ impl<'a, C: NetCipher> Node<'a, C> {
                 let outs = match self.machine.scan(tick) {
                     // The hub sees the process exit; a successor may be
                     // respawned at the recovery tick.
-                    Scan::Crash => {
-                        self.persist_or_report(tick);
+                    Scan::Crash(image) => {
+                        self.persist_or_report(tick, image.as_deref());
                         self.queue_obs(out)?;
                         return Ok(Some(EXIT_CRASHED));
                     }
@@ -258,7 +259,7 @@ impl<'a, C: NetCipher> Node<'a, C> {
                         // A checkpoint is only worth its name if it
                         // survives a process kill.
                         if checkpointed {
-                            self.persist_or_report(tick);
+                            self.persist_or_report(tick, None);
                         }
                         msgs
                     }

@@ -89,22 +89,27 @@ fn audits_of(store: &Store<MemBackend>) -> Result<Vec<AuditImage>, String> {
 }
 
 /// Publishes everything a future incarnation of `machine`'s resource
-/// needs — its recovery log as it stands (warm mode only), controller
-/// audits, total tallies — as one image, atomically (sibling tmp +
-/// fsync + rename), so a kill mid-write leaves the previous checkpoint
-/// intact, never a torn or mixed one. The error is returned so the
-/// caller can surface it: a failed persist degrades recovery fidelity,
-/// not the run, but it must not be silent.
+/// needs — its recovery log (warm mode only), controller audits, total
+/// tallies — as one image, atomically (sibling tmp + fsync + rename), so
+/// a kill mid-write leaves the previous checkpoint intact, never a torn
+/// or mixed one. The log is `crash_image`, what a crash at `tick` left,
+/// verified into a store; else a copy of the live one. The error is
+/// returned so the caller can surface it: a failed persist degrades
+/// recovery fidelity, not the run, but it must not be silent.
 pub(crate) fn publish<C: HomCipher>(
     path: &Path,
     machine: &RoundMachine<C>,
     tick: u64,
+    crash_image: Option<&[u8]>,
 ) -> std::io::Result<()> {
     fn bad(e: impl std::fmt::Display) -> std::io::Error {
         std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
     }
     let r = machine.resource();
-    let mut store = match r.recovery_store() {
+    let log = crash_image
+        .map(|bytes| RecoveryImage::from_bytes(bytes).and_then(|i| i.verify()))
+        .or_else(|| r.recovery_store());
+    let mut store = match log {
         Some(store) => store.map_err(bad)?,
         None => Store::in_memory().map_err(bad)?,
     };
@@ -115,7 +120,7 @@ pub(crate) fn publish<C: HomCipher>(
         store.put(AUDITS, &key, &value).map_err(bad)?;
     }
     store.put(TALLIES, &tick.to_be_bytes(), &machine.tallies().to_bytes()).map_err(bad)?;
-    RecoveryImage::from_store(store).write_to(path)?;
+    gridmine_store::atomic_write_file(path, &RecoveryImage::from_store(store).to_bytes())?;
     Ok(())
 }
 
@@ -180,7 +185,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("gridmine-state-{}-{name}", std::process::id()));
         let file = path(dir, 1);
-        publish(&file, &m, 5).expect("publish");
+        publish(&file, &m, 5, None).expect("publish");
         (m, file)
     }
 

@@ -905,7 +905,7 @@ mod tests {
     fn sum_of_many_terms() {
         let kp = small_keys();
         let (e, d) = (kp.encryptor(), kp.decryptor());
-        let mut acc = e.zero();
+        let mut acc = e.encrypt_i64(0);
         let mut expect = 0i64;
         for i in -20i64..=20 {
             acc = e.add(&acc, &e.encrypt_i64(i * 7));

@@ -212,11 +212,6 @@ pub trait HomCipher: Clone + Send + Sync {
     /// to the input without the key.
     fn rerandomize(&self, c: &Self::Ct) -> Self::Ct;
 
-    /// Fresh encryption of zero.
-    fn zero(&self) -> Self::Ct {
-        self.encrypt_i64(0)
-    }
-
     /// Whether this handle can decrypt (controller-side handles only).
     fn can_decrypt(&self) -> bool;
 

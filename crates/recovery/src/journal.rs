@@ -362,23 +362,6 @@ impl RecoveryImage {
             }
         }
     }
-
-    /// Spill to a file (the CI artifact, and a node's warm-restart
-    /// state). Published atomically — sibling tmp, fsync, rename — so a
-    /// crash mid-write leaves the previous image or the new one, never a
-    /// torn file. Returns the path written.
-    pub fn write_to<P: AsRef<std::path::Path>>(
-        &self,
-        path: P,
-    ) -> std::io::Result<std::path::PathBuf> {
-        gridmine_store::atomic_write_file(path, &self.to_bytes())
-    }
-
-    pub fn read_from<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<Self> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
 }
 
 #[cfg(test)]
@@ -600,18 +583,12 @@ mod tests {
     }
 
     #[test]
-    fn image_roundtrips_through_bytes_and_files() {
+    fn image_roundtrips_through_bytes() {
         let image = sample_log().image();
         let bytes = image.to_bytes();
         let back = RecoveryImage::from_bytes(&bytes).expect("decodes");
         assert_eq!(back.to_bytes(), bytes);
         assert_eq!(back.replay().unwrap(), image.replay().unwrap());
-
-        let path = std::env::temp_dir().join("gridmine_recovery_image_test.image");
-        image.write_to(&path).expect("writes");
-        let from_disk = RecoveryImage::read_from(&path).expect("reads");
-        assert_eq!(from_disk.to_bytes(), bytes);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

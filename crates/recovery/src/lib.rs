@@ -12,8 +12,9 @@
 //!   digest chain the workspace has. This crate adds the typed records,
 //!   their screen, and the adapter between the two. At rest the log is a
 //!   [`RecoveryImage`]: the store's segment bytes with the chain head
-//!   pinned, held in memory by the in-process drivers and published to
-//!   a file by a node process.
+//!   pinned, which a crash hands to its driver — held in memory by the
+//!   sim and the in-process drivers, published to a file by a node
+//!   process.
 //! * **Unified retry/deadline policy** ([`RetryPolicy`]): one place for
 //!   the previously scattered bounded-SFE-retry budget, anti-entropy
 //!   resend cadence, channel-drain timeout and the recovery watchdog

@@ -145,6 +145,9 @@ pub struct Simulation<C: HomCipher> {
     /// Where a crashed resource should re-attach on recovery (the hub its
     /// neighborhood was bridged through when it was routed around).
     crash_parent: Vec<Option<usize>>,
+    /// The recovery image a crash left, held until the rejoin restores
+    /// from it (it models the node's disk).
+    crash_image: Vec<Option<Vec<u8>>>,
     /// Crash-recovery semantics (see [`Simulation::set_recovery`]).
     mode: RecoveryMode,
     /// Resources rebuilding state after a rejoin: they (and their
@@ -245,6 +248,7 @@ where
             link: None,
             edge_clock: BTreeMap::new(),
             crash_parent: vec![None; cfg.n_resources],
+            crash_image: vec![None; cfg.n_resources],
             mode: RecoveryMode::Disabled,
             healing: vec![false; cfg.n_resources],
             rec: gridmine_obs::null(),
@@ -381,6 +385,7 @@ where
         self.plans.push(plan);
         self.departed.push(false);
         self.crash_parent.push(None);
+        self.crash_image.push(None);
         self.healing.push(false);
         if self.cfg.relaxed_gate {
             self.resources[id].set_gate_mode(gridmine_core::GateMode::TransactionsOnly);
@@ -509,9 +514,9 @@ where
         self.resources[u].mark_degraded(reason);
         if reason == DegradeReason::Crashed && self.mode.wipes() {
             // Honest crash semantics: volatile mining state dies with the
-            // process. The in-memory recovery log survives (it models the
-            // node's disk); legacy `Disabled` mode keeps everything.
-            self.resources[u].crash_wipe();
+            // process; the recovery image it leaves is held until the
+            // rejoin. Legacy `Disabled` mode keeps everything.
+            self.crash_image[u] = self.resources[u].crash_wipe();
         }
         let Some(&first) = nbrs.first() else { return };
         // The hub is the former neighbor now adjacent to all the others
@@ -561,11 +566,14 @@ where
         self.resources[u].rewire(vec![anchor], epoch);
         if self.mode.wipes() {
             if self.mode.policy().is_some() {
-                // Checkpoint restore: the journal is untrusted input. A
+                // Checkpoint restore: the image is untrusted input. A
                 // rejection halts the resource with a MaliciousResource
                 // verdict (it rejoined the overlay but will never speak);
-                // the grid keeps mining around it.
-                if self.resources[u].restore_from_log() {
+                // the grid keeps mining around it. A resource isolated
+                // without a crash rejoins from its live log.
+                let image = self.crash_image[u].take();
+                let image = image.or_else(|| self.resources[u].encode_recovery_image());
+                if image.is_some_and(|bytes| self.resources[u].restore_from_image(&bytes)) {
                     self.healing[u] = true;
                 }
             } else {

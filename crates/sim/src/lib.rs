@@ -7,8 +7,8 @@
 //! steps, and receives `growth_per_step` (20) new transactions per step.
 //!
 //! * [`config`] — simulation parameters with the paper's defaults;
-//! * [`workload`] — partitioned databases, growth streams, and the
-//!   single-itemset significance workloads of Figure 3;
+//! * [`workload`] — partitioned databases, growth streams, seeded §3
+//!   churn, and the single-itemset significance workloads of Figure 3;
 //! * [`engine`] — the event-driven simulation core (one set of pass
 //!   bodies scheduled from one ordered set of `(time, pass)` pairs, with
 //!   their dense schedule kept as a differential oracle);
@@ -18,7 +18,6 @@
 //! * [`runner`] — experiment drivers used by the benches.
 
 pub mod config;
-pub mod durable;
 pub mod engine;
 pub mod metrics;
 pub mod runner;
@@ -26,9 +25,8 @@ pub mod session;
 pub mod workload;
 
 pub use config::SimConfig;
-pub use durable::{churn_plans, churn_stream, DurableStream};
 pub use engine::Simulation;
 pub use metrics::{GlobalMetrics, ObsSummary, Sample};
 pub use runner::{single_itemset_steps, time_to_recall};
 pub use session::SimSession;
-pub use workload::{significance_databases, split_growth, GrowthPlan};
+pub use workload::{churn_plans, churn_stream, significance_databases, split_growth, GrowthPlan};

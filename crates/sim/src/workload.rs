@@ -1,5 +1,6 @@
-//! Workload preparation: initial partitions, growth streams, and the
-//! single-itemset significance databases of Figure 3.
+//! Workload preparation: initial partitions, growth streams, seeded §3
+//! churn (fresh transactions and negations), and the single-itemset
+//! significance databases of Figure 3.
 
 use std::collections::VecDeque;
 
@@ -131,6 +132,76 @@ pub fn significance_databases(
                 })
                 .collect();
             Database::from_transactions(txs)
+        })
+        .collect()
+}
+
+/// A seeded §3 churn feed over `pool`: `fresh` new transactions (items
+/// cloned from random pool members, ids from `id_from`) followed by
+/// `negations` cancelling randomly chosen positive transactions — both
+/// earlier stream entries and original pool members, so the stream can
+/// retract initial database content too.
+pub fn churn_stream(
+    pool: &[Transaction],
+    fresh: usize,
+    negations: usize,
+    id_from: u64,
+    seed: u64,
+) -> Vec<Transaction> {
+    assert!(!pool.is_empty(), "churn needs a donor pool");
+    let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x5EED_C1124);
+    let mut next_id = id_from;
+    let mut out: Vec<Transaction> = Vec::with_capacity(fresh + negations);
+    for _ in 0..fresh {
+        let donor = &pool[rng.gen_range(0..pool.len())];
+        out.push(Transaction::new(next_id, donor.items().to_vec()));
+        next_id += 1;
+    }
+    // Each target is retracted at most once so net supports never go
+    // negative — a stream of valid §3 updates, not an underflow attack.
+    let mut negated = std::collections::HashSet::new();
+    for _ in 0..negations {
+        let candidates: Vec<&Transaction> = pool
+            .iter()
+            .chain(out.iter())
+            .filter(|t| t.polarity() == 1 && !negated.contains(&t.id))
+            .collect();
+        let Some(target) = candidates.get(rng.gen_range(0..candidates.len().max(1))) else {
+            break;
+        };
+        negated.insert(target.id);
+        let neg = target.negation_of(next_id);
+        next_id += 1;
+        out.push(neg);
+    }
+    out
+}
+
+/// Wraps per-resource churn into [`GrowthPlan`]s: resource `u` keeps its
+/// initial database and streams `churn_stream` of its own partition,
+/// with globally unique ids carved from disjoint ranges.
+pub fn churn_plans(
+    initials: Vec<Database>,
+    fresh: usize,
+    negations: usize,
+    seed: u64,
+) -> Vec<GrowthPlan> {
+    let id_base =
+        1 + initials.iter().flat_map(|db| db.transactions()).map(|t| t.id).max().unwrap_or(0);
+    let span = (fresh + negations) as u64;
+    initials
+        .into_iter()
+        .enumerate()
+        .map(|(u, db)| {
+            let stream: VecDeque<Transaction> = churn_stream(
+                db.transactions(),
+                fresh,
+                negations,
+                id_base + span * u as u64,
+                seed ^ u as u64,
+            )
+            .into();
+            GrowthPlan { initial: db, stream }
         })
         .collect()
 }

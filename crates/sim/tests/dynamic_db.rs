@@ -1,15 +1,10 @@
-//! Dynamic databases under durability (§3): resources keep mining while
-//! their local databases grow — fresh transactions *and* negations of
-//! earlier ones stream in — with every arrival persisted into a
-//! resource-local [`DurableStream`]. The suite pins convergence under
-//! churn to the post-stream ground truth, and proves a warm restart
-//! mid-stream resumes from snapshot + WAL tail, not full-history replay.
-
-use std::collections::VecDeque;
+//! Dynamic databases (§3): resources keep mining while their local
+//! databases grow — fresh transactions *and* negations of earlier ones
+//! stream in. The suite pins convergence under churn to the post-stream
+//! ground truth.
 
 use gridmine_arm::{correct_rules, Database, Item, Ratio, Transaction};
-use gridmine_sim::{churn_plans, churn_stream, DurableStream, SimConfig, SimSession};
-use gridmine_store::MemBackend;
+use gridmine_sim::{churn_plans, SimConfig, SimSession};
 
 const N: usize = 6;
 const FRESH: usize = 20;
@@ -46,43 +41,21 @@ fn cfg(seed: u64) -> SimConfig {
     cfg
 }
 
-/// Canonical sorted-rule rendering of one solution.
-fn rules_of(s: &gridmine_arm::RuleSet) -> Vec<String> {
-    let mut rules: Vec<String> = s.iter().map(|r| format!("{r:?}")).collect();
-    rules.sort();
-    rules
-}
-
 #[test]
-fn convergence_under_streaming_churn_with_durable_mirror() {
+fn convergence_under_streaming_churn() {
     let plans = churn_plans(dbs(), FRESH, NEGATIONS, SEED);
     assert!(
         plans.iter().all(|p| p.stream.iter().any(|t| t.polarity() == -1)),
         "every stream must carry negations"
     );
 
-    // Resource-local durable stores, fed the same arrivals the engine
-    // consumes, step by step, while the run converges. The tiny
-    // compaction threshold makes the WAL fold mid-stream.
-    let mut stores: Vec<DurableStream<MemBackend>> = (0..N)
-        .map(|_| DurableStream::in_memory().expect("opens").with_compact_bytes(512))
-        .collect();
-    let mut feeds: Vec<VecDeque<Transaction>> = plans.iter().map(|p| p.stream.clone()).collect();
-
     let steps = 200u64;
     let mut sim = SimSession::new(cfg(SEED))
-        .with_workload(plans.clone())
+        .with_workload(plans)
         .with_items(&[Item(1), Item(2), Item(3)])
         .with_steps(steps)
         .build();
-    for _ in 0..steps {
-        sim.run_event_driven(1);
-        for (feed, store) in feeds.iter_mut().zip(stores.iter_mut()) {
-            let n = 4.min(feed.len());
-            let batch: Vec<Transaction> = feed.drain(..n).collect();
-            store.append_all(&batch).expect("append persists");
-        }
-    }
+    sim.run_event_driven(steps);
     sim.refresh_outputs();
 
     // Honest churn raises no verdicts and every resource finishes.
@@ -102,88 +75,4 @@ fn convergence_under_streaming_churn_with_durable_mirror() {
     let (recall, precision) = sim.global_recall_precision(&truth);
     assert!(recall > 0.99, "recall under churn {recall}");
     assert!(precision > 0.99, "precision under churn {precision}");
-
-    // The durable mirrors hold exactly the streamed transactions, and
-    // the threshold actually forced snapshot rotation mid-stream.
-    for (u, (store, plan)) in stores.iter().zip(plans.iter()).enumerate() {
-        assert_eq!(store.len(), plan.stream.len(), "resource {u} store size");
-        let persisted = store.database().expect("decodes");
-        let expected: Vec<Transaction> = plan.stream.iter().cloned().collect();
-        assert_eq!(persisted.transactions(), &expected[..], "resource {u} content");
-        assert!(store.store().generation() > 0, "resource {u} never compacted");
-    }
-}
-
-#[test]
-fn warm_restart_mid_stream_resumes_from_snapshot_plus_tail() {
-    let base = dbs().remove(0);
-    let stream = churn_stream(base.transactions(), FRESH, NEGATIONS, 10_000, SEED);
-    let total = stream.len();
-    let cut = 2 * total / 3;
-
-    // First incarnation: persist the prefix, then die (drop to backend).
-    let mut first = DurableStream::in_memory().expect("opens").with_compact_bytes(256);
-    for tx in &stream[..cut] {
-        first.append(tx).expect("append persists");
-    }
-    assert_eq!(first.len(), cut);
-    let backend = first.into_backend();
-
-    // Warm restart: the open replays snapshot + WAL tail only.
-    let mut second = DurableStream::open(backend).expect("reopens");
-    let report = second.open_report();
-    assert!(report.snapshot_records > 0, "restart must load a snapshot: {report:?}");
-    assert!(
-        (report.wal_replayed as usize) < cut,
-        "tail replay must be shorter than history: {report:?}"
-    );
-    assert_eq!(report.truncated_bytes, 0, "clean shutdown leaves no torn tail");
-    assert_eq!(second.len(), cut, "restart recovered the full prefix");
-    let recovered = second.database().expect("decodes");
-    assert_eq!(recovered.transactions(), &stream[..cut], "prefix survives verbatim");
-
-    // Resume the stream where the first incarnation left off.
-    second.append_all(&stream[cut..]).expect("resume persists");
-    let final_db = second.database().expect("decodes");
-    assert_eq!(final_db.transactions(), &stream[..], "resumed stream completes");
-
-    // Mining over the restarted replica matches mining over databases
-    // that never crashed: rebuild each resource's final database from
-    // scratch vs. from the durable replica and compare solutions.
-    let plans = churn_plans(dbs(), FRESH, NEGATIONS, SEED);
-    let from_scratch: Vec<Database> = plans
-        .iter()
-        .map(|p| {
-            let mut txs = p.initial.transactions().to_vec();
-            txs.extend(p.stream.iter().cloned());
-            Database::from_transactions(txs)
-        })
-        .collect();
-    let replicas: Vec<Database> = plans
-        .iter()
-        .map(|p| {
-            // Round-trip every resource's stream through a store (the
-            // restart-path replica for resource 0's shape generalised).
-            let mut s = DurableStream::in_memory().expect("opens").with_compact_bytes(256);
-            s.append_all(&p.stream.iter().cloned().collect::<Vec<_>>()).expect("persists");
-            let reopened = DurableStream::open(s.into_backend()).expect("reopens");
-            let mut txs = p.initial.transactions().to_vec();
-            txs.extend(reopened.database().expect("decodes").transactions().iter().cloned());
-            Database::from_transactions(txs)
-        })
-        .collect();
-
-    let mut static_cfg = cfg(SEED);
-    static_cfg.growth_per_step = 0;
-    let run = |databases: Vec<Database>| {
-        let mut sim = SimSession::new(static_cfg)
-            .with_databases(databases)
-            .with_items(&[Item(1), Item(2), Item(3)])
-            .with_steps(200)
-            .build();
-        sim.run_event_driven(200);
-        sim.refresh_outputs();
-        sim.solutions().iter().map(rules_of).collect::<Vec<_>>()
-    };
-    assert_eq!(run(from_scratch), run(replicas), "restarted replicas mine identically");
 }

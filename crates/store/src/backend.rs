@@ -149,9 +149,9 @@ impl Backend for FsBackend {
 
 /// Crash-safe whole-file write: sibling tmp file, fsync, atomic rename,
 /// parent-directory fsync. Returns the path actually written. This is
-/// the primitive `RecoveryImage::write_to` and the snapshot rotation
-/// share; a reader never observes a half-written file, only the old
-/// bytes or the new.
+/// the primitive a node's state file and the snapshot rotation share; a
+/// reader never observes a half-written file, only the old bytes or the
+/// new.
 pub fn atomic_write_file<P: AsRef<Path>>(path: P, bytes: &[u8]) -> std::io::Result<PathBuf> {
     let path = path.as_ref();
     let dir = match path.parent() {

@@ -17,10 +17,13 @@
 //!   encoded once;
 //! * a `gridmine-node` checkpoint is that image plus the node's binary
 //!   controller-audit and tallies trees: a clone of the live store (the
-//!   store is `Clone`; nothing is re-read) with the node's entries
-//!   appended to its WAL, published with one [`atomic_write_file`];
-//! * the §3 dynamic-database transaction log (`gridmine-sim`'s
-//!   `DurableStream`) is a store over [`FsBackend`].
+//!   store is `Clone`; nothing is re-read) — at a crash, the image the
+//!   crash left, verified — with the node's entries appended to its
+//!   WAL, published with one [`atomic_write_file`].
+//!
+//! [`FsBackend`], a store over a real directory, is used only by this
+//! crate's own tests so far: every durable artifact of the workspace is
+//! a [`MemBackend`] store published whole.
 //!
 //! The design is a miniature log-structured store:
 //!

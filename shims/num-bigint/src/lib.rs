@@ -8,8 +8,8 @@
 //! [`RandBigInt`] sampling extension. Semantics match upstream.
 //!
 //! `modpow` dispatches to a Montgomery-form CIOS kernel with fixed-window
-//! exponentiation for odd moduli ([`MontgomeryCtx`]); even moduli take the
-//! legacy division-per-step ladder. Karatsuba multiplication is still
+//! exponentiation for odd moduli ([`MontgomeryCtx`]); even moduli take a
+//! division-per-step ladder. Karatsuba multiplication is still
 //! omitted — schoolbook arithmetic is plenty at Paillier test-key sizes
 //! once the per-step divisions are gone.
 
@@ -301,38 +301,16 @@ impl BigUint {
     }
 
     /// Modular exponentiation. Odd moduli take the Montgomery fixed-window
-    /// kernel ([`MontgomeryCtx`]); even moduli fall back to
-    /// [`BigUint::modpow_legacy`]. Callers that exponentiate repeatedly
+    /// kernel ([`MontgomeryCtx`]); even moduli fall back to a
+    /// square-and-multiply ladder. Callers that exponentiate repeatedly
     /// under one modulus should build a [`MontgomeryCtx`] themselves to
     /// amortize the context setup.
     pub fn modpow(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.limbs.is_empty(), "modpow with zero modulus");
-        if let Some(ctx) = MontgomeryCtx::new(modulus) {
-            return ctx.modpow(self, exp);
+        match MontgomeryCtx::new(modulus) {
+            Some(ctx) => ctx.modpow(self, exp),
+            None => modpow_ladder(self, exp, modulus),
         }
-        self.modpow_legacy(exp, modulus)
-    }
-
-    /// Modular exponentiation by square-and-multiply with a full division
-    /// per step — the pre-Montgomery path, kept for even moduli and as the
-    /// differential-test reference.
-    pub fn modpow_legacy(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {
-        assert!(!modulus.limbs.is_empty(), "modpow with zero modulus");
-        if modulus.is_one() {
-            return BigUint::default();
-        }
-        let mut base = self.div_rem(modulus).1;
-        let mut acc = BigUint::from(1u8);
-        let nbits = exp.bits();
-        for i in 0..nbits {
-            if exp.bit(i) {
-                acc = acc.mul_mag(&base).div_rem(modulus).1;
-            }
-            if i + 1 < nbits {
-                base = base.mul_mag(&base).div_rem(modulus).1;
-            }
-        }
-        acc
     }
 
     /// Euclidean gcd (exposed publicly through the `Integer` trait).
@@ -354,6 +332,27 @@ impl BigUint {
         let g = self.gcd_mag(other);
         self.div_rem(&g).0.mul_mag(other)
     }
+}
+
+/// `base^exp mod modulus` (nonzero modulus) by square-and-multiply
+/// with a full division per step: the path of even moduli, and the
+/// reference the Montgomery kernel's unit tests hold it to.
+fn modpow_ladder(base: &BigUint, exp: &BigUint, modulus: &BigUint) -> BigUint {
+    if modulus.is_one() {
+        return BigUint::default();
+    }
+    let mut base = base.div_rem(modulus).1;
+    let mut acc = BigUint::from(1u8);
+    let nbits = exp.bits();
+    for i in 0..nbits {
+        if exp.bit(i) {
+            acc = acc.mul_mag(&base).div_rem(modulus).1;
+        }
+        if i + 1 < nbits {
+            base = base.mul_mag(&base).div_rem(modulus).1;
+        }
+    }
+    acc
 }
 
 impl Integer for BigUint {

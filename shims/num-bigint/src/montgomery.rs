@@ -14,7 +14,7 @@
 //!
 //! Montgomery reduction requires `gcd(n, 2⁶⁴) = 1`, i.e. an odd modulus.
 //! Paillier moduli (`n²`, `p²`, `q²`) are always odd; even moduli fall
-//! back to the legacy square-and-multiply in `BigUint::modpow`.
+//! back to a square-and-multiply ladder in `BigUint::modpow`.
 //!
 //! **Not constant-time.** Window selection indexes a table by secret
 //! exponent bits and the final subtraction is conditional; this mirrors
@@ -774,6 +774,7 @@ impl FixedBaseTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modpow_ladder;
 
     #[test]
     fn rejects_even_and_trivial_moduli() {
@@ -784,31 +785,31 @@ mod tests {
     }
 
     #[test]
-    fn matches_legacy_small_cases() {
+    fn matches_ladder_small_cases() {
         let n = BigUint::from(1_000_000_007u64);
         let ctx = MontgomeryCtx::new(&n).unwrap();
         for (b, e) in [(2u64, 10u64), (3, 0), (0, 5), (123_456_789, 987_654_321)] {
             let b = BigUint::from(b);
             let e = BigUint::from(e);
-            assert_eq!(ctx.modpow(&b, &e), b.modpow_legacy(&e, &n), "b={b:?} e={e:?}");
+            assert_eq!(ctx.modpow(&b, &e), modpow_ladder(&b, &e, &n), "b={b:?} e={e:?}");
         }
     }
 
     #[test]
-    fn matches_legacy_multi_limb() {
+    fn matches_ladder_multi_limb() {
         // 2¹⁹² - 237 is prime; exercises the k = 3 CIOS path.
         let n = (&BigUint::one() << 192usize) - 237u32;
         let ctx = MontgomeryCtx::new(&n).unwrap();
         let b = (&BigUint::one() << 150usize) + 12_345u32;
         let e = (&BigUint::one() << 100usize) + 7u32;
-        assert_eq!(ctx.modpow(&b, &e), b.modpow_legacy(&e, &n));
+        assert_eq!(ctx.modpow(&b, &e), modpow_ladder(&b, &e, &n));
         // Base larger than the modulus gets reduced first.
         let big_b = &b << 100usize;
-        assert_eq!(ctx.modpow(&big_b, &e), big_b.modpow_legacy(&e, &n));
+        assert_eq!(ctx.modpow(&big_b, &e), modpow_ladder(&big_b, &e, &n));
     }
 
     #[test]
-    fn matches_legacy_at_paillier_modulus_sizes() {
+    fn matches_ladder_at_paillier_modulus_sizes() {
         // n and n² of 512- and 1024-bit keys, with a dense base and a
         // full-width all-ones exponent.
         for bits in [512usize, 1024, 2048] {
@@ -816,7 +817,7 @@ mod tests {
             let b = &n / 7u32;
             let e = (&BigUint::one() << (bits - 1)) - 1u32;
             let ctx = MontgomeryCtx::new(&n).unwrap();
-            assert_eq!(ctx.modpow(&b, &e), b.modpow_legacy(&e, &n), "{bits}-bit modulus");
+            assert_eq!(ctx.modpow(&b, &e), modpow_ladder(&b, &e, &n), "{bits}-bit modulus");
         }
     }
 
@@ -830,7 +831,7 @@ mod tests {
     }
 
     #[test]
-    fn fixed_base_matches_legacy_across_exponent_shapes() {
+    fn fixed_base_matches_ladder_across_exponent_shapes() {
         let n = (&BigUint::one() << 192usize) - 237u32;
         let ctx = MontgomeryCtx::new(&n).unwrap();
         let base = (&BigUint::one() << 150usize) + 12_345u32;
@@ -844,11 +845,11 @@ mod tests {
             BigUint::from(0xDEAD_BEEFu64),
             (&BigUint::one() << 191usize) + 99u32,
         ] {
-            assert_eq!(table.pow(&e), base.modpow_legacy(&e, &n), "e={e:?}");
+            assert_eq!(table.pow(&e), modpow_ladder(&base, &e, &n), "e={e:?}");
         }
         // Beyond capacity falls back to the ladder, still correct.
         let big_e = &BigUint::one() << 300usize;
-        assert_eq!(table.pow(&big_e), base.modpow_legacy(&big_e, &n));
+        assert_eq!(table.pow(&big_e), modpow_ladder(&base, &big_e, &n));
     }
 
     #[test]
@@ -858,7 +859,7 @@ mod tests {
         let big = (&BigUint::one() << 100usize) + 5u32;
         let table = ctx.fixed_base(&big, 64);
         let e = BigUint::from(12_345u64);
-        assert_eq!(table.pow(&e), big.modpow_legacy(&e, &n));
+        assert_eq!(table.pow(&e), modpow_ladder(&big, &e, &n));
         let zero_base = &n * &n; // ≡ 0 mod n
         let table = ctx.fixed_base(&zero_base, 64);
         assert!(table.pow(&e).is_zero());
@@ -875,7 +876,7 @@ mod tests {
         let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(exps.iter()).collect();
         let mut expect = BigUint::one();
         for (b, e) in &pairs {
-            expect = expect * b.modpow_legacy(e, &n) % &n;
+            expect = expect * modpow_ladder(b, e, &n) % &n;
         }
         assert_eq!(ctx.multi_modpow(&pairs), expect);
         // Empty product and all-zero exponents are both 1.

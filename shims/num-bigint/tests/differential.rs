@@ -1,6 +1,7 @@
 //! Differential tests: shim `BigUint` arithmetic against u128-scale
-//! references and known-answer vectors, plus Montgomery-vs-legacy
-//! bit-identity over random odd moduli.
+//! references and known-answer vectors, plus bit-identity of the
+//! Montgomery kernels with a square-and-multiply reference over random
+//! odd moduli.
 //!
 //! These run as an integration test so they follow the active cargo
 //! profile — the underflow-panic cases below regress the release-mode
@@ -25,6 +26,19 @@ fn to_u128(x: &BigUint) -> u128 {
     let mut buf = [0u8; 16];
     buf[16 - bytes.len()..].copy_from_slice(&bytes);
     u128::from_be_bytes(buf)
+}
+
+/// Reference `base^exp mod m` by square-and-multiply over the public
+/// `*` and `%` alone.
+fn ladder(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+    let (mut acc, mut square) = (BigUint::one() % m, base % m);
+    for i in 0..exp.bits() {
+        if exp.bit(i) {
+            acc = &acc * &square % m;
+        }
+        square = &square * &square % m;
+    }
+    acc
 }
 
 /// Reference `base^exp mod m` over u128 intermediates (`m` fits u64).
@@ -89,7 +103,7 @@ proptest! {
 
     #[test]
     fn modpow_matches_u128_reference(base: u64, exp: u64, m: u64) {
-        // Both parities of m, so this crosses the Montgomery/legacy
+        // Both parities of m, so this crosses the Montgomery/ladder
         // dispatch boundary in `BigUint::modpow`.
         prop_assume!(m > 1);
         let got = BigUint::from(base).modpow(&BigUint::from(exp), &BigUint::from(m));
@@ -97,7 +111,7 @@ proptest! {
     }
 
     #[test]
-    fn montgomery_bit_identical_to_legacy_on_odd_moduli(
+    fn montgomery_bit_identical_to_the_ladder_on_odd_moduli(
         m in prop::collection::vec(any::<u64>(), 1..6),
         b in prop::collection::vec(any::<u64>(), 1..7),
         e in prop::collection::vec(any::<u64>(), 1..3),
@@ -107,7 +121,7 @@ proptest! {
         prop_assume!(!m.is_one());
         let b = from_le_limbs(&b);
         let e = from_le_limbs(&e);
-        prop_assert_eq!(b.modpow(&e, &m), b.modpow_legacy(&e, &m), "m={:?}", m);
+        prop_assert_eq!(b.modpow(&e, &m), ladder(&b, &e, &m), "m={:?}", m);
     }
 
     #[test]
@@ -129,7 +143,7 @@ proptest! {
     }
 
     #[test]
-    fn fixed_base_table_bit_identical_to_legacy(
+    fn fixed_base_table_bit_identical_to_the_ladder(
         m in prop::collection::vec(any::<u64>(), 2..5),
         b in prop::collection::vec(any::<u64>(), 1..6),
         e in prop::collection::vec(any::<u64>(), 1..4),
@@ -142,11 +156,11 @@ proptest! {
         // Capacity sized to the exponent, so the table path (not the
         // fallback ladder) is what gets exercised.
         let table = ctx.fixed_base(&b, 64 * 4);
-        prop_assert_eq!(table.pow(&e), b.modpow_legacy(&e, &m), "m={:?}", m);
+        prop_assert_eq!(table.pow(&e), ladder(&b, &e, &m), "m={:?}", m);
     }
 
     #[test]
-    fn multi_modpow_bit_identical_to_legacy_products(
+    fn multi_modpow_bit_identical_to_ladder_products(
         m in prop::collection::vec(any::<u64>(), 2..5),
         bases in prop::collection::vec(prop::collection::vec(any::<u64>(), 1..5), 0..5),
         exps in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..3), 0..5),
@@ -160,7 +174,7 @@ proptest! {
         let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(exps.iter()).collect();
         let mut expect = BigUint::one() % &m;
         for (b, e) in &pairs {
-            expect = expect * b.modpow_legacy(e, &m) % &m;
+            expect = expect * ladder(b, e, &m) % &m;
         }
         prop_assert_eq!(ctx.multi_modpow(&pairs), expect, "m={:?}", m);
     }

@@ -1,10 +1,11 @@
-//! End-to-end crash durability at the workspace level: a mining
-//! resource's checkpoint + journal spills through the `RecoveryImage`
-//! codec to a real file (the CI artifact, next to the chaos trace),
-//! reads back, and restores the resource to its pre-crash solutions.
+//! End-to-end crash durability at the workspace level: the recovery
+//! image a mining resource's crash leaves (checkpoint + journal) spills
+//! to a real file (the CI artifact, next to the chaos trace), reads
+//! back, and restores the resource to its pre-crash solutions.
 
 use gridmine::prelude::*;
 use gridmine::secure::resource::wire_grid;
+use gridmine::store::atomic_write_file;
 
 /// Drives a vector of resources synchronously to quiescence with
 /// interleaved candidate-generation rounds (the end_to_end idiom).
@@ -88,21 +89,20 @@ fn recovery_journal_spills_to_disk_and_restores_the_resource() {
     let before = grid[2].interim();
     assert!(!before.is_empty(), "the grid mined something to lose");
 
-    // Crash: volatile state dies; the journal is what survived on disk.
-    grid[2].crash_wipe();
+    // Crash: volatile state dies; the journal is what survived, handed
+    // over as the image the crash left.
+    let bytes = grid[2].crash_wipe().expect("armed resource leaves an image");
     assert_eq!(grid[2].candidate_count(), 0, "the wipe actually lost the working set");
-    let bytes = grid[2].encode_recovery_image().expect("armed resource has an image");
 
     // Spill the image to the artifact path CI archives (written to a
     // predictable location, like the chaos trace in end_to_end.rs).
     let path = std::path::Path::new("target/gridmine-obs/recovery_journal.image");
-    let image = RecoveryImage::from_bytes(&bytes).expect("image decodes");
-    image.write_to(path).expect("artifact written");
-    let from_disk = RecoveryImage::read_from(path).expect("artifact reads back");
-    assert_eq!(from_disk.to_bytes(), image.to_bytes(), "the file codec is lossless");
+    atomic_write_file(path, &bytes).expect("artifact written");
+    let from_disk = std::fs::read(path).expect("artifact reads back");
+    assert_eq!(from_disk, bytes, "the file round trip is lossless");
 
     // Restore from the on-disk copy and verify the resource resumed.
-    assert!(grid[2].restore_from_image(&from_disk.to_bytes()), "verified restore succeeds");
+    assert!(grid[2].restore_from_image(&from_disk), "verified restore succeeds");
     grid[2].refresh_outputs();
     assert_eq!(grid[2].interim(), before, "restored resource resumes where it left off");
     assert!(grid[2].verdict().is_none(), "an honest journal raises no verdict");
@@ -145,8 +145,7 @@ fn tampered_on_disk_image_is_rejected_not_applied() {
 
     // Forge the journal while the resource is down, then try to restore.
     grid[1].corrupt_recovery_journal();
-    grid[1].crash_wipe();
-    let bytes = grid[1].encode_recovery_image().expect("image still encodes");
+    let bytes = grid[1].crash_wipe().expect("the crash still leaves an image");
     assert!(!grid[1].restore_from_image(&bytes), "forged image must be refused");
     assert_eq!(
         grid[1].verdict(),
