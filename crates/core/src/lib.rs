@@ -70,7 +70,7 @@ pub use gridmine_recovery::{RecoveryMode, RecoveryPolicy, RetryPolicy};
 pub use inproc::run_synchronous;
 pub use keyring::GridKeys;
 pub use kttp::KTtp;
-pub use miner::{MineConfig, MiningOutcome};
+pub use miner::{item_domain, MineConfig, MiningOutcome};
 pub use plain::PlainCounter;
 pub use proxy::ChaosProxy;
 pub use resource::{SecureResource, WireMsg};

@@ -7,12 +7,21 @@
 //! The multi-process TCP backend in `gridmine-net` returns the same
 //! [`MiningOutcome`]; every driver builds it with
 //! [`crate::round::assemble`].
+//!
+//! Every driver also mints its resources here: [`MineConfig::resource`]
+//! is the one recipe for resource `u` of a grid, over the voted
+//! [`item_domain`].
 
-use gridmine_arm::{Ratio, RuleSet};
+use gridmine_arm::{Database, Item, Ratio, RuleSet, Transaction};
+use gridmine_majority::CandidateGenerator;
 use gridmine_obs::MetricsSnapshot;
+use gridmine_paillier::HomCipher;
 
 use crate::chaos::{ChaosReport, ResourceStatus};
 use crate::controller::Verdict;
+use crate::counter::CounterLayout;
+use crate::keyring::GridKeys;
+use crate::resource::SecureResource;
 
 /// Outcome of a mining run, under any driver.
 #[derive(Debug)]
@@ -70,6 +79,48 @@ impl MineConfig {
         self.k = k;
         self
     }
+
+    /// Mints resource `u` of this session's grid (§4: its partition,
+    /// its neighbours, λ, γ and k) — the one recipe every driver builds
+    /// its resources by. `neighbors(v)` lists the neighbours of any node
+    /// `v`: `u`'s own give its layout, each neighbour's give the counter
+    /// layout `u` expects from it. The resource's private randomness is
+    /// seeded from the session seed mixed with `u`, so every driver mints
+    /// the same grid. Shares still have to be exchanged
+    /// ([`crate::resource::wire_grid`], or the wire).
+    pub fn resource<C: HomCipher>(
+        &self,
+        u: usize,
+        keys: &GridKeys<C>,
+        neighbors: impl Fn(usize) -> Vec<usize>,
+        db: Database,
+        items: &[Item],
+    ) -> SecureResource<C> {
+        let mine = neighbors(u);
+        let mut r = SecureResource::new(
+            u,
+            keys,
+            mine.clone(),
+            db,
+            self.k,
+            CandidateGenerator::new(self.min_freq, self.min_conf),
+            items,
+            self.seed ^ (u as u64).wrapping_mul(0x9E37_79B9),
+        );
+        for v in mine {
+            r.set_neighbor_layout(v, CounterLayout::new(v, neighbors(v)));
+        }
+        r
+    }
+}
+
+/// The voted item domain: every item of `txs`, sorted and deduplicated
+/// (in deployment each resource knows the global item catalog).
+pub fn item_domain<'a>(txs: impl IntoIterator<Item = &'a Transaction>) -> Vec<Item> {
+    let mut items: Vec<Item> = txs.into_iter().flat_map(|t| t.items().iter().copied()).collect();
+    items.sort_unstable();
+    items.dedup();
+    items
 }
 
 #[cfg(test)]
@@ -143,7 +194,7 @@ mod tests {
         // `MineSession` builds honest grids only: build the resources by
         // hand, corrupt one broker, and hand them to the driver.
         let generator = CandidateGenerator::new(cfg.min_freq, cfg.min_conf);
-        let items = vec![gridmine_arm::Item(1), gridmine_arm::Item(2), gridmine_arm::Item(3)];
+        let items = vec![Item(1), Item(2), Item(3)];
         let tree = Tree::path(4);
         let mut resources: Vec<SecureResource<MockCipher>> = dbs()
             .into_iter()

@@ -21,17 +21,19 @@
 //! `gridmine-net` crate adds a third, multi-process backend that drives
 //! the same resources over loopback TCP; all three run the per-round
 //! policy in [`crate::round`]. A session defaults to the
-//! plaintext [`MockCipher`], a path topology over the databases, no
-//! faults and the zero-cost `NullRecorder`; every default has a `with_*`
-//! override.
+//! plaintext [`MockCipher`], a path topology over the databases
+//! ([`session_tree`]), no faults and the zero-cost `NullRecorder`; every
+//! default has a `with_*` override. Its grid is minted resource by
+//! resource with [`MineConfig::resource`] over the voted
+//! [`item_domain`] — the recipe the net node and the simulator mint
+//! theirs by.
 //! Attaching a real recorder also arms the [`Metrics`] registry, whose
 //! snapshot lands in [`MiningOutcome::metrics`].
 
 use std::fmt;
 use std::sync::Arc;
 
-use gridmine_arm::{Database, Item};
-use gridmine_majority::CandidateGenerator;
+use gridmine_arm::Database;
 use gridmine_obs::{FanoutRecorder, Metrics, SharedRecorder};
 use gridmine_paillier::{HomCipher, MockCipher, PaillierCtx};
 use gridmine_recovery::RecoveryMode;
@@ -40,7 +42,7 @@ use gridmine_topology::Tree;
 
 use crate::inproc::run_synchronous;
 use crate::keyring::GridKeys;
-use crate::miner::{MineConfig, MiningOutcome};
+use crate::miner::{item_domain, MineConfig, MiningOutcome};
 use crate::resource::{wire_grid, SecureResource};
 use crate::threaded::run_threaded_full;
 
@@ -191,6 +193,12 @@ pub fn arm_recorder(rec: &SharedRecorder) -> (SharedRecorder, Option<Arc<Metrics
     }
 }
 
+/// The tree a session mines over: the one it was given, else a path over
+/// its `n` partitions.
+pub fn session_tree(tree: Option<&Tree>, n: usize) -> Tree {
+    tree.cloned().unwrap_or_else(|| Tree::path(n))
+}
+
 /// Builder for one Secure-Majority-Rule mining run. See the module docs
 /// for the default stack and [`MineSession::run`] /
 /// [`MineSession::run_threaded`] for the two execution modes.
@@ -291,38 +299,18 @@ impl<C: HomCipher + 'static> MineSession<C> {
         self
     }
 
-    /// Builds the wired resource grid.
+    /// Builds the wired resource grid, every resource minted by
+    /// [`MineConfig::resource`].
     pub(crate) fn build(&self, rec: &SharedRecorder) -> Vec<SecureResource<C>> {
-        let tree = match &self.tree {
-            Some(t) => t.clone(),
-            None => Tree::path(self.dbs.len()),
-        };
+        let tree = session_tree(self.tree.as_ref(), self.dbs.len());
         assert_eq!(self.dbs.len(), tree.capacity(), "one database per tree node");
         assert!(!self.dbs.is_empty(), "a session needs at least one database");
-        let cfg = self.cfg;
         let keys = self.keys.clone().with_recorder(rec);
-        let generator = CandidateGenerator::new(cfg.min_freq, cfg.min_conf);
-        let mut items: Vec<Item> = self.dbs.iter().flat_map(|d| d.item_domain()).collect();
-        items.sort_unstable();
-        items.dedup();
-
-        let mut resources: Vec<SecureResource<C>> = self
-            .dbs
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(u, db)| {
-                let neighbors: Vec<usize> = tree.neighbors(u).collect();
-                SecureResource::new(
-                    u,
-                    &keys,
-                    neighbors,
-                    db,
-                    cfg.k,
-                    generator,
-                    &items,
-                    cfg.seed ^ (u as u64).wrapping_mul(0x9E37_79B9),
-                )
+        let items = item_domain(self.dbs.iter().flat_map(Database::transactions));
+        let mut resources: Vec<SecureResource<C>> = (0..self.dbs.len())
+            .map(|u| {
+                let db = self.dbs[u].clone();
+                self.cfg.resource(u, &keys, |v| tree.neighbors(v).collect(), db, &items)
             })
             .collect();
         wire_grid(&mut resources);

@@ -156,7 +156,10 @@ fn forged_journal_is_rejected_as_malicious_without_panicking() {
 fn watchdog_degrades_a_restore_that_overruns_its_deadline() {
     // A zero-millisecond deadline makes any real restore overrun: the
     // watchdog must degrade that one resource, not abort the run.
-    let policy = RecoveryPolicy::DEFAULT.with_retry(RetryPolicy::DEFAULT.with_deadline_ms(0));
+    let policy = RecoveryPolicy {
+        retry: RetryPolicy { deadline_ms: 0, ..RetryPolicy::DEFAULT },
+        ..RecoveryPolicy::DEFAULT
+    };
     for (driver, run) in DRIVERS {
         let (rs, truth) = grid(5);
         let outcome = run(

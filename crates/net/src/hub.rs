@@ -59,10 +59,10 @@ use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use gridmine_arm::Database;
-use gridmine_core::session::arm_recorder;
+use gridmine_core::session::{arm_recorder, session_tree};
 use gridmine_core::{
-    assemble, validate_grid, ChaosProxy, DegradeReason, MineConfig, MiningOutcome, RecoveryMode,
-    ResourceReport, RoundSchedule, Seat, SessionCipher, Tallies, Verdict,
+    assemble, item_domain, validate_grid, ChaosProxy, DegradeReason, MineConfig, MiningOutcome,
+    RecoveryMode, ResourceReport, RoundSchedule, Seat, SessionCipher, Tallies, Verdict,
 };
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::{MockCipher, PaillierCtx};
@@ -242,16 +242,13 @@ impl<C: NetCipher> NetSession<C> {
         let (rec, metrics) = arm_recorder(&self.rec);
 
         let n = self.dbs.len();
-        let tree = match &self.tree {
-            Some(t) => t.clone(),
-            None => Tree::path(n),
-        };
+        let tree = session_tree(self.tree.as_ref(), n);
         let adjacency: Vec<Vec<usize>> =
             (0..tree.capacity()).map(|u| tree.neighbors(u).collect()).collect();
-        let mut items: Vec<u32> =
-            self.dbs.iter().flat_map(|db| db.item_domain().into_iter().map(|i| i.0)).collect();
-        items.sort_unstable();
-        items.dedup();
+        let items: Vec<u32> = item_domain(self.dbs.iter().flat_map(Database::transactions))
+            .iter()
+            .map(|i| i.0)
+            .collect();
 
         let session = session_id(self.cfg.seed);
         let work_dir = std::env::temp_dir().join(format!("gridmine-net-{session:016x}"));

@@ -3,8 +3,9 @@
 //! `run` hosts a single [`RoundMachine`] (accountant + broker +
 //! controller under core's per-round policy) and peers with the hub over
 //! loopback TCP: the hub's `PhaseStart` frames stand in for barriers,
-//! `Processed` acks for the in-flight counter. What the resource does at
-//! each tick is `gridmine_core::round`'s; this file owns the socket, the
+//! `Processed` acks for the in-flight counter. The resource is minted by
+//! core's [`MineConfig::resource`], as in every driver; what it does at
+//! each tick is `gridmine_core::round`'s. This file owns the socket, the
 //! frames, the exit codes, the heartbeat and when [`crate::state`] runs.
 //!
 //! The stream to the hub is coalesced ([`FrameWriter`]): everything one
@@ -33,8 +34,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gridmine_arm::{Item, Ratio};
-use gridmine_core::{CounterLayout, RoundMachine, Scan, SecureResource, WireMsg};
-use gridmine_majority::CandidateGenerator;
+use gridmine_core::{MineConfig, RoundMachine, Scan, WireMsg};
 use gridmine_obs::{Event, Recorder, SharedRecorder};
 use gridmine_paillier::HomCipher;
 
@@ -115,32 +115,21 @@ fn node_recorder(observed: bool) -> (SharedRecorder, Option<Arc<BufRecorder>>) {
 }
 
 impl<'a, C: NetCipher> Node<'a, C> {
-    /// The resource `spec` describes, fresh: not restored, not peered.
+    /// The resource `spec` describes, fresh: not restored, not peered —
+    /// minted by core's [`MineConfig::resource`], like every driver's.
     fn new(spec: &'a NodeSpec) -> Self {
-        let u = spec.resource;
         let (rec, rec_buf) = node_recorder(spec.observed);
         let keys = C::session_keys(spec.seed).with_recorder(&rec);
-        let generator = CandidateGenerator::new(
-            Ratio::new(spec.min_freq.0, spec.min_freq.1),
-            Ratio::new(spec.min_conf.0, spec.min_conf.1),
-        );
+        let cfg = MineConfig {
+            min_freq: Ratio::new(spec.min_freq.0, spec.min_freq.1),
+            min_conf: Ratio::new(spec.min_conf.0, spec.min_conf.1),
+            k: spec.k,
+            rounds: spec.rounds,
+            seed: spec.seed,
+        };
+        let neighbors = |v| spec.adjacency.get(v).cloned().unwrap_or_default();
         let items: Vec<Item> = spec.items.iter().map(|&i| Item(i)).collect();
-        let neighbors: Vec<usize> = spec.adjacency.get(u).cloned().unwrap_or_default();
-        let seed = spec.seed ^ (u as u64).wrapping_mul(0x9E37_79B9);
-        let mut resource = SecureResource::new(
-            u,
-            &keys,
-            neighbors.clone(),
-            spec.db.clone(),
-            spec.k,
-            generator,
-            &items,
-            seed,
-        );
-        for &v in &neighbors {
-            let vn = spec.adjacency.get(v).cloned().unwrap_or_default();
-            resource.set_neighbor_layout(v, CounterLayout::new(v, vn));
-        }
+        let resource = cfg.resource(spec.resource, &keys, neighbors, spec.db.clone(), &items);
         let machine = RoundMachine::new(resource, spec.schedule.clone(), rec);
         Node { spec, machine, rec_buf, handled: 0 }
     }

@@ -3,10 +3,12 @@
 //! A [`NodeSpec`] is everything one resource process needs to rebuild
 //! its share of the grid deterministically: config, topology, database
 //! partition, and its [`RoundSchedule`] (fault-plan slice + recovery
-//! mode). The hub writes it as JSON to a per-resource file and passes
-//! the path as the single CLI argument — keeping secrets (none live
-//! here; keys are re-derived from the session seed exactly like
-//! `MineSession::build`) and large payloads off the command line.
+//! mode). The node mints its resource from it by core's recipe,
+//! `MineConfig::resource`, the one every driver builds its grid by. The
+//! hub writes it as JSON to a per-resource file and passes the path as
+//! the single CLI argument — keeping secrets (none live here; keys are
+//! re-derived from the session seed by `SessionCipher::session_keys`)
+//! and large payloads off the command line.
 
 use gridmine_arm::Database;
 use gridmine_core::RoundSchedule;
@@ -20,8 +22,8 @@ pub struct NodeSpec {
     pub resource: usize,
     /// Cipher tag: `"mock"` or `"paillier"`.
     pub cipher: String,
-    /// The session seed; the node derives its resource seed and the
-    /// grid keys from it exactly like `MineSession::build`.
+    /// The session seed: the grid keys derive from it, and core's recipe
+    /// mixes the resource seed from it.
     pub seed: u64,
     /// Minimum frequency threshold as `(num, den)`.
     pub min_freq: (u32, u32),
@@ -34,7 +36,8 @@ pub struct NodeSpec {
     /// Full grid adjacency (`adjacency[u]` = neighbors of `u`), shared
     /// so the node can pre-compute every neighbor's counter layout.
     pub adjacency: Vec<Vec<usize>>,
-    /// The unified item domain (sorted union over all partitions).
+    /// The voted item domain (`gridmine_core::item_domain` over every
+    /// partition).
     pub items: Vec<u32>,
     /// This resource's database partition.
     pub db: Database,

@@ -72,19 +72,20 @@ impl std::fmt::Debug for NoisePool {
 /// clones of the handle. Not `Debug`: the `p²`/`q²` contexts embed the
 /// private factorization.
 struct MontCache {
-    /// Context for the ciphertext modulus `n²` (always odd: `p`, `q` odd).
-    n2: Option<MontgomeryCtx>,
-    /// Context for `p²` (CRT decryption), when the private key carries it.
+    /// Context for the ciphertext modulus `n²`, which is always odd:
+    /// `p` and `q` are distinct odd primes.
+    n2: MontgomeryCtx,
+    /// Context for `p²` (CRT decryption), when the handle holds the private key.
     p2: Option<MontgomeryCtx>,
-    /// Context for `q²` (CRT decryption), when the private key carries it.
+    /// Context for `q²` (CRT decryption), when the handle holds the private key.
     q2: Option<MontgomeryCtx>,
 }
 
 impl MontCache {
     fn build(pk: &PublicKey, sk: Option<&PrivateKey>) -> Self {
-        let crt = sk.and_then(|sk| sk.crt.as_ref());
+        let crt = sk.map(|sk| &sk.crt);
         MontCache {
-            n2: MontgomeryCtx::new(&pk.n2),
+            n2: MontgomeryCtx::new(&pk.n2).expect("n² is odd: p and q are odd primes"),
             p2: crt.and_then(|c| MontgomeryCtx::new(&c.p2)),
             q2: crt.and_then(|c| MontgomeryCtx::new(&c.q2)),
         }
@@ -196,10 +197,7 @@ impl PaillierCtx {
 
     /// `base^exp mod n²` through the cached Montgomery context.
     fn powmod_n2(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        self.timed(KeyOpKind::Modpow, || match &self.mont.n2 {
-            Some(ctx) => ctx.modpow(base, exp),
-            None => base.modpow(exp, &self.pk.n2),
-        })
+        self.timed(KeyOpKind::Modpow, || self.mont.n2.modpow(base, exp))
     }
 
     /// Builds the fixed-base noise table: one full exponentiation
@@ -208,16 +206,18 @@ impl PaillierCtx {
     /// noise factor is `h^σ` for a fresh secret `σ < n` — the standard
     /// fixed-base speedup, whose noise ranges over the subgroup `⟨r₀ⁿ⟩`
     /// instead of all n-th residues (the usual trade accepted for
-    /// precomputed Paillier randomizers).
-    fn build_noise_table(&self) -> Option<Arc<FixedBaseTable>> {
-        let ctx = self.mont.n2.as_ref()?;
+    /// precomputed Paillier randomizers). Built once per handle family,
+    /// by the first refill.
+    fn build_noise_table(&self) -> Arc<FixedBaseTable> {
         let r0 = self.sample_unit();
         let h = self.powmod_n2(&r0, &self.pk.n);
-        Some(Arc::new(ctx.fixed_base(&h, self.pk.n.bits())))
+        Arc::new(self.mont.n2.fixed_base(&h, self.pk.n.bits()))
     }
 
     /// Pops a precomputed noise factor `rⁿ mod n²`, refilling the shared
-    /// pool in batch when it runs dry.
+    /// pool in batch when it runs dry. A refill evaluates `h^σ` from the
+    /// fixed-base table for fresh σ, the first one building the table
+    /// itself.
     fn next_noise(&self) -> BigUint {
         let (batch_size, table) = {
             let mut pool = lock(&self.noise);
@@ -231,34 +231,23 @@ impl PaillierCtx {
             // instead of once per racer.
             let size = want.saturating_sub(pool.in_flight).max(1);
             pool.in_flight += size;
-            if pool.table.is_none() {
-                // One-time, under the pool lock on purpose: racing clones
-                // would otherwise each pay the full `r₀ⁿ` exponentiation.
-                pool.table = self.build_noise_table();
-            }
-            (size, pool.table.clone())
+            // The table is built once, under the pool lock on purpose:
+            // racing clones would otherwise each pay the full `r₀ⁿ`
+            // exponentiation.
+            let table = pool.table.get_or_insert_with(|| self.build_noise_table()).clone();
+            (size, table)
         };
         // Refill outside the pool lock: the exponentiations dominate and
         // must not serialize other clones popping banked factors.
-        let mut batch: Vec<BigUint> = match &table {
-            Some(t) => {
-                // σ draws come out of the shared RNG sequentially (one
-                // lock, fixed order) so replays under a seed stay
-                // byte-identical no matter how the evaluation below is
-                // scheduled across the pool.
-                let sigmas: Vec<BigUint> = {
-                    let mut rng = lock(&self.rng);
-                    (0..batch_size).map(|_| rng.gen_biguint_below(&self.pk.n)).collect()
-                };
-                sigmas.par_iter().map(|s| self.timed(KeyOpKind::Modpow, || t.pow(s))).collect()
-            }
-            None => (0..batch_size)
-                .map(|_| {
-                    let r = self.sample_unit();
-                    self.powmod_n2(&r, &self.pk.n)
-                })
-                .collect(),
+        // σ draws come out of the shared RNG sequentially (one lock,
+        // fixed order) so replays under a seed stay byte-identical no
+        // matter how the evaluation below is scheduled across the pool.
+        let sigmas: Vec<BigUint> = {
+            let mut rng = lock(&self.rng);
+            (0..batch_size).map(|_| rng.gen_biguint_below(&self.pk.n)).collect()
         };
+        let mut batch: Vec<BigUint> =
+            sigmas.par_iter().map(|s| self.timed(KeyOpKind::Modpow, || table.pow(s))).collect();
         let out = batch.pop().expect("batch is non-empty");
         let mut pool = lock(&self.noise);
         pool.in_flight = pool.in_flight.saturating_sub(batch_size);
@@ -342,9 +331,9 @@ impl PaillierCtx {
         })
     }
 
-    /// Decrypts to the raw `Z_n` residue. Uses CRT (mod p² and q²
-    /// separately) when the private key carries the precomputation —
-    /// roughly 4× cheaper than the direct mod-n² exponentiation.
+    /// Decrypts to the raw `Z_n` residue by CRT (mod p² and q²
+    /// separately) — roughly 4× cheaper than the direct mod-n²
+    /// exponentiation of [`PaillierCtx::decrypt_residue_slow`].
     ///
     /// Total: a non-unit (which no honest party holds, but a broker can
     /// aggregate one it was mailed into what its controller opens)
@@ -363,29 +352,23 @@ impl PaillierCtx {
             .sk
             .as_ref()
             .expect("this handle has no decryption capability (broker/accountant side)");
-        if let Some(crt) = &sk.crt {
-            // m mod p = L_p(c^{p−1} mod p²) · hp mod p; likewise mod q,
-            // each exponentiation through its cached Montgomery context.
-            let cp = match &self.mont.p2 {
-                Some(ctx) => ctx.modpow(&c.0, &(&crt.p - 1u32)),
-                None => (&c.0 % &crt.p2).modpow(&(&crt.p - 1u32), &crt.p2),
-            };
-            let cq = match &self.mont.q2 {
-                Some(ctx) => ctx.modpow(&c.0, &(&crt.q - 1u32)),
-                None => (&c.0 % &crt.q2).modpow(&(&crt.q - 1u32), &crt.q2),
-            };
-            let mp = ((cp + &crt.p2 - 1u8) / &crt.p) % &crt.p * &crt.hp % &crt.p;
-            let mq = ((cq + &crt.q2 - 1u8) / &crt.q) % &crt.q * &crt.hq % &crt.q;
-            // Garner recombination: m = mp + p·((mq − mp)·p⁻¹ mod q).
-            let diff = if mq >= mp { &mq - &mp } else { &crt.q - ((&mp - &mq) % &crt.q) % &crt.q };
-            let t = diff % &crt.q * &crt.p_inv_q % &crt.q;
-            (mp + &crt.p * t) % &self.pk.n
-        } else {
-            let u = self.powmod_n2(&c.0, &sk.lambda);
-            // L(u) = (u - 1) / n, total as above.
-            let l = (u + &self.pk.n2 - 1u8) / &self.pk.n;
-            l * &sk.mu % &self.pk.n
-        }
+        let crt = &sk.crt;
+        // m mod p = L_p(c^{p−1} mod p²) · hp mod p; likewise mod q, each
+        // exponentiation through its cached Montgomery context.
+        let cp = match &self.mont.p2 {
+            Some(ctx) => ctx.modpow(&c.0, &(&crt.p - 1u32)),
+            None => (&c.0 % &crt.p2).modpow(&(&crt.p - 1u32), &crt.p2),
+        };
+        let cq = match &self.mont.q2 {
+            Some(ctx) => ctx.modpow(&c.0, &(&crt.q - 1u32)),
+            None => (&c.0 % &crt.q2).modpow(&(&crt.q - 1u32), &crt.q2),
+        };
+        let mp = ((cp + &crt.p2 - 1u8) / &crt.p) % &crt.p * &crt.hp % &crt.p;
+        let mq = ((cq + &crt.q2 - 1u8) / &crt.q) % &crt.q * &crt.hq % &crt.q;
+        // Garner recombination: m = mp + p·((mq − mp)·p⁻¹ mod q).
+        let diff = if mq >= mp { &mq - &mp } else { &crt.q - ((&mp - &mq) % &crt.q) % &crt.q };
+        let t = diff % &crt.q * &crt.p_inv_q % &crt.q;
+        (mp + &crt.p * t) % &self.pk.n
     }
 
     /// Decrypts via the direct (non-CRT) path — reference implementation
@@ -489,9 +472,9 @@ impl HomCipher for PaillierCtx {
             return false;
         }
         // The RLC accumulator below bounds Σ ρᵢ·eᵢ inside i128 only for
-        // sane batch sizes; a hostile arity beyond this cap (or a handle
-        // without the n² context) just verifies sequentially.
-        if tags.len() < 2 || tags.len() > 1 << 20 || self.mont.n2.is_none() {
+        // sane batch sizes; a hostile arity beyond this cap just verifies
+        // sequentially.
+        if tags.len() < 2 || tags.len() > 1 << 20 {
             return tags.iter().zip(expected).all(|(t, &e)| self.decrypt_i64(t) == e);
         }
         // Random linear combination: with fresh 32-bit weights ρᵢ,
@@ -508,10 +491,7 @@ impl HomCipher for PaillierCtx {
             let rho_big: Vec<BigUint> = rhos.iter().map(|&r| BigUint::from(r)).collect();
             let pairs: Vec<(&BigUint, &BigUint)> =
                 tags.iter().map(|t| &t.0).zip(rho_big.iter()).collect();
-            match &self.mont.n2 {
-                Some(ctx) => ctx.multi_modpow(&pairs),
-                None => unreachable!("screened above"),
-            }
+            self.mont.n2.multi_modpow(&pairs)
         });
         let got = self.decrypt_residue(&Ciphertext(combined));
         // Σ ρᵢ·eᵢ over i128 (|e| < 2⁶³, ρ < 2³², k ≤ 2²⁰ ⇒ |Σ| < 2¹¹⁶),

@@ -56,7 +56,7 @@ impl PublicKey {
 pub struct PrivateKey {
     pub(crate) lambda: BigUint,
     pub(crate) mu: BigUint,
-    pub(crate) crt: Option<CrtParams>,
+    pub(crate) crt: CrtParams,
 }
 
 /// Precomputed values for CRT decryption: work mod `p²` and `q²`
@@ -130,12 +130,13 @@ impl Keypair {
             let g_q = (BigUint::from(1u8) + &n % &q2 * ((&q - 1u32) % &q2)) % &q2;
             let l_gp = ((&g_p - 1u32) / &p) % &p;
             let l_gq = ((&g_q - 1u32) / &q) % &q;
-            match (mod_inverse(&l_gp, &p), mod_inverse(&l_gq, &q), mod_inverse(&(&p % &q), &q)) {
-                (Some(hp), Some(hq), Some(p_inv_q)) => {
-                    Some(CrtParams { p: p.clone(), q: q.clone(), p2, q2, hp, hq, p_inv_q })
-                }
-                _ => None,
-            }
+            let inverse = |a: &BigUint, m: &BigUint| {
+                mod_inverse(a, m)
+                    .expect("distinct odd primes with gcd(n, φ) = 1 make it invertible")
+            };
+            let (hp, hq, p_inv_q) =
+                (inverse(&l_gp, &p), inverse(&l_gq, &q), inverse(&(&p % &q), &q));
+            CrtParams { p: p.clone(), q: q.clone(), p2, q2, hp, hq, p_inv_q }
         };
 
         Keypair { pk: PublicKey { n, n2, half_n }, sk: PrivateKey { lambda, mu, crt }, seed }

@@ -37,11 +37,6 @@ impl RetryPolicy {
         seed: 0x9E37_79B9,
     };
 
-    pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.deadline_ms = deadline_ms;
-        self
-    }
-
     /// Backoff for the `attempt`-th consecutive failure (0-based):
     /// capped exponential plus deterministic seeded jitter (≤ 25 % of the
     /// slot, so `backoff_ms(0)` with defaults is exactly `base_ms`).
@@ -83,11 +78,6 @@ impl RecoveryPolicy {
     pub fn with_checkpoint_every(mut self, every: u64) -> Self {
         assert!(every > 0, "checkpoint cadence must be positive");
         self.checkpoint_every = every;
-        self
-    }
-
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 }

@@ -41,10 +41,9 @@ use gridmine_arm::{Database, Item, Ratio, RuleSet};
 use gridmine_core::proxy::mirror_delivery;
 use gridmine_core::resource::{wire_grid, wire_pair};
 use gridmine_core::{
-    BrokerBehavior, ChaosReport, DegradeReason, GridKeys, RecoveryMode, ResourceStatus,
-    SecureResource, Verdict, WireMsg,
+    BrokerBehavior, ChaosReport, DegradeReason, GateMode, GridKeys, MineConfig, RecoveryMode,
+    ResourceStatus, SecureResource, Verdict, WireMsg,
 };
-use gridmine_majority::CandidateGenerator;
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::HomCipher;
 use gridmine_topology::faults::{Delivery, FaultPlan, FaultyLink, ResourceFault};
@@ -190,6 +189,29 @@ pub struct Simulation<C: HomCipher> {
     pub broadcast_verdicts: bool,
 }
 
+/// Mints resource `u` of the overlay by core's recipe
+/// ([`MineConfig::resource`], resource seed mixed from `seed`), with the
+/// sim's own knobs applied: Algorithm 1's padding and the gate mode.
+fn mint<C: HomCipher>(
+    cfg: &SimConfig,
+    seed: u64,
+    keys: &GridKeys<C>,
+    overlay: &Overlay,
+    u: usize,
+    db: Database,
+    items: &[Item],
+) -> SecureResource<C> {
+    // The sim counts steps, not rounds: the recipe never reads `rounds`.
+    let recipe =
+        MineConfig { min_freq: cfg.min_freq, min_conf: cfg.min_conf, k: cfg.k, rounds: 0, seed };
+    let mut r = recipe.resource(u, keys, |v| overlay.neighbors(v).collect(), db, items);
+    r.accountant_mut().obfuscate = cfg.obfuscate;
+    if cfg.relaxed_gate {
+        r.set_gate_mode(GateMode::TransactionsOnly);
+    }
+    r
+}
+
 impl<C: HomCipher> Simulation<C>
 where
     C::Ct: Send + Sync,
@@ -213,26 +235,10 @@ where
                 cfg.seed,
             )
         };
-        let generator = CandidateGenerator::new(cfg.min_freq, cfg.min_conf);
         let mut resources: Vec<SecureResource<C>> = (0..cfg.n_resources)
             .map(|u| {
-                let neighbors: Vec<usize> = overlay.neighbors(u).collect();
                 let db = std::mem::take(&mut plans[u].initial);
-                let mut r = SecureResource::new(
-                    u,
-                    keys,
-                    neighbors,
-                    db,
-                    cfg.k,
-                    generator,
-                    items,
-                    cfg.seed ^ (u as u64).wrapping_mul(0x9E37_79B9),
-                );
-                r.accountant_mut().obfuscate = cfg.obfuscate;
-                if cfg.relaxed_gate {
-                    r.set_gate_mode(gridmine_core::GateMode::TransactionsOnly);
-                }
-                r
+                mint(&cfg, cfg.seed, keys, &overlay, u, db, items)
             })
             .collect();
         wire_grid(&mut resources);
@@ -368,18 +374,10 @@ where
         self.sched = None;
         let mut plan = plan;
         let id = self.overlay.join(parent);
-        let generator = CandidateGenerator::new(self.cfg.min_freq, self.cfg.min_conf);
         let db = std::mem::take(&mut plan.initial);
-        let mut newcomer = SecureResource::new(
-            id,
-            &self.keys,
-            vec![parent],
-            db,
-            self.cfg.k,
-            generator,
-            &self.items,
-            self.cfg.seed ^ (id as u64).wrapping_mul(0x9E37_79B9) ^ 0xBEEF,
-        );
+        // A joiner's seed stays apart from any founder's.
+        let seed = self.cfg.seed ^ 0xBEEF;
+        let mut newcomer = mint(&self.cfg, seed, &self.keys, &self.overlay, id, db, &self.items);
         newcomer.set_recorder(self.rec.clone());
         self.resources.push(newcomer);
         self.plans.push(plan);
@@ -387,10 +385,6 @@ where
         self.crash_parent.push(None);
         self.crash_image.push(None);
         self.healing.push(false);
-        if self.cfg.relaxed_gate {
-            self.resources[id].set_gate_mode(gridmine_core::GateMode::TransactionsOnly);
-        }
-        self.resources[id].accountant_mut().obfuscate = self.cfg.obfuscate;
         if let Some(policy) = self.mode.policy() {
             self.resources[id].arm_recovery();
             self.resources[id].set_retry_policy(&policy.retry);

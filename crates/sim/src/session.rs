@@ -5,7 +5,10 @@
 //! plan, recovery policy and recorder are all `with_*` overrides — that
 //! returns the same [`MiningOutcome`] shape as the threaded and net
 //! drivers, so cross-driver pinning tests compare one type instead of
-//! three.
+//! three. Its resources come from core's recipe too
+//! (`MineConfig::resource`, via [`Simulation::new`]), and its default
+//! item domain is core's [`item_domain`] over every initial database and
+//! growth stream.
 //!
 //! ```
 //! use gridmine_arm::{Database, Transaction};
@@ -31,7 +34,7 @@ use std::sync::Arc;
 use gridmine_arm::{correct_rules, Database, Item, RuleSet};
 use gridmine_core::session::arm_recorder;
 use gridmine_core::{
-    validate_grid, GridKeys, MiningOutcome, RecoveryMode, SessionCipher, SessionError,
+    item_domain, validate_grid, GridKeys, MiningOutcome, RecoveryMode, SessionCipher, SessionError,
 };
 use gridmine_obs::{Metrics, SharedRecorder};
 use gridmine_paillier::{HomCipher, MockCipher};
@@ -197,19 +200,9 @@ where
         if let Some(items) = &self.items {
             return items.clone();
         }
-        let mut items: Vec<Item> = self
-            .plans
-            .iter()
-            .flat_map(|p| {
-                p.initial
-                    .item_domain()
-                    .into_iter()
-                    .chain(p.stream.iter().flat_map(|t| t.items().iter().copied()))
-            })
-            .collect();
-        items.sort_unstable();
-        items.dedup();
-        items
+        item_domain(
+            self.plans.iter().flat_map(|p| p.initial.transactions().iter().chain(&p.stream)),
+        )
     }
 
     /// Validates and builds the simulation with faults, recovery and

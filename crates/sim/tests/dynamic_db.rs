@@ -3,8 +3,10 @@
 //! stream in. The suite pins convergence under churn to the post-stream
 //! ground truth.
 
-use gridmine_arm::{correct_rules, Database, Item, Ratio, Transaction};
-use gridmine_sim::{churn_plans, SimConfig, SimSession};
+use std::collections::VecDeque;
+
+use gridmine_arm::{correct_rules, AprioriConfig, Database, Item, Ratio, Transaction};
+use gridmine_sim::{churn_plans, GrowthPlan, SimConfig, SimSession};
 
 const N: usize = 6;
 const FRESH: usize = 20;
@@ -75,4 +77,35 @@ fn convergence_under_streaming_churn() {
     let (recall, precision) = sim.global_recall_precision(&truth);
     assert!(recall > 0.99, "recall under churn {recall}");
     assert!(precision > 0.99, "precision under churn {precision}");
+}
+
+#[test]
+fn the_default_item_domain_takes_in_the_growth_streams() {
+    // No initial partition holds item 3; the streams make it frequent.
+    // Without `with_items` the voted domain is the union of the initial
+    // databases *and* the streams, so the rules on item 3 are mined.
+    let plans: Vec<GrowthPlan> = (0..N as u64)
+        .map(|u| GrowthPlan {
+            initial: Database::from_transactions(
+                (0..20).map(|j| Transaction::of(u * 100 + j, &[1, 2])).collect(),
+            ),
+            stream: (20..60)
+                .map(|j| Transaction::of(u * 100 + j, &[1, 3]))
+                .collect::<VecDeque<_>>(),
+        })
+        .collect();
+    let mut global = Database::union_of(plans.iter().map(|p| &p.initial));
+    global.extend(plans.iter().flat_map(|p| p.stream.iter().cloned()));
+    assert!(plans.iter().all(|p| !p.initial.item_domain().contains(&Item(3))));
+    // The paper-literal gate freezes outputs on a static membership, so
+    // tracking a shifting distribution needs the relaxed one.
+    let cfg = SimConfig { relaxed_gate: true, ..cfg(SEED) };
+    let truth = correct_rules(&global, &AprioriConfig::new(cfg.min_freq, cfg.min_conf));
+    assert!(truth.iter().any(|r| r.union().contains(Item(3))), "item 3 is frequent at the end");
+
+    let outcome = SimSession::new(cfg).with_workload(plans).with_steps(200).run();
+    assert!(outcome.verdicts.is_empty(), "verdicts: {:?}", outcome.verdicts);
+    for (u, sol) in outcome.solutions.iter().enumerate() {
+        assert_eq!(sol, &truth, "resource {u} must mine the rules on the streamed item");
+    }
 }
