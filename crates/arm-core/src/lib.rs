@@ -19,7 +19,7 @@ pub mod transaction;
 pub use apriori::{correct_rules, frequent_itemsets, AprioriConfig};
 pub use database::Database;
 pub use itemset::{Item, ItemSet};
-pub use metrics::{precision, recall, PrecisionRecall};
+pub use metrics::{precision, recall};
 pub use ratio::Ratio;
 pub use rule::{CandidateRule, Rule, RuleFormError, RuleSet};
 pub use transaction::Transaction;

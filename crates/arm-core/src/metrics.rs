@@ -5,26 +5,6 @@
 
 use crate::rule::RuleSet;
 
-/// Recall/precision pair for one interim solution.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PrecisionRecall {
-    /// Fraction of correct rules uncovered.
-    pub recall: f64,
-    /// Fraction of the interim solution that is correct.
-    pub precision: f64,
-}
-
-impl PrecisionRecall {
-    /// Harmonic mean, for single-number summaries.
-    pub fn f1(&self) -> f64 {
-        if self.recall + self.precision == 0.0 {
-            0.0
-        } else {
-            2.0 * self.recall * self.precision / (self.recall + self.precision)
-        }
-    }
-}
-
 /// `|interim ∩ truth| / |truth|`. An empty truth set yields recall 1 (there
 /// was nothing to find).
 pub fn recall(interim: &RuleSet, truth: &RuleSet) -> f64 {
@@ -43,11 +23,6 @@ pub fn precision(interim: &RuleSet, truth: &RuleSet) -> f64 {
     interim.intersection_size(truth) as f64 / interim.len() as f64
 }
 
-/// Computes both in one call.
-pub fn precision_recall(interim: &RuleSet, truth: &RuleSet) -> PrecisionRecall {
-    PrecisionRecall { recall: recall(interim, truth), precision: precision(interim, truth) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,19 +36,16 @@ mod tests {
     #[test]
     fn perfect_solution_scores_one() {
         let truth: RuleSet = [freq(&[1]), freq(&[2])].into_iter().collect();
-        let pr = precision_recall(&truth.clone(), &truth);
-        assert_eq!(pr.recall, 1.0);
-        assert_eq!(pr.precision, 1.0);
-        assert_eq!(pr.f1(), 1.0);
+        assert_eq!(recall(&truth, &truth), 1.0);
+        assert_eq!(precision(&truth, &truth), 1.0);
     }
 
     #[test]
     fn partial_overlap() {
         let truth: RuleSet = [freq(&[1]), freq(&[2]), freq(&[3]), freq(&[4])].into_iter().collect();
         let interim: RuleSet = [freq(&[1]), freq(&[2]), freq(&[9])].into_iter().collect();
-        let pr = precision_recall(&interim, &truth);
-        assert!((pr.recall - 0.5).abs() < 1e-12);
-        assert!((pr.precision - 2.0 / 3.0).abs() < 1e-12);
+        assert!((recall(&interim, &truth) - 0.5).abs() < 1e-12);
+        assert!((precision(&interim, &truth) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -84,6 +56,5 @@ mod tests {
         assert_eq!(precision(&empty, &truth), 1.0);
         assert_eq!(recall(&truth, &empty), 1.0);
         assert_eq!(precision(&truth, &empty), 0.0);
-        assert_eq!(precision_recall(&empty, &empty).f1(), 1.0);
     }
 }

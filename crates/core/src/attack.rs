@@ -43,13 +43,6 @@ pub enum BrokerBehavior {
     Replay(usize),
 }
 
-impl BrokerBehavior {
-    /// True for the honest case.
-    pub fn is_honest(&self) -> bool {
-        matches!(self, BrokerBehavior::Honest)
-    }
-}
-
 /// How a controller deviates from Algorithm 3.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ControllerBehavior {
@@ -73,7 +66,7 @@ mod tests {
 
     #[test]
     fn default_is_honest() {
-        assert!(BrokerBehavior::default().is_honest());
+        assert_eq!(BrokerBehavior::default(), BrokerBehavior::Honest);
         assert_eq!(ControllerBehavior::default(), ControllerBehavior::Honest);
     }
 

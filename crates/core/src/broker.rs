@@ -164,6 +164,16 @@ impl<C: HomCipher> Broker<C> {
         });
     }
 
+    /// Restarts `v`'s inbox in every rule's instance from `placeholder`,
+    /// as [`Broker::init_rule`] starts it: `v` rejoined, and its counters
+    /// start over.
+    pub(crate) fn restart_inbox(&mut self, v: usize, placeholder: &SecureCounter<C>) {
+        let Some(at) = self.layout.slot_of(v) else { return };
+        for inbox in self.rules.values_mut().filter_map(|inst| inst.recv.get_mut(at)) {
+            *inbox = Inbox { latest: placeholder.clone(), first: None, count: 0 };
+        }
+    }
+
     /// Replaces the local counter (a new accountant response). A no-op
     /// when no instance exists for rule `id` (a local wiring bug:
     /// `init_rule` always precedes in both drivers — debug builds assert).

@@ -94,83 +94,45 @@ impl Verdict {
     }
 }
 
-/// Plaintext `(sum, count, num)` last sealed toward one neighbor. A named
-/// struct rather than a 3-tuple so the serde derive surface stays small.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct SentAggregate {
-    pub sum: i64,
-    pub count: i64,
-    pub num: i64,
-}
-
-/// Durable per-rule controller state for *process-level* warm restarts.
+/// The per-rule controller state a crash must not lose.
 ///
-/// The threaded driver keeps the controller object alive across a
-/// simulated crash, so its Lamport clock and k-privacy gates survive by
-/// construction. A real killed process loses them — and a rejoiner whose
-/// clock restarted at zero can seal outgoing timestamps *below* what its
-/// neighbors already audited, getting itself blamed as a replayer. This
-/// image carries exactly the state that must not regress: the outgoing
-/// clock, the disclosure registers of the k-gates, and the duplicate-send
-/// suppressor. Timestamp traces are deliberately absent: a rejoin is a
+/// A crash loses what a killed process loses, the controller's audit
+/// state included, and [`crate::SecureResource::crash_wipe`] hands this
+/// image over with the recovery log so the restore can re-seat it. A
+/// rejoiner whose clock restarted at zero could seal outgoing timestamps
+/// *below* what its neighbors already audited, getting itself blamed as a
+/// replayer, and one whose k-gates restarted could disclose again over an
+/// almost identical population. The image carries exactly the state that
+/// must not regress: the outgoing clock and the disclosure registers of
+/// the k-gates. Timestamp traces are deliberately absent: a rejoin is a
 /// membership epoch, and traces restart from zero just as
-/// [`Controller::set_layout`] does.
+/// [`Controller::set_layout`] does. So are the duplicate-send
+/// suppressors: the rejoiner heals every edge in the tick it is restored,
+/// which lifts them all before anything reads them.
 ///
-/// At rest (a node's `audits` tree) an image is one store entry: the
+/// At rest (the image's `audits` tree) an image is one store entry: the
 /// rule's canonical key ([`CandidateRule::key`]) and a value of
 /// fixed-width big-endian fields — `clock`, the output gate, a slot count,
-/// then per neighbor slot `v`, a byte saying which of gate and
-/// `last_sent` follow, and those (see [`AuditImage::to_entry`]).
+/// then per neighbor slot `v` and its send gate (see
+/// [`AuditImage::to_entry`]).
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct AuditImage {
     pub rule: CandidateRule,
     pub clock: i64,
     pub output_gate: KGate,
     pub send_gates: Vec<(usize, KGate)>,
-    pub last_sent: Vec<(usize, SentAggregate)>,
 }
 
-/// Slot flag: a send gate follows.
-const HAS_GATE: u8 = 1;
-/// Slot flag: a `last_sent` aggregate follows.
-const HAS_SENT: u8 = 2;
-
 impl AuditImage {
-    /// The image as one store entry `(key, value)`. A neighbor named by
-    /// both lists is one slot; each list keeps its order (an export lists
-    /// both in slot order).
+    /// The image as one store entry `(key, value)`.
     pub fn to_entry(&self) -> (Vec<u8>, Vec<u8>) {
-        let mut slots = Vec::with_capacity(self.send_gates.len() + self.last_sent.len());
-        let mut sent = self.last_sent.as_slice();
-        for &(v, gate) in &self.send_gates {
-            let mut last = None;
-            if let Some(at) = sent.iter().position(|&(w, _)| w == v) {
-                // What was sent toward slots before this gate's goes first.
-                let (before, rest) = sent.split_at(at);
-                slots.extend(before.iter().map(|&(w, s)| (w, None, Some(s))));
-                if let Some((&(_, s), tail)) = rest.split_first() {
-                    (last, sent) = (Some(s), tail);
-                }
-            }
-            slots.push((v, Some(gate), last));
-        }
-        slots.extend(sent.iter().map(|&(w, s)| (w, None, Some(s))));
-
-        let mut value = Vec::with_capacity(64 + 64 * slots.len());
+        let mut value = Vec::with_capacity(64 + 48 * self.send_gates.len());
         value.extend_from_slice(&self.clock.to_be_bytes());
         self.output_gate.encode(&mut value);
-        value.extend_from_slice(&(slots.len() as u32).to_be_bytes());
-        for (v, gate, sent) in slots {
-            value.extend_from_slice(&(v as u64).to_be_bytes());
-            value.push(gate.map_or(0, |_| HAS_GATE) | sent.map_or(0, |_| HAS_SENT));
-            if let Some(gate) = gate {
-                gate.encode(&mut value);
-            }
-            if let Some(SentAggregate { sum, count, num }) = sent {
-                for word in [sum, count, num] {
-                    value.extend_from_slice(&word.to_be_bytes());
-                }
-            }
+        value.extend_from_slice(&(self.send_gates.len() as u32).to_be_bytes());
+        for (v, gate) in &self.send_gates {
+            value.extend_from_slice(&(*v as u64).to_be_bytes());
+            gate.encode(&mut value);
         }
         (self.rule.key(), value)
     }
@@ -178,37 +140,21 @@ impl AuditImage {
     /// Total inverse of [`AuditImage::to_entry`]. Both halves come from
     /// disk: `None` for a key that is not a rule's canonical one, or a
     /// value that is not exactly one encoding — cut short, running long,
-    /// a gate no constructor builds, a flag, mode or bool byte out of
-    /// range, a neighbor id past `usize`.
+    /// a gate no constructor builds, a mode or bool byte out of range, a
+    /// neighbor id past `usize`.
     pub fn from_entry(key: &[u8], value: &[u8]) -> Option<AuditImage> {
         let rule = CandidateRule::from_key(key)?;
         let (clock, rest) = be_word(value)?;
         let (output_gate, rest) = KGate::decode(rest)?;
         let (slots, mut rest) = rest.split_first_chunk()?;
-        let mut img =
-            AuditImage { rule, clock, output_gate, send_gates: Vec::new(), last_sent: Vec::new() };
+        let mut send_gates = Vec::new();
         for _ in 0..u32::from_be_bytes(*slots) {
             let (v, tail) = be_word(rest)?;
-            let v = usize::try_from(v as u64).ok()?;
-            let (&flags, tail) = tail.split_first()?;
+            let (gate, tail) = KGate::decode(tail)?;
+            send_gates.push((usize::try_from(v as u64).ok()?, gate));
             rest = tail;
-            if flags & !(HAS_GATE | HAS_SENT) != 0 {
-                return None;
-            }
-            if flags & HAS_GATE != 0 {
-                let (gate, tail) = KGate::decode(rest)?;
-                img.send_gates.push((v, gate));
-                rest = tail;
-            }
-            if flags & HAS_SENT != 0 {
-                let (sum, tail) = be_word(rest)?;
-                let (count, tail) = be_word(tail)?;
-                let (num, tail) = be_word(tail)?;
-                img.last_sent.push((v, SentAggregate { sum, count, num }));
-                rest = tail;
-            }
         }
-        rest.is_empty().then_some(img)
+        rest.is_empty().then_some(AuditImage { rule, clock, output_gate, send_gates })
     }
 }
 
@@ -395,35 +341,48 @@ impl<C: HomCipher> Controller<C> {
         }
     }
 
-    /// Exports the durable audit state of every rule, in rule-id order;
-    /// at rest the `audits` tree orders them by canonical rule key. See
-    /// [`AuditImage`].
+    /// Restarts the timestamp trace of `v`'s slot for every rule: `v`
+    /// rejoined and its counters start over — the membership epoch of
+    /// [`Controller::set_layout`], at this end of one edge.
+    pub(crate) fn restart_trace(&mut self, v: usize) {
+        let Some(at) = self.layout.slot_of(v) else { return };
+        for trace in self.rules.values_mut().filter_map(|audit| audit.traces.get_mut(1 + at)) {
+            *trace = 0;
+        }
+    }
+
+    /// Exports the audit state of every rule a crash must not lose, in
+    /// rule-id order; at rest the `audits` tree orders them by canonical
+    /// rule key. See [`AuditImage`].
     pub fn export_audits(&self) -> Vec<AuditImage> {
         self.rules
             .iter()
-            .map(|(_, audit)| {
-                let edges = || self.layout.neighbors.iter().copied().zip(&audit.edges);
-                AuditImage {
-                    rule: audit.rule.clone(),
-                    clock: audit.clock,
-                    output_gate: audit.output_gate,
-                    send_gates: edges().filter_map(|(v, e)| Some((v, e.gate?))).collect(),
-                    last_sent: edges()
-                        .filter_map(|(v, e)| {
-                            let (sum, count, num) = e.last_sent?;
-                            Some((v, SentAggregate { sum, count, num }))
-                        })
-                        .collect(),
-                }
+            .map(|(_, audit)| AuditImage {
+                rule: audit.rule.clone(),
+                clock: audit.clock,
+                output_gate: audit.output_gate,
+                send_gates: self
+                    .layout
+                    .neighbors
+                    .iter()
+                    .zip(&audit.edges)
+                    .filter_map(|(&v, e)| Some((v, e.gate?)))
+                    .collect(),
             })
             .collect()
     }
 
-    /// Re-seats exported audit state after a process-level warm restart,
-    /// each image under the id `id_of` resolves its rule to. Timestamp
-    /// traces restart from zero (rejoin = membership epoch); clocks, gates
-    /// and suppressors resume where the crashed process left off, so this
-    /// resource's outgoing timestamps never regress at its neighbors.
+    /// A crash: every rule's audit state is gone, as in a killed process.
+    pub(crate) fn wipe_audits(&mut self) {
+        self.rules.clear();
+    }
+
+    /// Re-seats exported audit state after a crash, each image under the
+    /// id `id_of` resolves its rule to, in place of whatever the
+    /// controller held. Timestamp traces restart from zero (rejoin =
+    /// membership epoch) and so do the suppressors; clocks and gates
+    /// resume where the crash left them, so this resource's outgoing
+    /// timestamps never regress at its neighbors.
     ///
     /// The images come from disk and are screened like it: a clock that
     /// is not the `u32` a timestamp slot seals refuses the whole import
@@ -436,19 +395,14 @@ impl<C: HomCipher> Controller<C> {
         if images.iter().any(|img| u32::try_from(img.clock).is_err()) {
             return false;
         }
+        self.rules.clear();
+        let degree = self.layout.neighbors.len();
         for img in images {
             let id = id_of(&img.rule);
-            let degree = self.layout.neighbors.len();
             let mut audit = RuleAudit::new(img.rule, img.output_gate, img.clock, degree);
-            let slot_of = |v| self.layout.slot_of(v);
             for (v, gate) in img.send_gates {
-                if let Some(edge) = slot_of(v).and_then(|at| audit.edges.get_mut(at)) {
+                if let Some(edge) = self.layout.slot_of(v).and_then(|at| audit.edges.get_mut(at)) {
                     edge.gate = Some(gate);
-                }
-            }
-            for (v, a) in img.last_sent {
-                if let Some(edge) = slot_of(v).and_then(|at| audit.edges.get_mut(at)) {
-                    edge.last_sent = Some((a.sum, a.count, a.num));
                 }
             }
             self.rules.insert(id, audit);
@@ -968,7 +922,7 @@ mod tests {
     }
 
     #[test]
-    fn exported_audits_keep_clocks_monotone_across_a_process_restart() {
+    fn exported_audits_keep_clocks_monotone_across_a_restart() {
         let mut f = fix(1);
         let (full, recv) = pair(&f, (4, 10, 1), (6, 10, 1), 5, 9);
         let receiver_layout = CounterLayout::new(1, vec![0]);
@@ -990,15 +944,13 @@ mod tests {
         fresh.import_audits(restored, |_| 0);
 
         // A fresh controller without the import would reseal at ts
-        // max(0, seen)+1; with it, the clock stays strictly monotone and
-        // the duplicate-send suppressor still recognizes the aggregate.
-        let dup = send_one(&mut fresh, &rule(), 1, &receiver_layout, &full, &recv, &share).unwrap();
-        assert!(dup.is_none(), "suppressor state survived the restart");
-        let (full2, recv2) = pair(&f, (5, 12, 1), (6, 10, 1), 6, 9);
-        let out2 = send_one(&mut fresh, &rule(), 1, &receiver_layout, &full2, &recv2, &share)
+        // max(0, seen)+1; with it, the clock stays strictly monotone. The
+        // suppressor is not part of the image: the same aggregate goes
+        // out again, stamped later.
+        let again = send_one(&mut fresh, &rule(), 1, &receiver_layout, &full, &recv, &share)
             .unwrap()
-            .expect("new data sends");
-        let ts2 = out2.open(&f.keys.dec, &key).unwrap().ts
+            .expect("the suppressor restarts with the traces");
+        let ts2 = again.open(&f.keys.dec, &key).unwrap().ts
             [receiver_layout.ts_slot(0).unwrap() - crate::counter::F_TS];
         assert!(ts2 > sent_ts, "imported clock never regresses ({ts2} > {sent_ts})");
     }

@@ -89,7 +89,7 @@ impl<C: HomCipher> Station<C> {
             self.machine.restore(self.image.take().as_deref(), || t0.elapsed().as_nanos());
         }
         match self.machine.scan(tick) {
-            Scan::Crash(image) => self.image = image,
+            Scan::Crash(image) => self.image = Some(image),
             Scan::Send { msgs, .. } => {
                 for (_, _, m) in self.proxy.flush() {
                     post(m);
@@ -203,5 +203,65 @@ fn deliver<C: HomCipher>(grid: &mut [Station<C>], queue: &mut VecDeque<WireMsg<C
         if let Some(s) = grid.get_mut(msg.to) {
             s.receive(&msg, |m| queue.push_back(m));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::controller::Verdict;
+    use crate::miner::MineConfig;
+    use crate::session::MineSession;
+    use gridmine_arm::Ratio;
+    use gridmine_recovery::RecoveryPolicy;
+
+    #[test]
+    fn a_resource_restored_from_its_last_checkpoint_is_not_blamed() {
+        // ROADMAP item 1's kill on one thread: `net_ckpt_t5i2`'s input, a
+        // checkpoint every round, resource 1 down at tick 2 and back at
+        // tick 3 — from the image its tick-1 checkpoint published, which
+        // is what a SIGKILL leaves a node's successor, not from the image
+        // a crash hands over. Its restored clocks are older than what its
+        // neighbors audited since.
+        let quest = gridmine_quest::QuestParams::t5i2()
+            .with_transactions(2000)
+            .with_items(60)
+            .with_patterns(25)
+            .with_seed(42);
+        let global = gridmine_quest::generate(&quest);
+        let mut cfg = MineConfig::new(Ratio::from_f64(0.05), Ratio::from_f64(0.5));
+        (cfg.rounds, cfg.seed) = (6, 42);
+        let dbs = gridmine_quest::partition(&global, 4, 42 ^ 7);
+        let mode = RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT.with_checkpoint_every(1));
+        let plan = FaultPlan::none().with_crash(1, 2, Some(3));
+        let rec = gridmine_obs::null();
+
+        // `run_synchronous`'s loop, with the published image swapped in.
+        let mut grid =
+            stations(MineSession::new(cfg).with_databases(dbs).build(&rec), &plan, mode, &rec);
+        let mut queue = VecDeque::new();
+        let mut published = None;
+        for tick in 0..cfg.rounds as u64 {
+            for s in grid.iter_mut() {
+                s.scan(tick, |m| queue.push_back(m));
+            }
+            match tick {
+                1 => published = grid[1].machine.resource().encode_recovery_image(),
+                2 => grid[1].image = published.take(),
+                _ => {}
+            }
+            deliver(&mut grid, &mut queue);
+            for s in grid.iter_mut() {
+                s.candidates(|m| queue.push_back(m));
+            }
+            deliver(&mut grid, &mut queue);
+        }
+        let outcome =
+            conclude(&plan, cfg.rounds, grid.into_iter().map(|s| s.finish(cfg.rounds)), &rec);
+
+        let sizes: Vec<usize> = outcome.solutions.iter().map(|s| s.len()).collect();
+        println!("resources hold {sizes:?}; verdicts {:?}", outcome.verdicts);
+        assert_eq!((outcome.chaos.replays, outcome.chaos.rejected), (1, 0));
+        assert_eq!(outcome.verdicts, Vec::<Verdict>::new());
     }
 }

@@ -64,7 +64,7 @@ pub use accountant::Accountant;
 pub use attack::{BrokerBehavior, ControllerBehavior};
 pub use broker::{Broker, BrokerMsg};
 pub use chaos::{ChaosReport, DegradeReason, ResourceStatus};
-pub use controller::{AuditImage, Controller, SealedEdges, SendEdge, SentAggregate, Verdict};
+pub use controller::{AuditImage, Controller, SealedEdges, SendEdge, Verdict};
 pub use counter::{CounterLayout, SecureCounter};
 pub use gridmine_recovery::{RecoveryMode, RecoveryPolicy, RetryPolicy};
 pub use inproc::run_synchronous;

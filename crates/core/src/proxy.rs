@@ -62,11 +62,6 @@ impl<T: Clone> ChaosProxy<T> {
         self.held.push((from, to, msg));
     }
 
-    /// True while some edge has parked traffic awaiting a flush.
-    pub fn has_held(&self) -> bool {
-        !self.held.is_empty()
-    }
-
     /// Routes one message from `from` to `to`: rolls the link's fault
     /// decision, emits the matching observability events, parks delayed
     /// (and FIFO-blocked) copies, and hands the copies due now to
@@ -132,7 +127,7 @@ mod tests {
         for i in 0..32 {
             assert_eq!(routed(&mut proxy, 0, 1, i, &rec), vec![i]);
         }
-        assert!(!proxy.has_held());
+        assert!(proxy.flush().is_empty());
         assert_eq!(mem.count_of(EventKind::MessageDropped), 0);
         assert_eq!(proxy.stats().total(), 0);
     }
@@ -162,9 +157,9 @@ mod tests {
         for i in 0..24u32 {
             now.extend(routed(&mut proxy, 2, 3, i, &rec));
         }
-        assert!(proxy.has_held(), "jitter must park at least one copy");
         let flushed = proxy.flush();
         let parked: Vec<u32> = flushed.iter().map(|(_, _, m)| *m).collect();
+        assert!(!parked.is_empty(), "jitter must park at least one copy");
         assert_eq!(now.len() + parked.len(), 24, "no copy may vanish under pure jitter");
         let sorted = {
             let mut s = parked.clone();
@@ -176,7 +171,7 @@ mod tests {
         // the immediately-delivered set must be a strict prefix.
         let first_parked = parked.first().copied().unwrap_or(24);
         assert!(now.iter().all(|m| *m < first_parked), "delivery reordered across a parked copy");
-        assert!(!proxy.has_held());
+        assert!(proxy.flush().is_empty());
     }
 
     #[test]

@@ -24,13 +24,17 @@ use crate::accountant::Accountant;
 use crate::attack::{BrokerBehavior, ControllerBehavior};
 use crate::broker::{Broker, BrokerMsg};
 use crate::chaos::DegradeReason;
-use crate::controller::{Controller, SendEdge, Verdict};
+use crate::controller::{AuditImage, Controller, SendEdge, Verdict};
 use crate::counter::{CounterLayout, SecureCounter};
 use crate::keyring::GridKeys;
 use crate::rules::{PerRule, RuleId, RuleTable};
 
 /// A protocol message in flight between two resources.
 pub type WireMsg<C> = BrokerMsg<C>;
+
+/// The image tree the controller's audits travel in, beside the recovery
+/// log's: one [`AuditImage::to_entry`] per audited rule.
+const AUDITS: &str = "audits";
 
 /// One grid resource running Secure-Majority-Rule.
 pub struct SecureResource<C: HomCipher> {
@@ -356,6 +360,21 @@ impl<C: HomCipher> SecureResource<C> {
         self.ctl.reset_edge(v);
     }
 
+    /// Restarts the edge from `v`, whose successor rejoins now, at this
+    /// end: a rejoin is a membership epoch at both ends of each of its
+    /// edges. The broker's counter from `v` goes back to the placeholder
+    /// and the controller's trace of `v`'s slot back to zero, for every
+    /// rule, so neither re-feeds nor holds `v`'s timestamps from before
+    /// the crash against its successor, whose clocks may be older.
+    pub(crate) fn restart_edge(&mut self, v: usize) {
+        if self.layout.slot_of(v).is_none() {
+            return;
+        }
+        let placeholder = self.acc.placeholder_for(v);
+        self.broker.restart_inbox(v, &placeholder);
+        self.ctl.restart_trace(v);
+    }
+
     /// Re-evaluates the send condition for every rule toward every
     /// neighbor (a poke after membership changes).
     pub fn nudge(&mut self) -> Vec<WireMsg<C>> {
@@ -666,69 +685,89 @@ impl<C: HomCipher> SecureResource<C> {
         emit(&self.rec, || Event::CheckpointTaken { resource: self.id as u64, tick });
     }
 
-    /// Simulates the volatile-state loss of a crash: scan positions,
-    /// voting instances and output caches are gone; the keyring and the
-    /// controller's audit state (durable by construction — losing k-gates
-    /// would be a privacy hole) survive. Returns the write-ahead recovery
-    /// log as the crash leaves it at rest, image bytes for the driver to
-    /// hold until [`SecureResource::restore_from_image`] — forged when
-    /// [`SecureResource::corrupt_recovery_journal`] armed it — or `None`
-    /// when recovery is not armed. The resource stays armed.
-    pub fn crash_wipe(&mut self) -> Option<Vec<u8>> {
-        let tamper = std::mem::take(&mut self.tamper_journal);
-        let image = self.recovery.as_ref().map(|log| {
-            let mut image = log.image();
-            if tamper {
-                // The adversary forges the "persisted" journal while the
-                // resource is down; the restore screens must catch it.
-                image.corrupt();
-            }
-            image.to_bytes()
-        });
+    /// Simulates the state loss of a crash — what a killed process loses:
+    /// scan positions, voting instances, output caches and the
+    /// controller's audit state are gone; the keyring, the database and
+    /// the accounting shares (re-distributed only on membership changes)
+    /// survive. Returns the image the crash leaves, bytes for the driver
+    /// to hold until [`SecureResource::restore_from_image`]: the recovery
+    /// log when armed (forged when
+    /// [`SecureResource::corrupt_recovery_journal`] armed the attack) and
+    /// the controller's audits, which are all a cold restart keeps. The
+    /// resource stays armed.
+    pub fn crash_wipe(&mut self) -> Vec<u8> {
+        let mut image = self.image();
+        if std::mem::take(&mut self.tamper_journal) && self.recovery.is_some() {
+            // The adversary forges the "persisted" journal while the
+            // resource is down; the restore screens must catch it.
+            image.corrupt();
+        }
+        self.ctl.wipe_audits();
         self.acc.wipe_scans();
         self.broker.rewire(self.layout.clone());
         self.output_cache.clear();
-        image
+        image.to_bytes()
     }
 
-    /// Cold-restart hygiene: resets the controller's per-edge audit
-    /// traces (keeping k-gates and the Lamport clock) so the post-restart
-    /// aggregates — which restart from placeholders — are not mistaken
-    /// for a neighbor's timestamp regression.
-    pub fn recover_reset(&mut self) {
-        self.ctl.set_layout(self.layout.clone());
-    }
-
-    /// Restores mining state from a serialized [`RecoveryImage`] — what a
-    /// crash handed its driver, or a file: verifies the digest chain,
-    /// screens every restored record exactly like a wire message (bytes
-    /// from disk are as untrusted as bytes off the wire), re-audits the
-    /// accounting shares, then replays. On any failure, an undecodable
-    /// image included, the resource blames itself with
-    /// [`Verdict::MaliciousResource`] and stays out of the protocol — a
-    /// forged journal degrades one resource, it never panics the grid.
+    /// Restores from a serialized [`RecoveryImage`] — what a crash handed
+    /// its driver, or a file: verifies the digest chain, re-seats the
+    /// controller's audits, then screens every record of the recovery log
+    /// exactly like a wire message (bytes from disk are as untrusted as
+    /// bytes off the wire), re-audits the accounting shares and replays
+    /// the journal. An image without a log (a cold restart's) restores
+    /// the audits alone, unless the resource is armed and expects one.
+    /// On any failure, an undecodable image included, the
+    /// resource blames itself with [`Verdict::MaliciousResource`] and
+    /// stays out of the protocol — a forged image degrades one resource,
+    /// it never panics the grid.
     ///
     /// Returns `true` on a successful restore.
     pub fn restore_from_image(&mut self, bytes: &[u8]) -> bool {
-        let replayed = RecoveryImage::from_bytes(bytes)
-            .map_err(|e| format!("undecodable recovery image: {e}"))
-            .and_then(|image| image.replay().map_err(|e| e.to_string()));
-        let (state, entries) = match replayed {
-            Ok(replayed) => replayed,
-            Err(reason) => return self.reject_recovery(reason),
-        };
+        match self.restore(bytes) {
+            Ok(()) => true,
+            Err(reason) => self.reject_recovery(reason),
+        }
+    }
+
+    /// [`SecureResource::restore_from_image`] short of the verdict: why
+    /// the image is refused, if it is.
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
+        let image = RecoveryImage::from_bytes(bytes)
+            .map_err(|e| format!("undecodable recovery image: {e}"))?;
+        let store = image.verify().map_err(|e| e.to_string())?;
+        // Audits before any replay: the controller screens what the
+        // restored resource sends against its clocks and gates.
+        let audits: Option<Vec<_>> = store
+            .scan_tree(AUDITS)
+            .map(|(key, value)| AuditImage::from_entry(key, value))
+            .collect();
+        let audits = audits.ok_or("malformed `audits` entry")?;
+        if !self.ctl.import_audits(audits, |rule| self.rules.intern(rule)) {
+            return Err("controller audit image carries an out-of-range clock".into());
+        }
+        match ResourceState::read(&store).map_err(|e| e.to_string())? {
+            Some(state) => self.replay(state, &store)?,
+            None if self.recovery.is_some() => return Err("image holds no recovery log".into()),
+            None => {}
+        }
+        // A rejoin is a membership epoch: traces restart, as in `rewire`.
+        self.ctl.set_layout(self.layout.clone());
+        Ok(())
+    }
+
+    /// The journal half of [`SecureResource::restore`]: the screens,
+    /// then the replay.
+    fn replay(&mut self, state: ResourceState, store: &Store<MemBackend>) -> Result<(), String> {
         if state.resource != self.id as u64 {
-            return self.reject_recovery(format!(
-                "journal belongs to resource {}, not {}",
-                state.resource, self.id
-            ));
+            let owner = state.resource;
+            return Err(format!("journal belongs to resource {owner}, not {}", self.id));
         }
         let db_len = self.acc.db_len() as u64;
         if let Some(bad) = state.records.iter().find(|r| !r.is_wellformed(db_len)) {
-            return self.reject_recovery(format!("malformed restored record for {}", bad.rule));
+            return Err(format!("malformed restored record for {}", bad.rule));
         }
         if !self.acc.audit_shares() {
-            return self.reject_recovery("accounting shares no longer sum to one".into());
+            return Err("accounting shares no longer sum to one".into());
         }
         // Screens passed: apply. Same wiring as `rewire`, but scan state
         // comes from the journal instead of starting at the epoch.
@@ -736,66 +775,67 @@ impl<C: HomCipher> SecureResource<C> {
             let id = self.rules.intern(&r.rule);
             self.acc.restore_scan(id, r);
             // The journal is recovered input, not trusted state: a rule
-            // the accountant cannot answer is a corrupt image, rejected
-            // like any other failed screen — never a panic.
-            let Some(local) = self.acc.respond(id).pop() else {
-                self.acc.wipe_scans();
-                self.output_cache.clear();
-                return self
-                    .reject_recovery(format!("no local counter for restored rule {}", r.rule));
+            // the accountant cannot answer, or answers with a corrupt
+            // counter, is a corrupt image, rejected like any other failed
+            // screen — never a panic.
+            let local = match self.acc.respond(id).pop() {
+                Some(local) if self.broker.counter_is_wellformed(&local) => local,
+                local => {
+                    self.acc.wipe_scans();
+                    self.output_cache.clear();
+                    let what = if local.is_some() { "corrupt" } else { "missing" };
+                    return Err(format!("restored counter for {} is {what}", r.rule));
+                }
             };
-            if !self.broker.counter_is_wellformed(&local) {
-                self.acc.wipe_scans();
-                self.output_cache.clear();
-                return self.reject_recovery(format!("restored counter for {} is corrupt", r.rule));
-            }
             let placeholders =
                 self.layout.neighbors.iter().map(|&v| self.acc.placeholder_for(v)).collect();
             self.broker.init_rule(id, local, placeholders);
             self.output_cache.insert(id, r.output.unwrap_or(false));
         }
-        self.recover_reset();
         // Re-baseline on the restored state: the replayed journal has
         // done its job and replay length stays bounded.
         self.arm_recovery();
         self.journal_replays += 1;
+        // The journal's deltas: the log's records, not the audits a crash
+        // appended after them.
+        let entries = store.wal_records().saturating_sub(store.tree_len(AUDITS) as u64);
         emit(&self.rec, || Event::JournalReplayed { resource: self.id as u64, entries });
-        true
+        Ok(())
     }
 
-    /// The live recovery log as a store, when armed, for a driver that
-    /// publishes it with trees of its own: a copy, nothing re-read. A log
-    /// that refused a write is the error.
-    pub fn recovery_store(&self) -> Option<Result<Store<MemBackend>, JournalError>> {
-        self.recovery.as_ref().map(|log| log.store().cloned())
-    }
-
-    /// Serializes the recovery log as a crash right now would leave it,
-    /// for external persistence.
-    pub fn encode_recovery_image(&self) -> Option<Vec<u8>> {
-        self.recovery.as_ref().map(|log| log.image().to_bytes())
-    }
-
-    /// Durable controller state (Lamport clocks, k-gate registers,
-    /// duplicate-send suppressors) for a *process-level* warm restart.
-    /// In-process drivers never need this — their controller objects
-    /// survive a simulated crash — but a killed OS process loses them,
-    /// and a rejoiner with a reset clock would be blamed as a replayer by
-    /// its neighbors. See [`crate::controller::AuditImage`].
-    pub fn export_controller_audits(&self) -> Vec<crate::controller::AuditImage> {
-        self.ctl.export_audits()
-    }
-
-    /// Re-seats exported controller audit state after a warm restart.
-    /// Call before [`SecureResource::restore_from_image`]. The images are
-    /// recovered input: one the controller's screen refuses takes the
-    /// same rejection path as a forged journal. Returns `true` when
-    /// re-seated.
-    pub fn import_controller_audits(&mut self, images: Vec<crate::controller::AuditImage>) -> bool {
-        if self.ctl.import_audits(images, |rule| self.rules.intern(rule)) {
-            return true;
+    /// The store a crash right now would leave: a copy of the live
+    /// recovery log (nothing re-read; none when unarmed) with the
+    /// controller's audits appended as the `audits` tree, for a driver
+    /// that publishes it with trees of its own. A log or store that
+    /// refused a write is the error.
+    pub fn recovery_store(&self) -> Result<Store<MemBackend>, JournalError> {
+        let mut store = match &self.recovery {
+            Some(log) => log.store()?.clone(),
+            None => Store::in_memory()?,
+        };
+        for audit in self.ctl.export_audits() {
+            let (key, value) = audit.to_entry();
+            store.put(AUDITS, &key, &value)?;
         }
-        self.reject_recovery("controller audit image carries an out-of-range clock".into())
+        Ok(store)
+    }
+
+    /// [`SecureResource::recovery_store`] at rest; a store that refused a
+    /// write leaves the empty image, which no warm restore accepts.
+    fn image(&self) -> RecoveryImage {
+        self.recovery_store().map(RecoveryImage::from_store).unwrap_or_default()
+    }
+
+    /// The image a crash right now would leave, for external persistence.
+    /// Always `Some`: every resource has audits to lose.
+    pub fn encode_recovery_image(&self) -> Option<Vec<u8>> {
+        Some(self.image().to_bytes())
+    }
+
+    /// The controller's audit state, the part of an image
+    /// [`Controller::export_audits`] lists. See [`AuditImage`].
+    pub fn export_controller_audits(&self) -> Vec<AuditImage> {
+        self.ctl.export_audits()
     }
 
     /// Attack injection: forge the journal during the next crash so the
@@ -977,8 +1017,16 @@ mod tests {
     /// Two armed resources after three rounds of traffic, with a
     /// checkpoint after the first: the log holds a snapshot and deltas.
     fn armed_and_mined() -> Vec<SecureResource<MockCipher>> {
+        mined(true)
+    }
+
+    /// Two resources after three rounds of traffic, armed (a checkpoint
+    /// after the first) or, as under a cold restart, not.
+    fn mined(armed: bool) -> Vec<SecureResource<MockCipher>> {
         let mut rs = two_resource_grid(1);
-        rs.iter_mut().for_each(SecureResource::arm_recovery);
+        if armed {
+            rs.iter_mut().for_each(SecureResource::arm_recovery);
+        }
         let mut mail = std::collections::VecDeque::new();
         for round in 0..3 {
             for r in rs.iter_mut() {
@@ -1003,7 +1051,7 @@ mod tests {
         let (interim, candidates) = (r.interim(), r.candidate_count());
         assert!(!interim.is_empty(), "the resource mined something to lose");
         let before = r.encode_recovery_image().expect("armed");
-        let image = r.crash_wipe().expect("an armed crash leaves an image");
+        let image = r.crash_wipe();
         assert_eq!(image, before, "the crash hands over the log as it stood");
         assert_eq!(r.candidate_count(), 0, "the wipe lost the working set");
         assert!(r.recovery_armed(), "the resource stays armed");
@@ -1013,12 +1061,33 @@ mod tests {
     }
 
     #[test]
+    fn a_crash_and_its_restore_leave_every_gate_and_clock_where_they_were() {
+        // Armed for checkpoints, and unarmed as under a cold restart,
+        // whose image holds the audits alone.
+        for armed in [true, false] {
+            let mut rs = mined(armed);
+            let r = &mut rs[0];
+            let audits = r.export_controller_audits();
+            let fresh = crate::sfe::KGate::new(1);
+            let disclosed = |a: &AuditImage| {
+                a.clock > 0 && a.output_gate != fresh && a.send_gates.iter().any(|g| g.1 != fresh)
+            };
+            assert!(audits.iter().any(disclosed), "armed {armed}: nothing disclosed yet");
+            let image = r.crash_wipe();
+            assert!(r.export_controller_audits().is_empty(), "armed {armed}: the crash lost them");
+            assert!(r.restore_from_image(&image), "armed {armed}");
+            assert_eq!(r.export_controller_audits(), audits, "armed {armed}");
+            assert_eq!((r.recovery_replays(), r.verdict()), (u64::from(armed), None));
+        }
+    }
+
+    #[test]
     fn a_crash_with_a_forged_journal_hands_over_an_image_the_restore_refuses() {
         let mut rs = armed_and_mined();
         let r = &mut rs[1];
         r.corrupt_recovery_journal();
         let before = r.encode_recovery_image().expect("armed");
-        let forged = r.crash_wipe().expect("an armed crash leaves an image");
+        let forged = r.crash_wipe();
         assert_ne!(forged, before, "the adversary rewrote the image");
         assert!(!r.restore_from_image(&forged));
         assert_eq!(r.verdict(), Some(Verdict::MaliciousResource(1)));

@@ -123,6 +123,15 @@ impl RoundSchedule {
         }
     }
 
+    /// Neighbors that rejoin from a wipe at `tick`, ascending: the edge
+    /// toward each restarts at this end too.
+    pub(crate) fn rejoined_at(&self, tick: u64) -> Vec<usize> {
+        if !self.mode.wipes() {
+            return Vec::new();
+        }
+        self.nbr_recovers.iter().filter(|&&(_, rt)| rt == tick).map(|&(v, _)| v).collect()
+    }
+
     /// Edges whose duplicate-send suppressors are lifted this tick so
     /// the current aggregates go out again, ascending: every edge under
     /// lossy links (a dropped aggregate would otherwise be suppressed as
@@ -252,9 +261,9 @@ pub struct ResourceReport {
 /// What opening a scan phase asks of the driver.
 pub enum Scan<C: HomCipher> {
     /// Scheduled crash: volatile state is wiped and the resource is down.
-    /// The recovery image the crash left (`None` unless armed) is the
-    /// driver's to hold for the successor.
-    Crash(Option<Vec<u8>>),
+    /// The image the crash left is the driver's to hold for the
+    /// successor.
+    Crash(Vec<u8>),
     /// Scheduled departure: the resource reports as is and leaves.
     Depart,
     /// Scheduled out or poisoned: nothing to send.
@@ -315,7 +324,7 @@ impl<C: HomCipher> RoundMachine<C> {
         &self.resource
     }
 
-    /// Mutable protocol state (for wiring and audit import).
+    /// Mutable protocol state (for wiring).
     pub fn resource_mut(&mut self) -> &mut SecureResource<C> {
         &mut self.resource
     }
@@ -361,6 +370,11 @@ impl<C: HomCipher> RoundMachine<C> {
         if self.quiet() {
             return Scan::Down;
         }
+        // A neighbor's successor starts its counters over (see
+        // `SecureResource::restart_edge`), before this end resends to it.
+        for v in self.schedule.rejoined_at(tick) {
+            self.guarded(|r| r.restart_edge(v));
+        }
         let mut msgs = Vec::new();
         let heal = self.schedule.heal_edges(tick);
         if !heal.is_empty() {
@@ -396,18 +410,19 @@ impl<C: HomCipher> RoundMachine<C> {
         self.guarded(|r| r.on_receive(msg))
     }
 
-    /// Rejoins after a wipe: replays `image` (untrusted bytes, screened
-    /// by the resource) under a checkpoint policy, else resets cold. The
-    /// driver owns the clock: `elapsed_nanos` is read once the restore is
-    /// done, and an overrun of the policy deadline degrades this resource
-    /// ([`DegradeReason::RecoveryStalled`]) rather than aborting the run.
+    /// Rejoins after a wipe: restores from `image` (untrusted bytes,
+    /// screened by the resource), the one door under every wiping mode —
+    /// the controller's audits, then the journal when armed. `None` (a
+    /// successor that found nothing published) is nothing to restore.
+    /// The driver owns the clock: `elapsed_nanos` is read once the
+    /// restore is done, and an overrun of the policy deadline degrades
+    /// this resource ([`DegradeReason::RecoveryStalled`]) rather than
+    /// aborting the run.
     pub fn restore(&mut self, image: Option<&[u8]>, elapsed_nanos: impl FnOnce() -> u128) {
-        let Some(policy) = self.schedule.mode.policy() else {
-            return self.resource.recover_reset();
-        };
         if let Some(bytes) = image {
             self.guarded(|r| r.restore_from_image(bytes));
         }
+        let Some(policy) = self.schedule.mode.policy() else { return };
         if elapsed_nanos() > policy.retry.deadline_nanos() {
             self.resource.mark_degraded(DegradeReason::RecoveryStalled);
         }
@@ -605,6 +620,23 @@ mod tests {
             assert_eq!(s.heal_edges(tick), heal, "{label}: heal_edges({tick})");
             assert_eq!(s.checkpoint_due(tick), ckpt, "{label}: checkpoint_due({tick})");
         }
+
+        // A neighbor's rejoin restarts its edge at its rejoin tick only,
+        // under a wiping mode: not on a cold cadence's later resends, not
+        // on lossy links' anti-entropy.
+        for (mode, tick, rejoined) in [
+            (off, 3, none),
+            (cold, 2, none),
+            (cold, 3, &[2][..]),
+            (cold, 8, none),
+            (warm, 3, &[2][..]),
+            (warm, 4, none),
+        ] {
+            let s = RoundSchedule::of(&nbr_crash, 1, vec![2, 0], mode);
+            assert_eq!(s.rejoined_at(tick), rejoined, "{mode:?}: rejoined_at({tick})");
+        }
+        let s = RoundSchedule::of(&lossy, 1, vec![2, 0], warm);
+        assert!(s.rejoined_at(3).is_empty() && s.heal_edges(3) == all);
 
         // The crash / rejoin / depart ticks, and what a mode makes of them.
         for mode in [off, cold, warm] {

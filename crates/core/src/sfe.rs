@@ -97,11 +97,6 @@ impl KGate {
         self.cached
     }
 
-    /// Population registers at the last disclosure (test introspection).
-    pub fn last_population(&self) -> (i64, i64) {
-        (self.k1_last, self.k2_last)
-    }
-
     /// Appends the gate as fixed-width big-endian fields: `k`, a mode
     /// byte, the two `last` registers, a cached byte.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
@@ -169,7 +164,8 @@ mod tests {
         // 10 transactions, 5 resources: fresh.
         assert!(g.is_fresh(10, 5));
         assert!(g.disclose(10, 5, || true));
-        assert_eq!(g.last_population(), (10, 5));
+        // The disclosure recorded (10, 5): k more of both are due next.
+        assert!(!g.is_fresh(14, 10) && !g.is_fresh(15, 9) && g.is_fresh(15, 10));
     }
 
     #[test]

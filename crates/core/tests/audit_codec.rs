@@ -3,7 +3,7 @@
 //! by a decoder that is total over whatever bytes a disk hands it.
 
 use gridmine_arm::{CandidateRule, ItemSet, Ratio, Rule};
-use gridmine_core::{AuditImage, GateMode, KGate, SentAggregate};
+use gridmine_core::{AuditImage, GateMode, KGate};
 use proptest::prelude::*;
 
 /// A handful of rules: frequency and confidence, several thresholds.
@@ -33,36 +33,23 @@ fn gate() -> impl Strategy<Value = KGate> {
     )
 }
 
-/// One neighbor slot: its id (made distinct below) and what the
-/// controller keeps toward it.
-type Slot = (usize, Option<KGate>, Option<SentAggregate>);
-
-fn slot() -> impl Strategy<Value = Slot> {
-    let sent = (any::<i64>(), any::<i64>(), any::<i64>())
-        .prop_map(|(sum, count, num)| SentAggregate { sum, count, num });
-    (any::<u32>(), any::<bool>(), gate(), any::<bool>(), sent).prop_map(
-        |(v, has_gate, gate, has_sent, sent)| {
-            (v as usize, has_gate.then_some(gate), has_sent.then_some(sent))
-        },
-    )
-}
-
-/// An image as `Controller::export_audits` lists one: both edge lists
-/// in the same slot order.
+/// An image as `Controller::export_audits` lists one: a send gate per
+/// neighbor slot asked about, neighbors distinct.
 fn image() -> impl Strategy<Value = AuditImage> {
-    (0usize..4, any::<u32>(), gate(), prop::collection::vec(slot(), 0..=8)).prop_map(
-        |(r, clock, output_gate, slots)| {
-            let mut seen = std::collections::HashSet::new();
-            let slots: Vec<Slot> = slots.into_iter().filter(|s| seen.insert(s.0)).collect();
-            AuditImage {
-                rule: rule(r),
-                clock: i64::from(clock),
-                output_gate,
-                send_gates: slots.iter().filter_map(|&(v, g, _)| Some((v, g?))).collect(),
-                last_sent: slots.iter().filter_map(|&(v, _, s)| Some((v, s?))).collect(),
-            }
-        },
-    )
+    let slots = prop::collection::vec((any::<u32>(), gate()), 0..=8);
+    (0usize..4, any::<u32>(), gate(), slots).prop_map(|(r, clock, output_gate, slots)| {
+        let mut seen = std::collections::HashSet::new();
+        AuditImage {
+            rule: rule(r),
+            clock: i64::from(clock),
+            output_gate,
+            send_gates: slots
+                .into_iter()
+                .filter(|&(v, _)| seen.insert(v))
+                .map(|(v, gate)| (v as usize, gate))
+                .collect(),
+        }
+    })
 }
 
 proptest! {
@@ -116,13 +103,12 @@ fn gate_fields_out_of_range_are_refused() {
         clock: 7,
         output_gate: KGate::new(3),
         send_gates: vec![(4, KGate::new(2))],
-        last_sent: vec![(4, SentAggregate { sum: 1, count: 2, num: 1 })],
     };
     let (key, value) = img.to_entry();
     assert_eq!(AuditImage::from_entry(&key, &value).as_ref(), Some(&img));
     // The output gate follows the clock word: `k` (8), mode (1), the two
     // registers (16), cached (1); then the slot count (4), the slot's
-    // neighbor (8) and its flags (1).
+    // neighbor (8) and its send gate, laid out like the output gate.
     let damaged = |at: std::ops::Range<usize>, byte: u8| {
         let mut v = value.clone();
         v[at].fill(byte);
@@ -134,6 +120,6 @@ fn gate_fields_out_of_range_are_refused() {
     assert_eq!(damaged(33..34, 2), None, "cached byte 2");
     assert_eq!(damaged(34..38, 0), None, "fewer slots than the value holds");
     assert_eq!(damaged(34..38, 0xFF), None, "more slots than the value holds");
-    assert_eq!(damaged(46..47, 4), None, "an unknown slot flag");
-    assert_eq!(damaged(46..47, 1), None, "a slot flag that leaves bytes over");
+    assert_eq!(damaged(46..54, 0), None, "a send gate with k = 0");
+    assert_eq!(damaged(54..55, 2), None, "a send gate's mode byte 2");
 }

@@ -37,7 +37,7 @@ use gridmine_obs::{Event, EventKind, MemoryRecorder, VerdictKind};
 use gridmine_paillier::{
     Ciphertext, HomCipher, MockCipher, ObliviousError, PaillierCtx, SlotError,
 };
-use gridmine_recovery::{RecoveryLog, ResourceState, RuleRecord};
+use gridmine_recovery::{RecoveryImage, RecoveryLog, ResourceState, RuleRecord};
 
 fn rule() -> CandidateRule {
     CandidateRule::new(Rule::frequency(ItemSet::of(&[1])), Ratio::new(1, 2))
@@ -458,19 +458,27 @@ fn oversized_restored_clocks_are_rejected<C: HomCipher>(keys: GridKeys<C>) {
         assert_eq!(rs[1].verdict(), Some(Verdict::MaliciousResource(1)));
         assert_eq!(rs[1].recovery_rejected(), 1);
     }
-    // The controller's audit image is the other door a clock comes
-    // through on a warm restart.
-    let audit = |clock: i64| AuditImage {
-        rule: rule(),
-        clock,
-        output_gate: KGate::new(1),
-        send_gates: Vec::new(),
-        last_sent: Vec::new(),
+    // The controller's audits are the other part of an image a clock
+    // comes back through: one rule's clock each.
+    let audited = |clocks: [i64; 2]| {
+        let state = ResourceState { resource: 1, records: vec![record(1)] };
+        let mut store = RecoveryLog::baseline(&state).store().expect("a live log").clone();
+        for (item, clock) in (1..).zip(clocks) {
+            let rule = CandidateRule::new(Rule::frequency(ItemSet::of(&[item])), Ratio::new(1, 2));
+            let audit =
+                AuditImage { rule, clock, output_gate: KGate::new(1), send_gates: Vec::new() };
+            let (key, value) = audit.to_entry();
+            store.put("audits", &key, &value).expect("put");
+        }
+        RecoveryImage::from_store(store).to_bytes()
     };
     let mut rs = path_grid(&keys, 2);
-    assert!(rs[1].import_controller_audits(vec![audit(0), audit(i64::from(u32::MAX))]));
+    rs[1].crash_wipe();
+    assert!(rs[1].restore_from_image(&audited([0, i64::from(u32::MAX)])));
     assert!(rs[1].verdict().is_none());
-    assert!(!rs[1].import_controller_audits(vec![audit(7), audit(1 << 40)]));
+    let mut rs = path_grid(&keys, 2);
+    rs[1].crash_wipe();
+    assert!(!rs[1].restore_from_image(&audited([7, 1 << 40])));
     assert_eq!(rs[1].verdict(), Some(Verdict::MaliciousResource(1)));
     assert_eq!(rs[1].recovery_rejected(), 1);
 }

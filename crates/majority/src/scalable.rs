@@ -90,18 +90,6 @@ impl MajorityNode {
         self.reevaluate()
     }
 
-    /// Removes a neighbor (dynamic leave); its contribution disappears from
-    /// `Δ^u`, possibly triggering sends elsewhere.
-    pub fn remove_neighbor(&mut self, v: usize) -> Vec<OutMsg> {
-        self.edges.remove(&v);
-        self.reevaluate()
-    }
-
-    /// Present neighbor ids.
-    pub fn neighbors(&self) -> impl Iterator<Item = usize> + '_ {
-        self.edges.keys().copied()
-    }
-
     /// Sets this node's own vote (`⟨sum^⊥u, count^⊥u⟩`). For a bit vote use
     /// `(bit as i64, 1)`; database nodes pass agglomerated counts.
     pub fn set_input(&mut self, pair: VotePair) -> Vec<OutMsg> {
@@ -136,12 +124,6 @@ impl MajorityNode {
     /// The node's current decision: majority reached (`Δ^u ≥ 0`).
     pub fn decision(&self) -> bool {
         self.delta() >= 0
-    }
-
-    /// The aggregate this node would report upward: its own input plus all
-    /// received pairs (used by the secure layer's k-gate accounting).
-    pub fn aggregate(&self) -> VotePair {
-        self.edges.values().fold(self.local, |acc, e| acc.add(&e.recv))
     }
 
     /// Re-checks the send condition on every edge; emits the dictated
@@ -346,37 +328,6 @@ mod tests {
         }
         drain(&mut nodes, &mut queue);
         assert!(nodes.iter().all(|n| n.decision()), "update must flip the global decision");
-    }
-
-    #[test]
-    fn a_departed_neighbor_takes_its_votes_with_it() {
-        // Path 0 – 1 – 2 at λ = 1/2: leaf 2's 10/10 outvotes 0/2, until
-        // it leaves and 1 drops the edge (the paper's dynamic leave).
-        use std::collections::VecDeque;
-        let lambda = Ratio::new(1, 2);
-        let mut nodes: Vec<MajorityNode> = (0..3).map(|i| MajorityNode::new(i, lambda)).collect();
-        let mut queue: VecDeque<(usize, OutMsg)> = VecDeque::new();
-        for (u, v) in [(0, 1), (1, 0), (1, 2), (2, 1)] {
-            queue.extend(nodes[u].add_neighbor(v).into_iter().map(|m| (u, m)));
-        }
-        for (u, sum, count) in [(0, 0, 1), (1, 0, 1), (2, 10, 10)] {
-            queue.extend(nodes[u].set_input(VotePair::new(sum, count)).into_iter().map(|m| (u, m)));
-        }
-        let drain = |nodes: &mut Vec<MajorityNode>, queue: &mut VecDeque<(usize, OutMsg)>| {
-            while let Some((from, msg)) = queue.pop_front() {
-                let out = nodes[msg.to].on_receive(from, msg.pair);
-                queue.extend(out.into_iter().map(|m| (msg.to, m)));
-            }
-        };
-        drain(&mut nodes, &mut queue);
-        assert!(nodes.iter().all(|n| n.decision()), "12 votes, 10 yes");
-
-        nodes.truncate(2);
-        queue.extend(nodes[1].remove_neighbor(2).into_iter().map(|m| (1, m)));
-        drain(&mut nodes, &mut queue);
-        assert_eq!(nodes[1].neighbors().collect::<Vec<_>>(), [0]);
-        assert!(nodes.iter().all(|n| !n.decision()), "what is left votes 0 of 2");
-        assert_eq!(nodes[0].aggregate(), VotePair::new(0, 2));
     }
 
     #[test]

@@ -22,11 +22,11 @@
 //! forwarded as `Frame::Obs`; when it has none they run on the null
 //! recorder and no event is formatted, framed or sent.
 //!
-//! Crash-survival is process-level: at a scheduled crash tick the node
-//! (its state wiped by the machine) publishes the image the crash left
-//! under `state_dir`, with controller audits and protocol tallies, and
-//! **exits**. The hub respawns a fresh process at the recovery tick,
-//! which warm-restarts from that file (`resume_tick` in its spec).
+//! A crash loses what it loses in every driver and leaves the same image
+//! (recovery log, controller audits); here the process also ends: at a
+//! scheduled crash tick the node publishes that image under `state_dir`,
+//! with its tallies, and **exits**. The hub respawns a process at the
+//! recovery tick, which restores through the same door (`resume_tick`).
 
 use std::io::{BufReader, Write};
 use std::sync::mpsc::{channel, RecvTimeoutError};
@@ -234,7 +234,7 @@ impl<'a, C: NetCipher> Node<'a, C> {
                     // The hub sees the process exit; a successor may be
                     // respawned at the recovery tick.
                     Scan::Crash(image) => {
-                        self.persist_or_report(tick, image.as_deref());
+                        self.persist_or_report(tick, Some(&image));
                         self.queue_obs(out)?;
                         return Ok(Some(EXIT_CRASHED));
                     }

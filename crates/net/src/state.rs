@@ -1,38 +1,32 @@
 //! What a node process leaves behind for its successor: **one** image
 //! per resource, `{u}.image` under the session's state directory.
 //!
-//! The file is a [`RecoveryImage`] — a store at rest, chain head pinned.
-//! Its trees are the resource's recovery log (warm mode only; see
-//! `gridmine_recovery`) plus two of the node's own, binary like the log's:
+//! The file is the image a crash leaves in every driver
+//! ([`SecureResource::crash_wipe`](gridmine_core::SecureResource::crash_wipe),
+//! or [`SecureResource::recovery_store`](gridmine_core::SecureResource::recovery_store)
+//! at a checkpoint): a [`RecoveryImage`], a store at rest with its chain
+//! head pinned, holding the resource's recovery log (warm mode only) and
+//! its controller's audits. The node adds one tree of its own, binary
+//! like the rest: `tallies`, the protocol tallies of this resource's
+//! whole life, so a successor's report covers its predecessors — their
+//! one byte form ([`Tallies::to_bytes`], what a `Report` frame carries
+//! too) under the tick of the persist that wrote the file.
 //!
-//! * `audits` — the controller's exported audit state, which an
-//!   in-process driver never loses but a killed process does: one entry
-//!   per audited rule under its canonical rule key
-//!   ([`AuditImage::to_entry`]), and under the empty key — no rule's —
-//!   how many there are, so a file that lost its audits is told from a
-//!   controller that had audited nothing;
-//! * `tallies` — the protocol tallies of this resource's whole life, so
-//!   a successor's report covers its predecessors: their one byte form
-//!   ([`Tallies::to_bytes`], what a `Report` frame carries too) under the
-//!   tick of the persist that wrote the file.
-//!
-//! A persist copies the live log's store instead of re-reading it,
-//! appends the node's trees to the copy's WAL and publishes the lot with
-//! one [`gridmine_store::atomic_write_file`]: a successor (and the hub,
-//! for a resource that died without a report) sees checkpoint *N* or
-//! *N − 1*, never scan state from one and audits from the other. The
-//! reader verifies: [`NodeState::decode`] checks chain and pin before it
-//! reads a tree.
+//! A persist copies the live store instead of re-reading it, appends the
+//! tallies to the copy's WAL and publishes the lot with one
+//! [`gridmine_store::atomic_write_file`]: a successor (and the hub, for a
+//! resource that died without a report) sees checkpoint *N* or *N − 1*,
+//! never scan state from one and audits from the other. The reader
+//! verifies: [`NodeState::decode`] checks chain and pin before it reads
+//! a tree, and the restore door screens the rest.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use gridmine_core::{AuditImage, RoundMachine, Tallies};
+use gridmine_core::{RoundMachine, Tallies};
 use gridmine_paillier::HomCipher;
 use gridmine_recovery::RecoveryImage;
-use gridmine_store::{MemBackend, Store};
 
-const AUDITS: &str = "audits";
 const TALLIES: &str = "tallies";
 
 /// Resource `u`'s state file under `dir`.
@@ -40,21 +34,19 @@ pub fn path(dir: impl AsRef<Path>, u: usize) -> PathBuf {
     dir.as_ref().join(format!("{u}.image"))
 }
 
-/// The node's own trees of a state file.
+/// The node's own tree of a state file.
 #[derive(Debug)]
 pub struct NodeState {
     /// Tick of the persist that published the file.
     pub tick: u64,
     /// Tallies of the resource's life up to then.
     pub tallies: Tallies,
-    /// The controller's audit state at that tick, in rule-key order.
-    pub audits: Vec<AuditImage>,
 }
 
 impl NodeState {
-    /// Verifies a state file (chain and pin) and reads the node's trees.
+    /// Verifies a state file (chain and pin) and reads the node's tree.
     /// Bytes from disk are untrusted: a file that does not verify, lacks
-    /// a tree, or holds an entry no persist writes is an error for the
+    /// the tree, or holds an entry no persist writes is an error for the
     /// caller's rejection path, never a default.
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
         let image = RecoveryImage::from_bytes(bytes).map_err(|e| e.to_string())?;
@@ -65,34 +57,15 @@ impl NodeState {
         };
         let tick = key.try_into().map(u64::from_be_bytes).map_err(|_| "bad `tallies` key")?;
         let tallies = Tallies::from_bytes(value).ok_or("malformed `tallies` value")?;
-        Ok(NodeState { tick, tallies, audits: audits_of(&store)? })
+        Ok(NodeState { tick, tallies })
     }
-}
-
-/// The `audits` tree: the count under the empty key (which sorts
-/// first), then exactly that many rule entries.
-fn audits_of(store: &Store<MemBackend>) -> Result<Vec<AuditImage>, String> {
-    let mut entries = store.scan_tree(AUDITS);
-    let count = match entries.next() {
-        Some(([], count)) => count.try_into().map(u64::from_be_bytes).ok(),
-        _ => None,
-    };
-    let count = count.ok_or("state file holds no `audits` count")?;
-    let audits = entries
-        .map(|(key, value)| AuditImage::from_entry(key, value))
-        .collect::<Option<Vec<_>>>()
-        .ok_or("malformed `audits` entry")?;
-    if audits.len() as u64 != count {
-        return Err(format!("{} `audits` entries under a count of {count}", audits.len()));
-    }
-    Ok(audits)
 }
 
 /// Publishes everything a future incarnation of `machine`'s resource
-/// needs — its recovery log (warm mode only), controller audits, total
-/// tallies — as one image, atomically (sibling tmp + fsync + rename), so
-/// a kill mid-write leaves the previous checkpoint intact, never a torn
-/// or mixed one. The log is `crash_image`, what a crash at `tick` left,
+/// needs — the image a crash at `tick` would leave plus the total
+/// tallies — atomically (sibling tmp + fsync + rename), so a kill
+/// mid-write leaves the previous checkpoint intact, never a torn or
+/// mixed one. The image is `crash_image`, what a crash at `tick` left,
 /// verified into a store; else a copy of the live one. The error is
 /// returned so the caller can surface it: a failed persist degrades
 /// recovery fidelity, not the run, but it must not be silent.
@@ -105,45 +78,32 @@ pub(crate) fn publish<C: HomCipher>(
     fn bad(e: impl std::fmt::Display) -> std::io::Error {
         std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
     }
-    let r = machine.resource();
-    let log = crash_image
-        .map(|bytes| RecoveryImage::from_bytes(bytes).and_then(|i| i.verify()))
-        .or_else(|| r.recovery_store());
-    let mut store = match log {
-        Some(store) => store.map_err(bad)?,
-        None => Store::in_memory().map_err(bad)?,
+    let store = match crash_image {
+        Some(bytes) => RecoveryImage::from_bytes(bytes).and_then(|i| i.verify()),
+        None => machine.resource().recovery_store(),
     };
-    let audits = r.export_controller_audits();
-    store.put(AUDITS, &[], &(audits.len() as u64).to_be_bytes()).map_err(bad)?;
-    for img in &audits {
-        let (key, value) = img.to_entry();
-        store.put(AUDITS, &key, &value).map_err(bad)?;
-    }
+    let mut store = store.map_err(bad)?;
     store.put(TALLIES, &tick.to_be_bytes(), &machine.tallies().to_bytes()).map_err(bad)?;
     gridmine_store::atomic_write_file(path, &RecoveryImage::from_store(store).to_bytes())?;
     Ok(())
 }
 
-/// Warm restart: re-imports what the previous incarnation published at
-/// `path`. No file means it never got to publish and there is nothing
-/// to restore. A file is recovered input: one that does not verify, or
-/// lacks a tree of the node's, takes the resource's own rejection path
-/// — a verdict against itself — instead of quietly starting a cold
-/// controller. Audits land before the journal replay (the controller
-/// screens replayed traffic against its Lamport traces and send gates).
+/// Warm restart: restores from what the previous incarnation published
+/// at `path`, through the resource's one restore door. No file means it
+/// never got to publish and there is nothing to restore. A file is
+/// recovered input: one whose tallies do not read takes the resource's
+/// own rejection path — a verdict against itself — instead of quietly
+/// starting a cold controller.
 pub(crate) fn resume<C: HomCipher>(path: &Path, machine: &mut RoundMachine<C>) {
     let t0 = Instant::now();
     let mut image = std::fs::read(path).ok();
     if let Some(bytes) = &image {
-        let seated = match NodeState::decode(bytes) {
-            Ok(state) => {
-                machine.carry(state.tallies);
-                machine.resource_mut().import_controller_audits(state.audits)
+        match NodeState::decode(bytes) {
+            Ok(state) => machine.carry(state.tallies),
+            Err(e) => {
+                machine.resource_mut().reject_recovery(format!("unreadable state file: {e}"));
+                image = None;
             }
-            Err(e) => machine.resource_mut().reject_recovery(format!("unreadable state file: {e}")),
-        };
-        if !seated {
-            image = None;
         }
     }
     machine.restore(image.as_deref(), || t0.elapsed().as_nanos());
@@ -158,9 +118,12 @@ mod tests {
     };
     use gridmine_majority::CandidateGenerator;
     use gridmine_paillier::MockCipher;
+    use gridmine_store::{MemBackend, Store};
     use gridmine_topology::FaultPlan;
 
     const WARM: RecoveryMode = RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT);
+    /// The image tree the controller's audits travel in.
+    const AUDITS: &str = "audits";
 
     /// Resource 1 of a two-resource path, as a node process builds it.
     fn machine(mode: RecoveryMode) -> RoundMachine<MockCipher> {
@@ -199,16 +162,20 @@ mod tests {
         m
     }
 
+    /// A machine's controller audits by rule key: a successor files its
+    /// rules under ids of its own.
+    fn audits(m: &RoundMachine<MockCipher>) -> Vec<gridmine_core::AuditImage> {
+        let mut audits = m.resource().export_controller_audits();
+        audits.sort_by_key(|img| img.rule.key());
+        audits
+    }
+
     #[test]
     fn a_published_file_carries_one_checkpoint_and_resumes_its_successor() {
         let (m, file) = published(WARM, "warm");
         let state = NodeState::decode(&std::fs::read(&file).expect("read")).expect("decodes");
         assert_eq!((state.tick, state.tallies), (5, m.tallies()));
         assert_eq!(m.tallies().checkpoints, 1);
-        let mut exported = m.resource().export_controller_audits();
-        exported.sort_by_key(|img| img.rule.key());
-        assert!(!exported.is_empty());
-        assert_eq!(state.audits, exported, "every audit comes back, in rule-key order");
 
         let successor = resumed(WARM, &file);
         let report = successor.report();
@@ -216,6 +183,8 @@ mod tests {
         assert_eq!(report.tallies.checkpoints, 1, "the predecessor's life is carried");
         assert_eq!((report.tallies.replays, report.tallies.rejected), (1, 0));
         assert_eq!(successor.resource().candidate_count(), m.resource().candidate_count());
+        assert!(!audits(&m).is_empty());
+        assert_eq!(audits(&successor), audits(&m), "every audit comes back");
         clean(&file);
     }
 
@@ -230,6 +199,8 @@ mod tests {
         let successor = resumed(RecoveryMode::ColdRestart, &file);
         assert_eq!(successor.report().verdict, None);
         assert_eq!(successor.tallies(), m.tallies());
+        assert!(!audits(&m).is_empty());
+        assert_eq!(audits(&successor), audits(&m), "the audits are what a cold restart keeps");
         // The same file under a warm policy lacks the trees it should
         // have: refused, not restored as an empty working set.
         let warm = resumed(WARM, &file).report();
@@ -258,7 +229,7 @@ mod tests {
         // The first audited rule's entry, rewritten by `edit`.
         let reaudit = |edit: &dyn Fn(&mut Vec<u8>, &mut Vec<u8>)| {
             edited(&|store| {
-                let (key, value) = store.scan_tree(AUDITS).nth(1).expect("an audited rule");
+                let (key, value) = store.scan_tree(AUDITS).next().expect("an audited rule");
                 let (mut key, mut value) = (key.to_vec(), value.to_vec());
                 store.delete(AUDITS, &key).expect("delete");
                 edit(&mut key, &mut value);
@@ -281,7 +252,6 @@ mod tests {
         let mut damaged = vec![
             ("cut short", whole[..whole.len() - 7].to_vec()),
             ("cut to nothing", Vec::new()),
-            ("without audits", strip(AUDITS)),
             ("without tallies", strip(TALLIES)),
             ("an audits value cut short", reaudit(&|_, value| value.truncate(value.len() - 1))),
             ("one trailing byte", reaudit(&|_, value| value.push(0))),

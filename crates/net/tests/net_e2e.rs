@@ -231,8 +231,7 @@ fn hard_process_kill_is_survived_with_a_warm_restart() {
     // The session must complete without a panic and the rejoined
     // resource must converge with everyone else. (The kill lands after
     // a checkpoint on purpose: a kill before the first checkpoint
-    // leaves nothing to warm-restart from, so the successor's reset
-    // Lamport clock is correctly blamed as a replayer.)
+    // leaves nothing to warm-restart from.)
     let n = 4;
     let truth = correct_rules(
         &Database::union_of(dbs(n).iter()),
@@ -539,6 +538,26 @@ fn a_killed_node_converges_on_the_t5i2_input() {
         .try_run()
         .expect("net session");
     assert_converged("net", &outcome, &truth);
+}
+
+#[test]
+fn a_killed_node_is_not_blamed_on_the_t5i2_input() {
+    // The same kill, held to the north star's "never mis-blame an honest
+    // resource". The successor restores from its tick-1 checkpoint, so
+    // its clocks are older than what its neighbors audited since; the
+    // rejoin restarts each of its edges at both ends, and nobody holds
+    // the predecessor's timestamps against it.
+    let (cfg, dbs, mode, _) = t5i2_kill_input();
+    let outcome = NetSession::<MockCipher>::new(cfg)
+        .with_databases(dbs)
+        .with_recovery(mode)
+        .with_process_kill(1, 2, Some(3))
+        .with_node_binary(NODE_BIN)
+        .try_run()
+        .expect("net session");
+    assert!(outcome.verdicts.is_empty(), "{:?}", outcome.verdicts);
+    assert!(outcome.statuses.iter().all(ResourceStatus::is_ok), "{:?}", outcome.statuses);
+    assert_eq!((outcome.chaos.replays, outcome.chaos.rejected), (1, 0), "{:?}", outcome.chaos);
 }
 
 #[test]

@@ -161,28 +161,32 @@ fn overlay(rec: &mut RuleRecord, tree: &str, value: &[u8]) -> Option<()> {
     Some(())
 }
 
-/// Reads the log's trees back into the state they describe.
-fn state_of(store: &Store<MemBackend>) -> Result<ResourceState, JournalError> {
-    let resource = store
-        .get(OWNER, b"")
-        .and_then(|v| v.try_into().ok())
-        .map(u64::from_be_bytes)
-        .ok_or(JournalError::Codec("image names no owner"))?;
-    let mut records: BTreeMap<&[u8], RuleRecord> = BTreeMap::new();
-    for tree in [RULES, SCAN, OUTPUT] {
-        for (key, value) in store.scan_tree(tree) {
-            let rec = match records.entry(key) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => {
-                    let rule = CandidateRule::from_key(key)
-                        .ok_or(JournalError::Codec("malformed rule key"))?;
-                    e.insert(RuleRecord::registered(rule))
-                }
-            };
-            overlay(rec, tree, value).ok_or(JournalError::Codec("malformed rule value"))?;
+impl ResourceState {
+    /// Reads a verified store's log trees back into the state they
+    /// describe, `None` when it holds no log (no `owner` entry); trees
+    /// of other names ride along unread.
+    pub fn read(store: &Store<MemBackend>) -> Result<Option<ResourceState>, JournalError> {
+        let Some(owner) = store.get(OWNER, b"") else { return Ok(None) };
+        let resource = owner
+            .try_into()
+            .map(u64::from_be_bytes)
+            .map_err(|_| JournalError::Codec("image names no owner"))?;
+        let mut records: BTreeMap<&[u8], RuleRecord> = BTreeMap::new();
+        for tree in [RULES, SCAN, OUTPUT] {
+            for (key, value) in store.scan_tree(tree) {
+                let rec = match records.entry(key) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
+                        let rule = CandidateRule::from_key(key)
+                            .ok_or(JournalError::Codec("malformed rule key"))?;
+                        e.insert(RuleRecord::registered(rule))
+                    }
+                };
+                overlay(rec, tree, value).ok_or(JournalError::Codec("malformed rule value"))?;
+            }
         }
+        Ok(Some(ResourceState { resource, records: records.into_values().collect() }))
     }
-    Ok(ResourceState { resource, records: records.into_values().collect() })
 }
 
 /// Where each whole record of a segment ends (a WAL's first is its
@@ -317,7 +321,9 @@ impl RecoveryImage {
     /// converts it into a `MaliciousResource` verdict.
     pub fn replay(&self) -> Result<(ResourceState, u64), JournalError> {
         let store = self.verify()?;
-        Ok((state_of(&store)?, store.wal_records()))
+        let state =
+            ResourceState::read(&store)?.ok_or(JournalError::Codec("image names no owner"))?;
+        Ok((state, store.wal_records()))
     }
 
     /// [`RecoveryImage::of`] a store the caller is done with: its files

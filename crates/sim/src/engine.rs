@@ -510,7 +510,7 @@ where
             // Honest crash semantics: volatile mining state dies with the
             // process; the recovery image it leaves is held until the
             // rejoin. Legacy `Disabled` mode keeps everything.
-            self.crash_image[u] = self.resources[u].crash_wipe();
+            self.crash_image[u] = Some(self.resources[u].crash_wipe());
         }
         let Some(&first) = nbrs.first() else { return };
         // The hub is the former neighbor now adjacent to all the others
@@ -559,20 +559,18 @@ where
             self.step_no.wrapping_mul(0x9E37).wrapping_add(self.resources.len() as u64) ^ 0xC0DE;
         self.resources[u].rewire(vec![anchor], epoch);
         if self.mode.wipes() {
-            if self.mode.policy().is_some() {
-                // Checkpoint restore: the image is untrusted input. A
-                // rejection halts the resource with a MaliciousResource
-                // verdict (it rejoined the overlay but will never speak);
-                // the grid keeps mining around it. A resource isolated
-                // without a crash rejoins from its live log.
-                let image = self.crash_image[u].take();
-                let image = image.or_else(|| self.resources[u].encode_recovery_image());
-                if image.is_some_and(|bytes| self.resources[u].restore_from_image(&bytes)) {
-                    self.healing[u] = true;
-                }
-            } else {
-                // Cold rejoin: nothing to restore; anti-entropy resends
-                // rebuild the state until the backlog check clears.
+            // The one restore door, as in every driver: the controller's
+            // audits, then the journal under a checkpoint policy. The
+            // image is untrusted input: a rejection halts the resource
+            // with a MaliciousResource verdict (it rejoined the overlay
+            // but will never speak); the grid keeps mining around it. A
+            // resource isolated without a crash rejoins from the image a
+            // crash now would leave. Cold, only the audits come back, and
+            // anti-entropy resends rebuild the rest until the backlog
+            // check clears.
+            let image = self.crash_image[u].take();
+            let image = image.or_else(|| self.resources[u].encode_recovery_image());
+            if image.is_some_and(|bytes| self.resources[u].restore_from_image(&bytes)) {
                 self.healing[u] = true;
             }
             if self.healing[u] {
@@ -1297,6 +1295,34 @@ mod tests {
         assert!(s.firing.is_none());
         assert!(s.queue.first().is_some_and(|&(at, _)| at > 5), "{:?}", s.queue);
         assert!(want[1..].iter().all(|e| s.queue.contains(e)));
+    }
+
+    #[test]
+    fn a_cold_rejoin_leaves_every_gate_and_clock_where_the_crash_found_them() {
+        let mut sim = grid(6, 1);
+        sim.set_recovery(RecoveryMode::ColdRestart);
+        sim.run_event_driven(20);
+        let u = 2;
+        let audits = sim.resource(u).export_controller_audits();
+        let fresh = gridmine_core::KGate::new(1);
+        assert!(audits.iter().any(|a| a.clock > 0 && a.output_gate != fresh), "{audits:?}");
+        sim.quarantine(u, DegradeReason::Crashed);
+        assert!(sim.resource(u).export_controller_audits().is_empty(), "the crash lost them");
+        sim.recover(u);
+        // A cold rejoiner has no voting instance to send from, so nothing
+        // has moved since the restore; it keeps the send gate of the one
+        // edge it rejoined on.
+        let anchor: Vec<usize> = sim.overlay().neighbors(u).collect();
+        let kept: Vec<_> = audits
+            .into_iter()
+            .map(|mut a| {
+                a.send_gates.retain(|(v, _)| anchor.contains(v));
+                a
+            })
+            .collect();
+        assert_eq!(anchor.len(), 1);
+        assert!(kept.iter().any(|a| !a.send_gates.is_empty()), "{kept:?}");
+        assert_eq!(sim.resource(u).export_controller_audits(), kept);
     }
 
     #[test]

@@ -128,11 +128,6 @@ impl Overlay {
         let d = self.delay_model.sample(&mut self.rng);
         self.delays.insert((parent.min(u), parent.max(u)), d);
     }
-
-    /// Maximum link delay (for convergence-bound estimates).
-    pub fn max_delay(&self) -> u64 {
-        self.delays.values().copied().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +149,9 @@ mod tests {
     #[test]
     fn constant_model_is_constant() {
         let o = Overlay::barabasi(50, 1, DelayModel::Constant(4), 1);
-        assert_eq!(o.max_delay(), 4);
+        for u in o.tree().nodes() {
+            assert!(o.neighbors(u).all(|v| o.delay(u, v) == 4));
+        }
     }
 
     #[test]

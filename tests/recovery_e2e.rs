@@ -91,7 +91,7 @@ fn recovery_journal_spills_to_disk_and_restores_the_resource() {
 
     // Crash: volatile state dies; the journal is what survived, handed
     // over as the image the crash left.
-    let bytes = grid[2].crash_wipe().expect("armed resource leaves an image");
+    let bytes = grid[2].crash_wipe();
     assert_eq!(grid[2].candidate_count(), 0, "the wipe actually lost the working set");
 
     // Spill the image to the artifact path CI archives (written to a
@@ -145,7 +145,7 @@ fn tampered_on_disk_image_is_rejected_not_applied() {
 
     // Forge the journal while the resource is down, then try to restore.
     grid[1].corrupt_recovery_journal();
-    let bytes = grid[1].crash_wipe().expect("the crash still leaves an image");
+    let bytes = grid[1].crash_wipe();
     assert!(!grid[1].restore_from_image(&bytes), "forged image must be refused");
     assert_eq!(
         grid[1].verdict(),
