@@ -80,31 +80,6 @@ impl Database {
         net.max(0) as u64
     }
 
-    /// Counts antecedent and union support in a single scan — the pair an
-    /// accountant needs per candidate rule (Algorithm 2's `count`/`sum`).
-    /// Polarity-aware like [`Database::support`].
-    pub fn support_pair(&self, antecedent: &ItemSet, union: &ItemSet) -> (u64, u64) {
-        let fold = |acc: (i64, i64), t: &Transaction| {
-            let mut acc = acc;
-            if t.contains_all(antecedent) {
-                acc.0 += t.polarity();
-                if t.contains_all(union) {
-                    acc.1 += t.polarity();
-                }
-            }
-            acc
-        };
-        let (a, u) = if self.transactions.len() >= PAR_THRESHOLD {
-            self.transactions
-                .par_iter()
-                .fold(|| (0i64, 0i64), fold)
-                .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-        } else {
-            self.transactions.iter().fold((0, 0), fold)
-        };
-        (a.max(0) as u64, u.max(0) as u64)
-    }
-
     /// `Freq(X, DB)` as a float (reporting only; protocol math stays
     /// rational).
     pub fn freq(&self, x: &ItemSet) -> f64 {
@@ -161,16 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn support_pair_matches_two_scans() {
-        let db = db();
-        let x = ItemSet::of(&[1]);
-        let xy = ItemSet::of(&[1, 2]);
-        let (cx, cxy) = db.support_pair(&x, &xy);
-        assert_eq!(cx, db.support(&x));
-        assert_eq!(cxy, db.support(&xy));
-    }
-
-    #[test]
     fn freq_is_support_over_len() {
         let db = db();
         assert!((db.freq(&ItemSet::of(&[1])) - 0.8).abs() < 1e-12);
@@ -203,8 +168,6 @@ mod tests {
         }
         let db = Database::from_transactions(txs);
         assert_eq!(db.support(&ItemSet::of(&[1])), (0..5000).filter(|i| i % 3 == 0).count() as u64);
-        let (c, s) = db.support_pair(&ItemSet::of(&[2]), &ItemSet::of(&[1, 2]));
-        assert_eq!(c, 5000);
-        assert_eq!(s, db.support(&ItemSet::of(&[1, 2])));
+        assert_eq!(db.support(&ItemSet::of(&[2])), 5000);
     }
 }

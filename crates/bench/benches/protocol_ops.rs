@@ -1,37 +1,13 @@
-//! Criterion micro-benchmarks of the protocol layer: plain
-//! Scalable-Majority vs. the secure protocol, per-event costs, and the
-//! price of the §5 security machinery (the DESIGN.md ablation
-//! "plain baseline vs. Secure-Majority-Rule").
+//! Criterion micro-benchmarks of the protocol layer: the secure protocol
+//! to a fixpoint and one simulator step. The plain baseline's price is
+//! the differential test's (`crates/core/tests/secure_matches_plain.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridmine_arm::{Database, Item, Ratio, Transaction};
 use gridmine_core::resource::wire_grid;
-use gridmine_core::{GridKeys, SecureResource, WireMsg};
-use gridmine_majority::scalable::run_to_quiescence;
-use gridmine_majority::{rule::run_plain_mining, CandidateGenerator, VotePair};
+use gridmine_core::{CandidateGenerator, GridKeys, SecureResource, WireMsg};
 use gridmine_paillier::MockCipher;
-use gridmine_topology::Tree;
 use std::hint::black_box;
-
-fn mixed_inputs(n: usize) -> Vec<VotePair> {
-    (0..n).map(|i| VotePair::new(((i * 7) % 10) as i64, 10)).collect()
-}
-
-fn bench_scalable_majority(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scalable_majority_quiescence");
-    for n in [16usize, 64, 256] {
-        let inputs = mixed_inputs(n);
-        group.bench_with_input(BenchmarkId::new("path", n), &n, |b, &n| {
-            let tree = Tree::path(n);
-            b.iter(|| run_to_quiescence(&tree, Ratio::new(1, 2), black_box(&inputs)))
-        });
-        group.bench_with_input(BenchmarkId::new("star", n), &n, |b, &n| {
-            let tree = Tree::star(n);
-            b.iter(|| run_to_quiescence(&tree, Ratio::new(1, 2), black_box(&inputs)))
-        });
-    }
-    group.finish();
-}
 
 fn small_partitions(n: usize, per: usize) -> Vec<Database> {
     (0..n)
@@ -52,17 +28,12 @@ fn small_partitions(n: usize, per: usize) -> Vec<Database> {
         .collect()
 }
 
-fn bench_plain_vs_secure_mining(c: &mut Criterion) {
+fn bench_secure_mining(c: &mut Criterion) {
     let mut group = c.benchmark_group("mining_to_fixpoint");
     group.sample_size(20);
     let n = 8;
     let dbs = small_partitions(n, 60);
     let items: Vec<Item> = vec![Item(1), Item(2), Item(3)];
-
-    group.bench_function("plain_majority_rule", |b| {
-        let tree = Tree::path(n);
-        b.iter(|| run_plain_mining(&tree, black_box(&dbs), Ratio::new(1, 2), Ratio::new(1, 2)))
-    });
 
     group.bench_function("secure_majority_rule_mock", |b| {
         b.iter(|| {
@@ -137,10 +108,5 @@ fn bench_simulation_step(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_scalable_majority,
-    bench_plain_vs_secure_mining,
-    bench_simulation_step
-);
+criterion_group!(benches, bench_secure_mining, bench_simulation_step);
 criterion_main!(benches);

@@ -41,6 +41,9 @@ struct ScanState {
     clock: u32,
     /// Sum at the previous `respond`, for the padding sequence.
     last_sum: i64,
+    /// `num` at the previous `respond`: 0 until the first answer the
+    /// resource counted in.
+    last_num: u32,
 }
 
 impl ScanState {
@@ -173,11 +176,15 @@ impl<C: HomCipher> Accountant<C> {
             count: 0,
             clock: 1,
             last_sum: 0,
+            last_num: 0,
         });
     }
 
     /// Advances the cyclic scan for rule `id` by up to `budget`
-    /// transactions. Returns true if the counters changed.
+    /// transactions. Returns true if the counters changed, and on the
+    /// scan's first step: that step starts the rule's scan, so the
+    /// resource now counts in its population (`num`, see
+    /// [`Accountant::respond`]) even when nothing matched.
     ///
     /// # Panics
     /// Panics if the rule was never registered.
@@ -193,6 +200,7 @@ impl<C: HomCipher> Accountant<C> {
         // the k-gate measures count *growth*, so deletions only make it
         // more conservative (never more talkative).
         let (mut dsum, mut dcount) = (0i64, 0i64);
+        let started = st.frontier == 0;
         let slice = &self.db.transactions()[st.frontier..end];
         if rule.rule.is_frequency() {
             let x = &rule.rule.consequent;
@@ -217,7 +225,7 @@ impl<C: HomCipher> Accountant<C> {
         st.frontier = end;
         st.sum += dsum;
         st.count += dcount;
-        dsum != 0 || dcount != 0
+        started || dsum != 0 || dcount != 0
     }
 
     /// Scans the entire remaining database for rule `id` (tests/examples).
@@ -261,6 +269,8 @@ impl<C: HomCipher> Accountant<C> {
                 count: rec.count,
                 clock: u32::try_from(rec.clock.max(1)).unwrap_or(u32::MAX),
                 last_sum: rec.last_sum,
+                // A record is logged right after the `respond` it follows.
+                last_num: u32::from(rec.frontier > 0 || self.db.is_empty()),
             },
         );
     }
@@ -282,15 +292,23 @@ impl<C: HomCipher> Accountant<C> {
 
     /// Answers the broker's support request: the current sealed local
     /// counter, preceded by the ±1 padding sequence when the support
-    /// changed and `obfuscate` is on.
+    /// changed and `obfuscate` is on. The counter's `num` is 1 once the
+    /// rule's scan has started (or there is nothing to scan) and 0
+    /// before: a resource that adopted a rule on receipt is not yet part
+    /// of the population the k-gate counts. So the first counted answer
+    /// has no previous answer to pad: its sequence pads the new sum
+    /// twice (`s'+1, s'−1, s'+1, s'−1, s'`), and every pad stays within
+    /// one of a state the resource really answered.
     ///
     /// # Panics
     /// Panics if the rule was never registered.
     pub fn respond(&mut self, id: RuleId) -> Vec<SecureCounter<C>> {
         let st = self.rules.get_mut(id).expect("rule not registered with accountant");
         let (s_old, s_new, count) = (st.last_sum, st.sum, st.count);
+        let num = u32::from(st.frontier > 0 || self.db.is_empty());
+        let base = if st.last_num == 0 { s_new } else { s_old };
         let padding = (self.obfuscate && s_old != s_new && s_old != i64::MIN)
-            .then(|| [s_old + 1, s_old - 1, s_new + 1, s_new - 1]);
+            .then(|| [base + 1, base - 1, s_new + 1, s_new - 1]);
         // A share is an element of the 31-bit share field.
         let own_share = self.shares.own as u32;
         let mut out = Vec::with_capacity(padding.map_or(1, |p| p.len() + 1));
@@ -303,12 +321,12 @@ impl<C: HomCipher> Accountant<C> {
                 &self.layout,
                 s,
                 count,
-                1,
+                num,
                 own_share,
                 t,
             ));
         }
-        st.last_sum = s_new;
+        (st.last_sum, st.last_num) = (s_new, num);
         out
     }
 }
@@ -355,6 +373,22 @@ mod tests {
     }
 
     #[test]
+    fn a_first_scan_that_matches_nothing_is_a_change_and_seals_num_one() {
+        let (keys, mut acc) = setup();
+        // No transaction holds the antecedent {9}: the scan counts nothing.
+        let r =
+            CandidateRule::new(Rule::new(ItemSet::of(&[9]), ItemSet::of(&[1])), Ratio::new(1, 2));
+        acc.register_rule(0, &r);
+        let before = acc.respond(0).pop().unwrap();
+        let key = keys.tags.key(before.layout.arity());
+        assert_eq!(before.open(&keys.dec, &key).unwrap().num, 0, "not scanned yet");
+        assert!(acc.advance_scan(0, 2), "the scan's first step starts it");
+        let p = acc.respond(0).pop().unwrap().open(&keys.dec, &key).unwrap();
+        assert_eq!((p.sum, p.count, p.num), (0, 0, 1));
+        assert!(!acc.advance_scan(0, 1), "a later step that counts nothing is no change");
+    }
+
+    #[test]
     fn confidence_rule_counts_antecedent_and_union() {
         let (keys, mut acc) = setup();
         let r =
@@ -394,12 +428,20 @@ mod tests {
         assert_eq!(seq.len(), 5, "support changed 0 → 3: padding sequence expected");
         let key = keys.tags.key(seq[0].layout.arity());
         let sums: Vec<i64> = seq.iter().map(|c| c.open(&keys.dec, &key).unwrap().sum).collect();
-        assert_eq!(sums, vec![1, -1, 4, 2, 3]);
+        // The first counted answer pads itself: the sum before the scan
+        // counted no resource.
+        assert_eq!(sums, vec![4, 2, 4, 2, 3]);
         // Timestamps strictly increase across the sequence.
         let ts: Vec<i64> = seq.iter().map(|c| c.open(&keys.dec, &key).unwrap().ts[0]).collect();
         assert!(ts.windows(2).all(|w| w[0] < w[1]));
         // No change since: a single plain response.
         assert_eq!(acc.respond(0).len(), 1);
+        // Later changes pad the previous answer and the new one.
+        acc.append([Transaction::of(4, &[1]), Transaction::of(5, &[1])]);
+        acc.scan_all(0);
+        let sums: Vec<i64> =
+            acc.respond(0).iter().map(|c| c.open(&keys.dec, &key).unwrap().sum).collect();
+        assert_eq!(sums, vec![4, 2, 6, 4, 5]);
     }
 
     #[test]

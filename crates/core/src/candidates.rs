@@ -1,4 +1,7 @@
 //! Candidate-rule generation (§4.1, also used verbatim by Algorithm 4).
+//! Every resource builds one ([`crate::miner::MineConfig::resource`]);
+//! the plain Majority-Rule oracle of the differential test
+//! `tests/secure_matches_plain.rs` runs the same generator.
 //!
 //! Majority-Rule is an anytime algorithm, so its candidates are *rules*
 //! rather than itemsets. Generation, driven by the current interim

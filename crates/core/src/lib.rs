@@ -43,6 +43,7 @@
 pub mod accountant;
 pub mod attack;
 pub mod broker;
+pub mod candidates;
 pub mod chaos;
 pub mod controller;
 pub mod counter;
@@ -63,6 +64,7 @@ pub mod threaded;
 pub use accountant::Accountant;
 pub use attack::{BrokerBehavior, ControllerBehavior};
 pub use broker::{Broker, BrokerMsg};
+pub use candidates::CandidateGenerator;
 pub use chaos::{ChaosReport, DegradeReason, ResourceStatus};
 pub use controller::{AuditImage, Controller, SealedEdges, SendEdge, Verdict};
 pub use counter::{CounterLayout, SecureCounter};

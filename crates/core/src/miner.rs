@@ -13,10 +13,10 @@
 //! [`item_domain`].
 
 use gridmine_arm::{Database, Item, Ratio, RuleSet, Transaction};
-use gridmine_majority::CandidateGenerator;
 use gridmine_obs::MetricsSnapshot;
 use gridmine_paillier::HomCipher;
 
+use crate::candidates::CandidateGenerator;
 use crate::chaos::{ChaosReport, ResourceStatus};
 use crate::controller::Verdict;
 use crate::counter::CounterLayout;
@@ -131,7 +131,6 @@ mod tests {
     use crate::resource::{wire_grid, SecureResource};
     use crate::session::MineSession;
     use gridmine_arm::{correct_rules, AprioriConfig, Database, Transaction};
-    use gridmine_majority::CandidateGenerator;
     use gridmine_paillier::MockCipher;
     use gridmine_recovery::RecoveryMode;
     use gridmine_topology::{FaultPlan, Tree};

@@ -12,7 +12,6 @@
 use std::collections::{HashMap, HashSet};
 
 use gridmine_arm::{CandidateRule, Database, Item, Rule, RuleSet};
-use gridmine_majority::CandidateGenerator;
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::HomCipher;
 use gridmine_recovery::{
@@ -23,6 +22,7 @@ use gridmine_store::{MemBackend, Store};
 use crate::accountant::Accountant;
 use crate::attack::{BrokerBehavior, ControllerBehavior};
 use crate::broker::{Broker, BrokerMsg};
+use crate::candidates::CandidateGenerator;
 use crate::chaos::DegradeReason;
 use crate::controller::{AuditImage, Controller, SendEdge, Verdict};
 use crate::counter::{CounterLayout, SecureCounter};
@@ -703,10 +703,17 @@ impl<C: HomCipher> SecureResource<C> {
             image.corrupt();
         }
         self.ctl.wipe_audits();
+        self.wipe_instances();
+        image.to_bytes()
+    }
+
+    /// Drops every rule's scan state, voting instance and cached output —
+    /// the part of a crash's loss that [`SecureResource::restore`] starts
+    /// from too.
+    fn wipe_instances(&mut self) {
         self.acc.wipe_scans();
         self.broker.rewire(self.layout.clone());
         self.output_cache.clear();
-        image.to_bytes()
     }
 
     /// Restores from a serialized [`RecoveryImage`] — what a crash handed
@@ -716,7 +723,10 @@ impl<C: HomCipher> SecureResource<C> {
     /// bytes off the wire), re-audits the accounting shares and replays
     /// the journal. An image without a log (a cold restart's) restores
     /// the audits alone, unless the resource is armed and expects one.
-    /// On any failure, an undecodable image included, the
+    /// Whatever rule instances the resource held are dropped first, as a
+    /// crash drops them: a successor process, minted afresh with its
+    /// initial candidates, restores to the state a crashed resource of
+    /// any other driver restores to. On any failure, an undecodable image included, the
     /// resource blames itself with [`Verdict::MaliciousResource`] and
     /// stays out of the protocol — a forged image degrades one resource,
     /// it never panics the grid.
@@ -745,6 +755,7 @@ impl<C: HomCipher> SecureResource<C> {
         if !self.ctl.import_audits(audits, |rule| self.rules.intern(rule)) {
             return Err("controller audit image carries an out-of-range clock".into());
         }
+        self.wipe_instances();
         match ResourceState::read(&store).map_err(|e| e.to_string())? {
             Some(state) => self.replay(state, &store)?,
             None if self.recovery.is_some() => return Err("image holds no recovery log".into()),
@@ -1058,6 +1069,36 @@ mod tests {
         assert!(r.restore_from_image(&image));
         assert_eq!((r.interim(), r.candidate_count()), (interim, candidates));
         assert_eq!((r.recovery_replays(), r.verdict()), (1, None));
+    }
+
+    #[test]
+    fn a_successor_minted_afresh_restores_to_what_the_crashed_resource_restores_to() {
+        // A net node's successor is a new process: minted with its initial
+        // candidates registered, then restored. Its heal must mail what
+        // the crashed resource's own restore mails, rule for rule.
+        let keys = GridKeys::<MockCipher>::mock(5);
+        let mut rs = armed_and_mined();
+        let image = rs[0].crash_wipe();
+        let mut successor = two_resource_grid(1).swap_remove(0);
+        successor.arm_recovery();
+        let mut heals = [&mut rs[0], &mut successor].map(|r| {
+            assert!(r.restore_from_image(&image));
+            r.reset_edge(1);
+            let mut sent: Vec<_> = r
+                .nudge()
+                .iter()
+                .map(|m| {
+                    let key = keys.tags.key(m.counter.layout.arity());
+                    let p = m.counter.open(&keys.dec, &key).expect("an honest seal");
+                    (m.cand.to_string(), p.sum, p.count, p.num)
+                })
+                .collect();
+            sent.sort();
+            sent
+        });
+        let [crashed, successor] = &mut heals;
+        assert!(!crashed.is_empty(), "the heal resends the restored aggregates");
+        assert_eq!(crashed, successor);
     }
 
     #[test]

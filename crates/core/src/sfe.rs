@@ -12,7 +12,6 @@
 //! module preserves exactly is the *information released to the broker*:
 //! one gated bit per query.
 
-use gridmine_arm::Ratio;
 use serde::{Deserialize, Serialize};
 
 /// The k-privacy gate of Algorithm 1's `Output()`:
@@ -144,11 +143,6 @@ pub(crate) fn be_word(bytes: &[u8]) -> Option<(i64, &[u8])> {
 /// `(Δ^uv ≥ 0 ∧ Δ^uv > Δ^u) ∨ (Δ^uv < 0 ∧ Δ^uv < Δ^u)`.
 pub fn majority_send_cond(delta_uv: i64, delta_u: i64) -> bool {
     (delta_uv >= 0 && delta_uv > delta_u) || (delta_uv < 0 && delta_uv < delta_u)
-}
-
-/// `Δ = λ_d·sum − λ_n·count` over plaintext values.
-pub fn delta(lambda: Ratio, sum: i64, count: i64) -> i64 {
-    lambda.delta(sum, count)
 }
 
 #[cfg(test)]

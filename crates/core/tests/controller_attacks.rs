@@ -23,7 +23,7 @@ fn drive(resources: Vec<SecureResource<MockCipher>>) -> MiningOutcome {
 
 fn grid(n: usize) -> (Vec<SecureResource<MockCipher>>, gridmine_arm::RuleSet) {
     let keys = GridKeys::mock(4);
-    let generator = gridmine_majority::CandidateGenerator::new(Ratio::new(1, 2), Ratio::new(1, 2));
+    let generator = gridmine_core::CandidateGenerator::new(Ratio::new(1, 2), Ratio::new(1, 2));
     let items = vec![Item(1), Item(2), Item(3)];
     let dbs: Vec<Database> = (0..n as u64)
         .map(|u| {

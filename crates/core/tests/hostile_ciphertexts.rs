@@ -28,11 +28,11 @@ use gridmine_arm::{CandidateRule, Database, Item, ItemSet, Ratio, Rule, Transact
 use gridmine_core::attack::BrokerBehavior;
 use gridmine_core::counter::{CounterLayout, SecureCounter, F_NUM, F_SUM, F_TS};
 use gridmine_core::resource::wire_grid;
+use gridmine_core::CandidateGenerator;
 use gridmine_core::{
     Accountant, AuditImage, Broker, Controller, GridKeys, KGate, SealedEdges, SecureResource,
     SendEdge, Verdict, WireMsg,
 };
-use gridmine_majority::CandidateGenerator;
 use gridmine_obs::{Event, EventKind, MemoryRecorder, VerdictKind};
 use gridmine_paillier::{
     Ciphertext, HomCipher, MockCipher, ObliviousError, PaillierCtx, SlotError,

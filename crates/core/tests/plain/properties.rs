@@ -3,24 +3,13 @@
 //! Majority-Rule must match centralized Apriori on random partitioned
 //! databases.
 
+use super::random_tree;
+use super::rule::run_plain_mining;
+use super::scalable::{run_to_quiescence, VotePair};
 use gridmine_arm::{correct_rules, AprioriConfig, Database, Ratio, Transaction};
-use gridmine_majority::rule::run_plain_mining;
-use gridmine_majority::scalable::{run_to_quiescence, VotePair};
-use gridmine_topology::{spanning_tree, Graph, Tree};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-
-/// Random tree built from a random Prüfer-like parent assignment.
-fn random_tree(n: usize, seed: u64) -> Tree {
-    let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let mut g = Graph::with_nodes(n);
-    for v in 1..n {
-        let parent = rng.gen_range(0..v);
-        g.add_edge(parent, v);
-    }
-    spanning_tree(&g, 0)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -96,7 +85,7 @@ proptest! {
             &Database::union_of(dbs.iter()),
             &AprioriConfig::new(min_freq, min_conf),
         );
-        let results = run_plain_mining(&tree, &dbs, min_freq, min_conf);
+        let results = run_plain_mining(&tree, &dbs, min_freq, min_conf).solutions;
         for u in tree.nodes() {
             prop_assert_eq!(&results[u], &truth, "resource {} diverged", u);
         }

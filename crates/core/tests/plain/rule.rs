@@ -7,12 +7,14 @@
 //! confidence candidate `X ⇒ Y` it is ⟨Support(X∪Y), Support(X)⟩ against
 //! λ = MinConf.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::BuildHasherDefault;
 
 use gridmine_arm::{CandidateRule, Database, Item, Ratio, Rule, RuleSet};
+use gridmine_core::{item_domain, CandidateGenerator};
 
-use crate::candidates::CandidateGenerator;
-use crate::scalable::{MajorityNode, VotePair};
+use super::scalable::{MajorityNode, VotePair};
 
 /// Computes a resource's local vote for a candidate rule.
 #[derive(Clone, Copy, Debug)]
@@ -24,8 +26,7 @@ impl ResourceVote {
         if cand.rule.is_frequency() {
             VotePair::new(db.support(&cand.rule.consequent) as i64, db.len() as i64)
         } else {
-            let union = cand.rule.union();
-            let (count, sum) = db.support_pair(&cand.rule.antecedent, &union);
+            let (count, sum) = (db.support(&cand.rule.antecedent), db.support(&cand.rule.union()));
             VotePair::new(sum as i64, count as i64)
         }
     }
@@ -50,7 +51,9 @@ pub struct MajorityRuleMiner {
     id: usize,
     generator: CandidateGenerator,
     neighbors: Vec<usize>,
-    nodes: HashMap<CandidateRule, MajorityNode>,
+    /// Unkeyed hashing, so a run visits its candidates in the same
+    /// order every time and its message count replays.
+    nodes: HashMap<CandidateRule, MajorityNode, BuildHasherDefault<DefaultHasher>>,
     /// Total Scalable-Majority messages sent by this resource.
     pub msgs_sent: u64,
 }
@@ -64,16 +67,11 @@ impl MajorityRuleMiner {
         neighbors: Vec<usize>,
     ) -> Self {
         let mut miner =
-            MajorityRuleMiner { id, generator, neighbors, nodes: HashMap::new(), msgs_sent: 0 };
+            MajorityRuleMiner { id, generator, neighbors, nodes: HashMap::default(), msgs_sent: 0 };
         for cand in generator.initial(items) {
             miner.ensure_node(cand);
         }
         miner
-    }
-
-    /// Resource id.
-    pub fn id(&self) -> usize {
-        self.id
     }
 
     /// Number of live voting instances.
@@ -85,7 +83,7 @@ impl MajorityRuleMiner {
         if self.nodes.contains_key(&cand) {
             return false;
         }
-        let mut node = MajorityNode::new(self.id, cand.lambda);
+        let mut node = MajorityNode::new(cand.lambda);
         for &v in &self.neighbors {
             // First-contact sends are deferred to the next refresh, which
             // sets the input and reevaluates anyway.
@@ -186,27 +184,28 @@ impl MajorityRuleMiner {
     }
 }
 
+/// What a plain run ends with.
+pub struct PlainOutcome {
+    /// Every resource's final interim solution.
+    pub solutions: Vec<RuleSet>,
+    /// Scalable-Majority messages sent, summed over the grid.
+    pub messages: u64,
+}
+
 /// Synchronous whole-grid driver: runs plain Majority-Rule to a global
-/// fixpoint (no pending messages, no new candidates) and returns every
-/// resource's final interim solution.
+/// fixpoint (no pending messages, no new candidates).
 ///
-/// Intended for tests and small examples; the discrete-event simulator in
-/// `gridmine-sim` is the scalable driver.
+/// The oracle of `secure_matches_plain.rs`: its messages per resource
+/// are the baseline the secure protocol's price of k is measured against.
 pub fn run_plain_mining(
     tree: &gridmine_topology::Tree,
     dbs: &[Database],
     min_freq: Ratio,
     min_conf: Ratio,
-) -> Vec<RuleSet> {
+) -> PlainOutcome {
     assert_eq!(dbs.len(), tree.capacity(), "one database per resource");
     let generator = CandidateGenerator::new(min_freq, min_conf);
-
-    // The item domain is the union of local domains (in deployment each
-    // resource knows the global item catalog).
-    let mut items: Vec<Item> = dbs.iter().flat_map(|d| d.item_domain()).collect();
-    items.sort_unstable();
-    items.dedup();
-
+    let items = item_domain(dbs.iter().flat_map(Database::transactions));
     let mut miners: Vec<MajorityRuleMiner> = tree
         .nodes()
         .map(|u| {
@@ -247,7 +246,10 @@ pub fn run_plain_mining(
             break;
         }
     }
-    miners.iter().map(|m| m.interim()).collect()
+    PlainOutcome {
+        solutions: miners.iter().map(MajorityRuleMiner::interim).collect(),
+        messages: miners.iter().map(|m| m.msgs_sent).sum(),
+    }
 }
 
 #[cfg(test)]
@@ -281,7 +283,7 @@ mod tests {
         let global = Database::union_of(dbs.iter());
         let cfg = AprioriConfig::new(min_freq, min_conf);
         let truth = correct_rules(&global, &cfg);
-        let results = run_plain_mining(tree, dbs, min_freq, min_conf);
+        let results = run_plain_mining(tree, dbs, min_freq, min_conf).solutions;
         for u in tree.nodes() {
             assert_eq!(
                 results[u].sorted().iter().map(|r| r.to_string()).collect::<Vec<_>>(),

@@ -10,18 +10,17 @@
 //! ```
 //!
 //! and sends to `v` upon first contact or whenever
-//! `(Δ^uv ≥ 0 ∧ Δ^uv > Δ^u) ∨ (Δ^uv < 0 ∧ Δ^uv < Δ^u)` — i.e. exactly when
-//! the pairwise agreement overstates the majority relative to everything
-//! `u` knows. A sent message carries the sum of all *other* neighbors'
-//! latest pairs, after which `Δ^uv = Δ^u` and the edge is quiescent.
-//!
-//! The struct is a pure state machine — no I/O, no clock — so the same
-//! code runs under the synchronous test harness, the discrete-event
-//! simulator, and (wrapped in oblivious counters) the secure protocol.
+//! [`majority_send_cond`]`(Δ^uv, Δ^u)` holds — i.e. exactly when the
+//! pairwise agreement overstates the majority relative to everything `u`
+//! knows. That is the controller's send test too, so the plain and the
+//! secure protocol share one vote rule; first contact is this oracle's
+//! own. A sent message carries the sum of all *other* neighbors' latest
+//! pairs, after which `Δ^uv = Δ^u` and the edge is quiescent.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use gridmine_arm::Ratio;
+use gridmine_core::sfe::majority_send_cond;
 
 /// A ⟨sum, count⟩ vote aggregate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -63,24 +62,16 @@ struct EdgeState {
 /// One node's state in a single majority-vote instance.
 #[derive(Clone, Debug)]
 pub struct MajorityNode {
-    id: usize,
     lambda: Ratio,
     /// The virtual `⊥` message: this node's own agglomerated vote.
     local: VotePair,
-    edges: HashMap<usize, EdgeState>,
-    /// Messages sent counter (protocol-cost accounting).
-    pub msgs_sent: u64,
+    edges: BTreeMap<usize, EdgeState>,
 }
 
 impl MajorityNode {
     /// A node with no input yet (local pair zero).
-    pub fn new(id: usize, lambda: Ratio) -> Self {
-        MajorityNode { id, lambda, local: VotePair::default(), edges: HashMap::new(), msgs_sent: 0 }
-    }
-
-    /// This node's id.
-    pub fn id(&self) -> usize {
-        self.id
+    pub fn new(lambda: Ratio) -> Self {
+        MajorityNode { lambda, local: VotePair::default(), edges: BTreeMap::new() }
     }
 
     /// Registers a tree neighbor. Returns any messages triggered (first
@@ -137,9 +128,7 @@ impl MajorityNode {
             let e = &self.edges[&v];
             let duv = self.delta_uv(e);
             let first_contact = !e.contacted;
-            let must_send =
-                first_contact || (duv >= 0 && duv > delta_u) || (duv < 0 && duv < delta_u);
-            if must_send {
+            if first_contact || majority_send_cond(duv, delta_u) {
                 // Payload: everything except v's own last message.
                 let payload = self
                     .edges
@@ -154,7 +143,6 @@ impl MajorityNode {
                 }
                 e.sent = payload;
                 e.contacted = true;
-                self.msgs_sent += 1;
                 out.push(OutMsg { to: v, pair: payload });
             }
         }
@@ -165,18 +153,6 @@ impl MajorityNode {
 /// Synchronous in-memory runner: delivers messages over a tree until
 /// quiescence. Returns per-node decisions. Panics if the protocol fails to
 /// quiesce within a generous bound (a liveness bug).
-///
-/// ```
-/// use gridmine_arm::Ratio;
-/// use gridmine_majority::scalable::{run_to_quiescence, VotePair};
-/// use gridmine_topology::Tree;
-///
-/// // 3 yes, 2 no — majority at λ = 1/2 is yes, and every node agrees.
-/// let votes: Vec<VotePair> =
-///     [1, 0, 1, 0, 1].iter().map(|&b| VotePair::new(b, 1)).collect();
-/// let decisions = run_to_quiescence(&Tree::path(5), Ratio::new(1, 2), &votes);
-/// assert!(decisions.iter().all(|&d| d));
-/// ```
 pub fn run_to_quiescence(
     tree: &gridmine_topology::Tree,
     lambda: Ratio,
@@ -184,7 +160,7 @@ pub fn run_to_quiescence(
 ) -> Vec<bool> {
     assert_eq!(inputs.len(), tree.capacity(), "one input per node");
     let n = tree.capacity();
-    let mut nodes: Vec<MajorityNode> = (0..n).map(|i| MajorityNode::new(i, lambda)).collect();
+    let mut nodes: Vec<MajorityNode> = (0..n).map(|_| MajorityNode::new(lambda)).collect();
     let mut queue: std::collections::VecDeque<(usize, OutMsg)> = std::collections::VecDeque::new();
 
     for u in tree.nodes() {
@@ -295,7 +271,7 @@ mod tests {
         // Start all-no, converge; flip everything to yes; converge again.
         let t = Tree::path(5);
         let lambda = Ratio::new(1, 2);
-        let mut nodes: Vec<MajorityNode> = (0..5).map(|i| MajorityNode::new(i, lambda)).collect();
+        let mut nodes: Vec<MajorityNode> = (0..5).map(|_| MajorityNode::new(lambda)).collect();
         let mut queue = std::collections::VecDeque::new();
         for u in t.nodes() {
             for v in t.neighbors(u) {

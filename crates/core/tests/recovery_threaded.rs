@@ -1,7 +1,8 @@
 //! Crash-restart recovery under both in-process drivers, the synchronous
 //! one and the threaded one: a checkpoint restore (serialized through the
 //! `Vec<u8>` image codec) resumes with strictly fewer resend exchanges
-//! than a cold rejoin, a forged journal ends in a `MaliciousResource`
+//! than a cold rejoin — on a toy input and on a Quest T5I2 input the size
+//! of the net suite's kill — a forged journal ends in a `MaliciousResource`
 //! verdict instead of a panic, the watchdog degrades a restore that
 //! overruns its deadline, and the session builder refuses malformed fault
 //! plans up front.
@@ -9,12 +10,13 @@
 use gridmine_arm::{correct_rules, AprioriConfig, Database, Item, Ratio, RuleSet, Transaction};
 use gridmine_core::resource::wire_grid;
 use gridmine_core::{
-    run_synchronous, run_threaded_full, DegradeReason, GridKeys, MineConfig, MineSession,
-    MiningOutcome, RecoveryMode, RecoveryPolicy, ResourceStatus, RetryPolicy, SecureResource,
-    SessionError, Verdict,
+    item_domain, run_synchronous, run_threaded_full, DegradeReason, GridKeys, MineConfig,
+    MineSession, MiningOutcome, RecoveryMode, RecoveryPolicy, ResourceStatus, RetryPolicy,
+    SecureResource, SessionError, Verdict,
 };
 use gridmine_obs::{EventKind, MemoryRecorder, SharedRecorder};
 use gridmine_paillier::MockCipher;
+use gridmine_quest::QuestParams;
 use gridmine_topology::faults::{EdgeFaults, FaultPlan};
 use gridmine_topology::Tree;
 
@@ -22,7 +24,7 @@ use gridmine_topology::Tree;
 /// threaded-faults idiom): any subset mines the same ruleset.
 fn grid(n: usize) -> (Vec<SecureResource<MockCipher>>, RuleSet) {
     let keys = GridKeys::mock(21);
-    let generator = gridmine_majority::CandidateGenerator::new(Ratio::new(1, 2), Ratio::new(1, 2));
+    let generator = gridmine_core::CandidateGenerator::new(Ratio::new(1, 2), Ratio::new(1, 2));
     let items = vec![Item(1), Item(2), Item(3)];
     let dbs: Vec<Database> = (0..n as u64).map(partition).collect();
     let truth = correct_rules(
@@ -42,6 +44,24 @@ fn grid(n: usize) -> (Vec<SecureResource<MockCipher>>, RuleSet) {
             }
             SecureResource::new(u, &keys, neighbors, db, 1, generator, &items, u as u64)
         })
+        .collect();
+    wire_grid(&mut rs);
+    (rs, truth)
+}
+
+/// Quest T5I2 at the size of the net suite's kill (2 000 transactions
+/// over 60 items, minFreq 0.05), split over a path of `n`.
+fn t5i2_grid(n: usize) -> (Vec<SecureResource<MockCipher>>, RuleSet) {
+    let quest = QuestParams::t5i2().with_transactions(2_000).with_items(60).with_patterns(25);
+    let global = gridmine_quest::generate(&quest.with_seed(42));
+    let cfg = MineConfig::new(Ratio::from_f64(0.05), Ratio::from_f64(0.5));
+    let truth = correct_rules(&global, &AprioriConfig::new(cfg.min_freq, cfg.min_conf));
+    let (keys, items, tree) =
+        (GridKeys::mock(21), item_domain(global.transactions()), Tree::path(n));
+    let mut rs: Vec<SecureResource<MockCipher>> = gridmine_quest::partition(&global, n, 42 ^ 7)
+        .into_iter()
+        .enumerate()
+        .map(|(u, db)| cfg.resource(u, &keys, |v| tree.neighbors(v).collect(), db, &items))
         .collect();
     wire_grid(&mut rs);
     (rs, truth)
@@ -75,13 +95,23 @@ fn partition(u: u64) -> Database {
 
 #[test]
 fn checkpoint_restore_beats_cold_rejoin_on_resends() {
+    assert_warm_beats_cold(|| grid(6));
+}
+
+#[test]
+fn checkpoint_restore_beats_cold_rejoin_on_a_t5i2_input() {
+    assert_warm_beats_cold(|| t5i2_grid(6));
+}
+
+/// The journal's acceptance on the grid `grid` builds, under each driver.
+fn assert_warm_beats_cold(grid: fn() -> (Vec<SecureResource<MockCipher>>, RuleSet)) {
     // Resource 3 crashes at round 2 and rejoins at round 4; 12 rounds
     // total. A verified restore needs exactly one resend exchange at the
     // rejoin; a cold rejoin pays the periodic cadence to the end of the
     // run (nothing signals its completion).
     let plan = FaultPlan::new(9).with_crash(3, 2, Some(4));
     for (driver, run) in DRIVERS {
-        let (rs, truth) = grid(6);
+        let (rs, truth) = grid();
         let warm = run(
             rs,
             12,
@@ -89,7 +119,7 @@ fn checkpoint_restore_beats_cold_rejoin_on_resends() {
             gridmine_obs::null(),
             RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT),
         );
-        let (rs, _) = grid(6);
+        let (rs, _) = grid();
         let cold = run(rs, 12, plan.clone(), gridmine_obs::null(), RecoveryMode::ColdRestart);
 
         assert_eq!(warm.chaos.replays, 1, "{driver}: one crash, one replay: {:?}", warm.chaos);

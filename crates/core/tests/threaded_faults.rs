@@ -1,8 +1,8 @@
 //! Fault tolerance under both in-process drivers, the synchronous one and
 //! the threaded one, with hand-corrupted grids: a mute controller
 //! degrades only its own resource, a replaying broker is blamed through
-//! the timestamp traces, and scheduled crashes don't take honest
-//! survivors down with them.
+//! the timestamp traces, and scheduled crashes — under lossy links too —
+//! don't take honest survivors down with them.
 
 use gridmine_arm::{correct_rules, AprioriConfig, Database, Item, Ratio, RuleSet, Transaction};
 use gridmine_core::attack::{BrokerBehavior, ControllerBehavior};
@@ -19,7 +19,7 @@ use gridmine_topology::faults::{EdgeFaults, FaultPlan};
 /// against centralized truth even when faulty resources drop out.
 fn grid(n: usize) -> (Vec<SecureResource<MockCipher>>, RuleSet) {
     let keys = GridKeys::mock(21);
-    let generator = gridmine_majority::CandidateGenerator::new(Ratio::new(1, 2), Ratio::new(1, 2));
+    let generator = gridmine_core::CandidateGenerator::new(Ratio::new(1, 2), Ratio::new(1, 2));
     let items = vec![Item(1), Item(2), Item(3)];
     let dbs: Vec<Database> = (0..n as u64)
         .map(|u| {
@@ -135,6 +135,28 @@ fn crash_schedule_spares_honest_survivors() {
         assert_eq!(survivors, vec![0, 1, 2, 4, 5], "{driver}");
         for (u, sol) in outcome.surviving_solutions() {
             assert_eq!(sol, &truth, "{driver}: survivor {u} diverged");
+        }
+    }
+}
+
+#[test]
+fn lossy_links_and_a_crash_spare_honest_survivors_under_every_seed() {
+    // Algorithm 1's padding under loss: when the last counter of a
+    // padding sequence is dropped, a pad is the latest counter its
+    // neighbor holds until the next anti-entropy pass. An `Output()` at
+    // the full population in between must not read a pad as a counted
+    // resource whose sum is off by its whole support: the literal gate
+    // would keep that answer for good. One thread, so every seed replays.
+    let truth = grid(6).1;
+    for seed in 0..64 {
+        let plan = FaultPlan::new(0xC4A05 ^ seed)
+            .with_default_edge(EdgeFaults { drop: 0.2, duplicate: 0.1, jitter: 1 })
+            .with_crash(3, 2, None);
+        let outcome =
+            run_synchronous(grid(6).0, 6, plan, gridmine_obs::null(), RecoveryMode::Disabled);
+        assert!(outcome.verdicts.is_empty(), "seed {seed}: {:?}", outcome.verdicts);
+        for (u, sol) in outcome.surviving_solutions() {
+            assert_eq!(sol, &truth, "seed {seed}: survivor {u} diverged");
         }
     }
 }

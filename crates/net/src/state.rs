@@ -114,9 +114,9 @@ mod tests {
     use super::*;
     use gridmine_arm::{Database, Item, Ratio, Transaction};
     use gridmine_core::{
-        GridKeys, RecoveryMode, RecoveryPolicy, RoundSchedule, Scan, SecureResource, Verdict,
+        CandidateGenerator, GridKeys, RecoveryMode, RecoveryPolicy, RoundSchedule, Scan,
+        SecureResource, Verdict,
     };
-    use gridmine_majority::CandidateGenerator;
     use gridmine_paillier::MockCipher;
     use gridmine_store::{MemBackend, Store};
     use gridmine_topology::FaultPlan;

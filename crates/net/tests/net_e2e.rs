@@ -499,10 +499,10 @@ fn t5i2_kill_input() -> (MineConfig, Vec<Database>, RecoveryMode, gridmine_arm::
     (cfg, gridmine_quest::partition(&global, 4, seed ^ 7), mode, truth)
 }
 
-/// What must hold once item 1 is fixed: every resource at the
-/// centralized truth and no verdict on an honest grid. The per-resource
-/// rule counts and verdicts are printed first, so a `--nocapture` run
-/// records where the grid stands today.
+/// What a recovered grid must reach: every resource at the centralized
+/// truth and no verdict on an honest grid. The per-resource rule counts
+/// and verdicts are printed first, so a `--nocapture` run records where
+/// the grid ended.
 fn assert_converged(
     driver: &str,
     outcome: &gridmine_core::MiningOutcome,
@@ -523,12 +523,10 @@ fn assert_converged(
 }
 
 #[test]
-#[ignore = "ROADMAP item 1"]
 fn a_killed_node_converges_on_the_t5i2_input() {
-    // gridbench finding 7, pinned for ROADMAP item 1: resource 1's
-    // process SIGKILLed at tick 2 and warm-restarted at tick 3. The
-    // restore itself succeeds (one replay, nothing rejected); the grid
-    // then diverges and blames.
+    // gridbench finding 7: resource 1's process SIGKILLed at tick 2 and
+    // warm-restarted at tick 3 from its tick-1 checkpoint. One replay,
+    // nothing rejected, and every resource ends at the truth.
     let (cfg, dbs, mode, truth) = t5i2_kill_input();
     let outcome = NetSession::<MockCipher>::new(cfg)
         .with_databases(dbs)
@@ -561,7 +559,6 @@ fn a_killed_node_is_not_blamed_on_the_t5i2_input() {
 }
 
 #[test]
-#[ignore = "ROADMAP item 1"]
 fn a_crashed_thread_converges_on_the_t5i2_input() {
     // The same kill through the threaded driver: the `FaultPlan` crash
     // the net session's kill is scheduled as.
@@ -579,7 +576,6 @@ fn t5i2_crash() -> MineSession<MockCipher> {
 }
 
 #[test]
-#[ignore = "ROADMAP item 1"]
 fn a_crashed_resource_converges_on_the_t5i2_input_synchronously() {
     // The same crash on one thread: every delivery in one order, fixed by
     // the seed, so whatever this run ends in it ends in every time.

@@ -1,13 +1,15 @@
 //! Crash-restart recovery acceptance in the simulated grid: a
 //! checkpoint+journal restore resumes with strictly fewer anti-entropy
-//! resends than a cold rejoin, a forged journal is rejected as malice
-//! without a panic, and a crashed-and-recovered run converges to the
-//! fault-free frequent-itemset verdicts.
+//! resends than a cold rejoin — on a toy input and on a Quest T5I2 input
+//! the size of the net suite's kill — a forged journal is rejected as
+//! malice without a panic, and a crashed-and-recovered run converges to
+//! the fault-free frequent-itemset verdicts.
 
 use gridmine_arm::{correct_rules, Database, Item, Ratio, Transaction};
-use gridmine_core::{ChaosReport, RecoveryMode, RecoveryPolicy, Verdict};
+use gridmine_core::{item_domain, ChaosReport, RecoveryMode, RecoveryPolicy, Verdict};
 use gridmine_obs::{Event, EventKind, FanoutRecorder, MemoryRecorder, Metrics, SharedRecorder};
 use gridmine_paillier::MockCipher;
+use gridmine_quest::QuestParams;
 use gridmine_sim::runner::simulation_over;
 use gridmine_sim::{ObsSummary, SimConfig, Simulation};
 use gridmine_topology::faults::FaultPlan;
@@ -47,13 +49,31 @@ fn cfg(seed: u64) -> SimConfig {
     cfg
 }
 
+/// Quest T5I2 at the size of the net suite's kill (2 000 transactions
+/// over 60 items, minFreq 0.05) split over `N` resources, with the items
+/// and the config to mine it. The gate counts transactions only: under
+/// the paper-literal gate a static grid that scans incrementally freezes
+/// a few answers short of the truth even without a fault (see DESIGN.md's
+/// `GateMode`), and this suite wants the exact truth to compare against.
+fn t5i2() -> (SimConfig, Vec<Database>, Vec<Item>) {
+    let quest = QuestParams::t5i2().with_transactions(2_000).with_items(60).with_patterns(25);
+    let global = gridmine_quest::generate(&quest.with_seed(42));
+    let mut cfg = cfg(2);
+    cfg.min_freq = Ratio::from_f64(0.05);
+    cfg.relaxed_gate = true;
+    let items = item_domain(global.transactions());
+    (cfg, gridmine_quest::partition(&global, N, 42 ^ 7), items)
+}
+
 /// One crash-restart scenario: resource 5 goes down at step 40 — late
 /// enough that the grid is in steady state, so a *verified* restore has
 /// nothing left to rescan — and rejoins at step 44. No link faults, so
 /// every resend in the report comes from rejoin healing.
-fn recovery_run(mode: RecoveryMode) -> (Simulation<MockCipher>, ChaosReport) {
-    let items = vec![Item(1), Item(2), Item(3)];
-    let mut sim = simulation_over(cfg(2), dbs(), &items);
+fn recovery_run(
+    (cfg, dbs, items): (SimConfig, Vec<Database>, Vec<Item>),
+    mode: RecoveryMode,
+) -> (Simulation<MockCipher>, ChaosReport) {
+    let mut sim = simulation_over(cfg, dbs, &items);
     sim.set_recovery(mode);
     sim.inject_faults(FaultPlan::new(0xBEEF).with_crash(CRASHER, 40, Some(44)));
     sim.run_event_driven(70);
@@ -62,10 +82,25 @@ fn recovery_run(mode: RecoveryMode) -> (Simulation<MockCipher>, ChaosReport) {
     (sim, report)
 }
 
+fn toy() -> (SimConfig, Vec<Database>, Vec<Item>) {
+    (cfg(2), dbs(), vec![Item(1), Item(2), Item(3)])
+}
+
 #[test]
 fn checkpoint_restore_beats_cold_rejoin_on_resends() {
-    let (warm_sim, warm) = recovery_run(RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT));
-    let (cold_sim, cold) = recovery_run(RecoveryMode::ColdRestart);
+    assert_warm_beats_cold(toy);
+}
+
+#[test]
+fn checkpoint_restore_beats_cold_rejoin_on_a_t5i2_input() {
+    assert_warm_beats_cold(t5i2);
+}
+
+/// The journal's acceptance on the grid `input` builds: both modes
+/// converge, nobody is blamed, and the warm restore resends less.
+fn assert_warm_beats_cold(input: fn() -> (SimConfig, Vec<Database>, Vec<Item>)) {
+    let (warm_sim, warm) = recovery_run(input(), RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT));
+    let (cold_sim, cold) = recovery_run(input(), RecoveryMode::ColdRestart);
 
     // The journal was exercised end to end: checkpoints were taken on
     // the cadence, the crash triggered exactly one replay, nothing was
@@ -88,14 +123,15 @@ fn checkpoint_restore_beats_cold_rejoin_on_resends() {
         cold.resends
     );
 
-    // Both modes converge back to the fault-free ruleset.
+    // Both modes converge back to the fault-free ruleset, at every
+    // resource.
     for (sim, label) in [(&warm_sim, "warm"), (&cold_sim, "cold")] {
         assert!(!sim.is_departed(CRASHER), "{label}: the crasher rejoined");
         let truth = correct_rules(&sim.current_global_db(), &sim.apriori_cfg());
         assert!(!truth.is_empty());
-        let (recall, precision) = sim.global_recall_precision(&truth);
-        assert!(recall > 0.99, "{label} recall {recall}");
-        assert!(precision > 0.99, "{label} precision {precision}");
+        for u in 0..N {
+            assert_eq!(sim.resource(u).interim(), truth, "{label}: resource {u}");
+        }
     }
 }
 

@@ -14,7 +14,6 @@
 //! | [`arm`] | `gridmine-arm` | itemsets, databases, Apriori ground truth, metrics |
 //! | [`quest`] | `gridmine-quest` | IBM Quest-style synthetic data generator |
 //! | [`topology`] | `gridmine-topology` | Barabási–Albert overlays, spanning trees, delays |
-//! | [`majority`] | `gridmine-majority` | Scalable-Majority + plain Majority-Rule baseline |
 //! | [`secure`] | `gridmine-core` | the paper's contribution: Algorithms 1–4, k-TTP, attacks |
 //! | [`sim`] | `gridmine-sim` | the §6 grid simulator and experiment drivers |
 //! | [`obs`] | `gridmine-obs` | structured protocol events, recorders, metrics |
@@ -77,7 +76,6 @@
 
 pub use gridmine_arm as arm;
 pub use gridmine_core as secure;
-pub use gridmine_majority as majority;
 pub use gridmine_net as net;
 pub use gridmine_obs as obs;
 pub use gridmine_paillier as crypto;
@@ -94,11 +92,10 @@ pub mod prelude {
         RuleSet, Transaction,
     };
     pub use gridmine_core::{
-        BrokerBehavior, ChaosReport, ControllerBehavior, DegradeReason, GridKeys, KTtp, MineConfig,
-        MineSession, MiningOutcome, ResourceStatus, SecureResource, SessionCipher, SessionError,
-        Verdict, WireMsg,
+        BrokerBehavior, CandidateGenerator, ChaosReport, ControllerBehavior, DegradeReason,
+        GridKeys, KTtp, MineConfig, MineSession, MiningOutcome, ResourceStatus, SecureResource,
+        SessionCipher, SessionError, Verdict, WireMsg,
     };
-    pub use gridmine_majority::{CandidateGenerator, MajorityNode, VotePair};
     pub use gridmine_obs::{
         Event, EventKind, FanoutRecorder, JsonlRecorder, MemoryRecorder, Metrics, MetricsSnapshot,
         NullRecorder, Recorder, SharedRecorder,
