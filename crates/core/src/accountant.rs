@@ -239,7 +239,8 @@ impl<C: HomCipher> Accountant<C> {
     }
 
     /// Transactions not yet scanned, summed over every registered rule
-    /// (a recovered resource is "caught up" when this reaches zero).
+    /// (the simulator keeps a resource armed for scans while it is
+    /// positive).
     pub fn total_backlog(&self) -> usize {
         self.rules.iter().map(|(_, st)| self.db.len() - st.frontier).sum()
     }

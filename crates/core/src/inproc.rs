@@ -24,10 +24,11 @@
 //!
 //! * a delayed copy waits in its sender's proxy for the sender's next
 //!   scan, and later copies on its edge wait behind it;
-//! * a crashed resource discards what it is handed until its scheduled
-//!   recovery, if any; its image waits in its station for the rejoin
-//!   tick, and a restore that overruns the policy deadline (on the wall
-//!   clock) degrades the resource;
+//! * a crash wipes the resource's volatile state, as a killed process
+//!   loses it, and the resource discards what it is handed until its
+//!   scheduled recovery, if any; its image waits in its station for the
+//!   rejoin tick, and a restore that overruns the policy deadline (on the
+//!   wall clock) degrades the resource;
 //! * under lossy links every round opens with an anti-entropy pass
 //!   (`reset_edge` + `nudge`), so an aggregate lost to a drop is resent
 //!   instead of being suppressed as a duplicate forever;
@@ -68,8 +69,7 @@ impl<C: HomCipher> Station<C> {
         mode: RecoveryMode,
         rec: SharedRecorder,
     ) -> Self {
-        let neighbors = resource.layout().neighbors.to_vec();
-        let schedule = RoundSchedule::of(plan, resource.id(), neighbors, mode);
+        let schedule = RoundSchedule::of(plan, resource.id(), mode);
         Station {
             machine: RoundMachine::new(resource, schedule, rec.clone()),
             proxy: ChaosProxy::new(plan.clone()),

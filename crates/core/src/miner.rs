@@ -210,7 +210,7 @@ mod tests {
             1,
             FaultPlan::none(),
             gridmine_obs::null(),
-            RecoveryMode::Disabled,
+            RecoveryMode::ColdRestart,
         );
         assert_eq!(outcome.verdicts, [Verdict::MaliciousBroker(1)]);
     }

@@ -957,7 +957,7 @@ mod tests {
     /// The synchronous driver over a hand-built grid, fault-free.
     fn run_grid(resources: Vec<SecureResource<MockCipher>>, rounds: usize) -> MiningOutcome {
         let (plan, rec) = (gridmine_topology::FaultPlan::none(), gridmine_obs::null());
-        run_synchronous(resources, rounds, plan, rec, gridmine_recovery::RecoveryMode::Disabled)
+        run_synchronous(resources, rounds, plan, rec, gridmine_recovery::RecoveryMode::ColdRestart)
     }
 
     fn two_resource_grid(k: i64) -> Vec<SecureResource<MockCipher>> {

@@ -37,34 +37,34 @@ use crate::miner::MiningOutcome;
 use crate::resource::{SecureResource, WireMsg};
 
 /// One resource's view of the fault plan and recovery mode: its own
-/// outage, its neighbors' rejoin ticks and whether links are lossy.
+/// outage, the plan's rejoin ticks and whether links are lossy. It keeps
+/// no neighbor list: the edges it names are taken from the live neighbor
+/// set a caller hands in, so a resource whose neighborhood rewires (the
+/// simulator's overlay) asks the same schedule as one whose neighborhood
+/// never changes.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundSchedule {
     fault: Option<ResourceFault>,
-    /// Ascending, so [`RoundSchedule::heal_edges`] is too.
-    neighbors: Vec<usize>,
-    /// Neighbors scheduled to rejoin, as `(neighbor, recover_tick)`.
-    nbr_recovers: Vec<(usize, u64)>,
+    /// Every resource the plan brings back, as `(resource, rejoin_tick)`,
+    /// ascending by resource.
+    rejoins: Vec<(usize, u64)>,
     edge_faults: bool,
     mode: RecoveryMode,
 }
 
 impl RoundSchedule {
     /// Resource `u`'s slice of `plan` under `mode`.
-    pub fn of(plan: &FaultPlan, u: usize, mut neighbors: Vec<usize>, mode: RecoveryMode) -> Self {
-        neighbors.sort_unstable();
-        neighbors.dedup();
-        let nbr_recovers = neighbors
-            .iter()
-            .filter_map(|&v| match plan.fault_of(v) {
-                Some(ResourceFault::Crash { recover: Some(rt), .. }) => Some((v, rt)),
+    pub fn of(plan: &FaultPlan, u: usize, mode: RecoveryMode) -> Self {
+        let rejoins = plan
+            .resource_faults()
+            .filter_map(|(v, f)| match f {
+                ResourceFault::Crash { recover: Some(rt), .. } => Some((v, rt)),
                 _ => None,
             })
             .collect();
         RoundSchedule {
             fault: plan.fault_of(u),
-            neighbors,
-            nbr_recovers,
+            rejoins,
             edge_faults: plan.has_edge_faults(),
             mode,
         }
@@ -88,16 +88,14 @@ impl RoundSchedule {
         self.fault.is_some_and(|f| f.down_at(tick))
     }
 
-    /// True at the tick a wiping mode loses this resource's volatile
-    /// state. Under [`RecoveryMode::Disabled`] a crash only silences.
+    /// True at the tick a crash loses this resource's volatile state.
     pub fn wipes_at(&self, tick: u64) -> bool {
-        self.mode.wipes()
-            && matches!(self.fault, Some(ResourceFault::Crash { at, .. }) if at == tick)
+        matches!(self.fault, Some(ResourceFault::Crash { at, .. }) if at == tick)
     }
 
     /// True at the tick a wiped resource rejoins and must be restored.
     pub fn restores_at(&self, tick: u64) -> bool {
-        self.mode.wipes() && self.rejoin_tick() == Some(tick)
+        self.rejoin_tick() == Some(tick)
     }
 
     /// True at the tick the resource leaves for good.
@@ -112,46 +110,68 @@ impl RoundSchedule {
         }
     }
 
-    /// Whether a resend toward a resource that rejoined at `rt` is due:
-    /// a verified checkpoint restore needs exactly one exchange; a cold
-    /// rejoin needs the periodic cadence to the end of the run, since
-    /// nothing signals that it has caught up.
-    fn resend_due(&self, rt: u64, tick: u64) -> bool {
+    fn rejoin_of(&self, v: usize) -> Option<u64> {
+        let i = self.rejoins.binary_search_by_key(&v, |&(r, _)| r).ok()?;
+        Some(self.rejoins[i].1)
+    }
+
+    /// The first tick at or after `from` at which a resend toward a
+    /// resource that rejoined at `rt` is due: a verified checkpoint
+    /// restore needs exactly one exchange, at `rt`; a cold rejoin needs
+    /// the periodic cadence from `rt` to the end of the run, since nothing
+    /// signals that it has caught up.
+    fn next_resend(&self, rt: u64, from: u64) -> Option<u64> {
         match self.mode {
-            RecoveryMode::Checkpoint(_) => tick == rt,
-            _ => tick >= rt && (tick - rt).is_multiple_of(self.mode.retry().resend_every.max(1)),
+            RecoveryMode::Checkpoint(_) => (from <= rt).then_some(rt),
+            RecoveryMode::ColdRestart => {
+                let every = self.mode.retry().resend_every.max(1);
+                Some(rt + from.saturating_sub(rt).div_ceil(every) * every)
+            }
         }
     }
 
-    /// Neighbors that rejoin from a wipe at `tick`, ascending: the edge
-    /// toward each restarts at this end too.
-    pub(crate) fn rejoined_at(&self, tick: u64) -> Vec<usize> {
-        if !self.mode.wipes() {
-            return Vec::new();
-        }
-        self.nbr_recovers.iter().filter(|&&(_, rt)| rt == tick).map(|&(v, _)| v).collect()
+    fn resend_due(&self, rt: u64, tick: u64) -> bool {
+        self.next_resend(rt, tick) == Some(tick)
     }
 
-    /// Edges whose duplicate-send suppressors are lifted this tick so
-    /// the current aggregates go out again, ascending: every edge under
-    /// lossy links (a dropped aggregate would otherwise be suppressed as
-    /// a duplicate forever) or on this resource's own rejoin, else the
-    /// edges toward neighbors that rejoined.
-    pub fn heal_edges(&self, tick: u64) -> Vec<usize> {
-        let wipes = self.mode.wipes();
-        if self.edge_faults
-            || (wipes && self.rejoin_tick().is_some_and(|rt| self.resend_due(rt, tick)))
-        {
-            return self.neighbors.clone();
+    /// Neighbors in `live` that rejoin from a wipe at `tick`, in `live`'s
+    /// order: the edge toward each restarts at this end too.
+    pub(crate) fn rejoined_at(&self, tick: u64, live: &[usize]) -> Vec<usize> {
+        live.iter().copied().filter(|&v| self.rejoin_of(v) == Some(tick)).collect()
+    }
+
+    /// Edges whose duplicate-send suppressors are lifted at `tick` so the
+    /// current aggregates go out again, out of `live` (the resource's
+    /// neighbors now) in its order: every edge under lossy links (a
+    /// dropped aggregate would otherwise be suppressed as a duplicate
+    /// forever), else [`RoundSchedule::rejoin_edges`].
+    pub fn heal_edges(&self, tick: u64, live: &[usize]) -> Vec<usize> {
+        if self.edge_faults {
+            return live.to_vec();
         }
-        if !wipes {
-            return Vec::new();
-        }
-        self.nbr_recovers
-            .iter()
-            .filter(|&&(_, rt)| self.resend_due(rt, tick))
-            .map(|&(v, _)| v)
-            .collect()
+        self.rejoin_edges(tick, live)
+    }
+
+    /// The edges a rejoin heals at `tick`, out of `live` in its order:
+    /// every edge when this resource's own resend is due, else the edges
+    /// toward neighbors whose resend is.
+    pub fn rejoin_edges(&self, tick: u64, live: &[usize]) -> Vec<usize> {
+        let due = |rt| self.resend_due(rt, tick);
+        let own = self.rejoin_tick().is_some_and(due);
+        live.iter().copied().filter(|&v| own || self.rejoin_of(v).is_some_and(due)).collect()
+    }
+
+    /// Resources of the plan whose rejoin resends are due at `tick`,
+    /// ascending. Every schedule keeps the whole plan's rejoin ticks, so
+    /// every resource's schedule gives the same answer.
+    pub fn healing_at(&self, tick: u64) -> impl Iterator<Item = usize> + '_ {
+        self.rejoins.iter().filter(move |&&(_, rt)| self.resend_due(rt, tick)).map(|&(v, _)| v)
+    }
+
+    /// The first tick at or after `from` at which some rejoin of the plan
+    /// is due a resend; `None` once none ever is.
+    pub fn next_heal(&self, from: u64) -> Option<u64> {
+        self.rejoins.iter().filter_map(|&(_, rt)| self.next_resend(rt, from)).min()
     }
 
     /// Whether the scan at `tick` opens with a checkpoint. A cadence of
@@ -372,11 +392,12 @@ impl<C: HomCipher> RoundMachine<C> {
         }
         // A neighbor's successor starts its counters over (see
         // `SecureResource::restart_edge`), before this end resends to it.
-        for v in self.schedule.rejoined_at(tick) {
+        let live = self.resource.layout().neighbors.clone();
+        for v in self.schedule.rejoined_at(tick, &live) {
             self.guarded(|r| r.restart_edge(v));
         }
         let mut msgs = Vec::new();
-        let heal = self.schedule.heal_edges(tick);
+        let heal = self.schedule.heal_edges(tick, &live);
         if !heal.is_empty() {
             // Resends carry unchanged Lamport traces, so receivers treat
             // them as idempotent, never as replays.
@@ -411,7 +432,7 @@ impl<C: HomCipher> RoundMachine<C> {
     }
 
     /// Rejoins after a wipe: restores from `image` (untrusted bytes,
-    /// screened by the resource), the one door under every wiping mode —
+    /// screened by the resource), the one door under every mode —
     /// the controller's audits, then the journal when armed. `None` (a
     /// successor that found nothing published) is nothing to restore.
     /// The driver owns the clock: `elapsed_nanos` is read once the
@@ -559,7 +580,6 @@ mod tests {
 
     #[test]
     fn schedule_table() {
-        let off = RecoveryMode::Disabled;
         let cold = RecoveryMode::ColdRestart;
         let warm = RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT);
         let every0 = RecoveryMode::Checkpoint(RecoveryPolicy {
@@ -571,29 +591,30 @@ mod tests {
         let nbr_crash = FaultPlan::new(1).with_crash(2, 1, Some(3));
         let lossy = FaultPlan::new(1).with_default_edge(EdgeFaults::dropping(0.1));
         let depart = FaultPlan::new(1).with_departure(1, 3);
+        // Resource 3 is no neighbor when the schedule is built: it becomes
+        // one by a rewiring, while 2 stops being one.
+        let rewired = FaultPlan::new(1).with_crash(3, 1, Some(3)).with_crash(2, 1, Some(3));
         let all: &[usize] = &[0, 2];
         let none: &[usize] = &[];
 
-        // (label, plan, mode, tick) → (down, heal_edges, checkpoint_due)
+        // (label, plan, mode, tick) → (down, heal_edges, checkpoint_due),
+        // with neighbors 0 and 2 live throughout.
         #[allow(clippy::type_complexity)]
         let rows: Vec<(&str, &FaultPlan, RecoveryMode, u64, bool, &[usize], bool)> = vec![
             ("own crash: up before", &own_crash, warm, 1, false, none, false),
-            ("own crash: down at onset", &own_crash, off, 2, true, none, false),
+            ("own crash: down at onset", &own_crash, cold, 2, true, none, false),
             ("own crash: down until rejoin", &own_crash, cold, 3, true, none, false),
-            ("own crash, disabled: silence only, no heal", &own_crash, off, 4, false, none, false),
             ("own crash, cold: heal at rejoin", &own_crash, cold, 4, false, all, false),
             ("own crash, cold: quiet between beats", &own_crash, cold, 5, false, none, false),
             ("own crash, cold: every resend_every from rt", &own_crash, cold, 9, false, all, false),
             ("own crash, cold: … to the end of the run", &own_crash, cold, 14, false, all, false),
             ("own crash, warm: heal exactly once at rt", &own_crash, warm, 4, false, all, false),
             ("own crash, warm: never again", &own_crash, warm, 9, false, none, false),
-            ("neighbor rejoin, disabled: nothing", &nbr_crash, off, 3, false, none, false),
             ("neighbor rejoin, cold: that edge at rt", &nbr_crash, cold, 3, false, &[2], false),
             ("neighbor rejoin, cold: not before rt", &nbr_crash, cold, 2, false, none, false),
             ("neighbor rejoin, cold: cadence", &nbr_crash, cold, 8, false, &[2], false),
             ("neighbor rejoin, warm: once at rt", &nbr_crash, warm, 3, false, &[2], false),
             ("neighbor rejoin, warm: never again", &nbr_crash, warm, 8, false, none, false),
-            ("lossy links, disabled: every edge, every tick", &lossy, off, 0, false, all, false),
             ("lossy links, cold: every edge, every tick", &lossy, cold, 7, false, all, false),
             ("lossy links, warm: every edge + checkpoint", &lossy, warm, 5, false, all, true),
             ("depart: up before", &depart, cold, 2, false, none, false),
@@ -615,38 +636,76 @@ mod tests {
             ("checkpoint_every = 0: still not tick 0", &nbr_crash, every0, 0, false, none, false),
         ];
         for (label, plan, mode, tick, down, heal, ckpt) in rows {
-            let s = RoundSchedule::of(plan, 1, vec![2, 0], mode);
+            let s = RoundSchedule::of(plan, 1, mode);
             assert_eq!(s.down(tick), down, "{label}: down({tick})");
-            assert_eq!(s.heal_edges(tick), heal, "{label}: heal_edges({tick})");
+            assert_eq!(s.heal_edges(tick, all), heal, "{label}: heal_edges({tick})");
             assert_eq!(s.checkpoint_due(tick), ckpt, "{label}: checkpoint_due({tick})");
         }
 
-        // A neighbor's rejoin restarts its edge at its rejoin tick only,
-        // under a wiping mode: not on a cold cadence's later resends, not
-        // on lossy links' anti-entropy.
-        for (mode, tick, rejoined) in [
-            (off, 3, none),
-            (cold, 2, none),
-            (cold, 3, &[2][..]),
-            (cold, 8, none),
-            (warm, 3, &[2][..]),
-            (warm, 4, none),
-        ] {
-            let s = RoundSchedule::of(&nbr_crash, 1, vec![2, 0], mode);
-            assert_eq!(s.rejoined_at(tick), rejoined, "{mode:?}: rejoined_at({tick})");
+        // The edges come from the live neighbor set handed in, not from
+        // the neighbors the schedule was built among:
+        // (label, plan, mode, live, tick) → heal_edges.
+        #[allow(clippy::type_complexity)]
+        let rows: Vec<(&str, &FaultPlan, RecoveryMode, &[usize], u64, &[usize])> = vec![
+            ("own crash, cold: whoever is a neighbor now", &own_crash, cold, &[5], 9, &[5]),
+            ("rewired, cold: a new neighbor is healed", &rewired, cold, &[0, 3], 3, &[3]),
+            ("rewired, cold: … on its cadence", &rewired, cold, &[0, 3], 8, &[3]),
+            ("rewired, warm: a new neighbor is healed", &rewired, warm, &[3, 0], 3, &[3]),
+            ("rewired, cold: a former neighbor is not", &rewired, cold, &[0], 3, none),
+            ("rewired, warm: a former neighbor is not", &rewired, warm, &[0], 3, none),
+            ("lossy links: the live edges", &lossy, cold, &[2, 3], 7, &[2, 3]),
+        ];
+        for (label, plan, mode, live, tick, heal) in rows {
+            let s = RoundSchedule::of(plan, 1, mode);
+            assert_eq!(s.heal_edges(tick, live), heal, "{label}: heal_edges({tick})");
         }
-        let s = RoundSchedule::of(&lossy, 1, vec![2, 0], warm);
-        assert!(s.rejoined_at(3).is_empty() && s.heal_edges(3) == all);
 
-        // The crash / rejoin / depart ticks, and what a mode makes of them.
-        for mode in [off, cold, warm] {
-            let s = RoundSchedule::of(&own_crash, 1, all.to_vec(), mode);
-            assert_eq!(s.wipes_at(2), mode.wipes(), "{mode:?}");
-            assert_eq!(s.restores_at(4), mode.wipes(), "{mode:?}");
+        // A neighbor's rejoin restarts its edge at its rejoin tick only:
+        // not on a cold cadence's later resends, not on lossy links'
+        // anti-entropy, and only while it is a neighbor.
+        for (plan, mode, live, tick, rejoined) in [
+            (&nbr_crash, cold, all, 2, none),
+            (&nbr_crash, cold, all, 3, &[2][..]),
+            (&nbr_crash, cold, all, 8, none),
+            (&nbr_crash, warm, all, 3, &[2][..]),
+            (&nbr_crash, warm, all, 4, none),
+            (&rewired, cold, &[0, 3][..], 3, &[3][..]),
+            (&rewired, warm, &[0][..], 3, none),
+        ] {
+            let s = RoundSchedule::of(plan, 1, mode);
+            assert_eq!(s.rejoined_at(tick, live), rejoined, "{mode:?}: rejoined_at({tick})");
+        }
+        let s = RoundSchedule::of(&lossy, 1, warm);
+        assert!(s.rejoined_at(3, all).is_empty() && s.heal_edges(3, all) == all);
+        // Without lossy links the rejoin rule is the whole heal rule; with
+        // them, `rejoin_edges` is that rule alone.
+        let lossy_rejoin = lossy.clone().with_crash(2, 1, Some(3));
+        let s = RoundSchedule::of(&lossy_rejoin, 1, cold);
+        assert_eq!((s.rejoin_edges(4, all), s.rejoin_edges(8, all)), (vec![], vec![2]));
+
+        // The ticks a rejoin heals at, plan-wide and the same from every
+        // resource's schedule.
+        for u in [0, 1, 7] {
+            let cold_s = RoundSchedule::of(&rewired, u, cold);
+            let healing: Vec<usize> = cold_s.healing_at(8).collect();
+            assert_eq!(healing, [2, 3]);
+            assert_eq!(cold_s.healing_at(9).count(), 0);
+            let next: Vec<_> = [0, 3, 4, 8, 9].map(|t| cold_s.next_heal(t)).into();
+            assert_eq!(next, [Some(3), Some(3), Some(8), Some(8), Some(13)]);
+            let warm_s = RoundSchedule::of(&rewired, u, warm);
+            assert_eq!(warm_s.healing_at(3).collect::<Vec<_>>(), [2, 3]);
+            assert_eq!([3, 4].map(|t| warm_s.next_heal(t)), [Some(3), None]);
+        }
+        assert_eq!(RoundSchedule::of(&lossy, 1, cold).next_heal(0), None);
+
+        // The crash / rejoin / depart ticks: every mode wipes and restores.
+        for mode in [cold, warm] {
+            let s = RoundSchedule::of(&own_crash, 1, mode);
+            assert!(s.wipes_at(2) && s.restores_at(4), "{mode:?}");
             assert!(!s.wipes_at(3) && !s.restores_at(2) && !s.departs_at(2));
             let spared = s.without_own_fault();
             assert!(!spared.down(2) && !spared.wipes_at(2) && !spared.restores_at(4));
-            let d = RoundSchedule::of(&depart, 1, all.to_vec(), mode);
+            let d = RoundSchedule::of(&depart, 1, mode);
             assert!(d.departs_at(3) && !d.departs_at(4) && !d.wipes_at(3));
         }
     }

@@ -230,7 +230,7 @@ impl<C: HomCipher + 'static> MineSession<C> {
             dbs: Vec::new(),
             plan: FaultPlan::none(),
             rec: gridmine_obs::null(),
-            mode: RecoveryMode::Disabled,
+            mode: RecoveryMode::default(),
         }
     }
 
@@ -290,9 +290,9 @@ impl<C: HomCipher + 'static> MineSession<C> {
         self
     }
 
-    /// Selects how either driver treats a scheduled crash-and-recover:
-    /// keep state (legacy default), wipe it and rejoin cold, or wipe it
-    /// and restore from a validated checkpoint + journal (see
+    /// Selects how either driver brings back a crashed resource, whose
+    /// volatile state every crash wipes: rejoin cold (the default), or
+    /// restore from a validated checkpoint + journal (see
     /// [`RecoveryMode`]).
     pub fn with_recovery(mut self, mode: RecoveryMode) -> Self {
         self.mode = mode;

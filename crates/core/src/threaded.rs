@@ -166,21 +166,20 @@ fn drain<C: HomCipher>(
 /// (resource `u` at position `u`) and already wired — see
 /// [`crate::resource::wire_grid`]. Every resource reports to `rec`, the
 /// fault layer mirrors its stats there as events, and worker 0 marks
-/// round boundaries. `mode` is the crash-recovery semantics:
+/// round boundaries. Every crash wipes volatile mining state and hands
+/// its recovery image to the worker's station; `mode` decides what the
+/// rejoin restores from it:
 ///
-/// * [`RecoveryMode::Disabled`] — legacy semantics: a "crashed" resource
-///   merely goes silent and resumes with its state intact.
-/// * [`RecoveryMode::ColdRestart`] — the crash wipes volatile mining
-///   state; the rejoined resource rebuilds from periodic anti-entropy
-///   resends (its neighbors re-publish on the retry policy's cadence
-///   until the run ends, since nothing tells them when it has caught up).
+/// * [`RecoveryMode::ColdRestart`] — the controller's audits only; the
+///   rejoined resource rebuilds from periodic resends (it and its
+///   neighbors re-publish on the retry policy's cadence until the run
+///   ends, since nothing tells them when it has caught up).
 /// * [`RecoveryMode::Checkpoint`] — every resource journals its state
-///   deltas; at the crash the journal is serialized to bytes (the
-///   file-backed persistence path), and at the recovery tick it is
-///   decoded, screened as untrusted input and replayed. A verified
-///   restore needs exactly one resend exchange. A restore that overruns
-///   the policy deadline is degraded by the watchdog
-///   ([`DegradeReason::RecoveryStalled`]) rather than aborting the run.
+///   deltas, and at the recovery tick the image is decoded, screened as
+///   untrusted input and replayed. A verified restore needs exactly one
+///   resend exchange. A restore that overruns the policy deadline is
+///   degraded by the watchdog ([`DegradeReason::RecoveryStalled`])
+///   rather than aborting the run.
 ///
 /// What a resource does in a round is [`crate::inproc`]'s, as under
 /// [`crate::inproc::run_synchronous`]; this function owns the threads,
@@ -310,7 +309,7 @@ mod tests {
         let msg = r1.step(usize::MAX).into_iter().next().expect("a first scan mails the neighbor");
         assert_eq!((msg.from, msg.to), (1, 0));
         let plan = FaultPlan::new(0).with_crash(0, 0, None);
-        let mut station = Station::new(r0, &plan, RecoveryMode::Disabled, rec);
+        let mut station = Station::new(r0, &plan, RecoveryMode::ColdRestart, rec);
         station.scan(0, |m| panic!("a down resource sends nothing: {} -> {}", m.from, m.to));
         let ((tx, rx), (peer_tx, peer_rx)) = (channel(), channel());
         let fabric =
@@ -405,12 +404,11 @@ mod tests {
         let lossy = EdgeFaults { drop: 0.2, duplicate: 0.1, jitter: 1 };
         let crash = FaultPlan::new(3).with_crash(2, 1, Some(3));
         let cases = [
-            ("silent crash", crash.clone(), RecoveryMode::Disabled),
             ("cold rejoin", crash.clone(), RecoveryMode::ColdRestart),
             ("warm rejoin", crash, warm),
             ("crash for good", FaultPlan::new(3).with_crash(4, 2, None), warm),
-            ("departure", FaultPlan::new(3).with_departure(0, 3), RecoveryMode::Disabled),
-            ("lossy links", FaultPlan::new(3).with_default_edge(lossy), RecoveryMode::Disabled),
+            ("departure", FaultPlan::new(3).with_departure(0, 3), RecoveryMode::ColdRestart),
+            ("lossy links", FaultPlan::new(3).with_default_edge(lossy), RecoveryMode::ColdRestart),
         ];
         for (label, plan, mode) in cases {
             let session = || session(18, cfg, Tree::path(5), 5).with_faults(plan.clone());

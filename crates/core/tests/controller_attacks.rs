@@ -18,7 +18,13 @@ use gridmine_topology::FaultPlan;
 /// what the protocol's replay detection (timestamp traces) assumes, like
 /// any Lamport-clock scheme.
 fn drive(resources: Vec<SecureResource<MockCipher>>) -> MiningOutcome {
-    run_synchronous(resources, 6, FaultPlan::none(), gridmine_obs::null(), RecoveryMode::Disabled)
+    run_synchronous(
+        resources,
+        6,
+        FaultPlan::none(),
+        gridmine_obs::null(),
+        RecoveryMode::ColdRestart,
+    )
 }
 
 fn grid(n: usize) -> (Vec<SecureResource<MockCipher>>, gridmine_arm::RuleSet) {

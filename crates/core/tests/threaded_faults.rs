@@ -59,17 +59,17 @@ fn grid(n: usize) -> (Vec<SecureResource<MockCipher>>, RuleSet) {
     (rs, truth)
 }
 
-/// `make`'s grid for `rounds` rounds under `plan`, with no recorder and no
-/// crash recovery, once per in-process driver, by name.
+/// `make`'s grid for `rounds` rounds under `plan`, with no recorder and
+/// cold crash recovery, once per in-process driver, by name.
 fn under_both(
     make: impl Fn() -> Vec<SecureResource<MockCipher>>,
     rounds: usize,
     plan: FaultPlan,
 ) -> [(&'static str, MiningOutcome); 2] {
-    let (null, off) = (gridmine_obs::null, RecoveryMode::Disabled);
+    let (null, cold) = (gridmine_obs::null, RecoveryMode::ColdRestart);
     [
-        ("sync", run_synchronous(make(), rounds, plan.clone(), null(), off)),
-        ("threaded", run_threaded_full(make(), rounds, plan, null(), off)),
+        ("sync", run_synchronous(make(), rounds, plan.clone(), null(), cold)),
+        ("threaded", run_threaded_full(make(), rounds, plan, null(), cold)),
     ]
 }
 
@@ -153,7 +153,7 @@ fn lossy_links_and_a_crash_spare_honest_survivors_under_every_seed() {
             .with_default_edge(EdgeFaults { drop: 0.2, duplicate: 0.1, jitter: 1 })
             .with_crash(3, 2, None);
         let outcome =
-            run_synchronous(grid(6).0, 6, plan, gridmine_obs::null(), RecoveryMode::Disabled);
+            run_synchronous(grid(6).0, 6, plan, gridmine_obs::null(), RecoveryMode::ColdRestart);
         assert!(outcome.verdicts.is_empty(), "seed {seed}: {:?}", outcome.verdicts);
         for (u, sol) in outcome.surviving_solutions() {
             assert_eq!(sol, &truth, "seed {seed}: survivor {u} diverged");

@@ -349,14 +349,6 @@ fn resolve(
     cands
 }
 
-/// `fn id -> transitive closure seed` helper: dedups while preserving a
-/// deterministic order.
-pub fn push_unique(v: &mut Vec<usize>, id: usize) {
-    if !v.contains(&id) {
-        v.push(id);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -82,9 +82,8 @@ pub enum NetError {
     /// The session was mis-built: refused by the screen every driver
     /// runs ([`gridmine_core::validate_grid`]), with the same variant.
     Session(SessionError),
-    /// The session cannot run as processes: no node binary, a crash
-    /// without a wiping recovery mode, a hostile resource outside the
-    /// grid, or a node spec that does not encode.
+    /// The session cannot run as processes: no node binary, a hostile
+    /// resource outside the grid, or a node spec that does not encode.
     Setup(String),
 }
 

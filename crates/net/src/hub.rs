@@ -128,7 +128,7 @@ impl<C: NetCipher> NetSession<C> {
             dbs: Vec::new(),
             plan: FaultPlan::none(),
             rec: gridmine_obs::null(),
-            mode: RecoveryMode::Disabled,
+            mode: RecoveryMode::default(),
             binary: None,
             hostile: Vec::new(),
             kills: Vec::new(),
@@ -275,7 +275,7 @@ impl<C: NetCipher> NetSession<C> {
                 adjacency: adjacency.clone(),
                 items: items.clone(),
                 db: self.dbs[u].clone(),
-                schedule: RoundSchedule::of(&plan, u, adjacency[u].clone(), self.mode),
+                schedule: RoundSchedule::of(&plan, u, self.mode),
                 resume_tick: None,
                 hub: hub_addr.clone(),
                 state_dir: state_dir.to_string_lossy().into_owned(),
@@ -322,21 +322,14 @@ impl<C: NetCipher> NetSession<C> {
     }
 
     /// The screen every driver runs ([`validate_grid`]) plus the
-    /// net-specific conditions: a node binary is mandatory and crash
-    /// faults need a wiping recovery mode (process state cannot outlive a
-    /// process that keeps it only in memory).
+    /// net-specific conditions: a node binary is mandatory and every
+    /// hostile resource is inside the grid.
     fn validate(&self, plan: &FaultPlan) -> Result<(), NetError> {
         let capacity = self.tree.as_ref().map_or(self.dbs.len(), Tree::capacity);
         validate_grid(self.dbs.len(), capacity, plan, self.cfg.rounds as u64)?;
         if self.binary.is_none() {
             return Err(NetError::Setup(
                 "no gridmine-node binary configured (NetSession::with_node_binary)".into(),
-            ));
-        }
-        let crashes = plan.resource_faults().any(|(_, f)| matches!(f, ResourceFault::Crash { .. }));
-        if crashes && !self.mode.wipes() {
-            return Err(NetError::Setup(
-                "process crashes require a wiping recovery mode (cold or checkpoint)".into(),
             ));
         }
         if let Some(&u) = self.hostile.iter().find(|&&u| u >= capacity) {

@@ -389,12 +389,7 @@ mod tests {
             min_conf: (1, 2),
             k: 1,
             rounds: 4,
-            schedule: RoundSchedule::of(
-                &FaultPlan::none(),
-                u,
-                adjacency[u].clone(),
-                RecoveryMode::Disabled,
-            ),
+            schedule: RoundSchedule::of(&FaultPlan::none(), u, RecoveryMode::ColdRestart),
             adjacency,
             items: vec![1, 2, 3],
             db: Database::from_transactions(db),

@@ -88,7 +88,6 @@ mod tests {
             schedule: RoundSchedule::of(
                 &FaultPlan::new(1).with_crash(1, 2, Some(4)).with_crash(0, 1, Some(4)),
                 1,
-                vec![0, 2],
                 RecoveryMode::Checkpoint(RecoveryPolicy::default()),
             ),
             resume_tick: None,
@@ -103,7 +102,7 @@ mod tests {
         assert_eq!(back.adjacency, spec.adjacency);
         assert_eq!(back.schedule, spec.schedule);
         assert!(back.schedule.wipes_at(2) && back.schedule.restores_at(4));
-        assert_eq!(back.schedule.heal_edges(4), vec![0, 2]);
+        assert_eq!(back.schedule.heal_edges(4, &[0, 2]), vec![0, 2]);
         assert!(back.observed);
         // A spec that does not say is unobserved.
         let silent = json.replace(",\"observed\":true", "");

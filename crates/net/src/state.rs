@@ -132,7 +132,7 @@ mod tests {
         let db = Database::from_transactions((0..8).map(|i| Transaction::of(i, &[1, 2])).collect());
         let items = [Item(1), Item(2)];
         let resource = SecureResource::new(1, &keys, vec![0], db, 1, generator, &items, 7);
-        let schedule = RoundSchedule::of(&FaultPlan::none(), 1, vec![0], mode);
+        let schedule = RoundSchedule::of(&FaultPlan::none(), 1, mode);
         RoundMachine::new(resource, schedule, gridmine_obs::null())
     }
 

@@ -297,14 +297,6 @@ fn sessions_without_a_binary_or_with_bad_plans_are_refused() {
         .expect_err("binary is mandatory");
     assert!(format!("{err}").contains("binary"), "{err}");
 
-    let err = NetSession::<MockCipher>::new(cfg(6))
-        .with_databases(dbs(2))
-        .with_node_binary(NODE_BIN)
-        .with_faults(FaultPlan::new(1).with_crash(0, 2, Some(4)))
-        .try_run()
-        .expect_err("crashes need a wiping recovery mode");
-    assert!(format!("{err}").contains("recovery mode"), "{err}");
-
     // A bad plan is refused by the screen every driver runs, with the
     // variant the threaded driver returns for the same plan.
     let plan = FaultPlan::new(1).with_crash(7, 2, None);

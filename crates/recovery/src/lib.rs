@@ -16,7 +16,7 @@
 //!   sim and the in-process drivers, published to a file by a node
 //!   process.
 //! * **Unified retry/deadline policy** ([`RetryPolicy`]): one place for
-//!   the previously scattered bounded-SFE-retry budget, anti-entropy
+//!   the previously scattered bounded-SFE-retry budget, heal
 //!   resend cadence, channel-drain timeout and the recovery watchdog
 //!   deadline, with capped exponential backoff and seeded jitter.
 //!

@@ -11,8 +11,12 @@ use gridmine_store::mix64;
 ///   channel receives ([`RetryPolicy::backoff_ms`]);
 /// * `deadline_ms` — the threaded driver's recovery watchdog: a restore
 ///   that overruns it degrades the resource instead of aborting the run;
-/// * `resend_every` — the anti-entropy / healing resend cadence, in
-///   protocol rounds (sim steps or threaded ticks);
+/// * `resend_every` — the cold-rejoin resend cadence, in protocol rounds:
+///   a cold rejoiner's edges are healed every `resend_every` rounds from
+///   its rejoin tick (by the synchronous, threaded and net drivers and the
+///   simulator alike); the simulator also heals every edge under lossy
+///   links at its multiples of `resend_every` steps, where the round
+///   drivers heal every round;
 /// * `seed` — drives the deterministic backoff jitter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RetryPolicy {
@@ -59,21 +63,18 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Checkpoint-mode knobs: how often to snapshot-and-truncate the journal
-/// and how fast a restored resource rescans its backlog.
+/// Checkpoint-mode knobs: how often to snapshot-and-truncate the journal,
+/// and the retry policy in force.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RecoveryPolicy {
     /// Snapshot + journal truncation cadence, in protocol rounds.
     pub checkpoint_every: u64,
-    /// Per-round scan budget while a recovered resource catches up on
-    /// its backlog (bounds the recovery burst).
-    pub catchup_scan_budget: u64,
     pub retry: RetryPolicy,
 }
 
 impl RecoveryPolicy {
     pub const DEFAULT: RecoveryPolicy =
-        RecoveryPolicy { checkpoint_every: 5, catchup_scan_budget: 8, retry: RetryPolicy::DEFAULT };
+        RecoveryPolicy { checkpoint_every: 5, retry: RetryPolicy::DEFAULT };
 
     pub fn with_checkpoint_every(mut self, every: u64) -> Self {
         assert!(every > 0, "checkpoint cadence must be positive");
@@ -88,15 +89,14 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// What a driver does with a resource scheduled to crash and recover.
+/// How a crashed resource comes back. Every crash wipes volatile mining
+/// state, as a killed process loses it; the mode decides what the rejoin
+/// restores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum RecoveryMode {
-    /// Legacy behavior: the driver keeps the resource object intact and
-    /// merely silences it while "down" (no wipe, no journal).
+    /// No durability: only the controller's audits come back, and the
+    /// rest is rebuilt from the rejoin's heal resends.
     #[default]
-    Disabled,
-    /// Honest crash semantics without durability: volatile mining state
-    /// is wiped at crash time and rebuilt from anti-entropy resends.
     ColdRestart,
     /// Wipe at crash time, then restore from the validated checkpoint +
     /// journal instead of starting cold.
@@ -104,11 +104,6 @@ pub enum RecoveryMode {
 }
 
 impl RecoveryMode {
-    /// Whether crashes wipe volatile state (any non-legacy mode).
-    pub fn wipes(&self) -> bool {
-        !matches!(self, RecoveryMode::Disabled)
-    }
-
     /// The checkpoint policy, when journaling is armed.
     pub fn policy(&self) -> Option<RecoveryPolicy> {
         match self {
@@ -120,11 +115,6 @@ impl RecoveryMode {
     /// The retry policy in force (defaults when journaling is off).
     pub fn retry(&self) -> RetryPolicy {
         self.policy().map_or(RetryPolicy::DEFAULT, |p| p.retry)
-    }
-
-    /// The catch-up scan budget in force.
-    pub fn catchup_scan_budget(&self) -> u64 {
-        self.policy().map_or(RecoveryPolicy::DEFAULT.catchup_scan_budget, |p| p.catchup_scan_budget)
     }
 }
 
@@ -155,11 +145,9 @@ mod tests {
 
     #[test]
     fn mode_accessors() {
-        assert!(!RecoveryMode::Disabled.wipes());
-        assert!(RecoveryMode::ColdRestart.wipes());
+        assert_eq!(RecoveryMode::default(), RecoveryMode::ColdRestart);
         let p = RecoveryPolicy::DEFAULT.with_checkpoint_every(3);
         let m = RecoveryMode::Checkpoint(p);
-        assert!(m.wipes());
         assert_eq!(m.policy(), Some(p));
         assert_eq!(m.retry(), RetryPolicy::DEFAULT);
         assert_eq!(RecoveryMode::ColdRestart.policy(), None);

@@ -9,8 +9,9 @@
 //!
 //! Each kind of work is a [`Pass`] with exactly one body here; a pass
 //! visits the resources its tracking set names (`growing`, `scan_armed`,
-//! `dirty`) and recurs on one cadence ([`Simulation::cadence`]). Two
-//! schedules decide *when* a pass fires and *whom* it visits:
+//! `dirty`) and fires at the timestamps one function names
+//! ([`Simulation::next_at`]). Two schedules decide *when* a pass fires
+//! and *whom* it visits:
 //!
 //! * [`Simulation::run_event_driven`] — the product scheduler, and what
 //!   every session, suite, example and bench runs. Pending passes are
@@ -21,7 +22,7 @@
 //!   the passes themselves.
 //! * [`Simulation::step`] / [`Simulation::run`] — the dense schedule,
 //!   kept as the differential oracle: every resource armed, every pass
-//!   whose cadence divides `t` fired, the end-of-timestamp sweep over
+//!   due at `t` fired, the end-of-timestamp sweep over
 //!   everyone. It shares the pass bodies and nothing else, so the
 //!   wheel-vs-tick suite pins exactly what the event scheduler adds —
 //!   the selection of resources, the re-arming and idle skipping, and
@@ -42,7 +43,7 @@ use gridmine_core::proxy::mirror_delivery;
 use gridmine_core::resource::{wire_grid, wire_pair};
 use gridmine_core::{
     BrokerBehavior, ChaosReport, DegradeReason, GateMode, GridKeys, MineConfig, RecoveryMode,
-    ResourceStatus, SecureResource, Verdict, WireMsg,
+    ResourceStatus, RoundSchedule, SecureResource, Verdict, WireMsg,
 };
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::HomCipher;
@@ -55,17 +56,16 @@ use crate::workload::GrowthPlan;
 
 /// One kind of work in a simulation timestamp. The declaration order is
 /// the within-timestamp firing order under both schedules: faults,
-/// delivery, growth, scans, anti-entropy, rejoin healing, checkpoints,
-/// candidate generation, and a no-op liveness wake (deferred degradation
-/// checks run in the timestamp finalizer).
+/// delivery, growth, scans, healing, checkpoints, candidate generation,
+/// and a no-op liveness wake (deferred degradation checks run in the
+/// timestamp finalizer).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Pass {
     Faults,
     Deliver,
     Growth,
     Scan,
-    AntiEntropy,
-    Healing,
+    Heal,
     Checkpoint,
     Candidates,
     Wake,
@@ -73,13 +73,12 @@ enum Pass {
 
 impl Pass {
     /// Every pass, in firing order.
-    const ALL: [Pass; 9] = [
+    const ALL: [Pass; 8] = [
         Pass::Faults,
         Pass::Deliver,
         Pass::Growth,
         Pass::Scan,
-        Pass::AntiEntropy,
-        Pass::Healing,
+        Pass::Heal,
         Pass::Checkpoint,
         Pass::Candidates,
         Pass::Wake,
@@ -149,9 +148,6 @@ pub struct Simulation<C: HomCipher> {
     crash_image: Vec<Option<Vec<u8>>>,
     /// Crash-recovery semantics (see [`Simulation::set_recovery`]).
     mode: RecoveryMode,
-    /// Resources rebuilding state after a rejoin: they (and their
-    /// neighbors) get periodic resend passes until caught up.
-    healing: Vec<bool>,
     /// Structured-event sink ([`gridmine_obs::null`] unless armed).
     rec: SharedRecorder,
     step_no: u64,
@@ -255,8 +251,7 @@ where
             edge_clock: BTreeMap::new(),
             crash_parent: vec![None; cfg.n_resources],
             crash_image: vec![None; cfg.n_resources],
-            mode: RecoveryMode::Disabled,
-            healing: vec![false; cfg.n_resources],
+            mode: RecoveryMode::default(),
             rec: gridmine_obs::null(),
             step_no: 0,
             sched: None,
@@ -345,7 +340,8 @@ where
     }
 
     /// Selects the crash-recovery semantics (default:
-    /// [`RecoveryMode::Disabled`], the legacy keep-state behavior).
+    /// [`RecoveryMode::ColdRestart`]: every crash wipes, and the rejoin
+    /// brings back the controller's audits only).
     /// With [`RecoveryMode::Checkpoint`] every resource (present and
     /// future joiners) is armed with an in-memory checkpoint + journal
     /// and adopts the policy's retry budget. Call before the first
@@ -384,7 +380,6 @@ where
         self.departed.push(false);
         self.crash_parent.push(None);
         self.crash_image.push(None);
-        self.healing.push(false);
         if let Some(policy) = self.mode.policy() {
             self.resources[id].arm_recovery();
             self.resources[id].set_retry_policy(&policy.retry);
@@ -506,10 +501,9 @@ where
         self.overlay.route_around(u);
         self.departed[u] = true;
         self.resources[u].mark_degraded(reason);
-        if reason == DegradeReason::Crashed && self.mode.wipes() {
-            // Honest crash semantics: volatile mining state dies with the
-            // process; the recovery image it leaves is held until the
-            // rejoin. Legacy `Disabled` mode keeps everything.
+        if reason == DegradeReason::Crashed {
+            // Volatile mining state dies with the process; the recovery
+            // image it leaves is held until the rejoin.
             self.crash_image[u] = Some(self.resources[u].crash_wipe());
         }
         let Some(&first) = nbrs.first() else { return };
@@ -558,24 +552,17 @@ where
         let epoch =
             self.step_no.wrapping_mul(0x9E37).wrapping_add(self.resources.len() as u64) ^ 0xC0DE;
         self.resources[u].rewire(vec![anchor], epoch);
-        if self.mode.wipes() {
-            // The one restore door, as in every driver: the controller's
-            // audits, then the journal under a checkpoint policy. The
-            // image is untrusted input: a rejection halts the resource
-            // with a MaliciousResource verdict (it rejoined the overlay
-            // but will never speak); the grid keeps mining around it. A
-            // resource isolated without a crash rejoins from the image a
-            // crash now would leave. Cold, only the audits come back, and
-            // anti-entropy resends rebuild the rest until the backlog
-            // check clears.
-            let image = self.crash_image[u].take();
-            let image = image.or_else(|| self.resources[u].encode_recovery_image());
-            if image.is_some_and(|bytes| self.resources[u].restore_from_image(&bytes)) {
-                self.healing[u] = true;
-            }
-            if self.healing[u] {
-                self.rearm(Pass::Healing);
-            }
+        // The one restore door, as in every driver: the controller's
+        // audits, then the journal under a checkpoint policy. The image
+        // is untrusted input: a rejection halts the resource with a
+        // MaliciousResource verdict (it rejoined the overlay but will
+        // never speak); the grid keeps mining around it. A resource
+        // isolated without a crash rejoins from the image a crash now
+        // would leave. Cold, only the audits come back, and the heal
+        // pass's resends rebuild the rest.
+        let image = self.crash_image[u].take();
+        if let Some(bytes) = image.or_else(|| self.resources[u].encode_recovery_image()) {
+            self.resources[u].restore_from_image(&bytes);
         }
         self.mark_touch(u);
         self.rewire_around(anchor);
@@ -652,11 +639,11 @@ where
 
     /// Runs one step of the dense schedule — the differential oracle for
     /// [`Simulation::run_event_driven`], referenced by the wheel-vs-tick
-    /// suite only. Every resource is armed, every pass whose cadence
-    /// divides the new timestamp fires in [`Pass`] order, and the
-    /// liveness and verdict sweep covers everyone: the same pass bodies
-    /// as the event scheduler, with none of its selection, re-arming or
-    /// idle skipping. A manual step invalidates any armed event
+    /// suite only. Every resource is armed, every pass due at the new
+    /// timestamp fires in [`Pass`] order, and the liveness and verdict
+    /// sweep covers everyone: the same pass bodies as the event
+    /// scheduler, with none of its selection, re-arming or idle
+    /// skipping. A manual step invalidates any armed event
     /// scheduler; it re-bootstraps on the next event-driven run.
     pub fn step(&mut self) {
         self.sched = None;
@@ -668,7 +655,7 @@ where
         self.scan_armed = (0..n).collect();
         self.dirty = (0..n).collect();
         for pass in Pass::ALL {
-            if self.cadence(pass).is_some_and(|every| t.is_multiple_of(every)) {
+            if self.next_at(pass, t) == Some(t) {
                 self.fire_pass(pass, t);
             }
         }
@@ -683,22 +670,33 @@ where
         }
     }
 
-    /// The period `pass` recurs on under the current configuration,
-    /// fault plan and recovery mode; `None` for a pass that never fires
-    /// under them. Anti-entropy lifts the duplicate-send suppressors
-    /// under lossy links only; rejoin healing runs where a crash wipes
-    /// state; checkpoints need a recovery policy.
-    fn cadence(&self, pass: Pass) -> Option<u64> {
-        let resend_every = || self.mode.retry().resend_every.max(1);
-        match pass {
-            Pass::Faults | Pass::Deliver | Pass::Growth | Pass::Scan | Pass::Wake => Some(1),
-            Pass::AntiEntropy => {
-                self.link.as_ref().is_some_and(|l| l.plan().has_edge_faults()).then(resend_every)
+    /// The first timestamp at or after `from` at which `pass` fires under
+    /// the current configuration, fault plan and recovery mode; `None`
+    /// once it never does. Every pass but healing recurs on a period, and
+    /// checkpoints need a recovery policy. Healing fires only at ticks a
+    /// schedule names: the multiples of `resend_every` under lossy links,
+    /// and the resend ticks of the plan's rejoins
+    /// ([`RoundSchedule::next_heal`]).
+    fn next_at(&self, pass: Pass, from: u64) -> Option<u64> {
+        let every = match pass {
+            Pass::Faults | Pass::Deliver | Pass::Growth | Pass::Scan | Pass::Wake => 1,
+            Pass::Heal => {
+                let plan = self.link.as_ref()?.plan();
+                let every = self.resend_every();
+                let lossy = plan.has_edge_faults().then(|| from.div_ceil(every) * every);
+                // Every resource's schedule holds the plan's rejoin ticks.
+                let rejoin = RoundSchedule::of(plan, 0, self.mode).next_heal(from);
+                return lossy.into_iter().chain(rejoin).min();
             }
-            Pass::Healing => self.mode.wipes().then(resend_every),
-            Pass::Checkpoint => self.mode.policy().map(|p| p.checkpoint_every.max(1)),
-            Pass::Candidates => Some(self.cfg.candidate_every.max(1)),
-        }
+            Pass::Checkpoint => self.mode.policy()?.checkpoint_every.max(1),
+            Pass::Candidates => self.cfg.candidate_every.max(1),
+        };
+        Some(from.div_ceil(every) * every)
+    }
+
+    /// The retry policy's resend cadence, clamped to at least one step.
+    fn resend_every(&self) -> u64 {
+        self.mode.retry().resend_every.max(1)
     }
 
     /// Dispatches one pass to its body.
@@ -708,8 +706,7 @@ where
             Pass::Deliver => self.deliver_due(t),
             Pass::Growth => self.growth_pass(),
             Pass::Scan => self.scan_pass(),
-            Pass::AntiEntropy => self.anti_entropy_pass(),
-            Pass::Healing => self.healing_pass(),
+            Pass::Heal => self.heal_pass(t),
             Pass::Checkpoint => self.checkpoint_pass(t),
             Pass::Candidates => self.candidate_pass(),
             Pass::Wake => {}
@@ -763,19 +760,16 @@ where
         }
     }
 
-    /// Scan: every present resource in `scan_armed` processes its budget
-    /// — the recovery policy's catch-up budget while it heals (bounding
-    /// the rejoin burst), the configured one otherwise. Drained, departed
-    /// and halted resources drop out of the armed set.
+    /// Scan: every present resource in `scan_armed` processes the
+    /// configured budget. Drained, departed and halted resources drop out
+    /// of the armed set.
     fn scan_pass(&mut self) {
         self.scan_armed.retain(|&u| !self.departed[u]);
         let ids: Vec<usize> = self.scan_armed.iter().copied().collect();
         let budget = self.cfg.scan_budget;
-        let catchup = self.mode.catchup_scan_budget() as usize;
-        let (wipes, healing) = (self.mode.wipes(), &self.healing);
-        let scanned = visit(&mut self.resources, &ids, |u, r| {
+        let scanned = visit(&mut self.resources, &ids, |_, r| {
             let had_backlog = r.accountant().total_backlog() > 0;
-            let out = r.step(if wipes && healing[u] { catchup } else { budget });
+            let out = r.step(budget);
             let keep = r.accountant().total_backlog() > 0
                 && r.verdict().is_none()
                 && r.degraded().is_none();
@@ -792,58 +786,44 @@ where
         }
     }
 
-    /// Anti-entropy under lossy links: every live resource lifts its
-    /// duplicate-send suppressors and resends current aggregates, so a
-    /// dropped message is healed instead of being suppressed forever.
-    /// Resends carry unchanged Lamport traces (idempotent, not replays).
-    /// One schedule batch for the whole pass: the chaos sort
-    /// canonicalizes whole batches, so batching is part of the pinned
-    /// behavior.
-    fn anti_entropy_pass(&mut self) {
+    /// Healing: resources lift duplicate-send suppressors and resend
+    /// their current aggregates. Under lossy links, at each multiple of
+    /// `resend_every`, every live resource lifts every edge, so a dropped
+    /// message is healed instead of being suppressed forever. Otherwise
+    /// each rejoiner due a resend and its live neighbors lift the edges
+    /// their [`RoundSchedule`] names over their overlay neighbors: a warm
+    /// rejoin one exchange at its rejoin tick, a cold one every
+    /// `resend_every` from then to the end of the run. Resends carry
+    /// unchanged Lamport traces (idempotent, not replays). One schedule
+    /// batch for the whole pass: the chaos sort canonicalizes whole
+    /// batches, so batching is part of the pinned behavior.
+    fn heal_pass(&mut self, t: u64) {
+        let Some(plan) = self.link.as_ref().map(FaultyLink::plan) else { return };
+        let everyone = plan.has_edge_faults() && t.is_multiple_of(self.resend_every());
+        // Every resource's schedule holds the plan's rejoin ticks.
+        let rejoins = RoundSchedule::of(plan, 0, self.mode);
+        let ids: BTreeSet<usize> = if everyone {
+            (0..self.resources.len()).collect()
+        } else {
+            rejoins.healing_at(t).flat_map(|r| self.overlay.neighbors(r).chain([r])).collect()
+        };
         let mut msgs = Vec::new();
         let mut touched = Vec::new();
-        for u in 0..self.resources.len() {
+        for u in ids {
             if self.departed[u] {
                 continue;
             }
-            let nbrs: Vec<usize> = self.overlay.neighbors(u).collect();
-            for v in nbrs {
-                self.resources[u].reset_edge(v);
-            }
-            msgs.extend(self.resources[u].nudge());
-            touched.push(u);
-        }
-        self.schedule(msgs);
-        for u in touched {
-            self.mark_touch(u);
-        }
-    }
-
-    /// Rejoin healing: a recovered resource and its neighbors exchange
-    /// resends on the retry policy's cadence until it has candidates and
-    /// no scan backlog — one schedule batch for the whole pass. A warm
-    /// (checkpoint) restore typically clears the check immediately; a
-    /// cold rejoin keeps paying resends until rebuilt — that cost
-    /// difference is the measured value of the journal.
-    fn healing_pass(&mut self) {
-        let mut msgs = Vec::new();
-        let mut touched = Vec::new();
-        for u in 0..self.resources.len() {
-            if !self.healing[u] || self.departed[u] {
+            let live: Vec<usize> = self.overlay.neighbors(u).collect();
+            let edges = if everyone {
+                live
+            } else {
+                RoundSchedule::of(plan, u, self.mode).rejoin_edges(t, &live)
+            };
+            if edges.is_empty() {
                 continue;
             }
-            if self.resources[u].candidate_count() > 0
-                && self.resources[u].accountant().total_backlog() == 0
-            {
-                self.healing[u] = false;
-                continue;
-            }
-            let nbrs: Vec<usize> = self.overlay.neighbors(u).collect();
-            for &v in &nbrs {
-                self.resources[v].reset_edge(u);
-                msgs.extend(self.resources[v].nudge());
+            for v in edges {
                 self.resources[u].reset_edge(v);
-                touched.push(v);
             }
             msgs.extend(self.resources[u].nudge());
             touched.push(u);
@@ -975,27 +955,25 @@ where
     }
 
     /// Keeps a recurring `pass` in the queue while it has someone to
-    /// visit: guarantees it at its next cadence point — the current
-    /// timestamp included while the pass can still fire in it, as the
+    /// visit: guarantees it at the next timestamp it fires at — the
+    /// current one included while the pass can still fire in it, as the
     /// dense schedule would still reach it there.
     fn rearm(&mut self, pass: Pass) {
         let pending = match pass {
             Pass::Growth => self.cfg.growth_per_step > 0 && !self.growing.is_empty(),
             Pass::Scan => !self.scan_armed.is_empty(),
-            Pass::AntiEntropy | Pass::Checkpoint => true,
-            Pass::Healing => self.healing.iter().any(|&h| h),
+            Pass::Heal | Pass::Checkpoint => true,
             Pass::Candidates => !self.dirty.is_empty() || !self.always_dirty.is_empty(),
             Pass::Faults | Pass::Deliver | Pass::Wake => false,
         };
         if !pending {
             return;
         }
-        let Some(every) = self.cadence(pass) else { return };
         let t = self.step_no;
-        let same_t = t.is_multiple_of(every)
-            && self.sched.as_ref().and_then(|s| s.firing).is_some_and(|f| pass > f);
-        let target = if same_t { t } else { (t / every + 1) * every };
-        self.ensure_pass(target, pass);
+        let same_t = self.sched.as_ref().and_then(|s| s.firing).is_some_and(|f| pass > f);
+        if let Some(at) = self.next_at(pass, if same_t { t } else { t + 1 }) {
+            self.ensure_pass(at, pass);
+        }
     }
 
     /// Bootstraps the event scheduler from the simulation's current

@@ -85,7 +85,7 @@ where
             plans: Vec::new(),
             items: None,
             plan: None,
-            mode: RecoveryMode::Disabled,
+            mode: RecoveryMode::default(),
             rec: gridmine_obs::null(),
             steps: 60,
         }

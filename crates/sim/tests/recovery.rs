@@ -6,7 +6,9 @@
 //! the fault-free frequent-itemset verdicts.
 
 use gridmine_arm::{correct_rules, Database, Item, Ratio, Transaction};
-use gridmine_core::{item_domain, ChaosReport, RecoveryMode, RecoveryPolicy, Verdict};
+use gridmine_core::{
+    item_domain, ChaosReport, RecoveryMode, RecoveryPolicy, RoundSchedule, Verdict,
+};
 use gridmine_obs::{Event, EventKind, FanoutRecorder, MemoryRecorder, Metrics, SharedRecorder};
 use gridmine_paillier::MockCipher;
 use gridmine_quest::QuestParams;
@@ -14,6 +16,7 @@ use gridmine_sim::runner::simulation_over;
 use gridmine_sim::{ObsSummary, SimConfig, Simulation};
 use gridmine_topology::faults::FaultPlan;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const N: usize = 8;
@@ -214,6 +217,55 @@ fn recovery_events_agree_with_the_chaos_report() {
     let summary = ObsSummary::from(&snap);
     assert_eq!(summary.resent_msgs, snap.resent_msgs);
     assert_eq!(summary.resent_bytes, snap.resent_bytes);
+}
+
+#[test]
+fn heal_resends_fall_on_the_ticks_the_round_schedule_names() {
+    // The rejoin rule every driver applies: the rejoiner and its
+    // neighbors resend on the ticks the rejoiner's `RoundSchedule` names —
+    // once at the rejoin tick after a checkpoint restore, and every
+    // `resend_every` from there to the end of the run after a cold one.
+    const REJOINER: usize = 3;
+    const STEPS: u64 = 90;
+    let plan = FaultPlan::new(0xBEE).with_crash(REJOINER, 12, Some(31));
+    let items = vec![Item(1), Item(2), Item(3)];
+    for mode in [RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT), RecoveryMode::ColdRestart] {
+        let mut sim = simulation_over(cfg(5), dbs(), &items);
+        let rec = MemoryRecorder::shared();
+        sim.set_recorder(rec.clone());
+        sim.set_recovery(mode);
+        sim.inject_faults(plan.clone());
+        sim.run_event_driven(STEPS);
+
+        let (mut tick, mut from, mut toward) = (0, BTreeSet::new(), BTreeSet::new());
+        for event in rec.snapshot() {
+            match event {
+                Event::RoundAdvanced { tick: t } => tick = t,
+                Event::CounterSent { from: f, to, resend: true, .. } => {
+                    if f == REJOINER as u64 {
+                        from.insert(tick);
+                    }
+                    if to == REJOINER as u64 {
+                        toward.insert(tick);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let schedule = RoundSchedule::of(&plan, REJOINER, mode);
+        let named: BTreeSet<u64> =
+            (0..=STEPS).filter(|&t| schedule.healing_at(t).any(|r| r == REJOINER)).collect();
+        assert_eq!(named.first(), Some(&31), "{mode:?}: the rejoin tick heals");
+        assert_eq!(toward, named, "{mode:?}: resends toward the rejoiner");
+        // A cold rejoiner has no candidates yet at its rejoin tick, so
+        // it has nothing to resend until its next heal.
+        let mut own = named.clone();
+        if mode == RecoveryMode::ColdRestart {
+            own.remove(&31);
+            assert!(own.len() > 5, "{mode:?}: heals to the end of the run: {own:?}");
+        }
+        assert_eq!(from, own, "{mode:?}: resends from the rejoiner");
+    }
 }
 
 fn sim_resend_count(events: &[Event]) -> u64 {

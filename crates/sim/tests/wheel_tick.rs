@@ -103,7 +103,7 @@ fn assert_equivalent(
 
 #[test]
 fn clean_run_is_equivalent() {
-    assert_equivalent("clean", 60, None, RecoveryMode::Disabled, 2);
+    assert_equivalent("clean", 60, None, RecoveryMode::ColdRestart, 2);
 }
 
 #[test]
@@ -137,14 +137,14 @@ fn lossy_duplicating_jittery_links_are_equivalent() {
         duplicate: 0.15,
         jitter: 3,
     });
-    assert_equivalent("lossy links", 80, Some(plan), RecoveryMode::Disabled, 3);
+    assert_equivalent("lossy links", 80, Some(plan), RecoveryMode::ColdRestart, 3);
 }
 
 #[test]
 fn crash_without_recovery_is_equivalent() {
     let plan =
         FaultPlan::new(0xC4A5).with_default_edge(EdgeFaults::dropping(0.1)).with_crash(5, 20, None);
-    assert_equivalent("crash, legacy mode", 60, Some(plan), RecoveryMode::Disabled, 2);
+    assert_equivalent("crash without recovery", 60, Some(plan), RecoveryMode::ColdRestart, 2);
 }
 
 #[test]
@@ -169,7 +169,7 @@ fn crash_recover_checkpoint_restore_is_equivalent() {
 fn departure_is_equivalent() {
     let plan =
         FaultPlan::new(0xDEAD).with_default_edge(EdgeFaults::dropping(0.05)).with_departure(6, 18);
-    assert_equivalent("departure", 70, Some(plan), RecoveryMode::Disabled, 4);
+    assert_equivalent("departure", 70, Some(plan), RecoveryMode::ColdRestart, 4);
 }
 
 #[test]
@@ -177,12 +177,12 @@ fn resuming_the_wheel_mid_run_is_equivalent() {
     // The sampling harnesses alternate run / refresh_outputs; the wheel
     // must survive external mutation between run calls.
     let plan = FaultPlan::new(0xFA57).with_default_edge(EdgeFaults::dropping(0.1));
-    let mut tick = build(2, Some(plan.clone()), RecoveryMode::Disabled);
+    let mut tick = build(2, Some(plan.clone()), RecoveryMode::ColdRestart);
     for _ in 0..6 {
         tick.run(10);
         tick.refresh_outputs();
     }
-    let mut wheel = build(2, Some(plan), RecoveryMode::Disabled);
+    let mut wheel = build(2, Some(plan), RecoveryMode::ColdRestart);
     for _ in 0..6 {
         wheel.run_event_driven(10);
         wheel.refresh_outputs();
@@ -276,7 +276,7 @@ fn attack_gallery_is_equivalent_and_blames_the_right_party() {
         for (name, attack, blamed) in gallery {
             let label = format!("{name}, corrupted at step {corrupt_at}");
             let wheel = differential(&label, |advance| {
-                let mut sim = build(2, None, RecoveryMode::Disabled);
+                let mut sim = build(2, None, RecoveryMode::ColdRestart);
                 sim.broadcast_verdicts = true;
                 advance(&mut sim, corrupt_at);
                 let victim = sim.overlay().neighbors(CULPRIT).next().expect("has a neighbor");
@@ -295,7 +295,7 @@ fn attack_gallery_is_equivalent_and_blames_the_right_party() {
 #[test]
 fn join_then_leave_is_equivalent() {
     let wheel = differential("join then leave", |advance| {
-        let mut sim = build(4, None, RecoveryMode::Disabled);
+        let mut sim = build(4, None, RecoveryMode::ColdRestart);
         advance(&mut sim, 15);
         let newcomer = sim.join_resource(
             0,
@@ -322,7 +322,7 @@ fn mute_controller_with_a_bounded_retry_budget_is_equivalent() {
         let plan = FaultPlan::new(0xFA57)
             .with_default_edge(EdgeFaults::dropping(0.15))
             .with_crash(5, 20, None);
-        let mut sim = build(2, Some(plan), RecoveryMode::Disabled);
+        let mut sim = build(2, Some(plan), RecoveryMode::ColdRestart);
         sim.resource_mut(6).controller_behavior = ControllerBehavior::Mute;
         sim.resource_mut(6).set_retry_budget(8);
         advance(&mut sim, 60);
@@ -348,7 +348,7 @@ proptest! {
         jitter in 0u64..3,
         onset in 5u64..30,
         outage in 0u64..40,
-        mode_sel in 0u8..3,
+        mode_sel in 0u8..2,
         depart_sel in 0u8..2,
     ) {
         let depart = depart_sel == 1;
@@ -365,8 +365,7 @@ proptest! {
             plan.with_crash(victim, onset, recover)
         };
         let mode = match mode_sel {
-            0 => RecoveryMode::Disabled,
-            1 => RecoveryMode::ColdRestart,
+            0 => RecoveryMode::ColdRestart,
             _ => RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT),
         };
 
