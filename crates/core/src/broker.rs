@@ -116,22 +116,23 @@ impl<C: HomCipher> Broker<C> {
     /// Key-free well-formedness screen for a wire-received counter: it
     /// must claim *this broker's* layout shape and carry exactly the
     /// ciphertexts that layout has under this cipher (a counter sealed
-    /// under a foreign or stale overlay, or with a side-band ciphertext
-    /// too few or too many, would otherwise panic the shape assertions
-    /// deep in the aggregation algebra), and every ciphertext and the tag
-    /// must support the full homomorphic algebra. Lets the resource
-    /// reject malformed counters at the door and blame the sender,
-    /// instead of hitting an undefined `A−`/scalar mid-aggregate.
+    /// under a foreign or stale overlay, or with a ciphertext too few or
+    /// too many, would otherwise panic the shape assertions deep in the
+    /// aggregation algebra), and every ciphertext must support the full
+    /// homomorphic algebra. Lets the resource reject malformed counters
+    /// at the door and blame the sender, instead of hitting an undefined
+    /// `A−`/scalar mid-aggregate.
     pub fn counter_is_wellformed(&self, counter: &SecureCounter<C>) -> bool {
+        let fields = &counter.msg.fields;
+        let Some(first) = fields.first() else { return false };
         if counter.layout.arity() != self.layout.arity()
-            || counter.msg.fields.len() != SecureCounter::field_cts(&self.cipher, &self.layout)
+            || fields.len() != SecureCounter::field_cts(&self.cipher, &self.layout)
         {
             return false;
         }
-        // Batched screen: the whole tuple (fields + tag) goes through one
+        // Batched screen: the whole tuple goes through one
         // `all_wellformed` call, which Paillier folds into a single gcd.
-        let (fields, tag) = (&counter.msg.fields, &counter.msg.tag);
-        with_buffer(fields.len() + 1, tag, |cts| {
+        with_buffer(fields.len(), first, |cts| {
             for (ct, field) in cts.iter_mut().zip(fields) {
                 *ct = field;
             }

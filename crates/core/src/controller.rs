@@ -33,8 +33,8 @@
 //! waves usually one input has new ciphertexts: per rule and input slot
 //! (`full`, and `recv-v` per neighbor) the controller remembers the
 //! counter it last opened there with its plaintext. The inputs that
-//! differ from what is remembered decrypt in one wave and their tags
-//! verify in one combined check; the rest are read back. Either way
+//! differ from what is remembered decrypt in one wave, each tag checked
+//! in the plaintext it decrypts to; the rest are read back. Either way
 //! `full` is audited once a wave, and the per-edge decisions then run in
 //! neighbor order exactly as separate queries would. The share a neighbor
 //! assigned to this resource is the same ciphertext for a whole
@@ -190,7 +190,7 @@ struct RuleAudit<C: HomCipher> {
     clock: i64,
     /// Per SFE input slot — `full` first, then `recv-v` per neighbor in
     /// slot order — what was last opened there. A hit needs the very same
-    /// layout, ciphertexts and tag, so an entry can be stale but never
+    /// layout and ciphertexts, so an entry can be stale but never
     /// wrong: whatever is read back passed decryption and tag check as
     /// exactly these bytes. Not part of [`AuditImage`]; a restarted
     /// controller opens everything again.
@@ -429,8 +429,8 @@ impl<C: HomCipher> Controller<C> {
     /// `recv_v` at its neighbor's (see [`RuleAudit::opened`]) — as one
     /// wave with a fresh serial. An input whose bytes are those last
     /// opened at its slot is confirmed under the serial; the others
-    /// decrypt together, verify their tags in one combined check, and
-    /// their plaintexts are read into the slots that remember them. An
+    /// decrypt together, each checked against its tag, and their
+    /// plaintexts are read into the slots that remember them. An
     /// input left without the serial did not open under this resource's
     /// key (or names no neighbor) — every counter of an honest wave is
     /// sealed under its layout.

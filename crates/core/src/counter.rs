@@ -15,21 +15,21 @@
 //! ordering — "u assigns, in preprocessing, an entry in this vector to
 //! each neighbor" (§5.2).
 //!
-//! On the wire that is §4.2's vectorised counter: the whole tuple is
-//! packed by [`gridmine_paillier::oblivious`] as signed digits into
-//! `⌈(5 + d) / slots_per_ct⌉` ciphertexts. `sum` and `count` take either
-//! sign (the padding sequence seals `s − 1`, negating transactions shrink
-//! both); everything from [`F_NUM`] on is the *side-band*, which opens
-//! only non-negative. At 512 bits a counter of any degree up to 6 is two
-//! ciphertexts (the tuple and the tag), up to 17 three; under the mock
-//! cipher it is `6 + d`, one per value. Which one is a property of the
-//! cipher handle, never a choice made here.
+//! On the wire that is §4.2's vectorised counter: the whole tuple and its
+//! authentication tag are packed by [`gridmine_paillier::oblivious`] as
+//! signed digits into `⌈(7 + d) / slots_per_ct⌉` ciphertexts. `sum` and
+//! `count` take either sign (the padding sequence seals `s − 1`, negating
+//! transactions shrink both); everything from [`F_NUM`] on is the
+//! *side-band*, which opens only non-negative. At 512 bits a counter of
+//! any degree up to 4 is one ciphertext, up to 15 two; under the mock
+//! cipher it is `6 + d`, one per value and one for the tag. Which one is
+//! a property of the cipher handle, never a choice made here.
 //!
 //! Values are sealed as digits: side-band values as `u32`, `sum` and
 //! `count` within `±2⁴⁴`. The accountant's own are typed or bounded so
 //! where they enter (its counts by its database), and what a controller
 //! read out of an aggregate is refused by [`SecureCounter::seal_outgoing`]
-//! if it does not fit.
+//! if it does not fit, or if its tag does not.
 
 use std::sync::Arc;
 
@@ -166,7 +166,8 @@ impl<C: HomCipher> SecureCounter<C> {
     /// `sender` has no slot in `receiver_layout` (a wiring error the
     /// caller surfaces however fits its trust level), or when a value read
     /// out of an aggregate other parties fed does not fit its slot: `sum`
-    /// or `count` no digit, `num`, the share or the time no `u32`.
+    /// or `count` no digit, `num`, the share or the time no `u32` — or the
+    /// tag of them all none ([`CounterMsg::tag_fits`]).
     #[allow(clippy::too_many_arguments)]
     pub fn seal_outgoing(
         cipher: &C,
@@ -191,7 +192,7 @@ impl<C: HomCipher> SecureCounter<C> {
             for (at, v) in placed {
                 *values.get_mut(at)? = i64::from(u32::try_from(v).ok()?);
             }
-            Some(CounterMsg::seal(cipher, key, values))
+            CounterMsg::tag_fits(cipher, key, values).then(|| CounterMsg::seal(cipher, key, values))
         })?;
         Some(SecureCounter { msg, layout: receiver_layout.clone() })
     }
@@ -201,7 +202,7 @@ impl<C: HomCipher> SecureCounter<C> {
         SecureCounter { msg: CounterMsg::zeros(cipher, key), layout: layout.clone() }
     }
 
-    /// How many field ciphertexts (the tag aside) a counter under `layout`
+    /// How many ciphertexts, its tag's included, a counter under `layout`
     /// has with this cipher — what the broker's door screen holds a wire
     /// counter to.
     pub fn field_cts(cipher: &C, layout: &CounterLayout) -> usize {
@@ -237,10 +238,10 @@ impl<C: HomCipher> SecureCounter<C> {
         SecureCounter { msg: self.msg.rerandomize(cipher), layout: self.layout.clone() }
     }
 
-    /// Serialized size on the wire: every field ciphertext plus the tag
+    /// Serialized size on the wire: every ciphertext, its tag's included
     /// (layout metadata is a handful of small integers, ignored).
     pub fn wire_bytes(&self) -> usize {
-        self.msg.fields.iter().map(|c| C::ct_bytes(c)).sum::<usize>() + C::ct_bytes(&self.msg.tag)
+        self.msg.fields.iter().map(|c| C::ct_bytes(c)).sum()
     }
 }
 
@@ -327,27 +328,28 @@ mod tests {
 
     #[test]
     fn one_format_chosen_by_the_ciphers_capacity() {
-        // 512 bits carry 11 digits: one packed ciphertext and the tag for
-        // every degree up to 6 (5 + d ≤ 11), one more beyond. The mock
-        // carries one value per ciphertext.
+        // 512 bits carry 11 digits: the values and the tag's two digits
+        // are one ciphertext for every degree up to 4 (5 + d + 2 ≤ 11),
+        // two up to 15. The mock carries one value per ciphertext, and
+        // the tag in one more.
         let keys = GridKeys::paillier(512, 0xFACE);
         let mock = GridKeys::mock(1);
         for degree in 0..=12usize {
             let layout = CounterLayout::new(0, (1..=degree).collect());
             let key = keys.tags.key(layout.arity());
             let c = SecureCounter::seal_local(&keys.enc, &key, &layout, -1, 8, 1, 7, 2);
-            let want = if degree <= 6 { 1 } else { 2 };
+            let want = if degree <= 4 { 1 } else { 2 };
             assert_eq!(c.msg.fields.len(), want, "degree {degree}");
             assert_eq!(SecureCounter::field_cts(&keys.pub_ops, &layout), want);
             // n² is 1024 bits: a ciphertext is at most 128 bytes.
-            assert!(c.wire_bytes() <= (want + 1) * 128, "degree {degree}: {}", c.wire_bytes());
+            assert!(c.wire_bytes() <= want * 128, "degree {degree}: {}", c.wire_bytes());
             let p = c.open(&keys.dec, &key).unwrap();
             assert_eq!((p.sum, p.count, p.num, p.share, p.ts[0]), (-1, 8, 1, 7, 2));
             assert_eq!(p.ts.len(), 1 + degree);
 
             let m = SecureCounter::seal_local(&mock.enc, &key, &layout, -1, 8, 1, 7, 2);
-            assert_eq!(m.msg.fields.len(), layout.arity());
-            assert_eq!(SecureCounter::field_cts(&mock.pub_ops, &layout), layout.arity());
+            assert_eq!(m.msg.fields.len(), layout.arity() + 1);
+            assert_eq!(SecureCounter::field_cts(&mock.pub_ops, &layout), layout.arity() + 1);
         }
     }
 
@@ -368,6 +370,16 @@ mod tests {
         assert!(votes(-(1 << 44), (1 << 44) - 1).is_some());
         assert!(votes(1 << 44, 0).is_none(), "sum past a digit");
         assert!(votes(0, -(1 << 44) - 1).is_none(), "count past a digit");
+        // Digits whose tag is past an `i64`, the one wide value the mock
+        // seals a tag in; two digits of a Paillier plaintext hold it.
+        let top = (1 << 44) - 1;
+        assert!(votes(top, top).is_none(), "a tag that fits no slot");
+        let paillier = GridKeys::paillier(128, 5);
+        let sealed =
+            SecureCounter::seal_outgoing(&paillier.enc, &key, &layout, 1, top, top, 0, 0, 0)
+                .expect("two digits hold the tag");
+        let p = sealed.open(&paillier.dec, &key).unwrap();
+        assert_eq!((p.sum, p.count), (top, top));
     }
 
     #[test]

@@ -80,10 +80,10 @@ impl<C: HomCipher> SecureCounter<C> {
 
     /// Opens a wave of counters sealed under one key: every ciphertext of
     /// every counter decrypts in one pass over the cipher's cached
-    /// contexts and all tags verify through one combined check (see
-    /// [`CounterMsg::open_wave`]). `sink` gets each counter's index and
-    /// its opened fields — for [`PlainCounter::read`] to put where the
-    /// caller keeps them — or why it did not open.
+    /// contexts, and each tag is checked in the plaintext that pass
+    /// returns (see [`CounterMsg::open_wave`]). `sink` gets each
+    /// counter's index and its opened fields — for [`PlainCounter::read`]
+    /// to put where the caller keeps them — or why it did not open.
     pub fn open_wave<'a>(
         cipher: &C,
         key: &TagKey,

@@ -8,7 +8,7 @@
 //!   a side-band value driven negative is refused, as the model says;
 //! * one rule change at a degree-2 resource is at most one decryption
 //!   wave, over the inputs that changed, with a fixed key-operation
-//!   budget: at 512 bits a counter is one ciphertext and its tag;
+//!   budget: at 512 bits a counter is one ciphertext, its tag included;
 //! * a neighbor's share, and each SFE input, is decrypted once per
 //!   distinct ciphertext and forgotten with the membership epoch;
 //! * a forged edge of a wave is blamed where one query per edge would
@@ -259,7 +259,7 @@ fn key_ops(mem: &MemoryRecorder, op: KeyOpKind) -> usize {
 #[test]
 fn one_rule_change_opens_what_changed_within_its_key_op_budget() {
     let mut w = Wave::new(GridKeys::paillier(512, 7));
-    assert_eq!(w.full.msg.fields.len() + 1, 2, "the packed tuple and its tag");
+    assert_eq!(w.full.msg.fields.len(), 1, "the packed tuple, its tag included");
     let mem = MemoryRecorder::shared();
     let mut ctl = w.controller(Some(mem.clone()));
     // One wave: (Decrypt, BatchDecrypt, MultiExp) it cost the controller.
@@ -272,9 +272,9 @@ fn one_rule_change_opens_what_changed_within_its_key_op_budget() {
     };
 
     // First contact: both edges send. Three counters of one ciphertext
-    // each in one wave, one decryption for the combined tag check, two
+    // each in one wave, their tags checked in what it decrypts, and two
     // shares.
-    assert_eq!(wave(&mut ctl, &w), (2, [6, 1, 1]));
+    assert_eq!(wave(&mut ctl, &w), (2, [5, 1, 0]));
     assert_eq!(ctl.queries_served, 2);
     // The same inputs again — a nudge over unchanged state — send
     // nothing and cost no key operation at all.
@@ -285,12 +285,12 @@ fn one_rule_change_opens_what_changed_within_its_key_op_budget() {
     // with it. Those two open — neighbor 2's is read back.
     w.recv[0] = Wave::from(&w.keys, &w.layout, 1, 6);
     w.full = Wave::sum(&w.keys, &w.local, &w.recv);
-    assert_eq!(wave(&mut ctl, &w).1, [3, 1, 1]);
+    assert_eq!(wave(&mut ctl, &w).1, [2, 1, 0]);
     // A scan: only the local counter moves, so only the aggregate is
-    // new, and a lone tag is checked without a multi-exponentiation.
+    // new.
     w.local = Wave::local(&w.keys, &w.layout, 12, 4);
     w.full = Wave::sum(&w.keys, &w.local, &w.recv);
-    assert_eq!(wave(&mut ctl, &w).1, [2, 1, 0]);
+    assert_eq!(wave(&mut ctl, &w).1, [1, 1, 0]);
     assert_eq!(wave(&mut ctl, &w).1, [0, 0, 0]);
 }
 
@@ -335,8 +335,9 @@ fn opened_inputs_are_read_back_only_as_the_same_bytes_and_die_with_the_epoch() {
     let mut w = Wave::new(GridKeys::paillier(128, 11));
     let mem = MemoryRecorder::shared();
     let mut ctl = w.controller(Some(mem.clone()));
-    // What opening one counter costs: its ciphertexts and its tag.
-    let one = w.full.msg.fields.len() + 1;
+    // What opening one counter costs: its ciphertexts, its tag's
+    // included.
+    let one = w.full.msg.fields.len();
     // One wave with every edge's suppressor lifted, so that each one
     // seals: the decryptions it cost the controller, and what it sealed.
     let wave = |ctl: &mut Controller<PaillierCtx>, w: &Wave<PaillierCtx>| {
@@ -348,8 +349,8 @@ fn opened_inputs_are_read_back_only_as_the_same_bytes_and_die_with_the_epoch() {
         let sent: Vec<_> = sealed.iter().map(|(v, c)| w.payload_in(*v, c)).collect();
         (key_ops(&mem, KeyOpKind::Decrypt), sent)
     };
-    // Three counters and two shares; the three tags share a decryption.
-    let cold = 3 * (one - 1) + 1 + 2;
+    // Three counters and two shares.
+    let cold = 3 * one + 2;
     let sent = vec![(6, 20, 2, 123), (6, 20, 2, 456)];
     assert_eq!(wave(&mut ctl, &w), (cold, sent.clone()));
     // The same bytes again decrypt nothing and decide the same…

@@ -127,7 +127,8 @@ fn non_unit_ciphertext_from_peer_convicts_sender_without_panic() {
     assert_eq!(mem.count_of(EventKind::VerdictIssued), 1, "halted state must not re-emit");
 }
 
-/// A poisoned *tag* (rather than field) is caught by the same screen.
+/// A poisoned ciphertext that carries the tag (the last one) is caught
+/// by the same screen.
 #[test]
 fn non_unit_tag_from_peer_convicts_sender() {
     let (keys, mut rs) = paillier_grid(2);
@@ -136,7 +137,7 @@ fn non_unit_tag_from_peer_convicts_sender() {
         msgs.extend(r.step(usize::MAX));
     }
     let mut msg = msgs.into_iter().find(|m| m.to == 0).expect("some message toward resource 0");
-    msg.counter.msg.tag = evil_ciphertext(&keys);
+    *msg.counter.msg.fields.last_mut().expect("a counter has ciphertexts") = evil_ciphertext(&keys);
     rs[0].on_receive(&msg);
     assert_eq!(rs[0].verdict(), Some(Verdict::MaliciousResource(1)));
 }
@@ -294,8 +295,8 @@ fn hostile_side_bands_end_in_a_verdict<C: HomCipher>(keys: GridKeys<C>) {
     assert_eq!((sealed.len(), verdict), (1, Ok(())));
 
     // The first ciphertext replaced by an encryption just past the top
-    // of its digits.
-    let digits = cipher.slots_per_ct().min(s.layout.arity());
+    // of its digits: the values', and the tag's two where they fit.
+    let digits = cipher.slots_per_ct().min(s.layout.arity() + 2);
     let mut wide = s.full.clone();
     wide.msg.fields[0] = wider_than(cipher, digits);
     s.assert_convicts_broker(&wide, ObliviousError::SideBand(SlotError::OutOfLayout));

@@ -201,7 +201,6 @@ impl Writer<'_> {
         for f in &c.msg.fields {
             self.ct::<C>(f);
         }
-        self.ct::<C>(&c.msg.tag);
     }
 }
 
@@ -302,8 +301,7 @@ impl<'a> Reader<'a> {
         for _ in 0..fields_n {
             fields.push(self.ct::<C>()?);
         }
-        let tag = self.ct::<C>()?;
-        Ok(SecureCounter { msg: CounterMsg { fields, tag }, layout })
+        Ok(SecureCounter { msg: CounterMsg { fields }, layout })
     }
 
     fn finish(self) -> Result<(), WireError> {

@@ -39,7 +39,7 @@ pub const MAGIC: [u8; 4] = *b"GMW\x01";
 /// change. Every frame's header carries it and [`parse_header`] refuses
 /// any other, so a peer speaking another layout is refused at its first
 /// frame, whatever the kind.
-pub const WIRE_VERSION: u16 = 3;
+pub const WIRE_VERSION: u16 = 4;
 
 /// Header size in bytes (magic + version + kind + flags + length).
 pub const HEADER_LEN: usize = 12;

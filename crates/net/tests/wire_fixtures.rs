@@ -48,41 +48,43 @@ fn supervision_frames_are_pinned() {
             resumed: false,
             attempts: 3,
         },
-        "474d570103000100110000008877665544332211020000000003000000cd6b95a1f7b496cf",
+        "474d570104000100110000008877665544332211020000000003000000a0a3c8b4157d458a",
     );
     pin(
         &Frame::<MockCipher>::HelloAck { session: 0x1122_3344_5566_7788, resource: 2 },
-        "474d5701030002000c00000088776655443322110200000095ab0d5fce3d740c",
+        "474d5701040002000c000000887766554433221102000000a18250a23f4065a8",
     );
     pin(
         &Frame::<MockCipher>::Heartbeat { nonce: 7 },
-        "474d5701030003000800000007000000000000000ff8d7b88d951c0a",
+        "474d5701040003000800000007000000000000001c1df42f15708ec7",
     );
     pin(
         &Frame::<MockCipher>::HeartbeatAck { nonce: 7 },
-        "474d57010300040008000000070000000000000083355423f3552317",
+        "474d570104000400080000000700000000000000976802a0ee9686a4",
     );
     pin(
         &Frame::<MockCipher>::PhaseStart { tick: 5, phase: Phase::Scan },
-        "474d570103000500090000000500000000000000013a71a683f9d2ffab",
+        "474d5701040005000900000005000000000000000184c5d502c59f2942",
     );
     pin(
         &Frame::<MockCipher>::PhaseSent { tick: 5, phase: Phase::Candidate, sent: 9 },
-        "474d5701030006000d00000005000000000000000209000000d2b7d14ca7fadcc0",
+        "474d5701040006000d00000005000000000000000209000000d8e9ab2f632ce18e",
     );
     pin(
         &Frame::<MockCipher>::Processed { n: 3 },
-        "474d5701030008000400000003000000261ae8e99f2fcdd2",
+        "474d5701040008000400000003000000953c972e23b398f9",
     );
     pin(
         &Frame::<MockCipher>::ShareResend { to: 4 },
-        "474d570103000a00040000000400000014507ef49a620783",
+        "474d570104000a000400000004000000802c78ee00a748c7",
     );
-    pin(&Frame::<MockCipher>::Finish, "474d57010300110000000000d13be6f06d67270f");
+    pin(&Frame::<MockCipher>::Finish, "474d57010400110000000000a97a5a369110b050");
 }
 
 #[test]
 fn protocol_frames_are_pinned() {
+    // The mock seals a counter of degree 2 in eight ciphertexts: its seven
+    // values, then its tag as one wide value.
     let keys = GridKeys::<MockCipher>::mock(9);
     let layout = CounterLayout::new(0, vec![1, 2]);
     let counter: SecureCounter<MockCipher> = SecureCounter::seal_local(
@@ -97,22 +99,22 @@ fn protocol_frames_are_pinned() {
     );
     pin(
         &Frame::Counter(BrokerMsg { from: 0, to: 1, cand: cand(), counter }),
-        "474d570103000700d800000000000000010000000000000100000001000000020000000200000003000000010\
-         00000020000000002000000010000000200000007000000100000000500000000000000090000000000000010\
+        "474d570104000700d800000000000000010000000000000100000001000000020000000200000003000000010\
+         00000020000000002000000010000000200000008000000100000000500000000000000090000000000000010\
          00000009000000000000001e7c4a7fb979379e10000000010000000000000033f894fe72f36e3c10000000070\
          00000000000004874df7d2c6da6da1000000003000000000000005df029fde5e6dd7810000000000000000000\
          0000726c747c9f60151710000000000000000000000087e8befb58da4cb5100000002e2e4501000000009c640\
-         97b125484534f644f1c1c2f1890",
+         97b12548453ed76320c991d36e7",
     );
     pin(
         &Frame::<MockCipher>::Share { from: 0, to: 1, ct: keys.enc.encrypt_i64(11) },
-        "474d5701030009001c0000000000000001000000100000000b00000000000000b1e053facbcdbbf112b5feb64\
-         7a03871",
+        "474d5701040009001c0000000000000001000000100000000b00000000000000b1e053facbcdbbf1c91a9f5cf\
+         7f4e245",
     );
     pin(
         &Frame::<MockCipher>::Obs { line: "{\"event\":\"RoundAdvanced\",\"tick\":3}".into() },
-        "474d570103000e0026000000220000007b226576656e74223a22526f756e64416476616e636564222c2274696\
-         36b223a337d1c095293b077c23d",
+        "474d570104000e0026000000220000007b226576656e74223a22526f756e64416476616e636564222c2274696\
+         36b223a337d7780b95550ab8047",
     );
     pin(
         &Frame::<MockCipher>::Report(NodeReport {
@@ -130,9 +132,9 @@ fn protocol_frames_are_pinned() {
                 exhausted: false,
             },
         }),
-        "474d5701030012005a00000001000000010000000000000100000001000000020000000200000003020000000\
+        "474d5701040012005a00000001000000010000000000000100000001000000020000000200000003020000000\
          005000000000000000a0000000000000001000000000000000200000000000000030000000000000001000000\
-         000000000000000000000000003571d3be3053b4fa",
+         000000000000000000000000006f92946751902a7d",
     );
 }
 
@@ -147,17 +149,17 @@ fn retired_kinds_stay_retired() {
     for (kind, fixture) in [
         (
             11,
-            "474d570103000b00340000000100000001000000010000000200000002000000030000000100000002000\
-             00010000000fdffffffffffffffc65c9e798547f38f8c24672badd4036f",
+            "474d570104000b00340000000100000001000000010000000200000002000000030000000100000002000\
+             00010000000fdffffffffffffffc65c9e798547f38f711ec81762745b7b",
         ),
         (
             12,
-            "474d570103000c00210000000100000001000000010000000200000002000000030000000100000002000\
-             0000126f05038df090fa8",
+            "474d570104000c00210000000100000001000000010000000200000002000000030000000100000002000\
+             0000107019b0b207f281a",
         ),
-        (13, "474d570103000d0009000000020000000101000000e31cd9bc55329992"),
-        (15, "474d570103000f000b000000020000000300000001020342ba1d017219b7a1"),
-        (16, "474d5701030010000a00000002000000020000000405ee04b35bfa365d14"),
+        (13, "474d570104000d000900000002000000010100000074c0910223422de0"),
+        (15, "474d570104000f000b00000002000000030000000102038e24262dcc1c577f"),
+        (16, "474d5701040010000a0000000200000002000000040598cf3d28e18acbac"),
     ] {
         let err = decode::<MockCipher>(&unhex(fixture)).expect_err("retired kind");
         assert_eq!(err, WireError::UnknownKind(kind));
@@ -190,6 +192,18 @@ fn a_version_2_frame_is_refused_by_its_version() {
 }
 
 #[test]
+fn a_version_3_frame_is_refused_by_its_version() {
+    // Wire version 3's `Heartbeat`. Version 3 ended every counter in a
+    // separate tag ciphertext; version 4 seals the tag inside the tuple's
+    // own ciphertexts, so no version-3 counter would shape-check here.
+    let v3 = unhex("474d5701030003000800000007000000000000000ff8d7b88d951c0a");
+    assert_eq!(
+        decode::<MockCipher>(&v3).expect_err("old version"),
+        WireError::UnsupportedVersion(3)
+    );
+}
+
+#[test]
 fn paillier_ciphertexts_are_pinned_too() {
     // A deliberately toy 64-bit modulus: small enough to pin, same code
     // path as production key sizes.
@@ -200,14 +214,14 @@ fn paillier_ciphertexts_are_pinned_too() {
     // legitimately changed.
     pin(
         &Frame::<PaillierCtx>::Share { from: 0, to: 1, ct: keys.enc.encrypt_i64(11) },
-        "474d5701030009001c0000000000000001000000100000000be6bb8508c28a622d5e1d784a2da8c89d14b46a2\
-         afccab7",
+        "474d5701040009001c0000000000000001000000100000000be6bb8508c28a622d5e1d784a2da8c8993586f9a\
+         5def1f9",
     );
 }
 
 #[test]
 fn mutated_fixture_bytes_are_typed_errors_never_panics() {
-    let heartbeat = unhex("474d5701030003000800000007000000000000000ff8d7b88d951c0a");
+    let heartbeat = unhex("474d5701040003000800000007000000000000001c1df42f15708ec7");
     // Every single-byte corruption of a pinned frame must surface as a
     // typed WireError.
     for i in 0..heartbeat.len() {

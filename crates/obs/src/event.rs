@@ -67,7 +67,9 @@ pub enum KeyOpKind {
     /// One batched multi-ciphertext decryption pass (the whole pass, not
     /// the per-ciphertext [`KeyOpKind::Decrypt`] timings inside it).
     BatchDecrypt,
-    /// One Straus/Shamir multi-exponentiation (batched tag verification).
+    /// One Straus/Shamir multi-exponentiation. Nothing performs one
+    /// since tags are checked in the plaintext their values decrypt to;
+    /// the kind stays so that readers of recorded runs keep parsing it.
     MultiExp,
 }
 

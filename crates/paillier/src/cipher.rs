@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use gridmine_obs::{Event, KeyOpKind, SharedRecorder};
 use num_bigint::{BigInt, BigUint, FixedBaseTable, MontgomeryCtx, RandBigInt, Sign};
 use num_traits::One;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use rayon::prelude::*;
 
@@ -425,23 +425,24 @@ impl HomCipher for PaillierCtx {
         slots::capacity(self.pk.bits())
     }
 
-    fn encrypt_slots(&self, values: &[i64], out: &mut Vec<Ciphertext>) {
-        for chunk in values.chunks(self.slots_per_ct()) {
-            out.push(self.encrypt_residue(&slots::pack(&self.pk, chunk)));
+    fn encrypt_slots(&self, values: &[i64], tag: &[i64], out: &mut Vec<Ciphertext>) {
+        let mut tuple = values.iter().chain(tag);
+        for width in slots::widths(self.slots_per_ct(), values.len() + tag.len()) {
+            out.push(self.encrypt_residue(&slots::pack(&self.pk, tuple.by_ref().take(width))));
         }
     }
 
-    fn decrypt_wave(
-        &self,
-        cts: &[&Ciphertext],
-        arity: usize,
-    ) -> (Vec<i64>, Vec<(usize, SlotError)>) {
+    fn decrypt_wave(&self, cts: &[&Ciphertext], len: usize) -> (Vec<i64>, Vec<(usize, SlotError)>) {
         let one = |(c, width): (&&Ciphertext, usize)| -> Result<Vec<i64>, (usize, SlotError)> {
             let m = self.timed(KeyOpKind::Decrypt, || self.decrypt_residue_inner(c));
+            if width == 1 {
+                // One value a ciphertext: the centred residue, whole.
+                return Ok(vec![self.decode(m)]);
+            }
             let mut values = Vec::with_capacity(width);
             slots::unpack(&self.pk, &m, width, &mut values).map(|()| values).map_err(|e| (width, e))
         };
-        let widths = slots::widths(self.slots_per_ct(), arity).cycle();
+        let widths = slots::widths(self.slots_per_ct(), len).cycle();
         let wave: Vec<(&&Ciphertext, usize)> = cts.iter().zip(widths).collect();
         let parts: Vec<Result<Vec<i64>, (usize, SlotError)>> = if wave.is_empty() {
             Vec::new()
@@ -465,45 +466,6 @@ impl HomCipher for PaillierCtx {
             }
         }
         (values, refused)
-    }
-
-    fn verify_tags_batch(&self, tags: &[&Ciphertext], expected: &[i64]) -> bool {
-        if tags.len() != expected.len() {
-            return false;
-        }
-        // The RLC accumulator below bounds Σ ρᵢ·eᵢ inside i128 only for
-        // sane batch sizes; a hostile arity beyond this cap just verifies
-        // sequentially.
-        if tags.len() < 2 || tags.len() > 1 << 20 {
-            return tags.iter().zip(expected).all(|(t, &e)| self.decrypt_i64(t) == e);
-        }
-        // Random linear combination: with fresh 32-bit weights ρᵢ,
-        //   D(∏ tᵢ^ρᵢ) = Σ ρᵢ·D(tᵢ)  (mod n),
-        // so one Straus multi-exponentiation plus ONE decryption checks
-        // all k tag relations at once, accepting a forgery only when the
-        // weights hit a root of the nonzero difference — probability
-        // < 2⁻³² per weight.
-        let rhos: Vec<u64> = {
-            let mut rng = lock(&self.rng);
-            (0..tags.len()).map(|_| rng.gen_range(1u64..1 << 32)).collect()
-        };
-        let combined = self.timed(KeyOpKind::MultiExp, || {
-            let rho_big: Vec<BigUint> = rhos.iter().map(|&r| BigUint::from(r)).collect();
-            let pairs: Vec<(&BigUint, &BigUint)> =
-                tags.iter().map(|t| &t.0).zip(rho_big.iter()).collect();
-            self.mont.n2.multi_modpow(&pairs)
-        });
-        let got = self.decrypt_residue(&Ciphertext(combined));
-        // Σ ρᵢ·eᵢ over i128 (|e| < 2⁶³, ρ < 2³², k ≤ 2²⁰ ⇒ |Σ| < 2¹¹⁶),
-        // then reduced into Z_n. Honest expectations sit far below n/2,
-        // so mod-n equality coincides with the per-tag i64 comparison.
-        let want: i128 = rhos.iter().zip(expected).map(|(&r, &e)| r as i128 * e as i128).sum();
-        let want = if want >= 0 {
-            BigUint::from(want as u128) % &self.pk.n
-        } else {
-            &self.pk.n - (BigUint::from(want.unsigned_abs()) % &self.pk.n)
-        };
-        got == want % &self.pk.n
     }
 
     fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
@@ -780,8 +742,8 @@ mod tests {
         let a = [1i64, -2, 3, 1 << 40, 5, -6, 7];
         let b = [10i64, 20, -30, 1 << 40, 50, 60, 70];
         let (mut ca, mut cb) = (Vec::new(), Vec::new());
-        e.encrypt_slots(&a, &mut ca);
-        e.encrypt_slots(&b, &mut cb);
+        e.encrypt_slots(&a, &[], &mut ca);
+        e.encrypt_slots(&b, &[], &mut cb);
         assert_eq!((ca.len(), cb.len()), (2, 2));
         let diff: Vec<Ciphertext> =
             ca.iter().zip(&cb).map(|(x, y)| e.rerandomize(&e.sub(x, y))).collect();
@@ -799,25 +761,6 @@ mod tests {
                 vec![(0, SlotError::OutOfLayout), (2, SlotError::OutOfLayout)]
             )
         );
-    }
-
-    #[test]
-    fn batched_tag_verification_accepts_honest_and_rejects_forged() {
-        let kp = small_keys();
-        let (e, d) = (kp.encryptor(), kp.decryptor());
-        let expected = [40i64, -3, 0, 1 << 40, 7];
-        let tags: Vec<Ciphertext> = expected.iter().map(|&m| e.encrypt_i64(m)).collect();
-        let refs: Vec<&Ciphertext> = tags.iter().collect();
-        assert!(d.verify_tags_batch(&refs, &expected));
-        // One altered expectation breaks the whole batch.
-        let mut off = expected;
-        off[2] = 1;
-        assert!(!d.verify_tags_batch(&refs, &off));
-        // Length mismatch is a structural no.
-        assert!(!d.verify_tags_batch(&refs, &expected[..4]));
-        // Degenerate sizes take the sequential path and still agree.
-        assert!(d.verify_tags_batch(&refs[..1], &expected[..1]));
-        assert!(d.verify_tags_batch(&[], &[]));
     }
 
     #[test]

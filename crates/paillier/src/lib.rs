@@ -17,11 +17,11 @@
 //!   are `E` and `D` extended over such a tuple.
 //! * [`oblivious`] — authenticated oblivious counters: the whole tuple of
 //!   a message — signed vote counters, resource count, accounting `share`
-//!   and timestamp vector — packed into as few ciphertexts as the cipher's
-//!   plaintext carries (one at 512 bits for a counter of degree ≤ 6), and
-//!   bound by a homomorphic authentication tag so a broker that knows
-//!   neither key can still add and rerandomize them but can neither read
-//!   nor forge them (`§5.2`).
+//!   and timestamp vector — and the homomorphic authentication tag that
+//!   binds it, packed into as few ciphertexts as the cipher's plaintext
+//!   carries (one at 512 bits for a counter of degree ≤ 4), so a broker
+//!   that knows neither key can still add them but can neither read nor
+//!   forge them (`§5.2`).
 //! * [`mock`] — a structurally identical plaintext cipher used for
 //!   large-scale simulation, behind the same [`HomCipher`] trait.
 //!
@@ -94,9 +94,9 @@ impl std::error::Error for CipherError {}
 /// [`HomCipher::slots_per_ct`] is the tuple width `p` a plaintext of this
 /// cipher carries, [`HomCipher::encrypt_slots`] and
 /// [`HomCipher::decrypt_wave`] are `E` and `D` over it. The defaults are
-/// the width-1 instance (one ciphertext per value, each value a digit of
-/// [`slots`]), which is all a cipher whose plaintext is a machine integer
-/// can offer; [`PaillierCtx`] packs as many digits as its modulus holds.
+/// the width-1 instance (one ciphertext per value), which is all a cipher
+/// whose plaintext is a machine integer can offer; [`PaillierCtx`] packs
+/// as many digits of [`slots`] as its modulus holds.
 /// Callers never choose a format: it is a function of the cipher's
 /// capacity alone.
 ///
@@ -123,52 +123,30 @@ pub trait HomCipher: Clone + Send + Sync {
         1
     }
 
-    /// `E` over a tuple: appends to `out` the encryption of `values` in
-    /// `⌈len / slots_per_ct⌉` ciphertexts, filled greedily in order, on
-    /// which `A+`, `A−`, scalar multiplication and rerandomization act
-    /// slot-wise. Each value fits a digit ([`slots::is_digit`]); a
-    /// combination of such tuples reads back exactly while every slot
-    /// still does.
-    fn encrypt_slots(&self, values: &[i64], out: &mut Vec<Self::Ct>) {
-        out.extend(values.iter().map(|&v| self.encrypt_i64(v)));
+    /// `E` over a tuple: appends to `out` the encryption of `values`
+    /// followed by `tag` in the ciphertexts [`slots::widths`] lays them
+    /// out in, on which `A+`, `A−`, scalar multiplication and
+    /// rerandomization act slot-wise. Each value fits a digit
+    /// ([`slots::is_digit`]), and so does each value of `tag` unless a
+    /// ciphertext carries one value; a combination of such tuples reads
+    /// back exactly while every slot still does.
+    fn encrypt_slots(&self, values: &[i64], tag: &[i64], out: &mut Vec<Self::Ct>) {
+        out.extend(values.iter().chain(tag).map(|&v| self.encrypt_i64(v)));
     }
 
-    /// `D` over a wave: `cts` is a run of tuples of `arity` values, each
-    /// as [`HomCipher::encrypt_slots`] seals one ([`slots::widths`] says
-    /// how many values each ciphertext holds). The values come back flat,
+    /// `D` over a wave: `cts` is a run of tuples of `len` values, each as
+    /// [`HomCipher::encrypt_slots`] seals one. The values come back flat,
     /// in order. A plaintext that holds no tuple of its width — whatever
     /// a hostile broker aggregated — contributes zeros and is listed, by
     /// its index in `cts` and in order, with its [`SlotError`]; nothing
-    /// panics. Implementations with expensive per-call machinery override
-    /// it to amortize — see [`PaillierCtx`], which runs the wave in one
-    /// pass over its cached CRT contexts and fans the elements across the
+    /// panics. The default is the width-1 instance: every ciphertext is
+    /// one value, read whole, and whether it is a digit is the tuple's
+    /// business. [`PaillierCtx`], which packs, overrides it, and runs the
+    /// wave in one pass over its cached CRT contexts fanned across the
     /// worker pool.
-    fn decrypt_wave(&self, cts: &[&Self::Ct], arity: usize) -> (Vec<i64>, Vec<(usize, SlotError)>) {
-        let mut values = Vec::with_capacity(cts.len());
-        let mut refused = Vec::new();
-        let widths = slots::widths(self.slots_per_ct(), arity).cycle();
-        for (i, (c, width)) in cts.iter().zip(widths).enumerate() {
-            match self.decrypt_i64(c) {
-                m if width == 1 && slots::is_digit(m) => values.push(m),
-                _ => {
-                    refused.push((i, SlotError::OutOfLayout));
-                    values.extend(std::iter::repeat_n(0, width));
-                }
-            }
-        }
-        (values, refused)
-    }
-
-    /// Batched tag-relation check: `true` iff `D(tags[i]) == expected[i]`
-    /// for every `i` (and the lengths match). The default decrypts each
-    /// tag; [`PaillierCtx`] replaces the `k` decryptions by one
-    /// random-linear-combination multi-exponentiation plus a single
-    /// decryption, trading a `< 2⁻³²` false-accept probability for the
-    /// speedup — callers that need per-message blame re-verify
-    /// individually on failure.
-    fn verify_tags_batch(&self, tags: &[&Self::Ct], expected: &[i64]) -> bool {
-        tags.len() == expected.len()
-            && tags.iter().zip(expected).all(|(t, &e)| self.decrypt_i64(t) == e)
+    fn decrypt_wave(&self, cts: &[&Self::Ct], len: usize) -> (Vec<i64>, Vec<(usize, SlotError)>) {
+        let _ = len;
+        (cts.iter().map(|c| self.decrypt_i64(c)).collect(), Vec::new())
     }
 
     /// Homomorphic addition (`A+`): `D(add(E(x), E(y))) == x + y`.
@@ -202,8 +180,8 @@ pub trait HomCipher: Clone + Send + Sync {
     /// [`HomCipher::is_wellformed`]. Key-free, like the per-ciphertext
     /// form. [`PaillierCtx`] folds the whole batch into a single gcd
     /// (`gcd(∏ cᵢ mod n, n) = 1 ⇔ ∀i gcd(cᵢ mod n, n) = 1`), so a
-    /// broker screens an incoming counter at one gcd instead of
-    /// arity + 1 of them.
+    /// broker screens an incoming counter at one gcd instead of one per
+    /// ciphertext.
     fn all_wellformed(&self, cts: &[&Self::Ct]) -> bool {
         cts.iter().all(|c| self.is_wellformed(c))
     }

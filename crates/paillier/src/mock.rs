@@ -105,11 +105,11 @@ impl HomCipher for MockCipher {
         // What a real 1024-bit Paillier ciphertext would occupy on the
         // wire (n² = 2048 bits). The mock carries one value per
         // ciphertext, so a simulation's byte totals model the per-field
-        // format: `6 + d` ciphertexts for a counter of degree `d`, tag
-        // included. A 1024-bit deployment packs the `5 + d` values 22 to
-        // a ciphertext — two ciphertexts a counter, tag included, at any
-        // degree up to 17 — so its bandwidth is the simulated figure
-        // times `2 / (6 + d)`.
+        // format: `6 + d` ciphertexts for a counter of degree `d`, its
+        // `5 + d` values and the tag as one wide value. A 1024-bit
+        // deployment packs the values and the tag's two digits 22 to a
+        // ciphertext — one ciphertext a counter at any degree up to 15 —
+        // so its bandwidth is the simulated figure times `1 / (6 + d)`.
         256
     }
 

@@ -2,21 +2,23 @@
 //!
 //! A [`CounterMsg`] is the encrypted tuple
 //! `⟨counter, share, T_⊥, T_v₁, …, T_v_d⟩_enc` from Algorithm 2, bound
-//! together by a **homomorphic authentication tag**.
+//! together by a **homomorphic authentication tag** sealed beside it.
 //!
 //! # Format
 //!
 //! §4.2 makes the oblivious counter *one* plaintext, "encoding
 //! (x₁,…,x_p) as x₁N₁ + x₂N₂ + … + x_p before encryption", so that a
 //! message costs one encryption and one decryption. We seal the whole
-//! tuple that way: [`HomCipher::encrypt_slots`] packs it, as balanced
-//! digits (see [`crate::slots`]), into as few ciphertexts as the cipher's
-//! plaintext carries ([`HomCipher::slots_per_ct`], greedy spill). At 512
-//! bits that is one ciphertext for up to 11 values; under
+//! tuple that way, its tag included: [`HomCipher::encrypt_slots`] packs
+//! the values and then the tag, as balanced digits (see [`crate::slots`]),
+//! into as few ciphertexts as the cipher's plaintext carries
+//! ([`HomCipher::slots_per_ct`], greedy spill that never parts the tag's
+//! two digits). At 512 bits that is one ciphertext for up to 9 values; under
 //! [`crate::MockCipher`], whose plaintext is an `i64`, it is one per value
-//! — the same code, the capacity-1 instance. `A+`, `A−`, scalar
-//! multiplication, rerandomization and the well-formedness screen act per
-//! ciphertext and never need to know what a ciphertext holds.
+//! and one for the tag — the same code, the capacity-1 instance, in which
+//! the tag is one wide value. `A+`, `A−`, scalar multiplication,
+//! rerandomization and the well-formedness screen act per ciphertext and
+//! never need to know what a ciphertext holds.
 //!
 //! Balanced digits carry a sign, so a tuple's leading *signed* values —
 //! the vote counters, which Algorithm 1's padding sequence seals as
@@ -27,12 +29,17 @@
 //! leaves, and opening refuses it as [`ObliviousError::SideBand`], as it
 //! does a plaintext that holds no tuple of its width.
 //!
-//! The tag is computed over the *logical* fields, so the relation
-//! `D(tag) = Σ sᵢ·mᵢ` is checked after unpacking and stays an exact
-//! equality: sums are never reduced inside their digits (shares included
-//! — the controller reduces them into their field after the check, as it
-//! always did). A side-band that does not open convicts the broker
-//! exactly like a tag mismatch.
+//! The tag is `Σ sᵢ·mᵢ` over the values, computed exactly in `i128` and
+//! sealed as two adjacent digits, since a coefficient times a value is
+//! wider than one. The pair shares a ciphertext, so the carry an honest
+//! aggregate's low tag digit makes lands in the high one, and the pair
+//! reads back as the exact sum of the tags. Opening checks
+//! `D(tag) = Σ sᵢ·D(mᵢ)` as an equality of integers on the plaintext it
+//! decrypts anyway. Sums are never reduced: not inside their digits (shares
+//! included — the controller reduces them into their field after the
+//! check, as it always did), and not modulo a prime, under which a value
+//! moved by a multiple of it would pass. A side-band that does not open
+//! convicts the broker exactly like a tag mismatch.
 //!
 //! # Why a tag instead of literal "encrypt-then-sign"
 //!
@@ -43,8 +50,8 @@
 //! ciphertext with a second *homomorphic* system while keeping the
 //! signature meaningful under addition is exactly a linearly homomorphic
 //! authenticator, which is what we implement: accountants share a secret
-//! coefficient vector `s₁…s_p` and tag a tuple `(m₁…m_p)` with
-//! `E(Σ sᵢ·mᵢ)`. Component-wise `A+`/`A−`/scalar on two tagged tuples
+//! coefficient vector `s₁…s_p` and seal a tuple `(m₁…m_p)` together with
+//! `Σ sᵢ·mᵢ`. Component-wise `A+`/`A−`/scalar on two tagged tuples
 //! preserves the relation; a broker that assembles any tuple the
 //! accountants did not implicitly authorize (arbitrary values, fields mixed
 //! across messages) breaks it except with probability `≈ 1/|coeff space|`.
@@ -59,7 +66,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
-use crate::slots::SlotError;
+use crate::slots::{self, SlotError};
 use crate::HomCipher;
 
 /// Errors surfaced by opening a counter — each maps to a
@@ -72,8 +79,8 @@ pub enum ObliviousError {
     /// The ciphertext count differs from what the tag key's arity takes
     /// under this cipher's capacity.
     ArityMismatch { expected: usize, got: usize },
-    /// A ciphertext holds no tuple of its width, or a side-band value is
-    /// negative.
+    /// A ciphertext holds no tuple of its width, a value is no digit, or
+    /// a side-band value is negative.
     SideBand(SlotError),
 }
 
@@ -95,8 +102,8 @@ impl std::error::Error for ObliviousError {}
 
 /// The accountants' shared tagging secret: one coefficient per tuple field.
 ///
-/// Coefficients are drawn from `[2^10, 2^20)` so that `Σ sᵢ·mᵢ` stays well
-/// inside `i64` even when a field holds an aggregated 34-bit share sum,
+/// Coefficients are drawn from `[2^10, 2^20)`, so that the tag of a tuple
+/// of digits short of 2²⁴ values fits the two digits it is sealed in,
 /// while forging a tuple still requires guessing ≥ 20 unknown bits per
 /// altered field — ample for a protocol whose other defence is detection,
 /// not secrecy.
@@ -124,14 +131,12 @@ impl TagKey {
         self.coeffs.len()
     }
 
-    /// Plaintext tag of a tuple: `Σ sᵢ·mᵢ` over however many fields both
-    /// sides share (honest callers pass exactly `arity()` fields; arity
-    /// enforcement is the caller's door check). Wrapping, so that the
-    /// 45-bit digits a hostile broker can aggregate compare unequal
-    /// instead of overflowing.
-    pub fn tag_plain(&self, fields: &[i64]) -> i64 {
-        debug_assert_eq!(fields.len(), self.coeffs.len());
-        self.coeffs.iter().zip(fields).fold(0i64, |t, (c, m)| t.wrapping_add(c.wrapping_mul(*m)))
+    /// The tag of a tuple: `Σ sᵢ·mᵢ` over however many fields both sides
+    /// share (honest callers pass exactly `arity()` fields; arity
+    /// enforcement is the caller's door check), exact — no tuple of
+    /// `i64`s a process can hold takes it past `i128`.
+    fn tag(&self, fields: &[i64]) -> i128 {
+        self.coeffs.iter().zip(fields).map(|(&s, &m)| i128::from(s) * i128::from(m)).sum()
     }
 }
 
@@ -139,55 +144,65 @@ impl TagKey {
 /// Secure-Scalable-Majority message field group.
 #[derive(Debug)]
 pub struct CounterMsg<C: HomCipher> {
-    /// Ciphertexts of the tuple, its values packed in protocol order (see
-    /// the module docs).
+    /// Ciphertexts of the tuple, its values packed in protocol order and
+    /// its tag after them (see the module docs).
     pub fields: Vec<C::Ct>,
-    /// Homomorphic authentication tag: encryption of `Σ sᵢ·mᵢ` over the
-    /// logical fields.
-    pub tag: C::Ct,
 }
 
 impl<C: HomCipher> PartialEq for CounterMsg<C> {
     fn eq(&self, other: &Self) -> bool {
-        self.fields == other.fields && self.tag == other.tag
+        self.fields == other.fields
     }
 }
 
 impl<C: HomCipher> Clone for CounterMsg<C> {
     fn clone(&self) -> Self {
-        CounterMsg { fields: self.fields.clone(), tag: self.tag.clone() }
+        CounterMsg { fields: self.fields.clone() }
     }
 
-    /// Field-wise, so a slot that is overwritten message after message
-    /// keeps its buffer.
+    /// Into the buffer `self` has, so a slot that is overwritten message
+    /// after message keeps it.
     fn clone_from(&mut self, source: &Self) {
         self.fields.clone_from(&source.fields);
-        self.tag.clone_from(&source.tag);
     }
 }
 
 impl<C: HomCipher> CounterMsg<C> {
-    /// Accountant-side construction: `values` packed, and the tag over
-    /// them. Each value fits a digit ([`crate::slots::is_digit`]); a
-    /// negative side-band value seals, and then does not open.
+    /// Accountant-side construction: `values` packed, their tag after
+    /// them. Each value fits a digit ([`crate::slots::is_digit`]) and the
+    /// tag its slot ([`CounterMsg::tag_fits`]); a negative side-band value
+    /// or a tag too wide seals, and then does not open.
     pub fn seal(cipher: &C, key: &TagKey, values: &[i64]) -> Self {
         assert_eq!(values.len(), key.arity(), "field count must match tag key arity");
+        let cap = cipher.slots_per_ct();
+        let (tag, _) = slots::tag_values(cap, key.tag(values));
+        let tag = tag.get(..slots::tag_len(cap)).unwrap_or_default();
         let mut fields = Vec::with_capacity(Self::ct_count(cipher, values.len()));
-        cipher.encrypt_slots(values, &mut fields);
-        CounterMsg { fields, tag: cipher.encrypt_i64(key.tag_plain(values)) }
+        cipher.encrypt_slots(values, tag, &mut fields);
+        CounterMsg { fields }
     }
 
-    /// Ciphertexts (the tag aside) a tuple of `arity` values has under
-    /// `cipher`. Key-free: the broker's door screen compares against it.
+    /// Whether the tag of `values` fits its slot under `cipher`, so that
+    /// [`CounterMsg::seal`] makes a tuple that opens. Two digits hold the
+    /// tag of any tuple of digits short of 2²⁴ values; at capacity one,
+    /// the tag's one wide value holds an `i64`.
+    pub fn tag_fits(cipher: &C, key: &TagKey, values: &[i64]) -> bool {
+        slots::tag_values(cipher.slots_per_ct(), key.tag(values)).1
+    }
+
+    /// Ciphertexts a sealed tuple of `arity` values, its tag included, has
+    /// under `cipher`. Key-free: the broker's door screen compares
+    /// against it.
     pub fn ct_count(cipher: &C, arity: usize) -> usize {
-        arity.div_ceil(cipher.slots_per_ct())
+        let cap = cipher.slots_per_ct();
+        (arity + slots::tag_len(cap)).div_ceil(cap)
     }
 
     /// Key-free ciphertext-wise addition (the broker's aggregation step).
     pub fn add(&self, cipher: &C, other: &Self) -> Self {
         assert_eq!(self.fields.len(), other.fields.len(), "cannot add tuples of different shape");
         let fields = self.fields.iter().zip(&other.fields).map(|(a, b)| cipher.add(a, b)).collect();
-        CounterMsg { fields, tag: cipher.add(&self.tag, &other.tag) }
+        CounterMsg { fields }
     }
 
     /// [`CounterMsg::add`] into `self`: an aggregate over many tuples is
@@ -197,7 +212,6 @@ impl<C: HomCipher> CounterMsg<C> {
         for (a, b) in self.fields.iter_mut().zip(&other.fields) {
             *a = cipher.add(a, b);
         }
-        self.tag = cipher.add(&self.tag, &other.tag);
     }
 
     /// Key-free ciphertext-wise subtraction. A difference with a negative
@@ -209,22 +223,20 @@ impl<C: HomCipher> CounterMsg<C> {
             "cannot subtract tuples of different shape"
         );
         let fields = self.fields.iter().zip(&other.fields).map(|(a, b)| cipher.sub(a, b)).collect();
-        CounterMsg { fields, tag: cipher.sub(&self.tag, &other.tag) }
+        CounterMsg { fields }
     }
 
     /// Key-free scalar multiplication (iterated `A+`); like
     /// [`CounterMsg::sub`], only a non-negative side-band opens.
     pub fn scalar(&self, cipher: &C, m: i64) -> Self {
-        let fields = self.fields.iter().map(|c| cipher.scalar(m, c)).collect();
-        CounterMsg { fields, tag: cipher.scalar(m, &self.tag) }
+        CounterMsg { fields: self.fields.iter().map(|c| cipher.scalar(m, c)).collect() }
     }
 
     /// Key-free rerandomization of every component — what `Update(v)` in
     /// Algorithm 1 applies before sending, so receivers cannot tell whether
     /// an aggregate changed.
     pub fn rerandomize(&self, cipher: &C) -> Self {
-        let fields = self.fields.iter().map(|c| cipher.rerandomize(c)).collect();
-        CounterMsg { fields, tag: cipher.rerandomize(&self.tag) }
+        CounterMsg { fields: self.fields.iter().map(|c| cipher.rerandomize(c)).collect() }
     }
 
     /// A sealed all-zero tuple (additive identity with a *valid* tag).
@@ -270,13 +282,13 @@ impl<C: HomCipher> CounterMsg<C> {
     /// negative, in a single pass.
     ///
     /// All ciphertexts of all conforming tuples decrypt through one
-    /// [`HomCipher::decrypt_wave`] call and all tags verify through one
-    /// [`HomCipher::verify_tags_batch`] check; only when that combined
-    /// check fails does each tuple re-verify alone, so blame lands on
-    /// exactly the forged ones. `sink` is handed each message's index in
-    /// `msgs` and its logical tuple — a view into the wave's one
-    /// plaintext buffer, for the caller to read where it wants it — or
-    /// why it did not open; once per message, in order.
+    /// [`HomCipher::decrypt_wave`] call, and each tuple's tag is checked
+    /// against its values right there, in the plaintext that call
+    /// returns, so blame lands on exactly the forged ones. `sink` is
+    /// handed each message's index in `msgs` and its logical tuple — a
+    /// view into the wave's one plaintext buffer, for the caller to read
+    /// where it wants it — or why it did not open; once per message, in
+    /// order.
     pub fn open_wave<'a>(
         cipher: &C,
         key: &TagKey,
@@ -286,55 +298,32 @@ impl<C: HomCipher> CounterMsg<C> {
     ) where
         C: 'a,
     {
-        let arity = key.arity();
-        let cts_each = Self::ct_count(cipher, arity);
+        let len = key.arity() + slots::tag_len(cipher.slots_per_ct());
+        let cts_each = Self::ct_count(cipher, key.arity());
         // Shape screen: hostile tuples drop out before the batch.
         let shaped = msgs.clone().filter(|m| m.fields.len() == cts_each);
-        let wave = shaped.clone().count();
-        let mut cts: Vec<&C::Ct> = Vec::with_capacity(wave * cts_each);
+        let mut cts: Vec<&C::Ct> = Vec::with_capacity(shaped.clone().count() * cts_each);
         cts.extend(shaped.flat_map(|m| m.fields.iter()));
-        let (plains, refused) = cipher.decrypt_wave(&cts, arity);
-        let unpacked = || {
-            let cts_of = msgs.clone().map(|m| m.fields.len());
-            unpacked(cts_of, cts_each, arity, signed, &plains, &refused)
-        };
-        // Tags of the tuples that unpacked, against what their fields say.
-        let mut tags: Vec<&C::Ct> = Vec::with_capacity(wave);
-        let mut expected: Vec<i64> = Vec::with_capacity(wave);
-        for (m, fields) in msgs.clone().zip(unpacked()) {
-            if let Ok(fields) = fields {
-                tags.push(&m.tag);
-                expected.push(key.tag_plain(fields));
-            }
-        }
-        let all_verify = cipher.verify_tags_batch(&tags, &expected);
-        for (i, (m, fields)) in msgs.clone().zip(unpacked()).enumerate() {
-            let verifies = |fields: &[i64]| {
-                all_verify || cipher.verify_tags_batch(&[&m.tag], &[key.tag_plain(fields)])
-            };
-            let fields = match fields {
-                Ok(fields) if !verifies(fields) => Err(ObliviousError::TagMismatch),
-                unpacked => unpacked,
-            };
-            sink(i, fields);
+        let (plains, refused) = cipher.decrypt_wave(&cts, len);
+        let cts_of = msgs.map(|m| m.fields.len());
+        for (i, tuple) in unpacked(cts_of, cts_each, len, &plains, &refused).enumerate() {
+            sink(i, tuple.and_then(|tuple| authentic(key, signed, tuple)));
         }
     }
 }
 
 /// What each message of a wave — `cts_of` its ciphertext count —
-/// unpacked to, before its tag is looked at: `plains` holds one tuple of
-/// `arity` values, and `refused` indexes one run of `cts_each`
-/// ciphertexts, per shaped message, in order. Past its first `signed`
-/// values, a tuple holds no negative one.
+/// unpacked to: `plains` holds one tuple of `len` values, and `refused`
+/// indexes one run of `cts_each` ciphertexts, per shaped message, in
+/// order.
 fn unpacked<'w>(
     cts_of: impl Iterator<Item = usize> + 'w,
     cts_each: usize,
-    arity: usize,
-    signed: usize,
+    len: usize,
     plains: &'w [i64],
     refused: &'w [(usize, SlotError)],
 ) -> impl Iterator<Item = Result<&'w [i64], ObliviousError>> + 'w {
-    let mut tuples = plains.chunks(arity);
+    let mut tuples = plains.chunks(len);
     let mut refused = refused.iter().peekable();
     let mut cts_seen = 0;
     cts_of.map(move |got| {
@@ -347,27 +336,56 @@ fn unpacked<'w>(
         while let Some(&(_, e)) = refused.next_if(|&&(at, _)| at < cts_seen) {
             why.get_or_insert(e);
         }
-        let negative = tuple.iter().enumerate().skip(signed).find(|&(_, &v)| v < 0);
-        why = why.or(negative.map(|(slot, _)| SlotError::Negative { slot }));
         why.map_or(Ok(tuple), |e| Err(ObliviousError::SideBand(e)))
     })
+}
+
+/// The values of an unpacked `tuple` — the tag split off its end — once
+/// each is a digit, none past the first `signed` is negative, and the tag
+/// is theirs.
+fn authentic<'t>(
+    key: &TagKey,
+    signed: usize,
+    tuple: &'t [i64],
+) -> Result<&'t [i64], ObliviousError> {
+    let (values, tag) = tuple
+        .split_at_checked(key.arity())
+        .ok_or(ObliviousError::ArityMismatch { expected: key.arity(), got: tuple.len() })?;
+    if !values.iter().all(|&v| slots::is_digit(v)) {
+        return Err(ObliviousError::SideBand(SlotError::OutOfLayout));
+    }
+    if let Some(slot) = values.iter().skip(signed).position(|&v| v < 0) {
+        return Err(ObliviousError::SideBand(SlotError::Negative { slot: signed + slot }));
+    }
+    match key.tag(values) == slots::tag_of(tag) {
+        true => Ok(values),
+        false => Err(ObliviousError::TagMismatch),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{slots, Keypair, MockCipher, PaillierCtx};
+    use crate::{Keypair, MockCipher, PaillierCtx};
 
-    /// 256-bit keys carry five digits, so the 2 + 2 values of these
-    /// tuples are one ciphertext plus the tag.
+    /// 320-bit keys carry seven digits, so the 2 + 2 values of these
+    /// tuples and their tag's two digits are one ciphertext.
     fn setup() -> (PaillierCtx, PaillierCtx, TagKey) {
-        let kp = Keypair::generate_with_seed(256, 0xBEEF);
+        let kp = Keypair::generate_with_seed(320, 0xBEEF);
         (kp.encryptor(), kp.decryptor(), TagKey::derive(4, 7))
     }
 
-    /// `values` in one ciphertext, whatever tuple they make.
-    fn packed(e: &PaillierCtx, values: &[i64]) -> crate::Ciphertext {
-        e.encrypt_residue(&slots::pack(e.public_key(), values))
+    /// `digits` in one ciphertext, whatever tuple they make.
+    fn packed(e: &PaillierCtx, digits: &[i64]) -> crate::Ciphertext {
+        e.encrypt_residue(&slots::pack(e.public_key(), digits))
+    }
+
+    /// The digits of an honest one-ciphertext tuple of four values, its
+    /// tag's two included: what a broker would need to forge one.
+    fn digits(d: &PaillierCtx, msg: &CounterMsg<PaillierCtx>) -> Vec<i64> {
+        let mut out = Vec::new();
+        slots::unpack(d.public_key(), &d.decrypt_residue(&msg.fields[0]), 6, &mut out).unwrap();
+        out
     }
 
     #[test]
@@ -418,8 +436,7 @@ mod tests {
         let (e, d, key) = setup();
         // A broker without the tag key encrypts values itself (Paillier is
         // public-key, so it *can* encrypt) — but cannot produce the tag.
-        let forged =
-            CounterMsg { fields: vec![packed(&e, &[999, 1, 0, 0])], tag: e.encrypt_i64(12345) };
+        let forged = CounterMsg { fields: vec![packed(&e, &[999, 1, 0, 0, 12345, 0])] };
         assert_eq!(forged.open(&d, &key, 2), Err(ObliviousError::TagMismatch));
     }
 
@@ -427,27 +444,44 @@ mod tests {
     fn forged_side_band_detected() {
         let (e, d, key) = setup();
         let honest = CounterMsg::seal(&e, &key, &[5, 8, 7, 2]);
-        // Re-packed with one value altered, under the honest tag.
+        // Re-packed with one value altered, under the honest tag digits.
+        let mut altered = digits(&d, &honest);
+        altered[3] += 1;
         let mut forged = honest.clone();
-        forged.fields[0] = packed(&e, &[5, 8, 7, 3]);
+        forged.fields[0] = packed(&e, &altered);
         assert_eq!(forged.open(&d, &key, 2), Err(ObliviousError::TagMismatch));
-        // A plaintext that is no tuple of four values at all.
-        forged.fields[0] = packed(&e, &[5, 8, 7, 2, 1]);
+        // A plaintext that is no tuple of four values and a tag at all.
+        altered.push(1);
+        forged.fields[0] = packed(&e, &altered);
         assert_eq!(forged.open(&d, &key, 2), Err(ObliviousError::SideBand(SlotError::OutOfLayout)));
+    }
+
+    #[test]
+    fn the_tag_check_is_exact_not_modular() {
+        let (e, d, key) = setup();
+        let honest = CounterMsg::seal(&e, &key, &[5, 8, 7, 2]);
+        // The tag moved by multiples of 2⁶⁴, and by 2⁴⁵ − 55, the largest
+        // prime below 2⁴⁵: a check reduced modulo either would pass these,
+        // but the integers differ.
+        for (digit, delta) in [(5, 1i64 << 19), (5, -(3 << 19)), (4, (1 << 45) - 55)] {
+            let mut moved = digits(&d, &honest);
+            moved[digit] += delta;
+            let forged = CounterMsg { fields: vec![packed(&e, &moved)] };
+            assert_eq!(forged.open(&d, &key, 2), Err(ObliviousError::TagMismatch), "{delta}");
+        }
     }
 
     #[test]
     fn spliced_fields_detected() {
         let (e, d, _) = setup();
-        // Seven values: two ciphertexts at five digits each.
+        // Seven values and the tag: two ciphertexts at seven digits each,
+        // the second holding the tag alone.
         let key = TagKey::derive(7, 7);
         let a = CounterMsg::seal(&e, &key, &[5, 1, 3, 0, 1, 2, 3]);
         let b = CounterMsg::seal(&e, &key, &[9, 1, 7, 2, 4, 5, 6]);
-        // Mix a's first ciphertext with b's second and b's tag.
-        let spliced = CounterMsg {
-            fields: vec![a.fields[0].clone(), b.fields[1].clone()],
-            tag: b.tag.clone(),
-        };
+        assert_eq!(a.fields.len(), 2);
+        // a's values under b's tag.
+        let spliced = CounterMsg { fields: vec![a.fields[0].clone(), b.fields[1].clone()] };
         assert_eq!(spliced.open(&d, &key, 2), Err(ObliviousError::TagMismatch));
     }
 
@@ -461,7 +495,7 @@ mod tests {
             long.open(&d, &key, 2),
             Err(ObliviousError::ArityMismatch { expected: 1, got: 2 })
         );
-        let short = CounterMsg { fields: Vec::new(), tag: a.tag.clone() };
+        let short = CounterMsg::<PaillierCtx> { fields: Vec::new() };
         assert_eq!(
             short.open(&d, &key, 2),
             Err(ObliviousError::ArityMismatch { expected: 1, got: 0 })
@@ -474,13 +508,14 @@ mod tests {
         let key = TagKey::derive(3, 5);
         let a = CounterMsg::seal(&mock, &key, &[4, 1, 2]);
         let b = CounterMsg::seal(&mock, &key, &[6, 0, 3]);
-        // Capacity one: a ciphertext per value, as it always was.
-        assert_eq!(a.fields.len(), 3);
+        // Capacity one: a ciphertext per value, and one for the tag.
+        assert_eq!(a.fields.len(), 4);
         assert_eq!(a.add(&mock, &b).open(&mock, &key, 2).unwrap(), vec![10, 1, 5]);
-        let forged = CounterMsg { fields: a.fields.clone(), tag: mock.encrypt_i64(0) };
+        let mut forged = a.clone();
+        forged.fields[3] = mock.encrypt_i64(0);
         assert_eq!(forged.open(&mock, &key, 2), Err(ObliviousError::TagMismatch));
         // The side-band holds no negative value under the mock either, and
-        // a value past a digit is no tuple of one.
+        // a value past a digit is no tuple.
         assert_eq!(
             a.sub(&mock, &b).open(&mock, &key, 2),
             Err(ObliviousError::SideBand(SlotError::Negative { slot: 2 }))
@@ -494,9 +529,38 @@ mod tests {
     }
 
     #[test]
+    fn a_key_that_carries_one_digit_seals_the_tag_as_one_wide_value() {
+        let kp = Keypair::generate_with_seed(64, 5);
+        let (e, d) = (kp.encryptor(), kp.decryptor());
+        let key = TagKey::derive(4, 7);
+        let msg = CounterMsg::seal(&e, &key, &[5, -1, 100, 0]);
+        assert_eq!(msg.fields.len(), 5);
+        assert_eq!(msg.open(&d, &key, 2).unwrap(), vec![5, -1, 100, 0]);
+        let mut forged = msg.clone();
+        forged.fields[4] = e.add(&forged.fields[4], &e.encrypt_i64(1));
+        assert_eq!(forged.open(&d, &key, 2), Err(ObliviousError::TagMismatch));
+    }
+
+    #[test]
+    fn a_tag_too_wide_for_its_slot_is_flagged_and_does_not_open() {
+        let (e, d, _) = setup();
+        let mock = MockCipher::new(3);
+        // 1 024 values of 2⁴⁴ − 1 under coefficients of at least 2¹⁰: a
+        // tag past 2⁶³, which two digits hold and one `i64` does not.
+        let key = TagKey::derive(1024, 1);
+        let values = vec![(1i64 << 44) - 1; 1024];
+        assert!(CounterMsg::tag_fits(&e, &key, &values));
+        assert!(!CounterMsg::tag_fits(&mock, &key, &values));
+        assert_eq!(CounterMsg::seal(&e, &key, &values).open(&d, &key, 0).unwrap(), values);
+        let wrapped = CounterMsg::seal(&mock, &key, &values);
+        assert_eq!(wrapped.open(&mock, &key, 0), Err(ObliviousError::TagMismatch));
+    }
+
+    #[test]
     fn tuples_spill_by_capacity_and_digits_absorb_additions() {
         let (e, d, _) = setup();
-        // 2 signed + 7 side-band values at five digits a ciphertext.
+        // 2 signed + 7 side-band values and the tag at seven digits a
+        // ciphertext.
         let key = TagKey::derive(9, 3);
         assert_eq!(CounterMsg::ct_count(&e, 9), 2);
         let max = i64::from(u32::MAX);
@@ -526,10 +590,11 @@ mod tests {
     fn open_many_blames_exactly_the_forged_tuple() {
         let (e, d, key) = setup();
         let good = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
-        let forged = CounterMsg { fields: good.fields.clone(), tag: e.encrypt_i64(4242) };
-        let short = CounterMsg { fields: Vec::new(), tag: good.tag.clone() };
-        let mut wide = good.clone();
-        wide.fields[0] = packed(&e, &[1, 3, 0, 0, 1]);
+        let mut tag_off = digits(&d, &good);
+        tag_off[4] += 1;
+        let forged = CounterMsg { fields: vec![packed(&e, &tag_off)] };
+        let short = CounterMsg { fields: Vec::new() };
+        let wide = CounterMsg { fields: vec![packed(&e, &[1, 3, 0, 0, 1, 2, 3])] };
         let negative = good.sub(&e, &good.scalar(&e, 2));
         let opened =
             CounterMsg::open_many(&d, &key, 2, &[&good, &forged, &short, &wide, &negative]);
@@ -547,7 +612,8 @@ mod tests {
         let mock = MockCipher::new(11);
         let key = TagKey::derive(3, 5);
         let a = CounterMsg::seal(&mock, &key, &[4, 1, 2]);
-        let forged = CounterMsg { fields: a.fields.clone(), tag: mock.encrypt_i64(0) };
+        let mut forged = a.clone();
+        forged.fields[3] = mock.encrypt_i64(0);
         let opened = CounterMsg::open_many(&mock, &key, 2, &[&a, &forged]);
         assert_eq!(opened, vec![Ok(vec![4, 1, 2]), Err(ObliviousError::TagMismatch)]);
     }

@@ -33,6 +33,13 @@
 //! a tuple or as [`SlotError::OutOfLayout`], and [`pack`] encodes any `i64`
 //! values (one outside a digit carries into the next, so the tuple no
 //! longer reads back as sealed — callers seal digits).
+//!
+//! A sealed tuple ends in its authentication tag, an integer wider than a
+//! digit: two adjacent digits where a ciphertext carries two or more
+//! ([`tag_values`]), one wide value where it carries one. [`widths`] keeps
+//! the two in one ciphertext, so the carry that an honest aggregate's low
+//! tag digit makes lands in the high one, and the pair reads back as the
+//! integer the tags sum to.
 
 use num_bigint::BigUint;
 use num_traits::{ToPrimitive, Zero};
@@ -56,11 +63,47 @@ pub fn is_digit(v: i64) -> bool {
     (-HALF..HALF).contains(&v)
 }
 
-/// How many digits each ciphertext of a tuple of `arity` values holds,
-/// `cap` to a ciphertext, filled greedily in order.
-pub fn widths(cap: usize, arity: usize) -> impl Iterator<Item = usize> + Clone {
+/// How many values each ciphertext of a sealed tuple of `len` values
+/// holds, `cap` to a ciphertext, filled greedily in order — except that
+/// the last two (the tag's digits) never part: a lone last value takes
+/// the one before it along into its ciphertext. The count is
+/// `⌈len / cap⌉` either way.
+pub fn widths(cap: usize, len: usize) -> impl Iterator<Item = usize> + Clone {
     let cap = cap.max(1);
-    (0..arity).step_by(cap).map(move |at| cap.min(arity - at))
+    let count = len.div_ceil(cap);
+    let lone = cap > 1 && len > 1 && len % cap == 1;
+    (0..count).map(move |i| match count - i {
+        1 if lone => 2,
+        2 if lone => cap - 1,
+        _ => cap.min(len - i * cap),
+    })
+}
+
+/// How many values a tag takes at capacity `cap`: two digits, or one wide
+/// value when a ciphertext carries one.
+pub fn tag_len(cap: usize) -> usize {
+    if cap > 1 {
+        2
+    } else {
+        1
+    }
+}
+
+/// The tag `t` as its [`tag_len`] values, low first, and whether they
+/// hold it exactly: two balanced digits, or one `i64`. A tag they do not
+/// hold is written wrapped, and then reads back as another integer.
+pub fn tag_values(cap: usize, t: i128) -> ([i64; 2], bool) {
+    if cap == 1 {
+        return ([t as i64, 0], i64::try_from(t).is_ok());
+    }
+    let low = ((t + i128::from(HALF)) & ((1 << DIGIT_BITS) - 1)) - i128::from(HALF);
+    let high = (t - low) >> DIGIT_BITS;
+    ([low as i64, high as i64], i64::try_from(high).is_ok_and(is_digit))
+}
+
+/// The integer a tag's values, low first, hold.
+pub fn tag_of(values: &[i64]) -> i128 {
+    values.iter().rev().fold(0, |t, &v| (t << DIGIT_BITS) + i128::from(v))
 }
 
 /// Why a plaintext did not read as a tuple.
@@ -86,15 +129,14 @@ impl std::fmt::Display for SlotError {
 impl std::error::Error for SlotError {}
 
 /// `Σ values[i]·2^(45·i)` as a residue mod `n`.
-pub fn pack(pk: &PublicKey, values: &[i64]) -> BigUint {
+pub fn pack<'a>(pk: &PublicKey, values: impl IntoIterator<Item = &'a i64>) -> BigUint {
     let (mut pos, mut neg) = (BigUint::zero(), BigUint::zero());
-    for &v in values.iter().rev() {
-        pos <<= DIGIT_BITS;
-        neg <<= DIGIT_BITS;
+    for (i, &v) in values.into_iter().enumerate() {
+        let digit = BigUint::from(v.unsigned_abs()) << (DIGIT_BITS as usize * i);
         if v < 0 {
-            neg += BigUint::from(v.unsigned_abs());
+            neg += digit;
         } else {
-            pos += BigUint::from(v.unsigned_abs());
+            pos += digit;
         }
     }
     match pos.checked_sub(&neg) {
@@ -168,7 +210,29 @@ mod tests {
         assert_eq!(capacity(8), 1, "never zero");
         assert_eq!(widths(11, 7).collect::<Vec<_>>(), [7]);
         assert_eq!(widths(11, 17).collect::<Vec<_>>(), [11, 6]);
-        assert_eq!(widths(2, 5).collect::<Vec<_>>(), [2, 2, 1]);
+        assert_eq!(widths(11, 22).collect::<Vec<_>>(), [11, 11]);
+        // A lone last value takes the one before it along.
+        assert_eq!(widths(11, 12).collect::<Vec<_>>(), [10, 2]);
+        assert_eq!(widths(11, 23).collect::<Vec<_>>(), [11, 10, 2]);
+        assert_eq!(widths(2, 5).collect::<Vec<_>>(), [2, 1, 2]);
+        assert_eq!(widths(1, 3).collect::<Vec<_>>(), [1, 1, 1]);
+    }
+
+    #[test]
+    fn tags_split_into_the_values_that_hold_them() {
+        // Two digits hold [−2⁸⁹ − 2⁴⁴, 2⁸⁹ − 2⁴⁴); past them the tag wraps.
+        let (half, wide) = (i128::from(HALF), i128::from(HALF) << DIGIT_BITS);
+        for t in [0, 1, -1, half, -half - 1, 1 << 88, wide - half - 1, -wide - half] {
+            let (values, exact) = tag_values(11, t);
+            assert!(exact && values.iter().all(|&v| is_digit(v)), "{t}");
+            assert_eq!(tag_of(&values), t);
+        }
+        assert!(!tag_values(2, wide - half).1);
+        assert!(!tag_values(2, -wide - half - 1).1);
+        // One wide value holds an i64.
+        assert_eq!(tag_values(1, -7), ([-7, 0], true));
+        assert_eq!(tag_of(&[-7]), -7);
+        assert!(!tag_values(1, i128::from(i64::MAX) + 1).1);
     }
 
     #[test]

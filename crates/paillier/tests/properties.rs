@@ -161,7 +161,7 @@ proptest! {
         let mut bump = vec![0i64; 3];
         bump[idx] = delta;
         let mut cts = Vec::new();
-        e.encrypt_slots(&bump, &mut cts);
+        e.encrypt_slots(&bump, &[0, 0], &mut cts);
         let mut tampered = a.clone();
         tampered.fields[0] = e.add(&tampered.fields[0], &cts[0]);
         prop_assert!(tampered.open(&d, &key, 3).is_err());
@@ -182,7 +182,7 @@ proptest! {
         let mut bump = vec![0i64; 9];
         bump[2 + idx] = i64::from(delta);
         let mut cts = Vec::new();
-        e.encrypt_slots(&bump, &mut cts);
+        e.encrypt_slots(&bump, &[0, 0], &mut cts);
         let mut tampered = a.clone();
         tampered.fields[0] = e.add(&tampered.fields[0], &cts[0]);
         prop_assert!(tampered.open(&d, &key, 2).is_err());

@@ -612,92 +612,10 @@ impl MontgomeryCtx {
         }
         FixedBaseTable { ctx: self.clone(), base, windows }
     }
-
-    /// Straus/Shamir multi-exponentiation: `∏ baseⱼ^expⱼ mod n` in one
-    /// ladder. All bases share each window's squarings (4 per window,
-    /// once, instead of per base), so verifying a whole wave of
-    /// ciphertext tags costs little more than one exponentiation.
-    /// Matches `∏ modpow(baseⱼ, expⱼ, n) mod n` exactly; the empty
-    /// product is 1.
-    pub fn multi_modpow(&self, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
-        let k = self.k;
-        let mut t = vec![0u64; k + 1];
-        let mut wide = vec![0u64; 2 * k + 1];
-        let mut sq_c = vec![0u64; k];
-        // A full 4-bit table per live base: digits[d-1] = baseⱼ^d in
-        // Montgomery form. Zero exponents contribute 1 and are dropped; a
-        // zero base with a nonzero exponent annihilates the product.
-        let mut tables: Vec<(Vec<Vec<u64>>, &BigUint)> = Vec::with_capacity(pairs.len());
-        let mut max_bits = 0u64;
-        for (base, exp) in pairs {
-            if exp.is_zero() {
-                continue;
-            }
-            let b = *base % &self.n;
-            if b.is_zero() {
-                return BigUint::zero();
-            }
-            max_bits = max_bits.max(exp.bits());
-            self.montmul_into(&pad(&b.limbs, k), &self.r2, &mut t);
-            let bm = t[..k].to_vec();
-            let mut digits = Vec::with_capacity(FB_DIGITS);
-            digits.push(bm.clone());
-            for d in 1..FB_DIGITS {
-                self.montmul_into(&digits[d - 1], &bm, &mut t);
-                digits.push(t[..k].to_vec());
-            }
-            tables.push((digits, exp));
-        }
-        if tables.is_empty() {
-            return BigUint::one() % &self.n;
-        }
-        // MSB-first over aligned 4-bit windows (64 % 4 == 0, so a window
-        // never straddles a limb): square the joint accumulator, then
-        // multiply in every base's digit for this window.
-        let mut acc: Option<Vec<u64>> = None;
-        for w in (0..(max_bits as usize).div_ceil(FB_WINDOW)).rev() {
-            if let Some(a) = &mut acc {
-                for _ in 0..FB_WINDOW {
-                    if k >= 2 {
-                        self.montsqr_into(&a[..k], &mut wide, &mut sq_c, &mut t);
-                    } else {
-                        self.montmul_into(&a[..k], &a[..k], &mut t);
-                    }
-                    std::mem::swap(a, &mut t);
-                }
-            }
-            let (limb, off) = (FB_WINDOW * w / 64, FB_WINDOW * w % 64);
-            for (digits, exp) in &tables {
-                let d = match exp.limbs.get(limb) {
-                    Some(l) => (l >> off & 0xF) as usize,
-                    None => continue,
-                };
-                if d == 0 {
-                    continue;
-                }
-                match &mut acc {
-                    Some(a) => {
-                        self.montmul_into(&a[..k], &digits[d - 1], &mut t);
-                        std::mem::swap(a, &mut t);
-                    }
-                    None => {
-                        let mut v = digits[d - 1].clone();
-                        v.push(0);
-                        acc = Some(v);
-                    }
-                }
-            }
-        }
-        match acc {
-            Some(acc) => self.demont(&acc, &mut t),
-            None => BigUint::one() % &self.n,
-        }
-    }
 }
 
-/// Window width (bits) shared by [`FixedBaseTable`] and
-/// [`MontgomeryCtx::multi_modpow`]. Divides 64 so a window never
-/// straddles a limb boundary.
+/// Window width (bits) of [`FixedBaseTable`]. Divides 64 so a window
+/// never straddles a limb boundary.
 const FB_WINDOW: usize = 4;
 /// Nonzero digit values per 4-bit window.
 const FB_DIGITS: usize = 15;
@@ -864,30 +782,5 @@ mod tests {
         let table = ctx.fixed_base(&zero_base, 64);
         assert!(table.pow(&e).is_zero());
         assert!(table.pow(&BigUint::zero()).is_one());
-    }
-
-    #[test]
-    fn multi_modpow_matches_the_product_of_single_exponentiations() {
-        let n = (&BigUint::one() << 192usize) - 237u32;
-        let ctx = MontgomeryCtx::new(&n).unwrap();
-        let bases: Vec<BigUint> = (1u64..6).map(|i| (&BigUint::one() << 100usize) + i).collect();
-        let exps: Vec<BigUint> =
-            [0u64, 1, 77, u64::MAX, 0x1234_5678_9ABC_DEF0].map(BigUint::from).into();
-        let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(exps.iter()).collect();
-        let mut expect = BigUint::one();
-        for (b, e) in &pairs {
-            expect = expect * modpow_ladder(b, e, &n) % &n;
-        }
-        assert_eq!(ctx.multi_modpow(&pairs), expect);
-        // Empty product and all-zero exponents are both 1.
-        assert!(ctx.multi_modpow(&[]).is_one());
-        let zero = BigUint::zero();
-        assert!(ctx.multi_modpow(&[(&bases[0], &zero)]).is_one());
-        // One annihilating base zeroes the whole product.
-        let zb = &n * 3u8;
-        let e = BigUint::from(9u8);
-        let mut pairs = pairs;
-        pairs.push((&zb, &e));
-        assert!(ctx.multi_modpow(&pairs).is_zero());
     }
 }

@@ -160,26 +160,6 @@ proptest! {
     }
 
     #[test]
-    fn multi_modpow_bit_identical_to_ladder_products(
-        m in prop::collection::vec(any::<u64>(), 2..5),
-        bases in prop::collection::vec(prop::collection::vec(any::<u64>(), 1..5), 0..5),
-        exps in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..3), 0..5),
-    ) {
-        let mut m = from_le_limbs(&m);
-        m.set_bit(0, true); // force odd
-        prop_assume!(!m.is_one());
-        let ctx = num_bigint::MontgomeryCtx::new(&m).expect("odd modulus");
-        let bases: Vec<BigUint> = bases.iter().map(|l| from_le_limbs(l)).collect();
-        let exps: Vec<BigUint> = exps.iter().map(|l| from_le_limbs(l)).collect();
-        let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(exps.iter()).collect();
-        let mut expect = BigUint::one() % &m;
-        for (b, e) in &pairs {
-            expect = expect * ladder(b, e, &m) % &m;
-        }
-        prop_assert_eq!(ctx.multi_modpow(&pairs), expect, "m={:?}", m);
-    }
-
-    #[test]
     fn checked_sub_agrees_with_ordering(
         a in prop::collection::vec(any::<u64>(), 1..4),
         b in prop::collection::vec(any::<u64>(), 1..4),

@@ -147,8 +147,9 @@ fn paillier_and_mock_reach_identical_interim_solutions() {
 #[test]
 fn paillier_and_mock_agree_on_a_star_where_the_side_band_spills() {
     // Degree 3 at the hub: six side-band values, three ciphertexts at the
-    // two slots a 128-bit key carries (two at the leaves), against one
-    // per value under the mock.
+    // two slots a 128-bit key carries (two at the leaves) and the tag's
+    // two digits in one more, against one per value and one for the tag
+    // under the mock.
     let (parts, _global, items) = quest_partitions(4, 120);
     let min_freq = Ratio::from_f64(0.15);
     let min_conf = Ratio::from_f64(0.6);
