@@ -66,7 +66,6 @@ use gridmine_core::{
 };
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::{MockCipher, PaillierCtx};
-use gridmine_topology::faults::ResourceFault;
 use gridmine_topology::{FaultPlan, Tree};
 
 use crate::codec::{self, Frame, NodeReport, Phase};
@@ -970,13 +969,7 @@ impl<C: NetCipher> HubRun<C> {
         self.peers[u].writer = None;
         self.wait_child(u);
         self.forgive(u);
-        let scheduled = match self.plan.fault_of(u) {
-            Some(ResourceFault::Crash { at, .. }) | Some(ResourceFault::Depart { at }) => {
-                at <= tick
-            }
-            None => false,
-        };
-        if !scheduled && self.reports[u].is_none() {
+        if !self.plan.down(u, tick) && self.reports[u].is_none() {
             emit(&self.rec, || Event::PeerDisconnected {
                 resource: u as u64,
                 reason: "connection lost".into(),
@@ -1069,6 +1062,17 @@ mod tests {
         assert_eq!(hub.pending, 0, "the barrier closed before every ack was in");
         let next = hub.next_msg().expect("the frame behind the barrier");
         assert!(matches!(next, (0, 1, PeerMsg::Frame(Frame::Heartbeat { nonce: 9 }))));
+    }
+
+    #[test]
+    fn a_close_after_the_rejoin_is_not_the_scheduled_crash() {
+        let mut hub = hub(2);
+        hub.plan = FaultPlan::none().with_crash(1, 2, Some(3));
+        hub.on_closed(1, 2);
+        assert_eq!(hub.degraded[1], None, "the scheduled crash closes its stream");
+        hub.peers[1].alive = true;
+        hub.on_closed(1, 5);
+        assert_eq!(hub.degraded[1], Some(DegradeReason::Disconnected));
     }
 
     fn loopback_pair() -> (TcpStream, TcpStream) {

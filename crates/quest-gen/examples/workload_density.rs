@@ -4,7 +4,7 @@
 //! Rule counts explode combinatorially with item density (every frequent
 //! L-itemset contributes O(2^L) rules), so simulation workloads must be
 //! tuned to keep the candidate space tractable — this utility is how the
-//! bench configurations in `gridmine-bench` were chosen.
+//! configurations of the figure examples were chosen.
 //!
 //! ```text
 //! cargo run --release -p gridmine-quest --example workload_density

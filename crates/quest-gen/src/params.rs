@@ -1,13 +1,11 @@
 //! Generator parameterization, with the paper's three presets.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the Agrawal–Srikant synthetic generator.
 ///
 /// The `T<x>I<y>` naming from the paper: `x` is the average transaction
 /// length, `y` the average length of the maximal potentially-large
 /// itemsets ("patterns").
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct QuestParams {
     /// `|D|` — number of transactions to generate.
     pub n_transactions: usize,

@@ -2,7 +2,6 @@
 
 use gridmine_arm::Ratio;
 use gridmine_topology::DelayModel;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one simulated grid run. Defaults follow §6: "the number
 /// of resources was 2,000, the size of each local database was 10,000
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// communicated with its controller to create new candidate rules …
 /// incrementing every resource with twenty additional transactions at each
 /// step."
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
     /// Number of resources in the grid.
     pub n_resources: usize,

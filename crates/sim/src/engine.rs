@@ -334,11 +334,6 @@ where
         self.sched = None;
     }
 
-    /// The armed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.link.as_ref().map(|l| l.plan())
-    }
-
     /// Selects the crash-recovery semantics (default:
     /// [`RecoveryMode::ColdRestart`]: every crash wipes, and the rejoin
     /// brings back the controller's audits only).
@@ -1129,9 +1124,13 @@ where
     }
 
     /// Average recall and precision across all present resources against
-    /// `truth`.
+    /// `truth`; both 0 when no resource is present, since none holds a
+    /// rule.
     pub fn global_recall_precision(&self, truth: &RuleSet) -> (f64, f64) {
         let n = self.departed.iter().filter(|&&d| !d).count() as f64;
+        if n == 0.0 {
+            return (0.0, 0.0);
+        }
         let (r_sum, p_sum) = self
             .resources
             .par_iter()
@@ -1145,13 +1144,18 @@ where
         (r_sum / n, p_sum / n)
     }
 
-    /// Fraction of resources whose interim solution contains every rule of
-    /// `truth` (per-rule coverage used by the single-itemset experiments).
+    /// Fraction of present resources whose interim solution contains every
+    /// rule of `truth` (per-rule coverage used by the single-itemset
+    /// experiments); 0 when no resource is present, since none holds a
+    /// rule.
     pub fn coverage(&self, truth: &RuleSet) -> f64 {
+        let n = self.departed.iter().filter(|&&d| !d).count() as f64;
+        if n == 0.0 {
+            return 0.0;
+        }
         if truth.is_empty() {
             return 1.0;
         }
-        let n = self.departed.iter().filter(|&&d| !d).count() as f64;
         let covered = self
             .resources
             .par_iter()
@@ -1356,5 +1360,17 @@ mod tests {
         let after = sim.current_global_db().len();
         assert!(after > before, "databases must grow");
         assert_eq!(after, 200, "everything eventually arrives");
+    }
+
+    #[test]
+    fn a_grid_with_no_present_resource_scores_zero_not_nan() {
+        let mut sim = grid(3, 1);
+        let truth = correct_rules(&sim.current_global_db(), &sim.apriori_cfg());
+        let plan = (0..3).fold(FaultPlan::new(1), |p, u| p.with_crash(u, 2, None));
+        sim.inject_faults(plan);
+        sim.run_event_driven(5);
+        assert!((0..3).all(|u| sim.is_departed(u)));
+        assert_eq!(sim.global_recall_precision(&truth), (0.0, 0.0));
+        assert_eq!(sim.coverage(&truth), 0.0);
     }
 }

@@ -15,7 +15,7 @@
 //! * [`metrics`] — global recall/precision sampling and time-to-recall;
 //! * [`session`] — the [`SimSession`] builder, the simulator's analogue
 //!   of `MineSession`/`NetSession`;
-//! * [`runner`] — experiment drivers used by the benches.
+//! * [`runner`] — experiment drivers used by the examples.
 
 pub mod config;
 pub mod engine;
@@ -26,7 +26,7 @@ pub mod workload;
 
 pub use config::SimConfig;
 pub use engine::Simulation;
-pub use metrics::{GlobalMetrics, ObsSummary, Sample};
+pub use metrics::{GlobalMetrics, Sample};
 pub use runner::{single_itemset_steps, time_to_recall};
 pub use session::SimSession;
 pub use workload::{churn_plans, churn_stream, significance_databases, split_growth, GrowthPlan};

@@ -1,11 +1,7 @@
 //! Measurement types for the experiment harness.
 
-use gridmine_core::ChaosReport;
-use gridmine_obs::{EventKind, MetricsSnapshot};
-use serde::{Deserialize, Serialize};
-
 /// One time-series sample of a convergence run (Figure 2's data points).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Sample {
     /// Simulation step.
     pub step: u64,
@@ -20,7 +16,7 @@ pub struct Sample {
 }
 
 /// Aggregate results of one run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct GlobalMetrics {
     /// The sampled time series.
     pub samples: Vec<Sample>,
@@ -30,52 +26,6 @@ pub struct GlobalMetrics {
     pub scans_at_90_recall: Option<f64>,
     /// Total messages at the end of the run.
     pub total_msgs: u64,
-    /// Fault-layer accounting, when the run had fault injection armed
-    /// (`None` on fault-free runs).
-    pub chaos: Option<ChaosReport>,
-    /// Event-layer tallies, when the run had a recorder armed (`None`
-    /// otherwise — recording is opt-in and off by default).
-    pub obs: Option<ObsSummary>,
-}
-
-/// A serializable digest of a run's [`gridmine_obs::MetricsSnapshot`] —
-/// the headline counters, flattened for JSON reports.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize, PartialEq, Eq)]
-pub struct ObsSummary {
-    /// Counters put on the wire (`CounterSent` events).
-    pub msgs_sent: u64,
-    /// Bytes those counters occupied (per the cipher's bandwidth model).
-    pub bytes_on_wire: u64,
-    /// Anti-entropy / recovery re-sends among `msgs_sent`.
-    pub resent_msgs: u64,
-    /// Bytes those re-sends occupied (a subset of `bytes_on_wire`).
-    pub resent_bytes: u64,
-    /// SFE query/answer round-trips completed.
-    pub sfe_roundtrips: u64,
-    /// Wellformedness screens that rejected a wire counter.
-    pub wellformedness_rejections: u64,
-    /// Verdicts issued.
-    pub verdicts: u64,
-    /// Timed modular exponentiations (zero under `MockCipher`).
-    pub modpow_count: u64,
-    /// Mean modpow latency in nanoseconds (zero when none ran).
-    pub modpow_mean_nanos: u64,
-}
-
-impl From<&MetricsSnapshot> for ObsSummary {
-    fn from(m: &MetricsSnapshot) -> Self {
-        ObsSummary {
-            msgs_sent: m.msgs_sent(),
-            bytes_on_wire: m.bytes_on_wire,
-            resent_msgs: m.resent_msgs,
-            resent_bytes: m.resent_bytes,
-            sfe_roundtrips: m.sfe_roundtrips,
-            wellformedness_rejections: m.of(EventKind::WellformednessRejected),
-            verdicts: m.of(EventKind::VerdictIssued),
-            modpow_count: m.modpow.count,
-            modpow_mean_nanos: m.modpow.mean_nanos() as u64,
-        }
-    }
 }
 
 impl GlobalMetrics {

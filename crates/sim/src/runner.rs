@@ -1,4 +1,4 @@
-//! One-call experiment drivers, used by the benches and examples.
+//! One-call experiment drivers, used by the examples.
 
 use gridmine_arm::{correct_rules, Database, Item, Rule, RuleSet};
 use gridmine_paillier::MockCipher;

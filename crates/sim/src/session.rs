@@ -29,26 +29,19 @@
 //! so a mostly-idle grid costs what its active resources cost — the dense
 //! schedule ([`Simulation::run`]) survives only as the differential oracle.
 
-use std::sync::Arc;
-
 use gridmine_arm::{correct_rules, Database, Item, RuleSet};
 use gridmine_core::session::arm_recorder;
 use gridmine_core::{
     item_domain, validate_grid, GridKeys, MiningOutcome, RecoveryMode, SessionCipher, SessionError,
 };
-use gridmine_obs::{Metrics, SharedRecorder};
+use gridmine_obs::SharedRecorder;
 use gridmine_paillier::{HomCipher, MockCipher};
 use gridmine_topology::faults::FaultPlan;
 
 use crate::config::SimConfig;
 use crate::engine::Simulation;
-use crate::metrics::{GlobalMetrics, ObsSummary, Sample};
+use crate::metrics::{GlobalMetrics, Sample};
 use crate::workload::{split_growth, GrowthPlan};
-
-/// What a validated builder decomposes into: the armed simulation, the
-/// recorder it reports through, and the shadow metrics tally (present
-/// only when a recorder is attached).
-type SimParts<C> = (Simulation<C>, SharedRecorder, Option<Arc<Metrics>>);
 
 /// Builder for one simulated grid run. See the module docs for the
 /// default stack; [`SimSession::run`] yields a [`MiningOutcome`],
@@ -171,9 +164,8 @@ where
     }
 
     /// Attaches an observability recorder. Protocol events flow to it,
-    /// and a metrics tally is armed so [`MiningOutcome::metrics`] (and
-    /// [`GlobalMetrics::obs`] from [`SimSession::convergence`]) carry a
-    /// real snapshot.
+    /// and [`SimSession::run`] arms a metrics tally beside it so
+    /// [`MiningOutcome::metrics`] carries a real snapshot.
     pub fn with_recorder(mut self, rec: SharedRecorder) -> Self {
         self.rec = rec;
         self
@@ -206,30 +198,27 @@ where
     }
 
     /// Validates and builds the simulation with faults, recovery and
-    /// recorder armed, without running it — step-level control for tests
-    /// and harnesses. Returns the shadow metrics tally when a recorder
-    /// is attached; with the default `NullRecorder` the simulation keeps
-    /// its own and the run pays nothing.
-    fn into_parts(self) -> Result<SimParts<C>, SessionError> {
+    /// `rec` armed, without running it. With a disabled recorder the
+    /// simulation keeps its own and the run pays nothing.
+    fn arm(self, rec: &SharedRecorder) -> Result<Simulation<C>, SessionError> {
         self.validate()?;
         let items = self.item_domain();
-        let (fan, tally) = arm_recorder(&self.rec);
         let mut sim = Simulation::new(self.cfg, &self.keys, self.plans, &items);
-        if tally.is_some() {
-            sim.set_recorder(fan);
+        if rec.enabled() {
+            sim.set_recorder(rec.clone());
         }
         if let Some(plan) = self.plan {
             sim.inject_faults(plan);
         }
         sim.set_recovery(self.mode);
-        Ok((sim, self.rec, tally))
+        Ok(sim)
     }
 
     /// [`SimSession::build`] with validation as a typed error instead of
     /// a panic.
     pub fn try_build(self) -> Result<Simulation<C>, SessionError> {
-        let (sim, _, _) = self.into_parts()?;
-        Ok(sim)
+        let rec = self.rec.clone();
+        self.arm(&rec)
     }
 
     /// Builds the configured [`Simulation`] without running it.
@@ -255,7 +244,9 @@ where
     /// [`SimSession::run`] with validation as a typed error.
     pub fn try_run(self) -> Result<MiningOutcome, SessionError> {
         let steps = self.steps;
-        let (mut sim, user_rec, tally) = self.into_parts()?;
+        let user_rec = self.rec.clone();
+        let (fan, tally) = arm_recorder(&user_rec);
+        let mut sim = self.arm(&fan)?;
         sim.run_event_driven(steps);
         sim.refresh_outputs();
         let outcome = MiningOutcome {
@@ -284,7 +275,8 @@ where
     /// [`SimSession::convergence`] with validation as a typed error.
     pub fn try_convergence(self, sample_every: u64) -> Result<GlobalMetrics, SessionError> {
         let max_steps = self.steps;
-        let (mut sim, user_rec, tally) = self.into_parts()?;
+        let user_rec = self.rec.clone();
+        let mut sim = self.arm(&user_rec)?;
         let mut metrics = GlobalMetrics::default();
         let mut truth_cache: Option<(usize, RuleSet)> = None;
         let mut steps = 0;
@@ -295,11 +287,12 @@ where
             sim.refresh_outputs();
             let db = sim.current_global_db();
             // Ground truth is the dominant cost of sampling; recompute
-            // only when the database grew by more than 2% since the last
-            // Apriori run (the rule set moves slowly under uniform
-            // growth).
+            // only when the database moved by 2% or more either way
+            // since the last Apriori run (the rule set moves slowly under
+            // uniform growth, but a crash for good or a departure takes a
+            // resource's data out at once).
             let truth = match &truth_cache {
-                Some((len, t)) if db.len() < len + len / 50 => t.clone(),
+                Some((len, t)) if db.len().abs_diff(*len) < len / 50 => t.clone(),
                 _ => {
                     let t = correct_rules(&db, &sim.apriori_cfg());
                     truth_cache = Some((db.len(), t.clone()));
@@ -314,12 +307,6 @@ where
                 precision,
                 msgs: sim.total_msgs,
             });
-        }
-        if sim.fault_plan().is_some() {
-            metrics.chaos = Some(sim.chaos_report());
-        }
-        if let Some(tally) = tally {
-            metrics.obs = Some(ObsSummary::from(&tally.snapshot()));
         }
         user_rec.flush();
         Ok(metrics)
@@ -413,6 +400,36 @@ mod tests {
         assert!(!chaos.is_clean());
         assert_eq!(chaos.faults.crashes, 1);
         assert_eq!(chaos.faults.recoveries, 1);
+    }
+
+    #[test]
+    fn convergence_rescores_after_the_database_shrinks() {
+        // Item 3 lives on resource 3 alone; its crash for good takes the
+        // rules over item 3 out of the truth.
+        let dbs: Vec<Database> = (0..4u64)
+            .map(|u| {
+                let items: &[u32] = if u == 3 { &[3] } else { &[1, 2] };
+                Database::from_transactions(
+                    (0..40).map(|j| Transaction::of(u * 40 + j, items)).collect(),
+                )
+            })
+            .collect();
+        let mut cfg = SimConfig::small().with_resources(4).with_k(1);
+        cfg.min_freq = gridmine_arm::Ratio::new(1, 5);
+        let session = || {
+            SimSession::new(cfg)
+                .with_databases(dbs.clone())
+                .with_faults(FaultPlan::new(cfg.seed).with_crash(3, 12, None))
+                .with_steps(40)
+        };
+        let sampled = *session().convergence(4).samples.last().expect("sampled");
+        let mut sim = session().build();
+        for _ in 0..10 {
+            sim.run_event_driven(4);
+            sim.refresh_outputs();
+        }
+        let truth = correct_rules(&sim.current_global_db(), &sim.apriori_cfg());
+        assert_eq!((sampled.recall, sampled.precision), sim.global_recall_precision(&truth));
     }
 
     #[test]

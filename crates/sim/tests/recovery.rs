@@ -13,7 +13,7 @@ use gridmine_obs::{Event, EventKind, FanoutRecorder, MemoryRecorder, Metrics, Sh
 use gridmine_paillier::MockCipher;
 use gridmine_quest::QuestParams;
 use gridmine_sim::runner::simulation_over;
-use gridmine_sim::{ObsSummary, SimConfig, Simulation};
+use gridmine_sim::{SimConfig, Simulation};
 use gridmine_topology::faults::FaultPlan;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -214,9 +214,6 @@ fn recovery_events_agree_with_the_chaos_report() {
     assert!(snap.resent_bytes > 0, "resent wire volume was accounted");
     assert!(snap.resent_msgs <= snap.msgs_sent(), "resends are a subset of sends");
     assert!(snap.resent_bytes <= snap.bytes_on_wire);
-    let summary = ObsSummary::from(&snap);
-    assert_eq!(summary.resent_msgs, snap.resent_msgs);
-    assert_eq!(summary.resent_bytes, snap.resent_bytes);
 }
 
 #[test]

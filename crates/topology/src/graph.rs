@@ -1,13 +1,11 @@
 //! Simple undirected graphs with adjacency lists.
 
-use serde::{Deserialize, Serialize};
-
 /// Node identifier — dense indices `0..n`.
 pub type NodeId = usize;
 
 /// An undirected graph as adjacency lists. Parallel edges and self-loops
 /// are rejected at insertion.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Graph {
     adj: Vec<Vec<NodeId>>,
 }

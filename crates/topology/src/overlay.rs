@@ -4,14 +4,13 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::barabasi::barabasi_albert;
 use crate::graph::NodeId;
 use crate::spanning::{spanning_tree, Tree};
 
 /// How link delays are assigned.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum DelayModel {
     /// Every link has the same delay (lock-step experiments).
     Constant(u64),

@@ -6,12 +6,10 @@
 //! membership operations the algorithm is advertised to handle (new
 //! resources joining, leaves departing).
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{Graph, NodeId};
 
 /// A tree over dense node ids, stored as adjacency lists plus parents.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Tree {
     adj: Vec<Vec<NodeId>>,
     /// Parent of each node in the BFS orientation; root's parent is itself.

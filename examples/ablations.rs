@@ -7,24 +7,17 @@
 //! 3. **Privacy parameter** sensitivity of message volume (k gates both
 //!    disclosures *and* the flood default).
 //!
-//! `harness = false`: prints a table per ablation and writes JSON.
+//! Prints one table per ablation.
+//!
+//! ```text
+//! cargo run --release --example ablations
+//! ```
 
-use gridmine_arm::{correct_rules, Database, Ratio};
-use gridmine_bench::{hr, write_json};
-use gridmine_obs::Table;
-use gridmine_quest::QuestParams;
-use gridmine_sim::{SimConfig, SimSession};
-use serde::Serialize;
+use gridmine::obs::Table;
+use gridmine::prelude::*;
 
-#[derive(Serialize)]
-struct AblationRow {
-    ablation: String,
-    variant: String,
-    steps_to_90: Option<u64>,
-    final_recall: f64,
-    final_precision: f64,
-    messages: u64,
-}
+mod figures;
+use figures::hr;
 
 fn base_cfg() -> SimConfig {
     let mut c = SimConfig::small().with_resources(12).with_k(4).with_seed(5);
@@ -37,7 +30,7 @@ fn base_cfg() -> SimConfig {
 }
 
 fn workload() -> Database {
-    gridmine_quest::generate(
+    gridmine::quest::generate(
         &QuestParams::t5i2()
             .with_transactions(4_000)
             .with_items(60)
@@ -50,14 +43,7 @@ fn ablation_table() -> Table {
     Table::new(["variant", "steps to 90%", "recall", "precision", "messages"])
 }
 
-fn run(
-    name: &str,
-    variant: &str,
-    cfg: SimConfig,
-    global: &Database,
-    rows: &mut Vec<AblationRow>,
-    table: &mut Table,
-) {
+fn run(variant: &str, cfg: SimConfig, global: &Database, table: &mut Table) {
     let m = SimSession::new(cfg).with_global(global, 0.2).with_steps(90).convergence(10);
     table.row([
         variant.to_string(),
@@ -66,26 +52,17 @@ fn run(
         format!("{:.3}", m.final_precision()),
         m.total_msgs.to_string(),
     ]);
-    rows.push(AblationRow {
-        ablation: name.into(),
-        variant: variant.into(),
-        steps_to_90: m.step_at_90_recall,
-        final_recall: m.final_recall(),
-        final_precision: m.final_precision(),
-        messages: m.total_msgs,
-    });
 }
 
 fn main() {
     let global = workload();
-    let mut rows = Vec::new();
 
     hr("Ablation 1: obfuscation padding (Algorithm 1's ±1 sequence)");
     let mut table = ablation_table();
     let mut on = base_cfg();
     on.obfuscate = true;
-    run("obfuscation", "padding on (paper regime)", on, &global, &mut rows, &mut table);
-    run("obfuscation", "padding off", base_cfg(), &global, &mut rows, &mut table);
+    run("padding on (paper regime)", on, &global, &mut table);
+    run("padding off", base_cfg(), &global, &mut table);
     print!("{table}");
     println!(
         "(the padding multiplies traffic without changing the trajectory —\n\
@@ -94,24 +71,21 @@ fn main() {
 
     hr("Ablation 2: privacy-gate mode under database growth");
     let mut table = ablation_table();
-    run("gate", "literal (k new resources)", base_cfg(), &global, &mut rows, &mut table);
+    run("literal (k new resources)", base_cfg(), &global, &mut table);
     let mut relaxed = base_cfg();
     relaxed.relaxed_gate = true;
-    run("gate", "relaxed (k new tx only)", relaxed, &global, &mut rows, &mut table);
+    run("relaxed (k new tx only)", relaxed, &global, &mut table);
     print!("{table}");
 
     hr("Ablation 3: message volume vs. k");
     let mut table = ablation_table();
     for k in [1i64, 4, 8] {
-        run("k-volume", &format!("k = {k}"), base_cfg().with_k(k), &global, &mut rows, &mut table);
+        run(&format!("k = {k}"), base_cfg().with_k(k), &global, &mut table);
     }
     print!("{table}");
 
     // Consistency pin: ablations must not change the final ground truth.
-    let truth = correct_rules(
-        &global,
-        &gridmine_arm::AprioriConfig::new(Ratio::from_f64(0.05), Ratio::from_f64(0.5)),
-    );
+    let truth =
+        correct_rules(&global, &AprioriConfig::new(Ratio::from_f64(0.05), Ratio::from_f64(0.5)));
     println!("\n[ground truth: {} correct rules]", truth.len());
-    write_json("ablations", &rows);
 }

@@ -10,23 +10,19 @@
 //!
 //! Default run: shape-preserving scale-down (fewer/smaller resources,
 //! proportional thresholds). `GRIDMINE_SCALE=full` restores §6 exactly.
+//!
+//! ```text
+//! cargo run --release --example fig2_convergence
+//! ```
 
-use gridmine_arm::Ratio;
-use gridmine_bench::{hr, scale, write_json, Scale};
-use gridmine_obs::Table;
-use gridmine_quest::QuestParams;
-use gridmine_sim::{SimConfig, SimSession};
-use serde::Serialize;
+use gridmine::obs::Table;
+use gridmine::prelude::*;
 
-#[derive(Serialize)]
-struct Fig2Series {
-    workload: String,
-    samples: Vec<gridmine_sim::Sample>,
-    scans_at_90_recall: Option<f64>,
-}
+mod figures;
+use figures::{full_scale, hr};
 
 fn main() {
-    let full = scale() == Scale::Full;
+    let full = full_scale();
     hr("Figure 2: convergence of recall & precision (per local scan)");
     println!(
         "scale: {} (set GRIDMINE_SCALE=full for the paper's 2,000 x 10,000 setup)",
@@ -34,7 +30,6 @@ fn main() {
     );
 
     let workloads = [QuestParams::t5i2(), QuestParams::t10i4(), QuestParams::t20i6()];
-    let mut results = Vec::new();
 
     for params in workloads {
         let (params, cfg, growth_frac, sample_every, max_steps) = if full {
@@ -69,7 +64,7 @@ fn main() {
         let name = params.name();
         hr(&format!("workload {name}"));
 
-        let global = gridmine_quest::generate(&params);
+        let global = gridmine::quest::generate(&params);
         let metrics = SimSession::new(cfg)
             .with_global(&global, growth_frac)
             .with_steps(max_steps)
@@ -91,12 +86,5 @@ fn main() {
             }
             None => println!("→ {name}: did not reach 90% recall in {max_steps} steps"),
         }
-        results.push(Fig2Series {
-            workload: name,
-            scans_at_90_recall: metrics.scans_at_90_recall,
-            samples: metrics.samples,
-        });
     }
-
-    write_json("fig2_convergence", &results);
 }

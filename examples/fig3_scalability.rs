@@ -8,21 +8,21 @@
 //! constant amount of resources for which the number of required steps
 //! does not increase even if more resources are added. The closer the
 //! significance is to zero … the more steps are required."
+//!
+//! Default run: the same scan pacing at 16–256 resources.
+//! `GRIDMINE_SCALE=full` sweeps the paper's 250–4,000.
+//!
+//! ```text
+//! cargo run --release --example fig3_scalability
+//! ```
 
-use gridmine_arm::Ratio;
-use gridmine_bench::{hr, scale, write_json, Scale};
-use gridmine_sim::{single_itemset_steps, SimConfig};
-use serde::Serialize;
+use gridmine::prelude::*;
 
-#[derive(Serialize)]
-struct Fig3Point {
-    significance: f64,
-    n_resources: usize,
-    steps_to_90: Option<u64>,
-}
+mod figures;
+use figures::{full_scale, hr};
 
 fn main() {
-    let full = scale() == Scale::Full;
+    let full = full_scale();
     hr("Figure 3: steps to 90% recall vs. number of resources");
     println!(
         "scale: {} (single-itemset vote; one curve per significance level)",
@@ -50,7 +50,6 @@ fn main() {
     );
     println!("{:->14}-+-{}", "", "-".repeat(8 * sizes.len()));
 
-    let mut results = Vec::new();
     for &sig in &significances {
         let mut row = Vec::new();
         for &n in &sizes {
@@ -61,7 +60,6 @@ fn main() {
             cfg.obfuscate = false; // a single static itemset: padding adds nothing
             cfg.min_freq = Ratio::new(1, 2);
             let steps = single_itemset_steps(cfg, local_size, sig, max_steps);
-            results.push(Fig3Point { significance: sig, n_resources: n, steps_to_90: steps });
             row.push(match steps {
                 Some(s) => format!("{s:>7}"),
                 None => format!("{:>7}", ">max"),
@@ -74,5 +72,4 @@ fn main() {
         "\nexpected shape (paper): rows flatten beyond some resource count; rows with\n\
          significance closer to zero sit higher (need more steps)."
     );
-    write_json("fig3_scalability", &results);
 }

@@ -5,22 +5,21 @@
 //! and thus practical" — each doubling of k costs roughly a constant
 //! number of extra steps, because disclosure waits for aggregates covering
 //! ≥ k resources and aggregate coverage grows multiplicatively per hop.
+//!
+//! Default run: 24 resources, k up to 32. `GRIDMINE_SCALE=full` runs
+//! 2,000 resources and k up to 512.
+//!
+//! ```text
+//! cargo run --release --example fig4_privacy
+//! ```
 
-use gridmine_arm::Ratio;
-use gridmine_bench::{hr, scale, write_json, Scale};
-use gridmine_quest::QuestParams;
-use gridmine_sim::{time_to_recall, SimConfig};
-use serde::Serialize;
+use gridmine::prelude::*;
 
-#[derive(Serialize)]
-struct Fig4Point {
-    k: i64,
-    steps_to_90: Option<u64>,
-    scans_to_90: Option<f64>,
-}
+mod figures;
+use figures::{full_scale, hr};
 
 fn main() {
-    let full = scale() == Scale::Full;
+    let full = full_scale();
     hr("Figure 4: steps to 90% recall vs. privacy parameter k (T10I4)");
     println!("scale: {}", if full { "FULL" } else { "small" });
 
@@ -45,10 +44,9 @@ fn main() {
             300,
         )
     };
-    let global = gridmine_quest::generate(&params);
+    let global = gridmine::quest::generate(&params);
 
     println!("\n{:>6} {:>14} {:>10} {:>10}", "k", "steps to 90%", "Δ steps", "scans");
-    let mut results = Vec::new();
     let mut prev: Option<u64> = None;
     for k in ks {
         if k > n_resources as i64 {
@@ -60,7 +58,6 @@ fn main() {
                 "{k:>6} {:>14} {:>10} {:>10}   (k exceeds grid size: gated by construction)",
                 "never", "-", "-"
             );
-            results.push(Fig4Point { k, steps_to_90: None, scans_to_90: None });
             continue;
         }
         let mut cfg = SimConfig::small().with_resources(n_resources).with_k(k).with_seed(5);
@@ -85,12 +82,10 @@ fn main() {
             }
             None => println!("{k:>6} {:>14} {delta:>10} {:>10}", "> budget", "-"),
         }
-        results.push(Fig4Point { k, steps_to_90: steps, scans_to_90: metrics.scans_at_90_recall });
     }
 
     println!(
         "\nexpected shape (paper): steps grow roughly linearly in log2(k) —\n\
          each doubling of k costs a near-constant step increment."
     );
-    write_json("fig4_privacy", &results);
 }

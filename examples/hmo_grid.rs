@@ -29,7 +29,7 @@ fn main() {
     cfg.growth_per_step = 5; // records keep arriving during the run
     cfg.scan_budget = 50;
     // Algorithm 1's ±1 padding sequence multiplies traffic ~5x; leave it to
-    // the figure benches (which reproduce the paper's regime exactly) and
+    // the figure examples (which reproduce the paper's regime exactly) and
     // keep this walkthrough snappy.
     cfg.obfuscate = false;
 

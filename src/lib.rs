@@ -106,7 +106,7 @@ pub mod prelude {
         RecoveryImage, RecoveryLog, RecoveryMode, RecoveryPolicy, RetryPolicy,
     };
     pub use gridmine_sim::{
-        single_itemset_steps, time_to_recall, ObsSummary, SimConfig, SimSession, Simulation,
+        single_itemset_steps, time_to_recall, SimConfig, SimSession, Simulation,
     };
     pub use gridmine_topology::faults::{EdgeFaults, FaultPlan, FaultStats, ResourceFault};
     pub use gridmine_topology::{DelayModel, Overlay, Tree};
