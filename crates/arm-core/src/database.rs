@@ -3,8 +3,11 @@
 //! §3's database model is append-only ("no transactions will be deleted …
 //! deleting a transaction can be simulated by adding a 'negating'
 //! transaction"), so [`Database`] exposes `append` and never removal.
-//! Support scans parallelize across transactions with rayon — the
-//! accountants' dominant cost at scale.
+//! [`Database::support`] tests every transaction, in parallel with rayon
+//! on large databases. It serves the centralized truth (Apriori) and the
+//! reports, and it is the oracle the grid's answers are judged by. The
+//! accountants never call it: each counts its candidates from a vertical
+//! index of its own partition (`gridmine_core::accountant`).
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -60,12 +63,6 @@ impl Database {
     /// The transactions in insertion order.
     pub fn transactions(&self) -> &[Transaction] {
         &self.transactions
-    }
-
-    /// A prefix view: the database as of `len` transactions (used by the
-    /// accountants' cyclic incremental scan).
-    pub fn prefix(&self, len: usize) -> &[Transaction] {
-        &self.transactions[..len.min(self.transactions.len())]
     }
 
     /// `Support(X, DB)`: net count of transactions containing all of `X`

@@ -9,13 +9,23 @@
 //!   on every change in the neighbor set;
 //! * incrementally counts candidate-rule support with a per-rule cyclic
 //!   scan frontier ("cyclically, read a few transactions from the
-//!   database") so one step touches only `scan_budget` transactions;
+//!   database") so one step touches only `scan_budget` transactions. It
+//!   reads them from a vertical index of its partition: one bitmap over
+//!   transaction positions per item present, and one marking the
+//!   negating transactions. A step ANDs the rule's columns word by word,
+//!   masked to the window it scans, instead of testing every transaction
+//!   against every rule. The index costs at most one bit per (item
+//!   present, transaction) beside the partition itself, and it is derived
+//!   from the partition, so a crash, which keeps the partition, keeps it
+//!   too;
 //! * answers broker requests with sealed counters carrying a fresh
 //!   timestamp — and, when the support changed, with the padding sequence
 //!   of Algorithm 1 (`s+1, s−1, s'+1, s'−1, s'`) that makes the broker's
 //!   downstream behaviour independent of whether the change mattered.
 
-use gridmine_arm::{CandidateRule, Database, Transaction};
+use std::collections::HashMap;
+
+use gridmine_arm::{CandidateRule, Database, Item, ItemSet, Transaction};
 use gridmine_paillier::{HomCipher, TagKey};
 use gridmine_recovery::RuleRecord;
 
@@ -62,6 +72,114 @@ impl ScanState {
     }
 }
 
+/// Words of a window [`VerticalIndex::count`] masks at a time: one column
+/// lookup per item covers 512 transactions.
+const CHUNK: usize = 8;
+
+/// The partition by column. Bit `i % 64` of word `i / 64` of an item's
+/// column is set when transaction `i` holds the item, and `negating`
+/// marks the negating transactions the same way. A column ends at the
+/// word of its last set bit; the words past its end read as zero.
+#[derive(Clone, Default)]
+struct VerticalIndex {
+    columns: HashMap<Item, Vec<u64>>,
+    negating: Vec<u64>,
+    /// Transactions indexed: the position the next one takes.
+    len: usize,
+}
+
+impl VerticalIndex {
+    fn of(db: &Database) -> Self {
+        let mut index = VerticalIndex::default();
+        db.transactions().iter().for_each(|t| index.push(t));
+        index
+    }
+
+    /// Indexes `t` at the next position.
+    fn push(&mut self, t: &Transaction) {
+        let (word, bit) = (self.len / 64, 1 << (self.len % 64));
+        for &item in t.items() {
+            set_bit(self.columns.entry(item).or_default(), word, bit);
+        }
+        if t.polarity() < 0 {
+            set_bit(&mut self.negating, word, bit);
+        }
+        self.len += 1;
+    }
+
+    /// The signed `(sum, count)` of the window `[lo, hi)`: `count` over
+    /// the transactions holding all of `antecedent`, `sum` over those
+    /// holding all of `consequent` too. A negating transaction subtracts
+    /// where an ordinary one adds, so a masked word `m` counts
+    /// `popcount(m) − 2·popcount(m & negating)`.
+    fn count(
+        &self,
+        lo: usize,
+        hi: usize,
+        antecedent: &ItemSet,
+        consequent: &ItemSet,
+    ) -> (i64, i64) {
+        let (mut sum, mut count) = (0, 0);
+        if lo >= hi {
+            return (sum, count);
+        }
+        let mut buf = [0u64; CHUNK];
+        let (mut first, end) = (lo / 64, hi.div_ceil(64));
+        while first < end {
+            let words = &mut buf[..CHUNK.min(end - first)];
+            for (w, m) in (first..).zip(words.iter_mut()) {
+                *m = window_word(w, lo, hi);
+            }
+            self.and_columns(words, first, antecedent);
+            count += self.signed_popcount(words, first);
+            self.and_columns(words, first, consequent);
+            sum += self.signed_popcount(words, first);
+            first += words.len();
+        }
+        (sum, count)
+    }
+
+    /// ANDs `items`' columns into `words`, which start at word `first`.
+    fn and_columns(&self, words: &mut [u64], first: usize, items: &ItemSet) {
+        for item in items.items() {
+            let column = self.columns.get(item).map_or(&[][..], Vec::as_slice);
+            for (w, m) in (first..).zip(words.iter_mut()) {
+                *m &= word(column, w);
+            }
+        }
+    }
+
+    fn signed_popcount(&self, words: &[u64], first: usize) -> i64 {
+        (first..)
+            .zip(words)
+            .map(|(w, &m)| {
+                i64::from(m.count_ones())
+                    - 2 * i64::from((m & word(&self.negating, w)).count_ones())
+            })
+            .sum()
+    }
+}
+
+/// Word `w` of a column, zero past its end.
+fn word(column: &[u64], w: usize) -> u64 {
+    column.get(w).copied().unwrap_or(0)
+}
+
+fn set_bit(column: &mut Vec<u64>, word: usize, bit: u64) {
+    if column.len() <= word {
+        column.resize(word + 1, 0);
+    }
+    column[word] |= bit;
+}
+
+/// The bits of word `w` that fall inside `[lo, hi)`; the word must
+/// overlap the window.
+fn window_word(w: usize, lo: usize, hi: usize) -> u64 {
+    let start = lo.saturating_sub(w * 64);
+    let end = (hi - w * 64).min(64);
+    (u64::MAX >> (64 - (end - start))) << start
+}
+
 /// The accountant of one resource.
 #[derive(Clone)]
 pub struct Accountant<C: HomCipher> {
@@ -72,6 +190,8 @@ pub struct Accountant<C: HomCipher> {
     key: TagKey,
     layout: CounterLayout,
     db: Database,
+    /// `db` by column, for the scans.
+    index: VerticalIndex,
     shares: ShareSet,
     /// Emit Algorithm 1's ±1 padding sequence on support changes.
     pub obfuscate: bool,
@@ -96,6 +216,7 @@ impl<C: HomCipher> Accountant<C> {
             key: tags.key(layout.arity()),
             tags,
             layout,
+            index: VerticalIndex::of(&db),
             db,
             shares,
             obfuscate: true,
@@ -122,7 +243,10 @@ impl<C: HomCipher> Accountant<C> {
     /// Database growth (§6: +20 transactions per step). Scan frontiers pick
     /// the new transactions up on their next pass.
     pub fn append<I: IntoIterator<Item = Transaction>>(&mut self, txs: I) {
-        self.db.extend(txs);
+        for t in txs {
+            self.index.push(&t);
+            self.db.append(t);
+        }
     }
 
     /// The encrypted share `share^{uv}` to hand to neighbor `v`'s broker at
@@ -190,7 +314,6 @@ impl<C: HomCipher> Accountant<C> {
     /// Panics if the rule was never registered.
     pub fn advance_scan(&mut self, id: RuleId, budget: usize) -> bool {
         let st = self.rules.get_mut(id).expect("rule not registered with accountant");
-        let rule = &st.rule;
         let end = st.frontier.saturating_add(budget).min(self.db.len());
         if st.frontier >= end {
             return false;
@@ -198,30 +321,11 @@ impl<C: HomCipher> Accountant<C> {
         // Polarity-aware counting: §3's negating transactions subtract
         // their original's contribution. Net counts can therefore shrink;
         // the k-gate measures count *growth*, so deletions only make it
-        // more conservative (never more talkative).
-        let (mut dsum, mut dcount) = (0i64, 0i64);
+        // more conservative (never more talkative). A frequency rule's
+        // antecedent is empty, so its `count` is the window's own.
+        let rule = &st.rule.rule;
+        let (dsum, dcount) = self.index.count(st.frontier, end, &rule.antecedent, &rule.consequent);
         let started = st.frontier == 0;
-        let slice = &self.db.transactions()[st.frontier..end];
-        if rule.rule.is_frequency() {
-            let x = &rule.rule.consequent;
-            for t in slice {
-                dcount += t.polarity();
-                if t.contains_all(x) {
-                    dsum += t.polarity();
-                }
-            }
-        } else {
-            let a = &rule.rule.antecedent;
-            let u = rule.rule.union();
-            for t in slice {
-                if t.contains_all(a) {
-                    dcount += t.polarity();
-                    if t.contains_all(&u) {
-                        dsum += t.polarity();
-                    }
-                }
-            }
-        }
         st.frontier = end;
         st.sum += dsum;
         st.count += dcount;
@@ -279,7 +383,8 @@ impl<C: HomCipher> Accountant<C> {
     /// Crash semantics: the in-memory scan state is lost. The database
     /// partition and the accounting shares are durable (the partition is
     /// the grid's data, not mining state; shares are re-distributed only
-    /// on membership changes).
+    /// on membership changes), and so is the partition's vertical index,
+    /// which is derived from it.
     pub fn wipe_scans(&mut self) {
         self.rules.clear();
     }
@@ -336,8 +441,9 @@ impl<C: HomCipher> Accountant<C> {
 mod tests {
     use super::*;
     use crate::keyring::GridKeys;
-    use gridmine_arm::{ItemSet, Ratio, Rule};
+    use gridmine_arm::{Ratio, Rule};
     use gridmine_paillier::MockCipher;
+    use proptest::prelude::*;
 
     fn db() -> Database {
         Database::from_transactions(vec![
@@ -474,5 +580,177 @@ mod tests {
     fn share_for_stranger_panics() {
         let (_, acc) = setup();
         let _ = acc.encrypted_share_for(9);
+    }
+
+    /// The per-transaction polarity loop [`VerticalIndex::count`]
+    /// replaced, kept as its oracle.
+    fn polarity_loop(txs: &[Transaction], a: &ItemSet, c: &ItemSet) -> (i64, i64) {
+        let (mut dsum, mut dcount) = (0i64, 0i64);
+        if a.is_empty() {
+            for t in txs {
+                dcount += t.polarity();
+                if t.contains_all(c) {
+                    dsum += t.polarity();
+                }
+            }
+        } else {
+            let u = a.union(c);
+            for t in txs {
+                if t.contains_all(a) {
+                    dcount += t.polarity();
+                    if t.contains_all(&u) {
+                        dsum += t.polarity();
+                    }
+                }
+            }
+        }
+        (dsum, dcount)
+    }
+
+    /// Item ids spread over the whole `u32` range.
+    const SPARSE: [u32; 8] = [0, 1, 63, 64, 1_000, 65_536, 1 << 30, u32::MAX];
+    /// Items no generated partition holds.
+    const ABSENT: [u32; 2] = [77_777, 88_888];
+
+    /// Rows of a partition: items as indices into [`SPARSE`], and a
+    /// draw that makes one row in four a negating transaction.
+    fn rows(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(Vec<usize>, u8)>> {
+        prop::collection::vec((prop::collection::vec(0..SPARSE.len(), 0..5), 0u8..4), len)
+    }
+
+    fn transactions(rows: &[(Vec<usize>, u8)], first_id: usize) -> Vec<Transaction> {
+        (first_id as u64..)
+            .zip(rows)
+            .map(|(id, (items, draw))| {
+                let ids: Vec<u32> = items.iter().map(|&i| SPARSE[i]).collect();
+                let t = Transaction::of(id, &ids);
+                if *draw == 0 {
+                    t.negation_of(id)
+                } else {
+                    t
+                }
+            })
+            .collect()
+    }
+
+    /// Small itemsets, the empty one and an absent item included.
+    fn itemset() -> impl Strategy<Value = ItemSet> {
+        prop::collection::vec(0..=SPARSE.len(), 0..3).prop_map(|ix| {
+            ItemSet::of(
+                &ix.iter()
+                    .map(|&i| SPARSE.get(i).copied().unwrap_or(ABSENT[0]))
+                    .collect::<Vec<_>>(),
+            )
+        })
+    }
+
+    fn accountant(keys: &GridKeys<MockCipher>, txs: Vec<Transaction>) -> Accountant<MockCipher> {
+        let layout = CounterLayout::new(0, vec![1, 2]);
+        Accountant::new(
+            0,
+            keys.enc.clone(),
+            keys.tags.clone(),
+            layout,
+            Database::from_transactions(txs),
+            7,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_index_counts_every_window_as_the_polarity_loop_does(
+            rows in rows(0..200),
+            a in itemset(),
+            c in itemset(),
+        ) {
+            let db = Database::from_transactions(transactions(&rows, 0));
+            let index = VerticalIndex::of(&db);
+            // Window edges on both sides of the first two word boundaries,
+            // and the partition's end; `lo == hi` is the empty window.
+            let edges = [0, 63, 64, 65, 127, db.len()].map(|e| e.min(db.len()));
+            for lo in edges {
+                for hi in edges.into_iter().filter(|&hi| hi >= lo) {
+                    let want = polarity_loop(&db.transactions()[lo..hi], &a, &c);
+                    prop_assert_eq!(index.count(lo, hi, &a, &c), want, "window [{}, {})", lo, hi);
+                }
+            }
+        }
+
+        #[test]
+        fn budgeted_scans_across_an_append_count_as_the_polarity_loop_does(
+            first in rows(0..150),
+            later in rows(0..80),
+            a in itemset(),
+            c in itemset(),
+            budgets in prop::collection::vec(
+                prop_oneof![Just(37usize), Just(63), Just(64), Just(65), 1usize..130],
+                1..8,
+            ),
+        ) {
+            let c = c.difference(&a);
+            let c = if c.is_empty() { ItemSet::of(&[ABSENT[1]]) } else { c };
+            let rule = CandidateRule::new(Rule::new(a.clone(), c.clone()), Ratio::new(1, 2));
+            let keys = GridKeys::mock(4);
+            let mut acc = accountant(&keys, transactions(&first, 0));
+            acc.register_rule(0, &rule);
+            for (step, &budget) in budgets.iter().enumerate() {
+                if step == budgets.len() / 2 {
+                    acc.append(transactions(&later, first.len()));
+                }
+                acc.advance_scan(0, budget);
+                let rec = acc.scan_record(0).unwrap();
+                let scanned = &acc.db().transactions()[..rec.frontier as usize];
+                prop_assert_eq!((rec.sum, rec.count), polarity_loop(scanned, &a, &c), "step {}", step);
+            }
+            acc.scan_all(0);
+            let rec = acc.scan_record(0).unwrap();
+            prop_assert_eq!((rec.sum, rec.count), polarity_loop(acc.db().transactions(), &a, &c));
+        }
+    }
+
+    #[test]
+    fn a_restored_scan_resumes_on_the_index() {
+        // Every fifth transaction negates; two more arrive while the
+        // resource is down, the second of them negating.
+        let txs: Vec<Transaction> = (0..150u64)
+            .map(|i| {
+                let t = Transaction::of(i, &[(i % 3) as u32, 3 + (i % 2) as u32]);
+                if i % 5 == 4 {
+                    t.negation_of(i)
+                } else {
+                    t
+                }
+            })
+            .collect();
+        let late = [Transaction::of(150, &[0, 3]), Transaction::of(0, &[0, 3]).negation_of(151)];
+        let keys = GridKeys::mock(4);
+        let rules = [
+            freq_rule(&[0]),
+            CandidateRule::new(Rule::new(ItemSet::of(&[0]), ItemSet::of(&[3])), Ratio::new(1, 2)),
+        ];
+        for rule in rules {
+            let mut crashed = accountant(&keys, txs.clone());
+            crashed.register_rule(0, &rule);
+            crashed.advance_scan(0, 37);
+            crashed.advance_scan(0, 37);
+            let rec = crashed.scan_record(0).unwrap();
+            assert_eq!(rec.frontier, 74, "a frontier inside word 1");
+
+            let mut restored = accountant(&keys, txs.clone());
+            restored.append(late.clone());
+            restored.restore_scan(0, &rec);
+            restored.scan_all(0);
+            let mut whole = accountant(&keys, txs.clone());
+            whole.append(late.clone());
+            whole.register_rule(0, &rule);
+            whole.scan_all(0);
+
+            let (r, w) = (restored.scan_record(0).unwrap(), whole.scan_record(0).unwrap());
+            assert_eq!((r.frontier, r.sum, r.count), (w.frontier, w.sum, w.count), "{rule}");
+            let (a, c) = (&rule.rule.antecedent, &rule.rule.consequent);
+            assert_eq!((w.sum, w.count), polarity_loop(whole.db().transactions(), a, c), "{rule}");
+        }
     }
 }

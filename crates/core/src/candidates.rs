@@ -53,8 +53,11 @@ impl CandidateGenerator {
         existing: &HashSet<CandidateRule>,
     ) -> Vec<CandidateRule> {
         let mut fresh = Vec::new();
-        let push = |c: CandidateRule, fresh: &mut Vec<CandidateRule>| {
-            if !existing.contains(&c) && !fresh.contains(&c) {
+        // What `fresh` holds, for an O(1) duplicate check; `fresh` keeps
+        // the order.
+        let mut pushed = HashSet::new();
+        let mut push = |c: CandidateRule, fresh: &mut Vec<CandidateRule>| {
+            if !existing.contains(&c) && pushed.insert(c.clone()) {
                 fresh.push(c);
             }
         };
@@ -233,5 +236,51 @@ mod tests {
         let implied = g.from_received(&c);
         assert_eq!(implied.len(), 2);
         assert!(implied.contains(&CandidateRule::new(freq_rule(&[1, 2]), Ratio::new(1, 2))));
+    }
+
+    #[test]
+    fn expansion_order_is_pinned() {
+        let g = generator();
+        let (freq, conf) = (Ratio::new(1, 2), Ratio::new(3, 4));
+        let rule = |a: &[u32], c: &[u32]| Rule::new(ItemSet::of(a), ItemSet::of(c));
+        let interim: RuleSet = [
+            freq_rule(&[3]),
+            rule(&[5], &[2]),
+            freq_rule(&[1, 3]),
+            freq_rule(&[1]),
+            rule(&[5], &[1]),
+            freq_rule(&[2]),
+            freq_rule(&[1, 2]),
+        ]
+        .into_iter()
+        .collect();
+        let existing: HashSet<_> = [CandidateRule::new(freq_rule(&[1, 2]), freq)].into();
+        let want = [
+            // Rule 2, by frequency rule: {1, 2}, then {1, 3}.
+            CandidateRule::new(rule(&[2], &[1]), conf),
+            CandidateRule::new(rule(&[1], &[2]), conf),
+            CandidateRule::new(rule(&[3], &[1]), conf),
+            CandidateRule::new(rule(&[1], &[3]), conf),
+            // Rule 3 under ∅, {1, 2} already a candidate and {1, 2, 3}
+            // pruned for want of {2, 3}; then under {5}.
+            CandidateRule::new(freq_rule(&[1, 3]), freq),
+            CandidateRule::new(freq_rule(&[2, 3]), freq),
+            CandidateRule::new(rule(&[5], &[1, 2]), conf),
+        ];
+        assert_eq!(g.expand(&interim, &existing), want);
+    }
+
+    #[test]
+    fn a_large_interim_expands_without_duplicates() {
+        let g = generator();
+        // 200 frequent singletons, and every pair of the first 20 items.
+        let singles = (0..200).map(|i| freq_rule(&[i]));
+        let pairs = (0..20).flat_map(|i| (i + 1..20).map(move |j| freq_rule(&[i, j])));
+        let interim: RuleSet = singles.chain(pairs).collect();
+        let fresh = g.expand(&interim, &HashSet::new());
+        let distinct: HashSet<&CandidateRule> = fresh.iter().collect();
+        assert_eq!(distinct.len(), fresh.len(), "a candidate came out twice");
+        // Pairs of 200 items, triples of 20, two confidence rules a pair.
+        assert_eq!(fresh.len(), 200 * 199 / 2 + 20 * 19 * 18 / 6 + 2 * (20 * 19 / 2));
     }
 }

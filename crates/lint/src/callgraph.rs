@@ -197,7 +197,7 @@ pub fn extract_calls(toks: &[Tok], start: usize, end: usize) -> Vec<CallSite> {
 }
 
 /// The crate key of a repo-relative path: its first two segments
-/// (`crates/net`, `shims/rayon`), or the first for root `src`/`tests`.
+/// (`crates/net`, `shims/rayon`), or the first for root `examples`/`src`/`tests`.
 fn crate_of(rel: &str) -> &str {
     let mut it = rel.match_indices('/');
     match (it.next(), it.next()) {

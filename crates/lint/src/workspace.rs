@@ -29,7 +29,7 @@ pub struct Workspace {
 }
 
 /// Directories under the root that are walked for `.rs` files.
-const WALK_ROOTS: [&str; 4] = ["crates", "shims", "src", "tests"];
+const WALK_ROOTS: [&str; 5] = ["crates", "examples", "shims", "src", "tests"];
 
 impl Workspace {
     /// Walks and lexes the workspace. `exclude` holds repo-relative path
