@@ -27,16 +27,22 @@
 //! Naming a counter other than `v`'s latest as `recv-v` damages only the
 //! validity of the liar's own resource.
 //!
-//! Each SFE input is opened once per content. A rule change asks about
-//! every neighbor at the same `full` aggregate, so
+//! Each SFE input is opened or derived once per content. A rule change
+//! asks about every neighbor at the same `full` aggregate, so
 //! [`Controller::send_queries`] takes them together, and between two
 //! waves usually one input has new ciphertexts: per rule and input slot
 //! (`full`, and `recv-v` per neighbor) the controller remembers the
 //! counter it last opened there with its plaintext. The inputs that
 //! differ from what is remembered decrypt in one wave, each tag checked
-//! in the plaintext it decrypts to; the rest are read back. Either way
-//! `full` is audited once a wave, and the per-edge decisions then run in
-//! neighbor order exactly as separate queries would. The share a neighbor
+//! in the plaintext it decrypts to; the rest are read back. After a
+//! receive from `v` the broker's sum moved by one term, so `full` and
+//! `recv-v` are new: when `full ⊕ recv-v_old = full_old ⊕ recv-v` holds
+//! between the ciphertexts, only `recv-v` decrypts and `full` is taken as
+//! `full_old − recv-v_old + recv-v` — exactly what decrypting it returns,
+//! once that tuple passes the checks decryption makes (DESIGN.md,
+//! "Message path"); otherwise `full` is opened too. Either way `full` is
+//! audited once a wave, and the per-edge decisions then run in neighbor
+//! order exactly as separate queries would. The share a neighbor
 //! assigned to this resource is the same ciphertext for a whole
 //! membership epoch; it is decrypted once and remembered by its bytes.
 //!
@@ -47,9 +53,9 @@
 
 use gridmine_arm::CandidateRule;
 use gridmine_obs::{emit, Event, SfeKind, SharedRecorder, VerdictKind};
-use gridmine_paillier::{HomCipher, TagKey};
+use gridmine_paillier::{slots, CounterMsg, HomCipher, TagKey};
 
-use crate::counter::{CounterLayout, SecureCounter};
+use crate::counter::{CounterLayout, SecureCounter, F_NUM};
 use crate::keyring::TagKeyring;
 use crate::plain::PlainCounter;
 use crate::rules::{PerRule, RuleId};
@@ -168,8 +174,8 @@ struct EdgeAudit {
     last_sent: Option<(i64, i64, i64)>,
 }
 
-/// An SFE input as last opened: the counter, its plaintext, and the wave
-/// that last confirmed the two belong together.
+/// An SFE input as last opened or derived: the counter, its plaintext,
+/// and the wave that last confirmed the two belong together.
 #[derive(Clone)]
 struct Opened<C: HomCipher> {
     counter: SecureCounter<C>,
@@ -189,11 +195,11 @@ struct RuleAudit<C: HomCipher> {
     /// This resource's logical clock for outgoing messages of this rule.
     clock: i64,
     /// Per SFE input slot — `full` first, then `recv-v` per neighbor in
-    /// slot order — what was last opened there. A hit needs the very same
-    /// layout and ciphertexts, so an entry can be stale but never
-    /// wrong: whatever is read back passed decryption and tag check as
-    /// exactly these bytes. Not part of [`AuditImage`]; a restarted
-    /// controller opens everything again.
+    /// slot order — what was last opened there, its share as summed. A
+    /// hit needs the very same layout and ciphertexts, so an entry can be
+    /// stale but never wrong: whatever is read back is what decrypting
+    /// these bytes returns, tag check passed. Not part of
+    /// [`AuditImage`]; a restarted controller opens everything again.
     opened: Vec<Option<Opened<C>>>,
 }
 
@@ -236,6 +242,9 @@ pub struct Controller<C: HomCipher> {
     /// The inputs of that wave that had to be decrypted, by position
     /// (`full`, then the edges in order); a buffer kept between waves.
     missed: Vec<usize>,
+    /// The tuple a receive wave derives `full` to (see
+    /// [`Controller::open_inputs`]); a buffer kept between waves.
+    derived: Vec<i64>,
     halted: Option<Verdict>,
     /// SFE queries served (protocol-cost accounting).
     pub queries_served: u64,
@@ -280,6 +289,7 @@ impl<C: HomCipher> Controller<C> {
             rules: PerRule::default(),
             wave: 0,
             missed: Vec::new(),
+            derived: Vec::new(),
             halted: None,
             queries_served: 0,
             rec: gridmine_obs::null(),
@@ -434,6 +444,13 @@ impl<C: HomCipher> Controller<C> {
     /// input left without the serial did not open under this resource's
     /// key (or names no neighbor) — every counter of an honest wave is
     /// sealed under its layout.
+    ///
+    /// A wave that misses exactly `full` and one `recv_v` is a receive:
+    /// when the remembered pair moved by that one term
+    /// ([`moved_by_one_term`]), only `recv_v` decrypts, and `full` takes
+    /// the tuple `full_old − recv_v_old + recv_v` once it is what
+    /// decryption would return ([`opens_as`]). Otherwise `full` opens as
+    /// any input does.
     fn open_inputs(
         &mut self,
         id: RuleId,
@@ -443,7 +460,7 @@ impl<C: HomCipher> Controller<C> {
     ) {
         self.wave += 1;
         self.audit_state(id, rule);
-        let Controller { rules, cipher, key, layout, wave, missed, .. } = self;
+        let Controller { rules, cipher, key, layout, wave, missed, derived, .. } = self;
         let Some(RuleAudit { opened, .. }) = rules.get_mut(id) else { return };
         // The input at position `i` of the wave, with its slot.
         let input = |i: usize| match i.checked_sub(1) {
@@ -458,32 +475,45 @@ impl<C: HomCipher> Controller<C> {
                 None => {}
             }
         }
-        if missed.is_empty() {
-            return;
+        // A receive: `full_old − recv_v_old` goes into the buffer before
+        // `recv_v`'s slot is overwritten, and `full` leaves the wave.
+        let receive = match missed[..] {
+            [0, i] => input(i).and_then(|(slot, recv)| {
+                let (Some(Some(full_old)), Some(Some(recv_old))) =
+                    (opened.first(), opened.get(slot))
+                else {
+                    return None;
+                };
+                moved_by_one_term(cipher, [full, &recv_old.counter], [&full_old.counter, recv])
+                    .then(|| {
+                        full_old.plain.minus_into(&recv_old.plain, derived);
+                        slot
+                    })
+            }),
+            _ => None,
+        };
+        if receive.is_some() {
+            missed.remove(0);
         }
-        let wave_inputs = missed.iter().filter_map(|&i| input(i));
-        SecureCounter::open_wave(cipher, key, wave_inputs.clone().map(|(_, c)| c), |i, fields| {
-            let (Ok(fields), Some((slot, counter))) = (fields, wave_inputs.clone().nth(i)) else {
-                return;
-            };
-            let Some(at) = opened.get_mut(slot) else { return };
-            // The plaintext first: a slot never pairs a counter with
-            // fields that are not its own.
-            let reread = at.as_mut().is_some_and(|seen| seen.plain.read(fields).is_ok());
-            match at {
-                Some(seen) if reread => {
-                    seen.counter.clone_from(counter);
+        if !missed.is_empty() {
+            open_into(cipher, key, opened, *wave, missed.iter().filter_map(|&i| input(i)));
+        }
+        let Some(slot) = receive else { return };
+        let recv = opened.get(slot).and_then(Option::as_ref).filter(|seen| seen.wave == *wave);
+        let derivable = recv.is_some_and(|recv| {
+            recv.plain.add_onto(derived);
+            opens_as(cipher, key, derived)
+        });
+        match opened.first_mut() {
+            Some(Some(seen)) if derivable => {
+                // `opens_as` held the buffer to the arity, so it reads.
+                if seen.plain.read(derived).is_ok() {
+                    seen.counter.clone_from(full);
                     seen.wave = *wave;
                 }
-                _ => {
-                    *at = PlainCounter::of(fields).ok().map(|plain| Opened {
-                        counter: counter.clone(),
-                        plain,
-                        wave: *wave,
-                    });
-                }
             }
-        });
+            _ => open_into(cipher, key, opened, *wave, [(0, full)].into_iter()),
+        }
     }
 
     /// Full-aggregate audit: share and timestamp checks of Algorithm 3.
@@ -514,7 +544,7 @@ impl<C: HomCipher> Controller<C> {
         });
         let blame = match full {
             None => broker,
-            Some((p, _)) if p.share != 1 => broker,
+            Some((p, _)) if share_reduce(p.share) != 1 => broker,
             // Timestamp traces: slot 0 is the own accountant (⊥), slot i+1
             // the i-th neighbor.
             Some((p, traces)) => match p.ts.iter().zip(&*traces).position(|(t, seen)| t < seen) {
@@ -753,6 +783,70 @@ impl<C: HomCipher> Controller<C> {
         edge.last_sent = Some(payload);
         Ok(Some((payload, *clock)))
     }
+}
+
+/// Opens `inputs` — counters with the slots that remember them — in one
+/// wave, each tag checked in the plaintext it decrypts to, and reads
+/// what opens into its slot under serial `wave`.
+fn open_into<'a, C: HomCipher + 'a>(
+    cipher: &C,
+    key: &TagKey,
+    opened: &mut [Option<Opened<C>>],
+    wave: u64,
+    inputs: impl Iterator<Item = (usize, &'a SecureCounter<C>)> + Clone,
+) {
+    SecureCounter::open_wave(cipher, key, inputs.clone().map(|(_, c)| c), |i, fields| {
+        let (Ok(fields), Some((slot, counter))) = (fields, inputs.clone().nth(i)) else {
+            return;
+        };
+        let Some(at) = opened.get_mut(slot) else { return };
+        // The plaintext first: a slot never pairs a counter with fields
+        // that are not its own.
+        let reread = at.as_mut().is_some_and(|seen| seen.plain.read(fields).is_ok());
+        match at {
+            Some(seen) if reread => {
+                seen.counter.clone_from(counter);
+                seen.wave = wave;
+            }
+            _ => {
+                let mut plain = PlainCounter::default();
+                *at = plain.read(fields).ok().map(|()| Opened {
+                    counter: counter.clone(),
+                    plain,
+                    wave,
+                });
+            }
+        }
+    });
+}
+
+/// Whether `full ⊕ recv_old = full_old ⊕ recv` holds ciphertext by
+/// ciphertext, for `[full, recv_old]` and `[full_old, recv]`: the
+/// broker's aggregate moved from `full_old` by exactly the one term
+/// `recv_old → recv`, so that `full` decrypts to
+/// `full_old − recv_old + recv` (DESIGN.md, "Message path").
+fn moved_by_one_term<C: HomCipher>(
+    cipher: &C,
+    [full, recv_old]: [&SecureCounter<C>; 2],
+    [full_old, recv]: [&SecureCounter<C>; 2],
+) -> bool {
+    let [f, ro, fo, r] = [full, recv_old, full_old, recv].map(|c| &c.msg.fields);
+    [ro, fo, r].iter().all(|x| x.len() == f.len())
+        && f.iter()
+            .zip(ro)
+            .zip(fo.iter().zip(r))
+            .all(|((f, ro), (fo, r))| cipher.add(f, ro) == cipher.add(fo, r))
+}
+
+/// Whether decrypting a counter whose plaintext is `values` plus their
+/// tag returns `values`: one per field, each a digit, the side-band
+/// non-negative, and the tag fitting its slot — the checks of
+/// [`CounterMsg::open_wave`], under which balanced digits decompose
+/// uniquely.
+fn opens_as<C: HomCipher>(cipher: &C, key: &TagKey, values: &[i64]) -> bool {
+    values.len() == key.arity()
+        && values.iter().enumerate().all(|(i, &v)| slots::is_digit(v) && (i < F_NUM || v >= 0))
+        && CounterMsg::tag_fits(cipher, key, values)
 }
 
 #[cfg(test)]

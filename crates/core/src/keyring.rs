@@ -118,6 +118,21 @@ mod tests {
     }
 
     #[test]
+    fn a_seed_makes_the_same_512_bit_modulus() {
+        // Key generation runs gcds (the prime-pair screen, λ's lcm): a
+        // new gcd kernel must not move the key a seed makes, nor λ.
+        let keys = GridKeys::paillier(512, 0x5EED);
+        let n = concat!(
+            "53331053293688872303669567344855617768368228256302698048645399760009493530527",
+            "63207481821794685041150355169365597087248519950465207240148901319852635431981",
+        );
+        assert_eq!(keys.enc.public_key().modulus().to_string(), n);
+        let c = keys.enc.encrypt_i64(-12_345);
+        assert_eq!(keys.dec.decrypt_residue(&c), keys.dec.decrypt_residue_slow(&c));
+        assert_eq!(keys.dec.decrypt_i64(&c), -12_345);
+    }
+
+    #[test]
     fn mock_roles_mirror_paillier_roles() {
         let keys = GridKeys::mock(3);
         assert!(!keys.pub_ops.can_decrypt());

@@ -9,7 +9,8 @@
 //! `count`, `num`, `share` and the timestamps inside
 //! [`gridmine_paillier::CounterMsg::open_wave`], which refuses a negative
 //! side-band value and checks the tag over the unpacked values, and only
-//! then is the share reduced into its field. `gridlint`'s privacy-taint rule enforces the
+//! then is the share reduced into its field — by the audit that reads it,
+//! or by [`SecureCounter::open`]. `gridlint`'s privacy-taint rule enforces the
 //! split: `PlainCounter`, `open` and the `decrypt_*` family are banned
 //! identifiers in every key-blind module.
 
@@ -27,17 +28,21 @@ pub struct PlainCounter {
     pub count: i64,
     /// Aggregated resource count.
     pub num: i64,
-    /// Share field, reduced into the share field modulus.
+    /// Share field: as the tuple sums it where the controller reads a
+    /// counter in place ([`PlainCounter::read`]), reduced into the share
+    /// field modulus where a counter is opened alone
+    /// ([`PlainCounter::of`], [`SecureCounter::open`]).
     pub share: i64,
     /// Timestamp vector `(T_⊥, T_v₁ …)`.
     pub ts: Vec<i64>,
 }
 
 impl PlainCounter {
-    /// Reads an opened field vector into `self`, keeping the timestamp
-    /// buffer it has: the fixed head, then the tail, without indexing
-    /// (`CounterMsg::open_wave` guarantees `fields.len() == key.arity()
-    /// ≥ F_TS + 1`, but the split stays total anyway).
+    /// Reads an opened field vector into `self` as it is, the share
+    /// unreduced, keeping the timestamp buffer it has: the fixed head,
+    /// then the tail, without indexing (`CounterMsg::open_wave`
+    /// guarantees `fields.len() == key.arity() ≥ F_TS + 1`, but the split
+    /// stays total anyway).
     pub fn read(&mut self, fields: &[i64]) -> Result<(), ObliviousError> {
         let mut it = fields.iter().copied();
         let (Some(sum), Some(count), Some(num), Some(share)) =
@@ -45,16 +50,41 @@ impl PlainCounter {
         else {
             return Err(ObliviousError::ArityMismatch { expected: F_TS + 1, got: fields.len() });
         };
-        (self.sum, self.count, self.num, self.share) = (sum, count, num, share_reduce(share));
+        (self.sum, self.count, self.num, self.share) = (sum, count, num, share);
         self.ts.clear();
         self.ts.extend(it);
         Ok(())
     }
 
-    /// A fresh view of an opened field vector.
+    /// A fresh view of an opened field vector, its share reduced.
     pub fn of(fields: &[i64]) -> Result<Self, ObliviousError> {
         let mut plain = PlainCounter::default();
-        plain.read(fields).map(|()| plain)
+        plain.read(fields)?;
+        plain.share = share_reduce(plain.share);
+        Ok(plain)
+    }
+
+    /// `self − other`, field by field in field order, into `out`.
+    pub(crate) fn minus_into(&self, other: &PlainCounter, out: &mut Vec<i64>) {
+        out.clear();
+        out.extend_from_slice(&[
+            self.sum - other.sum,
+            self.count - other.count,
+            self.num - other.num,
+            self.share - other.share,
+        ]);
+        out.extend(self.ts.iter().zip(&other.ts).map(|(a, b)| a - b));
+    }
+
+    /// Adds `self` onto the field vector `out`, field by field.
+    pub(crate) fn add_onto(&self, out: &mut [i64]) {
+        let Some((head, ts)) = out.split_at_mut_checked(F_TS) else { return };
+        for (o, v) in head.iter_mut().zip([self.sum, self.count, self.num, self.share]) {
+            *o += v;
+        }
+        for (o, v) in ts.iter_mut().zip(&self.ts) {
+            *o += v;
+        }
     }
 }
 
@@ -110,5 +140,20 @@ mod tests {
         assert_eq!(p.ts, vec![5, 6]);
         p.read(&[9, 8, 7, 6, 5]).unwrap();
         assert_eq!((p.sum, p.ts.as_slice()), (9, &[5][..]));
+    }
+
+    #[test]
+    fn an_in_place_read_keeps_the_share_as_summed_and_reads_back_whole() {
+        let wide = [5, -6, 7, 3 * crate::shares::SHARE_MODULUS + 1, 0, 9];
+        let mut p = PlainCounter::default();
+        p.read(&wide).unwrap();
+        assert_eq!(PlainCounter::of(&wide).unwrap().share, 1);
+        // What the field vectors combine to, as the controller derives.
+        let other = PlainCounter::of(&[1, 1, 1, 1, 0, 4]).unwrap();
+        let mut out = Vec::new();
+        p.minus_into(&other, &mut out);
+        assert_eq!(out, [4, -7, 6, wide[3] - 1, 0, 5]);
+        other.add_onto(&mut out);
+        assert_eq!(out, wide);
     }
 }

@@ -282,10 +282,11 @@ fn one_rule_change_opens_what_changed_within_its_key_op_budget() {
     assert_eq!(key_ops(&mem, KeyOpKind::Encrypt), 0);
     assert_eq!(ctl.queries_served, 4, "still one query per edge");
     // A receive: neighbor 1's counter is replaced and the aggregate
-    // with it. Those two open — neighbor 2's is read back.
+    // with it. Only the new counter opens — the aggregate moved by that
+    // one term and is derived, neighbor 2's is read back.
     w.recv[0] = Wave::from(&w.keys, &w.layout, 1, 6);
     w.full = Wave::sum(&w.keys, &w.local, &w.recv);
-    assert_eq!(wave(&mut ctl, &w).1, [2, 1, 0]);
+    assert_eq!(wave(&mut ctl, &w).1, [1, 1, 0]);
     // A scan: only the local counter moves, so only the aggregate is
     // new.
     w.local = Wave::local(&w.keys, &w.layout, 12, 4);

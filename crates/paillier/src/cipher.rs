@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gridmine_obs::{Event, KeyOpKind, SharedRecorder};
 use num_bigint::{BigInt, BigUint, FixedBaseTable, MontgomeryCtx, RandBigInt, Sign};
-use num_traits::One;
+use num_traits::{One, Zero};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use rayon::prelude::*;
@@ -119,7 +119,7 @@ impl Ciphertext {
     /// validation — not even [`HomCipher::ct_decode`]'s one-form check:
     /// any byte string is accepted, which is how the suites forge the
     /// values a hostile peer could mail. Screen with
-    /// [`HomCipher::is_wellformed`] before trusting the result.
+    /// [`HomCipher::all_wellformed`] before trusting the result.
     pub fn from_bytes_be(bytes: &[u8]) -> Self {
         Ciphertext(BigUint::from_bytes_be(bytes))
     }
@@ -340,14 +340,19 @@ impl PaillierCtx {
     /// decrypts to some residue, not a panic — `L(u) = (u − 1)/p` is taken
     /// as `(u + p² − 1)/p`, the same value mod `p` for every `u ≥ 1`, and
     /// defined at the `u = 0` a non-unit's power leaves.
+    /// [`HomCipher::decrypt_wave`] refuses such a ciphertext instead.
     ///
     /// # Panics
     /// Panics if this handle has no private key.
     pub fn decrypt_residue(&self, c: &Ciphertext) -> BigUint {
-        self.timed(KeyOpKind::Decrypt, || self.decrypt_residue_inner(c))
+        self.timed(KeyOpKind::Decrypt, || self.crt_decrypt(c).0)
     }
 
-    fn decrypt_residue_inner(&self, c: &Ciphertext) -> BigUint {
+    /// The residue `c` decrypts to by CRT, and whether `c` is a unit of
+    /// `Z_{n²}*`: `c^(p−1) ≡ 1 (mod p)` exactly when `p ∤ c`, and the
+    /// power is at hand, so the test is the remainder of the division
+    /// `L_p` takes anyway (likewise for `q`).
+    fn crt_decrypt(&self, c: &Ciphertext) -> (BigUint, bool) {
         let sk = self
             .sk
             .as_ref()
@@ -363,12 +368,14 @@ impl PaillierCtx {
             Some(ctx) => ctx.modpow(&c.0, &(&crt.q - 1u32)),
             None => (&c.0 % &crt.q2).modpow(&(&crt.q - 1u32), &crt.q2),
         };
-        let mp = ((cp + &crt.p2 - 1u8) / &crt.p) % &crt.p * &crt.hp % &crt.p;
-        let mq = ((cq + &crt.q2 - 1u8) / &crt.q) % &crt.q * &crt.hq % &crt.q;
+        let (lp, rp) = (cp + &crt.p2 - 1u8).div_rem(&crt.p);
+        let (lq, rq) = (cq + &crt.q2 - 1u8).div_rem(&crt.q);
+        let mp = lp % &crt.p * &crt.hp % &crt.p;
+        let mq = lq % &crt.q * &crt.hq % &crt.q;
         // Garner recombination: m = mp + p·((mq − mp)·p⁻¹ mod q).
         let diff = if mq >= mp { &mq - &mp } else { &crt.q - ((&mp - &mq) % &crt.q) % &crt.q };
         let t = diff % &crt.q * &crt.p_inv_q % &crt.q;
-        (mp + &crt.p * t) % &self.pk.n
+        ((mp + &crt.p * t) % &self.pk.n, rp.is_zero() && rq.is_zero())
     }
 
     /// Decrypts via the direct (non-CRT) path — reference implementation
@@ -434,7 +441,11 @@ impl HomCipher for PaillierCtx {
 
     fn decrypt_wave(&self, cts: &[&Ciphertext], len: usize) -> (Vec<i64>, Vec<(usize, SlotError)>) {
         let one = |(c, width): (&&Ciphertext, usize)| -> Result<Vec<i64>, (usize, SlotError)> {
-            let m = self.timed(KeyOpKind::Decrypt, || self.decrypt_residue_inner(c));
+            let (m, unit) = self.timed(KeyOpKind::Decrypt, || self.crt_decrypt(c));
+            if !unit {
+                // A non-unit opens to no plaintext at all.
+                return Err((width, SlotError::OutOfLayout));
+            }
             if width == 1 {
                 // One value a ciphertext: the centred residue, whole.
                 return Ok(vec![self.decode(m)]);
@@ -482,18 +493,13 @@ impl HomCipher for PaillierCtx {
             .expect("ciphertext is a unit mod n² (honest ones always are)")
     }
 
-    fn is_wellformed(&self, c: &Ciphertext) -> bool {
-        use num_integer::Integer;
-        // A valid ciphertext is a reduced unit of Z_{n²}*; equivalently
-        // gcd(c mod n, n) = 1 — one gcd, no key material needed.
-        c.0 < self.pk.n2 && (&c.0 % &self.pk.n).gcd(&self.pk.n).is_one()
-    }
-
     fn all_wellformed(&self, cts: &[&Ciphertext]) -> bool {
         use num_integer::Integer;
-        // n = p·q with huge prime factors, so p | ∏(cᵢ mod n) iff
-        // p | some cᵢ mod n: ONE gcd of the running product screens the
-        // whole batch. Range checks stay per-element (they are cheap).
+        // A valid ciphertext is a reduced unit of Z_{n²}*; equivalently
+        // gcd(c mod n, n) = 1. n = p·q with huge prime factors, so
+        // p | ∏(cᵢ mod n) iff p | some cᵢ mod n: ONE gcd of the running
+        // product screens the whole batch. Range checks stay per-element
+        // (they are cheap).
         if !cts.iter().all(|c| c.0 < self.pk.n2) {
             return false;
         }
@@ -531,7 +537,7 @@ impl HomCipher for PaillierCtx {
         // Canonical big-endian residue: no empty strings, no redundant
         // leading zeros (so decode∘encode is the identity and every
         // residue has exactly one wire form). Semantic screening is
-        // `is_wellformed`'s job.
+        // `all_wellformed`'s job.
         if bytes.is_empty() || (bytes.len() > 1 && bytes.first() == Some(&0)) {
             return None;
         }
@@ -644,11 +650,11 @@ mod tests {
         assert_eq!(e.scalar_raw(&BigInt::from(-2), &evil), Err(CipherError::NotAUnit));
         // Non-negative scalars never invert, so they stay defined.
         assert!(e.scalar_raw(&BigInt::from(2), &evil).is_ok());
-        assert!(!e.is_wellformed(&evil));
-        assert!(e.is_wellformed(&honest));
+        assert!(!e.all_wellformed(&[&evil]));
+        assert!(e.all_wellformed(&[&honest]));
         // Unreduced residue (≥ n²) is malformed even when it is a unit.
         let unreduced = Ciphertext(honest.0.clone() + e.public_key().modulus_sq());
-        assert!(!e.is_wellformed(&unreduced));
+        assert!(!e.all_wellformed(&[&unreduced]));
     }
 
     #[test]
@@ -670,7 +676,7 @@ mod tests {
         let kp = small_keys();
         let d = kp.decryptor();
         let evil = Ciphertext::from_bytes_be(&[0x7F; 60]); // some unit w.h.p.
-        assert!(d.is_wellformed(&evil), "test premise: crafted value is a unit");
+        assert!(d.all_wellformed(&[&evil]), "test premise: crafted value is a unit");
         let v1 = d.decrypt_i64(&evil);
         let v2 = d.decrypt_i64(&evil);
         assert_eq!(v1, v2, "fold is deterministic");
@@ -679,10 +685,29 @@ mod tests {
         let n = kp.public_key().modulus();
         for k in [1u8, 2, 7] {
             let evil = Ciphertext(n * k);
-            assert!(!d.is_wellformed(&evil));
+            assert!(!d.all_wellformed(&[&evil]));
             let _ = (d.decrypt_residue(&evil), d.decrypt_residue_slow(&evil));
             let _ = d.decrypt_wave(&[&evil, &evil], 2);
         }
+    }
+
+    #[test]
+    fn a_wave_refuses_every_non_unit_and_only_those() {
+        let kp = small_keys();
+        let (e, d) = (kp.encryptor(), kp.decryptor());
+        let crt = &kp.sk.crt;
+        let honest = e.encrypt_i64(-9);
+        // Multiples of p alone, of q alone, and of n: each is no unit.
+        let evil = [&honest.0 * &crt.p, &honest.0 * &crt.q, kp.public_key().modulus().clone()]
+            .map(|c| Ciphertext(c % kp.public_key().modulus_sq()));
+        for width in [1, 2] {
+            let (values, refused) = d.decrypt_wave(&[&honest, &evil[0], &evil[1], &evil[2]], width);
+            let want: Vec<(usize, SlotError)> =
+                (1..4).map(|i| (i, SlotError::OutOfLayout)).collect();
+            assert_eq!(refused, want, "width {width}");
+            assert_eq!(values.len(), 4 * width);
+        }
+        assert_eq!(d.decrypt_wave(&[&honest], 1), (vec![-9], vec![]));
     }
 
     #[test]

@@ -139,8 +139,11 @@ pub trait HomCipher: Clone + Send + Sync {
     /// in order. A plaintext that holds no tuple of its width — whatever
     /// a hostile broker aggregated — contributes zeros and is listed, by
     /// its index in `cts` and in order, with its [`SlotError`]; nothing
-    /// panics. The default is the width-1 instance: every ciphertext is
-    /// one value, read whole, and whether it is a digit is the tuple's
+    /// panics. A ciphertext outside the group the algebra acts on (under
+    /// [`PaillierCtx`], a non-unit of `Z_{n²}`) holds no plaintext at all
+    /// and is listed the same way: whatever opens is a group element.
+    /// The default is the width-1 instance: every ciphertext is one
+    /// value, read whole, and whether it is a digit is the tuple's
     /// business. [`PaillierCtx`], which packs, overrides it, and runs the
     /// wave in one pass over its cached CRT contexts fanned across the
     /// worker pool.
@@ -168,22 +171,17 @@ pub trait HomCipher: Clone + Send + Sync {
 
     /// Cheap key-free well-formedness screen for wire-received
     /// ciphertexts: `true` iff every ciphertext-space operation (add, sub,
-    /// scalar, rerandomize, decrypt) is defined on `c`. Needs no key
-    /// material, so brokers and resources can reject malformed counters at
-    /// the door and blame the sender.
-    fn is_wellformed(&self, c: &Self::Ct) -> bool {
-        let _ = c;
-        true
-    }
-
-    /// Batched well-formedness screen: `true` iff every ciphertext passes
-    /// [`HomCipher::is_wellformed`]. Key-free, like the per-ciphertext
-    /// form. [`PaillierCtx`] folds the whole batch into a single gcd
-    /// (`gcd(∏ cᵢ mod n, n) = 1 ⇔ ∀i gcd(cᵢ mod n, n) = 1`), so a
-    /// broker screens an incoming counter at one gcd instead of one per
-    /// ciphertext.
+    /// scalar, rerandomize, decrypt) is defined on each of `cts`. Needs
+    /// no key material, so brokers and resources can reject malformed
+    /// counters at the door and blame the sender. The default holds every
+    /// value well-formed, as a cipher whose algebra is total does;
+    /// [`PaillierCtx`] screens for reduced units of `Z_{n²}*` and folds the
+    /// whole batch into a single gcd (`gcd(∏ cᵢ mod n, n) = 1 ⇔
+    /// ∀i gcd(cᵢ mod n, n) = 1`), so a broker screens an incoming counter
+    /// at one gcd instead of one per ciphertext.
     fn all_wellformed(&self, cts: &[&Self::Ct]) -> bool {
-        cts.iter().all(|c| self.is_wellformed(c))
+        let _ = cts;
+        true
     }
 
     /// Rerandomize: a different ciphertext of the same plaintext, unlinkable
@@ -214,6 +212,6 @@ pub trait HomCipher: Clone + Send + Sync {
     /// Inverse of [`HomCipher::ct_encode`]; `None` on structurally
     /// malformed bytes. This is a *structural* check only — semantic
     /// well-formedness of a wire-received ciphertext still goes through
-    /// [`HomCipher::is_wellformed`] before it touches counter algebra.
+    /// [`HomCipher::all_wellformed`] before it touches counter algebra.
     fn ct_decode(bytes: &[u8]) -> Option<Self::Ct>;
 }

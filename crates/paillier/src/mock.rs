@@ -8,6 +8,13 @@
 //! encryption, so the identical generic protocol code runs at simulation
 //! scale. Integration tests assert that Paillier and Mock runs produce
 //! byte-identical protocol decisions.
+//!
+//! Its algebra is a group like Paillier's multiplication mod `n²`: `A+`,
+//! `A−` and scalar multiplication act on the value as on integers and on
+//! the nonce as wrapping addition, subtraction and multiplication. So an
+//! identity the algebra makes hold between Paillier ciphertexts — an
+//! aggregate that moved by one term, `full′ ⊕ old = full ⊕ new` — holds
+//! between the mock's too.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,10 +67,12 @@ impl MockCipher {
 impl HomCipher for MockCipher {
     type Ct = MockCt;
 
+    #[inline]
     fn encrypt_i64(&self, m: i64) -> MockCt {
         MockCt { value: m, nonce: self.fresh_nonce() }
     }
 
+    #[inline]
     fn decrypt_i64(&self, c: &MockCt) -> i64 {
         assert!(
             self.decrypting,
@@ -72,27 +81,31 @@ impl HomCipher for MockCipher {
         c.value
     }
 
+    #[inline]
     fn add(&self, a: &MockCt, b: &MockCt) -> MockCt {
         MockCt {
             value: a.value.checked_add(b.value).expect("mock counter overflow"),
-            nonce: a.nonce.wrapping_mul(31).wrapping_add(b.nonce),
+            nonce: a.nonce.wrapping_add(b.nonce),
         }
     }
 
+    #[inline]
     fn sub(&self, a: &MockCt, b: &MockCt) -> MockCt {
         MockCt {
             value: a.value.checked_sub(b.value).expect("mock counter overflow"),
-            nonce: a.nonce.wrapping_mul(37).wrapping_add(!b.nonce),
+            nonce: a.nonce.wrapping_sub(b.nonce),
         }
     }
 
+    #[inline]
     fn scalar(&self, m: i64, c: &MockCt) -> MockCt {
         MockCt {
             value: c.value.checked_mul(m).expect("mock counter overflow"),
-            nonce: c.nonce.wrapping_mul(41).wrapping_add(m as u64),
+            nonce: c.nonce.wrapping_mul(m as u64),
         }
     }
 
+    #[inline]
     fn rerandomize(&self, c: &MockCt) -> MockCt {
         MockCt { value: c.value, nonce: self.fresh_nonce() }
     }
@@ -142,6 +155,22 @@ mod tests {
         assert_eq!(c.decrypt_i64(&c.add(&a, &b)), 6);
         assert_eq!(c.decrypt_i64(&c.sub(&a, &b)), 14);
         assert_eq!(c.decrypt_i64(&c.scalar(-2, &a)), -20);
+    }
+
+    #[test]
+    fn the_algebra_is_a_group_on_the_nonce_too() {
+        let c = MockCipher::new(5);
+        let [a, b, x, y] = [3, -4, 10, 7].map(|m| c.encrypt_i64(m));
+        // Sums commute and associate, and a difference undoes a sum.
+        assert_eq!(c.add(&a, &b), c.add(&b, &a));
+        assert_eq!(c.add(&c.add(&a, &b), &x), c.add(&a, &c.add(&b, &x)));
+        assert_eq!(c.sub(&c.add(&a, &b), &b), a);
+        assert_eq!(c.scalar(3, &a), c.add(&a, &c.add(&a, &a)));
+        // An aggregate whose one term is replaced moves by the difference.
+        let old = c.add(&c.add(&a, &x), &b);
+        let new = c.add(&c.add(&a, &y), &b);
+        assert_eq!(c.add(&new, &x), c.add(&old, &y));
+        assert_ne!(c.add(&new, &x), c.add(&old, &x));
     }
 
     #[test]

@@ -313,15 +313,33 @@ impl BigUint {
         }
     }
 
-    /// Euclidean gcd (exposed publicly through the `Integer` trait).
+    /// Binary (Stein) gcd, in place on two copies of the limbs: shifts
+    /// and subtractions only, no division (exposed publicly through the
+    /// `Integer` trait).
     fn gcd_mag(&self, other: &BigUint) -> BigUint {
-        let (mut a, mut b) = (self.clone(), other.clone());
-        while !b.is_zero() {
-            let r = a.div_rem(&b).1;
-            a = b;
-            b = r;
+        if self.is_zero() {
+            return other.clone();
         }
-        a
+        if other.is_zero() {
+            return self.clone();
+        }
+        let (mut a, mut b) = (self.limbs.clone(), other.limbs.clone());
+        let (za, zb) = (trailing_zeros(&a), trailing_zeros(&b));
+        shr_in_place(&mut a, za);
+        shr_in_place(&mut b, zb);
+        // Both odd from here on: the larger minus the smaller is even and
+        // non-zero until the two meet.
+        loop {
+            match cmp_limbs(&a, &b) {
+                Ordering::Equal => break,
+                Ordering::Less => std::mem::swap(&mut a, &mut b),
+                Ordering::Greater => {}
+            }
+            sub_in_place(&mut a, &b);
+            let z = trailing_zeros(&a);
+            shr_in_place(&mut a, z);
+        }
+        BigUint::from_limbs(a).shl_bits(za.min(zb))
     }
 
     /// Least common multiple (exposed through the `Integer` trait).
@@ -331,6 +349,50 @@ impl BigUint {
         }
         let g = self.gcd_mag(other);
         self.div_rem(&g).0.mul_mag(other)
+    }
+}
+
+/// Trailing zero bits of a non-zero magnitude.
+fn trailing_zeros(limbs: &[u64]) -> u64 {
+    let zero_limbs = limbs.iter().take_while(|&&l| l == 0).count();
+    let low = limbs.get(zero_limbs).map_or(0, |l| l.trailing_zeros());
+    zero_limbs as u64 * 64 + u64::from(low)
+}
+
+/// `limbs >>= bits`, trimmed of high zero limbs.
+fn shr_in_place(limbs: &mut Vec<u64>, bits: u64) {
+    let whole = ((bits / 64) as usize).min(limbs.len());
+    limbs.drain(..whole);
+    let shift = (bits % 64) as u32;
+    if shift != 0 {
+        let mut carry = 0u64;
+        for l in limbs.iter_mut().rev() {
+            let next = *l << (64 - shift);
+            *l = *l >> shift | carry;
+            carry = next;
+        }
+    }
+    while limbs.last() == Some(&0) {
+        limbs.pop();
+    }
+}
+
+/// Compares two trimmed magnitudes.
+fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.iter().rev().cmp(b.iter().rev()))
+}
+
+/// `a -= b` for `a ≥ b`, trimmed of high zero limbs.
+fn sub_in_place(a: &mut Vec<u64>, b: &[u64]) {
+    let mut borrow = false;
+    for (i, x) in a.iter_mut().enumerate() {
+        let (d, b1) = x.overflowing_sub(b.get(i).copied().unwrap_or(0));
+        let (d, b2) = d.overflowing_sub(u64::from(borrow));
+        *x = d;
+        borrow = b1 || b2;
+    }
+    while a.last() == Some(&0) {
+        a.pop();
     }
 }
 

@@ -8,6 +8,7 @@
 //! bug where `sub_mag` only `debug_assert!`ed that no borrow remained.
 
 use num_bigint::BigUint;
+use num_integer::Integer;
 use num_traits::{One, ToPrimitive, Zero};
 use proptest::prelude::*;
 
@@ -39,6 +40,18 @@ fn ladder(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
         square = &square * &square % m;
     }
     acc
+}
+
+/// Reference gcd: Euclid with one division a step, the kernel the
+/// binary gcd replaced.
+fn euclid(a: &BigUint, b: &BigUint) -> BigUint {
+    let (mut a, mut b) = (a.clone(), b.clone());
+    while !b.is_zero() {
+        let r = a.div_rem(&b).1;
+        a = b;
+        b = r;
+    }
+    a
 }
 
 /// Reference `base^exp mod m` over u128 intermediates (`m` fits u64).
@@ -157,6 +170,26 @@ proptest! {
         // fallback ladder) is what gets exercised.
         let table = ctx.fixed_base(&b, 64 * 4);
         prop_assert_eq!(table.pow(&e), ladder(&b, &e, &m), "m={:?}", m);
+    }
+
+    #[test]
+    fn binary_gcd_matches_euclid(
+        a in prop::collection::vec(any::<u64>(), 0..18),
+        b in prop::collection::vec(any::<u64>(), 0..18),
+        common in prop::collection::vec(any::<u64>(), 0..3),
+        twos in 0usize..130,
+        equal: bool,
+    ) {
+        // Sparse low limbs (zeros, even values) and a shared factor with
+        // a shared power of two; sometimes one operand twice.
+        let shared = (from_le_limbs(&common) + 1u8) << twos;
+        let a = from_le_limbs(&a) * &shared;
+        let b = if equal { a.clone() } else { from_le_limbs(&b) * &shared };
+        let g = a.gcd(&b);
+        prop_assert_eq!(&g, &euclid(&a, &b));
+        prop_assert_eq!(&g, &b.gcd(&a));
+        prop_assert_eq!(a.gcd(&BigUint::zero()), a.clone());
+        prop_assert_eq!(BigUint::zero().gcd(&b), b);
     }
 
     #[test]
