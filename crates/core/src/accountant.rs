@@ -27,10 +27,10 @@ use std::collections::HashMap;
 
 use gridmine_arm::{CandidateRule, Database, Item, ItemSet, Transaction};
 use gridmine_paillier::{HomCipher, TagKey};
-use gridmine_recovery::RuleRecord;
 
 use crate::counter::{CounterLayout, SecureCounter};
 use crate::keyring::TagKeyring;
+use crate::recovery::RuleRecord;
 use crate::rules::{PerRule, RuleId};
 use crate::shares::ShareSet;
 
@@ -349,14 +349,8 @@ impl<C: HomCipher> Accountant<C> {
         self.rules.iter().map(|(_, st)| self.db.len() - st.frontier).sum()
     }
 
-    /// The restorable scan record for rule `id`, when registered (the
-    /// journal's `ScanAdvanced` payload).
-    pub fn scan_record(&self, id: RuleId) -> Option<RuleRecord> {
-        self.rules.get(id).map(ScanState::record)
-    }
-
-    /// Every rule's id and scan record, in id order — the checkpoint
-    /// snapshot body.
+    /// Every rule's id and scan record, in id order — the body of a
+    /// recovery image.
     pub fn scan_snapshot(&self) -> Vec<(RuleId, RuleRecord)> {
         self.rules.iter().map(|(id, st)| (id, st.record())).collect()
     }
@@ -374,7 +368,7 @@ impl<C: HomCipher> Accountant<C> {
                 count: rec.count,
                 clock: u32::try_from(rec.clock.max(1)).unwrap_or(u32::MAX),
                 last_sum: rec.last_sum,
-                // A record is logged right after the `respond` it follows.
+                // A scan's first step is always answered (`advance_scan`).
                 last_num: u32::from(rec.frontier > 0 || self.db.is_empty()),
             },
         );
@@ -644,6 +638,11 @@ mod tests {
         })
     }
 
+    /// The scan record of the one rule `acc` counts.
+    fn only_record(acc: &Accountant<MockCipher>) -> RuleRecord {
+        acc.scan_snapshot().pop().expect("one rule registered").1
+    }
+
     fn accountant(keys: &GridKeys<MockCipher>, txs: Vec<Transaction>) -> Accountant<MockCipher> {
         let layout = CounterLayout::new(0, vec![1, 2]);
         Accountant::new(
@@ -700,12 +699,12 @@ mod tests {
                     acc.append(transactions(&later, first.len()));
                 }
                 acc.advance_scan(0, budget);
-                let rec = acc.scan_record(0).unwrap();
+                let rec = only_record(&acc);
                 let scanned = &acc.db().transactions()[..rec.frontier as usize];
                 prop_assert_eq!((rec.sum, rec.count), polarity_loop(scanned, &a, &c), "step {}", step);
             }
             acc.scan_all(0);
-            let rec = acc.scan_record(0).unwrap();
+            let rec = only_record(&acc);
             prop_assert_eq!((rec.sum, rec.count), polarity_loop(acc.db().transactions(), &a, &c));
         }
     }
@@ -735,7 +734,7 @@ mod tests {
             crashed.register_rule(0, &rule);
             crashed.advance_scan(0, 37);
             crashed.advance_scan(0, 37);
-            let rec = crashed.scan_record(0).unwrap();
+            let rec = only_record(&crashed);
             assert_eq!(rec.frontier, 74, "a frontier inside word 1");
 
             let mut restored = accountant(&keys, txs.clone());
@@ -747,7 +746,7 @@ mod tests {
             whole.register_rule(0, &rule);
             whole.scan_all(0);
 
-            let (r, w) = (restored.scan_record(0).unwrap(), whole.scan_record(0).unwrap());
+            let (r, w) = (only_record(&restored), only_record(&whole));
             assert_eq!((r.frontier, r.sum, r.count), (w.frontier, w.sum, w.count), "{rule}");
             let (a, c) = (&rule.rule.antecedent, &rule.rule.consequent);
             assert_eq!((w.sum, w.count), polarity_loop(whole.db().transactions(), a, c), "{rule}");

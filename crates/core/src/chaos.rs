@@ -71,11 +71,11 @@ pub struct ChaosReport {
     /// (a subset of the run's total messages, counted separately so
     /// recovery-cost measurements are honest).
     pub resends: u64,
-    /// Checkpoints taken (snapshot + journal truncation), all resources.
+    /// Checkpoints taken, all resources.
     pub checkpoints: u64,
-    /// Successful journal replays (restores), all resources.
+    /// Successful restores of a mining state, all resources.
     pub replays: u64,
-    /// Restores refused (forged/truncated journal, failed screens).
+    /// Restores refused (forged/truncated image, failed screens).
     pub rejected: u64,
     /// Bounded-retry budgets that ran dry (one per degraded operation).
     pub exhausted: u64,

@@ -43,11 +43,11 @@ use std::collections::VecDeque;
 
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::HomCipher;
-use gridmine_recovery::RecoveryMode;
 use gridmine_topology::faults::{FaultPlan, FaultStats};
 
 use crate::miner::MiningOutcome;
 use crate::proxy::ChaosProxy;
+use crate::recovery::RecoveryMode;
 use crate::resource::{SecureResource, WireMsg};
 use crate::round::{assemble, RoundMachine, RoundSchedule, Scan, Seat};
 
@@ -211,9 +211,9 @@ mod tests {
     use super::*;
     use crate::controller::Verdict;
     use crate::miner::MineConfig;
+    use crate::recovery::RecoveryPolicy;
     use crate::session::MineSession;
     use gridmine_arm::Ratio;
-    use gridmine_recovery::RecoveryPolicy;
 
     #[test]
     fn a_resource_restored_from_its_last_checkpoint_is_not_blamed() {

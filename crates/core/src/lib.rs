@@ -53,6 +53,7 @@ pub mod kttp;
 pub mod miner;
 pub mod plain;
 pub mod proxy;
+pub mod recovery;
 pub mod resource;
 pub mod round;
 pub mod rules;
@@ -68,13 +69,13 @@ pub use candidates::CandidateGenerator;
 pub use chaos::{ChaosReport, DegradeReason, ResourceStatus};
 pub use controller::{AuditImage, Controller, SealedEdges, SendEdge, Verdict};
 pub use counter::{CounterLayout, SecureCounter};
-pub use gridmine_recovery::{RecoveryMode, RecoveryPolicy, RetryPolicy};
 pub use inproc::run_synchronous;
 pub use keyring::GridKeys;
 pub use kttp::KTtp;
 pub use miner::{item_domain, MineConfig, MiningOutcome};
 pub use plain::PlainCounter;
 pub use proxy::ChaosProxy;
+pub use recovery::{RecoveryMode, RecoveryPolicy, RetryPolicy};
 pub use resource::{SecureResource, WireMsg};
 pub use round::{assemble, ResourceReport, RoundMachine, RoundSchedule, Scan, Seat, Tallies};
 pub use rules::RuleId;

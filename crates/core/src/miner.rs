@@ -128,11 +128,11 @@ mod tests {
     use super::*;
     use crate::inproc::run_synchronous;
     use crate::keyring::GridKeys;
+    use crate::recovery::RecoveryMode;
     use crate::resource::{wire_grid, SecureResource};
     use crate::session::MineSession;
     use gridmine_arm::{correct_rules, AprioriConfig, Database, Transaction};
     use gridmine_paillier::MockCipher;
-    use gridmine_recovery::RecoveryMode;
     use gridmine_topology::{FaultPlan, Tree};
 
     fn dbs() -> Vec<Database> {

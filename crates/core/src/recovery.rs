@@ -1,39 +1,52 @@
-//! The recovery log — a resource's restorable mining state as named
-//! trees in a [`gridmine_store::Store`] — and the image it travels as.
+//! Crash-restart durability for Secure-Majority-Rule resources.
 //!
-//! Layout: a [`RecoveryLog`] owns an in-memory store. A checkpoint
-//! bulk-loads the authoritative [`ResourceState`] into the store's
-//! snapshot; from then on every state delta is one blind `put`
-//! into the store's write-ahead log, keyed by the rule's canonical key:
+//! The paper's target grid (§3, §5) loses and regains resources mid-run
+//! while malicious participants probe every weakness. A recovering
+//! resource needs two pieces:
+//!
+//! * **The recovery image** ([`RecoveryImage`]): the state a crash loses,
+//!   encoded from the resource's live state when one is asked for — at a
+//!   crash, a checkpoint or a node's persist. Its volatile mining state
+//!   ([`ResourceState`]) is bulk-loaded as named trees into the snapshot
+//!   of a [`gridmine_store::Store`] ([`ResourceState::to_store`]), the
+//!   controller's audits and a node's tallies are put on top into its
+//!   write-ahead log, and the image is that store at rest: its segment
+//!   bytes with the chain head pinned, held in memory by the sim and the
+//!   in-process drivers, published to a file by a node process.
+//! * **Unified retry/deadline policy** ([`RetryPolicy`]): one place for
+//!   the previously scattered bounded-SFE-retry budget, heal resend
+//!   cadence, channel-drain timeout and the recovery watchdog deadline,
+//!   with capped exponential backoff and seeded jitter.
+//!
+//! The mining state's trees, keyed by the rule's canonical key:
 //!
 //! | tree     | key      | value                                       |
 //! |----------|----------|---------------------------------------------|
 //! | `owner`  | (empty)  | the owning resource id                      |
-//! | `rules`  | rule key | (empty) — the rule entered the working set  |
 //! | `scan`   | rule key | frontier, sum, count, clock, last sum       |
 //! | `output` | rule key | the cached `Output()` answer                |
 //!
-//! Deltas carry absolute post-state, so the store's own replay — later
-//! puts overwrite earlier ones — is the fold, and a restore reads the
-//! trees back: one [`RuleRecord`] per key in any of the three rule
-//! trees, defaults where a tree has nothing.
+//! A restore reads the trees back: one [`RuleRecord`] per key in either
+//! rule tree, defaults where a tree has nothing.
 //!
-//! A [`RecoveryImage`] is that store at rest: its snapshot and WAL
-//! segment bytes with the chain head pinned beside them. The chain is
-//! the store's (see [`gridmine_store::wal`]), so payload tampering,
-//! reordering, front truncation and snapshot substitution are
-//! [`gridmine_store::Store::open`]'s typed errors. **Back truncation**
-//! is what the pin is for: the store repairs a short WAL as the torn
-//! tail of a crashed append, but an image is held in memory or published
-//! by atomic rename — never appended to — so a short one is never a
-//! crash artefact, and a chain that does not end at the pinned head is
-//! refused.
+//! The chain is the store's (see [`gridmine_store::wal`]), so payload
+//! tampering, reordering, front truncation and snapshot substitution are
+//! [`gridmine_store::Store::open`]'s typed errors. **Back truncation** is
+//! what the pin is for: the store repairs a short WAL as the torn tail of
+//! a crashed append, but an image is held in memory or published by
+//! atomic rename — never appended to — so a short one is never a crash
+//! artefact, and a chain that does not end at the pinned head is refused.
 //!
-//! The chain is keyless — tamper *evidence*, not authentication. A
-//! forger who rewrites the whole image can re-chain and re-pin it; that
-//! attack is caught downstream by the resource's semantic screens
-//! (wellformedness bounds, share re-audit) and answered with a
-//! `MaliciousResource` verdict.
+//! Restored state is **untrusted input**: the chain is keyless — tamper
+//! *evidence*, not authentication. A forger who rewrites the whole image
+//! re-chains and re-pins it trivially. The consuming resource therefore
+//! re-screens every restored record ([`RuleRecord::is_wellformed`]),
+//! re-audits share totals against its accountant, and converts any
+//! failure into a `MaliciousResource` verdict — never a panic.
+
+mod policy;
+
+pub use policy::{RecoveryMode, RecoveryPolicy, RetryPolicy};
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
@@ -42,7 +55,6 @@ use gridmine_store::wal::HEADER;
 use gridmine_store::{Backend, MemBackend, Store, StoreError, Tree};
 
 const OWNER: &str = "owner";
-const RULES: &str = "rules";
 const SCAN: &str = "scan";
 const OUTPUT: &str = "output";
 
@@ -102,8 +114,8 @@ pub struct ResourceState {
 /// Why a restore was refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JournalError {
-    /// The bytes are not an image, or a tree holds a key or value no log
-    /// writes.
+    /// The bytes are not an image, or a tree holds a key or value no
+    /// image writes.
     Codec(&'static str),
     /// [`Store::open`] refused the segments: the typed corruption, with
     /// the segment and the offset of the offending record.
@@ -145,7 +157,6 @@ fn scan_value(r: &RuleRecord) -> Vec<u8> {
 /// Overlays one tree's `value` for a rule onto its record.
 fn overlay(rec: &mut RuleRecord, tree: &str, value: &[u8]) -> Option<()> {
     match (tree, value) {
-        (RULES, []) => {}
         (OUTPUT, [answer @ (0 | 1)]) => rec.output = Some(*answer == 1),
         (SCAN, _) if value.len() == 40 => {
             let mut words =
@@ -162,8 +173,28 @@ fn overlay(rec: &mut RuleRecord, tree: &str, value: &[u8]) -> Option<()> {
 }
 
 impl ResourceState {
-    /// Reads a verified store's log trees back into the state they
-    /// describe, `None` when it holds no log (no `owner` entry); trees
+    /// The state as a fresh store whose snapshot holds its trees and
+    /// whose WAL is empty, bulk-loaded — each record encoded once — into
+    /// the files a `put` per record and a compaction would leave. A
+    /// record over the store's cap is the error.
+    pub fn to_store(&self) -> Result<Store<MemBackend>, StoreError> {
+        // Collected, not inserted one by one: a tree built from a run of
+        // entries is sorted once and filled in key order, a later entry
+        // for a key replacing an earlier one as a later put would.
+        let keyed: Vec<(Vec<u8>, &RuleRecord)> =
+            self.records.iter().map(|rec| (rec.rule.key(), rec)).collect();
+        let output: Tree = keyed
+            .iter()
+            .filter_map(|(key, rec)| Some((key.clone(), vec![u8::from(rec.output?)])))
+            .collect();
+        let scan: Tree = keyed.into_iter().map(|(key, rec)| (key, scan_value(rec))).collect();
+        let owner = Tree::from([(Vec::new(), self.resource.to_be_bytes().to_vec())]);
+        let trees = [(OWNER, owner), (SCAN, scan), (OUTPUT, output)];
+        Store::from_trees(trees.map(|(n, t)| (n.to_string(), t)).into())
+    }
+
+    /// Reads a verified store's mining-state trees back into the state
+    /// they describe, `None` when it holds none (no `owner` entry); trees
     /// of other names ride along unread.
     pub fn read(store: &Store<MemBackend>) -> Result<Option<ResourceState>, JournalError> {
         let Some(owner) = store.get(OWNER, b"") else { return Ok(None) };
@@ -172,7 +203,7 @@ impl ResourceState {
             .map(u64::from_be_bytes)
             .map_err(|_| JournalError::Codec("image names no owner"))?;
         let mut records: BTreeMap<&[u8], RuleRecord> = BTreeMap::new();
-        for tree in [RULES, SCAN, OUTPUT] {
+        for tree in [SCAN, OUTPUT] {
             for (key, value) in store.scan_tree(tree) {
                 let rec = match records.entry(key) {
                     Entry::Occupied(e) => e.into_mut(),
@@ -205,90 +236,6 @@ fn record_ends(segment: &[u8]) -> Vec<usize> {
     ends
 }
 
-/// A resource's live recovery log: the last checkpoint as the store's
-/// snapshot, every delta since as one record of its WAL.
-#[derive(Debug)]
-pub struct RecoveryLog {
-    /// `Err` once the store has refused a write (a record over its
-    /// cap): the log is behind its resource from then on, so it stops
-    /// taking deltas and its image is one no restore accepts.
-    store: Result<Store<MemBackend>, StoreError>,
-}
-
-impl RecoveryLog {
-    /// Checkpoint: a fresh log whose snapshot is `state` and whose WAL
-    /// is empty (callers snapshot *current* state, so every earlier
-    /// delta is subsumed). The snapshot is bulk-loaded — each record
-    /// encoded once — into the files a `put` per record and a compaction
-    /// would leave.
-    pub fn baseline(state: &ResourceState) -> Self {
-        // Collected, not inserted one by one: a tree built from a run of
-        // entries is sorted once and filled in key order, a later entry
-        // for a key replacing an earlier one as a later put would.
-        let keyed: Vec<(Vec<u8>, &RuleRecord)> =
-            state.records.iter().map(|rec| (rec.rule.key(), rec)).collect();
-        let output: Tree = keyed
-            .iter()
-            .filter_map(|(key, rec)| Some((key.clone(), vec![u8::from(rec.output?)])))
-            .collect();
-        let scan: Tree = keyed.into_iter().map(|(key, rec)| (key, scan_value(rec))).collect();
-        let owner = Tree::from([(Vec::new(), state.resource.to_be_bytes().to_vec())]);
-        let trees = [(OWNER, owner), (SCAN, scan), (OUTPUT, output)];
-        RecoveryLog { store: Store::from_trees(trees.map(|(n, t)| (n.to_string(), t)).into()) }
-    }
-
-    /// The live store, for a caller that publishes it with trees of its
-    /// own beside the log's; a voided log is its refused write.
-    pub fn store(&self) -> Result<&Store<MemBackend>, JournalError> {
-        self.store.as_ref().map_err(|e| JournalError::Store(e.clone()))
-    }
-
-    /// One blind put: O(1), nothing read back.
-    fn put(&mut self, tree: &str, rule: &CandidateRule, value: &[u8]) {
-        if let Ok(store) = &mut self.store {
-            if let Err(e) = store.put(tree, &rule.key(), value) {
-                self.store = Err(e);
-            }
-        }
-    }
-
-    /// Delta: a candidate rule entered the working set.
-    pub fn rule_registered(&mut self, rule: &CandidateRule) {
-        self.put(RULES, rule, &[]);
-    }
-
-    /// Delta: the cyclic scan advanced; `rec` carries the post-scan
-    /// accumulators (its `output` is not part of this delta).
-    pub fn scan_advanced(&mut self, rec: &RuleRecord) {
-        self.put(SCAN, &rec.rule, &scan_value(rec));
-    }
-
-    /// Delta: the output SFE decided `rule`.
-    pub fn output_cached(&mut self, rule: &CandidateRule, answer: bool) {
-        self.put(OUTPUT, rule, &[u8::from(answer)]);
-    }
-
-    /// Deltas since the last checkpoint: the store's WAL records.
-    pub fn len(&self) -> usize {
-        self.store.as_ref().map_or(0, |s| s.wal_records() as usize)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The log at rest, as a crash would leave it.
-    pub fn image(&self) -> RecoveryImage {
-        self.store.as_ref().map(RecoveryImage::of).unwrap_or_default()
-    }
-
-    /// The state a restore from this log would yield, verified from its
-    /// segment bytes exactly as a successor would ([`RecoveryImage::replay`]).
-    pub fn replay(&self) -> Result<ResourceState, JournalError> {
-        self.image().replay().map(|(state, _)| state)
-    }
-}
-
 /// A store at rest with its chain head pinned beside it: what a driver
 /// holds across a crash window and what lands on disk, for warm restart
 /// and as a workflow artifact. Everything in it is untrusted until
@@ -300,11 +247,6 @@ pub struct RecoveryImage {
 }
 
 impl RecoveryImage {
-    /// The image of a live store: its segment files, head pinned.
-    pub fn of(store: &Store<MemBackend>) -> Self {
-        RecoveryImage { head: store.head(), files: store.backend().clone() }
-    }
-
     /// Verifies the image — [`Store::open`] over the segments, then the
     /// pin — and hands back the store it describes.
     pub fn verify(&self) -> Result<Store<MemBackend>, JournalError> {
@@ -315,19 +257,15 @@ impl RecoveryImage {
         Ok(store)
     }
 
-    /// Verifies the image and reads the recovery log's trees back: the
-    /// state to restore, and how many deltas were replayed on top of the
-    /// checkpoint to reach it. Any violation is an error — the caller
-    /// converts it into a `MaliciousResource` verdict.
-    pub fn replay(&self) -> Result<(ResourceState, u64), JournalError> {
-        let store = self.verify()?;
-        let state =
-            ResourceState::read(&store)?.ok_or(JournalError::Codec("image names no owner"))?;
-        Ok((state, store.wal_records()))
+    /// Verifies the image and reads its mining state back. Any violation
+    /// is an error — the caller converts it into a `MaliciousResource`
+    /// verdict.
+    pub fn replay(&self) -> Result<ResourceState, JournalError> {
+        ResourceState::read(&self.verify()?)?.ok_or(JournalError::Codec("image names no owner"))
     }
 
-    /// [`RecoveryImage::of`] a store the caller is done with: its files
-    /// move instead of being copied.
+    /// The image of a store: its segment files, moved, with its head
+    /// pinned.
     pub fn from_store(store: Store<MemBackend>) -> Self {
         RecoveryImage { head: store.head(), files: store.into_backend() }
     }
@@ -347,7 +285,7 @@ impl RecoveryImage {
 
     /// Forge the image in place (attack injection for tests and the
     /// malicious-behaviour suite): flips the last payload byte of the
-    /// WAL's middle delta, or of the snapshot when the WAL holds only
+    /// WAL's middle record, or of the snapshot when the WAL holds only
     /// its anchor. Deterministic.
     pub fn corrupt(&mut self) {
         let names = self.files.list().unwrap_or_default();
@@ -373,6 +311,8 @@ impl RecoveryImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::AuditImage;
+    use crate::sfe::KGate;
     use gridmine_arm::{Item, ItemSet, Ratio, Rule};
     use gridmine_store::CorruptKind;
 
@@ -392,13 +332,27 @@ mod tests {
         }
     }
 
-    fn sample_log() -> RecoveryLog {
-        let mut log = RecoveryLog::baseline(&ResourceState { resource: 3, records: Vec::new() });
-        log.rule_registered(&cand(1));
-        log.scan_advanced(&scanned(1, 10, 4, 3));
-        log.output_cached(&cand(1), true);
-        log.scan_advanced(&scanned(1, 16, 7, 5));
-        log
+    fn image_of(state: &ResourceState) -> RecoveryImage {
+        RecoveryImage::from_store(state.to_store().expect("a state the store takes"))
+    }
+
+    /// The image a crash of a resource with one decided rule and four
+    /// audited ones leaves: the state in the snapshot, one WAL record per
+    /// audit put on top of it.
+    fn sample_image() -> RecoveryImage {
+        let rec = RuleRecord { output: Some(true), ..scanned(1, 16, 7, 5) };
+        let mut store = ResourceState { resource: 3, records: vec![rec] }.to_store().expect("st");
+        for item in 1..=4 {
+            let audit = AuditImage {
+                rule: cand(item),
+                clock: i64::from(item),
+                output_gate: KGate::new(1),
+                send_gates: Vec::new(),
+            };
+            let (key, value) = audit.to_entry();
+            store.put("audits", &key, &value).expect("put");
+        }
+        RecoveryImage::from_store(store)
     }
 
     /// The image's WAL segment and the byte range of each of its
@@ -412,7 +366,7 @@ mod tests {
         (wal, records)
     }
 
-    fn corrupt_kind(replayed: Result<(ResourceState, u64), JournalError>) -> CorruptKind {
+    fn corrupt_kind(replayed: Result<ResourceState, JournalError>) -> CorruptKind {
         match replayed {
             Err(JournalError::Store(StoreError::Corrupt { kind, .. })) => kind,
             other => panic!("expected a typed store corruption, got {other:?}"),
@@ -420,45 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_folds_deltas_over_the_snapshot() {
-        let log = sample_log();
-        assert_eq!(log.len(), 4, "one WAL record per delta");
-        let state = log.replay().expect("intact log replays");
-        assert_eq!(state.resource, 3);
-        assert_eq!(state.records.len(), 1);
-        let rec = &state.records[0];
-        assert_eq!((rec.frontier, rec.sum, rec.count, rec.clock), (16, 7, 16, 5));
-        assert_eq!(rec.output, Some(true));
-        assert!(rec.is_wellformed(40));
-        assert_eq!(log.image().replay().expect("replays").1, 4, "entries = WAL records");
-    }
-
-    #[test]
-    fn a_registered_rule_restores_with_defaults_and_never_resets_a_scanned_one() {
-        let mut log = sample_log();
-        log.rule_registered(&cand(2));
-        log.rule_registered(&cand(1));
-        let state = log.replay().expect("replays");
-        assert_eq!(
-            state.records,
-            [scanned(1, 16, 7, 5), RuleRecord::registered(cand(2))].map(|r| if r.rule == cand(1) {
-                RuleRecord { output: Some(true), ..r }
-            } else {
-                r
-            })
-        );
-    }
-
-    #[test]
-    fn rebaseline_truncates_but_preserves_state() {
-        let state = sample_log().replay().unwrap();
-        let log = RecoveryLog::baseline(&state);
-        assert!(log.is_empty());
-        assert_eq!(log.replay().unwrap(), state);
-    }
-
-    #[test]
-    fn a_baseline_is_byte_identical_to_a_put_per_record_then_a_compaction() {
+    fn an_image_is_byte_identical_to_a_put_per_record_then_a_compaction() {
         let put_then_compact = |state: &ResourceState| {
             let mut store = Store::in_memory().expect("open");
             store.put(OWNER, b"", &state.resource.to_be_bytes()).expect("put");
@@ -470,7 +386,7 @@ mod tests {
                 }
             }
             store.compact().expect("compact");
-            RecoveryImage::of(&store).to_bytes()
+            RecoveryImage::from_store(store).to_bytes()
         };
         let one = vec![RuleRecord { output: Some(true), ..scanned(1, 10, 4, 3) }];
         // About a T5I2 node's working set, registered in no key order,
@@ -487,9 +403,8 @@ mod tests {
         let twice = [one.clone(), vec![scanned(2, 8, 1, 2), scanned(1, 12, 5, 4)]].concat();
         for records in [Vec::new(), one, many, twice] {
             let state = ResourceState { resource: 3, records };
-            let image = RecoveryLog::baseline(&state).image();
             assert_eq!(
-                image.to_bytes(),
+                image_of(&state).to_bytes(),
                 put_then_compact(&state),
                 "{} records",
                 state.records.len()
@@ -499,7 +414,7 @@ mod tests {
 
     #[test]
     fn payload_tampering_is_detected() {
-        let mut forged = sample_log().image();
+        let mut forged = sample_image();
         forged.corrupt();
         assert_eq!(
             corrupt_kind(forged.replay()),
@@ -507,7 +422,7 @@ mod tests {
             "a flipped WAL byte must break the chain"
         );
         // Every byte of every record is covered, the last one's too.
-        let mut image = sample_log().image();
+        let mut image = sample_image();
         let (wal, records) = wal_records(&mut image);
         for at in records.iter().skip(1).flat_map(|r| [r.start + HEADER, r.end - 1]) {
             let mut forged = image.clone();
@@ -519,14 +434,14 @@ mod tests {
     #[test]
     fn snapshot_substitution_is_detected() {
         let state = |sum| ResourceState { resource: 3, records: vec![scanned(1, 10, sum, 3)] };
-        let mut forged = RecoveryLog::baseline(&state(4)).image();
+        let mut forged = image_of(&state(4));
         forged.corrupt(); // the WAL holds only its anchor → a snapshot byte flips
         assert_eq!(corrupt_kind(forged.replay()), CorruptKind::DigestMismatch);
 
         // A whole, valid snapshot of the same generation from another
-        // log: its chain verifies, the WAL's anchor does not bind to it.
-        let mut image = RecoveryLog::baseline(&state(4)).image();
-        let mut other = RecoveryLog::baseline(&state(5)).image();
+        // image: its chain verifies, the WAL's anchor does not bind to it.
+        let mut image = image_of(&state(4));
+        let mut other = image_of(&state(5));
         let names = other.files.list().expect("list");
         let snap = names.iter().find(|n| n.starts_with("snap-")).expect("a snapshot");
         *image.files.bytes_mut(snap) = other.files.bytes(snap).expect("its bytes").to_vec();
@@ -535,7 +450,7 @@ mod tests {
 
     #[test]
     fn reordering_is_detected() {
-        let mut image = sample_log().image();
+        let mut image = sample_image();
         let (wal, records) = wal_records(&mut image);
         let bytes = image.files.bytes(&wal).expect("wal").to_vec();
         let swapped = [
@@ -555,11 +470,11 @@ mod tests {
 
     #[test]
     fn truncation_is_detected_front_and_back() {
-        let mut image = sample_log().image();
+        let mut image = sample_image();
         let (wal, records) = wal_records(&mut image);
-        assert_eq!(records.len(), 5, "anchor + four deltas");
+        assert_eq!(records.len(), 5, "anchor + four audit puts");
 
-        // Front: the first delta, or the anchor itself, cut out.
+        // Front: the first put, or the anchor itself, cut out.
         for cut in [&records[1], &records[0]] {
             let mut front = image.clone();
             front.files.bytes_mut(&wal).drain(cut.clone());
@@ -590,7 +505,7 @@ mod tests {
 
     #[test]
     fn image_roundtrips_through_bytes() {
-        let image = sample_log().image();
+        let image = sample_image();
         let bytes = image.to_bytes();
         let back = RecoveryImage::from_bytes(&bytes).expect("decodes");
         assert_eq!(back.to_bytes(), bytes);
@@ -614,30 +529,34 @@ mod tests {
             );
         }
         // Whole frames, no segments: opens as an empty store, which no
-        // pin of a real log matches.
+        // pin of a real image matches.
         let empty = RecoveryImage::from_bytes(b"gmimage\x01\0\0\0\0\0\0\0\0").expect("unframes");
         assert_eq!(empty.replay(), Err(JournalError::HeadMismatch));
         assert_eq!(RecoveryImage::default().replay(), Err(JournalError::HeadMismatch));
     }
 
     #[test]
-    fn trees_no_log_writes_are_a_codec_error() {
+    fn trees_no_image_writes_are_a_codec_error() {
         let replay_of = |tree: &str, key: &[u8], value: &[u8]| {
             let mut store = Store::in_memory().expect("open");
             store.put(OWNER, b"", &3u64.to_be_bytes()).expect("put");
             store.put(tree, key, value).expect("put");
-            RecoveryImage::of(&store).replay()
+            RecoveryImage::from_store(store).replay()
         };
         let key = cand(1).key();
-        assert!(replay_of(SCAN, &key, &scan_value(&scanned(1, 10, 4, 3))).is_ok());
+        let scan = scan_value(&scanned(1, 10, 4, 3));
+        assert!(replay_of(SCAN, &key, &scan).is_ok());
         assert!(replay_of("audits", b"anything", b"a driver's own tree is not ours").is_ok());
+        // A rule one tree names and the other does not takes defaults.
+        let decided = RuleRecord { output: Some(true), ..RuleRecord::registered(cand(1)) };
+        assert_eq!(replay_of(OUTPUT, &key, &[1]).map(|s| s.records), Ok(vec![decided]));
         for (tree, key, value) in [
             (SCAN, &key[..], &[0u8; 39][..]),
+            (SCAN, &key[1..], &scan),
+            (SCAN, &[], &scan),
             (OUTPUT, &key, &[2]),
             (OUTPUT, &key, &[]),
-            (RULES, &key, &[0]),
-            (RULES, &key[1..], &[]),
-            (RULES, &[], &[]),
+            (OUTPUT, &key[1..], &[1]),
         ] {
             assert!(
                 matches!(replay_of(tree, key, value), Err(JournalError::Codec(_))),
@@ -645,32 +564,22 @@ mod tests {
             );
         }
         let mut store = Store::in_memory().expect("open");
-        store.put(RULES, &key, &[]).expect("put");
+        store.put(SCAN, &key, &scan).expect("put");
         assert_eq!(
-            RecoveryImage::of(&store).replay(),
+            RecoveryImage::from_store(store).replay(),
             Err(JournalError::Codec("image names no owner"))
         );
     }
 
     #[test]
-    fn a_refused_write_voids_the_log_instead_of_panicking() {
+    fn a_state_the_store_refuses_is_an_error_not_a_panic() {
         // A rule whose key alone is over the store's 16 MiB record cap.
         let giant = CandidateRule::new(
             Rule::frequency(ItemSet::from_items((0..(1 << 22) + 1).map(Item))),
             Ratio::new(1, 2),
         );
-        let mut log = sample_log();
-        log.rule_registered(&giant);
-        assert!(matches!(log.store, Err(StoreError::TooLarge(_))));
-        // It takes no more deltas and no restore accepts what is left.
-        log.rule_registered(&cand(2));
-        assert_eq!(log.len(), 0);
-        assert_eq!(log.replay(), Err(JournalError::HeadMismatch));
-        let refused = RecoveryLog::baseline(&ResourceState {
-            resource: 3,
-            records: vec![RuleRecord::registered(giant)],
-        });
-        assert!(refused.replay().is_err());
+        let state = ResourceState { resource: 3, records: vec![RuleRecord::registered(giant)] };
+        assert!(matches!(state.to_store(), Err(StoreError::TooLarge(_))));
     }
 
     #[test]

@@ -63,11 +63,11 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Checkpoint-mode knobs: how often to snapshot-and-truncate the journal,
-/// and the retry policy in force.
+/// Checkpoint-mode knobs: how often to take a checkpoint, and the retry
+/// policy in force.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RecoveryPolicy {
-    /// Snapshot + journal truncation cadence, in protocol rounds.
+    /// Checkpoint cadence, in protocol rounds.
     pub checkpoint_every: u64,
     pub retry: RetryPolicy,
 }
@@ -98,13 +98,13 @@ pub enum RecoveryMode {
     /// rest is rebuilt from the rejoin's heal resends.
     #[default]
     ColdRestart,
-    /// Wipe at crash time, then restore from the validated checkpoint +
-    /// journal instead of starting cold.
+    /// Wipe at crash time, then restore from the validated recovery
+    /// image instead of starting cold.
     Checkpoint(RecoveryPolicy),
 }
 
 impl RecoveryMode {
-    /// The checkpoint policy, when journaling is armed.
+    /// The checkpoint policy, when recovery is armed.
     pub fn policy(&self) -> Option<RecoveryPolicy> {
         match self {
             RecoveryMode::Checkpoint(p) => Some(*p),
@@ -112,7 +112,7 @@ impl RecoveryMode {
         }
     }
 
-    /// The retry policy in force (defaults when journaling is off).
+    /// The retry policy in force (defaults when recovery is off).
     pub fn retry(&self) -> RetryPolicy {
         self.policy().map_or(RetryPolicy::DEFAULT, |p| p.retry)
     }

@@ -14,9 +14,6 @@ use std::collections::{HashMap, HashSet};
 use gridmine_arm::{CandidateRule, Database, Item, Rule, RuleSet};
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::HomCipher;
-use gridmine_recovery::{
-    JournalError, RecoveryImage, RecoveryLog, ResourceState, RetryPolicy, RuleRecord,
-};
 use gridmine_store::{MemBackend, Store};
 
 use crate::accountant::Accountant;
@@ -27,13 +24,14 @@ use crate::chaos::DegradeReason;
 use crate::controller::{AuditImage, Controller, SendEdge, Verdict};
 use crate::counter::{CounterLayout, SecureCounter};
 use crate::keyring::GridKeys;
+use crate::recovery::{JournalError, RecoveryImage, ResourceState, RetryPolicy, RuleRecord};
 use crate::rules::{PerRule, RuleId, RuleTable};
 
 /// A protocol message in flight between two resources.
 pub type WireMsg<C> = BrokerMsg<C>;
 
-/// The image tree the controller's audits travel in, beside the recovery
-/// log's: one [`AuditImage::to_entry`] per audited rule.
+/// The image tree the controller's audits travel in, beside the mining
+/// state's: one [`AuditImage::to_entry`] per audited rule.
 const AUDITS: &str = "audits";
 
 /// One grid resource running Secure-Majority-Rule.
@@ -73,11 +71,11 @@ pub struct SecureResource<C: HomCipher> {
     retry_budget: u64,
     /// Controller deviation (validity experiments).
     pub controller_behavior: ControllerBehavior,
-    /// Checkpoint + journal, when recovery is armed: every state delta
-    /// is appended as it happens. A crash hands its image to the driver
+    /// Whether recovery is armed: an image then carries the mining state
+    /// beside the audits. A crash hands its image to the driver
     /// ([`SecureResource::crash_wipe`]).
-    recovery: Option<RecoveryLog>,
-    /// Attack injection: forge the journal so the next restore must be
+    recovery_armed: bool,
+    /// Attack injection: forge the image so the next restore must be
     /// rejected (the recovery analogue of [`BrokerBehavior`]).
     tamper_journal: bool,
     /// True while [`SecureResource::nudge`] re-sends current aggregates
@@ -85,7 +83,7 @@ pub struct SecureResource<C: HomCipher> {
     resending: bool,
     /// Anti-entropy / recovery re-sends this resource has mailed.
     resends_sent: u64,
-    /// Checkpoints taken / journals replayed / restores rejected.
+    /// Checkpoints taken / images restored / restores rejected.
     checkpoints_taken: u64,
     journal_replays: u64,
     recoveries_rejected: u64,
@@ -138,7 +136,7 @@ impl<C: HomCipher> SecureResource<C> {
             retries_spent: 0,
             retry_budget: DEFAULT_RETRY_BUDGET,
             controller_behavior: ControllerBehavior::Honest,
-            recovery: None,
+            recovery_armed: false,
             tamper_journal: false,
             resending: false,
             resends_sent: 0,
@@ -406,9 +404,6 @@ impl<C: HomCipher> SecureResource<C> {
         self.acc.register_rule(id, cand);
         if self.init_instance(id) {
             self.output_cache.insert(id, false);
-            if let Some(log) = &mut self.recovery {
-                log.rule_registered(cand);
-            }
         }
         id
     }
@@ -519,11 +514,6 @@ impl<C: HomCipher> SecureResource<C> {
                     self.broker.set_local(id, counter);
                     out.extend(self.on_change(id));
                 }
-                if let Some(log) = &mut self.recovery {
-                    if let Some(r) = self.acc.scan_record(id) {
-                        log.scan_advanced(&r);
-                    }
-                }
             }
             if !self.is_live() {
                 break;
@@ -594,9 +584,6 @@ impl<C: HomCipher> SecureResource<C> {
                     } else {
                         answer
                     };
-                    if let Some(log) = &mut self.recovery {
-                        log.output_cached(cand, answer);
-                    }
                     self.output_cache.insert(id, answer);
                 }
                 Err(verdict) => {
@@ -648,18 +635,18 @@ impl<C: HomCipher> SecureResource<C> {
         out
     }
 
-    // ---- checkpoint / journal recovery -------------------------------
+    // ---- checkpoint recovery -----------------------------------------
 
-    /// Arms checkpoint recovery: takes a baseline snapshot of the current
-    /// mining state and starts journalling every state delta. Until armed,
-    /// the resource behaves exactly as before (cold-restart world).
+    /// Arms checkpoint recovery: from now on an image carries the mining
+    /// state a crash loses. Until armed, the resource behaves exactly as
+    /// before (cold-restart world).
     pub fn arm_recovery(&mut self) {
-        self.recovery = Some(RecoveryLog::baseline(&self.current_state()));
+        self.recovery_armed = true;
     }
 
     /// True once [`SecureResource::arm_recovery`] has run.
     pub fn recovery_armed(&self) -> bool {
-        self.recovery.is_some()
+        self.recovery_armed
     }
 
     /// The volatile mining state a crash would lose: every candidate's
@@ -674,13 +661,13 @@ impl<C: HomCipher> SecureResource<C> {
         ResourceState { resource: self.id as u64, records }
     }
 
-    /// Takes a checkpoint: collapses the journal into a fresh snapshot
-    /// (bounding replay length). No-op until recovery is armed.
+    /// Takes a checkpoint: counts it and reports it; the image a driver
+    /// persists is encoded when it asks for one. No-op until recovery is
+    /// armed.
     pub fn take_checkpoint(&mut self, tick: u64) {
-        if self.recovery.is_none() {
+        if !self.recovery_armed {
             return;
         }
-        self.arm_recovery();
         self.checkpoints_taken += 1;
         emit(&self.rec, || Event::CheckpointTaken { resource: self.id as u64, tick });
     }
@@ -690,15 +677,15 @@ impl<C: HomCipher> SecureResource<C> {
     /// controller's audit state are gone; the keyring, the database and
     /// the accounting shares (re-distributed only on membership changes)
     /// survive. Returns the image the crash leaves, bytes for the driver
-    /// to hold until [`SecureResource::restore_from_image`]: the recovery
-    /// log when armed (forged when
+    /// to hold until [`SecureResource::restore_from_image`]: the mining
+    /// state when armed (forged when
     /// [`SecureResource::corrupt_recovery_journal`] armed the attack) and
     /// the controller's audits, which are all a cold restart keeps. The
     /// resource stays armed.
     pub fn crash_wipe(&mut self) -> Vec<u8> {
         let mut image = self.image();
-        if std::mem::take(&mut self.tamper_journal) && self.recovery.is_some() {
-            // The adversary forges the "persisted" journal while the
+        if std::mem::take(&mut self.tamper_journal) && self.recovery_armed {
+            // The adversary forges the "persisted" image while the
             // resource is down; the restore screens must catch it.
             image.corrupt();
         }
@@ -718,11 +705,11 @@ impl<C: HomCipher> SecureResource<C> {
 
     /// Restores from a serialized [`RecoveryImage`] — what a crash handed
     /// its driver, or a file: verifies the digest chain, re-seats the
-    /// controller's audits, then screens every record of the recovery log
+    /// controller's audits, then screens every record of the mining state
     /// exactly like a wire message (bytes from disk are as untrusted as
-    /// bytes off the wire), re-audits the accounting shares and replays
-    /// the journal. An image without a log (a cold restart's) restores
-    /// the audits alone, unless the resource is armed and expects one.
+    /// bytes off the wire), re-audits the accounting shares and applies
+    /// the state. An image without one (a cold restart's) restores the
+    /// audits alone, unless the resource is armed and expects one.
     /// Whatever rule instances the resource held are dropped first, as a
     /// crash drops them: a successor process, minted afresh with its
     /// initial candidates, restores to the state a crashed resource of
@@ -745,7 +732,7 @@ impl<C: HomCipher> SecureResource<C> {
         let image = RecoveryImage::from_bytes(bytes)
             .map_err(|e| format!("undecodable recovery image: {e}"))?;
         let store = image.verify().map_err(|e| e.to_string())?;
-        // Audits before any replay: the controller screens what the
+        // Audits before the state: the controller screens what the
         // restored resource sends against its clocks and gates.
         let audits: Option<Vec<_>> = store
             .scan_tree(AUDITS)
@@ -757,8 +744,8 @@ impl<C: HomCipher> SecureResource<C> {
         }
         self.wipe_instances();
         match ResourceState::read(&store).map_err(|e| e.to_string())? {
-            Some(state) => self.replay(state, &store)?,
-            None if self.recovery.is_some() => return Err("image holds no recovery log".into()),
+            Some(state) => self.replay(state)?,
+            None if self.recovery_armed => return Err("image holds no mining state".into()),
             None => {}
         }
         // A rejoin is a membership epoch: traces restart, as in `rewire`.
@@ -766,12 +753,12 @@ impl<C: HomCipher> SecureResource<C> {
         Ok(())
     }
 
-    /// The journal half of [`SecureResource::restore`]: the screens,
-    /// then the replay.
-    fn replay(&mut self, state: ResourceState, store: &Store<MemBackend>) -> Result<(), String> {
+    /// The mining-state half of [`SecureResource::restore`]: the
+    /// screens, then the replay.
+    fn replay(&mut self, state: ResourceState) -> Result<(), String> {
         if state.resource != self.id as u64 {
             let owner = state.resource;
-            return Err(format!("journal belongs to resource {owner}, not {}", self.id));
+            return Err(format!("image belongs to resource {owner}, not {}", self.id));
         }
         let db_len = self.acc.db_len() as u64;
         if let Some(bad) = state.records.iter().find(|r| !r.is_wellformed(db_len)) {
@@ -781,11 +768,11 @@ impl<C: HomCipher> SecureResource<C> {
             return Err("accounting shares no longer sum to one".into());
         }
         // Screens passed: apply. Same wiring as `rewire`, but scan state
-        // comes from the journal instead of starting at the epoch.
+        // comes from the image instead of starting at the epoch.
         for r in &state.records {
             let id = self.rules.intern(&r.rule);
             self.acc.restore_scan(id, r);
-            // The journal is recovered input, not trusted state: a rule
+            // The image is recovered input, not trusted state: a rule
             // the accountant cannot answer, or answers with a corrupt
             // counter, is a corrupt image, rejected like any other failed
             // screen — never a panic.
@@ -803,27 +790,21 @@ impl<C: HomCipher> SecureResource<C> {
             self.broker.init_rule(id, local, placeholders);
             self.output_cache.insert(id, r.output.unwrap_or(false));
         }
-        // Re-baseline on the restored state: the replayed journal has
-        // done its job and replay length stays bounded.
+        // A restored mining state is an armed one: its next image carries
+        // the state again.
         self.arm_recovery();
         self.journal_replays += 1;
-        // The journal's deltas: the log's records, not the audits a crash
-        // appended after them.
-        let entries = store.wal_records().saturating_sub(store.tree_len(AUDITS) as u64);
-        emit(&self.rec, || Event::JournalReplayed { resource: self.id as u64, entries });
+        emit(&self.rec, || Event::JournalReplayed { resource: self.id as u64 });
         Ok(())
     }
 
-    /// The store a crash right now would leave: a copy of the live
-    /// recovery log (nothing re-read; none when unarmed) with the
-    /// controller's audits appended as the `audits` tree, for a driver
-    /// that publishes it with trees of its own. A log or store that
-    /// refused a write is the error.
+    /// The store a crash right now would leave: the live mining state
+    /// in its snapshot (none when unarmed) with the controller's audits
+    /// put on top as the `audits` tree, for a driver that publishes it
+    /// with trees of its own. A store that refused a write is the error.
     pub fn recovery_store(&self) -> Result<Store<MemBackend>, JournalError> {
-        let mut store = match &self.recovery {
-            Some(log) => log.store()?.clone(),
-            None => Store::in_memory()?,
-        };
+        let mut store =
+            if self.recovery_armed { self.current_state().to_store() } else { Store::in_memory() }?;
         for audit in self.ctl.export_audits() {
             let (key, value) = audit.to_entry();
             store.put(AUDITS, &key, &value)?;
@@ -849,7 +830,7 @@ impl<C: HomCipher> SecureResource<C> {
         self.ctl.export_audits()
     }
 
-    /// Attack injection: forge the journal during the next crash so the
+    /// Attack injection: forge the image during the next crash so the
     /// restore screens must reject it.
     pub fn corrupt_recovery_journal(&mut self) {
         self.tamper_journal = true;
@@ -880,7 +861,7 @@ impl<C: HomCipher> SecureResource<C> {
         self.checkpoints_taken
     }
 
-    /// Successful journal replays.
+    /// Successful restores of a mining state.
     pub fn recovery_replays(&self) -> u64 {
         self.journal_replays
     }
@@ -957,7 +938,7 @@ mod tests {
     /// The synchronous driver over a hand-built grid, fault-free.
     fn run_grid(resources: Vec<SecureResource<MockCipher>>, rounds: usize) -> MiningOutcome {
         let (plan, rec) = (gridmine_topology::FaultPlan::none(), gridmine_obs::null());
-        run_synchronous(resources, rounds, plan, rec, gridmine_recovery::RecoveryMode::ColdRestart)
+        run_synchronous(resources, rounds, plan, rec, crate::recovery::RecoveryMode::ColdRestart)
     }
 
     fn two_resource_grid(k: i64) -> Vec<SecureResource<MockCipher>> {
@@ -1026,7 +1007,7 @@ mod tests {
     }
 
     /// Two armed resources after three rounds of traffic, with a
-    /// checkpoint after the first: the log holds a snapshot and deltas.
+    /// checkpoint after the first.
     fn armed_and_mined() -> Vec<SecureResource<MockCipher>> {
         mined(true)
     }
@@ -1056,19 +1037,45 @@ mod tests {
     }
 
     #[test]
-    fn a_crash_hands_over_the_image_the_log_stood_at_and_it_restores() {
+    fn a_crash_hands_over_the_image_it_would_have_encoded_and_it_restores() {
         let mut rs = armed_and_mined();
         let r = &mut rs[0];
         let (interim, candidates) = (r.interim(), r.candidate_count());
         assert!(!interim.is_empty(), "the resource mined something to lose");
         let before = r.encode_recovery_image().expect("armed");
         let image = r.crash_wipe();
-        assert_eq!(image, before, "the crash hands over the log as it stood");
+        assert_eq!(image, before, "the crash hands over the image of its live state");
         assert_eq!(r.candidate_count(), 0, "the wipe lost the working set");
         assert!(r.recovery_armed(), "the resource stays armed");
         assert!(r.restore_from_image(&image));
         assert_eq!((r.interim(), r.candidate_count()), (interim, candidates));
         assert_eq!((r.recovery_replays(), r.verdict()), (1, None));
+    }
+
+    #[test]
+    fn a_crash_image_restores_exactly_what_the_crash_lost() {
+        // A rewire re-inits every instance through `respond`, which moves
+        // each rule's clock on without a scan.
+        let mut rs = armed_and_mined();
+        let r = &mut rs[0];
+        r.rewire(vec![1], 7);
+        let mut lost = r.current_state();
+        lost.records.sort_by_key(|rec| rec.rule.key()); // as an image reads back
+        let scans = r.acc.scan_snapshot();
+        let outputs: Vec<(RuleId, bool)> = r.output_cache.iter().map(|(id, &o)| (id, o)).collect();
+        assert!(outputs.iter().any(|&(_, o)| o), "the resource decided something to lose");
+        let image = r.crash_wipe();
+        let held = RecoveryImage::from_bytes(&image).and_then(|i| i.replay());
+        assert_eq!(held, Ok(lost), "the image holds the state the crash lost");
+        assert!(r.restore_from_image(&image));
+        // The restore seals each rule's local counter for its broker
+        // afresh: one tick of its clock, and nothing else moves.
+        let resealed: Vec<_> = scans
+            .into_iter()
+            .map(|(id, rec)| (id, RuleRecord { clock: rec.clock + 1, ..rec }))
+            .collect();
+        assert_eq!(r.acc.scan_snapshot(), resealed);
+        assert_eq!(r.output_cache.iter().map(|(id, &o)| (id, o)).collect::<Vec<_>>(), outputs);
     }
 
     #[test]

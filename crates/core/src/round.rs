@@ -27,13 +27,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use gridmine_arm::RuleSet;
 use gridmine_obs::{emit, Event, MetricsSnapshot, SharedRecorder};
 use gridmine_paillier::HomCipher;
-use gridmine_recovery::RecoveryMode;
 use gridmine_topology::faults::{FaultPlan, FaultStats, ResourceFault};
 use serde::{Deserialize, Serialize};
 
 use crate::chaos::{ChaosReport, DegradeReason, ResourceStatus};
 use crate::controller::Verdict;
 use crate::miner::MiningOutcome;
+use crate::recovery::RecoveryMode;
 use crate::resource::{SecureResource, WireMsg};
 
 /// One resource's view of the fault plan and recovery mode: its own
@@ -195,7 +195,7 @@ pub struct Tallies {
     pub resends: u64,
     /// Checkpoints taken.
     pub checkpoints: u64,
-    /// Journal replays performed.
+    /// Mining states restored.
     pub replays: u64,
     /// Restores rejected by the untrusted-input screens.
     pub rejected: u64,
@@ -314,7 +314,7 @@ pub struct RoundMachine<C: HomCipher> {
 
 impl<C: HomCipher> RoundMachine<C> {
     /// Attaches `resource` to `rec` and arms what the schedule's recovery
-    /// mode needs (journal + retry budget under a checkpoint policy).
+    /// mode needs (recovery + retry budget under a checkpoint policy).
     pub fn new(
         mut resource: SecureResource<C>,
         schedule: RoundSchedule,
@@ -433,7 +433,7 @@ impl<C: HomCipher> RoundMachine<C> {
 
     /// Rejoins after a wipe: restores from `image` (untrusted bytes,
     /// screened by the resource), the one door under every mode —
-    /// the controller's audits, then the journal when armed. `None` (a
+    /// the controller's audits, then the mining state when armed. `None` (a
     /// successor that found nothing published) is nothing to restore.
     /// The driver owns the clock: `elapsed_nanos` is read once the
     /// restore is done, and an overrun of the policy deadline degrades
@@ -573,9 +573,9 @@ pub fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::RecoveryPolicy;
     use gridmine_arm::{ItemSet, Rule};
     use gridmine_obs::{EventKind, MemoryRecorder};
-    use gridmine_recovery::RecoveryPolicy;
     use gridmine_topology::faults::EdgeFaults;
 
     #[test]

@@ -36,13 +36,13 @@ use std::sync::Arc;
 use gridmine_arm::Database;
 use gridmine_obs::{FanoutRecorder, Metrics, SharedRecorder};
 use gridmine_paillier::{HomCipher, MockCipher, PaillierCtx};
-use gridmine_recovery::RecoveryMode;
 use gridmine_topology::faults::FaultPlan;
 use gridmine_topology::Tree;
 
 use crate::inproc::run_synchronous;
 use crate::keyring::GridKeys;
 use crate::miner::{item_domain, MineConfig, MiningOutcome};
+use crate::recovery::RecoveryMode;
 use crate::resource::{wire_grid, SecureResource};
 use crate::threaded::run_threaded_full;
 
@@ -292,7 +292,7 @@ impl<C: HomCipher + 'static> MineSession<C> {
 
     /// Selects how either driver brings back a crashed resource, whose
     /// volatile state every crash wipes: rejoin cold (the default), or
-    /// restore from a validated checkpoint + journal (see
+    /// restore from a validated recovery image (see
     /// [`RecoveryMode`]).
     pub fn with_recovery(mut self, mode: RecoveryMode) -> Self {
         self.mode = mode;
@@ -463,7 +463,7 @@ mod tests {
             let outcome = MineSession::new(cfg)
                 .with_databases(dbs(4))
                 .with_faults(plan.clone())
-                .with_recovery(RecoveryMode::Checkpoint(gridmine_recovery::RecoveryPolicy::DEFAULT))
+                .with_recovery(RecoveryMode::Checkpoint(crate::recovery::RecoveryPolicy::DEFAULT))
                 .with_recorder(mem.clone())
                 .run();
             (outcome, mem.snapshot())

@@ -56,12 +56,12 @@ use std::sync::{Arc, Barrier};
 
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::HomCipher;
-use gridmine_recovery::{RecoveryMode, RetryPolicy};
 use gridmine_topology::faults::{FaultPlan, FaultStats};
 
 use crate::chaos::DegradeReason;
 use crate::inproc::{conclude, stations, Station};
 use crate::miner::MiningOutcome;
+use crate::recovery::{RecoveryMode, RetryPolicy};
 use crate::resource::{SecureResource, WireMsg};
 use crate::round::Seat;
 
@@ -174,9 +174,9 @@ fn drain<C: HomCipher>(
 ///   rejoined resource rebuilds from periodic resends (it and its
 ///   neighbors re-publish on the retry policy's cadence until the run
 ///   ends, since nothing tells them when it has caught up).
-/// * [`RecoveryMode::Checkpoint`] — every resource journals its state
-///   deltas, and at the recovery tick the image is decoded, screened as
-///   untrusted input and replayed. A verified restore needs exactly one
+/// * [`RecoveryMode::Checkpoint`] — a crash's image carries the mining
+///   state it lost, and at the recovery tick the image is decoded,
+///   screened as untrusted input and applied. A verified restore needs exactly one
 ///   resend exchange. A restore that overruns the policy deadline is
 ///   degraded by the watchdog ([`DegradeReason::RecoveryStalled`])
 ///   rather than aborting the run.
@@ -398,7 +398,7 @@ mod tests {
 
     #[test]
     fn threaded_and_synchronous_agree_under_every_fault_class() {
-        use gridmine_recovery::RecoveryPolicy;
+        use crate::recovery::RecoveryPolicy;
         let cfg = MineConfig::new(Ratio::new(1, 2), Ratio::new(1, 2));
         let warm = RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT);
         let lossy = EdgeFaults { drop: 0.2, duplicate: 0.1, jitter: 1 };

@@ -6,7 +6,7 @@
 //!
 //! The protocol answer (§5.2's accountability stance): the receiving
 //! resource screens every wire counter with the key-free
-//! `is_wellformed` check and convicts the *sender* at the door; if a
+//! `all_wellformed` check and convicts the *sender* at the door; if a
 //! malformed value somehow reaches an aggregate the controller opens
 //! anyway, decryption is total, the garbage opens to no tuple, and the
 //! resource halts with a verdict — in no case does the process abort.
@@ -27,6 +27,7 @@
 use gridmine_arm::{CandidateRule, Database, Item, ItemSet, Ratio, Rule, Transaction};
 use gridmine_core::attack::BrokerBehavior;
 use gridmine_core::counter::{CounterLayout, SecureCounter, F_NUM, F_SUM, F_TS};
+use gridmine_core::recovery::{RecoveryImage, ResourceState, RuleRecord};
 use gridmine_core::resource::wire_grid;
 use gridmine_core::CandidateGenerator;
 use gridmine_core::{
@@ -37,7 +38,6 @@ use gridmine_obs::{Event, EventKind, MemoryRecorder, VerdictKind};
 use gridmine_paillier::{
     Ciphertext, HomCipher, MockCipher, ObliviousError, PaillierCtx, SlotError,
 };
-use gridmine_recovery::{RecoveryImage, RecoveryLog, ResourceState, RuleRecord};
 
 fn rule() -> CandidateRule {
     CandidateRule::new(Rule::frequency(ItemSet::of(&[1])), Ratio::new(1, 2))
@@ -424,6 +424,40 @@ fn miscounted_side_band_is_rejected_at_the_door_under_both_ciphers() {
     miscounted_wire_counter_convicts_its_sender(GridKeys::paillier(128, 43));
 }
 
+/// A peer picks the value under a counter's first ciphertext freely:
+/// `i64::MAX`, which any broker can encrypt. Summed into an aggregate it
+/// wraps like any other plaintext of the group — under Paillier mod `n`,
+/// under the mock mod 2⁶⁴ — and the run ends in a verdict, never a panic
+/// in the receiver's counter algebra.
+fn a_counter_of_i64_max_ends_in_a_verdict<C: HomCipher>(keys: GridKeys<C>) {
+    let mut rs = path_grid(&keys, 2);
+    let mut mail: std::collections::VecDeque<WireMsg<C>> =
+        rs.iter_mut().flat_map(|r| r.step(usize::MAX)).collect();
+    let mut forged = false;
+    for _ in 0..4 {
+        while let Some(mut msg) = mail.pop_front() {
+            if !std::mem::replace(&mut forged, true) {
+                msg.counter.msg.fields[0] = keys.pub_ops.encrypt_i64(i64::MAX);
+            }
+            let to = msg.to;
+            mail.extend(rs[to].on_receive(&msg));
+        }
+        for r in rs.iter_mut() {
+            r.refresh_outputs();
+            mail.extend(r.generate_candidates());
+            mail.extend(r.step(usize::MAX));
+        }
+    }
+    assert!(forged, "a counter was sent to forge");
+    assert!(rs.iter().any(|r| r.verdict().is_some()), "the forgery went unanswered");
+}
+
+#[test]
+fn a_counter_of_i64_max_ends_in_a_verdict_under_both_ciphers() {
+    a_counter_of_i64_max_ends_in_a_verdict(GridKeys::<MockCipher>::mock(53));
+    a_counter_of_i64_max_ends_in_a_verdict(GridKeys::paillier(128, 53));
+}
+
 fn oversized_restored_clocks_are_rejected<C: HomCipher>(keys: GridKeys<C>) {
     // No support in eight transactions: a vote the neighbor has not
     // heard, so the send condition holds.
@@ -438,7 +472,7 @@ fn oversized_restored_clocks_are_rejected<C: HomCipher>(keys: GridKeys<C>) {
     };
     let image = |clock: i64| {
         let state = ResourceState { resource: 1, records: vec![record(clock)] };
-        RecoveryLog::baseline(&state).image().to_bytes()
+        RecoveryImage::from_store(state.to_store().expect("a state the store takes")).to_bytes()
     };
     // Every clock a timestamp slot seals restores. At the very last one
     // the accountant's clock saturates and its counters still seal and
@@ -463,7 +497,7 @@ fn oversized_restored_clocks_are_rejected<C: HomCipher>(keys: GridKeys<C>) {
     // comes back through: one rule's clock each.
     let audited = |clocks: [i64; 2]| {
         let state = ResourceState { resource: 1, records: vec![record(1)] };
-        let mut store = RecoveryLog::baseline(&state).store().expect("a live log").clone();
+        let mut store = state.to_store().expect("a state the store takes");
         for (item, clock) in (1..).zip(clocks) {
             let rule = CandidateRule::new(Rule::frequency(ItemSet::of(&[item])), Ratio::new(1, 2));
             let audit =

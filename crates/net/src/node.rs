@@ -23,7 +23,7 @@
 //! recorder and no event is formatted, framed or sent.
 //!
 //! A crash loses what it loses in every driver and leaves the same image
-//! (recovery log, controller audits); here the process also ends: at a
+//! (mining state, controller audits); here the process also ends: at a
 //! scheduled crash tick the node publishes that image under `state_dir`,
 //! with its tallies, and **exits**. The hub respawns a process at the
 //! recovery tick, which restores through the same door (`resume_tick`).

@@ -5,15 +5,15 @@
 //! ([`SecureResource::crash_wipe`](gridmine_core::SecureResource::crash_wipe),
 //! or [`SecureResource::recovery_store`](gridmine_core::SecureResource::recovery_store)
 //! at a checkpoint): a [`RecoveryImage`], a store at rest with its chain
-//! head pinned, holding the resource's recovery log (warm mode only) and
+//! head pinned, holding the resource's mining state (warm mode only) and
 //! its controller's audits. The node adds one tree of its own, binary
 //! like the rest: `tallies`, the protocol tallies of this resource's
 //! whole life, so a successor's report covers its predecessors — their
 //! one byte form ([`Tallies::to_bytes`], what a `Report` frame carries
 //! too) under the tick of the persist that wrote the file.
 //!
-//! A persist copies the live store instead of re-reading it, appends the
-//! tallies to the copy's WAL and publishes the lot with one
+//! A persist encodes the store a crash right now would leave, appends the
+//! tallies to its WAL and publishes the lot with one
 //! [`gridmine_store::atomic_write_file`]: a successor (and the hub, for a
 //! resource that died without a report) sees checkpoint *N* or *N − 1*,
 //! never scan state from one and audits from the other. The reader
@@ -23,9 +23,9 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use gridmine_core::recovery::RecoveryImage;
 use gridmine_core::{RoundMachine, Tallies};
 use gridmine_paillier::HomCipher;
-use gridmine_recovery::RecoveryImage;
 
 const TALLIES: &str = "tallies";
 
@@ -66,9 +66,9 @@ impl NodeState {
 /// tallies — atomically (sibling tmp + fsync + rename), so a kill
 /// mid-write leaves the previous checkpoint intact, never a torn or
 /// mixed one. The image is `crash_image`, what a crash at `tick` left,
-/// verified into a store; else a copy of the live one. The error is
-/// returned so the caller can surface it: a failed persist degrades
-/// recovery fidelity, not the run, but it must not be silent.
+/// verified into a store; else the one a crash now would leave. The
+/// error is returned so the caller can surface it: a failed persist
+/// degrades recovery fidelity, not the run, but it must not be silent.
 pub(crate) fn publish<C: HomCipher>(
     path: &Path,
     machine: &RoundMachine<C>,
@@ -194,7 +194,7 @@ mod tests {
         let bytes = std::fs::read(&file).expect("read");
         assert_eq!(NodeState::decode(&bytes).expect("decodes").tallies, m.tallies());
         let image = RecoveryImage::from_bytes(&bytes).expect("unframes");
-        assert!(image.replay().is_err(), "no recovery log rode along");
+        assert!(image.replay().is_err(), "no mining state rode along");
 
         let successor = resumed(RecoveryMode::ColdRestart, &file);
         assert_eq!(successor.report().verdict, None);
@@ -217,7 +217,7 @@ mod tests {
             let mut store =
                 RecoveryImage::from_bytes(&whole).and_then(|i| i.verify()).expect("verifies");
             edit(&mut store);
-            RecoveryImage::of(&store).to_bytes()
+            RecoveryImage::from_store(store).to_bytes()
         };
         let clear = |store: &mut Store<MemBackend>, tree: &str| {
             let keys: Vec<Vec<u8>> = store.scan_tree(tree).map(|(key, _)| key.to_vec()).collect();

@@ -423,7 +423,7 @@ fn sigkill_mid_checkpoint_write_never_tears_persisted_state() {
             state.tick
         );
         assert!(state.tallies.checkpoints > 0, "{name}: {:?}", state.tallies);
-        let (scan, _) = gridmine_recovery::RecoveryImage::from_bytes(&bytes)
+        let scan = gridmine_core::recovery::RecoveryImage::from_bytes(&bytes)
             .and_then(|image| image.replay())
             .unwrap_or_else(|e| panic!("torn image {name}: {e}"));
         assert_eq!(format!("{}.image", scan.resource), name, "an image under another's name");

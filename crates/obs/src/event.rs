@@ -144,13 +144,12 @@ pub enum Event {
     RoundAdvanced { tick: u64 },
     /// A timed cryptographic operation (Montgomery modpow et al.).
     KeyOp { op: KeyOpKind, nanos: u64 },
-    /// Recovery: a resource snapshotted its mining state and truncated
-    /// its journal at `tick`.
+    /// Recovery: an armed resource took a checkpoint at `tick`.
     CheckpointTaken { resource: u64, tick: u64 },
-    /// Recovery: a restored resource replayed `entries` journal deltas on
-    /// top of its last validated snapshot.
-    JournalReplayed { resource: u64, entries: u64 },
-    /// Recovery: a restore was refused (forged/truncated journal, failed
+    /// Recovery: a resource restored the mining state of a validated
+    /// image.
+    JournalReplayed { resource: u64 },
+    /// Recovery: a restore was refused (forged/truncated image, failed
     /// wellformedness screen or share audit).
     RecoveryRejected { resource: u64, reason: String },
     /// A bounded-retry budget ran dry (`spent` = retries consumed); the
@@ -168,7 +167,7 @@ pub enum Event {
     /// (bad magic/version/checksum, truncation, hostile payload).
     FrameRejected { from: u64, reason: String },
     /// Durability: a node failed to publish its checkpoint state (one
-    /// image: recovery log, audits, tallies) to disk. The run continues,
+    /// image: mining state, audits, tallies) to disk. The run continues,
     /// but a process kill before the next successful persist replays
     /// from the previous checkpoint.
     CheckpointPersistFailed { resource: u64, reason: String },
@@ -379,8 +378,8 @@ impl Event {
             Event::CheckpointTaken { resource, tick } => {
                 w.u64("resource", *resource).u64("tick", *tick);
             }
-            Event::JournalReplayed { resource, entries } => {
-                w.u64("resource", *resource).u64("entries", *entries);
+            Event::JournalReplayed { resource } => {
+                w.u64("resource", *resource);
             }
             Event::RecoveryRejected { resource, reason } => {
                 w.u64("resource", *resource).str("reason", reason);
@@ -506,9 +505,7 @@ impl Event {
             EventKind::CheckpointTaken => {
                 Event::CheckpointTaken { resource: u("resource")?, tick: u("tick")? }
             }
-            EventKind::JournalReplayed => {
-                Event::JournalReplayed { resource: u("resource")?, entries: u("entries")? }
-            }
+            EventKind::JournalReplayed => Event::JournalReplayed { resource: u("resource")? },
             EventKind::RecoveryRejected => {
                 Event::RecoveryRejected { resource: u("resource")?, reason: s("reason")? }
             }
@@ -733,8 +730,8 @@ mod tests {
             Event::RoundAdvanced { tick: 12 },
             Event::KeyOp { op: KeyOpKind::Modpow, nanos: 48_213 },
             Event::CheckpointTaken { resource: 3, tick: 15 },
-            Event::JournalReplayed { resource: 5, entries: 12 },
-            Event::RecoveryRejected { resource: 5, reason: "journal digest mismatch".into() },
+            Event::JournalReplayed { resource: 5 },
+            Event::RecoveryRejected { resource: 5, reason: "image digest mismatch".into() },
             Event::RetryExhausted { resource: 6, spent: 8 },
             Event::PeerConnected { resource: 2, session: 0x5E_5510 },
             Event::PeerDisconnected { resource: 2, reason: "heartbeat deadline".into() },

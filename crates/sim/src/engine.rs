@@ -338,8 +338,8 @@ where
     /// [`RecoveryMode::ColdRestart`]: every crash wipes, and the rejoin
     /// brings back the controller's audits only).
     /// With [`RecoveryMode::Checkpoint`] every resource (present and
-    /// future joiners) is armed with an in-memory checkpoint + journal
-    /// and adopts the policy's retry budget. Call before the first
+    /// future joiners) is armed — its crash image carries the mining state
+    /// — and adopts the policy's retry budget. Call before the first
     /// [`Simulation::run_event_driven`].
     pub fn set_recovery(&mut self, mode: RecoveryMode) {
         self.mode = mode;
@@ -548,7 +548,7 @@ where
             self.step_no.wrapping_mul(0x9E37).wrapping_add(self.resources.len() as u64) ^ 0xC0DE;
         self.resources[u].rewire(vec![anchor], epoch);
         // The one restore door, as in every driver: the controller's
-        // audits, then the journal under a checkpoint policy. The image
+        // audits, then the mining state under a checkpoint policy. The image
         // is untrusted input: a rejection halts the resource with a
         // MaliciousResource verdict (it rejoined the overlay but will
         // never speak); the grid keeps mining around it. A resource
@@ -829,9 +829,8 @@ where
         }
     }
 
-    /// Checkpoint: snapshot + journal truncation on every armed, present
-    /// resource, so replay length stays bounded by the checkpoint
-    /// interval.
+    /// Checkpoint: counted and reported on every armed, present
+    /// resource.
     fn checkpoint_pass(&mut self, t: u64) {
         for u in 0..self.resources.len() {
             if !self.departed[u] && self.resources[u].recovery_armed() {
@@ -841,19 +840,10 @@ where
     }
 
     /// Candidate generation: every present resource whose state changed
-    /// since its last pass (`dirty`, plus the always-dirty). When a
-    /// recovery policy is armed, `generate_candidates` appends an
-    /// `OutputCached` journal entry per cached rule on *every* call —
-    /// skipping clean resources would shrink their journals and change
-    /// replay tallies after a restore — so journalled runs visit the
-    /// whole grid.
+    /// since its last pass (`dirty`, plus the always-dirty).
     fn candidate_pass(&mut self) {
         let mut wanted = std::mem::take(&mut self.dirty);
-        if self.mode.policy().is_some() {
-            wanted = (0..self.resources.len()).collect();
-        } else {
-            wanted.extend(self.always_dirty.iter().copied());
-        }
+        wanted.extend(self.always_dirty.iter().copied());
         let ids: Vec<usize> = wanted.into_iter().filter(|&u| !self.departed[u]).collect();
         let generated = visit(&mut self.resources, &ids, |_, r| {
             let before = r.candidate_count();

@@ -2,7 +2,7 @@
 //!
 //! Every way a segment can disappoint a reader is a value here — decode
 //! never panics, and consumers map [`StoreError::Corrupt`] to the same
-//! untrusted-input handling as a forged recovery journal (a
+//! untrusted-input handling as a forged recovery image (a
 //! `MaliciousResource` verdict or a fresh-state rejoin, never a crash).
 
 /// Why a segment failed structural or chain validation.

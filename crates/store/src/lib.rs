@@ -7,19 +7,17 @@
 //! errors — and through this crate's one record codec instead of a
 //! format per artifact:
 //!
-//! * the recovery log (`gridmine-recovery`) is a set of trees in a
-//!   `Store<MemBackend>`: a checkpoint is the snapshot, every state
-//!   delta one WAL record, and a recovery image is the two segments'
+//! * a resource's recovery image (`gridmine_core::recovery`) is a
+//!   `Store<MemBackend>`: its mining state bulk-loaded as trees into the
+//!   snapshot ([`Store::from_trees`]: the files a `put` per record and a
+//!   [`Store::compact`] would leave, each record encoded once), the
+//!   controller's audits put into the WAL on top, and the two segments'
 //!   bytes ([`MemBackend::to_bytes`]) with [`Store::head`] pinned beside
-//!   them — [`Store::open`] is what verifies a restore. A checkpoint's
-//!   snapshot is bulk-loaded ([`Store::from_trees`]): the files a `put`
-//!   per record and a [`Store::compact`] would leave, each record
-//!   encoded once;
+//!   them — [`Store::open`] is what verifies a restore;
 //! * a `gridmine-node` checkpoint is that image plus the node's binary
-//!   controller-audit and tallies trees: a clone of the live store (the
-//!   store is `Clone`; nothing is re-read) — at a crash, the image the
-//!   crash left, verified — with the node's entries appended to its
-//!   WAL, published with one [`atomic_write_file`].
+//!   tallies tree: the store a crash right now would leave — at a
+//!   crash, the image the crash left, verified — with the node's entry
+//!   appended to its WAL, published with one [`atomic_write_file`].
 //!
 //! [`FsBackend`], a store over a real directory, is used only by this
 //! crate's own tests so far: every durable artifact of the workspace is

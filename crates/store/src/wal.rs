@@ -10,8 +10,8 @@
 //! ```
 //!
 //! `digest = digest_bytes(prev_digest ^ seq, payload)` — a SplitMix64
-//! chain, the one digest discipline of the workspace (the recovery
-//! journal *is* a WAL of these records), from a genesis constant and a
+//! chain, the one digest discipline of the workspace (a recovery
+//! image's WAL *is* a run of these records), from a genesis constant and a
 //! per-(kind, generation) seed so a record can never be spliced between
 //! segments, generations or kinds. This is **tamper evidence, not
 //! authentication**: it is keyless, and catches corruption and naive

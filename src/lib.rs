@@ -17,7 +17,7 @@
 //! | [`secure`] | `gridmine-core` | the paper's contribution: Algorithms 1–4, k-TTP, attacks |
 //! | [`sim`] | `gridmine-sim` | the §6 grid simulator and experiment drivers |
 //! | [`obs`] | `gridmine-obs` | structured protocol events, recorders, metrics |
-//! | [`recovery`] | `gridmine-recovery` | checkpoint + journal recovery state, retry policies |
+//! | [`recovery`] | `gridmine-core` | recovery images (the state a crash loses), retry policies |
 //! | [`store`] | `gridmine-store` | embedded log-structured store: digest-chained WAL, crash-point injection |
 //! | [`net`] | `gridmine-net` | versioned wire codec, supervised TCP transport, multi-process driver |
 //!
@@ -76,11 +76,11 @@
 
 pub use gridmine_arm as arm;
 pub use gridmine_core as secure;
+pub use gridmine_core::recovery;
 pub use gridmine_net as net;
 pub use gridmine_obs as obs;
 pub use gridmine_paillier as crypto;
 pub use gridmine_quest as quest;
-pub use gridmine_recovery as recovery;
 pub use gridmine_sim as sim;
 pub use gridmine_store as store;
 pub use gridmine_topology as topology;
@@ -91,6 +91,7 @@ pub mod prelude {
         correct_rules, frequent_itemsets, AprioriConfig, Database, Item, ItemSet, Ratio, Rule,
         RuleSet, Transaction,
     };
+    pub use gridmine_core::recovery::{RecoveryImage, RecoveryMode, RecoveryPolicy, RetryPolicy};
     pub use gridmine_core::{
         BrokerBehavior, CandidateGenerator, ChaosReport, ControllerBehavior, DegradeReason,
         GridKeys, KTtp, MineConfig, MineSession, MiningOutcome, ResourceStatus, SecureResource,
@@ -102,9 +103,6 @@ pub mod prelude {
     };
     pub use gridmine_paillier::{HomCipher, Keypair, MockCipher, PaillierCtx};
     pub use gridmine_quest::QuestParams;
-    pub use gridmine_recovery::{
-        RecoveryImage, RecoveryLog, RecoveryMode, RecoveryPolicy, RetryPolicy,
-    };
     pub use gridmine_sim::{
         single_itemset_steps, time_to_recall, SimConfig, SimSession, Simulation,
     };

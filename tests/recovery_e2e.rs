@@ -1,5 +1,5 @@
 //! End-to-end crash durability at the workspace level: the recovery
-//! image a mining resource's crash leaves (checkpoint + journal) spills
+//! image a mining resource's crash leaves (mining state + audits) spills
 //! to a real file (the CI artifact, next to the chaos trace), reads
 //! back, and restores the resource to its pre-crash solutions.
 
@@ -156,14 +156,14 @@ fn tampered_on_disk_image_is_rejected_not_applied() {
 
 #[test]
 fn a_crash_time_image_of_a_large_working_set_restores_inside_the_watchdog() {
-    // The shape the T5I2 checkpoint workload reaches at one resource: a
-    // checkpoint of 1 400+ rules with the default five rounds of deltas
-    // on top (every rule scanned and decided once a round). The restore
-    // watchdog (`RoundMachine::restore`) degrades a resource that takes
-    // longer than the policy deadline, so decode + replay + re-seeding
-    // must stay well inside it; it is the image codec that decides.
+    // The shape the T5I2 checkpoint workload reaches at one resource: an
+    // image of 1 400+ rules, each scanned over five rounds and decided.
+    // The restore watchdog (`RoundMachine::restore`) degrades a resource
+    // that takes longer than the policy deadline, so decode + screens +
+    // re-seeding must stay well inside it; it is the image codec that
+    // decides.
     use gridmine::arm::CandidateRule;
-    use gridmine::recovery::{ResourceState, RuleRecord};
+    use gridmine::recovery::{RecoveryImage, ResourceState, RuleRecord};
     let keys = GridKeys::<MockCipher>::mock(19);
     let generator = CandidateGenerator::new(Ratio::new(1, 2), Ratio::new(1, 2));
     let db = uniform_dbs(1).remove(0);
@@ -187,19 +187,9 @@ fn a_crash_time_image_of_a_large_working_set_restores_inside_the_watchdog() {
         }
     };
     let rules = 1_480u32;
-    let mut log = RecoveryLog::baseline(&ResourceState {
-        resource: 0,
-        records: (0..rules).map(|i| record(i, 0)).collect(),
-    });
-    for round in 1..=5 {
-        for i in 0..rules {
-            let rec = record(i, round);
-            log.scan_advanced(&rec);
-            log.output_cached(&rec.rule, rec.output == Some(true));
-        }
-    }
-    assert_eq!(log.len(), 2 * 5 * rules as usize);
-    let bytes = log.image().to_bytes();
+    let state = ResourceState { resource: 0, records: (0..rules).map(|i| record(i, 5)).collect() };
+    let bytes =
+        RecoveryImage::from_store(state.to_store().expect("a state the store takes")).to_bytes();
 
     r.crash_wipe();
     let t0 = std::time::Instant::now();
