@@ -31,10 +31,13 @@
 //!   does to one resource is held against the centralized truth instead.
 //!
 //! Determinism-under-seed holds under both schedules: passes fire in
-//! [`Pass`] order per timestamp, per-batch message sorts are unchanged,
-//! and every RNG draw is sequenced at schedule time — so the
-//! per-directed-edge message sequences (which the fault layer keys on)
-//! are byte-identical.
+//! [`Pass`] order per timestamp; each sender sorts its own batch, rolls
+//! its own per-edge fault decisions in send order and buckets its copies
+//! by arrival and receiver on the worker that handled it (`Outbox`);
+//! and a pass appends the buckets to the in-flight queue in ascending
+//! sender order — so the per-directed-edge message sequences (which the
+//! fault layer keys on) and every receiver's delivery order are
+//! byte-identical whatever the pool's width.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -85,25 +88,124 @@ impl Pass {
     ];
 }
 
-/// Runs `f` on the selected `items` and returns `(id, result)` in
-/// ascending id order; `ids` must be ascending and in range. The whole
-/// grid is walked in parallel when the selection covers at least a
-/// quarter of it, and the sparse selection sequentially otherwise — the
-/// same output either way, because `f` sees one item and nothing shared.
-fn visit<R: Send, T: Send>(
+/// Runs `f` on each selected resource and its outbox, and returns
+/// `(id, result)` in ascending id order; `ids` must be ascending and in
+/// range. The selection is fanned out across the pool when it covers at
+/// least a quarter of the grid, and run sequentially otherwise. The
+/// output is the same either way: `f` may write only the one resource
+/// and outbox it is handed, and may read only what no pass mutates while
+/// `visit` runs — the messages being delivered, the overlay (the delays a
+/// reply is timed by), the fault plan and the recorder. Picking the
+/// selected slots costs the selection, not the grid.
+fn visit<R: Send, S: Send, T: Send>(
     items: &mut [R],
-    ids: &[usize],
-    f: impl Fn(usize, &mut R) -> T + Sync,
+    outboxes: &mut [S],
+    ids: impl IntoIterator<Item = usize>,
+    f: impl Fn(usize, &mut R, &mut S) -> T + Sync,
 ) -> Vec<(usize, T)> {
-    if ids.len() * 4 >= items.len() {
-        let per: Vec<Option<T>> = items
-            .par_iter_mut()
-            .enumerate()
-            .map(|(u, r)| ids.binary_search(&u).is_ok().then(|| f(u, r)))
-            .collect();
-        per.into_iter().enumerate().filter_map(|(u, slot)| Some((u, slot?))).collect()
+    let fan_out_from = items.len();
+    let (mut items, mut outboxes, mut base, mut asked) = (items, outboxes, 0, 0);
+    let picked: Vec<(usize, &mut R, &mut S)> = ids
+        .into_iter()
+        .filter_map(|u| {
+            asked += 1;
+            let skip = u.checked_sub(base)?;
+            let (r, rest) = std::mem::take(&mut items).get_mut(skip..)?.split_first_mut()?;
+            let (out, tail) = std::mem::take(&mut outboxes).get_mut(skip..)?.split_first_mut()?;
+            (items, outboxes, base) = (rest, tail, u + 1);
+            Some((u, r, out))
+        })
+        .collect();
+    debug_assert_eq!(picked.len(), asked, "ids must ascend within the grid");
+    let run = |(u, r, out): (usize, &mut R, &mut S)| (u, f(u, r, out));
+    if picked.len() * 4 >= fan_out_from {
+        picked.into_par_iter().map(run).collect()
     } else {
-        ids.iter().map(|&u| (u, f(u, &mut items[u]))).collect()
+        picked.into_iter().map(run).collect()
+    }
+}
+
+/// One resource's side of its out-edges, touched by nobody but the
+/// sender, so a pass times and buckets its messages on the worker that
+/// produced them. Under a fault plan it holds the fault layer's per-edge
+/// sequence numbers and tallies — its own [`FaultyLink`], as each station
+/// of the threaded driver holds its own proxy — and the FIFO clock of
+/// every out-edge. A decision is a pure function of `(seed, edge, seq)`,
+/// so where the sequence numbers live changes none.
+struct Outbox {
+    /// The sender's fault decisions; `None` on a clean grid.
+    link: Option<FaultyLink>,
+    /// Last scheduled arrival per out-edge, by receiver: under jitter the
+    /// links stay FIFO streams (a later message never overtakes a delayed
+    /// one; overtaking would read as a timestamp regression, i.e. a
+    /// replay).
+    edge_clock: BTreeMap<usize, u64>,
+}
+
+/// What one sender put on the wire in one pass.
+struct Posted<C: HomCipher> {
+    /// Messages sent, dropped ones included.
+    msgs: u64,
+    /// Their bytes, per the cipher's bandwidth model.
+    bytes: u64,
+    /// The surviving copies by `(arrival, receiver)`, each bucket in send
+    /// order.
+    buckets: BTreeMap<(u64, usize), Vec<WireMsg<C>>>,
+}
+
+impl Outbox {
+    /// An outbox under `plan`, with fresh sequence numbers.
+    fn under(plan: Option<&FaultPlan>) -> Self {
+        Outbox { link: plan.cloned().map(FaultyLink::new), edge_clock: BTreeMap::new() }
+    }
+
+    /// Times the messages `from` sends at `t` — the overlay delay, and
+    /// under a fault plan the edge's next fault decision and its FIFO
+    /// clock — and buckets the surviving copies by arrival and receiver.
+    /// A duplicated message is cloned; a single copy moves.
+    fn post<C: HomCipher>(
+        &mut self,
+        from: usize,
+        mut msgs: Vec<WireMsg<C>>,
+        t: u64,
+        overlay: &Overlay,
+        rec: &SharedRecorder,
+    ) -> Posted<C> {
+        if self.link.is_some() {
+            // Resources iterate hash maps internally, so the order of a
+            // batch varies run-to-run — but the per-edge fault decisions
+            // are sequence-numbered, so replayable chaos needs a canonical
+            // order. The sort is stable and keys on the rule, preserving
+            // the per-edge-per-rule FIFO the timestamp traces rely on.
+            msgs.sort_by_cached_key(|m| (m.to, m.cand.to_string()));
+        }
+        let mut posted = Posted { msgs: msgs.len() as u64, bytes: 0, buckets: BTreeMap::new() };
+        for m in msgs {
+            debug_assert_eq!(m.from, from, "a resource sends on its own out-edges only");
+            posted.bytes += m.counter.wire_bytes() as u64;
+            let delivery = match &mut self.link {
+                Some(link) => link.on_send(from, m.to),
+                None => Delivery::clean(),
+            };
+            mirror_delivery(&delivery, from, m.to, rec);
+            if delivery.is_dropped() {
+                continue;
+            }
+            let mut at = t + overlay.delay(from, m.to).max(1) + delivery.extra_delay;
+            if self.link.is_some() {
+                // FIFO links: jitter delays the stream, it never reorders
+                // it (see `edge_clock`).
+                let clock = self.edge_clock.entry(m.to).or_insert(0);
+                at = at.max(*clock);
+                *clock = at;
+            }
+            let bucket = posted.buckets.entry((at, m.to)).or_default();
+            for _ in 1..delivery.copies {
+                bucket.push(m.clone());
+            }
+            bucket.push(m);
+        }
+        posted
     }
 }
 
@@ -130,16 +232,19 @@ pub struct Simulation<C: HomCipher> {
     items: Vec<Item>,
     resources: Vec<SecureResource<C>>,
     plans: Vec<GrowthPlan>,
+    /// Each resource's out-edge state, by sender id (see [`Outbox`]).
+    outboxes: Vec<Outbox>,
     /// Scheduled deliveries: arrival time → receiver → messages, both in
-    /// ascending order, message vectors in schedule order.
+    /// ascending order. A receiver's vector holds whole per-sender
+    /// buckets, appended pass by pass and, within a pass, in ascending
+    /// sender order; each bucket is in its sender's send order.
     inflight: BTreeMap<u64, BTreeMap<usize, Vec<WireMsg<C>>>>,
     departed: Vec<bool>,
-    /// Fault injection, when armed via [`Simulation::inject_faults`].
+    /// Fault injection, when armed via [`Simulation::inject_faults`]: the
+    /// plan in force, and the tallies of the crashes, recoveries and
+    /// departures it fired. Message decisions roll on each sender's own
+    /// link in its [`Outbox`].
     link: Option<FaultyLink>,
-    /// Last scheduled arrival per directed edge — under jitter the links
-    /// stay FIFO streams (a later message never overtakes a delayed one;
-    /// overtaking would read as a timestamp regression, i.e. a replay).
-    edge_clock: BTreeMap<(usize, usize), u64>,
     /// Where a crashed resource should re-attach on recovery (the hub its
     /// neighborhood was bridged through when it was routed around).
     crash_parent: Vec<Option<usize>>,
@@ -245,10 +350,10 @@ where
             items: items.to_vec(),
             resources,
             plans,
+            outboxes: (0..cfg.n_resources).map(|_| Outbox::under(None)).collect(),
             inflight: BTreeMap::new(),
             departed: vec![false; cfg.n_resources],
             link: None,
-            edge_clock: BTreeMap::new(),
             crash_parent: vec![None; cfg.n_resources],
             crash_image: vec![None; cfg.n_resources],
             mode: RecoveryMode::default(),
@@ -330,6 +435,9 @@ where
     /// simulation steps). Same plan + same config ⇒ byte-identical
     /// [`Simulation::chaos_report`].
     pub fn inject_faults(&mut self, plan: FaultPlan) {
+        for out in self.outboxes.iter_mut() {
+            out.link = Some(FaultyLink::new(plan.clone()));
+        }
         self.link = Some(FaultyLink::new(plan));
         self.sched = None;
     }
@@ -371,6 +479,7 @@ where
         let mut newcomer = mint(&self.cfg, seed, &self.keys, &self.overlay, id, db, &self.items);
         newcomer.set_recorder(self.rec.clone());
         self.resources.push(newcomer);
+        self.outboxes.push(Outbox::under(self.link.as_ref().map(FaultyLink::plan)));
         self.plans.push(plan);
         self.departed.push(false);
         self.crash_parent.push(None);
@@ -437,47 +546,43 @@ where
             self.resources[v].reset_edge(u);
         }
 
-        let mut msgs = Vec::new();
-        for w in neighbors.iter().copied().chain([u]) {
-            msgs.extend(self.resources[w].nudge());
+        // The buckets go out in nudge order, neighbors then `u`, on a
+        // clean grid; the chaos sort orders a fault plan's batch by sender.
+        let mut senders: Vec<usize> = neighbors.into_iter().chain([u]).collect();
+        if self.link.is_some() {
+            senders.sort_unstable();
         }
-        self.schedule(msgs);
-        for w in neighbors.into_iter().chain([u]) {
+        let mut ids = senders.clone();
+        ids.sort_unstable();
+        let (t, overlay, rec) = (self.step_no, &self.overlay, &self.rec);
+        let mut nudged: BTreeMap<usize, Posted<C>> =
+            visit(&mut self.resources, &mut self.outboxes, ids, |w, r, out| {
+                out.post(w, r.nudge(), t, overlay, rec)
+            })
+            .into_iter()
+            .collect();
+        for w in senders {
+            if let Some(posted) = nudged.remove(&w) {
+                self.enqueue(posted);
+            }
             self.mark_touch(w);
         }
     }
 
-    fn schedule(&mut self, mut msgs: Vec<WireMsg<C>>) {
-        if self.link.is_some() {
-            // Resources iterate hash maps internally, so the order of a
-            // batch varies run-to-run — but the per-edge fault decisions
-            // are sequence-numbered, so replayable chaos needs a canonical
-            // order. The sort is stable and keys on the rule, preserving
-            // the per-edge-per-rule FIFO the timestamp traces rely on.
-            msgs.sort_by_cached_key(|m| (m.from, m.to, m.cand.to_string()));
-        }
-        for m in msgs {
-            let delay = self.overlay.delay(m.from, m.to).max(1);
-            self.total_msgs += 1;
-            self.total_bytes += m.counter.wire_bytes() as u64;
-            let delivery = match &mut self.link {
-                Some(link) => link.on_send(m.from, m.to),
-                None => Delivery::clean(),
-            };
-            mirror_delivery(&delivery, m.from, m.to, &self.rec);
-            if delivery.is_dropped() {
-                continue;
-            }
-            let mut at = self.step_no + delay + delivery.extra_delay;
-            if self.link.is_some() {
-                // FIFO links: jitter delays the stream, it never reorders
-                // it (see `edge_clock`).
-                let clock = self.edge_clock.entry((m.from, m.to)).or_insert(0);
-                at = at.max(*clock);
-                *clock = at;
-            }
-            for _ in 0..delivery.copies {
-                self.inflight.entry(at).or_default().entry(m.to).or_default().push(m.clone());
+    /// Appends one sender's buckets to `inflight` — whole buckets, no
+    /// copy — and guarantees a delivery pass at each arrival. A pass
+    /// enqueues its senders in ascending order, so a receiver reads
+    /// same-tick messages from different senders in the order one
+    /// sender-sorted batch would have put them.
+    fn enqueue(&mut self, posted: Posted<C>) {
+        self.total_msgs += posted.msgs;
+        self.total_bytes += posted.bytes;
+        for ((at, to), mut bucket) in posted.buckets {
+            let queued = self.inflight.entry(at).or_default().entry(to).or_default();
+            if queued.is_empty() {
+                *queued = bucket;
+            } else {
+                queued.append(&mut bucket);
             }
             self.ensure_pass(at, Pass::Deliver);
         }
@@ -607,7 +712,10 @@ where
     /// steps convergence was exposed to faults. Deterministic per plan
     /// seed.
     pub fn chaos_report(&self) -> ChaosReport {
-        let faults = self.link.as_ref().map(|l| l.stats()).unwrap_or_default();
+        let mut faults = self.link.as_ref().map(|l| l.stats()).unwrap_or_default();
+        for link in self.outboxes.iter().filter_map(|out| out.link.as_ref()) {
+            faults.merge(&link.stats());
+        }
         let degraded: Vec<usize> = self
             .resources
             .iter()
@@ -700,10 +808,10 @@ where
             Pass::Faults => self.apply_fault_schedule(),
             Pass::Deliver => self.deliver_due(t),
             Pass::Growth => self.growth_pass(),
-            Pass::Scan => self.scan_pass(),
+            Pass::Scan => self.scan_pass(t),
             Pass::Heal => self.heal_pass(t),
             Pass::Checkpoint => self.checkpoint_pass(t),
-            Pass::Candidates => self.candidate_pass(),
+            Pass::Candidates => self.candidate_pass(t),
             Pass::Wake => {}
         }
     }
@@ -711,23 +819,30 @@ where
     // ───────────────────────────── pass bodies ─────────────────────────────
 
     /// Delivery: messages scheduled for `t` are handed to their receivers
-    /// (ascending id, per-receiver schedule order) and each receiver's
-    /// replies are scheduled as one batch. `on_receive` has no
-    /// cross-resource interaction and every reply lands at
-    /// `t + delay ≥ t + 1`, so the receivers are independent.
+    /// (ascending id, per-receiver schedule order), and the worker that
+    /// handles a receiver times and buckets the replies they caused.
+    /// `on_receive` has no cross-resource interaction and every reply
+    /// lands at `t + delay ≥ t + 1`, so the receivers are independent.
+    /// The delivered messages are freed on the calling thread when the
+    /// pass ends, not on the workers: each was allocated on whichever
+    /// thread handled its sender, and freeing them on the workers while
+    /// they allocate contends on the allocator's locks (a `sim_grid_50`
+    /// session on a 2-thread pool made about 1 600 voluntary context
+    /// switches instead of 250, and ran no faster).
     fn deliver_due(&mut self, t: u64) {
         let Some(inbox) = self.inflight.remove(&t) else { return };
-        let ids: Vec<usize> = inbox.keys().copied().filter(|&to| !self.departed[to]).collect();
-        let replies = visit(&mut self.resources, &ids, |to, r| {
-            let mut out = Vec::new();
+        let ids = inbox.keys().copied().filter(|&to| !self.departed[to]);
+        let (overlay, rec) = (&self.overlay, &self.rec);
+        let replies = visit(&mut self.resources, &mut self.outboxes, ids, |to, r, out| {
+            let mut replies = Vec::new();
             for m in inbox.get(&to).into_iter().flatten() {
-                out.extend(r.on_receive(m));
+                replies.extend(r.on_receive(m));
             }
-            out
+            out.post(to, replies, t, overlay, rec)
         });
-        for (to, out) in replies {
+        for (to, posted) in replies {
             self.mark_touch(to);
-            self.schedule(out);
+            self.enqueue(posted);
         }
     }
 
@@ -758,26 +873,26 @@ where
     /// Scan: every present resource in `scan_armed` processes the
     /// configured budget. Drained, departed and halted resources drop out
     /// of the armed set.
-    fn scan_pass(&mut self) {
+    fn scan_pass(&mut self, t: u64) {
         self.scan_armed.retain(|&u| !self.departed[u]);
-        let ids: Vec<usize> = self.scan_armed.iter().copied().collect();
-        let budget = self.cfg.scan_budget;
-        let scanned = visit(&mut self.resources, &ids, |_, r| {
+        let ids = self.scan_armed.iter().copied();
+        let (budget, overlay, rec) = (self.cfg.scan_budget, &self.overlay, &self.rec);
+        let scanned = visit(&mut self.resources, &mut self.outboxes, ids, |u, r, out| {
             let had_backlog = r.accountant().total_backlog() > 0;
-            let out = r.step(budget);
+            let msgs = r.step(budget);
             let keep = r.accountant().total_backlog() > 0
                 && r.verdict().is_none()
                 && r.degraded().is_none();
-            (had_backlog, keep, out)
+            (had_backlog, keep, out.post(u, msgs, t, overlay, rec))
         });
-        for (u, (had_backlog, keep, out)) in scanned {
+        for (u, (had_backlog, keep, posted)) in scanned {
             if !keep {
                 self.scan_armed.remove(&u);
             }
             if had_backlog {
                 self.note_effect(u);
             }
-            self.schedule(out);
+            self.enqueue(posted);
         }
     }
 
@@ -789,43 +904,44 @@ where
     /// their [`RoundSchedule`] names over their overlay neighbors: a warm
     /// rejoin one exchange at its rejoin tick, a cold one every
     /// `resend_every` from then to the end of the run. Resends carry
-    /// unchanged Lamport traces (idempotent, not replays). One schedule
-    /// batch for the whole pass: the chaos sort canonicalizes whole
-    /// batches, so batching is part of the pinned behavior.
+    /// unchanged Lamport traces (idempotent, not replays). Each healer
+    /// times its own resends and the buckets go out in ascending sender
+    /// order: the chaos sort keys a batch on the sender first, so that is
+    /// the order one sorted batch of the whole pass would have, and each
+    /// sender's own sort keeps its per-edge sequence numbers.
     fn heal_pass(&mut self, t: u64) {
         let Some(plan) = self.link.as_ref().map(FaultyLink::plan) else { return };
         let everyone = plan.has_edge_faults() && t.is_multiple_of(self.resend_every());
+        let mode = self.mode;
         // Every resource's schedule holds the plan's rejoin ticks.
-        let rejoins = RoundSchedule::of(plan, 0, self.mode);
+        let rejoins = RoundSchedule::of(plan, 0, mode);
         let ids: BTreeSet<usize> = if everyone {
             (0..self.resources.len()).collect()
         } else {
             rejoins.healing_at(t).flat_map(|r| self.overlay.neighbors(r).chain([r])).collect()
         };
-        let mut msgs = Vec::new();
-        let mut touched = Vec::new();
-        for u in ids {
-            if self.departed[u] {
-                continue;
-            }
-            let live: Vec<usize> = self.overlay.neighbors(u).collect();
+        let ids = ids.into_iter().filter(|&u| !self.departed[u]);
+        let (overlay, rec) = (&self.overlay, &self.rec);
+        let healed = visit(&mut self.resources, &mut self.outboxes, ids, |u, r, out| {
+            let live: Vec<usize> = overlay.neighbors(u).collect();
             let edges = if everyone {
                 live
             } else {
-                RoundSchedule::of(plan, u, self.mode).rejoin_edges(t, &live)
+                RoundSchedule::of(plan, u, mode).rejoin_edges(t, &live)
             };
             if edges.is_empty() {
-                continue;
+                return None;
             }
             for v in edges {
-                self.resources[u].reset_edge(v);
+                r.reset_edge(v);
             }
-            msgs.extend(self.resources[u].nudge());
-            touched.push(u);
-        }
-        self.schedule(msgs);
-        for u in touched {
-            self.mark_touch(u);
+            Some(out.post(u, r.nudge(), t, overlay, rec))
+        });
+        for (u, posted) in healed {
+            if let Some(posted) = posted {
+                self.mark_touch(u);
+                self.enqueue(posted);
+            }
         }
     }
 
@@ -841,25 +957,26 @@ where
 
     /// Candidate generation: every present resource whose state changed
     /// since its last pass (`dirty`, plus the always-dirty).
-    fn candidate_pass(&mut self) {
+    fn candidate_pass(&mut self, t: u64) {
         let mut wanted = std::mem::take(&mut self.dirty);
         wanted.extend(self.always_dirty.iter().copied());
-        let ids: Vec<usize> = wanted.into_iter().filter(|&u| !self.departed[u]).collect();
-        let generated = visit(&mut self.resources, &ids, |_, r| {
+        let ids = wanted.into_iter().filter(|&u| !self.departed[u]);
+        let (overlay, rec) = (&self.overlay, &self.rec);
+        let generated = visit(&mut self.resources, &mut self.outboxes, ids, |u, r, out| {
             let before = r.candidate_count();
-            let out = r.generate_candidates();
-            (before != r.candidate_count(), out)
+            let msgs = r.generate_candidates();
+            (before != r.candidate_count(), out.post(u, msgs, t, overlay, rec))
         });
-        for (u, (grew, out)) in generated {
+        for (u, (grew, posted)) in generated {
             let r = &self.resources[u];
             let touched = grew
-                || !out.is_empty()
+                || posted.msgs > 0
                 || r.degraded().is_some()
                 || r.verdict().is_some_and(|v| !self.verdicts.iter().any(|&(_, w)| w == v));
             if touched {
                 self.mark_touch(u);
             }
-            self.schedule(out);
+            self.enqueue(posted);
         }
     }
 
@@ -1189,6 +1306,7 @@ mod tests {
     use super::*;
     use gridmine_arm::{correct_rules, Transaction};
     use gridmine_paillier::MockCipher;
+    use gridmine_topology::faults::{EdgeFaults, FaultStats};
 
     fn grid(n: usize, k: i64) -> Simulation<MockCipher> {
         let keys = GridKeys::mock(1);
@@ -1224,13 +1342,113 @@ mod tests {
         let ids = [2usize, 5, 11];
         for len in [12usize, 13] {
             let mut grid: Vec<u64> = (0..len as u64).collect();
-            let got = visit(&mut grid, &ids, |u, x| {
+            let mut outboxes = vec![usize::MAX; len];
+            let got = visit(&mut grid, &mut outboxes, ids, |u, x, out| {
                 *x += 100;
+                *out = u;
                 (u as u64) * 1000 + *x
             });
             assert_eq!(got, vec![(2, 2102), (5, 5105), (11, 11111)], "{len} items");
             let visited: Vec<usize> = (0..len).filter(|&u| grid[u] >= 100).collect();
             assert_eq!(visited, ids, "{len} items: only the selection is visited");
+            let paired: Vec<usize> = (0..len).filter(|&u| outboxes[u] == u).collect();
+            assert_eq!(paired, ids, "{len} items: each resource is handed its own outbox");
+        }
+    }
+
+    #[test]
+    fn senders_bucket_alike_on_both_sides_of_the_threshold_and_keep_links_fifo() {
+        let mut sim = grid(8, 1);
+        sim.run_event_driven(12);
+        let plan = FaultPlan::new(0xF1F0).with_default_edge(EdgeFaults {
+            drop: 0.2,
+            duplicate: 0.3,
+            jitter: 3,
+        });
+        // Every resource's resend of all it holds, three times over: each
+        // edge carries a run of messages for the fault layer to number.
+        let batches: Vec<Vec<Vec<WireMsg<MockCipher>>>> = (0..3)
+            .map(|_| {
+                (0..8)
+                    .map(|u| {
+                        let r = &mut sim.resources[u];
+                        for v in sim.overlay.neighbors(u) {
+                            r.reset_edge(v);
+                        }
+                        r.nudge()
+                    })
+                    .collect()
+            })
+            .collect();
+        assert!(batches.iter().flatten().all(|msgs| !msgs.is_empty()));
+        // All eight senders of eight slots fan out; of 33 slots they run
+        // one by one.
+        let post_all = |slots: usize| {
+            let mut outs: Vec<Outbox> = (0..slots).map(|_| Outbox::under(Some(&plan))).collect();
+            let rounds: Vec<Vec<(usize, Posted<MockCipher>)>> = batches
+                .iter()
+                .enumerate()
+                .map(|(round, batch)| {
+                    let t = round as u64;
+                    let mut sent = batch.clone();
+                    sent.resize_with(slots, Vec::new);
+                    visit(&mut sent, &mut outs, 0..8, |u, msgs, out| {
+                        out.post(u, std::mem::take(msgs), t, &sim.overlay, &sim.rec)
+                    })
+                })
+                .collect();
+            let stats: Vec<_> =
+                outs.iter().filter_map(|o| o.link.as_ref()).map(|l| l.stats()).collect();
+            (rounds, stats)
+        };
+        let (fanned, fanned_stats) = post_all(8);
+        let (serial, serial_stats) = post_all(33);
+        let view = |rounds: &[Vec<(usize, Posted<MockCipher>)>]| -> Vec<String> {
+            rounds
+                .iter()
+                .flatten()
+                .flat_map(|(u, p)| {
+                    p.buckets.iter().map(move |((at, to), msgs)| {
+                        let cands: Vec<String> = msgs.iter().map(|m| m.cand.to_string()).collect();
+                        format!("{u}->{to}@{at}: {cands:?} of {} sent", p.msgs)
+                    })
+                })
+                .collect()
+        };
+        assert_eq!(view(&fanned), view(&serial), "the buckets depend on the fan-out");
+        assert_eq!(fanned_stats, serial_stats[..8], "the fault tallies depend on the fan-out");
+        let faults = fanned_stats.iter().fold(FaultStats::default(), |mut a, s| {
+            a.merge(s);
+            a
+        });
+        assert!(faults.dropped > 0 && faults.duplicated > 0 && faults.delayed > 0, "{faults:?}");
+
+        // Per edge, a copy sent later never arrives earlier. A nudge
+        // sends one message per rule and edge, and under a plan `post`
+        // sorts each edge's messages by rule, so an edge's send order is
+        // its rules' order within a post, then post order.
+        let mut arrivals: BTreeMap<(usize, usize), Vec<u64>> = BTreeMap::new();
+        for round in &fanned {
+            for (u, p) in round {
+                let mut sent: BTreeMap<usize, Vec<(String, u64)>> = BTreeMap::new();
+                for (&(at, to), msgs) in &p.buckets {
+                    sent.entry(to)
+                        .or_default()
+                        .extend(msgs.iter().map(|m| (m.cand.to_string(), at)));
+                }
+                for (to, mut copies) in sent {
+                    copies.sort();
+                    arrivals
+                        .entry((*u, to))
+                        .or_default()
+                        .extend(copies.into_iter().map(|(_, at)| at));
+                }
+            }
+        }
+        let jittered = arrivals.values().filter(|ats| ats.windows(2).any(|w| w[0] != w[1])).count();
+        assert!(jittered > 0, "jitter must spread some edge's arrivals");
+        for (edge, ats) in &arrivals {
+            assert!(ats.windows(2).all(|w| w[0] <= w[1]), "edge {edge:?} reordered: {ats:?}");
         }
     }
 
