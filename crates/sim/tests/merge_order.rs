@@ -8,9 +8,13 @@
 //! grid under lossy, duplicating, jittered links with one crash and a
 //! rejoin. A merge that appends senders in descending order moves both
 //! runs' numbers, and leaving out the per-edge FIFO clock moves the
-//! faulty run's.
+//! faulty run's. A third run arms checkpoint recovery, a crash with a
+//! rejoin and a mute controller on a small retry budget, so where the
+//! simulator arms recovery and the budget is pinned too.
 
 use gridmine_arm::{Database, Ratio};
+use gridmine_core::attack::ControllerBehavior;
+use gridmine_core::{RecoveryMode, RecoveryPolicy};
 use gridmine_paillier::MockCipher;
 use gridmine_quest::QuestParams;
 use gridmine_sim::{split_growth, SimConfig, SimSession, Simulation};
@@ -21,7 +25,7 @@ const STEPS: u64 = 30;
 
 /// A Barabási–Albert grid of `N` resources over a small T5I2 input, a
 /// fifth of each partition held back as its growth stream.
-fn grid(plan: Option<FaultPlan>) -> Simulation<MockCipher> {
+fn grid(plan: Option<FaultPlan>, mode: RecoveryMode) -> Simulation<MockCipher> {
     let quest = QuestParams::t5i2().with_transactions(1_000).with_items(8).with_patterns(4);
     let global: Database = gridmine_quest::generate(&quest.with_seed(42));
     let mut cfg = SimConfig::small().with_resources(N).with_k(4).with_seed(0x51D);
@@ -32,6 +36,7 @@ fn grid(plan: Option<FaultPlan>) -> Simulation<MockCipher> {
     let mut session = SimSession::new(cfg)
         .with_workload(split_growth(&global, N, 0.2, 0xF00D))
         .with_items(&global.item_domain())
+        .with_recovery(mode)
         .with_steps(STEPS);
     if let Some(plan) = plan {
         session = session.with_faults(plan);
@@ -71,7 +76,7 @@ fn outcome(sim: &mut Simulation<MockCipher>) -> (u64, u64, u64, String, String) 
 
 #[test]
 fn a_clean_growing_grid_keeps_its_pinned_outcome() {
-    let got = outcome(&mut grid(None));
+    let got = outcome(&mut grid(None, RecoveryMode::ColdRestart));
     assert_eq!(
         got,
         (
@@ -89,7 +94,7 @@ fn a_faulty_grid_with_a_crash_and_a_rejoin_keeps_its_pinned_outcome() {
     let plan = FaultPlan::new(0xFA17)
         .with_default_edge(EdgeFaults { drop: 0.1, duplicate: 0.1, jitter: 2 })
         .with_crash(7, 12, Some(20));
-    let got = outcome(&mut grid(Some(plan)));
+    let got = outcome(&mut grid(Some(plan), RecoveryMode::ColdRestart));
     assert_eq!(
         got,
         (
@@ -98,6 +103,26 @@ fn a_faulty_grid_with_a_crash_and_a_rejoin_keeps_its_pinned_outcome() {
             12_056_089_537_640_756_587,
             "[]".to_owned(),
             r#"{"faults":{"dropped":15199,"duplicated":14022,"delayed":92203,"crashes":1,"recoveries":1,"departures":0},"retries":0,"degraded":[],"convergence_delay":30,"resends":19867,"checkpoints":0,"replays":0,"rejected":0,"exhausted":0}"#.to_owned(),
+        )
+    );
+}
+
+#[test]
+fn an_armed_grid_with_a_rejoin_and_a_mute_controller_keeps_its_pinned_outcome() {
+    let plan = FaultPlan::new(0xA12D).with_crash(7, 12, Some(20));
+    let mode = RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT.with_checkpoint_every(3));
+    let mut sim = grid(Some(plan), mode);
+    sim.resource_mut(6).controller_behavior = ControllerBehavior::Mute;
+    sim.resource_mut(6).set_retry_budget(8);
+    let got = outcome(&mut sim);
+    assert_eq!(
+        got,
+        (
+            226_062,
+            471_721_984,
+            1_260_083_899_825_613_731,
+            "[]".to_owned(),
+            r#"{"faults":{"dropped":0,"duplicated":0,"delayed":0,"crashes":1,"recoveries":1,"departures":0},"retries":8,"degraded":[6],"convergence_delay":18,"resends":3455,"checkpoints":487,"replays":1,"rejected":0,"exhausted":1}"#.to_owned(),
         )
     );
 }
