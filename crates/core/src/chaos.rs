@@ -17,8 +17,8 @@ pub enum DegradeReason {
     Crashed,
     /// Departed the grid permanently.
     Departed,
-    /// Its worker thread panicked (threaded driver); the panic was
-    /// contained and the rest of the grid kept mining.
+    /// A protocol call panicked (any driver) or its worker thread died;
+    /// the panic was contained and the rest of the grid kept mining.
     Panicked,
     /// Its controller stopped serving SFE queries and the broker's
     /// bounded retry budget ran out.

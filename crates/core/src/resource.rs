@@ -644,7 +644,8 @@ impl<C: HomCipher> SecureResource<C> {
         self.recovery_armed = true;
     }
 
-    /// True once [`SecureResource::arm_recovery`] has run.
+    /// True once [`SecureResource::arm_recovery`] has run or a mining
+    /// state was restored.
     pub fn recovery_armed(&self) -> bool {
         self.recovery_armed
     }
@@ -792,7 +793,7 @@ impl<C: HomCipher> SecureResource<C> {
         }
         // A restored mining state is an armed one: its next image carries
         // the state again.
-        self.arm_recovery();
+        self.recovery_armed = true;
         self.journal_replays += 1;
         emit(&self.rec, || Event::JournalReplayed { resource: self.id as u64 });
         Ok(())

@@ -5,8 +5,9 @@
 //! it scans and when it generates candidates. At which tick it is wiped,
 //! restored, healed or checkpointed, and how per-resource results fold
 //! into a [`MiningOutcome`], is scheduling policy — and every driver
-//! (synchronous, threaded, multi-process) must apply the *same* policy
-//! or their outcomes stop being comparable. This module owns it:
+//! (synchronous, threaded, multi-process, simulated) must apply the
+//! *same* policy or their outcomes stop being comparable. This module
+//! owns it:
 //!
 //! * [`RoundSchedule`] — one resource's slice of the [`FaultPlan`] and
 //!   [`RecoveryMode`]: when it is down, which edges heal, when a
@@ -396,22 +397,35 @@ impl<C: HomCipher> RoundMachine<C> {
         for v in self.schedule.rejoined_at(tick, &live) {
             self.guarded(|r| r.restart_edge(v));
         }
-        let mut msgs = Vec::new();
         let heal = self.schedule.heal_edges(tick, &live);
-        if !heal.is_empty() {
-            // Resends carry unchanged Lamport traces, so receivers treat
-            // them as idempotent, never as replays.
-            for v in heal {
-                self.resource.reset_edge(v);
-            }
-            msgs = self.guarded(|r| r.nudge());
-        }
+        let mut msgs = if heal.is_empty() { Vec::new() } else { self.heal(&heal) };
         let checkpointed = self.schedule.checkpoint_due(tick);
         if checkpointed {
             self.resource.take_checkpoint(tick);
         }
-        msgs.extend(self.guarded(|r| r.step(usize::MAX)));
+        msgs.extend(self.step(usize::MAX));
         Scan::Send { msgs, checkpointed }
+    }
+
+    /// Lifts the duplicate-send suppressors toward `edges` and resends
+    /// the current aggregates. Resends carry unchanged Lamport traces, so
+    /// receivers treat them as idempotent, never as replays.
+    pub fn heal(&mut self, edges: &[usize]) -> Vec<WireMsg<C>> {
+        if self.quiet() {
+            return Vec::new();
+        }
+        for &v in edges {
+            self.resource.reset_edge(v);
+        }
+        self.guarded(|r| r.nudge())
+    }
+
+    /// Scans up to `budget` transactions and mails what changed.
+    pub fn step(&mut self, budget: usize) -> Vec<WireMsg<C>> {
+        if self.quiet() {
+            return Vec::new();
+        }
+        self.guarded(|r| r.step(budget))
     }
 
     /// Opens the round's candidate-generation phase.
@@ -457,16 +471,22 @@ impl<C: HomCipher> RoundMachine<C> {
         }
     }
 
+    /// The degradation the resource recorded about itself, or
+    /// [`DegradeReason::Panicked`] once a protocol call panicked.
+    pub fn degraded(&self) -> Option<DegradeReason> {
+        if self.poisoned {
+            Some(DegradeReason::Panicked)
+        } else {
+            self.resource.degraded()
+        }
+    }
+
     /// The resource's contribution to the outcome.
     pub fn report(&self) -> ResourceReport {
         ResourceReport {
             solutions: self.resource.interim(),
             verdict: self.resource.verdict(),
-            degraded: if self.poisoned {
-                Some(DegradeReason::Panicked)
-            } else {
-                self.resource.degraded()
-            },
+            degraded: self.degraded(),
             tallies: self.tallies(),
         }
     }
@@ -508,12 +528,9 @@ pub fn assemble(
     let mut solutions = Vec::with_capacity(seats.len());
     let mut statuses = Vec::with_capacity(seats.len());
     let mut verdicts = Vec::new();
-    let mut sum = Tallies::default();
-    let mut exhausted = 0u64;
+    let mut tallies = Vec::with_capacity(seats.len());
     for (u, seat) in seats.into_iter().enumerate() {
-        let tallies = seat.report.as_ref().map_or(seat.fallback, |r| r.tallies);
-        sum = sum.plus(tallies);
-        exhausted += u64::from(tallies.exhausted);
+        tallies.push(seat.report.as_ref().map_or(seat.fallback, |r| r.tallies));
         verdicts.extend(seat.door_verdict);
         verdicts.extend(seat.report.as_ref().and_then(|r| r.verdict));
         let own = seat.report.as_ref().and_then(|r| r.degraded);
@@ -549,24 +566,40 @@ pub fn assemble(
         }
     }
 
-    let chaos = ChaosReport {
-        faults,
-        retries: sum.retries,
-        degraded: statuses.iter().enumerate().filter(|(_, s)| !s.is_ok()).map(|(u, _)| u).collect(),
-        convergence_delay: plan.onset().map_or(0, |onset| end.saturating_sub(onset)),
-        resends: sum.resends,
-        checkpoints: sum.checkpoints,
-        replays: sum.replays,
-        rejected: sum.rejected,
-        exhausted,
-    };
+    let degraded = statuses.iter().enumerate().filter(|(_, s)| !s.is_ok()).map(|(u, _)| u);
+    let convergence_delay = plan.onset().map_or(0, |onset| end.saturating_sub(onset));
     MiningOutcome {
         solutions,
         verdicts,
-        messages: sum.msgs_sent,
+        messages: tallies.iter().map(|t| t.msgs_sent).sum(),
+        chaos: ChaosReport::tallied(faults, degraded.collect(), convergence_delay, &tallies),
         statuses,
-        chaos,
         metrics: MetricsSnapshot::default(),
+    }
+}
+
+impl ChaosReport {
+    /// The report of a run: the link and schedule tallies `faults`, the
+    /// `degraded` resources, and every resource's `tallies` summed, with
+    /// `exhausted` counting the resources whose retry budget ran dry.
+    pub fn tallied(
+        faults: FaultStats,
+        degraded: Vec<usize>,
+        convergence_delay: u64,
+        tallies: &[Tallies],
+    ) -> ChaosReport {
+        let sum = |f: fn(&Tallies) -> u64| tallies.iter().map(f).sum();
+        ChaosReport {
+            faults,
+            retries: sum(|t| t.retries),
+            degraded,
+            convergence_delay,
+            resends: sum(|t| t.resends),
+            checkpoints: sum(|t| t.checkpoints),
+            replays: sum(|t| t.replays),
+            rejected: sum(|t| t.rejected),
+            exhausted: sum(|t| u64::from(t.exhausted)),
+        }
     }
 }
 
@@ -707,6 +740,36 @@ mod tests {
             assert!(!spared.down(2) && !spared.wipes_at(2) && !spared.restores_at(4));
             let d = RoundSchedule::of(&depart, 1, mode);
             assert!(d.departs_at(3) && !d.departs_at(4) && !d.wipes_at(3));
+        }
+    }
+
+    #[test]
+    fn a_poisoned_machine_reads_panicked_and_sends_nothing() {
+        use gridmine_arm::{Database, Item, Ratio, Transaction};
+        let cfg = crate::MineConfig::new(Ratio::new(1, 2), Ratio::new(1, 2));
+        let keys = crate::GridKeys::mock(1);
+        let db = |u: u64| {
+            Database::from_transactions((0..8).map(|j| Transaction::of(u * 8 + j, &[1])).collect())
+        };
+        // Resource 0 of a wired pair, under no fault.
+        let machine = || {
+            let mut pair: Vec<_> = (0..2)
+                .map(|u| cfg.resource(u, &keys, |v| vec![1 - v], db(u as u64), &[Item(1)]))
+                .collect();
+            crate::resource::wire_grid(&mut pair);
+            let schedule = RoundSchedule::of(&FaultPlan::none(), 0, RecoveryMode::ColdRestart);
+            RoundMachine::new(pair.remove(0), schedule, gridmine_obs::null())
+        };
+        let (mut poisoned, mut healthy) = (machine(), machine());
+
+        poisoned.guarded::<()>(|_| panic!("a protocol bug"));
+        assert_eq!(poisoned.degraded(), Some(DegradeReason::Panicked));
+        assert_eq!(poisoned.report().degraded, Some(DegradeReason::Panicked));
+        assert_eq!(healthy.degraded(), None);
+        for m in [&mut poisoned, &mut healthy] {
+            let sent = [m.step(usize::MAX).len(), m.heal(&[1]).len(), m.candidates().len()];
+            let quiet = m.degraded().is_some();
+            assert_eq!(sent.iter().all(|&n| n == 0), quiet, "sent {sent:?}");
         }
     }
 

@@ -13,8 +13,8 @@
 //!   maps everything else to a typed [`WireError`] (accounted as
 //!   `Verdict::MaliciousResource` at the peering door), never a panic.
 //! * [`transport`] — the peering handshake (session id and resource,
-//!   under the version every frame header carries), heartbeat liveness,
-//!   and capped-backoff dialing reusing
+//!   under the version every frame header carries), the heartbeat
+//!   cadence, and capped-backoff dialing reusing
 //!   the recovery [`RetryPolicy`](gridmine_core::RetryPolicy).
 //! * the in-path chaos layer is core's
 //!   [`ChaosProxy`](gridmine_core::ChaosProxy): one seeded

@@ -1,5 +1,6 @@
 //! Supervised TCP transport: framed send/receive, the peering
-//! handshake, capped-backoff dialing, and liveness constants.
+//! handshake, capped-backoff dialing, and the heartbeat cadence. The
+//! deadlines that act on silence are the node's and the hub's own.
 //!
 //! A session stream is **coalesced** in both directions. Its write half
 //! is a [`FrameWriter`]: frames are encoded (or, relayed, copied as
@@ -34,11 +35,6 @@ use crate::frame;
 
 /// Idle nodes probe the hub at this cadence.
 pub const HEARTBEAT_EVERY: Duration = Duration::from_millis(100);
-
-/// A peer silent for longer than this is presumed dead (supervisor
-/// deadline; generous next to the heartbeat cadence so scheduling
-/// hiccups do not degrade healthy peers).
-pub const LIVENESS_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Read-buffer capacity of a session stream, and the pending size past
 /// which a [`FrameWriter`] writes out early instead of growing.

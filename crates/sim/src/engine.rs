@@ -7,6 +7,18 @@
 //! happens only through the message queue, so per-phase parallelism is
 //! race-free.
 //!
+//! Each resource is a [`RoundMachine`], the per-resource machine the
+//! synchronous, threaded and net drivers run too: every protocol call
+//! (delivery, scan, heal resend, candidate generation, rejoin restore)
+//! goes through it, it arms recovery and the retry budget, it contains a
+//! panic as [`DegradeReason::Panicked`], and its schedule answers when a
+//! rejoin heals. A simulation is built once, by [`crate::SimSession`],
+//! with its fault plan, recovery mode and recorder. What stays the
+//! simulator's own is scheduling: the overlay's repair on a crash,
+//! departure or quarantine, rewire epochs, the lossy-link heal cadence
+//! (every `resend_every` steps), growth, budgeted scans, and the event
+//! scheduler with its dense oracle.
+//!
 //! Each kind of work is a [`Pass`] with exactly one body here; a pass
 //! visits the resources its tracking set names (`growing`, `scan_armed`,
 //! `dirty`) and fires at the timestamps one function names
@@ -46,7 +58,7 @@ use gridmine_core::proxy::mirror_delivery;
 use gridmine_core::resource::{wire_grid, wire_pair};
 use gridmine_core::{
     BrokerBehavior, ChaosReport, DegradeReason, GateMode, GridKeys, MineConfig, RecoveryMode,
-    ResourceStatus, RoundSchedule, SecureResource, Verdict, WireMsg,
+    ResourceStatus, RoundMachine, RoundSchedule, SecureResource, Tallies, Verdict, WireMsg,
 };
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::HomCipher;
@@ -212,8 +224,8 @@ impl Outbox {
 /// The event-driven scheduler state. `None` while the simulation is (or
 /// was last) driven by the dense schedule; armed lazily by
 /// [`Simulation::run_event_driven`] and invalidated by any mutation the
-/// bookkeeping cannot track (manual ticks, membership changes, fault or
-/// recovery re-arming).
+/// bookkeeping cannot track (manual ticks, membership changes, external
+/// surgery on a resource).
 struct SchedState {
     /// Pending `(time, pass)` pairs; the set order is the firing order,
     /// and a pair is pending at most once.
@@ -230,7 +242,10 @@ pub struct Simulation<C: HomCipher> {
     overlay: Overlay,
     keys: GridKeys<C>,
     items: Vec<Item>,
-    resources: Vec<SecureResource<C>>,
+    /// One round machine per resource, by id: every protocol call goes
+    /// through it, and it holds the resource's slice of the fault plan
+    /// and recovery mode.
+    machines: Vec<RoundMachine<C>>,
     plans: Vec<GrowthPlan>,
     /// Each resource's out-edge state, by sender id (see [`Outbox`]).
     outboxes: Vec<Outbox>,
@@ -240,10 +255,10 @@ pub struct Simulation<C: HomCipher> {
     /// sender order; each bucket is in its sender's send order.
     inflight: BTreeMap<u64, BTreeMap<usize, Vec<WireMsg<C>>>>,
     departed: Vec<bool>,
-    /// Fault injection, when armed via [`Simulation::inject_faults`]: the
-    /// plan in force, and the tallies of the crashes, recoveries and
-    /// departures it fired. Message decisions roll on each sender's own
-    /// link in its [`Outbox`].
+    /// The fault plan the simulation was built under, if any, and the
+    /// tallies of the crashes, recoveries and departures it fired.
+    /// Message decisions roll on each sender's own link in its
+    /// [`Outbox`].
     link: Option<FaultyLink>,
     /// Where a crashed resource should re-attach on recovery (the hub its
     /// neighborhood was bridged through when it was routed around).
@@ -251,9 +266,7 @@ pub struct Simulation<C: HomCipher> {
     /// The recovery image a crash left, held until the rejoin restores
     /// from it (it models the node's disk).
     crash_image: Vec<Option<Vec<u8>>>,
-    /// Crash-recovery semantics (see [`Simulation::set_recovery`]).
-    mode: RecoveryMode,
-    /// Structured-event sink ([`gridmine_obs::null`] unless armed).
+    /// Structured-event sink, every resource's and the engine's.
     rec: SharedRecorder,
     step_no: u64,
     /// Event-driven scheduler, armed while `run_event_driven` drives the
@@ -317,15 +330,20 @@ impl<C: HomCipher> Simulation<C>
 where
     C::Ct: Send + Sync,
 {
-    /// Builds a grid: BA topology, spanning tree, one resource per node.
-    pub fn new(
+    /// Builds a grid: BA topology, spanning tree, one resource per node,
+    /// each wrapped in a [`RoundMachine`] with its slice of `faults` and
+    /// `mode` and reporting to `rec`. [`crate::SimSession`] validates the
+    /// inputs first.
+    pub(crate) fn new(
         cfg: SimConfig,
         keys: &GridKeys<C>,
         mut plans: Vec<GrowthPlan>,
         items: &[Item],
+        faults: Option<FaultPlan>,
+        mode: RecoveryMode,
+        rec: SharedRecorder,
     ) -> Self {
         cfg.validate();
-        assert_eq!(plans.len(), cfg.n_resources, "one growth plan per resource");
         let overlay = if cfg.n_resources == 1 {
             Overlay::from_tree(gridmine_topology::Tree::singleton(), cfg.delay, cfg.seed)
         } else {
@@ -343,21 +361,27 @@ where
             })
             .collect();
         wire_grid(&mut resources);
+        let quiet = FaultPlan::none();
+        let plan = faults.as_ref().unwrap_or(&quiet);
+        let machines = resources
+            .into_iter()
+            .enumerate()
+            .map(|(u, r)| RoundMachine::new(r, RoundSchedule::of(plan, u, mode), rec.clone()))
+            .collect();
         Simulation {
             cfg,
             overlay,
             keys: keys.clone(),
             items: items.to_vec(),
-            resources,
+            machines,
             plans,
-            outboxes: (0..cfg.n_resources).map(|_| Outbox::under(None)).collect(),
+            outboxes: (0..cfg.n_resources).map(|_| Outbox::under(faults.as_ref())).collect(),
             inflight: BTreeMap::new(),
             departed: vec![false; cfg.n_resources],
-            link: None,
+            link: faults.map(FaultyLink::new),
             crash_parent: vec![None; cfg.n_resources],
             crash_image: vec![None; cfg.n_resources],
-            mode: RecoveryMode::default(),
-            rec: gridmine_obs::null(),
+            rec,
             step_no: 0,
             sched: None,
             scan_armed: BTreeSet::new(),
@@ -397,7 +421,7 @@ where
 
     /// Access to a resource (metrics, attack injection).
     pub fn resource(&self, u: usize) -> &SecureResource<C> {
-        &self.resources[u]
+        self.machines[u].resource()
     }
 
     /// Mutable access to a resource. External surgery the scheduler's
@@ -405,7 +429,7 @@ where
     /// rebuilt from scratch on the next `run_event_driven`.
     pub fn resource_mut(&mut self, u: usize) -> &mut SecureResource<C> {
         self.sched = None;
-        &mut self.resources[u]
+        self.machines[u].resource_mut()
     }
 
     /// Makes one broker malicious. The resource joins the always-dirty
@@ -413,51 +437,9 @@ where
     /// re-examines everyone), so detections that surface without any
     /// message or candidate signal are never missed.
     pub fn corrupt_broker(&mut self, u: usize, behavior: BrokerBehavior) {
-        self.resources[u].set_broker_behavior(behavior);
+        self.machines[u].resource_mut().set_broker_behavior(behavior);
         self.always_dirty.insert(u);
         self.note_effect(u);
-    }
-
-    /// Attaches a structured-event recorder: every resource (present and
-    /// future joiners) reports protocol events to it, and the engine adds
-    /// round/fault/quarantine markers. Attach before the first
-    /// [`Simulation::run_event_driven`] for a complete log.
-    pub fn set_recorder(&mut self, rec: SharedRecorder) {
-        for r in self.resources.iter_mut() {
-            r.set_recorder(rec.clone());
-        }
-        self.rec = rec;
-    }
-
-    /// Arms deterministic fault injection: every subsequent send goes
-    /// through the plan's drop/duplication/jitter decisions and the
-    /// crash/recover/depart schedules fire at their ticks (plan ticks =
-    /// simulation steps). Same plan + same config ⇒ byte-identical
-    /// [`Simulation::chaos_report`].
-    pub fn inject_faults(&mut self, plan: FaultPlan) {
-        for out in self.outboxes.iter_mut() {
-            out.link = Some(FaultyLink::new(plan.clone()));
-        }
-        self.link = Some(FaultyLink::new(plan));
-        self.sched = None;
-    }
-
-    /// Selects the crash-recovery semantics (default:
-    /// [`RecoveryMode::ColdRestart`]: every crash wipes, and the rejoin
-    /// brings back the controller's audits only).
-    /// With [`RecoveryMode::Checkpoint`] every resource (present and
-    /// future joiners) is armed — its crash image carries the mining state
-    /// — and adopts the policy's retry budget. Call before the first
-    /// [`Simulation::run_event_driven`].
-    pub fn set_recovery(&mut self, mode: RecoveryMode) {
-        self.mode = mode;
-        self.sched = None;
-        if let Some(policy) = mode.policy() {
-            for r in self.resources.iter_mut() {
-                r.arm_recovery();
-                r.set_retry_policy(&policy.retry);
-            }
-        }
     }
 
     /// A new resource joins the grid under `parent` (dynamic membership).
@@ -469,25 +451,23 @@ where
     /// nudged so current aggregates flow into the new world. Returns the
     /// new resource's id.
     pub fn join_resource(&mut self, parent: usize, plan: GrowthPlan) -> usize {
-        assert!(parent < self.resources.len(), "parent must exist");
+        assert!(parent < self.machines.len(), "parent must exist");
         self.sched = None;
         let mut plan = plan;
         let id = self.overlay.join(parent);
         let db = std::mem::take(&mut plan.initial);
         // A joiner's seed stays apart from any founder's.
         let seed = self.cfg.seed ^ 0xBEEF;
-        let mut newcomer = mint(&self.cfg, seed, &self.keys, &self.overlay, id, db, &self.items);
-        newcomer.set_recorder(self.rec.clone());
-        self.resources.push(newcomer);
+        let newcomer = mint(&self.cfg, seed, &self.keys, &self.overlay, id, db, &self.items);
+        // A fault plan names founders only, so a joiner's slice of it is
+        // a founder's without that founder's own fault.
+        let schedule = self.machines[parent].schedule().clone().without_own_fault();
+        self.machines.push(RoundMachine::new(newcomer, schedule, self.rec.clone()));
         self.outboxes.push(Outbox::under(self.link.as_ref().map(FaultyLink::plan)));
         self.plans.push(plan);
         self.departed.push(false);
         self.crash_parent.push(None);
         self.crash_image.push(None);
-        if let Some(policy) = self.mode.policy() {
-            self.resources[id].arm_recovery();
-            self.resources[id].set_retry_policy(&policy.retry);
-        }
 
         // Parent adopts its grown neighbor set; the whole neighborhood is
         // re-wired and nudged.
@@ -531,22 +511,21 @@ where
     /// nudged so current aggregates flow into the new epoch.
     fn rewire_around(&mut self, u: usize) {
         let neighbors: Vec<usize> = self.overlay.neighbors(u).collect();
-        let epoch = self.step_no.wrapping_mul(0x9E37).wrapping_add(self.resources.len() as u64);
-        self.resources[u].rewire(neighbors.clone(), epoch);
-
+        let epoch = self.epoch();
+        self.machines[u].resource_mut().rewire(neighbors.clone(), epoch);
         for &v in &neighbors {
             let (a, b) = if u < v {
-                let (lo, hi) = self.resources.split_at_mut(v);
+                let (lo, hi) = self.machines.split_at_mut(v);
                 (&mut lo[u], &mut hi[0])
             } else {
-                let (lo, hi) = self.resources.split_at_mut(u);
+                let (lo, hi) = self.machines.split_at_mut(u);
                 (&mut hi[0], &mut lo[v])
             };
-            wire_pair(a, b);
-            self.resources[v].reset_edge(u);
+            wire_pair(a.resource_mut(), b.resource_mut());
         }
 
-        // The buckets go out in nudge order, neighbors then `u`, on a
+        // Each neighbor heals its edge toward `u`, and `u` resends on its
+        // own. The buckets go out in that order, neighbors then `u`, on a
         // clean grid; the chaos sort orders a fault plan's batch by sender.
         let mut senders: Vec<usize> = neighbors.into_iter().chain([u]).collect();
         if self.link.is_some() {
@@ -556,8 +535,9 @@ where
         ids.sort_unstable();
         let (t, overlay, rec) = (self.step_no, &self.overlay, &self.rec);
         let mut nudged: BTreeMap<usize, Posted<C>> =
-            visit(&mut self.resources, &mut self.outboxes, ids, |w, r, out| {
-                out.post(w, r.nudge(), t, overlay, rec)
+            visit(&mut self.machines, &mut self.outboxes, ids, |w, m, out| {
+                let edges: &[usize] = if w == u { &[] } else { &[u] };
+                out.post(w, m.heal(edges), t, overlay, rec)
             })
             .into_iter()
             .collect();
@@ -567,6 +547,11 @@ where
             }
             self.mark_touch(w);
         }
+    }
+
+    /// The share epoch a rewiring at the current step salts with.
+    fn epoch(&self) -> u64 {
+        self.step_no.wrapping_mul(0x9E37).wrapping_add(self.machines.len() as u64)
     }
 
     /// Appends one sender's buckets to `inflight` — whole buckets, no
@@ -600,11 +585,12 @@ where
         let nbrs: Vec<usize> = self.overlay.neighbors(u).collect();
         self.overlay.route_around(u);
         self.departed[u] = true;
-        self.resources[u].mark_degraded(reason);
+        let r = self.machines[u].resource_mut();
+        r.mark_degraded(reason);
         if reason == DegradeReason::Crashed {
             // Volatile mining state dies with the process; the recovery
             // image it leaves is held until the rejoin.
-            self.crash_image[u] = Some(self.resources[u].crash_wipe());
+            self.crash_image[u] = Some(r.crash_wipe());
         }
         let Some(&first) = nbrs.first() else { return };
         // The hub is the former neighbor now adjacent to all the others
@@ -622,10 +608,10 @@ where
         // contain the edge, and route_around creates brand-new orphan↔hub
         // edges, so a one-at-a-time rewire would ask a not-yet-rewired hub
         // for a share toward an orphan it never knew.
-        let epoch = self.step_no.wrapping_mul(0x9E37).wrapping_add(self.resources.len() as u64);
+        let epoch = self.epoch();
         for &v in &nbrs {
             let nv: Vec<usize> = self.overlay.neighbors(v).collect();
-            self.resources[v].rewire(nv, epoch);
+            self.machines[v].resource_mut().rewire(nv, epoch);
         }
         for &v in &nbrs {
             if v != hub {
@@ -648,10 +634,10 @@ where
         let Some(anchor) = anchor else { return };
         self.overlay.rejoin(u, anchor);
         self.departed[u] = false;
-        self.resources[u].clear_degraded();
-        let epoch =
-            self.step_no.wrapping_mul(0x9E37).wrapping_add(self.resources.len() as u64) ^ 0xC0DE;
-        self.resources[u].rewire(vec![anchor], epoch);
+        let epoch = self.epoch() ^ 0xC0DE;
+        let m = &mut self.machines[u];
+        m.resource_mut().clear_degraded();
+        m.resource_mut().rewire(vec![anchor], epoch);
         // The one restore door, as in every driver: the controller's
         // audits, then the mining state under a checkpoint policy. The image
         // is untrusted input: a rejection halts the resource with a
@@ -659,11 +645,10 @@ where
         // never speak); the grid keeps mining around it. A resource
         // isolated without a crash rejoins from the image a crash now
         // would leave. Cold, only the audits come back, and the heal
-        // pass's resends rebuild the rest.
-        let image = self.crash_image[u].take();
-        if let Some(bytes) = image.or_else(|| self.resources[u].encode_recovery_image()) {
-            self.resources[u].restore_from_image(&bytes);
-        }
+        // pass's resends rebuild the rest. Simulated time has no wall
+        // clock, so a restore never stalls.
+        let image = self.crash_image[u].take().or_else(|| m.resource().encode_recovery_image());
+        m.restore(image.as_deref(), || 0);
         self.mark_touch(u);
         self.rewire_around(anchor);
     }
@@ -716,28 +701,12 @@ where
         for link in self.outboxes.iter().filter_map(|out| out.link.as_ref()) {
             faults.merge(&link.stats());
         }
-        let degraded: Vec<usize> = self
-            .resources
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.degraded().is_some())
-            .map(|(u, _)| u)
-            .collect();
-        ChaosReport {
-            faults,
-            retries: self.resources.iter().map(|r| r.retries_spent()).sum(),
-            degraded,
-            convergence_delay: self
-                .link
-                .as_ref()
-                .and_then(|l| l.plan().onset())
-                .map_or(0, |onset| self.step_no.saturating_sub(onset)),
-            resends: self.resources.iter().map(|r| r.resends_sent()).sum(),
-            checkpoints: self.resources.iter().map(|r| r.recovery_checkpoints()).sum(),
-            replays: self.resources.iter().map(|r| r.recovery_replays()).sum(),
-            rejected: self.resources.iter().map(|r| r.recovery_rejected()).sum(),
-            exhausted: self.resources.iter().map(|r| u64::from(r.retry_exhausted())).sum(),
-        }
+        let degraded = (0..self.machines.len()).filter(|&u| self.machines[u].degraded().is_some());
+        let convergence_delay = (self.link.as_ref())
+            .and_then(|l| l.plan().onset())
+            .map_or(0, |onset| self.step_no.saturating_sub(onset));
+        let tallies: Vec<Tallies> = self.machines.iter().map(RoundMachine::tallies).collect();
+        ChaosReport::tallied(faults, degraded.collect(), convergence_delay, &tallies)
     }
 
     /// Runs one step of the dense schedule — the differential oracle for
@@ -753,7 +722,7 @@ where
         self.step_no += 1;
         let t = self.step_no;
         emit(&self.rec, || Event::RoundAdvanced { tick: t });
-        let n = self.resources.len();
+        let n = self.machines.len();
         self.growing = (0..n).collect();
         self.scan_armed = (0..n).collect();
         self.dirty = (0..n).collect();
@@ -784,22 +753,27 @@ where
         let every = match pass {
             Pass::Faults | Pass::Deliver | Pass::Growth | Pass::Scan | Pass::Wake => 1,
             Pass::Heal => {
-                let plan = self.link.as_ref()?.plan();
                 let every = self.resend_every();
-                let lossy = plan.has_edge_faults().then(|| from.div_ceil(every) * every);
-                // Every resource's schedule holds the plan's rejoin ticks.
-                let rejoin = RoundSchedule::of(plan, 0, self.mode).next_heal(from);
+                let lossy = self.link.as_ref()?.plan().has_edge_faults();
+                let lossy = lossy.then(|| from.div_ceil(every) * every);
+                let rejoin = self.plan_schedule().next_heal(from);
                 return lossy.into_iter().chain(rejoin).min();
             }
-            Pass::Checkpoint => self.mode.policy()?.checkpoint_every.max(1),
+            Pass::Checkpoint => self.plan_schedule().mode().policy()?.checkpoint_every.max(1),
             Pass::Candidates => self.cfg.candidate_every.max(1),
         };
         Some(from.div_ceil(every) * every)
     }
 
+    /// Resource 0's schedule, which answers for the whole grid where every
+    /// schedule agrees: the plan's rejoin ticks and the recovery mode.
+    fn plan_schedule(&self) -> &RoundSchedule {
+        self.machines[0].schedule()
+    }
+
     /// The retry policy's resend cadence, clamped to at least one step.
     fn resend_every(&self) -> u64 {
-        self.mode.retry().resend_every.max(1)
+        self.plan_schedule().mode().retry().resend_every.max(1)
     }
 
     /// Dispatches one pass to its body.
@@ -821,7 +795,7 @@ where
     /// Delivery: messages scheduled for `t` are handed to their receivers
     /// (ascending id, per-receiver schedule order), and the worker that
     /// handles a receiver times and buckets the replies they caused.
-    /// `on_receive` has no cross-resource interaction and every reply
+    /// A receive has no cross-resource interaction and every reply
     /// lands at `t + delay ≥ t + 1`, so the receivers are independent.
     /// The delivered messages are freed on the calling thread when the
     /// pass ends, not on the workers: each was allocated on whichever
@@ -833,10 +807,10 @@ where
         let Some(inbox) = self.inflight.remove(&t) else { return };
         let ids = inbox.keys().copied().filter(|&to| !self.departed[to]);
         let (overlay, rec) = (&self.overlay, &self.rec);
-        let replies = visit(&mut self.resources, &mut self.outboxes, ids, |to, r, out| {
+        let replies = visit(&mut self.machines, &mut self.outboxes, ids, |to, m, out| {
             let mut replies = Vec::new();
-            for m in inbox.get(&to).into_iter().flatten() {
-                replies.extend(r.on_receive(m));
+            for msg in inbox.get(&to).into_iter().flatten() {
+                replies.extend(m.receive(msg));
             }
             out.post(to, replies, t, overlay, rec)
         });
@@ -861,7 +835,7 @@ where
             }
             let txs = self.plans[u].take(growth);
             if !txs.is_empty() {
-                self.resources[u].accountant_mut().append(txs);
+                self.machines[u].resource_mut().accountant_mut().append(txs);
                 self.mark_touch(u);
             }
             if self.plans[u].remaining() == 0 {
@@ -877,12 +851,12 @@ where
         self.scan_armed.retain(|&u| !self.departed[u]);
         let ids = self.scan_armed.iter().copied();
         let (budget, overlay, rec) = (self.cfg.scan_budget, &self.overlay, &self.rec);
-        let scanned = visit(&mut self.resources, &mut self.outboxes, ids, |u, r, out| {
-            let had_backlog = r.accountant().total_backlog() > 0;
-            let msgs = r.step(budget);
-            let keep = r.accountant().total_backlog() > 0
-                && r.verdict().is_none()
-                && r.degraded().is_none();
+        let scanned = visit(&mut self.machines, &mut self.outboxes, ids, |u, m, out| {
+            let had_backlog = m.resource().accountant().total_backlog() > 0;
+            let msgs = m.step(budget);
+            let keep = m.resource().accountant().total_backlog() > 0
+                && m.resource().verdict().is_none()
+                && m.degraded().is_none();
             (had_backlog, keep, out.post(u, msgs, t, overlay, rec))
         });
         for (u, (had_backlog, keep, posted)) in scanned {
@@ -912,30 +886,21 @@ where
     fn heal_pass(&mut self, t: u64) {
         let Some(plan) = self.link.as_ref().map(FaultyLink::plan) else { return };
         let everyone = plan.has_edge_faults() && t.is_multiple_of(self.resend_every());
-        let mode = self.mode;
-        // Every resource's schedule holds the plan's rejoin ticks.
-        let rejoins = RoundSchedule::of(plan, 0, mode);
         let ids: BTreeSet<usize> = if everyone {
-            (0..self.resources.len()).collect()
+            (0..self.machines.len()).collect()
         } else {
-            rejoins.healing_at(t).flat_map(|r| self.overlay.neighbors(r).chain([r])).collect()
+            let healing = self.plan_schedule().healing_at(t);
+            healing.flat_map(|r| self.overlay.neighbors(r).chain([r])).collect()
         };
         let ids = ids.into_iter().filter(|&u| !self.departed[u]);
         let (overlay, rec) = (&self.overlay, &self.rec);
-        let healed = visit(&mut self.resources, &mut self.outboxes, ids, |u, r, out| {
+        let healed = visit(&mut self.machines, &mut self.outboxes, ids, |u, m, out| {
             let live: Vec<usize> = overlay.neighbors(u).collect();
-            let edges = if everyone {
-                live
-            } else {
-                RoundSchedule::of(plan, u, mode).rejoin_edges(t, &live)
-            };
+            let edges = if everyone { live } else { m.schedule().rejoin_edges(t, &live) };
             if edges.is_empty() {
                 return None;
             }
-            for v in edges {
-                r.reset_edge(v);
-            }
-            Some(out.post(u, r.nudge(), t, overlay, rec))
+            Some(out.post(u, m.heal(&edges), t, overlay, rec))
         });
         for (u, posted) in healed {
             if let Some(posted) = posted {
@@ -945,13 +910,11 @@ where
         }
     }
 
-    /// Checkpoint: counted and reported on every armed, present
-    /// resource.
+    /// Checkpoint: counted and reported on every present resource armed
+    /// for recovery.
     fn checkpoint_pass(&mut self, t: u64) {
-        for u in 0..self.resources.len() {
-            if !self.departed[u] && self.resources[u].recovery_armed() {
-                self.resources[u].take_checkpoint(t);
-            }
+        for u in (0..self.machines.len()).filter(|&u| !self.departed[u]) {
+            self.machines[u].resource_mut().take_checkpoint(t);
         }
     }
 
@@ -962,17 +925,19 @@ where
         wanted.extend(self.always_dirty.iter().copied());
         let ids = wanted.into_iter().filter(|&u| !self.departed[u]);
         let (overlay, rec) = (&self.overlay, &self.rec);
-        let generated = visit(&mut self.resources, &mut self.outboxes, ids, |u, r, out| {
-            let before = r.candidate_count();
-            let msgs = r.generate_candidates();
-            (before != r.candidate_count(), out.post(u, msgs, t, overlay, rec))
+        let generated = visit(&mut self.machines, &mut self.outboxes, ids, |u, m, out| {
+            let before = m.resource().candidate_count();
+            let msgs = m.candidates();
+            (before != m.resource().candidate_count(), out.post(u, msgs, t, overlay, rec))
         });
         for (u, (grew, posted)) in generated {
-            let r = &self.resources[u];
+            let m = &self.machines[u];
             let touched = grew
                 || posted.msgs > 0
-                || r.degraded().is_some()
-                || r.verdict().is_some_and(|v| !self.verdicts.iter().any(|&(_, w)| w == v));
+                || m.degraded().is_some()
+                || m.resource()
+                    .verdict()
+                    .is_some_and(|v| !self.verdicts.iter().any(|&(_, w)| w == v));
             if touched {
                 self.mark_touch(u);
             }
@@ -981,13 +946,13 @@ where
     }
 
     /// Liveness over `ids`: a resource that degraded on its own (mute
-    /// controller, audit halt against its own broker) stops serving its
-    /// subtree — route the overlay around it so the rest of the grid
-    /// keeps converging.
+    /// controller, audit halt against its own broker, a panic its machine
+    /// contained) stops serving its subtree — route the overlay around it
+    /// so the rest of the grid keeps converging.
     fn route_around_degraded(&mut self, ids: impl Iterator<Item = usize>) {
         let stuck: Vec<(usize, DegradeReason)> = ids
             .filter(|&u| !self.departed[u])
-            .filter_map(|u| self.resources[u].degraded().map(|reason| (u, reason)))
+            .filter_map(|u| self.machines[u].degraded().map(|reason| (u, reason)))
             .collect();
         for (u, reason) in stuck {
             self.quarantine(u, reason);
@@ -1000,19 +965,19 @@ where
     /// all marked for re-examination.
     fn collect_new_verdicts(&mut self, ids: impl Iterator<Item = usize>) {
         let fresh: Vec<Verdict> = ids
-            .filter_map(|u| self.resources[u].verdict())
+            .filter_map(|u| self.machines[u].resource().verdict())
             .filter(|v| !self.verdicts.iter().any(|(_, w)| w == v))
             .collect();
         for &v in &fresh {
             self.verdicts.push((self.step_no, v));
             if self.broadcast_verdicts {
-                for r in self.resources.iter_mut() {
-                    r.on_verdict_broadcast(v);
+                for m in self.machines.iter_mut() {
+                    m.resource_mut().on_verdict_broadcast(v);
                 }
             }
         }
         if !fresh.is_empty() && self.broadcast_verdicts {
-            for u in 0..self.resources.len() {
+            for u in 0..self.machines.len() {
                 if !self.departed[u] {
                     self.note_effect(u);
                 }
@@ -1102,21 +1067,22 @@ where
         }
 
         self.growing = (0..self.plans.len()).filter(|&u| self.plans[u].remaining() > 0).collect();
-        self.scan_armed = (0..self.resources.len())
+        self.scan_armed = (0..self.machines.len())
             .filter(|&u| {
+                let m = &self.machines[u];
                 !self.departed[u]
-                    && self.resources[u].verdict().is_none()
-                    && self.resources[u].degraded().is_none()
-                    && self.resources[u].accountant().total_backlog() > 0
+                    && m.resource().verdict().is_none()
+                    && m.degraded().is_none()
+                    && m.resource().accountant().total_backlog() > 0
             })
             .collect();
-        self.dirty = (0..self.resources.len()).collect();
+        self.dirty = (0..self.machines.len()).collect();
         for pass in Pass::ALL {
             self.rearm(pass);
         }
 
-        self.deferred_live = (0..self.resources.len())
-            .filter(|&u| !self.departed[u] && self.resources[u].degraded().is_some())
+        self.deferred_live = (0..self.machines.len())
+            .filter(|&u| !self.departed[u] && self.machines[u].degraded().is_some())
             .collect();
         if !self.deferred_live.is_empty() {
             self.ensure_pass(now + 1, Pass::Wake);
@@ -1196,21 +1162,24 @@ where
     /// `MiningOutcome::solutions` shape the threaded and net drivers
     /// return.
     pub fn solutions(&self) -> Vec<RuleSet> {
-        self.resources.iter().map(|r| r.interim()).collect()
+        self.machines.iter().map(|m| m.resource().interim()).collect()
     }
 
     /// Per-resource health, in id order — the `MiningOutcome::statuses`
     /// shape the threaded and net drivers return.
     pub fn statuses(&self) -> Vec<ResourceStatus> {
-        self.resources
+        self.machines
             .iter()
-            .map(|r| r.degraded().map_or(ResourceStatus::Ok, ResourceStatus::Degraded))
+            .map(|m| m.degraded().map_or(ResourceStatus::Ok, ResourceStatus::Degraded))
             .collect()
     }
 
-    /// Forces an `Output()` refresh everywhere (before sampling metrics).
+    /// Forces an `Output()` refresh everywhere (before sampling metrics)
+    /// but on a resource a contained panic poisoned, which keeps what it
+    /// had cached.
     pub fn refresh_outputs(&mut self) {
-        self.resources.par_iter_mut().for_each(|r| r.refresh_outputs());
+        let live = |m: &&mut RoundMachine<C>| m.degraded() != Some(DegradeReason::Panicked);
+        self.machines.par_iter_mut().filter(live).for_each(|m| m.resource_mut().refresh_outputs());
     }
 
     /// The union of every resource's *current* database content — the
@@ -1222,11 +1191,11 @@ where
     /// the price of the protocol's monotone disclosure accounting.
     pub fn current_global_db(&self) -> Database {
         Database::union_of(
-            self.resources
+            self.machines
                 .iter()
                 .enumerate()
                 .filter(|(u, _)| !self.departed[*u])
-                .map(|(_, r)| r.accountant().db()),
+                .map(|(_, m)| m.resource().accountant().db()),
         )
     }
 
@@ -1239,12 +1208,12 @@ where
             return (0.0, 0.0);
         }
         let (r_sum, p_sum) = self
-            .resources
+            .machines
             .par_iter()
             .enumerate()
             .filter(|(u, _)| !self.departed[*u])
-            .map(|(_, r)| {
-                let interim = r.interim();
+            .map(|(_, m)| {
+                let interim = m.resource().interim();
                 (gridmine_arm::recall(&interim, truth), gridmine_arm::precision(&interim, truth))
             })
             .reduce(|| (0.0, 0.0), |a, b| (a.0 + b.0, a.1 + b.1));
@@ -1264,14 +1233,14 @@ where
             return 1.0;
         }
         let covered = self
-            .resources
+            .machines
             .par_iter()
             .enumerate()
-            .filter(|(u, r)| {
+            .filter(|(u, m)| {
                 if self.departed[*u] {
                     return false;
                 }
-                let interim = r.interim();
+                let interim = m.resource().interim();
                 truth.iter().all(|rule| interim.contains(rule))
             })
             .count();
@@ -1282,8 +1251,8 @@ where
     /// Figure 2): steps × budget / current average local size.
     pub fn scans_completed(&self) -> f64 {
         let avg_size: f64 =
-            self.resources.iter().map(|r| r.accountant().db_len() as f64).sum::<f64>()
-                / self.resources.len() as f64;
+            self.machines.iter().map(|m| m.resource().accountant().db_len() as f64).sum::<f64>()
+                / self.machines.len() as f64;
         if avg_size == 0.0 {
             return 0.0;
         }
@@ -1304,11 +1273,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimSession;
     use gridmine_arm::{correct_rules, Transaction};
     use gridmine_paillier::MockCipher;
     use gridmine_topology::faults::{EdgeFaults, FaultStats};
 
-    fn grid(n: usize, k: i64) -> Simulation<MockCipher> {
+    fn grid(n: usize, k: i64) -> SimSession<MockCipher> {
         let keys = GridKeys::mock(1);
         // Every resource holds {1,2}-heavy data; {1,2} is globally frequent.
         let plans: Vec<GrowthPlan> = (0..n)
@@ -1332,7 +1302,7 @@ mod tests {
         cfg.min_freq = Ratio::new(1, 2);
         cfg.min_conf = Ratio::new(1, 2);
         let items: Vec<Item> = vec![Item(1), Item(2), Item(3)];
-        Simulation::new(cfg, &keys, plans, &items)
+        SimSession::over(cfg, keys).with_workload(plans).with_items(&items)
     }
 
     #[test]
@@ -1358,7 +1328,7 @@ mod tests {
 
     #[test]
     fn senders_bucket_alike_on_both_sides_of_the_threshold_and_keep_links_fifo() {
-        let mut sim = grid(8, 1);
+        let mut sim = grid(8, 1).with_steps(12).build();
         sim.run_event_driven(12);
         let plan = FaultPlan::new(0xF1F0).with_default_edge(EdgeFaults {
             drop: 0.2,
@@ -1371,11 +1341,8 @@ mod tests {
             .map(|_| {
                 (0..8)
                     .map(|u| {
-                        let r = &mut sim.resources[u];
-                        for v in sim.overlay.neighbors(u) {
-                            r.reset_edge(v);
-                        }
-                        r.nudge()
+                        let live: Vec<usize> = sim.overlay.neighbors(u).collect();
+                        sim.machines[u].heal(&live)
                     })
                     .collect()
             })
@@ -1454,7 +1421,7 @@ mod tests {
 
     #[test]
     fn the_queue_takes_a_pass_into_its_own_timestamp_only_after_the_one_firing() {
-        let mut sim = grid(4, 1);
+        let mut sim = grid(4, 1).with_steps(5).build();
         sim.step_no = 5;
         sim.sched = Some(SchedState { queue: BTreeSet::new(), firing: Some(Pass::Scan) });
         // Mid-timestamp, scans firing: candidates still fire at 5; a scan
@@ -1489,8 +1456,7 @@ mod tests {
 
     #[test]
     fn a_cold_rejoin_leaves_every_gate_and_clock_where_the_crash_found_them() {
-        let mut sim = grid(6, 1);
-        sim.set_recovery(RecoveryMode::ColdRestart);
+        let mut sim = grid(6, 1).with_recovery(RecoveryMode::ColdRestart).with_steps(20).build();
         sim.run_event_driven(20);
         let u = 2;
         let audits = sim.resource(u).export_controller_audits();
@@ -1517,7 +1483,7 @@ mod tests {
 
     #[test]
     fn small_grid_converges_to_centralized_result() {
-        let mut sim = grid(8, 1);
+        let mut sim = grid(8, 1).with_steps(40).build();
         sim.run_event_driven(40);
         sim.refresh_outputs();
         let truth = correct_rules(&sim.current_global_db(), &sim.apriori_cfg());
@@ -1532,7 +1498,7 @@ mod tests {
     fn privacy_gate_blocks_small_grids() {
         // k = 6 > what a 4-resource grid can ever aggregate: nothing is
         // disclosed, recall stays 0.
-        let mut sim = grid(4, 6);
+        let mut sim = grid(4, 6).with_steps(30).build();
         sim.run_event_driven(30);
         sim.refresh_outputs();
         let truth = correct_rules(&sim.current_global_db(), &sim.apriori_cfg());
@@ -1542,7 +1508,7 @@ mod tests {
 
     #[test]
     fn attack_surfaces_as_verdict() {
-        let mut sim = grid(6, 1);
+        let mut sim = grid(6, 1).with_steps(20).build();
         sim.broadcast_verdicts = true;
         let victim = sim.overlay().neighbors(2).next().unwrap();
         sim.corrupt_broker(2, BrokerBehavior::DoubleCount(victim));
@@ -1562,7 +1528,11 @@ mod tests {
         let plans = crate::workload::split_growth(&global, 4, 0.5, 1);
         let mut cfg = SimConfig::small().with_resources(4).with_k(1);
         cfg.growth_per_step = 5;
-        let mut sim = Simulation::new(cfg, &keys, plans, &[Item(1)]);
+        let mut sim = SimSession::over(cfg, keys)
+            .with_workload(plans)
+            .with_items(&[Item(1)])
+            .with_steps(10)
+            .build();
         let before = sim.current_global_db().len();
         sim.run_event_driven(10);
         let after = sim.current_global_db().len();
@@ -1572,10 +1542,9 @@ mod tests {
 
     #[test]
     fn a_grid_with_no_present_resource_scores_zero_not_nan() {
-        let mut sim = grid(3, 1);
-        let truth = correct_rules(&sim.current_global_db(), &sim.apriori_cfg());
         let plan = (0..3).fold(FaultPlan::new(1), |p, u| p.with_crash(u, 2, None));
-        sim.inject_faults(plan);
+        let mut sim = grid(3, 1).with_faults(plan).with_steps(5).build();
+        let truth = correct_rules(&sim.current_global_db(), &sim.apriori_cfg());
         sim.run_event_driven(5);
         assert!((0..3).all(|u| sim.is_departed(u)));
         assert_eq!(sim.global_recall_precision(&truth), (0.0, 0.0));

@@ -9,12 +9,15 @@
 //! * [`config`] — simulation parameters with the paper's defaults;
 //! * [`workload`] — partitioned databases, growth streams, seeded §3
 //!   churn, and the single-itemset significance workloads of Figure 3;
-//! * [`engine`] — the event-driven simulation core (one set of pass
-//!   bodies scheduled from one ordered set of `(time, pass)` pairs, with
-//!   their dense schedule kept as a differential oracle);
+//! * [`engine`] — the event-driven simulation core: one
+//!   `gridmine_core::RoundMachine` per resource, as in every driver,
+//!   under one set of pass bodies scheduled from one ordered set of
+//!   `(time, pass)` pairs, with their dense schedule kept as a
+//!   differential oracle;
 //! * [`metrics`] — global recall/precision sampling and time-to-recall;
 //! * [`session`] — the [`SimSession`] builder, the simulator's analogue
-//!   of `MineSession`/`NetSession`;
+//!   of `MineSession`/`NetSession` and the one way to build a
+//!   [`Simulation`];
 //! * [`runner`] — experiment drivers used by the examples.
 
 pub mod config;

@@ -1,10 +1,8 @@
 //! One-call experiment drivers, used by the examples.
 
 use gridmine_arm::{correct_rules, Database, Item, Rule, RuleSet};
-use gridmine_paillier::MockCipher;
 
 use crate::config::SimConfig;
-use crate::engine::Simulation;
 use crate::metrics::{GlobalMetrics, Sample};
 use crate::session::SimSession;
 use crate::workload::{significance_databases, GrowthPlan};
@@ -77,16 +75,6 @@ pub fn single_itemset_steps(
         }
     }
     None
-}
-
-/// Convenience: a `MockCipher` simulation over an explicit database list
-/// (integration-test helper).
-pub fn simulation_over(
-    cfg: SimConfig,
-    dbs: Vec<Database>,
-    items: &[Item],
-) -> Simulation<MockCipher> {
-    SimSession::new(cfg).with_databases(dbs).with_items(items).build()
 }
 
 #[cfg(test)]

@@ -1,14 +1,15 @@
 //! [`SimSession`]: the simulator's front door, mirroring
 //! `MineSession`/`NetSession`.
 //!
-//! One builder for every simulator entry point — seed, workload, fault
-//! plan, recovery policy and recorder are all `with_*` overrides — that
-//! returns the same [`MiningOutcome`] shape as the threaded and net
-//! drivers, so cross-driver pinning tests compare one type instead of
-//! three. Its resources come from core's recipe too
-//! (`MineConfig::resource`, via [`Simulation::new`]), and its default
-//! item domain is core's [`item_domain`] over every initial database and
-//! growth stream.
+//! The one way to build a [`Simulation`]: seed, workload, fault plan,
+//! recovery policy and recorder are all `with_*` overrides, fixed when
+//! the simulation is built — a built simulation takes none of them
+//! afterwards. A run returns the same [`MiningOutcome`] shape as the
+//! threaded and net drivers, so cross-driver pinning tests compare one
+//! type instead of three. Its resources come from core's recipe too
+//! (`MineConfig::resource`), each under its own `RoundMachine`, and its
+//! default item domain is core's [`item_domain`] over every initial
+//! database and growth stream.
 //!
 //! ```
 //! use gridmine_arm::{Database, Transaction};
@@ -197,28 +198,19 @@ where
         )
     }
 
-    /// Validates and builds the simulation with faults, recovery and
-    /// `rec` armed, without running it. With a disabled recorder the
-    /// simulation keeps its own and the run pays nothing.
-    fn arm(self, rec: &SharedRecorder) -> Result<Simulation<C>, SessionError> {
+    /// Validates and builds the simulation over the fault plan, the
+    /// recovery mode and `rec`, without running it.
+    fn arm(self, rec: SharedRecorder) -> Result<Simulation<C>, SessionError> {
         self.validate()?;
         let items = self.item_domain();
-        let mut sim = Simulation::new(self.cfg, &self.keys, self.plans, &items);
-        if rec.enabled() {
-            sim.set_recorder(rec.clone());
-        }
-        if let Some(plan) = self.plan {
-            sim.inject_faults(plan);
-        }
-        sim.set_recovery(self.mode);
-        Ok(sim)
+        Ok(Simulation::new(self.cfg, &self.keys, self.plans, &items, self.plan, self.mode, rec))
     }
 
     /// [`SimSession::build`] with validation as a typed error instead of
     /// a panic.
     pub fn try_build(self) -> Result<Simulation<C>, SessionError> {
         let rec = self.rec.clone();
-        self.arm(&rec)
+        self.arm(rec)
     }
 
     /// Builds the configured [`Simulation`] without running it.
@@ -246,7 +238,7 @@ where
         let steps = self.steps;
         let user_rec = self.rec.clone();
         let (fan, tally) = arm_recorder(&user_rec);
-        let mut sim = self.arm(&fan)?;
+        let mut sim = self.arm(fan)?;
         sim.run_event_driven(steps);
         sim.refresh_outputs();
         let outcome = MiningOutcome {
@@ -276,7 +268,7 @@ where
     pub fn try_convergence(self, sample_every: u64) -> Result<GlobalMetrics, SessionError> {
         let max_steps = self.steps;
         let user_rec = self.rec.clone();
-        let mut sim = self.arm(&user_rec)?;
+        let mut sim = self.arm(user_rec.clone())?;
         let mut metrics = GlobalMetrics::default();
         let mut truth_cache: Option<(usize, RuleSet)> = None;
         let mut steps = 0;

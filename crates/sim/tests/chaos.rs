@@ -5,11 +5,10 @@
 
 use gridmine_arm::{correct_rules, Database, Item, Ratio, Transaction};
 use gridmine_core::attack::ControllerBehavior;
-use gridmine_core::ChaosReport;
+use gridmine_core::{ChaosReport, DegradeReason, ResourceStatus};
 use gridmine_obs::{EventKind, MemoryRecorder};
 use gridmine_paillier::MockCipher;
-use gridmine_sim::runner::simulation_over;
-use gridmine_sim::{SimConfig, Simulation};
+use gridmine_sim::{SimConfig, SimSession, Simulation};
 use gridmine_topology::faults::{EdgeFaults, FaultPlan};
 use proptest::prelude::*;
 
@@ -49,12 +48,16 @@ fn cfg(seed: u64) -> SimConfig {
 /// 5 crashes at step 20 for good, resource 6's controller goes mute.
 fn chaos_run(seed: u64) -> (Simulation<MockCipher>, ChaosReport) {
     let items = vec![Item(1), Item(2), Item(3)];
-    let mut sim = simulation_over(cfg(seed), dbs(), &items);
-    sim.inject_faults(
-        FaultPlan::new(seed ^ 0xFA57)
-            .with_default_edge(EdgeFaults::dropping(0.15))
-            .with_crash(5, 20, None),
-    );
+    let mut sim = SimSession::new(cfg(seed))
+        .with_databases(dbs())
+        .with_items(&items)
+        .with_faults(
+            FaultPlan::new(seed ^ 0xFA57)
+                .with_default_edge(EdgeFaults::dropping(0.15))
+                .with_crash(5, 20, None),
+        )
+        .with_steps(60)
+        .build();
     sim.resource_mut(6).controller_behavior = ControllerBehavior::Mute;
     sim.resource_mut(6).set_retry_budget(8);
     sim.run_event_driven(60);
@@ -93,14 +96,18 @@ fn event_log_agrees_with_chaos_report() {
     // attached: the log's per-type counts must equal the report's tallies
     // (events are emitted at the exact sites the counters increment).
     let items = vec![Item(1), Item(2), Item(3)];
-    let mut sim = simulation_over(cfg(2), dbs(), &items);
     let rec = MemoryRecorder::shared();
-    sim.set_recorder(rec.clone());
-    sim.inject_faults(
-        FaultPlan::new(2 ^ 0xFA57)
-            .with_default_edge(EdgeFaults::dropping(0.15))
-            .with_crash(5, 20, None),
-    );
+    let mut sim = SimSession::new(cfg(2))
+        .with_databases(dbs())
+        .with_items(&items)
+        .with_recorder(rec.clone())
+        .with_faults(
+            FaultPlan::new(2 ^ 0xFA57)
+                .with_default_edge(EdgeFaults::dropping(0.15))
+                .with_crash(5, 20, None),
+        )
+        .with_steps(60)
+        .build();
     sim.resource_mut(6).controller_behavior = ControllerBehavior::Mute;
     sim.resource_mut(6).set_retry_budget(8);
     sim.run_event_driven(60);
@@ -162,12 +169,16 @@ proptest! {
         let crashed = (seed % N as u64) as usize;
         let run = |s: u64| {
             let items = vec![Item(1), Item(2), Item(3)];
-            let mut sim = simulation_over(cfg(s), dbs(), &items);
-            sim.inject_faults(
-                FaultPlan::new(s ^ 0xC4A5)
-                    .with_default_edge(EdgeFaults::dropping(drop))
-                    .with_crash(crashed, crash_at, None),
-            );
+            let mut sim = SimSession::new(cfg(s))
+                .with_databases(dbs())
+                .with_items(&items)
+                .with_faults(
+                    FaultPlan::new(s ^ 0xC4A5)
+                        .with_default_edge(EdgeFaults::dropping(drop))
+                        .with_crash(crashed, crash_at, None),
+                )
+                .with_steps(80)
+                .build();
             sim.run_event_driven(80);
             sim.refresh_outputs();
             let report = sim.chaos_report();
@@ -189,4 +200,30 @@ proptest! {
             serde_json::to_string(&again).expect("serializes")
         );
     }
+}
+
+#[test]
+fn a_panicking_resource_is_routed_around_like_a_mute_controller() {
+    // Resource 6's accountant loses its neighbors' shares, so its next
+    // protocol call panics. Its round machine contains the panic and reads
+    // Panicked, and the liveness sweep routes the overlay around it; the
+    // survivors keep mining to the truth and nobody is blamed.
+    let items = vec![Item(1), Item(2), Item(3)];
+    let mut sim =
+        SimSession::new(cfg(2)).with_databases(dbs()).with_items(&items).with_steps(60).build();
+    sim.run_event_driven(3);
+    let orphaned = gridmine_core::CounterLayout::new(6, Vec::new());
+    sim.resource_mut(6).accountant_mut().set_layout(orphaned, 1);
+    sim.run_event_driven(57);
+    sim.refresh_outputs();
+
+    let panicked = ResourceStatus::Degraded(DegradeReason::Panicked);
+    assert_eq!(sim.statuses()[6], panicked);
+    assert!(sim.statuses().iter().enumerate().all(|(u, s)| u == 6 || s.is_ok()));
+    assert!(sim.is_departed(6), "the panicked resource was routed around");
+    assert_eq!(sim.chaos_report().degraded, vec![6]);
+    assert!(sim.verdicts.is_empty(), "a panic is not malice: {:?}", sim.verdicts);
+    let truth = correct_rules(&sim.current_global_db(), &sim.apriori_cfg());
+    let (recall, precision) = sim.global_recall_precision(&truth);
+    assert!(recall > 0.99 && precision > 0.99, "survivors: recall {recall}, precision {precision}");
 }

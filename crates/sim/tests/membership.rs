@@ -7,7 +7,7 @@ use gridmine_arm::{correct_rules, Database, Item, Ratio, Transaction};
 use gridmine_core::GridKeys;
 use gridmine_paillier::MockCipher;
 use gridmine_sim::workload::GrowthPlan;
-use gridmine_sim::{SimConfig, Simulation};
+use gridmine_sim::{SimConfig, SimSession};
 
 fn db_of(u: u64, n: u64, items: &[u32]) -> Database {
     Database::from_transactions((0..n).map(|j| Transaction::of(u * 1000 + j, items)).collect())
@@ -28,7 +28,11 @@ fn joined_resource_data_is_incorporated() {
     let keys = GridKeys::<MockCipher>::mock(5);
     let plans: Vec<GrowthPlan> = (0..4).map(|u| GrowthPlan::fixed(db_of(u, 40, &[1]))).collect();
     let items = vec![Item(1), Item(2)];
-    let mut sim = Simulation::new(cfg(4, 1), &keys, plans, &items);
+    let mut sim = SimSession::over(cfg(4, 1), keys)
+        .with_workload(plans)
+        .with_items(&items)
+        .with_steps(50)
+        .build();
     sim.run_event_driven(20);
     sim.refresh_outputs();
 
@@ -64,7 +68,11 @@ fn statistics_propagate_after_k_joins() {
     let keys = GridKeys::<MockCipher>::mock(8);
     let plans: Vec<GrowthPlan> = (0..4).map(|u| GrowthPlan::fixed(db_of(u, 40, &[1]))).collect();
     let items = vec![Item(1), Item(2)];
-    let mut sim = Simulation::new(cfg(4, 4), &keys, plans, &items);
+    let mut sim = SimSession::over(cfg(4, 4), keys)
+        .with_workload(plans)
+        .with_items(&items)
+        .with_steps(165)
+        .build();
     sim.run_event_driven(25);
     sim.refresh_outputs();
 
@@ -99,7 +107,11 @@ fn join_keeps_grid_honest_under_attack_checks() {
     let keys = GridKeys::<MockCipher>::mock(13);
     let plans: Vec<GrowthPlan> = (0..6).map(|u| GrowthPlan::fixed(db_of(u, 30, &[1, 2]))).collect();
     let items = vec![Item(1), Item(2)];
-    let mut sim = Simulation::new(cfg(6, 1), &keys, plans, &items);
+    let mut sim = SimSession::over(cfg(6, 1), keys)
+        .with_workload(plans)
+        .with_items(&items)
+        .with_steps(85)
+        .build();
     sim.run_event_driven(15);
     for parent in [0usize, 2, 4] {
         sim.join_resource(parent, GrowthPlan::fixed(db_of(50 + parent as u64, 30, &[1])));
@@ -135,7 +147,8 @@ fn departure_rewires_cleanly_and_new_data_reconverges() {
         })
         .collect();
     let items = vec![Item(1), Item(2)];
-    let mut sim = Simulation::new(c, &keys, plans, &items);
+    let mut sim =
+        SimSession::over(c, keys).with_workload(plans).with_items(&items).with_steps(130).build();
     sim.run_event_driven(10);
     sim.refresh_outputs();
 

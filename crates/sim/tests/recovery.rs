@@ -12,8 +12,7 @@ use gridmine_core::{
 use gridmine_obs::{Event, EventKind, FanoutRecorder, MemoryRecorder, Metrics, SharedRecorder};
 use gridmine_paillier::MockCipher;
 use gridmine_quest::QuestParams;
-use gridmine_sim::runner::simulation_over;
-use gridmine_sim::{SimConfig, Simulation};
+use gridmine_sim::{SimConfig, SimSession, Simulation};
 use gridmine_topology::faults::FaultPlan;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -76,9 +75,13 @@ fn recovery_run(
     (cfg, dbs, items): (SimConfig, Vec<Database>, Vec<Item>),
     mode: RecoveryMode,
 ) -> (Simulation<MockCipher>, ChaosReport) {
-    let mut sim = simulation_over(cfg, dbs, &items);
-    sim.set_recovery(mode);
-    sim.inject_faults(FaultPlan::new(0xBEEF).with_crash(CRASHER, 40, Some(44)));
+    let mut sim = SimSession::new(cfg)
+        .with_databases(dbs)
+        .with_items(&items)
+        .with_recovery(mode)
+        .with_faults(FaultPlan::new(0xBEEF).with_crash(CRASHER, 40, Some(44)))
+        .with_steps(70)
+        .build();
     sim.run_event_driven(70);
     sim.refresh_outputs();
     let report = sim.chaos_report();
@@ -141,11 +144,15 @@ fn assert_warm_beats_cold(input: fn() -> (SimConfig, Vec<Database>, Vec<Item>)) 
 #[test]
 fn forged_journal_is_rejected_as_malicious_without_panicking() {
     let items = vec![Item(1), Item(2), Item(3)];
-    let mut sim = simulation_over(cfg(2), dbs(), &items);
     let rec = MemoryRecorder::shared();
-    sim.set_recorder(rec.clone());
-    sim.set_recovery(RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT));
-    sim.inject_faults(FaultPlan::new(0xBEEF).with_crash(CRASHER, 40, Some(44)));
+    let mut sim = SimSession::new(cfg(2))
+        .with_databases(dbs())
+        .with_items(&items)
+        .with_recorder(rec.clone())
+        .with_recovery(RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT))
+        .with_faults(FaultPlan::new(0xBEEF).with_crash(CRASHER, 40, Some(44)))
+        .with_steps(70)
+        .build();
     // The adversary rewrites the journal while the node is down.
     sim.resource_mut(CRASHER).corrupt_recovery_journal();
     sim.run_event_driven(70);
@@ -189,13 +196,17 @@ fn recovery_events_agree_with_the_chaos_report() {
     // the resend-flagged CounterSent events are exactly the resends the
     // report (and the metrics registry) accounted.
     let items = vec![Item(1), Item(2), Item(3)];
-    let mut sim = simulation_over(cfg(2), dbs(), &items);
     let rec = MemoryRecorder::shared();
     let metrics = Metrics::shared();
     let sinks: Vec<SharedRecorder> = vec![rec.clone(), metrics.clone()];
-    sim.set_recorder(Arc::new(FanoutRecorder::new(sinks)));
-    sim.set_recovery(RecoveryMode::ColdRestart);
-    sim.inject_faults(FaultPlan::new(0xBEEF).with_crash(CRASHER, 40, Some(44)));
+    let mut sim = SimSession::new(cfg(2))
+        .with_databases(dbs())
+        .with_items(&items)
+        .with_recorder(Arc::new(FanoutRecorder::new(sinks)))
+        .with_recovery(RecoveryMode::ColdRestart)
+        .with_faults(FaultPlan::new(0xBEEF).with_crash(CRASHER, 40, Some(44)))
+        .with_steps(70)
+        .build();
     sim.run_event_driven(70);
     sim.refresh_outputs();
     let report = sim.chaos_report();
@@ -227,11 +238,15 @@ fn heal_resends_fall_on_the_ticks_the_round_schedule_names() {
     let plan = FaultPlan::new(0xBEE).with_crash(REJOINER, 12, Some(31));
     let items = vec![Item(1), Item(2), Item(3)];
     for mode in [RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT), RecoveryMode::ColdRestart] {
-        let mut sim = simulation_over(cfg(5), dbs(), &items);
         let rec = MemoryRecorder::shared();
-        sim.set_recorder(rec.clone());
-        sim.set_recovery(mode);
-        sim.inject_faults(plan.clone());
+        let mut sim = SimSession::new(cfg(5))
+            .with_databases(dbs())
+            .with_items(&items)
+            .with_recorder(rec.clone())
+            .with_recovery(mode)
+            .with_faults(plan.clone())
+            .with_steps(STEPS)
+            .build();
         sim.run_event_driven(STEPS);
 
         let (mut tick, mut from, mut toward) = (0, BTreeSet::new(), BTreeSet::new());
@@ -284,16 +299,21 @@ proptest! {
         let crashed = (seed % N as u64) as usize;
         let items = vec![Item(1), Item(2), Item(3)];
 
-        let mut faulty = simulation_over(cfg(seed), dbs(), &items);
-        faulty.set_recovery(RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT));
-        faulty.inject_faults(
-            FaultPlan::new(seed ^ 0x5EED).with_crash(crashed, crash_at, Some(crash_at + 4)),
-        );
+        let mut faulty = SimSession::new(cfg(seed))
+            .with_databases(dbs())
+            .with_items(&items)
+            .with_recovery(RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT))
+            .with_faults(
+                FaultPlan::new(seed ^ 0x5EED).with_crash(crashed, crash_at, Some(crash_at + 4)),
+            )
+            .with_steps(70)
+            .build();
         faulty.run_event_driven(70);
         faulty.refresh_outputs();
         let report = faulty.chaos_report();
 
-        let mut clean = simulation_over(cfg(seed), dbs(), &items);
+        let mut clean =
+            SimSession::new(cfg(seed)).with_databases(dbs()).with_items(&items).with_steps(70).build();
         clean.run_event_driven(70);
         clean.refresh_outputs();
 

@@ -202,9 +202,9 @@ fn obs_parity_holds_under_the_wheel() {
             .with_items(&[Item(1), Item(2), Item(3)])
             .with_faults(plan.clone())
             .with_recovery(RecoveryMode::ColdRestart)
+            .with_recorder(rec.clone())
             .with_steps(60)
             .build();
-        sim.set_recorder(rec.clone());
         if event_driven {
             sim.run_event_driven(60);
         } else {

@@ -11,7 +11,6 @@
 //! ```
 
 use gridmine::prelude::*;
-use gridmine::sim::runner::simulation_over;
 
 /// Identical-distribution partitions: every subset of resources mines
 /// the same ruleset, so survivors can be checked against centralized
@@ -119,12 +118,16 @@ fn main() {
     sim_cfg.growth_per_step = 0;
     sim_cfg.min_freq = Ratio::new(1, 2);
     sim_cfg.min_conf = Ratio::new(1, 2);
-    let mut sim = simulation_over(sim_cfg, dbs(8), &[Item(1), Item(2), Item(3)]);
-    sim.inject_faults(
-        FaultPlan::new(0xFA57)
-            .with_default_edge(EdgeFaults::dropping(0.15))
-            .with_crash(5, 20, None),
-    );
+    let mut sim = SimSession::new(sim_cfg)
+        .with_databases(dbs(8))
+        .with_items(&[Item(1), Item(2), Item(3)])
+        .with_faults(
+            FaultPlan::new(0xFA57)
+                .with_default_edge(EdgeFaults::dropping(0.15))
+                .with_crash(5, 20, None),
+        )
+        .with_steps(60)
+        .build();
     sim.resource_mut(6).controller_behavior = ControllerBehavior::Mute;
     sim.resource_mut(6).set_retry_budget(8);
     sim.run_event_driven(60);

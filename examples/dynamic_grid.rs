@@ -40,7 +40,8 @@ fn main() {
     let plans: Vec<GrowthPlan> = (0..6).map(|u| GrowthPlan::fixed(db_of(u, 50, &[1, 2]))).collect();
     let keys = GridKeys::<MockCipher>::mock(3);
     let items = vec![Item(1), Item(2), Item(3)];
-    let mut sim: Simulation<MockCipher> = Simulation::new(cfg, &keys, plans, &items);
+    let mut sim =
+        SimSession::over(cfg, keys).with_workload(plans).with_items(&items).with_steps(130).build();
 
     sim.run_event_driven(25);
     sim.refresh_outputs();

@@ -45,7 +45,8 @@ fn scenario(
     let keys = GridKeys::mock(9);
     let plans: Vec<GrowthPlan> = dbs.into_iter().map(GrowthPlan::fixed).collect();
     let items: Vec<Item> = vec![Item(1), Item(2), Item(3)];
-    let mut sim: Simulation<MockCipher> = Simulation::new(cfg, &keys, plans, &items);
+    let mut sim =
+        SimSession::over(cfg, keys).with_workload(plans).with_items(&items).with_steps(40).build();
     sim.broadcast_verdicts = true;
 
     let (culprit, behavior) = make_behavior(&sim);
