@@ -12,7 +12,7 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::itemset::ItemSet;
+use crate::itemset::{subset_of_sorted, ItemSet};
 use crate::transaction::Transaction;
 
 /// A transaction database `DB_t` (one resource's partition, or the global
@@ -69,10 +69,13 @@ impl Database {
     /// (negating transactions subtract, per §3's deletion model; the net
     /// saturates at zero).
     pub fn support(&self, x: &ItemSet) -> u64 {
+        // The set's items once, not once a transaction.
+        let x = x.items();
+        let holds = |t: &&Transaction| subset_of_sorted(x, t.items());
         let net: i64 = if self.transactions.len() >= PAR_THRESHOLD {
-            self.transactions.par_iter().filter(|t| t.contains_all(x)).map(|t| t.polarity()).sum()
+            self.transactions.par_iter().filter(holds).map(|t| t.polarity()).sum()
         } else {
-            self.transactions.iter().filter(|t| t.contains_all(x)).map(|t| t.polarity()).sum()
+            self.transactions.iter().filter(holds).map(|t| t.polarity()).sum()
         };
         net.max(0) as u64
     }

@@ -1,17 +1,20 @@
 //! Items and itemsets.
 //!
-//! An [`ItemSet`] is an immutable, sorted, duplicate-free set of items
-//! backed by `Arc<[Item]>` so clones — which the miners do constantly when
-//! itemsets serve as hash keys — are refcount bumps, not allocations.
+//! An [`ItemSet`] is an immutable, sorted, duplicate-free set of items,
+//! held in place up to seven items and as one heap slice past them. A
+//! set that fits is plain data: the miners clone itemsets constantly when
+//! they serve as hash keys, and a candidate rule travels between
+//! resources in every counter message, so a clone is a copy of 32 bytes
+//! — no allocation, and no reference count that threads contend on.
 
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
 
 impl Serialize for ItemSet {
     fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let ids: Vec<u32> = self.0.iter().map(|i| i.0).collect();
+        let ids: Vec<u32> = self.items().iter().map(|i| i.0).collect();
         ids.serialize(s)
     }
 }
@@ -39,14 +42,47 @@ impl From<u32> for Item {
     }
 }
 
+/// Items an [`ItemSet`] holds in place.
+const INLINE: usize = 7;
+
 /// An immutable sorted set of items.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct ItemSet(Arc<[Item]>);
+#[derive(Clone)]
+pub struct ItemSet(Repr);
+
+/// A set of at most [`INLINE`] items is always `Inline`, its unused
+/// slots `Item(0)`; equality and hashing read the items alone anyway.
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, items: [Item; INLINE] },
+    Heap(Box<[Item]>),
+}
 
 impl ItemSet {
     /// The empty itemset (the left-hand side of frequency rules `∅ ⇒ X`).
     pub fn empty() -> Self {
-        ItemSet(Arc::from(Vec::new().into_boxed_slice()))
+        ItemSet(Repr::Inline { len: 0, items: [Item(0); INLINE] })
+    }
+
+    /// The set of `items`, which ascend strictly.
+    fn from_sorted(items: impl IntoIterator<Item = Item>) -> Self {
+        let mut inline = [Item(0); INLINE];
+        let mut items = items.into_iter();
+        let mut len = 0;
+        for item in items.by_ref() {
+            match inline.get_mut(len) {
+                Some(slot) => {
+                    *slot = item;
+                    len += 1;
+                }
+                None => {
+                    let mut heap = inline.to_vec();
+                    heap.push(item);
+                    heap.extend(items);
+                    return ItemSet(Repr::Heap(heap.into_boxed_slice()));
+                }
+            }
+        }
+        ItemSet(Repr::Inline { len: len as u8, items: inline })
     }
 
     /// Builds an itemset from arbitrary items; sorts and deduplicates.
@@ -54,7 +90,7 @@ impl ItemSet {
         let mut v: Vec<Item> = items.into_iter().collect();
         v.sort_unstable();
         v.dedup();
-        ItemSet(Arc::from(v.into_boxed_slice()))
+        Self::from_sorted(v)
     }
 
     /// Builds from raw `u32` ids (test convenience).
@@ -64,94 +100,66 @@ impl ItemSet {
 
     /// A singleton `{i}`.
     pub fn singleton(i: Item) -> Self {
-        ItemSet(Arc::from(vec![i].into_boxed_slice()))
+        Self::from_sorted([i])
     }
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.items().len()
     }
 
     /// True for the empty itemset.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.items().is_empty()
     }
 
     /// Sorted view of the items.
     pub fn items(&self) -> &[Item] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, items } => items.get(..usize::from(*len)).unwrap_or_default(),
+            Repr::Heap(items) => items,
+        }
     }
 
     /// Membership test (binary search).
     pub fn contains(&self, item: Item) -> bool {
-        self.0.binary_search(&item).is_ok()
+        self.items().binary_search(&item).is_ok()
     }
 
     /// Subset test via a linear merge walk — `O(|self| + |other|)`.
     pub fn is_subset_of(&self, other: &ItemSet) -> bool {
-        subset_of_sorted(&self.0, &other.0)
+        subset_of_sorted(self.items(), other.items())
     }
 
     /// Subset test against any sorted slice (e.g. a transaction's items).
     pub fn is_subset_of_sorted(&self, sorted: &[Item]) -> bool {
-        subset_of_sorted(&self.0, sorted)
+        subset_of_sorted(self.items(), sorted)
     }
 
     /// Set union.
     pub fn union(&self, other: &ItemSet) -> ItemSet {
-        let mut v = Vec::with_capacity(self.len() + other.len());
-        let (mut a, mut b) = (self.0.iter().peekable(), other.0.iter().peekable());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&x), Some(&&y)) => {
-                    use std::cmp::Ordering::*;
-                    match x.cmp(&y) {
-                        Less => {
-                            v.push(x);
-                            a.next();
-                        }
-                        Greater => {
-                            v.push(y);
-                            b.next();
-                        }
-                        Equal => {
-                            v.push(x);
-                            a.next();
-                            b.next();
-                        }
-                    }
-                }
-                (Some(&&x), None) => {
-                    v.push(x);
-                    a.next();
-                }
-                (None, Some(&&y)) => {
-                    v.push(y);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        ItemSet(Arc::from(v.into_boxed_slice()))
+        let (mut a, mut b) = (self.items().iter().peekable(), other.items().iter().peekable());
+        Self::from_sorted(std::iter::from_fn(|| {
+            let next = match (a.peek(), b.peek()) {
+                (Some(&&x), Some(&&y)) => x.min(y),
+                (Some(&&x), None) => x,
+                (None, Some(&&y)) => y,
+                (None, None) => return None,
+            };
+            a.next_if_eq(&&next);
+            b.next_if_eq(&&next);
+            Some(next)
+        }))
     }
 
     /// Set difference `self \ other`.
     pub fn difference(&self, other: &ItemSet) -> ItemSet {
-        ItemSet(Arc::from(
-            self.0
-                .iter()
-                .copied()
-                .filter(|i| !other.contains(*i))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-        ))
+        Self::from_sorted(self.items().iter().copied().filter(|&i| !other.contains(i)))
     }
 
     /// `self` with one item removed.
     pub fn without(&self, item: Item) -> ItemSet {
-        ItemSet(Arc::from(
-            self.0.iter().copied().filter(|&i| i != item).collect::<Vec<_>>().into_boxed_slice(),
-        ))
+        Self::from_sorted(self.items().iter().copied().filter(|&i| i != item))
     }
 
     /// `self ∪ {item}`.
@@ -159,15 +167,13 @@ impl ItemSet {
         if self.contains(item) {
             return self.clone();
         }
-        let mut v: Vec<Item> = self.0.to_vec();
-        let pos = v.binary_search(&item).unwrap_err();
-        v.insert(pos, item);
-        ItemSet(Arc::from(v.into_boxed_slice()))
+        let (below, above) = self.items().split_at(self.items().partition_point(|&i| i < item));
+        Self::from_sorted(below.iter().copied().chain([item]).chain(above.iter().copied()))
     }
 
     /// True if the two sets share no items.
     pub fn is_disjoint(&self, other: &ItemSet) -> bool {
-        let (mut a, mut b) = (self.0.iter(), other.0.iter());
+        let (mut a, mut b) = (self.items().iter(), other.items().iter());
         let (mut x, mut y) = (a.next(), b.next());
         while let (Some(i), Some(j)) = (x, y) {
             use std::cmp::Ordering::*;
@@ -182,12 +188,12 @@ impl ItemSet {
 
     /// All subsets of size `len - 1` (Apriori prune support).
     pub fn shrink_by_one(&self) -> impl Iterator<Item = ItemSet> + '_ {
-        self.0.iter().map(move |&i| self.without(i))
+        self.items().iter().map(move |&i| self.without(i))
     }
 }
 
 /// Merge-walk subset test over sorted slices.
-fn subset_of_sorted(needle: &[Item], hay: &[Item]) -> bool {
+pub(crate) fn subset_of_sorted(needle: &[Item], hay: &[Item]) -> bool {
     if needle.len() > hay.len() {
         return false;
     }
@@ -209,12 +215,27 @@ fn subset_of_sorted(needle: &[Item], hay: &[Item]) -> bool {
     true
 }
 
+impl PartialEq for ItemSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.items() == other.items()
+    }
+}
+
+impl Eq for ItemSet {}
+
+/// Hashes the items as a slice, as a set backed by one always did.
+impl Hash for ItemSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.items().hash(state);
+    }
+}
+
 fn fmt_itemset(set: &ItemSet, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    if set.0.is_empty() {
+    if set.is_empty() {
         return write!(f, "∅");
     }
     write!(f, "{{")?;
-    for (k, i) in set.0.iter().enumerate() {
+    for (k, i) in set.items().iter().enumerate() {
         if k > 0 {
             write!(f, ",")?;
         }
@@ -278,6 +299,37 @@ mod tests {
         assert!(subs.contains(&ItemSet::of(&[2, 3])));
         assert!(subs.contains(&ItemSet::of(&[1, 3])));
         assert!(subs.contains(&ItemSet::of(&[1, 2])));
+    }
+
+    #[test]
+    fn small_sets_are_plain_values_and_large_ones_one_slice() {
+        let seven = ItemSet::of(&[7, 6, 5, 4, 3, 2, 1]);
+        assert!(matches!(seven.0, Repr::Inline { len: 7, .. }));
+        let eight = seven.with(Item(0));
+        assert!(matches!(eight.0, Repr::Heap(_)));
+        assert_eq!(eight.items().first(), Some(&Item(0)));
+        // Back under the bound, a set is inline again, and compares and
+        // hashes as its items do, however it was built.
+        let back = eight.without(Item(0));
+        assert!(matches!(back.0, Repr::Inline { .. }));
+        assert_eq!(back, seven);
+        let hash = |s: &ItemSet| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            s.hash(&mut h);
+            h.finish()
+        };
+        let slice = |items: &[Item]| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            items.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&back), hash(&seven));
+        assert_eq!(hash(&eight), slice(eight.items()));
+        assert_eq!(size_of::<ItemSet>(), 32);
+        assert_eq!(
+            ItemSet::of(&[1, 4, 9, 12]).union(&ItemSet::of(&[2, 4, 10, 11, 13])),
+            ItemSet::of(&[1, 2, 4, 9, 10, 11, 12, 13])
+        );
     }
 
     #[test]

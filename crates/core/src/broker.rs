@@ -14,7 +14,11 @@ use crate::attack::BrokerBehavior;
 use crate::counter::{with_buffer, CounterLayout, SecureCounter};
 use crate::rules::{PerRule, RuleId};
 
-/// A wire message between brokers: one sealed counter for one rule.
+/// A wire message between brokers: one sealed counter for one rule. Plain
+/// data: the rule's itemsets, the counter's ciphertexts and its layout
+/// all in place (up to their inline bounds). It shares no handle with its
+/// sender or its receiver, so it crosses threads by copy and dropping it
+/// frees nothing.
 #[derive(Clone, Debug)]
 pub struct BrokerMsg<C: HomCipher> {
     /// Sending resource.
@@ -219,7 +223,9 @@ impl<C: HomCipher> Broker<C> {
     /// neighbor's latest, summed in slot order into one buffer: `spare`,
     /// a counter the caller is done with, if it hands one in — with
     /// behaviour deviations applied. `None` when no instance exists for
-    /// rule `id`.
+    /// rule `id`, or when a term was sealed under another layout than the
+    /// local counter (the door screens keep such counters out; a sum of
+    /// them would mean nothing).
     pub fn full_aggregate(
         &self,
         id: RuleId,
@@ -232,18 +238,19 @@ impl<C: HomCipher> Broker<C> {
             if matches!(self.behavior, BrokerBehavior::OmitNeighbor(w) if w == v) {
                 continue;
             }
-            agg.add_assign(&self.cipher, &inbox.latest);
-            if matches!(self.behavior, BrokerBehavior::DoubleCount(w) if w == v) {
-                agg.add_assign(&self.cipher, &inbox.latest);
+            let twice = matches!(self.behavior, BrokerBehavior::DoubleCount(w) if w == v);
+            for _ in 0..1 + usize::from(twice) {
+                if !agg.add_assign(&self.cipher, &inbox.latest) {
+                    return None;
+                }
             }
         }
         if self.behavior == BrokerBehavior::ArbitraryValue {
             // Self-encrypted garbage: Paillier encryption is public-key, so
             // a broker *can* encrypt — it just cannot produce a valid tag.
-            let garbage: Vec<C::Ct> = (0..SecureCounter::field_cts(&self.cipher, &self.layout))
+            agg.msg.fields = (0..SecureCounter::field_cts(&self.cipher, &self.layout))
                 .map(|i| self.cipher.encrypt_i64(1_000 + i as i64))
                 .collect();
-            agg.msg.fields = garbage;
         }
         Some(agg)
     }
@@ -370,6 +377,19 @@ mod tests {
         let p = open_full(&f);
         assert_eq!(p.sum, 6, "stale counter back in use");
         assert_eq!(p.ts[1], 1, "stale timestamp for neighbor 1 — a regression vs the trace");
+    }
+
+    #[test]
+    fn a_counter_under_another_layout_yields_no_aggregate() {
+        let mut f = fix();
+        let foreign = CounterLayout::new(0, vec![1, 3]);
+        let key = f.keys.tags.key(foreign.arity());
+        let stray =
+            SecureCounter::seal_outgoing(&f.keys.enc, &key, &foreign, 1, 5, 9, 1, 0, 1).unwrap();
+        f.broker.on_receive(0, 1, &stray);
+        assert!(f.broker.full_aggregate(0, None).is_none(), "no sum across layouts, no panic");
+        f.broker.on_receive(0, 1, &incoming(&f, 1, 5, 9, 1));
+        assert_eq!(open_full(&f).sum, 6, "the inbox holds what arrived last");
     }
 
     #[test]

@@ -53,8 +53,9 @@
 
 use gridmine_arm::CandidateRule;
 use gridmine_obs::{emit, Event, SfeKind, SharedRecorder, VerdictKind};
-use gridmine_paillier::{slots, CounterMsg, HomCipher, TagKey};
+use gridmine_paillier::{slots, CounterMsg, HomCipher, TagKey, WaveBuffers};
 
+use crate::broker::BrokerMsg;
 use crate::counter::{CounterLayout, SecureCounter, F_NUM};
 use crate::keyring::TagKeyring;
 use crate::plain::PlainCounter;
@@ -245,6 +246,8 @@ pub struct Controller<C: HomCipher> {
     /// The tuple a receive wave derives `full` to (see
     /// [`Controller::open_inputs`]); a buffer kept between waves.
     derived: Vec<i64>,
+    /// What a wave decrypts to; buffers kept between waves.
+    plains: WaveBuffers,
     halted: Option<Verdict>,
     /// SFE queries served (protocol-cost accounting).
     pub queries_served: u64,
@@ -252,10 +255,8 @@ pub struct Controller<C: HomCipher> {
     rec: SharedRecorder,
 }
 
-/// The outgoing messages one wave of send queries sealed, by neighbor.
-pub type SealedEdges<C> = Vec<(usize, SecureCounter<C>)>;
-
-/// One neighbor's inputs to the `MajorityCond(v)`/`Update(v)` SFE.
+/// One neighbor's inputs to the `MajorityCond(v)`/`Update(v)` SFE: four
+/// words, copied freely.
 pub struct SendEdge<'a, C: HomCipher> {
     /// The neighbor asked about.
     pub v: usize,
@@ -267,6 +268,14 @@ pub struct SendEdge<'a, C: HomCipher> {
     /// initialization.
     pub share_for_me: &'a C::Ct,
 }
+
+impl<C: HomCipher> Clone for SendEdge<'_, C> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<C: HomCipher> Copy for SendEdge<'_, C> {}
 
 impl<C: HomCipher> Controller<C> {
     /// Builds a controller for resource `id` with its counter layout.
@@ -290,6 +299,7 @@ impl<C: HomCipher> Controller<C> {
             wave: 0,
             missed: Vec::new(),
             derived: Vec::new(),
+            plains: WaveBuffers::default(),
             halted: None,
             queries_served: 0,
             rec: gridmine_obs::null(),
@@ -460,7 +470,7 @@ impl<C: HomCipher> Controller<C> {
     ) {
         self.wave += 1;
         self.audit_state(id, rule);
-        let Controller { rules, cipher, key, layout, wave, missed, derived, .. } = self;
+        let Controller { rules, cipher, key, layout, wave, missed, derived, plains, .. } = self;
         let Some(RuleAudit { opened, .. }) = rules.get_mut(id) else { return };
         // The input at position `i` of the wave, with its slot.
         let input = |i: usize| match i.checked_sub(1) {
@@ -496,7 +506,7 @@ impl<C: HomCipher> Controller<C> {
             missed.remove(0);
         }
         if !missed.is_empty() {
-            open_into(cipher, key, opened, *wave, missed.iter().filter_map(|&i| input(i)));
+            open_into(cipher, key, opened, *wave, missed.iter().filter_map(|&i| input(i)), plains);
         }
         let Some(slot) = receive else { return };
         let recv = opened.get(slot).and_then(Option::as_ref).filter(|seen| seen.wave == *wave);
@@ -512,7 +522,7 @@ impl<C: HomCipher> Controller<C> {
                     seen.wave = *wave;
                 }
             }
-            _ => open_into(cipher, key, opened, *wave, [(0, full)].into_iter()),
+            _ => open_into(cipher, key, opened, *wave, [(0, full)].into_iter(), plains),
         }
     }
 
@@ -613,22 +623,22 @@ impl<C: HomCipher> Controller<C> {
     /// pair, k-gate, suppressor and Lamport step — exactly as if it had
     /// been asked alone.
     ///
-    /// Returns the messages sealed, by neighbor, and the verdict that
-    /// stopped the wave, if one did: a failure at one edge leaves the
-    /// earlier edges' messages sealed and returned.
+    /// Appends the messages sealed, in edge order, to `out`, and returns
+    /// the verdict that stopped the wave, if one did: a failure at one
+    /// edge leaves the earlier edges' messages sealed and appended.
     pub fn send_queries(
         &mut self,
         id: RuleId,
         rule: &CandidateRule,
         full: &SecureCounter<C>,
         edges: &[SendEdge<'_, C>],
-    ) -> (SealedEdges<C>, Result<(), Verdict>) {
-        let mut sealed = Vec::new();
+        out: &mut Vec<BrokerMsg<C>>,
+    ) -> Result<(), Verdict> {
         if let Some(verdict) = self.halted {
-            return (sealed, Err(verdict));
+            return Err(verdict);
         }
         if edges.is_empty() {
-            return (sealed, Ok(()));
+            return Ok(());
         }
         // An input that does not open is blamed below, at the edge that
         // meets it first.
@@ -650,9 +660,7 @@ impl<C: HomCipher> Controller<C> {
                 } else {
                     Err(self.raise(Verdict::MaliciousBroker(self.id)))
                 };
-                if let Err(verdict) = audit {
-                    return (sealed, Err(verdict));
-                }
+                audit?;
             }
             match self.send_decision(id, edge) {
                 Ok(decision) => {
@@ -661,12 +669,18 @@ impl<C: HomCipher> Controller<C> {
                         kind: SfeKind::Send,
                         answer: decision.is_some(),
                     });
-                    sealed.extend(decision.map(|counter| (edge.v, counter)));
+                    let (from, to) = (self.id, edge.v);
+                    out.extend(decision.map(|counter| BrokerMsg {
+                        from,
+                        to,
+                        cand: rule.clone(),
+                        counter,
+                    }));
                 }
-                Err(verdict) => return (sealed, Err(verdict)),
+                Err(verdict) => return Err(verdict),
             }
         }
-        (sealed, Ok(()))
+        Ok(())
     }
 
     /// The reduced plaintext of the share `v` assigned to this resource,
@@ -786,16 +800,18 @@ impl<C: HomCipher> Controller<C> {
 }
 
 /// Opens `inputs` — counters with the slots that remember them — in one
-/// wave, each tag checked in the plaintext it decrypts to, and reads
-/// what opens into its slot under serial `wave`.
+/// wave into `plains`, each tag checked in the plaintext it decrypts to,
+/// and reads what opens into its slot under serial `wave`.
 fn open_into<'a, C: HomCipher + 'a>(
     cipher: &C,
     key: &TagKey,
     opened: &mut [Option<Opened<C>>],
     wave: u64,
     inputs: impl Iterator<Item = (usize, &'a SecureCounter<C>)> + Clone,
+    plains: &mut WaveBuffers,
 ) {
-    SecureCounter::open_wave(cipher, key, inputs.clone().map(|(_, c)| c), |i, fields| {
+    let counters = inputs.clone().map(|(_, c)| c);
+    SecureCounter::open_wave(cipher, key, counters, plains, |i, fields| {
         let (Ok(fields), Some((slot, counter))) = (fields, inputs.clone().nth(i)) else {
             return;
         };
@@ -885,8 +901,9 @@ mod tests {
         share_for_me: &gridmine_paillier::MockCt,
     ) -> Result<Option<SecureCounter<MockCipher>>, Verdict> {
         let edge = SendEdge { v, receiver_layout, recv_v, share_for_me };
-        let (mut sealed, verdict) = ctl.send_queries(0, rule, full, &[edge]);
-        verdict.map(|()| sealed.pop().map(|(_, counter)| counter))
+        let mut sealed = Vec::new();
+        ctl.send_queries(0, rule, full, &[edge], &mut sealed)
+            .map(|()| sealed.pop().map(|msg| msg.counter))
     }
 
     /// Builds a `(full, recv_v)` pair — the local counter plus neighbor
@@ -922,7 +939,9 @@ mod tests {
             ts_v,
         )
         .unwrap();
-        (local.add(&f.keys.pub_ops, &recv), recv)
+        let mut full = local;
+        assert!(full.add_assign(&f.keys.pub_ops, &recv));
+        (full, recv)
     }
 
     #[test]

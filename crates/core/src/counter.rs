@@ -33,7 +33,7 @@
 
 use std::sync::Arc;
 
-use gridmine_paillier::{slots, CounterMsg, HomCipher, TagKey};
+use gridmine_paillier::{slots, CounterMsg, HomCipher, InlineVec, TagKey};
 
 /// Field indices within the logical tuple.
 pub const F_SUM: usize = 0;
@@ -48,9 +48,9 @@ pub const F_SHARE: usize = 3;
 pub const F_TS: usize = 4;
 
 /// The slot map of one resource's counters: who owns it and which neighbor
-/// occupies which timestamp slot. Every counter carries the one it was
-/// sealed under, so the neighbor list is shared: a clone is a reference
-/// count, and two handles on one list compare equal at a glance.
+/// occupies which timestamp slot. The resource and its three roles share
+/// one neighbor list, so a clone is a reference count; a counter carries
+/// a copy instead ([`LayoutStamp`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CounterLayout {
     /// The resource this layout belongs to (whose aggregates use it).
@@ -96,10 +96,55 @@ impl CounterLayout {
     }
 }
 
+/// The layout a counter was sealed under, as plain values: the owner and
+/// its neighbors in slot order, as the wire's 32-bit ids, in place up to
+/// 10 neighbors. It is what a door screen holds a counter to — the
+/// receiver's own layout, or its arity — and what the codec writes beside
+/// the ciphertexts. Copying it shares nothing, so a counter in flight
+/// holds no handle of its sender's or its receiver's.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LayoutStamp {
+    /// The resource whose aggregates the counter is summed into.
+    pub owner: u32,
+    /// Its neighbors, in slot order.
+    pub neighbors: InlineVec<u32, 10>,
+}
+
+impl LayoutStamp {
+    /// Total field count of a tuple sealed under this layout.
+    pub fn arity(&self) -> usize {
+        F_TS + 1 + self.neighbors.len()
+    }
+}
+
+/// A resource id as the wire carries it; an id past 32 bits, which no
+/// grid has, saturates, and then stamps a layout it does not match.
+fn wire_id(v: usize) -> u32 {
+    u32::try_from(v).unwrap_or(u32::MAX)
+}
+
+impl From<&CounterLayout> for LayoutStamp {
+    fn from(layout: &CounterLayout) -> Self {
+        let neighbors = layout.neighbors.iter().map(|&v| wire_id(v)).collect();
+        LayoutStamp { owner: wire_id(layout.owner), neighbors }
+    }
+}
+
+/// Whether a counter was sealed under exactly this layout.
+impl PartialEq<CounterLayout> for LayoutStamp {
+    fn eq(&self, layout: &CounterLayout) -> bool {
+        let same = |w: u32, v: usize| usize::try_from(w) == Ok(v);
+        same(self.owner, layout.owner)
+            && self.neighbors.len() == layout.neighbors.len()
+            && self.neighbors.iter().zip(layout.neighbors.iter()).all(|(&w, &v)| same(w, v))
+    }
+}
+
 /// Runs `f` on a buffer of `len` copies of `fill`: on the stack up to 16
-/// of them — the ciphertexts or the values of a counter of degree 10 —
-/// so that sealing a counter allocates its ciphertexts, screening one
-/// allocates nothing, and only a wider layout pays for a vector.
+/// of them — the ciphertexts or the values of a counter of degree 10, the
+/// edges of a send wave — so that sealing or screening a counter, or
+/// asking about its edges, allocates nothing, and only a wider layout
+/// pays for a vector.
 pub(crate) fn with_buffer<T: Copy, R>(len: usize, fill: T, f: impl FnOnce(&mut [T]) -> R) -> R {
     let mut inline = [fill; 16];
     match inline.get_mut(..len) {
@@ -108,13 +153,16 @@ pub(crate) fn with_buffer<T: Copy, R>(len: usize, fill: T, f: impl FnOnce(&mut [
     }
 }
 
-/// A sealed counter tuple plus the layout it was sealed under.
+/// A sealed counter tuple plus the layout it was sealed under: plain
+/// data, its ciphertexts and layout held in place (see
+/// [`gridmine_paillier::Fields`], [`LayoutStamp`]), so that moving one
+/// between threads copies bytes and dropping one frees nothing.
 #[derive(Debug)]
 pub struct SecureCounter<C: HomCipher> {
     /// The authenticated encrypted tuple.
     pub msg: CounterMsg<C>,
     /// Slot map (public routing metadata, not secret).
-    pub layout: CounterLayout,
+    pub layout: LayoutStamp,
 }
 
 impl<C: HomCipher> PartialEq for SecureCounter<C> {
@@ -157,7 +205,7 @@ impl<C: HomCipher> SecureCounter<C> {
             }
             CounterMsg::seal(cipher, key, values)
         });
-        SecureCounter { msg, layout: layout.clone() }
+        SecureCounter { msg, layout: layout.into() }
     }
 
     /// Controller-side sealing of an *outgoing* message from `sender` to the
@@ -194,12 +242,12 @@ impl<C: HomCipher> SecureCounter<C> {
             }
             CounterMsg::tag_fits(cipher, key, values).then(|| CounterMsg::seal(cipher, key, values))
         })?;
-        Some(SecureCounter { msg, layout: receiver_layout.clone() })
+        Some(SecureCounter { msg, layout: receiver_layout.into() })
     }
 
     /// An all-zero counter with a valid tag (additive identity).
     pub fn zeros(cipher: &C, key: &TagKey, layout: &CounterLayout) -> Self {
-        SecureCounter { msg: CounterMsg::zeros(cipher, key), layout: layout.clone() }
+        SecureCounter { msg: CounterMsg::zeros(cipher, key), layout: layout.into() }
     }
 
     /// How many ciphertexts, its tag's included, a counter under `layout`
@@ -209,24 +257,18 @@ impl<C: HomCipher> SecureCounter<C> {
         CounterMsg::<C>::ct_count(cipher, layout.arity())
     }
 
-    /// Key-free aggregation (the broker's only write operation).
-    ///
-    /// # Panics
-    /// Panics if the layouts differ — counters of different resources can
-    /// never be meaningfully summed.
-    pub fn add(&self, cipher: &C, other: &Self) -> Self {
-        assert_eq!(self.layout, other.layout, "cannot add counters of different layouts");
-        SecureCounter { msg: self.msg.add(cipher, &other.msg), layout: self.layout.clone() }
-    }
-
-    /// [`SecureCounter::add`] into `self` — how a broker sums a rule's
-    /// counters into one buffer.
-    ///
-    /// # Panics
-    /// As [`SecureCounter::add`].
-    pub fn add_assign(&mut self, cipher: &C, other: &Self) {
-        assert_eq!(self.layout, other.layout, "cannot add counters of different layouts");
-        self.msg.add_assign(cipher, &other.msg);
+    /// Key-free aggregation into `self` — the broker's only write
+    /// operation, by which it sums a rule's counters into one buffer.
+    /// `false`, and `self` untouched, when the two were sealed under
+    /// different layouts or hold different numbers of ciphertexts:
+    /// counters of different resources can never be meaningfully summed.
+    #[must_use]
+    pub fn add_assign(&mut self, cipher: &C, other: &Self) -> bool {
+        let fits = self.layout == other.layout && self.msg.fields.len() == other.msg.fields.len();
+        if fits {
+            self.msg.add_assign(cipher, &other.msg);
+        }
+        fits
     }
 
     /// Key-free rerandomization: other ciphertexts that open to the same
@@ -253,6 +295,17 @@ mod tests {
 
     fn setup() -> (GridKeys<MockCipher>, CounterLayout) {
         (GridKeys::mock(1), CounterLayout::new(0, vec![2, 1]))
+    }
+
+    /// `a + b`, as a broker sums them.
+    fn add<C: HomCipher>(
+        cipher: &C,
+        a: &SecureCounter<C>,
+        b: &SecureCounter<C>,
+    ) -> SecureCounter<C> {
+        let mut sum = a.clone();
+        assert!(sum.add_assign(cipher, b), "counters of one layout");
+        sum
     }
 
     #[test]
@@ -298,7 +351,7 @@ mod tests {
         let local = SecureCounter::seal_local(&keys.enc, &key, &layout, 5, 8, 1, 100, 2);
         let from_1 =
             SecureCounter::seal_outgoing(&keys.enc, &key, &layout, 1, 3, 4, 2, 200, 9).unwrap();
-        let agg = local.add(&keys.pub_ops, &from_1);
+        let agg = add(&keys.pub_ops, &local, &from_1);
         let p = agg.open(&keys.dec, &key).unwrap();
         assert_eq!((p.sum, p.count, p.num, p.share), (8, 12, 3, 300));
         assert_eq!(p.ts, vec![2, 9, 0]);
@@ -315,15 +368,37 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different layouts")]
-    fn cross_layout_addition_panics() {
+    fn cross_layout_addition_is_refused_and_changes_nothing() {
         let keys = GridKeys::mock(1);
         let l0 = CounterLayout::new(0, vec![1]);
         let l1 = CounterLayout::new(1, vec![0]);
         let k0 = keys.tags.key(l0.arity());
         let a = SecureCounter::zeros(&keys.enc, &k0, &l0);
         let b = SecureCounter::zeros(&keys.enc, &k0, &l1);
-        let _ = a.add(&keys.pub_ops, &b);
+        let mut sum = a.clone();
+        assert!(!sum.add_assign(&keys.pub_ops, &b));
+        assert_eq!(sum, a);
+        // One layout, a ciphertext short: no sum either.
+        let mut short = a.clone();
+        short.msg.fields = a.msg.fields.iter().skip(1).cloned().collect();
+        assert!(!sum.add_assign(&keys.pub_ops, &short));
+        assert_eq!(sum, a);
+    }
+
+    #[test]
+    fn a_stamp_is_its_layout_in_place() {
+        let layout = CounterLayout::new(3, (0..20).filter(|&v| v != 3).collect());
+        let stamp = LayoutStamp::from(&layout);
+        assert!(stamp == layout && stamp.arity() == layout.arity());
+        assert!(stamp.neighbors.spilled(), "past 10 neighbors");
+        let small = CounterLayout::new(3, vec![1, 2]);
+        let [of_small, of_other, of_far] =
+            [&small, &CounterLayout::new(4, vec![1, 2]), &CounterLayout::new(1 << 40, vec![1])]
+                .map(LayoutStamp::from);
+        assert!(!of_small.neighbors.spilled());
+        assert!(of_small != layout);
+        assert!(of_other != small, "another owner");
+        assert!(of_far != CounterLayout::new(1 << 40, vec![1]), "an id no wire carries");
     }
 
     #[test]
@@ -390,7 +465,7 @@ mod tests {
         let local = SecureCounter::seal_local(&keys.enc, &key, &layout, 11, 20, 1, 5, 1);
         let inc =
             SecureCounter::seal_outgoing(&keys.enc, &key, &layout, 3, 9, 10, 4, 6, 2).unwrap();
-        let agg = local.add(&keys.pub_ops, &inc).rerandomize(&keys.pub_ops);
+        let agg = add(&keys.pub_ops, &local, &inc).rerandomize(&keys.pub_ops);
         let p = agg.open(&keys.dec, &key).unwrap();
         assert_eq!((p.sum, p.count, p.num, p.share), (20, 30, 5, 11));
         assert_eq!(p.ts, vec![1, 2]);

@@ -55,6 +55,9 @@ use crate::round::{assemble, RoundMachine, RoundSchedule, Scan, Seat};
 pub(crate) struct Station<C: HomCipher> {
     machine: RoundMachine<C>,
     proxy: ChaosProxy<WireMsg<C>>,
+    /// What a receive sends, on its way to the proxy; a buffer kept
+    /// between deliveries.
+    sent: Vec<WireMsg<C>>,
     /// The recovery image the last crash handed over — the stand-in for
     /// the file a node process publishes — until the rejoin restores it.
     image: Option<Vec<u8>>,
@@ -73,6 +76,7 @@ impl<C: HomCipher> Station<C> {
         Station {
             machine: RoundMachine::new(resource, schedule, rec.clone()),
             proxy: ChaosProxy::new(plan.clone()),
+            sent: Vec::new(),
             image: None,
             rec,
         }
@@ -107,9 +111,11 @@ impl<C: HomCipher> Station<C> {
     }
 
     /// Handles a delivered counter and routes what it causes.
-    pub(crate) fn receive(&mut self, msg: &WireMsg<C>, post: impl FnMut(WireMsg<C>)) {
-        let msgs = self.machine.receive(msg);
-        self.route(msgs, post);
+    pub(crate) fn receive(&mut self, msg: &WireMsg<C>, mut post: impl FnMut(WireMsg<C>)) {
+        self.machine.receive(msg, &mut self.sent);
+        for m in self.sent.drain(..) {
+            self.proxy.route(m.from, m.to, m, &self.rec, &mut post);
+        }
     }
 
     fn route(&mut self, msgs: Vec<WireMsg<C>>, mut post: impl FnMut(WireMsg<C>)) {

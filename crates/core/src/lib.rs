@@ -67,8 +67,8 @@ pub use attack::{BrokerBehavior, ControllerBehavior};
 pub use broker::{Broker, BrokerMsg};
 pub use candidates::CandidateGenerator;
 pub use chaos::{ChaosReport, DegradeReason, ResourceStatus};
-pub use controller::{AuditImage, Controller, SealedEdges, SendEdge, Verdict};
-pub use counter::{CounterLayout, SecureCounter};
+pub use controller::{AuditImage, Controller, SendEdge, Verdict};
+pub use counter::{CounterLayout, LayoutStamp, SecureCounter};
 pub use inproc::run_synchronous;
 pub use keyring::GridKeys;
 pub use kttp::KTtp;

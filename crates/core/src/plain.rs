@@ -14,7 +14,7 @@
 //! split: `PlainCounter`, `open` and the `decrypt_*` family are banned
 //! identifiers in every key-blind module.
 
-use gridmine_paillier::{CounterMsg, HomCipher, ObliviousError, TagKey};
+use gridmine_paillier::{CounterMsg, HomCipher, ObliviousError, TagKey, WaveBuffers};
 
 use crate::counter::{SecureCounter, F_NUM, F_TS};
 use crate::shares::share_reduce;
@@ -102,7 +102,8 @@ impl<C: HomCipher> SecureCounter<C> {
         counters: &[&Self],
     ) -> Vec<Result<PlainCounter, ObliviousError>> {
         let mut opened = Vec::with_capacity(counters.len());
-        Self::open_wave(cipher, key, counters.iter().copied(), |_, fields| {
+        let mut plains = WaveBuffers::default();
+        Self::open_wave(cipher, key, counters.iter().copied(), &mut plains, |_, fields| {
             opened.push(fields.and_then(PlainCounter::of));
         });
         opened
@@ -111,18 +112,20 @@ impl<C: HomCipher> SecureCounter<C> {
     /// Opens a wave of counters sealed under one key: every ciphertext of
     /// every counter decrypts in one pass over the cipher's cached
     /// contexts, and each tag is checked in the plaintext that pass
-    /// returns (see [`CounterMsg::open_wave`]). `sink` gets each
-    /// counter's index and its opened fields — for [`PlainCounter::read`]
-    /// to put where the caller keeps them — or why it did not open.
+    /// returns (see [`CounterMsg::open_wave`]), into `plains`, buffers
+    /// the caller keeps. `sink` gets each counter's index and its opened
+    /// fields — for [`PlainCounter::read`] to put where the caller keeps
+    /// them — or why it did not open.
     pub fn open_wave<'a>(
         cipher: &C,
         key: &TagKey,
         counters: impl Iterator<Item = &'a Self> + Clone,
+        plains: &mut WaveBuffers,
         sink: impl FnMut(usize, Result<&[i64], ObliviousError>),
     ) where
         C: 'a,
     {
-        CounterMsg::open_wave(cipher, key, F_NUM, counters.map(|c| &c.msg), sink);
+        CounterMsg::open_wave(cipher, key, F_NUM, counters.map(|c| &c.msg), plains, sink);
     }
 }
 

@@ -22,7 +22,7 @@ use crate::broker::{Broker, BrokerMsg};
 use crate::candidates::CandidateGenerator;
 use crate::chaos::DegradeReason;
 use crate::controller::{AuditImage, Controller, SendEdge, Verdict};
-use crate::counter::{CounterLayout, SecureCounter};
+use crate::counter::{with_buffer, CounterLayout, SecureCounter};
 use crate::keyring::GridKeys;
 use crate::recovery::{JournalError, RecoveryImage, ResourceState, RetryPolicy, RuleRecord};
 use crate::rules::{PerRule, RuleId, RuleTable};
@@ -385,7 +385,7 @@ impl<C: HomCipher> SecureResource<C> {
         // from first-time protocol messages.
         self.resending = true;
         for id in self.live_rules() {
-            out.extend(self.on_change(id));
+            self.on_change(id, &mut out);
             if !self.is_live() {
                 break;
             }
@@ -411,7 +411,8 @@ impl<C: HomCipher> SecureResource<C> {
     /// Resolves the rule a delivered counter names — the one keyed lookup
     /// of the message path — adopting it, together with its implied
     /// union-frequency candidate, when either is not a live candidate
-    /// here (Algorithm 4's receive handler).
+    /// here (Algorithm 4's receive handler). A rule met for the first
+    /// time is filed as a copy of the message's.
     fn adopt(&mut self, cand: &CandidateRule) -> RuleId {
         let live = |id: RuleId| self.output_cache.get(id).is_some();
         if let Some(id) = self.rules.id_of(cand) {
@@ -437,10 +438,11 @@ impl<C: HomCipher> SecureResource<C> {
     /// counter last received from its neighbor, by reference. The
     /// controller opens whichever of those it has not opened before —
     /// after a receive, the aggregate and the sender's counter — and
-    /// takes the outgoing aggregate as the difference of the two.
-    fn on_change(&mut self, id: RuleId) -> Vec<WireMsg<C>> {
+    /// takes the outgoing aggregate as the difference of the two, sealed
+    /// straight onto `out`; the wave allocates nothing of its own.
+    fn on_change(&mut self, id: RuleId, out: &mut Vec<WireMsg<C>>) {
         if !self.is_live() {
-            return Vec::new();
+            return;
         }
         // A mute controller never answers the send SFE: the broker
         // retries once per wired edge (the driver's delivery timeout
@@ -452,33 +454,39 @@ impl<C: HomCipher> SecureResource<C> {
                     break;
                 }
             }
-            return Vec::new();
+            return;
         }
         let spare = self.spare.take();
         let (Some(cand), Some(full)) = (self.rules.rule(id), self.broker.full_aggregate(id, spare))
         else {
-            return Vec::new();
+            return;
         };
         // All SFE inputs exist once wiring completed (instance created in
         // `ensure_candidate`, layout and share delivered at init); an
-        // incomplete edge (e.g. during joins) is skipped.
-        let edges: Vec<SendEdge<'_, C>> = self
-            .layout
-            .neighbors
-            .iter()
-            .zip(&self.neighbor_layouts)
-            .filter_map(|(&v, receiver_layout)| {
+        // incomplete edge (e.g. during joins) is skipped. The edges go to
+        // the controller in a buffer on the stack.
+        let broker = &self.broker;
+        let edges = self.layout.neighbors.iter().zip(&self.neighbor_layouts).filter_map(
+            |(&v, receiver_layout)| {
                 Some(SendEdge {
                     v,
                     receiver_layout: receiver_layout.as_ref()?,
-                    recv_v: self.broker.recv_of(id, v)?,
-                    share_for_me: self.broker.share_for_sending_to(v)?,
+                    recv_v: broker.recv_of(id, v)?,
+                    share_for_me: broker.share_for_sending_to(v)?,
                 })
-            })
-            .collect();
-        let (sealed, verdict) = self.ctl.send_queries(id, cand, &full, &edges);
-        let mut out = Vec::with_capacity(sealed.len());
-        for (v, counter) in sealed {
+            },
+        );
+        let sent = out.len();
+        let verdict = match edges.clone().next() {
+            Some(first) => with_buffer(edges.clone().count(), first, |buffer| {
+                for (slot, edge) in buffer.iter_mut().zip(edges) {
+                    *slot = edge;
+                }
+                self.ctl.send_queries(id, cand, &full, buffer, out)
+            }),
+            None => self.ctl.send_queries(id, cand, &full, &[], out),
+        };
+        for msg in out.iter().skip(sent) {
             self.broker.msgs_sent += 1;
             if self.resending {
                 self.resends_sent += 1;
@@ -486,18 +494,16 @@ impl<C: HomCipher> SecureResource<C> {
             let resend = self.resending;
             emit(&self.rec, || Event::CounterSent {
                 from: self.id as u64,
-                to: v as u64,
+                to: msg.to as u64,
                 rule: cand.to_string(),
-                bytes: counter.wire_bytes() as u64,
+                bytes: msg.counter.wire_bytes() as u64,
                 resend,
             });
-            out.push(BrokerMsg { from: self.id, to: v, cand: cand.clone(), counter });
         }
         if let Err(verdict) = verdict {
             self.halted = Some(verdict);
         }
         self.spare = Some(full);
-        out
     }
 
     /// One simulation step: the accountant scans `scan_budget` transactions
@@ -512,7 +518,7 @@ impl<C: HomCipher> SecureResource<C> {
             if self.acc.advance_scan(id, scan_budget) {
                 for counter in self.acc.respond(id) {
                     self.broker.set_local(id, counter);
-                    out.extend(self.on_change(id));
+                    self.on_change(id, &mut out);
                 }
             }
             if !self.is_live() {
@@ -526,15 +532,24 @@ impl<C: HomCipher> SecureResource<C> {
     /// adopted together with their implied union-frequency candidate
     /// (Algorithm 4's receive handler).
     pub fn on_receive(&mut self, msg: &WireMsg<C>) -> Vec<WireMsg<C>> {
+        let mut out = Vec::new();
+        self.on_receive_into(msg, &mut out);
+        out
+    }
+
+    /// [`SecureResource::on_receive`], its sends appended to `out`: a
+    /// driver that keeps one buffer for them allocates nothing per
+    /// delivery.
+    pub fn on_receive_into(&mut self, msg: &WireMsg<C>, out: &mut Vec<WireMsg<C>>) {
         if !self.is_live() {
-            return Vec::new();
+            return;
         }
         // Stale-epoch guard: a message sealed before a membership change
         // carries the old layout (or comes from a departed neighbor) and
         // cannot be mixed into the new counter world. Dropping it is safe:
         // the rewire nudges force fresh sends under the new epoch.
         if msg.counter.layout != self.layout || self.layout.slot_of(msg.from).is_none() {
-            return Vec::new();
+            return;
         }
         // Malformed-ciphertext screen: every field of a wire counter must
         // support the full homomorphic algebra (a hostile peer can mail a
@@ -549,7 +564,7 @@ impl<C: HomCipher> SecureResource<C> {
                 from: msg.from as u64,
             });
             emit(&self.rec, || verdict.to_event(self.id));
-            return Vec::new();
+            return;
         }
         emit(&self.rec, || Event::CounterReceived {
             at: self.id as u64,
@@ -558,7 +573,7 @@ impl<C: HomCipher> SecureResource<C> {
         });
         let id = self.adopt(&msg.cand);
         self.broker.on_receive(id, msg.from, &msg.counter);
-        self.on_change(id)
+        self.on_change(id, out);
     }
 
     /// Refreshes every candidate's `Output()` answer through the
@@ -627,7 +642,7 @@ impl<C: HomCipher> SecureResource<C> {
         let mut out = Vec::new();
         for cand in fresh {
             let id = self.ensure_candidate(&cand);
-            out.extend(self.on_change(id));
+            self.on_change(id, &mut out);
             if !self.is_live() {
                 break;
             }

@@ -436,13 +436,20 @@ impl<C: HomCipher> RoundMachine<C> {
         self.guarded(|r| r.generate_candidates())
     }
 
-    /// Handles a delivered counter; a down or poisoned resource discards
-    /// it.
-    pub fn receive(&mut self, msg: &WireMsg<C>) -> Vec<WireMsg<C>> {
+    /// Handles a delivered counter, appending what it causes to send to
+    /// `out`, a buffer the driver keeps; a down or poisoned resource
+    /// discards it, and a receive that panics sends nothing.
+    pub fn receive(&mut self, msg: &WireMsg<C>, out: &mut Vec<WireMsg<C>>) {
         if self.quiet() {
-            return Vec::new();
+            return;
         }
-        self.guarded(|r| r.on_receive(msg))
+        let before = out.len();
+        if !self.guarded(|r| {
+            r.on_receive_into(msg, out);
+            true
+        }) {
+            out.truncate(before);
+        }
     }
 
     /// Rejoins after a wipe: restores from `image` (untrusted bytes,

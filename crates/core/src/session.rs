@@ -85,6 +85,13 @@ pub enum SessionError {
         /// Resources actually in the grid.
         capacity: usize,
     },
+    /// A configuration field holds a value no run can be built on.
+    InvalidConfig {
+        /// The field, by its name in the configuration.
+        field: &'static str,
+        /// What it must be instead.
+        need: &'static str,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -107,6 +114,9 @@ impl fmt::Display for SessionError {
                 f,
                 "fault plan overrides edge {u}\u{2013}{v}, outside the grid's {capacity} resources"
             ),
+            SessionError::InvalidConfig { field, need } => {
+                write!(f, "configuration field `{field}` {need}")
+            }
         }
     }
 }

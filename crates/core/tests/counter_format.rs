@@ -215,7 +215,11 @@ impl<C: HomCipher> Wave<C> {
         local: &SecureCounter<C>,
         recv: &[SecureCounter<C>; 2],
     ) -> SecureCounter<C> {
-        local.add(&keys.pub_ops, &recv[0]).add(&keys.pub_ops, &recv[1])
+        let mut full = local.clone();
+        for recv in recv {
+            assert!(full.add_assign(&keys.pub_ops, recv), "counters of one layout");
+        }
+        full
     }
 
     fn controller(&self, rec: Option<SharedRecorder>) -> Controller<C> {
@@ -265,7 +269,8 @@ fn one_rule_change_opens_what_changed_within_its_key_op_budget() {
     // One wave: (Decrypt, BatchDecrypt, MultiExp) it cost the controller.
     let wave = |ctl: &mut Controller<PaillierCtx>, w: &Wave<PaillierCtx>| {
         mem.clear();
-        let (sealed, verdict) = ctl.send_queries(0, &rule(), &w.full, &w.edges());
+        let mut sealed = Vec::new();
+        let verdict = ctl.send_queries(0, &rule(), &w.full, &w.edges(), &mut sealed);
         assert_eq!(verdict, Ok(()));
         let ops = [KeyOpKind::Decrypt, KeyOpKind::BatchDecrypt, KeyOpKind::MultiExp];
         (sealed.len(), ops.map(|op| key_ops(&mem, op)))
@@ -307,9 +312,10 @@ fn share_cache_hits_only_on_the_same_ciphertext_and_dies_with_the_epoch() {
         ctl.reset_edge(1);
         ctl.reset_edge(2);
         mem.clear();
-        let (sealed, verdict) = ctl.send_queries(0, &rule(), &w.full, &w.edges());
+        let mut sealed = Vec::new();
+        let verdict = ctl.send_queries(0, &rule(), &w.full, &w.edges(), &mut sealed);
         assert_eq!(verdict, Ok(()));
-        let shares: Vec<i64> = sealed.iter().map(|(v, c)| w.share_in(*v, c)).collect();
+        let shares: Vec<i64> = sealed.iter().map(|m| w.share_in(m.to, &m.counter)).collect();
         (key_ops(&mem, KeyOpKind::Decrypt), shares)
     };
     let (cold, shares) = wave(&mut ctl, &w);
@@ -345,9 +351,10 @@ fn opened_inputs_are_read_back_only_as_the_same_bytes_and_die_with_the_epoch() {
         ctl.reset_edge(1);
         ctl.reset_edge(2);
         mem.clear();
-        let (sealed, verdict) = ctl.send_queries(0, &rule(), &w.full, &w.edges());
+        let mut sealed = Vec::new();
+        let verdict = ctl.send_queries(0, &rule(), &w.full, &w.edges(), &mut sealed);
         assert_eq!(verdict, Ok(()));
-        let sent: Vec<_> = sealed.iter().map(|(v, c)| w.payload_in(*v, c)).collect();
+        let sent: Vec<_> = sealed.iter().map(|m| w.payload_in(m.to, &m.counter)).collect();
         (key_ops(&mem, KeyOpKind::Decrypt), sent)
     };
     // Three counters and two shares.
@@ -375,9 +382,10 @@ fn opened_inputs_are_read_back_only_as_the_same_bytes_and_die_with_the_epoch() {
     w.recv[1].msg.fields[F_SUM] = w.keys.pub_ops.encrypt_i64(999);
     ctl.reset_edge(1);
     mem.clear();
-    let (sealed, verdict) = ctl.send_queries(0, &rule(), &w.full, &w.edges());
+    let mut sealed = Vec::new();
+    let verdict = ctl.send_queries(0, &rule(), &w.full, &w.edges(), &mut sealed);
     assert_eq!(verdict, Err(Verdict::MaliciousBroker(0)));
-    assert_eq!(sealed.iter().map(|(v, _)| *v).collect::<Vec<_>>(), [1], "edge 1 still answered");
+    assert_eq!(sealed.iter().map(|m| m.to).collect::<Vec<_>>(), [1], "edge 1 still answered");
     assert!(key_ops(&mem, KeyOpKind::Decrypt) >= one, "the forgery was opened, not looked up");
 }
 
@@ -392,10 +400,11 @@ fn forged_second_edge_is_blamed_after_the_first_is_answered<C: HomCipher>(keys: 
     forged.msg.fields[F_SUM] = w.keys.pub_ops.encrypt_i64(999);
     let mut edges = w.edges();
     edges[1].recv_v = &forged;
-    let (sealed, verdict) = ctl.send_queries(0, &rule(), &w.full, &edges);
+    let mut sealed = Vec::new();
+    let verdict = ctl.send_queries(0, &rule(), &w.full, &edges, &mut sealed);
     assert_eq!(verdict, Err(Verdict::MaliciousBroker(0)));
-    assert_eq!(sealed.iter().map(|(v, _)| *v).collect::<Vec<_>>(), [1], "edge 1 still answered");
-    assert_eq!(w.share_in(1, &sealed[0].1), 123);
+    assert_eq!(sealed.iter().map(|m| m.to).collect::<Vec<_>>(), [1], "edge 1 still answered");
+    assert_eq!(w.share_in(1, &sealed[0].counter), 123);
     // Two queries were asked, one was answered, as one query per edge.
     assert_eq!(ctl.queries_served, 2);
     let events = mem.snapshot();
@@ -404,7 +413,8 @@ fn forged_second_edge_is_blamed_after_the_first_is_answered<C: HomCipher>(keys: 
     assert_eq!(count(&|e| matches!(e, Event::SfeAnswer { answer: true, .. })), 1);
     assert_eq!(count(&|e| matches!(e, Event::VerdictIssued { .. })), 1);
     // Halted: the next wave is refused whole.
-    let (sealed, verdict) = ctl.send_queries(0, &rule(), &w.full, &w.edges());
+    let mut sealed = Vec::new();
+    let verdict = ctl.send_queries(0, &rule(), &w.full, &w.edges(), &mut sealed);
     assert!(sealed.is_empty());
     assert_eq!(verdict, Err(Verdict::MaliciousBroker(0)));
 }

@@ -31,8 +31,8 @@ use gridmine_core::recovery::{RecoveryImage, ResourceState, RuleRecord};
 use gridmine_core::resource::wire_grid;
 use gridmine_core::CandidateGenerator;
 use gridmine_core::{
-    Accountant, AuditImage, Broker, Controller, GridKeys, KGate, SealedEdges, SecureResource,
-    SendEdge, Verdict, WireMsg,
+    Accountant, AuditImage, Broker, Controller, GridKeys, KGate, SecureResource, SendEdge, Verdict,
+    WireMsg,
 };
 use gridmine_obs::{Event, EventKind, MemoryRecorder, VerdictKind};
 use gridmine_paillier::{
@@ -235,7 +235,8 @@ impl<C: HomCipher> Scene<C> {
         let local = SecureCounter::seal_local(&keys.enc, &key, &layout, 4, 10, 1, own_share, 3);
         let recv = SecureCounter::seal_outgoing(&keys.enc, &key, &layout, 1, 6, 10, 1, 77, 5)
             .expect("1 is a neighbor of 0");
-        let full = local.add(&keys.pub_ops, &recv);
+        let mut full = local;
+        assert!(full.add_assign(&keys.pub_ops, &recv), "counters of one layout");
         let share = keys.enc.encrypt_i64(123);
         Scene { receiver_layout: CounterLayout::new(1, vec![0]), keys, layout, full, recv, share }
     }
@@ -257,14 +258,16 @@ impl<C: HomCipher> Scene<C> {
         &self,
         full: &SecureCounter<C>,
         recv: &SecureCounter<C>,
-    ) -> (SealedEdges<C>, Result<(), Verdict>) {
+    ) -> (Vec<WireMsg<C>>, Result<(), Verdict>) {
         let edge = SendEdge {
             v: 1,
             receiver_layout: &self.receiver_layout,
             recv_v: recv,
             share_for_me: &self.share,
         };
-        self.controller().send_queries(0, &rule(), full, &[edge])
+        let mut sealed = Vec::new();
+        let verdict = self.controller().send_queries(0, &rule(), full, &[edge], &mut sealed);
+        (sealed, verdict)
     }
 
     /// Both SFEs must convict the local broker for `forged` as `full`.
@@ -339,7 +342,9 @@ fn recv_v_is_held_to_what_full_contains<C: HomCipher>(keys: GridKeys<C>) {
     let old = s.sent_by_1((5, 8, 1), 2);
     let (sealed, verdict) = s.send(&s.full, &old);
     assert_eq!(verdict, Ok(()));
-    let [(1, out)] = &sealed[..] else { panic!("one message toward 1, got {}", sealed.len()) };
+    let [WireMsg { to: 1, counter: out, .. }] = &sealed[..] else {
+        panic!("one message toward 1, got {}", sealed.len())
+    };
     let key = s.keys.tags.key(s.receiver_layout.arity());
     let p = out.open(&s.keys.dec, &key).expect("the controller's own seal opens");
     assert_eq!((p.sum, p.count, p.num, p.share), (10 - 5, 20 - 8, 2 - 1, 123));

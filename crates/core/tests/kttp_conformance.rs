@@ -160,7 +160,8 @@ fn output_answer_is_the_gated_sign_of_the_audited_plaintext<C: HomCipher>(
             t.into(),
         )
         .expect("1 is a neighbor of 0");
-        let full = local.add(&keys.pub_ops, &recv);
+        let mut full = local.clone();
+        assert!(full.add_assign(&keys.pub_ops, &recv), "counters of one layout");
         let p = full.open(&keys.dec, &key).expect("an honest aggregate opens");
         let want = gate.disclose(p.count, p.num, || rule.lambda.delta(p.sum, p.count) >= 0);
         prop_assert_eq!(ctl.output_query(0, &rule, &full), Ok(want), "query {}", t);

@@ -21,12 +21,19 @@ use std::sync::Arc;
 use gridmine_arm::{CandidateRule, ItemSet, Ratio, Rule};
 use gridmine_core::counter::{CounterLayout, SecureCounter, F_NUM};
 use gridmine_core::shares::SHARE_MODULUS;
-use gridmine_core::{Controller, GridKeys, SealedEdges, SendEdge, Verdict};
+use gridmine_core::{Controller, GridKeys, SendEdge, Verdict, WireMsg};
 use gridmine_paillier::{HomCipher, MockCipher, ObliviousError, SlotError};
 use proptest::prelude::*;
 
 fn rule() -> CandidateRule {
     CandidateRule::new(Rule::frequency(ItemSet::of(&[1])), Ratio::new(1, 2))
+}
+
+/// `a + b`, as a broker sums them.
+fn add<C: HomCipher>(cipher: &C, a: &SecureCounter<C>, b: &SecureCounter<C>) -> SecureCounter<C> {
+    let mut sum = a.clone();
+    assert!(sum.add_assign(cipher, b), "counters of one layout");
+    sum
 }
 
 /// A cipher that counts the ciphertexts handed to its decryption waves —
@@ -53,13 +60,24 @@ impl<C: HomCipher> HomCipher for Counting<C> {
         self.inner.slots_per_ct()
     }
 
-    fn encrypt_slots(&self, values: &[i64], tag: &[i64], out: &mut Vec<C::Ct>) {
+    fn encrypt_slots(&self, values: &[i64], tag: &[i64], out: &mut impl Extend<C::Ct>) {
         self.inner.encrypt_slots(values, tag, out)
     }
 
-    fn decrypt_wave(&self, cts: &[&C::Ct], len: usize) -> (Vec<i64>, Vec<(usize, SlotError)>) {
-        self.opened.fetch_add(cts.len(), Ordering::Relaxed);
-        self.inner.decrypt_wave(cts, len)
+    fn decrypt_wave<'a>(
+        &self,
+        cts: impl Iterator<Item = &'a C::Ct>,
+        len: usize,
+        plains: &mut Vec<i64>,
+        refused: &mut Vec<(usize, SlotError)>,
+    ) where
+        C::Ct: 'a,
+    {
+        let opened = &self.opened;
+        let counted = cts.inspect(|_| {
+            opened.fetch_add(1, Ordering::Relaxed);
+        });
+        self.inner.decrypt_wave(counted, len, plains, refused)
     }
 
     fn add(&self, a: &C::Ct, b: &C::Ct) -> C::Ct {
@@ -176,7 +194,7 @@ impl<C: HomCipher> Grid<C> {
     /// The broker's full aggregate, summed in slot order.
     fn full(&self) -> SecureCounter<Counting<C>> {
         let ops = &self.keys.pub_ops;
-        self.recv.iter().fold(self.local.clone(), |full, recv| full.add(ops, recv))
+        self.recv.iter().fold(self.local.clone(), |full, recv| add(ops, &full, recv))
     }
 
     /// One send wave over both edges, every suppressor lifted: the
@@ -185,7 +203,7 @@ impl<C: HomCipher> Grid<C> {
         &mut self,
         full: &SecureCounter<Counting<C>>,
         recv: [&SecureCounter<Counting<C>>; 2],
-    ) -> (usize, SealedEdges<Counting<C>>, Result<(), Verdict>) {
+    ) -> (usize, Vec<WireMsg<Counting<C>>>, Result<(), Verdict>) {
         self.ctl.reset_edge(1);
         self.ctl.reset_edge(2);
         let edges: Vec<_> = (0..2)
@@ -197,11 +215,12 @@ impl<C: HomCipher> Grid<C> {
             })
             .collect();
         let before = self.opened.load(Ordering::Relaxed);
-        let (sealed, verdict) = self.ctl.send_queries(0, &rule(), full, &edges);
+        let mut sealed = Vec::new();
+        let verdict = self.ctl.send_queries(0, &rule(), full, &edges, &mut sealed);
         (self.opened.load(Ordering::Relaxed) - before, sealed, verdict)
     }
 
-    fn wave(&mut self) -> (usize, SealedEdges<Counting<C>>, Result<(), Verdict>) {
+    fn wave(&mut self) -> (usize, Vec<WireMsg<Counting<C>>>, Result<(), Verdict>) {
         let (full, recv) = (self.full(), self.recv.clone());
         self.wave_with(&full, [&recv[0], &recv[1]])
     }
@@ -279,7 +298,7 @@ fn runs_match_opening<C: HomCipher>(
         let (opened, sealed, verdict) = g.wave();
         prop_assert_eq!(verdict, Ok(()), "{:?}", step);
         prop_assert_eq!(opened, one, "one counter decrypts: {:?}", step);
-        for (v, out) in &sealed {
+        for WireMsg { to: v, counter: out, .. } in &sealed {
             let (sum, count, num) = g.minus(&full, &g.recv[v - 1]);
             let share = [123, 456][v - 1];
             prop_assert_eq!(g.payload(*v, out), (sum, count, num, share), "toward {}", v);
@@ -305,7 +324,7 @@ fn ends_as_opening<C: HomCipher>(
     g: &mut Grid<C>,
     full: &SecureCounter<Counting<C>>,
     recv_1: &SecureCounter<Counting<C>>,
-) -> (SealedEdges<Counting<C>>, Result<(), Verdict>) {
+) -> (Vec<WireMsg<Counting<C>>>, Result<(), Verdict>) {
     let recv_2 = g.recv[1].clone();
     let mut twin = g.twin();
     std::mem::swap(&mut g.ctl, &mut twin);
@@ -314,8 +333,8 @@ fn ends_as_opening<C: HomCipher>(
     let (opened, sealed, verdict) = g.wave_with(full, [recv_1, &recv_2]);
     assert_eq!(opened, full.msg.fields.len() + recv_1.msg.fields.len(), "full opened too");
     assert_eq!(verdict, twin_verdict);
-    let payloads = |sealed: &SealedEdges<Counting<C>>| -> Vec<_> {
-        sealed.iter().map(|(v, c)| (*v, g.payload(*v, c))).collect()
+    let payloads = |sealed: &Vec<WireMsg<Counting<C>>>| -> Vec<_> {
+        sealed.iter().map(|m| (m.to, g.payload(m.to, &m.counter))).collect()
     };
     assert_eq!(payloads(&sealed), payloads(&twin_sealed));
     (sealed, verdict)
@@ -329,7 +348,7 @@ fn full_that_moved_by_more_than_one_term_is_opened<C: HomCipher>(keys: impl Fn()
     let mut g = Grid::new(keys());
     assert_eq!(g.wave().2, Ok(()));
     g.receive(0, 2, 10, 1);
-    let doubled = g.full().add(&g.keys.pub_ops, &g.recv[0]);
+    let doubled = add(&g.keys.pub_ops, &g.full(), &g.recv[0]);
     let recv = g.recv[0].clone();
     assert_ne!(doubled.open(&g.keys.dec, &key(&g)).expect("a double count opens").share, 1);
     assert_eq!(ends_as_opening(&mut g, &doubled, &recv).1, broker);
@@ -355,9 +374,9 @@ fn full_that_moved_by_more_than_one_term_is_opened<C: HomCipher>(keys: impl Fn()
     let full = g.full();
     let (sealed, verdict) = ends_as_opening(&mut g, &full, &stale);
     assert_eq!(verdict, Ok(()));
-    let toward_1 = sealed.iter().find(|(v, _)| *v == 1).expect("answered toward 1");
+    let toward_1 = sealed.iter().find(|m| m.to == 1).expect("answered toward 1");
     let (sum, count, num) = g.minus(&full, &stale);
-    assert_eq!(g.payload(1, &toward_1.1), (sum, count, num, 123));
+    assert_eq!(g.payload(1, &toward_1.counter), (sum, count, num, 123));
 }
 
 #[test]

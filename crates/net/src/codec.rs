@@ -32,8 +32,8 @@
 
 use gridmine_arm::{CandidateRule, Rule, RuleFormError};
 pub use gridmine_core::Tallies;
-use gridmine_core::{BrokerMsg, CounterLayout, DegradeReason, SecureCounter, Verdict};
-use gridmine_paillier::{CounterMsg, HomCipher};
+use gridmine_core::{BrokerMsg, DegradeReason, LayoutStamp, SecureCounter, Verdict};
+use gridmine_paillier::{CounterMsg, Fields, HomCipher, InlineVec};
 
 use crate::error::WireError;
 use crate::frame;
@@ -192,10 +192,10 @@ impl Writer<'_> {
         self.bytes(&C::ct_encode(c));
     }
     fn counter<C: HomCipher>(&mut self, c: &SecureCounter<C>) {
-        self.u32(c.layout.owner as u32);
+        self.u32(c.layout.owner);
         self.u32(c.layout.neighbors.len() as u32);
         for &v in c.layout.neighbors.iter() {
-            self.u32(v as u32);
+            self.u32(v);
         }
         self.u32(c.msg.fields.len() as u32);
         for f in &c.msg.fields {
@@ -283,25 +283,24 @@ impl<'a> Reader<'a> {
     }
 
     fn counter<C: HomCipher>(&mut self) -> Result<SecureCounter<C>, WireError> {
-        let owner = self.u32()? as usize;
+        let owner = self.u32()?;
         // Each neighbor id costs 4 payload bytes.
         let n = self.seq_len(4)?;
-        let mut neighbors = Vec::with_capacity(n);
+        let mut neighbors = InlineVec::new();
         for _ in 0..n {
-            let v = self.u32()? as usize;
+            let v = self.u32()?;
             if neighbors.last().is_some_and(|&last| last >= v) {
                 return Err(WireError::Malformed("layout neighbors out of order or repeated"));
             }
             neighbors.push(v);
         }
-        let layout = CounterLayout::new(owner, neighbors);
         // Each field costs at least its 4-byte length prefix.
         let fields_n = self.seq_len(4)?;
-        let mut fields = Vec::with_capacity(fields_n);
+        let mut fields = Fields::new();
         for _ in 0..fields_n {
             fields.push(self.ct::<C>()?);
         }
-        Ok(SecureCounter { msg: CounterMsg { fields }, layout })
+        Ok(SecureCounter { msg: CounterMsg { fields }, layout: LayoutStamp { owner, neighbors } })
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -528,7 +527,7 @@ pub fn decode<C: HomCipher>(bytes: &[u8]) -> Result<Frame<C>, WireError> {
 mod tests {
     use super::*;
     use gridmine_arm::{ItemSet, Ratio};
-    use gridmine_core::GridKeys;
+    use gridmine_core::{CounterLayout, GridKeys};
     use gridmine_paillier::MockCipher;
 
     fn candidate() -> CandidateRule {

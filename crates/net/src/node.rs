@@ -100,6 +100,9 @@ struct Node<'a, C: HomCipher> {
     rec_buf: Option<Arc<BufRecorder>>,
     /// Counters, shares and share resends handled since the last ack.
     handled: u32,
+    /// What a delivered counter makes the machine send; a buffer kept
+    /// between deliveries.
+    sent: Vec<WireMsg<C>>,
 }
 
 /// The recorder a node's machine and keys run on, with the buffer to
@@ -131,7 +134,7 @@ impl<'a, C: NetCipher> Node<'a, C> {
         let items: Vec<Item> = spec.items.iter().map(|&i| Item(i)).collect();
         let resource = cfg.resource(spec.resource, &keys, neighbors, spec.db.clone(), &items);
         let machine = RoundMachine::new(resource, spec.schedule.clone(), rec);
-        Node { spec, machine, rec_buf, handled: 0 }
+        Node { spec, machine, rec_buf, handled: 0, sent: Vec::new() }
     }
 
     /// Publishes the state file as of `tick`, with the image a crash
@@ -168,10 +171,10 @@ impl<'a, C: NetCipher> Node<'a, C> {
     fn queue_counters<W: Write>(
         &self,
         out: &mut FrameWriter<W>,
-        outs: Vec<WireMsg<C>>,
+        outs: &mut Vec<WireMsg<C>>,
     ) -> Result<u32, NetError> {
         let n = outs.len() as u32;
-        for m in outs {
+        for m in outs.drain(..) {
             out.queue(&Frame::Counter(m))?;
         }
         self.queue_obs(out)?;
@@ -230,7 +233,7 @@ impl<'a, C: NetCipher> Node<'a, C> {
                 self.handled += 1;
             }
             Frame::PhaseStart { tick, phase: Phase::Scan } => {
-                let outs = match self.machine.scan(tick) {
+                let mut outs = match self.machine.scan(tick) {
                     // The hub sees the process exit; a successor may be
                     // respawned at the recovery tick.
                     Scan::Crash(image) => {
@@ -253,12 +256,12 @@ impl<'a, C: NetCipher> Node<'a, C> {
                         msgs
                     }
                 };
-                let sent = self.queue_counters(out, outs)?;
+                let sent = self.queue_counters(out, &mut outs)?;
                 out.queue::<C>(&Frame::PhaseSent { tick, phase: Phase::Scan, sent })?;
             }
             Frame::PhaseStart { tick, phase: Phase::Candidate } => {
-                let outs = self.machine.candidates();
-                let sent = self.queue_counters(out, outs)?;
+                let mut outs = self.machine.candidates();
+                let sent = self.queue_counters(out, &mut outs)?;
                 out.queue::<C>(&Frame::PhaseSent { tick, phase: Phase::Candidate, sent })?;
             }
             Frame::Counter(msg) => {
@@ -266,8 +269,10 @@ impl<'a, C: NetCipher> Node<'a, C> {
                 // covers this counter, so the hub's pending count can
                 // never read zero while traffic is still being produced
                 // (per-connection FIFO: queue order is wire order).
-                let outs = self.machine.receive(&msg);
-                self.queue_counters(out, outs)?;
+                let mut outs = std::mem::take(&mut self.sent);
+                self.machine.receive(&msg, &mut outs);
+                self.queue_counters(out, &mut outs)?;
+                self.sent = outs;
                 self.handled += 1;
             }
             Frame::Finish => {

@@ -111,7 +111,7 @@ impl Default for RecorderHandle {
 }
 
 /// A Paillier ciphertext: an element of `Z_{n²}`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct Ciphertext(pub(crate) BigUint);
 
 impl Ciphertext {
@@ -432,15 +432,23 @@ impl HomCipher for PaillierCtx {
         slots::capacity(self.pk.bits())
     }
 
-    fn encrypt_slots(&self, values: &[i64], tag: &[i64], out: &mut Vec<Ciphertext>) {
+    fn encrypt_slots(&self, values: &[i64], tag: &[i64], out: &mut impl Extend<Ciphertext>) {
         let mut tuple = values.iter().chain(tag);
-        for width in slots::widths(self.slots_per_ct(), values.len() + tag.len()) {
-            out.push(self.encrypt_residue(&slots::pack(&self.pk, tuple.by_ref().take(width))));
-        }
+        out.extend(
+            slots::widths(self.slots_per_ct(), values.len() + tag.len()).map(|width| {
+                self.encrypt_residue(&slots::pack(&self.pk, tuple.by_ref().take(width)))
+            }),
+        );
     }
 
-    fn decrypt_wave(&self, cts: &[&Ciphertext], len: usize) -> (Vec<i64>, Vec<(usize, SlotError)>) {
-        let one = |(c, width): (&&Ciphertext, usize)| -> Result<Vec<i64>, (usize, SlotError)> {
+    fn decrypt_wave<'a>(
+        &self,
+        cts: impl Iterator<Item = &'a Ciphertext>,
+        len: usize,
+        plains: &mut Vec<i64>,
+        refused: &mut Vec<(usize, SlotError)>,
+    ) {
+        let one = |(c, width): (&Ciphertext, usize)| -> Result<Vec<i64>, (usize, SlotError)> {
             let (m, unit) = self.timed(KeyOpKind::Decrypt, || self.crt_decrypt(c));
             if !unit {
                 // A non-unit opens to no plaintext at all.
@@ -454,7 +462,7 @@ impl HomCipher for PaillierCtx {
             slots::unpack(&self.pk, &m, width, &mut values).map(|()| values).map_err(|e| (width, e))
         };
         let widths = slots::widths(self.slots_per_ct(), len).cycle();
-        let wave: Vec<(&&Ciphertext, usize)> = cts.iter().zip(widths).collect();
+        let wave: Vec<(&Ciphertext, usize)> = cts.zip(widths).collect();
         let parts: Vec<Result<Vec<i64>, (usize, SlotError)>> = if wave.is_empty() {
             Vec::new()
         } else {
@@ -466,17 +474,17 @@ impl HomCipher for PaillierCtx {
             // sequential map.
             self.timed(KeyOpKind::BatchDecrypt, || wave.into_par_iter().map(one).collect())
         };
-        let (mut values, mut refused) = (Vec::with_capacity(parts.len()), Vec::new());
+        plains.clear();
+        refused.clear();
         for (i, part) in parts.into_iter().enumerate() {
             match part {
-                Ok(v) => values.extend(v),
+                Ok(v) => plains.extend(v),
                 Err((n, e)) => {
                     refused.push((i, e));
-                    values.extend(std::iter::repeat_n(0, n));
+                    plains.extend(std::iter::repeat_n(0, n));
                 }
             }
         }
-        (values, refused)
     }
 
     fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
@@ -549,6 +557,17 @@ impl HomCipher for PaillierCtx {
 mod tests {
     use super::*;
     use crate::Keypair;
+
+    /// [`HomCipher::decrypt_wave`] into fresh buffers.
+    fn wave(
+        d: &PaillierCtx,
+        cts: &[&Ciphertext],
+        len: usize,
+    ) -> (Vec<i64>, Vec<(usize, SlotError)>) {
+        let (mut plains, mut refused) = (vec![1; 3], vec![(9, SlotError::OutOfLayout)]);
+        d.decrypt_wave(cts.iter().copied(), len, &mut plains, &mut refused);
+        (plains, refused)
+    }
 
     fn small_keys() -> Keypair {
         Keypair::generate_with_seed(256, 0xA11CE)
@@ -687,7 +706,7 @@ mod tests {
             let evil = Ciphertext(n * k);
             assert!(!d.all_wellformed(&[&evil]));
             let _ = (d.decrypt_residue(&evil), d.decrypt_residue_slow(&evil));
-            let _ = d.decrypt_wave(&[&evil, &evil], 2);
+            let _ = wave(&d, &[&evil, &evil], 2);
         }
     }
 
@@ -701,13 +720,13 @@ mod tests {
         let evil = [&honest.0 * &crt.p, &honest.0 * &crt.q, kp.public_key().modulus().clone()]
             .map(|c| Ciphertext(c % kp.public_key().modulus_sq()));
         for width in [1, 2] {
-            let (values, refused) = d.decrypt_wave(&[&honest, &evil[0], &evil[1], &evil[2]], width);
+            let (values, refused) = wave(&d, &[&honest, &evil[0], &evil[1], &evil[2]], width);
             let want: Vec<(usize, SlotError)> =
                 (1..4).map(|i| (i, SlotError::OutOfLayout)).collect();
             assert_eq!(refused, want, "width {width}");
             assert_eq!(values.len(), 4 * width);
         }
-        assert_eq!(d.decrypt_wave(&[&honest], 1), (vec![-9], vec![]));
+        assert_eq!(wave(&d, &[&honest], 1), (vec![-9], vec![]));
     }
 
     #[test]
@@ -753,9 +772,9 @@ mod tests {
         let plains: Vec<i64> = (-6i64..=6).map(|i| i * 1_000_003).collect();
         let cts: Vec<Ciphertext> = plains.iter().map(|&m| e.encrypt_i64(m)).collect();
         let refs: Vec<&Ciphertext> = cts.iter().collect();
-        assert_eq!(d.decrypt_wave(&refs, 1), (plains.clone(), vec![]));
-        assert_eq!(d.decrypt_wave(&[], 1), (vec![], vec![]));
-        assert_eq!(d.decrypt_wave(&refs[..1], 1), (plains[..1].to_vec(), vec![]));
+        assert_eq!(wave(&d, &refs, 1), (plains.clone(), vec![]));
+        assert_eq!(wave(&d, &[], 1), (vec![], vec![]));
+        assert_eq!(wave(&d, &refs[..1], 1), (plains[..1].to_vec(), vec![]));
     }
 
     #[test]
@@ -774,13 +793,13 @@ mod tests {
             ca.iter().zip(&cb).map(|(x, y)| e.rerandomize(&e.sub(x, y))).collect();
         // Two tuples of seven in one wave.
         let want: Vec<i64> = a.iter().zip(&b).map(|(x, y)| x - y).chain(a).collect();
-        assert_eq!(d.decrypt_wave(&[&diff[0], &diff[1], &ca[0], &ca[1]], 7), (want, vec![]));
+        assert_eq!(wave(&d, &[&diff[0], &diff[1], &ca[0], &ca[1]], 7), (want, vec![]));
         // Read at the wrong width, or after a carry out of the top digit,
         // ciphertexts are listed with their error — zeros in their
         // places, not a panic.
         let carried = e.scalar(1 << 42, &ca[1]);
         assert_eq!(
-            d.decrypt_wave(&[&ca[0], &ca[1], &carried], 2),
+            wave(&d, &[&ca[0], &ca[1], &carried], 2),
             (
                 vec![0, 0, -6, 7, 0, 0],
                 vec![(0, SlotError::OutOfLayout), (2, SlotError::OutOfLayout)]

@@ -44,6 +44,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod cipher;
+pub mod inline;
 pub mod keys;
 pub mod mock;
 pub mod oblivious;
@@ -51,9 +52,10 @@ pub mod primes;
 pub mod slots;
 
 pub use cipher::{Ciphertext, PaillierCtx};
+pub use inline::InlineVec;
 pub use keys::{Keypair, PrivateKey, PublicKey};
 pub use mock::{MockCipher, MockCt};
-pub use oblivious::{CounterMsg, ObliviousError, TagKey};
+pub use oblivious::{CounterMsg, Fields, ObliviousError, TagKey, WaveBuffers};
 pub use slots::SlotError;
 
 /// A ciphertext-space operation failed because an input was malformed.
@@ -105,8 +107,9 @@ impl std::error::Error for CipherError {}
 /// decryption key, so `decrypt_i64` on it panics — the same way a real
 /// deployment simply would not ship the key.
 pub trait HomCipher: Clone + Send + Sync {
-    /// Ciphertext type.
-    type Ct: Clone + PartialEq + std::fmt::Debug + Send + Sync;
+    /// Ciphertext type. Its default is an empty value that owns no heap
+    /// memory: what fills a counter's unused inline slots.
+    type Ct: Clone + Default + PartialEq + std::fmt::Debug + Send + Sync;
 
     /// Encrypt a signed integer (`E`). Probabilistic: two encryptions of the
     /// same plaintext compare unequal with overwhelming probability.
@@ -130,26 +133,38 @@ pub trait HomCipher: Clone + Send + Sync {
     /// ([`slots::is_digit`]), and so does each value of `tag` unless a
     /// ciphertext carries one value; a combination of such tuples reads
     /// back exactly while every slot still does.
-    fn encrypt_slots(&self, values: &[i64], tag: &[i64], out: &mut Vec<Self::Ct>) {
+    fn encrypt_slots(&self, values: &[i64], tag: &[i64], out: &mut impl Extend<Self::Ct>) {
         out.extend(values.iter().chain(tag).map(|&v| self.encrypt_i64(v)));
     }
 
     /// `D` over a wave: `cts` is a run of tuples of `len` values, each as
     /// [`HomCipher::encrypt_slots`] seals one. The values come back flat,
-    /// in order. A plaintext that holds no tuple of its width — whatever
-    /// a hostile broker aggregated — contributes zeros and is listed, by
-    /// its index in `cts` and in order, with its [`SlotError`]; nothing
-    /// panics. A ciphertext outside the group the algebra acts on (under
-    /// [`PaillierCtx`], a non-unit of `Z_{n²}`) holds no plaintext at all
-    /// and is listed the same way: whatever opens is a group element.
+    /// in order, in `plains`, which is overwritten: the caller keeps the
+    /// buffer from wave to wave. A plaintext that holds no tuple of its
+    /// width — whatever a hostile broker aggregated — contributes zeros
+    /// and is listed in `refused`, overwritten too, by its index in `cts`
+    /// and in order, with its [`SlotError`]; nothing panics. A ciphertext
+    /// outside the group the algebra acts on (under [`PaillierCtx`], a
+    /// non-unit of `Z_{n²}`) holds no plaintext at all and is listed the
+    /// same way: whatever opens is a group element.
     /// The default is the width-1 instance: every ciphertext is one
     /// value, read whole, and whether it is a digit is the tuple's
     /// business. [`PaillierCtx`], which packs, overrides it, and runs the
     /// wave in one pass over its cached CRT contexts fanned across the
     /// worker pool.
-    fn decrypt_wave(&self, cts: &[&Self::Ct], len: usize) -> (Vec<i64>, Vec<(usize, SlotError)>) {
+    fn decrypt_wave<'a>(
+        &self,
+        cts: impl Iterator<Item = &'a Self::Ct>,
+        len: usize,
+        plains: &mut Vec<i64>,
+        refused: &mut Vec<(usize, SlotError)>,
+    ) where
+        Self::Ct: 'a,
+    {
         let _ = len;
-        (cts.iter().map(|c| self.decrypt_i64(c)).collect(), Vec::new())
+        plains.clear();
+        refused.clear();
+        plains.extend(cts.map(|c| self.decrypt_i64(c)));
     }
 
     /// Homomorphic addition (`A+`): `D(add(E(x), E(y))) == x + y`.

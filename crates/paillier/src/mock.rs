@@ -26,7 +26,7 @@ use crate::HomCipher;
 /// Mock ciphertext: the plaintext plus a nonce that changes on every
 /// encryption/rerandomization so equality behaves like a probabilistic
 /// cipher's.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MockCt {
     value: i64,
     nonce: u64,

@@ -66,8 +66,15 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
+use crate::inline::InlineVec;
 use crate::slots::{self, SlotError};
 use crate::HomCipher;
+
+/// The ciphertexts of one counter: inline up to 8 — a Paillier counter of
+/// any degree up to 15 at 512 bits, a mock one of degree 2 — and on the
+/// heap past them. The bound keeps a counter small enough that moving it
+/// costs less than allocating it would.
+pub type Fields<T> = InlineVec<T, 8>;
 
 /// Errors surfaced by opening a counter — each maps to a
 /// malicious-behaviour verdict in Algorithm 3.
@@ -145,8 +152,16 @@ impl TagKey {
 #[derive(Debug)]
 pub struct CounterMsg<C: HomCipher> {
     /// Ciphertexts of the tuple, its values packed in protocol order and
-    /// its tag after them (see the module docs).
-    pub fields: Vec<C::Ct>,
+    /// its tag after them (see the module docs), held in place.
+    pub fields: Fields<C::Ct>,
+}
+
+/// The plaintext buffers of [`CounterMsg::open_wave`], kept by whoever
+/// opens wave after wave so that a wave allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct WaveBuffers {
+    plains: Vec<i64>,
+    refused: Vec<(usize, SlotError)>,
 }
 
 impl<C: HomCipher> PartialEq for CounterMsg<C> {
@@ -177,7 +192,7 @@ impl<C: HomCipher> CounterMsg<C> {
         let cap = cipher.slots_per_ct();
         let (tag, _) = slots::tag_values(cap, key.tag(values));
         let tag = tag.get(..slots::tag_len(cap)).unwrap_or_default();
-        let mut fields = Vec::with_capacity(Self::ct_count(cipher, values.len()));
+        let mut fields = Fields::new();
         cipher.encrypt_slots(values, tag, &mut fields);
         CounterMsg { fields }
     }
@@ -256,7 +271,8 @@ impl<C: HomCipher> CounterMsg<C> {
         signed: usize,
     ) -> Result<Vec<i64>, ObliviousError> {
         let mut opened = Err(ObliviousError::TagMismatch);
-        Self::open_wave(cipher, key, signed, std::iter::once(self), |_, fields| {
+        let mut buffers = WaveBuffers::default();
+        Self::open_wave(cipher, key, signed, std::iter::once(self), &mut buffers, |_, fields| {
             opened = fields.map(<[i64]>::to_vec);
         });
         opened
@@ -271,7 +287,8 @@ impl<C: HomCipher> CounterMsg<C> {
         msgs: &[&Self],
     ) -> Vec<Result<Vec<i64>, ObliviousError>> {
         let mut opened = Vec::with_capacity(msgs.len());
-        Self::open_wave(cipher, key, signed, msgs.iter().copied(), |_, fields| {
+        let mut buffers = WaveBuffers::default();
+        Self::open_wave(cipher, key, signed, msgs.iter().copied(), &mut buffers, |_, fields| {
             opened.push(fields.map(<[i64]>::to_vec));
         });
         opened
@@ -286,14 +303,15 @@ impl<C: HomCipher> CounterMsg<C> {
     /// against its values right there, in the plaintext that call
     /// returns, so blame lands on exactly the forged ones. `sink` is
     /// handed each message's index in `msgs` and its logical tuple — a
-    /// view into the wave's one plaintext buffer, for the caller to read
-    /// where it wants it — or why it did not open; once per message, in
-    /// order.
+    /// view into the wave's one plaintext buffer, one of the `buffers` the
+    /// caller keeps, for it to read where it wants it — or why it did not
+    /// open; once per message, in order.
     pub fn open_wave<'a>(
         cipher: &C,
         key: &TagKey,
         signed: usize,
         msgs: impl Iterator<Item = &'a Self> + Clone,
+        buffers: &mut WaveBuffers,
         mut sink: impl FnMut(usize, Result<&[i64], ObliviousError>),
     ) where
         C: 'a,
@@ -302,11 +320,10 @@ impl<C: HomCipher> CounterMsg<C> {
         let cts_each = Self::ct_count(cipher, key.arity());
         // Shape screen: hostile tuples drop out before the batch.
         let shaped = msgs.clone().filter(|m| m.fields.len() == cts_each);
-        let mut cts: Vec<&C::Ct> = Vec::with_capacity(shaped.clone().count() * cts_each);
-        cts.extend(shaped.flat_map(|m| m.fields.iter()));
-        let (plains, refused) = cipher.decrypt_wave(&cts, len);
+        let WaveBuffers { plains, refused } = buffers;
+        cipher.decrypt_wave(shaped.flat_map(|m| m.fields.iter()), len, plains, refused);
         let cts_of = msgs.map(|m| m.fields.len());
-        for (i, tuple) in unpacked(cts_of, cts_each, len, &plains, &refused).enumerate() {
+        for (i, tuple) in unpacked(cts_of, cts_each, len, plains, refused).enumerate() {
             sink(i, tuple.and_then(|tuple| authentic(key, signed, tuple)));
         }
     }
@@ -436,7 +453,7 @@ mod tests {
         let (e, d, key) = setup();
         // A broker without the tag key encrypts values itself (Paillier is
         // public-key, so it *can* encrypt) — but cannot produce the tag.
-        let forged = CounterMsg { fields: vec![packed(&e, &[999, 1, 0, 0, 12345, 0])] };
+        let forged = CounterMsg { fields: vec![packed(&e, &[999, 1, 0, 0, 12345, 0])].into() };
         assert_eq!(forged.open(&d, &key, 2), Err(ObliviousError::TagMismatch));
     }
 
@@ -466,7 +483,7 @@ mod tests {
         for (digit, delta) in [(5, 1i64 << 19), (5, -(3 << 19)), (4, (1 << 45) - 55)] {
             let mut moved = digits(&d, &honest);
             moved[digit] += delta;
-            let forged = CounterMsg { fields: vec![packed(&e, &moved)] };
+            let forged = CounterMsg { fields: vec![packed(&e, &moved)].into() };
             assert_eq!(forged.open(&d, &key, 2), Err(ObliviousError::TagMismatch), "{delta}");
         }
     }
@@ -481,7 +498,7 @@ mod tests {
         let b = CounterMsg::seal(&e, &key, &[9, 1, 7, 2, 4, 5, 6]);
         assert_eq!(a.fields.len(), 2);
         // a's values under b's tag.
-        let spliced = CounterMsg { fields: vec![a.fields[0].clone(), b.fields[1].clone()] };
+        let spliced = CounterMsg { fields: vec![a.fields[0].clone(), b.fields[1].clone()].into() };
         assert_eq!(spliced.open(&d, &key, 2), Err(ObliviousError::TagMismatch));
     }
 
@@ -495,7 +512,7 @@ mod tests {
             long.open(&d, &key, 2),
             Err(ObliviousError::ArityMismatch { expected: 1, got: 2 })
         );
-        let short = CounterMsg::<PaillierCtx> { fields: Vec::new() };
+        let short = CounterMsg::<PaillierCtx> { fields: Fields::new() };
         assert_eq!(
             short.open(&d, &key, 2),
             Err(ObliviousError::ArityMismatch { expected: 1, got: 0 })
@@ -592,9 +609,9 @@ mod tests {
         let good = CounterMsg::seal(&e, &key, &[5, 1, 3, 0]);
         let mut tag_off = digits(&d, &good);
         tag_off[4] += 1;
-        let forged = CounterMsg { fields: vec![packed(&e, &tag_off)] };
-        let short = CounterMsg { fields: Vec::new() };
-        let wide = CounterMsg { fields: vec![packed(&e, &[1, 3, 0, 0, 1, 2, 3])] };
+        let forged = CounterMsg { fields: vec![packed(&e, &tag_off)].into() };
+        let short = CounterMsg { fields: Fields::new() };
+        let wide = CounterMsg { fields: vec![packed(&e, &[1, 3, 0, 0, 1, 2, 3])].into() };
         let negative = good.sub(&e, &good.scalar(&e, 2));
         let opened =
             CounterMsg::open_many(&d, &key, 2, &[&good, &forged, &short, &wide, &negative]);

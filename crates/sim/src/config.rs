@@ -1,6 +1,7 @@
 //! Simulation parameters.
 
 use gridmine_arm::Ratio;
+use gridmine_core::SessionError;
 use gridmine_topology::DelayModel;
 
 /// Parameters of one simulated grid run. Defaults follow §6: "the number
@@ -98,15 +99,21 @@ impl SimConfig {
         self
     }
 
-    /// Sanity checks.
-    ///
-    /// # Panics
-    /// Panics on nonsensical parameter combinations.
-    pub fn validate(&self) {
-        assert!(self.n_resources >= 1, "need at least one resource");
-        assert!(self.k >= 1, "privacy parameter must be ≥ 1");
-        assert!(self.scan_budget >= 1, "scan budget must be ≥ 1");
-        assert!(self.candidate_every >= 1, "candidate cycle must be ≥ 1");
+    /// Sanity checks: the first field no run can be built on, as a
+    /// [`SessionError::InvalidConfig`] naming it.
+    pub fn validate(&self) -> Result<(), SessionError> {
+        let at_least_one = [
+            ("n_resources", self.n_resources >= 1),
+            ("k", self.k >= 1),
+            ("scan_budget", self.scan_budget >= 1),
+            ("candidate_every", self.candidate_every >= 1),
+        ];
+        match at_least_one.into_iter().find(|&(_, ok)| !ok) {
+            Some((field, _)) => {
+                Err(SessionError::InvalidConfig { field, need: "must be at least 1" })
+            }
+            None => Ok(()),
+        }
     }
 }
 
@@ -122,7 +129,7 @@ mod tests {
         assert_eq!(c.scan_budget, 100);
         assert_eq!(c.candidate_every, 5);
         assert_eq!(c.growth_per_step, 20);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -131,14 +138,15 @@ mod tests {
         assert_eq!(c.n_resources, 8);
         assert_eq!(c.k, 2);
         assert_eq!(c.seed, 9);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "privacy parameter")]
     fn invalid_k_rejected() {
         let mut c = SimConfig::small();
         c.k = 0;
-        c.validate();
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, SessionError::InvalidConfig { field: "k", need: "must be at least 1" });
+        assert_eq!(err.to_string(), "configuration field `k` must be at least 1");
     }
 }

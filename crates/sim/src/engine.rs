@@ -343,7 +343,6 @@ where
         mode: RecoveryMode,
         rec: SharedRecorder,
     ) -> Self {
-        cfg.validate();
         let overlay = if cfg.n_resources == 1 {
             Overlay::from_tree(gridmine_topology::Tree::singleton(), cfg.delay, cfg.seed)
         } else {
@@ -797,12 +796,14 @@ where
     /// handles a receiver times and buckets the replies they caused.
     /// A receive has no cross-resource interaction and every reply
     /// lands at `t + delay ≥ t + 1`, so the receivers are independent.
-    /// The delivered messages are freed on the calling thread when the
-    /// pass ends, not on the workers: each was allocated on whichever
-    /// thread handled its sender, and freeing them on the workers while
-    /// they allocate contends on the allocator's locks (a `sim_grid_50`
-    /// session on a 2-thread pool made about 1 600 voluntary context
-    /// switches instead of 250, and ran no faster).
+    /// The delivered inbox is dropped on the calling thread when the pass
+    /// ends. A message is plain data, so that frees only the buckets'
+    /// vectors and the ciphertexts of the few counters too wide to hold
+    /// in place; each was allocated on whichever thread handled its
+    /// sender, and freeing on the workers while they allocate contends
+    /// on the allocator's locks (a `sim_grid_50` session on a 2-thread
+    /// pool made about 1 600 voluntary context switches instead of 250
+    /// when every message owned a vector, and ran no faster).
     fn deliver_due(&mut self, t: u64) {
         let Some(inbox) = self.inflight.remove(&t) else { return };
         let ids = inbox.keys().copied().filter(|&to| !self.departed[to]);
@@ -810,7 +811,7 @@ where
         let replies = visit(&mut self.machines, &mut self.outboxes, ids, |to, m, out| {
             let mut replies = Vec::new();
             for msg in inbox.get(&to).into_iter().flatten() {
-                replies.extend(m.receive(msg));
+                m.receive(msg, &mut replies);
             }
             out.post(to, replies, t, overlay, rec)
         });

@@ -179,9 +179,11 @@ where
         self
     }
 
-    /// Build-time sanity screen: core's [`validate_grid`], with the
+    /// Build-time sanity screen: the configuration's own
+    /// ([`SimConfig::validate`]), then core's [`validate_grid`], with the
     /// horizon in simulated steps.
     fn validate(&self) -> Result<(), SessionError> {
+        self.cfg.validate()?;
         let quiet = FaultPlan::none();
         let plan = self.plan.as_ref().unwrap_or(&quiet);
         validate_grid(self.plans.len(), self.cfg.n_resources, plan, self.steps)
@@ -350,6 +352,30 @@ mod tests {
         let err =
             SimSession::new(cfg).with_databases(vec![tiny_global(); 3]).try_run().unwrap_err();
         assert_eq!(err, SessionError::TopologyMismatch { databases: 3, nodes: 4 });
+    }
+
+    #[test]
+    fn a_config_no_run_can_be_built_on_is_an_error_at_every_entry_point() {
+        let good = SimConfig::small().with_resources(2);
+        let mut bad = [good.with_resources(0), good.with_k(0), good, good];
+        bad[2].scan_budget = 0;
+        bad[3].candidate_every = 0;
+        for (cfg, field) in
+            bad.into_iter().zip(["n_resources", "k", "scan_budget", "candidate_every"])
+        {
+            let want = SessionError::InvalidConfig { field, need: "must be at least 1" };
+            // A database per resource, so that only the field is wrong.
+            let session = || SimSession::new(cfg).with_databases(vec![tiny_global(); 2]);
+            let outcomes = std::panic::catch_unwind(|| {
+                [
+                    session().try_build().err(),
+                    session().try_run().err(),
+                    session().try_convergence(5).err(),
+                ]
+            });
+            let outcomes = outcomes.unwrap_or_else(|_| panic!("`{field}` panicked a try_* entry"));
+            assert_eq!(outcomes, [Some(want.clone()), Some(want.clone()), Some(want)], "{field}");
+        }
     }
 
     #[test]

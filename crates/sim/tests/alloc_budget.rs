@@ -2,7 +2,10 @@
 //! Algorithm 1's padding on — build, steps, deliveries and candidate
 //! cycles — may cost at most [`BUDGET`] heap allocations per message it
 //! puts on the wire, whatever the width of the worker pool
-//! (`GRIDMINE_POOL_THREADS`).
+//! (`GRIDMINE_POOL_THREADS`). It read 5.13 while every message held its
+//! ciphertexts in a vector of their own; it reads 0.29 since a message is
+//! plain data, what is left being mostly the messages to the overlay's
+//! hubs, whose counters are too wide to hold in place.
 //!
 //! One test in this binary, on purpose: the counting allocator is
 //! process-wide, and a second test running beside it would be counted.
@@ -43,13 +46,13 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations a simulated session may spend per message it sends.
-const BUDGET: f64 = 5.2;
+const BUDGET: f64 = 0.3;
 
 #[test]
 fn a_simulated_session_stays_inside_its_allocation_budget_per_message() {
     // 24 resources on a Barabási–Albert overlay over a small T5I2 input,
     // a fifth of each partition held back as growth, sized for a debug
-    // build: tens of thousands of messages.
+    // build: hundreds of thousands of messages.
     const N: usize = 24;
     let quest = QuestParams::t5i2().with_transactions(1_200).with_items(8).with_patterns(4);
     let global: Database = gridmine_quest::generate(&quest.with_seed(42));

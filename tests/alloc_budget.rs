@@ -2,8 +2,11 @@
 //! build, scans, candidate cycles, every counter delivered — may cost at
 //! most [`BUDGET`] heap allocations per counter sent. The protocol
 //! machine is the only thing a mock-cipher session pays for, and a third
-//! of what it paid used to be `malloc` (56 allocations a counter before
-//! the message path resolved a rule once and aggregated in place).
+//! of what it paid used to be `malloc`: 56 allocations a counter before
+//! the message path resolved a rule once and aggregated in place, 12
+//! while a counter in flight still held its ciphertexts in a vector of
+//! their own, 1.1 since it is plain data and each wave fills buffers its
+//! resource, controller and driver keep.
 //!
 //! One test in this binary, on purpose: the counting allocator is
 //! process-wide, and a second test running beside it would be counted.
@@ -42,7 +45,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations a session may spend per counter it sends.
-const BUDGET: f64 = 16.0;
+const BUDGET: f64 = 1.2;
 
 #[test]
 fn a_session_stays_inside_its_allocation_budget_per_counter() {
