@@ -7,6 +7,9 @@
 //! recall/precision metrics of §6, and an exponential [`bruteforce`] miner
 //! used as a property-test oracle for Apriori itself.
 
+// Replay-deterministic and crash-safe (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod apriori;
 pub mod bruteforce;
 pub mod database;

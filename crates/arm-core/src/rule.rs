@@ -15,6 +15,11 @@
 //! exactly what the encoders write: bytes decode only if re-encoding the
 //! rule they spell gives them back.
 
+// No panic and no unchecked index on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::collections::HashSet;
 use std::fmt;
 
@@ -71,6 +76,10 @@ impl Rule {
     ///
     /// # Panics
     /// Panics if the consequent is empty or the sides intersect.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "local callers only; the wire and the store go through `Rule::decode`"
+    )]
     pub fn new(antecedent: ItemSet, consequent: ItemSet) -> Self {
         assert!(!consequent.is_empty(), "rule consequent must be non-empty");
         assert!(
@@ -118,7 +127,7 @@ impl Rule {
         if !antecedent.is_disjoint(&consequent) {
             return Err(RuleFormError::NotCanonical("rule sides overlap"));
         }
-        Ok((Rule::new(antecedent, consequent), rest))
+        Ok((Rule { antecedent, consequent }, rest))
     }
 }
 

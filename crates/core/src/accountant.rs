@@ -312,6 +312,7 @@ impl<C: HomCipher> Accountant<C> {
     ///
     /// # Panics
     /// Panics if the rule was never registered.
+    #[expect(clippy::expect_used, reason = "documented # Panics on an unregistered rule")]
     pub fn advance_scan(&mut self, id: RuleId, budget: usize) -> bool {
         let st = self.rules.get_mut(id).expect("rule not registered with accountant");
         let end = st.frontier.saturating_add(budget).min(self.db.len());
@@ -402,6 +403,7 @@ impl<C: HomCipher> Accountant<C> {
     ///
     /// # Panics
     /// Panics if the rule was never registered.
+    #[expect(clippy::expect_used, reason = "documented # Panics on an unregistered rule")]
     pub fn respond(&mut self, id: RuleId) -> Vec<SecureCounter<C>> {
         let st = self.rules.get_mut(id).expect("rule not registered with accountant");
         let (s_old, s_new, count) = (st.last_sum, st.sum, st.count);

@@ -7,6 +7,11 @@
 //! controller the inputs of the two SFE questions. [`BrokerBehavior`] hooks let a compromised
 //! broker mis-aggregate in exactly the ways §5.2 analyzes.
 
+// No panic and no unchecked index on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use gridmine_arm::CandidateRule;
 use gridmine_paillier::HomCipher;
 
@@ -153,6 +158,7 @@ impl<C: HomCipher> Broker<C> {
     /// Creates the voting instance for rule `id` from the accountant's
     /// initial local counter and one placeholder per neighbor, in the
     /// layout's slot order.
+    #[expect(clippy::disallowed_macros, reason = "debug builds assert a local wiring bug")]
     pub fn init_rule(
         &mut self,
         id: RuleId,
@@ -182,6 +188,7 @@ impl<C: HomCipher> Broker<C> {
     /// Replaces the local counter (a new accountant response). A no-op
     /// when no instance exists for rule `id` (a local wiring bug:
     /// `init_rule` always precedes in both drivers — debug builds assert).
+    #[expect(clippy::disallowed_macros, reason = "debug builds assert a local wiring bug")]
     pub fn set_local(&mut self, id: RuleId, counter: SecureCounter<C>) {
         let inst = self.rules.get_mut(id);
         debug_assert!(inst.is_some(), "no instance for rule {id} at broker {}", self.id);
@@ -198,6 +205,7 @@ impl<C: HomCipher> Broker<C> {
     /// (the resource adopts the candidate, and screens the sender,
     /// *before* forwarding a counter here). The counter is copied into
     /// the buffers the neighbor's slot already has.
+    #[expect(clippy::disallowed_macros, reason = "debug builds assert a local wiring bug")]
     pub fn on_receive(&mut self, id: RuleId, v: usize, counter: &SecureCounter<C>) {
         let slot = self.layout.slot_of(v);
         let inbox = self.rules.get_mut(id).and_then(|inst| inst.recv.get_mut(slot?));
@@ -213,6 +221,7 @@ impl<C: HomCipher> Broker<C> {
         }
     }
 
+    #[expect(clippy::disallowed_macros, reason = "debug builds assert a local wiring bug")]
     fn instance(&self, id: RuleId) -> Option<&Instance<C>> {
         let inst = self.rules.get(id);
         debug_assert!(inst.is_some(), "no instance for rule {id} at broker {}", self.id);

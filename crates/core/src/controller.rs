@@ -739,7 +739,7 @@ impl<C: HomCipher> Controller<C> {
     /// plaintexts the wave left at their slots: the payload and the
     /// Lamport time to seal it with, `None` for "do not send", or the
     /// verdict to raise.
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "the doc comment names each part")]
     fn decide(&mut self, id: RuleId, v: usize) -> Result<Option<((i64, i64, i64), i64)>, Verdict> {
         let broker = Verdict::MaliciousBroker(self.id);
         let (wave, k, mode) = (self.wave, self.k, self.gate_mode);

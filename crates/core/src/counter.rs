@@ -31,6 +31,11 @@
 //! read out of an aggregate is refused by [`SecureCounter::seal_outgoing`]
 //! if it does not fit, or if its tag does not.
 
+// No panic and no unchecked index on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::sync::Arc;
 
 use gridmine_paillier::{slots, CounterMsg, HomCipher, InlineVec, TagKey};
@@ -187,7 +192,7 @@ impl<C: HomCipher> SecureCounter<C> {
     /// Accountant-side sealing of a local counter: own share, own logical
     /// time at `T_⊥`, zeros in every neighbor slot. `sum` and `count` are
     /// the accountant's own, bounded by its database, far inside a digit.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one argument per sealed field")]
     pub fn seal_local(
         cipher: &C,
         key: &TagKey,
@@ -216,7 +221,7 @@ impl<C: HomCipher> SecureCounter<C> {
     /// out of an aggregate other parties fed does not fit its slot: `sum`
     /// or `count` no digit, `num`, the share or the time no `u32` — or the
     /// tag of them all none ([`CounterMsg::tag_fits`]).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one argument per sealed field")]
     pub fn seal_outgoing(
         cipher: &C,
         key: &TagKey,

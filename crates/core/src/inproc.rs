@@ -39,6 +39,10 @@
 //! The injected faults, retries and degradations surface in
 //! [`MiningOutcome::chaos`].
 
+// No panic on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+
 use std::collections::VecDeque;
 
 use gridmine_obs::{emit, Event, SharedRecorder};
@@ -50,6 +54,11 @@ use crate::proxy::ChaosProxy;
 use crate::recovery::RecoveryMode;
 use crate::resource::{SecureResource, WireMsg};
 use crate::round::{assemble, RoundMachine, RoundSchedule, Scan, Seat};
+use crate::session::SessionError;
+
+/// Deliveries one phase of the synchronous driver may take before it
+/// gives up on quiescence.
+const QUIESCENCE_HOPS: u64 = 10_000_000;
 
 /// One resource as an in-process driver holds it.
 pub(crate) struct Station<C: HomCipher> {
@@ -86,9 +95,13 @@ impl<C: HomCipher> Station<C> {
     /// the image its crash left, then its scan phase runs. A crash hands
     /// the station its image; a scan that sends hands `post` the copies
     /// parked in earlier rounds, then routes its own.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the recovery watchdog measures real restore latency; it can only degrade a \
+                  node and never feeds replayed protocol state"
+    )]
     pub(crate) fn scan(&mut self, tick: u64, mut post: impl FnMut(WireMsg<C>)) {
         if self.machine.schedule().restores_at(tick) {
-            // gridlint: allow(determinism) -- recovery watchdog measures real restore latency; it can only degrade a node, never feeds replayed protocol state
             let t0 = std::time::Instant::now();
             self.machine.restore(self.image.take().as_deref(), || t0.elapsed().as_nanos());
         }
@@ -135,6 +148,7 @@ impl<C: HomCipher> Station<C> {
 /// One station per resource. Resources must be indexed by id (resource
 /// `u` at position `u`) and already wired — see
 /// [`crate::resource::wire_grid`].
+#[expect(clippy::disallowed_macros, reason = "a wiring contract of the local caller, not input")]
 pub(crate) fn stations<C: HomCipher>(
     resources: Vec<SecureResource<C>>,
     plan: &FaultPlan,
@@ -175,41 +189,53 @@ pub(crate) fn conclude(
 /// semantics, and every resource reports to `rec`.
 ///
 /// Each round is scan → delivery to quiescence → candidate generation →
-/// delivery to quiescence; every machine runs all `rounds`.
+/// delivery to quiescence; every machine runs all `rounds`. A phase that
+/// does not quiesce within [`QUIESCENCE_HOPS`] deliveries ends the run
+/// with [`SessionError::NoQuiescence`].
 pub fn run_synchronous<C: HomCipher>(
     resources: Vec<SecureResource<C>>,
     rounds: usize,
     plan: FaultPlan,
     rec: SharedRecorder,
     mode: RecoveryMode,
-) -> MiningOutcome {
+) -> Result<MiningOutcome, SessionError> {
     let mut grid = stations(resources, &plan, mode, &rec);
     let mut queue: VecDeque<WireMsg<C>> = VecDeque::new();
     for round in 0..rounds {
         let tick = round as u64;
+        let stalled = |phase| move |hops| SessionError::NoQuiescence { round, phase, hops };
         emit(&rec, || Event::RoundAdvanced { tick });
         for s in grid.iter_mut() {
             s.scan(tick, |m| queue.push_back(m));
         }
-        deliver(&mut grid, &mut queue);
+        deliver(&mut grid, &mut queue, QUIESCENCE_HOPS).map_err(stalled("scan"))?;
         for s in grid.iter_mut() {
             s.candidates(|m| queue.push_back(m));
         }
-        deliver(&mut grid, &mut queue);
+        deliver(&mut grid, &mut queue, QUIESCENCE_HOPS).map_err(stalled("candidates"))?;
     }
-    conclude(&plan, rounds, grid.into_iter().map(|s| s.finish(rounds)), &rec)
+    Ok(conclude(&plan, rounds, grid.into_iter().map(|s| s.finish(rounds)), &rec))
 }
 
-/// Hands out queued counters, oldest first, until none is left.
-fn deliver<C: HomCipher>(grid: &mut [Station<C>], queue: &mut VecDeque<WireMsg<C>>) {
+/// Hands out queued counters, oldest first, until none is left, or
+/// fails with the hop count once `budget` deliveries have not emptied
+/// the queue.
+fn deliver<C: HomCipher>(
+    grid: &mut [Station<C>],
+    queue: &mut VecDeque<WireMsg<C>>,
+    budget: u64,
+) -> Result<(), u64> {
     let mut hops = 0u64;
     while let Some(msg) = queue.pop_front() {
         hops += 1;
-        assert!(hops < 10_000_000, "secure mining failed to quiesce");
+        if hops >= budget {
+            return Err(hops);
+        }
         if let Some(s) = grid.get_mut(msg.to) {
             s.receive(&msg, |m| queue.push_back(m));
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -219,7 +245,7 @@ mod tests {
     use crate::miner::MineConfig;
     use crate::recovery::RecoveryPolicy;
     use crate::session::MineSession;
-    use gridmine_arm::Ratio;
+    use gridmine_arm::{Database, Ratio, Transaction};
 
     #[test]
     fn a_resource_restored_from_its_last_checkpoint_is_not_blamed() {
@@ -256,11 +282,11 @@ mod tests {
                 2 => grid[1].image = published.take(),
                 _ => {}
             }
-            deliver(&mut grid, &mut queue);
+            deliver(&mut grid, &mut queue, QUIESCENCE_HOPS).expect("quiesces");
             for s in grid.iter_mut() {
                 s.candidates(|m| queue.push_back(m));
             }
-            deliver(&mut grid, &mut queue);
+            deliver(&mut grid, &mut queue, QUIESCENCE_HOPS).expect("quiesces");
         }
         let outcome =
             conclude(&plan, cfg.rounds, grid.into_iter().map(|s| s.finish(cfg.rounds)), &rec);
@@ -269,5 +295,24 @@ mod tests {
         println!("resources hold {sizes:?}; verdicts {:?}", outcome.verdicts);
         assert_eq!((outcome.chaos.replays, outcome.chaos.rejected), (1, 0));
         assert_eq!(outcome.verdicts, Vec::<Verdict>::new());
+    }
+
+    #[test]
+    fn a_phase_over_its_hop_budget_is_an_error_not_a_panic() {
+        let dbs = (0..2u64)
+            .map(|u| {
+                let rows = (0..4).map(|j| Transaction::of(4 * u + j, &[1, 2])).collect();
+                Database::from_transactions(rows)
+            })
+            .collect();
+        let cfg = MineConfig::new(Ratio::new(1, 2), Ratio::new(1, 2));
+        let (rec, plan) = (gridmine_obs::null(), FaultPlan::none());
+        let resources = MineSession::new(cfg).with_databases(dbs).build(&rec);
+        let mut grid = stations(resources, &plan, RecoveryMode::ColdRestart, &rec);
+        let mut queue = VecDeque::new();
+        for s in grid.iter_mut() {
+            s.scan(0, |m| queue.push_back(m));
+        }
+        assert_eq!(deliver(&mut grid, &mut queue, 3), Err(3));
     }
 }

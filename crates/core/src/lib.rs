@@ -34,11 +34,10 @@
 //! reports fold into a [`MiningOutcome`] is written once, in [`round`];
 //! the drivers only move its inputs and outputs.
 
-// Protocol crate: the paper's adversary model makes every panic a
-// denial-of-service lever, so `.unwrap()` outside tests is part of the
-// lint wall (the gridlint panic-freedom rule covers the hot modules;
-// this covers the rest of the crate).
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+// No unwrap or expect, so a poisoned lock cannot cascade;
+// replay-deterministic and crash-safe (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod accountant;
 pub mod attack;

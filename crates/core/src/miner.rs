@@ -12,6 +12,10 @@
 //! is the one recipe for resource `u` of a grid, over the voted
 //! [`item_domain`].
 
+// No panic on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+
 use gridmine_arm::{Database, Item, Ratio, RuleSet, Transaction};
 use gridmine_obs::MetricsSnapshot;
 use gridmine_paillier::HomCipher;
@@ -211,7 +215,8 @@ mod tests {
             FaultPlan::none(),
             gridmine_obs::null(),
             RecoveryMode::ColdRestart,
-        );
+        )
+        .expect("quiesces");
         assert_eq!(outcome.verdicts, [Verdict::MaliciousBroker(1)]);
     }
 }

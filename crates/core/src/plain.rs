@@ -14,6 +14,11 @@
 //! split: `PlainCounter`, `open` and the `decrypt_*` family are banned
 //! identifiers in every key-blind module.
 
+// No panic and no unchecked index on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use gridmine_paillier::{CounterMsg, HomCipher, ObliviousError, TagKey, WaveBuffers};
 
 use crate::counter::{SecureCounter, F_NUM, F_TS};

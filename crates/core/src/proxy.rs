@@ -17,6 +17,10 @@
 //! flagged as a replay. Flushed messages are delivered **without**
 //! re-rolling chaos.
 
+// No panic on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_topology::{Delivery, FaultPlan, FaultStats, FaultyLink};
 

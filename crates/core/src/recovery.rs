@@ -44,6 +44,11 @@
 //! re-audits share totals against its accountant, and converts any
 //! failure into a `MaliciousResource` verdict — never a panic.
 
+// No panic and no unchecked index on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 mod policy;
 
 pub use policy::{RecoveryMode, RecoveryPolicy, RetryPolicy};

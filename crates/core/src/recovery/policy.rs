@@ -76,6 +76,9 @@ impl RecoveryPolicy {
     pub const DEFAULT: RecoveryPolicy =
         RecoveryPolicy { checkpoint_every: 5, retry: RetryPolicy::DEFAULT };
 
+    /// # Panics
+    /// Panics if `every` is 0.
+    #[expect(clippy::disallowed_macros, reason = "a local configuration precondition, not input")]
     pub fn with_checkpoint_every(mut self, every: u64) -> Self {
         assert!(every > 0, "checkpoint cadence must be positive");
         self.checkpoint_every = every;

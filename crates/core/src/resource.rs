@@ -9,6 +9,10 @@
 //! fifth step communicated with its controller to create new candidate
 //! rules").
 
+// No panic on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+
 use std::collections::{HashMap, HashSet};
 
 use gridmine_arm::{CandidateRule, Database, Item, Rule, RuleSet};
@@ -103,7 +107,7 @@ pub const DEFAULT_RETRY_BUDGET: u64 = RetryPolicy::DEFAULT.budget;
 impl<C: HomCipher> SecureResource<C> {
     /// Builds a resource with its initial per-item candidates
     /// (Algorithm 4's `C ← {⟨∅ ⇒ {i}, MinFreq⟩ | i ∈ I}`).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "Algorithm 4's inputs, one each")]
     pub fn new(
         id: usize,
         keys: &GridKeys<C>,
@@ -338,6 +342,7 @@ impl<C: HomCipher> SecureResource<C> {
     /// Starts rule `id`'s voting instance at the broker from the
     /// accountant's current counter and a placeholder per neighbor.
     /// `false` when the accountant has no counter for it.
+    #[expect(clippy::disallowed_macros, reason = "debug builds assert a local wiring bug")]
     fn init_instance(&mut self, id: RuleId) -> bool {
         // The accountant answers every registered rule; an empty response
         // is a local wiring bug, not wire input — skip the rule rather
@@ -955,6 +960,7 @@ mod tests {
     fn run_grid(resources: Vec<SecureResource<MockCipher>>, rounds: usize) -> MiningOutcome {
         let (plan, rec) = (gridmine_topology::FaultPlan::none(), gridmine_obs::null());
         run_synchronous(resources, rounds, plan, rec, crate::recovery::RecoveryMode::ColdRestart)
+            .expect("quiesces")
     }
 
     fn two_resource_grid(k: i64) -> Vec<SecureResource<MockCipher>> {

@@ -23,6 +23,10 @@
 //! The fault router messages pass through on their way out is
 //! [`crate::proxy::ChaosProxy`].
 
+// No panic on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use gridmine_arm::RuleSet;
@@ -639,7 +643,7 @@ mod tests {
 
         // (label, plan, mode, tick) → (down, heal_edges, checkpoint_due),
         // with neighbors 0 and 2 live throughout.
-        #[allow(clippy::type_complexity)]
+        #[allow(clippy::type_complexity, reason = "one row of a test table")]
         let rows: Vec<(&str, &FaultPlan, RecoveryMode, u64, bool, &[usize], bool)> = vec![
             ("own crash: up before", &own_crash, warm, 1, false, none, false),
             ("own crash: down at onset", &own_crash, cold, 2, true, none, false),
@@ -685,7 +689,7 @@ mod tests {
         // The edges come from the live neighbor set handed in, not from
         // the neighbors the schedule was built among:
         // (label, plan, mode, live, tick) → heal_edges.
-        #[allow(clippy::type_complexity)]
+        #[allow(clippy::type_complexity, reason = "one row of a test table")]
         let rows: Vec<(&str, &FaultPlan, RecoveryMode, &[usize], u64, &[usize])> = vec![
             ("own crash, cold: whoever is a neighbor now", &own_crash, cold, &[5], 9, &[5]),
             ("rewired, cold: a new neighbor is healed", &rewired, cold, &[0, 3], 3, &[3]),

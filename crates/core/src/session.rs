@@ -92,6 +92,16 @@ pub enum SessionError {
         /// What it must be instead.
         need: &'static str,
     },
+    /// A phase of the synchronous driver was still delivering counters
+    /// when its hop budget ran out: the grid did not quiesce.
+    NoQuiescence {
+        /// The round the phase belongs to.
+        round: usize,
+        /// `"scan"` or `"candidates"`.
+        phase: &'static str,
+        /// Deliveries made before the driver gave up.
+        hops: u64,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -117,6 +127,10 @@ impl fmt::Display for SessionError {
             SessionError::InvalidConfig { field, need } => {
                 write!(f, "configuration field `{field}` {need}")
             }
+            SessionError::NoQuiescence { round, phase, hops } => write!(
+                f,
+                "the {phase} phase of round {round} did not quiesce within {hops} deliveries"
+            ),
         }
     }
 }
@@ -333,14 +347,15 @@ impl<C: HomCipher + 'static> MineSession<C> {
     /// message.
     ///
     /// # Panics
-    /// Panics if the session fails validation ([`MineSession::try_run`]
-    /// returns these as [`SessionError`] instead).
+    /// Panics if the session fails validation or a phase does not
+    /// quiesce ([`MineSession::try_run`] returns these as
+    /// [`SessionError`] instead).
     pub fn run(self) -> MiningOutcome {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`MineSession::run`] with build-time validation as a typed error
-    /// instead of a panic.
+    /// [`MineSession::run`] with build-time validation and quiescence
+    /// failure as a typed error instead of a panic.
     pub fn try_run(self) -> Result<MiningOutcome, SessionError> {
         self.execute(run_synchronous)
     }
@@ -360,7 +375,7 @@ impl<C: HomCipher + 'static> MineSession<C> {
     /// [`MineSession::run_threaded`] with build-time validation as a
     /// typed error instead of a panic.
     pub fn try_run_threaded(self) -> Result<MiningOutcome, SessionError> {
-        self.execute(run_threaded_full)
+        self.execute(|r, n, p, rec, m| Ok(run_threaded_full(r, n, p, rec, m)))
     }
 
     /// Screens the session ([`validate_grid`]) before any thread is
@@ -371,7 +386,7 @@ impl<C: HomCipher + 'static> MineSession<C> {
         validate_grid(self.dbs.len(), nodes, &self.plan, self.cfg.rounds as u64)?;
         let (rec, metrics) = arm_recorder(&self.rec);
         let resources = self.build(&rec);
-        let mut outcome = driver(resources, self.cfg.rounds, self.plan, rec.clone(), self.mode);
+        let mut outcome = driver(resources, self.cfg.rounds, self.plan, rec.clone(), self.mode)?;
         if let Some(m) = metrics {
             outcome.metrics = m.snapshot();
         }
@@ -381,8 +396,13 @@ impl<C: HomCipher + 'static> MineSession<C> {
 }
 
 /// The shape both in-process drivers share.
-type Driver<C> =
-    fn(Vec<SecureResource<C>>, usize, FaultPlan, SharedRecorder, RecoveryMode) -> MiningOutcome;
+type Driver<C> = fn(
+    Vec<SecureResource<C>>,
+    usize,
+    FaultPlan,
+    SharedRecorder,
+    RecoveryMode,
+) -> Result<MiningOutcome, SessionError>;
 
 #[cfg(test)]
 mod tests {

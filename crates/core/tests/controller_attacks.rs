@@ -25,6 +25,7 @@ fn drive(resources: Vec<SecureResource<MockCipher>>) -> MiningOutcome {
         gridmine_obs::null(),
         RecoveryMode::ColdRestart,
     )
+    .expect("quiesces")
 }
 
 fn grid(n: usize) -> (Vec<SecureResource<MockCipher>>, gridmine_arm::RuleSet) {

@@ -76,7 +76,10 @@ type Driver = fn(
 ) -> MiningOutcome;
 
 /// Every in-process driver, by name: each scenario must hold under both.
-const DRIVERS: [(&str, Driver); 2] = [("sync", run_synchronous), ("threaded", run_threaded_full)];
+const DRIVERS: [(&str, Driver); 2] = [
+    ("sync", |r, n, p, rec, m| run_synchronous(r, n, p, rec, m).expect("quiesces")),
+    ("threaded", run_threaded_full),
+];
 
 fn partition(u: u64) -> Database {
     Database::from_transactions(

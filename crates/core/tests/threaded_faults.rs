@@ -68,7 +68,7 @@ fn under_both(
 ) -> [(&'static str, MiningOutcome); 2] {
     let (null, cold) = (gridmine_obs::null, RecoveryMode::ColdRestart);
     [
-        ("sync", run_synchronous(make(), rounds, plan.clone(), null(), cold)),
+        ("sync", run_synchronous(make(), rounds, plan.clone(), null(), cold).expect("quiesces")),
         ("threaded", run_threaded_full(make(), rounds, plan, null(), cold)),
     ]
 }
@@ -153,7 +153,8 @@ fn lossy_links_and_a_crash_spare_honest_survivors_under_every_seed() {
             .with_default_edge(EdgeFaults { drop: 0.2, duplicate: 0.1, jitter: 1 })
             .with_crash(3, 2, None);
         let outcome =
-            run_synchronous(grid(6).0, 6, plan, gridmine_obs::null(), RecoveryMode::ColdRestart);
+            run_synchronous(grid(6).0, 6, plan, gridmine_obs::null(), RecoveryMode::ColdRestart)
+                .expect("quiesces");
         assert!(outcome.verdicts.is_empty(), "seed {seed}: {:?}", outcome.verdicts);
         for (u, sol) in outcome.surviving_solutions() {
             assert_eq!(sol, &truth, "seed {seed}: survivor {u} diverged");

@@ -363,7 +363,6 @@ mod tests {
                     lexed: crate::lexer::lex(src),
                 })
                 .collect(),
-            crate_map: std::collections::BTreeMap::new(),
         }
     }
 

@@ -40,25 +40,6 @@ pub struct Config {
     /// anywhere in the workspace.
     pub secret_types: Vec<String>,
 
-    /// panic-freedom scope and banned call/macro names.
-    pub panic_scope: Scope,
-    pub panic_banned: Vec<String>,
-    /// Narrower scope in which slice-indexing is also banned.
-    pub index_scope: Scope,
-    /// Scope in which `.lock().expect(…)` / `.lock().unwrap(…)` is
-    /// banned: a poisoned mutex must be recovered with
-    /// `unwrap_or_else(PoisonError::into_inner)`, not escalated into a
-    /// panic cascade.
-    pub lock_scope: Scope,
-
-    /// determinism: reachability roots (replay drivers) and the wider
-    /// always-deny scope.
-    pub det_roots: Vec<String>,
-    pub det_scope: Scope,
-    pub det_banned: Vec<String>,
-    /// Banned `A::b` path pairs, as `"A::b"` strings.
-    pub det_banned_paths: Vec<String>,
-
     /// obs-parity: where the `Event` enum lives, which files may satisfy
     /// the every-variant-emitted check, tally→event pairing map and the
     /// adjacency window in lines.
@@ -88,9 +69,6 @@ pub struct Config {
 
     /// lock-order: files whose functions contribute lock acquisitions.
     pub lock_order_scope: Scope,
-
-    /// crash-safety: protocol crates that must persist atomically.
-    pub crash_scope: Scope,
 }
 
 /// A scalar or array value in the TOML subset.
@@ -102,23 +80,14 @@ enum Value {
 }
 
 impl Config {
-    /// Every configured scope, root and allow path (`exclude` names what
+    /// Every configured scope and allow path (`exclude` names what
     /// the walk skips, so it is not among them). Each is a prefix that
     /// must match some walked file: one that matches none (a deleted or
     /// misspelt module) scopes nothing.
     pub fn paths(&self) -> impl Iterator<Item = &String> {
-        let scopes = [
-            &self.taint_scope,
-            &self.panic_scope,
-            &self.index_scope,
-            &self.lock_scope,
-            &self.det_scope,
-            &self.emit_scope,
-            &self.pair_scope,
-            &self.lock_order_scope,
-            &self.crash_scope,
-        ];
-        let lists = [&self.det_roots, &self.flow_seed_scope, &self.flow_declassify];
+        let scopes =
+            [&self.taint_scope, &self.emit_scope, &self.pair_scope, &self.lock_order_scope];
+        let lists = [&self.flow_seed_scope, &self.flow_declassify];
         scopes
             .into_iter()
             .flat_map(|s| s.deny.iter().chain(&s.allow))
@@ -192,7 +161,6 @@ impl Config {
                 _ => default,
             }
         };
-        let scope = |sec: &str| Scope { deny: arr(sec, "deny"), allow: arr(sec, "allow") };
 
         let mut pairs = BTreeMap::new();
         if let Some(table) = s.get("obs-parity.pairs") {
@@ -208,24 +176,13 @@ impl Config {
 
         Ok(Config {
             exclude: arr("", "exclude"),
-            taint_scope: scope("privacy-taint"),
+            taint_scope: Scope {
+                deny: arr("privacy-taint", "deny"),
+                allow: arr("privacy-taint", "allow"),
+            },
             secret_idents: arr("privacy-taint", "secret_idents"),
             secret_methods: arr("privacy-taint", "secret_methods"),
             secret_types: arr("privacy-taint", "secret_types"),
-            panic_scope: scope("panic-freedom"),
-            panic_banned: arr("panic-freedom", "banned"),
-            index_scope: Scope {
-                deny: arr("panic-freedom", "index_deny"),
-                allow: arr("panic-freedom", "index_allow"),
-            },
-            lock_scope: Scope {
-                deny: arr("panic-freedom", "lock_deny"),
-                allow: arr("panic-freedom", "lock_allow"),
-            },
-            det_roots: arr("determinism", "roots"),
-            det_scope: scope("determinism"),
-            det_banned: arr("determinism", "banned"),
-            det_banned_paths: arr("determinism", "banned_paths"),
             event_enum: string("obs-parity", "event_enum", "crates/obs/src/event.rs"),
             emit_scope: Scope {
                 deny: arr("obs-parity", "emit_scan"),
@@ -248,7 +205,6 @@ impl Config {
                 deny: arr("lock-order", "scan"),
                 allow: arr("lock-order", "allow"),
             },
-            crash_scope: scope("crash-safety"),
         })
     }
 }
@@ -294,16 +250,8 @@ deny = ["crates/core/src/broker.rs", "crates/sim/src"]
 secret_idents = ["decrypt_i64"]
 secret_types = ["PrivateKey"]
 
-[panic-freedom]
-deny = ["crates/core/src/broker.rs"]
-banned = ["unwrap", "expect"]
-index_deny = ["crates/core/src/counter.rs"]
-
-[determinism]
-roots = ["crates/sim/src/engine.rs"]
-deny = ["crates/sim/src"]
-banned = ["thread_rng"]
-banned_paths = ["Instant::now"]
+[lock-order]
+scan = ["crates/obs/src"]
 
 [obs-parity]
 event_enum = "crates/obs/src/event.rs"
@@ -319,10 +267,10 @@ crashes = "ResourceCrashed"
         assert_eq!(cfg.exclude, vec!["crates/lint/tests/fixtures"]);
         assert!(cfg.taint_scope.contains("crates/sim/src/engine.rs"));
         assert!(!cfg.taint_scope.contains("crates/core/src/controller.rs"));
-        assert_eq!(cfg.panic_banned, vec!["unwrap", "expect"]);
+        assert_eq!(cfg.secret_types, vec!["PrivateKey"]);
+        assert!(cfg.lock_order_scope.contains("crates/obs/src/recorder.rs"));
         assert_eq!(cfg.pair_window, 6);
         assert_eq!(cfg.pairs.get("crashes").map(String::as_str), Some("ResourceCrashed"));
-        assert_eq!(cfg.det_banned_paths, vec!["Instant::now"]);
     }
 
     #[test]

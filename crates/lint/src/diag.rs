@@ -4,18 +4,10 @@
 
 use gridmine_obs::Table;
 
-/// The seven enforced rule families plus the meta-rule about
+/// The four enforced rule families plus the meta-rule about
 /// suppressions themselves.
-pub const RULES: [&str; 8] = [
-    "privacy-taint",
-    "taint-flow",
-    "panic-freedom",
-    "lock-order",
-    "crash-safety",
-    "determinism",
-    "obs-parity",
-    "suppression",
-];
+pub const RULES: [&str; 5] =
+    ["privacy-taint", "taint-flow", "lock-order", "obs-parity", "suppression"];
 
 /// One finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,7 +30,7 @@ impl Diagnostic {
         Diagnostic { rule, file: file.to_string(), line, message: message.into(), suppressed: None }
     }
 
-    /// `error[gridlint::panic-freedom]: crates/…/broker.rs:134: message`.
+    /// `error[gridlint::lock-order]: crates/…/recorder.rs:134: message`.
     pub fn render(&self) -> String {
         let level = if self.suppressed.is_some() { "allowed" } else { "error" };
         format!(
@@ -177,37 +169,37 @@ mod tests {
     #[test]
     fn render_styles_are_stable() {
         let d = Diagnostic::new(
-            "panic-freedom",
+            "privacy-taint",
             "crates/core/src/broker.rs",
             12,
-            "`unwrap` on a wire path",
+            "`open` on a wire path",
         );
         assert_eq!(
             d.render(),
-            "error[gridlint::panic-freedom]: crates/core/src/broker.rs:12: `unwrap` on a wire path"
+            "error[gridlint::privacy-taint]: crates/core/src/broker.rs:12: `open` on a wire path"
         );
         assert_eq!(
             d.to_json(),
-            "{\"rule\":\"panic-freedom\",\"file\":\"crates/core/src/broker.rs\",\"line\":12,\"suppressed\":false,\"message\":\"`unwrap` on a wire path\"}"
+            "{\"rule\":\"privacy-taint\",\"file\":\"crates/core/src/broker.rs\",\"line\":12,\"suppressed\":false,\"message\":\"`open` on a wire path\"}"
         );
     }
 
     #[test]
     fn suppressed_findings_render_as_allowed() {
-        let mut d = Diagnostic::new("determinism", "a.rs", 1, "m");
-        d.suppressed = Some("watchdog".into());
-        assert!(d.render().starts_with("allowed[gridlint::determinism]"));
+        let mut d = Diagnostic::new("taint-flow", "a.rs", 1, "m");
+        d.suppressed = Some("redacting impl".into());
+        assert!(d.render().starts_with("allowed[gridlint::taint-flow]"));
         assert!(d.to_json().contains("\"suppressed\":true"));
     }
 
     #[test]
     fn report_counts_live_and_suppressed() {
-        let mut s = Diagnostic::new("determinism", "a.rs", 1, "m");
+        let mut s = Diagnostic::new("taint-flow", "a.rs", 1, "m");
         s.suppressed = Some("ok".into());
         let live = Diagnostic::new("obs-parity", "b.rs", 2, "n");
         let report = render_report(&[s, live], 7);
         assert!(report.contains("7 files scanned, 1 live finding(s), 1 suppressed"));
         assert!(report.contains("error[gridlint::obs-parity]"));
-        assert!(!report.contains("error[gridlint::determinism]"));
+        assert!(!report.contains("error[gridlint::taint-flow]"));
     }
 }

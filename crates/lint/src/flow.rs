@@ -1,6 +1,5 @@
 //! The dataflow passes over the call graph: interprocedural secret
-//! taint, lock-order (may-hold-while-acquiring) analysis, and the
-//! crash-safety persistence scan.
+//! taint and lock-order (may-hold-while-acquiring) analysis.
 //!
 //! ## Taint lattice
 //!
@@ -699,48 +698,6 @@ pub fn lock_order(
     lg
 }
 
-// ── crash-safety ──────────────────────────────────────────────────────
-
-/// Non-atomic persistence in protocol crates: `std::fs::write`,
-/// `File::create`, `OpenOptions::new` outside the store must route
-/// through `atomic_write_file` or a `Store` tree.
-pub fn crash_safety(ws: &Workspace, cfg: &Config, out: &mut Vec<Diagnostic>) {
-    for file in &ws.files {
-        if !cfg.crash_scope.contains(&file.rel) {
-            continue;
-        }
-        let toks = &file.lexed.toks;
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            if t.in_test || t.kind != TokKind::Ident {
-                continue;
-            }
-            let headed_by = |head: &str| {
-                i >= 3
-                    && text(toks, i - 1) == ":"
-                    && text(toks, i - 2) == ":"
-                    && text(toks, i - 3) == head
-            };
-            let pattern = match t.text.as_str() {
-                "write" if headed_by("fs") => "std::fs::write",
-                "create" | "create_new" | "options" if headed_by("File") => "File::create",
-                "new" if headed_by("OpenOptions") => "OpenOptions::new",
-                _ => continue,
-            };
-            out.push(Diagnostic::new(
-                "crash-safety",
-                &file.rel,
-                t.line,
-                format!(
-                    "non-atomic persistence in a protocol crate: `{pattern}` leaves torn \
-                     files after a crash mid-write; route durable state through \
-                     `gridmine_store::atomic_write_file` or a `Store` tree"
-                ),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -755,7 +712,6 @@ mod tests {
                     lexed: crate::lexer::lex(src),
                 })
                 .collect(),
-            crate_map: BTreeMap::new(),
         }
     }
 
@@ -777,9 +733,6 @@ sink_calls = ["encode_frame"]
 
 [lock-order]
 scan = ["crates/obs/src", "shims/rayon/src"]
-
-[crash-safety]
-deny = ["crates/core/src", "crates/net/src"]
 "#,
         )
         .expect("flow config parses")
@@ -954,25 +907,5 @@ deny = ["crates/core/src", "crates/net/src"]
              let h = self.out.lock(); } }",
         )]);
         assert!(lg.edges.is_empty(), "{:?}", lg.edges);
-    }
-
-    #[test]
-    fn crash_safety_flags_raw_writes_in_scope_only() {
-        let ws = ws_of(vec![
-            (
-                "crates/net/src/hub.rs",
-                "fn persist(p: &Path) { std::fs::write(p, b\"x\").ok(); \
-                 let f = File::create(p); let o = OpenOptions::new(); }",
-            ),
-            ("crates/store/src/backend.rs", "fn inside() { let f = File::create(p); }"),
-            (
-                "crates/net/src/hub2.rs",
-                "#[cfg(test)]\nmod tests { fn t() { std::fs::write(p, b\"x\"); } }",
-            ),
-        ]);
-        let mut out = Vec::new();
-        crash_safety(&ws, &flow_cfg(), &mut out);
-        assert_eq!(out.len(), 3, "{out:?}");
-        assert!(out.iter().all(|d| d.file == "crates/net/src/hub.rs"));
     }
 }

@@ -516,15 +516,15 @@ mod tests {
 
     #[test]
     fn suppressions_parse_with_and_without_justification() {
-        let src = "\nlet x = 1; // gridlint: allow(panic-freedom) -- seeded bound, cannot underflow\n// gridlint: allow(determinism, privacy-taint)\nlet y = 2;\n";
+        let src = "\nlet x = 1; // gridlint: allow(lock-order) -- seeded bound, cannot underflow\n// gridlint: allow(taint-flow, privacy-taint)\nlet y = 2;\n";
         let lexed = lex(src);
         assert_eq!(lexed.suppressions.len(), 2);
         let a = &lexed.suppressions[0];
-        assert_eq!(a.rules, vec!["panic-freedom"]);
+        assert_eq!(a.rules, vec!["lock-order"]);
         assert!(a.trailing);
         assert_eq!(a.justification, "seeded bound, cannot underflow");
         let b = &lexed.suppressions[1];
-        assert_eq!(b.rules, vec!["determinism", "privacy-taint"]);
+        assert_eq!(b.rules, vec!["taint-flow", "privacy-taint"]);
         assert!(!b.trailing);
         assert!(b.justification.is_empty());
     }

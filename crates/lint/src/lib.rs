@@ -1,14 +1,15 @@
 //! `gridmine-lint` — workspace static analysis for the paper's
-//! structural invariants.
+//! structural invariants that need a symbol table, a call graph or an
+//! event screen.
 //!
 //! The paper's malicious-participant model survives on invariants the
 //! type system cannot see: brokers operate only on ciphertexts they can
 //! neither read nor forge (§4.2), decryption happens only behind the
-//! controller's SFE gate (§4.3), malicious input yields a verdict rather
-//! than a panic (§5), chaos replay is deterministic, and every tally the
-//! drivers report has a matching observability event. `gridlint` walks
-//! every `.rs` file in the workspace with a hand-rolled lexer (no `syn`;
-//! offline-shims policy) and enforces those invariants mechanically:
+//! controller's SFE gate (§4.3), shared locks never deadlock, and every
+//! tally the drivers report has a matching observability event.
+//! `gridlint` walks every `.rs` file in the workspace with a hand-rolled
+//! lexer (no `syn`; offline-shims policy) and enforces those invariants
+//! mechanically:
 //!
 //! * **privacy-taint** — key-blind modules must not name decryption or
 //!   plaintext-bearing items; secret types must not be formattable;
@@ -19,18 +20,16 @@
 //!   path into a key-blind module, an `Event` construction, a
 //!   `Debug`/`Display` impl, or a wire encoder is reported with its full
 //!   call chain.
-//! * **panic-freedom** — no `unwrap`/`expect`/`panic!`/slice-indexing in
-//!   protocol and wire-decode modules.
 //! * **lock-order** — every `Mutex`/`RwLock` acquisition site feeds a
 //!   may-hold-while-acquiring graph; cycles (potential deadlocks) are
 //!   diagnostics and the acyclic order is pinned as a fixture.
-//! * **crash-safety** — protocol crates must not persist through
-//!   `std::fs::write`/`File::create`; durable state routes through
-//!   `atomic_write_file` or a `Store` tree.
-//! * **determinism** — no wall clocks or OS entropy anywhere reachable
-//!   from the deterministic-replay drivers.
 //! * **obs-parity** — every tally increment pairs with an adjacent
 //!   `Event` emission and every `Event` variant is emitted somewhere.
+//!
+//! Panic-freedom (§5: malicious input yields a verdict, not a panic),
+//! replay determinism and crash-safe persistence need none of that; they
+//! are clippy lint levels plus the root `clippy.toml` (DESIGN.md
+//! § Static analysis).
 //!
 //! Scoping lives in the checked-in `gridlint.toml`; individual sites are
 //! waived with `// gridlint: allow(<rule>, …) -- <justification>`, and a
@@ -185,12 +184,12 @@ mod tests {
     fn exit_code_reflects_live_findings() {
         let clean = LintResult { diagnostics: vec![], files_scanned: 1 };
         assert_eq!(clean.exit_code(), 0);
-        let mut suppressed = Diagnostic::new("determinism", "a.rs", 1, "m");
+        let mut suppressed = Diagnostic::new("lock-order", "a.rs", 1, "m");
         suppressed.suppressed = Some("ok".into());
         let r = LintResult { diagnostics: vec![suppressed], files_scanned: 1 };
         assert_eq!(r.exit_code(), 0);
         let r = LintResult {
-            diagnostics: vec![Diagnostic::new("determinism", "a.rs", 1, "m")],
+            diagnostics: vec![Diagnostic::new("lock-order", "a.rs", 1, "m")],
             files_scanned: 1,
         };
         assert_eq!(r.exit_code(), 1);

@@ -55,8 +55,9 @@ fn parse_args() -> Result<Args, String> {
             "--quiet" | "-q" => args.quiet = true,
             "--help" | "-h" => {
                 println!(
-                    "gridlint — static analysis for gridmine's privacy, panic-freedom,\n\
-                     lock-order, crash-safety, determinism and obs-parity invariants\n\n\
+                    "gridlint — static analysis for gridmine's privacy-taint, taint-flow,\n\
+                     lock-order and obs-parity invariants (clippy holds panic-freedom,\n\
+                     determinism and crash-safety)\n\n\
                      usage: gridlint [--root <dir>] [--config <file>]\n\
                      \x20               [--format table|json|sarif] [--lock-graph] [-q]"
                 );

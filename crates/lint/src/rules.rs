@@ -1,4 +1,4 @@
-//! The seven rule families.
+//! The four rule families.
 //!
 //! Each rule is a pass over the token streams of the in-scope files —
 //! the flow families additionally consult the workspace symbol table and
@@ -23,10 +23,7 @@ pub fn run_all(ws: &Workspace, cfg: &Config) -> Vec<Diagnostic> {
     let graph = CallGraph::build(ws, &syms);
     privacy_taint(ws, cfg, &mut out);
     crate::flow::taint_flow(ws, cfg, &syms, &graph, &mut out);
-    panic_freedom(ws, cfg, &mut out);
     crate::flow::lock_order(ws, cfg, &syms, &graph, &mut out);
-    crate::flow::crash_safety(ws, cfg, &mut out);
-    determinism(ws, cfg, &mut out);
     obs_parity(ws, cfg, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out
@@ -222,169 +219,6 @@ pub(crate) fn format_impl_screen(
     }
 }
 
-// ── panic-freedom ─────────────────────────────────────────────────────
-
-/// Protocol and wire-decode modules must surface failures as
-/// `CipherError`/`Verdict`/`SessionError`, never as a panic.
-fn panic_freedom(ws: &Workspace, cfg: &Config, out: &mut Vec<Diagnostic>) {
-    for file in &ws.files {
-        let panics = cfg.panic_scope.contains(&file.rel);
-        let indexing = cfg.index_scope.contains(&file.rel);
-        // Lock-poison hygiene is checked separately from the blanket
-        // `expect` ban so crates holding shared mutexes stay honest even
-        // where `expect` on plain Results is acceptable. Files already
-        // under the blanket ban are skipped — the generic rule reports
-        // the same site once.
-        let locks = cfg.lock_scope.contains(&file.rel) && !panics;
-        if !panics && !indexing && !locks {
-            continue;
-        }
-        let toks = &file.lexed.toks;
-        for (i, t) in live_toks(file) {
-            if panics && t.kind == TokKind::Ident && cfg.panic_banned.iter().any(|b| b == &t.text) {
-                // Macros fire as `name!`, methods as `.name(`.
-                let is_macro = tok_is(toks.get(i + 1), "!");
-                let is_method =
-                    i > 0 && tok_is(toks.get(i - 1), ".") && tok_is(toks.get(i + 1), "(");
-                if is_macro || is_method {
-                    out.push(Diagnostic::new(
-                        "panic-freedom",
-                        &file.rel,
-                        t.line,
-                        format!(
-                            "`{}` in a protocol module; errors must surface as \
-                             CipherError/Verdict/SessionError, not a panic",
-                            t.text
-                        ),
-                    ));
-                }
-            }
-            // `.lock().expect(…)` / `.lock().unwrap(…)`: one panicking
-            // holder poisons the mutex and every later `.lock()` turns
-            // into a cascading panic across threads.
-            if locks
-                && t.kind == TokKind::Ident
-                && t.text == "lock"
-                && i > 0
-                && tok_is(toks.get(i - 1), ".")
-                && tok_is(toks.get(i + 1), "(")
-                && tok_is(toks.get(i + 2), ")")
-                && tok_is(toks.get(i + 3), ".")
-                && toks.get(i + 4).is_some_and(|n| n.text == "expect" || n.text == "unwrap")
-                && tok_is(toks.get(i + 5), "(")
-            {
-                out.push(Diagnostic::new(
-                    "panic-freedom",
-                    &file.rel,
-                    t.line,
-                    "`.lock()` followed by a panicking unwrap poisons into a panic \
-                     cascade; recover the guard with \
-                     `unwrap_or_else(PoisonError::into_inner)`"
-                        .to_string(),
-                ));
-            }
-            // Slice indexing `expr[…]`: an identifier / `)` / `]`
-            // immediately followed by `[`.
-            if indexing && tok_is(Some(t), "[") && i > 0 {
-                let prev = &toks[i - 1];
-                let indexes = (prev.kind == TokKind::Ident && !is_keyword(&prev.text))
-                    || prev.text == ")"
-                    || prev.text == "]";
-                if indexes && !prev.in_test {
-                    out.push(Diagnostic::new(
-                        "panic-freedom",
-                        &file.rel,
-                        t.line,
-                        "slice indexing in a wire-decode module can panic on hostile input; \
-                         use `.get(…)` and surface an error"
-                            .to_string(),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// Keywords that can directly precede `[` without forming an index
-/// expression (`return [...]`, `in [...]`, `else [...]`…).
-fn is_keyword(t: &str) -> bool {
-    matches!(
-        t,
-        "return"
-            | "in"
-            | "else"
-            | "match"
-            | "if"
-            | "while"
-            | "break"
-            | "mut"
-            | "ref"
-            | "box"
-            | "move"
-            | "static"
-            | "const"
-            | "as"
-            | "dyn"
-            | "impl"
-            | "where"
-            | "for"
-            | "let"
-    )
-}
-
-// ── determinism ───────────────────────────────────────────────────────
-
-/// No wall clocks or OS entropy in the deterministic-replay cone: the
-/// configured scope plus everything import-reachable from the replay
-/// roots. Seeded RNGs only.
-fn determinism(ws: &Workspace, cfg: &Config, out: &mut Vec<Diagnostic>) {
-    let reachable = ws.reachable_from(&cfg.det_roots);
-    for file in &ws.files {
-        let in_scope = cfg.det_scope.contains(&file.rel)
-            || (reachable.contains(&file.rel)
-                && !cfg.det_scope.allow.iter().any(|p| file.rel.starts_with(p.as_str())));
-        if !in_scope {
-            continue;
-        }
-        let toks = &file.lexed.toks;
-        for (i, t) in live_toks(file) {
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            if cfg.det_banned.iter().any(|b| b == &t.text) {
-                out.push(Diagnostic::new(
-                    "determinism",
-                    &file.rel,
-                    t.line,
-                    format!(
-                        "`{}` in a module reachable from deterministic replay; only seeded \
-                         RNGs and driver-supplied clocks are allowed",
-                        t.text
-                    ),
-                ));
-                continue;
-            }
-            // `Head::tail` path pairs (`Instant::now`, `rand::random`).
-            if tok_is(toks.get(i + 1), ":") && tok_is(toks.get(i + 2), ":") {
-                if let Some(tail) = toks.get(i + 3) {
-                    let pair = format!("{}::{}", t.text, tail.text);
-                    if cfg.det_banned_paths.iter().any(|b| b == &pair) {
-                        out.push(Diagnostic::new(
-                            "determinism",
-                            &file.rel,
-                            t.line,
-                            format!(
-                                "`{pair}` in a module reachable from deterministic replay; \
-                                 replay must not read wall clocks or ambient entropy"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-}
-
 // ── obs-parity ────────────────────────────────────────────────────────
 
 /// PR 3's count-equality invariant, statically: every tally increment
@@ -498,7 +332,6 @@ fn event_variants(ws: &Workspace, enum_path: &str) -> Vec<(String, u32)> {
 mod tests {
     use super::*;
     use crate::workspace::SourceFile;
-    use std::collections::BTreeMap;
 
     fn ws_of(files: Vec<(&str, &str)>) -> Workspace {
         Workspace {
@@ -509,7 +342,6 @@ mod tests {
                     lexed: crate::lexer::lex(src),
                 })
                 .collect(),
-            crate_map: BTreeMap::new(),
         }
     }
 
@@ -521,18 +353,6 @@ deny = ["crates/core/src/broker.rs"]
 secret_idents = ["decrypt_i64", "PrivateKey", "PlainCounter"]
 secret_methods = ["open"]
 secret_types = ["PrivateKey"]
-
-[panic-freedom]
-deny = ["crates/core/src/broker.rs"]
-banned = ["unwrap", "expect", "panic", "unreachable"]
-index_deny = ["crates/core/src/broker.rs"]
-lock_deny = ["crates/paillier/src"]
-
-[determinism]
-roots = ["crates/sim/src/engine.rs"]
-deny = ["crates/sim/src"]
-banned = ["thread_rng", "SystemTime"]
-banned_paths = ["Instant::now"]
 
 [obs-parity]
 event_enum = "crates/obs/src/event.rs"
@@ -585,81 +405,12 @@ crashes = "ResourceCrashed"
     }
 
     #[test]
-    fn panic_freedom_fires_on_macros_methods_and_indexing() {
+    fn rules_ignore_test_regions() {
         let ws = ws_of(vec![(
             "crates/core/src/broker.rs",
-            "fn f() { x.unwrap(); y.expect(\"m\"); panic!(\"boom\"); let z = fields[0]; }",
+            "#[cfg(test)]\nmod tests { fn t() { c.decrypt_i64(y); agg.open(k); } }",
         )]);
-        let d = run_all(&ws, &cfg_base());
-        assert_eq!(d.iter().filter(|d| d.rule == "panic-freedom").count(), 4);
-    }
-
-    #[test]
-    fn panic_freedom_flags_panicking_lock_in_lock_scope_only() {
-        let ws = ws_of(vec![
-            (
-                "crates/paillier/src/cipher.rs",
-                "fn f(m: &Mutex<u32>) { let a = m.lock().expect(\"poisoned\"); \
-                 let b = m.lock().unwrap(); \
-                 let c = m.lock().unwrap_or_else(PoisonError::into_inner); \
-                 let d = plain.expect(\"not a lock\"); }",
-            ),
-            // Out of lock scope entirely.
-            ("crates/obs/src/recorder.rs", "fn g(m: &Mutex<u32>) { m.lock().unwrap(); }"),
-        ]);
-        let d = run_all(&ws, &cfg_base());
-        let locks: Vec<_> =
-            d.iter().filter(|d| d.rule == "panic-freedom" && d.message.contains("lock")).collect();
-        assert_eq!(locks.len(), 2, "{locks:?}");
-        assert!(locks.iter().all(|d| d.file == "crates/paillier/src/cipher.rs"));
-    }
-
-    #[test]
-    fn panic_freedom_lock_rule_defers_to_the_blanket_ban() {
-        // broker.rs is in both `deny` and `lock_deny`: the blanket
-        // `expect` ban reports the site once; the lock rule stays quiet.
-        let mut cfg = cfg_base();
-        cfg.lock_scope.deny.push("crates/core/src/broker.rs".to_string());
-        let ws = ws_of(vec![(
-            "crates/core/src/broker.rs",
-            "fn f(m: &Mutex<u32>) { m.lock().expect(\"poisoned\"); }",
-        )]);
-        let d = run_all(&ws, &cfg);
-        assert_eq!(d.iter().filter(|d| d.rule == "panic-freedom").count(), 1);
-    }
-
-    #[test]
-    fn panic_freedom_ignores_test_regions_and_other_files() {
-        let ws = ws_of(vec![
-            ("crates/core/src/broker.rs", "#[cfg(test)]\nmod tests { fn t() { x.unwrap(); } }"),
-            ("crates/core/src/attack.rs", "fn f() { x.unwrap(); }"),
-        ]);
         assert!(run_all(&ws, &cfg_base()).is_empty());
-    }
-
-    #[test]
-    fn determinism_fires_in_scope_and_in_reachable_files() {
-        let ws = ws_of(vec![
-            ("crates/sim/src/engine.rs", "use crate::clock::Tick; fn f() { }"),
-            ("crates/sim/src/clock.rs", "fn g() { let t = Instant::now(); }"),
-        ]);
-        let d = run_all(&ws, &cfg_base());
-        assert_eq!(d.iter().filter(|d| d.rule == "determinism").count(), 1);
-        assert!(d[0].message.contains("Instant::now"));
-    }
-
-    #[test]
-    fn determinism_reaches_across_the_import_graph_beyond_static_scope() {
-        let mut ws = ws_of(vec![
-            ("crates/sim/src/engine.rs", "use gridmine_core::miner::mine;"),
-            ("crates/core/src/miner.rs", "fn f() { let r = thread_rng(); }"),
-        ]);
-        ws.crate_map.insert("gridmine_core".into(), "crates/core/src".into());
-        let d = run_all(&ws, &cfg_base());
-        assert!(
-            d.iter().any(|d| d.rule == "determinism" && d.file == "crates/core/src/miner.rs"),
-            "{d:?}"
-        );
     }
 
     #[test]

@@ -465,7 +465,6 @@ mod tests {
                 rel: "crates/x/src/a.rs".into(),
                 lexed: crate::lexer::lex(src),
             }],
-            crate_map: BTreeMap::new(),
         };
         SymbolTable::build(&ws)
     }

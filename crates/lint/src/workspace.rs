@@ -1,17 +1,8 @@
-//! Workspace model: the file walk, the crate-name map, and the
-//! lightweight import graph used for reachability ("which modules can a
-//! deterministic-replay driver pull in?").
-//!
-//! Module resolution is intentionally approximate — `crate::m` resolves
-//! to a sibling `m.rs`/`m/mod.rs`, `gridmine_x::m` resolves through the
-//! workspace crate map, and anything unresolvable conservatively pulls
-//! the whole target crate. That over-approximates reachability, which
-//! for a *deny* rule is the safe direction.
+//! Workspace model: the walked and lexed `.rs` files.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 
-use crate::lexer::{self, Lexed, TokKind};
+use crate::lexer::{self, Lexed};
 
 /// One lexed source file.
 pub struct SourceFile {
@@ -23,9 +14,6 @@ pub struct SourceFile {
 /// The walked workspace.
 pub struct Workspace {
     pub files: Vec<SourceFile>,
-    /// `package_name_with_underscores -> crate src dir` (repo-relative),
-    /// e.g. `gridmine_paillier -> crates/paillier/src`.
-    pub crate_map: BTreeMap<String, String>,
 }
 
 /// Directories under the root that are walked for `.rs` files.
@@ -43,92 +31,12 @@ impl Workspace {
             }
         }
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        let crate_map = build_crate_map(root);
-        Ok(Workspace { files, crate_map })
+        Ok(Workspace { files })
     }
 
     /// Repo-relative paths of every walked file.
     pub fn paths(&self) -> impl Iterator<Item = &str> {
         self.files.iter().map(|f| f.rel.as_str())
-    }
-
-    /// The transitive import closure of the files under `roots`
-    /// (repo-relative path prefixes, like every configured path) over the
-    /// crate-internal and cross-crate use graph.
-    pub fn reachable_from(&self, roots: &[String]) -> BTreeSet<String> {
-        let by_path: BTreeMap<&str, &SourceFile> =
-            self.files.iter().map(|f| (f.rel.as_str(), f)).collect();
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        let mut queue: VecDeque<String> = self
-            .paths()
-            .filter(|f| roots.iter().any(|r| f.starts_with(r.as_str())))
-            .map(str::to_string)
-            .collect();
-        seen.extend(queue.iter().cloned());
-        while let Some(path) = queue.pop_front() {
-            let Some(file) = by_path.get(path.as_str()) else { continue };
-            for target in self.imports_of(file) {
-                if seen.insert(target.clone()) {
-                    queue.push_back(target);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Files referenced by `file` through `crate::m` / `gridmine_x::m`
-    /// paths (including inline paths, not just `use` items).
-    fn imports_of(&self, file: &SourceFile) -> Vec<String> {
-        let mut out = BTreeSet::new();
-        let toks = &file.lexed.toks;
-        let own_src_dir = file.rel.rsplit_once('/').map(|(d, _)| d.to_string()).unwrap_or_default();
-        for i in 0..toks.len() {
-            if toks[i].kind != TokKind::Ident {
-                continue;
-            }
-            // `<head> :: <seg>`
-            let is_path_head = matches!(
-                (toks.get(i + 1), toks.get(i + 2)),
-                (Some(a), Some(b)) if a.text == ":" && b.text == ":"
-            );
-            if !is_path_head {
-                continue;
-            }
-            let seg = match toks.get(i + 3) {
-                Some(t) if t.kind == TokKind::Ident => t.text.as_str(),
-                _ => continue,
-            };
-            let head = toks[i].text.as_str();
-            if head == "crate" {
-                // `crate::seg::…` — sibling module in the same src tree.
-                let f1 = format!("{own_src_dir}/{seg}.rs");
-                let f2 = format!("{own_src_dir}/{seg}/mod.rs");
-                if self.has(&f1) {
-                    out.insert(f1);
-                } else if self.has(&f2) {
-                    out.insert(f2);
-                }
-            } else if let Some(src_dir) = self.crate_map.get(head) {
-                // Cross-crate: resolve the first segment when it names a
-                // module file; otherwise (a re-export) pull the crate.
-                let f1 = format!("{src_dir}/{seg}.rs");
-                let f2 = format!("{src_dir}/{seg}/mod.rs");
-                if self.has(&f1) {
-                    out.insert(f1);
-                } else if self.has(&f2) {
-                    out.insert(f2);
-                } else {
-                    for f in self.files.iter().filter(|f| f.rel.starts_with(src_dir.as_str())) {
-                        out.insert(f.rel.clone());
-                    }
-                }
-            }
-        }
-        out.into_iter().collect()
-    }
-
-    fn has(&self, rel: &str) -> bool {
-        self.files.iter().any(|f| f.rel == rel)
     }
 }
 
@@ -166,81 +74,4 @@ fn rel_of(root: &Path, path: &Path) -> String {
         .map(|c| c.as_os_str().to_string_lossy())
         .collect::<Vec<_>>()
         .join("/")
-}
-
-/// Maps workspace package names (underscored) to their `src` dirs by
-/// scanning `crates/*/Cargo.toml` and `shims/*/Cargo.toml`.
-fn build_crate_map(root: &Path) -> BTreeMap<String, String> {
-    let mut map = BTreeMap::new();
-    for group in ["crates", "shims"] {
-        let dir = root.join(group);
-        let Ok(entries) = std::fs::read_dir(&dir) else { continue };
-        for entry in entries.filter_map(|e| e.ok()) {
-            let manifest = entry.path().join("Cargo.toml");
-            let Ok(text) = std::fs::read_to_string(&manifest) else { continue };
-            if let Some(name) = package_name(&text) {
-                let crate_dir = rel_of(root, &entry.path());
-                map.insert(name.replace('-', "_"), format!("{crate_dir}/src"));
-            }
-        }
-    }
-    map
-}
-
-/// First `name = "…"` in a manifest (good enough for workspace members,
-/// whose `[package]` table leads the file).
-fn package_name(manifest: &str) -> Option<String> {
-    for line in manifest.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("name") {
-            let rest = rest.trim_start();
-            if let Some(v) = rest.strip_prefix('=') {
-                return v.trim().trim_matches('"').to_string().into();
-            }
-        }
-    }
-    None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn file(rel: &str, src: &str) -> SourceFile {
-        SourceFile { rel: rel.to_string(), lexed: lexer::lex(src) }
-    }
-
-    fn ws(files: Vec<SourceFile>) -> Workspace {
-        let mut crate_map = BTreeMap::new();
-        crate_map.insert("gridmine_paillier".to_string(), "crates/paillier/src".to_string());
-        Workspace { files, crate_map }
-    }
-
-    #[test]
-    fn reachability_follows_crate_and_cross_crate_paths() {
-        let w = ws(vec![
-            file("crates/core/src/threaded.rs", "use crate::resource::SecureResource;"),
-            file("crates/core/src/resource.rs", "use crate::broker::Broker;"),
-            file("crates/core/src/broker.rs", "use gridmine_paillier::cipher::PaillierCtx;"),
-            file("crates/paillier/src/cipher.rs", "fn x() {}"),
-            file("crates/core/src/attack.rs", "fn unrelated() {}"),
-        ]);
-        let set = w.reachable_from(&["crates/core/src/threaded.rs".to_string()]);
-        assert!(set.contains("crates/core/src/resource.rs"));
-        assert!(set.contains("crates/core/src/broker.rs"));
-        assert!(set.contains("crates/paillier/src/cipher.rs"));
-        assert!(!set.contains("crates/core/src/attack.rs"));
-    }
-
-    #[test]
-    fn unresolvable_cross_crate_segment_pulls_the_whole_crate() {
-        let w = ws(vec![
-            file("crates/core/src/a.rs", "use gridmine_paillier::PaillierCtx;"),
-            file("crates/paillier/src/cipher.rs", ""),
-            file("crates/paillier/src/keys.rs", ""),
-        ]);
-        let set = w.reachable_from(&["crates/core/src/a.rs".to_string()]);
-        assert!(set.contains("crates/paillier/src/cipher.rs"));
-        assert!(set.contains("crates/paillier/src/keys.rs"));
-    }
 }

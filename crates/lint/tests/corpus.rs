@@ -32,7 +32,7 @@ fn run_fixture(name: &str, extra: &[&str]) -> (i32, String, String) {
 fn clean_fixture_exits_zero_with_one_suppressed_finding() {
     let (code, stdout, stderr) = run_fixture("clean", &[]);
     assert_eq!(code, 0, "stdout:\n{stdout}\nstderr:\n{stderr}");
-    assert!(stdout.contains("7 files scanned, 0 live finding(s), 3 suppressed"), "{stdout}");
+    assert!(stdout.contains("4 files scanned, 0 live finding(s), 3 suppressed"), "{stdout}");
     assert!(!stdout.contains("error[gridlint::"), "clean tree must not report errors: {stdout}");
 }
 
@@ -42,28 +42,21 @@ fn clean_fixture_json_reports_the_suppression_as_non_live() {
     assert_eq!(code, 0);
     assert!(
         stdout.contains(
-            "{\"rule\":\"determinism\",\"file\":\"crates/sim/src/engine.rs\",\"line\":6,\
+            "{\"rule\":\"privacy-taint\",\"file\":\"crates/core/src/broker.rs\",\"line\":20,\
              \"suppressed\":true,"
         ),
         "{stdout}"
     );
-    // One `allow(determinism, panic-freedom)` trailing waiver covers two
+    // One `allow(privacy-taint, taint-flow)` trailing waiver covers two
     // different-rule findings on the same line.
-    assert!(
-        stdout.contains(
-            "{\"rule\":\"determinism\",\"file\":\"crates/sim/src/engine.rs\",\"line\":12,\
+    for rule in ["privacy-taint", "taint-flow"] {
+        let line = format!(
+            "{{\"rule\":\"{rule}\",\"file\":\"crates/core/src/broker.rs\",\"line\":25,\
              \"suppressed\":true,"
-        ),
-        "{stdout}"
-    );
-    assert!(
-        stdout.contains(
-            "{\"rule\":\"panic-freedom\",\"file\":\"crates/sim/src/engine.rs\",\"line\":12,\
-             \"suppressed\":true,"
-        ),
-        "{stdout}"
-    );
-    assert!(stdout.contains("{\"summary\":true,\"files\":7,\"live\":0,\"suppressed\":3}"));
+        );
+        assert!(stdout.contains(&line), "{stdout}");
+    }
+    assert!(stdout.contains("{\"summary\":true,\"files\":4,\"live\":0,\"suppressed\":3}"));
 }
 
 #[test]
@@ -119,46 +112,24 @@ const DIRTY_EXPECTED: &[(&str, &str, u32, &str)] = &[
         5,
         "key-blind module references secret item `decrypt_i64`",
     ),
-    ("panic-freedom", "crates/core/src/broker.rs", 8, "slice indexing in a wire-decode module"),
-    // Store segments are disk-decode paths under the same contract as
-    // the wire: stale bytes must draw typed errors, not panics.
-    ("panic-freedom", "crates/store/src/wal.rs", 4, "slice indexing in a wire-decode module"),
-    ("panic-freedom", "crates/store/src/wal.rs", 8, "`expect` in a protocol module"),
-    ("panic-freedom", "crates/core/src/broker.rs", 9, "`unwrap` in a protocol module"),
-    (
-        "determinism",
-        "crates/sim/src/engine.rs",
-        6,
-        "`SystemTime` in a module reachable from deterministic replay",
-    ),
-    // The scheduler module is a replay root of its own; `Instant::now`
-    // witnesses the banned-*path* form of the rule (engine.rs covers the
-    // banned-ident form).
-    (
-        "determinism",
-        "crates/sim/src/wheel.rs",
-        4,
-        "`Instant::now` in a module reachable from deterministic replay",
-    ),
-    // Reached from the replay root across the crate graph, not by any
-    // static deny entry.
-    (
-        "determinism",
-        "crates/core/src/miner.rs",
-        4,
-        "`thread_rng` in a module reachable from deterministic replay",
-    ),
     (
         "obs-parity",
         "crates/core/src/broker.rs",
-        13,
+        8,
         "tally `crashes` incremented without an adjacent `Event::ResourceCrashed` emission",
     ),
     ("obs-parity", "crates/obs/src/event.rs", 2, "`Event::ResourceCrashed` is declared but never"),
     ("obs-parity", "crates/obs/src/event.rs", 3, "`Event::NeverEmitted` is declared but never"),
-    ("suppression", "crates/core/src/miner.rs", 9, "lacks a justification"),
-    ("suppression", "crates/sim/src/engine.rs", 7, "suppresses nothing on line 8"),
-    ("suppression", "crates/sim/src/engine.rs", 9, "names an unknown rule"),
+    ("suppression", "crates/core/src/miner.rs", 4, "lacks a justification"),
+    ("suppression", "crates/core/src/miner.rs", 9, "suppresses nothing on line 10"),
+    // A family that clippy holds is an unknown rule to gridlint, so no
+    // waiver for it can linger.
+    (
+        "suppression",
+        "crates/core/src/miner.rs",
+        11,
+        "`gridlint: allow(determinism)` names an unknown rule",
+    ),
     // Interprocedural witness: the secret crosses two intermediate
     // functions (fetch_plain, relay) before landing in the key-blind
     // wire module, and the diagnostic carries the whole call chain.
@@ -177,15 +148,9 @@ const DIRTY_EXPECTED: &[(&str, &str, u32, &str)] = &[
         12,
         "lock-order cycle between {obs::events, obs::out}",
     ),
-    (
-        "crash-safety",
-        "crates/core/src/miner.rs",
-        14,
-        "`std::fs::write` leaves torn files after a crash mid-write",
-    ),
     // A waiver inside a #[cfg(test)] region can cover nothing (tests are
     // exempt) and must never reach the production line after the region.
-    ("suppression", "crates/core/src/miner.rs", 23, "inside a #[cfg(test)] region is inert"),
+    ("suppression", "crates/core/src/miner.rs", 21, "inside a #[cfg(test)] region is inert"),
 ];
 
 #[test]
@@ -198,7 +163,7 @@ fn dirty_fixture_reports_every_expected_diagnostic_and_exits_one() {
         assert!(hit, "missing diagnostic {header}…{fragment}\n{stdout}");
     }
     assert!(
-        stdout.contains("10 files scanned, 23 live finding(s), 0 suppressed"),
+        stdout.contains("7 files scanned, 15 live finding(s), 0 suppressed"),
         "no unexpected extras allowed:\n{stdout}"
     );
 }
@@ -212,7 +177,7 @@ fn dirty_fixture_json_counts_match_the_table() {
         DIRTY_EXPECTED.len() + 1,
         "one object per finding: {stdout}"
     );
-    assert!(stdout.contains("{\"summary\":true,\"files\":10,\"live\":23,\"suppressed\":0}"));
+    assert!(stdout.contains("{\"summary\":true,\"files\":7,\"live\":15,\"suppressed\":0}"));
     assert!(stdout.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
 }
 
@@ -230,16 +195,7 @@ fn sarif_output_pins_schema_version_and_rule_ids() {
         "{stdout}"
     );
     // Every rule family is declared, SARIF-style, in the driver block.
-    for rule in [
-        "privacy-taint",
-        "taint-flow",
-        "panic-freedom",
-        "lock-order",
-        "crash-safety",
-        "determinism",
-        "obs-parity",
-        "suppression",
-    ] {
+    for rule in ["privacy-taint", "taint-flow", "lock-order", "obs-parity", "suppression"] {
         assert!(stdout.contains(&format!("{{\"id\":\"{rule}\"}}")), "missing rule {rule}");
     }
     assert!(
@@ -265,7 +221,7 @@ fn sarif_marks_waived_findings_with_in_source_suppressions() {
     assert!(
         stdout.contains(
             "\"suppressions\":[{\"kind\":\"inSource\",\"justification\":\
-             \"watchdog latency is telemetry only and never feeds replayed protocol state\"}]"
+             \"std::fs::OpenOptions::open, not a sealed-counter open\"}]"
         ),
         "{stdout}"
     );
@@ -314,14 +270,14 @@ fn a_configured_path_that_matches_no_file_exits_two_and_names_it() {
     let src = dir.join("crates/sim/src");
     std::fs::create_dir_all(&src).expect("mkdir");
     std::fs::write(src.join("engine.rs"), "pub fn run() {}\n").expect("write");
-    let config = |roots: &str| {
-        let text = format!("[determinism]\nroots = {roots}\ndeny = [\"crates/sim/src\"]\n");
+    let config = |scan: &str| {
+        let text = format!("[lock-order]\nscan = {scan}\n");
         std::fs::write(dir.join("gridlint.toml"), text).expect("write config");
     };
     let root = dir.to_str().expect("utf-8 temp path");
     config(r#"["crates/sim/src/engine.rs"]"#);
     assert_eq!(gridlint(&["--root", root, "--quiet"]).status.code(), Some(0));
-    // The scheduler module was deleted; its root entry was not.
+    // The scheduler module was deleted; its scan entry was not.
     config(r#"["crates/sim/src/engine.rs", "crates/sim/src/wheel.rs"]"#);
     for mode in [&["--quiet"][..], &["--lock-graph"]] {
         let out = gridlint(&[&["--root", root][..], mode].concat());

@@ -14,10 +14,16 @@ pub fn shard(ct: u64) -> usize {
     relay_meta(ct)
 }
 
-/// Durable state goes through the atomic primitive, never `fs::write`.
-pub fn persist(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    atomic_write_file(path, bytes)?;
-    Ok(())
+/// A file handle's `open` is no sealed-counter open.
+pub fn reopen(opts: &OpenOptions, path: &Path) -> io::Result<File> {
+    // gridlint: allow(privacy-taint) -- std::fs::OpenOptions::open, not a sealed-counter open
+    opts.open(path)
+}
+
+/// The session builder is the key provisioner: it hands the key on.
+pub fn provision(seed: u64) -> Resource {
+    let key: PrivateKey = keygen(seed); // gridlint: allow(privacy-taint, taint-flow) -- the key provisioner hands keys on and never opens a ciphertext
+    Resource::with_key(key)
 }
 
 pub fn send(stats: &mut Stats, rec: &SharedRecorder) {

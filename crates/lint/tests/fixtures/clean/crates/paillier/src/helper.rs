@@ -13,3 +13,8 @@ pub fn fetch_meta(ct: u64) -> usize {
 pub fn relay_meta(ct: u64) -> usize {
     fetch_meta(ct)
 }
+
+/// Key generation: returns key material, so its callers carry it.
+pub fn keygen(seed: u64) -> PrivateKey {
+    PrivateKey::from_seed(seed)
+}

@@ -4,11 +4,6 @@ pub fn leak(agg: &SecureCounter, dec: &C, key: &TagKey) -> PlainCounter {
     agg.open(dec, key)
 }
 
-pub fn fragile(fields: &[Ct]) -> Ct {
-    let first = fields[0].clone();
-    maybe(first).unwrap()
-}
-
 pub fn tally(stats: &mut Stats) {
     stats.crashes += 1;
 }

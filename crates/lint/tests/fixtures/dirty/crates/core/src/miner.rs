@@ -1,24 +1,22 @@
-//! Reached from the replay root across the crate graph.
-
-pub fn mine() -> u64 {
-    let mut rng = thread_rng();
-    rng.gen()
-}
+//! Waivers that waive nothing: each one is a `suppression` finding.
 
 pub fn unjustified() {
-    // gridlint: allow(panic-freedom)
+    // gridlint: allow(lock-order)
     let _ = 0;
 }
 
-pub fn snapshot(tally: u64) {
-    let _ = std::fs::write("tally.json", tally.to_string());
+pub fn stale() -> u64 {
+    // gridlint: allow(privacy-taint) -- justified but covering a clean line below
+    let later = 0;
+    // gridlint: allow(determinism) -- clippy holds this family now: an unknown rule here
+    later
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn mine_is_positive() {
-        assert!(super::mine() > 0);
+    fn stale_is_zero() {
+        assert_eq!(super::stale(), 0);
     }
-    // gridlint: allow(crash-safety) -- a test-region waiver is inert and must never cover production lines
+    // gridlint: allow(taint-flow) -- a test-region waiver is inert and must never cover production lines
 }

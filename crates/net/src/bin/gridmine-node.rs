@@ -6,6 +6,11 @@
 //! scheduled departure), `EXIT_CRASHED` for a scheduled crash-wipe,
 //! `EXIT_ORPHANED` when the hub goes silent, `EXIT_FAILED` otherwise.
 
+// No panic on hostile input; replay-deterministic and crash-safe (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use gridmine_net::node;
 use gridmine_net::NodeSpec;
 use gridmine_paillier::{MockCipher, PaillierCtx};

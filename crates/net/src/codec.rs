@@ -30,6 +30,9 @@
 //!
 //! [`Ratio::new`]: gridmine_arm::Ratio::new
 
+// No unchecked index on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use gridmine_arm::{CandidateRule, Rule, RuleFormError};
 pub use gridmine_core::Tallies;
 use gridmine_core::{BrokerMsg, DegradeReason, LayoutStamp, SecureCounter, Verdict};

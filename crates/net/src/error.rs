@@ -16,8 +16,8 @@ use gridmine_core::SessionError;
 /// Why a received byte string is not a protocol frame.
 ///
 /// Every variant is reachable from attacker-controlled input, so decode
-/// paths return it instead of panicking — the gridlint panic-freedom
-/// rule covers the codec modules to keep it that way.
+/// paths return it instead of panicking — the panic-freedom lints
+/// cover the codec modules to keep it that way.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireError {
     /// The frame does not start with the protocol magic.

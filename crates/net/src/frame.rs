@@ -25,8 +25,11 @@
 //! instead of as garbage protocol state three layers up.
 //!
 //! Every decode path in this module is total: hostile bytes produce a
-//! `WireError`, never a panic (the gridlint panic-freedom rule covers
-//! this file).
+//! `WireError`, never a panic (the panic-freedom lints cover this
+//! file).
+
+// No unchecked index on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::io::Read;
 

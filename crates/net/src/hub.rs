@@ -221,10 +221,13 @@ impl<C: NetCipher> NetSession<C> {
 
     /// Runs the session, panicking on configuration errors — same
     /// contract as `MineSession::run_threaded`.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking wrapper over try_run, as MineSession::run"
+    )]
     pub fn run(self) -> MiningOutcome {
         match self.try_run() {
             Ok(outcome) => outcome,
-            // gridlint: allow(panic-freedom) -- documented panicking wrapper over try_run, mirroring MineSession::run
             Err(e) => panic!("{e}"),
         }
     }
@@ -425,6 +428,7 @@ struct HubRun<C: NetCipher> {
 type Inbound<C> = (usize, u64, PeerMsg<C>);
 
 impl<C: NetCipher> HubRun<C> {
+    #[expect(clippy::disallowed_methods, reason = "a transport deadline: it ends a wait only")]
     fn execute(&mut self) -> Result<(), NetError> {
         for u in 0..self.n {
             self.spawn_child(u, None)?;
@@ -583,6 +587,7 @@ impl<C: NetCipher> HubRun<C> {
     /// Accepts one connection and runs the server handshake; strays
     /// (wrong version or session) are dropped and the accept loop
     /// keeps going until the deadline.
+    #[expect(clippy::disallowed_methods, reason = "a transport deadline: it ends a wait only")]
     fn accept_one(&mut self, deadline: Instant) -> Result<(HelloInfo, TcpStream), NetError> {
         loop {
             match self.listener.accept() {
@@ -653,6 +658,7 @@ impl<C: NetCipher> HubRun<C> {
     /// (its own shares are re-derived deterministically from the seed;
     /// what neighbors had mailed it died with the old process), draining
     /// the share traffic to quiescence before the round's scan opens.
+    #[expect(clippy::disallowed_methods, reason = "a transport deadline: it ends a wait only")]
     fn respawn(&mut self, u: usize, tick: u64) -> Result<(), NetError> {
         // The crash-tick barrier deliberately does not wait for the
         // crasher: it gets its Scan trigger, persists its recovery
@@ -703,6 +709,7 @@ impl<C: NetCipher> HubRun<C> {
     /// Opens one phase and pumps until its barrier closes: every
     /// participant checked in with `PhaseSent` and the pending counter
     /// drained to zero.
+    #[expect(clippy::disallowed_methods, reason = "a transport deadline: it ends a wait only")]
     fn phase(&mut self, tick: u64, phase: Phase) {
         let mut waiting: BTreeSet<usize> = BTreeSet::new();
         for v in 0..self.n {
@@ -764,6 +771,7 @@ impl<C: NetCipher> HubRun<C> {
     /// `waiting` empties and no forwarded message is unacked. On
     /// deadline overrun the stragglers are degraded and the session
     /// moves on — supervision never hangs the run.
+    #[expect(clippy::disallowed_methods, reason = "a transport deadline: it ends a wait only")]
     fn pump(&mut self, tick: u64, wiring: bool, waiting: &mut BTreeSet<usize>, deadline: Instant) {
         loop {
             waiting.retain(|&v| self.peers[v].alive && !self.peers[v].quarantined);

@@ -28,6 +28,11 @@
 //!   can SIGKILL a resource mid-session and warm-restart it from a
 //!   persisted recovery image.
 
+// No panic on hostile input; replay-deterministic and crash-safe (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod codec;
 pub mod error;
 pub mod frame;

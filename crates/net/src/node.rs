@@ -290,6 +290,7 @@ impl<'a, C: NetCipher> Node<'a, C> {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "a transport deadline: it ends a wait only")]
 fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
     let u = spec.resource;
     let mut node = Node::<C>::new(spec);

@@ -25,6 +25,11 @@
 //! workspace — including `gridmine-paillier` at the bottom of the stack —
 //! can emit events without dependency cycles.
 
+// No unwrap or expect, so a poisoned lock cannot cascade;
+// replay-deterministic and crash-safe (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod event;
 pub mod metrics;
 pub mod recorder;

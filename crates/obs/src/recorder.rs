@@ -111,13 +111,17 @@ pub struct JsonlRecorder {
 
 impl JsonlRecorder {
     /// Create (truncate) `path`, creating parent directories as needed.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "trace sink, not protocol state: obs cannot depend on the store crate (store \
+                  depends on obs), and every JSONL reader tolerates a torn trailing line"
+    )]
     pub fn create<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
         if let Some(parent) = path.as_ref().parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        // gridlint: allow(crash-safety) -- trace sink, not protocol state: obs cannot depend on the store crate (store depends on obs), and every JSONL reader tolerates a torn trailing line
         let file = File::create(path)?;
         Ok(JsonlRecorder { out: Mutex::new(BufWriter::new(file)) })
     }

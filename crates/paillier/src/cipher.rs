@@ -82,6 +82,7 @@ struct MontCache {
 }
 
 impl MontCache {
+    #[expect(clippy::expect_used, reason = "n² is odd: p and q are odd primes")]
     fn build(pk: &PublicKey, sk: Option<&PrivateKey>) -> Self {
         let crt = sk.map(|sk| &sk.crt);
         MontCache {
@@ -183,11 +184,15 @@ impl PaillierCtx {
     /// Run `f` under a `KeyOp` timing when a recorder is attached; with
     /// the default `NullRecorder` this is one branch, no clock read.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "KeyOp latency telemetry only; the measured nanos feed the recorder and never \
+                  protocol state, so replay stays byte-identical"
+    )]
     fn timed<T>(&self, op: KeyOpKind, f: impl FnOnce() -> T) -> T {
         if !self.rec.0.enabled() {
             return f();
         }
-        // gridlint: allow(determinism) -- KeyOp latency telemetry only; the measured nanos feed the recorder and never protocol state, so replay stays byte-identical
         let start = std::time::Instant::now();
         let out = f();
         let nanos = start.elapsed().as_nanos() as u64;
@@ -218,6 +223,7 @@ impl PaillierCtx {
     /// pool in batch when it runs dry. A refill evaluates `h^σ` from the
     /// fixed-base table for fresh σ, the first one building the table
     /// itself.
+    #[expect(clippy::expect_used, reason = "a refill draws at least one factor")]
     fn next_noise(&self) -> BigUint {
         let (batch_size, table) = {
             let mut pool = lock(&self.noise);
@@ -352,6 +358,10 @@ impl PaillierCtx {
     /// `Z_{n²}*`: `c^(p−1) ≡ 1 (mod p)` exactly when `p ∤ c`, and the
     /// power is at hand, so the test is the remainder of the division
     /// `L_p` takes anyway (likewise for `q`).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented # Panics contract of the decrypt entry points"
+    )]
     fn crt_decrypt(&self, c: &Ciphertext) -> (BigUint, bool) {
         let sk = self
             .sk
@@ -380,6 +390,7 @@ impl PaillierCtx {
 
     /// Decrypts via the direct (non-CRT) path — reference implementation
     /// used by tests to cross-check the CRT fast path.
+    #[expect(clippy::expect_used, reason = "a test reference; panics like decrypt_residue")]
     pub fn decrypt_residue_slow(&self, c: &Ciphertext) -> BigUint {
         let sk = self
             .sk
@@ -491,11 +502,19 @@ impl HomCipher for PaillierCtx {
         self.add_raw(a, b)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the documented panic on a malformed operand, which all_wellformed screens out"
+    )]
     fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
         let neg = self.neg_raw(b).expect("ciphertext is a unit mod n² (honest ones always are)");
         self.add_raw(a, &neg)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the documented panic on a malformed operand, which all_wellformed screens out"
+    )]
     fn scalar(&self, m: i64, c: &Ciphertext) -> Ciphertext {
         self.scalar_raw(&BigInt::from(m), c)
             .expect("ciphertext is a unit mod n² (honest ones always are)")

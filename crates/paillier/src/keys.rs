@@ -99,7 +99,7 @@ pub(crate) fn mod_inverse(a: &BigUint, m: &BigUint) -> Option<BigUint> {
     if x < BigInt::from(0) {
         x += &m_int;
     }
-    Some(x.to_biguint().expect("normalized to non-negative"))
+    x.to_biguint()
 }
 
 impl Keypair {
@@ -109,6 +109,7 @@ impl Keypair {
     /// # Panics
     /// Panics if `n_bits < 64` (each prime must be ≥ 32 bits for the signed
     /// i64 embedding used by the counters to be unambiguous).
+    #[expect(clippy::expect_used, reason = "distinct odd primes make every inverse here exist")]
     pub fn generate_with_seed(n_bits: u64, seed: u64) -> Self {
         assert!(n_bits >= 64, "modulus must be at least 64 bits");
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
@@ -143,8 +144,12 @@ impl Keypair {
     }
 
     /// Generates a keypair from OS entropy.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one deliberate OS-entropy entry point; deterministic drivers use \
+                  generate_with_seed and never call this"
+    )]
     pub fn generate(n_bits: u64) -> Self {
-        // gridlint: allow(determinism) -- the one deliberate OS-entropy entry point; deterministic drivers use generate_with_seed and never call this
         Self::generate_with_seed(n_bits, rand::random())
     }
 

@@ -63,6 +63,9 @@
 //! footnote construction: *brokers can aggregate and rerandomize but cannot
 //! mint or splice*.
 
+// No unchecked index on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 

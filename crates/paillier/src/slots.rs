@@ -41,6 +41,11 @@
 //! tag digit makes lands in the high one, and the pair reads back as the
 //! integer the tags sum to.
 
+// No panic and no unchecked index on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use num_bigint::BigUint;
 use num_traits::{ToPrimitive, Zero};
 

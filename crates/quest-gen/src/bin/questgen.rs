@@ -10,6 +10,9 @@
 //!          --patterns 2000 --seed 42 --out t10i4.json [--stats]
 //! ```
 
+// Replay-deterministic and crash-safe (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -27,6 +30,7 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+#[expect(clippy::disallowed_methods, reason = "writes a generated dataset, not protocol state")]
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut workload = String::from("t10i4");

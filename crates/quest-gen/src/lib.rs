@@ -12,6 +12,9 @@
 //! pair-wise independent hashing techniques, transactions were sampled from
 //! the database to simulate the local database of each resource."
 
+// Replay-deterministic and crash-safe (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod dist;
 pub mod generator;
 pub mod params;

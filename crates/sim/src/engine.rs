@@ -51,6 +51,10 @@
 //! fault layer keys on) and every receiver's delivery order are
 //! byte-identical whatever the pool's width.
 
+// No panic on hostile input (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use gridmine_arm::{Database, Item, Ratio, RuleSet};
@@ -109,6 +113,7 @@ impl Pass {
 /// `visit` runs — the messages being delivered, the overlay (the delays a
 /// reply is timed by), the fault plan and the recorder. Picking the
 /// selected slots costs the selection, not the grid.
+#[expect(clippy::disallowed_macros, reason = "debug builds assert the callers' ascending ids")]
 fn visit<R: Send, S: Send, T: Send>(
     items: &mut [R],
     outboxes: &mut [S],
@@ -175,6 +180,7 @@ impl Outbox {
     /// under a fault plan the edge's next fault decision and its FIFO
     /// clock — and buckets the surviving copies by arrival and receiver.
     /// A duplicated message is cloned; a single copy moves.
+    #[expect(clippy::disallowed_macros, reason = "debug builds assert a local wiring bug")]
     fn post<C: HomCipher>(
         &mut self,
         from: usize,
@@ -449,6 +455,10 @@ where
     /// duplicate-send suppressors toward it, and everyone affected is
     /// nudged so current aggregates flow into the new world. Returns the
     /// new resource's id.
+    ///
+    /// # Panics
+    /// Panics if `parent` is not a resource of the grid.
+    #[expect(clippy::disallowed_macros, reason = "documented # Panics on a caller's bad id")]
     pub fn join_resource(&mut self, parent: usize, plan: GrowthPlan) -> usize {
         assert!(parent < self.machines.len(), "parent must exist");
         self.sched = None;
@@ -487,6 +497,7 @@ where
     ///
     /// # Panics
     /// Panics if `u` is not a present leaf.
+    #[expect(clippy::disallowed_macros, reason = "documented # Panics on a caller's bad id")]
     pub fn leave_resource(&mut self, u: usize) {
         self.sched = None;
         let neighbors: Vec<usize> = self.overlay.neighbors(u).collect();

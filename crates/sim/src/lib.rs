@@ -20,6 +20,9 @@
 //!   [`Simulation`];
 //! * [`runner`] — experiment drivers used by the examples.
 
+// Replay-deterministic and crash-safe (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod config;
 pub mod engine;
 pub mod metrics;

@@ -43,11 +43,12 @@
 //! A forger who recomputes digests is caught downstream by the restore
 //! screens, which treat everything read from disk as untrusted input.
 
-// Protocol-adjacent crate: bytes come from disk, which the adversary
-// model treats as hostile input, so `.unwrap()` outside tests is part
-// of the lint wall (gridlint's panic-freedom rule covers the whole
-// crate; this is the rustc/clippy half).
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+// No panic and no unchecked index on hostile input; replay-deterministic
+// and crash-safe (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod backend;
 mod crash;

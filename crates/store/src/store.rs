@@ -195,7 +195,7 @@ impl<B: Backend> Store<B> {
         }
     }
 
-    #[allow(clippy::type_complexity)] // internal constructor hand-off
+    #[allow(clippy::type_complexity, reason = "internal constructor hand-off")]
     fn open_parts(
         backend: &mut B,
     ) -> Result<(BTreeMap<String, Tree>, u64, u64, u64, String, u64, OpenReport), StoreError> {

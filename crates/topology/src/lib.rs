@@ -16,6 +16,9 @@
 //!   duplication / jitter, resource crash / recover / depart) for chaos
 //!   runs against the protocol's tolerance machinery.
 
+// Replay-deterministic and crash-safe (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod barabasi;
 pub mod faults;
 pub mod graph;

@@ -3,7 +3,7 @@
 
 /// `GRIDMINE_SCALE=full` runs the paper's §6 scale; anything else, or
 /// nothing, the small one.
-#[allow(dead_code)] // the ablations run at one scale
+#[allow(dead_code, reason = "the ablations run at one scale")]
 pub fn full_scale() -> bool {
     std::env::var("GRIDMINE_SCALE").is_ok_and(|v| v.eq_ignore_ascii_case("full"))
 }

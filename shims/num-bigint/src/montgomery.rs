@@ -278,7 +278,7 @@ impl MontgomeryCtx {
     /// loop. Requires `k ≥ 3`. See [`MontgomeryCtx::row2`] for the
     /// pipelining idea and the meaning of `FIRST`.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "each pipelined row takes its own operands")]
     fn row3<const FIRST: bool>(
         &self,
         k: usize,

@@ -15,8 +15,8 @@
 //! never the worker count or the schedule — so a run's results are
 //! byte-identical whether it executes on one core or sixteen, and
 //! identical to the old sequential shim. This is what keeps
-//! solutions/verdicts pinned under a fixed seed (gridlint's determinism
-//! rule audits the callers; the pool holds up its end here).
+//! solutions/verdicts pinned under a fixed seed (the determinism lints
+//! audit the callers; the pool holds up its end here).
 //!
 //! # Pool shape
 //!
@@ -32,6 +32,9 @@
 //!
 //! Worker count is bounded: `min(available_parallelism, 16)` threads
 //! total (including the caller), overridable with `GRIDMINE_POOL_THREADS`.
+
+// No unwrap or expect, so a poisoned lock cannot cascade (DESIGN.md § Static analysis).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -288,6 +291,7 @@ fn split_chunks<T>(mut items: Vec<T>, sizes: &[usize]) -> Vec<Vec<T>> {
 /// The parallel primitive everything builds on: split `items` into
 /// deterministic chunks, run `work` on each chunk across the pool, and
 /// return the per-chunk results **in chunk order**.
+#[expect(clippy::expect_used, reason = "scope_run returns only once every chunk has run")]
 fn par_chunks<T, R>(items: Vec<T>, work: impl Fn(Vec<T>) -> R + Sync) -> Vec<R>
 where
     T: Send,
