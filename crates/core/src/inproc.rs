@@ -33,8 +33,7 @@
 //!   (`reset_edge` + `nudge`), so an aggregate lost to a drop is resent
 //!   instead of being suppressed as a duplicate forever;
 //! * a mute controller exhausts its resource's bounded SFE retry budget
-//!   and degrades only that resource (see
-//!   [`crate::resource::DEFAULT_RETRY_BUDGET`]).
+//!   and degrades only that resource (see [`crate::RetryPolicy::budget`]).
 //!
 //! The injected faults, retries and degradations surface in
 //! [`MiningOutcome::chaos`].

@@ -26,6 +26,7 @@ use crate::controller::Verdict;
 use crate::counter::CounterLayout;
 use crate::keyring::GridKeys;
 use crate::resource::SecureResource;
+use crate::session::SessionError;
 
 /// Outcome of a mining run, under any driver.
 #[derive(Debug)]
@@ -82,6 +83,15 @@ impl MineConfig {
     pub fn with_k(mut self, k: i64) -> Self {
         self.k = k;
         self
+    }
+
+    /// Sanity check: a privacy parameter below 1 is a
+    /// [`SessionError::InvalidConfig`] naming `k`.
+    pub fn validate(&self) -> Result<(), SessionError> {
+        if self.k < 1 {
+            return Err(SessionError::InvalidConfig { field: "k", need: "must be at least 1" });
+        }
+        Ok(())
     }
 
     /// Mints resource `u` of this session's grid (§4: its partition,

@@ -15,8 +15,7 @@
 //!   in-process drivers, published to a file by a node process.
 //! * **Unified retry/deadline policy** ([`RetryPolicy`]): one place for
 //!   the previously scattered bounded-SFE-retry budget, heal resend
-//!   cadence, channel-drain timeout and the recovery watchdog deadline,
-//!   with capped exponential backoff and seeded jitter.
+//!   cadence and the recovery watchdog deadline.
 //!
 //! The mining state's trees, keyed by the rule's canonical key:
 //!

@@ -1,14 +1,11 @@
 //! The unified retry/deadline policy and the recovery mode switch.
 
-use gridmine_store::mix64;
-
 /// One home for the bounded-retry and timing constants that were
 /// previously scattered across the drivers:
 ///
 /// * `budget` — the broker↔controller SFE retry budget (a resource
-///   degrades with `MuteController` once it is spent);
-/// * `base_ms`/`cap_ms` — capped exponential backoff for threaded
-///   channel receives ([`RetryPolicy::backoff_ms`]);
+///   degrades with `MuteController` once it is spent), and the number
+///   of attempts a net node makes to dial its hub;
 /// * `deadline_ms` — the threaded driver's recovery watchdog: a restore
 ///   that overruns it degrades the resource instead of aborting the run;
 /// * `resend_every` — the cold-rejoin resend cadence, in protocol rounds:
@@ -16,40 +13,20 @@ use gridmine_store::mix64;
 ///   its rejoin tick (by the synchronous, threaded and net drivers and the
 ///   simulator alike); the simulator also heals every edge under lossy
 ///   links at its multiples of `resend_every` steps, where the round
-///   drivers heal every round;
-/// * `seed` — drives the deterministic backoff jitter.
+///   drivers heal every round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RetryPolicy {
     pub budget: u64,
-    pub base_ms: u64,
-    pub cap_ms: u64,
     pub deadline_ms: u64,
     pub resend_every: u64,
-    pub seed: u64,
 }
 
 impl RetryPolicy {
     /// The workspace defaults (these reproduce the constants the drivers
-    /// used before the policy existed: budget 16, 1 ms drain timeout,
-    /// anti-entropy every 5 rounds).
-    pub const DEFAULT: RetryPolicy = RetryPolicy {
-        budget: 16,
-        base_ms: 1,
-        cap_ms: 16,
-        deadline_ms: 1_000,
-        resend_every: 5,
-        seed: 0x9E37_79B9,
-    };
-
-    /// Backoff for the `attempt`-th consecutive failure (0-based):
-    /// capped exponential plus deterministic seeded jitter (≤ 25 % of the
-    /// slot, so `backoff_ms(0)` with defaults is exactly `base_ms`).
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        let exp = self.base_ms.max(1).saturating_mul(1u64 << attempt.min(20));
-        let slot = exp.min(self.cap_ms.max(self.base_ms.max(1)));
-        let jitter = mix64(self.seed ^ u64::from(attempt)) % (slot / 4 + 1);
-        slot + jitter
-    }
+    /// used before the policy existed: budget 16, anti-entropy every 5
+    /// rounds).
+    pub const DEFAULT: RetryPolicy =
+        RetryPolicy { budget: 16, deadline_ms: 1_000, resend_every: 5 };
 
     /// The watchdog deadline in nanoseconds (for `Instant`-based checks).
     pub fn deadline_nanos(&self) -> u128 {
@@ -76,11 +53,9 @@ impl RecoveryPolicy {
     pub const DEFAULT: RecoveryPolicy =
         RecoveryPolicy { checkpoint_every: 5, retry: RetryPolicy::DEFAULT };
 
-    /// # Panics
-    /// Panics if `every` is 0.
-    #[expect(clippy::disallowed_macros, reason = "a local configuration precondition, not input")]
+    /// Overrides the checkpoint cadence. A cadence of zero is read as
+    /// one, like every other cadence in the workspace.
     pub fn with_checkpoint_every(mut self, every: u64) -> Self {
-        assert!(every > 0, "checkpoint cadence must be positive");
         self.checkpoint_every = every;
         self
     }
@@ -124,27 +99,6 @@ impl RecoveryMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_is_deterministic_capped_and_monotone_to_the_cap() {
-        let p = RetryPolicy::DEFAULT;
-        assert_eq!(p.backoff_ms(0), 1, "first retry keeps the legacy 1 ms drain timeout");
-        for a in 0..24 {
-            assert_eq!(p.backoff_ms(a), p.backoff_ms(a), "same attempt, same delay");
-            // Slot ≤ cap, jitter ≤ 25% of slot.
-            assert!(p.backoff_ms(a) <= p.cap_ms + p.cap_ms / 4);
-        }
-        // The exponential actually grows before the cap bites.
-        assert!(p.backoff_ms(3) > p.backoff_ms(0));
-    }
-
-    #[test]
-    fn jitter_depends_on_the_seed() {
-        let a = RetryPolicy { seed: 1, ..RetryPolicy::DEFAULT };
-        let b = RetryPolicy { seed: 2, ..RetryPolicy::DEFAULT };
-        // Some attempt in the capped region must differ between seeds.
-        assert!((4..24).any(|i| a.backoff_ms(i) != b.backoff_ms(i)), "seeded jitter never fired");
-    }
 
     #[test]
     fn mode_accessors() {

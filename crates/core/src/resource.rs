@@ -98,12 +98,6 @@ pub struct SecureResource<C: HomCipher> {
     rec: SharedRecorder,
 }
 
-/// Default SFE retry budget before a mute controller degrades its
-/// resource: [`RetryPolicy::DEFAULT`]'s per-operation budget. Generous
-/// enough that transient hiccups recover, small enough that a dead
-/// controller stalls only its own resource briefly.
-pub const DEFAULT_RETRY_BUDGET: u64 = RetryPolicy::DEFAULT.budget;
-
 impl<C: HomCipher> SecureResource<C> {
     /// Builds a resource with its initial per-item candidates
     /// (Algorithm 4's `C ← {⟨∅ ⇒ {i}, MinFreq⟩ | i ∈ I}`).
@@ -138,7 +132,7 @@ impl<C: HomCipher> SecureResource<C> {
             halted: None,
             degraded: None,
             retries_spent: 0,
-            retry_budget: DEFAULT_RETRY_BUDGET,
+            retry_budget: RetryPolicy::DEFAULT.budget,
             controller_behavior: ControllerBehavior::Honest,
             recovery_armed: false,
             tamper_journal: false,
@@ -245,14 +239,10 @@ impl<C: HomCipher> SecureResource<C> {
         self.retries_spent
     }
 
-    /// Overrides the SFE retry budget (see [`DEFAULT_RETRY_BUDGET`]).
+    /// Overrides the SFE retry budget ([`RetryPolicy::DEFAULT`]'s
+    /// `budget` until set).
     pub fn set_retry_budget(&mut self, budget: u64) {
         self.retry_budget = budget.max(1);
-    }
-
-    /// Adopts a [`RetryPolicy`]'s per-operation budget.
-    pub fn set_retry_policy(&mut self, policy: &RetryPolicy) {
-        self.set_retry_budget(policy.budget);
     }
 
     /// True while this resource participates in the protocol.

@@ -328,7 +328,7 @@ impl<C: HomCipher> RoundMachine<C> {
         resource.set_recorder(rec);
         if let Some(policy) = schedule.mode.policy() {
             resource.arm_recovery();
-            resource.set_retry_policy(&policy.retry);
+            resource.set_retry_budget(policy.retry.budget);
         }
         RoundMachine {
             resource,
@@ -684,6 +684,13 @@ mod tests {
             assert_eq!(s.down(tick), down, "{label}: down({tick})");
             assert_eq!(s.heal_edges(tick, all), heal, "{label}: heal_edges({tick})");
             assert_eq!(s.checkpoint_due(tick), ckpt, "{label}: checkpoint_due({tick})");
+        }
+        // The builder takes a zero cadence as the field holds it.
+        let built0 = RecoveryMode::Checkpoint(RecoveryPolicy::DEFAULT.with_checkpoint_every(0));
+        let (field, built) =
+            (RoundSchedule::of(&nbr_crash, 1, every0), RoundSchedule::of(&nbr_crash, 1, built0));
+        for tick in 0..12 {
+            assert_eq!(built.checkpoint_due(tick), field.checkpoint_due(tick), "tick {tick}");
         }
 
         // The edges come from the live neighbor set handed in, not from

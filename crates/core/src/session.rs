@@ -378,10 +378,11 @@ impl<C: HomCipher + 'static> MineSession<C> {
         self.execute(|r, n, p, rec, m| Ok(run_threaded_full(r, n, p, rec, m)))
     }
 
-    /// Screens the session ([`validate_grid`]) before any thread is
-    /// spawned or key material is touched, then builds the grid and runs
-    /// `driver` over it.
+    /// Screens the session ([`MineConfig::validate`], then
+    /// [`validate_grid`]) before any thread is spawned or key material is
+    /// touched, then builds the grid and runs `driver` over it.
     fn execute(self, driver: Driver<C>) -> Result<MiningOutcome, SessionError> {
+        self.cfg.validate()?;
         let nodes = self.tree.as_ref().map_or(self.dbs.len(), Tree::capacity);
         validate_grid(self.dbs.len(), nodes, &self.plan, self.cfg.rounds as u64)?;
         let (rec, metrics) = arm_recorder(&self.rec);
@@ -443,6 +444,15 @@ mod tests {
         assert_eq!(explicit.solutions, derived.solutions);
         assert_eq!(explicit.messages, derived.messages);
         assert_eq!(explicit.verdicts, derived.verdicts);
+    }
+
+    #[test]
+    fn a_privacy_parameter_below_one_is_refused_by_both_drivers() {
+        let cfg = MineConfig::new(Ratio::new(1, 2), Ratio::new(1, 2)).with_k(0);
+        let want = SessionError::InvalidConfig { field: "k", need: "must be at least 1" };
+        let session = || MineSession::new(cfg).with_databases(dbs(3));
+        assert_eq!(session().try_run().err(), Some(want.clone()));
+        assert_eq!(session().try_run_threaded().err(), Some(want));
     }
 
     #[test]

@@ -29,10 +29,8 @@
 //! can reach zero while others are still sending, but the marker it posts
 //! carries the phase before, and a phase that opens with nothing in
 //! flight (which no decrement will ever end) is ended by the barrier's
-//! leader, who looks once everybody's sends are in. Under the marker the
-//! old poll remains — a receive times out, finds the counter at zero and
-//! leaves, backing off while it is not — so a marker that is never posted
-//! costs a wait, not a hang.
+//! leader, who looks once everybody's sends are in. The marker is the only
+//! way out of a drain: a receive blocks until mail arrives.
 //!
 //! # Fault tolerance
 //!
@@ -55,7 +53,7 @@
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::disallowed_macros))]
 
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
 
 use gridmine_obs::{emit, Event, SharedRecorder};
@@ -65,7 +63,7 @@ use gridmine_topology::faults::{FaultPlan, FaultStats};
 use crate::chaos::DegradeReason;
 use crate::inproc::{conclude, stations, Station};
 use crate::miner::MiningOutcome;
-use crate::recovery::{RecoveryMode, RetryPolicy};
+use crate::recovery::RecoveryMode;
 use crate::resource::{SecureResource, WireMsg};
 use crate::round::Seat;
 
@@ -124,41 +122,22 @@ impl<C: HomCipher> Fabric<C> {
     }
 }
 
-/// Receives until the phase is quiescent: until its marker arrives, or,
-/// failing that, until a receive times out with nothing in flight. A down
-/// (crashed/poisoned) machine discards its traffic but keeps the
-/// in-flight accounting sound. Consecutive empty polls back off per the
-/// [`RetryPolicy`] (capped exponential with seeded jitter; the first poll
-/// keeps the legacy 1 ms timeout), so a drain the marker has not reached
-/// does not spin at full tilt. Returns how many polls came back empty.
-fn drain<C: HomCipher>(
-    station: &mut Station<C>,
-    rx: &Receiver<Mail<C>>,
-    fabric: &mut Fabric<C>,
-    retry: &RetryPolicy,
-) -> u32 {
-    let (mut misses, mut empty_polls) = (0u32, 0u32);
-    loop {
-        match rx.recv_timeout(std::time::Duration::from_millis(retry.backoff_ms(misses))) {
-            Ok(Mail::Counter(msg)) => {
-                misses = 0;
+/// Receives until the marker of the phase the worker is in arrives. A
+/// down (crashed/poisoned) machine discards its traffic but keeps the
+/// in-flight accounting sound. The worker's own fabric holds a sender to
+/// its inbox, so the inbox never disconnects while the drain runs.
+fn drain<C: HomCipher>(station: &mut Station<C>, rx: &Receiver<Mail<C>>, fabric: &Fabric<C>) {
+    while let Ok(mail) = rx.recv() {
+        match mail {
+            Mail::Counter(msg) => {
                 station.receive(&msg, |m| fabric.post(m));
                 fabric.settle();
             }
-            Ok(Mail::Quiet(phase)) if phase == fabric.phase => break,
+            Mail::Quiet(phase) if phase == fabric.phase => return,
             // An earlier phase's marker: that phase is over already.
-            Ok(Mail::Quiet(_)) => {}
-            Err(RecvTimeoutError::Timeout) => {
-                empty_polls += 1;
-                if fabric.in_flight.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-                misses += 1;
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
+            Mail::Quiet(_) => {}
         }
     }
-    empty_polls
 }
 
 /// The threaded driver over pre-built (and pre-wired) resources — the
@@ -213,7 +192,6 @@ pub fn run_threaded_full<C: HomCipher + 'static>(
                 Fabric { senders: senders.clone(), in_flight: Arc::clone(&in_flight), phase: 0 };
             let (barrier, rec) = (Arc::clone(&barrier), rec.clone());
             std::thread::spawn(move || {
-                let retry = mode.retry();
                 for round in 0..rounds {
                     let tick = round as u64;
                     if u == 0 {
@@ -226,13 +204,13 @@ pub fn run_threaded_full<C: HomCipher + 'static>(
                     barrier.wait();
                     station.scan(tick, |m| fabric.post(m));
                     fabric.open_drain(&barrier);
-                    drain(&mut station, &rx, &mut fabric, &retry);
+                    drain(&mut station, &rx, &fabric);
 
                     // Candidate-generation phase.
                     barrier.wait();
                     station.candidates(|m| fabric.post(m));
                     fabric.open_drain(&barrier);
-                    drain(&mut station, &rx, &mut fabric, &retry);
+                    drain(&mut station, &rx, &fabric);
                 }
                 barrier.wait();
                 station.finish(rounds)
@@ -259,6 +237,7 @@ mod tests {
     use gridmine_paillier::MockCipher;
     use gridmine_topology::faults::EdgeFaults;
     use gridmine_topology::Tree;
+    use std::time::{Duration, Instant};
 
     fn session(seed: u64, cfg: MineConfig, tree: Tree, n: u64) -> MineSession<MockCipher> {
         MineSession::over(cfg, GridKeys::<MockCipher>::mock(seed))
@@ -325,50 +304,64 @@ mod tests {
         rx.try_iter().filter_map(|m| if let Mail::Quiet(p) = m { Some(p) } else { None }).collect()
     }
 
+    /// Runs `drain` on a helper thread and hands the fabric back once it
+    /// returns. The deadline is the test's alone, so a marker that is
+    /// never posted fails the test instead of hanging it.
+    fn drained(
+        mut station: Station<MockCipher>,
+        rx: Receiver<Mail<MockCipher>>,
+        fabric: Fabric<MockCipher>,
+    ) -> Fabric<MockCipher> {
+        let helper = std::thread::spawn(move || {
+            drain(&mut station, &rx, &fabric);
+            fabric
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !helper.is_finished() {
+            assert!(Instant::now() < deadline, "no marker ended the drain within 10 s");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        helper.join().expect("the drain returned")
+    }
+
     #[test]
     fn a_stale_marker_does_not_end_the_next_phase() {
-        let Rig { mut station, rx, mut fabric, peer_rx, msg } = rig();
+        let Rig { station, rx, mut fabric, peer_rx, msg } = rig();
         // Phase 4, one counter in flight — and, ahead of it in the inbox,
         // the marker phase 3 ended on a second time.
         fabric.phase = 4;
         fabric.senders[0].send(Mail::Quiet(3)).unwrap();
         fabric.post(msg);
-        let empty_polls = drain(&mut station, &rx, &mut fabric, &RetryPolicy::DEFAULT);
+        let fabric = drained(station, rx, fabric);
         // The counter was handled — only that takes it out of flight —
         // and what ended the drain was the marker that decrement posted.
         assert_eq!(fabric.in_flight.load(Ordering::SeqCst), 0, "drained past the stale marker");
-        assert_eq!(empty_polls, 0, "woken, not polled");
-        assert_eq!(quiet_marks(&peer_rx).last(), Some(&4), "every inbox heard of phase 4's end");
+        assert_eq!(quiet_marks(&peer_rx), [4], "every inbox heard of phase 4's end");
     }
 
     #[test]
     fn a_post_to_a_dropped_receiver_that_empties_the_flight_still_ends_every_drain() {
-        let Rig { mut station, rx, mut fabric, peer_rx, msg } = rig();
+        let Rig { station, rx, mut fabric, peer_rx, msg } = rig();
         fabric.phase = 7;
         drop(peer_rx);
         // The only message in flight goes to a peer whose inbox is gone:
-        // the decrement that writes it off is the one that reaches zero.
+        // the decrement that writes it off is the one that reaches zero,
+        // and its marker is the one that ends the drain.
         let to_the_dead = WireMsg::<MockCipher> { from: 0, to: 1, ..msg };
         fabric.post(to_the_dead);
         assert_eq!(fabric.in_flight.load(Ordering::SeqCst), 0);
-        assert_eq!(
-            drain(&mut station, &rx, &mut fabric, &RetryPolicy::DEFAULT),
-            0,
-            "woken, not polled"
-        );
+        let fabric = drained(station, rx, fabric);
+        assert_eq!(fabric.in_flight.load(Ordering::SeqCst), 0);
     }
 
     #[test]
-    fn a_phase_that_opens_with_nothing_in_flight_ends_without_a_back_off_slot() {
-        let Rig { mut station, rx, mut fabric, peer_rx, .. } = rig();
+    fn a_phase_that_opens_with_nothing_in_flight_is_ended_by_the_barrier_leader() {
+        let Rig { station, rx, mut fabric, peer_rx, .. } = rig();
         // Alone at its barrier, this worker is the leader.
         fabric.open_drain(&Barrier::new(1));
         assert_eq!(fabric.phase, 1);
-        assert_eq!(
-            drain(&mut station, &rx, &mut fabric, &RetryPolicy::DEFAULT),
-            0,
-            "woken, not polled"
-        );
+        let mut fabric = drained(station, rx, fabric);
+        assert_eq!(fabric.in_flight.load(Ordering::SeqCst), 0);
         assert_eq!(quiet_marks(&peer_rx), [1]);
         // With a counter in flight the leader leaves the phase to the
         // decrement that will empty it.

@@ -77,8 +77,6 @@ pub enum NetError {
     /// The peering handshake did not complete (wrong session, wrong
     /// role, unexpected first frame).
     Handshake(&'static str),
-    /// The reconnect/dial retry budget ran dry.
-    RetriesExhausted,
     /// The session was mis-built: refused by the screen every driver
     /// runs ([`gridmine_core::validate_grid`]), with the same variant.
     Session(SessionError),
@@ -94,7 +92,6 @@ impl fmt::Display for NetError {
             NetError::Closed => write!(f, "peer closed the connection"),
             NetError::Wire(e) => write!(f, "wire error: {e}"),
             NetError::Handshake(why) => write!(f, "handshake failed: {why}"),
-            NetError::RetriesExhausted => write!(f, "dial retry budget exhausted"),
             NetError::Session(e) => write!(f, "session rejected: {e}"),
             NetError::Setup(why) => write!(f, "session rejected: {why}"),
         }

@@ -323,10 +323,11 @@ impl<C: NetCipher> NetSession<C> {
         Ok(outcome)
     }
 
-    /// The screen every driver runs ([`validate_grid`]) plus the
-    /// net-specific conditions: a node binary is mandatory and every
-    /// hostile resource is inside the grid.
+    /// The screens every in-process driver runs ([`MineConfig::validate`],
+    /// [`validate_grid`]) plus the net-specific conditions: a node binary
+    /// is mandatory and every hostile resource is inside the grid.
     fn validate(&self, plan: &FaultPlan) -> Result<(), NetError> {
+        self.cfg.validate()?;
         let capacity = self.tree.as_ref().map_or(self.dbs.len(), Tree::capacity);
         validate_grid(self.dbs.len(), capacity, plan, self.cfg.rounds as u64)?;
         if self.binary.is_none() {

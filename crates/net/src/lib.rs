@@ -14,8 +14,8 @@
 //!   `Verdict::MaliciousResource` at the peering door), never a panic.
 //! * [`transport`] — the peering handshake (session id and resource,
 //!   under the version every frame header carries), the heartbeat
-//!   cadence, and capped-backoff dialing reusing
-//!   the recovery [`RetryPolicy`](gridmine_core::RetryPolicy).
+//!   cadence, and dialing bounded by the recovery
+//!   [`RetryPolicy`](gridmine_core::RetryPolicy)'s budget.
 //! * the in-path chaos layer is core's
 //!   [`ChaosProxy`](gridmine_core::ChaosProxy): one seeded
 //!   [`FaultPlan`](gridmine_topology::FaultPlan) drives byte-level
@@ -23,10 +23,9 @@
 //!   same per-edge decisions the threaded driver sees.
 //! * [`node`]/[`hub`] — the multi-process backend: [`NetSession`]
 //!   mirrors the `MineSession` builder, spawns one `gridmine-node`
-//!   process per resource, supervises them (degrading a peer to the
-//!   existing quarantine states when its reconnect budget runs dry), and
-//!   can SIGKILL a resource mid-session and warm-restart it from a
-//!   persisted recovery image.
+//!   process per resource, supervises them (a peer whose stream closes
+//!   reads `Degraded(Disconnected)`), and can SIGKILL a resource
+//!   mid-session and warm-restart it from a persisted recovery image.
 
 // No panic on hostile input; replay-deterministic and crash-safe (DESIGN.md § Static analysis).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]

@@ -299,7 +299,7 @@ fn try_run<C: NetCipher>(spec: &NodeSpec) -> Result<i32, NetError> {
         state::resume(&state::path(&spec.state_dir, u), &mut node.machine);
     }
 
-    // Peer with the hub: capped-backoff dial + versioned handshake.
+    // Peer with the hub: bounded dial + versioned handshake.
     let (stream, attempts) = transport::dial(&spec.hub, &spec.schedule.mode().retry())?;
     let mut reader = stream;
     let mut writer = reader.try_clone()?;

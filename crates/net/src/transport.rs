@@ -1,5 +1,5 @@
 //! Supervised TCP transport: framed send/receive, the peering
-//! handshake, capped-backoff dialing, and the heartbeat cadence. The
+//! handshake, bounded dialing, and the heartbeat cadence. The
 //! deadlines that act on silence are the node's and the hub's own.
 //!
 //! A session stream is **coalesced** in both directions. Its write half
@@ -16,10 +16,9 @@
 //! **wire protocol version** — as every frame does, in its header, so a
 //! peer speaking a different layout is refused before it can feed the
 //! codec — and the **session id** (a stale process from a previous run
-//! cannot wander into a new session). Dialing reuses the recovery layer's
-//! [`RetryPolicy`] — the same capped exponential backoff with
-//! deterministic jitter that paces SFE retries and channel drains paces
-//! reconnects here, and the same budget bounds them.
+//! cannot wander into a new session). A node dials its hub once per
+//! process, and the recovery layer's [`RetryPolicy`] budget, which bounds
+//! SFE retries, bounds its attempts too.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -148,10 +147,12 @@ impl<T> Inbox<T> {
     }
 }
 
-/// Dials `addr` under `policy`: one attempt per budget unit, sleeping
-/// `backoff_ms(attempt)` between failures. Returns the stream (with
-/// `TCP_NODELAY`, so phase barriers aren't Nagle-delayed) and the number
-/// of attempts spent.
+/// The pause between two dial attempts.
+const DIAL_PAUSE: Duration = Duration::from_millis(10);
+
+/// Dials `addr` under `policy`: up to `policy.budget` attempts (at least
+/// one), `DIAL_PAUSE` apart. Returns the stream (with `TCP_NODELAY`, so
+/// phase barriers aren't Nagle-delayed) and the number of attempts spent.
 pub fn dial(addr: &str, policy: &RetryPolicy) -> Result<(TcpStream, u32), NetError> {
     let attempts_cap = u32::try_from(policy.budget.max(1)).unwrap_or(u32::MAX);
     let mut attempt = 0u32;
@@ -166,7 +167,7 @@ pub fn dial(addr: &str, policy: &RetryPolicy) -> Result<(TcpStream, u32), NetErr
                 if attempt >= attempts_cap {
                     return Err(NetError::Io(e));
                 }
-                std::thread::sleep(Duration::from_millis(policy.backoff_ms(attempt - 1)));
+                std::thread::sleep(DIAL_PAUSE);
             }
         }
     }
@@ -444,7 +445,7 @@ mod tests {
     fn dial_budget_is_finite_against_a_dead_port() {
         // Port 1 on loopback is essentially never listening; the dial
         // must give up after its budget, not spin forever.
-        let policy = RetryPolicy { budget: 2, base_ms: 1, cap_ms: 1, ..RetryPolicy::DEFAULT };
+        let policy = RetryPolicy { budget: 2, ..RetryPolicy::DEFAULT };
         let err = dial("127.0.0.1:1", &policy).expect_err("must fail");
         assert!(matches!(err, NetError::Io(_)));
     }

@@ -290,7 +290,7 @@ fn hostile_bytes_draw_a_verdict_and_quarantine_not_a_panic() {
 }
 
 #[test]
-fn sessions_without_a_binary_or_with_bad_plans_are_refused() {
+fn sessions_without_a_binary_or_with_a_bad_plan_or_k_are_refused() {
     let err = NetSession::<MockCipher>::new(cfg(6))
         .with_databases(dbs(2))
         .try_run()
@@ -311,6 +311,19 @@ fn sessions_without_a_binary_or_with_bad_plans_are_refused() {
         .with_faults(plan)
         .try_run_threaded()
         .expect_err("fault target out of range");
+    assert!(matches!(&err, NetError::Session(e) if *e == threaded), "{err} vs {threaded}");
+
+    // So is a privacy parameter below 1, before any node is spawned: the
+    // binary named here does not exist, so a spawn would fail otherwise.
+    let err = NetSession::<MockCipher>::new(cfg(6).with_k(0))
+        .with_databases(dbs(2))
+        .with_node_binary(format!("{NODE_BIN}.missing"))
+        .try_run()
+        .expect_err("k below 1");
+    let threaded = MineSession::new(cfg(6).with_k(0))
+        .with_databases(dbs(2))
+        .try_run_threaded()
+        .expect_err("k below 1");
     assert!(matches!(&err, NetError::Session(e) if *e == threaded), "{err} vs {threaded}");
 }
 

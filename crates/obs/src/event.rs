@@ -160,8 +160,8 @@ pub enum Event {
     /// Transport: a peer's connection closed or its heartbeat deadline
     /// lapsed.
     PeerDisconnected { resource: u64, reason: String },
-    /// Transport: the supervisor re-admitted a peer after `attempts`
-    /// capped-backoff reconnect attempts.
+    /// Transport: a respawned successor of a killed or crashed node
+    /// peered with the hub; `attempts` are its dial attempts.
     PeerReconnected { resource: u64, attempts: u64 },
     /// Transport: an inbound frame failed the wire codec's total decode
     /// (bad magic/version/checksum, truncation, hostile payload).

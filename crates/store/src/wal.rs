@@ -57,7 +57,7 @@ pub enum SegKind {
 }
 
 /// SplitMix64 finalizer — the workspace's one mixing primitive for
-/// digests, frame checksums, session ids and backoff jitter. Not
+/// digests, frame checksums and session ids. Not
 /// cryptographic.
 pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
