@@ -85,6 +85,15 @@ pub enum SessionError {
         /// Resources actually in the grid.
         capacity: usize,
     },
+    /// A link's fault rate is not a probability in `[0, 1]` (NaN
+    /// included).
+    FaultRateOutOfRange {
+        /// The (normalized) edge of the override, or `None` for the
+        /// plan's default edge.
+        edge: Option<(usize, usize)>,
+        /// `"drop"` or `"duplicate"`.
+        field: &'static str,
+    },
     /// A configuration field holds a value no run can be built on.
     InvalidConfig {
         /// The field, by its name in the configuration.
@@ -124,6 +133,13 @@ impl fmt::Display for SessionError {
                 f,
                 "fault plan overrides edge {u}\u{2013}{v}, outside the grid's {capacity} resources"
             ),
+            SessionError::FaultRateOutOfRange { edge: None, field } => {
+                write!(f, "fault plan's default {field} rate is not a probability in [0, 1]")
+            }
+            SessionError::FaultRateOutOfRange { edge: Some((u, v)), field } => write!(
+                f,
+                "fault plan's {field} rate on edge {u}\u{2013}{v} is not a probability in [0, 1]"
+            ),
             SessionError::InvalidConfig { field, need } => {
                 write!(f, "configuration field `{field}` {need}")
             }
@@ -155,6 +171,9 @@ impl SessionError {
             }
             ScheduleError::EdgeOutOfRange { edge, capacity } => {
                 SessionError::FaultEdgeOutOfRange { edge, capacity }
+            }
+            ScheduleError::RateOutOfRange { edge, field } => {
+                SessionError::FaultRateOutOfRange { edge, field }
             }
         }
     }

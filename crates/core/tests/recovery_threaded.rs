@@ -262,6 +262,34 @@ fn session_rejects_edge_overrides_outside_the_grid() {
 }
 
 #[test]
+fn session_rejects_link_rates_outside_zero_one() {
+    // A rate outside [0, 1], NaN included, is a typed refusal before
+    // anything is built, on the default edge and on an override alike.
+    let nan_duplicate = EdgeFaults { duplicate: f64::NAN, ..EdgeFaults::default() };
+    let plans = [
+        (
+            FaultPlan::new(1).with_default_edge(EdgeFaults::dropping(1.5)),
+            SessionError::FaultRateOutOfRange { edge: None, field: "drop" },
+        ),
+        (
+            FaultPlan::new(1).with_edge(3, 2, nan_duplicate),
+            SessionError::FaultRateOutOfRange { edge: Some((2, 3)), field: "duplicate" },
+        ),
+    ];
+    for (plan, want) in plans {
+        let mut cfg = MineConfig::new(Ratio::new(1, 2), Ratio::new(1, 2));
+        cfg.rounds = 8;
+        let err = MineSession::new(cfg)
+            .with_topology(Tree::path(5))
+            .with_databases(uniform_dbs(5))
+            .with_faults(plan)
+            .try_run()
+            .unwrap_err();
+        assert_eq!(err, want);
+    }
+}
+
+#[test]
 fn session_accepts_recover_ticks_beyond_the_run() {
     // A recovery scheduled after the last round simply never fires; only
     // the *onset* must land inside the run.

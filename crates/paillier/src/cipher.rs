@@ -35,7 +35,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// The shared pool of precomputed encryption noise plus its adaptive
-/// refill size.
+/// refill size. Not `Debug`: its table is derived from secret randomness
+/// (and a key holder's holds the private key), and the banked factors
+/// blind future ciphertexts.
 #[derive(Default)]
 struct NoisePool {
     ready: Vec<BigUint>,
@@ -48,20 +50,41 @@ struct NoisePool {
     /// first refill. Subsequent noise factors are `h^σ` for fresh
     /// `σ < n` — each a valid noise term (`h^σ = (r₀^σ)ⁿ` and `r₀^σ` is
     /// a unit) at windowed-multiply cost instead of a full
-    /// exponentiation. `None` until first use, or when no Montgomery
-    /// context exists for `n²`.
-    table: Option<Arc<FixedBaseTable>>,
+    /// exponentiation. `None` until first use.
+    table: Option<Arc<NoiseTable>>,
 }
 
-/// Redacting `Debug`: the table is derived from secret randomness and
-/// the banked factors blind future ciphertexts.
-impl std::fmt::Debug for NoisePool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NoisePool")
-            .field("ready", &self.ready.len())
-            .field("refills", &self.refills)
-            .field("in_flight", &self.in_flight)
-            .finish_non_exhaustive()
+/// The fixed-base table a handle evaluates its noise `h^σ` from.
+///
+/// Not `Debug`, like [`FixedBaseTable`]: both forms are derived from
+/// secret randomness, and the CRT form holds the private key.
+enum NoiseTable {
+    /// `h` over `n²`: the public-key handles (accountant and broker).
+    N2(FixedBaseTable),
+    /// `h mod p²` and `h mod q²`, for a handle that holds the private
+    /// key. `h = r₀ⁿ` has order dividing `p − 1` mod `p²` (the `n`-th
+    /// power kills the order-`p` part of `Z_{p²}*`), so `h^σ mod p²` is
+    /// `h^(σ mod (p−1)) mod p²` — likewise mod `q²` — and Garner
+    /// recombination gives back exactly `h^σ mod n²` from two tables of
+    /// half the width over half the exponent bits.
+    Crt { p2: FixedBaseTable, q2: FixedBaseTable, sk: Arc<PrivateKey> },
+}
+
+impl NoiseTable {
+    /// `h^σ mod n²`, whichever form the table takes.
+    fn pow(&self, sigma: &BigUint) -> BigUint {
+        match self {
+            NoiseTable::N2(table) => table.pow(sigma),
+            NoiseTable::Crt { p2, q2, sk } => {
+                let crt = &sk.crt;
+                let xp = p2.pow(&(sigma % &crt.p_minus_1));
+                let xq = q2.pow(&(sigma % &crt.q_minus_1));
+                // x = xp + p²·((xq − xp)·(p²)⁻¹ mod q²), which lies below
+                // p²·q² = n² because xp < p².
+                let diff = (xq + &crt.q2 - &xp % &crt.q2) % &crt.q2;
+                xp + &crt.p2 * (diff * &crt.p2_inv_q2 % &crt.q2)
+            }
+        }
     }
 }
 
@@ -75,9 +98,11 @@ struct MontCache {
     /// Context for the ciphertext modulus `n²`, which is always odd:
     /// `p` and `q` are distinct odd primes.
     n2: MontgomeryCtx,
-    /// Context for `p²` (CRT decryption), when the handle holds the private key.
+    /// Context for `p²` (CRT decryption and noise), when the handle holds
+    /// the private key.
     p2: Option<MontgomeryCtx>,
-    /// Context for `q²` (CRT decryption), when the handle holds the private key.
+    /// Context for `q²` (CRT decryption and noise), when the handle holds
+    /// the private key.
     q2: Option<MontgomeryCtx>,
 }
 
@@ -207,22 +232,37 @@ impl PaillierCtx {
 
     /// Builds the fixed-base noise table: one full exponentiation
     /// `h = r₀ⁿ mod n²` for a fresh unit `r₀`, then windowed
-    /// precomputation for `h` sized to exponents below `n`. Every later
-    /// noise factor is `h^σ` for a fresh secret `σ < n` — the standard
-    /// fixed-base speedup, whose noise ranges over the subgroup `⟨r₀ⁿ⟩`
-    /// instead of all n-th residues (the usual trade accepted for
-    /// precomputed Paillier randomizers). Built once per handle family,
-    /// by the first refill.
-    fn build_noise_table(&self) -> Arc<FixedBaseTable> {
+    /// precomputation for `h`. Every later noise factor is `h^σ` for a
+    /// fresh secret `σ < n` — the standard fixed-base speedup, whose
+    /// noise ranges over the subgroup `⟨r₀ⁿ⟩` instead of all n-th
+    /// residues (the usual trade accepted for precomputed Paillier
+    /// randomizers). Built once per handle family, by the first refill.
+    ///
+    /// A handle holding the private key tabulates `h mod p²` and
+    /// `h mod q²` over exponents below `p` and `q` from its cached CRT
+    /// contexts ([`NoiseTable::Crt`]): the same `h^σ` at about a quarter
+    /// of the cost. The public-key handles tabulate `h` over `n²`.
+    fn build_noise_table(&self) -> Arc<NoiseTable> {
         let r0 = self.sample_unit();
         let h = self.powmod_n2(&r0, &self.pk.n);
-        Arc::new(self.mont.n2.fixed_base(&h, self.pk.n.bits()))
+        let table = match (&self.sk, &self.mont.p2, &self.mont.q2) {
+            (Some(sk), Some(p2), Some(q2)) => NoiseTable::Crt {
+                p2: p2.fixed_base(&h, sk.crt.p.bits()),
+                q2: q2.fixed_base(&h, sk.crt.q.bits()),
+                sk: Arc::clone(sk),
+            },
+            _ => NoiseTable::N2(self.mont.n2.fixed_base(&h, self.pk.n.bits())),
+        };
+        Arc::new(table)
     }
 
     /// Pops a precomputed noise factor `rⁿ mod n²`, refilling the shared
     /// pool in batch when it runs dry. A refill evaluates `h^σ` from the
     /// fixed-base table for fresh σ, the first one building the table
-    /// itself.
+    /// itself. σ is drawn below `n` whichever form the table takes (a
+    /// key holder reduces it mod `p − 1` and `q − 1` only afterwards),
+    /// so the RNG stream and every factor are the same on both paths,
+    /// and each factor is one [`KeyOpKind::Modpow`].
     #[expect(clippy::expect_used, reason = "a refill draws at least one factor")]
     fn next_noise(&self) -> BigUint {
         let (batch_size, table) = {
@@ -371,12 +411,12 @@ impl PaillierCtx {
         // m mod p = L_p(c^{p−1} mod p²) · hp mod p; likewise mod q, each
         // exponentiation through its cached Montgomery context.
         let cp = match &self.mont.p2 {
-            Some(ctx) => ctx.modpow(&c.0, &(&crt.p - 1u32)),
-            None => (&c.0 % &crt.p2).modpow(&(&crt.p - 1u32), &crt.p2),
+            Some(ctx) => ctx.modpow(&c.0, &crt.p_minus_1),
+            None => (&c.0 % &crt.p2).modpow(&crt.p_minus_1, &crt.p2),
         };
         let cq = match &self.mont.q2 {
-            Some(ctx) => ctx.modpow(&c.0, &(&crt.q - 1u32)),
-            None => (&c.0 % &crt.q2).modpow(&(&crt.q - 1u32), &crt.q2),
+            Some(ctx) => ctx.modpow(&c.0, &crt.q_minus_1),
+            None => (&c.0 % &crt.q2).modpow(&crt.q_minus_1, &crt.q2),
         };
         let (lp, rp) = (cp + &crt.p2 - 1u8).div_rem(&crt.p);
         let (lq, rq) = (cq + &crt.q2 - 1u8).div_rem(&crt.q);
@@ -758,6 +798,32 @@ mod tests {
         for i in 0..(2 * NOISE_BATCH as i64 + 3) {
             let c = if i % 2 == 0 { e.encrypt_i64(i) } else { e2.encrypt_i64(i) };
             assert_eq!(d.decrypt_i64(&c), i);
+        }
+    }
+
+    #[test]
+    fn a_key_holder_seals_byte_equal_to_a_public_handle() {
+        // One keypair, one RNG seed: the CRT noise table (key holder) and
+        // the n² table (public key only) must yield the same ciphertexts
+        // across several refills, the table build included.
+        for bits in [128, 512] {
+            let kp = Keypair::generate_with_seed(bits, 0x5EA1);
+            let holder = PaillierCtx::new(kp.pk.clone(), Some(kp.sk.clone()), 77);
+            let public = PaillierCtx::new(kp.pk.clone(), None, 77);
+            for i in 0..(3 * NOISE_BATCH as i64 + 5) {
+                let m = i * 7919 - 100;
+                let (sealed, reference) = (holder.encrypt_i64(m), public.encrypt_i64(m));
+                assert_eq!(
+                    PaillierCtx::ct_encode(&sealed),
+                    PaillierCtx::ct_encode(&reference),
+                    "{bits} bits, seal {i}"
+                );
+                let want = holder.encode(m);
+                assert_eq!(holder.decrypt_residue(&sealed), want, "{bits} bits, seal {i}");
+                assert_eq!(holder.decrypt_residue_slow(&sealed), want, "{bits} bits, seal {i}");
+            }
+            assert!(matches!(lock(&holder.noise).table.as_deref(), Some(NoiseTable::Crt { .. })));
+            assert!(matches!(lock(&public.noise).table.as_deref(), Some(NoiseTable::N2(_))));
         }
     }
 

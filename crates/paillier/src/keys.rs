@@ -69,12 +69,19 @@ pub(crate) struct CrtParams {
     pub(crate) q: BigUint,
     pub(crate) p2: BigUint,
     pub(crate) q2: BigUint,
+    /// `p − 1`: the decryption exponent mod `p²`, and the order bound
+    /// the key holder's noise exponents reduce by.
+    pub(crate) p_minus_1: BigUint,
+    /// `q − 1`, likewise mod `q²`.
+    pub(crate) q_minus_1: BigUint,
     /// `L_p(g^{p−1} mod p²)⁻¹ mod p`.
     pub(crate) hp: BigUint,
     /// `L_q(g^{q−1} mod q²)⁻¹ mod q`.
     pub(crate) hq: BigUint,
     /// `p⁻¹ mod q` for the recombination.
     pub(crate) p_inv_q: BigUint,
+    /// `(p²)⁻¹ mod q²`, recombining a noise factor from its halves.
+    pub(crate) p2_inv_q2: BigUint,
 }
 
 /// A freshly generated Paillier keypair. Not `Debug` — it carries the
@@ -127,8 +134,9 @@ impl Keypair {
         let crt = {
             let p2 = &p * &p;
             let q2 = &q * &q;
-            let g_p = (BigUint::from(1u8) + &n % &p2 * ((&p - 1u32) % &p2)) % &p2;
-            let g_q = (BigUint::from(1u8) + &n % &q2 * ((&q - 1u32) % &q2)) % &q2;
+            let (p_minus_1, q_minus_1) = (&p - 1u32, &q - 1u32);
+            let g_p = (BigUint::from(1u8) + &n % &p2 * &p_minus_1) % &p2;
+            let g_q = (BigUint::from(1u8) + &n % &q2 * &q_minus_1) % &q2;
             let l_gp = ((&g_p - 1u32) / &p) % &p;
             let l_gq = ((&g_q - 1u32) / &q) % &q;
             let inverse = |a: &BigUint, m: &BigUint| {
@@ -137,7 +145,23 @@ impl Keypair {
             };
             let (hp, hq, p_inv_q) =
                 (inverse(&l_gp, &p), inverse(&l_gq, &q), inverse(&(&p % &q), &q));
-            CrtParams { p: p.clone(), q: q.clone(), p2, q2, hp, hq, p_inv_q }
+            // (p²)⁻¹ mod q², lifted from p⁻¹ mod q by one Newton step
+            // instead of a second extended Euclid: x = (p⁻¹)² inverts p²
+            // mod q, and x·(2 − p²·x) inverts it mod q².
+            let x = &p_inv_q * &p_inv_q % &q;
+            let p2_inv_q2 = &x * (BigUint::from(2u8) + &q2 - &p2 % &q2 * &x % &q2) % &q2;
+            CrtParams {
+                p: p.clone(),
+                q: q.clone(),
+                p2,
+                q2,
+                p_minus_1,
+                q_minus_1,
+                hp,
+                hq,
+                p_inv_q,
+                p2_inv_q2,
+            }
         };
 
         Keypair { pk: PublicKey { n, n2, half_n }, sk: PrivateKey { lambda, mu, crt }, seed }
@@ -198,6 +222,17 @@ mod tests {
         // p and q have exactly 128 bits each, so n has 255 or 256 bits.
         assert!(kp.pk.bits() >= 255);
         assert_eq!(kp.pk.modulus_sq(), &(kp.pk.modulus() * kp.pk.modulus()));
+    }
+
+    #[test]
+    fn crt_constants_invert_what_they_name() {
+        for bits in [64, 256, 512] {
+            let crt = Keypair::generate_with_seed(bits, 3).sk.crt;
+            assert!((&crt.p * &crt.p_inv_q % &crt.q).is_one());
+            assert!((&crt.p2 * &crt.p2_inv_q2 % &crt.q2).is_one(), "{bits} bits");
+            assert_eq!(&crt.p_minus_1 + 1u32, crt.p);
+            assert_eq!(&crt.q_minus_1 + 1u32, crt.q);
+        }
     }
 
     #[test]

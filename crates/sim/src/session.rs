@@ -404,6 +404,29 @@ mod tests {
     }
 
     #[test]
+    fn session_rejects_link_rates_outside_zero_one() {
+        let cfg = SimConfig::small().with_resources(4);
+        let nan_duplicate = EdgeFaults { duplicate: f64::NAN, ..EdgeFaults::default() };
+        let plans = [
+            (
+                FaultPlan::new(cfg.seed).with_default_edge(EdgeFaults::dropping(1.5)),
+                SessionError::FaultRateOutOfRange { edge: None, field: "drop" },
+            ),
+            (
+                FaultPlan::new(cfg.seed).with_edge(1, 0, nan_duplicate),
+                SessionError::FaultRateOutOfRange { edge: Some((0, 1)), field: "duplicate" },
+            ),
+        ];
+        for (plan, want) in plans {
+            let built = SimSession::new(cfg)
+                .with_databases(vec![tiny_global(); 4])
+                .with_faults(plan)
+                .try_build();
+            assert_eq!(built.err(), Some(want));
+        }
+    }
+
+    #[test]
     fn faulty_session_reports_chaos() {
         let cfg = SimConfig::small().with_resources(6).with_k(1).with_seed(0xC0FE);
         let plan = FaultPlan::new(cfg.seed)

@@ -68,6 +68,15 @@ pub enum ScheduleError {
         /// Resources actually in the grid.
         capacity: usize,
     },
+    /// A link's fault rate is not a probability in `[0, 1]` (NaN
+    /// included).
+    RateOutOfRange {
+        /// The (normalized) edge of the override, or `None` for the
+        /// default edge.
+        edge: Option<(NodeId, NodeId)>,
+        /// `"drop"` or `"duplicate"`.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for ScheduleError {
@@ -91,6 +100,12 @@ impl fmt::Display for ScheduleError {
                 f,
                 "fault plan overrides edge {u}\u{2013}{v}, outside the grid's {capacity} resources"
             ),
+            ScheduleError::RateOutOfRange { edge: None, field } => {
+                write!(f, "the default edge's {field} rate is not a probability in [0, 1]")
+            }
+            ScheduleError::RateOutOfRange { edge: Some((u, v)), field } => {
+                write!(f, "edge {u}\u{2013}{v}'s {field} rate is not a probability in [0, 1]")
+            }
         }
     }
 }
@@ -142,9 +157,13 @@ impl EdgeFaults {
         self.drop == 0.0 && self.duplicate == 0.0 && self.jitter == 0
     }
 
-    fn validate(&self) {
-        assert!((0.0..=1.0).contains(&self.drop), "drop must be a probability");
-        assert!((0.0..=1.0).contains(&self.duplicate), "duplicate must be a probability");
+    /// The first rate that is not a probability in `[0, 1]` (a NaN
+    /// fails the range test too), by its field name.
+    fn bad_rate(&self) -> Option<&'static str> {
+        [("drop", self.drop), ("duplicate", self.duplicate)]
+            .into_iter()
+            .find(|(_, rate)| !(0.0..=1.0).contains(rate))
+            .map(|(field, _)| field)
     }
 }
 
@@ -248,16 +267,16 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Applies `faults` to every link without an explicit override.
+    /// Applies `faults` to every link without an explicit override. Its
+    /// rates are screened by [`FaultPlan::validate_within`].
     pub fn with_default_edge(mut self, faults: EdgeFaults) -> Self {
-        faults.validate();
         self.default_edge = faults;
         self
     }
 
-    /// Overrides the fault rates of the link `u – v` (symmetric).
+    /// Overrides the fault rates of the link `u – v` (symmetric). The
+    /// endpoints and rates are screened by [`FaultPlan::validate_within`].
     pub fn with_edge(mut self, u: NodeId, v: NodeId, faults: EdgeFaults) -> Self {
-        faults.validate();
         self.edges.insert((u.min(v), u.max(v)), faults);
         self
     }
@@ -358,9 +377,11 @@ impl FaultPlan {
 
     /// Build-time schedule screen: every resource fault in range with an
     /// onset inside the run horizon (events at or past `horizon` could
-    /// silently never fire), and every edge override naming endpoints the
-    /// grid actually has. Checks resources ascending by id, then edges —
-    /// so the first error reported is stable across drivers.
+    /// silently never fire), every edge override naming endpoints the
+    /// grid actually has, and every link rate — the default edge's and
+    /// each override's — a probability. Checks resources ascending by
+    /// id, then the default edge, then overrides ascending by edge — so
+    /// the first error reported is stable across drivers.
     pub fn validate_within(&self, capacity: usize, horizon: u64) -> Result<(), ScheduleError> {
         for (u, fault) in self.resource_faults() {
             if u >= capacity {
@@ -374,9 +395,15 @@ impl FaultPlan {
                 });
             }
         }
-        for ((u, v), _) in self.edge_overrides() {
+        if let Some(field) = self.default_edge.bad_rate() {
+            return Err(ScheduleError::RateOutOfRange { edge: None, field });
+        }
+        for ((u, v), faults) in self.edge_overrides() {
             if u >= capacity || v >= capacity {
                 return Err(ScheduleError::EdgeOutOfRange { edge: (u, v), capacity });
+            }
+            if let Some(field) = faults.bad_rate() {
+                return Err(ScheduleError::RateOutOfRange { edge: Some((u, v)), field });
             }
         }
         Ok(())
@@ -644,6 +671,30 @@ mod tests {
         assert_eq!(
             FaultPlan::new(0).with_crash(1, 60, None).validate_within(3, 60),
             Err(ScheduleError::OnsetBeyondHorizon { resource: 1, at: 60, horizon: 60 })
+        );
+    }
+
+    #[test]
+    fn validate_within_screens_every_link_rate() {
+        let rate = |drop, duplicate| EdgeFaults { drop, duplicate, jitter: 0 };
+        let valid = |plan: FaultPlan| plan.validate_within(3, 60);
+        assert_eq!(valid(FaultPlan::new(0).with_default_edge(rate(1.0, 0.0))), Ok(()));
+        assert_eq!(
+            valid(FaultPlan::new(0).with_default_edge(rate(1.5, 0.0))),
+            Err(ScheduleError::RateOutOfRange { edge: None, field: "drop" })
+        );
+        assert_eq!(
+            valid(FaultPlan::new(0).with_default_edge(rate(0.1, f64::NAN))),
+            Err(ScheduleError::RateOutOfRange { edge: None, field: "duplicate" })
+        );
+        assert_eq!(
+            valid(FaultPlan::new(0).with_edge(2, 1, rate(-0.1, 0.0))),
+            Err(ScheduleError::RateOutOfRange { edge: Some((1, 2)), field: "drop" })
+        );
+        let second_bad = FaultPlan::new(0).with_edge(0, 1, rate(0.0, 0.5));
+        assert_eq!(
+            valid(second_bad.with_edge(1, 2, rate(0.0, 2.0))),
+            Err(ScheduleError::RateOutOfRange { edge: Some((1, 2)), field: "duplicate" })
         );
     }
 
